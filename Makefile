@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench chaos vtime telemetry probe trace experiments examples tools clean
+.PHONY: all test race bench bench-check chaos vtime telemetry probe trace experiments examples tools clean
 
 all: test
 
@@ -15,6 +15,9 @@ race:            ## run the suite under the race detector
 bench:           ## regenerate every paper table/figure via testing.B
 	$(GO) test -bench=. -benchmem .
 
+bench-check:     ## regenerate the snapshot and gate it against BENCH_BASELINE.json
+	$(GO) run ./cmd/locusbench -check BENCH_BASELINE.json
+
 chaos:           ## 20-seed fault-injection sweep with the section 5 audit
 	$(GO) run ./cmd/locuschaos -sweep 20 -duration 1s
 	$(GO) run ./cmd/locuschaos -fastpaths -schedule 150ms:partition:2,450ms:heal,700ms:partition:3,1000ms:heal -duration 2s
@@ -23,7 +26,7 @@ chaos:           ## 20-seed fault-injection sweep with the section 5 audit
 vtime:           ## 100-seed virtual-clock chaos sweep + vtime bench (DESIGN.md section 11)
 	$(GO) run ./cmd/locuschaos -vtime -sweep 100 -duration 2s
 	$(GO) run ./cmd/locuschaos -vtime -sweep 100 -duration 2s -groupcommit 5ms -fastpaths
-	$(GO) run ./cmd/locusbench -concurrent -vtime
+	$(GO) run ./cmd/locusbench -exp concurrent -vtime
 
 telemetry:       ## utilization + critical-path report, then verify the golden snapshot
 	$(GO) run ./cmd/locusmon -clients 4 -txns 8

@@ -338,15 +338,15 @@ func BenchmarkConcurrentCommitThroughput(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var row bench.ConcurrentRow
 			for i := 0; i < b.N; i++ {
-				r, err := bench.ConcurrentCommit(8, 25, mode.gc)
+				r, err := bench.ConcurrentCommit(bench.ConcurrentOpts{Clients: 8, TxnsPerClient: 25, GroupCommit: mode.gc})
 				if err != nil {
 					b.Fatal(err)
 				}
 				row = r
 			}
 			b.ReportMetric(row.TxnsPerSec, "txns/sec")
-			b.ReportMetric(float64(row.P50.Microseconds())/1000, "p50Ms")
-			b.ReportMetric(float64(row.P99.Microseconds())/1000, "p99Ms")
+			b.ReportMetric(float64(time.Duration(row.P50).Microseconds())/1000, "p50Ms")
+			b.ReportMetric(float64(time.Duration(row.P99).Microseconds())/1000, "p99Ms")
 			b.ReportMetric(row.ForcedPerTxn, "forcedIOs/txn")
 		})
 	}

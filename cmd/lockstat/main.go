@@ -11,9 +11,8 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/simnet"
+	"repro/internal/scenario"
 	"repro/internal/wfg"
 )
 
@@ -25,14 +24,8 @@ func main() {
 }
 
 func run() error {
-	sys := core.NewSystem(cluster.Config{SyncPhase2: true, LockWaitTimeout: 2 * time.Second})
-	for i := 1; i <= 2; i++ {
-		sys.AddSite(simnet.SiteID(i))
-	}
-	if err := sys.AddVolume(1, "va"); err != nil {
-		return err
-	}
-	if err := sys.AddVolume(2, "vb"); err != nil {
+	sys, err := scenario.Spec{Volumes: []string{"va", "vb"}}.Build()
+	if err != nil {
 		return err
 	}
 

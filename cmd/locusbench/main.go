@@ -5,17 +5,18 @@
 // Usage:
 //
 //	locusbench                 # run every experiment
-//	locusbench -exp fig5       # one experiment: fig1 fig5 lock fig6
-//	                           # pagesize shadowlog preplog lockcache
-//	                           # replica prefetch fn7 recovery concurrent
-//	locusbench -concurrent     # just the group-commit throughput table
-//	locusbench -clients 16     # concurrent-mode client count
+//	locusbench -exp fig5       # one experiment (-exp help lists them)
+//	locusbench -exp concurrent -clients 16
+//	                           # group-commit throughput, 16 clients
 //	locusbench -markdown       # emit Markdown tables (for EXPERIMENTS.md)
 //	locusbench -model modern   # re-run under a contemporary cost model
 //	locusbench -json out.json  # write the perf-tracking snapshot
+//	locusbench -check BENCH_BASELINE.json
+//	                           # gate the snapshot against the baseline
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -32,31 +33,51 @@ import (
 	"repro/internal/workload"
 )
 
+// experiments is the one registry the -exp flag, its help text, the
+// run-everything order and the smoke test are all driven from.
+var experiments = []struct {
+	name string
+	run  func() error
+}{
+	{"fig1", fig1},
+	{"fig5", fig5},
+	{"lock", lockCost},
+	{"fig6", fig6},
+	{"pagesize", pageSize},
+	{"shadowlog", shadowLog},
+	{"preplog", prepLog},
+	{"lockcache", lockCache},
+	{"replica", replica},
+	{"prefetch", prefetch},
+	{"fn7", fn7},
+	{"granularity", granularity},
+	{"recovery", recovery},
+	{"concurrent", concurrent},
+	{"mixed", mixed},
+	{"repeat", repeat},
+	{"skew", skew},
+}
+
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, " ")
+}
+
 var (
-	expFlag   = flag.String("exp", "all", "experiment to run: all, fig1, fig5, lock, fig6, pagesize, shadowlog, preplog, lockcache, replica, prefetch, fn7, recovery, concurrent, mixed, repeat, skew")
+	expFlag   = flag.String("exp", "all", "experiment to run: all "+experimentNames())
 	markdown  = flag.Bool("markdown", false, "emit Markdown tables")
 	model     = flag.String("model", "vax750", "cost model: vax750 (the paper's testbed) or modern")
-	concFlag  = flag.Bool("concurrent", false, "run only the concurrent-commit throughput experiment")
 	clients   = flag.Int("clients", 8, "client goroutines for the concurrent experiment")
 	txnsPerCl = flag.Int("txns", 25, "transactions per client for the concurrent experiment")
-	readShare = flag.Int("readshare", -1, "mixed experiment: run only this read percentage (default sweeps 0, 50, 90)")
-	mixedTxns = flag.Int("mixedtxns", 50, "transactions per configuration for the mixed experiment")
-	repTxns   = flag.Int("repeattxns", 64, "transactions per configuration for the repeated-access lease experiment")
-	skewTxns  = flag.Int("skewtxns", 64, "measured transactions per client for the skewed-placement experiment (an equal warm-up window precedes them)")
 	jsonPath  = flag.String("json", "", "write a machine-readable benchmark snapshot (stable schema) to this path")
+	checkPath = flag.String("check", "", "regenerate the snapshot and gate it against this baseline file (rows of experiment, case, metric, value, better, tolerance); exit 1 on a regression or a missing row")
 	vtimeF    = flag.Bool("vtime", false, "run the concurrent experiment on the virtual discrete-event clock with the cost model's disk latency: latencies and throughput are reported in simulated time, wall-clock shrinks by orders of magnitude")
 	telemF    = flag.Bool("telemetry", false, "run the concurrent pair with the metrics registry, utilization sampler and commit critical-path profiler attached; prints the attribution summary (with -json, writes the canonical locusbench-telemetry/v1 document instead of the classic snapshot)")
 	interval  = flag.Duration("interval", 100*time.Millisecond, "telemetry sampler period (simulated time under -vtime)")
 )
-
-// mixedShares returns the read shares the mixed experiment sweeps,
-// honoring -readshare.
-func mixedShares() []int {
-	if *readShare >= 0 {
-		return []int{*readShare}
-	}
-	return []int{0, 50, 90}
-}
 
 func main() {
 	flag.Parse()
@@ -70,65 +91,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown model %q (want vax750 or modern)"+"\n", *model)
 		os.Exit(2)
 	}
-	if *telemF {
-		if err := telemetryCmd(); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+	run := func() error {
+		ran := false
+		for _, e := range experiments {
+			if *expFlag == "all" || *expFlag == e.name {
+				ran = true
+				if err := e.run(); err != nil {
+					return fmt.Errorf("experiment %s: %w", e.name, err)
+				}
+			}
 		}
-		return
-	}
-	if *jsonPath != "" {
-		if err := writeSnapshot(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *jsonPath)
-		return
-	}
-	if *concFlag {
-		if err := concurrent(); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	exps := map[string]func() error{
-		"fig1":        fig1,
-		"fig5":        fig5,
-		"lock":        lockCost,
-		"fig6":        fig6,
-		"pagesize":    pageSize,
-		"shadowlog":   shadowLog,
-		"preplog":     prepLog,
-		"lockcache":   lockCache,
-		"replica":     replica,
-		"prefetch":    prefetch,
-		"fn7":         fn7,
-		"granularity": granularity,
-		"recovery":    recovery,
-		"concurrent":  concurrent,
-		"mixed":       mixed,
-		"repeat":      repeat,
-		"skew":        skew,
-	}
-	order := []string{"fig1", "fig5", "lock", "fig6", "pagesize", "shadowlog", "preplog", "lockcache", "replica", "prefetch", "fn7", "granularity", "recovery", "concurrent", "mixed", "repeat", "skew"}
-	if *expFlag != "all" {
-		fn, ok := exps[*expFlag]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want one of: all %s)\n", *expFlag, strings.Join(order, " "))
+		if !ran {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want one of: all %s)\n", *expFlag, experimentNames())
 			os.Exit(2)
 		}
-		if err := fn(); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
+		return nil
 	}
-	for _, name := range order {
-		if err := exps[name](); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", name, err)
-			os.Exit(1)
-		}
+	if *telemF {
+		run = telemetryCmd
+	} else if *jsonPath != "" || *checkPath != "" {
+		run = snapshotCmd
+	}
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
 	}
 }
 
@@ -168,6 +154,17 @@ func fig1() error {
 		fl := lockmgr.NewFileLocks("probe", nil, stats.NewSet())
 		holder := lockmgr.Holder{PID: 1, Txn: "H"}
 		requester := lockmgr.Holder{PID: 2, Txn: "R"}
+		// unix reports what unlocked (Unix-mode) access h still has,
+		// checking read and write separately.
+		unix := func(h lockmgr.Holder) string {
+			switch {
+			case fl.CheckAccess(h, true, 0, 10) == nil:
+				return "r/w"
+			case fl.CheckAccess(h, false, 0, 10) == nil:
+				return "read"
+			}
+			return "no"
+		}
 		if held.mode == lockmgr.ModeNone && req.mode != lockmgr.ModeNone {
 			// Unix access is not a persistent table entry; the matrix
 			// cell expresses concurrency: grant the requested lock, then
@@ -176,16 +173,7 @@ func fig1() error {
 			if _, err := fl.Lock(lockmgr.Request{Holder: requester, Mode: req.mode, Off: 0, Len: 10}); err != nil {
 				return "err"
 			}
-			r := fl.CheckAccess(holder, false, 0, 10) == nil
-			w := fl.CheckAccess(holder, true, 0, 10) == nil
-			switch {
-			case r && w:
-				return "r/w"
-			case r:
-				return "read"
-			default:
-				return "no"
-			}
+			return unix(holder)
 		}
 		if held.mode != lockmgr.ModeNone {
 			if _, err := fl.Lock(lockmgr.Request{Holder: holder, Mode: held.mode, Off: 0, Len: 10}); err != nil {
@@ -193,17 +181,7 @@ func fig1() error {
 			}
 		}
 		if req.mode == lockmgr.ModeNone {
-			// Unix access: check read and write separately.
-			r := fl.CheckAccess(requester, false, 0, 10) == nil
-			w := fl.CheckAccess(requester, true, 0, 10) == nil
-			switch {
-			case r && w:
-				return "r/w"
-			case r:
-				return "read"
-			default:
-				return "no"
-			}
+			return unix(requester)
 		}
 		_, err := fl.Lock(lockmgr.Request{Holder: requester, Mode: req.mode, Off: 0, Len: 10})
 		if err != nil {
@@ -365,24 +343,16 @@ func prepLog() error {
 
 func lockCache() error {
 	rows, err := bench.LockCacheAblation(32)
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Case,
-			fmt.Sprintf("%.2f", r.MsgsPerOp),
-			fmt.Sprintf("%.1fms", float64(r.SimLatency.Microseconds())/1000),
-		})
-	}
-	table("Section 5.1 ablation: requesting-site lock cache",
-		[]string{"case", "msgs/access", "sim latency/access"}, out)
-	return nil
+	return perOpTable("Section 5.1 ablation: requesting-site lock cache", "access", rows, err)
 }
 
 func replica() error {
 	rows, err := bench.ReplicaLocality(16)
+	return perOpTable("Section 5.2: replication - reads at the closest storage site", "read", rows, err)
+}
+
+// perOpTable prints an experiment that repeats one remote operation.
+func perOpTable(title, op string, rows []bench.PerOpRow, err error) error {
 	if err != nil {
 		return err
 	}
@@ -394,8 +364,7 @@ func replica() error {
 			fmt.Sprintf("%.1fms", float64(r.SimLatency.Microseconds())/1000),
 		})
 	}
-	table("Section 5.2: replication - reads at the closest storage site",
-		[]string{"case", "msgs/read", "sim latency/read"}, out)
+	table(title, []string{"case", "msgs/" + op, "sim latency/" + op}, out)
 	return nil
 }
 
@@ -456,22 +425,17 @@ func granularity() error {
 }
 
 func concurrent() error {
-	pair := bench.ConcurrentCommitPair
-	if *vtimeF {
-		pair = bench.ConcurrentCommitPairVtime
-	}
-	rows, err := pair(*clients, *txnsPerCl)
+	rows, err := bench.ConcurrentPair(concurrentOpts())
 	if err != nil {
 		return err
 	}
-	ms := func(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000) }
 	var out [][]string
 	for _, r := range rows {
 		row := []string{
 			r.Case,
 			fmt.Sprintf("%d", r.Committed),
 			fmt.Sprintf("%.0f", r.TxnsPerSec),
-			ms(r.P50), ms(r.P95), ms(r.P99),
+			r.P50.String(), r.P95.String(), r.P99.String(),
 			fmt.Sprintf("%.2f", r.ForcedPerTxn),
 			fmt.Sprintf("%d", r.DiskWrites),
 		}
@@ -495,7 +459,7 @@ func concurrent() error {
 		}{{"total", r.PhaseTotal}, {"prepare", r.PhasePrepare}, {"phase2", r.PhasePhase2}} {
 			phases = append(phases, []string{
 				r.Case, ph.name, fmt.Sprint(ph.h.Count),
-				ms(ph.h.P50), ms(ph.h.P95), ms(ph.h.P99),
+				bench.Ms(ph.h.P50).String(), bench.Ms(ph.h.P95).String(), bench.Ms(ph.h.P99).String(),
 			})
 		}
 	}
@@ -512,27 +476,31 @@ func concurrent() error {
 	return nil
 }
 
+// concurrentOpts is the concurrent experiment as the flags select it:
+// the traced transfer workload, on the virtual clock at the cost
+// model's disk latency under -vtime.
+func concurrentOpts() bench.ConcurrentOpts {
+	o := bench.ConcurrentOpts{Clients: *clients, TxnsPerClient: *txnsPerCl, Trace: true}
+	if *vtimeF {
+		o = o.Simulated()
+	}
+	return o
+}
+
 // telemetryCmd runs the concurrent pair with the registry, sampler and
 // profiler attached.  Without -json it prints the human attribution and
 // utilization summary; with -json it writes the canonical
 // locusbench-telemetry/v1 document (fixed field order, sorted keys) -
 // the artifact the CI golden-snapshot job diffs byte-for-byte.
 func telemetryCmd() error {
-	rows, err := telemetryPair()
+	o := concurrentOpts()
+	o.Trace, o.Telemetry, o.SampleInterval = false, true, *interval
+	rows, err := bench.ConcurrentPair(o)
 	if err != nil {
 		return err
 	}
 	if *jsonPath != "" {
-		var buf []byte
-		buf = append(buf, '[', '\n')
-		for i, r := range rows {
-			if i > 0 {
-				buf = append(buf, ',', '\n')
-			}
-			buf = append(buf, r.TelemetryJSON()...)
-		}
-		buf = append(buf, '\n', ']', '\n')
-		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
+		if err := os.WriteFile(*jsonPath, bench.TelemetryDocument(rows), 0o644); err != nil {
 			return err
 		}
 		fmt.Println("wrote", *jsonPath)
@@ -553,53 +521,26 @@ func telemetryCmd() error {
 	return nil
 }
 
-// telemetryPair is ConcurrentCommitPair(-Vtime) with telemetry attached:
-// group commit off then on, virtual clock and cost-model latencies when
-// -vtime is set.
-func telemetryPair() ([]bench.ConcurrentRow, error) {
-	var rows []bench.ConcurrentRow
-	for _, gc := range []bool{false, true} {
-		o := bench.ConcurrentOpts{
-			Clients: *clients, TxnsPerClient: *txnsPerCl,
-			GroupCommit:    gc,
-			Telemetry:      true,
-			SampleInterval: *interval,
-		}
-		if *vtimeF {
-			o.DiskSyncDelay = bench.Vax.DiskWriteTime
-			o.GroupCommitDelay = bench.Vax.DiskWriteTime
-			o.Vtime = true
-		}
-		r, err := bench.ConcurrentCommitOpts(o)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
-
 // mixed prints the commit fast-path table (experiment E17): the mixed
 // read/write workload at several read shares, fast paths off and on.
 func mixed() error {
-	rows, err := bench.MixedSweep(*mixedTxns, mixedShares())
+	rows, err := bench.MixedSweep()
 	if err != nil {
 		return err
 	}
-	ms := func(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000) }
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{
 			r.Case, fmt.Sprintf("%d%%", r.ReadShare),
 			fmt.Sprint(r.Committed),
-			ms(r.P50), ms(r.P99),
+			r.P50.String(), r.P99.String(),
 			fmt.Sprintf("%.2f", r.ForcedPerTxn),
 			fmt.Sprint(r.CoordWrites), fmt.Sprint(r.PrepWrites),
 			fmt.Sprint(r.ReadOnly), fmt.Sprint(r.OnePhase),
 		})
 	}
-	table(fmt.Sprintf("Commit fast paths: mixed read/write workload (%d txns per config)", *mixedTxns),
-		[]string{"case", "reads", "committed", "p50", "p99", "forced IOs/txn",
+	table(fmt.Sprintf("Commit fast paths: mixed read/write workload (%d txns per config)", bench.MixedTxns),
+		[]string{"case", "reads", "committed", "sim p50", "sim p99", "forced IOs/txn",
 			"coord log", "prepare log", "ro votes", "1-phase"}, out)
 	fmt.Println("fast paths: read-only votes skip the prepare force and phase two; a")
 	fmt.Println("single-site transaction commits in one combined message (DESIGN.md section 10)")
@@ -613,7 +554,7 @@ func mixed() error {
 // whole-file lease under dense access), so the lock messages per
 // transaction column should approach zero.
 func repeat() error {
-	rows, err := bench.RepeatPair(*repTxns)
+	rows, err := bench.RepeatPair()
 	if err != nil {
 		return err
 	}
@@ -629,7 +570,7 @@ func repeat() error {
 			fmt.Sprint(r.Escalations),
 		})
 	}
-	table(fmt.Sprintf("Section 5.1 extended: repeated access to a hot remote file (%d txns per config)", *repTxns),
+	table(fmt.Sprintf("Section 5.1 extended: repeated access to a hot remote file (%d txns per config)", bench.RepeatTxns),
 		[]string{"case", "committed", "lock msgs", "lock msgs/txn", "lease hits", "revokes", "escalations"}, out)
 	fmt.Println("sticky leases: the storage site keeps a released lock as a lease for the")
 	fmt.Println("requesting site; repeat hits cost zero lock messages until a conflicting")
@@ -643,7 +584,7 @@ func repeat() error {
 // placement on, ownership moves and commit routing drive the local
 // commit fraction toward one and the messages per transaction down.
 func skew() error {
-	rows, err := bench.SkewSweep(*skewTxns)
+	rows, err := bench.SkewSweep()
 	if err != nil {
 		return err
 	}
@@ -661,7 +602,7 @@ func skew() error {
 			fmt.Sprint(r.ProcMoves),
 		})
 	}
-	table(fmt.Sprintf("Locality-adaptive placement: skewed clients vs one storage site (%d measured txns per client)", *skewTxns),
+	table(fmt.Sprintf("Locality-adaptive placement: skewed clients vs one storage site (%d measured txns)", rows[0].Txns),
 		[]string{"case", "committed", "local frac", "remote parts/txn", "msgs/txn", "forced IOs/txn", "owner moves", "routed", "proc moves"}, out)
 	fmt.Println("adaptive placement: the heat tracker migrates each client's hot files to")
 	fmt.Println("that client and commit routing localizes the rest, so hot commits stop")
@@ -669,246 +610,158 @@ func skew() error {
 	return nil
 }
 
-// snapshot is the stable -json schema ("locusbench/v1").  Fields are
+// snapshot is the stable -json schema ("locusbench/v1"); the JSON tags of
+// the row types in internal/bench are its field names.  Fields are
 // append-only: future PRs may add keys but must not rename or remove
 // these, so perf trajectories stay comparable across snapshots.
 type snapshot struct {
-	Schema     string           `json:"schema"`
-	Model      string           `json:"model"`
-	Fig5       []snapFig5       `json:"fig5"`
-	Concurrent []snapConcurrent `json:"concurrent"`
-	// Appended for the commit fast paths (schema is append-only): the
-	// mixed read/write sweep at read shares 0/50/90, fast paths off/on.
-	Mixed []snapMixed `json:"mixed"`
-	// Appended for the virtual clock (schema is append-only): the
-	// concurrent pair re-run in discrete-event time at the cost model's
-	// disk latency, reporting simulated-time throughput.
-	Vtime []snapVtime `json:"vtime"`
-	// Appended for sticky lock leases (schema is append-only): the
-	// repeated-access workload leases off and on; the CI bench gate
-	// reads lock_msgs_per_txn.
-	Repeat []snapRepeat `json:"repeat"`
-	// Appended for locality-adaptive placement (schema is append-only):
-	// the skewed-client sweep, placement off and on; the CI bench gate
-	// reads local_commit_fraction (higher is better) and
-	// forced_ios_per_txn.
-	Skew []snapSkew `json:"skew"`
+	Schema     string                `json:"schema"`
+	Model      string                `json:"model"`
+	Fig5       []bench.Fig5Row       `json:"fig5"`
+	Concurrent []bench.ConcurrentRow `json:"concurrent"`
+	// The mixed read/write sweep at read shares 0/50/90, fast paths
+	// off/on.
+	Mixed []bench.MixedRow `json:"mixed"`
+	// The concurrent pair re-run in discrete-event time at the cost
+	// model's disk latency, reporting simulated-time throughput.
+	Vtime []bench.ConcurrentRow `json:"vtime"`
+	// The repeated-access workload, sticky lock leases off and on.
+	Repeat []bench.RepeatRow `json:"repeat"`
+	// The skewed-client sweep, adaptive placement off and on.
+	Skew []bench.SkewRow `json:"skew"`
 }
 
-type snapSkew struct {
-	Case                string         `json:"case"`
-	Adaptive            bool           `json:"adaptive_placement"`
-	Pattern             string         `json:"pattern"`
-	Txns                int            `json:"txns"`
-	Committed           int64          `json:"committed"`
-	LocalCommitFraction float64        `json:"local_commit_fraction"`
-	RemotePartsPerTxn   float64        `json:"remote_participants_per_txn"`
-	MsgsPerTxn          float64        `json:"msgs_per_txn"`
-	ForcedPerTxn        float64        `json:"forced_ios_per_txn"`
-	OwnerMoves          int64          `json:"owner_moves"`
-	RoutedCommits       int64          `json:"routed_commits"`
-	ProcMoves           int64          `json:"placement_migrations"`
-	Counters            stats.Snapshot `json:"counters"`
-}
-
-type snapFig5 struct {
-	Case       string `json:"case"`
-	DoubleLog  bool   `json:"footnote9_double_log"`
-	ProtocolIO int64  `json:"protocol_ios_per_txn"`
-}
-
-type snapConcurrent struct {
-	Case          string  `json:"case"`
-	Clients       int     `json:"clients"`
-	TxnsPerClient int     `json:"txns_per_client"`
-	Committed     int64   `json:"committed"`
-	TxnsPerSec    float64 `json:"txns_per_sec"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	ForcedPerTxn  float64 `json:"forced_ios_per_txn"`
-	Batches       int64   `json:"group_commit_batches"`
-	BatchRecords  int64   `json:"group_commit_records"`
-	DiskWrites    int64   `json:"disk_writes"`
-	// Appended after v1's initial fields (schema is append-only): wall
-	// p95 plus per-2PC-phase percentiles from the event trace, and the
-	// full counter delta for the run.
-	P95Ms        float64        `json:"p95_ms"`
-	PrepareP50Ms float64        `json:"prepare_p50_ms"`
-	PrepareP95Ms float64        `json:"prepare_p95_ms"`
-	PrepareP99Ms float64        `json:"prepare_p99_ms"`
-	Phase2P50Ms  float64        `json:"phase2_p50_ms"`
-	Phase2P95Ms  float64        `json:"phase2_p95_ms"`
-	Phase2P99Ms  float64        `json:"phase2_p99_ms"`
-	Counters     stats.Snapshot `json:"counters"`
-}
-
-type snapMixed struct {
-	Case            string         `json:"case"`
-	FastPaths       bool           `json:"fast_paths"`
-	ReadShare       int            `json:"read_share"`
-	Txns            int            `json:"txns"`
-	Committed       int64          `json:"committed"`
-	P50Ms           float64        `json:"p50_ms"`
-	P99Ms           float64        `json:"p99_ms"`
-	ForcedIOs       int64          `json:"forced_ios"`
-	ForcedPerTxn    float64        `json:"forced_ios_per_txn"`
-	CoordLogWrites  int64          `json:"coord_log_writes"`
-	PrepLogWrites   int64          `json:"prepare_log_writes"`
-	ReadOnlyVotes   int64          `json:"read_only_votes"`
-	OnePhaseCommits int64          `json:"one_phase_commits"`
-	Counters        stats.Snapshot `json:"counters"`
-}
-
-type snapRepeat struct {
-	Case           string         `json:"case"`
-	Leases         bool           `json:"leases"`
-	Txns           int            `json:"txns"`
-	Committed      int64          `json:"committed"`
-	LockMsgs       int64          `json:"lock_msgs"`
-	LockMsgsPerTxn float64        `json:"lock_msgs_per_txn"`
-	LeaseHits      int64          `json:"lease_hits"`
-	LeaseRevokes   int64          `json:"lease_revokes"`
-	Escalations    int64          `json:"escalations"`
-	Counters       stats.Snapshot `json:"counters"`
-}
-
-type snapVtime struct {
-	Case          string         `json:"case"`
-	Clients       int            `json:"clients"`
-	TxnsPerClient int            `json:"txns_per_client"`
-	Committed     int64          `json:"committed"`
-	SimTimeNs     int64          `json:"sim_time_ns"`
-	TxnsPerSimSec float64        `json:"txns_per_sim_sec"`
-	ForcedPerTxn  float64        `json:"forced_ios_per_txn"`
-	DiskWrites    int64          `json:"disk_writes"`
-	Batches       int64          `json:"group_commit_batches"`
-	BatchRecords  int64          `json:"group_commit_records"`
-	Counters      stats.Snapshot `json:"counters"`
-}
-
-func writeSnapshot(path string) error {
+func buildSnapshot() (snapshot, error) {
 	snap := snapshot{Schema: "locusbench/v1", Model: *model}
 	for _, double := range []bool{false, true} {
 		rows, err := bench.Fig5(double)
 		if err != nil {
-			return err
+			return snap, err
 		}
-		for _, r := range rows {
-			snap.Fig5 = append(snap.Fig5, snapFig5{Case: r.Case, DoubleLog: double, ProtocolIO: r.Total})
-		}
+		snap.Fig5 = append(snap.Fig5, rows...)
 	}
-	rows, err := bench.ConcurrentCommitPair(*clients, *txnsPerCl)
+	o := bench.ConcurrentOpts{Clients: *clients, TxnsPerClient: *txnsPerCl, Trace: true}
+	var err error
+	if snap.Concurrent, err = bench.ConcurrentPair(o); err != nil {
+		return snap, err
+	}
+	if snap.Vtime, err = bench.ConcurrentPair(o.Simulated()); err != nil {
+		return snap, err
+	}
+	if snap.Mixed, err = bench.MixedSweep(); err != nil {
+		return snap, err
+	}
+	if snap.Repeat, err = bench.RepeatPair(); err != nil {
+		return snap, err
+	}
+	snap.Skew, err = bench.SkewSweep()
+	return snap, err
+}
+
+// snapshotCmd regenerates the snapshot once, writes it under -json and
+// gates it under -check.
+func snapshotCmd() error {
+	snap, err := buildSnapshot()
 	if err != nil {
 		return err
-	}
-	for _, r := range rows {
-		snap.Concurrent = append(snap.Concurrent, snapConcurrent{
-			Case:          r.Case,
-			Clients:       r.Clients,
-			TxnsPerClient: r.TxnsPerCl,
-			Committed:     r.Committed,
-			TxnsPerSec:    r.TxnsPerSec,
-			P50Ms:         float64(r.P50.Microseconds()) / 1000,
-			P99Ms:         float64(r.P99.Microseconds()) / 1000,
-			ForcedPerTxn:  r.ForcedPerTxn,
-			Batches:       r.Batches,
-			BatchRecords:  r.BatchRecords,
-			DiskWrites:    r.DiskWrites,
-			P95Ms:         float64(r.P95.Microseconds()) / 1000,
-			PrepareP50Ms:  float64(r.PhasePrepare.P50.Microseconds()) / 1000,
-			PrepareP95Ms:  float64(r.PhasePrepare.P95.Microseconds()) / 1000,
-			PrepareP99Ms:  float64(r.PhasePrepare.P99.Microseconds()) / 1000,
-			Phase2P50Ms:   float64(r.PhasePhase2.P50.Microseconds()) / 1000,
-			Phase2P95Ms:   float64(r.PhasePhase2.P95.Microseconds()) / 1000,
-			Phase2P99Ms:   float64(r.PhasePhase2.P99.Microseconds()) / 1000,
-			Counters:      r.Counters,
-		})
-	}
-	vrows, err := bench.ConcurrentCommitPairVtime(*clients, *txnsPerCl)
-	if err != nil {
-		return err
-	}
-	for _, r := range vrows {
-		snap.Vtime = append(snap.Vtime, snapVtime{
-			Case:          r.Case,
-			Clients:       r.Clients,
-			TxnsPerClient: r.TxnsPerCl,
-			Committed:     r.Committed,
-			SimTimeNs:     r.SimTime.Nanoseconds(),
-			TxnsPerSimSec: r.TxnsPerSimSec,
-			ForcedPerTxn:  r.ForcedPerTxn,
-			DiskWrites:    r.DiskWrites,
-			Batches:       r.Batches,
-			BatchRecords:  r.BatchRecords,
-			Counters:      r.Counters,
-		})
-	}
-	mrows, err := bench.MixedSweep(*mixedTxns, mixedShares())
-	if err != nil {
-		return err
-	}
-	for _, r := range mrows {
-		snap.Mixed = append(snap.Mixed, snapMixed{
-			Case:            r.Case,
-			FastPaths:       r.FastPaths,
-			ReadShare:       r.ReadShare,
-			Txns:            r.Txns,
-			Committed:       r.Committed,
-			P50Ms:           float64(r.P50.Microseconds()) / 1000,
-			P99Ms:           float64(r.P99.Microseconds()) / 1000,
-			ForcedIOs:       r.ForcedIOs,
-			ForcedPerTxn:    r.ForcedPerTxn,
-			CoordLogWrites:  r.CoordWrites,
-			PrepLogWrites:   r.PrepWrites,
-			ReadOnlyVotes:   r.ReadOnly,
-			OnePhaseCommits: r.OnePhase,
-			Counters:        r.Counters,
-		})
-	}
-	rrows, err := bench.RepeatPair(*repTxns)
-	if err != nil {
-		return err
-	}
-	for _, r := range rrows {
-		snap.Repeat = append(snap.Repeat, snapRepeat{
-			Case:           r.Case,
-			Leases:         r.Leases,
-			Txns:           r.Txns,
-			Committed:      r.Committed,
-			LockMsgs:       r.LockMsgs,
-			LockMsgsPerTxn: r.LockMsgsPerTxn,
-			LeaseHits:      r.LeaseHits,
-			LeaseRevokes:   r.LeaseRevokes,
-			Escalations:    r.Escalations,
-			Counters:       r.Counters,
-		})
-	}
-	srows, err := bench.SkewSweep(*skewTxns)
-	if err != nil {
-		return err
-	}
-	for _, r := range srows {
-		snap.Skew = append(snap.Skew, snapSkew{
-			Case:                r.Case,
-			Adaptive:            r.Adaptive,
-			Pattern:             r.Pattern,
-			Txns:                r.Txns,
-			Committed:           r.Committed,
-			LocalCommitFraction: r.LocalCommitFraction,
-			RemotePartsPerTxn:   r.RemotePartsPerTxn,
-			MsgsPerTxn:          r.MsgsPerTxn,
-			ForcedPerTxn:        r.ForcedPerTxn,
-			OwnerMoves:          r.OwnerMoves,
-			RoutedCommits:       r.RoutedCommits,
-			ProcMoves:           r.ProcMoves,
-			Counters:            r.Counters,
-		})
 	}
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	if *jsonPath != "" {
+		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Println("wrote", *jsonPath)
+	}
+	if *checkPath == "" {
+		return nil
+	}
+	base, err := os.ReadFile(*checkPath)
+	if err != nil {
+		return err
+	}
+	return check(base, data)
+}
+
+// gate is one row of the baseline file: the value a snapshot metric had
+// when the baseline was cut, which direction is better, and how far on
+// the worse side (relative) a run may land before the gate fails.
+type gate struct {
+	Experiment string  `json:"experiment"`
+	Case       string  `json:"case"`
+	Metric     string  `json:"metric"`
+	Value      float64 `json:"value"`
+	Better     string  `json:"better"`
+	Tolerance  float64 `json:"tolerance"`
+}
+
+// check gates a marshalled snapshot against a baseline file's rows,
+// printing one "want -> got" line per row.
+func check(baseline, snap []byte) error {
+	var gates []gate
+	dec := json.NewDecoder(bytes.NewReader(baseline))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&gates); err != nil {
+		return fmt.Errorf("baseline: %w", err)
+	}
+	got, err := metrics(snap)
+	if err != nil {
+		return err
+	}
+	missed := 0
+	for _, g := range gates {
+		if g.Better != "lower" && g.Better != "higher" {
+			return fmt.Errorf("baseline: %s %s %s: better is %q, want lower or higher", g.Experiment, g.Case, g.Metric, g.Better)
+		}
+		v, ok := got[[3]string{g.Experiment, g.Case, g.Metric}]
+		verdict := "OK"
+		switch {
+		case !ok:
+			verdict = "MISSING from this run"
+		case g.Better == "lower" && v > g.Value*(1+g.Tolerance), g.Better == "higher" && v < g.Value*(1-g.Tolerance):
+			verdict = fmt.Sprintf("REGRESSED (%s is better, tolerance %g%%)", g.Better, 100*g.Tolerance)
+		}
+		if verdict != "OK" {
+			missed++
+		}
+		fmt.Printf("%s %s: %s %v -> %v %s\n", g.Experiment, g.Case, g.Metric, g.Value, v, verdict)
+	}
+	if missed > 0 {
+		return fmt.Errorf("%d of %d gated metrics missed their baseline", missed, len(gates))
+	}
+	return nil
+}
+
+// metrics flattens a marshalled snapshot into (experiment, case, metric)
+// -> value over every numeric field of every row.  The mixed rows share
+// a case across read shares, so there the case key carries the share:
+// "fast-paths on @50%".
+func metrics(snap []byte) (map[[3]string]float64, error) {
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(snap, &doc); err != nil {
+		return nil, err
+	}
+	out := map[[3]string]float64{}
+	for exp, raw := range doc {
+		var rows []map[string]any
+		if json.Unmarshal(raw, &rows) != nil {
+			continue // schema, model: not a row section
+		}
+		for _, row := range rows {
+			name, _ := row["case"].(string)
+			if share, ok := row["read_share"]; ok {
+				name = fmt.Sprintf("%s @%v%%", name, share)
+			}
+			for metric, v := range row {
+				if f, ok := v.(float64); ok {
+					out[[3]string{exp, name, metric}] = f
+				}
+			}
+		}
+	}
+	return out, nil
 }
 
 func recovery() error {

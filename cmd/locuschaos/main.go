@@ -41,54 +41,44 @@ import (
 	"repro/internal/chaos"
 )
 
+// The flags bind straight into the run's options: chaos.Options is the
+// source of truth, this command a thin shell over it.
 var (
-	seed     = flag.Int64("seed", 1, "schedule and workload seed")
-	duration = flag.Duration("duration", 2*time.Second, "workload window")
-	sites    = flag.Int("sites", 4, "cluster size (one volume per site)")
-	workers  = flag.Int("workers", 6, "concurrent workload goroutines")
+	opts     chaos.Options
 	faults   = flag.String("faults", "all", "fault kinds the generator may draw: all, or a comma list of crash,diskcrash,partition,block,drop,dup,latency")
 	schedule = flag.String("schedule", "", "explicit fault schedule (overrides generation), e.g. 100ms:crash:2,400ms:restart:2,500ms:drop:0.3")
 	sweep    = flag.Int("sweep", 0, "run seeds seed..seed+N-1 instead of a single run")
 	stats    = flag.Bool("stats", false, "append nondeterministic commit/abort counts to the report")
 	verbose  = flag.Bool("v", false, "log faults and recovery progress as they happen")
-	groupc   = flag.Duration("groupcommit", 0, "enable the group-commit log daemon with this max batching delay (0 = synchronous log forces)")
-	fastp    = flag.Bool("fastpaths", false, "enable the commit fast paths (read-only votes, one-phase commit) and mix read-only audit transactions into the workload")
-	leasesF  = flag.Bool("leases", false, "enable sticky lock leases with a short TTL, so callback revokes, partition-delayed revokes and leaseholder crashes interleave with the fault schedule")
-	placeF   = flag.Bool("placement", false, "enable locality-adaptive placement with aggressive knobs, so ownership moves and routed commits interleave with the fault schedule; the audit adds a single-primary convergence check")
-	vtimeF   = flag.Bool("vtime", false, "run on the virtual discrete-event clock with VAX-750 latencies: -duration counts simulated time and wall-clock shrinks by orders of magnitude")
-	telemF   = flag.Bool("telemetry", false, "enable commit-path profiling and append the attribution/utilization summary to the report (nondeterministic, like -stats)")
 	forens   = flag.String("forensics", "", "on any invariant failure, also write the full failure reports (violations + event-trace forensics) to this file; CI uploads it as an artifact")
 )
+
+func init() {
+	flag.Int64Var(&opts.Seed, "seed", 1, "schedule and workload seed")
+	flag.DurationVar(&opts.Duration, "duration", 2*time.Second, "workload window")
+	flag.IntVar(&opts.Sites, "sites", 4, "cluster size (one volume per site)")
+	flag.IntVar(&opts.Workers, "workers", 6, "concurrent workload goroutines")
+	flag.DurationVar(&opts.GroupCommit, "groupcommit", 0, "enable the group-commit log daemon with this max batching delay (0 = synchronous log forces)")
+	flag.BoolVar(&opts.FastPaths, "fastpaths", false, "enable the commit fast paths (read-only votes, one-phase commit) and mix read-only audit transactions into the workload")
+	flag.BoolVar(&opts.LockLeases, "leases", false, "enable sticky lock leases with a short TTL, so callback revokes, partition-delayed revokes and leaseholder crashes interleave with the fault schedule")
+	flag.BoolVar(&opts.Placement, "placement", false, "enable locality-adaptive placement with aggressive knobs, so ownership moves and routed commits interleave with the fault schedule; the audit adds a single-primary convergence check")
+	flag.BoolVar(&opts.Vtime, "vtime", false, "run on the virtual discrete-event clock with VAX-750 latencies: -duration counts simulated time and wall-clock shrinks by orders of magnitude")
+	flag.BoolVar(&opts.Telemetry, "telemetry", false, "enable commit-path profiling and append the attribution/utilization summary to the report (nondeterministic, like -stats)")
+}
 
 func main() {
 	flag.Parse()
 
-	set, err := chaos.ParseFaults(*faults)
-	if err != nil {
+	var err error
+	if opts.Faults, err = chaos.ParseFaults(*faults); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var sched chaos.Schedule
 	if *schedule != "" {
-		sched, err = chaos.ParseSchedule(*schedule)
-		if err != nil {
+		if opts.Schedule, err = chaos.ParseSchedule(*schedule); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-	}
-
-	opts := chaos.Options{
-		Duration:    *duration,
-		Sites:       *sites,
-		Workers:     *workers,
-		Faults:      set,
-		Schedule:    sched,
-		GroupCommit: *groupc,
-		FastPaths:   *fastp,
-		LockLeases:  *leasesF,
-		Placement:   *placeF,
-		Vtime:       *vtimeF,
-		Telemetry:   *telemF,
 	}
 	if *verbose {
 		opts.Logf = func(format string, args ...any) {
@@ -102,26 +92,21 @@ func main() {
 	}
 	failed := 0
 	var failures []string
+	first := opts.Seed
 	for i := 0; i < n; i++ {
-		opts.Seed = *seed + int64(i)
+		opts.Seed = first + int64(i)
 		res, err := chaos.Run(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "locuschaos: seed %d: %v\n", opts.Seed, err)
 			os.Exit(2)
 		}
 		if n > 1 {
-			verdict := "PASS"
-			if !res.OK() {
-				verdict = "FAIL"
-			}
-			fmt.Printf("seed %-4d %s\n", opts.Seed, verdict)
-			if !res.OK() {
-				fmt.Print(res.Report(*stats))
-			}
-		} else {
+			fmt.Printf("seed %-4d %s\n", opts.Seed, map[bool]string{true: "PASS", false: "FAIL"}[res.OK()])
+		}
+		if n == 1 || !res.OK() {
 			fmt.Print(res.Report(*stats))
 		}
-		if *telemF {
+		if opts.Telemetry {
 			fmt.Print(res.TelemetrySummary())
 		}
 		if !res.OK() {

@@ -22,9 +22,9 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/wfg"
 )
@@ -42,13 +42,10 @@ type shell struct {
 
 func main() {
 	flag.Parse()
-	sys := core.NewSystem(cluster.Config{SyncPhase2: true})
-	for i := 1; i <= *nSites; i++ {
-		sys.AddSite(simnet.SiteID(i))
-		if err := sys.AddVolume(simnet.SiteID(i), fmt.Sprintf("v%d", i)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	sys, err := scenario.Spec{Volumes: scenario.PerSite(*nSites)}.Build()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	sh := &shell{
 		sys:   sys,

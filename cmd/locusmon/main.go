@@ -61,16 +61,13 @@ func run() error {
 	}
 	var rows []bench.ConcurrentRow
 	for _, gc := range configs {
-		row, err := bench.ConcurrentCommitOpts(bench.ConcurrentOpts{
-			Clients:          *clients,
-			TxnsPerClient:    *txnsPerCl,
-			GroupCommit:      gc,
-			DiskSyncDelay:    bench.Vax.DiskWriteTime,
-			GroupCommitDelay: bench.Vax.DiskWriteTime,
-			Vtime:            true,
-			Telemetry:        true,
-			SampleInterval:   *interval,
-		})
+		row, err := bench.ConcurrentCommit(bench.ConcurrentOpts{
+			Clients:        *clients,
+			TxnsPerClient:  *txnsPerCl,
+			GroupCommit:    gc,
+			Telemetry:      true,
+			SampleInterval: *interval,
+		}.Simulated())
 		if err != nil {
 			return err
 		}
@@ -78,16 +75,7 @@ func run() error {
 		report(row)
 	}
 	if *jsonPath != "" {
-		var buf []byte
-		buf = append(buf, '[', '\n')
-		for i, r := range rows {
-			if i > 0 {
-				buf = append(buf, ',', '\n')
-			}
-			buf = append(buf, r.TelemetryJSON()...)
-		}
-		buf = append(buf, '\n', ']', '\n')
-		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
+		if err := os.WriteFile(*jsonPath, bench.TelemetryDocument(rows), 0o644); err != nil {
 			return err
 		}
 		fmt.Println("wrote", *jsonPath)
@@ -140,20 +128,13 @@ func report(r bench.ConcurrentRow) {
 		lg := r.Metrics.Histograms["group_commit_linger_ns"]
 		fmt.Printf("group commit: %d flushes, mean batch %.1f records, mean linger %s\n",
 			h.Count, float64(h.Sum)/float64(h.Count),
-			time.Duration(int64(float64(lg.Sum)/float64(max64(lg.Count, 1)))).Round(time.Microsecond))
+			time.Duration(int64(float64(lg.Sum)/float64(max(lg.Count, 1)))).Round(time.Microsecond))
 	}
 	if strip := utilizationStrip(r.Samples, *interval); strip != "" {
 		fmt.Printf("utilization %s  (one cell per %s, . <25%% : <50%% + <75%% # <=100%%)\n", strip, *interval)
 	}
 	fmt.Println()
 	fmt.Print(r.Profile.Summary())
-}
-
-func max64(v, floor int64) int64 {
-	if v < floor {
-		return floor
-	}
-	return v
 }
 
 // utilizationStrip renders successive-sample disk_busy_ns deltas as a

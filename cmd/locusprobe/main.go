@@ -29,23 +29,18 @@ import (
 )
 
 var (
-	workload  = flag.String("workload", "all", "workload to sweep: single, diff, tpc, migrate, readonly, onephase, lease, ownermove, or all")
-	kind      = flag.String("kind", "", "restrict crash points to one I/O class: data, inode, coordlog, preparelog (empty = every stable write)")
-	maxPoints = flag.Int("max-points", 0, "bound the sweep per disk by stride-sampling this many indices (0 = exhaustive)")
-	jsonOut   = flag.Bool("json", false, "emit the full matrix as deterministic JSON instead of the text report")
-	verbose   = flag.Bool("v", false, "log per-disk sweep progress")
-	forens    = flag.String("forensics", "", "on any violation, also write the full failure report (with event-trace forensics) to this file; CI uploads it as an artifact")
+	opts    crashprobe.Options
+	jsonOut = flag.Bool("json", false, "emit the full matrix as deterministic JSON instead of the text report")
+	verbose = flag.Bool("v", false, "log per-disk sweep progress")
+	forens  = flag.String("forensics", "", "on any violation, also write the full failure report (with event-trace forensics) to this file; CI uploads it as an artifact")
 )
 
 func main() {
+	flag.StringVar(&opts.Workload, "workload", "all", "workload to sweep: single, diff, tpc, migrate, readonly, onephase, lease, ownermove, or all")
+	flag.StringVar(&opts.Kind, "kind", "", "restrict crash points to one I/O class: data, inode, coordlog, preparelog (empty = every stable write)")
+	flag.IntVar(&opts.MaxPointsPerDisk, "max-points", 0, "bound the sweep per disk by stride-sampling this many indices (0 = exhaustive)")
 	flag.Parse()
-
-	opts := crashprobe.Options{
-		Workload:         *workload,
-		Kind:             *kind,
-		MaxPointsPerDisk: *maxPoints,
-		Forensics:        *forens != "" || *verbose,
-	}
+	opts.Forensics = *forens != "" || *verbose
 	if *verbose {
 		opts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)

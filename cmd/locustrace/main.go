@@ -31,9 +31,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -113,21 +112,14 @@ func runWorkload(seed int64, sites, txns int, vt bool, dropOp string) (*trace.Co
 	if sites < 2 {
 		return nil, 0, fmt.Errorf("need at least 2 sites (client + storage), got %d", sites)
 	}
-	col := trace.NewCollector(0)
-	cfg := cluster.Config{
-		SyncPhase2: true,
-		Trace:      col,
-		Net:        simnet.Config{Seed: seed},
-	}
-	var virt *vtime.Virtual
+	spec := scenario.Spec{Volumes: scenario.PerSite(sites), Seed: seed, Trace: true}
 	if vt {
-		vax := costmodel.Vax750()
-		virt = vtime.NewVirtual()
-		cfg.Clock = virt
-		cfg.DiskSyncDelay = vax.DiskWriteTime
-		cfg.Net.Latency = vax.MsgTime
+		spec = spec.At(costmodel.Vax750())
 	}
-	sys := core.NewSystem(cfg)
+	sys, err := spec.Build()
+	if err != nil {
+		return nil, 0, err
+	}
 	defer sys.Cluster().Shutdown()
 	if dropOp != "" {
 		var dropMu sync.Mutex
@@ -143,14 +135,6 @@ func runWorkload(seed int64, sites, txns int, vt bool, dropOp string) (*trace.Co
 			return counts[key]%2 == 1
 		})
 	}
-	for i := 1; i <= sites; i++ {
-		id := simnet.SiteID(i)
-		sys.AddSite(id)
-		if err := sys.AddVolume(id, fmt.Sprintf("v%d", i)); err != nil {
-			return nil, 0, err
-		}
-	}
-
 	p, err := sys.NewProcess(1)
 	if err != nil {
 		return nil, 0, err
@@ -176,10 +160,10 @@ func runWorkload(seed int64, sites, txns int, vt bool, dropOp string) (*trace.Co
 		}
 	}
 	var sim time.Duration
-	if virt != nil {
+	if virt, ok := vtime.AsVirtual(sys.Cluster().Clock()); ok {
 		sim = virt.Elapsed()
 	}
-	return col, sim, nil
+	return scenario.Collector(sys), sim, nil
 }
 
 // filterEvents keeps events whose type name, transaction or object

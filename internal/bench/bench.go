@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 )
@@ -20,42 +21,74 @@ import (
 // Vax is the cost model used to express results in the paper's units.
 var Vax = costmodel.Vax750()
 
-// newSystem builds the standard bench system: site 1 holds "va", site 2
+// threeSites is the standard bench topology: site 1 holds "va", site 2
 // holds "vb", site 3 holds "vc" and acts as a diskful client site.
+var threeSites = []string{"va", "vb", "vc"}
+
+// newSystem builds the standard bench system with one ablation switch
+// (or none) set.
 func newSystem(cfg cluster.Config) (*core.System, error) {
-	cfg.SyncPhase2 = true
-	sys := core.NewSystem(cfg)
-	for _, id := range []simnet.SiteID{1, 2, 3} {
-		sys.AddSite(id)
+	return scenario.Spec{Volumes: threeSites, Base: cfg}.Build()
+}
+
+// baseFile creates path from p holding size committed zero bytes and
+// returns the open handle.
+func baseFile(p *core.Process, path string, size int) (*core.File, error) {
+	f, err := p.Create(path)
+	if err != nil {
+		return nil, err
 	}
-	for site, vol := range map[simnet.SiteID]string{1: "va", 2: "vb", 3: "vc"} {
-		if err := sys.AddVolume(site, vol); err != nil {
-			return nil, err
-		}
+	if _, err := f.WriteAt(make([]byte, size), 0); err != nil {
+		return nil, err
 	}
-	return sys, nil
+	return f, f.Sync()
+}
+
+// coOwn has a second process at site 1 dirty [off, off+n) of path and
+// leave it uncommitted, so the next commit of a disjoint record on the
+// same page takes the Figure 4(b) differencing path.
+func coOwn(sys *core.System, path string, off, n int64, data string) error {
+	other, err := sys.NewProcess(1)
+	if err != nil {
+		return err
+	}
+	fo, err := other.Open(path)
+	if err != nil {
+		return err
+	}
+	if err := fo.LockRange(off, n, core.Exclusive); err != nil {
+		return err
+	}
+	if _, err := fo.WriteAt([]byte(data), off); err != nil {
+		return err
+	}
+	_, err = fo.Unlock(off, n)
+	return err
 }
 
 // ---- E2: Figure 5, transaction I/O overhead ----
 
 // Fig5Row is one configuration of the Figure 5 experiment.
+// The JSON tags here and on the other row types are the locusbench/v1
+// snapshot schema: append-only, so perf trajectories stay comparable.
 type Fig5Row struct {
-	Case string
+	Case      string `json:"case"`
+	DoubleLog bool   `json:"footnote9_double_log"`
 	// Measured I/O counts for one transaction commit.
-	CoordLog   int64 // steps 1 (record) and 4 (commit mark)
-	DataPages  int64 // step 2 (flush modified pages at prepare)
-	PrepareLog int64 // step 3 (one per volume, or per file in fn-10 mode)
-	Inode      int64 // step 5 (phase-two pointer replacement)
-	Total      int64 // protocol I/Os (sum of the above)
+	CoordLog   int64 `json:"-"`                    // steps 1 (record) and 4 (commit mark)
+	DataPages  int64 `json:"-"`                    // step 2 (flush modified pages at prepare)
+	PrepareLog int64 `json:"-"`                    // step 3 (one per volume, or per file in fn-10 mode)
+	Inode      int64 `json:"-"`                    // step 5 (phase-two pointer replacement)
+	Total      int64 `json:"protocol_ios_per_txn"` // protocol I/Os (sum of the above)
 	// PaperTotal is the paper's count for this configuration (0 = the
 	// paper gives no single number).
-	PaperTotal int64
+	PaperTotal int64 `json:"-"`
 	// Msgs and ForcedIOs are the commit's full network and forced-disk
 	// traffic - the counts the virtual-clock mode must reproduce
 	// exactly, since simulated time only re-prices events, never adds
 	// or removes them.
-	Msgs      int64
-	ForcedIOs int64
+	Msgs      int64 `json:"-"`
+	ForcedIOs int64 `json:"-"`
 }
 
 // Fig5 measures the transaction mechanism's I/O overhead for the paper's
@@ -63,14 +96,13 @@ type Fig5Row struct {
 // costs an extra inode write), turning the 5-I/O ideal into the 7-I/O
 // 1985 implementation.
 func Fig5(doubleLogWrites bool) ([]Fig5Row, error) {
-	return Fig5Cfg(doubleLogWrites, cluster.Config{})
+	return Fig5On(doubleLogWrites, scenario.Spec{})
 }
 
-// Fig5Cfg runs the Figure 5 workloads on a caller-supplied base config -
-// the cross-mode tests inject a virtual clock plus VAX-era latencies and
-// check that every I/O and message count matches the instantaneous run.
-// doubleLogWrites overrides the base config's footnote-9 flag.
-func Fig5Cfg(doubleLogWrites bool, base cluster.Config) ([]Fig5Row, error) {
+// Fig5On runs the Figure 5 workloads on a caller-supplied scenario - the
+// cross-mode test puts it on the virtual clock at VAX-era latencies and
+// checks that every I/O and message count matches the instantaneous run.
+func Fig5On(doubleLogWrites bool, spec scenario.Spec) ([]Fig5Row, error) {
 	type config struct {
 		name       string
 		files      []string // paths; all written
@@ -90,9 +122,9 @@ func Fig5Cfg(doubleLogWrites bool, base cluster.Config) ([]Fig5Row, error) {
 
 	var rows []Fig5Row
 	for _, c := range configs {
-		cfg := base
-		cfg.DoubleLogWrites = doubleLogWrites
-		sys, err := newSystem(cfg)
+		spec.Volumes = threeSites
+		spec.Base = cluster.Config{DoubleLogWrites: doubleLogWrites}
+		sys, err := spec.Build()
 		if err != nil {
 			return nil, err
 		}
@@ -127,6 +159,7 @@ func Fig5Cfg(doubleLogWrites bool, base cluster.Config) ([]Fig5Row, error) {
 		d := sys.Stats().Snapshot().Sub(before)
 		row := Fig5Row{
 			Case:       c.name,
+			DoubleLog:  doubleLogWrites,
 			CoordLog:   d.Get(stats.CoordLogWrites),
 			DataPages:  d.Get(stats.DataPageWrites),
 			PrepareLog: d.Get(stats.PrepareLogWrites),
@@ -146,7 +179,6 @@ func Fig5Cfg(doubleLogWrites bool, base cluster.Config) ([]Fig5Row, error) {
 // LockRow is one case of the locking-cost experiment.
 type LockRow struct {
 	Case         string
-	Locks        int64
 	InstrPerLock int64
 	MsgsPerLock  float64
 	SimService   time.Duration // per lock, CPU only
@@ -182,7 +214,6 @@ func LockCost(locksPerRun int) ([]LockRow, error) {
 		d := sys.Stats().Snapshot().Sub(before).Scale(int64(locksPerRun))
 		return LockRow{
 			Case:         name,
-			Locks:        int64(locksPerRun),
 			InstrPerLock: Vax.Instructions(d),
 			MsgsPerLock:  float64(d.Get(stats.MsgsSent)),
 			SimService:   Vax.ServiceTime(d),
@@ -226,67 +257,10 @@ type Fig6Row struct {
 // latency comparison is like for like.
 func Fig6() ([]Fig6Row, error) {
 	run := func(name string, requester simnet.SiteID, overlap bool, paper string) (Fig6Row, error) {
-		sys, err := newSystem(cluster.Config{})
+		d, err := recordCommit(cluster.Config{}, requester, 128, overlap)
 		if err != nil {
 			return Fig6Row{}, err
 		}
-		setup, err := sys.NewProcess(1)
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		f, err := setup.Create("va/commit")
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		// Committed base page.
-		if _, err := f.WriteAt(make([]byte, 1024), 0); err != nil {
-			return Fig6Row{}, err
-		}
-		if err := f.Sync(); err != nil {
-			return Fig6Row{}, err
-		}
-		if overlap {
-			// A second process dirties a disjoint record on the page
-			// and leaves it uncommitted.
-			other, err := sys.NewProcess(1)
-			if err != nil {
-				return Fig6Row{}, err
-			}
-			fo, err := other.Open("va/commit")
-			if err != nil {
-				return Fig6Row{}, err
-			}
-			if err := fo.LockRange(900, 50, core.Exclusive); err != nil {
-				return Fig6Row{}, err
-			}
-			if _, err := fo.WriteAt([]byte("other uncommitted"), 900); err != nil {
-				return Fig6Row{}, err
-			}
-			if _, err := fo.Unlock(900, 50); err != nil {
-				return Fig6Row{}, err
-			}
-		}
-
-		// The measured process updates its records and commits them.
-		p, err := sys.NewProcess(requester)
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		fp, err := p.Open("va/commit")
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		if err := fp.LockRange(0, 128, core.Exclusive); err != nil {
-			return Fig6Row{}, err
-		}
-		if _, err := fp.WriteAt(make([]byte, 128), 0); err != nil {
-			return Fig6Row{}, err
-		}
-		before := sys.Stats().Snapshot()
-		if err := fp.Sync(); err != nil {
-			return Fig6Row{}, err
-		}
-		d := sys.Stats().Snapshot().Sub(before)
 		return Fig6Row{
 			Case:        name,
 			Instr:       Vax.Instructions(d),
@@ -319,6 +293,51 @@ func Fig6() ([]Fig6Row, error) {
 	return rows, nil
 }
 
+// recordCommit measures one record commit (the Figure 6 procedure): a
+// process at requester locks and updates the first rec bytes of a
+// committed page at site 1 and syncs them.  With overlap a co-owner
+// holds an uncommitted record at the page's tail, forcing the
+// differencing path.  It returns the counters the sync spent.
+func recordCommit(cfg cluster.Config, requester simnet.SiteID, rec int, overlap bool) (stats.Snapshot, error) {
+	var none stats.Snapshot
+	sys, err := newSystem(cfg)
+	if err != nil {
+		return none, err
+	}
+	page := sys.Cluster().Config().PageSize
+	setup, err := sys.NewProcess(1)
+	if err != nil {
+		return none, err
+	}
+	if _, err := baseFile(setup, "va/commit", page); err != nil {
+		return none, err
+	}
+	if overlap {
+		if err := coOwn(sys, "va/commit", int64(page)-8, 8, "co-owner"); err != nil {
+			return none, err
+		}
+	}
+	p, err := sys.NewProcess(requester)
+	if err != nil {
+		return none, err
+	}
+	fp, err := p.Open("va/commit")
+	if err != nil {
+		return none, err
+	}
+	if err := fp.LockRange(0, int64(rec), core.Exclusive); err != nil {
+		return none, err
+	}
+	if _, err := fp.WriteAt(make([]byte, rec), 0); err != nil {
+		return none, err
+	}
+	before := sys.Stats().Snapshot()
+	if err := fp.Sync(); err != nil {
+		return none, err
+	}
+	return sys.Stats().Snapshot().Sub(before), nil
+}
+
 // ---- E5: footnote 11, page size vs differencing cost ----
 
 // PageSizeRow is one page size in the differencing sweep.
@@ -336,56 +355,12 @@ func PageSizeDifferencing(sizes []int) ([]PageSizeRow, error) {
 	var rows []PageSizeRow
 	var base time.Duration
 	for _, ps := range sizes {
-		sys, err := newSystem(cluster.Config{PageSize: ps, VolumePages: 256})
-		if err != nil {
-			return nil, err
-		}
-		p, err := sys.NewProcess(1)
-		if err != nil {
-			return nil, err
-		}
-		f, err := p.Create("va/f")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := f.WriteAt(make([]byte, ps), 0); err != nil {
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			return nil, err
-		}
 		// Co-owner holds a small record; measured owner rewrites most of
 		// the page (the "substantial portion").
-		other, err := sys.NewProcess(1)
+		d, err := recordCommit(cluster.Config{PageSize: ps, VolumePages: 256}, 1, ps*7/8, true)
 		if err != nil {
 			return nil, err
 		}
-		fo, err := other.Open("va/f")
-		if err != nil {
-			return nil, err
-		}
-		if err := fo.LockRange(int64(ps)-8, 8, core.Exclusive); err != nil {
-			return nil, err
-		}
-		if _, err := fo.WriteAt([]byte("xxxxxxxx"), int64(ps)-8); err != nil {
-			return nil, err
-		}
-		if _, err := fo.Unlock(int64(ps)-8, 8); err != nil {
-			return nil, err
-		}
-
-		big := (ps * 7) / 8
-		if err := f.LockRange(0, int64(big), core.Exclusive); err != nil {
-			return nil, err
-		}
-		if _, err := f.WriteAt(make([]byte, big), 0); err != nil {
-			return nil, err
-		}
-		before := sys.Stats().Snapshot()
-		if err := f.Sync(); err != nil {
-			return nil, err
-		}
-		d := sys.Stats().Snapshot().Sub(before)
 		row := PageSizeRow{
 			PageSize:    ps,
 			BytesCopied: d.Get(stats.BytesCopied),

@@ -324,7 +324,7 @@ func TestConcurrentCommitGroupCommitCutsForcedIOs(t *testing.T) {
 	// both modes while batching cuts the synchronous force count by at
 	// least 20% (in practice ~7.0 vs ~3.0 forces per transaction at 8
 	// clients; 4 clients keeps the test fast).
-	rows, err := ConcurrentCommitPair(4, 5)
+	rows, err := ConcurrentPair(ConcurrentOpts{Clients: 4, TxnsPerClient: 5, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestConcurrentCommitGroupCommitCutsForcedIOs(t *testing.T) {
 func TestConcurrentCommitPhaseHistograms(t *testing.T) {
 	// The traced variant must reconstruct per-2PC-phase latency
 	// percentiles from the event log; the untraced variant must not.
-	row, err := ConcurrentCommitTraced(2, 4, false)
+	row, err := ConcurrentCommit(ConcurrentOpts{Clients: 2, TxnsPerClient: 4, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestConcurrentCommitPhaseHistograms(t *testing.T) {
 		t.Fatalf("wall percentiles disordered: p50=%v p95=%v p99=%v", row.P50, row.P95, row.P99)
 	}
 
-	plain, err := ConcurrentCommit(2, 2, false)
+	plain, err := ConcurrentCommit(ConcurrentOpts{Clients: 2, TxnsPerClient: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fs"
+	"repro/internal/invariant"
 	"repro/internal/shadow"
 	"repro/internal/simdisk"
 	"repro/internal/simnet"
@@ -122,10 +123,7 @@ func runShadowSide(accesses []workload.Access, recsPerTxn int) (float64, time.Du
 	txns := 0
 	for i := 0; i < len(accesses); i += recsPerTxn {
 		owner := shadow.Owner(fmt.Sprintf("txn:%d", txns))
-		end := i + recsPerTxn
-		if end > len(accesses) {
-			end = len(accesses)
-		}
+		end := min(i+recsPerTxn, len(accesses))
 		for j := i; j < end; j++ {
 			a := accesses[j]
 			if _, err := f.WriteAt(owner, workload.Payload(j, a.Len), a.Off); err != nil {
@@ -179,10 +177,7 @@ func runWALSide(accesses []workload.Access, recsPerTxn int) (float64, time.Durat
 	txns := 0
 	for i := 0; i < len(accesses); i += recsPerTxn {
 		owner := wal.Owner(fmt.Sprintf("txn:%d", txns))
-		end := i + recsPerTxn
-		if end > len(accesses) {
-			end = len(accesses)
-		}
+		end := min(i+recsPerTxn, len(accesses))
 		for j := i; j < end; j++ {
 			a := accesses[j]
 			if _, err := f.WriteAt(owner, workload.Payload(j, a.Len), a.Off); err != nil {
@@ -286,62 +281,69 @@ func PrepareLogGranularity(filesPerTxn []int) ([]PrepGranRow, error) {
 
 // ---- E8: section 5.1, requester lock cache ablation ----
 
-// CacheRow compares transactional access with and without the
-// requesting-site lock cache.
-type CacheRow struct {
+// PerOpRow is one configuration of an experiment that repeats one remote
+// operation: what each repetition cost in messages and simulated latency.
+type PerOpRow struct {
 	Case       string
 	MsgsPerOp  float64
-	SimLatency time.Duration // per access
+	SimLatency time.Duration
+}
+
+// perOp averages the counters d spent over ops repetitions.
+func perOp(name string, d stats.Snapshot, ops int) PerOpRow {
+	return PerOpRow{
+		Case:       name,
+		MsgsPerOp:  float64(d.Get(stats.MsgsSent)) / float64(ops),
+		SimLatency: Vax.Latency(d.Scale(int64(ops))),
+	}
 }
 
 // LockCacheAblation performs repeated remote transactional writes under a
 // held lock, with the section 5.1 lock cache on and off.
-func LockCacheAblation(opsPerRun int) ([]CacheRow, error) {
-	run := func(name string, disable bool) (CacheRow, error) {
+func LockCacheAblation(opsPerRun int) ([]PerOpRow, error) {
+	run := func(name string, disable bool) (PerOpRow, error) {
 		sys, err := newSystem(cluster.Config{DisableLockCache: disable})
 		if err != nil {
-			return CacheRow{}, err
+			return PerOpRow{}, err
 		}
 		p, err := sys.NewProcess(2) // remote from va's storage site
 		if err != nil {
-			return CacheRow{}, err
+			return PerOpRow{}, err
 		}
 		f, err := p.Create("va/f")
 		if err != nil {
-			return CacheRow{}, err
+			return PerOpRow{}, err
 		}
 		if _, err := p.BeginTrans(); err != nil {
-			return CacheRow{}, err
+			return PerOpRow{}, err
 		}
 		if err := f.LockRange(0, 4096, core.Exclusive); err != nil {
-			return CacheRow{}, err
+			return PerOpRow{}, err
 		}
 		before := sys.Stats().Snapshot()
 		for i := 0; i < opsPerRun; i++ {
 			if _, err := f.WriteAt([]byte("rec"), int64(i*16)%4000); err != nil {
-				return CacheRow{}, err
+				return PerOpRow{}, err
 			}
 		}
 		d := sys.Stats().Snapshot().Sub(before)
-		perOp := d.Scale(int64(opsPerRun))
-		if err := p.EndTrans(); err != nil {
-			return CacheRow{}, err
-		}
-		return CacheRow{
-			Case:       name,
-			MsgsPerOp:  float64(d.Get(stats.MsgsSent)) / float64(opsPerRun),
-			SimLatency: Vax.Latency(perOp),
-		}, nil
+		return perOp(name, d, opsPerRun), p.EndTrans()
 	}
-	with, err := run("lock cache enabled (paper design)", false)
+	return offThenOn(run, "lock cache enabled (paper design)", "lock cache disabled (ablation)")
+}
+
+// offThenOn runs an ablation's two configurations: the named switch off,
+// then on.
+func offThenOn[Row any](run func(name string, on bool) (Row, error), offName, onName string) ([]Row, error) {
+	off, err := run(offName, false)
 	if err != nil {
 		return nil, err
 	}
-	without, err := run("lock cache disabled (ablation)", true)
+	on, err := run(onName, true)
 	if err != nil {
 		return nil, err
 	}
-	return []CacheRow{with, without}, nil
+	return []Row{off, on}, nil
 }
 
 // ---- E9: sections 4.3-4.4, abort and crash recovery ----
@@ -358,211 +360,164 @@ type RecoveryRow struct {
 // after prepare (in doubt), and coordinator crash after the commit point,
 // verifying all-or-nothing outcomes and counting recovery I/O.
 func Recovery() ([]RecoveryRow, error) {
+	// pending builds a system and leaves a transaction from site with
+	// data written to a fresh path, not yet committed.
+	pending := func(site simnet.SiteID, path, data string) (*core.System, *core.Process, error) {
+		sys, err := newSystem(cluster.Config{})
+		if err != nil {
+			return nil, nil, err
+		}
+		p, err := sys.NewProcess(site)
+		if err != nil {
+			return nil, nil, err
+		}
+		f, err := p.Create(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := p.BeginTrans(); err != nil {
+			return nil, nil, err
+		}
+		_, err = f.WriteAt([]byte(data), 0)
+		return sys, p, err
+	}
+	// committed reads back what path holds, from its storage site.
+	committed := func(sys *core.System, site simnet.SiteID, path string) (string, error) {
+		buf, err := invariant.ReadCommitted(sys, site, path)
+		return string(buf), err
+	}
 	var rows []RecoveryRow
 
 	// Scenario 1: participant crashes before the transaction commits.
 	{
-		sys, err := newSystem(cluster.Config{})
+		sys, p, err := pending(3, "va/f", "lost")
 		if err != nil {
-			return nil, err
-		}
-		p, _ := sys.NewProcess(3)
-		f, err := p.Create("va/f")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.BeginTrans(); err != nil {
-			return nil, err
-		}
-		if _, err := f.WriteAt([]byte("lost"), 0); err != nil {
 			return nil, err
 		}
 		sys.Cluster().Site(1).Crash()
 		endErr := p.EndTrans()
-		before := sys.Stats().Snapshot()
-		if err := sys.Cluster().Site(1).Restart(); err != nil {
-			return nil, err
-		}
-		rd := sys.Stats().Snapshot().Sub(before)
-		rio := rd.Get(stats.DiskWrites) + rd.Get(stats.DiskReads)
-		q, _ := sys.NewProcess(1)
-		fq, err := q.Open("va/f")
+		rio, err := restartIO(sys)
 		if err != nil {
 			return nil, err
 		}
-		cs, _ := fq.CommittedSize()
+		got, err := committed(sys, 1, "va/f")
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, RecoveryRow{
 			Scenario:  "participant crash before prepare",
-			Outcome:   fmt.Sprintf("EndTrans=%v committed=%dB", endErr != nil, cs),
+			Outcome:   fmt.Sprintf("EndTrans=%v committed=%dB", endErr != nil, len(got)),
 			RecoverIO: rio,
-			Correct:   endErr != nil && cs == 0,
+			Correct:   endErr != nil && got == "",
 		})
 	}
 
-	// Scenario 2: participant crashes after prepare; coordinator keeps
-	// the outcome; resolution applies it from the prepare log.
+	// Scenario 2: the transaction commits, then the participant crashes:
+	// a clean-restart recovery pass must keep the committed data.
 	{
-		sys, err := newSystem(cluster.Config{})
+		sys, p, err := pending(3, "va/f", "kept")
 		if err != nil {
-			return nil, err
-		}
-		s1 := sys.Cluster().Site(1)
-		p, _ := sys.NewProcess(3)
-		f, err := p.Create("va/f")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.BeginTrans(); err != nil {
-			return nil, err
-		}
-		if _, err := f.WriteAt([]byte("kept"), 0); err != nil {
 			return nil, err
 		}
 		if err := p.EndTrans(); err != nil {
 			return nil, err
 		}
-		// The data committed; now crash and recover the participant to
-		// measure a clean-restart recovery pass.
-		s1.Crash()
-		before := sys.Stats().Snapshot()
-		if err := s1.Restart(); err != nil {
-			return nil, err
-		}
-		rd := sys.Stats().Snapshot().Sub(before)
-		rio := rd.Get(stats.DiskWrites) + rd.Get(stats.DiskReads)
-		q, _ := sys.NewProcess(1)
-		fq, err := q.Open("va/f")
+		sys.Cluster().Site(1).Crash()
+		rio, err := restartIO(sys)
 		if err != nil {
 			return nil, err
 		}
-		buf := make([]byte, 4)
-		n, _ := fq.ReadAt(buf, 0)
+		got, err := committed(sys, 1, "va/f")
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, RecoveryRow{
 			Scenario:  "committed data across participant crash",
-			Outcome:   fmt.Sprintf("read=%q", string(buf[:n])),
+			Outcome:   fmt.Sprintf("read=%q", got),
 			RecoverIO: rio,
-			Correct:   string(buf[:n]) == "kept",
+			Correct:   got == "kept",
 		})
 	}
 
 	// Scenario 3: partition mid-transaction aborts it everywhere.
 	{
-		sys, err := newSystem(cluster.Config{})
+		sys, p, err := pending(1, "vb/f", "cut")
 		if err != nil {
-			return nil, err
-		}
-		p, _ := sys.NewProcess(1)
-		f, err := p.Create("vb/f")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.BeginTrans(); err != nil {
-			return nil, err
-		}
-		if _, err := f.WriteAt([]byte("cut"), 0); err != nil {
 			return nil, err
 		}
 		sys.Cluster().Net().Partition(2)
-		deadline := time.Now().Add(2 * time.Second)
-		var endErr error
-		for {
-			endErr = p.EndTrans()
-			if endErr != nil || time.Now().After(deadline) {
-				break
-			}
-		}
+		endErr := p.EndTrans()
 		sys.Cluster().Net().Heal()
-		q, _ := sys.NewProcess(2)
-		fq, err := q.Open("vb/f")
+		got, err := committed(sys, 2, "vb/f")
 		if err != nil {
 			return nil, err
 		}
-		cs, _ := fq.CommittedSize()
 		rows = append(rows, RecoveryRow{
 			Scenario: "partition during transaction",
-			Outcome:  fmt.Sprintf("EndTrans=%v committed=%dB", endErr != nil, cs),
-			Correct:  endErr != nil && cs == 0,
+			Outcome:  fmt.Sprintf("EndTrans=%v committed=%dB", endErr != nil, len(got)),
+			Correct:  endErr != nil && got == "",
 		})
 	}
 
 	return rows, nil
 }
 
-// SiteCount documents the standard topology used by the experiments.
-func SiteCount() []simnet.SiteID { return []simnet.SiteID{1, 2, 3} }
+// restartIO restarts crashed site 1 and returns the disk I/Os its
+// recovery pass spent.
+func restartIO(sys *core.System) (int64, error) {
+	before := sys.Stats().Snapshot()
+	if err := sys.Cluster().Site(1).Restart(); err != nil {
+		return 0, err
+	}
+	d := sys.Stats().Snapshot().Sub(before)
+	return d.Get(stats.DiskWrites) + d.Get(stats.DiskReads), nil
+}
 
 // ---- E10: section 5.2, replication with a primary update site ----
-
-// ReplicaRow compares remote reads with and without a local replica.
-type ReplicaRow struct {
-	Case       string
-	MsgsPerOp  float64
-	SimLatency time.Duration
-}
 
 // ReplicaLocality measures read cost from a non-primary site, without a
 // replica (every read is a round trip) and with one (reads served by the
 // closest available storage site, section 5.2).
-func ReplicaLocality(readsPerRun int) ([]ReplicaRow, error) {
-	run := func(name string, replicate bool) (ReplicaRow, error) {
+func ReplicaLocality(readsPerRun int) ([]PerOpRow, error) {
+	run := func(name string, replicate bool) (PerOpRow, error) {
 		sys, err := newSystem(cluster.Config{})
 		if err != nil {
-			return ReplicaRow{}, err
+			return PerOpRow{}, err
 		}
 		setup, err := sys.NewProcess(1)
 		if err != nil {
-			return ReplicaRow{}, err
+			return PerOpRow{}, err
 		}
-		f, err := setup.Create("va/shared")
+		f, err := baseFile(setup, "va/shared", 4096)
 		if err != nil {
-			return ReplicaRow{}, err
-		}
-		if _, err := f.WriteAt(make([]byte, 4096), 0); err != nil {
-			return ReplicaRow{}, err
-		}
-		if err := f.Sync(); err != nil {
-			return ReplicaRow{}, err
+			return PerOpRow{}, err
 		}
 		if err := f.Close(); err != nil {
-			return ReplicaRow{}, err
+			return PerOpRow{}, err
 		}
 		if replicate {
 			if err := sys.AddReplica("va", 2); err != nil {
-				return ReplicaRow{}, err
+				return PerOpRow{}, err
 			}
 		}
 		p, err := sys.NewProcess(2)
 		if err != nil {
-			return ReplicaRow{}, err
+			return PerOpRow{}, err
 		}
 		fr, err := p.Open("va/shared")
 		if err != nil {
-			return ReplicaRow{}, err
+			return PerOpRow{}, err
 		}
 		before := sys.Stats().Snapshot()
 		buf := make([]byte, 128)
 		for i := 0; i < readsPerRun; i++ {
 			if _, err := fr.ReadAt(buf, int64(i*128)%3968); err != nil {
-				return ReplicaRow{}, err
+				return PerOpRow{}, err
 			}
 		}
-		d := sys.Stats().Snapshot().Sub(before)
-		perOp := d.Scale(int64(readsPerRun))
-		return ReplicaRow{
-			Case:       name,
-			MsgsPerOp:  float64(d.Get(stats.MsgsSent)) / float64(readsPerRun),
-			SimLatency: Vax.Latency(perOp),
-		}, nil
+		return perOp(name, sys.Stats().Snapshot().Sub(before), readsPerRun), nil
 	}
-	without, err := run("no replica (reads cross the network)", false)
-	if err != nil {
-		return nil, err
-	}
-	with, err := run("local replica (closest storage site)", true)
-	if err != nil {
-		return nil, err
-	}
-	return []ReplicaRow{without, with}, nil
+	return offThenOn(run, "no replica (reads cross the network)", "local replica (closest storage site)")
 }
 
 // ---- E11: section 5.2, prefetch on lock ----
@@ -589,14 +544,8 @@ func PrefetchAblation() ([]PrefetchRow, error) {
 		if err != nil {
 			return PrefetchRow{}, err
 		}
-		f, err := setup.Create("va/data")
+		f, err := baseFile(setup, "va/data", 2048)
 		if err != nil {
-			return PrefetchRow{}, err
-		}
-		if _, err := f.WriteAt(make([]byte, 2048), 0); err != nil {
-			return PrefetchRow{}, err
-		}
-		if err := f.Sync(); err != nil {
 			return PrefetchRow{}, err
 		}
 		if err := f.Close(); err != nil {
@@ -633,15 +582,7 @@ func PrefetchAblation() ([]PrefetchRow, error) {
 			ReadLatency: Vax.Latency(readCost),
 		}, nil
 	}
-	without, err := run("no prefetch (1985 implementation)", false)
-	if err != nil {
-		return nil, err
-	}
-	with, err := run("prefetch on lock (section 5.2 optimization)", true)
-	if err != nil {
-		return nil, err
-	}
-	return []PrefetchRow{without, with}, nil
+	return offThenOn(run, "no prefetch (1985 implementation)", "prefetch on lock (section 5.2 optimization)")
 }
 
 // ---- E12: footnote 7, differencing from the buffer pool ----
@@ -658,67 +599,13 @@ type Fn7Row struct {
 // Footnote7Ablation measures a local overlap commit in both modes.
 func Footnote7Ablation() ([]Fn7Row, error) {
 	run := func(name string, fromPool bool) (Fn7Row, error) {
-		sys, err := newSystem(cluster.Config{DiffFromBufferPool: fromPool})
+		d, err := recordCommit(cluster.Config{DiffFromBufferPool: fromPool}, 1, 128, true)
 		if err != nil {
 			return Fn7Row{}, err
 		}
-		p, err := sys.NewProcess(1)
-		if err != nil {
-			return Fn7Row{}, err
-		}
-		f, err := p.Create("va/f")
-		if err != nil {
-			return Fn7Row{}, err
-		}
-		if _, err := f.WriteAt(make([]byte, 1024), 0); err != nil {
-			return Fn7Row{}, err
-		}
-		if err := f.Sync(); err != nil {
-			return Fn7Row{}, err
-		}
-		other, err := sys.NewProcess(1)
-		if err != nil {
-			return Fn7Row{}, err
-		}
-		fo, err := other.Open("va/f")
-		if err != nil {
-			return Fn7Row{}, err
-		}
-		if err := fo.LockRange(900, 50, core.Exclusive); err != nil {
-			return Fn7Row{}, err
-		}
-		if _, err := fo.WriteAt([]byte("co-owner"), 900); err != nil {
-			return Fn7Row{}, err
-		}
-		if _, err := fo.Unlock(900, 50); err != nil {
-			return Fn7Row{}, err
-		}
-		if err := f.LockRange(0, 128, core.Exclusive); err != nil {
-			return Fn7Row{}, err
-		}
-		if _, err := f.WriteAt(make([]byte, 128), 0); err != nil {
-			return Fn7Row{}, err
-		}
-		before := sys.Stats().Snapshot()
-		if err := f.Sync(); err != nil {
-			return Fn7Row{}, err
-		}
-		d := sys.Stats().Snapshot().Sub(before)
-		return Fn7Row{
-			Case:       name,
-			Reads:      d.Get(stats.DiskReads),
-			SimLatency: Vax.Latency(d),
-		}, nil
+		return Fn7Row{Case: name, Reads: d.Get(stats.DiskReads), SimLatency: Vax.Latency(d)}, nil
 	}
-	without, err := run("re-read previous version (1985 impl, Fig 6)", false)
-	if err != nil {
-		return nil, err
-	}
-	with, err := run("previous version from buffer pool (footnote 7)", true)
-	if err != nil {
-		return nil, err
-	}
-	return []Fn7Row{without, with}, nil
+	return offThenOn(run, "re-read previous version (1985 impl, Fig 6)", "previous version from buffer pool (footnote 7)")
 }
 
 // ---- E13: section 7.1, record-level vs whole-file locking ----
@@ -726,10 +613,9 @@ func Footnote7Ablation() ([]Fn7Row, error) {
 // GranularityRow compares lock granularities under concurrent disjoint
 // updates to one file.
 type GranularityRow struct {
-	Case       string
-	LockWaits  int64
-	LockDenial int64
-	WallClock  time.Duration
+	Case      string
+	LockWaits int64
+	WallClock time.Duration
 }
 
 // LockGranularity runs concurrent transactions updating DISJOINT records
@@ -751,15 +637,8 @@ func LockGranularity(workers, txnsEach int, hold time.Duration) ([]GranularityRo
 		if err != nil {
 			return GranularityRow{}, err
 		}
-		f, err := setup.Create("va/shared")
-		if err != nil {
-			return GranularityRow{}, err
-		}
 		const fileBytes = 8192
-		if _, err := f.WriteAt(make([]byte, fileBytes), 0); err != nil {
-			return GranularityRow{}, err
-		}
-		if err := f.Sync(); err != nil {
+		if _, err := baseFile(setup, "va/shared", fileBytes); err != nil {
 			return GranularityRow{}, err
 		}
 
@@ -767,46 +646,41 @@ func LockGranularity(workers, txnsEach int, hold time.Duration) ([]GranularityRo
 		start := time.Now()
 		errs := make(chan error, workers)
 		release := make(chan struct{})
+		work := func(w int) error {
+			p, err := sys.NewProcess(simnet.SiteID(w%3 + 1))
+			if err != nil {
+				return err
+			}
+			file, err := p.Open("va/shared")
+			if err != nil {
+				return err
+			}
+			<-release // all workers start together: guaranteed overlap
+			for i := 0; i < txnsEach; i++ {
+				if _, err := p.BeginTrans(); err != nil {
+					return err
+				}
+				off, length := int64(w*64), int64(64)
+				if wholeFile {
+					off, length = 0, fileBytes
+				}
+				err := file.LockRange(off, length, core.Exclusive)
+				if err == nil {
+					_, err = file.WriteAt([]byte("update!!"), int64(w*64))
+				}
+				if err != nil {
+					p.AbortTrans() //nolint:errcheck
+					return err
+				}
+				time.Sleep(hold) // the transaction's record processing
+				if err := p.EndTrans(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 		for w := 0; w < workers; w++ {
-			go func(w int) {
-				p, err := sys.NewProcess(simnet.SiteID(w%3 + 1))
-				if err != nil {
-					errs <- err
-					return
-				}
-				file, err := p.Open("va/shared")
-				if err != nil {
-					errs <- err
-					return
-				}
-				<-release // all workers start together: guaranteed overlap
-				for i := 0; i < txnsEach; i++ {
-					if _, err := p.BeginTrans(); err != nil {
-						errs <- err
-						return
-					}
-					off, length := int64(w*64), int64(64)
-					if wholeFile {
-						off, length = 0, fileBytes
-					}
-					if err := file.LockRange(off, length, core.Exclusive); err != nil {
-						p.AbortTrans() //nolint:errcheck
-						errs <- err
-						return
-					}
-					if _, err := file.WriteAt([]byte("update!!"), int64(w*64)); err != nil {
-						p.AbortTrans() //nolint:errcheck
-						errs <- err
-						return
-					}
-					time.Sleep(hold) // the transaction's record processing
-					if err := p.EndTrans(); err != nil {
-						errs <- err
-						return
-					}
-				}
-				errs <- nil
-			}(w)
+			go func(w int) { errs <- work(w) }(w)
 		}
 		close(release)
 		for w := 0; w < workers; w++ {
@@ -816,19 +690,10 @@ func LockGranularity(workers, txnsEach int, hold time.Duration) ([]GranularityRo
 		}
 		d := sys.Stats().Snapshot().Sub(before)
 		return GranularityRow{
-			Case:       name,
-			LockWaits:  d.Get(stats.LockWaits),
-			LockDenial: d.Get(stats.LockDenials),
-			WallClock:  time.Since(start),
+			Case:      name,
+			LockWaits: d.Get(stats.LockWaits),
+			WallClock: time.Since(start),
 		}, nil
 	}
-	record, err := run("record-level locking (this paper)", false)
-	if err != nil {
-		return nil, err
-	}
-	file, err := run("whole-file locking (previous Locus, sec 7.1)", true)
-	if err != nil {
-		return nil, err
-	}
-	return []GranularityRow{record, file}, nil
+	return offThenOn(run, "record-level locking (this paper)", "whole-file locking (previous Locus, sec 7.1)")
 }

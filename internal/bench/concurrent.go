@@ -2,13 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -35,42 +36,42 @@ const (
 // experiment: N client goroutines driving disjoint two-account transfer
 // transactions against one accounts file at one storage site.
 type ConcurrentRow struct {
-	Case         string // "group-commit off" / "group-commit on"
-	Clients      int
-	TxnsPerCl    int
-	Committed    int64
-	Aborted      int64
-	Wall         time.Duration
-	TxnsPerSec   float64
-	P50          time.Duration // per-transaction wall latency
-	P95          time.Duration
-	P99          time.Duration
-	ForcedIOs    int64   // synchronous disk forces during the run
-	ForcedPerTxn float64 // forces per committed transaction
-	Batches      int64   // group-commit flushes issued
-	BatchRecords int64   // log records carried by those flushes
-	DiskWrites   int64   // per-page writes (identical in both modes)
+	Case         string  `json:"case"` // "group-commit off" / "group-commit on"
+	Clients      int     `json:"clients"`
+	TxnsPerCl    int     `json:"txns_per_client"`
+	Committed    int64   `json:"committed"`
+	Aborted      int64   `json:"-"`
+	TxnsPerSec   float64 `json:"txns_per_sec"`
+	P50          Ms      `json:"p50_ms"` // per-transaction latency on the run's clock
+	P95          Ms      `json:"p95_ms"`
+	P99          Ms      `json:"p99_ms"`
+	ForcedIOs    int64   `json:"-"`                    // synchronous disk forces during the run
+	ForcedPerTxn float64 `json:"forced_ios_per_txn"`   // forces per committed transaction
+	Batches      int64   `json:"group_commit_batches"` // group-commit flushes issued
+	BatchRecords int64   `json:"group_commit_records"` // log records carried by those flushes
+	DiskWrites   int64   `json:"disk_writes"`          // per-page writes (identical in both modes)
 	// Counters is the run's full stats delta (the -json snapshot embeds
 	// it so perf trajectories can drill past the headline numbers).
-	Counters stats.Snapshot
+	Counters stats.Snapshot `json:"counters"`
 	// Per-2PC-phase latency histograms reconstructed from the event
-	// trace; zero-valued when the run was untraced (plain
-	// ConcurrentCommit, which the regression benchmark uses to keep the
-	// tracing-off fast path honest).
-	PhaseTotal   trace.Histogram // TxnBegin -> outcome
-	PhasePrepare trace.Histogram // first PrepareSent -> last vote
-	PhasePhase2  trace.Histogram // last vote -> last CommitApplied
+	// trace; zero-valued when the run was untraced (the configuration the
+	// regression benchmark uses to keep the tracing-off fast path
+	// honest).  MarshalJSON flattens the prepare and phase-two
+	// percentiles into the snapshot row.
+	PhaseTotal   trace.Histogram `json:"-"` // TxnBegin -> outcome
+	PhasePrepare trace.Histogram `json:"-"` // first PrepareSent -> last vote
+	PhasePhase2  trace.Histogram `json:"-"` // last vote -> last CommitApplied
 	// SimTime is the simulated duration of a virtual-clock run (zero on
 	// the real clock); TxnsPerSimSec is throughput against that clock -
 	// the figure the paper's VAX-750 testbed would have measured, no
 	// matter how fast the host ran the simulation.
-	SimTime       time.Duration
-	TxnsPerSimSec float64
+	SimTime       time.Duration `json:"sim_time_ns,omitempty"`
+	TxnsPerSimSec float64       `json:"txns_per_sim_sec,omitempty"`
 	// SimTotal is the virtual clock's total elapsed time at measurement,
 	// setup included (SimTime counts only the workload window).  It is
 	// the denominator matching cumulative registry counters like
 	// disk_busy_ns, which also count from boot.
-	SimTotal time.Duration
+	SimTotal time.Duration `json:"-"`
 	// ClientCommitted/ClientAborted are the client goroutines' own
 	// tallies.  Committed/Aborted above come from the stats registry
 	// delta; keeping both lets tests assert the two surfaces never
@@ -83,6 +84,33 @@ type ConcurrentRow struct {
 	Samples []telemetry.Sample       `json:"-"`
 	Profile *telemetry.ProfileReport `json:"-"`
 	Metrics telemetry.Snapshot       `json:"-"`
+}
+
+// Ms is a duration the snapshot schema carries as fractional
+// milliseconds at microsecond precision, and tables print the same way.
+type Ms time.Duration
+
+func (m Ms) ms() float64 { return float64(time.Duration(m).Microseconds()) / 1000 }
+
+func (m Ms) String() string { return fmt.Sprintf("%.1fms", m.ms()) }
+
+// MarshalJSON renders the duration as a millisecond number.
+func (m Ms) MarshalJSON() ([]byte, error) { return json.Marshal(m.ms()) }
+
+// MarshalJSON is the tagged row plus the trace-derived phase percentiles.
+func (r ConcurrentRow) MarshalJSON() ([]byte, error) {
+	type row ConcurrentRow // the tagged fields, without this method
+	return json.Marshal(struct {
+		row
+		PrepareP50 Ms `json:"prepare_p50_ms"`
+		PrepareP95 Ms `json:"prepare_p95_ms"`
+		PrepareP99 Ms `json:"prepare_p99_ms"`
+		Phase2P50  Ms `json:"phase2_p50_ms"`
+		Phase2P95  Ms `json:"phase2_p95_ms"`
+		Phase2P99  Ms `json:"phase2_p99_ms"`
+	}{row(r),
+		Ms(r.PhasePrepare.P50), Ms(r.PhasePrepare.P95), Ms(r.PhasePrepare.P99),
+		Ms(r.PhasePhase2.P50), Ms(r.PhasePhase2.P95), Ms(r.PhasePhase2.P99)})
 }
 
 // ConcurrentOpts parameterizes ConcurrentCommitOpts beyond the classic
@@ -119,61 +147,44 @@ type ConcurrentOpts struct {
 	SampleInterval time.Duration
 }
 
-// ConcurrentCommit runs the transfer workload once.  groupCommit toggles
+// Simulated returns the options on the virtual clock charging the
+// active cost model's disk latency per force and as the batching linger,
+// so rows report simulated time and txns/sim-sec at 1985 (or modern)
+// hardware speed while the run itself takes milliseconds of wall-clock.
+func (o ConcurrentOpts) Simulated() ConcurrentOpts {
+	o.Vtime, o.DiskSyncDelay, o.GroupCommitDelay = true, Vax.DiskWriteTime, Vax.DiskWriteTime
+	return o
+}
+
+// ConcurrentCommit runs the transfer workload once.  GroupCommit toggles
 // the log batching daemon; everything else - workload, sync delay, page
-// writes - is identical, so the two rows isolate the batching win.
-// Tracing stays off (nil collector): this is the configuration the
-// throughput regression benchmark guards.
-func ConcurrentCommit(clients, txnsPerClient int, groupCommit bool) (ConcurrentRow, error) {
-	return ConcurrentCommitOpts(ConcurrentOpts{Clients: clients, TxnsPerClient: txnsPerClient, GroupCommit: groupCommit})
-}
-
-// ConcurrentCommitTraced runs the same workload with the event trace
-// attached and fills the per-phase latency histograms.
-func ConcurrentCommitTraced(clients, txnsPerClient int, groupCommit bool) (ConcurrentRow, error) {
-	return ConcurrentCommitOpts(ConcurrentOpts{Clients: clients, TxnsPerClient: txnsPerClient, GroupCommit: groupCommit, Trace: true})
-}
-
-// ConcurrentCommitOpts runs the transfer workload under the full option
-// set.
-func ConcurrentCommitOpts(o ConcurrentOpts) (ConcurrentRow, error) {
+// writes - is identical, so an off/on pair isolates the batching win.
+func ConcurrentCommit(o ConcurrentOpts) (ConcurrentRow, error) {
 	clients, txnsPerClient := o.Clients, o.TxnsPerClient
-	var col *trace.Collector
-	if o.Trace {
-		col = trace.NewCollector(0)
+	spec := scenario.Spec{
+		Volumes: []string{"bank"},
+		Virtual: o.Vtime,
+		Disk:    o.DiskSyncDelay,
+		Trace:   o.Trace,
+		Profile: o.Telemetry,
 	}
-	syncDelay := o.DiskSyncDelay
-	if syncDelay == 0 {
-		syncDelay = DefaultDiskSyncDelay
-	}
-	clk := vtime.Real()
-	if o.Vtime {
-		clk = vtime.NewVirtual()
-	}
-	cfg := cluster.Config{
-		SyncPhase2:    true,
-		DiskSyncDelay: syncDelay,
-		Trace:         col,
-		Clock:         clk,
+	if spec.Disk == 0 {
+		spec.Disk = DefaultDiskSyncDelay
 	}
 	if o.GroupCommit {
-		cfg.GroupCommitMaxDelay = DefaultGroupCommitDelay
+		spec.GroupCommit = DefaultGroupCommitDelay
 		if o.GroupCommitDelay > 0 {
-			cfg.GroupCommitMaxDelay = o.GroupCommitDelay
+			spec.GroupCommit = o.GroupCommitDelay
 		}
 	}
-	sys := core.NewSystem(cfg)
-	sys.AddSite(1)
-	if err := sys.AddVolume(1, "bank"); err != nil {
-		return ConcurrentRow{}, err
-	}
-	defer sys.Cluster().Shutdown()
-
-	setup, err := sys.NewProcess(1)
+	sys, err := spec.Build()
 	if err != nil {
 		return ConcurrentRow{}, err
 	}
-	f, err := setup.Create("bank/accounts")
+	defer sys.Cluster().Shutdown()
+	clk, col := sys.Cluster().Clock(), scenario.Collector(sys)
+
+	setup, err := sys.NewProcess(1)
 	if err != nil {
 		return ConcurrentRow{}, err
 	}
@@ -182,17 +193,13 @@ func ConcurrentCommitOpts(o ConcurrentOpts) (ConcurrentRow, error) {
 	// transaction flushes exactly one data page and the differencing
 	// paths never fire.  The log force is the only shared resource.
 	const pageSize = 1024
-	if _, err := f.WriteAt(make([]byte, clients*pageSize), 0); err != nil {
-		return ConcurrentRow{}, err
-	}
-	if err := f.Sync(); err != nil {
+	if _, err := baseFile(setup, "bank/accounts", clients*pageSize); err != nil {
 		return ConcurrentRow{}, err
 	}
 
 	reg := sys.Stats().Registry()
 	var sampler *telemetry.Sampler
 	if o.Telemetry {
-		reg.EnableProfiling()
 		sampler = telemetry.NewSampler(reg, o.SampleInterval)
 	}
 
@@ -203,59 +210,53 @@ func ConcurrentCommitOpts(o ConcurrentOpts) (ConcurrentRow, error) {
 	start := time.Now()
 	simStart := clk.Now()
 	sampler.Start(clk)
+	client := func(c int) error {
+		p, err := sys.NewProcess(1)
+		if err != nil {
+			return err
+		}
+		file, err := p.Open("bank/accounts")
+		if err != nil {
+			return err
+		}
+		from := int64(c) * pageSize
+		to := from + 8
+		lats[c] = make([]time.Duration, 0, txnsPerClient)
+		for i := 0; i < txnsPerClient; i++ {
+			t0 := clk.Now()
+			if _, err := p.BeginTrans(); err != nil {
+				return err
+			}
+			// Lock both accounts, then update both.
+			var err error
+			for _, acct := range []int64{from, to} {
+				if err == nil {
+					err = file.LockRange(acct, 8, core.Exclusive)
+				}
+			}
+			for _, acct := range []int64{from, to} {
+				if err == nil {
+					_, err = file.WriteAt([]byte(fmt.Sprintf("%08d", i)), acct)
+				}
+			}
+			if err != nil {
+				p.AbortTrans() //nolint:errcheck
+				aborted.Add(1)
+				continue
+			}
+			if err := p.EndTrans(); err != nil {
+				aborted.Add(1)
+				continue
+			}
+			committed.Add(1)
+			lats[c] = append(lats[c], clk.Now().Sub(t0))
+		}
+		return nil
+	}
 	wg := vtime.NewGroup(clk)
 	for c := 0; c < clients; c++ {
 		c := c
-		wg.Go(func() {
-			p, err := sys.NewProcess(1)
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			file, err := p.Open("bank/accounts")
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			from := int64(c) * pageSize
-			to := from + 8
-			lats[c] = make([]time.Duration, 0, txnsPerClient)
-			for i := 0; i < txnsPerClient; i++ {
-				t0 := clk.Now()
-				if _, err := p.BeginTrans(); err != nil {
-					errs[c] = err
-					return
-				}
-				ok := true
-				for _, acct := range []int64{from, to} {
-					if err := file.LockRange(acct, 8, core.Exclusive); err != nil {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					if _, err := file.WriteAt([]byte(fmt.Sprintf("%08d", i)), from); err != nil {
-						ok = false
-					}
-				}
-				if ok {
-					if _, err := file.WriteAt([]byte(fmt.Sprintf("%08d", i)), to); err != nil {
-						ok = false
-					}
-				}
-				if !ok {
-					p.AbortTrans() //nolint:errcheck
-					aborted.Add(1)
-					continue
-				}
-				if err := p.EndTrans(); err != nil {
-					aborted.Add(1)
-					continue
-				}
-				committed.Add(1)
-				lats[c] = append(lats[c], clk.Now().Sub(t0))
-			}
-		})
+		wg.Go(func() { errs[c] = client(c) })
 	}
 	wg.Wait()
 	if o.Telemetry {
@@ -280,25 +281,17 @@ func ConcurrentCommitOpts(o ConcurrentOpts) (ConcurrentRow, error) {
 	for _, l := range lats {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) time.Duration {
-		if len(all) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(all)-1))
-		return all[i]
-	}
+	pct := percentiles(all)
 
 	d := sys.Stats().Snapshot().Sub(before)
 	row := ConcurrentRow{
-		Case:            "group-commit off",
+		Case:            "group-commit " + onOff(o.GroupCommit),
 		Clients:         clients,
 		TxnsPerCl:       txnsPerClient,
 		Committed:       d.Get(stats.TxnCommits),
 		Aborted:         d.Get(stats.TxnAborts),
 		ClientCommitted: committed.Load(),
 		ClientAborted:   aborted.Load(),
-		Wall:            wall,
 		P50:             pct(0.50),
 		P95:             pct(0.95),
 		P99:             pct(0.99),
@@ -307,9 +300,6 @@ func ConcurrentCommitOpts(o ConcurrentOpts) (ConcurrentRow, error) {
 		BatchRecords:    d.Get(stats.GroupCommitRecords),
 		DiskWrites:      d.Get(stats.DiskWrites),
 		Counters:        d,
-	}
-	if o.GroupCommit {
-		row.Case = "group-commit on"
 	}
 	if o.Vtime {
 		row.SimTime = simElapsed
@@ -365,41 +355,39 @@ func (r ConcurrentRow) TelemetryJSON() []byte {
 	return buf.Bytes()
 }
 
-// ConcurrentCommitPair runs the workload with group commit off then on
-// and returns both rows (the locusbench -concurrent table).  The trace
-// rides along so both rows carry per-phase latency histograms.
-func ConcurrentCommitPair(clients, txnsPerClient int) ([]ConcurrentRow, error) {
-	off, err := ConcurrentCommitTraced(clients, txnsPerClient, false)
-	if err != nil {
-		return nil, err
-	}
-	on, err := ConcurrentCommitTraced(clients, txnsPerClient, true)
-	if err != nil {
-		return nil, err
-	}
-	return []ConcurrentRow{off, on}, nil
-}
-
-// ConcurrentCommitPairVtime is the virtual-clock counterpart of
-// ConcurrentCommitPair: the same off/on pair, but on a discrete-event
-// clock charging the active cost model's per-force disk latency, so the
-// rows report simulated time and txns/sim-sec at 1985 (or modern)
-// hardware speed while the run itself takes milliseconds of wall-clock.
-func ConcurrentCommitPairVtime(clients, txnsPerClient int) ([]ConcurrentRow, error) {
+// ConcurrentPair runs the workload with group commit off then on and
+// returns both rows (the locusbench concurrent table).
+func ConcurrentPair(o ConcurrentOpts) ([]ConcurrentRow, error) {
 	var rows []ConcurrentRow
-	for _, gc := range []bool{false, true} {
-		r, err := ConcurrentCommitOpts(ConcurrentOpts{
-			Clients: clients, TxnsPerClient: txnsPerClient,
-			GroupCommit:      gc,
-			DiskSyncDelay:    Vax.DiskWriteTime,
-			GroupCommitDelay: Vax.DiskWriteTime,
-			Vtime:            true,
-			Trace:            true,
-		})
+	for _, o.GroupCommit = range []bool{false, true} {
+		r, err := ConcurrentCommit(o)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, r)
 	}
 	return rows, nil
+}
+
+// TelemetryDocument renders rows' telemetry as the canonical
+// locusbench-telemetry/v1 document: one TelemetryJSON object per line in
+// a JSON array - the artifact the CI golden-snapshot job diffs.
+func TelemetryDocument(rows []ConcurrentRow) []byte {
+	parts := make([][]byte, len(rows))
+	for i, r := range rows {
+		parts[i] = r.TelemetryJSON()
+	}
+	return append(append([]byte("[\n"), bytes.Join(parts, []byte(",\n"))...), "\n]\n"...)
+}
+
+// percentiles sorts lats and returns the nearest-rank lookup over them
+// (zero when empty).
+func percentiles(lats []time.Duration) func(p float64) Ms {
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return func(p float64) Ms {
+		if len(lats) == 0 {
+			return 0
+		}
+		return Ms(lats[int(p*float64(len(lats)-1))])
+	}
 }

@@ -2,11 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -16,26 +15,39 @@ import (
 // The writes alternate between a single-site shape (one-phase commit
 // candidate) and a write-plus-remote-read shape (read-only vote
 // candidate), so every fast path shows up in the counters.  The client
-// is serial and the fault-free schedule fixed, so every I/O counter is
-// deterministic - the CI bench smoke diffs ForcedPerTxn against the
-// committed BENCH_PR5.json.
+// is serial, the fault-free schedule fixed and the clock virtual, so
+// every counter and latency is deterministic - `locusbench -check` gates
+// ForcedPerTxn against BENCH_BASELINE.json.
 type MixedRow struct {
-	Case         string // "fast-paths off" / "fast-paths on"
-	FastPaths    bool
-	ReadShare    int // percent of transactions that only read
-	Txns         int
-	Committed    int64
-	Aborted      int64
-	Wall         time.Duration
-	P50          time.Duration // per-transaction wall latency
-	P99          time.Duration
-	ForcedIOs    int64   // synchronous disk forces during the run
-	ForcedPerTxn float64 // forces per committed transaction
-	CoordWrites  int64   // coordinator-log forces
-	PrepWrites   int64   // prepare-log forces
-	ReadOnly     int64   // VoteReadOnly answers observed
-	OnePhase     int64   // one-phase commits taken
-	Counters     stats.Snapshot
+	Case         string         `json:"case"` // "fast-paths off" / "fast-paths on"
+	FastPaths    bool           `json:"fast_paths"`
+	ReadShare    int            `json:"read_share"` // percent of transactions that only read
+	Txns         int            `json:"txns"`
+	Committed    int64          `json:"committed"`
+	Aborted      int64          `json:"-"`
+	P50          Ms             `json:"p50_ms"` // per-transaction simulated latency
+	P99          Ms             `json:"p99_ms"`
+	ForcedIOs    int64          `json:"forced_ios"`         // synchronous disk forces during the run
+	ForcedPerTxn float64        `json:"forced_ios_per_txn"` // forces per committed transaction
+	CoordWrites  int64          `json:"coord_log_writes"`   // coordinator-log forces
+	PrepWrites   int64          `json:"prepare_log_writes"` // prepare-log forces
+	ReadOnly     int64          `json:"read_only_votes"`    // VoteReadOnly answers observed
+	OnePhase     int64          `json:"one_phase_commits"`  // one-phase commits taken
+	Counters     stats.Snapshot `json:"counters"`
+}
+
+// The mixed experiment's fixed shape: MixedTxns transactions per
+// configuration at each of MixedShares percent reads.
+const MixedTxns = 50
+
+var MixedShares = []int{0, 50, 90}
+
+// serialSpec is the scenario of the serial counting experiments (mixed,
+// repeat, skew): the virtual clock charging DefaultDiskSyncDelay per
+// force over an instantaneous network, so the run costs no wall-clock
+// and every count and simulated latency is deterministic.
+func serialSpec(volumes ...string) scenario.Spec {
+	return scenario.Spec{Volumes: volumes, Virtual: true, Disk: DefaultDiskSyncDelay}
 }
 
 // MixedCommit runs the mixed workload once.  txns transactions execute
@@ -45,21 +57,14 @@ func MixedCommit(txns, readShare int, fastPaths bool) (MixedRow, error) {
 	if readShare < 0 || readShare > 100 {
 		return MixedRow{}, fmt.Errorf("bench: read share %d%% out of range", readShare)
 	}
-	cfg := cluster.Config{
-		SyncPhase2:    true,
-		FastPaths:     fastPaths,
-		DiskSyncDelay: DefaultDiskSyncDelay,
-	}
-	sys := core.NewSystem(cfg)
-	sys.AddSite(1)
-	sys.AddSite(2)
-	if err := sys.AddVolume(1, "va"); err != nil {
-		return MixedRow{}, err
-	}
-	if err := sys.AddVolume(2, "vb"); err != nil {
+	spec := serialSpec("va", "vb")
+	spec.FastPaths = fastPaths
+	sys, err := spec.Build()
+	if err != nil {
 		return MixedRow{}, err
 	}
 	defer sys.Cluster().Shutdown()
+	clk := sys.Cluster().Clock()
 
 	setup, err := sys.NewProcess(1)
 	if err != nil {
@@ -67,14 +72,8 @@ func MixedCommit(txns, readShare int, fastPaths bool) (MixedRow, error) {
 	}
 	const pageSize = 1024
 	for _, path := range []string{"va/data", "vb/data"} {
-		f, err := setup.Create(path)
+		f, err := baseFile(setup, path, pageSize)
 		if err != nil {
-			return MixedRow{}, err
-		}
-		if _, err := f.WriteAt(make([]byte, pageSize), 0); err != nil {
-			return MixedRow{}, err
-		}
-		if err := f.Sync(); err != nil {
 			return MixedRow{}, err
 		}
 		if err := f.Close(); err != nil {
@@ -96,60 +95,53 @@ func MixedCommit(txns, readShare int, fastPaths bool) (MixedRow, error) {
 	}
 
 	row := MixedRow{
-		Case: "fast-paths off", FastPaths: fastPaths,
+		Case: "fast-paths " + onOff(fastPaths), FastPaths: fastPaths,
 		ReadShare: readShare, Txns: txns,
-	}
-	if fastPaths {
-		row.Case = "fast-paths on"
 	}
 	before := sys.Stats().Snapshot()
 	lats := make([]time.Duration, 0, txns)
 	buf := make([]byte, 8)
 	writes := 0
-	start := time.Now()
 	for i := 0; i < txns; i++ {
 		// Bresenham interleave: transaction i reads iff the running
 		// count of reads is behind the requested share.
 		isRead := (i+1)*readShare/100 > i*readShare/100
-		t0 := time.Now()
+		t0 := clk.Now()
 		if _, err := p.BeginTrans(); err != nil {
 			return row, err
 		}
-		ok := true
+		// read takes a shared lock on f's record and reads it; write
+		// takes the exclusive lock on the local record and updates it.
+		read := func(f *core.File) error {
+			if err := f.LockRange(0, 8, core.Shared); err != nil {
+				return err
+			}
+			_, err := f.ReadAt(buf, 0)
+			return err
+		}
+		write := func() error {
+			if err := local.LockRange(0, 8, core.Exclusive); err != nil {
+				return err
+			}
+			_, err := local.WriteAt([]byte(fmt.Sprintf("%08d", i)), 0)
+			return err
+		}
+		var err error
 		if isRead {
 			// Pure read across both sites: every participant votes
 			// read-only, so the fast-path run skips the commit force.
-			for _, f := range []*core.File{local, remote} {
-				if err := f.LockRange(0, 8, core.Shared); err != nil {
-					ok = false
-					break
-				}
-				if _, err := f.ReadAt(buf, 0); err != nil {
-					ok = false
-					break
-				}
+			if err = read(local); err == nil {
+				err = read(remote)
 			}
 		} else if writes++; writes%2 == 1 {
 			// Single-site write: the one-phase commit candidate.
-			if err := local.LockRange(0, 8, core.Exclusive); err != nil {
-				ok = false
-			} else if _, err := local.WriteAt([]byte(fmt.Sprintf("%08d", i)), 0); err != nil {
-				ok = false
-			}
-		} else {
+			err = write()
+		} else if err = write(); err == nil {
 			// Write at site 1 plus a shared read at site 2: the remote
 			// participant is the read-only vote candidate.
-			if err := local.LockRange(0, 8, core.Exclusive); err != nil {
-				ok = false
-			} else if _, err := local.WriteAt([]byte(fmt.Sprintf("%08d", i)), 0); err != nil {
-				ok = false
-			} else if err := remote.LockRange(0, 8, core.Shared); err != nil {
-				ok = false
-			} else if _, err := remote.ReadAt(buf, 0); err != nil {
-				ok = false
-			}
+			err = read(remote)
 		}
-		if !ok {
+		if err != nil {
 			p.AbortTrans() //nolint:errcheck
 			row.Aborted++
 			continue
@@ -159,17 +151,9 @@ func MixedCommit(txns, readShare int, fastPaths bool) (MixedRow, error) {
 			continue
 		}
 		row.Committed++
-		lats = append(lats, time.Since(t0))
+		lats = append(lats, clk.Now().Sub(t0))
 	}
-	row.Wall = time.Since(start)
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		return lats[int(p*float64(len(lats)-1))]
-	}
+	pct := percentiles(lats)
 	row.P50, row.P99 = pct(0.50), pct(0.99)
 
 	d := sys.Stats().Snapshot().Sub(before)
@@ -186,13 +170,12 @@ func MixedCommit(txns, readShare int, fastPaths bool) (MixedRow, error) {
 }
 
 // MixedSweep runs the mixed workload at each read share, fast paths off
-// then on - the locusbench "mixed" experiment and the body of
-// BENCH_PR5.json.
-func MixedSweep(txns int, shares []int) ([]MixedRow, error) {
+// then on - the locusbench "mixed" experiment.
+func MixedSweep() ([]MixedRow, error) {
 	var rows []MixedRow
-	for _, share := range shares {
+	for _, share := range MixedShares {
 		for _, fast := range []bool{false, true} {
-			row, err := MixedCommit(txns, share, fast)
+			row, err := MixedCommit(MixedTxns, share, fast)
 			if err != nil {
 				return nil, err
 			}

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -19,42 +16,33 @@ import (
 // access, and the steady state sends zero lock messages - the experiment
 // E20 win condition is LockMsgsPerTxn approaching zero.
 type RepeatRow struct {
-	Case           string // "leases off" / "leases on"
-	Leases         bool
-	Txns           int
-	Committed      int64
-	Aborted        int64
-	LockMsgs       int64
-	LockMsgsPerTxn float64
-	LeaseHits      int64
-	LeaseRevokes   int64
-	Escalations    int64
-	Wall           time.Duration
-	Counters       stats.Snapshot
+	Case           string         `json:"case"` // "leases off" / "leases on"
+	Leases         bool           `json:"leases"`
+	Txns           int            `json:"txns"`
+	Committed      int64          `json:"committed"`
+	Aborted        int64          `json:"-"`
+	LockMsgs       int64          `json:"lock_msgs"`
+	LockMsgsPerTxn float64        `json:"lock_msgs_per_txn"`
+	LeaseHits      int64          `json:"lease_hits"`
+	LeaseRevokes   int64          `json:"lease_revokes"`
+	Escalations    int64          `json:"escalations"`
+	Counters       stats.Snapshot `json:"counters"`
 }
 
+// RepeatTxns is the repeat experiment's transactions per configuration.
+const RepeatTxns = 64
+
 // RepeatAccess runs the repeated-access workload once.  The client is
-// serial and fault-free, so every counter is deterministic - the CI
-// bench gate diffs LockMsgsPerTxn against the committed BENCH_PR9.json.
+// serial and fault-free, so every counter is deterministic -
+// `locusbench -check` gates LockMsgsPerTxn against BENCH_BASELINE.json.
 func RepeatAccess(txns int, leases bool) (RepeatRow, error) {
 	if txns <= 0 {
 		return RepeatRow{}, fmt.Errorf("bench: txns %d out of range", txns)
 	}
-	cfg := cluster.Config{
-		SyncPhase2:    true,
-		DiskSyncDelay: DefaultDiskSyncDelay,
-		LockLeases:    leases,
-		// The whole run must fit inside one lease term for the steady
-		// state to show; the workload is seconds at most.
-		LeaseTTL: time.Hour,
-	}
-	sys := core.NewSystem(cfg)
-	sys.AddSite(1)
-	sys.AddSite(2)
-	if err := sys.AddVolume(1, "va"); err != nil {
-		return RepeatRow{}, err
-	}
-	if err := sys.AddVolume(2, "vb"); err != nil {
+	spec := serialSpec("va", "vb")
+	spec.Leases = leases
+	sys, err := spec.Build()
+	if err != nil {
 		return RepeatRow{}, err
 	}
 	defer sys.Cluster().Shutdown()
@@ -63,14 +51,8 @@ func RepeatAccess(txns int, leases bool) (RepeatRow, error) {
 	if err != nil {
 		return RepeatRow{}, err
 	}
-	f, err := setup.Create("vb/hot")
+	f, err := baseFile(setup, "vb/hot", 1024)
 	if err != nil {
-		return RepeatRow{}, err
-	}
-	if _, err := f.WriteAt(make([]byte, 1024), 0); err != nil {
-		return RepeatRow{}, err
-	}
-	if err := f.Sync(); err != nil {
 		return RepeatRow{}, err
 	}
 	if err := f.Close(); err != nil {
@@ -86,12 +68,8 @@ func RepeatAccess(txns int, leases bool) (RepeatRow, error) {
 		return RepeatRow{}, err
 	}
 
-	row := RepeatRow{Case: "leases off", Leases: leases, Txns: txns}
-	if leases {
-		row.Case = "leases on"
-	}
+	row := RepeatRow{Case: "leases " + onOff(leases), Leases: leases, Txns: txns}
 	before := sys.Stats().Snapshot()
-	start := time.Now()
 	for i := 0; i < txns; i++ {
 		// Skewed repeated access: the offset cycles through 16 records
 		// of the one hot file.  Implicit locking acquires the record
@@ -111,7 +89,6 @@ func RepeatAccess(txns int, leases bool) (RepeatRow, error) {
 		}
 		row.Committed++
 	}
-	row.Wall = time.Since(start)
 
 	d := sys.Stats().Snapshot().Sub(before)
 	row.LockMsgs = d.Get(stats.LockMsgs)
@@ -126,11 +103,11 @@ func RepeatAccess(txns int, leases bool) (RepeatRow, error) {
 }
 
 // RepeatPair runs the repeated-access workload leases off then on - the
-// locusbench "repeat" experiment and the BENCH_PR9.json body.
-func RepeatPair(txns int) ([]RepeatRow, error) {
+// locusbench "repeat" experiment.
+func RepeatPair() ([]RepeatRow, error) {
 	var rows []RepeatRow
 	for _, leases := range []bool{false, true} {
-		row, err := RepeatAccess(txns, leases)
+		row, err := RepeatAccess(RepeatTxns, leases)
 		if err != nil {
 			return nil, err
 		}

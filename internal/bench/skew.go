@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/vtime"
 	"repro/internal/workload"
 )
 
@@ -21,136 +20,87 @@ import (
 // Begin/End-time router localizes what remains, so after the warm-up
 // window most transactions commit with zero remote participant sites.
 // The run is serial (the two clients alternate turns in one goroutine)
-// on the virtual clock, so every counter is deterministic - the CI gate
-// diffs LocalCommitFraction (higher is better) and ForcedPerTxn against
-// the committed BENCH_PR10.json.
+// on the virtual clock, so every counter is deterministic -
+// `locusbench -check` gates LocalCommitFraction (higher is better),
+// ForcedPerTxn and MsgsPerTxn against BENCH_BASELINE.json.
 type SkewRow struct {
-	Case     string // e.g. "zipfian placement off"
-	Pattern  string // "zipfian" / "shifting-hotspot"
-	Adaptive bool
-	// Txns is the measured-window transaction count (after warm-up);
-	// Warmup the discarded prefix per client.
-	Txns      int
-	Warmup    int
-	Committed int64
-	Aborted   int64
+	Case     string `json:"case"`    // e.g. "zipfian placement off"
+	Pattern  string `json:"pattern"` // "zipfian" / "shifting-hotspot"
+	Adaptive bool   `json:"adaptive_placement"`
+	// Txns is the measured-window transaction count (after warm-up).
+	Txns      int   `json:"txns"`
+	Committed int64 `json:"committed"`
+	Aborted   int64 `json:"-"`
 	// The headline locality metrics, all measured after warm-up.
-	LocalCommits        int64
-	LocalCommitFraction float64 // LocalCommits / Committed
-	RemotePartsPerTxn   float64 // remote participant sites per commit
-	MsgsPerTxn          float64
-	ForcedPerTxn        float64
+	LocalCommits        int64   `json:"-"`
+	LocalCommitFraction float64 `json:"local_commit_fraction"`       // LocalCommits / Committed
+	RemotePartsPerTxn   float64 `json:"remote_participants_per_txn"` // remote participant sites per commit
+	MsgsPerTxn          float64 `json:"msgs_per_txn"`
+	ForcedPerTxn        float64 `json:"forced_ios_per_txn"`
 	// Placement machinery activity over the whole run (warm-up
 	// included - that is where the moves happen).
-	OwnerMoves    int64
-	RoutedCommits int64
-	ProcMoves     int64 // Begin-time process migrations
-	SimTime       time.Duration
-	Counters      stats.Snapshot
+	OwnerMoves    int64          `json:"owner_moves"`
+	RoutedCommits int64          `json:"routed_commits"`
+	ProcMoves     int64          `json:"placement_migrations"` // Begin-time process migrations
+	SimTime       time.Duration  `json:"-"`
+	Counters      stats.Snapshot `json:"counters"`
 }
 
 // SkewOpts parameterizes SkewPlacement.
 type SkewOpts struct {
 	Pattern  workload.Pattern // Zipfian or ShiftingHotspot
 	Adaptive bool
-	// TxnsPerClient is the measured window; WarmupPerClient the
-	// discarded prefix (defaults: 64 and 64).
-	TxnsPerClient   int
-	WarmupPerClient int
-	// Files is the shared pool size at site 1 (default 32); ZipfS the
-	// skew exponent (default workload.DefaultZipfS = 1.2).
-	Files int
-	ZipfS float64
-	Seed  int64
 }
 
-func (o SkewOpts) withDefaults() SkewOpts {
-	if o.TxnsPerClient <= 0 {
-		o.TxnsPerClient = 64
-	}
-	if o.WarmupPerClient <= 0 {
-		o.WarmupPerClient = 64
-	}
-	if o.Files <= 0 {
-		o.Files = 32
-	}
-	if o.ZipfS == 0 {
-		o.ZipfS = workload.DefaultZipfS
-	}
-	return o
-}
+// The skew experiment's fixed shape: each client runs skewWarmup
+// discarded transactions then skewTxns measured ones, picking among
+// skewFiles files mounted at site 1 with the workload package's default
+// Zipf exponent.
+const (
+	skewTxns   = 64
+	skewWarmup = 64
+	skewFiles  = 32
+)
 
 // SkewPlacement runs the skewed workload once.
 func SkewPlacement(o SkewOpts) (SkewRow, error) {
-	o = o.withDefaults()
-	clk := vtime.NewVirtual()
-	cfg := cluster.Config{
-		SyncPhase2:    true,
-		FastPaths:     true,
-		DiskSyncDelay: DefaultDiskSyncDelay,
-		Clock:         clk,
-	}
+	spec := serialSpec(threeSites...)
+	spec.FastPaths = true
 	if o.Adaptive {
-		cfg.AdaptivePlacement = true
 		// The measured windows are short (tens of accesses per hot
 		// file), so the policy knobs come down proportionally: a file
 		// moves once a remote site holds 60% of at least 3 decayed
 		// accesses, and may move again after 8 more.
-		cfg.PlacementMinAccesses = 3
-		cfg.PlacementCooldown = 8
+		spec.Placement = scenario.Placement{MinAccesses: 3, Cooldown: 8}
 	}
-	sys := core.NewSystem(cfg)
-	for _, id := range []simnet.SiteID{1, 2, 3} {
-		sys.AddSite(id)
-	}
-	for site, vol := range map[simnet.SiteID]string{1: "va", 2: "vb", 3: "vc"} {
-		if err := sys.AddVolume(site, vol); err != nil {
-			return SkewRow{}, err
-		}
+	sys, err := spec.Build()
+	if err != nil {
+		return SkewRow{}, err
 	}
 	defer sys.Cluster().Shutdown()
 
-	patName := "zipfian"
-	if o.Pattern == workload.ShiftingHotspot {
-		patName = "shifting-hotspot"
-	}
 	row := SkewRow{
-		Case:     fmt.Sprintf("%s placement %s", patName, onOff(o.Adaptive)),
-		Pattern:  patName,
+		Case:     fmt.Sprintf("%s placement %s", o.Pattern, onOff(o.Adaptive)),
+		Pattern:  o.Pattern.String(),
 		Adaptive: o.Adaptive,
-		Txns:     2 * o.TxnsPerClient,
-		Warmup:   o.WarmupPerClient,
+		Txns:     2 * skewTxns,
 	}
-
-	var runErr error
-	wg := vtime.NewGroup(clk)
-	wg.Go(func() { runErr = skewBody(sys, clk, o, &row) })
-	wg.Wait()
-	if runErr != nil {
-		return row, runErr
-	}
-	return row, nil
+	return row, skewBody(sys, o, &row)
 }
 
-// skewBody is the serial workload driver; it runs on the virtual
-// clock's scheduler so the simulated latencies elapse.
-func skewBody(sys *core.System, clk vtime.Clock, o SkewOpts, row *SkewRow) error {
+// skewBody is the serial workload driver.
+func skewBody(sys *core.System, o SkewOpts, row *SkewRow) error {
+	clk := sys.Cluster().Clock()
 	// The shared pool: one page-sized file per slot at site 1.
 	setup, err := sys.NewProcess(1)
 	if err != nil {
 		return err
 	}
-	paths := make([]string, o.Files)
+	paths := make([]string, skewFiles)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("va/f%02d", i)
-		f, err := setup.Create(paths[i])
+		f, err := baseFile(setup, paths[i], 256)
 		if err != nil {
-			return err
-		}
-		if _, err := f.WriteAt(make([]byte, 256), 0); err != nil {
-			return err
-		}
-		if err := f.Sync(); err != nil {
 			return err
 		}
 		if err := f.Close(); err != nil {
@@ -168,7 +118,7 @@ func skewBody(sys *core.System, clk vtime.Clock, o SkewOpts, row *SkewRow) error
 		rot    int
 		next   int // access index (feeds Chooser.Next in order)
 	}
-	total := o.WarmupPerClient + o.TxnsPerClient
+	total := skewWarmup + skewTxns
 	clients := make([]*client, 2)
 	for c := range clients {
 		p, err := sys.NewProcess([]simnet.SiteID{2, 3}[c])
@@ -178,15 +128,15 @@ func skewBody(sys *core.System, clk vtime.Clock, o SkewOpts, row *SkewRow) error
 		clients[c] = &client{
 			p:      p,
 			files:  make(map[string]*core.File),
-			choose: workload.NewChooser(o.Pattern, int64(o.Files), o.Seed+int64(c), o.ZipfS, total/4, total),
-			rot:    c * o.Files / 2,
+			choose: workload.NewChooser(o.Pattern, skewFiles, int64(c), workload.DefaultZipfS, total/4, total),
+			rot:    c * skewFiles / 2,
 		}
 	}
 
 	oneTxn := func(c *client, i int) error {
 		rank := int(c.choose.Next(c.next))
 		c.next++
-		path := paths[(rank+c.rot)%o.Files]
+		path := paths[(rank+c.rot)%skewFiles]
 		if _, err := c.p.BeginTrans(); err != nil {
 			return err
 		}
@@ -220,7 +170,7 @@ func skewBody(sys *core.System, clk vtime.Clock, o SkewOpts, row *SkewRow) error
 	}
 
 	// Warm-up window: the heat accumulates and the moves happen here.
-	for i := 0; i < o.WarmupPerClient; i++ {
+	for i := 0; i < skewWarmup; i++ {
 		for _, c := range clients {
 			if err := oneTxn(c, i); err != nil {
 				return err
@@ -230,9 +180,9 @@ func skewBody(sys *core.System, clk vtime.Clock, o SkewOpts, row *SkewRow) error
 
 	before := sys.Stats().Snapshot()
 	simStart := clk.Now()
-	for i := 0; i < o.TxnsPerClient; i++ {
+	for i := 0; i < skewTxns; i++ {
 		for _, c := range clients {
-			if err := oneTxn(c, o.WarmupPerClient+i); err != nil {
+			if err := oneTxn(c, skewWarmup+i); err != nil {
 				return err
 			}
 		}
@@ -273,13 +223,12 @@ func onOff(b bool) string {
 }
 
 // SkewSweep runs the experiment's four rows: both access patterns,
-// placement off then on - the locusbench "skew" experiment and the
-// BENCH_PR10.json body.
-func SkewSweep(txnsPerClient int) ([]SkewRow, error) {
+// placement off then on - the locusbench "skew" experiment.
+func SkewSweep() ([]SkewRow, error) {
 	var rows []SkewRow
 	for _, pat := range []workload.Pattern{workload.Zipfian, workload.ShiftingHotspot} {
 		for _, adaptive := range []bool{false, true} {
-			row, err := SkewPlacement(SkewOpts{Pattern: pat, Adaptive: adaptive, TxnsPerClient: txnsPerClient})
+			row, err := SkewPlacement(SkewOpts{Pattern: pat, Adaptive: adaptive})
 			if err != nil {
 				return nil, err
 			}

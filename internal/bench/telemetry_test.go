@@ -8,7 +8,7 @@ import (
 
 func telemetryRun(t *testing.T, groupCommit bool) ConcurrentRow {
 	t.Helper()
-	row, err := ConcurrentCommitOpts(ConcurrentOpts{
+	row, err := ConcurrentCommit(ConcurrentOpts{
 		Clients:          4,
 		TxnsPerClient:    6,
 		GroupCommit:      groupCommit,
@@ -35,7 +35,7 @@ func telemetryRun(t *testing.T, groupCommit bool) ConcurrentRow {
 // several are released at the same virtual instant.
 func TestTelemetryDeterministic(t *testing.T) {
 	run := func(gc bool) []byte {
-		row, err := ConcurrentCommitOpts(ConcurrentOpts{
+		row, err := ConcurrentCommit(ConcurrentOpts{
 			Clients:          1,
 			TxnsPerClient:    8,
 			GroupCommit:      gc,

@@ -4,10 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/costmodel"
-	"repro/internal/simnet"
-	"repro/internal/vtime"
+	"repro/internal/scenario"
 )
 
 // TestConcurrentVtimeSpeedup is the virtual-clock acceptance test: with
@@ -24,7 +22,7 @@ func TestConcurrentVtimeSpeedup(t *testing.T) {
 	const clients, txns = 2, 2
 
 	startReal := time.Now()
-	real, err := ConcurrentCommitOpts(ConcurrentOpts{
+	real, err := ConcurrentCommit(ConcurrentOpts{
 		Clients: clients, TxnsPerClient: txns,
 		DiskSyncDelay: vax.DiskWriteTime,
 	})
@@ -34,7 +32,7 @@ func TestConcurrentVtimeSpeedup(t *testing.T) {
 	realWall := time.Since(startReal)
 
 	startVirt := time.Now()
-	virt, err := ConcurrentCommitOpts(ConcurrentOpts{
+	virt, err := ConcurrentCommit(ConcurrentOpts{
 		Clients: clients, TxnsPerClient: txns,
 		DiskSyncDelay: vax.DiskWriteTime,
 		Vtime:         true,
@@ -67,16 +65,11 @@ func TestConcurrentVtimeSpeedup(t *testing.T) {
 // count for the Figure 5 workloads: per-category I/Os, messages, and
 // forced I/Os are identical whether latency is slept or simulated.
 func TestFig5CrossMode(t *testing.T) {
-	vax := costmodel.Vax750()
 	base, err := Fig5(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	virt, err := Fig5Cfg(false, cluster.Config{
-		Clock:         vtime.NewVirtual(),
-		DiskSyncDelay: vax.DiskWriteTime,
-		Net:           simnet.Config{Latency: vax.MsgTime},
-	})
+	virt, err := Fig5On(false, scenario.Spec{}.At(costmodel.Vax750()))
 	if err != nil {
 		t.Fatal(err)
 	}

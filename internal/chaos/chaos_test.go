@@ -7,11 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/simnet"
-	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 func TestGenScheduleDeterministic(t *testing.T) {
@@ -297,24 +293,11 @@ func TestSweep(t *testing.T) {
 // pair, synced so it is durable) and the atomic-pairs check must flag
 // it.
 func TestCheckerCatchesTornPair(t *testing.T) {
-	e := &engine{opts: Options{Seed: 5, Sites: 2, Workers: 2}, clk: vtime.Real()}
-	e.collector = trace.NewCollector(0)
-	e.sys = core.NewSystem(cluster.Config{
-		RetryInterval:   10 * time.Millisecond,
-		LockWaitTimeout: 75 * time.Millisecond,
-		Trace:           e.collector,
-		Net:             simnet.Config{CallTimeout: 60 * time.Millisecond, Seed: 5},
-	})
-	defer e.sys.Cluster().Shutdown()
-	for i := 1; i <= 2; i++ {
-		e.sys.AddSite(simnet.SiteID(i))
-		if err := e.sys.AddVolume(simnet.SiteID(i), volName(simnet.SiteID(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.setup(); err != nil {
+	e, err := newEngine(Options{Seed: 5, Sites: 2, Workers: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.sys.Cluster().Shutdown()
 
 	// Commit one honest marker to the first pair.
 	ps := e.pairs[0]
@@ -381,7 +364,7 @@ func TestCheckerCatchesTornPair(t *testing.T) {
 	}
 
 	// The rendered report embeds the forensics under the FAIL line.
-	res := &Result{Seed: 5, Sites: 2, Workers: 2, Checks: e.check()}
+	res := &Result{Options: e.opts, Checks: e.check()}
 	if rep := res.Report(false); !strings.Contains(rep, "forensics: last") {
 		t.Fatalf("Report omits forensics:\n%s", rep)
 	}

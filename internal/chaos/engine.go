@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,6 +11,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/invariant"
+	"repro/internal/scenario"
 	"repro/internal/simdisk"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -41,29 +42,23 @@ type Options struct {
 	// The audit then proves the fast paths leak nothing: locks released,
 	// no stale prepare records.
 	FastPaths bool
-	// LockLeases enables sticky lock leases (DESIGN.md section 13) with a
-	// TTL short enough that callback revokes, partition-delayed revokes
-	// falling back to expiry, and leaseholder crashes all interleave with
-	// the fault schedule.  The audit is unchanged: leases must never let a
-	// section 5 invariant slip.
+	// LockLeases enables sticky lock leases (DESIGN.md section 13) under
+	// the scenario's short fault-mode TTL, so callback revokes,
+	// partition-delayed revokes falling back to expiry, and leaseholder
+	// crashes all interleave with the fault schedule.
 	LockLeases bool
 	// Placement enables locality-adaptive placement (DESIGN.md section
-	// 14) with aggressive policy knobs, so ownership moves and routed
+	// 14) with the scenario.Eager policy, so ownership moves and routed
 	// commits fire constantly and interleave with every fault in the
 	// schedule: partitions land mid-move, sites crash holding a shipped
-	// copy whose home flip never committed.  The audit gains a
-	// single-primary check on top of the section 5 invariants: after
-	// recovery every workload file must have exactly one local copy,
-	// stored where the catalog says.
+	// copy whose home flip never committed.
 	Placement bool
 	// Vtime runs the whole chaos run on a virtual discrete-event clock
 	// charging the paper's VAX-750 latencies (8ms per message hop, 26ms
 	// per forced disk I/O): the fault schedule fires at exact simulated
 	// instants while wall-clock time shrinks by orders of magnitude.
-	// Duration then counts simulated, not real, time.  Timeouts scale up
-	// with the latencies (1s call and lock-wait timeouts, 100ms retry
-	// interval) because a multi-hop handler at VAX speed outlasts the
-	// real-mode tunings.
+	// Duration then counts simulated, not real, time, and the scenario
+	// scales its timeouts up with the latencies.
 	Vtime bool
 	// Telemetry enables commit-path profiling and fills the Result's
 	// Profile and Metrics with the run's attribution report and final
@@ -88,28 +83,22 @@ type pairState struct {
 	confirmed    int // highest attempt whose EndTrans returned nil; -1 = none
 }
 
-// Result is the outcome of a chaos run.  Schedule and Checks are
-// deterministic for a given (Seed, Duration, Sites, Workers, Faults);
-// Commits/Aborts depend on real scheduling and are reported separately.
+// Result is the outcome of a chaos run: the options it ran under
+// (defaults filled in, Schedule the timeline actually injected) and what
+// came of them.  Schedule and Checks are deterministic for a given (Seed,
+// Duration, Sites, Workers, Faults); Commits/Aborts depend on real
+// scheduling and are reported separately.
 type Result struct {
-	Seed      int64
-	Sites     int
-	Workers   int
-	Duration   time.Duration
-	FastPaths  bool
-	LockLeases bool
-	Placement  bool
-	Vtime      bool
-	Schedule   Schedule
-	Commits   int64
-	Aborts    int64
+	Options
+	Commits int64
+	Aborts  int64
 	// OwnerMoves and RoutedCommits count the placement machinery's
 	// activity over the run (zero unless Options.Placement was set).
 	// Like Commits/Aborts they depend on real scheduling, but under
 	// Vtime they are exact.
 	OwnerMoves    int64
 	RoutedCommits int64
-	Checks    []CheckResult
+	Checks        invariant.Report
 	// SimElapsed is the total simulated time of a Vtime run (zero
 	// otherwise): workload window plus quiesce and recovery.
 	SimElapsed time.Duration
@@ -121,38 +110,11 @@ type Result struct {
 	Metrics telemetry.Snapshot
 }
 
-// CheckResult is one invariant's verdict.
-type CheckResult struct {
-	Name       string   // e.g. "atomic-pairs"
-	Detail     string   // deterministic scope summary, e.g. "3 pairs"
-	Violations []string // empty = PASS
-	// Forensics holds, for each violation, the tail of the causal event
-	// trace touching the offending object: what the transactions that
-	// handled it did, fault injections included.  Empty when the check
-	// passed or the run was untraced.
-	Forensics []string
-}
-
 // OK reports whether every invariant held.
-func (r *Result) OK() bool {
-	for _, c := range r.Checks {
-		if len(c.Violations) > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (r *Result) OK() bool { return r.Checks.OK() }
 
 // Violations flattens every failed check's findings.
-func (r *Result) Violations() []string {
-	var out []string
-	for _, c := range r.Checks {
-		for _, v := range c.Violations {
-			out = append(out, c.Name+": "+v)
-		}
-	}
-	return out
-}
+func (r *Result) Violations() []string { return r.Checks.Violations() }
 
 // TelemetrySummary renders the run's commit critical-path attribution
 // and headline utilization counters; empty when the run was not
@@ -186,7 +148,7 @@ func (r *Result) ReplayCommand() string {
 	if r.LockLeases {
 		cmd += " -leases"
 	}
-	if r.Placement {
+	if r.Options.Placement {
 		cmd += " -placement"
 	}
 	if r.Vtime {
@@ -224,7 +186,7 @@ func (r *Result) Report(withStats bool) string {
 	}
 	if withStats {
 		fmt.Fprintf(&b, "stats: %d commits, %d aborts\n", r.Commits, r.Aborts)
-		if r.Placement {
+		if r.Options.Placement {
 			fmt.Fprintf(&b, "stats: %d owner moves, %d routed commits\n", r.OwnerMoves, r.RoutedCommits)
 		}
 		if r.Vtime {
@@ -239,7 +201,6 @@ type engine struct {
 	opts      Options
 	sys       *core.System
 	collector *trace.Collector // always attached: forensics must exist when an invariant fails
-	sched     Schedule
 	pairs     []*pairState
 	accounts  []string // account file paths; committed balances must sum to total
 	total     int64
@@ -248,6 +209,38 @@ type engine struct {
 	clk       vtime.Clock
 	stop      chan struct{} // closed at end of the workload window
 	mon       *vtime.Group  // armcrash monitors: disk tripped -> site down
+}
+
+// newEngine builds the run's cluster from its scenario: one volume per
+// site, faults expected, the optional layers the options select, on the
+// virtual clock at VAX-750 latencies under Vtime.
+func newEngine(opts Options) (*engine, error) {
+	spec := scenario.Spec{
+		Volumes:     scenario.PerSite(opts.Sites),
+		Seed:        opts.Seed,
+		Faults:      true,
+		GroupCommit: opts.GroupCommit,
+		FastPaths:   opts.FastPaths,
+		Leases:      opts.LockLeases,
+		Trace:       true,
+		Profile:     opts.Telemetry,
+	}
+	if opts.Placement {
+		spec.Placement = scenario.Eager
+	}
+	if opts.Vtime {
+		spec = spec.At(costmodel.Vax750())
+	}
+	sys, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{opts: opts, sys: sys, collector: scenario.Collector(sys), clk: sys.Cluster().Clock()}
+	if err := e.setup(); err != nil {
+		sys.Cluster().Shutdown()
+		return nil, fmt.Errorf("chaos: workload setup: %w", err)
+	}
+	return e, nil
 }
 
 // stopped polls the workload-window flag without blocking (safe under
@@ -259,28 +252,6 @@ func (e *engine) stopped() bool {
 	default:
 		return false
 	}
-}
-
-// forensicsDepth bounds how many trailing events a violation report
-// carries per offending object.
-const forensicsDepth = 20
-
-// forensics renders the last events touching object as indented timeline
-// lines, headed by what is being shown.  Nil when nothing touched it.
-func (e *engine) forensics(object string) []string {
-	evs := e.collector.LastTouching(object, forensicsDepth)
-	if len(evs) == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	trace.Timeline(&buf, evs)
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	out := make([]string, 0, len(lines)+1)
-	out = append(out, fmt.Sprintf("forensics: last %d events touching %s:", len(evs), object))
-	for _, l := range lines {
-		out = append(out, "  "+l)
-	}
-	return out
 }
 
 func (e *engine) logf(format string, args ...any) {
@@ -313,80 +284,18 @@ func Run(opts Options) (*Result, error) {
 		opts.Faults = DefaultFaults()
 	}
 
-	e := &engine{opts: opts}
-	siteIDs := make([]simnet.SiteID, opts.Sites)
-	for i := range siteIDs {
-		siteIDs[i] = simnet.SiteID(i + 1)
-	}
-	e.sched = opts.Schedule
-	if e.sched == nil {
-		e.sched = GenSchedule(opts.Seed, opts.Duration, siteIDs, opts.Faults)
-	}
-
-	// The cluster runs phase two asynchronously with a short retry timer:
-	// that is the configuration where lost commit messages, coordinator
-	// crashes and the retry path all genuinely interleave.
-	e.collector = trace.NewCollector(0)
-	e.clk = vtime.Real()
-	cfg := cluster.Config{
-		RetryInterval:       10 * time.Millisecond,
-		LockWaitTimeout:     75 * time.Millisecond,
-		GroupCommitMaxDelay: opts.GroupCommit,
-		FastPaths:           opts.FastPaths,
-		Trace:               e.collector,
-		Net: simnet.Config{
-			CallTimeout: 60 * time.Millisecond,
-			Seed:        opts.Seed,
-		},
-	}
-	if opts.LockLeases {
-		// The TTL sits under the lock-wait timeout so a waiter blocked on
-		// an unreachable leaseholder (revoke lost to a partition) still
-		// sees the lease expire before its own wait gives up.
-		cfg.LockLeases = true
-		cfg.LeaseTTL = 50 * time.Millisecond
-	}
-	if opts.Placement {
-		// Aggressive knobs: a file moves once a remote site holds 60% of
-		// two decayed accesses and may move again two accesses later, so
-		// the fault schedule is guaranteed to catch moves in flight.
-		cfg.AdaptivePlacement = true
-		cfg.PlacementMinAccesses = 2
-		cfg.PlacementCooldown = 2
-	}
-	if opts.Vtime {
-		// Discrete-event mode charges the VAX-750 latencies of the
-		// paper's measurements; the timeouts scale up to match (a
-		// two-hop prepare at 8ms per message plus a 26ms log force
-		// outlasts the real-mode 60ms budget many times over).
-		vax := costmodel.Vax750()
-		e.clk = vtime.NewVirtual()
-
-		cfg.Clock = e.clk
-		cfg.RetryInterval = 100 * time.Millisecond
-		cfg.LockWaitTimeout = time.Second
-		cfg.DiskSyncDelay = vax.DiskWriteTime
-		cfg.Net.CallTimeout = time.Second
-		cfg.Net.Latency = vax.MsgTime
-		if opts.LockLeases {
-			// Keep the TTL under the scaled-up lock-wait timeout.
-			cfg.LeaseTTL = 500 * time.Millisecond
+	if opts.Schedule == nil {
+		siteIDs := make([]simnet.SiteID, opts.Sites)
+		for i := range siteIDs {
+			siteIDs[i] = simnet.SiteID(i + 1)
 		}
+		opts.Schedule = GenSchedule(opts.Seed, opts.Duration, siteIDs, opts.Faults)
 	}
-	e.sys = core.NewSystem(cfg)
+	e, err := newEngine(opts)
+	if err != nil {
+		return nil, err
+	}
 	defer e.sys.Cluster().Shutdown()
-	if opts.Telemetry {
-		e.sys.Stats().Registry().EnableProfiling()
-	}
-	for _, id := range siteIDs {
-		e.sys.AddSite(id)
-		if err := e.sys.AddVolume(id, volName(id)); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.setup(); err != nil {
-		return nil, fmt.Errorf("chaos: workload setup: %w", err)
-	}
 
 	// Workload + fault injection.
 	stop := make(chan struct{})
@@ -397,15 +306,15 @@ func Run(opts Options) (*Result, error) {
 		w := w
 		rng := rand.New(rand.NewSource(opts.Seed ^ (int64(w+1) << 20)))
 		if w < len(e.pairs) {
-			workers.Go(func() { e.pairWorker(e.pairs[w], rng, stop) })
+			workers.Go(func() { e.pairWorker(e.pairs[w], rng) })
 		} else {
-			workers.Go(func() { e.transferWorker(rng, stop) })
+			workers.Go(func() { e.transferWorker(rng) })
 		}
 	}
 	sched := vtime.NewGroup(e.clk)
 	start := e.clk.Now()
 	sched.Go(func() {
-		for _, f := range e.sched {
+		for _, f := range opts.Schedule {
 			if v, ok := vtime.AsVirtual(e.clk); ok {
 				// Virtual sleeps cost no wall-clock, so sleeping past a
 				// closed window is harmless; poll stop around the jump.
@@ -436,13 +345,7 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{
-		Seed: opts.Seed, Sites: opts.Sites, Workers: opts.Workers,
-		Duration: opts.Duration, FastPaths: opts.FastPaths,
-		LockLeases: opts.LockLeases, Placement: opts.Placement, Vtime: opts.Vtime,
-		Schedule: e.sched,
-		Commits:  e.commits.Load(), Aborts: e.aborts.Load(),
-	}
+	res := &Result{Options: opts, Commits: e.commits.Load(), Aborts: e.aborts.Load()}
 	snap := e.sys.Stats().Snapshot()
 	res.OwnerMoves = snap.Get(stats.OwnerMoves)
 	res.RoutedCommits = snap.Get(stats.RoutedCommits)
@@ -458,8 +361,6 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-func volName(id simnet.SiteID) string { return fmt.Sprintf("v%d", id) }
-
 // setup creates the pair files and the committed initial account
 // balances before any fault fires.  Half the workers (at least one) run
 // pair transactions, the rest run transfers over 2*Sites accounts.
@@ -473,11 +374,12 @@ func (e *engine) setup() error {
 		return err
 	}
 	n := e.opts.Sites
+	vols := scenario.PerSite(n)
 	for w := 0; w < nPairs; w++ {
 		ps := &pairState{
 			worker:    w,
-			pathA:     fmt.Sprintf("%s/pair%02d", volName(simnet.SiteID(w%n+1)), w),
-			pathB:     fmt.Sprintf("%s/pair%02d", volName(simnet.SiteID((w+1)%n+1)), w),
+			pathA:     fmt.Sprintf("%s/pair%02d", vols[w%n], w),
+			pathB:     fmt.Sprintf("%s/pair%02d", vols[(w+1)%n], w),
 			confirmed: -1,
 		}
 		for _, path := range []string{ps.pathA, ps.pathB} {
@@ -497,7 +399,7 @@ func (e *engine) setup() error {
 		return err
 	}
 	for k := 0; k < nAccts; k++ {
-		path := fmt.Sprintf("%s/acct%02d", volName(simnet.SiteID(k%n+1)), k)
+		path := fmt.Sprintf("%s/acct%02d", vols[k%n], k)
 		f, err := p.Create(path)
 		if err != nil {
 			return err
@@ -517,64 +419,70 @@ func (e *engine) setup() error {
 // pairWorker repeatedly writes a fresh marker to both files of its pair
 // inside a transaction.  Faults make aborts routine; the audit only
 // cares that the pair is never torn and that confirmed commits survive.
-func (e *engine) pairWorker(ps *pairState, rng *rand.Rand, stop chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
+func (e *engine) pairWorker(ps *pairState, rng *rand.Rand) {
+	for !e.stopped() {
 		attempt := ps.attempts
 		ps.attempts++
 		marker := []byte(fmt.Sprintf(markerFmt, ps.worker, attempt))
 		site := simnet.SiteID(rng.Intn(e.opts.Sites) + 1)
-		if e.runPair(site, ps, marker) {
+		if e.tally(e.runPair(site, ps, marker)) {
 			ps.confirmed = attempt
-			e.commits.Add(1)
-		} else {
-			e.aborts.Add(1)
-			e.clk.Sleep(time.Millisecond)
 		}
 	}
 }
 
-func (e *engine) runPair(site simnet.SiteID, ps *pairState, marker []byte) bool {
+// tally counts one attempt's outcome, backing off after an abort.
+func (e *engine) tally(committed bool) bool {
+	if committed {
+		e.commits.Add(1)
+	} else {
+		e.aborts.Add(1)
+		e.clk.Sleep(time.Millisecond)
+	}
+	return committed
+}
+
+// txn runs body inside a transaction of a fresh process at site with
+// both files open, aborting (best effort under injected faults) when
+// body fails.  It reports whether the commit was confirmed.
+func (e *engine) txn(site simnet.SiteID, pathA, pathB string, body func(fa, fb *core.File) error) bool {
 	p, err := e.sys.NewProcess(site)
 	if err != nil {
 		return false
 	}
-	fa, err := p.Open(ps.pathA)
+	fa, err := p.Open(pathA)
 	if err != nil {
 		return false
 	}
-	fb, err := p.Open(ps.pathB)
+	fb, err := p.Open(pathB)
 	if err != nil {
 		return false
 	}
 	if _, err := p.BeginTrans(); err != nil {
 		return false
 	}
-	if _, err := fa.WriteAt(marker, 0); err != nil {
-		p.AbortTrans() //nolint:errcheck // best effort under injected faults
-		return false
-	}
-	if _, err := fb.WriteAt(marker, 0); err != nil {
+	if err := body(fa, fb); err != nil {
 		p.AbortTrans() //nolint:errcheck
 		return false
 	}
 	return p.EndTrans() == nil
 }
 
+func (e *engine) runPair(site simnet.SiteID, ps *pairState, marker []byte) bool {
+	return e.txn(site, ps.pathA, ps.pathB, func(fa, fb *core.File) error {
+		if _, err := fa.WriteAt(marker, 0); err != nil {
+			return err
+		}
+		_, err := fb.WriteAt(marker, 0)
+		return err
+	})
+}
+
 // transferWorker moves random amounts between random account pairs.
 // Every transfer conserves the total, so the final committed balances
 // must still sum to the baseline whatever subset of transfers survived.
-func (e *engine) transferWorker(rng *rand.Rand, stop chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
+func (e *engine) transferWorker(rng *rand.Rand) {
+	for !e.stopped() {
 		i, j := rng.Intn(len(e.accounts)), rng.Intn(len(e.accounts))
 		if i == j {
 			continue
@@ -588,95 +496,49 @@ func (e *engine) transferWorker(rng *rand.Rand, stop chan struct{}) {
 		// read-only, so faults catch them between the vote (which already
 		// released their locks) and the phase two they drop out of.
 		if e.opts.FastPaths && rng.Intn(4) == 0 {
-			if e.runReadAudit(site, e.accounts[i], e.accounts[j]) {
-				e.commits.Add(1)
-			} else {
-				e.aborts.Add(1)
-				e.clk.Sleep(time.Millisecond)
-			}
+			e.tally(e.runReadAudit(site, e.accounts[i], e.accounts[j]))
 			continue
 		}
 		amt := int64(1 + rng.Intn(10))
-		if e.runTransfer(site, e.accounts[i], e.accounts[j], amt) {
-			e.commits.Add(1)
-		} else {
-			e.aborts.Add(1)
-			e.clk.Sleep(time.Millisecond)
-		}
+		e.tally(e.runTransfer(site, e.accounts[i], e.accounts[j], amt))
 	}
 }
 
 func (e *engine) runTransfer(site simnet.SiteID, from, to string, amt int64) bool {
-	p, err := e.sys.NewProcess(site)
-	if err != nil {
-		return false
-	}
-	fa, err := p.Open(from)
-	if err != nil {
-		return false
-	}
-	fb, err := p.Open(to)
-	if err != nil {
-		return false
-	}
-	if _, err := p.BeginTrans(); err != nil {
-		return false
-	}
-	abort := func() bool {
-		p.AbortTrans() //nolint:errcheck
-		return false
-	}
-	ba, err := readBalance(fa)
-	if err != nil {
-		return abort()
-	}
-	bb, err := readBalance(fb)
-	if err != nil {
-		return abort()
-	}
-	if amt > ba {
-		amt = ba // never overdraw; a zero transfer still exercises the protocol
-	}
-	if _, err := fa.WriteAt([]byte(fmt.Sprintf("%08d", ba-amt)), 0); err != nil {
-		return abort()
-	}
-	if _, err := fb.WriteAt([]byte(fmt.Sprintf("%08d", bb+amt)), 0); err != nil {
-		return abort()
-	}
-	return p.EndTrans() == nil
+	return e.txn(site, from, to, func(fa, fb *core.File) error {
+		ba, err := readBalance(fa)
+		if err != nil {
+			return err
+		}
+		bb, err := readBalance(fb)
+		if err != nil {
+			return err
+		}
+		if amt > ba {
+			amt = ba // never overdraw; a zero transfer still exercises the protocol
+		}
+		if _, err := fa.WriteAt([]byte(fmt.Sprintf("%08d", ba-amt)), 0); err != nil {
+			return err
+		}
+		_, err = fb.WriteAt([]byte(fmt.Sprintf("%08d", bb+amt)), 0)
+		return err
+	})
 }
 
 // runReadAudit reads two balances under shared locks and commits
 // without writing anything: every participant votes read-only.
 func (e *engine) runReadAudit(site simnet.SiteID, from, to string) bool {
-	p, err := e.sys.NewProcess(site)
-	if err != nil {
-		return false
-	}
-	fa, err := p.Open(from)
-	if err != nil {
-		return false
-	}
-	fb, err := p.Open(to)
-	if err != nil {
-		return false
-	}
-	if _, err := p.BeginTrans(); err != nil {
-		return false
-	}
-	abort := func() bool {
-		p.AbortTrans() //nolint:errcheck
-		return false
-	}
-	for _, f := range []*core.File{fa, fb} {
-		if err := f.LockRange(0, 8, core.Shared); err != nil {
-			return abort()
+	return e.txn(site, from, to, func(fa, fb *core.File) error {
+		for _, f := range []*core.File{fa, fb} {
+			if err := f.LockRange(0, 8, core.Shared); err != nil {
+				return err
+			}
+			if _, err := readBalance(f); err != nil {
+				return err
+			}
 		}
-		if _, err := readBalance(f); err != nil {
-			return abort()
-		}
-	}
-	return p.EndTrans() == nil
+		return nil
+	})
 }
 
 func readBalance(f *core.File) (int64, error) {
@@ -709,21 +571,14 @@ func (e *engine) apply(f Fault) {
 		if s := cl.Site(f.Site); s != nil && s.Up() {
 			// Media failure first (volatile pages gone), then the machine
 			// goes down with its disks.
-			for _, name := range s.Volumes() {
-				if v := s.Volume(name); v != nil {
-					v.Disk().Crash()
-				}
+			for _, d := range siteDisks(s) {
+				d.Crash()
 			}
 			s.Crash()
 		}
 	case FaultCrashWrites:
 		if s := cl.Site(f.Site); s != nil && s.Up() {
-			var disks []*simdisk.Disk
-			for _, name := range s.Volumes() {
-				if v := s.Volume(name); v != nil {
-					disks = append(disks, v.Disk())
-				}
-			}
+			disks := siteDisks(s)
 			for _, d := range disks {
 				d.CrashAfterWrites(f.N)
 			}
@@ -753,6 +608,17 @@ func (e *engine) apply(f Fault) {
 	case FaultLatency:
 		net.SetLatency(f.Dur)
 	}
+}
+
+// siteDisks lists the disks under a site's volumes.
+func siteDisks(s *cluster.Site) []*simdisk.Disk {
+	var disks []*simdisk.Disk
+	for _, name := range s.Volumes() {
+		if v := s.Volume(name); v != nil {
+			disks = append(disks, v.Disk())
+		}
+	}
+	return disks
 }
 
 // watchArmedDisks polls a site's armed disks until one trips (then the
@@ -803,43 +669,16 @@ func (e *engine) quiesce() error {
 	for round := 1; round <= maxRounds; round++ {
 		before := e.sys.Stats().Snapshot().Get(stats.OwnerAdopts)
 
-		for _, id := range cl.Sites() {
-			if s := cl.Site(id); s.Up() {
-				s.Crash()
-			}
-		}
-		for _, id := range cl.Sites() {
-			if err := cl.Site(id).Restart(); err != nil {
-				return fmt.Errorf("chaos: final restart of site %d: %w", id, err)
-			}
+		if err := invariant.Restart(cl, true); err != nil {
+			return fmt.Errorf("chaos: final %w", err)
 		}
 
-		deadline := e.clk.Now().Add(10 * time.Second)
-		for {
-			pending := 0
-			for _, id := range cl.Sites() {
-				s := cl.Site(id)
-				n, err := s.ResolveInDoubt()
-				if err != nil {
-					return fmt.Errorf("chaos: resolve in doubt at site %d: %w", id, err)
-				}
-				pending += n
-				if coord, err := s.Coordinator(); err == nil {
-					coord.RetryPending()
-					pending += coord.PendingCount()
-				}
-				// Recovery-driven commits can trigger ownership moves, and
-				// an abandoned move disowns its copy from a detached purge
-				// goroutine; the single-primary audit must not race either.
-				pending += s.PlacementInFlight()
-			}
-			if pending == 0 {
-				break
-			}
-			if e.clk.Now().After(deadline) {
-				return errors.New("chaos: recovery never drained (in-doubt or pending phase two stuck)")
-			}
-			e.clk.Sleep(5 * time.Millisecond)
+		// Recovery-driven commits can trigger ownership moves, and an
+		// abandoned move disowns its copy from a detached purge goroutine;
+		// the drain waits those out too, so the single-primary audit
+		// races neither.
+		if err := invariant.Drain(cl, e.clk, 10*time.Second); err != nil {
+			return fmt.Errorf("chaos: %w", err)
 		}
 
 		if e.sys.Stats().Snapshot().Get(stats.OwnerAdopts) == before {

@@ -77,6 +77,15 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("fault(%d)", int(k))
 }
 
+func kindByName(name string) (FaultKind, error) {
+	for k, n := range kindNames {
+		if n == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("chaos: unknown fault kind %q", name)
+}
+
 // Fault is one scheduled injection.
 type Fault struct {
 	At   time.Duration // offset from run start
@@ -153,16 +162,9 @@ func ParseSchedule(s string) (Schedule, error) {
 			return nil, fmt.Errorf("chaos: bad fault time %q: %v", fields[0], err)
 		}
 		f := Fault{At: at}
-		var kind FaultKind
-		found := false
-		for k, n := range kindNames {
-			if n == fields[1] {
-				kind, found = k, true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("chaos: unknown fault kind %q", fields[1])
+		kind, err := kindByName(fields[1])
+		if err != nil {
+			return nil, err
 		}
 		f.Kind = kind
 		arg := ""
@@ -231,17 +233,11 @@ func ParseFaults(s string) (FaultSet, error) {
 	}
 	set := FaultSet{}
 	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for k, n := range kindNames {
-			if n == name {
-				set[k], found = true, true
-				break
-			}
+		k, err := kindByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			return nil, fmt.Errorf("chaos: unknown fault kind %q", name)
-		}
+		set[k] = true
 	}
 	return set, nil
 }
@@ -292,6 +288,15 @@ func GenSchedule(seed int64, duration time.Duration, sites []simnet.SiteID, enab
 		}
 		return d
 	}
+	// window draws when a fault injected at t clears: a jittered two
+	// steps later, clamped inside the run; !ok when no room is left.
+	window := func(t time.Duration) (end time.Duration, ok bool) {
+		end = t + jitter(2*step)
+		if end >= duration {
+			end = duration - step/4
+		}
+		return end, end > t
+	}
 	pickSite := func(exclude simnet.SiteID) simnet.SiteID {
 		for {
 			s := sites[rng.Intn(len(sites))]
@@ -317,11 +322,8 @@ func GenSchedule(seed int64, duration time.Duration, sites []simnet.SiteID, enab
 			}
 			sched = append(sched, f)
 			// Down for one to three steps, restart inside the window.
-			back := t + jitter(2*step)
-			if back >= duration {
-				back = duration - step/4
-			}
-			if back <= t {
+			back, ok := window(t)
+			if !ok {
 				back = t + step/4
 			}
 			sched = append(sched, Fault{At: back, Kind: FaultRestart, Site: victim})
@@ -334,11 +336,8 @@ func GenSchedule(seed int64, duration time.Duration, sites []simnet.SiteID, enab
 			if t < downUntil && victim == down {
 				continue // partitioning a dead site is a no-op; keep the timeline honest
 			}
-			heal := t + jitter(2*step)
-			if heal >= duration {
-				heal = duration - step/4
-			}
-			if heal <= t {
+			heal, ok := window(t)
+			if !ok {
 				continue
 			}
 			sched = append(sched,
@@ -351,11 +350,8 @@ func GenSchedule(seed int64, duration time.Duration, sites []simnet.SiteID, enab
 			}
 			from := pickSite(0)
 			to := pickSite(from)
-			clear := t + jitter(2*step)
-			if clear >= duration {
-				clear = duration - step/4
-			}
-			if clear <= t {
+			clear, ok := window(t)
+			if !ok {
 				continue
 			}
 			sched = append(sched,
@@ -364,11 +360,8 @@ func GenSchedule(seed int64, duration time.Duration, sites []simnet.SiteID, enab
 			splitUntil = clear
 		case FaultDrop, FaultDup:
 			rate := float64(5+rng.Intn(20)) / 100
-			clear := t + jitter(2*step)
-			if clear >= duration {
-				clear = duration - step/4
-			}
-			if clear <= t {
+			clear, ok := window(t)
+			if !ok {
 				continue
 			}
 			sched = append(sched,
@@ -376,11 +369,8 @@ func GenSchedule(seed int64, duration time.Duration, sites []simnet.SiteID, enab
 				Fault{At: clear, Kind: k, Rate: 0})
 		case FaultLatency:
 			lat := time.Duration(1+rng.Intn(5)) * time.Millisecond
-			clear := t + jitter(2*step)
-			if clear >= duration {
-				clear = duration - step/4
-			}
-			if clear <= t {
+			clear, ok := window(t)
+			if !ok {
 				continue
 			}
 			sched = append(sched,

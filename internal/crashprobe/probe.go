@@ -18,7 +18,6 @@
 package crashprobe
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -27,9 +26,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/invariant"
+	"repro/internal/scenario"
 	"repro/internal/simdisk"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // Options selects and bounds one probe sweep.
@@ -142,7 +142,7 @@ func (r *Result) Report() string {
 	var b strings.Builder
 	for _, w := range r.Workloads {
 		total, fired, bad := 0, 0, 0
-		for _, d := range r.disksOf(w.Workload) {
+		for _, d := range w.Disks {
 			for _, pt := range d.Points {
 				total++
 				if pt.Fired {
@@ -188,54 +188,41 @@ func (r *Result) Report() string {
 	return b.String()
 }
 
-func (r *Result) disksOf(workload string) []DiskSweep {
-	for _, w := range r.Workloads {
-		if w.Workload == workload {
-			return w.Disks
-		}
-	}
-	return nil
-}
-
 // workload is one probed scenario: a deterministic, serial transaction
 // whose crash surface the sweep enumerates.
-type workload interface {
-	name() string
-	// sites is the cluster size; site i hosts volume "v<i>".
-	sites() int
-	// paths lists the files the content audit reads (and the objects
-	// forensics are collected for).
-	paths() []string
+type workload struct {
+	name string
+	// spec is the cluster the workload runs on: site i hosts volume
+	// "v<i>", with whichever optional layers the workload probes.
+	spec scenario.Spec
+	// paths lists the files the audits read (and the objects forensics
+	// are collected for).
+	paths []string
+	// disks overrides the sweep's default of each site's own mounted
+	// volume (the ownermove workload adds the hosted volume an adopted
+	// file lands on at its new home site).  Every listed volume must
+	// exist once setup returns.
+	disks []diskRef
 	// setup commits the baseline state.  Stable writes here happen
 	// before the fault is armed and are not crash points.
-	setup(h *harness) error
+	setup func(h *harness) error
 	// run executes the probed transaction; confirmed reports whether
 	// the commit was confirmed to the client.
-	run(h *harness) (confirmed bool)
+	run func(h *harness) (confirmed bool)
 	// check audits the committed content after recovery.
-	check(h *harness, confirmed bool) (state string, violations []string)
-	// cleanup retires auxiliary processes (best effort; after a crash
-	// the site restart has already reaped them).
-	cleanup(h *harness)
-}
-
-func workloads() []workload {
-	return []workload{&singleWL{}, &diffWL{}, &tpcWL{}, &migrateWL{}, &readonlyWL{}, &onephaseWL{}, &leaseWL{}, &ownermoveWL{}}
+	check func(h *harness, confirmed bool) (state string, violations []string)
 }
 
 func selectWorkloads(name string) ([]workload, error) {
-	all := workloads()
 	if name == "" || name == "all" {
-		return all, nil
-	}
-	for _, w := range all {
-		if w.name() == name {
-			return []workload{w}, nil
-		}
+		return workloads, nil
 	}
 	var names []string
-	for _, w := range all {
-		names = append(names, w.name())
+	for _, w := range workloads {
+		if w.name == name {
+			return []workload{w}, nil
+		}
+		names = append(names, w.name)
 	}
 	return nil, fmt.Errorf("crashprobe: unknown workload %q (want %s or all)",
 		name, strings.Join(names, ", "))
@@ -257,109 +244,57 @@ func parseKind(name string) (simdisk.IOKind, bool, error) {
 	return 0, false, fmt.Errorf("crashprobe: unknown I/O kind %q", name)
 }
 
-// harness is one replay's cluster: site i in 1..n hosts volume "v<i>".
+// harness is one replay's cluster plus the replay's own bookkeeping.
 type harness struct {
-	sys       *core.System
-	collector *trace.Collector
-	n         int
+	sys *core.System
+	// coOwner is the diff workload's co-owning process, retired before
+	// the audit so its locks and working pages do not read as residue.
+	coOwner *core.Process
+	// confirmed2 records whether the follow-up commit of a two-commit
+	// workload (lease, ownermove) was confirmed to its client.
+	confirmed2 bool
 }
 
-func volName(i int) string { return fmt.Sprintf("v%d", i) }
-
-// fastPather is implemented by workloads that probe the commit fast
-// paths (DESIGN.md section 10); the harness then enables them.
-type fastPather interface {
-	fastPaths() bool
-}
-
-// leaser is implemented by workloads that probe sticky lock leases
-// (DESIGN.md section 13); the harness then enables them.
-type leaser interface {
-	lockLeases() bool
-}
-
-// placer is implemented by workloads that probe locality-adaptive
-// placement (DESIGN.md section 14); the harness then enables it with
-// aggressive knobs so an ownership move fires after two remote
-// accesses, deterministically inside the probed commit.
-type placer interface {
-	adaptivePlacement() bool
-}
-
-// diskRef names one disk of the sweep: the volume at a site.  Most
-// workloads sweep each site's own mounted volume; a sweeper overrides
-// the list (the ownermove workload adds the hosted volume an adopted
-// file lands on at its new home site).
+// diskRef names one disk of the sweep: the volume at a site.
 type diskRef struct {
 	Site   int
 	Volume string
 }
 
-// sweeper is implemented by workloads whose crash surface spans disks
-// beyond the one-mounted-volume-per-site default.  Every listed volume
-// must exist once setup returns.
-type sweeper interface {
-	sweepDisks() []diskRef
-}
-
-// sweepDisksOf returns the workload's disk list.
-func sweepDisksOf(w workload) []diskRef {
-	if sw, ok := w.(sweeper); ok {
-		return sw.sweepDisks()
+// sweepDisks returns the workload's disk list.
+func (w workload) sweepDisks() []diskRef {
+	if w.disks != nil {
+		return w.disks
 	}
-	refs := make([]diskRef, 0, w.sites())
-	for i := 1; i <= w.sites(); i++ {
-		refs = append(refs, diskRef{Site: i, Volume: volName(i)})
+	refs := make([]diskRef, len(w.spec.Volumes))
+	for i, vol := range w.spec.Volumes {
+		refs[i] = diskRef{Site: i + 1, Volume: vol}
 	}
 	return refs
 }
 
+// newHarness builds the workload's cluster.  The scenario keeps phase
+// two synchronous with no retry timer: the only actors are the
+// workload's own calls, so the i-th stable write is the same write on
+// every replay.
 func newHarness(w workload) (*harness, error) {
-	col := trace.NewCollector(0)
-	cfg := cluster.Config{
-		// Synchronous phase two and no retry timer: the only actors are
-		// the workload's own calls, so the i-th stable write is the
-		// same write on every replay.
-		SyncPhase2:      true,
-		LockWaitTimeout: 2 * time.Second,
-		Trace:           col,
-		Net:             simnet.Config{Seed: 7},
+	spec := w.spec
+	spec.Seed, spec.Trace = 7, true
+	sys, err := spec.Build()
+	if err != nil {
+		return nil, err
 	}
-	if fp, ok := w.(fastPather); ok && fp.fastPaths() {
-		cfg.FastPaths = true
-	}
-	if lp, ok := w.(leaser); ok && lp.lockLeases() {
-		cfg.LockLeases = true
-	}
-	if pl, ok := w.(placer); ok && pl.adaptivePlacement() {
-		cfg.AdaptivePlacement = true
-		cfg.PlacementMinAccesses = 2
-		cfg.PlacementCooldown = 2
-	}
-	sys := core.NewSystem(cfg)
-	h := &harness{sys: sys, collector: col, n: w.sites()}
-	for i := 1; i <= h.n; i++ {
-		id := simnet.SiteID(i)
-		sys.AddSite(id)
-		if err := sys.AddVolume(id, volName(i)); err != nil {
-			sys.Cluster().Shutdown()
-			return nil, err
-		}
-	}
-	return h, nil
+	return &harness{sys: sys}, nil
 }
 
 func (h *harness) close() { h.sys.Cluster().Shutdown() }
 func (h *harness) site(i int) *cluster.Site {
 	return h.sys.Cluster().Site(simnet.SiteID(i))
 }
-func (h *harness) disk(i int) *simdisk.Disk {
-	return h.site(i).Volume(volName(i)).Disk()
-}
 
-// diskAt resolves a sweep disk ref; the volume may be a hosted one
+// disk resolves a sweep disk ref; the volume may be a hosted one
 // (created by an ownership-move adoption), as long as setup created it.
-func (h *harness) diskAt(ref diskRef) *simdisk.Disk {
+func (h *harness) disk(ref diskRef) *simdisk.Disk {
 	vol := h.site(ref.Site).Volume(ref.Volume)
 	if vol == nil {
 		return nil
@@ -367,17 +302,9 @@ func (h *harness) diskAt(ref diskRef) *simdisk.Disk {
 	return vol.Disk()
 }
 
-// stableWrites reads the probe's write counter for site i's disk.
-func (h *harness) stableWrites(i int, kind simdisk.IOKind, useKind bool) int64 {
-	if useKind {
-		return h.disk(i).StableWritesOfKind(kind)
-	}
-	return h.disk(i).StableWrites()
-}
-
-// stableWritesAt is stableWrites for an arbitrary sweep disk ref.
-func (h *harness) stableWritesAt(ref diskRef, kind simdisk.IOKind, useKind bool) int64 {
-	d := h.diskAt(ref)
+// stableWrites reads the probe's write counter for a sweep disk.
+func (h *harness) stableWrites(ref diskRef, kind simdisk.IOKind, useKind bool) int64 {
+	d := h.disk(ref)
 	if d == nil {
 		return 0
 	}
@@ -387,88 +314,49 @@ func (h *harness) stableWritesAt(ref diskRef, kind simdisk.IOKind, useKind bool)
 	return d.StableWrites()
 }
 
-// recover crash-restarts every site whose disk tripped, then drains
-// resolution: in-doubt participants resolve against coordinator records,
-// coordinators re-drive phase two, and the asynchronous topology-abort
-// watcher finishes releasing locks.  The deadline only bounds a buggy
-// system; a correct one drains in a few iterations.
-func (h *harness) recover() error {
-	for i := 1; i <= h.n; i++ {
-		s := h.site(i)
-		crashed := h.disk(i).Crashed()
-		// A site is also down when any hosted volume's disk tripped
-		// (ownership-move adoptions land on hosted volumes).
-		for _, name := range s.Volumes() {
-			if vol := s.Volume(name); vol != nil && vol.Disk().Crashed() {
-				crashed = true
-			}
-		}
-		if crashed && s.Up() {
-			s.Crash()
-		}
+// settle retires the workload's auxiliary process (best effort: after a
+// crash the site restart has already reaped it) and drains resolution.
+// A drain that runs out of budget is a violation of the crash point: the
+// system was left with work it could not finish.
+func (h *harness) settle() []string {
+	if h.coOwner != nil {
+		h.coOwner.Kill() //nolint:errcheck
+		h.coOwner = nil
 	}
-	for i := 1; i <= h.n; i++ {
-		if s := h.site(i); !s.Up() {
-			if err := s.Restart(); err != nil {
-				return fmt.Errorf("crashprobe: restart site %d: %w", i, err)
-			}
-		}
+	cl := h.sys.Cluster()
+	if err := invariant.Drain(cl, cl.Clock(), 5*time.Second); err != nil {
+		return []string{err.Error()}
 	}
 	return nil
 }
 
-func (h *harness) drain() {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		pending := 0
-		for i := 1; i <= h.n; i++ {
-			s := h.site(i)
-			if _, err := s.ResolveInDoubt(); err != nil {
-				pending++
-			}
-			pending += s.InDoubtCount()
-			if coord, err := s.Coordinator(); err == nil {
-				coord.RetryPending()
-				pending += coord.PendingCount()
-			}
-			lm := s.Locks()
-			for _, fid := range lm.Files() {
-				if fl := lm.Lookup(fid); fl != nil {
-					// Lease entries are not pending work: a lease waits
-					// for a conflicting request or its TTL, not for any
-					// transaction to finish.
-					for _, en := range fl.Entries() {
-						if !en.Leased {
-							pending++
-						}
-					}
-				}
-			}
+// audit settles the cluster, runs the shared recovery invariants, then
+// the workload's content check (in that order: the lock-table scan must
+// precede content reads, which themselves take and release locks).
+func audit(h *harness, w workload, confirmed bool, forensics bool) (state string, violations, trail []string) {
+	cl, col := h.sys.Cluster(), scenario.Collector(h.sys)
+	violations = h.settle()
+	if w.spec.Placement != (scenario.Placement{}) {
+		// An interrupted ownership move can leave a copy that only its
+		// holder's restart purge reclaims.  Audit what recovery alone
+		// left behind, then restart every site so each runs its purge:
+		// the single-primary check below sees the garbage-collection half
+		// of the invariant at every crash point.
+		violations = append(violations, invariant.Audit(cl, col, nil).Violations()...)
+		if err := invariant.Restart(cl, true); err != nil {
+			return "unrecoverable", append(violations, err.Error()), nil
 		}
-		if pending == 0 || time.Now().After(deadline) {
-			return
+		violations = append(violations, h.settle()...)
+	}
+	violations = append(violations, invariant.Audit(cl, col, w.paths).Violations()...)
+	state, cv := w.check(h, confirmed)
+	violations = append(violations, cv...)
+	if len(violations) > 0 && forensics {
+		for _, path := range w.paths {
+			trail = append(trail, invariant.Forensics(col, path)...)
 		}
-		time.Sleep(time.Millisecond)
 	}
-}
-
-// forensics renders the trace tail touching object, indented for the
-// violation report.
-func (h *harness) forensics(object string) []string {
-	const depth = 20
-	evs := h.collector.LastTouching(object, depth)
-	if len(evs) == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	trace.Timeline(&buf, evs) //nolint:errcheck // bytes.Buffer cannot fail
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	out := make([]string, 0, len(lines)+1)
-	out = append(out, fmt.Sprintf("forensics: last %d events touching %s:", len(evs), object))
-	for _, l := range lines {
-		out = append(out, "  "+l)
-	}
-	return out
+	return state, violations, trail
 }
 
 // Run executes the sweep the options select.
@@ -492,7 +380,6 @@ func Run(opts Options) (*Result, error) {
 }
 
 func sweepWorkload(w workload, opts Options) (*WorkloadResult, error) {
-	kind, useKind, _ := parseKind(opts.Kind)
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -500,116 +387,95 @@ func sweepWorkload(w workload, opts Options) (*WorkloadResult, error) {
 
 	// Counting run: learn each disk's stable write count, and audit the
 	// crash-free path while we are at it.
-	h, err := newHarness(w)
-	if err != nil {
+	wr := &WorkloadResult{Workload: w.name}
+	var counts []int
+	var err error
+	if wr.Baseline, counts, err = replay(w, opts, nil, -1); err != nil {
 		return nil, err
 	}
-	if err := w.setup(h); err != nil {
-		h.close()
-		return nil, fmt.Errorf("crashprobe: %s setup: %w", w.name(), err)
-	}
-	refs := sweepDisksOf(w)
-	base := make([]int64, len(refs))
-	for i, ref := range refs {
-		base[i] = h.stableWritesAt(ref, kind, useKind)
-	}
-	confirmed := w.run(h)
-	counts := make([]int, len(refs))
-	for i, ref := range refs {
-		counts[i] = int(h.stableWritesAt(ref, kind, useKind) - base[i])
-	}
-	w.cleanup(h)
-	h.drain()
-	wr := &WorkloadResult{Workload: w.name()}
-	wr.Baseline = PointResult{Index: -1, Kind: opts.Kind, Confirmed: confirmed}
-	wr.Baseline.State, wr.Baseline.Violations = audit(h, w, confirmed)
-	if len(wr.Baseline.Violations) > 0 && opts.Forensics {
-		for _, path := range w.paths() {
-			wr.Baseline.Forensics = append(wr.Baseline.Forensics, h.forensics(path)...)
-		}
-	}
-	if !confirmed {
+	if !wr.Baseline.Confirmed {
 		wr.Baseline.Violations = append(wr.Baseline.Violations,
 			"counting run did not confirm its commit: the workload is broken without any fault")
 	}
-	h.close()
-	logf("%s: counting run confirmed=%v state=%s", w.name(), confirmed, wr.Baseline.State)
+	logf("%s: counting run confirmed=%v state=%s", w.name, wr.Baseline.Confirmed, wr.Baseline.State)
 
 	// Replay matrix: one disk armed per replay, every index visited.
-	for i, ref := range refs {
+	for i, ref := range w.sweepDisks() {
 		ds := DiskSweep{Site: ref.Site, Volume: ref.Volume, Writes: counts[i]}
 		indices := sampleIndices(counts[i], opts.MaxPointsPerDisk)
 		ds.Swept = len(indices)
 		if ds.Swept < ds.Writes {
 			logf("%s %s: bounding sweep to %d of %d crash points (stride sample)",
-				w.name(), ds.Volume, ds.Swept, ds.Writes)
+				w.name, ds.Volume, ds.Swept, ds.Writes)
 		}
 		for _, idx := range indices {
-			pt, err := probePoint(w, ref, idx, kind, useKind, opts)
+			pt, _, err := replay(w, opts, &ref, idx)
 			if err != nil {
 				return nil, err
 			}
 			ds.Points = append(ds.Points, pt)
 			if len(pt.Violations) > 0 {
-				logf("%s %s@%d: FAIL (%d violations)", w.name(), ds.Volume, idx, len(pt.Violations))
+				logf("%s %s@%d: FAIL (%d violations)", w.name, ds.Volume, idx, len(pt.Violations))
 			}
 		}
-		logf("%s %s: swept %d points", w.name(), ds.Volume, ds.Swept)
+		logf("%s %s: swept %d points", w.name, ds.Volume, ds.Swept)
 		wr.Disks = append(wr.Disks, ds)
 	}
 	return wr, nil
 }
 
-// probePoint replays the workload once with the ref'd disk armed to
-// fail its (idx+1)-th stable write, then recovers and audits.
-func probePoint(w workload, ref diskRef, idx int, kind simdisk.IOKind, useKind bool, opts Options) (PointResult, error) {
-	pt := PointResult{Site: ref.Site, Volume: ref.Volume, Index: idx, Kind: opts.Kind}
+// replay runs the workload once on a fresh cluster, recovers and audits.
+// With arm set, that disk is armed to fail its (idx+1)-th stable write of
+// the selected kind; with arm nil the run is fault-free.  Either way
+// writes reports how many selected stable writes the run performed on
+// each sweep disk.
+func replay(w workload, opts Options, arm *diskRef, idx int) (pt PointResult, writes []int, err error) {
+	kind, useKind, _ := parseKind(opts.Kind)
+	pt = PointResult{Index: idx, Kind: opts.Kind}
 	h, err := newHarness(w)
 	if err != nil {
-		return pt, err
+		return pt, nil, err
 	}
 	defer h.close()
 	if err := w.setup(h); err != nil {
-		return pt, fmt.Errorf("crashprobe: %s setup: %w", w.name(), err)
+		return pt, nil, fmt.Errorf("crashprobe: %s setup: %w", w.name, err)
 	}
-	disk := h.diskAt(ref)
-	if disk == nil {
-		return pt, fmt.Errorf("crashprobe: %s: sweep disk %s@%d does not exist after setup", w.name(), ref.Volume, ref.Site)
+	refs := w.sweepDisks()
+	// Setup's stable writes are not crash points: start each count at
+	// minus what setup wrote, and add the total once the run is over.
+	writes = make([]int, len(refs))
+	for i, ref := range refs {
+		writes[i] = -int(h.stableWrites(ref, kind, useKind))
 	}
-	if useKind {
-		disk.CrashAfterWritesOfKind(kind, idx)
-	} else {
-		disk.CrashAfterWrites(idx)
-	}
-	pt.Confirmed = w.run(h)
-	pt.Fired = disk.Crashed()
-	if !pt.Fired {
-		// The budget survived the run (the error path at an earlier
-		// point skipped this write): disarm so the audit's own I/O
-		// cannot trip it.
-		disk.CrashAfterWrites(-1)
-	}
-	if err := h.recover(); err != nil {
-		return pt, err
-	}
-	w.cleanup(h)
-	h.drain()
-	pt.State, pt.Violations = audit(h, w, pt.Confirmed)
-	if len(pt.Violations) > 0 && opts.Forensics {
-		for _, path := range w.paths() {
-			pt.Forensics = append(pt.Forensics, h.forensics(path)...)
+	var disk *simdisk.Disk
+	if arm != nil {
+		pt.Site, pt.Volume = arm.Site, arm.Volume
+		if disk = h.disk(*arm); disk == nil {
+			return pt, nil, fmt.Errorf("crashprobe: %s: sweep disk %s@%d does not exist after setup", w.name, arm.Volume, arm.Site)
+		}
+		if useKind {
+			disk.CrashAfterWritesOfKind(kind, idx)
+		} else {
+			disk.CrashAfterWrites(idx)
 		}
 	}
-	return pt, nil
-}
-
-// audit runs the generic recovery invariants followed by the workload's
-// content check (in that order: the lock-table scan must precede content
-// reads, which themselves take and release locks).
-func audit(h *harness, w workload, confirmed bool) (string, []string) {
-	violations := checkRecovered(h)
-	state, cv := w.check(h, confirmed)
-	return state, append(violations, cv...)
+	pt.Confirmed = w.run(h)
+	for i, ref := range refs {
+		writes[i] += int(h.stableWrites(ref, kind, useKind))
+	}
+	if disk != nil {
+		if pt.Fired = disk.Crashed(); !pt.Fired {
+			// The budget survived the run (the error path at an earlier
+			// point skipped this write): disarm so the audit's own I/O
+			// cannot trip it.
+			disk.CrashAfterWrites(-1)
+		}
+	}
+	if err := invariant.Restart(h.sys.Cluster(), false); err != nil {
+		return pt, nil, err
+	}
+	pt.State, pt.Violations, pt.Forensics = audit(h, w, pt.Confirmed, opts.Forensics)
+	return pt, writes, nil
 }
 
 // sampleIndices returns the crash indices to replay for a disk exposing

@@ -5,11 +5,13 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/invariant"
+	"repro/internal/scenario"
 	"repro/internal/simnet"
 )
 
-// The six workloads cover the commit shapes of the paper plus the
-// DESIGN.md section 10 fast paths:
+// The eight workloads cover the commit shapes of the paper plus the
+// optional layers (DESIGN.md sections 10, 13, 14):
 //
 //	single   - single-file commit on one site (Figure 4(a) direct path:
 //	           shadow pages flushed, one inode write is the commit point)
@@ -33,8 +35,7 @@ import (
 //	           conflicting transaction at the storage site forces the
 //	           callback revoke - crash points land inside the lease
 //	           machinery and must never tear either commit
-//
-//	ownermove - locality-adaptive placement on with aggressive knobs: the
+//	ownermove - locality-adaptive placement on with eager knobs: the
 //	           probed commit's post-commit sweep migrates the hot file's
 //	           primary copy to its dominant accessor, inline, so crash
 //	           points land inside the ownership move itself (source
@@ -45,83 +46,222 @@ import (
 // stable writes in the same order until the armed crash fires.  (The
 // lease workload's revoke callback is a network message, not a stable
 // write, so it adds no crash points of its own.)
+var workloads = []workload{
+	{
+		name:  "single",
+		spec:  scenario.Spec{Volumes: scenario.PerSite(1)},
+		paths: []string{"v1/f"},
+		setup: func(h *harness) error { return h.create(1, preImage, "v1/f") },
+		run:   func(h *harness) bool { return h.update(1, postImage, "v1/f") },
+		check: func(h *harness, confirmed bool) (string, []string) {
+			return checkAllOrNothing(h, "v1/f", confirmed)
+		},
+	},
+	{
+		name:  "diff",
+		spec:  scenario.Spec{Volumes: scenario.PerSite(1)},
+		paths: []string{"v1/f"},
+		setup: setupDiff,
+		run:   func(h *harness) bool { return h.update(1, diffPost, "v1/f") },
+		check: checkDiff,
+	},
+	{
+		// Two storage sites plus a third coordinator-only site.
+		name:  "tpc",
+		spec:  scenario.Spec{Volumes: scenario.PerSite(3)},
+		paths: []string{"v1/f", "v2/f"},
+		setup: func(h *harness) error { return h.create(3, preImage, "v1/f", "v2/f") },
+		run:   func(h *harness) bool { return h.update(3, postImage, "v1/f", "v2/f") },
+		check: checkBothOrNeither,
+	},
+	{
+		name:  "migrate",
+		spec:  scenario.Spec{Volumes: scenario.PerSite(2)},
+		paths: []string{"v1/f", "v2/f"},
+		setup: setupTwoFiles,
+		run:   runMigrate,
+		check: checkBothOrNeither,
+	},
+	{
+		name:  "readonly",
+		spec:  scenario.Spec{Volumes: scenario.PerSite(2), FastPaths: true},
+		paths: []string{"v1/f", "v2/f"},
+		setup: setupTwoFiles,
+		run:   runReadonly,
+		check: checkReadonly,
+	},
+	{
+		// The coordinator runs at site 2 but every touched file lives at
+		// site 1: the combined prepare-and-commit message delegates the
+		// commit point to site 1's prepare-record force, and the
+		// coordinator log is never written.  A crash on either side of
+		// that force must resolve from the record count alone (the
+		// coordinator has nothing to answer a status query from).
+		name:  "onephase",
+		spec:  scenario.Spec{Volumes: scenario.PerSite(2), FastPaths: true},
+		paths: []string{"v1/f"},
+		setup: func(h *harness) error { return h.create(2, preImage, "v1/f") },
+		run:   func(h *harness) bool { return h.update(2, postImage, "v1/f") },
+		check: func(h *harness, confirmed bool) (string, []string) {
+			return checkAllOrNothing(h, "v1/f", confirmed)
+		},
+	},
+	{
+		name:  "lease",
+		spec:  scenario.Spec{Volumes: scenario.PerSite(2), Leases: true},
+		paths: []string{"v2/f"},
+		// The setup commit runs from site 1 against site 2's file, so it
+		// leaves site 2 holding a lease for site 1 before any fault is
+		// armed.
+		setup: func(h *harness) error { return h.create(1, preImage, "v2/f") },
+		// Probed transaction: the implicit write hits site 1's cached
+		// lease, skips the lock message, and site 2 materializes the
+		// descriptor.  Then a conflicting transaction at the storage site:
+		// its lock acquisition must revoke site 1's lease before the
+		// grant.  Its own crash points are part of the sweep; its outcome
+		// is audited separately.
+		run: func(h *harness) bool {
+			confirmed := h.update(1, postImage, "v2/f")
+			h.confirmed2 = h.update(2, thirdImage, "v2/f")
+			return confirmed
+		},
+		check: func(h *harness, confirmed bool) (string, []string) {
+			return checkMarch(h, "v2/f", confirmed)
+		},
+	},
+	{
+		name:  "ownermove",
+		spec:  scenario.Spec{Volumes: scenario.PerSite(2), Placement: scenario.Eager},
+		paths: []string{"v1/f", "v1/warm"},
+		// The hosted v1 volume at site 2 is the disk the adoption writes
+		// land on; setup's warm move creates it before any fault is armed.
+		disks: []diskRef{{Site: 1, Volume: "v1"}, {Site: 2, Volume: "v2"}, {Site: 2, Volume: "v1"}},
+		setup: setupOwnermove,
+		// Probed transaction from site 2: its commit is the third remote
+		// access, so the post-commit sweep moves v1/f to site 2 inline -
+		// the armed crash point can land anywhere inside commit or move.
+		// Then a racing commit from the old home site: it resolves the
+		// file's current home (waiting out the fence if the move is
+		// mid-flight) and must land exactly once, wherever the bytes now
+		// live.
+		run: func(h *harness) bool {
+			confirmed := h.update(2, postImage, "v1/f")
+			h.confirmed2 = h.update(1, thirdImage, "v1/f")
+			return confirmed
+		},
+		check: func(h *harness, confirmed bool) (string, []string) {
+			state, violations := checkMarch(h, "v1/f", confirmed)
+			if warm, err := readCommitted(h, "v1/warm"); err != nil || !bytes.Equal(warm, preImage) {
+				violations = append(violations,
+					fmt.Sprintf("v1/warm: committed bytes damaged by the sweep (err=%v len=%d)", err, len(warm)))
+			}
+			return state, violations
+		},
+	},
+}
 
 // Baseline and target images.  Sizes straddle page boundaries on
 // purpose: pre is a page and a half, post two pages and change, so
-// commits exercise partial-page tails and file extension.
+// commits exercise partial-page tails and file extension.  thirdImage is
+// the follow-up commit's target in the two-commit workloads: the file
+// must march pre -> post -> third, and recovery may stop at any
+// completed step but never between them.
 var (
-	preImage  = bytes.Repeat([]byte{'A'}, 1500)
-	postImage = bytes.Repeat([]byte{'B'}, 2600)
+	preImage   = bytes.Repeat([]byte{'A'}, 1500)
+	postImage  = bytes.Repeat([]byte{'B'}, 2600)
+	thirdImage = bytes.Repeat([]byte{'D'}, 2600)
 )
 
-// commitFile creates path and commits image into it.
-func commitFile(p *core.Process, path string, image []byte) error {
-	f, err := p.Create(path)
+// create makes the files from a process at site and commits image into
+// all of them in one transaction.
+func (h *harness) create(site int, image []byte, paths ...string) error {
+	p, err := h.sys.NewProcess(simnet.SiteID(site))
 	if err != nil {
 		return err
 	}
-	defer f.Close() //nolint:errcheck
+	files := make([]*core.File, len(paths))
+	for i, path := range paths {
+		if files[i], err = p.Create(path); err != nil {
+			return err
+		}
+		defer files[i].Close() //nolint:errcheck
+	}
+	return rewrite(p, image, files...)
+}
+
+// rewrite commits image over the open files in one transaction.
+func rewrite(p *core.Process, image []byte, files ...*core.File) error {
 	if _, err := p.BeginTrans(); err != nil {
 		return err
 	}
-	if _, err := f.WriteAt(image, 0); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return err
+	for _, f := range files {
+		if _, err := f.WriteAt(image, 0); err != nil {
+			p.AbortTrans() //nolint:errcheck
+			return err
+		}
 	}
 	return p.EndTrans()
 }
 
-// readCommittedPath returns a file's committed contents via a fresh
-// non-transaction read.
-func readCommittedPath(h *harness, path string) ([]byte, error) {
-	p, err := h.sys.NewProcess(1)
-	if err != nil {
-		return nil, err
-	}
-	f, err := p.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //nolint:errcheck
-	cs, err := f.CommittedSize()
-	if err != nil {
-		return nil, err
-	}
-	if cs == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, cs)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, nil
+// update is the probed transaction's common shape: a fresh process at
+// site opens the files, writes image over each and commits.  It reports
+// whether the commit was confirmed to the client.  An EndTrans failure
+// is NOT aborted here: once the commit record may exist, only the
+// protocol (recovery, presumed abort) decides the outcome; the audit
+// checks the files agree with it.
+func (h *harness) update(site int, image []byte, paths ...string) bool {
+	p, files, err := h.open(site, paths...)
+	return err == nil && rewrite(p, image, files...) == nil
 }
 
-// classify names a committed image against the expected before/after
-// states; anything else is an atomicity violation.
-func classify(got, pre, post []byte) string {
-	switch {
-	case bytes.Equal(got, pre):
-		return "pre"
-	case bytes.Equal(got, post):
-		return "post"
-	default:
-		return fmt.Sprintf("torn(len=%d)", len(got))
+// open starts a fresh process at site and opens the files from it.
+func (h *harness) open(site int, paths ...string) (*core.Process, []*core.File, error) {
+	p, err := h.sys.NewProcess(simnet.SiteID(site))
+	if err != nil {
+		return nil, nil, err
 	}
+	files := make([]*core.File, len(paths))
+	for i, path := range paths {
+		if files[i], err = p.Open(path); err != nil {
+			return nil, nil, err
+		}
+	}
+	return p, files, nil
 }
 
-// checkAllOrNothing audits one file against pre/post and the confirmed
-// flag; the returned state is "pre" or "post" when the file is intact.
-func checkAllOrNothing(h *harness, path string, pre, post []byte, confirmed bool) (string, []string) {
-	got, err := readCommittedPath(h, path)
+// readCommitted returns a file's committed contents as site 1 reads them.
+func readCommitted(h *harness, path string) ([]byte, error) {
+	return invariant.ReadCommitted(h.sys, 1, path)
+}
+
+// checkMarch audits a file that marches pre -> post -> third (the third
+// image only in the two-commit workloads): the committed content must be
+// one of the images whole, and a commit confirmed to its client must
+// have survived recovery.  The commits are serial, so confirmation is
+// monotonic: the follow-up commit implies its state, the probed commit
+// at least its own.
+func checkMarch(h *harness, path string, confirmed bool) (string, []string) {
+	got, err := readCommitted(h, path)
 	if err != nil {
 		return "unreadable", []string{fmt.Sprintf("%s: committed read failed after recovery: %v", path, err)}
 	}
-	state := classify(got, pre, post)
 	var violations []string
-	if state != "pre" && state != "post" {
+	var state string
+	switch {
+	case bytes.Equal(got, preImage):
+		state = "pre"
+	case bytes.Equal(got, postImage):
+		state = "post"
+	case bytes.Equal(got, thirdImage):
+		state = "post2"
+	default:
+		state = fmt.Sprintf("torn(len=%d)", len(got))
 		violations = append(violations,
-			fmt.Sprintf("%s: committed content is neither the old nor the new image (%s)", path, state))
+			fmt.Sprintf("%s: committed content is none of the whole images (%s)", path, state))
+	}
+	if h.confirmed2 && state != "post2" {
+		violations = append(violations,
+			fmt.Sprintf("%s: follow-up commit was confirmed but recovery kept %q", path, state))
 	}
 	if confirmed && state == "pre" {
 		violations = append(violations,
@@ -130,47 +270,37 @@ func checkAllOrNothing(h *harness, path string, pre, post []byte, confirmed bool
 	return state, violations
 }
 
-// ---------------------------------------------------------------------
-// single: single-file commit on one site.
+// checkAllOrNothing is checkMarch for a single-commit workload, where
+// the third image is itself an anomaly.
+func checkAllOrNothing(h *harness, path string, confirmed bool) (string, []string) {
+	state, violations := checkMarch(h, path, confirmed)
+	if state == "post2" {
+		violations = append(violations, fmt.Sprintf("%s: holds an image no transaction wrote", path))
+	}
+	return state, violations
+}
 
-type singleWL struct{}
+// checkBothOrNeither audits the two-site workloads: each file all or
+// nothing, and both on the same side of the commit.
+func checkBothOrNeither(h *harness, confirmed bool) (string, []string) {
+	sa, va := checkAllOrNothing(h, "v1/f", confirmed)
+	sb, vb := checkAllOrNothing(h, "v2/f", confirmed)
+	violations := append(va, vb...)
+	if sa != sb {
+		return fmt.Sprintf("split(%s/%s)", sa, sb), append(violations, fmt.Sprintf(
+			"cross-site atomicity torn: v1/f recovered %s but v2/f recovered %s", sa, sb))
+	}
+	return sa, violations
+}
 
-func (*singleWL) name() string    { return "single" }
-func (*singleWL) sites() int      { return 1 }
-func (*singleWL) paths() []string { return []string{"v1/f"} }
-
-func (*singleWL) setup(h *harness) error {
-	p, err := h.sys.NewProcess(1)
-	if err != nil {
+// setupTwoFiles commits the baseline into one file per site, each in
+// its own transaction, from site 1.
+func setupTwoFiles(h *harness) error {
+	if err := h.create(1, preImage, "v1/f"); err != nil {
 		return err
 	}
-	return commitFile(p, "v1/f", preImage)
+	return h.create(1, preImage, "v2/f")
 }
-
-func (*singleWL) run(h *harness) bool {
-	p, err := h.sys.NewProcess(1)
-	if err != nil {
-		return false
-	}
-	f, err := p.Open("v1/f")
-	if err != nil {
-		return false
-	}
-	if _, err := p.BeginTrans(); err != nil {
-		return false
-	}
-	if _, err := f.WriteAt(postImage, 0); err != nil {
-		p.AbortTrans() //nolint:errcheck // crash-path rollback is best effort
-		return false
-	}
-	return p.EndTrans() == nil
-}
-
-func (*singleWL) check(h *harness, confirmed bool) (string, []string) {
-	return checkAllOrNothing(h, "v1/f", preImage, postImage, confirmed)
-}
-
-func (*singleWL) cleanup(*harness) {}
 
 // ---------------------------------------------------------------------
 // diff: commit of a page shared with a co-owner (Figure 4(b)).
@@ -181,24 +311,14 @@ const (
 	txLen = 100 // transaction's range at offset 0 on the same page
 )
 
-type diffWL struct {
-	coOwner *core.Process
-	coFile  *core.File
-}
+var (
+	// diffPre is exactly one page of 'A': the shared page.
+	diffPre  = bytes.Repeat([]byte{'A'}, 1024)
+	diffPost = bytes.Repeat([]byte{'B'}, txLen)
+)
 
-func (*diffWL) name() string    { return "diff" }
-func (*diffWL) sites() int      { return 1 }
-func (*diffWL) paths() []string { return []string{"v1/f"} }
-
-// diffPre is exactly one page of 'A': the shared page.
-var diffPre = bytes.Repeat([]byte{'A'}, 1024)
-
-func (w *diffWL) setup(h *harness) error {
-	p, err := h.sys.NewProcess(1)
-	if err != nil {
-		return err
-	}
-	if err := commitFile(p, "v1/f", diffPre); err != nil {
+func setupDiff(h *harness) error {
+	if err := h.create(1, diffPre, "v1/f"); err != nil {
 		return err
 	}
 	// The co-owner holds uncommitted bytes on the same page and keeps
@@ -216,31 +336,12 @@ func (w *diffWL) setup(h *harness) error {
 	if _, err := cf.WriteAt(bytes.Repeat([]byte{'C'}, coLen), coOff); err != nil {
 		return err
 	}
-	w.coOwner, w.coFile = co, cf
+	h.coOwner = co
 	return nil
 }
 
-func (*diffWL) run(h *harness) bool {
-	p, err := h.sys.NewProcess(1)
-	if err != nil {
-		return false
-	}
-	f, err := p.Open("v1/f")
-	if err != nil {
-		return false
-	}
-	if _, err := p.BeginTrans(); err != nil {
-		return false
-	}
-	if _, err := f.WriteAt(bytes.Repeat([]byte{'B'}, txLen), 0); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return false
-	}
-	return p.EndTrans() == nil
-}
-
-func (w *diffWL) check(h *harness, confirmed bool) (string, []string) {
-	got, err := readCommittedPath(h, "v1/f")
+func checkDiff(h *harness, confirmed bool) (string, []string) {
+	got, err := readCommitted(h, "v1/f")
 	if err != nil {
 		return "unreadable", []string{fmt.Sprintf("v1/f: committed read failed after recovery: %v", err)}
 	}
@@ -254,7 +355,7 @@ func (w *diffWL) check(h *harness, confirmed bool) (string, []string) {
 	switch {
 	case bytes.Equal(head, diffPre[:txLen]):
 		state = "pre"
-	case bytes.Equal(head, bytes.Repeat([]byte{'B'}, txLen)):
+	case bytes.Equal(head, diffPost):
 		state = "post"
 	default:
 		state = "torn(head)"
@@ -271,133 +372,18 @@ func (w *diffWL) check(h *harness, confirmed bool) (string, []string) {
 	if i := bytes.IndexByte(got[txLen:], 'C'); i >= 0 {
 		violations = append(violations,
 			fmt.Sprintf("v1/f: co-owner's uncommitted byte committed at offset %d", txLen+i))
-	}
-	if !bytes.Equal(got[txLen:], diffPre[txLen:]) && bytes.IndexByte(got[txLen:], 'C') < 0 {
+	} else if !bytes.Equal(got[txLen:], diffPre[txLen:]) {
 		violations = append(violations,
 			"v1/f: bytes outside the transaction's range changed across its commit")
 	}
 	return state, violations
 }
 
-func (w *diffWL) cleanup(*harness) {
-	// Retire the co-owner so its locks and working pages do not read as
-	// residue.  After a crash the site restart already reaped it; the
-	// error is then expected.
-	if w.coOwner != nil {
-		w.coOwner.Kill() //nolint:errcheck
-		w.coOwner, w.coFile = nil, nil
-	}
-}
-
-// ---------------------------------------------------------------------
-// tpc: two storage sites plus a third coordinator-only site.
-
-type tpcWL struct{}
-
-func (*tpcWL) name() string    { return "tpc" }
-func (*tpcWL) sites() int      { return 3 }
-func (*tpcWL) paths() []string { return []string{"v1/f", "v2/f"} }
-
-func (*tpcWL) setup(h *harness) error {
-	p, err := h.sys.NewProcess(3)
-	if err != nil {
-		return err
-	}
-	fa, err := p.Create("v1/f")
-	if err != nil {
-		return err
-	}
-	defer fa.Close() //nolint:errcheck
-	fb, err := p.Create("v2/f")
-	if err != nil {
-		return err
-	}
-	defer fb.Close() //nolint:errcheck
-	if _, err := p.BeginTrans(); err != nil {
-		return err
-	}
-	if _, err := fa.WriteAt(preImage, 0); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return err
-	}
-	if _, err := fb.WriteAt(preImage, 0); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return err
-	}
-	return p.EndTrans()
-}
-
-func (*tpcWL) run(h *harness) bool {
-	p, err := h.sys.NewProcess(3)
-	if err != nil {
-		return false
-	}
-	fa, err := p.Open("v1/f")
-	if err != nil {
-		return false
-	}
-	fb, err := p.Open("v2/f")
-	if err != nil {
-		return false
-	}
-	if _, err := p.BeginTrans(); err != nil {
-		return false
-	}
-	if _, err := fa.WriteAt(postImage, 0); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return false
-	}
-	if _, err := fb.WriteAt(postImage, 0); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return false
-	}
-	// An EndTrans failure is NOT aborted here: once the commit record
-	// may exist, only the protocol (recovery, presumed abort) decides
-	// the outcome; the audit checks both files agree with it.
-	return p.EndTrans() == nil
-}
-
-func (*tpcWL) check(h *harness, confirmed bool) (string, []string) {
-	sa, va := checkAllOrNothing(h, "v1/f", preImage, postImage, confirmed)
-	sb, vb := checkAllOrNothing(h, "v2/f", preImage, postImage, confirmed)
-	violations := append(va, vb...)
-	state := sa
-	if sa != sb {
-		state = fmt.Sprintf("split(%s/%s)", sa, sb)
-		violations = append(violations, fmt.Sprintf(
-			"cross-site atomicity torn: v1/f recovered %s but v2/f recovered %s", sa, sb))
-	}
-	return state, violations
-}
-
-func (*tpcWL) cleanup(*harness) {}
-
 // ---------------------------------------------------------------------
 // migrate: the transaction commits from a site it migrated to.
 
-type migrateWL struct{}
-
-func (*migrateWL) name() string    { return "migrate" }
-func (*migrateWL) sites() int      { return 2 }
-func (*migrateWL) paths() []string { return []string{"v1/f", "v2/f"} }
-
-func (*migrateWL) setup(h *harness) error {
-	p, err := h.sys.NewProcess(1)
-	if err != nil {
-		return err
-	}
-	if err := commitFile(p, "v1/f", preImage); err != nil {
-		return err
-	}
-	return commitFile(p, "v2/f", preImage)
-}
-
-func (*migrateWL) run(h *harness) bool {
-	p, err := h.sys.NewProcess(1)
-	if err != nil {
-		return false
-	}
-	f1, err := p.Open("v1/f")
+func runMigrate(h *harness) bool {
+	p, files, err := h.open(1, "v1/f")
 	if err != nil {
 		return false
 	}
@@ -405,10 +391,10 @@ func (*migrateWL) run(h *harness) bool {
 		return false
 	}
 	abort := func() bool {
-		p.AbortTrans() //nolint:errcheck
+		p.AbortTrans() //nolint:errcheck // crash-path rollback is best effort
 		return false
 	}
-	if _, err := f1.WriteAt(postImage, 0); err != nil {
+	if _, err := files[0].WriteAt(postImage, 0); err != nil {
 		return abort()
 	}
 	// A member process forks to site 2, writes there, and exits (its
@@ -435,61 +421,24 @@ func (*migrateWL) run(h *harness) bool {
 	return p.EndTrans() == nil
 }
 
-func (*migrateWL) check(h *harness, confirmed bool) (string, []string) {
-	sa, va := checkAllOrNothing(h, "v1/f", preImage, postImage, confirmed)
-	sb, vb := checkAllOrNothing(h, "v2/f", preImage, postImage, confirmed)
-	violations := append(va, vb...)
-	state := sa
-	if sa != sb {
-		state = fmt.Sprintf("split(%s/%s)", sa, sb)
-		violations = append(violations, fmt.Sprintf(
-			"cross-site atomicity torn: v1/f recovered %s but v2/f recovered %s", sa, sb))
-	}
-	return state, violations
-}
-
-func (*migrateWL) cleanup(*harness) {}
-
 // ---------------------------------------------------------------------
 // readonly: two-phase commit where the remote participant only read.
 
-type readonlyWL struct{}
-
-func (*readonlyWL) name() string    { return "readonly" }
-func (*readonlyWL) sites() int      { return 2 }
-func (*readonlyWL) paths() []string { return []string{"v1/f", "v2/f"} }
-func (*readonlyWL) fastPaths() bool { return true }
-
-func (*readonlyWL) setup(h *harness) error {
-	p, err := h.sys.NewProcess(1)
-	if err != nil {
-		return err
-	}
-	if err := commitFile(p, "v1/f", preImage); err != nil {
-		return err
-	}
-	return commitFile(p, "v2/f", preImage)
-}
-
-func (*readonlyWL) run(h *harness) bool {
-	p, err := h.sys.NewProcess(1)
+func runReadonly(h *harness) bool {
+	p, files, err := h.open(1, "v1/f", "v2/f")
 	if err != nil {
 		return false
 	}
-	f1, err := p.Open("v1/f")
-	if err != nil {
-		return false
-	}
-	f2, err := p.Open("v2/f")
-	if err != nil {
-		return false
-	}
+	f1, f2 := files[0], files[1]
 	if _, err := p.BeginTrans(); err != nil {
 		return false
 	}
-	if _, err := f1.WriteAt(postImage, 0); err != nil {
+	abort := func() bool {
 		p.AbortTrans() //nolint:errcheck
 		return false
+	}
+	if _, err := f1.WriteAt(postImage, 0); err != nil {
+		return abort()
 	}
 	// The remote participant only takes a shared lock and reads: with
 	// fast paths on it votes read-only at prepare time, forces no
@@ -497,250 +446,66 @@ func (*readonlyWL) run(h *harness) bool {
 	// sweep therefore learns zero crash points - the matrix itself is
 	// the proof that the read-only voter performs no stable write.
 	if err := f2.LockRange(0, 8, core.Shared); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return false
+		return abort()
 	}
 	if _, err := f2.ReadAt(make([]byte, 8), 0); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return false
+		return abort()
 	}
-	// As in tpc, an EndTrans failure is not aborted here: once the
-	// commit record may exist only the protocol decides the outcome.
+	// As in update, an EndTrans failure is not aborted here.
 	return p.EndTrans() == nil
 }
 
-func (*readonlyWL) check(h *harness, confirmed bool) (string, []string) {
-	state, violations := checkAllOrNothing(h, "v1/f", preImage, postImage, confirmed)
+func checkReadonly(h *harness, confirmed bool) (string, []string) {
+	state, violations := checkAllOrNothing(h, "v1/f", confirmed)
 	// The read-only file must be byte-identical to its baseline at
 	// every crash point: a shared read never changes committed state.
-	got, err := readCommittedPath(h, "v2/f")
+	got, err := readCommitted(h, "v2/f")
 	if err != nil {
 		violations = append(violations,
 			fmt.Sprintf("v2/f: committed read failed after recovery: %v", err))
 	} else if !bytes.Equal(got, preImage) {
 		violations = append(violations,
-			fmt.Sprintf("v2/f: read-only participant's file changed across commit (%s)",
-				classify(got, preImage, postImage)))
+			fmt.Sprintf("v2/f: read-only participant's file changed across commit (len=%d)", len(got)))
 	}
 	return state, violations
 }
-
-func (*readonlyWL) cleanup(*harness) {}
-
-// ---------------------------------------------------------------------
-// onephase: single remote participant site, combined message.
-
-type onephaseWL struct{}
-
-func (*onephaseWL) name() string    { return "onephase" }
-func (*onephaseWL) sites() int      { return 2 }
-func (*onephaseWL) paths() []string { return []string{"v1/f"} }
-func (*onephaseWL) fastPaths() bool { return true }
-
-func (*onephaseWL) setup(h *harness) error {
-	p, err := h.sys.NewProcess(2)
-	if err != nil {
-		return err
-	}
-	return commitFile(p, "v1/f", preImage)
-}
-
-func (*onephaseWL) run(h *harness) bool {
-	// The coordinator runs at site 2 but every touched file lives at
-	// site 1: the combined prepare-and-commit message delegates the
-	// commit point to site 1's prepare-record force, and the
-	// coordinator log is never written.  A crash on either side of
-	// that force must resolve from the record count alone (the
-	// coordinator has nothing to answer a status query from).
-	p, err := h.sys.NewProcess(2)
-	if err != nil {
-		return false
-	}
-	f, err := p.Open("v1/f")
-	if err != nil {
-		return false
-	}
-	if _, err := p.BeginTrans(); err != nil {
-		return false
-	}
-	if _, err := f.WriteAt(postImage, 0); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return false
-	}
-	return p.EndTrans() == nil
-}
-
-func (*onephaseWL) check(h *harness, confirmed bool) (string, []string) {
-	return checkAllOrNothing(h, "v1/f", preImage, postImage, confirmed)
-}
-
-func (*onephaseWL) cleanup(*harness) {}
-
-// ---------------------------------------------------------------------
-// lease: sticky lock leases across the crash surface.
-
-// lease2Image is the conflicting transaction's target state; it follows
-// postImage, so the committed file must march pre -> post -> post2 and
-// recovery may stop at any completed step but never between them.
-var lease2Image = bytes.Repeat([]byte{'D'}, 2600)
-
-type leaseWL struct {
-	// confirmed2 records whether the conflicting (revoking) commit was
-	// confirmed to its client on this replay.
-	confirmed2 bool
-}
-
-func (*leaseWL) name() string     { return "lease" }
-func (*leaseWL) sites() int       { return 2 }
-func (*leaseWL) paths() []string  { return []string{"v2/f"} }
-func (*leaseWL) lockLeases() bool { return true }
-
-func (*leaseWL) setup(h *harness) error {
-	// The setup commit runs from site 1 against site 2's file, so it
-	// leaves site 2 holding a lease for site 1 before any fault is armed.
-	p, err := h.sys.NewProcess(1)
-	if err != nil {
-		return err
-	}
-	return commitFile(p, "v2/f", preImage)
-}
-
-func (w *leaseWL) run(h *harness) bool {
-	w.confirmed2 = false
-	// Probed transaction: the implicit write hits site 1's cached lease,
-	// skips the lock message, and site 2 materializes the descriptor.
-	p, err := h.sys.NewProcess(1)
-	if err != nil {
-		return false
-	}
-	f, err := p.Open("v2/f")
-	if err != nil {
-		return false
-	}
-	if _, err := p.BeginTrans(); err != nil {
-		return false
-	}
-	if _, err := f.WriteAt(postImage, 0); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return false
-	}
-	// As in tpc, an EndTrans failure is not aborted: once the commit
-	// record may exist only the protocol decides the outcome.
-	confirmed := p.EndTrans() == nil
-
-	// Conflicting transaction at the storage site: its lock acquisition
-	// must revoke site 1's lease before the grant.  Its own crash points
-	// are part of the sweep; its outcome is audited separately.
-	q, err := h.sys.NewProcess(2)
-	if err != nil {
-		return confirmed
-	}
-	g, err := q.Open("v2/f")
-	if err != nil {
-		return confirmed
-	}
-	if _, err := q.BeginTrans(); err != nil {
-		return confirmed
-	}
-	if _, err := g.WriteAt(lease2Image, 0); err != nil {
-		q.AbortTrans() //nolint:errcheck
-		return confirmed
-	}
-	w.confirmed2 = q.EndTrans() == nil
-	return confirmed
-}
-
-func (w *leaseWL) check(h *harness, confirmed bool) (string, []string) {
-	got, err := readCommittedPath(h, "v2/f")
-	if err != nil {
-		return "unreadable", []string{fmt.Sprintf("v2/f: committed read failed after recovery: %v", err)}
-	}
-	var state string
-	switch {
-	case bytes.Equal(got, preImage):
-		state = "pre"
-	case bytes.Equal(got, postImage):
-		state = "post"
-	case bytes.Equal(got, lease2Image):
-		state = "post2"
-	default:
-		state = fmt.Sprintf("torn(len=%d)", len(got))
-	}
-	var violations []string
-	if state != "pre" && state != "post" && state != "post2" {
-		violations = append(violations,
-			fmt.Sprintf("v2/f: committed content matches none of the three images (%s)", state))
-	}
-	// The commits are serial, so confirmation is monotonic: the revoking
-	// commit implies its state, the lease-hit commit implies at least its
-	// own.
-	if w.confirmed2 && state != "post2" {
-		violations = append(violations,
-			fmt.Sprintf("v2/f: revoking commit was confirmed but recovery kept %q", state))
-	}
-	if confirmed && state == "pre" {
-		violations = append(violations,
-			"v2/f: lease-hit commit was confirmed to the client but recovery reverted it")
-	}
-	return state, violations
-}
-
-func (*leaseWL) cleanup(*harness) {}
 
 // ---------------------------------------------------------------------
 // ownermove: an ownership move fires inside the probed commit, racing a
 // follow-up commit from the file's old home site.
 
-// move2Image is the racing transaction's target state; it follows
-// postImage, so v1/f must march pre -> post -> post2.
-var move2Image = bytes.Repeat([]byte{'E'}, 2600)
-
-type ownermoveWL struct {
-	// confirmed2 records whether the racing commit (from the old home)
-	// was confirmed to its client on this replay.
-	confirmed2 bool
-}
-
-func (*ownermoveWL) name() string            { return "ownermove" }
-func (*ownermoveWL) sites() int              { return 2 }
-func (*ownermoveWL) paths() []string         { return []string{"v1/f", "v1/warm"} }
-func (*ownermoveWL) adaptivePlacement() bool { return true }
-
-// sweepDisks adds the hosted v1 volume at site 2 - the disk the
-// adoption writes land on.  setup's warm move creates it before any
-// fault is armed.
-func (*ownermoveWL) sweepDisks() []diskRef {
-	return []diskRef{{Site: 1, Volume: "v1"}, {Site: 2, Volume: "v2"}, {Site: 2, Volume: "v1"}}
-}
-
-func (*ownermoveWL) setup(h *harness) error {
+func setupOwnermove(h *harness) error {
 	p, err := h.sys.NewProcess(2)
 	if err != nil {
 		return err
+	}
+	// commitTimes creates and commits path, then commits it n-1 times
+	// more through a second open.
+	commitTimes := func(path string, n int) error {
+		f, err := p.Create(path)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			if err := rewrite(p, preImage, f); err != nil {
+				return err
+			}
+			if i == 0 {
+				if err := f.Close(); err != nil {
+					return err
+				}
+				if f, err = p.Open(path); err != nil {
+					return err
+				}
+			}
+		}
+		return f.Close()
 	}
 	// Warm move: three remote commits on v1/warm migrate it to site 2
 	// (the decayed access mass crosses MinAccesses=2 on the third),
 	// creating the hosted v1 volume there so its disk is part of the
 	// sweep from the first armed write.
-	if err := commitFile(p, "v1/warm", preImage); err != nil {
-		return err
-	}
-	f, err := p.Open("v1/warm")
-	if err != nil {
-		return err
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := p.BeginTrans(); err != nil {
-			return err
-		}
-		if _, err := f.WriteAt(preImage, 0); err != nil {
-			return err
-		}
-		if err := p.EndTrans(); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
+	if err := commitTimes("v1/warm", 3); err != nil {
 		return err
 	}
 	if h.site(2).Volume("v1") == nil {
@@ -748,23 +513,7 @@ func (*ownermoveWL) setup(h *harness) error {
 	}
 	// The probed file: two committed remote accesses, one short of the
 	// move threshold - the probed commit supplies the third.
-	if err := commitFile(p, "v1/f", preImage); err != nil {
-		return err
-	}
-	g, err := p.Open("v1/f")
-	if err != nil {
-		return err
-	}
-	if _, err := p.BeginTrans(); err != nil {
-		return err
-	}
-	if _, err := g.WriteAt(preImage, 0); err != nil {
-		return err
-	}
-	if err := p.EndTrans(); err != nil {
-		return err
-	}
-	if err := g.Close(); err != nil {
+	if err := commitTimes("v1/f", 2); err != nil {
 		return err
 	}
 	if home, err := h.sys.Cluster().StorageSite("v1/f"); err != nil || home != 1 {
@@ -772,136 +521,3 @@ func (*ownermoveWL) setup(h *harness) error {
 	}
 	return nil
 }
-
-func (w *ownermoveWL) run(h *harness) bool {
-	w.confirmed2 = false
-	// Probed transaction from site 2: its commit is the second remote
-	// access, so the post-commit sweep moves v1/f to site 2 inline -
-	// the armed crash point can land anywhere inside commit or move.
-	p, err := h.sys.NewProcess(2)
-	if err != nil {
-		return false
-	}
-	f, err := p.Open("v1/f")
-	if err != nil {
-		return false
-	}
-	if _, err := p.BeginTrans(); err != nil {
-		return false
-	}
-	if _, err := f.WriteAt(postImage, 0); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return false
-	}
-	confirmed := p.EndTrans() == nil
-
-	// Racing commit from the old home site: it resolves the file's
-	// current home (waiting out the fence if the move is mid-flight)
-	// and must land exactly once, wherever the bytes now live.
-	q, err := h.sys.NewProcess(1)
-	if err != nil {
-		return confirmed
-	}
-	g, err := q.Open("v1/f")
-	if err != nil {
-		return confirmed
-	}
-	if _, err := q.BeginTrans(); err != nil {
-		return confirmed
-	}
-	if _, err := g.WriteAt(move2Image, 0); err != nil {
-		q.AbortTrans() //nolint:errcheck
-		return confirmed
-	}
-	w.confirmed2 = q.EndTrans() == nil
-	return confirmed
-}
-
-func (w *ownermoveWL) check(h *harness, confirmed bool) (string, []string) {
-	// Heal pass: restart every site so each runs its foreign-file purge,
-	// then assert single-primary convergence.  (Recovery already
-	// restarted the crashed sites; this makes the garbage-collection
-	// half of the invariant observable at every crash point.)
-	for i := 1; i <= h.n; i++ {
-		s := h.site(i)
-		if s.Up() {
-			s.Crash()
-		}
-		if err := s.Restart(); err != nil {
-			return "unrecoverable", []string{fmt.Sprintf("heal restart site %d: %v", i, err)}
-		}
-	}
-	h.drain()
-
-	var violations []string
-	// Exactly one primary: the namespace resolves each file to one
-	// site, and after the heal pass only that site's v1 volume holds a
-	// local copy.
-	for _, path := range []string{"v1/f", "v1/warm"} {
-		home, err := h.sys.Cluster().StorageSite(path)
-		if err != nil {
-			violations = append(violations, fmt.Sprintf("%s: no resolvable home after heal: %v", path, err))
-			continue
-		}
-		name := path[len("v1/"):]
-		copies := 0
-		for i := 1; i <= h.n; i++ {
-			vol := h.site(i).Volume("v1")
-			if vol == nil {
-				continue
-			}
-			has, err := h.site(i).HasLocalFile("v1", name)
-			if err != nil {
-				violations = append(violations, fmt.Sprintf("%s: local-copy scan at site %d: %v", path, i, err))
-				continue
-			}
-			if has {
-				copies++
-				if simnet.SiteID(i) != home {
-					violations = append(violations,
-						fmt.Sprintf("%s: site %d holds a local copy but the namespace homes it at %v", path, i, home))
-				}
-			}
-		}
-		if copies != 1 {
-			violations = append(violations, fmt.Sprintf("%s: %d local copies after heal, want exactly 1", path, copies))
-		}
-	}
-
-	// Content: pre -> post -> post2, no torn states, confirmations
-	// monotone.
-	got, err := readCommittedPath(h, "v1/f")
-	if err != nil {
-		return "unreadable", append(violations, fmt.Sprintf("v1/f: committed read failed after recovery: %v", err))
-	}
-	var state string
-	switch {
-	case bytes.Equal(got, preImage):
-		state = "pre"
-	case bytes.Equal(got, postImage):
-		state = "post"
-	case bytes.Equal(got, move2Image):
-		state = "post2"
-	default:
-		state = fmt.Sprintf("torn(len=%d)", len(got))
-	}
-	if state != "pre" && state != "post" && state != "post2" {
-		violations = append(violations,
-			fmt.Sprintf("v1/f: committed content matches none of the three images (%s)", state))
-	}
-	if w.confirmed2 && state != "post2" {
-		violations = append(violations,
-			fmt.Sprintf("v1/f: racing commit was confirmed but recovery kept %q", state))
-	}
-	if confirmed && state == "pre" {
-		violations = append(violations,
-			"v1/f: moving commit was confirmed to the client but recovery reverted it")
-	}
-	if warm, err := readCommittedPath(h, "v1/warm"); err != nil || !bytes.Equal(warm, preImage) {
-		violations = append(violations,
-			fmt.Sprintf("v1/warm: committed bytes damaged by the sweep (err=%v len=%d)", err, len(warm)))
-	}
-	return state, violations
-}
-
-func (*ownermoveWL) cleanup(*harness) {}

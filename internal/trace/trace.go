@@ -241,9 +241,11 @@ func (t *Tracer) MsgRecv(op, txn string, sent uint64) {
 }
 
 // Events returns the surviving ring contents in site-local emission
-// order.  Safe to call concurrently with Record; an event overwritten
-// mid-scan may appear with a newer sequence, so callers sort/merge by
-// Seq (the Collector does).
+// order: ascending Seq.  (Record draws the Lamport clock and the ring
+// sequence from separate atomics, so under concurrent recorders Clock
+// order may disagree with Seq order; the Collector's merge re-sorts
+// causally.)  Safe to call concurrently with Record; an event
+// overwritten mid-scan appears with its newer sequence.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -254,7 +256,7 @@ func (t *Tracer) Events() []Event {
 			out = append(out, *ev)
 		}
 	}
-	sortEvents(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
