@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-check chaos vtime telemetry probe trace experiments examples tools clean
+.PHONY: all test race bench bench-check ledger-check chaos vtime telemetry probe trace experiments examples tools clean
 
 all: test
 
@@ -17,6 +17,15 @@ bench:           ## regenerate every paper table/figure via testing.B
 
 bench-check:     ## regenerate the snapshot and gate it against BENCH_BASELINE.json
 	$(GO) run ./cmd/locusbench -check BENCH_BASELINE.json
+
+ledger-check:    ## short ledger runs of the two serial workloads: their simulated metrics are exact functions of the seed and must equal LEDGER_BASELINE.json (host metrics are printed, not gated)
+	@for w in local_transfer skew_tuned; do \
+		line=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -1) || exit 1; \
+		echo "$$w $$line"; \
+		echo "$$line" | jq -e --arg w $$w --slurpfile base LEDGER_BASELINE.json \
+			'.metrics as $$got | [$$base[0][$$w] | to_entries[] | select(.value != $$got[.key].value) | "\(.key): want \(.value), got \($$got[.key].value)"] | if length == 0 then true else (join("; ") | halt_error) end' \
+			>/dev/null || { echo "ledger-check: $$w simulated metrics moved"; exit 1; }; \
+	done
 
 chaos:           ## 20-seed fault-injection sweep with the section 5 audit
 	$(GO) run ./cmd/locuschaos -sweep 20 -duration 1s

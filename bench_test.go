@@ -9,15 +9,10 @@
 package repro
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
@@ -233,123 +228,6 @@ func BenchmarkPrefetchOnLock(b *testing.B) {
 	}
 	b.ReportMetric(withoutMs, "readMs-noprefetch")
 	b.ReportMetric(withMs, "readMs-prefetch")
-}
-
-// BenchmarkDebitCreditThroughput measures end-to-end transaction
-// throughput (real wall-clock) for the debit-credit workload the paper's
-// introduction motivates: concurrent fine-grain transactions against one
-// accounts file, records scattered across shared pages.
-func BenchmarkDebitCreditThroughput(b *testing.B) {
-	sys := core.NewSystem(cluster.Config{SyncPhase2: true})
-	for i := 1; i <= 3; i++ {
-		sys.AddSite(simnet.SiteID(i))
-	}
-	for site, vol := range map[simnet.SiteID]string{1: "bank", 2: "s2", 3: "s3"} {
-		if err := sys.AddVolume(simnet.SiteID(site), vol); err != nil {
-			b.Fatal(err)
-		}
-	}
-	setup, err := sys.NewProcess(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := setup.Create("bank/accounts")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const nAccounts = 64
-	if _, err := f.WriteAt(make([]byte, nAccounts*8), 0); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		b.Fatal(err)
-	}
-
-	const workers = 4
-	b.ResetTimer()
-	var committed atomic.Int64
-	var wg sync.WaitGroup
-	per := b.N/workers + 1
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p, err := sys.NewProcess(simnet.SiteID(w%3 + 1))
-			if err != nil {
-				return
-			}
-			file, err := p.Open("bank/accounts")
-			if err != nil {
-				return
-			}
-			for i := 0; i < per; i++ {
-				from := (w*per + i) % nAccounts
-				to := (from + 7) % nAccounts
-				lo, hi := from, to
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if _, err := p.BeginTrans(); err != nil {
-					continue
-				}
-				ok := true
-				for _, acct := range []int{lo, hi} {
-					if err := file.LockRange(int64(acct*8), 8, core.Exclusive); err != nil {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					if _, err := file.WriteAt([]byte("00000001"), int64(from*8)); err != nil {
-						ok = false
-					}
-				}
-				if ok {
-					if _, err := file.WriteAt([]byte("00000002"), int64(to*8)); err != nil {
-						ok = false
-					}
-				}
-				if !ok {
-					p.AbortTrans() //nolint:errcheck
-					continue
-				}
-				if err := p.EndTrans(); err == nil {
-					committed.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.ReportMetric(float64(committed.Load())/b.Elapsed().Seconds(), "txns/sec")
-}
-
-// BenchmarkConcurrentCommitThroughput measures the group-commit tentpole:
-// 8 client goroutines driving disjoint transfer transactions at one
-// storage site, with a simulated per-force disk sync cost, batching off
-// vs on.  Off pays the paper's 7 synchronous log forces per transaction;
-// on batches the 5 log-record forces across clients (~3 forces/txn), for
-// >= 2x committed-transactions/sec.  Per-page write counts are identical
-// in both modes, so the Fig5 I/O tables are unaffected.
-func BenchmarkConcurrentCommitThroughput(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		gc   bool
-	}{{"groupcommit-off", false}, {"groupcommit-on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var row bench.ConcurrentRow
-			for i := 0; i < b.N; i++ {
-				r, err := bench.ConcurrentCommit(bench.ConcurrentOpts{Clients: 8, TxnsPerClient: 25, GroupCommit: mode.gc})
-				if err != nil {
-					b.Fatal(err)
-				}
-				row = r
-			}
-			b.ReportMetric(row.TxnsPerSec, "txns/sec")
-			b.ReportMetric(float64(time.Duration(row.P50).Microseconds())/1000, "p50Ms")
-			b.ReportMetric(float64(time.Duration(row.P99).Microseconds())/1000, "p99Ms")
-			b.ReportMetric(row.ForcedPerTxn, "forcedIOs/txn")
-		})
-	}
 }
 
 // BenchmarkFn7DiffFromBufferPool regenerates footnote 7: keeping clean

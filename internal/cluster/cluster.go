@@ -272,17 +272,18 @@ func (c *Cluster) AddSite(id simnet.SiteID) *Site {
 		return s
 	}
 	s := &Site{
-		id:       id,
-		cl:       c,
-		ep:       c.net.AddSite(id),
-		st:       c.st,
-		tr:       c.cfg.Trace.Site(int(id)),
-		up:       true,
-		vols:     make(map[string]*volState),
-		open:     make(map[string]*openFile),
-		locks:    lockmgr.NewManager(c.st),
-		procs:    proc.NewTable(id, c.st),
-		prepared: make(map[string]*preparedTxn),
+		id:        id,
+		cl:        c,
+		ep:        c.net.AddSite(id),
+		st:        c.st,
+		tr:        c.cfg.Trace.Site(int(id)),
+		up:        true,
+		vols:      make(map[string]*volState),
+		open:      make(map[string]*openFile),
+		lockCache: make(map[string]map[string][]cachedLock),
+		locks:     lockmgr.NewManager(c.st),
+		procs:     proc.NewTable(id, c.st),
+		prepared:  make(map[string]*preparedTxn),
 	}
 	s.ep.SetTracer(s.tr)
 	s.mu.SetClock(c.cfg.Clock)
@@ -566,8 +567,8 @@ type Site struct {
 	// mu is clock-aware: handleOpen and friends hold it across shadow
 	// reads and forced writes, so under a virtual clock contenders must
 	// park without freezing simulated time.
-	mu       vtime.Mutex
-	up       bool
+	mu vtime.Mutex
+	up bool
 	// epoch counts crashes: goroutines whose work spans a crash boundary
 	// (an inline ownership move on a commit handler) capture it and
 	// refuse state-changing steps once it advances, since every
@@ -581,9 +582,9 @@ type Site struct {
 	prepared map[string]*preparedTxn
 	replicas map[string]*replicaState // read-only replicas held at this site
 
-	// lock cache (section 5.1): fileID -> granted coverage by group.
+	// lock cache (section 5.1): group -> fileID -> granted coverage.
 	cacheMu   sync.Mutex
-	lockCache map[string][]cachedLock
+	lockCache map[string]map[string][]cachedLock
 
 	// Lock-lease state (DESIGN.md section 13), both halves under one
 	// mutex: leases is the requesting-site cache (fileID -> coverage this
@@ -621,10 +622,9 @@ type Site struct {
 }
 
 type cachedLock struct {
-	group string
-	mode  lockmgr.Mode
-	off   int64
-	len   int64
+	mode lockmgr.Mode
+	off  int64
+	len  int64
 }
 
 // ID returns the site's network identifier.

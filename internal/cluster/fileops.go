@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -226,16 +227,12 @@ func (s *Site) handleClose(req closeReq) error {
 		}
 		// A process's own locks die with its use of the file.
 		of.locks.ReleaseGroup(lockmgr.Holder{PID: req.PID}.Group())
-		s.invalidateCacheGroup(lockmgr.Holder{PID: req.PID}.Group())
-		s.maybeSyncReplicas(of)
+		s.DropLockCache(lockmgr.Holder{PID: req.PID}.Group())
 	}
 	s.mu.Lock()
 	of.refs--
-	if of.refs <= 0 && len(of.file.Owners()) == 0 && len(of.locks.Entries()) == 0 {
-		delete(s.open, req.FileID)
-		s.locks.Drop(req.FileID)
-	}
 	s.mu.Unlock()
+	s.settle(req.FileID)
 	return nil
 }
 
@@ -452,6 +449,9 @@ func (s *Site) handleUnlock(req unlockReq) (unlockResp, error) {
 			return unlockResp{}, err
 		}
 	}
+	if !retained {
+		s.maybeSyncReplicas(of)
+	}
 	return unlockResp{Retained: retained}, nil
 }
 
@@ -493,6 +493,7 @@ func (s *Site) handleRemove(req removeReq) error {
 	if err != nil {
 		return err
 	}
+	s.settle(req.Path) // an idle entry nobody references does not hold the file open
 	s.mu.Lock()
 	_, open := s.open[req.Path]
 	s.mu.Unlock()
@@ -581,6 +582,11 @@ func (s *Site) Open(path string) (string, int64, error) {
 func (s *Site) Close(fileID string, pid int, txn string) error {
 	s.st.Inc(stats.Syscalls)
 	_, err := s.callStorage(fileID, "close", closeReq{FileID: fileID, PID: pid, Txn: txn})
+	if txn == "" {
+		// The storage site released the process's locks on the file with
+		// the close; what this site cached of them is void.
+		s.cacheTrim(fileID, Holder(pid, "").Group(), 0, math.MaxInt64)
+	}
 	return err
 }
 
@@ -719,6 +725,11 @@ func (s *Site) ensureLocked(fileID string, pid int, txn string, mode lockmgr.Mod
 }
 
 // ---- requesting-site lock cache (section 5.1) ----
+//
+// The cache lives as long as the transaction does at this site: entries
+// are keyed by lock group first, so a hit scans one transaction's handful
+// of ranges on one file, and the group is dropped whole - one map delete -
+// when the transaction ends here (DropLockCache).
 
 func (s *Site) cacheAdd(fileID, group string, mode lockmgr.Mode, off, length int64) {
 	if s.cl.cfg.DisableLockCache {
@@ -726,26 +737,25 @@ func (s *Site) cacheAdd(fileID, group string, mode lockmgr.Mode, off, length int
 	}
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
-	if s.lockCache == nil {
-		s.lockCache = make(map[string][]cachedLock)
+	files := s.lockCache[group]
+	if files == nil {
+		files = make(map[string][]cachedLock)
+		s.lockCache[group] = files
 	}
-	s.lockCache[fileID] = append(s.lockCache[fileID], cachedLock{group: group, mode: mode, off: off, len: length})
+	files[fileID] = append(files[fileID], cachedLock{mode: mode, off: off, len: length})
 }
 
 func (s *Site) cacheCovers(fileID, group string, mode lockmgr.Mode, off, length int64) bool {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
+	ranges := s.lockCache[group][fileID]
 	// Coverage check against the cached ranges: greedy sweep.
-	need := off
-	end := off + length
-	for need < end {
+	for need, end := off, off+length; need < end; {
 		advanced := false
-		for _, c := range s.lockCache[fileID] {
-			if c.group == group && c.mode >= mode && c.off <= need && c.off+c.len > need {
-				if c.off+c.len > need {
-					need = c.off + c.len
-					advanced = true
-				}
+		for _, c := range ranges {
+			if c.mode >= mode && c.off <= need && c.off+c.len > need {
+				need = c.off + c.len
+				advanced = true
 			}
 		}
 		if !advanced {
@@ -758,34 +768,37 @@ func (s *Site) cacheCovers(fileID, group string, mode lockmgr.Mode, off, length 
 func (s *Site) cacheTrim(fileID, group string, off, length int64) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
+	files := s.lockCache[group]
 	var kept []cachedLock
-	for _, c := range s.lockCache[fileID] {
-		if c.group != group || c.off+c.len <= off || off+length <= c.off {
+	for _, c := range files[fileID] {
+		if c.off+c.len <= off || off+length <= c.off {
 			kept = append(kept, c)
 			continue
 		}
 		if c.off < off {
-			kept = append(kept, cachedLock{group: c.group, mode: c.mode, off: c.off, len: off - c.off})
+			kept = append(kept, cachedLock{mode: c.mode, off: c.off, len: off - c.off})
 		}
 		if c.off+c.len > off+length {
-			kept = append(kept, cachedLock{group: c.group, mode: c.mode, off: off + length, len: c.off + c.len - off - length})
+			kept = append(kept, cachedLock{mode: c.mode, off: off + length, len: c.off + c.len - off - length})
 		}
 	}
-	s.lockCache[fileID] = kept
+	if len(kept) > 0 {
+		files[fileID] = kept
+		return
+	}
+	delete(files, fileID)
+	if len(files) == 0 {
+		delete(s.lockCache, group)
+	}
 }
 
-// invalidateCacheGroup removes every cached lock of the group (commit,
-// abort, process close).
-func (s *Site) invalidateCacheGroup(group string) {
+// DropLockCache forgets every lock this site cached for the group - the
+// end of the cache's life: the transaction committed or aborted, its last
+// member process here left it, or the process closed the file.  A storage
+// site calls it when it releases the group's locks; package core calls it
+// at each site a transaction ran at.  Purely local: no message is sent.
+func (s *Site) DropLockCache(group string) {
 	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	for fileID, locks := range s.lockCache {
-		var kept []cachedLock
-		for _, c := range locks {
-			if c.group != group {
-				kept = append(kept, c)
-			}
-		}
-		s.lockCache[fileID] = kept
-	}
+	delete(s.lockCache, group)
+	s.cacheMu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/lockmgr"
+	"repro/internal/simnet"
 	"repro/internal/stats"
 )
 
@@ -360,5 +361,58 @@ func TestLeaseRevokeFIFOFairnessMatrix(t *testing.T) {
 				t.Fatalf("waiter starved behind lease re-hits: %v (after %v)", err, time.Since(start))
 			}
 		})
+	}
+}
+
+// TestLeaseDoesNotBlockReplicaSync pins that a sticky lease is not a live
+// lock as far as replication is concerned: a replicated file written once
+// by a remote leaseholder must leave open-for-update when the transaction
+// commits, be pushed, and be readable at a replica without a message.
+func TestLeaseDoesNotBlockReplicaSync(t *testing.T) {
+	cl := New(Config{SyncPhase2: true, LockLeases: true})
+	defer cl.Shutdown()
+	for i := 1; i <= 3; i++ {
+		cl.AddSite(simnet.SiteID(i))
+	}
+	if err := cl.AddVolume(1, "va"); err != nil {
+		t.Fatal(err)
+	}
+	s1, s2, s3 := cl.Site(1), cl.Site(2), cl.Site(3)
+	if err := s1.Create("va/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.AddReplica("va", 3); err != nil {
+		t.Fatal(err)
+	}
+	writer, reader := cl.NewPID(), cl.NewPID()
+	s2.Procs().NewProcess(writer, 0)
+	s3.Procs().NewProcess(reader, 0)
+
+	id, _, err := s2.Open("va/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Write(id, writer, "T1", 0, []byte("leased!")); err != nil {
+		t.Fatal(err)
+	}
+	commitAtStorage(t, s1, "T1", id)
+	if sites := s1.Locks().Lookup(id).LeaseSites(); len(sites) != 1 || sites[0] != 2 {
+		t.Fatalf("lease sites after commit = %v, want [2]", sites)
+	}
+
+	rid, _, err := s3.Open("va/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cl.Stats().Snapshot()
+	got, err := s3.Read(rid, reader, "", 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "leased!" {
+		t.Fatalf("replica read = %q, want the committed bytes", got)
+	}
+	if n := cl.Stats().Snapshot().Sub(before).Get(stats.MsgsSent); n != 0 {
+		t.Fatalf("replica read sent %d messages: the lease kept the file open-for-update", n)
 	}
 }

@@ -225,5 +225,10 @@ func (s *Site) ExitProc(pid int) error {
 		s.notifyChildMoved(childMovedReq{Parent: p.Parent, Child: pid, Site: -1})
 	}
 	s.procs.Remove(pid)
+	if p.TxnID != "" && !s.procs.AnyInTxn(p.TxnID) {
+		// The transaction's last member here is gone, and with it the
+		// reason to keep its locks cached at this site.
+		s.DropLockCache(TxnGroup(p.TxnID))
+	}
 	return nil
 }

@@ -74,7 +74,7 @@ func (s *Site) Restart() error {
 	s.coord = nil
 	s.mu.Unlock()
 	s.cacheMu.Lock()
-	s.lockCache = make(map[string][]cachedLock)
+	s.lockCache = make(map[string]map[string][]cachedLock)
 	s.cacheMu.Unlock()
 	s.resetLeaseState()
 	s.resetMoving()

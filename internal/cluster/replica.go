@@ -368,22 +368,26 @@ func (s *Site) markOpenForUpdate(of *openFile) {
 }
 
 // maybeSyncReplicas propagates the committed contents to replicas once a
-// file has quiesced (no uncommitted owners, no locks) and clears the
-// open-for-update migration.
+// file has quiesced (no uncommitted owners, no live locks - a sticky lease
+// is a cached right to re-acquire, not a holder) and clears the
+// open-for-update migration.  A volume without replicas has nobody to
+// push to: its lock list is not consulted, and the flag clears as soon as
+// nothing is uncommitted, for the next write or lock to raise again.
 func (s *Site) maybeSyncReplicas(of *openFile) {
 	s.mu.Lock()
 	wasUpdating := of.updateMode
 	s.mu.Unlock()
-	if !wasUpdating {
+	if !wasUpdating || of.file.Modified() {
 		return
 	}
-	if len(of.file.Owners()) > 0 || len(of.locks.Entries()) > 0 {
+	replicas := s.cl.ReplicaSites(of.vs.name)
+	if len(replicas) > 0 && of.locks.Held(false) {
 		return
 	}
 	s.mu.Lock()
 	of.updateMode = false
 	s.mu.Unlock()
-	for _, site := range s.cl.ReplicaSites(of.vs.name) {
+	for _, site := range replicas {
 		s.pushFileToReplica(site, of.id) //nolint:errcheck // unreachable replicas stay stale until the next push
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/lockmgr"
@@ -125,6 +126,7 @@ func (s *Site) gatherPrepare(req prepareReq) (byVol map[string]*volPrep, volName
 	owner := TxnOwner(req.Txid)
 	group := TxnGroup(req.Txid)
 	byVol = make(map[string]*volPrep)
+	var held []lockmgr.EntryInfo
 	for _, fileID := range req.FileIDs {
 		of, err := s.lookupOpen(fileID)
 		if err != nil {
@@ -144,12 +146,11 @@ func (s *Site) gatherPrepare(req prepareReq) (byVol map[string]*volPrep, volName
 		}
 		il := of.file.IntentionsFor(owner)
 		vp.files = append(vp.files, tpc.PreparedFile{FileID: fileID, Intentions: il})
-		for _, e := range of.locks.Entries() {
-			if e.Holder.Group() == group {
-				vp.locks = append(vp.locks, tpc.LockInfo{
-					FileID: fileID, Mode: e.Mode, Off: e.Off, Len: e.Len,
-				})
-			}
+		held = of.locks.GroupEntries(held[:0], group)
+		for _, e := range held {
+			vp.locks = append(vp.locks, tpc.LockInfo{
+				FileID: fileID, Mode: e.Mode, Off: e.Off, Len: e.Len,
+			})
 		}
 	}
 	sort.Strings(volNames)
@@ -516,32 +517,46 @@ func (s *Site) finishTxn(txid string, fileIDs []string) error {
 			return fmt.Errorf("cluster: clearing prepare records for %s on %s: %w", txid, vs.name, err)
 		}
 	}
-	s.locks.ReleaseGroup(TxnGroup(txid))
-	s.invalidateCacheGroup(TxnGroup(txid))
-	// Propagate committed contents to replicas of quiesced files, then
-	// retire idle open files the transaction was keeping alive.
-	s.mu.Lock()
-	involved := make([]*openFile, 0, len(s.open))
-	for _, of := range s.open {
-		involved = append(involved, of)
+	group := TxnGroup(txid)
+	released := s.locks.ReleaseGroup(group)
+	s.DropLockCache(group)
+	// Propagate committed contents to replicas of the transaction's files
+	// that quiesced, and retire the idle opens it was keeping alive: the
+	// files it named, plus any it held locks on without naming (an aborted
+	// or recovered transaction has no file list; NonTxn-mode locks never
+	// join one).
+	for _, id := range fileIDs {
+		s.settle(id)
 	}
-	s.mu.Unlock()
-	for _, of := range involved {
-		s.maybeSyncReplicas(of)
-	}
-	s.mu.Lock()
-	for id, of := range s.open {
-		if of.refs <= 0 && len(of.file.Owners()) == 0 && len(of.locks.Entries()) == 0 {
-			delete(s.open, id)
-			s.locks.Drop(id)
+	for _, fl := range released {
+		if !slices.Contains(fileIDs, fl.ID()) {
+			s.settle(fl.ID())
 		}
 	}
-	s.mu.Unlock()
 	// Adaptive placement: with the transaction's locks gone, any of its
 	// files now dominated by a remote accessor migrates there (no-op
 	// unless Config.AdaptivePlacement).
 	s.maybeMovePlacement(fileIDs)
 	return nil
+}
+
+// settle runs the end-of-use duties for one file some holder just let go
+// of: push the committed contents to the replicas if it quiesced, and
+// retire the open-file entry once nothing references it.
+func (s *Site) settle(fileID string) {
+	s.mu.Lock()
+	of := s.open[fileID]
+	s.mu.Unlock()
+	if of == nil {
+		return
+	}
+	s.maybeSyncReplicas(of)
+	s.mu.Lock()
+	if s.open[fileID] == of && of.refs <= 0 && !of.file.Modified() && !of.locks.Held(true) {
+		delete(s.open, fileID)
+		s.locks.Drop(fileID)
+	}
+	s.mu.Unlock()
 }
 
 // handleStatus answers an in-doubt participant's query against this
@@ -668,14 +683,20 @@ func (s *Site) reapLocal(pid int) {
 		files = append(files, of)
 	}
 	s.mu.Unlock()
+	var touched []*openFile
 	for _, of := range files {
 		if of.file.HasMods(owner) {
 			of.file.Abort(owner) //nolint:errcheck // best-effort reaping of a dead process
+			touched = append(touched, of)
 		}
 	}
-	s.locks.ReleaseGroup(group)
-	s.invalidateCacheGroup(group)
-	for _, of := range files {
+	for _, fl := range s.locks.ReleaseGroup(group) {
+		if of, err := s.lookupOpen(fl.ID()); err == nil {
+			touched = append(touched, of)
+		}
+	}
+	s.DropLockCache(group)
+	for _, of := range touched {
 		s.maybeSyncReplicas(of)
 	}
 }

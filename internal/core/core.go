@@ -216,12 +216,34 @@ func (sys *System) abortTxn(ts *txnState) {
 		origin.AbortEverywhere(ts.txid)
 		origin.Tracer().Record(trace.TxnAbort, ts.txid, "", 0)
 	}
+	sys.dropLockCaches(ts)
 	sys.Stats().Inc(stats.TxnAborts)
 	sys.prof().TxnEnd(ts.txid, sys.cl.Clock().Now(), false)
 
 	sys.mu.Lock()
 	delete(sys.active, ts.txid)
 	sys.mu.Unlock()
+}
+
+// dropLockCaches ends the life of the transaction's requester lock cache
+// (section 5.1: locks are cached at the requesting site for the life of
+// the transaction) at every site it ran at.  The abort broadcast and the
+// participants' own release cover the sites that store its files; this
+// covers the sites that only issued requests, and those the broadcast
+// could not reach.  Local calls: no message is sent.
+func (sys *System) dropLockCaches(ts *txnState) {
+	sys.mu.Lock()
+	sites := make([]simnet.SiteID, 0, len(ts.sites))
+	for id := range ts.sites {
+		sites = append(sites, id)
+	}
+	sys.mu.Unlock()
+	group := cluster.TxnGroup(ts.txid)
+	for _, id := range sites {
+		if s := sys.cl.Site(id); s != nil {
+			s.DropLockCache(group)
+		}
+	}
 }
 
 // lookupTxn returns the live transaction state, or nil.
@@ -434,6 +456,7 @@ func (p *Process) EndTrans() error {
 	if ts == nil && ps.TopLevel {
 		// Aborted underneath us (partition, deadlock victim).
 		p.kernel().Procs().ClearTxn(p.pid)
+		p.kernel().DropLockCache(cluster.TxnGroup(txid)) // a grant that raced the abort
 		return fmt.Errorf("%w: %s", ErrAborted, txid)
 	}
 	if ps.TopLevel && ps.Nesting == 1 && ps.Children > 0 {
@@ -454,6 +477,9 @@ func (p *Process) EndTrans() error {
 	}
 	defer func() {
 		p.kernel().Procs().ClearTxn(p.pid)
+		if ts != nil {
+			p.sys.dropLockCaches(ts)
+		}
 		p.sys.mu.Lock()
 		delete(p.sys.active, txid)
 		p.sys.mu.Unlock()

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -95,7 +96,7 @@ func (h Holder) Group() string {
 	if h.Txn != "" {
 		return "txn:" + h.Txn
 	}
-	return fmt.Sprintf("pid:%d", h.PID)
+	return "pid:" + strconv.Itoa(h.PID)
 }
 
 // IsTxn reports whether the holder executes within a transaction.
@@ -124,7 +125,13 @@ type entry struct {
 }
 
 // leaseGroup names the conflict group of one site's leases on a file.
-func leaseGroup(site int) string { return fmt.Sprintf("lease:site%d", site) }
+func leaseGroup(site int) string { return "lease:site" + strconv.Itoa(site) }
+
+// heldBy reports whether the descriptor belongs to h's conflict group,
+// without building the group string (lease entries belong to no holder).
+func (e *entry) heldBy(h Holder) bool {
+	return !e.leased && e.holder.Txn == h.Txn && (h.Txn != "" || e.holder.PID == h.PID)
+}
 
 // leaseSpanMax bounds a whole-file lease span: large enough to cover any
 // offset the append path can reach.
@@ -185,6 +192,7 @@ type WaitEdge struct {
 // waiter is a queued request.
 type waiter struct {
 	req      Request
+	group    string // req.Holder.Group(), built once at enqueue
 	done     chan grant
 	enqueued time.Time // for wait-queue age reporting
 }
@@ -212,6 +220,9 @@ type FileLocks struct {
 	mu      sync.Mutex
 	entries []*entry
 	queue   []*waiter
+	// mgr is the table whose group index this list reports to; nil for a
+	// stand-alone list and after Drop.  Guarded by mu.
+	mgr *Manager
 }
 
 // NewFileLocks creates a lock list for the file.  sizeFn supplies the
@@ -253,12 +264,11 @@ func (fl *FileLocks) SetClock(c vtime.Clock) {
 // for them to be skipped entirely — a lease has no live transaction
 // behind it, so it can never be a deadlock participant.  Caller holds
 // fl.mu.
-func (fl *FileLocks) conflicting(h Holder, mode Mode, s span, fromSite int, includeLeases bool) []string {
-	group := h.Group()
+func (fl *FileLocks) conflicting(h Holder, group string, mode Mode, s span, fromSite int, includeLeases bool) []string {
 	var out []string
-	seen := map[string]bool{}
+	fl.st.Add(stats.Instructions, int64(len(fl.entries))*costmodel.InstrLockListScanEntry)
+scan:
 	for _, e := range fl.entries {
-		fl.st.Add(stats.Instructions, costmodel.InstrLockListScanEntry)
 		if e.group == group || !e.s.overlaps(s) {
 			continue
 		}
@@ -269,51 +279,106 @@ func (fl *FileLocks) conflicting(h Holder, mode Mode, s span, fromSite int, incl
 			continue // the requester's own pre-transaction lock
 		}
 		if mode == ModeExclusive || e.mode == ModeExclusive {
-			if !seen[e.group] {
-				seen[e.group] = true
-				out = append(out, e.group)
+			for _, g := range out {
+				if g == e.group {
+					continue scan
+				}
 			}
+			out = append(out, e.group)
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// replaceOwn installs the group's coverage over s at the given mode,
-// absorbing its own overlapping entries of equal or weaker mode.
-// Transactional coverage never weakens: entries a transaction already
-// holds at a stronger mode survive untouched (two-phase locking forbids
-// early release; the paper's retention rule 1), so a "downgrade" request
-// leaves the stronger lock in place where it was held.  Non-transaction
-// processes (and NonTxn-mode locks) may truly downgrade.  Caller holds
-// fl.mu.
-func (fl *FileLocks) replaceOwn(h Holder, group string, mode Mode, s span, nonTxn bool) {
-	var kept []*entry
-	for _, e := range fl.entries {
-		if e.group != group || !e.s.overlaps(s) {
-			kept = append(kept, e)
+// carve appends to kept the fragments of e that lie outside s.
+func carve(kept []*entry, e *entry, s span) []*entry {
+	if e.s.lo < s.lo {
+		left := *e
+		left.s = span{e.s.lo, s.lo}
+		kept = append(kept, &left)
+	}
+	if e.s.hi > s.hi {
+		right := *e
+		right.s = span{s.hi, e.s.hi}
+		kept = append(kept, &right)
+	}
+	return kept
+}
+
+// install adds ne to the list, absorbing its group's overlapping entries
+// of equal or weaker mode.  Transactional and lease coverage never
+// weakens: entries held at a stronger mode survive untouched (two-phase
+// locking forbids early release; the paper's retention rule 1), so a
+// "downgrade" request leaves the stronger lock in place where it was
+// held.  Non-transaction processes (and NonTxn-mode locks) may truly
+// downgrade.  Caller holds fl.mu.
+func (fl *FileLocks) install(ne *entry) {
+	first, had := -1, false
+	for i, e := range fl.entries {
+		if e.group != ne.group {
 			continue
 		}
-		if h.IsTxn() && !e.nonTxn && e.mode > mode {
-			// Keep the stronger transactional entry whole; the new
-			// (weaker) entry below overlaps it harmlessly.
-			kept = append(kept, e)
-			continue
-		}
-		// Keep the non-overlapping fragments.
-		if e.s.lo < s.lo {
-			left := *e
-			left.s = span{e.s.lo, s.lo}
-			kept = append(kept, &left)
-		}
-		if e.s.hi > s.hi {
-			right := *e
-			right.s = span{s.hi, e.s.hi}
-			kept = append(kept, &right)
+		had = true
+		if e.s.overlaps(ne.s) {
+			first = i
+			break
 		}
 	}
-	kept = append(kept, &entry{holder: h, group: group, mode: mode, s: s, nonTxn: nonTxn})
-	fl.entries = kept
+	if first < 0 {
+		fl.entries = append(fl.entries, ne)
+		if !had {
+			fl.mgr.index(ne.group, fl)
+		}
+		return
+	}
+	kept := make([]*entry, first, len(fl.entries)+2)
+	copy(kept, fl.entries[:first])
+	for _, e := range fl.entries[first:] {
+		switch {
+		case e.group != ne.group || !e.s.overlaps(ne.s):
+			kept = append(kept, e)
+		case e.mode > ne.mode && (ne.leased || (ne.holder.IsTxn() && !e.nonTxn)):
+			// Keep the stronger entry whole; the new (weaker) entry
+			// overlaps it harmlessly.
+			kept = append(kept, e)
+		default:
+			kept = carve(kept, e, ne.s)
+		}
+	}
+	fl.entries = append(kept, ne)
+}
+
+// filterInPlace removes from list, in place and keeping order, every
+// element drop accepts; a list nothing is removed from is not touched.
+func filterInPlace[T any](list []*T, drop func(*T) bool) []*T {
+	kept := list[:0]
+	for _, x := range list {
+		if !drop(x) {
+			kept = append(kept, x)
+		}
+	}
+	clear(list[len(kept):])
+	return kept
+}
+
+// forgetGroup removes the list from the group's index entry once the
+// group has neither descriptor nor waiter left here.  Caller holds fl.mu.
+func (fl *FileLocks) forgetGroup(group string) {
+	if fl.mgr == nil {
+		return
+	}
+	for _, e := range fl.entries {
+		if e.group == group {
+			return
+		}
+	}
+	for _, w := range fl.queue {
+		if w.group == group {
+			return
+		}
+	}
+	fl.mgr.unindex(group, fl)
 }
 
 // Lock processes one lock request at the storage site.  On conflict it
@@ -326,31 +391,33 @@ func (fl *FileLocks) Lock(req Request) (Result, error) {
 	if req.Mode != ModeShared && req.Mode != ModeExclusive {
 		return Result{}, fmt.Errorf("lockmgr: unsupported lock mode %v", req.Mode)
 	}
+	group := req.Holder.Group()
 	fl.mu.Lock()
 	fl.st.Add(stats.Instructions, costmodel.InstrLockRequest)
-	fl.tr.Record(trace.LockRequest, req.Holder.Group(), fl.id, int64(req.Mode))
+	fl.tr.Record(trace.LockRequest, group, fl.id, int64(req.Mode))
 
-	if res, ok := fl.tryGrantLocked(req); ok {
+	if res, ok := fl.tryGrantLocked(req, group); ok {
 		fl.mu.Unlock()
 		fl.st.Inc(stats.LockAcquires)
-		fl.tr.Record(trace.LockGrant, req.Holder.Group(), fl.id, res.Len)
+		fl.tr.Record(trace.LockGrant, group, fl.id, res.Len)
 		return res, nil
 	}
 	if !req.Wait {
 		fl.mu.Unlock()
 		fl.st.Inc(stats.LockDenials)
-		fl.tr.Record(trace.LockDeny, req.Holder.Group(), fl.id, 0)
-		groups := fl.blockingGroups(req)
+		fl.tr.Record(trace.LockDeny, group, fl.id, 0)
+		groups := fl.blockingGroups(req, group)
 		return Result{}, fmt.Errorf("%w: %s held by %s", ErrConflict, fl.id, strings.Join(groups, ","))
 	}
 	// Queue and wait.  The wait parks through the clock so a virtual
 	// clock advances past it; grants and cancellations arrive as
 	// credited sends from pumpQueueLocked / CancelWaiters.
-	w := &waiter{req: req, done: make(chan grant, 1), enqueued: fl.clk.Now()}
+	w := &waiter{req: req, group: group, done: make(chan grant, 1), enqueued: fl.clk.Now()}
 	fl.queue = append(fl.queue, w)
+	fl.mgr.index(group, fl)
 	fl.st.Inc(stats.LockWaits)
 	fl.qdepth.Add(1)
-	fl.tr.Record(trace.LockWait, req.Holder.Group(), fl.id, int64(len(fl.queue)))
+	fl.tr.Record(trace.LockWait, group, fl.id, int64(len(fl.queue)))
 	fl.mu.Unlock()
 
 	g, ok := vtime.WaitRecv(fl.clk, w.done, req.Timeout)
@@ -364,23 +431,23 @@ func (fl *FileLocks) Lock(req Request) (Result, error) {
 		if g2, ok2 := vtime.TryRecv(fl.clk, w.done); ok2 {
 			g = g2
 		} else {
-			fl.tr.Record(trace.LockDeny, req.Holder.Group(), fl.id, 0)
+			fl.tr.Record(trace.LockDeny, group, fl.id, 0)
 			return Result{}, fmt.Errorf("%w: %s", ErrTimeout, fl.id)
 		}
 	}
 	if g.err == nil {
 		fl.st.Inc(stats.LockAcquires)
-		fl.tr.Record(trace.LockGrant, req.Holder.Group(), fl.id, g.res.Len)
+		fl.tr.Record(trace.LockGrant, group, fl.id, g.res.Len)
 	}
 	return g.res, g.err
 }
 
 // blockingGroups recomputes the groups blocking req (for error text).
-func (fl *FileLocks) blockingGroups(req Request) []string {
+func (fl *FileLocks) blockingGroups(req Request, group string) []string {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	s := fl.requestSpan(req)
-	return fl.conflicting(req.Holder, req.Mode, s, req.FromSite, true)
+	return fl.conflicting(req.Holder, group, req.Mode, s, req.FromSite, true)
 }
 
 // requestSpan resolves AtEOF at this instant.  Caller holds fl.mu.
@@ -394,13 +461,12 @@ func (fl *FileLocks) requestSpan(req Request) span {
 
 // tryGrantLocked grants req if compatible, returning the granted range.
 // Caller holds fl.mu.
-func (fl *FileLocks) tryGrantLocked(req Request) (Result, bool) {
-	group := req.Holder.Group()
+func (fl *FileLocks) tryGrantLocked(req Request, group string) (Result, bool) {
 	s := fl.requestSpan(req)
-	if len(fl.conflicting(req.Holder, req.Mode, s, req.FromSite, true)) > 0 {
+	if len(fl.conflicting(req.Holder, group, req.Mode, s, req.FromSite, true)) > 0 {
 		return Result{}, false
 	}
-	fl.replaceOwn(req.Holder, group, req.Mode, s, req.NonTxn)
+	fl.install(&entry{holder: req.Holder, group: group, mode: req.Mode, s: s, nonTxn: req.NonTxn})
 	return Result{Off: s.lo, Len: req.Len}, true
 }
 
@@ -408,26 +474,20 @@ func (fl *FileLocks) tryGrantLocked(req Request) (Result, bool) {
 func (fl *FileLocks) removeWaiter(w *waiter) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	for i, q := range fl.queue {
-		if q == w {
-			fl.queue = append(fl.queue[:i], fl.queue[i+1:]...)
-			return
-		}
-	}
+	fl.queue = filterInPlace(fl.queue, func(q *waiter) bool { return q == w })
+	fl.forgetGroup(w.group)
 }
 
 // pumpQueueLocked grants queued requests that have become compatible, in
 // FIFO order.  Caller holds fl.mu.
 func (fl *FileLocks) pumpQueueLocked() {
-	var still []*waiter
-	for _, w := range fl.queue {
-		if res, ok := fl.tryGrantLocked(w.req); ok {
+	fl.queue = filterInPlace(fl.queue, func(w *waiter) bool {
+		res, ok := fl.tryGrantLocked(w.req, w.group)
+		if ok {
 			vtime.NotifySend(fl.clk, w.done, grant{res: res})
-		} else {
-			still = append(still, w)
 		}
-	}
-	fl.queue = still
+		return ok
+	})
 }
 
 // Unlock releases the holder's coverage of [off, off+length).  For a
@@ -447,30 +507,21 @@ func (fl *FileLocks) Unlock(h Holder, off, length int64) (retained bool, err err
 	s := span{off, off + length}
 	var kept []*entry
 	for _, e := range fl.entries {
-		if e.group != group || !e.s.overlaps(s) {
+		switch {
+		case e.group != group || !e.s.overlaps(s):
 			kept = append(kept, e)
-			continue
-		}
-		if h.IsTxn() && !e.nonTxn {
+		case h.IsTxn() && !e.nonTxn:
 			// Rule 1: retain.
 			e.retained = true
 			retained = true
 			kept = append(kept, e)
-			continue
-		}
-		// Non-transaction (or NonTxn-mode) locks really release.
-		if e.s.lo < s.lo {
-			left := *e
-			left.s = span{e.s.lo, s.lo}
-			kept = append(kept, &left)
-		}
-		if e.s.hi > s.hi {
-			right := *e
-			right.s = span{s.hi, e.s.hi}
-			kept = append(kept, &right)
+		default:
+			// Non-transaction (or NonTxn-mode) locks really release.
+			kept = carve(kept, e, s)
 		}
 	}
 	fl.entries = kept
+	fl.forgetGroup(group)
 	fl.pumpQueueLocked()
 	return retained, nil
 }
@@ -481,19 +532,12 @@ func (fl *FileLocks) Unlock(h Holder, off, length int64) (retained bool, err err
 func (fl *FileLocks) ReleaseGroup(group string) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	var kept []*entry
-	removed := 0
-	for _, e := range fl.entries {
-		if e.group == group {
-			removed++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	fl.entries = kept
-	if removed > 0 {
+	before := len(fl.entries)
+	fl.entries = filterInPlace(fl.entries, func(e *entry) bool { return e.group == group })
+	if removed := before - len(fl.entries); removed > 0 {
 		fl.st.Add(stats.LockReleases, int64(removed))
 	}
+	fl.forgetGroup(group)
 	fl.pumpQueueLocked()
 }
 
@@ -502,15 +546,14 @@ func (fl *FileLocks) ReleaseGroup(group string) {
 func (fl *FileLocks) CancelWaiters(group string) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	var still []*waiter
-	for _, w := range fl.queue {
-		if w.req.Holder.Group() == group {
-			vtime.NotifySend(fl.clk, w.done, grant{err: fmt.Errorf("%w: %s on %s", ErrCancelled, group, fl.id)})
-			continue
+	fl.queue = filterInPlace(fl.queue, func(w *waiter) bool {
+		if w.group != group {
+			return false
 		}
-		still = append(still, w)
-	}
-	fl.queue = still
+		vtime.NotifySend(fl.clk, w.done, grant{err: fmt.Errorf("%w: %s on %s", ErrCancelled, group, fl.id)})
+		return true
+	})
+	fl.forgetGroup(group)
 }
 
 // ForceTransactional converts the group's NonTxn descriptors overlapping
@@ -539,11 +582,10 @@ func (fl *FileLocks) CheckAccess(h Holder, write bool, off, length int64) error 
 	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	group := h.Group()
 	s := span{off, off + length}
 	for _, e := range fl.entries {
 		fl.st.Add(stats.Instructions, costmodel.InstrLockListScanEntry)
-		if e.group == group || !e.s.overlaps(s) {
+		if e.heldBy(h) || !e.s.overlaps(s) {
 			continue
 		}
 		if e.leased {
@@ -564,33 +606,30 @@ func (fl *FileLocks) CheckAccess(h Holder, write bool, off, length int64) error 
 // Covers reports whether the holder's group holds locks of at least the
 // given mode covering every byte of [off, off+length).
 func (fl *FileLocks) Covers(h Holder, mode Mode, off, length int64) bool {
+	return fl.covered(off, length, func(e *entry) bool { return e.mode >= mode && e.heldBy(h) })
+}
+
+// covered reports whether the descriptors match accepts cover every byte
+// of [off, off+length): a greedy sweep over the list, no allocation.
+func (fl *FileLocks) covered(off, length int64, match func(*entry) bool) bool {
 	if length <= 0 {
 		return false
 	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	group := h.Group()
-	var spans []span
-	for _, e := range fl.entries {
-		if e.group == group && e.mode >= mode {
-			spans = append(spans, e.s)
+	for need, end := off, off+length; need < end; {
+		advanced := false
+		for _, e := range fl.entries {
+			if e.s.lo <= need && need < e.s.hi && match(e) {
+				need = e.s.hi
+				advanced = true
+			}
 		}
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-	need := off
-	for _, s := range spans {
-		if s.hi <= need {
-			continue
-		}
-		if s.lo > need {
+		if !advanced {
 			return false
 		}
-		need = s.hi
-		if need >= off+length {
-			return true
-		}
 	}
-	return need >= off+length
+	return true
 }
 
 // GrantLease installs (or widens) site's sticky lease over
@@ -609,34 +648,10 @@ func (fl *FileLocks) GrantLease(site int, mode Mode, off, length int64) bool {
 	if len(fl.queue) > 0 {
 		return false
 	}
-	group := leaseGroup(site)
-	s := span{off, off + length}
-	var kept []*entry
-	for _, e := range fl.entries {
-		if e.group != group || !e.s.overlaps(s) {
-			kept = append(kept, e)
-			continue
-		}
-		if e.mode > mode {
-			kept = append(kept, e)
-			continue
-		}
-		if e.s.lo < s.lo {
-			left := *e
-			left.s = span{e.s.lo, s.lo}
-			kept = append(kept, &left)
-		}
-		if e.s.hi > s.hi {
-			right := *e
-			right.s = span{s.hi, e.s.hi}
-			kept = append(kept, &right)
-		}
-	}
-	kept = append(kept, &entry{
-		holder: Holder{PID: -site}, group: group, mode: mode, s: s,
-		leased: true, leaseSite: site,
+	fl.install(&entry{
+		holder: Holder{PID: -site}, group: leaseGroup(site), mode: mode,
+		s: span{off, off + length}, leased: true, leaseSite: site,
 	})
-	fl.entries = kept
 	return true
 }
 
@@ -644,33 +659,7 @@ func (fl *FileLocks) GrantLease(site int, mode Mode, off, length int64) bool {
 // cover every byte of [off, off+length) — the storage site's check before
 // materializing a lease-hit access into a real descriptor.
 func (fl *FileLocks) LeaseCovers(site int, mode Mode, off, length int64) bool {
-	if length <= 0 {
-		return false
-	}
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	group := leaseGroup(site)
-	var spans []span
-	for _, e := range fl.entries {
-		if e.leased && e.group == group && e.mode >= mode {
-			spans = append(spans, e.s)
-		}
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-	need := off
-	for _, s := range spans {
-		if s.hi <= need {
-			continue
-		}
-		if s.lo > need {
-			return false
-		}
-		need = s.hi
-		if need >= off+length {
-			return true
-		}
-	}
-	return need >= off+length
+	return fl.covered(off, length, func(e *entry) bool { return e.leased && e.leaseSite == site && e.mode >= mode })
 }
 
 // RevokeLease removes every lease entry held for site and re-pumps the
@@ -679,20 +668,14 @@ func (fl *FileLocks) LeaseCovers(site int, mode Mode, off, length int64) bool {
 func (fl *FileLocks) RevokeLease(site int) bool {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	var kept []*entry
-	removed := false
-	for _, e := range fl.entries {
-		if e.leased && e.leaseSite == site {
-			removed = true
-			continue
-		}
-		kept = append(kept, e)
+	before := len(fl.entries)
+	fl.entries = filterInPlace(fl.entries, func(e *entry) bool { return e.leased && e.leaseSite == site })
+	if len(fl.entries) == before {
+		return false
 	}
-	fl.entries = kept
-	if removed {
-		fl.pumpQueueLocked()
-	}
-	return removed
+	fl.forgetGroup(leaseGroup(site))
+	fl.pumpQueueLocked()
+	return true
 }
 
 // BlockingLeaseSites returns the sites (other than req.FromSite) whose
@@ -757,18 +740,11 @@ func (fl *FileLocks) TryEscalateLease(site int, exceptGroup string, mode Mode) b
 	if mode == ModeNone {
 		mode = ModeShared
 	}
-	var kept []*entry
-	for _, e := range fl.entries {
-		if e.leased && e.leaseSite == site {
-			continue
-		}
-		kept = append(kept, e)
-	}
-	kept = append(kept, &entry{
+	fl.entries = filterInPlace(fl.entries, func(e *entry) bool { return e.leased && e.leaseSite == site })
+	fl.install(&entry{
 		holder: Holder{PID: -site}, group: leaseGroup(site), mode: mode,
 		s: span{0, leaseSpanMax}, leased: true, leaseSite: site,
 	})
-	fl.entries = kept
 	return true
 }
 
@@ -788,18 +764,23 @@ func (fl *FileLocks) LeaseSites() []int {
 	return out
 }
 
+// info is the introspection copy of the descriptor.
+func (e *entry) info() EntryInfo {
+	return EntryInfo{
+		Holder: e.holder, Mode: e.mode,
+		Off: e.s.lo, Len: e.s.hi - e.s.lo,
+		Retained: e.retained, NonTxn: e.nonTxn,
+		Leased: e.leased, LeaseSite: e.leaseSite,
+	}
+}
+
 // Entries returns a copy of the lock list, sorted by offset then group.
 func (fl *FileLocks) Entries() []EntryInfo {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	out := make([]EntryInfo, 0, len(fl.entries))
 	for _, e := range fl.entries {
-		out = append(out, EntryInfo{
-			Holder: e.holder, Mode: e.mode,
-			Off: e.s.lo, Len: e.s.hi - e.s.lo,
-			Retained: e.retained, NonTxn: e.nonTxn,
-			Leased: e.leased, LeaseSite: e.leaseSite,
-		})
+		out = append(out, e.info())
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Off != out[j].Off {
@@ -808,6 +789,67 @@ func (fl *FileLocks) Entries() []EntryInfo {
 		return out[i].Holder.Group() < out[j].Holder.Group()
 	})
 	return out
+}
+
+// Held reports whether the list holds any descriptor; with includeLeases
+// false, sticky lease descriptors - cached re-acquisition rights with no
+// live holder behind them - do not count.
+func (fl *FileLocks) Held(includeLeases bool) bool {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	for _, e := range fl.entries {
+		if includeLeases || !e.leased {
+			return true
+		}
+	}
+	return false
+}
+
+// GroupEntries appends the group's descriptors to dst in offset order
+// (ties in list order) and returns the extended slice - Entries for one
+// group, without copying or sorting anyone else's.
+func (fl *FileLocks) GroupEntries(dst []EntryInfo, group string) []EntryInfo {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	base := len(dst)
+	for _, e := range fl.entries {
+		if e.group != group {
+			continue
+		}
+		dst = append(dst, e.info())
+		for i := len(dst) - 1; i > base && dst[i].Off < dst[i-1].Off; i-- {
+			dst[i], dst[i-1] = dst[i-1], dst[i]
+		}
+	}
+	return dst
+}
+
+// summarize folds the group's descriptors on this list into gs.
+func (fl *FileLocks) summarize(group string, gs *GroupSummary) {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	for _, e := range fl.entries {
+		if e.group != group {
+			continue
+		}
+		gs.Entries++
+		if e.mode > gs.MaxMode {
+			gs.MaxMode = e.mode
+		}
+	}
+}
+
+// detach severs the list from its table's group index (Manager.Drop).
+func (fl *FileLocks) detach() {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	for _, e := range fl.entries {
+		fl.mgr.unindex(e.group, fl)
+	}
+	for _, w := range fl.queue {
+		fl.mgr.unindex(w.group, fl)
+	}
+	fl.mgr = nil
 }
 
 // WaitEdges returns the current wait-for edges at this file: for every
@@ -823,8 +865,8 @@ func (fl *FileLocks) WaitEdges() []WaitEdge {
 	var out []WaitEdge
 	for _, w := range fl.queue {
 		s := fl.requestSpan(w.req)
-		for _, g := range fl.conflicting(w.req.Holder, w.req.Mode, s, w.req.FromSite, false) {
-			out = append(out, WaitEdge{Waiter: w.req.Holder.Group(), Holder: g, FileID: fl.id})
+		for _, g := range fl.conflicting(w.req.Holder, w.group, w.req.Mode, s, w.req.FromSite, false) {
+			out = append(out, WaitEdge{Waiter: w.group, Holder: g, FileID: fl.id})
 		}
 	}
 	return out
@@ -880,11 +922,22 @@ type Manager struct {
 	tr     *trace.Tracer // installed on lock lists created after SetTracer
 	clk    vtime.Clock   // inherited by lock lists created after SetClock
 	shards [numShards]lockShard
+
+	// groups indexes the table by lock group: the lock lists on which the
+	// group has a descriptor or a queued request, maintained by the lists
+	// themselves where entries and waiters come and go, so the per-group
+	// operations (release at transaction end, the prepare-time summary,
+	// lease reclaim) visit the group's files instead of the whole table.
+	// gmu is a leaf lock, taken with a list's mu held.  A stored slice is
+	// only ever appended to or replaced, never edited, so a reader may walk
+	// the header it fetched after dropping gmu.
+	gmu    sync.Mutex
+	groups map[string][]*FileLocks
 }
 
 // NewManager creates an empty lock manager.
 func NewManager(st *stats.Set) *Manager {
-	m := &Manager{st: st}
+	m := &Manager{st: st, groups: make(map[string][]*FileLocks)}
 	for i := range m.shards {
 		m.shards[i].files = make(map[string]*FileLocks)
 	}
@@ -914,6 +967,7 @@ func (m *Manager) File(id string, sizeFn func() int64) *FileLocks {
 	fl, ok := s.files[id]
 	if !ok {
 		fl = NewFileLocks(id, sizeFn, m.st)
+		fl.mgr = m
 		fl.SetTracer(m.tr)
 		fl.SetClock(m.clk)
 		s.files[id] = fl
@@ -957,8 +1011,61 @@ func (m *Manager) Lookup(id string) *FileLocks {
 func (m *Manager) Drop(id string) {
 	s := m.shard(id)
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	fl := s.files[id]
 	delete(s.files, id)
+	s.mu.Unlock()
+	if fl != nil {
+		fl.detach()
+	}
+}
+
+// index adds fl to the group's lock lists unless it is already there.
+// Like unindex it is a no-op on a nil table: a stand-alone or dropped
+// list reports to nobody.
+func (m *Manager) index(group string, fl *FileLocks) {
+	if m == nil {
+		return
+	}
+	m.gmu.Lock()
+	defer m.gmu.Unlock()
+	files := m.groups[group]
+	for _, f := range files {
+		if f == fl {
+			return
+		}
+	}
+	m.groups[group] = append(files, fl)
+}
+
+// unindex removes fl from the group's lock lists, dropping an emptied key.
+func (m *Manager) unindex(group string, fl *FileLocks) {
+	if m == nil {
+		return
+	}
+	m.gmu.Lock()
+	defer m.gmu.Unlock()
+	files := m.groups[group]
+	for i, f := range files {
+		if f != fl {
+			continue
+		}
+		if len(files) == 1 {
+			delete(m.groups, group)
+		} else {
+			rest := make([]*FileLocks, 0, len(files)-1)
+			m.groups[group] = append(append(rest, files[:i]...), files[i+1:]...)
+		}
+		return
+	}
+}
+
+// groupFiles returns the lock lists on which the group holds a descriptor
+// or has a queued request.  The slice is the index's own: read it, do not
+// keep or modify it.
+func (m *Manager) groupFiles(group string) []*FileLocks {
+	m.gmu.Lock()
+	defer m.gmu.Unlock()
+	return m.groups[group]
 }
 
 // all snapshots every lock list across the shards.
@@ -976,12 +1083,17 @@ func (m *Manager) all() []*FileLocks {
 }
 
 // ReleaseGroup releases the group's locks on every file and cancels its
-// queued requests.
-func (m *Manager) ReleaseGroup(group string) {
-	for _, fl := range m.all() {
+// queued requests.  It returns the lock lists it visited.
+func (m *Manager) ReleaseGroup(group string) []*FileLocks {
+	m.gmu.Lock()
+	files := m.groups[group]
+	delete(m.groups, group)
+	m.gmu.Unlock()
+	for _, fl := range files {
 		fl.CancelWaiters(group)
 		fl.ReleaseGroup(group)
 	}
+	return files
 }
 
 // GroupSummary is a point-in-time view of one group's held locks across
@@ -994,19 +1106,12 @@ type GroupSummary struct {
 	MaxMode Mode
 }
 
-// GroupSummary scans the site's lock table for the group's held entries.
+// GroupSummary folds the group's held entries across the site's lock
+// table.
 func (m *Manager) GroupSummary(group string) GroupSummary {
 	var gs GroupSummary
-	for _, fl := range m.all() {
-		for _, e := range fl.Entries() {
-			if e.Holder.Group() != group {
-				continue
-			}
-			gs.Entries++
-			if e.Mode > gs.MaxMode {
-				gs.MaxMode = e.Mode
-			}
-		}
+	for _, fl := range m.groupFiles(group) {
+		fl.summarize(group, &gs)
 	}
 	return gs
 }
@@ -1062,7 +1167,7 @@ func (m *Manager) QueueSummary() QueueSummary {
 // crashes or is declared down.  Returns the number of files affected.
 func (m *Manager) RevokeSiteLeases(site int) int {
 	n := 0
-	for _, fl := range m.all() {
+	for _, fl := range m.groupFiles(leaseGroup(site)) {
 		if fl.RevokeLease(site) {
 			n++
 		}

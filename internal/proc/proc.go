@@ -168,6 +168,18 @@ func (t *Table) TxnOf(pid int) string {
 	return ""
 }
 
+// AnyInTxn reports whether any resident process executes within txid.
+func (t *Table) AnyInTxn(txid string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, p := range t.procs {
+		if p.TxnID == txid {
+			return true
+		}
+	}
+	return false
+}
+
 // SetTop records the location of the transaction's top-level process.
 func (t *Table) SetTop(pid, topPID int, topSite simnet.SiteID) error {
 	t.mu.Lock()

@@ -519,6 +519,19 @@ func (f *File) Owners() []Owner {
 	return out
 }
 
+// Modified reports whether any owner holds uncommitted modifications:
+// len(Owners()) > 0 without building the set.
+func (f *File) Modified() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, st := range f.pages {
+		if len(st.mods) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // HasMods reports whether owner holds uncommitted modifications.
 func (f *File) HasMods(owner Owner) bool {
 	f.mu.Lock()
@@ -671,7 +684,10 @@ func (f *File) commitLocked(owner Owner) error {
 	sort.Ints(logicals)
 
 	tr := f.v.Tracer()
-	obj := fmt.Sprintf("%s#%d", f.v.Name(), f.ino.Ino)
+	var obj string // trace label, built only when someone is listening
+	if tr != nil {
+		obj = fmt.Sprintf("%s#%d", f.v.Name(), f.ino.Ino)
+	}
 	for _, l := range logicals {
 		st := f.pages[l]
 		rs := st.ownerMods(owner)

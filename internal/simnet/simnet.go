@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +35,7 @@ import (
 type SiteID int
 
 // String renders the site as "siteN".
-func (s SiteID) String() string { return fmt.Sprintf("site%d", int(s)) }
+func (s SiteID) String() string { return "site" + strconv.Itoa(int(s)) }
 
 // Handler processes one inbound request and returns a response or error.
 // Handlers run concurrently; shared state must be synchronized.
@@ -162,9 +163,9 @@ type Network struct {
 	// quiescent instant has traffic on.
 	transitNS *telemetry.Counter
 
-	mu   sync.Mutex
-	cfg  Config
-	rng  *rand.Rand
+	mu  sync.Mutex
+	cfg Config
+	rng *rand.Rand
 	// seed is the resolved Config.Seed; backoffFor hashes it per call so
 	// retry jitter never draws from the shared rng stream (whose draw
 	// order depends on goroutine interleaving under the real clock).
@@ -175,6 +176,9 @@ type Network struct {
 	filter   FaultFilter
 	watchers []func(TopologyEvent)
 	closed   bool
+
+	linkMu sync.Mutex
+	links  map[[2]SiteID]linkStats
 }
 
 // New creates a network charging message events to st (may be nil).
@@ -206,6 +210,7 @@ func New(cfg Config, st *stats.Set) *Network {
 		seed:      seed,
 		rng:       rand.New(rand.NewSource(seed)),
 		sites:     make(map[SiteID]*Endpoint),
+		links:     make(map[[2]SiteID]linkStats),
 		group:     make(map[SiteID]int),
 		blocked:   make(map[SiteID]map[SiteID]bool),
 	}
@@ -418,16 +423,38 @@ func payloadSize(p any) int {
 	return smallMsgBytes
 }
 
-// pairInflight returns the in-flight gauge for the directed site pair.
-// Handles are born on first use; without a registry they are nil-safe
-// no-ops.
-func (n *Network) pairInflight(from, to SiteID) *telemetry.Gauge {
-	return n.st.Registry().Gauge("net_inflight:" + from.String() + "->" + to.String())
+// linkStats is the telemetry of one directed site pair: messages sent
+// and legs currently in the air.
+type linkStats struct {
+	msgs     *telemetry.Counter
+	inflight *telemetry.Gauge
 }
 
-// pairMsgs returns the message counter for the directed site pair.
-func (n *Network) pairMsgs(from, to SiteID) *telemetry.Counter {
-	return n.st.Registry().Counter("net_msgs:" + from.String() + "->" + to.String())
+// link returns the directed pair's handles.  They are born - and their
+// names built - on the pair's first message and cached for the rest;
+// without a registry they are nil-safe no-ops.
+func (n *Network) link(from, to SiteID) linkStats {
+	key := [2]SiteID{from, to}
+	n.linkMu.Lock()
+	defer n.linkMu.Unlock()
+	l, ok := n.links[key]
+	if !ok {
+		pair := from.String() + "->" + to.String()
+		reg := n.st.Registry()
+		l = linkStats{msgs: reg.Counter("net_msgs:" + pair), inflight: reg.Gauge("net_inflight:" + pair)}
+		n.links[key] = l
+	}
+	return l
+}
+
+// sendResp stamps the response leg of op on the replying site's tracer,
+// building the ":resp" label only when a tracer is attached.
+func (e *Endpoint) sendResp(op string, to SiteID) uint64 {
+	tr := e.tr.Load()
+	if tr == nil {
+		return 0
+	}
+	return tr.MsgSend(op+":resp", "", int(to))
 }
 
 // Endpoint is one site's attachment to the network.
@@ -538,13 +565,13 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 	n.st.Add(stats.BytesSent, int64(payloadSize(req)))
 	n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
 	reqClock := e.tr.Load().MsgSend(op, "", int(to))
-	n.pairMsgs(e.id, to).Inc()
+	n.link(e.id, to).msgs.Inc()
 
 	if v, ok := vtime.AsVirtual(n.clock); ok {
 		return e.callVirtual(v, dst, to, op, req, latency, timeout, dropReq, dropResp, dupReq, reqClock)
 	}
 
-	reqFlight := n.pairInflight(e.id, to)
+	reqFlight := n.link(e.id, to).inflight
 	reqFlight.Add(1)
 	done := make(chan callResult, 1)
 	go func() {
@@ -585,9 +612,10 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 		n.st.Inc(stats.MsgsSent)
 		n.st.Add(stats.BytesSent, int64(payloadSize(resp)))
 		n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
-		respClock := dst.tr.Load().MsgSend(op+":resp", "", int(e.id))
-		n.pairMsgs(to, e.id).Inc()
-		respFlight := n.pairInflight(to, e.id)
+		respClock := dst.sendResp(op, e.id)
+		back := n.link(to, e.id)
+		back.msgs.Inc()
+		respFlight := back.inflight
 		respFlight.Add(1)
 		if latency > 0 {
 			n.clock.Sleep(latency)
@@ -638,7 +666,7 @@ func (e *Endpoint) callVirtual(v *vtime.Virtual, dst *Endpoint, to SiteID, op st
 		return nil, fmt.Errorf("%w: %s -> %s (%s)", ErrTimeout, e.id, to, op)
 	}
 
-	reqFlight := n.pairInflight(e.id, to)
+	reqFlight := n.link(e.id, to).inflight
 	reqFlight.Add(1)
 	v.Sleep(latency)
 	reqFlight.Add(-1)
@@ -663,9 +691,10 @@ func (e *Endpoint) callVirtual(v *vtime.Virtual, dst *Endpoint, to SiteID, op st
 	n.st.Inc(stats.MsgsSent)
 	n.st.Add(stats.BytesSent, int64(payloadSize(resp)))
 	n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
-	respClock := dst.tr.Load().MsgSend(op+":resp", "", int(e.id))
-	n.pairMsgs(to, e.id).Inc()
-	respFlight := n.pairInflight(to, e.id)
+	respClock := dst.sendResp(op, e.id)
+	back := n.link(to, e.id)
+	back.msgs.Inc()
+	respFlight := back.inflight
 	respFlight.Add(1)
 	v.Sleep(latency)
 	respFlight.Add(-1)
@@ -798,8 +827,9 @@ func (e *Endpoint) Send(to SiteID, op string, req any) {
 	n.st.Add(stats.BytesSent, int64(payloadSize(req)))
 	n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
 	sendClock := e.tr.Load().MsgSend(op, "", int(to))
-	n.pairMsgs(e.id, to).Inc()
-	inflight := n.pairInflight(e.id, to)
+	out := n.link(e.id, to)
+	out.msgs.Inc()
+	inflight := out.inflight
 	inflight.Add(1)
 
 	n.clock.Go(func() {
