@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-check ledger-check chaos vtime telemetry probe trace experiments examples tools clean
+.PHONY: all test race bench bench-check ledger-check chaos matrix vtime telemetry probe trace experiments examples tools clean
 
 all: test
 
@@ -32,9 +32,35 @@ chaos:           ## 20-seed fault-injection sweep with the section 5 audit
 	$(GO) run ./cmd/locuschaos -fastpaths -schedule 150ms:partition:2,450ms:heal,700ms:partition:3,1000ms:heal -duration 2s
 	$(GO) run ./cmd/locuschaos -leases -schedule 200ms:partition:2,600ms:heal,900ms:partition:3,1300ms:heal -duration 2s
 
-vtime:           ## 100-seed virtual-clock chaos sweep + vtime bench (DESIGN.md section 11)
-	$(GO) run ./cmd/locuschaos -vtime -sweep 100 -duration 2s
-	$(GO) run ./cmd/locuschaos -vtime -sweep 100 -duration 2s -groupcommit 5ms -fastpaths
+# The optional-layer matrix: no layer, each layer alone, every pair, all
+# four.  One row per line; a new layer is one more flag in this table.
+define MATRIX
+-
+-groupcommit 5ms
+-fastpaths
+-leases
+-placement
+-groupcommit 5ms -fastpaths
+-groupcommit 5ms -leases
+-groupcommit 5ms -placement
+-fastpaths -leases
+-fastpaths -placement
+-leases -placement
+-groupcommit 5ms -fastpaths -leases -placement
+endef
+export MATRIX
+
+matrix:          ## 50-seed virtual-clock chaos sweep of every row of the layer matrix (RACE=-race for the detector); red rows are listed, not skipped
+	@rm -f matrix-red.txt; n=0; echo "$$MATRIX" | while IFS= read -r layers; do \
+		n=$$((n+1)); [ "$$layers" = "-" ] && layers=""; \
+		echo "== matrix row $$n: $${layers:-(no optional layer)}"; \
+		$(GO) run $(RACE) ./cmd/locuschaos -vtime -sweep 50 -duration 2s -forensics matrix-$$n-forensics.txt $$layers \
+			|| echo "RED row $$n: $${layers:-(no optional layer)}" >> matrix-red.txt; \
+	done; \
+	if [ -s matrix-red.txt ]; then cat matrix-red.txt; rm -f matrix-red.txt; exit 1; fi
+
+vtime:           ## the layer-matrix chaos sweeps + vtime bench (DESIGN.md section 11)
+	$(MAKE) matrix
 	$(GO) run ./cmd/locusbench -exp concurrent -vtime
 
 telemetry:       ## utilization + critical-path report, then verify the golden snapshot

@@ -24,11 +24,16 @@ func main() {
 }
 
 func run() error {
-	sys, err := scenario.Spec{Volumes: []string{"va", "vb"}}.Build()
-	if err != nil {
-		return err
-	}
+	_, err := scenario.Run(scenario.Scenario{
+		Spec:    scenario.Spec{Volumes: []string{"va", "vb"}},
+		Clients: []func(*scenario.Env){demo},
+	})
+	return err
+}
 
+// demo is the whole demonstration; a step that fails aborts it.
+func demo(e *scenario.Env) {
+	sys := e.Sys
 	fmt.Println("== Figure 1: lock compatibility (see also locusbench -exp fig1) ==")
 	fmt.Println()
 	fmt.Println("              Unix    Shared  Exclusive")
@@ -39,54 +44,23 @@ func run() error {
 
 	// Build a live lock list: two transactions and a non-transaction
 	// process on one file.
-	pa, err := sys.NewProcess(1)
-	if err != nil {
-		return err
-	}
-	fa, err := pa.Create("va/records")
-	if err != nil {
-		return err
-	}
-	if _, err := pa.BeginTrans(); err != nil {
-		return err
-	}
-	if err := fa.LockRange(0, 100, core.Exclusive); err != nil {
-		return err
-	}
-	if _, err := fa.WriteAt([]byte("txn A's record"), 0); err != nil {
-		return err
-	}
-	// Unlock: retained under rule 1.
-	if _, err := fa.Unlock(0, 100); err != nil {
-		return err
-	}
+	pa := scenario.Must(sys.NewProcess(1))
+	fa := scenario.Must(pa.Create("va/records"))
+	scenario.Must(pa.BeginTrans())
+	scenario.Ok(fa.LockRange(0, 100, core.Exclusive))
+	scenario.Must(fa.WriteAt([]byte("txn A's record"), 0))
+	scenario.Must(fa.Unlock(0, 100)) // retained under rule 1
 
-	pb, err := sys.NewProcess(2)
-	if err != nil {
-		return err
-	}
-	fb, err := pb.Open("va/records")
-	if err != nil {
-		return err
-	}
-	if _, err := pb.BeginTrans(); err != nil {
-		return err
-	}
-	if err := fb.LockRange(200, 50, core.Shared); err != nil {
-		return err
-	}
+	pb, fbs, err := e.Open(2, "va/records")
+	scenario.Ok(err)
+	fb := fbs[0]
+	scenario.Must(pb.BeginTrans())
+	scenario.Ok(fb.LockRange(200, 50, core.Shared))
 
-	pc, err := sys.NewProcess(1)
-	if err != nil {
-		return err
-	}
-	fc, err := pc.Open("va/records")
-	if err != nil {
-		return err
-	}
-	if err := fc.LockRange(400, 25, core.Exclusive); err != nil {
-		return err
-	}
+	_, fcs, err := e.Open(1, "va/records")
+	scenario.Ok(err)
+	fc := fcs[0]
+	scenario.Ok(fc.LockRange(400, 25, core.Exclusive))
 
 	fmt.Println("== Figure 3: the storage site's lock list for va/records ==")
 	fmt.Println()
@@ -103,13 +77,11 @@ func run() error {
 	// Stage a deadlock: A holds r1 and wants r2; B holds r2 and wants r1.
 	fmt.Println("== Section 3.1: wait-for graph and victim selection ==")
 	fmt.Println()
-	if err := fb.LockRange(300, 10, core.Exclusive); err != nil {
-		return err
-	}
+	scenario.Ok(fb.LockRange(300, 10, core.Exclusive))
 	errA := make(chan error, 1)
 	errB := make(chan error, 1)
 	go func() { errA <- fa.LockRange(300, 10, core.Exclusive) }() // A waits on B
-	go func() { errB <- fb.LockRange(400, 5, core.Exclusive) }()  // B waits on C? no - C holds 400
+	go func() { errB <- fb.LockRange(400, 5, core.Exclusive) }()  // B waits on C
 	// Give the waits a moment to queue.
 	time.Sleep(50 * time.Millisecond)
 
@@ -124,11 +96,9 @@ func run() error {
 
 	// Turn it into a true cycle: C (non-transaction) releases; B then
 	// waits on A's retained range.
-	if _, err := fc.Unlock(400, 25); err != nil {
-		return err
-	}
+	scenario.Must(fc.Unlock(400, 25))
 	if err := <-errB; err != nil {
-		return fmt.Errorf("B's second lock: %w", err)
+		scenario.Ok(fmt.Errorf("B's second lock: %w", err))
 	}
 	go func() { errB <- fb.LockRange(0, 10, core.Exclusive) }() // B waits on A: cycle
 	time.Sleep(50 * time.Millisecond)
@@ -143,17 +113,14 @@ func run() error {
 
 	// The survivor's wait completes; the victim's request is cancelled.
 	if err := <-errA; err != nil {
-		return fmt.Errorf("survivor's lock: %w", err)
+		scenario.Ok(fmt.Errorf("survivor's lock: %w", err))
 	}
 	if err := <-errB; err != nil {
 		fmt.Printf("  victim's queued request failed as expected: %v\n", err)
 	}
-	if err := pa.EndTrans(); err != nil {
-		return err
-	}
+	scenario.Ok(pa.EndTrans())
 	fmt.Println()
 	fmt.Println("survivor committed; deadlock resolved.")
-	return nil
 }
 
 // printQueues renders every non-empty wait queue in the cluster: how many

@@ -28,6 +28,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/costmodel"
 	"repro/internal/lockmgr"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -142,6 +143,28 @@ func table(title string, header []string, rows [][]string) {
 	w.Flush()
 }
 
+// show prints an experiment's rows as a table, one cells() line per row,
+// then the notes; the experiment's error passes through.
+func show[R any](title string, header []string, rows []R, err error, cells func(R) []string, notes ...string) error {
+	if err != nil {
+		return err
+	}
+	out := make([][]string, len(rows))
+	for i, r := range rows {
+		out[i] = cells(r)
+	}
+	table(title, header, out)
+	for _, n := range notes {
+		fmt.Println(n)
+	}
+	return nil
+}
+
+// ms renders a simulated duration in milliseconds at the given precision.
+func ms(d time.Duration, prec int) string {
+	return fmt.Sprintf("%.*fms", prec, float64(d.Microseconds())/1000)
+}
+
 // fig1 prints the lock compatibility matrix by probing a live lock table
 // (experiment E1).
 func fig1() error {
@@ -212,89 +235,69 @@ func fig5() error {
 		label  string
 	}{{false, "intended design (footnote 9 fixed)"}, {true, "1985 implementation (footnote 9)"}} {
 		rows, err := bench.Fig5(mode.double)
-		if err != nil {
+		if err := show("Figure 5: transaction I/O overhead - "+mode.label,
+			[]string{"configuration", "coord log (1+4)", "data (2)", "prepare (3)", "inode (5)", "total", "paper"},
+			rows, err, func(r bench.Fig5Row) []string {
+				paper := "-"
+				if r.PaperTotal > 0 {
+					paper = fmt.Sprint(r.PaperTotal)
+				}
+				return []string{
+					r.Case,
+					fmt.Sprint(r.CoordLog), fmt.Sprint(r.DataPages),
+					fmt.Sprint(r.PrepareLog), fmt.Sprint(r.Inode),
+					fmt.Sprint(r.Total), paper,
+				}
+			}); err != nil {
 			return err
 		}
-		var out [][]string
-		for _, r := range rows {
-			paper := "-"
-			if r.PaperTotal > 0 {
-				paper = fmt.Sprint(r.PaperTotal)
-			}
-			out = append(out, []string{
-				r.Case,
-				fmt.Sprint(r.CoordLog), fmt.Sprint(r.DataPages),
-				fmt.Sprint(r.PrepareLog), fmt.Sprint(r.Inode),
-				fmt.Sprint(r.Total), paper,
-			})
-		}
-		table("Figure 5: transaction I/O overhead - "+mode.label,
-			[]string{"configuration", "coord log (1+4)", "data (2)", "prepare (3)", "inode (5)", "total", "paper"}, out)
 	}
 	return nil
 }
 
 func lockCost() error {
 	rows, err := bench.LockCost(64)
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Case,
-			fmt.Sprint(r.InstrPerLock),
-			fmt.Sprintf("%.0f", r.MsgsPerLock),
-			fmt.Sprintf("%.3fms", float64(r.SimService.Microseconds())/1000),
-			fmt.Sprintf("%.3fms", float64(r.SimLatency.Microseconds())/1000),
-			r.PaperNote,
+	return show("Section 6.2: record locking cost (per lock)",
+		[]string{"case", "instructions", "messages", "sim service", "sim latency", "paper"},
+		rows, err, func(r bench.LockRow) []string {
+			return []string{
+				r.Case,
+				fmt.Sprint(r.InstrPerLock),
+				fmt.Sprintf("%.0f", r.MsgsPerLock),
+				ms(r.SimService, 3), ms(r.SimLatency, 3),
+				r.PaperNote,
+			}
 		})
-	}
-	table("Section 6.2: record locking cost (per lock)",
-		[]string{"case", "instructions", "messages", "sim service", "sim latency", "paper"}, out)
-	return nil
 }
 
 func fig6() error {
 	rows, err := bench.Fig6()
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Case,
-			fmt.Sprint(r.Instr),
-			fmt.Sprintf("%d/%d", r.Reads, r.Writes),
-			fmt.Sprint(r.Msgs),
-			fmt.Sprintf("%.1fms", float64(r.SimService.Microseconds())/1000),
-			fmt.Sprintf("%.1fms", float64(r.SimLatency.Microseconds())/1000),
-			r.PaperValues,
+	return show("Figure 6: measured commit performance",
+		[]string{"case", "instr", "reads/writes", "msgs", "sim service", "sim latency", "paper"},
+		rows, err, func(r bench.Fig6Row) []string {
+			return []string{
+				r.Case,
+				fmt.Sprint(r.Instr),
+				fmt.Sprintf("%d/%d", r.Reads, r.Writes),
+				fmt.Sprint(r.Msgs),
+				ms(r.SimService, 1), ms(r.SimLatency, 1),
+				r.PaperValues,
+			}
 		})
-	}
-	table("Figure 6: measured commit performance",
-		[]string{"case", "instr", "reads/writes", "msgs", "sim service", "sim latency", "paper"}, out)
-	return nil
 }
 
 func pageSize() error {
 	rows, err := bench.PageSizeDifferencing([]int{512, 1024, 2048, 4096, 8192})
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprint(r.PageSize),
-			fmt.Sprint(r.BytesCopied),
-			fmt.Sprintf("%.2fms", float64(r.SimService.Microseconds())/1000),
-			fmt.Sprintf("%+.2fms", float64(r.DeltaVs1K.Microseconds())/1000),
-		})
-	}
-	table("Footnote 11: page size vs differencing cost (substantial copy)",
-		[]string{"page size", "bytes copied", "sim service", "delta vs 1K"}, out)
-	fmt.Println("paper:  1K -> 4K pages adds ~1ms when a substantial portion is copied")
-	return nil
+	return show("Footnote 11: page size vs differencing cost (substantial copy)",
+		[]string{"page size", "bytes copied", "sim service", "delta vs 1K"},
+		rows, err, func(r bench.PageSizeRow) []string {
+			return []string{
+				fmt.Sprint(r.PageSize),
+				fmt.Sprint(r.BytesCopied),
+				ms(r.SimService, 2),
+				fmt.Sprintf("%+.2fms", float64(r.DeltaVs1K.Microseconds())/1000),
+			}
+		}, "paper:  1K -> 4K pages adds ~1ms when a substantial portion is copied")
 }
 
 func shadowLog() error {
@@ -303,42 +306,31 @@ func shadowLog() error {
 		[]int{64, 256, 1024},
 		[]int{1, 4, 8},
 	)
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Pattern.String(), fmt.Sprint(r.RecordSize), fmt.Sprint(r.RecsPerTxn),
-			fmt.Sprintf("%.2f", r.ShadowIO), fmt.Sprintf("%.2f", r.WALIO),
-			fmt.Sprintf("%.0fms", float64(r.ShadowLatency.Microseconds())/1000),
-			fmt.Sprintf("%.0fms", float64(r.WALLatency.Microseconds())/1000),
-			r.Winner,
-		})
-	}
-	table("Section 6 / [Weinstein85]: shadow paging vs commit logging (I/Os per txn)",
-		[]string{"pattern", "rec size", "recs/txn", "shadow IO", "wal IO", "shadow lat", "wal lat", "winner"}, out)
-	fmt.Println("paper:  relative performance is highly dependent on the access strings;")
-	fmt.Println("        logging wins small scattered records, shadow paging is competitive elsewhere")
-	return nil
+	return show("Section 6 / [Weinstein85]: shadow paging vs commit logging (I/Os per txn)",
+		[]string{"pattern", "rec size", "recs/txn", "shadow IO", "wal IO", "shadow lat", "wal lat", "winner"},
+		rows, err, func(r bench.ShadowVsWALRow) []string {
+			return []string{
+				r.Pattern.String(), fmt.Sprint(r.RecordSize), fmt.Sprint(r.RecsPerTxn),
+				fmt.Sprintf("%.2f", r.ShadowIO), fmt.Sprintf("%.2f", r.WALIO),
+				ms(r.ShadowLatency, 0), ms(r.WALLatency, 0),
+				r.Winner,
+			}
+		},
+		"paper:  relative performance is highly dependent on the access strings;",
+		"        logging wins small scattered records, shadow paging is competitive elsewhere")
 }
 
 func prepLog() error {
 	rows, err := bench.PrepareLogGranularity([]int{1, 2, 4, 8})
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprint(r.FilesPerTxn),
-			fmt.Sprintf("%d (paper %d)", r.PerVolumeIO, r.PaperPerVolume),
-			fmt.Sprintf("%d (paper %d)", r.PerFileIO, r.PaperPerFile),
+	return show("Footnote 10: prepare log granularity (step-3 writes per txn)",
+		[]string{"files/txn", "per volume (design)", "per file (1985 impl)"},
+		rows, err, func(r bench.PrepGranRow) []string {
+			return []string{
+				fmt.Sprint(r.FilesPerTxn),
+				fmt.Sprintf("%d (paper %d)", r.PerVolumeIO, r.PaperPerVolume),
+				fmt.Sprintf("%d (paper %d)", r.PerFileIO, r.PaperPerFile),
+			}
 		})
-	}
-	table("Footnote 10: prepare log granularity (step-3 writes per txn)",
-		[]string{"files/txn", "per volume (design)", "per file (1985 impl)"}, out)
-	return nil
 }
 
 func lockCache() error {
@@ -353,75 +345,39 @@ func replica() error {
 
 // perOpTable prints an experiment that repeats one remote operation.
 func perOpTable(title, op string, rows []bench.PerOpRow, err error) error {
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Case,
-			fmt.Sprintf("%.2f", r.MsgsPerOp),
-			fmt.Sprintf("%.1fms", float64(r.SimLatency.Microseconds())/1000),
+	return show(title, []string{"case", "msgs/" + op, "sim latency/" + op},
+		rows, err, func(r bench.PerOpRow) []string {
+			return []string{r.Case, fmt.Sprintf("%.2f", r.MsgsPerOp), ms(r.SimLatency, 1)}
 		})
-	}
-	table(title, []string{"case", "msgs/" + op, "sim latency/" + op}, out)
-	return nil
 }
 
 func prefetch() error {
 	rows, err := bench.PrefetchAblation()
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Case,
-			fmt.Sprintf("%.1fms", float64(r.LockLatency.Microseconds())/1000),
-			fmt.Sprintf("%.1fms", float64(r.ReadLatency.Microseconds())/1000),
+	return show("Section 5.2: prefetch on lock (remote lock + first read)",
+		[]string{"case", "lock latency", "first read latency"},
+		rows, err, func(r bench.PrefetchRow) []string {
+			return []string{r.Case, ms(r.LockLatency, 1), ms(r.ReadLatency, 1)}
 		})
-	}
-	table("Section 5.2: prefetch on lock (remote lock + first read)",
-		[]string{"case", "lock latency", "first read latency"}, out)
-	return nil
 }
 
 func fn7() error {
 	rows, err := bench.Footnote7Ablation()
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Case,
-			fmt.Sprint(r.Reads),
-			fmt.Sprintf("%.1fms", float64(r.SimLatency.Microseconds())/1000),
+	return show("Footnote 7: differencing from the buffer pool (overlap commit)",
+		[]string{"case", "page reads", "sim latency"},
+		rows, err, func(r bench.Fn7Row) []string {
+			return []string{r.Case, fmt.Sprint(r.Reads), ms(r.SimLatency, 1)}
 		})
-	}
-	table("Footnote 7: differencing from the buffer pool (overlap commit)",
-		[]string{"case", "page reads", "sim latency"}, out)
-	return nil
 }
 
 func granularity() error {
 	rows, err := bench.LockGranularity(4, 4, 5*time.Millisecond)
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Case,
-			fmt.Sprint(r.LockWaits),
-			r.WallClock.Round(time.Millisecond).String(),
-		})
-	}
-	table("Section 7.1: record-level vs whole-file locking (4 workers, disjoint records)",
-		[]string{"case", "lock waits", "wall clock"}, out)
-	fmt.Println("paper:  whole file locking restricts concurrent access; record locking was")
-	fmt.Println("        the new facility's motivation for database workloads")
-	return nil
+	return show("Section 7.1: record-level vs whole-file locking (4 workers, disjoint records)",
+		[]string{"case", "lock waits", "wall clock"},
+		rows, err, func(r bench.GranularityRow) []string {
+			return []string{r.Case, fmt.Sprint(r.LockWaits), r.WallClock.Round(time.Millisecond).String()}
+		},
+		"paper:  whole file locking restricts concurrent access; record locking was",
+		"        the new facility's motivation for database workloads")
 }
 
 func concurrent() error {
@@ -480,7 +436,7 @@ func concurrent() error {
 // the traced transfer workload, on the virtual clock at the cost
 // model's disk latency under -vtime.
 func concurrentOpts() bench.ConcurrentOpts {
-	o := bench.ConcurrentOpts{Clients: *clients, TxnsPerClient: *txnsPerCl, Trace: true}
+	o := bench.ConcurrentOpts{Clients: *clients, TxnsPerClient: *txnsPerCl, Spec: scenario.Spec{Trace: true}}
 	if *vtimeF {
 		o = o.Simulated()
 	}
@@ -494,7 +450,7 @@ func concurrentOpts() bench.ConcurrentOpts {
 // the artifact the CI golden-snapshot job diffs byte-for-byte.
 func telemetryCmd() error {
 	o := concurrentOpts()
-	o.Trace, o.Telemetry, o.SampleInterval = false, true, *interval
+	o.Spec.Trace, o.Spec.Profile, o.SampleInterval = false, true, *interval
 	rows, err := bench.ConcurrentPair(o)
 	if err != nil {
 		return err
@@ -507,16 +463,7 @@ func telemetryCmd() error {
 		return nil
 	}
 	for _, r := range rows {
-		fmt.Printf("\n## Telemetry: %s (%d clients x %d txns)\n\n", r.Case, r.Clients, r.TxnsPerCl)
-		fmt.Printf("committed %d, aborted %d", r.Committed, r.Aborted)
-		if r.SimTime > 0 {
-			fmt.Printf(", %s simulated", r.SimTime.Round(time.Millisecond))
-			if busy := r.Metrics.Counters["disk_busy_ns"]; busy > 0 && r.SimTotal > 0 {
-				fmt.Printf(", spindle %.1f%% busy", 100*float64(busy)/float64(r.SimTotal.Nanoseconds()))
-			}
-		}
-		fmt.Printf("; %d samples at %s\n", len(r.Samples), *interval)
-		fmt.Print(r.Profile.Summary())
+		fmt.Print(r.TelemetryReport(*interval))
 	}
 	return nil
 }
@@ -525,26 +472,21 @@ func telemetryCmd() error {
 // read/write workload at several read shares, fast paths off and on.
 func mixed() error {
 	rows, err := bench.MixedSweep()
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Case, fmt.Sprintf("%d%%", r.ReadShare),
-			fmt.Sprint(r.Committed),
-			r.P50.String(), r.P99.String(),
-			fmt.Sprintf("%.2f", r.ForcedPerTxn),
-			fmt.Sprint(r.CoordWrites), fmt.Sprint(r.PrepWrites),
-			fmt.Sprint(r.ReadOnly), fmt.Sprint(r.OnePhase),
-		})
-	}
-	table(fmt.Sprintf("Commit fast paths: mixed read/write workload (%d txns per config)", bench.MixedTxns),
+	return show(fmt.Sprintf("Commit fast paths: mixed read/write workload (%d txns per config)", bench.MixedTxns),
 		[]string{"case", "reads", "committed", "sim p50", "sim p99", "forced IOs/txn",
-			"coord log", "prepare log", "ro votes", "1-phase"}, out)
-	fmt.Println("fast paths: read-only votes skip the prepare force and phase two; a")
-	fmt.Println("single-site transaction commits in one combined message (DESIGN.md section 10)")
-	return nil
+			"coord log", "prepare log", "ro votes", "1-phase"},
+		rows, err, func(r bench.MixedRow) []string {
+			return []string{
+				r.Case, fmt.Sprintf("%d%%", r.ReadShare),
+				fmt.Sprint(r.Committed),
+				r.P50.String(), r.P99.String(),
+				fmt.Sprintf("%.2f", r.ForcedPerTxn),
+				fmt.Sprint(r.CoordWrites), fmt.Sprint(r.PrepWrites),
+				fmt.Sprint(r.ReadOnly), fmt.Sprint(r.OnePhase),
+			}
+		},
+		"fast paths: read-only votes skip the prepare force and phase two; a",
+		"single-site transaction commits in one combined message (DESIGN.md section 10)")
 }
 
 // repeat prints the skewed repeated-access table (experiment E20): one
@@ -555,27 +497,22 @@ func mixed() error {
 // transaction column should approach zero.
 func repeat() error {
 	rows, err := bench.RepeatPair()
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Case,
-			fmt.Sprint(r.Committed),
-			fmt.Sprint(r.LockMsgs),
-			fmt.Sprintf("%.3f", r.LockMsgsPerTxn),
-			fmt.Sprint(r.LeaseHits),
-			fmt.Sprint(r.LeaseRevokes),
-			fmt.Sprint(r.Escalations),
-		})
-	}
-	table(fmt.Sprintf("Section 5.1 extended: repeated access to a hot remote file (%d txns per config)", bench.RepeatTxns),
-		[]string{"case", "committed", "lock msgs", "lock msgs/txn", "lease hits", "revokes", "escalations"}, out)
-	fmt.Println("sticky leases: the storage site keeps a released lock as a lease for the")
-	fmt.Println("requesting site; repeat hits cost zero lock messages until a conflicting")
-	fmt.Println("site forces a callback revoke (DESIGN.md section 13)")
-	return nil
+	return show(fmt.Sprintf("Section 5.1 extended: repeated access to a hot remote file (%d txns per config)", bench.RepeatTxns),
+		[]string{"case", "committed", "lock msgs", "lock msgs/txn", "lease hits", "revokes", "escalations"},
+		rows, err, func(r bench.RepeatRow) []string {
+			return []string{
+				r.Case,
+				fmt.Sprint(r.Committed),
+				fmt.Sprint(r.LockMsgs),
+				fmt.Sprintf("%.3f", r.LockMsgsPerTxn),
+				fmt.Sprint(r.LeaseHits),
+				fmt.Sprint(r.LeaseRevokes),
+				fmt.Sprint(r.Escalations),
+			}
+		},
+		"sticky leases: the storage site keeps a released lock as a lease for the",
+		"requesting site; repeat hits cost zero lock messages until a conflicting",
+		"site forces a callback revoke (DESIGN.md section 13)")
 }
 
 // skew prints the locality-adaptive placement table (experiment E21):
@@ -585,29 +522,24 @@ func repeat() error {
 // commit fraction toward one and the messages per transaction down.
 func skew() error {
 	rows, err := bench.SkewSweep()
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Case,
-			fmt.Sprint(r.Committed),
-			fmt.Sprintf("%.3f", r.LocalCommitFraction),
-			fmt.Sprintf("%.2f", r.RemotePartsPerTxn),
-			fmt.Sprintf("%.2f", r.MsgsPerTxn),
-			fmt.Sprintf("%.2f", r.ForcedPerTxn),
-			fmt.Sprint(r.OwnerMoves),
-			fmt.Sprint(r.RoutedCommits),
-			fmt.Sprint(r.ProcMoves),
-		})
-	}
-	table(fmt.Sprintf("Locality-adaptive placement: skewed clients vs one storage site (%d measured txns)", rows[0].Txns),
-		[]string{"case", "committed", "local frac", "remote parts/txn", "msgs/txn", "forced IOs/txn", "owner moves", "routed", "proc moves"}, out)
-	fmt.Println("adaptive placement: the heat tracker migrates each client's hot files to")
-	fmt.Println("that client and commit routing localizes the rest, so hot commits stop")
-	fmt.Println("crossing the network (DESIGN.md section 14)")
-	return nil
+	return show(fmt.Sprintf("Locality-adaptive placement: skewed clients vs one storage site (%d measured txns)", 2*bench.SkewTxns),
+		[]string{"case", "committed", "local frac", "remote parts/txn", "msgs/txn", "forced IOs/txn", "owner moves", "routed", "proc moves"},
+		rows, err, func(r bench.SkewRow) []string {
+			return []string{
+				r.Case,
+				fmt.Sprint(r.Committed),
+				fmt.Sprintf("%.3f", r.LocalCommitFraction),
+				fmt.Sprintf("%.2f", r.RemotePartsPerTxn),
+				fmt.Sprintf("%.2f", r.MsgsPerTxn),
+				fmt.Sprintf("%.2f", r.ForcedPerTxn),
+				fmt.Sprint(r.OwnerMoves),
+				fmt.Sprint(r.RoutedCommits),
+				fmt.Sprint(r.ProcMoves),
+			}
+		},
+		"adaptive placement: the heat tracker migrates each client's hot files to",
+		"that client and commit routing localizes the rest, so hot commits stop",
+		"crossing the network (DESIGN.md section 14)")
 }
 
 // snapshot is the stable -json schema ("locusbench/v1"); the JSON tags of
@@ -640,7 +572,7 @@ func buildSnapshot() (snapshot, error) {
 		}
 		snap.Fig5 = append(snap.Fig5, rows...)
 	}
-	o := bench.ConcurrentOpts{Clients: *clients, TxnsPerClient: *txnsPerCl, Trace: true}
+	o := bench.ConcurrentOpts{Clients: *clients, TxnsPerClient: *txnsPerCl, Spec: scenario.Spec{Trace: true}}
 	var err error
 	if snap.Concurrent, err = bench.ConcurrentPair(o); err != nil {
 		return snap, err
@@ -766,18 +698,9 @@ func metrics(snap []byte) (map[[3]string]float64, error) {
 
 func recovery() error {
 	rows, err := bench.Recovery()
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		ok := "PASS"
-		if !r.Correct {
-			ok = "FAIL"
-		}
-		out = append(out, []string{r.Scenario, r.Outcome, fmt.Sprint(r.RecoverIO), ok})
-	}
-	table("Sections 4.3-4.4: abort and crash recovery matrix",
-		[]string{"scenario", "observed", "recovery I/Os", "all-or-nothing"}, out)
-	return nil
+	return show("Sections 4.3-4.4: abort and crash recovery matrix",
+		[]string{"scenario", "observed", "recovery I/Os", "all-or-nothing"},
+		rows, err, func(r bench.RecoveryRow) []string {
+			return []string{r.Scenario, r.Outcome, fmt.Sprint(r.RecoverIO), map[bool]string{true: "PASS", false: "FAIL"}[r.Correct]}
+		})
 }

@@ -36,50 +36,24 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/chaos"
 )
 
-// The flags bind straight into the run's options: chaos.Options is the
-// source of truth, this command a thin shell over it.
+// chaos.Options is the source of truth for everything a run depends on:
+// it binds its own flags (and prints them back as the replay line), so
+// this command adds only what shapes the output.
 var (
-	opts     chaos.Options
-	faults   = flag.String("faults", "all", "fault kinds the generator may draw: all, or a comma list of crash,diskcrash,partition,block,drop,dup,latency")
-	schedule = flag.String("schedule", "", "explicit fault schedule (overrides generation), e.g. 100ms:crash:2,400ms:restart:2,500ms:drop:0.3")
-	sweep    = flag.Int("sweep", 0, "run seeds seed..seed+N-1 instead of a single run")
-	stats    = flag.Bool("stats", false, "append nondeterministic commit/abort counts to the report")
-	verbose  = flag.Bool("v", false, "log faults and recovery progress as they happen")
-	forens   = flag.String("forensics", "", "on any invariant failure, also write the full failure reports (violations + event-trace forensics) to this file; CI uploads it as an artifact")
+	opts    = chaos.Defaults()
+	sweep   = flag.Int("sweep", 0, "run seeds seed..seed+N-1 instead of a single run")
+	stats   = flag.Bool("stats", false, "append nondeterministic commit/abort counts to the report")
+	verbose = flag.Bool("v", false, "log faults and recovery progress as they happen")
+	forens  = flag.String("forensics", "", "on any invariant failure, also write the full failure reports (violations + event-trace forensics) to this file; CI uploads it as an artifact")
 )
 
-func init() {
-	flag.Int64Var(&opts.Seed, "seed", 1, "schedule and workload seed")
-	flag.DurationVar(&opts.Duration, "duration", 2*time.Second, "workload window")
-	flag.IntVar(&opts.Sites, "sites", 4, "cluster size (one volume per site)")
-	flag.IntVar(&opts.Workers, "workers", 6, "concurrent workload goroutines")
-	flag.DurationVar(&opts.GroupCommit, "groupcommit", 0, "enable the group-commit log daemon with this max batching delay (0 = synchronous log forces)")
-	flag.BoolVar(&opts.FastPaths, "fastpaths", false, "enable the commit fast paths (read-only votes, one-phase commit) and mix read-only audit transactions into the workload")
-	flag.BoolVar(&opts.LockLeases, "leases", false, "enable sticky lock leases with a short TTL, so callback revokes, partition-delayed revokes and leaseholder crashes interleave with the fault schedule")
-	flag.BoolVar(&opts.Placement, "placement", false, "enable locality-adaptive placement with aggressive knobs, so ownership moves and routed commits interleave with the fault schedule; the audit adds a single-primary convergence check")
-	flag.BoolVar(&opts.Vtime, "vtime", false, "run on the virtual discrete-event clock with VAX-750 latencies: -duration counts simulated time and wall-clock shrinks by orders of magnitude")
-	flag.BoolVar(&opts.Telemetry, "telemetry", false, "enable commit-path profiling and append the attribution/utilization summary to the report (nondeterministic, like -stats)")
-}
-
 func main() {
+	opts.Flags(flag.CommandLine)
 	flag.Parse()
-
-	var err error
-	if opts.Faults, err = chaos.ParseFaults(*faults); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *schedule != "" {
-		if opts.Schedule, err = chaos.ParseSchedule(*schedule); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
 	if *verbose {
 		opts.Logf = func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
@@ -106,8 +80,8 @@ func main() {
 		if n == 1 || !res.OK() {
 			fmt.Print(res.Report(*stats))
 		}
-		if opts.Telemetry {
-			fmt.Print(res.TelemetrySummary())
+		if res.Profile != nil {
+			fmt.Print(res.Profile.Summary(), res.Metrics.Utilization(0))
 		}
 		if !res.OK() {
 			failed++

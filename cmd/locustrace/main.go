@@ -28,14 +28,11 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/scenario"
-	"repro/internal/simnet"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 var (
@@ -105,65 +102,39 @@ func run() error {
 // site, and returns the attached collector plus the simulated duration
 // (zero unless vt).  Zero network jitter plus a serial client makes the
 // merged trace a pure function of the inputs - on either clock.  A
-// non-empty dropOp installs a deterministic fault filter that drops
-// every other delivery of that op, so each retried call walks the
-// per-call seeded backoff exactly once.
+// non-empty dropOp arms a deterministic fault that drops every other
+// delivery of that op, so each retried call walks the per-call seeded
+// backoff exactly once.
 func runWorkload(seed int64, sites, txns int, vt bool, dropOp string) (*trace.Collector, time.Duration, error) {
 	if sites < 2 {
 		return nil, 0, fmt.Errorf("need at least 2 sites (client + storage), got %d", sites)
 	}
-	spec := scenario.Spec{Volumes: scenario.PerSite(sites), Seed: seed, Trace: true}
+	sc := scenario.Scenario{Spec: scenario.Spec{Volumes: scenario.PerSite(sites), Seed: seed, Trace: true}}
 	if vt {
-		spec = spec.At(costmodel.Vax750())
+		sc.Spec = sc.Spec.At(costmodel.Vax750())
 	}
-	sys, err := spec.Build()
-	if err != nil {
-		return nil, 0, err
-	}
-	defer sys.Cluster().Shutdown()
 	if dropOp != "" {
-		var dropMu sync.Mutex
-		counts := map[string]int{}
-		sys.Cluster().Net().SetFaultFilter(func(from, to simnet.SiteID, op string) bool {
-			if op != dropOp {
-				return false
-			}
-			dropMu.Lock()
-			defer dropMu.Unlock()
-			key := fmt.Sprintf("%d>%d", from, to)
-			counts[key]++
-			return counts[key]%2 == 1
-		})
+		sc.Armed = scenario.Schedule{{Kind: scenario.FaultDropOp, Op: dropOp}}
 	}
-	p, err := sys.NewProcess(1)
+	var col *trace.Collector
+	sc.Clients = []func(*scenario.Env){func(e *scenario.Env) {
+		col = e.Trace
+		p := scenario.Must(e.Sys.NewProcess(1))
+		for i := 0; i < txns; i++ {
+			target := 2 + i%(sites-1) // storage site, never the client's site
+			f := scenario.Must(p.Create(fmt.Sprintf("v%d/obj%02d", target, i)))
+			scenario.Ok(e.Txn(p, func() error {
+				_, err := f.WriteAt([]byte(fmt.Sprintf("payload %02d", i)), 0)
+				return err
+			}))
+			scenario.Ok(f.Close())
+		}
+	}}
+	out, err := scenario.Run(sc)
 	if err != nil {
 		return nil, 0, err
 	}
-	for i := 0; i < txns; i++ {
-		target := 2 + i%(sites-1) // storage site, never the client's site
-		path := fmt.Sprintf("v%d/obj%02d", target, i)
-		f, err := p.Create(path)
-		if err != nil {
-			return nil, 0, err
-		}
-		if _, err := p.BeginTrans(); err != nil {
-			return nil, 0, err
-		}
-		if _, err := f.WriteAt([]byte(fmt.Sprintf("payload %02d", i)), 0); err != nil {
-			return nil, 0, err
-		}
-		if err := p.EndTrans(); err != nil {
-			return nil, 0, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, 0, err
-		}
-	}
-	var sim time.Duration
-	if virt, ok := vtime.AsVirtual(sys.Cluster().Clock()); ok {
-		sim = virt.Elapsed()
-	}
-	return scenario.Collector(sys), sim, nil
+	return col, out.SimElapsed, nil
 }
 
 // filterEvents keeps events whose type name, transaction or object

@@ -25,45 +25,55 @@ var Vax = costmodel.Vax750()
 // holds "vb", site 3 holds "vc" and acts as a diskful client site.
 var threeSites = []string{"va", "vb", "vc"}
 
-// newSystem builds the standard bench system with one ablation switch
-// (or none) set.
-func newSystem(cfg cluster.Config) (*core.System, error) {
-	return scenario.Spec{Volumes: threeSites, Base: cfg}.Build()
+// standard is the standard bench cluster with one ablation switch (or
+// none) set.
+func standard(cfg cluster.Config) scenario.Spec {
+	return scenario.Spec{Volumes: threeSites, Base: cfg}
+}
+
+// measure runs one experiment on a fresh cluster - setup, then op as the
+// run's only client - and returns the counters op spent.  The steps of
+// an experiment cannot fail on a fault-free cluster, so they are written
+// with scenario.Must and the first failure comes back as the error.
+func measure(spec scenario.Spec, setup, op func(*scenario.Env)) (stats.Snapshot, error) {
+	out, err := scenario.Run(scenario.Scenario{Spec: spec, Setup: setup, Clients: []func(*scenario.Env){op}})
+	if err != nil {
+		return stats.Snapshot{}, err
+	}
+	return out.Counters, nil
 }
 
 // baseFile creates path from p holding size committed zero bytes and
 // returns the open handle.
-func baseFile(p *core.Process, path string, size int) (*core.File, error) {
-	f, err := p.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.WriteAt(make([]byte, size), 0); err != nil {
-		return nil, err
-	}
-	return f, f.Sync()
+func baseFile(p *core.Process, path string, size int) *core.File {
+	f := scenario.Must(p.Create(path))
+	scenario.Must(f.WriteAt(make([]byte, size), 0))
+	scenario.Ok(f.Sync())
+	return f
+}
+
+// endTrans commits the transaction body opens on p and returns what the
+// EndTrans alone spent: the Figure 5 procedure, which prices the commit
+// protocol and not the writes it commits.
+func endTrans(e *scenario.Env, p *core.Process, body func() error) stats.Snapshot {
+	var before stats.Snapshot
+	scenario.Ok(e.Txn(p, func() error {
+		err := body()
+		before = e.Sys.Stats().Snapshot()
+		return err
+	}))
+	return e.Sys.Stats().Snapshot().Sub(before)
 }
 
 // coOwn has a second process at site 1 dirty [off, off+n) of path and
 // leave it uncommitted, so the next commit of a disjoint record on the
 // same page takes the Figure 4(b) differencing path.
-func coOwn(sys *core.System, path string, off, n int64, data string) error {
-	other, err := sys.NewProcess(1)
-	if err != nil {
-		return err
-	}
-	fo, err := other.Open(path)
-	if err != nil {
-		return err
-	}
-	if err := fo.LockRange(off, n, core.Exclusive); err != nil {
-		return err
-	}
-	if _, err := fo.WriteAt([]byte(data), off); err != nil {
-		return err
-	}
-	_, err = fo.Unlock(off, n)
-	return err
+func coOwn(e *scenario.Env, path string, off, n int64, data string) {
+	_, files, err := e.Open(1, path)
+	scenario.Ok(err)
+	scenario.Ok(files[0].LockRange(off, n, core.Exclusive))
+	scenario.Must(files[0].WriteAt([]byte(data), off))
+	scenario.Must(files[0].Unlock(off, n))
 }
 
 // ---- E2: Figure 5, transaction I/O overhead ----
@@ -124,39 +134,27 @@ func Fig5On(doubleLogWrites bool, spec scenario.Spec) ([]Fig5Row, error) {
 	for _, c := range configs {
 		spec.Volumes = threeSites
 		spec.Base = cluster.Config{DoubleLogWrites: doubleLogWrites}
-		sys, err := spec.Build()
-		if err != nil {
-			return nil, err
-		}
-		p, err := sys.NewProcess(3) // coordinator at the client site
-		if err != nil {
-			return nil, err
-		}
-		var files []*core.File
-		for _, path := range c.files {
-			f, err := p.Create(path)
-			if err != nil {
-				return nil, err
+		var d stats.Snapshot
+		if _, err := measure(spec, nil, func(e *scenario.Env) {
+			p := scenario.Must(e.Sys.NewProcess(3)) // coordinator at the client site
+			var files []*core.File
+			for _, path := range c.files {
+				files = append(files, scenario.Must(p.Create(path)))
 			}
-			files = append(files, f)
-		}
-		pageSize := int64(sys.Cluster().Config().PageSize)
-
-		if _, err := p.BeginTrans(); err != nil {
-			return nil, err
-		}
-		for _, f := range files {
-			for pg := 0; pg < c.pages; pg++ {
-				if _, err := f.WriteAt([]byte("record update"), int64(pg)*pageSize); err != nil {
-					return nil, err
+			pageSize := int64(e.Sys.Cluster().Config().PageSize)
+			d = endTrans(e, p, func() error {
+				for _, f := range files {
+					for pg := 0; pg < c.pages; pg++ {
+						if _, err := f.WriteAt([]byte("record update"), int64(pg)*pageSize); err != nil {
+							return err
+						}
+					}
 				}
-			}
-		}
-		before := sys.Stats().Snapshot()
-		if err := p.EndTrans(); err != nil {
+				return nil
+			})
+		}); err != nil {
 			return nil, err
 		}
-		d := sys.Stats().Snapshot().Sub(before)
 		row := Fig5Row{
 			Case:       c.name,
 			DoubleLog:  doubleLogWrites,
@@ -191,27 +189,17 @@ type LockRow struct {
 // remotely (RTT-dominated).
 func LockCost(locksPerRun int) ([]LockRow, error) {
 	run := func(name string, requester simnet.SiteID, paper string) (LockRow, error) {
-		sys, err := newSystem(cluster.Config{})
-		if err != nil {
-			return LockRow{}, err
-		}
-		p, err := sys.NewProcess(requester)
-		if err != nil {
-			return LockRow{}, err
-		}
-		f, err := p.Create("va/locks") // storage site 1
-		if err != nil {
-			return LockRow{}, err
-		}
-		before := sys.Stats().Snapshot()
-		// Repeatedly lock ascending groups of bytes (the paper's
-		// methodology).
-		for i := 0; i < locksPerRun; i++ {
-			if err := f.LockRange(int64(i)*16, 16, core.Exclusive); err != nil {
-				return LockRow{}, err
+		var f *core.File
+		d, err := measure(standard(cluster.Config{}), func(e *scenario.Env) {
+			f = scenario.Must(scenario.Must(e.Sys.NewProcess(requester)).Create("va/locks")) // storage site 1
+		}, func(*scenario.Env) {
+			// Repeatedly lock ascending groups of bytes (the paper's
+			// methodology).
+			for i := 0; i < locksPerRun; i++ {
+				scenario.Ok(f.LockRange(int64(i)*16, 16, core.Exclusive))
 			}
-		}
-		d := sys.Stats().Snapshot().Sub(before).Scale(int64(locksPerRun))
+		})
+		d = d.Scale(int64(locksPerRun))
 		return LockRow{
 			Case:         name,
 			InstrPerLock: Vax.Instructions(d),
@@ -219,7 +207,7 @@ func LockCost(locksPerRun int) ([]LockRow, error) {
 			SimService:   Vax.ServiceTime(d),
 			SimLatency:   Vax.Latency(d),
 			PaperNote:    paper,
-		}, nil
+		}, err
 	}
 	local, err := run("local (requester at storage site)", 1, "~750 instr, 1.5ms (2ms incl. syscall)")
 	if err != nil {
@@ -256,22 +244,6 @@ type Fig6Row struct {
 // remote service numbers here include the storage site's CPU.  The
 // latency comparison is like for like.
 func Fig6() ([]Fig6Row, error) {
-	run := func(name string, requester simnet.SiteID, overlap bool, paper string) (Fig6Row, error) {
-		d, err := recordCommit(cluster.Config{}, requester, 128, overlap)
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		return Fig6Row{
-			Case:        name,
-			Instr:       Vax.Instructions(d),
-			Reads:       d.Get(stats.DiskReads),
-			Writes:      d.Get(stats.DiskWrites),
-			Msgs:        d.Get(stats.MsgsSent),
-			SimService:  Vax.ServiceTime(d),
-			SimLatency:  Vax.Latency(d),
-			PaperValues: paper,
-		}, nil
-	}
 	var rows []Fig6Row
 	for _, c := range []struct {
 		name    string
@@ -284,11 +256,20 @@ func Fig6() ([]Fig6Row, error) {
 		{"remote, non-overlap", 2, false, "16ms service @requester, 131ms latency"},
 		{"remote, overlap", 2, true, "16ms service @requester, 124ms latency"},
 	} {
-		row, err := run(c.name, c.site, c.overlap, c.paper)
+		d, err := recordCommit(cluster.Config{}, c.site, 128, c.overlap)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		rows = append(rows, Fig6Row{
+			Case:        c.name,
+			Instr:       Vax.Instructions(d),
+			Reads:       d.Get(stats.DiskReads),
+			Writes:      d.Get(stats.DiskWrites),
+			Msgs:        d.Get(stats.MsgsSent),
+			SimService:  Vax.ServiceTime(d),
+			SimLatency:  Vax.Latency(d),
+			PaperValues: c.paper,
+		})
 	}
 	return rows, nil
 }
@@ -299,43 +280,19 @@ func Fig6() ([]Fig6Row, error) {
 // holds an uncommitted record at the page's tail, forcing the
 // differencing path.  It returns the counters the sync spent.
 func recordCommit(cfg cluster.Config, requester simnet.SiteID, rec int, overlap bool) (stats.Snapshot, error) {
-	var none stats.Snapshot
-	sys, err := newSystem(cfg)
-	if err != nil {
-		return none, err
-	}
-	page := sys.Cluster().Config().PageSize
-	setup, err := sys.NewProcess(1)
-	if err != nil {
-		return none, err
-	}
-	if _, err := baseFile(setup, "va/commit", page); err != nil {
-		return none, err
-	}
-	if overlap {
-		if err := coOwn(sys, "va/commit", int64(page)-8, 8, "co-owner"); err != nil {
-			return none, err
+	var fp *core.File
+	return measure(standard(cfg), func(e *scenario.Env) {
+		page := e.Sys.Cluster().Config().PageSize
+		baseFile(scenario.Must(e.Sys.NewProcess(1)), "va/commit", page)
+		if overlap {
+			coOwn(e, "va/commit", int64(page)-8, 8, "co-owner")
 		}
-	}
-	p, err := sys.NewProcess(requester)
-	if err != nil {
-		return none, err
-	}
-	fp, err := p.Open("va/commit")
-	if err != nil {
-		return none, err
-	}
-	if err := fp.LockRange(0, int64(rec), core.Exclusive); err != nil {
-		return none, err
-	}
-	if _, err := fp.WriteAt(make([]byte, rec), 0); err != nil {
-		return none, err
-	}
-	before := sys.Stats().Snapshot()
-	if err := fp.Sync(); err != nil {
-		return none, err
-	}
-	return sys.Stats().Snapshot().Sub(before), nil
+		_, files, err := e.Open(requester, "va/commit")
+		scenario.Ok(err)
+		fp = files[0]
+		scenario.Ok(fp.LockRange(0, int64(rec), core.Exclusive))
+		scenario.Must(fp.WriteAt(make([]byte, rec), 0))
+	}, func(*scenario.Env) { scenario.Ok(fp.Sync()) })
 }
 
 // ---- E5: footnote 11, page size vs differencing cost ----

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -324,7 +325,7 @@ func TestConcurrentCommitGroupCommitCutsForcedIOs(t *testing.T) {
 	// both modes while batching cuts the synchronous force count by at
 	// least 20% (in practice ~7.0 vs ~3.0 forces per transaction at 8
 	// clients; 4 clients keeps the test fast).
-	rows, err := ConcurrentPair(ConcurrentOpts{Clients: 4, TxnsPerClient: 5, Trace: true})
+	rows, err := ConcurrentPair(ConcurrentOpts{Clients: 4, TxnsPerClient: 5, Spec: scenario.Spec{Trace: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestConcurrentCommitGroupCommitCutsForcedIOs(t *testing.T) {
 func TestConcurrentCommitPhaseHistograms(t *testing.T) {
 	// The traced variant must reconstruct per-2PC-phase latency
 	// percentiles from the event log; the untraced variant must not.
-	row, err := ConcurrentCommit(ConcurrentOpts{Clients: 2, TxnsPerClient: 4, Trace: true})
+	row, err := ConcurrentCommit(ConcurrentOpts{Clients: 2, TxnsPerClient: 4, Spec: scenario.Spec{Trace: true}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +385,7 @@ func TestConcurrentCommitPhaseHistograms(t *testing.T) {
 		t.Fatalf("wall percentiles disordered: p50=%v p95=%v p99=%v", row.P50, row.P95, row.P99)
 	}
 
-	plain, err := ConcurrentCommit(ConcurrentOpts{Clients: 2, TxnsPerClient: 2})
+	plain, err := ConcurrentCommit(ConcurrentOpts{Clients: 2, TxnsPerClient: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/invariant"
+	"repro/internal/scenario"
 	"repro/internal/shadow"
 	"repro/internal/simdisk"
 	"repro/internal/simnet"
@@ -70,13 +71,24 @@ func shadowVsWALPoint(pat workload.Pattern, recSize, recsPerTxn int) (ShadowVsWA
 	}
 	accesses := workload.Generate(spec)
 
-	// Shadow-paging side.
-	shadowIO, shadowLat, err := runShadowSide(accesses, recsPerTxn)
+	// Shadow-paging side: single-file record commit, nothing deferred.
+	shadowIO, shadowLat, err := runSide(accesses, recsPerTxn, "shadow", cmpFilePages*4+96,
+		func(v *fs.Volume, ino int) (*shadow.File, error) { return shadow.Open(v, ino) },
+		func(*shadow.File) error { return nil })
 	if err != nil {
 		return ShadowVsWALRow{}, err
 	}
-	// WAL side.
-	walIO, walLat, err := runWALSide(accesses, recsPerTxn)
+	// Logging side: checkpoints charge the deferred in-place writes
+	// (amortized) against it.
+	walIO, walLat, err := runSide(accesses, recsPerTxn, "wal", cmpFilePages*8+128,
+		func(v *fs.Volume, ino int) (*wal.File, error) {
+			mgr, err := wal.NewManager(v, 256)
+			if err != nil {
+				return nil, err
+			}
+			return wal.OpenFile(mgr, ino)
+		},
+		(*wal.File).Checkpoint)
 	if err != nil {
 		return ShadowVsWALRow{}, err
 	}
@@ -93,12 +105,21 @@ func shadowVsWALPoint(pat workload.Pattern, recSize, recsPerTxn int) (ShadowVsWA
 	}, nil
 }
 
-// runShadowSide commits each transaction's records through the shadow
-// mechanism (single-file record commit), returning I/Os and simulated
-// latency per transaction.
-func runShadowSide(accesses []workload.Access, recsPerTxn int) (float64, time.Duration, error) {
+// commitFile is what the comparison needs of a commit mechanism's file.
+type commitFile[O ~string] interface {
+	WriteAt(owner O, p []byte, off int64) (int, error)
+	Commit(owner O) error
+}
+
+// runSide commits each transaction's records through one commit
+// mechanism on a fresh volume, returning I/Os and simulated latency per
+// transaction.  checkpoint runs every cmpCheckpoint transactions, at
+// the end, and whenever a circular log fills early - the forced writes
+// are charged against the mechanism, as a real system would pay them.
+func runSide[O ~string, F commitFile[O]](accesses []workload.Access, recsPerTxn int, name string, diskPages int,
+	open func(v *fs.Volume, ino int) (F, error), checkpoint func(F) error) (float64, time.Duration, error) {
 	st := stats.NewSet()
-	d := simdisk.New("shadow", cmpFilePages*4+96, cmpPageSize, st)
+	d := simdisk.New(name, diskPages, cmpPageSize, st)
 	v, err := fs.Format("cmp", d, fs.Options{NumInodes: 4, LogPages: 8})
 	if err != nil {
 		return 0, 0, err
@@ -107,7 +128,7 @@ func runShadowSide(accesses []workload.Access, recsPerTxn int) (float64, time.Du
 	if err != nil {
 		return 0, 0, err
 	}
-	f, err := shadow.Open(v, ino)
+	f, err := open(v, ino)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -118,11 +139,14 @@ func runShadowSide(accesses []workload.Access, recsPerTxn int) (float64, time.Du
 	if err := f.Commit("setup"); err != nil {
 		return 0, 0, err
 	}
+	if err := checkpoint(f); err != nil {
+		return 0, 0, err
+	}
 
 	before := st.Snapshot()
 	txns := 0
 	for i := 0; i < len(accesses); i += recsPerTxn {
-		owner := shadow.Owner(fmt.Sprintf("txn:%d", txns))
+		owner := O(fmt.Sprintf("txn:%d", txns))
 		end := min(i+recsPerTxn, len(accesses))
 		for j := i; j < end; j++ {
 			a := accesses[j]
@@ -130,82 +154,20 @@ func runShadowSide(accesses []workload.Access, recsPerTxn int) (float64, time.Du
 				return 0, 0, err
 			}
 		}
-		if err := f.Commit(owner); err != nil {
+		err := f.Commit(owner)
+		if errors.Is(err, wal.ErrLogWrapped) {
+			if err = checkpoint(f); err == nil {
+				err = f.Commit(owner)
+			}
+		}
+		if txns++; err == nil && txns%cmpCheckpoint == 0 {
+			err = checkpoint(f)
+		}
+		if err != nil {
 			return 0, 0, err
 		}
-		txns++
 	}
-	diff := st.Snapshot().Sub(before)
-	perTxn := diff.Scale(int64(txns))
-	return float64(diff.Get(stats.DiskWrites)+diff.Get(stats.DiskReads)) / float64(txns),
-		Vax.Latency(perTxn), nil
-}
-
-// runWALSide commits the same transactions through the logging baseline,
-// checkpointing every cmpCheckpoint transactions so the deferred in-place
-// writes are charged (amortized) against it.
-func runWALSide(accesses []workload.Access, recsPerTxn int) (float64, time.Duration, error) {
-	st := stats.NewSet()
-	d := simdisk.New("wal", cmpFilePages*8+128, cmpPageSize, st)
-	v, err := fs.Format("cmp", d, fs.Options{NumInodes: 4, LogPages: 8})
-	if err != nil {
-		return 0, 0, err
-	}
-	mgr, err := wal.NewManager(v, 256)
-	if err != nil {
-		return 0, 0, err
-	}
-	ino, err := v.AllocInode()
-	if err != nil {
-		return 0, 0, err
-	}
-	f, err := wal.OpenFile(mgr, ino)
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := f.WriteAt("setup", make([]byte, cmpPageSize*cmpFilePages), 0); err != nil {
-		return 0, 0, err
-	}
-	if err := f.Commit("setup"); err != nil {
-		return 0, 0, err
-	}
-	if err := f.Checkpoint(); err != nil {
-		return 0, 0, err
-	}
-
-	before := st.Snapshot()
-	txns := 0
-	for i := 0; i < len(accesses); i += recsPerTxn {
-		owner := wal.Owner(fmt.Sprintf("txn:%d", txns))
-		end := min(i+recsPerTxn, len(accesses))
-		for j := i; j < end; j++ {
-			a := accesses[j]
-			if _, err := f.WriteAt(owner, workload.Payload(j, a.Len), a.Off); err != nil {
-				return 0, 0, err
-			}
-		}
-		if err := f.Commit(owner); err != nil {
-			// The circular log filled before the scheduled checkpoint:
-			// checkpoint now and retry - the forced writes are charged
-			// against the logging side, as a real system would pay them.
-			if !errors.Is(err, wal.ErrLogWrapped) {
-				return 0, 0, err
-			}
-			if err := f.Checkpoint(); err != nil {
-				return 0, 0, err
-			}
-			if err := f.Commit(owner); err != nil {
-				return 0, 0, err
-			}
-		}
-		txns++
-		if txns%cmpCheckpoint == 0 {
-			if err := f.Checkpoint(); err != nil {
-				return 0, 0, err
-			}
-		}
-	}
-	if err := f.Checkpoint(); err != nil {
+	if err := checkpoint(f); err != nil {
 		return 0, 0, err
 	}
 	diff := st.Snapshot().Sub(before)
@@ -228,45 +190,33 @@ type PrepGranRow struct {
 // PrepareLogGranularity measures step 3 of Figure 5 for transactions
 // touching several files on one volume, in both layouts.
 func PrepareLogGranularity(filesPerTxn []int) ([]PrepGranRow, error) {
-	measure := func(nFiles int, perFile bool) (int64, error) {
-		sys, err := newSystem(cluster.Config{PerFilePrepareLogs: perFile})
-		if err != nil {
-			return 0, err
-		}
-		p, err := sys.NewProcess(1)
-		if err != nil {
-			return 0, err
-		}
-		var files []*core.File
-		for i := 0; i < nFiles; i++ {
-			f, err := p.Create(fmt.Sprintf("va/f%d", i))
-			if err != nil {
-				return 0, err
+	count := func(nFiles int, perFile bool) (int64, error) {
+		var d stats.Snapshot
+		_, err := measure(standard(cluster.Config{PerFilePrepareLogs: perFile}), nil, func(e *scenario.Env) {
+			p := scenario.Must(e.Sys.NewProcess(1))
+			var files []*core.File
+			for i := 0; i < nFiles; i++ {
+				files = append(files, scenario.Must(p.Create(fmt.Sprintf("va/f%d", i))))
 			}
-			files = append(files, f)
-		}
-		if _, err := p.BeginTrans(); err != nil {
-			return 0, err
-		}
-		for _, f := range files {
-			if _, err := f.WriteAt([]byte("update"), 0); err != nil {
-				return 0, err
-			}
-		}
-		before := sys.Stats().Snapshot()
-		if err := p.EndTrans(); err != nil {
-			return 0, err
-		}
-		return sys.Stats().Snapshot().Sub(before).Get(stats.PrepareLogWrites), nil
+			d = endTrans(e, p, func() error {
+				for _, f := range files {
+					if _, err := f.WriteAt([]byte("update"), 0); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+		return d.Get(stats.PrepareLogWrites), err
 	}
 
 	var rows []PrepGranRow
 	for _, n := range filesPerTxn {
-		perVol, err := measure(n, false)
+		perVol, err := count(n, false)
 		if err != nil {
 			return nil, err
 		}
-		perFile, err := measure(n, true)
+		perFile, err := count(n, true)
 		if err != nil {
 			return nil, err
 		}
@@ -302,32 +252,25 @@ func perOp(name string, d stats.Snapshot, ops int) PerOpRow {
 // held lock, with the section 5.1 lock cache on and off.
 func LockCacheAblation(opsPerRun int) ([]PerOpRow, error) {
 	run := func(name string, disable bool) (PerOpRow, error) {
-		sys, err := newSystem(cluster.Config{DisableLockCache: disable})
-		if err != nil {
-			return PerOpRow{}, err
-		}
-		p, err := sys.NewProcess(2) // remote from va's storage site
-		if err != nil {
-			return PerOpRow{}, err
-		}
-		f, err := p.Create("va/f")
-		if err != nil {
-			return PerOpRow{}, err
-		}
-		if _, err := p.BeginTrans(); err != nil {
-			return PerOpRow{}, err
-		}
-		if err := f.LockRange(0, 4096, core.Exclusive); err != nil {
-			return PerOpRow{}, err
-		}
-		before := sys.Stats().Snapshot()
-		for i := 0; i < opsPerRun; i++ {
-			if _, err := f.WriteAt([]byte("rec"), int64(i*16)%4000); err != nil {
-				return PerOpRow{}, err
-			}
-		}
-		d := sys.Stats().Snapshot().Sub(before)
-		return perOp(name, d, opsPerRun), p.EndTrans()
+		var d stats.Snapshot
+		_, err := measure(standard(cluster.Config{DisableLockCache: disable}), nil, func(e *scenario.Env) {
+			p := scenario.Must(e.Sys.NewProcess(2)) // remote from va's storage site
+			f := scenario.Must(p.Create("va/f"))
+			scenario.Ok(e.Txn(p, func() error {
+				if err := f.LockRange(0, 4096, core.Exclusive); err != nil {
+					return err
+				}
+				before := e.Sys.Stats().Snapshot()
+				for i := 0; i < opsPerRun; i++ {
+					if _, err := f.WriteAt([]byte("rec"), int64(i*16)%4000); err != nil {
+						return err
+					}
+				}
+				d = e.Sys.Stats().Snapshot().Sub(before)
+				return nil
+			}))
+		})
+		return perOp(name, d, opsPerRun), err
 	}
 	return offThenOn(run, "lock cache enabled (paper design)", "lock cache disabled (ablation)")
 }
@@ -360,117 +303,84 @@ type RecoveryRow struct {
 // after prepare (in doubt), and coordinator crash after the commit point,
 // verifying all-or-nothing outcomes and counting recovery I/O.
 func Recovery() ([]RecoveryRow, error) {
-	// pending builds a system and leaves a transaction from site with
-	// data written to a fresh path, not yet committed.
-	pending := func(site simnet.SiteID, path, data string) (*core.System, *core.Process, error) {
-		sys, err := newSystem(cluster.Config{})
-		if err != nil {
-			return nil, nil, err
-		}
-		p, err := sys.NewProcess(site)
-		if err != nil {
-			return nil, nil, err
-		}
-		f, err := p.Create(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := p.BeginTrans(); err != nil {
-			return nil, nil, err
-		}
-		_, err = f.WriteAt([]byte(data), 0)
-		return sys, p, err
+	var rows []RecoveryRow
+	// scenarioRow runs fn on a fresh cluster and records its row.
+	scenarioRow := func(fn func(e *scenario.Env) RecoveryRow) error {
+		_, err := measure(standard(cluster.Config{}), nil, func(e *scenario.Env) { rows = append(rows, fn(e)) })
+		return err
+	}
+	// write runs a transaction from site that writes data to a fresh
+	// path; strike lands after the write and before EndTrans.
+	write := func(e *scenario.Env, site simnet.SiteID, path, data string, strike func()) error {
+		p := scenario.Must(e.Sys.NewProcess(site))
+		f := scenario.Must(p.Create(path))
+		return e.Txn(p, func() error {
+			_, err := f.WriteAt([]byte(data), 0)
+			strike()
+			return err
+		})
 	}
 	// committed reads back what path holds, from its storage site.
-	committed := func(sys *core.System, site simnet.SiteID, path string) (string, error) {
-		buf, err := invariant.ReadCommitted(sys, site, path)
-		return string(buf), err
+	committed := func(e *scenario.Env, site simnet.SiteID, path string) string {
+		return string(scenario.Must(invariant.ReadCommitted(e.Sys, site, path)))
 	}
-	var rows []RecoveryRow
 
 	// Scenario 1: participant crashes before the transaction commits.
-	{
-		sys, p, err := pending(3, "va/f", "lost")
-		if err != nil {
-			return nil, err
-		}
-		sys.Cluster().Site(1).Crash()
-		endErr := p.EndTrans()
-		rio, err := restartIO(sys)
-		if err != nil {
-			return nil, err
-		}
-		got, err := committed(sys, 1, "va/f")
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, RecoveryRow{
+	err := scenarioRow(func(e *scenario.Env) RecoveryRow {
+		endErr := write(e, 3, "va/f", "lost", e.Sys.Cluster().Site(1).Crash)
+		rio := restartIO(e.Sys)
+		got := committed(e, 1, "va/f")
+		return RecoveryRow{
 			Scenario:  "participant crash before prepare",
 			Outcome:   fmt.Sprintf("EndTrans=%v committed=%dB", endErr != nil, len(got)),
 			RecoverIO: rio,
 			Correct:   endErr != nil && got == "",
-		})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Scenario 2: the transaction commits, then the participant crashes:
 	// a clean-restart recovery pass must keep the committed data.
-	{
-		sys, p, err := pending(3, "va/f", "kept")
-		if err != nil {
-			return nil, err
-		}
-		if err := p.EndTrans(); err != nil {
-			return nil, err
-		}
-		sys.Cluster().Site(1).Crash()
-		rio, err := restartIO(sys)
-		if err != nil {
-			return nil, err
-		}
-		got, err := committed(sys, 1, "va/f")
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, RecoveryRow{
+	err = scenarioRow(func(e *scenario.Env) RecoveryRow {
+		scenario.Ok(write(e, 3, "va/f", "kept", func() {}))
+		e.Sys.Cluster().Site(1).Crash()
+		rio := restartIO(e.Sys)
+		got := committed(e, 1, "va/f")
+		return RecoveryRow{
 			Scenario:  "committed data across participant crash",
 			Outcome:   fmt.Sprintf("read=%q", got),
 			RecoverIO: rio,
 			Correct:   got == "kept",
-		})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Scenario 3: partition mid-transaction aborts it everywhere.
-	{
-		sys, p, err := pending(1, "vb/f", "cut")
-		if err != nil {
-			return nil, err
-		}
-		sys.Cluster().Net().Partition(2)
-		endErr := p.EndTrans()
-		sys.Cluster().Net().Heal()
-		got, err := committed(sys, 2, "vb/f")
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, RecoveryRow{
+	err = scenarioRow(func(e *scenario.Env) RecoveryRow {
+		net := e.Sys.Cluster().Net()
+		endErr := write(e, 1, "vb/f", "cut", func() { net.Partition(2) })
+		net.Heal()
+		got := committed(e, 2, "vb/f")
+		return RecoveryRow{
 			Scenario: "partition during transaction",
 			Outcome:  fmt.Sprintf("EndTrans=%v committed=%dB", endErr != nil, len(got)),
 			Correct:  endErr != nil && got == "",
-		})
-	}
-
-	return rows, nil
+		}
+	})
+	return rows, err
 }
 
 // restartIO restarts crashed site 1 and returns the disk I/Os its
 // recovery pass spent.
-func restartIO(sys *core.System) (int64, error) {
+func restartIO(sys *core.System) int64 {
 	before := sys.Stats().Snapshot()
-	if err := sys.Cluster().Site(1).Restart(); err != nil {
-		return 0, err
-	}
+	scenario.Ok(sys.Cluster().Site(1).Restart())
 	d := sys.Stats().Snapshot().Sub(before)
-	return d.Get(stats.DiskWrites) + d.Get(stats.DiskReads), nil
+	return d.Get(stats.DiskWrites) + d.Get(stats.DiskReads)
 }
 
 // ---- E10: section 5.2, replication with a primary update site ----
@@ -480,42 +390,22 @@ func restartIO(sys *core.System) (int64, error) {
 // closest available storage site, section 5.2).
 func ReplicaLocality(readsPerRun int) ([]PerOpRow, error) {
 	run := func(name string, replicate bool) (PerOpRow, error) {
-		sys, err := newSystem(cluster.Config{})
-		if err != nil {
-			return PerOpRow{}, err
-		}
-		setup, err := sys.NewProcess(1)
-		if err != nil {
-			return PerOpRow{}, err
-		}
-		f, err := baseFile(setup, "va/shared", 4096)
-		if err != nil {
-			return PerOpRow{}, err
-		}
-		if err := f.Close(); err != nil {
-			return PerOpRow{}, err
-		}
-		if replicate {
-			if err := sys.AddReplica("va", 2); err != nil {
-				return PerOpRow{}, err
+		var fr *core.File
+		d, err := measure(standard(cluster.Config{}), func(e *scenario.Env) {
+			scenario.Ok(baseFile(scenario.Must(e.Sys.NewProcess(1)), "va/shared", 4096).Close())
+			if replicate {
+				scenario.Ok(e.Sys.AddReplica("va", 2))
 			}
-		}
-		p, err := sys.NewProcess(2)
-		if err != nil {
-			return PerOpRow{}, err
-		}
-		fr, err := p.Open("va/shared")
-		if err != nil {
-			return PerOpRow{}, err
-		}
-		before := sys.Stats().Snapshot()
-		buf := make([]byte, 128)
-		for i := 0; i < readsPerRun; i++ {
-			if _, err := fr.ReadAt(buf, int64(i*128)%3968); err != nil {
-				return PerOpRow{}, err
+			_, files, err := e.Open(2, "va/shared")
+			scenario.Ok(err)
+			fr = files[0]
+		}, func(*scenario.Env) {
+			buf := make([]byte, 128)
+			for i := 0; i < readsPerRun; i++ {
+				scenario.Must(fr.ReadAt(buf, int64(i*128)%3968))
 			}
-		}
-		return perOp(name, sys.Stats().Snapshot().Sub(before), readsPerRun), nil
+		})
+		return perOp(name, d, readsPerRun), err
 	}
 	return offThenOn(run, "no replica (reads cross the network)", "local replica (closest storage site)")
 }
@@ -536,51 +426,23 @@ type PrefetchRow struct {
 // "prefetched in anticipation of their subsequent use" optimization.
 func PrefetchAblation() ([]PrefetchRow, error) {
 	run := func(name string, prefetch bool) (PrefetchRow, error) {
-		sys, err := newSystem(cluster.Config{PrefetchOnLock: prefetch})
-		if err != nil {
-			return PrefetchRow{}, err
-		}
-		setup, err := sys.NewProcess(1)
-		if err != nil {
-			return PrefetchRow{}, err
-		}
-		f, err := baseFile(setup, "va/data", 2048)
-		if err != nil {
-			return PrefetchRow{}, err
-		}
-		if err := f.Close(); err != nil {
-			return PrefetchRow{}, err
-		}
-		// Re-open so the storage site's working state (and caches) start
-		// cold, then lock and read from a remote site.
-		sys.Cluster().Site(1).Crash()
-		if err := sys.Cluster().Site(1).Restart(); err != nil {
-			return PrefetchRow{}, err
-		}
-		p, err := sys.NewProcess(2)
-		if err != nil {
-			return PrefetchRow{}, err
-		}
-		fr, err := p.Open("va/data")
-		if err != nil {
-			return PrefetchRow{}, err
-		}
-		before := sys.Stats().Snapshot()
-		if err := fr.LockRange(0, 1024, core.Shared); err != nil {
-			return PrefetchRow{}, err
-		}
-		lockCost := sys.Stats().Snapshot().Sub(before)
-		before = sys.Stats().Snapshot()
-		buf := make([]byte, 1024)
-		if _, err := fr.ReadAt(buf, 0); err != nil {
-			return PrefetchRow{}, err
-		}
-		readCost := sys.Stats().Snapshot().Sub(before)
-		return PrefetchRow{
-			Case:        name,
-			LockLatency: Vax.Latency(lockCost),
-			ReadLatency: Vax.Latency(readCost),
-		}, nil
+		row := PrefetchRow{Case: name}
+		_, err := measure(standard(cluster.Config{PrefetchOnLock: prefetch}), nil, func(e *scenario.Env) {
+			scenario.Ok(baseFile(scenario.Must(e.Sys.NewProcess(1)), "va/data", 2048).Close())
+			// Restart the storage site so its working state (and caches)
+			// start cold, then lock and read from a remote site.
+			e.Sys.Cluster().Site(1).Crash()
+			scenario.Ok(e.Sys.Cluster().Site(1).Restart())
+			_, files, err := e.Open(2, "va/data")
+			scenario.Ok(err)
+			before := e.Sys.Stats().Snapshot()
+			scenario.Ok(files[0].LockRange(0, 1024, core.Shared))
+			locked := e.Sys.Stats().Snapshot()
+			scenario.Must(files[0].ReadAt(make([]byte, 1024), 0))
+			row.LockLatency = Vax.Latency(locked.Sub(before))
+			row.ReadLatency = Vax.Latency(e.Sys.Stats().Snapshot().Sub(locked))
+		})
+		return row, err
 	}
 	return offThenOn(run, "no prefetch (1985 implementation)", "prefetch on lock (section 5.2 optimization)")
 }
@@ -629,71 +491,44 @@ type GranularityRow struct {
 // them, so the wall-clock ratio approaches the worker count.
 func LockGranularity(workers, txnsEach int, hold time.Duration) ([]GranularityRow, error) {
 	run := func(name string, wholeFile bool) (GranularityRow, error) {
-		sys, err := newSystem(cluster.Config{LockWaitTimeout: 5 * time.Second})
-		if err != nil {
-			return GranularityRow{}, err
-		}
-		setup, err := sys.NewProcess(1)
-		if err != nil {
-			return GranularityRow{}, err
-		}
 		const fileBytes = 8192
-		if _, err := baseFile(setup, "va/shared", fileBytes); err != nil {
+		procs, files := make([]*core.Process, workers), make([]*core.File, workers)
+		sc := scenario.Scenario{
+			Spec: standard(cluster.Config{LockWaitTimeout: 5 * time.Second}),
+			// Every worker is open before the clients start, so they start
+			// together: guaranteed overlap.
+			Setup: func(e *scenario.Env) {
+				baseFile(scenario.Must(e.Sys.NewProcess(1)), "va/shared", fileBytes)
+				for w := range procs {
+					p, fs, err := e.Open(simnet.SiteID(w%3+1), "va/shared")
+					scenario.Ok(err)
+					procs[w], files[w] = p, fs[0]
+				}
+			},
+		}
+		for w := 0; w < workers; w++ {
+			sc.Clients = append(sc.Clients, func(e *scenario.Env) {
+				for i := 0; i < txnsEach; i++ {
+					scenario.Ok(e.Txn(procs[w], func() error {
+						off, length := int64(w*64), int64(64)
+						if wholeFile {
+							off, length = 0, fileBytes
+						}
+						if err := files[w].LockRange(off, length, core.Exclusive); err != nil {
+							return err
+						}
+						_, err := files[w].WriteAt([]byte("update!!"), int64(w*64))
+						e.Clock.Sleep(hold) // the transaction's record processing
+						return err
+					}))
+				}
+			})
+		}
+		out, err := scenario.Run(sc)
+		if err != nil {
 			return GranularityRow{}, err
 		}
-
-		before := sys.Stats().Snapshot()
-		start := time.Now()
-		errs := make(chan error, workers)
-		release := make(chan struct{})
-		work := func(w int) error {
-			p, err := sys.NewProcess(simnet.SiteID(w%3 + 1))
-			if err != nil {
-				return err
-			}
-			file, err := p.Open("va/shared")
-			if err != nil {
-				return err
-			}
-			<-release // all workers start together: guaranteed overlap
-			for i := 0; i < txnsEach; i++ {
-				if _, err := p.BeginTrans(); err != nil {
-					return err
-				}
-				off, length := int64(w*64), int64(64)
-				if wholeFile {
-					off, length = 0, fileBytes
-				}
-				err := file.LockRange(off, length, core.Exclusive)
-				if err == nil {
-					_, err = file.WriteAt([]byte("update!!"), int64(w*64))
-				}
-				if err != nil {
-					p.AbortTrans() //nolint:errcheck
-					return err
-				}
-				time.Sleep(hold) // the transaction's record processing
-				if err := p.EndTrans(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for w := 0; w < workers; w++ {
-			go func(w int) { errs <- work(w) }(w)
-		}
-		close(release)
-		for w := 0; w < workers; w++ {
-			if err := <-errs; err != nil {
-				return GranularityRow{}, err
-			}
-		}
-		d := sys.Stats().Snapshot().Sub(before)
-		return GranularityRow{
-			Case:      name,
-			LockWaits: d.Get(stats.LockWaits),
-			WallClock: time.Since(start),
-		}, nil
+		return GranularityRow{Case: name, LockWaits: out.Counters.Get(stats.LockWaits), WallClock: out.Wall}, nil
 	}
 	return offThenOn(run, "record-level locking (this paper)", "whole-file locking (previous Locus, sec 7.1)")
 }

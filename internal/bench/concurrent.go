@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -13,24 +13,18 @@ import (
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
-// Defaults for the concurrent-commit experiment.  The sync delay gives
-// every forced disk I/O a simulated seek+sync cost (serialized at the
-// disk, like one spindle), which is what makes the log force the
-// bottleneck the paper's section 5 describes; the group-commit delay is
-// how long a log record waits for companions.
-const (
-	// DefaultDiskSyncDelay approximates one rotation of a 3600-rpm disk
-	// at half stroke - the paper's 1985-era seek+sync charge.
-	DefaultDiskSyncDelay = 300 * time.Microsecond
-	// DefaultGroupCommitDelay matches the sync cost: a record waits at
-	// most one disk force for companions, so batching can never more
-	// than double a lone record's latency while a full batch divides
-	// the force count by its size.
-	DefaultGroupCommitDelay = 300 * time.Microsecond
-)
+// DefaultDiskSyncDelay is the concurrent-commit experiment's default
+// charge per forced disk I/O: a simulated seek+sync cost (serialized at
+// the disk, like one spindle), which is what makes the log force the
+// bottleneck the paper's section 5 describes.  It approximates one
+// rotation of a 3600-rpm disk at half stroke - the paper's 1985-era
+// charge.  The group-commit linger always matches it: a record waits at
+// most one disk force for companions, so batching can never more than
+// double a lone record's latency while a full batch divides the force
+// count by its size.
+const DefaultDiskSyncDelay = 300 * time.Microsecond
 
 // ConcurrentRow is one mode of the concurrent-commit throughput
 // experiment: N client goroutines driving disjoint two-account transfer
@@ -78,7 +72,7 @@ type ConcurrentRow struct {
 	// drift.  Excluded from JSON - the registry figures are canonical.
 	ClientCommitted int64 `json:"-"`
 	ClientAborted   int64 `json:"-"`
-	// Telemetry artifacts, populated when ConcurrentOpts.Telemetry is
+	// Telemetry artifacts, populated when ConcurrentOpts.Spec.Profile is
 	// set.  Excluded from the classic -json row (TelemetryJSON renders
 	// them canonically instead, so golden snapshots stay byte-stable).
 	Samples []telemetry.Sample       `json:"-"`
@@ -113,215 +107,117 @@ func (r ConcurrentRow) MarshalJSON() ([]byte, error) {
 		Ms(r.PhasePhase2.P50), Ms(r.PhasePhase2.P95), Ms(r.PhasePhase2.P99)})
 }
 
-// ConcurrentOpts parameterizes ConcurrentCommitOpts beyond the classic
-// pair of knobs.
+// ConcurrentOpts parameterizes ConcurrentCommit.
 type ConcurrentOpts struct {
 	Clients       int
 	TxnsPerClient int
-	GroupCommit   bool
-	// DiskSyncDelay is the per-forced-I/O charge; zero means
-	// DefaultDiskSyncDelay (pass a costmodel figure, e.g. the VAX-750
-	// 26ms, to reproduce 1985 hardware).
-	DiskSyncDelay time.Duration
-	// GroupCommitDelay is the batching linger; zero means
-	// DefaultGroupCommitDelay.  Scale it with DiskSyncDelay - the
-	// defaults match each other, so a record never waits longer than
-	// one force.
-	GroupCommitDelay time.Duration
-	// Vtime runs the workload on a virtual discrete-event clock: the
-	// sync delays elapse as timestamp arithmetic, latency percentiles
-	// and TxnsPerSimSec are reported in simulated time, and wall-clock
-	// shrinks by orders of magnitude.
-	Vtime bool
-	// Trace attaches an event collector and fills the per-phase
-	// histograms.
-	Trace bool
-	// Telemetry enables commit-path profiling and the periodic
-	// utilization sampler, filling the row's Samples/Profile/Metrics.
-	// Under Vtime the run additionally drains to full quiescence (all
-	// background phase-two and cleanup actors done) before the final
-	// measurements, so the telemetry is complete and deterministic.
-	Telemetry bool
-	// SampleInterval is the sampler period (simulated time under Vtime);
-	// zero means the sampler default.
+	// Spec selects the clock, the per-forced-I/O charge (Disk; zero means
+	// DefaultDiskSyncDelay - pass a costmodel figure, e.g. the VAX-750
+	// 26ms, to reproduce 1985 hardware), Trace (fills the per-phase
+	// histograms) and Profile (commit-path profiling plus the periodic
+	// utilization sampler, filling the row's Samples/Profile/Metrics; a
+	// virtual-clock run then also drains to full quiescence before the
+	// final measurements, so the telemetry is complete and
+	// deterministic).  Topology and the group-commit linger are the
+	// experiment's own.
+	Spec scenario.Spec
+	// SampleInterval is the sampler period (simulated time on a virtual
+	// clock); zero means the sampler default.
 	SampleInterval time.Duration
 }
 
 // Simulated returns the options on the virtual clock charging the
-// active cost model's disk latency per force and as the batching linger,
-// so rows report simulated time and txns/sim-sec at 1985 (or modern)
-// hardware speed while the run itself takes milliseconds of wall-clock.
+// active cost model's disk latency per force, so rows report simulated
+// time and txns/sim-sec at 1985 (or modern) hardware speed while the run
+// itself takes milliseconds of wall-clock.
 func (o ConcurrentOpts) Simulated() ConcurrentOpts {
-	o.Vtime, o.DiskSyncDelay, o.GroupCommitDelay = true, Vax.DiskWriteTime, Vax.DiskWriteTime
+	o.Spec.Virtual, o.Spec.Disk = true, Vax.DiskWriteTime
 	return o
 }
 
-// ConcurrentCommit runs the transfer workload once.  GroupCommit toggles
-// the log batching daemon; everything else - workload, sync delay, page
-// writes - is identical, so an off/on pair isolates the batching win.
-func ConcurrentCommit(o ConcurrentOpts) (ConcurrentRow, error) {
-	clients, txnsPerClient := o.Clients, o.TxnsPerClient
-	spec := scenario.Spec{
-		Volumes: []string{"bank"},
-		Virtual: o.Vtime,
-		Disk:    o.DiskSyncDelay,
-		Trace:   o.Trace,
-		Profile: o.Telemetry,
-	}
+// ConcurrentCommit runs the transfer workload once.  groupCommit toggles
+// the log batching daemon, lingering one disk force (so batching can
+// never more than double a lone record's latency); everything else -
+// workload, sync delay, page writes - is identical, so an off/on pair
+// isolates the batching win.
+func ConcurrentCommit(o ConcurrentOpts, groupCommit bool) (ConcurrentRow, error) {
+	spec := o.Spec
+	spec.Volumes = []string{"bank"}
 	if spec.Disk == 0 {
 		spec.Disk = DefaultDiskSyncDelay
 	}
-	if o.GroupCommit {
-		spec.GroupCommit = DefaultGroupCommitDelay
-		if o.GroupCommitDelay > 0 {
-			spec.GroupCommit = o.GroupCommitDelay
-		}
-	}
-	sys, err := spec.Build()
-	if err != nil {
-		return ConcurrentRow{}, err
-	}
-	defer sys.Cluster().Shutdown()
-	clk, col := sys.Cluster().Clock(), scenario.Collector(sys)
-
-	setup, err := sys.NewProcess(1)
-	if err != nil {
-		return ConcurrentRow{}, err
+	if groupCommit {
+		spec.GroupCommit = spec.Disk
 	}
 	// One page per client: the two accounts a client transfers between
 	// share its page, and no page is shared across clients, so every
 	// transaction flushes exactly one data page and the differencing
 	// paths never fire.  The log force is the only shared resource.
 	const pageSize = 1024
-	if _, err := baseFile(setup, "bank/accounts", clients*pageSize); err != nil {
+	var sampler *telemetry.Sampler
+	row := ConcurrentRow{Case: "group-commit " + onOff(groupCommit), Clients: o.Clients, TxnsPerCl: o.TxnsPerClient}
+	sc := scenario.Scenario{
+		Spec: spec,
+		Setup: func(e *scenario.Env) {
+			baseFile(scenario.Must(e.Sys.NewProcess(1)), "bank/accounts", o.Clients*pageSize)
+			if spec.Profile {
+				sampler = telemetry.NewSampler(e.Sys.Stats().Registry(), o.SampleInterval)
+				sampler.Start(e.Clock)
+			}
+		},
+		Check: func(e *scenario.Env, _ *scenario.Outcome) {
+			sampler.Stop()
+			row.Samples = sampler.Samples()
+			row.PhaseTotal, row.PhasePrepare, row.PhasePhase2 =
+				trace.LatencyHistograms(trace.PhaseLatencies(e.Trace.Events()))
+		},
+	}
+	for c := 0; c < o.Clients; c++ {
+		sc.Clients = append(sc.Clients, func(e *scenario.Env) {
+			p, files, err := e.Open(1, "bank/accounts")
+			scenario.Ok(err)
+			from := int64(c) * pageSize
+			for i := 0; i < o.TxnsPerClient; i++ {
+				// Lock both accounts, then update both.
+				e.Txn(p, func() error { //nolint:errcheck // tallied
+					for _, acct := range []int64{from, from + 8} {
+						if err := files[0].LockRange(acct, 8, core.Exclusive); err != nil {
+							return err
+						}
+					}
+					for _, acct := range []int64{from, from + 8} {
+						if _, err := files[0].WriteAt([]byte(fmt.Sprintf("%08d", i)), acct); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			}
+		})
+	}
+	out, err := scenario.Run(sc)
+	if err != nil {
 		return ConcurrentRow{}, err
 	}
 
-	reg := sys.Stats().Registry()
-	var sampler *telemetry.Sampler
-	if o.Telemetry {
-		sampler = telemetry.NewSampler(reg, o.SampleInterval)
-	}
-
-	before := sys.Stats().Snapshot()
-	var committed, aborted atomic.Int64
-	lats := make([][]time.Duration, clients)
-	errs := make([]error, clients)
-	start := time.Now()
-	simStart := clk.Now()
-	sampler.Start(clk)
-	client := func(c int) error {
-		p, err := sys.NewProcess(1)
-		if err != nil {
-			return err
-		}
-		file, err := p.Open("bank/accounts")
-		if err != nil {
-			return err
-		}
-		from := int64(c) * pageSize
-		to := from + 8
-		lats[c] = make([]time.Duration, 0, txnsPerClient)
-		for i := 0; i < txnsPerClient; i++ {
-			t0 := clk.Now()
-			if _, err := p.BeginTrans(); err != nil {
-				return err
-			}
-			// Lock both accounts, then update both.
-			var err error
-			for _, acct := range []int64{from, to} {
-				if err == nil {
-					err = file.LockRange(acct, 8, core.Exclusive)
-				}
-			}
-			for _, acct := range []int64{from, to} {
-				if err == nil {
-					_, err = file.WriteAt([]byte(fmt.Sprintf("%08d", i)), acct)
-				}
-			}
-			if err != nil {
-				p.AbortTrans() //nolint:errcheck
-				aborted.Add(1)
-				continue
-			}
-			if err := p.EndTrans(); err != nil {
-				aborted.Add(1)
-				continue
-			}
-			committed.Add(1)
-			lats[c] = append(lats[c], clk.Now().Sub(t0))
-		}
-		return nil
-	}
-	wg := vtime.NewGroup(clk)
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Go(func() { errs[c] = client(c) })
-	}
-	wg.Wait()
-	if o.Telemetry {
-		if v, ok := vtime.AsVirtual(clk); ok {
-			// Clients are done, but background actors (phase-two
-			// cleanup, log-record deletion, the group-commit daemon)
-			// still hold work.  Drain to quiescence so the snapshot,
-			// profile and busy fractions cover the whole run.
-			v.WaitIdle()
-		}
-	}
-	sampler.Stop()
-	wall := time.Since(start)
-	simElapsed := clk.Now().Sub(simStart)
-	for _, err := range errs {
-		if err != nil {
-			return ConcurrentRow{}, err
-		}
-	}
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	pct := percentiles(all)
-
-	d := sys.Stats().Snapshot().Sub(before)
-	row := ConcurrentRow{
-		Case:            "group-commit " + onOff(o.GroupCommit),
-		Clients:         clients,
-		TxnsPerCl:       txnsPerClient,
-		Committed:       d.Get(stats.TxnCommits),
-		Aborted:         d.Get(stats.TxnAborts),
-		ClientCommitted: committed.Load(),
-		ClientAborted:   aborted.Load(),
-		P50:             pct(0.50),
-		P95:             pct(0.95),
-		P99:             pct(0.99),
-		ForcedIOs:       d.Get(stats.ForcedIOs),
-		Batches:         d.Get(stats.GroupCommitBatches),
-		BatchRecords:    d.Get(stats.GroupCommitRecords),
-		DiskWrites:      d.Get(stats.DiskWrites),
-		Counters:        d,
-	}
-	if o.Vtime {
-		row.SimTime = simElapsed
-		if v, ok := vtime.AsVirtual(clk); ok {
-			row.SimTotal = v.Elapsed()
-		}
+	pct := percentiles(out.Latencies)
+	d := out.Counters
+	row.Committed, row.Aborted = d.Get(stats.TxnCommits), d.Get(stats.TxnAborts)
+	row.ClientCommitted, row.ClientAborted = out.Commits, out.Aborts
+	row.P50, row.P95, row.P99 = pct(0.50), pct(0.95), pct(0.99)
+	row.ForcedIOs = d.Get(stats.ForcedIOs)
+	row.Batches, row.BatchRecords = d.Get(stats.GroupCommitBatches), d.Get(stats.GroupCommitRecords)
+	row.DiskWrites, row.Counters = d.Get(stats.DiskWrites), d
+	row.Profile, row.Metrics = out.Profile, out.Metrics
+	if spec.Virtual {
+		row.SimTime, row.SimTotal = out.SimTime, out.SimElapsed
 	}
 	if row.Committed > 0 {
-		row.TxnsPerSec = float64(row.Committed) / wall.Seconds()
+		row.TxnsPerSec = float64(row.Committed) / out.Wall.Seconds()
 		row.ForcedPerTxn = float64(row.ForcedIOs) / float64(row.Committed)
-		if o.Vtime && simElapsed > 0 {
-			row.TxnsPerSimSec = float64(row.Committed) / simElapsed.Seconds()
+		if row.SimTime > 0 {
+			row.TxnsPerSimSec = float64(row.Committed) / row.SimTime.Seconds()
 		}
-	}
-	if col != nil {
-		row.PhaseTotal, row.PhasePrepare, row.PhasePhase2 =
-			trace.LatencyHistograms(trace.PhaseLatencies(col.Events()))
-	}
-	if o.Telemetry {
-		row.Samples = sampler.Samples()
-		row.Profile = reg.Profiler().Report()
-		row.Metrics = reg.Snapshot()
 	}
 	return row, nil
 }
@@ -355,12 +251,57 @@ func (r ConcurrentRow) TelemetryJSON() []byte {
 	return buf.Bytes()
 }
 
+// TelemetryReport renders a profiled run's utilization view: headline
+// numbers, the per-resource utilization lines, a per-interval
+// spindle-utilization strip derived from successive disk_busy_ns samples
+// (interval is the sampler period), and the critical-path attribution.
+func (r ConcurrentRow) TelemetryReport(interval time.Duration) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "\n## %s — %d clients x %d txns (%s model)\n\n", r.Case, r.Clients, r.TxnsPerCl, Vax.Name)
+	fmt.Fprintf(&b, "committed %d, aborted %d in %s simulated (%s total with setup)\n",
+		r.Committed, r.Aborted, r.SimTime.Round(time.Millisecond), r.SimTotal.Round(time.Millisecond))
+	fmt.Fprintf(&b, "throughput %.1f txns/simulated-second\n", r.TxnsPerSimSec)
+	b.WriteString(r.Metrics.Utilization(r.SimTotal))
+	if strip := utilizationStrip(r.Samples, interval); strip != "" {
+		fmt.Fprintf(&b, "utilization %s  (one cell per %s, . <25%% : <50%% + <75%% # <=100%%)\n", strip, interval)
+	}
+	return b.String() + "\n" + r.Profile.Summary()
+}
+
+// utilizationStrip renders successive-sample disk_busy_ns deltas as a
+// coarse per-interval utilization bar.
+func utilizationStrip(samples []telemetry.Sample, interval time.Duration) string {
+	if len(samples) == 0 || interval <= 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteByte('[')
+	var prev int64
+	for _, sm := range samples {
+		busy := sm.Values["disk_busy_ns"]
+		frac := float64(busy-prev) / float64(interval.Nanoseconds())
+		prev = busy
+		switch {
+		case frac < 0.25:
+			b.WriteByte('.')
+		case frac < 0.5:
+			b.WriteByte(':')
+		case frac < 0.75:
+			b.WriteByte('+')
+		default:
+			b.WriteByte('#')
+		}
+	}
+	b.WriteByte(']')
+	return b.String()
+}
+
 // ConcurrentPair runs the workload with group commit off then on and
 // returns both rows (the locusbench concurrent table).
 func ConcurrentPair(o ConcurrentOpts) ([]ConcurrentRow, error) {
 	var rows []ConcurrentRow
-	for _, o.GroupCommit = range []bool{false, true} {
-		r, err := ConcurrentCommit(o)
+	for _, groupCommit := range []bool{false, true} {
+		r, err := ConcurrentCommit(o, groupCommit)
 		if err != nil {
 			return nil, err
 		}

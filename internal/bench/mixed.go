@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/scenario"
@@ -59,110 +58,89 @@ func MixedCommit(txns, readShare int, fastPaths bool) (MixedRow, error) {
 	}
 	spec := serialSpec("va", "vb")
 	spec.FastPaths = fastPaths
-	sys, err := spec.Build()
+	var p *core.Process
+	var local, remote *core.File
+	out, err := scenario.Run(scenario.Scenario{
+		Spec: spec,
+		Setup: func(e *scenario.Env) {
+			setup := scenario.Must(e.Sys.NewProcess(1))
+			for _, path := range []string{"va/data", "vb/data"} {
+				scenario.Ok(baseFile(setup, path, 1024).Close())
+			}
+			var files []*core.File
+			var err error
+			p, files, err = e.Open(1, "va/data", "vb/data")
+			scenario.Ok(err)
+			local, remote = files[0], files[1]
+		},
+		Clients: []func(*scenario.Env){func(e *scenario.Env) {
+			buf := make([]byte, 8)
+			// read takes a shared lock on f's record and reads it.
+			read := func(f *core.File) error {
+				if err := f.LockRange(0, 8, core.Shared); err != nil {
+					return err
+				}
+				_, err := f.ReadAt(buf, 0)
+				return err
+			}
+			writes := 0
+			for i := 0; i < txns; i++ {
+				// write takes the exclusive lock on the local record and
+				// updates it.
+				write := func() error {
+					if err := local.LockRange(0, 8, core.Exclusive); err != nil {
+						return err
+					}
+					_, err := local.WriteAt([]byte(fmt.Sprintf("%08d", i)), 0)
+					return err
+				}
+				// Bresenham interleave: transaction i reads iff the running
+				// count of reads is behind the requested share.
+				isRead := (i+1)*readShare/100 > i*readShare/100
+				if !isRead {
+					writes++
+				}
+				e.Txn(p, func() error { //nolint:errcheck // tallied
+					switch {
+					case isRead:
+						// Pure read across both sites: every participant
+						// votes read-only, so the fast-path run skips the
+						// commit force.
+						if err := read(local); err != nil {
+							return err
+						}
+						return read(remote)
+					case writes%2 == 1:
+						// Single-site write: the one-phase commit candidate.
+						return write()
+					}
+					// Write at site 1 plus a shared read at site 2: the
+					// remote participant is the read-only vote candidate.
+					if err := write(); err != nil {
+						return err
+					}
+					return read(remote)
+				})
+			}
+		}},
+	})
 	if err != nil {
 		return MixedRow{}, err
 	}
-	defer sys.Cluster().Shutdown()
-	clk := sys.Cluster().Clock()
-
-	setup, err := sys.NewProcess(1)
-	if err != nil {
-		return MixedRow{}, err
-	}
-	const pageSize = 1024
-	for _, path := range []string{"va/data", "vb/data"} {
-		f, err := baseFile(setup, path, pageSize)
-		if err != nil {
-			return MixedRow{}, err
-		}
-		if err := f.Close(); err != nil {
-			return MixedRow{}, err
-		}
-	}
-
-	p, err := sys.NewProcess(1)
-	if err != nil {
-		return MixedRow{}, err
-	}
-	local, err := p.Open("va/data")
-	if err != nil {
-		return MixedRow{}, err
-	}
-	remote, err := p.Open("vb/data")
-	if err != nil {
-		return MixedRow{}, err
-	}
-
+	pct := percentiles(out.Latencies)
+	d := out.Counters
 	row := MixedRow{
 		Case: "fast-paths " + onOff(fastPaths), FastPaths: fastPaths,
 		ReadShare: readShare, Txns: txns,
+		Committed: out.Commits, Aborted: out.Aborts,
+		P50: pct(0.50), P99: pct(0.99),
+		ForcedIOs:   d.Get(stats.ForcedIOs),
+		CoordWrites: d.Get(stats.CoordLogWrites),
+		PrepWrites:  d.Get(stats.PrepareLogWrites),
+		ReadOnly:    d.Get(stats.ReadOnlyVotes),
+		OnePhase:    d.Get(stats.OnePhaseCommits),
+		Counters:    d,
 	}
-	before := sys.Stats().Snapshot()
-	lats := make([]time.Duration, 0, txns)
-	buf := make([]byte, 8)
-	writes := 0
-	for i := 0; i < txns; i++ {
-		// Bresenham interleave: transaction i reads iff the running
-		// count of reads is behind the requested share.
-		isRead := (i+1)*readShare/100 > i*readShare/100
-		t0 := clk.Now()
-		if _, err := p.BeginTrans(); err != nil {
-			return row, err
-		}
-		// read takes a shared lock on f's record and reads it; write
-		// takes the exclusive lock on the local record and updates it.
-		read := func(f *core.File) error {
-			if err := f.LockRange(0, 8, core.Shared); err != nil {
-				return err
-			}
-			_, err := f.ReadAt(buf, 0)
-			return err
-		}
-		write := func() error {
-			if err := local.LockRange(0, 8, core.Exclusive); err != nil {
-				return err
-			}
-			_, err := local.WriteAt([]byte(fmt.Sprintf("%08d", i)), 0)
-			return err
-		}
-		var err error
-		if isRead {
-			// Pure read across both sites: every participant votes
-			// read-only, so the fast-path run skips the commit force.
-			if err = read(local); err == nil {
-				err = read(remote)
-			}
-		} else if writes++; writes%2 == 1 {
-			// Single-site write: the one-phase commit candidate.
-			err = write()
-		} else if err = write(); err == nil {
-			// Write at site 1 plus a shared read at site 2: the remote
-			// participant is the read-only vote candidate.
-			err = read(remote)
-		}
-		if err != nil {
-			p.AbortTrans() //nolint:errcheck
-			row.Aborted++
-			continue
-		}
-		if err := p.EndTrans(); err != nil {
-			row.Aborted++
-			continue
-		}
-		row.Committed++
-		lats = append(lats, clk.Now().Sub(t0))
-	}
-	pct := percentiles(lats)
-	row.P50, row.P99 = pct(0.50), pct(0.99)
-
-	d := sys.Stats().Snapshot().Sub(before)
-	row.ForcedIOs = d.Get(stats.ForcedIOs)
-	row.CoordWrites = d.Get(stats.CoordLogWrites)
-	row.PrepWrites = d.Get(stats.PrepareLogWrites)
-	row.ReadOnly = d.Get(stats.ReadOnlyVotes)
-	row.OnePhase = d.Get(stats.OnePhaseCommits)
-	row.Counters = d
 	if row.Committed > 0 {
 		row.ForcedPerTxn = float64(row.ForcedIOs) / float64(row.Committed)
 	}

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -41,61 +43,44 @@ func RepeatAccess(txns int, leases bool) (RepeatRow, error) {
 	}
 	spec := serialSpec("va", "vb")
 	spec.Leases = leases
-	sys, err := spec.Build()
+	var p *core.Process
+	var hot *core.File
+	out, err := scenario.Run(scenario.Scenario{
+		Spec: spec,
+		Setup: func(e *scenario.Env) {
+			scenario.Ok(baseFile(scenario.Must(e.Sys.NewProcess(1)), "vb/hot", 1024).Close())
+			var files []*core.File
+			var err error
+			p, files, err = e.Open(1, "vb/hot")
+			scenario.Ok(err)
+			hot = files[0]
+		},
+		Clients: []func(*scenario.Env){func(e *scenario.Env) {
+			for i := 0; i < txns; i++ {
+				// Skewed repeated access: the offset cycles through 16
+				// records of the one hot file.  Implicit locking acquires
+				// the record lock at write time (section 3.1) - the path
+				// leases shortcut.
+				e.Txn(p, func() error { //nolint:errcheck // tallied
+					_, err := hot.WriteAt([]byte(fmt.Sprintf("%08d", i)), int64((i%16)*8))
+					return err
+				})
+			}
+		}},
+	})
 	if err != nil {
 		return RepeatRow{}, err
 	}
-	defer sys.Cluster().Shutdown()
-
-	setup, err := sys.NewProcess(1)
-	if err != nil {
-		return RepeatRow{}, err
+	d := out.Counters
+	row := RepeatRow{
+		Case: "leases " + onOff(leases), Leases: leases, Txns: txns,
+		Committed: out.Commits, Aborted: out.Aborts,
+		LockMsgs:     d.Get(stats.LockMsgs),
+		LeaseHits:    d.Get(stats.LeaseHits),
+		LeaseRevokes: d.Get(stats.LeaseRevokes),
+		Escalations:  d.Get(stats.LeaseEscalations),
+		Counters:     d,
 	}
-	f, err := baseFile(setup, "vb/hot", 1024)
-	if err != nil {
-		return RepeatRow{}, err
-	}
-	if err := f.Close(); err != nil {
-		return RepeatRow{}, err
-	}
-
-	p, err := sys.NewProcess(1)
-	if err != nil {
-		return RepeatRow{}, err
-	}
-	hot, err := p.Open("vb/hot")
-	if err != nil {
-		return RepeatRow{}, err
-	}
-
-	row := RepeatRow{Case: "leases " + onOff(leases), Leases: leases, Txns: txns}
-	before := sys.Stats().Snapshot()
-	for i := 0; i < txns; i++ {
-		// Skewed repeated access: the offset cycles through 16 records
-		// of the one hot file.  Implicit locking acquires the record
-		// lock at write time (section 3.1) - the path leases shortcut.
-		off := int64((i % 16) * 8)
-		if _, err := p.BeginTrans(); err != nil {
-			return row, err
-		}
-		if _, err := hot.WriteAt([]byte(fmt.Sprintf("%08d", i)), off); err != nil {
-			p.AbortTrans() //nolint:errcheck
-			row.Aborted++
-			continue
-		}
-		if err := p.EndTrans(); err != nil {
-			row.Aborted++
-			continue
-		}
-		row.Committed++
-	}
-
-	d := sys.Stats().Snapshot().Sub(before)
-	row.LockMsgs = d.Get(stats.LockMsgs)
-	row.LeaseHits = d.Get(stats.LeaseHits)
-	row.LeaseRevokes = d.Get(stats.LeaseRevokes)
-	row.Escalations = d.Get(stats.LeaseEscalations)
-	row.Counters = d
 	if row.Committed > 0 {
 		row.LockMsgsPerTxn = float64(row.LockMsgs) / float64(row.Committed)
 	}

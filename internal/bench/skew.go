@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -53,16 +54,31 @@ type SkewOpts struct {
 }
 
 // The skew experiment's fixed shape: each client runs skewWarmup
-// discarded transactions then skewTxns measured ones, picking among
+// discarded transactions then SkewTxns measured ones, picking among
 // skewFiles files mounted at site 1 with the workload package's default
 // Zipf exponent.
 const (
-	skewTxns   = 64
+	SkewTxns   = 64
 	skewWarmup = 64
 	skewFiles  = 32
 )
 
-// SkewPlacement runs the skewed workload once.
+// skewClient is one of the two client sites.  Client c's rank r maps to
+// slot (r + c*Files/2) mod Files, so the hot heads are disjoint and a
+// correct policy must split the pool, not herd it to one site.
+type skewClient struct {
+	p      *core.Process
+	files  map[string]*core.File
+	choose *workload.Chooser
+	rot    int
+	next   int // access index (feeds Chooser.Next in order)
+}
+
+var errNoHandle = errors.New("bench: file not open yet")
+
+// SkewPlacement runs the skewed workload once: the warm-up window (where
+// the heat accumulates and the moves happen) is the run's setup, the
+// measured window its one serial client.
 func SkewPlacement(o SkewOpts) (SkewRow, error) {
 	spec := serialSpec(threeSites...)
 	spec.FastPaths = true
@@ -73,123 +89,79 @@ func SkewPlacement(o SkewOpts) (SkewRow, error) {
 		// accesses, and may move again after 8 more.
 		spec.Placement = scenario.Placement{MinAccesses: 3, Cooldown: 8}
 	}
-	sys, err := spec.Build()
-	if err != nil {
-		return SkewRow{}, err
-	}
-	defer sys.Cluster().Shutdown()
-
 	row := SkewRow{
 		Case:     fmt.Sprintf("%s placement %s", o.Pattern, onOff(o.Adaptive)),
 		Pattern:  o.Pattern.String(),
 		Adaptive: o.Adaptive,
-		Txns:     2 * skewTxns,
-	}
-	return row, skewBody(sys, o, &row)
-}
-
-// skewBody is the serial workload driver.
-func skewBody(sys *core.System, o SkewOpts, row *SkewRow) error {
-	clk := sys.Cluster().Clock()
-	// The shared pool: one page-sized file per slot at site 1.
-	setup, err := sys.NewProcess(1)
-	if err != nil {
-		return err
+		Txns:     2 * SkewTxns,
 	}
 	paths := make([]string, skewFiles)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("va/f%02d", i)
-		f, err := baseFile(setup, paths[i], 256)
-		if err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-
-	// Two clients with rotated rank orders: client c's rank r maps to
-	// slot (r + c*Files/2) mod Files, so the hot heads are disjoint and
-	// a correct policy must split the pool, not herd it to one site.
-	type client struct {
-		p      *core.Process
-		files  map[string]*core.File
-		choose *workload.Chooser
-		rot    int
-		next   int // access index (feeds Chooser.Next in order)
-	}
-	total := skewWarmup + skewTxns
-	clients := make([]*client, 2)
-	for c := range clients {
-		p, err := sys.NewProcess([]simnet.SiteID{2, 3}[c])
-		if err != nil {
-			return err
-		}
-		clients[c] = &client{
-			p:      p,
-			files:  make(map[string]*core.File),
-			choose: workload.NewChooser(o.Pattern, skewFiles, int64(c), workload.DefaultZipfS, total/4, total),
-			rot:    c * skewFiles / 2,
-		}
-	}
-
-	oneTxn := func(c *client, i int) error {
-		rank := int(c.choose.Next(c.next))
-		c.next++
-		path := paths[(rank+c.rot)%skewFiles]
-		if _, err := c.p.BeginTrans(); err != nil {
-			return err
-		}
-		f := c.files[path]
-		if f == nil {
-			// Open inside the transaction would tangle the file list;
-			// handles are opened lazily outside and kept for the run
-			// (live opens also exercise the move's ref inheritance).
-			if err := c.p.AbortTrans(); err != nil {
-				return err
-			}
-			var err error
-			if f, err = c.p.Open(path); err != nil {
-				return err
-			}
-			c.files[path] = f
-			if _, err := c.p.BeginTrans(); err != nil {
-				return err
-			}
-		}
-		if _, err := f.WriteAt([]byte(fmt.Sprintf("%08d", i)), int64(c.rot)); err != nil {
-			c.p.AbortTrans() //nolint:errcheck
-			row.Aborted++
-			return nil
-		}
-		if err := c.p.EndTrans(); err != nil {
-			row.Aborted++
-			return nil
-		}
-		return nil
-	}
-
-	// Warm-up window: the heat accumulates and the moves happen here.
-	for i := 0; i < skewWarmup; i++ {
-		for _, c := range clients {
-			if err := oneTxn(c, i); err != nil {
-				return err
+	clients := make([]*skewClient, 2)
+	// window runs n rounds of one transaction per client, in turn.
+	window := func(e *scenario.Env, first, n int) {
+		for i := first; i < first+n; i++ {
+			for _, c := range clients {
+				rank := int(c.choose.Next(c.next))
+				c.next++
+				path := paths[(rank+c.rot)%skewFiles]
+				if c.files[path] == nil {
+					// The client learns it holds no handle only after its
+					// transaction has begun, and an open inside it would
+					// tangle the file list: it gives that transaction up,
+					// opens outside and starts over.  Handles are kept for
+					// the run (live opens also exercise the move's ref
+					// inheritance).
+					c.p.RunTransaction(1, func() error { return errNoHandle }) //nolint:errcheck
+					c.files[path] = scenario.Must(c.p.Open(path))
+				}
+				if e.Txn(c.p, func() error {
+					_, err := c.files[path].WriteAt([]byte(fmt.Sprintf("%08d", i)), int64(c.rot))
+					return err
+				}) != nil {
+					row.Aborted++
+				}
 			}
 		}
 	}
-
-	before := sys.Stats().Snapshot()
-	simStart := clk.Now()
-	for i := 0; i < skewTxns; i++ {
-		for _, c := range clients {
-			if err := oneTxn(c, skewWarmup+i); err != nil {
-				return err
+	out, err := scenario.Run(scenario.Scenario{
+		Spec: spec,
+		Setup: func(e *scenario.Env) {
+			// The shared pool: one page-sized file per slot at site 1.
+			setup := scenario.Must(e.Sys.NewProcess(1))
+			for i := range paths {
+				paths[i] = fmt.Sprintf("va/f%02d", i)
+				scenario.Ok(baseFile(setup, paths[i], 256).Close())
 			}
-		}
+			total := skewWarmup + SkewTxns
+			for c := range clients {
+				clients[c] = &skewClient{
+					p:      scenario.Must(e.Sys.NewProcess([]simnet.SiteID{2, 3}[c])),
+					files:  make(map[string]*core.File),
+					choose: workload.NewChooser(o.Pattern, skewFiles, int64(c), workload.DefaultZipfS, total/4, total),
+					rot:    c * skewFiles / 2,
+				}
+			}
+			window(e, 0, skewWarmup)
+		},
+		Clients: []func(*scenario.Env){func(e *scenario.Env) { window(e, skewWarmup, SkewTxns) }},
+		Check: func(e *scenario.Env, _ *scenario.Outcome) {
+			// Machinery activity over the whole run, warm-up included.
+			whole := e.Sys.Stats().Snapshot()
+			row.OwnerMoves = whole.Get(stats.OwnerMoves)
+			row.RoutedCommits = whole.Get(stats.RoutedCommits)
+			row.ProcMoves = whole.Get(stats.PlacementMigrations)
+			for _, c := range clients {
+				for _, f := range c.files {
+					scenario.Ok(f.Close())
+				}
+			}
+		},
+	})
+	if err != nil {
+		return row, err
 	}
-	row.SimTime = clk.Now().Sub(simStart)
-
-	d := sys.Stats().Snapshot().Sub(before)
+	d := out.Counters
+	row.SimTime, row.Counters = out.SimTime, d
 	row.Committed = d.Get(stats.TxnCommits)
 	row.LocalCommits = d.Get(stats.LocalCommits)
 	if row.Committed > 0 {
@@ -198,21 +170,7 @@ func skewBody(sys *core.System, o SkewOpts, row *SkewRow) error {
 		row.MsgsPerTxn = float64(d.Get(stats.MsgsSent)) / float64(row.Committed)
 		row.ForcedPerTxn = float64(d.Get(stats.ForcedIOs)) / float64(row.Committed)
 	}
-	row.Counters = d
-	// Machinery activity over the whole run, warm-up included.
-	whole := sys.Stats().Snapshot()
-	row.OwnerMoves = whole.Get(stats.OwnerMoves)
-	row.RoutedCommits = whole.Get(stats.RoutedCommits)
-	row.ProcMoves = whole.Get(stats.PlacementMigrations)
-
-	for _, c := range clients {
-		for _, f := range c.files {
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return row, nil
 }
 
 func onOff(b bool) string {

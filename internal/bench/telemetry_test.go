@@ -6,18 +6,17 @@ import (
 	"time"
 )
 
+// profiled is the telemetry configuration: the virtual clock at the cost
+// model's disk latency, profiler and sampler attached.
+func profiled(clients, txns int) ConcurrentOpts {
+	o := ConcurrentOpts{Clients: clients, TxnsPerClient: txns, SampleInterval: 100 * time.Millisecond}.Simulated()
+	o.Spec.Profile = true
+	return o
+}
+
 func telemetryRun(t *testing.T, groupCommit bool) ConcurrentRow {
 	t.Helper()
-	row, err := ConcurrentCommit(ConcurrentOpts{
-		Clients:          4,
-		TxnsPerClient:    6,
-		GroupCommit:      groupCommit,
-		DiskSyncDelay:    Vax.DiskWriteTime,
-		GroupCommitDelay: Vax.DiskWriteTime,
-		Vtime:            true,
-		Telemetry:        true,
-		SampleInterval:   100 * time.Millisecond,
-	})
+	row, err := ConcurrentCommit(profiled(4, 6), groupCommit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,16 +34,7 @@ func telemetryRun(t *testing.T, groupCommit bool) ConcurrentRow {
 // several are released at the same virtual instant.
 func TestTelemetryDeterministic(t *testing.T) {
 	run := func(gc bool) []byte {
-		row, err := ConcurrentCommit(ConcurrentOpts{
-			Clients:          1,
-			TxnsPerClient:    8,
-			GroupCommit:      gc,
-			DiskSyncDelay:    Vax.DiskWriteTime,
-			GroupCommitDelay: Vax.DiskWriteTime,
-			Vtime:            true,
-			Telemetry:        true,
-			SampleInterval:   100 * time.Millisecond,
-		})
+		row, err := ConcurrentCommit(profiled(1, 8), gc)
 		if err != nil {
 			t.Fatal(err)
 		}

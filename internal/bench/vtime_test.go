@@ -24,8 +24,8 @@ func TestConcurrentVtimeSpeedup(t *testing.T) {
 	startReal := time.Now()
 	real, err := ConcurrentCommit(ConcurrentOpts{
 		Clients: clients, TxnsPerClient: txns,
-		DiskSyncDelay: vax.DiskWriteTime,
-	})
+		Spec: scenario.Spec{Disk: vax.DiskWriteTime},
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +34,8 @@ func TestConcurrentVtimeSpeedup(t *testing.T) {
 	startVirt := time.Now()
 	virt, err := ConcurrentCommit(ConcurrentOpts{
 		Clients: clients, TxnsPerClient: txns,
-		DiskSyncDelay: vax.DiskWriteTime,
-		Vtime:         true,
-	})
+		Spec: scenario.Spec{Disk: vax.DiskWriteTime, Virtual: true},
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

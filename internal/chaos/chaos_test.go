@@ -1,14 +1,21 @@
 package chaos
 
 import (
+	"flag"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/costmodel"
+	"repro/internal/fs"
+	"repro/internal/scenario"
 	"repro/internal/simnet"
 )
+
+// vax is the -vtime spec: the virtual clock at VAX-750 latencies.
+var vax = scenario.Spec{}.At(costmodel.Vax750())
 
 func TestGenScheduleDeterministic(t *testing.T) {
 	sites := []simnet.SiteID{1, 2, 3, 4}
@@ -26,12 +33,12 @@ func TestGenScheduleDeterministic(t *testing.T) {
 	}
 	// Every crash has a restart at a later time for the same site.
 	for i, f := range a {
-		if f.Kind != FaultCrash && f.Kind != FaultDiskCrash {
+		if f.Kind != scenario.FaultCrash && f.Kind != scenario.FaultDiskCrash {
 			continue
 		}
 		found := false
 		for _, g := range a[i:] {
-			if g.Kind == FaultRestart && g.Site == f.Site && g.At > f.At {
+			if g.Kind == scenario.FaultRestart && g.Site == f.Site && g.At > f.At {
 				found = true
 				break
 			}
@@ -44,29 +51,29 @@ func TestGenScheduleDeterministic(t *testing.T) {
 
 func TestScheduleRoundTrip(t *testing.T) {
 	sched := GenSchedule(7, time.Second, []simnet.SiteID{1, 2, 3}, DefaultFaults())
-	back, err := ParseSchedule(sched.Compact())
+	back, err := scenario.ParseSchedule(sched.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sched, back) {
 		t.Fatalf("schedule did not round-trip:\n%s\nvs\n%s", sched, back)
 	}
-	if _, err := ParseSchedule("100ms:crash:2, 250ms:drop:0.3; 400ms:restart:2,500ms:heal"); err != nil {
+	if _, err := scenario.ParseSchedule("100ms:crash:2, 250ms:drop:0.3; 400ms:restart:2,500ms:heal"); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []string{"crash:2", "100ms:warp:1", "100ms:drop:2.0", "100ms:block:12"} {
-		if _, err := ParseSchedule(bad); err == nil {
-			t.Errorf("ParseSchedule(%q) accepted garbage", bad)
+		if _, err := scenario.ParseSchedule(bad); err == nil {
+			t.Errorf("scenario.ParseSchedule(%q) accepted garbage", bad)
 		}
 	}
 }
 
 func TestArmCrashFault(t *testing.T) {
-	sched, err := ParseSchedule("100ms:armcrash:2@17,400ms:restart:2")
+	sched, err := scenario.ParseSchedule("100ms:armcrash:2@17,400ms:restart:2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sched) != 2 || sched[0].Kind != FaultCrashWrites ||
+	if len(sched) != 2 || sched[0].Kind != scenario.FaultCrashWrites ||
 		sched[0].Site != 2 || sched[0].N != 17 {
 		t.Fatalf("parsed schedule = %+v", sched)
 	}
@@ -74,8 +81,8 @@ func TestArmCrashFault(t *testing.T) {
 		t.Fatalf("armcrash did not round-trip: %q", got)
 	}
 	for _, bad := range []string{"100ms:armcrash:2", "100ms:armcrash:2@-1", "100ms:armcrash"} {
-		if _, err := ParseSchedule(bad); err == nil {
-			t.Errorf("ParseSchedule(%q) accepted garbage", bad)
+		if _, err := scenario.ParseSchedule(bad); err == nil {
+			t.Errorf("scenario.ParseSchedule(%q) accepted garbage", bad)
 		}
 	}
 }
@@ -85,7 +92,7 @@ func TestArmCrashFault(t *testing.T) {
 // workload's own I/O determines, the monitor takes the site down, and
 // the audit must still find every invariant intact.
 func TestRunArmCrash(t *testing.T) {
-	sched, err := ParseSchedule("50ms:armcrash:2@25,250ms:restart:2,300ms:armcrash:3@10,500ms:restart:3")
+	sched, err := scenario.ParseSchedule("50ms:armcrash:2@25,250ms:restart:2,300ms:armcrash:3@10,500ms:restart:3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +138,11 @@ func TestRunShort(t *testing.T) {
 // records (pairs stay all-or-nothing) rather than corrupting the log.
 func TestRunShortGroupCommit(t *testing.T) {
 	res, err := Run(Options{
-		Seed:        1,
-		Duration:    600 * time.Millisecond,
-		Sites:       3,
-		Workers:     4,
-		GroupCommit: 200 * time.Microsecond,
+		Seed:     1,
+		Duration: 600 * time.Millisecond,
+		Sites:    3,
+		Workers:  4,
+		Spec:     scenario.Spec{Layers: scenario.Layers{GroupCommit: 200 * time.Microsecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,26 +160,23 @@ func TestRunShortGroupCommit(t *testing.T) {
 // shared locks released at vote time, no stale prepare records, no
 // transaction stuck in doubt.
 func TestRunShortFastPaths(t *testing.T) {
-	sched, err := ParseSchedule("80ms:partition:2,220ms:heal,320ms:partition:3,450ms:heal")
+	sched, err := scenario.ParseSchedule("80ms:partition:2,220ms:heal,320ms:partition:3,450ms:heal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(Options{
-		Seed:      1,
-		Duration:  600 * time.Millisecond,
-		Sites:     3,
-		Workers:   4,
-		Schedule:  sched,
-		FastPaths: true,
+		Seed:     1,
+		Duration: 600 * time.Millisecond,
+		Sites:    3,
+		Workers:  4,
+		Schedule: sched,
+		Spec:     scenario.Spec{Layers: scenario.Layers{FastPaths: true}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.OK() {
 		t.Fatalf("invariant violations with fast paths:\n%s", res.Report(true))
-	}
-	if got := res.ReplayCommand(); !strings.Contains(got, "-fastpaths") {
-		t.Fatalf("replay command omits -fastpaths: %s", got)
 	}
 	t.Logf("\n%s", res.Report(true))
 }
@@ -185,26 +189,23 @@ func TestRunShortFastPaths(t *testing.T) {
 // clean - leases are a message-count optimization, never a correctness
 // change.
 func TestRunShortLeases(t *testing.T) {
-	sched, err := ParseSchedule("80ms:partition:2,220ms:heal,320ms:partition:3,450ms:heal")
+	sched, err := scenario.ParseSchedule("80ms:partition:2,220ms:heal,320ms:partition:3,450ms:heal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(Options{
-		Seed:       1,
-		Duration:   600 * time.Millisecond,
-		Sites:      3,
-		Workers:    4,
-		Schedule:   sched,
-		LockLeases: true,
+		Seed:     1,
+		Duration: 600 * time.Millisecond,
+		Sites:    3,
+		Workers:  4,
+		Schedule: sched,
+		Spec:     scenario.Spec{Layers: scenario.Layers{Leases: true}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.OK() {
 		t.Fatalf("invariant violations with lock leases:\n%s", res.Report(true))
-	}
-	if got := res.ReplayCommand(); !strings.Contains(got, "-leases") {
-		t.Fatalf("replay command omits -leases: %s", got)
 	}
 	t.Logf("\n%s", res.Report(true))
 }
@@ -213,20 +214,19 @@ func TestRunShortLeases(t *testing.T) {
 // locality-adaptive placement on aggressive knobs: files migrate after
 // two accesses, so ownership moves and routed commits land inside the
 // partition windows.  Every invariant - including the single-primary
-// check the placement mode adds - must hold, and the replay command
-// must carry the -placement flag.
+// check the placement mode adds - must hold.
 func TestRunShortPlacement(t *testing.T) {
-	sched, err := ParseSchedule("80ms:partition:2,220ms:heal,320ms:partition:3,450ms:heal")
+	sched, err := scenario.ParseSchedule("80ms:partition:2,220ms:heal,320ms:partition:3,450ms:heal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(Options{
-		Seed:      1,
-		Duration:  600 * time.Millisecond,
-		Sites:     3,
-		Workers:   4,
-		Schedule:  sched,
-		Placement: true,
+		Seed:     1,
+		Duration: 600 * time.Millisecond,
+		Sites:    3,
+		Workers:  4,
+		Schedule: sched,
+		Spec:     scenario.Spec{Layers: scenario.Layers{Placement: scenario.Eager}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +234,7 @@ func TestRunShortPlacement(t *testing.T) {
 	if !res.OK() {
 		t.Fatalf("invariant violations with adaptive placement:\n%s", res.Report(true))
 	}
-	if got := res.ReplayCommand(); !strings.Contains(got, "-placement") {
-		t.Fatalf("replay command omits -placement: %s", got)
-	}
-	t.Logf("owner moves=%d routed commits=%d\n%s", res.OwnerMoves, res.RoutedCommits, res.Report(true))
+	t.Logf("\n%s", res.Report(true))
 }
 
 // TestReportReproducible runs the same seed twice and demands the exact
@@ -290,56 +287,45 @@ func TestSweep(t *testing.T) {
 
 // TestCheckerCatchesTornPair proves the audit has teeth: tear a pair on
 // purpose (a non-transaction write to only one file of a committed
-// pair, synced so it is durable) and the atomic-pairs check must flag
-// it.
+// pair, synced so it is durable, after recovery and before the content
+// checks) and the atomic-pairs check must flag it.
 func TestCheckerCatchesTornPair(t *testing.T) {
-	e, err := newEngine(Options{Seed: 5, Sites: 2, Workers: 2})
+	w, err := newWorkload(Options{Seed: 5, Sites: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.sys.Cluster().Shutdown()
-
+	ps := w.pairs[0]
+	sc := w.scenario()
+	sc.Schedule, sc.Window = nil, 0
 	// Commit one honest marker to the first pair.
-	ps := e.pairs[0]
-	marker := []byte(fmt.Sprintf(markerFmt, ps.worker, 0))
-	ps.attempts = 1
-	if !e.runPair(1, ps, marker) {
-		t.Fatal("clean-network pair commit failed")
-	}
-	ps.confirmed = 0
-	if err := e.quiesce(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Sanity: the audit passes before the sabotage.
-	for _, c := range e.check() {
-		if len(c.Violations) != 0 {
-			t.Fatalf("pre-sabotage violation in %s: %v", c.Name, c.Violations)
+	sc.Clients = []func(*scenario.Env){func(e *scenario.Env) {
+		ps.attempts = 1
+		if !w.runPair(e, 1, ps, []byte(fmt.Sprintf(markerFmt, ps.worker, 0))) {
+			t.Error("clean-network pair commit failed")
 		}
+		ps.confirmed = 0
+	}}
+	sc.Check = func(e *scenario.Env, out *scenario.Outcome) {
+		// Sanity: the audit passes before the sabotage.
+		if !out.Checks.OK() || len(w.checkPairs(e).Violations) != 0 {
+			t.Errorf("pre-sabotage violations: %v %v", out.Checks.Violations(), w.checkPairs(e).Violations)
+		}
+		// The bug: a write that reaches only one file of the pair, made
+		// durable outside any transaction.
+		_, files, err := e.Open(1, ps.pathA)
+		scenario.Ok(err)
+		scenario.Must(files[0].WriteAt([]byte(fmt.Sprintf(markerFmt, ps.worker, 9999)), 0))
+		scenario.Ok(files[0].Sync())
+		scenario.Ok(files[0].Close())
+		w.check(e, out)
 	}
-
-	// The bug: a write that reaches only one file of the pair, made
-	// durable outside any transaction.
-	p, err := e.sys.NewProcess(1)
+	res, err := w.run(sc)
 	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := p.Open(ps.pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte(fmt.Sprintf(markerFmt, ps.worker, 9999)), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	caught := false
-	for _, c := range e.check() {
+	for _, c := range res.Checks {
 		if c.Name == "atomic-pairs" && len(c.Violations) != 0 {
 			caught = true
 			t.Logf("checker caught the injected tear: %v", c.Violations)
@@ -362,10 +348,78 @@ func TestCheckerCatchesTornPair(t *testing.T) {
 	if !caught {
 		t.Fatal("checker missed a deliberately torn pair")
 	}
-
 	// The rendered report embeds the forensics under the FAIL line.
-	res := &Result{Options: e.opts, Checks: e.check()}
 	if rep := res.Report(false); !strings.Contains(rep, "forensics: last") {
 		t.Fatalf("Report omits forensics:\n%s", rep)
+	}
+}
+
+// TestReplayRoundTrip: the replay line is read off the same flag binding
+// the command parses, so parsing it back must yield the options of the
+// run it came from - every layer, the clock, an explicit schedule (block
+// faults need shell quoting) and a restricted fault menu included.
+func TestReplayRoundTrip(t *testing.T) {
+	sched, err := scenario.ParseSchedule("237ms:crash:4,575ms:block:3>4,668ms:restart:4,907ms:unblock:3>4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	menu, err := ParseFaults("crash,partition,block,drop,dup,latency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	layered := vax
+	layered.Layers = scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true, Leases: true, Placement: scenario.Eager}
+	layered.Profile = true
+	for _, opts := range []Options{
+		Defaults(),
+		{Seed: 87, Duration: 2 * time.Second, Sites: 4, Workers: 6, Faults: menu, Spec: vax},
+		{Seed: 3, Duration: time.Second, Sites: 5, Workers: 3, Faults: DefaultFaults(), Schedule: sched, Spec: layered},
+	} {
+		line := opts.ReplayCommand()
+		args := strings.Fields(strings.ReplaceAll(strings.TrimPrefix(line, "locuschaos"), "'", ""))
+		back := Defaults()
+		fset := flag.NewFlagSet("locuschaos", flag.ContinueOnError)
+		back.Flags(fset)
+		if err := fset.Parse(args); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if !reflect.DeepEqual(back, opts) {
+			t.Errorf("%s\nparsed back to %+v\nwant            %+v", line, back, opts)
+		}
+	}
+	if got, want := (Options{Seed: 87, Duration: 2 * time.Second, Sites: 4, Workers: 6, Faults: menu, Spec: vax}).ReplayCommand(),
+		"locuschaos -faults crash,partition,block,drop,dup,latency -seed 87 -vtime"; got != want {
+		t.Errorf("replay line = %q, want %q", got, want)
+	}
+}
+
+// TestRecoveryFailureIsAVerdict plants a prepare record recovery cannot
+// decode, so the final restart of that site fails: the run must come
+// back as a FAIL verdict - a failed recovery check naming the error and
+// carrying the record's trace tail, rendered with its replay line - not
+// as a harness error that would end a sweep.
+func TestRecoveryFailureIsAVerdict(t *testing.T) {
+	w, err := newWorkload(Options{Seed: 5, Duration: 100 * time.Millisecond, Sites: 2, Workers: 2, Spec: vax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := w.scenario()
+	sc.Schedule = nil
+	sc.Clients = append(sc.Clients, func(e *scenario.Env) {
+		vol := e.Sys.Cluster().Site(2).Volume("v2")
+		scenario.Ok(vol.Log().Put("prep:00000099.1", fs.KindPrepare, []byte("torn page")))
+	})
+	res, err := w.run(sc)
+	if err != nil {
+		t.Fatalf("a recovery that cannot finish must be a verdict, got error %v", err)
+	}
+	if res.OK() || res.Checks[0].Name != "recovery" {
+		t.Fatalf("want a failed recovery check first, got:\n%s", res.Report(false))
+	}
+	rep := res.Report(false)
+	for _, want := range []string{"FAIL recovery", "restart site 2", "prep:00000099.1", "forensics: last", "log_force", "replay: locuschaos"} {
+		if !strings.Contains(rep, want) {
+			t.Errorf("report lacks %q:\n%s", want, rep)
+		}
 	}
 }

@@ -1,24 +1,30 @@
+// Package chaos is a deterministic fault-injection engine for the
+// transaction facility: it runs concurrent multi-site transaction
+// workloads against a live cluster while a scheduler injects faults -
+// site and disk crashes, partitions, one-way link failures, message
+// drop/duplication/latency spikes - from a seed-reproducible schedule,
+// then forces full recovery and mechanically checks the DESIGN.md
+// section 5 invariants.  A failing run prints its seed and fault
+// timeline so the exact schedule replays bit-for-bit.
+//
+// The run loop, the fault applier, the recovery and the audit are
+// scenario.Run's; this package is the schedule generator, the pair and
+// transfer workload, and the workload's two content checks.
 package chaos
 
 import (
-	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/invariant"
 	"repro/internal/scenario"
-	"repro/internal/simdisk"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // Options configures one chaos run.
@@ -28,42 +34,94 @@ type Options struct {
 	Sites    int                              // cluster size (default 4, min 2)
 	Workers  int                              // concurrent workload goroutines (default 6, min 2)
 	Faults   FaultSet                         // kinds GenSchedule may draw (default all)
-	Schedule Schedule                         // explicit schedule; overrides generation
+	Schedule scenario.Schedule                // explicit schedule; overrides generation
 	Logf     func(format string, args ...any) // live fault/progress log (nil = silent)
-	// GroupCommit enables the log-batching daemon on every volume, so
-	// crashes land mid-batch and the audit checks that a torn batch
-	// loses whole records, never partial ones.  Zero keeps the paper's
-	// synchronous one-force-per-record behavior.
-	GroupCommit time.Duration
-	// FastPaths enables the DESIGN.md section 10 commit fast paths
-	// (read-only votes, one-phase commit, parallel phase two) and mixes
-	// read-only audit transactions into the transfer workers, so faults
-	// land between a read-only vote and the outcome it never waits for.
-	// The audit then proves the fast paths leak nothing: locks released,
-	// no stale prepare records.
-	FastPaths bool
-	// LockLeases enables sticky lock leases (DESIGN.md section 13) under
-	// the scenario's short fault-mode TTL, so callback revokes,
-	// partition-delayed revokes falling back to expiry, and leaseholder
-	// crashes all interleave with the fault schedule.
-	LockLeases bool
-	// Placement enables locality-adaptive placement (DESIGN.md section
-	// 14) with the scenario.Eager policy, so ownership moves and routed
-	// commits fire constantly and interleave with every fault in the
-	// schedule: partitions land mid-move, sites crash holding a shipped
-	// copy whose home flip never committed.
-	Placement bool
-	// Vtime runs the whole chaos run on a virtual discrete-event clock
-	// charging the paper's VAX-750 latencies (8ms per message hop, 26ms
-	// per forced disk I/O): the fault schedule fires at exact simulated
-	// instants while wall-clock time shrinks by orders of magnitude.
-	// Duration then counts simulated, not real, time, and the scenario
-	// scales its timeouts up with the latencies.
-	Vtime bool
-	// Telemetry enables commit-path profiling and fills the Result's
-	// Profile and Metrics with the run's attribution report and final
-	// registry snapshot.
-	Telemetry bool
+	// Spec selects the clock, the optional layers and telemetry; the
+	// topology, seed, fault budgets and trace are the engine's own.  Every
+	// layer interleaves with the fault schedule: group commit tears
+	// batches at crashes, fast paths additionally mix read-only audit
+	// transactions into the transfer workers (faults land between a
+	// read-only vote and the outcome it never waits for), leases run under
+	// the short fault-mode TTL, placement (use scenario.Eager) keeps
+	// ownership moves in flight.  On a virtual clock Duration counts
+	// simulated time and the schedule fires at exact simulated instants.
+	Spec scenario.Spec
+}
+
+// Defaults are the options of a bare locuschaos invocation.
+func Defaults() Options {
+	return Options{Seed: 1, Duration: 2 * time.Second, Sites: 4, Workers: 6, Faults: DefaultFaults()}
+}
+
+// boolFlag adapts a derived boolean option to flag.Value.
+type boolFlag struct {
+	get func() bool
+	set func(bool)
+}
+
+func (b boolFlag) IsBoolFlag() bool { return true }
+func (b boolFlag) String() string   { return strconv.FormatBool(b.get != nil && b.get()) }
+func (b boolFlag) Set(s string) error {
+	v, err := strconv.ParseBool(s)
+	if err == nil {
+		b.set(v)
+	}
+	return err
+}
+
+// Flags binds the options to the locuschaos flag set, each flag's default
+// being the option's current value.  The same binding, read back, is a
+// failing run's replay line.
+func (o *Options) Flags(fs *flag.FlagSet) {
+	fs.Int64Var(&o.Seed, "seed", o.Seed, "schedule and workload seed")
+	fs.DurationVar(&o.Duration, "duration", o.Duration, "workload window")
+	fs.IntVar(&o.Sites, "sites", o.Sites, "cluster size (one volume per site)")
+	fs.IntVar(&o.Workers, "workers", o.Workers, "concurrent workload goroutines")
+	fs.Var(&o.Faults, "faults", "fault kinds the generator may draw: all, or a comma list of crash,diskcrash,armcrash,partition,block,drop,dup,latency")
+	fs.Var(&o.Schedule, "schedule", "explicit fault schedule (overrides generation), e.g. 100ms:crash:2,400ms:restart:2,500ms:drop:0.3")
+	fs.DurationVar(&o.Spec.GroupCommit, "groupcommit", o.Spec.GroupCommit, "enable the group-commit log daemon with this max batching delay (0 = synchronous log forces)")
+	fs.BoolVar(&o.Spec.FastPaths, "fastpaths", o.Spec.FastPaths, "enable the commit fast paths (read-only votes, one-phase commit) and mix read-only audit transactions into the workload")
+	fs.BoolVar(&o.Spec.Leases, "leases", o.Spec.Leases, "enable sticky lock leases with a short TTL, so callback revokes, partition-delayed revokes and leaseholder crashes interleave with the fault schedule")
+	fs.Var(boolFlag{
+		func() bool { return o.Spec.Placement != scenario.Placement{} },
+		func(on bool) {
+			if o.Spec.Placement = (scenario.Placement{}); on {
+				o.Spec.Placement = scenario.Eager
+			}
+		},
+	}, "placement", "enable locality-adaptive placement with aggressive knobs, so ownership moves and routed commits interleave with the fault schedule; the audit adds a single-primary convergence check")
+	fs.Var(boolFlag{
+		func() bool { return o.Spec.Virtual },
+		func(on bool) {
+			if o.Spec.Virtual, o.Spec.Disk, o.Spec.Msg = false, 0, 0; on {
+				o.Spec = o.Spec.At(costmodel.Vax750())
+			}
+		},
+	}, "vtime", "run on the virtual discrete-event clock with VAX-750 latencies: -duration counts simulated time and wall-clock shrinks by orders of magnitude")
+	fs.BoolVar(&o.Spec.Profile, "telemetry", o.Spec.Profile, "enable commit-path profiling and append the attribution/utilization summary to the report (nondeterministic, like -stats)")
+}
+
+// ReplayCommand is the locuschaos invocation that reproduces this run's
+// schedule and verdicts exactly: every flag whose value differs from a
+// bare invocation's, read off the flag binding itself.
+func (o Options) ReplayCommand() string {
+	def := Defaults()
+	defaults, current := flag.NewFlagSet("", flag.ContinueOnError), flag.NewFlagSet("", flag.ContinueOnError)
+	def.Flags(defaults)
+	o.Flags(current)
+	cmd := "locuschaos"
+	current.VisitAll(func(f *flag.Flag) {
+		switch v := f.Value.String(); {
+		case v == defaults.Lookup(f.Name).Value.String():
+		case v == "true":
+			cmd += " -" + f.Name
+		case strings.ContainsAny(v, "<>;"):
+			cmd += fmt.Sprintf(" -%s '%s'", f.Name, v)
+		default:
+			cmd += fmt.Sprintf(" -%s %s", f.Name, v)
+		}
+	})
+	return cmd
 }
 
 const (
@@ -84,30 +142,17 @@ type pairState struct {
 }
 
 // Result is the outcome of a chaos run: the options it ran under
-// (defaults filled in, Schedule the timeline actually injected) and what
-// came of them.  Schedule and Checks are deterministic for a given (Seed,
-// Duration, Sites, Workers, Faults); Commits/Aborts depend on real
-// scheduling and are reported separately.
+// (defaults filled in) and what came of them.  Timeline and Checks are
+// deterministic for a given (Seed, Duration, Sites, Workers, Faults);
+// everything in the Outcome but its Checks depends on real scheduling
+// and is reported separately (under a virtual clock the placement
+// counters are exact).
 type Result struct {
 	Options
-	Commits int64
-	Aborts  int64
-	// OwnerMoves and RoutedCommits count the placement machinery's
-	// activity over the run (zero unless Options.Placement was set).
-	// Like Commits/Aborts they depend on real scheduling, but under
-	// Vtime they are exact.
-	OwnerMoves    int64
-	RoutedCommits int64
-	Checks        invariant.Report
-	// SimElapsed is the total simulated time of a Vtime run (zero
-	// otherwise): workload window plus quiesce and recovery.
-	SimElapsed time.Duration
-	// Profile and Metrics carry the commit critical-path attribution and
-	// the final metrics-registry snapshot when Options.Telemetry was set
-	// (Profile nil otherwise).  Like Commits/Aborts they depend on real
-	// scheduling and stay out of the deterministic report body.
-	Profile *telemetry.ProfileReport
-	Metrics telemetry.Snapshot
+	// Timeline is the schedule actually injected: Options.Schedule, or
+	// the one generated from the seed.
+	Timeline scenario.Schedule
+	*scenario.Outcome
 }
 
 // OK reports whether every invariant held.
@@ -116,47 +161,6 @@ func (r *Result) OK() bool { return r.Checks.OK() }
 // Violations flattens every failed check's findings.
 func (r *Result) Violations() []string { return r.Checks.Violations() }
 
-// TelemetrySummary renders the run's commit critical-path attribution
-// and headline utilization counters; empty when the run was not
-// telemetered.  Like the stats line, the figures depend on real
-// scheduling, so they stay out of the deterministic Report body.
-func (r *Result) TelemetrySummary() string {
-	if r.Profile == nil {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(r.Profile.Summary())
-	c := r.Metrics.Counters
-	fmt.Fprintf(&b, "spindle busy: %s  net transit: %s  deadlock scans: %d (victims %d)\n",
-		time.Duration(c["disk_busy_ns"]), time.Duration(c["net_transit_ns"]),
-		c["deadlock_scans"], c["deadlock_victims"])
-	if h, ok := r.Metrics.Histograms["group_commit_batch_size"]; ok && h.Count > 0 {
-		fmt.Fprintf(&b, "group commit: %d flushes, mean batch %.1f records\n",
-			h.Count, float64(h.Sum)/float64(h.Count))
-	}
-	return b.String()
-}
-
-// ReplayCommand is the locuschaos invocation that reproduces this run's
-// schedule and verdicts exactly.
-func (r *Result) ReplayCommand() string {
-	cmd := fmt.Sprintf("locuschaos -seed %d -sites %d -workers %d -duration %s",
-		r.Seed, r.Sites, r.Workers, r.Duration)
-	if r.FastPaths {
-		cmd += " -fastpaths"
-	}
-	if r.LockLeases {
-		cmd += " -leases"
-	}
-	if r.Options.Placement {
-		cmd += " -placement"
-	}
-	if r.Vtime {
-		cmd += " -vtime"
-	}
-	return cmd
-}
-
 // Report renders the run: header, fault timeline, invariant verdicts.
 // Everything here is bit-for-bit reproducible from the same options;
 // withStats appends the (nondeterministic) commit/abort counts.
@@ -164,7 +168,7 @@ func (r *Result) Report(withStats bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos seed=%d sites=%d workers=%d duration=%s\n",
 		r.Seed, r.Sites, r.Workers, r.Duration)
-	fmt.Fprintf(&b, "schedule (%d faults):\n%s", len(r.Schedule), r.Schedule.String())
+	fmt.Fprintf(&b, "schedule (%d faults):\n%s", len(r.Timeline), r.Timeline.Lines())
 	b.WriteString("invariants:\n")
 	for _, c := range r.Checks {
 		if len(c.Violations) == 0 {
@@ -186,290 +190,181 @@ func (r *Result) Report(withStats bool) string {
 	}
 	if withStats {
 		fmt.Fprintf(&b, "stats: %d commits, %d aborts\n", r.Commits, r.Aborts)
-		if r.Options.Placement {
-			fmt.Fprintf(&b, "stats: %d owner moves, %d routed commits\n", r.OwnerMoves, r.RoutedCommits)
+		if r.Spec.Placement != (scenario.Placement{}) {
+			fmt.Fprintf(&b, "stats: %d owner moves, %d routed commits\n",
+				r.Counters.Get(stats.OwnerMoves), r.Counters.Get(stats.RoutedCommits))
 		}
-		if r.Vtime {
+		if r.Spec.Virtual {
 			fmt.Fprintf(&b, "stats: %s simulated\n", r.SimElapsed)
 		}
 	}
 	return b.String()
 }
 
-// engine carries one run's state between setup, workload and audit.
-type engine struct {
-	opts      Options
-	sys       *core.System
-	collector *trace.Collector // always attached: forensics must exist when an invariant fails
-	pairs     []*pairState
-	accounts  []string // account file paths; committed balances must sum to total
-	total     int64
-	commits   atomic.Int64
-	aborts    atomic.Int64
-	clk       vtime.Clock
-	stop      chan struct{} // closed at end of the workload window
-	mon       *vtime.Group  // armcrash monitors: disk tripped -> site down
+// workload is the pair and transfer workload of one run, and its ground
+// truth for the content checks.
+type workload struct {
+	opts     Options
+	pairs    []*pairState
+	accounts []string // account file paths; committed balances must sum to total
+	total    int64
 }
 
-// newEngine builds the run's cluster from its scenario: one volume per
-// site, faults expected, the optional layers the options select, on the
-// virtual clock at VAX-750 latencies under Vtime.
-func newEngine(opts Options) (*engine, error) {
-	spec := scenario.Spec{
-		Volumes:     scenario.PerSite(opts.Sites),
-		Seed:        opts.Seed,
-		Faults:      true,
-		GroupCommit: opts.GroupCommit,
-		FastPaths:   opts.FastPaths,
-		Leases:      opts.LockLeases,
-		Trace:       true,
-		Profile:     opts.Telemetry,
-	}
-	if opts.Placement {
-		spec.Placement = scenario.Eager
-	}
-	if opts.Vtime {
-		spec = spec.At(costmodel.Vax750())
-	}
-	sys, err := spec.Build()
+// Run executes one chaos run end to end: generate or take a fault
+// schedule, then drive concurrent pair and transfer transactions through
+// scenario.Run while it injects the faults, forces full crash-restart
+// recovery and audits the DESIGN.md section 5 invariants.
+func Run(opts Options) (*Result, error) {
+	w, err := newWorkload(opts)
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{opts: opts, sys: sys, collector: scenario.Collector(sys), clk: sys.Cluster().Clock()}
-	if err := e.setup(); err != nil {
-		sys.Cluster().Shutdown()
-		return nil, fmt.Errorf("chaos: workload setup: %w", err)
-	}
-	return e, nil
+	return w.run(w.scenario())
 }
 
-// stopped polls the workload-window flag without blocking (safe under
-// the virtual clock: no token is parked).
-func (e *engine) stopped() bool {
-	select {
-	case <-e.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-func (e *engine) logf(format string, args ...any) {
-	if e.opts.Logf != nil {
-		e.opts.Logf(format, args...)
-	}
-}
-
-// Run executes one chaos run end to end: build a cluster, generate or
-// take a fault schedule, run concurrent pair and transfer transactions
-// while the scheduler injects the faults, then quiesce, force full
-// crash-restart recovery, and audit the DESIGN.md section 5 invariants.
-func Run(opts Options) (*Result, error) {
+// newWorkload fills in the option defaults and lays out the files: half
+// the workers (at least one) run pair transactions, the rest run
+// transfers over 2*Sites accounts.
+func newWorkload(opts Options) (*workload, error) {
+	def := Defaults()
 	if opts.Sites < 2 {
 		if opts.Sites != 0 {
 			return nil, fmt.Errorf("chaos: need at least 2 sites, got %d", opts.Sites)
 		}
-		opts.Sites = 4
+		opts.Sites = def.Sites
 	}
 	if opts.Workers <= 0 {
-		opts.Workers = 6
+		opts.Workers = def.Workers
 	}
-	if opts.Workers < 2 {
-		opts.Workers = 2
-	}
+	opts.Workers = max(opts.Workers, 2)
 	if opts.Duration <= 0 {
-		opts.Duration = 2 * time.Second
+		opts.Duration = def.Duration
 	}
 	if opts.Faults == nil {
-		opts.Faults = DefaultFaults()
+		opts.Faults = def.Faults
 	}
+	w := &workload{opts: opts}
+	n := opts.Sites
+	vols := scenario.PerSite(n)
+	for i := 0; i < max(opts.Workers/2, 1); i++ {
+		w.pairs = append(w.pairs, &pairState{
+			worker:    i,
+			pathA:     fmt.Sprintf("%s/pair%02d", vols[i%n], i),
+			pathB:     fmt.Sprintf("%s/pair%02d", vols[(i+1)%n], i),
+			confirmed: -1,
+		})
+	}
+	for k := 0; k < 2*n; k++ {
+		w.accounts = append(w.accounts, fmt.Sprintf("%s/acct%02d", vols[k%n], k))
+	}
+	w.total = int64(len(w.accounts)) * initialBalance
+	return w, nil
+}
 
-	if opts.Schedule == nil {
+// scenario is the run as a value: one volume per site, faults expected,
+// the caller's clock and layers, the workers racing the schedule for
+// Duration, then full recovery, the audit and the two content checks.
+func (w *workload) scenario() scenario.Scenario {
+	opts := w.opts
+	sc := scenario.Scenario{
+		Spec:     opts.Spec,
+		Setup:    w.setup,
+		Schedule: opts.Schedule,
+		Window:   opts.Duration,
+		Recover:  scenario.RestartAll,
+		Check:    w.check,
+		Logf:     opts.Logf,
+	}
+	// The collector is always attached: forensics must exist when an
+	// invariant fails.
+	sc.Volumes, sc.Seed, sc.Faults, sc.Trace = scenario.PerSite(opts.Sites), opts.Seed, true, true
+	if sc.Schedule == nil {
 		siteIDs := make([]simnet.SiteID, opts.Sites)
 		for i := range siteIDs {
 			siteIDs[i] = simnet.SiteID(i + 1)
 		}
-		opts.Schedule = GenSchedule(opts.Seed, opts.Duration, siteIDs, opts.Faults)
+		sc.Schedule = GenSchedule(opts.Seed, opts.Duration, siteIDs, opts.Faults)
 	}
-	e, err := newEngine(opts)
-	if err != nil {
-		return nil, err
+	for _, ps := range w.pairs {
+		sc.Files = append(sc.Files, ps.pathA, ps.pathB)
 	}
-	defer e.sys.Cluster().Shutdown()
-
-	// Workload + fault injection.
-	stop := make(chan struct{})
-	e.stop = stop
-	e.mon = vtime.NewGroup(e.clk)
-	workers := vtime.NewGroup(e.clk)
-	for w := 0; w < opts.Workers; w++ {
-		w := w
-		rng := rand.New(rand.NewSource(opts.Seed ^ (int64(w+1) << 20)))
-		if w < len(e.pairs) {
-			workers.Go(func() { e.pairWorker(e.pairs[w], rng) })
+	sc.Files = append(sc.Files, w.accounts...)
+	for i := 0; i < opts.Workers; i++ {
+		rng := rand.New(rand.NewSource(opts.Seed ^ (int64(i+1) << 20)))
+		if i < len(w.pairs) {
+			sc.Clients = append(sc.Clients, func(e *scenario.Env) { w.pairWorker(e, w.pairs[i], rng) })
 		} else {
-			workers.Go(func() { e.transferWorker(rng) })
+			sc.Clients = append(sc.Clients, func(e *scenario.Env) { w.transferWorker(e, rng) })
 		}
 	}
-	sched := vtime.NewGroup(e.clk)
-	start := e.clk.Now()
-	sched.Go(func() {
-		for _, f := range opts.Schedule {
-			if v, ok := vtime.AsVirtual(e.clk); ok {
-				// Virtual sleeps cost no wall-clock, so sleeping past a
-				// closed window is harmless; poll stop around the jump.
-				if e.stopped() {
-					return
-				}
-				v.SleepUntil(start.Add(f.At))
-				if e.stopped() {
-					return
-				}
-			} else {
-				select {
-				case <-stop:
-					return
-				case <-time.After(time.Until(start.Add(f.At))):
-				}
-			}
-			e.apply(f)
-		}
-	})
-	e.clk.Sleep(opts.Duration)
-	close(stop)
-	workers.Wait()
-	sched.Wait()
-	e.mon.Wait()
+	return sc
+}
 
-	if err := e.quiesce(); err != nil {
-		return nil, err
+// run drives sc and wraps its outcome.
+func (w *workload) run(sc scenario.Scenario) (*Result, error) {
+	out, err := scenario.Run(sc)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
-
-	res := &Result{Options: opts, Commits: e.commits.Load(), Aborts: e.aborts.Load()}
-	snap := e.sys.Stats().Snapshot()
-	res.OwnerMoves = snap.Get(stats.OwnerMoves)
-	res.RoutedCommits = snap.Get(stats.RoutedCommits)
-	if v, ok := vtime.AsVirtual(e.clk); ok {
-		res.SimElapsed = v.Elapsed()
-	}
-	if opts.Telemetry {
-		reg := e.sys.Stats().Registry()
-		res.Profile = reg.Profiler().Report()
-		res.Metrics = reg.Snapshot()
-	}
-	res.Checks = e.check()
-	return res, nil
+	return &Result{Options: w.opts, Timeline: sc.Schedule, Outcome: out}, nil
 }
 
 // setup creates the pair files and the committed initial account
-// balances before any fault fires.  Half the workers (at least one) run
-// pair transactions, the rest run transfers over 2*Sites accounts.
-func (e *engine) setup() error {
-	nPairs := e.opts.Workers / 2
-	if nPairs == 0 {
-		nPairs = 1
-	}
-	p, err := e.sys.NewProcess(1)
-	if err != nil {
-		return err
-	}
-	n := e.opts.Sites
-	vols := scenario.PerSite(n)
-	for w := 0; w < nPairs; w++ {
-		ps := &pairState{
-			worker:    w,
-			pathA:     fmt.Sprintf("%s/pair%02d", vols[w%n], w),
-			pathB:     fmt.Sprintf("%s/pair%02d", vols[(w+1)%n], w),
-			confirmed: -1,
-		}
+// balances before any fault fires.
+func (w *workload) setup(e *scenario.Env) {
+	p := scenario.Must(e.Sys.NewProcess(1))
+	for _, ps := range w.pairs {
 		for _, path := range []string{ps.pathA, ps.pathB} {
+			scenario.Must(p.Create(path)).Close() //nolint:errcheck
+		}
+	}
+	// Accounts start at a committed balance; one transaction commits them
+	// all so the audit's conservation baseline is exact.
+	scenario.Ok(e.Txn(p, func() error {
+		for _, path := range w.accounts {
 			f, err := p.Create(path)
 			if err != nil {
 				return err
 			}
-			f.Close() //nolint:errcheck
+			if _, err := f.WriteAt([]byte(fmt.Sprintf("%08d", initialBalance)), 0); err != nil {
+				return err
+			}
 		}
-		e.pairs = append(e.pairs, ps)
-	}
-
-	// Accounts start at a committed balance; one transaction commits them
-	// all so the audit's conservation baseline is exact.
-	nAccts := 2 * n
-	if _, err := p.BeginTrans(); err != nil {
-		return err
-	}
-	for k := 0; k < nAccts; k++ {
-		path := fmt.Sprintf("%s/acct%02d", vols[k%n], k)
-		f, err := p.Create(path)
-		if err != nil {
-			return err
-		}
-		if _, err := f.WriteAt([]byte(fmt.Sprintf("%08d", initialBalance)), 0); err != nil {
-			return err
-		}
-		e.accounts = append(e.accounts, path)
-	}
-	if err := p.EndTrans(); err != nil {
-		return err
-	}
-	e.total = int64(nAccts) * initialBalance
-	return nil
+		return nil
+	}))
 }
 
 // pairWorker repeatedly writes a fresh marker to both files of its pair
 // inside a transaction.  Faults make aborts routine; the audit only
 // cares that the pair is never torn and that confirmed commits survive.
-func (e *engine) pairWorker(ps *pairState, rng *rand.Rand) {
-	for !e.stopped() {
+func (w *workload) pairWorker(e *scenario.Env, ps *pairState, rng *rand.Rand) {
+	for !e.Stopped() {
 		attempt := ps.attempts
 		ps.attempts++
 		marker := []byte(fmt.Sprintf(markerFmt, ps.worker, attempt))
-		site := simnet.SiteID(rng.Intn(e.opts.Sites) + 1)
-		if e.tally(e.runPair(site, ps, marker)) {
+		site := simnet.SiteID(rng.Intn(w.opts.Sites) + 1)
+		if w.runPair(e, site, ps, marker) {
 			ps.confirmed = attempt
 		}
 	}
 }
 
-// tally counts one attempt's outcome, backing off after an abort.
-func (e *engine) tally(committed bool) bool {
-	if committed {
-		e.commits.Add(1)
-	} else {
-		e.aborts.Add(1)
-		e.clk.Sleep(time.Millisecond)
-	}
-	return committed
-}
-
 // txn runs body inside a transaction of a fresh process at site with
-// both files open, aborting (best effort under injected faults) when
-// body fails.  It reports whether the commit was confirmed.
-func (e *engine) txn(site simnet.SiteID, pathA, pathB string, body func(fa, fb *core.File) error) bool {
-	p, err := e.sys.NewProcess(site)
+// both files open.  It reports whether the commit was confirmed, backing
+// off after any failure.
+func (w *workload) txn(e *scenario.Env, site simnet.SiteID, pathA, pathB string, body func(fa, fb *core.File) error) bool {
+	p, files, err := e.Open(site, pathA, pathB)
+	if err == nil {
+		err = e.Txn(p, func() error { return body(files[0], files[1]) })
+	}
 	if err != nil {
-		return false
+		e.Clock.Sleep(time.Millisecond)
 	}
-	fa, err := p.Open(pathA)
-	if err != nil {
-		return false
-	}
-	fb, err := p.Open(pathB)
-	if err != nil {
-		return false
-	}
-	if _, err := p.BeginTrans(); err != nil {
-		return false
-	}
-	if err := body(fa, fb); err != nil {
-		p.AbortTrans() //nolint:errcheck
-		return false
-	}
-	return p.EndTrans() == nil
+	return err == nil
 }
 
-func (e *engine) runPair(site simnet.SiteID, ps *pairState, marker []byte) bool {
-	return e.txn(site, ps.pathA, ps.pathB, func(fa, fb *core.File) error {
+func (w *workload) runPair(e *scenario.Env, site simnet.SiteID, ps *pairState, marker []byte) bool {
+	return w.txn(e, site, ps.pathA, ps.pathB, func(fa, fb *core.File) error {
 		if _, err := fa.WriteAt(marker, 0); err != nil {
 			return err
 		}
@@ -481,64 +376,58 @@ func (e *engine) runPair(site simnet.SiteID, ps *pairState, marker []byte) bool 
 // transferWorker moves random amounts between random account pairs.
 // Every transfer conserves the total, so the final committed balances
 // must still sum to the baseline whatever subset of transfers survived.
-func (e *engine) transferWorker(rng *rand.Rand) {
-	for !e.stopped() {
-		i, j := rng.Intn(len(e.accounts)), rng.Intn(len(e.accounts))
+func (w *workload) transferWorker(e *scenario.Env, rng *rand.Rand) {
+	for !e.Stopped() {
+		i, j := rng.Intn(len(w.accounts)), rng.Intn(len(w.accounts))
 		if i == j {
 			continue
 		}
 		if i > j {
 			i, j = j, i // fixed lock order across workers: no ABBA deadlocks
 		}
-		site := simnet.SiteID(rng.Intn(e.opts.Sites) + 1)
+		site := simnet.SiteID(rng.Intn(w.opts.Sites) + 1)
 		// With fast paths on, a quarter of the attempts are pure read
 		// audits: multi-site transactions whose participants all vote
 		// read-only, so faults catch them between the vote (which already
 		// released their locks) and the phase two they drop out of.
-		if e.opts.FastPaths && rng.Intn(4) == 0 {
-			e.tally(e.runReadAudit(site, e.accounts[i], e.accounts[j]))
+		if w.opts.Spec.FastPaths && rng.Intn(4) == 0 {
+			w.txn(e, site, w.accounts[i], w.accounts[j], readAudit)
 			continue
 		}
 		amt := int64(1 + rng.Intn(10))
-		e.tally(e.runTransfer(site, e.accounts[i], e.accounts[j], amt))
+		w.txn(e, site, w.accounts[i], w.accounts[j], func(fa, fb *core.File) error { return transfer(fa, fb, amt) })
 	}
 }
 
-func (e *engine) runTransfer(site simnet.SiteID, from, to string, amt int64) bool {
-	return e.txn(site, from, to, func(fa, fb *core.File) error {
-		ba, err := readBalance(fa)
-		if err != nil {
-			return err
-		}
-		bb, err := readBalance(fb)
-		if err != nil {
-			return err
-		}
-		if amt > ba {
-			amt = ba // never overdraw; a zero transfer still exercises the protocol
-		}
-		if _, err := fa.WriteAt([]byte(fmt.Sprintf("%08d", ba-amt)), 0); err != nil {
-			return err
-		}
-		_, err = fb.WriteAt([]byte(fmt.Sprintf("%08d", bb+amt)), 0)
+func transfer(fa, fb *core.File, amt int64) error {
+	ba, err := readBalance(fa)
+	if err != nil {
 		return err
-	})
+	}
+	bb, err := readBalance(fb)
+	if err != nil {
+		return err
+	}
+	amt = min(amt, ba) // never overdraw; a zero transfer still exercises the protocol
+	if _, err := fa.WriteAt([]byte(fmt.Sprintf("%08d", ba-amt)), 0); err != nil {
+		return err
+	}
+	_, err = fb.WriteAt([]byte(fmt.Sprintf("%08d", bb+amt)), 0)
+	return err
 }
 
-// runReadAudit reads two balances under shared locks and commits
-// without writing anything: every participant votes read-only.
-func (e *engine) runReadAudit(site simnet.SiteID, from, to string) bool {
-	return e.txn(site, from, to, func(fa, fb *core.File) error {
-		for _, f := range []*core.File{fa, fb} {
-			if err := f.LockRange(0, 8, core.Shared); err != nil {
-				return err
-			}
-			if _, err := readBalance(f); err != nil {
-				return err
-			}
+// readAudit reads two balances under shared locks and commits without
+// writing anything: every participant votes read-only.
+func readAudit(fa, fb *core.File) error {
+	for _, f := range []*core.File{fa, fb} {
+		if err := f.LockRange(0, 8, core.Shared); err != nil {
+			return err
 		}
-		return nil
-	})
+		if _, err := readBalance(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func readBalance(f *core.File) (int64, error) {
@@ -553,138 +442,9 @@ func readBalance(f *core.File) (int64, error) {
 	return v, nil
 }
 
-// apply injects one scheduled fault into the live cluster.
-func (e *engine) apply(f Fault) {
-	cl := e.sys.Cluster()
-	net := cl.Net()
-	e.logf("inject +%s %s", f.At, f.String())
-	// Stamp the injection into the trace at the targeted site (site 0 for
-	// network-wide faults), so forensics interleave faults with the
-	// transaction events they disturbed.
-	e.collector.Site(int(f.Site)).Record(trace.CrashInject, "", f.String(), int64(f.At/time.Millisecond))
-	switch f.Kind {
-	case FaultCrash:
-		if s := cl.Site(f.Site); s != nil && s.Up() {
-			s.Crash()
-		}
-	case FaultDiskCrash:
-		if s := cl.Site(f.Site); s != nil && s.Up() {
-			// Media failure first (volatile pages gone), then the machine
-			// goes down with its disks.
-			for _, d := range siteDisks(s) {
-				d.Crash()
-			}
-			s.Crash()
-		}
-	case FaultCrashWrites:
-		if s := cl.Site(f.Site); s != nil && s.Up() {
-			disks := siteDisks(s)
-			for _, d := range disks {
-				d.CrashAfterWrites(f.N)
-			}
-			// The crash fires inside whatever write exhausts the budget;
-			// a monitor turns the media failure into the site failure the
-			// rest of the schedule (and its restart) expects.
-			e.mon.Go(func() { e.watchArmedDisks(f.Site, disks) })
-		}
-	case FaultRestart:
-		if s := cl.Site(f.Site); s != nil && !s.Up() {
-			if err := s.Restart(); err != nil {
-				e.logf("restart site %d failed: %v", f.Site, err)
-			}
-		}
-	case FaultPartition:
-		net.Partition(f.Site)
-	case FaultHeal:
-		net.Heal()
-	case FaultBlockLink:
-		net.BlockLink(f.Site, f.To)
-	case FaultUnblockLink:
-		net.UnblockLink(f.Site, f.To)
-	case FaultDrop:
-		net.SetDropRate(f.Rate)
-	case FaultDup:
-		net.SetDupRate(f.Rate)
-	case FaultLatency:
-		net.SetLatency(f.Dur)
-	}
-}
-
-// siteDisks lists the disks under a site's volumes.
-func siteDisks(s *cluster.Site) []*simdisk.Disk {
-	var disks []*simdisk.Disk
-	for _, name := range s.Volumes() {
-		if v := s.Volume(name); v != nil {
-			disks = append(disks, v.Disk())
-		}
-	}
-	return disks
-}
-
-// watchArmedDisks polls a site's armed disks until one trips (then the
-// site goes down with its failed media) or the workload window closes
-// (the budget outlived the run; quiesce's restart disarms it).
-func (e *engine) watchArmedDisks(site simnet.SiteID, disks []*simdisk.Disk) {
-	for {
-		if e.stopped() {
-			return
-		}
-		e.clk.Sleep(time.Millisecond)
-		for _, d := range disks {
-			if d.Crashed() {
-				if s := e.sys.Cluster().Site(site); s != nil && s.Up() {
-					e.logf("armcrash fired at site %d (disk %s)", site, d.Name())
-					s.Crash()
-				}
-				return
-			}
-		}
-	}
-}
-
-// quiesce returns the cluster to a clean, fully-recovered state: faults
-// cleared, every site crash-restarted (so the audit sees only what
-// stable storage and the recovery protocol preserve), in-doubt
-// participants resolved and phase two drained everywhere.
-func (e *engine) quiesce() error {
-	cl := e.sys.Cluster()
-	net := cl.Net()
-	net.SetDropRate(0)
-	net.SetDupRate(0)
-	net.SetLatency(0)
-	net.SetFaultFilter(nil)
-	net.Heal()
-
-	// An adoption request can sit queued in the network long after its
-	// move gave up on it (the source's disown retries exhaust while the
-	// target is unreachable, then the source forgets the move entirely at
-	// its next crash).  If such a stale request lands after its target's
-	// restart purge already ran, it installs an orphan copy nothing will
-	// ever reclaim — except the next restart purge.  So the crash-restart
-	// round repeats until one completes with no adoptions landing inside
-	// it: the last round's purge then provably saw every copy.  No new
-	// moves start once recovery has drained, so the rounds converge as
-	// soon as the in-flight tail of the network empties.
-	const maxRounds = 5
-	for round := 1; round <= maxRounds; round++ {
-		before := e.sys.Stats().Snapshot().Get(stats.OwnerAdopts)
-
-		if err := invariant.Restart(cl, true); err != nil {
-			return fmt.Errorf("chaos: final %w", err)
-		}
-
-		// Recovery-driven commits can trigger ownership moves, and an
-		// abandoned move disowns its copy from a detached purge goroutine;
-		// the drain waits those out too, so the single-primary audit
-		// races neither.
-		if err := invariant.Drain(cl, e.clk, 10*time.Second); err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
-
-		if e.sys.Stats().Snapshot().Get(stats.OwnerAdopts) == before {
-			return nil
-		}
-		e.logf("quiesce: adoptions landed during restart round %d; running another purge round", round)
-	}
-	return errors.New("chaos: placement never quiesced (adoptions kept landing across restart rounds)")
+// check appends the workload's own ground truth to the audit (which ran
+// first: the lock-table scan must precede the content reads, which
+// themselves acquire and release locks).
+func (w *workload) check(e *scenario.Env, out *scenario.Outcome) {
+	out.Checks = append(out.Checks, w.checkPairs(e), w.checkAccounts(e))
 }

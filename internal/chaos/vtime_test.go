@@ -3,7 +3,16 @@ package chaos
 import (
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
+
+// vaxWith is the -vtime spec with optional layers on.
+func vaxWith(l scenario.Layers) scenario.Spec {
+	s := vax
+	s.Layers = l
+	return s
+}
 
 // TestVtimeRun drives a full chaos run on the virtual clock: the
 // 2-second fault window and the VAX-era latencies elapse in simulated
@@ -11,15 +20,15 @@ import (
 // invariant still holds.
 func TestVtimeRun(t *testing.T) {
 	start := time.Now()
-	res, err := Run(Options{Seed: 7, Duration: 2 * time.Second, Vtime: true})
+	res, err := Run(Options{Seed: 7, Duration: 2 * time.Second, Spec: vax})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.OK() {
 		t.Fatalf("violations:\n%s", res.Report(true))
 	}
-	if !res.Vtime || res.SimElapsed < 2*time.Second {
-		t.Fatalf("Vtime=%v SimElapsed=%v, want vtime run covering the window", res.Vtime, res.SimElapsed)
+	if res.SimElapsed < 2*time.Second {
+		t.Fatalf("SimElapsed=%v, want a virtual-clock run covering the window", res.SimElapsed)
 	}
 	if res.Commits == 0 {
 		t.Fatal("no transaction committed under the virtual clock")
@@ -32,8 +41,7 @@ func TestVtimeRun(t *testing.T) {
 // commit fast paths under faults on the virtual clock.
 func TestVtimeGroupCommit(t *testing.T) {
 	res, err := Run(Options{
-		Seed: 11, Duration: time.Second, Vtime: true,
-		GroupCommit: 5 * time.Millisecond, FastPaths: true,
+		Seed: 11, Duration: time.Second, Spec: vaxWith(scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +57,7 @@ func TestVtimeGroupCommit(t *testing.T) {
 // regime that shook out the duplicate-adoption and abandoned-copy bugs.
 func TestVtimePlacement(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		res, err := Run(Options{Seed: seed, Duration: 2 * time.Second, Vtime: true, Placement: true})
+		res, err := Run(Options{Seed: seed, Duration: 2 * time.Second, Spec: vaxWith(scenario.Layers{Placement: scenario.Eager})})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -65,7 +73,7 @@ func TestVtimePlacement(t *testing.T) {
 // crash-epoch bugs during development.
 func TestVtimeSweep(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
-		res, err := Run(Options{Seed: seed, Duration: 2 * time.Second, Vtime: true})
+		res, err := Run(Options{Seed: seed, Duration: 2 * time.Second, Spec: vax})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -75,8 +83,8 @@ func TestVtimeSweep(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 30; seed++ {
 		res, err := Run(Options{
-			Seed: seed, Duration: 2 * time.Second, Vtime: true,
-			GroupCommit: 5 * time.Millisecond, FastPaths: true,
+			Seed: seed, Duration: 2 * time.Second,
+			Spec: vaxWith(scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true}),
 		})
 		if err != nil {
 			t.Fatalf("seed %d (gc+fp): %v", seed, err)

@@ -344,20 +344,8 @@ func (c *Cluster) AddVolume(site simnet.SiteID, name string) error {
 	}
 	c.mu.Unlock()
 
-	disk := simdisk.New(name, c.cfg.VolumePages, c.cfg.PageSize, c.st)
-	disk.SetSyncDelay(c.cfg.DiskSyncDelay)
-	disk.SetClock(c.cfg.Clock)
-	vol, err := fs.Format(name, disk, fs.Options{})
+	vs, err := s.formatVolume(name, name)
 	if err != nil {
-		return err
-	}
-	vol.DoubleLogWrite = c.cfg.DoubleLogWrites
-	vol.SetTracer(s.tr)
-	vol.SetClock(c.cfg.Clock)
-	vol.Log().StartGroupCommit(c.cfg.groupCommit())
-	vs := &volState{name: name, disk: disk, vol: vol}
-	vs.dirMu.SetClock(c.cfg.Clock)
-	if err := vs.initDirectory(); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -726,6 +714,33 @@ func (s *Site) lookupOpen(fileID string) (*openFile, error) {
 		return nil, fmt.Errorf("%w: %q not open at %v", ErrNoSuchFile, fileID, s.id)
 	}
 	return of, nil
+}
+
+// formatVolume builds a fresh volume of the given name on its own new
+// disk, wired to the site and holding an empty directory.
+func (s *Site) formatVolume(name, diskName string) (*volState, error) {
+	cfg := s.cl.cfg
+	disk := simdisk.New(diskName, cfg.VolumePages, cfg.PageSize, s.cl.st)
+	disk.SetSyncDelay(cfg.DiskSyncDelay)
+	disk.SetClock(cfg.Clock)
+	vol, err := fs.Format(name, disk, fs.Options{})
+	if err != nil {
+		return nil, err
+	}
+	s.wireVolume(vol)
+	vs := &volState{name: name, disk: disk, vol: vol}
+	vs.dirMu.SetClock(cfg.Clock)
+	return vs, vs.initDirectory()
+}
+
+// wireVolume attaches a freshly formatted or reloaded primary volume to
+// the site's configuration, tracer, clock and group-commit daemon.
+func (s *Site) wireVolume(vol *fs.Volume) {
+	cfg := s.cl.cfg
+	vol.DoubleLogWrite = cfg.DoubleLogWrites
+	vol.SetTracer(s.tr)
+	vol.SetClock(cfg.Clock)
+	vol.Log().StartGroupCommit(cfg.groupCommit())
 }
 
 // volFor returns the volume state for a fileID mounted at this site.

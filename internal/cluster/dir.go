@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -166,4 +167,92 @@ func (vs *volState) dirList() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// reclaimFile removes name from the volume and frees its storage, in
+// handleRemove's crash-safe order: directory entry first, then pages,
+// then the inode.
+func (vs *volState) reclaimFile(name string) error {
+	ino, err := vs.dirLookup(name)
+	if err != nil {
+		return err
+	}
+	node, err := vs.vol.ReadInode(ino)
+	if errors.Is(err, fs.ErrFreeInode) {
+		// Dangling entry: a crash made the directory entry durable while
+		// the inode allocation (in-memory until the first commit) was
+		// lost.  There is no storage to free - drop the name, or the
+		// reloaded allocator will hand the inode number to a second file
+		// and leave two entries claiming it.
+		return vs.dirRemove(name)
+	}
+	if err != nil {
+		return err
+	}
+	if err := vs.dirRemove(name); err != nil {
+		return err
+	}
+	for _, p := range node.Pages {
+		if p >= 0 {
+			if err := vs.vol.FreePage(p); err != nil {
+				return err
+			}
+		}
+	}
+	node.Pages = nil
+	node.Size = 0
+	if err := vs.vol.WriteInode(node); err != nil {
+		return err
+	}
+	return vs.vol.FreeInode(ino)
+}
+
+// committedImage reads the committed contents of path's local primary
+// copy - what a replica sync or an ownership move ships.
+func (s *Site) committedImage(path string) (vs *volState, name string, data []byte, err error) {
+	if vs, err = s.volFor(path); err != nil {
+		return nil, "", nil, err
+	}
+	if _, name, err = splitPath(path); err != nil {
+		return nil, "", nil, err
+	}
+	ino, err := vs.dirLookup(name)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	f, err := shadow.Open(vs.vol, ino)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	data = make([]byte, f.CommittedSize())
+	if len(data) > 0 {
+		if _, err := f.ReadAt(data, 0); err != nil {
+			return nil, "", nil, err
+		}
+	}
+	return vs, name, data, nil
+}
+
+// openOrCreateOn opens name on vol - a handle from pinVol - creating its
+// directory entry first when the file is new here.
+func (vs *volState) openOrCreateOn(vol *fs.Volume, name string) (*shadow.File, error) {
+	ino, err := vs.dirLookup(name)
+	if errors.Is(err, ErrNoSuchFile) {
+		ino, err = vs.dirCreateOn(vol, name)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return shadow.Open(vol, ino)
+}
+
+// installImage commits a shipped committed image over f.
+func installImage(f *shadow.File, data []byte) error {
+	if len(data) == 0 {
+		return nil
+	}
+	if _, err := f.WriteAt(replOwner, data, 0); err != nil {
+		return err
+	}
+	return f.Commit(replOwner)
 }

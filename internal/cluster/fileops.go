@@ -500,30 +500,7 @@ func (s *Site) handleRemove(req removeReq) error {
 	if open {
 		return fmt.Errorf("cluster: %q is open; close it everywhere first", req.Path)
 	}
-	ino, err := vs.dirLookup(name)
-	if err != nil {
-		return err
-	}
-	node, err := vs.vol.ReadInode(ino)
-	if err != nil {
-		return err
-	}
-	if err := vs.dirRemove(name); err != nil {
-		return err
-	}
-	for _, p := range node.Pages {
-		if p >= 0 {
-			if err := vs.vol.FreePage(p); err != nil {
-				return err
-			}
-		}
-	}
-	node.Pages = nil
-	node.Size = 0
-	if err := vs.vol.WriteInode(node); err != nil {
-		return err
-	}
-	if err := vs.vol.FreeInode(ino); err != nil {
+	if err := vs.reclaimFile(name); err != nil {
 		return err
 	}
 	s.cl.clearFileHome(req.Path)

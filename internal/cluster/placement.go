@@ -33,11 +33,9 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/fs"
 	"repro/internal/lockmgr"
 	"repro/internal/proc"
 	"repro/internal/shadow"
-	"repro/internal/simdisk"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/tpc"
@@ -254,30 +252,11 @@ func (s *Site) moveFile(path string, target simnet.SiteID) error {
 	}
 
 	// Ship the committed image.
-	vs, err := s.volFor(path)
+	vs, name, data, err := s.committedImage(path)
 	if err != nil {
 		return err
 	}
-	_, name, err := splitPath(path)
-	if err != nil {
-		return err
-	}
-	ino, err := vs.dirLookup(name)
-	if err != nil {
-		return err
-	}
-	f, err := shadow.Open(vs.vol, ino)
-	if err != nil {
-		return err
-	}
-	size := f.CommittedSize()
-	data := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(data, 0); err != nil {
-			return err
-		}
-	}
-	if _, err := s.ep.Call(target, "owneradopt", ownerAdoptReq{Path: path, Data: data, Size: size, Refs: refs, MoveID: tok}); err != nil {
+	if _, err := s.ep.Call(target, "owneradopt", ownerAdoptReq{Path: path, Data: data, Size: int64(len(data)), Refs: refs, MoveID: tok}); err != nil {
 		// No repoint will happen, so whatever the target installed (the
 		// call may have failed on the reply leg) is garbage; tell it so
 		// rather than leaving the copy for a restart that may never come.
@@ -315,44 +294,6 @@ func (s *Site) moveFile(path string, target simnet.SiteID) error {
 	s.mu.Unlock()
 	s.leaseCacheDrop(path)
 	return vs.reclaimFile(name)
-}
-
-// reclaimFile removes name from the volume and frees its storage, in
-// handleRemove's crash-safe order: directory entry first, then pages,
-// then the inode.
-func (vs *volState) reclaimFile(name string) error {
-	ino, err := vs.dirLookup(name)
-	if err != nil {
-		return err
-	}
-	node, err := vs.vol.ReadInode(ino)
-	if errors.Is(err, fs.ErrFreeInode) {
-		// Dangling entry: a crash made the directory entry durable while
-		// the inode allocation (in-memory until the first commit) was
-		// lost.  There is no storage to free - drop the name, or the
-		// reloaded allocator will hand the inode number to a second file
-		// and leave two entries claiming it.
-		return vs.dirRemove(name)
-	}
-	if err != nil {
-		return err
-	}
-	if err := vs.dirRemove(name); err != nil {
-		return err
-	}
-	for _, p := range node.Pages {
-		if p >= 0 {
-			if err := vs.vol.FreePage(p); err != nil {
-				return err
-			}
-		}
-	}
-	node.Pages = nil
-	node.Size = 0
-	if err := vs.vol.WriteInode(node); err != nil {
-		return err
-	}
-	return vs.vol.FreeInode(ino)
 }
 
 // handleOwnerAdopt installs a migrated file at its new home.  The file
@@ -398,25 +339,11 @@ func (s *Site) handleOwnerAdopt(req ownerAdoptReq) error {
 	var f *shadow.File
 	if of != nil {
 		f = of.file
-	} else {
-		ino, err := vs.dirLookup(name)
-		if errors.Is(err, ErrNoSuchFile) {
-			ino, err = vs.dirCreateOn(vol, name)
-		}
-		if err != nil {
-			return err
-		}
-		if f, err = shadow.Open(vol, ino); err != nil {
-			return err
-		}
+	} else if f, err = vs.openOrCreateOn(vol, name); err != nil {
+		return err
 	}
-	if len(req.Data) > 0 {
-		if _, err := f.WriteAt(replOwner, req.Data, 0); err != nil {
-			return err
-		}
-		if err := f.Commit(replOwner); err != nil {
-			return err
-		}
+	if err := installImage(f, req.Data); err != nil {
+		return err
 	}
 
 	// A purge for this very adoption may have arrived while the installs
@@ -550,23 +477,11 @@ func (s *Site) hostedVol(volName string) (*volState, error) {
 	}
 	s.mu.Unlock()
 
-	c := s.cl
-	disk := simdisk.New(fmt.Sprintf("%s@%v", volName, s.id), c.cfg.VolumePages, c.cfg.PageSize, c.st)
-	disk.SetSyncDelay(c.cfg.DiskSyncDelay)
-	disk.SetClock(c.cfg.Clock)
-	vol, err := fs.Format(volName, disk, fs.Options{})
+	vs, err := s.formatVolume(volName, fmt.Sprintf("%s@%v", volName, s.id))
 	if err != nil {
 		return nil, err
 	}
-	vol.DoubleLogWrite = c.cfg.DoubleLogWrites
-	vol.SetTracer(s.tr)
-	vol.SetClock(c.cfg.Clock)
-	vol.Log().StartGroupCommit(c.cfg.groupCommit())
-	vs := &volState{name: volName, disk: disk, vol: vol, hosted: true}
-	vs.dirMu.SetClock(c.cfg.Clock)
-	if err := vs.initDirectory(); err != nil {
-		return nil, err
-	}
+	vs.hosted = true
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.vols[volName]; ok {

@@ -93,10 +93,7 @@ func (s *Site) Restart() error {
 		if err != nil {
 			return fmt.Errorf("cluster: reload %q: %w", vs.name, err)
 		}
-		vol.DoubleLogWrite = s.cl.cfg.DoubleLogWrites
-		vol.SetTracer(s.tr)
-		vol.SetClock(s.cl.cfg.Clock)
-		vol.Log().StartGroupCommit(s.cl.cfg.groupCommit())
+		s.wireVolume(vol)
 		// The swap happens under dirMu so pinVol/dirCreateOn (an adoption
 		// spanning this restart) see either old-handle-everywhere (and
 		// fail on the invalidation above) or the new handle consistently.

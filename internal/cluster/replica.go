@@ -158,33 +158,8 @@ func (s *Site) handleReplRemove(req replRemoveReq) error {
 	if err != nil {
 		return err
 	}
-	ino, err := rep.vs.dirLookup(name)
-	if errors.Is(err, ErrNoSuchFile) {
-		return nil // never synced here; nothing to do
-	}
-	if err != nil {
-		return err
-	}
-	if err := rep.vs.dirRemove(name); err != nil {
-		return err
-	}
-	node, err := rep.vs.vol.ReadInode(ino)
-	if err != nil {
-		return err
-	}
-	for _, p := range node.Pages {
-		if p >= 0 {
-			if err := rep.vs.vol.FreePage(p); err != nil {
-				return err
-			}
-		}
-	}
-	node.Pages = nil
-	node.Size = 0
-	if err := rep.vs.vol.WriteInode(node); err != nil {
-		return err
-	}
-	if err := rep.vs.vol.FreeInode(ino); err != nil {
+	// A file never synced here has nothing to free.
+	if err := rep.vs.reclaimFile(name); err != nil && !errors.Is(err, ErrNoSuchFile) {
 		return err
 	}
 	s.mu.Lock()
@@ -265,24 +240,12 @@ func (s *Site) handleReplSync(req replSyncReq) error {
 	if err != nil {
 		return err
 	}
-	ino, err := rep.vs.dirLookup(name)
-	if errors.Is(err, ErrNoSuchFile) {
-		ino, err = rep.vs.dirCreate(name)
-	}
+	f, err := rep.vs.openOrCreateOn(rep.vs.pinVol(), name)
 	if err != nil {
 		return err
 	}
-	f, err := shadow.Open(rep.vs.vol, ino)
-	if err != nil {
+	if err := installImage(f, req.Data); err != nil {
 		return err
-	}
-	if len(req.Data) > 0 {
-		if _, err := f.WriteAt(replOwner, req.Data, 0); err != nil {
-			return err
-		}
-		if err := f.Commit(replOwner); err != nil {
-			return err
-		}
 	}
 	s.mu.Lock()
 	delete(rep.updating, req.Path)
@@ -394,29 +357,10 @@ func (s *Site) maybeSyncReplicas(of *openFile) {
 
 // pushFileToReplica ships a file's committed contents to one replica.
 func (s *Site) pushFileToReplica(site simnet.SiteID, path string) error {
-	vs, err := s.volFor(path)
+	_, _, data, err := s.committedImage(path)
 	if err != nil {
 		return err
 	}
-	_, name, err := splitPath(path)
-	if err != nil {
-		return err
-	}
-	ino, err := vs.dirLookup(name)
-	if err != nil {
-		return err
-	}
-	f, err := shadow.Open(vs.vol, ino)
-	if err != nil {
-		return err
-	}
-	size := f.CommittedSize()
-	data := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(data, 0); err != nil {
-			return err
-		}
-	}
-	_, err = s.ep.Call(site, "replsync", replSyncReq{Path: path, Data: data, Size: size})
+	_, err = s.ep.Call(site, "replsync", replSyncReq{Path: path, Data: data, Size: int64(len(data))})
 	return err
 }

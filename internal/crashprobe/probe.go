@@ -3,9 +3,10 @@
 // counting pass to learn N, the number of stable page writes each disk
 // performs, then replays the workload N times, arming
 // simdisk.CrashAfterWrites(i) for every index i (optionally restricted
-// to one IOKind class).  After each crash it drives full site recovery
-// (Site.Restart, ResolveInDoubt, coordinator phase-two retries) and
-// mechanically checks the DESIGN.md section 5 invariants: per-file
+// to one IOKind class).  Each replay is a scenario.Run whose only fault is
+// that disk, armed before the workload starts; after the crash Run drives
+// full site recovery (Site.Restart, ResolveInDoubt, coordinator phase-two
+// retries) and mechanically checks the DESIGN.md section 5 invariants: per-file
 // all-or-nothing, durability of confirmed commits, no torn log records,
 // and consistent resolution of in-doubt transactions across sites.
 //
@@ -22,9 +23,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/invariant"
 	"repro/internal/scenario"
@@ -205,7 +204,7 @@ type workload struct {
 	disks []diskRef
 	// setup commits the baseline state.  Stable writes here happen
 	// before the fault is armed and are not crash points.
-	setup func(h *harness) error
+	setup func(h *harness)
 	// run executes the probed transaction; confirmed reports whether
 	// the commit was confirmed to the client.
 	run func(h *harness) (confirmed bool)
@@ -244,11 +243,11 @@ func parseKind(name string) (simdisk.IOKind, bool, error) {
 	return 0, false, fmt.Errorf("crashprobe: unknown I/O kind %q", name)
 }
 
-// harness is one replay's cluster plus the replay's own bookkeeping.
+// harness is one replay's live run plus the replay's own bookkeeping.
 type harness struct {
-	sys *core.System
+	*scenario.Env
 	// coOwner is the diff workload's co-owning process, retired before
-	// the audit so its locks and working pages do not read as residue.
+	// recovery so its locks and working pages do not read as residue.
 	coOwner *core.Process
 	// confirmed2 records whether the follow-up commit of a two-commit
 	// workload (lease, ownermove) was confirmed to its client.
@@ -273,29 +272,10 @@ func (w workload) sweepDisks() []diskRef {
 	return refs
 }
 
-// newHarness builds the workload's cluster.  The scenario keeps phase
-// two synchronous with no retry timer: the only actors are the
-// workload's own calls, so the i-th stable write is the same write on
-// every replay.
-func newHarness(w workload) (*harness, error) {
-	spec := w.spec
-	spec.Seed, spec.Trace = 7, true
-	sys, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	return &harness{sys: sys}, nil
-}
-
-func (h *harness) close() { h.sys.Cluster().Shutdown() }
-func (h *harness) site(i int) *cluster.Site {
-	return h.sys.Cluster().Site(simnet.SiteID(i))
-}
-
 // disk resolves a sweep disk ref; the volume may be a hosted one
 // (created by an ownership-move adoption), as long as setup created it.
 func (h *harness) disk(ref diskRef) *simdisk.Disk {
-	vol := h.site(ref.Site).Volume(ref.Volume)
+	vol := h.Sys.Cluster().Site(simnet.SiteID(ref.Site)).Volume(ref.Volume)
 	if vol == nil {
 		return nil
 	}
@@ -312,51 +292,6 @@ func (h *harness) stableWrites(ref diskRef, kind simdisk.IOKind, useKind bool) i
 		return d.StableWritesOfKind(kind)
 	}
 	return d.StableWrites()
-}
-
-// settle retires the workload's auxiliary process (best effort: after a
-// crash the site restart has already reaped it) and drains resolution.
-// A drain that runs out of budget is a violation of the crash point: the
-// system was left with work it could not finish.
-func (h *harness) settle() []string {
-	if h.coOwner != nil {
-		h.coOwner.Kill() //nolint:errcheck
-		h.coOwner = nil
-	}
-	cl := h.sys.Cluster()
-	if err := invariant.Drain(cl, cl.Clock(), 5*time.Second); err != nil {
-		return []string{err.Error()}
-	}
-	return nil
-}
-
-// audit settles the cluster, runs the shared recovery invariants, then
-// the workload's content check (in that order: the lock-table scan must
-// precede content reads, which themselves take and release locks).
-func audit(h *harness, w workload, confirmed bool, forensics bool) (state string, violations, trail []string) {
-	cl, col := h.sys.Cluster(), scenario.Collector(h.sys)
-	violations = h.settle()
-	if w.spec.Placement != (scenario.Placement{}) {
-		// An interrupted ownership move can leave a copy that only its
-		// holder's restart purge reclaims.  Audit what recovery alone
-		// left behind, then restart every site so each runs its purge:
-		// the single-primary check below sees the garbage-collection half
-		// of the invariant at every crash point.
-		violations = append(violations, invariant.Audit(cl, col, nil).Violations()...)
-		if err := invariant.Restart(cl, true); err != nil {
-			return "unrecoverable", append(violations, err.Error()), nil
-		}
-		violations = append(violations, h.settle()...)
-	}
-	violations = append(violations, invariant.Audit(cl, col, w.paths).Violations()...)
-	state, cv := w.check(h, confirmed)
-	violations = append(violations, cv...)
-	if len(violations) > 0 && forensics {
-		for _, path := range w.paths {
-			trail = append(trail, invariant.Forensics(col, path)...)
-		}
-	}
-	return state, violations, trail
 }
 
 // Run executes the sweep the options select.
@@ -428,53 +363,66 @@ func sweepWorkload(w workload, opts Options) (*WorkloadResult, error) {
 // With arm set, that disk is armed to fail its (idx+1)-th stable write of
 // the selected kind; with arm nil the run is fault-free.  Either way
 // writes reports how many selected stable writes the run performed on
-// each sweep disk.
+// each sweep disk.  The scenario keeps phase two synchronous with no
+// retry timer: the only actor is the workload itself, so the i-th stable
+// write is the same write on every replay.
 func replay(w workload, opts Options, arm *diskRef, idx int) (pt PointResult, writes []int, err error) {
 	kind, useKind, _ := parseKind(opts.Kind)
 	pt = PointResult{Index: idx, Kind: opts.Kind}
-	h, err := newHarness(w)
-	if err != nil {
-		return pt, nil, err
-	}
-	defer h.close()
-	if err := w.setup(h); err != nil {
-		return pt, nil, fmt.Errorf("crashprobe: %s setup: %w", w.name, err)
-	}
 	refs := w.sweepDisks()
-	// Setup's stable writes are not crash points: start each count at
-	// minus what setup wrote, and add the total once the run is over.
 	writes = make([]int, len(refs))
-	for i, ref := range refs {
-		writes[i] = -int(h.stableWrites(ref, kind, useKind))
+	h := &harness{}
+	sc := scenario.Scenario{
+		Spec: w.spec,
+		// Setup's stable writes are not crash points: start each count at
+		// minus what setup wrote, and add the total once the run is over.
+		Setup: func(e *scenario.Env) {
+			h.Env = e
+			w.setup(h)
+			for i, ref := range refs {
+				writes[i] = -int(h.stableWrites(ref, kind, useKind))
+			}
+		},
+		Clients: []func(*scenario.Env){func(*scenario.Env) {
+			pt.Confirmed = w.run(h)
+			for i, ref := range refs {
+				writes[i] += int(h.stableWrites(ref, kind, useKind))
+			}
+			if arm != nil {
+				pt.Fired = h.disk(*arm).Crashed()
+			}
+			if h.coOwner != nil {
+				h.coOwner.Kill() //nolint:errcheck // best effort: the disk under it may have tripped
+			}
+		}},
+		Recover: scenario.RestartCrashed,
+		Files:   w.paths,
+		// The content check follows the audit: the lock-table scan must
+		// precede content reads, which themselves take and release locks.
+		Check: func(_ *scenario.Env, out *scenario.Outcome) {
+			var cv []string
+			pt.State, cv = w.check(h, pt.Confirmed)
+			pt.Violations = append(out.Checks.Violations(), cv...)
+		},
 	}
-	var disk *simdisk.Disk
+	sc.Seed, sc.Trace = 7, true
 	if arm != nil {
 		pt.Site, pt.Volume = arm.Site, arm.Volume
-		if disk = h.disk(*arm); disk == nil {
-			return pt, nil, fmt.Errorf("crashprobe: %s: sweep disk %s@%d does not exist after setup", w.name, arm.Volume, arm.Site)
-		}
-		if useKind {
-			disk.CrashAfterWritesOfKind(kind, idx)
-		} else {
-			disk.CrashAfterWrites(idx)
-		}
+		sc.Armed = scenario.Schedule{{Kind: scenario.FaultArmDisk, Site: simnet.SiteID(arm.Site),
+			Volume: arm.Volume, N: idx, Class: kind, ByClass: useKind}}
 	}
-	pt.Confirmed = w.run(h)
-	for i, ref := range refs {
-		writes[i] += int(h.stableWrites(ref, kind, useKind))
+	out, err := scenario.Run(sc)
+	if err != nil {
+		return pt, nil, fmt.Errorf("crashprobe: %s: %w", w.name, err)
 	}
-	if disk != nil {
-		if pt.Fired = disk.Crashed(); !pt.Fired {
-			// The budget survived the run (the error path at an earlier
-			// point skipped this write): disarm so the audit's own I/O
-			// cannot trip it.
-			disk.CrashAfterWrites(-1)
+	if pt.State == "" { // a restart failed: there was nothing to check
+		pt.State, pt.Violations = "unrecoverable", out.Checks.Violations()
+	}
+	if len(pt.Violations) > 0 && opts.Forensics {
+		for _, path := range w.paths {
+			pt.Forensics = append(pt.Forensics, invariant.Forensics(h.Trace, path)...)
 		}
 	}
-	if err := invariant.Restart(h.sys.Cluster(), false); err != nil {
-		return pt, nil, err
-	}
-	pt.State, pt.Violations, pt.Forensics = audit(h, w, pt.Confirmed, opts.Forensics)
 	return pt, writes, nil
 }
 

@@ -51,7 +51,7 @@ var workloads = []workload{
 		name:  "single",
 		spec:  scenario.Spec{Volumes: scenario.PerSite(1)},
 		paths: []string{"v1/f"},
-		setup: func(h *harness) error { return h.create(1, preImage, "v1/f") },
+		setup: func(h *harness) { h.create(1, preImage, "v1/f") },
 		run:   func(h *harness) bool { return h.update(1, postImage, "v1/f") },
 		check: func(h *harness, confirmed bool) (string, []string) {
 			return checkAllOrNothing(h, "v1/f", confirmed)
@@ -70,7 +70,7 @@ var workloads = []workload{
 		name:  "tpc",
 		spec:  scenario.Spec{Volumes: scenario.PerSite(3)},
 		paths: []string{"v1/f", "v2/f"},
-		setup: func(h *harness) error { return h.create(3, preImage, "v1/f", "v2/f") },
+		setup: func(h *harness) { h.create(3, preImage, "v1/f", "v2/f") },
 		run:   func(h *harness) bool { return h.update(3, postImage, "v1/f", "v2/f") },
 		check: checkBothOrNeither,
 	},
@@ -84,7 +84,7 @@ var workloads = []workload{
 	},
 	{
 		name:  "readonly",
-		spec:  scenario.Spec{Volumes: scenario.PerSite(2), FastPaths: true},
+		spec:  scenario.Spec{Volumes: scenario.PerSite(2), Layers: scenario.Layers{FastPaths: true}},
 		paths: []string{"v1/f", "v2/f"},
 		setup: setupTwoFiles,
 		run:   runReadonly,
@@ -98,9 +98,9 @@ var workloads = []workload{
 		// that force must resolve from the record count alone (the
 		// coordinator has nothing to answer a status query from).
 		name:  "onephase",
-		spec:  scenario.Spec{Volumes: scenario.PerSite(2), FastPaths: true},
+		spec:  scenario.Spec{Volumes: scenario.PerSite(2), Layers: scenario.Layers{FastPaths: true}},
 		paths: []string{"v1/f"},
-		setup: func(h *harness) error { return h.create(2, preImage, "v1/f") },
+		setup: func(h *harness) { h.create(2, preImage, "v1/f") },
 		run:   func(h *harness) bool { return h.update(2, postImage, "v1/f") },
 		check: func(h *harness, confirmed bool) (string, []string) {
 			return checkAllOrNothing(h, "v1/f", confirmed)
@@ -108,12 +108,12 @@ var workloads = []workload{
 	},
 	{
 		name:  "lease",
-		spec:  scenario.Spec{Volumes: scenario.PerSite(2), Leases: true},
+		spec:  scenario.Spec{Volumes: scenario.PerSite(2), Layers: scenario.Layers{Leases: true}},
 		paths: []string{"v2/f"},
 		// The setup commit runs from site 1 against site 2's file, so it
 		// leaves site 2 holding a lease for site 1 before any fault is
 		// armed.
-		setup: func(h *harness) error { return h.create(1, preImage, "v2/f") },
+		setup: func(h *harness) { h.create(1, preImage, "v2/f") },
 		// Probed transaction: the implicit write hits site 1's cached
 		// lease, skips the lock message, and site 2 materializes the
 		// descriptor.  Then a conflicting transaction at the storage site:
@@ -131,7 +131,7 @@ var workloads = []workload{
 	},
 	{
 		name:  "ownermove",
-		spec:  scenario.Spec{Volumes: scenario.PerSite(2), Placement: scenario.Eager},
+		spec:  scenario.Spec{Volumes: scenario.PerSite(2), Layers: scenario.Layers{Placement: scenario.Eager}},
 		paths: []string{"v1/f", "v1/warm"},
 		// The hosted v1 volume at site 2 is the disk the adoption writes
 		// land on; setup's warm move creates it before any fault is armed.
@@ -174,64 +174,39 @@ var (
 
 // create makes the files from a process at site and commits image into
 // all of them in one transaction.
-func (h *harness) create(site int, image []byte, paths ...string) error {
-	p, err := h.sys.NewProcess(simnet.SiteID(site))
-	if err != nil {
-		return err
-	}
+func (h *harness) create(site simnet.SiteID, image []byte, paths ...string) {
+	p := scenario.Must(h.Sys.NewProcess(site))
 	files := make([]*core.File, len(paths))
 	for i, path := range paths {
-		if files[i], err = p.Create(path); err != nil {
-			return err
-		}
+		files[i] = scenario.Must(p.Create(path))
 		defer files[i].Close() //nolint:errcheck
 	}
-	return rewrite(p, image, files...)
+	scenario.Ok(h.rewrite(p, image, files...))
 }
 
 // rewrite commits image over the open files in one transaction.
-func rewrite(p *core.Process, image []byte, files ...*core.File) error {
-	if _, err := p.BeginTrans(); err != nil {
-		return err
-	}
-	for _, f := range files {
-		if _, err := f.WriteAt(image, 0); err != nil {
-			p.AbortTrans() //nolint:errcheck
-			return err
+func (h *harness) rewrite(p *core.Process, image []byte, files ...*core.File) error {
+	return h.Txn(p, func() error {
+		for _, f := range files {
+			if _, err := f.WriteAt(image, 0); err != nil {
+				return err
+			}
 		}
-	}
-	return p.EndTrans()
+		return nil
+	})
 }
 
 // update is the probed transaction's common shape: a fresh process at
 // site opens the files, writes image over each and commits.  It reports
-// whether the commit was confirmed to the client.  An EndTrans failure
-// is NOT aborted here: once the commit record may exist, only the
-// protocol (recovery, presumed abort) decides the outcome; the audit
-// checks the files agree with it.
-func (h *harness) update(site int, image []byte, paths ...string) bool {
-	p, files, err := h.open(site, paths...)
-	return err == nil && rewrite(p, image, files...) == nil
-}
-
-// open starts a fresh process at site and opens the files from it.
-func (h *harness) open(site int, paths ...string) (*core.Process, []*core.File, error) {
-	p, err := h.sys.NewProcess(simnet.SiteID(site))
-	if err != nil {
-		return nil, nil, err
-	}
-	files := make([]*core.File, len(paths))
-	for i, path := range paths {
-		if files[i], err = p.Open(path); err != nil {
-			return nil, nil, err
-		}
-	}
-	return p, files, nil
+// whether the commit was confirmed to the client.
+func (h *harness) update(site simnet.SiteID, image []byte, paths ...string) bool {
+	p, files, err := h.Open(site, paths...)
+	return err == nil && h.rewrite(p, image, files...) == nil
 }
 
 // readCommitted returns a file's committed contents as site 1 reads them.
 func readCommitted(h *harness, path string) ([]byte, error) {
-	return invariant.ReadCommitted(h.sys, 1, path)
+	return invariant.ReadCommitted(h.Sys, 1, path)
 }
 
 // checkMarch audits a file that marches pre -> post -> third (the third
@@ -295,11 +270,9 @@ func checkBothOrNeither(h *harness, confirmed bool) (string, []string) {
 
 // setupTwoFiles commits the baseline into one file per site, each in
 // its own transaction, from site 1.
-func setupTwoFiles(h *harness) error {
-	if err := h.create(1, preImage, "v1/f"); err != nil {
-		return err
-	}
-	return h.create(1, preImage, "v2/f")
+func setupTwoFiles(h *harness) {
+	h.create(1, preImage, "v1/f")
+	h.create(1, preImage, "v2/f")
 }
 
 // ---------------------------------------------------------------------
@@ -317,27 +290,16 @@ var (
 	diffPost = bytes.Repeat([]byte{'B'}, txLen)
 )
 
-func setupDiff(h *harness) error {
-	if err := h.create(1, diffPre, "v1/f"); err != nil {
-		return err
-	}
+func setupDiff(h *harness) {
+	h.create(1, diffPre, "v1/f")
 	// The co-owner holds uncommitted bytes on the same page and keeps
 	// the file open, forcing the transaction's commit onto the page-
 	// differencing path: its committed image must merge only the
 	// transaction's ranges onto the stable previous version.
-	co, err := h.sys.NewProcess(1)
-	if err != nil {
-		return err
-	}
-	cf, err := co.Open("v1/f")
-	if err != nil {
-		return err
-	}
-	if _, err := cf.WriteAt(bytes.Repeat([]byte{'C'}, coLen), coOff); err != nil {
-		return err
-	}
+	co, files, err := h.Open(1, "v1/f")
+	scenario.Ok(err)
+	scenario.Must(files[0].WriteAt(bytes.Repeat([]byte{'C'}, coLen), coOff))
 	h.coOwner = co
-	return nil
 }
 
 func checkDiff(h *harness, confirmed bool) (string, []string) {
@@ -383,76 +345,59 @@ func checkDiff(h *harness, confirmed bool) (string, []string) {
 // migrate: the transaction commits from a site it migrated to.
 
 func runMigrate(h *harness) bool {
-	p, files, err := h.open(1, "v1/f")
+	p, files, err := h.Open(1, "v1/f")
 	if err != nil {
 		return false
 	}
-	if _, err := p.BeginTrans(); err != nil {
-		return false
-	}
-	abort := func() bool {
-		p.AbortTrans() //nolint:errcheck // crash-path rollback is best effort
-		return false
-	}
-	if _, err := files[0].WriteAt(postImage, 0); err != nil {
-		return abort()
-	}
-	// A member process forks to site 2, writes there, and exits (its
-	// file list merges into the top-level process)...
-	child, err := p.Fork(simnet.SiteID(2))
-	if err != nil {
-		return abort()
-	}
-	f2, err := child.Open("v2/f")
-	if err != nil {
-		return abort()
-	}
-	if _, err := f2.WriteAt(postImage, 0); err != nil {
-		return abort()
-	}
-	if err := child.Exit(); err != nil {
-		return abort()
-	}
-	// ...then the top-level process migrates to site 2 and commits from
-	// there: the coordinator site is not the transaction's origin.
-	if err := p.Migrate(simnet.SiteID(2)); err != nil {
-		return abort()
-	}
-	return p.EndTrans() == nil
+	return h.Txn(p, func() error {
+		if _, err := files[0].WriteAt(postImage, 0); err != nil {
+			return err
+		}
+		// A member process forks to site 2, writes there, and exits (its
+		// file list merges into the top-level process)...
+		child, err := p.Fork(2)
+		if err != nil {
+			return err
+		}
+		f2, err := child.Open("v2/f")
+		if err != nil {
+			return err
+		}
+		if _, err := f2.WriteAt(postImage, 0); err != nil {
+			return err
+		}
+		if err := child.Exit(); err != nil {
+			return err
+		}
+		// ...then the top-level process migrates to site 2 and commits
+		// from there: the coordinator site is not the transaction's origin.
+		return p.Migrate(2)
+	}) == nil
 }
 
 // ---------------------------------------------------------------------
 // readonly: two-phase commit where the remote participant only read.
 
 func runReadonly(h *harness) bool {
-	p, files, err := h.open(1, "v1/f", "v2/f")
+	p, files, err := h.Open(1, "v1/f", "v2/f")
 	if err != nil {
 		return false
 	}
-	f1, f2 := files[0], files[1]
-	if _, err := p.BeginTrans(); err != nil {
-		return false
-	}
-	abort := func() bool {
-		p.AbortTrans() //nolint:errcheck
-		return false
-	}
-	if _, err := f1.WriteAt(postImage, 0); err != nil {
-		return abort()
-	}
-	// The remote participant only takes a shared lock and reads: with
-	// fast paths on it votes read-only at prepare time, forces no
-	// prepare record, and receives no phase-two message.  Site 2's
-	// sweep therefore learns zero crash points - the matrix itself is
-	// the proof that the read-only voter performs no stable write.
-	if err := f2.LockRange(0, 8, core.Shared); err != nil {
-		return abort()
-	}
-	if _, err := f2.ReadAt(make([]byte, 8), 0); err != nil {
-		return abort()
-	}
-	// As in update, an EndTrans failure is not aborted here.
-	return p.EndTrans() == nil
+	return h.Txn(p, func() error {
+		if _, err := files[0].WriteAt(postImage, 0); err != nil {
+			return err
+		}
+		// The remote participant only takes a shared lock and reads: with
+		// fast paths on it votes read-only at prepare time, forces no
+		// prepare record, and receives no phase-two message.  Site 2's
+		// sweep therefore learns zero crash points - the matrix itself is
+		// the proof that the read-only voter performs no stable write.
+		if err := files[1].LockRange(0, 8, core.Shared); err != nil {
+			return err
+		}
+		_, err := files[1].ReadAt(make([]byte, 8), 0)
+		return err
+	}) == nil
 }
 
 func checkReadonly(h *harness, confirmed bool) (string, []string) {
@@ -474,50 +419,33 @@ func checkReadonly(h *harness, confirmed bool) (string, []string) {
 // ownermove: an ownership move fires inside the probed commit, racing a
 // follow-up commit from the file's old home site.
 
-func setupOwnermove(h *harness) error {
-	p, err := h.sys.NewProcess(2)
-	if err != nil {
-		return err
-	}
+func setupOwnermove(h *harness) {
+	p := scenario.Must(h.Sys.NewProcess(2))
 	// commitTimes creates and commits path, then commits it n-1 times
 	// more through a second open.
-	commitTimes := func(path string, n int) error {
-		f, err := p.Create(path)
-		if err != nil {
-			return err
-		}
+	commitTimes := func(path string, n int) {
+		f := scenario.Must(p.Create(path))
 		for i := 0; i < n; i++ {
-			if err := rewrite(p, preImage, f); err != nil {
-				return err
-			}
+			scenario.Ok(h.rewrite(p, preImage, f))
 			if i == 0 {
-				if err := f.Close(); err != nil {
-					return err
-				}
-				if f, err = p.Open(path); err != nil {
-					return err
-				}
+				scenario.Ok(f.Close())
+				f = scenario.Must(p.Open(path))
 			}
 		}
-		return f.Close()
+		scenario.Ok(f.Close())
 	}
 	// Warm move: three remote commits on v1/warm migrate it to site 2
 	// (the decayed access mass crosses MinAccesses=2 on the third),
 	// creating the hosted v1 volume there so its disk is part of the
 	// sweep from the first armed write.
-	if err := commitTimes("v1/warm", 3); err != nil {
-		return err
-	}
-	if h.site(2).Volume("v1") == nil {
-		return fmt.Errorf("ownermove setup: warm move did not create hosted v1 at site 2")
+	commitTimes("v1/warm", 3)
+	if h.Sys.Cluster().Site(2).Volume("v1") == nil {
+		scenario.Ok(fmt.Errorf("ownermove setup: warm move did not create hosted v1 at site 2"))
 	}
 	// The probed file: two committed remote accesses, one short of the
 	// move threshold - the probed commit supplies the third.
-	if err := commitTimes("v1/f", 2); err != nil {
-		return err
+	commitTimes("v1/f", 2)
+	if home, err := h.Sys.Cluster().StorageSite("v1/f"); err != nil || home != 1 {
+		scenario.Ok(fmt.Errorf("ownermove setup: v1/f moved early (home %v, err %v)", home, err))
 	}
-	if home, err := h.sys.Cluster().StorageSite("v1/f"); err != nil || home != 1 {
-		return fmt.Errorf("ownermove setup: v1/f moved early (home %v, err %v)", home, err)
-	}
-	return nil
 }

@@ -2,15 +2,16 @@
 // recovery invariants that every harness runs against a recovered
 // cluster - nothing in doubt, logs well-formed and reclaimed, lock tables
 // empty, page allocators in agreement with their inodes, one primary copy
-// per file - together with the drain loop that brings a cluster to the
-// state the audit expects and the trace-tail renderer failure reports
-// attach.  The chaos engine runs it after a randomized fault schedule,
-// the crash prober after every enumerated crash point.
+// per file - together with the quiesce (restart and drain) that brings a
+// cluster to the state the audit expects and the trace-tail renderer
+// failure reports attach.  scenario.Run calls them after every recovered
+// run: a randomized chaos schedule or one enumerated crash point.
 package invariant
 
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/lockmgr"
 	"repro/internal/shadow"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 	"repro/internal/tpc"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -41,6 +43,13 @@ type Check struct {
 // Failf records one violation of the invariant.
 func (c *Check) Failf(format string, args ...any) {
 	c.Violations = append(c.Violations, fmt.Sprintf(format, args...))
+}
+
+// FailAt records one violation together with the trace tail of the
+// object it concerns.
+func (c *Check) FailAt(col *trace.Collector, object, format string, args ...any) {
+	c.Failf(format, args...)
+	c.Forensics = append(c.Forensics, Forensics(col, object)...)
 }
 
 // Report is an audit's verdicts, in the order the checks ran.
@@ -257,8 +266,7 @@ func checkPlacement(cl *cluster.Cluster, col *trace.Collector, files []string) C
 		}
 		home, err := cl.StorageSite(path)
 		if err != nil {
-			c.Failf("%s: no storage site after recovery: %v", path, err)
-			c.Forensics = append(c.Forensics, Forensics(col, path)...)
+			c.FailAt(col, path, "%s: no storage site after recovery: %v", path, err)
 			continue
 		}
 		var holders []simnet.SiteID
@@ -271,8 +279,7 @@ func checkPlacement(cl *cluster.Cluster, col *trace.Collector, files []string) C
 			}
 		}
 		if len(holders) != 1 || holders[0] != home {
-			c.Failf("%s: primary copies at sites %v, catalog says %v", path, holders, home)
-			c.Forensics = append(c.Forensics, Forensics(col, path)...)
+			c.FailAt(col, path, "%s: primary copies at sites %v, catalog says %v", path, holders, home)
 		}
 	}
 	return c
@@ -304,6 +311,53 @@ func Restart(cl *cluster.Cluster, all bool) error {
 	}
 	return nil
 }
+
+// Quiesce returns a run's cluster to the clean, fully recovered state
+// Audit expects: injected network faults cleared, the sites whose disks
+// tripped - or, with all, every site - crash-restarted, in-doubt
+// participants resolved and phase two drained everywhere.
+//
+// An adoption request can sit queued in the network long after its move
+// gave up on it (the source's disown retries exhaust while the target is
+// unreachable, then the source forgets the move entirely at its next
+// crash).  If such a stale request lands after its target's restart purge
+// already ran, it installs an orphan copy nothing will ever reclaim -
+// except the next restart purge.  So whenever adoptions landed inside a
+// round, another round restarts every site: the last round's purge then
+// provably saw every copy.  No new moves start once recovery has
+// drained, so the rounds converge as soon as the in-flight tail of the
+// network empties.
+func Quiesce(cl *cluster.Cluster, clk vtime.Clock, all bool) error {
+	net := cl.Net()
+	net.SetDropRate(0)
+	net.SetDupRate(0)
+	net.SetLatency(0)
+	net.SetFaultFilter(nil)
+	net.Heal()
+	adopts := func() int64 { return cl.Stats().Snapshot().Get(stats.OwnerAdopts) }
+	const maxRounds = 5
+	for round := 1; round <= maxRounds; round++ {
+		before := adopts()
+		if err := Restart(cl, all || round > 1); err != nil {
+			return err
+		}
+		// Recovery-driven commits can trigger ownership moves, and an
+		// abandoned move disowns its copy from a detached purge actor;
+		// the drain waits those out too, so the single-primary audit
+		// races neither.
+		if err := Drain(cl, clk, 10*time.Second); err != nil {
+			return err
+		}
+		if adopts() == before {
+			return nil
+		}
+	}
+	return errors.New("placement never quiesced (adoptions kept landing across restart rounds)")
+}
+
+// ErrStuck marks a Drain that ran out of budget: the cluster is up but
+// holds work it cannot finish.
+var ErrStuck = errors.New("recovery never drained")
 
 // Drain drives resolution on a recovered cluster until no work is
 // pending: in-doubt participants resolve against coordinator records,
@@ -344,7 +398,7 @@ func Drain(cl *cluster.Cluster, clk vtime.Clock, budget time.Duration) error {
 			return nil
 		}
 		if clk.Now().After(deadline) {
-			return fmt.Errorf("recovery never drained within %s: %s", budget, strings.Join(stuck, "; "))
+			return fmt.Errorf("%w within %s: %s", ErrStuck, budget, strings.Join(stuck, "; "))
 		}
 		clk.Sleep(time.Millisecond)
 	}

@@ -136,7 +136,7 @@ func TestAuditCatchesEachDefect(t *testing.T) {
 			// orphan the restart purge exists for, caught before any
 			// restart.
 			name: "second primary copy",
-			spec: scenario.Spec{Virtual: true, Placement: scenario.Eager},
+			spec: scenario.Spec{Virtual: true, Layers: scenario.Layers{Placement: scenario.Eager}},
 			plant: func(t *testing.T, sys *core.System) {
 				sys.Cluster().Net().SetFaultFilter(func(from, to simnet.SiteID, op string) bool {
 					return op == "ownerpurge" || (op == "owneradopt" && from == 2)

@@ -1,10 +1,13 @@
 // Package scenario is the single source from which every harness builds
-// its simulated cluster: a Spec names the topology, the clock and the
-// optional protocol layers, and Build turns it into a running
-// core.System.  The chaos engine, the crash prober, the benchmark
-// drivers and the trace/monitor tools all describe what they need as a
-// Spec instead of assembling a cluster.Config by hand, so a new layer or
-// preset is wired in here once.
+// and drives its simulated cluster.  A Spec names the topology, the clock
+// and the optional protocol layers, and Build turns it into a running
+// core.System; a Scenario adds the workload - setup, client functions, a
+// fault schedule, a recovery mode, a check - and Run drives it through
+// the one loop every harness shares: build, setup, clients racing the
+// schedule, recovery, the DESIGN.md section 5 audit.  The chaos engine,
+// the crash prober, the benchmark drivers and the trace/monitor tools
+// all describe what they need as a Scenario value, so a new layer,
+// preset or protocol is wired in here once.
 package scenario
 
 import (
@@ -33,6 +36,17 @@ type Placement struct {
 // moves are guaranteed to be in flight when a fault or crash point lands.
 var Eager = Placement{MinAccesses: 2, Cooldown: 2}
 
+// Layers selects the optional protocol layers (DESIGN.md sections 10,
+// 13, 14 and the group-commit daemon); the zero value is the paper's
+// protocol.  GroupCommit is the batching linger; zero keeps one force per
+// log record.
+type Layers struct {
+	GroupCommit time.Duration
+	FastPaths   bool
+	Leases      bool
+	Placement   Placement
+}
+
 // Spec describes one simulated cluster.  The zero value of every field
 // is the paper-exact behavior on the real clock.
 type Spec struct {
@@ -59,13 +73,7 @@ type Spec struct {
 	// replay.
 	Faults bool
 
-	// The optional layers (DESIGN.md sections 10, 13, 14 and the
-	// group-commit daemon).  GroupCommit is the batching linger; zero
-	// keeps one force per log record.
-	GroupCommit time.Duration
-	FastPaths   bool
-	Leases      bool
-	Placement   Placement
+	Layers
 
 	// Trace attaches a causal event collector (Collector(sys) returns
 	// it); Profile enables commit critical-path profiling on the metrics

@@ -15,7 +15,7 @@ import (
 func TestSpecResolvesToConfig(t *testing.T) {
 	vax := costmodel.Vax750()
 
-	quiet := Spec{Seed: 7, Leases: true, Base: cluster.Config{PerFilePrepareLogs: true}}.config()
+	quiet := Spec{Seed: 7, Layers: Layers{Leases: true}, Base: cluster.Config{PerFilePrepareLogs: true}}.config()
 	if !quiet.SyncPhase2 || quiet.RetryInterval != 0 || quiet.Net.CallTimeout != 0 || quiet.Clock != nil {
 		t.Errorf("zero spec must be synchronous, timer-free and on the real clock: %+v", quiet)
 	}
@@ -31,8 +31,8 @@ func TestSpecResolvesToConfig(t *testing.T) {
 		spec                  Spec
 		retry, lockWait, call time.Duration
 	}{
-		{"faults, instantaneous network", Spec{Faults: true, Leases: true}, 10 * time.Millisecond, 75 * time.Millisecond, 60 * time.Millisecond},
-		{"faults at VAX latencies", Spec{Faults: true, Leases: true}.At(vax), 100 * time.Millisecond, time.Second, time.Second},
+		{"faults, instantaneous network", Spec{Faults: true, Layers: Layers{Leases: true}}, 10 * time.Millisecond, 75 * time.Millisecond, 60 * time.Millisecond},
+		{"faults at VAX latencies", Spec{Faults: true, Layers: Layers{Leases: true}}.At(vax), 100 * time.Millisecond, time.Second, time.Second},
 	} {
 		cfg := tc.spec.config()
 		if cfg.SyncPhase2 || cfg.RetryInterval != tc.retry || cfg.LockWaitTimeout != tc.lockWait || cfg.Net.CallTimeout != tc.call {
@@ -44,7 +44,7 @@ func TestSpecResolvesToConfig(t *testing.T) {
 		}
 	}
 
-	sim := Spec{Placement: Eager, GroupCommit: time.Millisecond, FastPaths: true}.At(vax).config()
+	sim := Spec{Layers: Layers{Placement: Eager, GroupCommit: time.Millisecond, FastPaths: true}}.At(vax).config()
 	if _, ok := vtime.AsVirtual(sim.Clock); !ok || sim.DiskSyncDelay != vax.DiskWriteTime || sim.Net.Latency != vax.MsgTime {
 		t.Errorf("At(vax) must run the virtual clock at the model's latencies: %+v", sim)
 	}

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -338,6 +339,41 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
+}
+
+// Utilization renders the snapshot's headline resource figures - spindle,
+// network, commit locality, lock manager, deadlock detector, group commit
+// - one line per resource that saw any activity.  total is the simulated
+// span the busy time is a fraction of (zero omits the percentage).
+func (s Snapshot) Utilization(total time.Duration) string {
+	var b strings.Builder
+	c := s.Counters
+	ms := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Millisecond) }
+	mean := func(h HistSnapshot) float64 { return float64(h.Sum) / float64(max(h.Count, 1)) }
+	fmt.Fprintf(&b, "spindle: %s busy", ms(c["disk_busy_ns"]))
+	if total > 0 {
+		fmt.Fprintf(&b, " (%.1f%% of %s)", 100*float64(c["disk_busy_ns"])/float64(total.Nanoseconds()), total.Round(time.Millisecond))
+	}
+	fmt.Fprintf(&b, ", %d forces, %d writes, %d reads\n", c["forced_ios"], c["disk_writes"], c["disk_reads"])
+	if n := c["msgs_sent"]; n > 0 {
+		fmt.Fprintf(&b, "network: %d messages, %s in transit\n", n, ms(c["net_transit_ns"]))
+	}
+	if commits := c["txn_commits"]; commits > 0 {
+		fmt.Fprintf(&b, "locality: %.1f%% local commits (%d of %d), %d remote participant sites, %d owner moves, %d routed, %d proc moves\n",
+			100*float64(c["local_commits"])/float64(commits), c["local_commits"], commits,
+			c["remote_participants"], c["owner_moves"], c["routed_commits"], c["placement_migrations"])
+	}
+	if h := s.Histograms["lock_wait_ns"]; h.Count > 0 {
+		fmt.Fprintf(&b, "lock manager: %d queue waits, mean %s\n", h.Count, time.Duration(mean(h)).Round(time.Microsecond))
+	}
+	if n := c["deadlock_scans"]; n > 0 {
+		fmt.Fprintf(&b, "deadlock detector: %d scans, %d victims\n", n, c["deadlock_victims"])
+	}
+	if h := s.Histograms["group_commit_batch_size"]; h.Count > 0 {
+		fmt.Fprintf(&b, "group commit: %d flushes, mean batch %.1f records, mean linger %s\n", h.Count, mean(h),
+			time.Duration(mean(s.Histograms["group_commit_linger_ns"])).Round(time.Microsecond))
+	}
+	return b.String()
 }
 
 // flatten merges counters, gauges and histogram count/sum cells into one
