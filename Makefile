@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-check ledger-check chaos matrix vtime telemetry probe trace experiments examples tools clean
+.PHONY: all test race bench bench-check ledger-check ledger-pairs chaos matrix vtime telemetry probe trace experiments examples tools clean
 
 all: test
 
@@ -26,6 +26,32 @@ ledger-check:    ## short ledger runs of the two serial workloads: their simulat
 			'.metrics as $$got | [$$base[0][$$w] | to_entries[] | select(.value != $$got[.key].value) | "\(.key): want \(.value), got \($$got[.key].value)"] | if length == 0 then true else (join("; ") | halt_error) end' \
 			>/dev/null || { echo "ledger-check: $$w simulated metrics moved"; exit 1; }; \
 	done
+
+# Paired ledger runs: how a host-speed claim is measured (ROADMAP.md, "fixed
+# points"; benchmark/README.md, "-compare").  The parent commit is unpacked next to the build
+# output, then each workload runs N alternating parent/child pairs (pair i on
+# seed i, odd pairs parent first) so a slow spell of the shared host falls on
+# both sides, and the two sets are compared under BENCHMARK.json's bounds.
+N ?= 10
+PARENT ?= HEAD~1
+ledger-pairs:    ## N alternating parent/child ledger runs per workload (PARENT=<commit>), then the -compare verdicts
+	@set -e; out=$$PWD/.bench_build/pairs; rm -rf $$out; mkdir -p $$out/parent; \
+	git archive $(PARENT) | tar -x -C $$out/parent; \
+	for w in local_transfer remote_2pc shared_page_mix skew_tuned; do \
+		for i in $$(seq 1 $(N)); do \
+			order="parent child"; [ $$((i % 2)) -eq 0 ] && order="child parent"; \
+			for side in $$order; do \
+				dir=$$PWD; [ $$side = parent ] && dir=$$out/parent; \
+				(cd $$dir && bash benchmark/run.sh --workload $$w --seed $$i --trace 0 --out $$out/$$side-$$w-$$i.json | tail -1 \
+					| jq -r --arg s $$side --arg w $$w --arg i $$i '"\($$w) pair \($$i) \($$s): \(.metrics.host_txn_per_s.value | floor) txn/s  \(.metrics.host_bytes_per_txn.value | floor) B/txn  \(.metrics.host_allocs_per_txn.value | floor) allocs/txn"'); \
+			done; \
+		done; \
+	done; \
+	for side in parent child; do \
+		jq -s '.[0] + {workloads: (map(.workloads | to_entries[]) | group_by(.key) | map({key: .[0].key, value: (.[0].value + {runs: map(.value.runs[])})}) | from_entries)}' \
+			$$out/$$side-*.json > $$out/$$side.json; \
+	done; \
+	$(GO) run ./benchmark -compare $$out/parent.json $$out/child.json
 
 chaos:           ## 20-seed fault-injection sweep with the section 5 audit
 	$(GO) run ./cmd/locuschaos -sweep 20 -duration 1s

@@ -180,14 +180,14 @@ func onePhasePrepared(t *testing.T, cl *Cluster, txid string, total int) *Site {
 	// Coord site 9 does not exist: any status query would fail, proving
 	// one-phase resolution never asks.
 	req := prepareReq{Txid: txid, FileIDs: []string{"va/f"}, Coord: 9}
-	byVol, volNames, _, err := s1.gatherPrepare(req)
+	preps, _, err := s1.gatherPrepare(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total == 0 {
-		total = s1.prepareRecordCount(byVol, volNames)
+		total = s1.prepareRecordCount(preps)
 	}
-	if err := s1.writePrepareRecords(req, byVol, volNames, total); err != nil {
+	if err := s1.writePrepareRecords(req, preps, total); err != nil {
 		t.Fatal(err)
 	}
 	return s1

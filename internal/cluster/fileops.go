@@ -437,6 +437,19 @@ func (s *Site) handleUnlock(req unlockReq) (unlockResp, error) {
 	if err != nil {
 		return unlockResp{}, err
 	}
+	if req.Txn != "" {
+		// Rule 2 of section 3.3 at release time: a NonTxn-mode lock the
+		// transaction wrote under covers a modified-but-uncommitted
+		// record, so it is retained.  handleAbortTxn relies on it: every
+		// file holding the transaction's records is on its lock index.
+		owner := TxnOwner(req.Txn)
+		for _, or := range of.file.UncommittedOverlapping(req.Off, req.Len) {
+			if or.Owner == owner {
+				of.locks.ForceTransactional(TxnGroup(req.Txn), req.Off, req.Len)
+				break
+			}
+		}
+	}
 	retained, err := of.locks.Unlock(Holder(req.PID, req.Txn), req.Off, req.Len)
 	if err != nil {
 		return unlockResp{}, err

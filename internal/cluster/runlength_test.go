@@ -199,3 +199,62 @@ func TestHostCostFlatInRunLength(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalTransferAllocatesNoPageImages bounds what local_transfer's
+// transaction (lock two accounts on one page, write both, commit) costs
+// the host in bytes.  It forces seven page writes - data flush, prepare
+// record and its deletion, three coordinator-log writes, inode - and when
+// every hop copied its page into a fresh buffer that alone was 25 KB;
+// with one owner per page buffer no page image is allocated at all, and
+// what is left is the transaction's own bookkeeping.
+func TestLocalTransferAllocatesNoPageImages(t *testing.T) {
+	sys, err := scenario.Spec{Volumes: scenario.PerSite(1)}.At(costmodel.Vax750()).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Cluster().Shutdown)
+	p, _ := client(t, sys, 1)
+	f, err := p.Create("v1/accounts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 1024), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	amount := make([]byte, 8)
+	txn := func() {
+		amount[0]++
+		if _, err := p.BeginTrans(); err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range []int64{0, 8} {
+			if err := f.LockRange(off, 8, core.Exclusive); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(amount, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.EndTrans(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		txn()
+	}
+	const runs = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		txn()
+	}
+	runtime.ReadMemStats(&after)
+	perTxn := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f B, %.0f allocations per local transfer", perTxn, float64(after.Mallocs-before.Mallocs)/runs)
+	if pageSize := float64(sys.Cluster().Site(1).Volume("v1").PageSize()); perTxn > 6*pageSize {
+		t.Errorf("a local transfer allocates %.0f B: more than 6 pages' worth for 7 page writes, so some hop is copying its page into a fresh buffer again", perTxn)
+	}
+}

@@ -3,7 +3,7 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/lockmgr"
 	"repro/internal/shadow"
@@ -120,30 +120,30 @@ type volPrep struct {
 
 // gatherPrepare flushes the transaction's modified records and collects
 // per-volume prepare payloads (intentions lists and lock lists, section
-// 4.2 step 2).  hasMods reports whether any gathered file carries
-// uncommitted modifications - the write half of the read-only test.
-func (s *Site) gatherPrepare(req prepareReq) (byVol map[string]*volPrep, volNames []string, hasMods bool, err error) {
+// 4.2 step 2), in volume-name order.  hasMods reports whether any
+// gathered file carries uncommitted modifications - the write half of the
+// read-only test.
+func (s *Site) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, err error) {
 	owner := TxnOwner(req.Txid)
 	group := TxnGroup(req.Txid)
-	byVol = make(map[string]*volPrep)
 	var held []lockmgr.EntryInfo
 	for _, fileID := range req.FileIDs {
 		of, err := s.lookupOpen(fileID)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		if err := of.file.Flush(owner); err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		if of.file.HasMods(owner) {
 			hasMods = true
 		}
-		vp := byVol[of.vs.name]
-		if vp == nil {
-			vp = &volPrep{vs: of.vs}
-			byVol[of.vs.name] = vp
-			volNames = append(volNames, of.vs.name)
+		i := slices.IndexFunc(preps, func(vp *volPrep) bool { return vp.vs.name == of.vs.name })
+		if i < 0 {
+			i = len(preps)
+			preps = append(preps, &volPrep{vs: of.vs})
 		}
+		vp := preps[i]
 		il := of.file.IntentionsFor(owner)
 		vp.files = append(vp.files, tpc.PreparedFile{FileID: fileID, Intentions: il})
 		held = of.locks.GroupEntries(held[:0], group)
@@ -153,8 +153,8 @@ func (s *Site) gatherPrepare(req prepareReq) (byVol map[string]*volPrep, volName
 			})
 		}
 	}
-	sort.Strings(volNames)
-	return byVol, volNames, hasMods, nil
+	slices.SortFunc(preps, func(a, b *volPrep) int { return strings.Compare(a.vs.name, b.vs.name) })
+	return preps, hasMods, nil
 }
 
 // writePrepareRecords forces the prepare log: one record per volume, or
@@ -162,9 +162,8 @@ func (s *Site) gatherPrepare(req prepareReq) (byVol map[string]*volPrep, volName
 // ordinary two-phase prepares; for a one-phase commit it is the total
 // record count, stamped into every record so recovery can tell a
 // complete (committed) set from a torn (aborted) one.
-func (s *Site) writePrepareRecords(req prepareReq, byVol map[string]*volPrep, volNames []string, onePhaseTotal int) error {
-	for _, vn := range volNames {
-		vp := byVol[vn]
+func (s *Site) writePrepareRecords(req prepareReq, preps []*volPrep, onePhaseTotal int) error {
+	for _, vp := range preps {
 		if s.cl.cfg.PerFilePrepareLogs {
 			// Footnote 10: one prepare record per file per transaction.
 			for _, pf := range vp.files {
@@ -194,13 +193,13 @@ func (s *Site) writePrepareRecords(req prepareReq, byVol map[string]*volPrep, vo
 
 // prepareRecordCount is the number of log records writePrepareRecords
 // will force for this payload.
-func (s *Site) prepareRecordCount(byVol map[string]*volPrep, volNames []string) int {
+func (s *Site) prepareRecordCount(preps []*volPrep) int {
 	if !s.cl.cfg.PerFilePrepareLogs {
-		return len(volNames)
+		return len(preps)
 	}
 	n := 0
-	for _, vn := range volNames {
-		n += len(byVol[vn].files)
+	for _, vp := range preps {
+		n += len(vp.files)
 	}
 	return n
 }
@@ -212,13 +211,13 @@ func (s *Site) prepareRecordCount(byVol map[string]*volPrep, volNames []string) 
 func (s *Site) handlePrepare(req prepareReq) error {
 	clk := s.cl.cfg.Clock
 	t0 := clk.Now()
-	byVol, volNames, _, err := s.gatherPrepare(req)
+	preps, _, err := s.gatherPrepare(req)
 	s.prof().Charge(req.Txid, telemetry.ResDataFlush, clk.Now().Sub(t0))
 	if err != nil {
 		return err
 	}
 	t0 = clk.Now()
-	err = s.writePrepareRecords(req, byVol, volNames, 0)
+	err = s.writePrepareRecords(req, preps, 0)
 	s.prof().Charge(req.Txid, telemetry.ResPrepareForce, clk.Now().Sub(t0))
 	if err != nil {
 		return err
@@ -251,7 +250,7 @@ func (s *Site) readOnlyHere(txid string, hasMods bool) bool {
 func (s *Site) handlePrepareVote(req prepareReq) (tpc.Vote, error) {
 	clk := s.cl.cfg.Clock
 	t0 := clk.Now()
-	byVol, volNames, hasMods, err := s.gatherPrepare(req)
+	preps, hasMods, err := s.gatherPrepare(req)
 	s.prof().Charge(req.Txid, telemetry.ResDataFlush, clk.Now().Sub(t0))
 	if err != nil {
 		return tpc.VoteCommit, err
@@ -265,7 +264,7 @@ func (s *Site) handlePrepareVote(req prepareReq) (tpc.Vote, error) {
 		return tpc.VoteReadOnly, nil
 	}
 	t0 = clk.Now()
-	err = s.writePrepareRecords(req, byVol, volNames, 0)
+	err = s.writePrepareRecords(req, preps, 0)
 	s.prof().Charge(req.Txid, telemetry.ResPrepareForce, clk.Now().Sub(t0))
 	if err != nil {
 		return tpc.VoteCommit, err
@@ -286,7 +285,7 @@ func (s *Site) handlePrepareVote(req prepareReq) (tpc.Vote, error) {
 func (s *Site) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
 	clk := s.cl.cfg.Clock
 	t0 := clk.Now()
-	byVol, volNames, hasMods, err := s.gatherPrepare(req)
+	preps, hasMods, err := s.gatherPrepare(req)
 	s.prof().Charge(req.Txid, telemetry.ResDataFlush, clk.Now().Sub(t0))
 	if err != nil {
 		return tpc.VoteCommit, err
@@ -310,16 +309,16 @@ func (s *Site) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
 	s.mu.Lock()
 	s.prepared[req.Txid] = pt
 	s.mu.Unlock()
-	total := s.prepareRecordCount(byVol, volNames)
+	total := s.prepareRecordCount(preps)
 	t0 = clk.Now()
-	err = s.writePrepareRecords(req, byVol, volNames, total)
+	err = s.writePrepareRecords(req, preps, total)
 	s.prof().Charge(req.Txid, telemetry.ResPrepareForce, clk.Now().Sub(t0))
 	if err != nil {
 		// Before the commit point: scrub any partial record set (best
 		// effort - a torn set self-resolves to abort by count) and
 		// refuse, which the coordinator turns into an abort.
-		for _, vn := range volNames {
-			tpc.DeletePrepareRecords(byVol[vn].vs.vol, req.Txid) //nolint:errcheck // incomplete set aborts by count
+		for _, vp := range preps {
+			tpc.DeletePrepareRecords(vp.vs.vol, req.Txid) //nolint:errcheck // incomplete set aborts by count
 		}
 		s.mu.Lock()
 		delete(s.prepared, req.Txid)
@@ -453,9 +452,18 @@ func (s *Site) handleAbortTxn(req abortTxnReq) error {
 		}
 		pt.applying = true
 	}
-	files := make([]*openFile, 0, len(s.open))
-	for _, of := range s.open {
-		files = append(files, of)
+	// A transaction's records lie under locks it still holds (a write
+	// needs one; handleUnlock retains any it wrote under), so roll back
+	// the files its group is indexed on, plus the prepared list.
+	ids := s.locks.GroupFileIDs(TxnGroup(req.Txid))
+	if pt != nil {
+		ids = append(ids, pt.fileIDs...)
+	}
+	files := make([]*openFile, 0, len(ids))
+	for _, id := range ids {
+		if of := s.open[id]; of != nil {
+			files = append(files, of)
+		}
 	}
 	s.mu.Unlock()
 

@@ -337,6 +337,61 @@ func TestNonTransactionLockEscape(t *testing.T) {
 	}
 }
 
+func TestNonTxnLockOverOwnWriteIsRetained(t *testing.T) {
+	// Rule 2 of section 3.3 at release time: once the transaction has
+	// written under its NonTxn lock, the lock covers a modified-but-
+	// uncommitted record and is retained like any other.  That is also
+	// what lets an abort find the record: it rolls back the files the
+	// transaction still holds locks on, not every open file.
+	sys := newSystem(t)
+	p := mustProcess(t, sys, 1)
+	f := mustCreate(t, p, "va/catalog")
+	if _, err := f.WriteAt([]byte("AAAAAAAAAA"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.BeginTrans(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.LockRange(0, 10, Exclusive, LockOpts{NonTxn: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.LockRange(20, 10, Exclusive, LockOpts{NonTxn: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("BBBBBBBBBB"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if retained, err := f.Unlock(20, 10); err != nil || retained {
+		t.Fatalf("unlock of an unwritten nontxn range: retained=%v err=%v", retained, err)
+	}
+	if retained, err := f.Unlock(0, 10); err != nil || !retained {
+		t.Fatalf("unlock of a written nontxn range: retained=%v err=%v, want retained", retained, err)
+	}
+	p2 := mustProcess(t, sys, 2)
+	f2, err := p2.Open("va/catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.LockRange(0, 10, Exclusive, LockOpts{NoWait: true}); err == nil {
+		t.Fatal("another process locked a record carrying the transaction's uncommitted write")
+	}
+	if err := p.AbortTrans(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.LockRange(0, 10, Exclusive, LockOpts{NoWait: true}); err != nil {
+		t.Fatalf("lock after the abort: %v", err)
+	}
+	if got := readString(t, f2, 0, 10); got != "AAAAAAAAAA" {
+		t.Fatalf("aborted write still visible: %q", got)
+	}
+	if _, err := f2.WriteAt([]byte("CCCCCCCCCC"), 0); err != nil {
+		t.Fatalf("write over the aborted record: %v", err)
+	}
+}
+
 func TestPreTransactionLocksStayOutside(t *testing.T) {
 	// Section 3.4's second escape: locks acquired before BeginTrans are
 	// not converted to transaction locks.

@@ -133,6 +133,7 @@ type Volume struct {
 	mu        sync.Mutex
 	allocated map[int]bool // data-region pages currently in use
 	inodeUsed map[int]bool
+	encBuf    []byte // the page image WriteInode encodes into, between uses
 	log       *LogStore
 }
 
@@ -379,8 +380,7 @@ func (v *Volume) FreeInode(ino int) error {
 			return fmt.Errorf("%w: inode %d", ErrInodeInUse, ino)
 		}
 	}
-	zero := make([]byte, v.geo.PageSize)
-	if err := v.disk.WritePage(v.inodePage(ino), zero, simdisk.IOInode, true); err != nil {
+	if err := v.disk.WritePage(v.inodePage(ino), v.log.zero, simdisk.IOInode, true); err != nil {
 		return err
 	}
 	v.mu.Lock()
@@ -467,25 +467,40 @@ func (v *Volume) WriteInode(node *Inode) error {
 	inline := inlinePointers(v.geo.PageSize)
 	oldIndirect := node.Indirect
 
+	// One kept image serves the indirect page and then the inode page
+	// (the disk has copied the first by the time the second is encoded);
+	// a concurrent WriteInode finds the slot empty and makes its own.
+	v.mu.Lock()
+	buf := v.encBuf
+	v.encBuf = nil
+	v.mu.Unlock()
+	if buf == nil {
+		buf = make([]byte, v.geo.PageSize)
+	}
+	clear(buf)
+	defer func() {
+		v.mu.Lock()
+		v.encBuf = buf
+		v.mu.Unlock()
+	}()
 	if len(node.Pages) > inline {
-		ind := make([]byte, v.geo.PageSize)
 		for i := inline; i < len(node.Pages); i++ {
-			binary.LittleEndian.PutUint32(ind[4*(i-inline):], uint32(int32(node.Pages[i])))
+			binary.LittleEndian.PutUint32(buf[4*(i-inline):], uint32(int32(node.Pages[i])))
 		}
 		p, err := v.AllocPage()
 		if err != nil {
 			return err
 		}
-		if err := v.disk.WritePage(p, ind, simdisk.IOData, true); err != nil {
+		if err := v.disk.WritePage(p, buf, simdisk.IOData, true); err != nil {
 			v.FreePage(p) //nolint:errcheck // best-effort cleanup on the error path
 			return err
 		}
 		node.Indirect = p
+		clear(buf)
 	} else {
 		node.Indirect = -1
 	}
 
-	buf := make([]byte, v.geo.PageSize)
 	node.Version++
 	binary.LittleEndian.PutUint32(buf[0:], inodeMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(node.Ino))
@@ -621,14 +636,23 @@ func (v *Volume) ReadPage(p int) ([]byte, error) {
 	return v.disk.ReadPage(p, simdisk.IOData)
 }
 
-// ReadStablePage reads the last flushed version of a data page, ignoring
-// unflushed writes.  The differencing commit uses it to recover the
-// "previous version" of a page (Figure 4(b)).
-func (v *Volume) ReadStablePage(p int) ([]byte, error) {
+// ReadPageInto is ReadPage into a page-sized buffer the caller owns.
+func (v *Volume) ReadPageInto(p int, dst []byte) error {
 	if err := v.checkData(p); err != nil {
-		return nil, err
+		return err
 	}
-	return v.disk.ReadStable(p, simdisk.IOData)
+	return v.disk.ReadPageInto(p, simdisk.IOData, dst)
+}
+
+// ReadStablePageInto fills dst (page-sized, the caller's) with the last
+// flushed version of a data page, ignoring unflushed writes.  The
+// differencing commit uses it to recover the "previous version" of a page
+// (Figure 4(b)).
+func (v *Volume) ReadStablePageInto(p int, dst []byte) error {
+	if err := v.checkData(p); err != nil {
+		return err
+	}
+	return v.disk.ReadStableInto(p, simdisk.IOData, dst)
 }
 
 // WritePage writes a data page.  Asynchronous writes sit in the disk's

@@ -220,8 +220,8 @@ func TestDataPageIO(t *testing.T) {
 		t.Fatal("read != written")
 	}
 	// Stable read still sees zeroes until flush.
-	st, err := v.ReadStablePage(p)
-	if err != nil {
+	st := make([]byte, 256)
+	if err := v.ReadStablePageInto(p, st); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(st, make([]byte, 256)) {
@@ -230,8 +230,7 @@ func TestDataPageIO(t *testing.T) {
 	if err := v.FlushPage(p); err != nil {
 		t.Fatal(err)
 	}
-	st, _ = v.ReadStablePage(p)
-	if !bytes.Equal(st, data) {
+	if err := v.ReadStablePageInto(p, st); err != nil || !bytes.Equal(st, data) {
 		t.Fatal("stable read after flush")
 	}
 }

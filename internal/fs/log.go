@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -99,6 +100,17 @@ type LogStore struct {
 	slots map[string][]int // key -> pages (header first)
 	free  []int            // free log pages, ascending
 
+	// The operation in flight: its write list, and in bufs[:used] the
+	// header and continuation images the list names.  The store owns
+	// them: the disk copies what it is given and l.mu is held across the
+	// disk call, so the next operation starts by taking them all back
+	// (writes[:0], used = 0), and len(bufs) never exceeds the pages of the
+	// largest operation (one record, or one group-commit batch).
+	writes []simdisk.PageWrite
+	bufs   [][]byte
+	used   int
+	zero   []byte // shared read-only zero page: what a delete writes
+
 	gcMu sync.Mutex
 	gc   *groupCommitter
 }
@@ -110,7 +122,7 @@ func (l *LogStore) setClock(c vtime.Clock) {
 }
 
 func newLogStore(v *Volume) *LogStore {
-	l := &LogStore{v: v, slots: make(map[string][]int)}
+	l := &LogStore{v: v, slots: make(map[string][]int), zero: make([]byte, v.geo.PageSize)}
 	for p := v.geo.LogStart; p < v.geo.LogStart+v.geo.LogPages; p++ {
 		l.free = append(l.free, p)
 	}
@@ -207,12 +219,42 @@ func (l *LogStore) readHeader(page int) (*Record, []int, error) {
 	if len(payload) != payLen {
 		return nil, nil, nil
 	}
-	crc := crc32.ChecksumIEEE(append([]byte(key), payload...))
-	if crc != wantCRC {
+	if recordCRC(buf[keyOff:crcOff], payload) != wantCRC {
 		return nil, nil, nil
 	}
-	return &Record{Key: key, Kind: kind, Payload: append([]byte(nil), payload...)},
-		append([]int{page}, contPages...), nil
+	return &Record{Key: key, Kind: kind, Payload: payload}, append([]int{page}, contPages...), nil
+}
+
+// recordCRC is the record checksum: IEEE CRC-32 over key then payload.
+func recordCRC(key, payload []byte) uint32 {
+	return crc32.Update(crc32.Update(0, crc32.IEEETable, key), crc32.IEEETable, payload)
+}
+
+// pageBufLocked returns a zeroed page image owned by the store, valid
+// until the next operation starts.
+func (l *LogStore) pageBufLocked() []byte {
+	if l.used == len(l.bufs) {
+		l.bufs = append(l.bufs, make([]byte, l.v.geo.PageSize))
+	}
+	buf := l.bufs[l.used]
+	l.used++
+	clear(buf)
+	return buf
+}
+
+// takeFreeLocked removes and returns the n lowest free pages.
+func (l *LogStore) takeFreeLocked(dst []int, n int) []int {
+	dst = append(dst, l.free[:n]...)
+	l.free = l.free[:copy(l.free, l.free[n:])]
+	return dst
+}
+
+// releaseLocked returns pages to the free list, keeping it ascending.
+func (l *LogStore) releaseLocked(pages []int) {
+	for _, p := range pages {
+		i, _ := slices.BinarySearch(l.free, p)
+		l.free = slices.Insert(l.free, i, p)
+	}
 }
 
 // pagesNeeded computes header + continuation page count for a record.
@@ -239,11 +281,11 @@ func (l *LogStore) pagesNeeded(keyLen, payLen int) (int, error) {
 // applyPutLocked computes the slot assignment and page images for storing
 // (key, kind, payload), updates the in-memory slot and free maps, and
 // appends the page writes - continuation pages first, header last, so a
-// torn flush never exposes a partial record - to writes.  The caller
+// torn flush never exposes a partial record - to l.writes.  The caller
 // performs the disk I/O; if that I/O fails the disk has crashed, and the
 // diverged in-memory maps die with the volume handle at reload.  Caller
 // holds l.mu.
-func (l *LogStore) applyPutLocked(key string, kind LogKind, payload []byte, writes *[]simdisk.PageWrite) (fresh bool, err error) {
+func (l *LogStore) applyPutLocked(key string, kind LogKind, payload []byte) (fresh bool, err error) {
 	l.v.st.Add(stats.Instructions, costmodel.InstrLogRecord)
 
 	need, err := l.pagesNeeded(len(key), len(payload))
@@ -266,8 +308,7 @@ func (l *LogStore) applyPutLocked(key string, kind LogKind, payload []byte, writ
 		if len(l.free) < need {
 			return false, fmt.Errorf("%w: need %d pages, %d free", ErrLogFull, need, len(l.free))
 		}
-		pages = append([]int(nil), l.free[:need]...)
-		l.free = l.free[need:]
+		pages = l.takeFreeLocked(make([]int, 0, need), need)
 	} else {
 		header, oldCont := pages[0], pages[1:]
 		if len(l.free) < need-1 {
@@ -276,14 +317,12 @@ func (l *LogStore) applyPutLocked(key string, kind LogKind, payload []byte, writ
 		// Allocate the new continuation pages before releasing the old
 		// ones, so the new record cannot land on pages the old record
 		// still needs if the flush tears before the header swap.
-		pages = append([]int{header}, l.free[:need-1]...)
-		l.free = append(l.free[need-1:], oldCont...)
-		sort.Ints(l.free)
+		pages = l.takeFreeLocked(append(make([]int, 0, need), header), need-1)
+		l.releaseLocked(oldCont)
 	}
 
-	ps := l.v.geo.PageSize
 	nCont := need - 1
-	head := make([]byte, ps)
+	head := l.pageBufLocked()
 	binary.LittleEndian.PutUint32(head[0:], logMagic)
 	binary.LittleEndian.PutUint32(head[4:], uint32(kind))
 	binary.LittleEndian.PutUint32(head[8:], uint32(len(key)))
@@ -295,8 +334,7 @@ func (l *LogStore) applyPutLocked(key string, kind LogKind, payload []byte, writ
 	keyOff := logHeaderBytes + 4*nCont
 	copy(head[keyOff:], key)
 	crcOff := keyOff + len(key)
-	crc := crc32.ChecksumIEEE(append([]byte(key), payload...))
-	binary.LittleEndian.PutUint32(head[crcOff:], crc)
+	binary.LittleEndian.PutUint32(head[crcOff:], recordCRC(head[keyOff:crcOff], payload))
 	headFirst := crcOff + logCRCBytes
 	n := copy(head[headFirst:], payload)
 
@@ -305,12 +343,11 @@ func (l *LogStore) applyPutLocked(key string, kind LogKind, payload []byte, writ
 	// valid header at all.
 	rest := payload[n:]
 	for i := 0; i < nCont; i++ {
-		cbuf := make([]byte, ps)
-		m := copy(cbuf, rest)
-		rest = rest[m:]
-		*writes = append(*writes, simdisk.PageWrite{Page: pages[1+i], Data: cbuf, Kind: kind.ioKind()})
+		cbuf := l.pageBufLocked()
+		rest = rest[copy(cbuf, rest):]
+		l.writes = append(l.writes, simdisk.PageWrite{Page: pages[1+i], Data: cbuf, Kind: kind.ioKind()})
 	}
-	*writes = append(*writes, simdisk.PageWrite{Page: pages[0], Data: head, Kind: kind.ioKind()})
+	l.writes = append(l.writes, simdisk.PageWrite{Page: pages[0], Data: head, Kind: kind.ioKind()})
 	l.slots[key] = pages
 	return fresh, nil
 }
@@ -347,20 +384,29 @@ func (l *LogStore) Put(key string, kind LogKind, payload []byte) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var writes []simdisk.PageWrite
-	fresh, err := l.applyPutLocked(key, kind, payload, &writes)
+	l.writes, l.used = l.writes[:0], 0
+	fresh, err := l.applyPutLocked(key, kind, payload)
 	if err != nil {
 		return err
 	}
-	for _, w := range writes {
-		if err := l.v.disk.WritePage(w.Page, w.Data, w.Kind, true); err != nil {
-			return err
-		}
+	if err := l.writeEachLocked(); err != nil {
+		return err
 	}
 	if fresh {
 		l.chargeFootnote9Locked(1)
 	}
-	l.v.tr.Record(trace.LogForce, "", key, int64(len(writes)))
+	l.v.tr.Record(trace.LogForce, "", key, int64(len(l.writes)))
+	return nil
+}
+
+// writeEachLocked forces l.writes one page at a time (the paper's
+// behaviour: every log page is its own synchronous write).
+func (l *LogStore) writeEachLocked() error {
+	for _, w := range l.writes {
+		if err := l.v.disk.WritePage(w.Page, w.Data, w.Kind, true); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -386,16 +432,14 @@ func (l *LogStore) Get(key string) (*Record, error) {
 
 // applyDeleteLocked records the header-zeroing write for key (a no-op for
 // a missing key) and releases its pages.  Caller holds l.mu.
-func (l *LogStore) applyDeleteLocked(key string, writes *[]simdisk.PageWrite) {
+func (l *LogStore) applyDeleteLocked(key string) {
 	pages := l.slots[key]
 	if pages == nil {
 		return
 	}
-	zero := make([]byte, l.v.geo.PageSize)
-	*writes = append(*writes, simdisk.PageWrite{Page: pages[0], Data: zero, Kind: simdisk.IOMeta})
+	l.writes = append(l.writes, simdisk.PageWrite{Page: pages[0], Data: l.zero, Kind: simdisk.IOMeta})
 	delete(l.slots, key)
-	l.free = append(l.free, pages...)
-	sort.Ints(l.free)
+	l.releaseLocked(pages)
 }
 
 // Delete removes the record under key, zeroing its header page.
@@ -413,14 +457,9 @@ func (l *LogStore) Delete(key string) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var writes []simdisk.PageWrite
-	l.applyDeleteLocked(key, &writes)
-	for _, w := range writes {
-		if err := l.v.disk.WritePage(w.Page, w.Data, w.Kind, true); err != nil {
-			return err
-		}
-	}
-	return nil
+	l.writes, l.used = l.writes[:0], 0
+	l.applyDeleteLocked(key)
+	return l.writeEachLocked()
 }
 
 // flushBatch applies one group-commit batch: every record's pages are
@@ -441,18 +480,18 @@ func (l *LogStore) flushBatch(batch []*logReq, clk vtime.Clock) {
 		}
 		return
 	}
+	l.writes, l.used = l.writes[:0], 0
 	errs := make([]error, len(batch))
 	ends := make([]int, len(batch)) // writes index one past each record's last page
-	var writes []simdisk.PageWrite
 	freshPuts := 0
 	for i, r := range batch {
 		if r.del {
-			l.applyDeleteLocked(r.key, &writes)
-			ends[i] = len(writes)
+			l.applyDeleteLocked(r.key)
+			ends[i] = len(l.writes)
 			continue
 		}
-		fresh, err := l.applyPutLocked(r.key, r.kind, r.payload, &writes)
-		ends[i] = len(writes)
+		fresh, err := l.applyPutLocked(r.key, r.kind, r.payload)
+		ends[i] = len(l.writes)
 		if err != nil {
 			errs[i] = err
 			continue
@@ -462,10 +501,10 @@ func (l *LogStore) flushBatch(batch []*logReq, clk vtime.Clock) {
 		}
 	}
 	var werr error
-	written := len(writes)
-	if len(writes) > 0 {
+	written := len(l.writes)
+	if len(l.writes) > 0 {
 		l.observeBatchLocked(batch, clk)
-		written, werr = l.v.disk.WritePages(writes)
+		written, werr = l.v.disk.WritePages(l.writes)
 		l.v.st.Inc(stats.GroupCommitBatches)
 		l.v.st.Add(stats.GroupCommitRecords, int64(len(batch)))
 		l.v.tr.Record(trace.GroupCommitBatch, "", l.v.name, int64(len(batch)))

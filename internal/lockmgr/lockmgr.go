@@ -1068,6 +1068,16 @@ func (m *Manager) groupFiles(group string) []*FileLocks {
 	return m.groups[group]
 }
 
+// GroupFileIDs returns the ids of the files on which the group holds a
+// descriptor or has a queued request.
+func (m *Manager) GroupFileIDs(group string) []string {
+	var ids []string
+	for _, fl := range m.groupFiles(group) {
+		ids = append(ids, fl.id)
+	}
+	return ids
+}
+
 // all snapshots every lock list across the shards.
 func (m *Manager) all() []*FileLocks {
 	var files []*FileLocks

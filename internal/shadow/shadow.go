@@ -27,8 +27,10 @@
 package shadow
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/costmodel"
@@ -84,12 +86,18 @@ type pageState struct {
 	dirty   bool   // buf differs from the flushed shadow image
 }
 
-func (p *pageState) owners() map[Owner]bool {
-	o := make(map[Owner]bool)
+// touchedBy reports whether owner has modified the page, and whether it
+// is the only owner that has.
+func (p *pageState) touchedBy(owner Owner) (touched, sole bool) {
+	sole = true
 	for _, m := range p.mods {
-		o[m.owner] = true
+		if m.owner == owner {
+			touched = true
+		} else {
+			sole = false
+		}
 	}
-	return o
+	return touched, touched && sole
 }
 
 func (p *pageState) ownerMods(owner Owner) []Range {
@@ -99,7 +107,7 @@ func (p *pageState) ownerMods(owner Owner) []Range {
 			rs = append(rs, m.r)
 		}
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Off < rs[j].Off })
+	slices.SortFunc(rs, func(a, b Range) int { return a.Off - b.Off })
 	return rs
 }
 
@@ -142,9 +150,14 @@ type File struct {
 	pages   map[int]*pageState
 	maxPtrs int
 
-	// LRU cache of committed page images, logical -> contents.
+	// LRU cache of committed page images, logical -> contents.  The
+	// file owns every image in it, every working buffer in pages, and
+	// the retired buffers in spare (at most cleanCachePages of them): a
+	// committed working buffer becomes the cache image, and the image it
+	// displaces is the next working buffer.
 	cache    map[int][]byte
 	cacheLRU []int
+	spare    [][]byte
 }
 
 // Open loads the file's inode into memory and returns its working state.
@@ -173,47 +186,61 @@ func (f *File) cacheGet(logical int) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	for i, l := range f.cacheLRU {
-		if l == logical {
-			f.cacheLRU = append(append(f.cacheLRU[:i], f.cacheLRU[i+1:]...), logical)
-			break
-		}
+	if i := slices.Index(f.cacheLRU, logical); i >= 0 {
+		copy(f.cacheLRU[i:], f.cacheLRU[i+1:])
+		f.cacheLRU[len(f.cacheLRU)-1] = logical
 	}
 	return img, true
 }
 
-// cachePut stores a committed page image, evicting the least recently
-// used entry past capacity.  Caller holds f.mu; img is copied.
+// cachePut installs img as the committed image of a logical page,
+// evicting the least recently used entry past capacity.  The cache takes
+// img over: the caller must not touch it again.  Caller holds f.mu.
 func (f *File) cachePut(logical int, img []byte) {
-	cp := make([]byte, len(img))
-	copy(cp, img)
-	if _, ok := f.cache[logical]; !ok {
+	if old, ok := f.cache[logical]; !ok {
 		f.cacheLRU = append(f.cacheLRU, logical)
 		if len(f.cacheLRU) > cleanCachePages {
 			evict := f.cacheLRU[0]
-			f.cacheLRU = f.cacheLRU[1:]
+			f.cacheLRU = f.cacheLRU[:copy(f.cacheLRU, f.cacheLRU[1:])]
+			f.putBuf(f.cache[evict])
 			delete(f.cache, evict)
 		}
 	} else {
-		for i, l := range f.cacheLRU {
-			if l == logical {
-				f.cacheLRU = append(append(f.cacheLRU[:i], f.cacheLRU[i+1:]...), logical)
-				break
-			}
-		}
+		f.cacheGet(logical) // bump recency
+		f.putBuf(old)
 	}
-	f.cache[logical] = cp
+	f.cache[logical] = img
+}
+
+// takeBuf returns a page buffer with arbitrary contents: a retired one
+// if any, else a fresh one.  Caller holds f.mu.
+func (f *File) takeBuf() []byte {
+	if n := len(f.spare); n > 0 {
+		buf := f.spare[n-1]
+		f.spare = f.spare[:n-1]
+		return buf
+	}
+	return make([]byte, f.v.PageSize())
+}
+
+// putBuf retires a page buffer nothing references any more.
+func (f *File) putBuf(buf []byte) {
+	if len(f.spare) < cleanCachePages {
+		f.spare = append(f.spare, buf)
+	}
 }
 
 // readCommitted returns the committed contents of a logical page through
-// the clean-page cache, charging a disk read only on a miss.  Caller
+// the clean-page cache, charging a disk read only on a miss.  The image
+// stays the cache's: read it under f.mu and keep no reference.  Caller
 // holds f.mu.
 func (f *File) readCommitted(logical, phys int) ([]byte, error) {
 	if img, ok := f.cacheGet(logical); ok {
 		return img, nil
 	}
-	buf, err := f.v.ReadPage(phys)
-	if err != nil {
+	buf := f.takeBuf()
+	if err := f.v.ReadPageInto(phys, buf); err != nil {
+		f.putBuf(buf)
 		return nil, err
 	}
 	f.cachePut(logical, buf)
@@ -309,19 +336,23 @@ func (f *File) loadPage(logical int, fullWrite bool) (*pageState, error) {
 	if st, ok := f.pages[logical]; ok {
 		return st, nil
 	}
-	ps := f.v.PageSize()
 	base := f.committedPhys(logical)
-	buf := make([]byte, ps)
+	var committed []byte
 	if base >= 0 && !fullWrite {
-		b, err := f.readCommitted(logical, base)
-		if err != nil {
+		var err error
+		if committed, err = f.readCommitted(logical, base); err != nil {
 			return nil, err
 		}
-		copy(buf, b)
 	}
 	shadowPhys, err := f.v.AllocPage()
 	if err != nil {
 		return nil, err
+	}
+	buf := f.takeBuf()
+	if committed != nil {
+		copy(buf, committed)
+	} else {
+		clear(buf)
 	}
 	st := &pageState{logical: logical, base: base, shadow: shadowPhys, buf: buf, dirty: true}
 	f.pages[logical] = st
@@ -460,11 +491,8 @@ func (f *File) UncommittedOverlapping(off, length int64) []OwnerRange {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Off != out[j].Off {
-			return out[i].Off < out[j].Off
-		}
-		return out[i].Owner < out[j].Owner
+	slices.SortFunc(out, func(a, b OwnerRange) int {
+		return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Owner, b.Owner))
 	})
 	return out
 }
@@ -557,14 +585,7 @@ func (f *File) Flush(owner Owner) error {
 		if !st.dirty {
 			continue
 		}
-		touched := false
-		for _, m := range st.mods {
-			if m.owner == owner {
-				touched = true
-				break
-			}
-		}
-		if !touched {
+		if touched, _ := st.touchedBy(owner); !touched {
 			continue
 		}
 		if err := f.v.FlushPage(st.shadow); err != nil {
@@ -690,15 +711,14 @@ func (f *File) commitLocked(owner Owner) error {
 	}
 	for _, l := range logicals {
 		st := f.pages[l]
-		rs := st.ownerMods(owner)
-		if len(rs) == 0 {
+		touched, sole := st.touchedBy(owner)
+		if !touched {
 			continue
 		}
-		owners := st.owners()
 		f.st.Inc(stats.PageCommits)
 		f.st.Add(stats.Instructions, costmodel.InstrPageCommitBase)
 		tr.Record(trace.PageWrite, string(owner), obj, int64(l))
-		if len(owners) == 1 {
+		if sole {
 			// Figure 4(a): direct commit of the shadow page.
 			if st.dirty {
 				if err := f.v.FlushPage(st.shadow); err != nil {
@@ -713,24 +733,11 @@ func (f *File) commitLocked(owner Owner) error {
 		f.st.Inc(stats.PageDiffs)
 		f.st.Add(stats.Instructions, costmodel.InstrPageDiffBase)
 		tr.Record(trace.PageDiff, string(owner), obj, int64(l))
-		merged := make([]byte, f.v.PageSize())
-		if st.base >= 0 {
-			var prev []byte
-			if f.CleanCacheForDiff {
-				if img, ok := f.cacheGet(st.logical); ok {
-					prev = img
-				}
-			}
-			if prev == nil {
-				var err error
-				prev, err = f.v.ReadStablePage(st.base)
-				if err != nil {
-					return err
-				}
-			}
-			copy(merged, prev)
+		merged := f.takeBuf()
+		if err := f.previousVersion(st, merged); err != nil {
+			return err
 		}
-		for _, r := range rs {
+		for _, r := range st.ownerMods(owner) {
 			copy(merged[r.Off:r.End()], st.buf[r.Off:r.End()])
 			f.st.Add(stats.BytesCopied, int64(r.Len))
 		}
@@ -780,13 +787,32 @@ func (f *File) commitLocked(owner Owner) error {
 			a.st.dropOwner(owner)
 			f.cachePut(a.st.logical, a.merged)
 		} else {
-			// The shadow page became the committed page.
+			// The shadow page became the committed page, and its
+			// working buffer the committed image.
 			f.cachePut(a.st.logical, a.st.buf)
 			delete(f.pages, a.st.logical)
 		}
 	}
 	f.size = f.workingSizeLocked()
 	return nil
+}
+
+// previousVersion fills dst with the committed version of st's page (all
+// zero for a page with none): from the clean-page cache when
+// CleanCacheForDiff allows and it is there, else re-read from stable
+// storage as the 1985 implementation did.  Caller holds f.mu.
+func (f *File) previousVersion(st *pageState, dst []byte) error {
+	if st.base < 0 {
+		clear(dst)
+		return nil
+	}
+	if f.CleanCacheForDiff {
+		if img, ok := f.cacheGet(st.logical); ok {
+			copy(dst, img)
+			return nil
+		}
+	}
+	return f.v.ReadStablePageInto(st.base, dst)
 }
 
 // Abort discards owner's modifications (section 4.3, footnote 5).  Sole-
@@ -807,41 +833,31 @@ func (f *File) abortLocked(owner Owner) error {
 	sort.Ints(logicals)
 	for _, l := range logicals {
 		st := f.pages[l]
-		rs := st.ownerMods(owner)
-		if len(rs) == 0 {
+		mine, sole := st.touchedBy(owner)
+		if !mine {
 			continue
 		}
 		touched = true
 		f.st.Inc(stats.PageAborts)
-		owners := st.owners()
-		if len(owners) == 1 {
+		if sole {
 			// Discard the whole working page.
 			if err := f.v.FreePage(st.shadow); err != nil {
 				return err
 			}
 			delete(f.pages, l)
+			f.putBuf(st.buf)
 			continue
 		}
 		// Restore the owner's ranges from the previous version.
-		prev := make([]byte, f.v.PageSize())
-		if st.base >= 0 {
-			var img []byte
-			if f.CleanCacheForDiff {
-				img, _ = f.cacheGet(st.logical)
-			}
-			if img == nil {
-				var err error
-				img, err = f.v.ReadStablePage(st.base)
-				if err != nil {
-					return err
-				}
-			}
-			copy(prev, img)
+		prev := f.takeBuf()
+		if err := f.previousVersion(st, prev); err != nil {
+			return err
 		}
-		for _, r := range rs {
+		for _, r := range st.ownerMods(owner) {
 			copy(st.buf[r.Off:r.End()], prev[r.Off:r.End()])
 			f.st.Add(stats.BytesCopied, int64(r.Len))
 		}
+		f.putBuf(prev)
 		st.dropOwner(owner)
 		st.dirty = true
 		if err := f.v.WritePage(st.shadow, st.buf, false); err != nil {
@@ -871,6 +887,7 @@ func ApplyIntentions(v *fs.Volume, il IntentionsList) error {
 	}
 	changed := false
 	var replaced []int
+	merged, shadowImg := make([]byte, v.PageSize()), make([]byte, v.PageSize())
 	for _, ent := range il.Entries {
 		cur := -1
 		if ent.Logical < len(node.Pages) {
@@ -892,16 +909,13 @@ func ApplyIntentions(v *fs.Volume, il IntentionsList) error {
 		if prevPhys < 0 {
 			prevPhys = ent.Base
 		}
-		merged := make([]byte, v.PageSize())
+		clear(merged)
 		if prevPhys >= 0 {
-			prev, err := v.ReadStablePage(prevPhys)
-			if err != nil {
+			if err := v.ReadStablePageInto(prevPhys, merged); err != nil {
 				return err
 			}
-			copy(merged, prev)
 		}
-		shadowImg, err := v.ReadStablePage(ent.Shadow)
-		if err != nil {
+		if err := v.ReadStablePageInto(ent.Shadow, shadowImg); err != nil {
 			return err
 		}
 		for _, r := range ent.Ranges {

@@ -190,8 +190,8 @@ func TestOverlapCommitFigure4b(t *testing.T) {
 	committed := func() []byte {
 		node := f.Inode()
 		phys := node.Pages[0]
-		buf, err := v.ReadStablePage(phys)
-		if err != nil {
+		buf := make([]byte, v.PageSize())
+		if err := v.ReadStablePageInto(phys, buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf

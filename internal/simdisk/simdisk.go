@@ -94,6 +94,11 @@ var (
 // (written but unflushed) versions.  Synchronous writes reach stable
 // storage immediately; asynchronous writes sit in the volatile layer until
 // Flush or FlushPage, and are lost by Crash.
+//
+// The disk owns its stable and volatile images outright: reads copy out
+// of them, writes copy into them, no reference crosses the API.  So a
+// caller may reuse its slice the moment a call returns, and a stable image
+// can be overwritten in place.
 type Disk struct {
 	name     string
 	pageSize int
@@ -101,7 +106,12 @@ type Disk struct {
 	mu       sync.Mutex
 	stable   [][]byte       // committed page images; nil = never written
 	volatile map[int][]byte // async writes not yet flushed
-	crashed  bool
+	// spare holds the buffers of retired volatile images (flushed or
+	// lost to a crash) for the next async write.  Nothing else feeds it,
+	// so len(spare)+len(volatile) never exceeds the most pages that were
+	// ever dirty at once.
+	spare   [][]byte
+	crashed bool
 	// epoch counts Crash calls.  A virtual-clock force parks with d.mu
 	// released; rechecking only d.crashed on wake would miss a
 	// crash-then-restart landing inside the park (the flag is false
@@ -252,37 +262,46 @@ func (d *Disk) check(page int) error {
 // version if one exists, else the stable version, else a zero page.  The
 // read is charged as one disk read of the given kind.
 func (d *Disk) ReadPage(page int, kind IOKind) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.check(page); err != nil {
-		return nil, err
-	}
-	d.st.Inc(stats.DiskReads)
 	buf := make([]byte, d.pageSize)
-	if v, ok := d.volatile[page]; ok {
-		copy(buf, v)
-	} else if s := d.stable[page]; s != nil {
-		copy(buf, s)
+	if err := d.ReadPageInto(page, kind, buf); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
 
-// ReadStable returns a copy of the last flushed (stable) version of the
-// page, ignoring any unflushed volatile write.  The record commit
-// mechanism uses this to fetch the "previous version" of a page for
-// differencing (Figure 4(b)).
-func (d *Disk) ReadStable(page int, kind IOKind) ([]byte, error) {
+// ReadPageInto is ReadPage into a page-sized buffer the caller owns.
+func (d *Disk) ReadPageInto(page int, kind IOKind, dst []byte) error {
+	return d.readInto(page, dst, false)
+}
+
+// ReadStableInto fills dst (page-sized, the caller's) with the last
+// flushed (stable) version of the page, ignoring any unflushed volatile
+// write.  The record commit mechanism uses this to fetch the "previous
+// version" of a page for differencing (Figure 4(b)).
+func (d *Disk) ReadStableInto(page int, kind IOKind, dst []byte) error {
+	return d.readInto(page, dst, true)
+}
+
+func (d *Disk) readInto(page int, dst []byte, stableOnly bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.check(page); err != nil {
-		return nil, err
+		return err
+	}
+	if len(dst) != d.pageSize {
+		return fmt.Errorf("%w: got %d want %d on %s page %d", ErrBadSize, len(dst), d.pageSize, d.name, page)
 	}
 	d.st.Inc(stats.DiskReads)
-	buf := make([]byte, d.pageSize)
-	if s := d.stable[page]; s != nil {
-		copy(buf, s)
+	src := d.stable[page]
+	if v, ok := d.volatile[page]; ok && !stableOnly {
+		src = v
 	}
-	return buf, nil
+	if src == nil {
+		clear(dst)
+	} else {
+		copy(dst, src)
+	}
+	return nil
 }
 
 // WritePage writes data to the page.  If sync is true the write reaches
@@ -299,9 +318,12 @@ func (d *Disk) WritePage(page int, data []byte, kind IOKind, sync bool) error {
 		return fmt.Errorf("%w: got %d want %d on %s page %d", ErrBadSize, len(data), d.pageSize, d.name, page)
 	}
 	if !sync {
-		buf := make([]byte, d.pageSize)
+		buf, ok := d.volatile[page]
+		if !ok {
+			buf = d.takeBufLocked()
+			d.volatile[page] = buf
+		}
 		copy(buf, data)
-		d.volatile[page] = buf
 		return nil
 	}
 	if err := d.force(); err != nil {
@@ -391,26 +413,52 @@ func (d *Disk) force() error {
 	return nil
 }
 
+// takeBufLocked returns a page buffer of arbitrary contents for a new
+// disk-owned image: a spare one if any, else a fresh one.
+func (d *Disk) takeBufLocked() []byte {
+	if n := len(d.spare); n > 0 {
+		buf := d.spare[n-1]
+		d.spare = d.spare[:n-1]
+		return buf
+	}
+	return make([]byte, d.pageSize)
+}
+
+// crashLocked loses every volatile image and takes the disk offline.
+func (d *Disk) crashLocked() {
+	for _, v := range d.volatile {
+		d.spare = append(d.spare, v)
+	}
+	clear(d.volatile)
+	d.crashed = true
+	d.epoch++
+}
+
 // writeStableLocked lands one page on stable storage, stepping the armed
-// crash fault first.  Caller holds d.mu and has validated page and size.
+// crash fault first: the stable image is overwritten in place only once
+// the budget has let the write through, so a torn batch leaves every
+// later page's old image intact.  data may be the page's own volatile
+// image (a flush).  Caller holds d.mu and has validated page and size.
 func (d *Disk) writeStableLocked(page int, data []byte, kind IOKind) error {
 	if !d.crashKindSet || kind == d.crashKind {
 		if d.crashAfter == 0 {
 			d.crashAfter = -1
 			d.crashKindSet = false
-			d.volatile = make(map[int][]byte)
-			d.crashed = true
-			d.epoch++
+			d.crashLocked()
 			return ErrCrashed
 		}
 		if d.crashAfter > 0 {
 			d.crashAfter--
 		}
 	}
-	buf := make([]byte, d.pageSize)
-	copy(buf, data)
-	d.stable[page] = buf
-	delete(d.volatile, page)
+	if d.stable[page] == nil {
+		d.stable[page] = d.takeBufLocked()
+	}
+	copy(d.stable[page], data)
+	if v, ok := d.volatile[page]; ok {
+		delete(d.volatile, page)
+		d.spare = append(d.spare, v)
+	}
 	d.writes++
 	d.kindWrites[kind]++
 	d.chargeWrite(kind)
@@ -486,9 +534,7 @@ func (d *Disk) DirtyPages() int {
 func (d *Disk) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.volatile = make(map[int][]byte)
-	d.crashed = true
-	d.epoch++
+	d.crashLocked()
 }
 
 // Restart brings a crashed disk back online and disarms any pending

@@ -147,12 +147,12 @@ func TestReadStableIgnoresVolatile(t *testing.T) {
 	if err := d.WritePage(0, page(d, 0x22), IOData, false); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadStable(0, IOData)
-	if err != nil {
+	got := make([]byte, d.PageSize())
+	if err := d.ReadStableInto(0, IOData, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, old) {
-		t.Fatal("ReadStable returned volatile contents")
+		t.Fatal("ReadStableInto returned volatile contents")
 	}
 }
 

@@ -34,8 +34,21 @@ import (
 // SiteID names a network site (a machine running a Locus kernel).
 type SiteID int
 
-// String renders the site as "siteN".
-func (s SiteID) String() string { return "site" + strconv.Itoa(int(s)) }
+// String renders the site as "siteN".  Trace and error labels ask for it
+// several times per transaction, so the names of small ids are built once.
+func (s SiteID) String() string {
+	if s >= 0 && int(s) < len(siteNames) {
+		return siteNames[s]
+	}
+	return "site" + strconv.Itoa(int(s))
+}
+
+var siteNames = func() (names [64]string) {
+	for i := range names {
+		names[i] = "site" + strconv.Itoa(i)
+	}
+	return names
+}()
 
 // Handler processes one inbound request and returns a response or error.
 // Handlers run concurrently; shared state must be synchronized.

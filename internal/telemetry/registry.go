@@ -185,21 +185,22 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 }
 
 // DurationBuckets is the standard latency bucket ladder (nanoseconds):
-// 1µs to 100s, three steps per decade.
-func DurationBuckets() []int64 {
-	var b []int64
-	for _, base := range []int64{int64(time.Microsecond), int64(10 * time.Microsecond), int64(100 * time.Microsecond),
-		int64(time.Millisecond), int64(10 * time.Millisecond), int64(100 * time.Millisecond),
-		int64(time.Second), int64(10 * time.Second), int64(100 * time.Second)} {
-		b = append(b, base, 2*base, 5*base)
-	}
-	return b
-}
+// 1µs to 100s, three steps per decade.  Hot paths pass it on every
+// histogram lookup, so the ladders are built once and shared: read-only.
+func DurationBuckets() []int64 { return durationBuckets }
 
 // SizeBuckets is the standard count ladder (batch sizes, queue depths).
-func SizeBuckets() []int64 {
-	return []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-}
+func SizeBuckets() []int64 { return sizeBuckets }
+
+var (
+	sizeBuckets     = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+	durationBuckets = func() (b []int64) {
+		for base := int64(time.Microsecond); base <= int64(100*time.Second); base *= 10 {
+			b = append(b, base, 2*base, 5*base)
+		}
+		return b
+	}()
+)
 
 // Registry holds one run's named metrics.  A nil *Registry is valid:
 // every lookup returns a nil handle whose methods are no-ops.

@@ -30,6 +30,7 @@ package tpc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -139,7 +140,11 @@ func prepKey(txid, suffix string) string {
 // Overwriting with an equal-size payload is a single I/O: the status
 // marker flip that defines the commit point.
 func WriteCoordRecord(v *fs.Volume, rec CoordRecord) error {
-	return v.Log().Put(coordKey(rec.Txid), fs.KindCoordinator, encodeCoordRecord(&rec))
+	return putCoordRecord(v, coordKey(rec.Txid), &rec)
+}
+
+func putCoordRecord(v *fs.Volume, key string, rec *CoordRecord) error {
+	return v.Log().Put(key, fs.KindCoordinator, encodeCoordRecord(rec))
 }
 
 // ReadCoordRecords returns every coordinator record in the volume's log.
@@ -293,7 +298,7 @@ const maxFanout = 16
 // phase two has not fully acknowledged.
 type pendingTxn struct {
 	rec     CoordRecord
-	unacked map[simnet.SiteID]bool
+	unacked []simnet.SiteID // ascending
 }
 
 // Coordinator runs two-phase commit for transactions whose top-level
@@ -383,26 +388,49 @@ func (c *Coordinator) recordLocality(nParts, nRemote int) {
 }
 
 // remoteCount counts the participant sites that are not the coordinator.
-func (c *Coordinator) remoteCount(parts map[simnet.SiteID][]string) int {
+func (c *Coordinator) remoteCount(parts []participant) int {
 	n := 0
-	for site := range parts {
-		if site != c.site {
+	for _, p := range parts {
+		if p.site != c.site {
 			n++
 		}
 	}
 	return n
 }
 
-// participants groups the file list by storage site.
-func participants(files []proc.FileRef) map[simnet.SiteID][]string {
-	m := make(map[simnet.SiteID][]string)
+// participant is one storage site of a transaction with its files there.
+type participant struct {
+	site  simnet.SiteID
+	files []string // sorted
+}
+
+// participants groups the file list by storage site, ascending by site:
+// the order every per-site trace event and bookkeeping step follows, so a
+// fixed-seed run's event sequence does not depend on goroutine scheduling.
+func participants(files []proc.FileRef) []participant {
+	var parts []participant
 	for _, f := range files {
-		m[f.StorageSite] = append(m[f.StorageSite], f.FileID)
+		i := slices.IndexFunc(parts, func(p participant) bool { return p.site == f.StorageSite })
+		if i < 0 {
+			i = len(parts)
+			parts = append(parts, participant{site: f.StorageSite})
+		}
+		parts[i].files = append(parts[i].files, f.FileID)
 	}
-	for _, ids := range m {
-		sort.Strings(ids)
+	slices.SortFunc(parts, func(a, b participant) int { return int(a.site) - int(b.site) })
+	for _, p := range parts {
+		sort.Strings(p.files)
 	}
-	return m
+	return parts
+}
+
+// sitesOf lists the participants' sites (ascending, as parts is).
+func sitesOf(parts []participant) []simnet.SiteID {
+	sites := make([]simnet.SiteID, len(parts))
+	for i, p := range parts {
+		sites[i] = p.site
+	}
+	return sites
 }
 
 // CommitTransaction runs the full protocol for txid over the merged file
@@ -416,7 +444,7 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		return fmt.Errorf("%w: %s", ErrTxnExists, txid)
 	}
 	rec := CoordRecord{Txid: txid, Files: append([]proc.FileRef(nil), files...), Status: StatusUnknown}
-	pt := &pendingTxn{rec: rec, unacked: make(map[simnet.SiteID]bool)}
+	pt := &pendingTxn{rec: rec}
 	c.pending[txid] = pt
 	c.mu.Unlock()
 
@@ -430,8 +458,9 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 	}
 
 	// Step 1: coordinator log, status unknown.
+	key := coordKey(txid)
 	logT0 := c.clk.Now()
-	err := WriteCoordRecord(c.vol, rec)
+	err := putCoordRecord(c.vol, key, &rec)
 	c.prof().Charge(txid, telemetry.ResCoordLog, c.clk.Now().Sub(logT0))
 	if err != nil {
 		// The record never landed, so recovery reads the transaction as
@@ -447,68 +476,50 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 	}
 
 	// Step 2: prepare at every participant, in parallel.  Trace events
-	// are recorded outside the fan-out, in sorted site order, so a
-	// fixed-seed run's event sequence does not depend on goroutine
-	// scheduling.
-	sites := make([]simnet.SiteID, 0, len(parts))
-	for site := range parts {
-		sites = append(sites, site)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	for _, site := range sites {
-		c.trc.Record(trace.PrepareSent, txid, site.String(), int64(len(parts[site])))
+	// are recorded outside the fan-out, in site order.
+	for _, p := range parts {
+		c.trc.Record(trace.PrepareSent, txid, p.site.String(), int64(len(p.files)))
 	}
 	type prepResult struct {
-		site simnet.SiteID
+		i    int // index into parts
 		vote Vote
 		err  error
 	}
 	prepT0 := c.clk.Now()
 	results := make(chan prepResult, len(parts))
-	for site, ids := range parts {
-		site, ids := site, ids
+	for i, p := range parts {
+		i, p := i, p
 		c.clk.Go(func() {
-			vote, err := c.tr.SendPrepare(site, txid, ids, c.site)
-			vtime.NotifySend(c.clk, results, prepResult{site, vote, err})
+			vote, err := c.tr.SendPrepare(p.site, txid, p.files, c.site)
+			vtime.NotifySend(c.clk, results, prepResult{i, vote, err})
 		})
 	}
-	votes := make(map[simnet.SiteID]error, len(parts))
-	readOnly := make(map[simnet.SiteID]bool)
+	votes := make([]prepResult, len(parts))
 	var prepErr error
 	for range parts {
 		r, _ := vtime.WaitRecv(c.clk, results, 0)
-		votes[r.site] = r.err
-		if r.err == nil && r.vote == VoteReadOnly {
-			readOnly[r.site] = true
-		}
+		votes[r.i] = r
 		if r.err != nil && prepErr == nil {
-			prepErr = fmt.Errorf("%w: %s: %v", ErrPrepareFailed, r.site, r.err)
+			prepErr = fmt.Errorf("%w: %s: %v", ErrPrepareFailed, parts[r.i].site, r.err)
 		}
 	}
 	c.prof().Window(txid, telemetry.WinPrepare, c.clk.Now().Sub(prepT0))
-	for _, site := range sites {
-		if readOnly[site] {
-			c.st.Inc(stats.ReadOnlyVotes)
-			c.trc.Record(trace.VotedReadOnly, txid, site.String(), int64(len(parts[site])))
-			continue
-		}
-		yes := int64(1)
-		if votes[site] != nil {
-			yes = 0
-		}
-		c.trc.Record(trace.Voted, txid, site.String(), yes)
-	}
 	// Read-only voters released their locks at prepare time and hold no
 	// prepare records: they drop out of the protocol here, receiving
 	// neither the phase-two commit nor an abort.
-	p2parts := parts
-	if len(readOnly) > 0 {
-		p2parts = make(map[simnet.SiteID][]string, len(parts)-len(readOnly))
-		for site, ids := range parts {
-			if !readOnly[site] {
-				p2parts[site] = ids
-			}
+	p2parts := make([]participant, 0, len(parts))
+	for i, p := range parts {
+		if votes[i].err == nil && votes[i].vote == VoteReadOnly {
+			c.st.Inc(stats.ReadOnlyVotes)
+			c.trc.Record(trace.VotedReadOnly, txid, p.site.String(), int64(len(p.files)))
+			continue
 		}
+		p2parts = append(p2parts, p)
+		yes := int64(1)
+		if votes[i].err != nil {
+			yes = 0
+		}
+		c.trc.Record(trace.Voted, txid, p.site.String(), yes)
 	}
 	if prepErr != nil {
 		// Abort: flip the marker, tell everyone, clean up.  If the
@@ -518,7 +529,7 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		// it, participants that voted yes keep their prepare records
 		// and retained locks forever.
 		rec.Status = StatusAborted
-		markErr := WriteCoordRecord(c.vol, rec)
+		markErr := putCoordRecord(c.vol, key, &rec)
 		c.distributeOutcome(txid, p2parts, false)
 		c.finish(txid, StatusAborted)
 		c.st.Inc(stats.TxnAborts)
@@ -535,7 +546,7 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 	// reclaimed.  Recovery stays sound: a crash before this point leaves
 	// a StatusUnknown record that resolves to abort, which no participant
 	// can contradict because none holds any transaction state.
-	if len(readOnly) == len(parts) {
+	if len(p2parts) == 0 {
 		c.finish(txid, StatusCommitted)
 		c.st.Inc(stats.TxnCommits)
 		c.recordLocality(len(parts), c.remoteCount(parts))
@@ -546,7 +557,7 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 	// Step 3: the commit point - one in-place status flip.
 	rec.Status = StatusCommitted
 	logT0 = c.clk.Now()
-	err = WriteCoordRecord(c.vol, rec)
+	err = putCoordRecord(c.vol, key, &rec)
 	c.prof().Charge(txid, telemetry.ResCoordLog, c.clk.Now().Sub(logT0))
 	if err != nil {
 		// The outcome is undecided on disk; treat as abort.
@@ -557,9 +568,7 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 	}
 	c.mu.Lock()
 	pt.rec.Status = StatusCommitted
-	for site := range p2parts {
-		pt.unacked[site] = true
-	}
+	pt.unacked = sitesOf(p2parts)
 	c.mu.Unlock()
 	c.st.Inc(stats.TxnCommits)
 	c.recordLocality(len(parts), c.remoteCount(parts))
@@ -584,12 +593,8 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 // the commit point (the record carries its one-phase mark, so the
 // participant's recovery resolves it without a coordinator), which makes
 // the coordinator log - and both its forced writes - unnecessary.
-func (c *Coordinator) commitOnePhase(txid string, parts map[simnet.SiteID][]string) error {
-	var site simnet.SiteID
-	var ids []string
-	for s, f := range parts {
-		site, ids = s, f
-	}
+func (c *Coordinator) commitOnePhase(txid string, parts []participant) error {
+	site, ids := parts[0].site, parts[0].files
 	c.trc.Record(trace.PrepareSent, txid, site.String(), int64(len(ids)))
 	prepT0 := c.clk.Now()
 	vote, err := c.tr.SendPrepareCommit(site, txid, ids, c.site)
@@ -646,11 +651,11 @@ func (c *Coordinator) AbortTransaction(txid string, files []proc.FileRef) error 
 // distributeOutcome sends commit/abort messages to every participant
 // concurrently, best effort.  A slow or unreachable site cannot delay
 // delivery to the others; it only delays the return.
-func (c *Coordinator) distributeOutcome(txid string, parts map[simnet.SiteID][]string, commit bool) {
+func (c *Coordinator) distributeOutcome(txid string, parts []participant, commit bool) {
 	g := vtime.NewGroup(c.clk)
 	sem := vtime.NewSemaphore(c.clk, maxFanout)
-	for site := range parts {
-		site := site
+	for _, p := range parts {
+		site := p.site
 		sem.Acquire()
 		g.Go(func() {
 			defer sem.Release()
@@ -677,12 +682,8 @@ func (c *Coordinator) runPhase2(txid string) {
 		c.mu.Unlock()
 		return
 	}
-	var sites []simnet.SiteID
-	for s := range pt.unacked {
-		sites = append(sites, s)
-	}
+	sites := slices.Clone(pt.unacked)
 	c.mu.Unlock()
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
 
 	acked := make([]bool, len(sites))
 	g := vtime.NewGroup(c.clk)
@@ -700,11 +701,10 @@ func (c *Coordinator) runPhase2(txid string) {
 	g.Wait()
 
 	c.mu.Lock()
-	for i, site := range sites {
-		if acked[i] {
-			delete(pt.unacked, site)
-		}
-	}
+	pt.unacked = slices.DeleteFunc(pt.unacked, func(s simnet.SiteID) bool {
+		i, ok := slices.BinarySearch(sites, s)
+		return ok && acked[i]
+	})
 	remaining := len(pt.unacked)
 	c.mu.Unlock()
 	if remaining == 0 {
@@ -829,11 +829,7 @@ func (c *Coordinator) Recover() error {
 		switch rec.Status {
 		case StatusCommitted:
 			c.mu.Lock()
-			pt := &pendingTxn{rec: rec, unacked: make(map[simnet.SiteID]bool)}
-			for s := range parts {
-				pt.unacked[s] = true
-			}
-			c.pending[rec.Txid] = pt
+			c.pending[rec.Txid] = &pendingTxn{rec: rec, unacked: sitesOf(parts)}
 			c.mu.Unlock()
 			c.runPhase2(rec.Txid)
 		default:

@@ -118,9 +118,29 @@ type event struct {
 	// run to its next park.
 	yield bool
 
-	ch    chan struct{}  // closed at fire when non-nil (Sleep, WaitRecv)
+	ch    chan struct{}  // cap 1; sent one wake at fire when non-nil (Sleep, WaitRecv)
 	tch   chan time.Time // receives the fire time when non-nil (After, NewTimer)
 	fired bool
+}
+
+// Parking is the simulator's most frequent operation, so what a park
+// needs comes from free lists.  A wake is one send on a cap-1 channel, not
+// a close, and has exactly one receiver, so the channel is empty again -
+// and reusable - once its waiter has resumed.  wakeChans serves waiters
+// queued on a Mutex, Semaphore or Group; parkEvents the events of Sleep,
+// Yield and the WaitRecv deadline, whose lifetime ends inside the call
+// that scheduled them (a timer's event outlives its call - Stop may
+// inspect it any time - and is never pooled).
+var (
+	wakeChans  = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+	parkEvents = sync.Pool{New: func() any { return &event{ch: make(chan struct{}, 1)} }}
+)
+
+// awaitWake parks on a pooled wake channel until its one wake arrives,
+// then returns the channel to the pool.
+func awaitWake(ch chan struct{}) {
+	<-ch
+	wakeChans.Put(ch)
 }
 
 type eventHeap []*event
@@ -226,11 +246,22 @@ func (v *Virtual) Elapsed() time.Duration {
 	return v.now
 }
 
-// scheduleLocked queues an event d from now.  Caller holds v.mu.
-func (v *Virtual) scheduleLocked(d time.Duration, credited bool) *event {
+// scheduleLocked queues ev to fire d from now.  Caller holds v.mu.
+func (v *Virtual) scheduleLocked(ev *event, d time.Duration) *event {
 	v.seq++
-	ev := &event{at: v.now + d, seq: v.seq, credited: credited}
+	ev.at, ev.seq = v.now+d, v.seq
 	heap.Push(&v.events, ev)
+	return ev
+}
+
+// parkLocked schedules a credited wake d from now on a pooled event and
+// releases the caller's token.  Caller holds v.mu, and must receive the
+// wake (or cancelWait it) before handing the event back to parkEvents.
+func (v *Virtual) parkLocked(d time.Duration, yield bool) *event {
+	ev := parkEvents.Get().(*event)
+	ev.credited, ev.yield, ev.fired = true, yield, false
+	v.scheduleLocked(ev, d)
+	v.releaseLocked()
 	return ev
 }
 
@@ -293,7 +324,7 @@ func (v *Virtual) fireLocked(ev *event) {
 		v.active++
 	}
 	if ev.ch != nil {
-		close(ev.ch)
+		ev.ch <- struct{}{}
 	}
 	if ev.tch != nil {
 		select {
@@ -316,11 +347,10 @@ func (v *Virtual) Sleep(d time.Duration) {
 		return
 	}
 	v.mu.Lock()
-	ev := v.scheduleLocked(d, true)
-	ev.ch = make(chan struct{})
-	v.releaseLocked()
+	ev := v.parkLocked(d, false)
 	v.mu.Unlock()
 	<-ev.ch
+	parkEvents.Put(ev)
 }
 
 // Yield parks the calling actor until every other actor runnable at
@@ -332,12 +362,10 @@ func (v *Virtual) Sleep(d time.Duration) {
 // first.
 func (v *Virtual) Yield() {
 	v.mu.Lock()
-	ev := v.scheduleLocked(0, true)
-	ev.yield = true
-	ev.ch = make(chan struct{})
-	v.releaseLocked()
+	ev := v.parkLocked(0, true)
 	v.mu.Unlock()
 	<-ev.ch
+	parkEvents.Put(ev)
 }
 
 // Yield settles the current instant on a virtual clock (see
@@ -394,8 +422,7 @@ type virtualTimer struct {
 // NewTimer returns a stoppable uncredited timer (see After).
 func (v *Virtual) NewTimer(d time.Duration) Timer {
 	v.mu.Lock()
-	ev := v.scheduleLocked(d, false)
-	ev.tch = make(chan time.Time, 1)
+	ev := v.scheduleLocked(&event{tch: make(chan time.Time, 1)}, d)
 	v.mu.Unlock()
 	return &virtualTimer{v: v, ev: ev}
 }
@@ -434,20 +461,22 @@ func (v *Virtual) beginWait(timeout time.Duration) *event {
 	v.mu.Lock()
 	var ev *event
 	if timeout > 0 {
-		ev = v.scheduleLocked(timeout, true)
-		ev.ch = make(chan struct{})
+		ev = v.parkLocked(timeout, false)
+	} else {
+		v.releaseLocked()
 	}
-	v.releaseLocked()
 	v.mu.Unlock()
 	return ev
 }
 
 // cancelWait retires an unused wait deadline after the waiter was woken
 // by a credited value instead: a still-pending event is removed; one
-// that fired concurrently already issued its credit, which is returned.
+// that fired concurrently already issued its credit, which is returned
+// along with the wake nobody will receive.
 func (v *Virtual) cancelWait(ev *event) {
 	v.mu.Lock()
 	if ev.fired {
+		<-ev.ch
 		v.active-- // the value's credit keeps us; return the timer's
 		if v.active <= 0 {
 			panic("vtime: credit underflow cancelling a fired wait")
@@ -456,6 +485,7 @@ func (v *Virtual) cancelWait(ev *event) {
 		v.removeLocked(ev)
 	}
 	v.mu.Unlock()
+	parkEvents.Put(ev)
 }
 
 // consumeCredit absorbs the credit attached to a value received by an
@@ -507,6 +537,7 @@ func WaitRecv[T any](c Clock, ch <-chan T, timeout time.Duration) (T, bool) {
 		v.cancelWait(ev)
 		return val, true
 	case <-ev.ch:
+		parkEvents.Put(ev)
 		select {
 		case val := <-ch:
 			v.consumeCredit() // timer credit keeps us; absorb the value's
@@ -623,9 +654,8 @@ func (g *Group) done() {
 		// Hand this worker's token straight to the joiner: no release,
 		// no window where the clock could advance between the last
 		// worker finishing and the waiter resuming.
-		ch := g.waitCh
+		g.waitCh <- struct{}{}
 		g.waitCh = nil
-		close(ch)
 		v.mu.Unlock()
 		return
 	}
@@ -649,11 +679,11 @@ func (g *Group) Wait() {
 		v.mu.Unlock()
 		panic("vtime: Group supports one waiter at a time")
 	}
-	ch := make(chan struct{})
+	ch := wakeChans.Get().(chan struct{})
 	g.waitCh = ch
 	v.releaseLocked()
 	v.mu.Unlock()
-	<-ch
+	awaitWake(ch)
 }
 
 // Gate is a one-shot completion barrier: any number of actors Wait, one
@@ -752,11 +782,11 @@ func (mu *Mutex) Lock() {
 		v.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
+	ch := wakeChans.Get().(chan struct{})
 	mu.q = append(mu.q, ch)
 	v.releaseLocked()
 	v.mu.Unlock()
-	<-ch // ownership and a token arrive together
+	awaitWake(ch) // ownership and a token arrive together
 }
 
 // Unlock releases the mutex, transferring it to the head waiter if any.
@@ -772,14 +802,21 @@ func (mu *Mutex) Unlock() {
 		panic("vtime: Unlock of unlocked Mutex")
 	}
 	if len(mu.q) > 0 {
-		ch := mu.q[0]
-		mu.q = mu.q[1:]
 		v.active++ // the waiter's resume token
-		close(ch)
+		mu.q = wakeHead(mu.q)
 	} else {
 		mu.locked = false
 	}
 	v.mu.Unlock()
+}
+
+// wakeHead wakes the head of a waiter queue and returns the queue without
+// it, shifted down so the backing array is reused for good.
+func wakeHead(q []chan struct{}) []chan struct{} {
+	q[0] <- struct{}{}
+	n := copy(q, q[1:])
+	q[n] = nil
+	return q[:n]
 }
 
 // Semaphore bounds concurrency like a buffered-channel semaphore, but
@@ -817,11 +854,11 @@ func (s *Semaphore) Acquire() {
 		v.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
+	ch := wakeChans.Get().(chan struct{})
 	s.queue = append(s.queue, ch)
 	v.releaseLocked()
 	v.mu.Unlock()
-	<-ch
+	awaitWake(ch)
 }
 
 // Release frees a slot, handing it (with a token) to the head waiter if
@@ -834,10 +871,8 @@ func (s *Semaphore) Release() {
 	v := s.v
 	v.mu.Lock()
 	if len(s.queue) > 0 {
-		ch := s.queue[0]
-		s.queue = s.queue[1:]
 		v.active++ // slot transfers in-use; waiter gets the releaser's spare credit
-		close(ch)
+		s.queue = wakeHead(s.queue)
 	} else {
 		s.inUse--
 	}

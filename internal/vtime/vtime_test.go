@@ -412,3 +412,67 @@ func TestYieldRealNoop(t *testing.T) {
 		t.Fatal("Yield(Real()) blocked")
 	}
 }
+
+// TestParkingReusesItsWakeState: a wake is one send on a pooled cap-1
+// channel, so parking allocates nothing in steady state - and a reused
+// channel or event never carries a stale wake into its next use, however
+// the previous wait ended (deadline, value, or both at one instant).
+func TestParkingReusesItsWakeState(t *testing.T) {
+	v := NewVirtual()
+	var mu Mutex
+	mu.SetClock(v)
+	ch := make(chan int, 1)
+	for name, park := range map[string]func(){
+		"Sleep": func() { v.Sleep(time.Millisecond) },
+		"Yield": func() { v.Yield() },
+		"WaitRecv deadline": func() {
+			if _, ok := WaitRecv[int](v, ch, time.Millisecond); ok {
+				t.Fatal("value from an empty channel")
+			}
+		},
+	} {
+		park()
+		if got := testing.AllocsPerRun(200, park); got != 0 {
+			t.Errorf("%s: %v allocations per park, want 0", name, got)
+		}
+	}
+
+	// Every way a deadline wait can end, interleaved with sleeps and lock
+	// hand-offs that reuse the same pooled state: any stale wake would
+	// end a later wait early and show as a wrong elapsed time or value.
+	start := v.Elapsed()
+	g := NewGroup(v)
+	for i := 0; i < 200; i++ {
+		i := i
+		g.Go(func() { // deliver at 1ms: before, at, or never within the waiter's deadline
+			if i%4 != 3 {
+				v.Sleep(time.Millisecond)
+				mu.Lock()
+				NotifySend[int](v, ch, i)
+				mu.Unlock()
+			}
+		})
+		timeout := []time.Duration{2 * time.Millisecond, time.Millisecond, 0, time.Millisecond}[i%4]
+		t0 := v.Elapsed()
+		mu.Lock()
+		mu.Unlock()
+		val, ok := WaitRecv[int](v, ch, timeout)
+		if !ok && i%4 != 3 { // the deadline won a same-instant race: the value is about to land
+			val, ok = WaitRecv[int](v, ch, 0)
+		}
+		if i%4 == 3 {
+			if ok {
+				t.Fatalf("round %d: received %d though nothing was sent", i, val)
+			}
+		} else if !ok || val != i {
+			t.Fatalf("round %d: received (%d, %v)", i, val, ok)
+		}
+		if got := v.Elapsed() - t0; got != time.Millisecond {
+			t.Fatalf("round %d: wait took %v of virtual time, want 1ms", i, got)
+		}
+		g.Wait()
+	}
+	if got := v.Elapsed() - start; got != 200*time.Millisecond {
+		t.Fatalf("200 rounds took %v of virtual time, want 200ms", got)
+	}
+}
