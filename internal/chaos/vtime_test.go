@@ -94,3 +94,25 @@ func TestVtimeSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestSeed87NoUnilateralAbort is the reproducer of EXPERIMENTS.md E25: a
+// schedule with no disk fault in its menu that created money on about
+// three runs in four while an in-doubt participant could read its
+// coordinator's "still collecting votes" as an abort (and, far more
+// rarely, through the other three holes E25 lists).  The interleaving is
+// not replayed by the seed, hence the repetitions.
+func TestSeed87NoUnilateralAbort(t *testing.T) {
+	faults, err := ParseFaults("crash,partition,block,drop,dup,latency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		res, err := Run(Options{Seed: 87, Duration: 2 * time.Second, Faults: faults, Spec: vax})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if !res.OK() {
+			t.Fatalf("run %d violations:\n%s", i, res.Report(true))
+		}
+	}
+}

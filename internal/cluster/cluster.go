@@ -87,11 +87,9 @@ type Config struct {
 	// volume's log store: concurrent log writes coalesce into one
 	// vectored disk force, each record waiting up to this long for
 	// companions.  Zero (the default) keeps the paper's synchronous
-	// per-record log writes, so every I/O-count table reproduces.
+	// per-record log writes, so every I/O-count table reproduces.  A
+	// batch holds at most fs.DefaultGroupCommitMaxBatch records.
 	GroupCommitMaxDelay time.Duration
-	// GroupCommitMaxBatch caps records per batched flush (default 64;
-	// meaningful only with GroupCommitMaxDelay > 0).
-	GroupCommitMaxBatch int
 	// FastPaths enables the commit fast paths of DESIGN.md section 10:
 	// participants that did only shared-mode reads vote read-only (no
 	// prepare-record force, locks released at prepare, no phase-two
@@ -124,10 +122,6 @@ type Config struct {
 	// transaction's data.  Off (the default) runs the static placement,
 	// byte-for-byte identical on the wire and on disk.
 	AdaptivePlacement bool
-	// PlacementThreshold is the decayed access share a remote site must
-	// hold on a file to be its dominant accessor (zero means 0.6; values
-	// above 0.5 are the anti-ping-pong hysteresis).
-	PlacementThreshold float64
 	// PlacementMinAccesses is the decayed access mass the dominant site
 	// must have accumulated before a move is considered (zero means 8).
 	PlacementMinAccesses float64
@@ -135,13 +129,6 @@ type Config struct {
 	// elapse after an ownership move before it may move again (zero
 	// means 32).
 	PlacementCooldown int64
-	// PlacementHalfLife is the number of accesses over which an old
-	// observation loses half its weight (zero means 256).
-	PlacementHalfLife float64
-	// LeaseEscalateThreshold is the number of lease grants to one
-	// (file, site) pair that escalates its byte-range leases to a single
-	// whole-file lease.  Zero means 4.
-	LeaseEscalateThreshold int
 	// DiskSyncDelay charges every forced disk I/O (sync write, vectored
 	// batch, flush) this much simulated seek+sync time, serialized at
 	// the disk like a real spindle.  Zero keeps operation-counting
@@ -163,18 +150,14 @@ type Config struct {
 
 // groupCommit builds the fs-layer config from the cluster knobs.
 func (c Config) groupCommit() fs.GroupCommitConfig {
-	return fs.GroupCommitConfig{MaxBatch: c.GroupCommitMaxBatch, MaxDelay: c.GroupCommitMaxDelay, Clock: c.Clock}
+	return fs.GroupCommitConfig{MaxDelay: c.GroupCommitMaxDelay, Clock: c.Clock}
 }
 
 // PlacementConfig builds the placement-policy knobs from the cluster
-// config (zero knobs take the placement defaults).
+// config (zero knobs, and the dominance threshold and decay half-life
+// nobody tunes, take the placement defaults).
 func (c Config) PlacementConfig() placement.Config {
-	return placement.Config{
-		Threshold:   c.PlacementThreshold,
-		MinAccesses: c.PlacementMinAccesses,
-		Cooldown:    c.PlacementCooldown,
-		HalfLife:    c.PlacementHalfLife,
-	}
+	return placement.Config{MinAccesses: c.PlacementMinAccesses, Cooldown: c.PlacementCooldown}
 }
 
 func (c Config) withDefaults() Config {
@@ -189,9 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = time.Second
-	}
-	if c.LeaseEscalateThreshold == 0 {
-		c.LeaseEscalateThreshold = 4
 	}
 	if c.Clock == nil {
 		c.Clock = vtime.Real()
@@ -284,6 +264,7 @@ func (c *Cluster) AddSite(id simnet.SiteID) *Site {
 		locks:     lockmgr.NewManager(c.st),
 		procs:     proc.NewTable(id, c.st),
 		prepared:  make(map[string]*preparedTxn),
+		txns:      make(map[string]struct{}),
 	}
 	s.ep.SetTracer(s.tr)
 	s.mu.SetClock(c.cfg.Clock)
@@ -448,10 +429,7 @@ func (c *Cluster) Shutdown() {
 	for _, s := range sites {
 		s.mu.Lock()
 		coord := s.coord
-		vols := make([]*volState, 0, len(s.vols))
-		for _, vs := range s.vols {
-			vols = append(vols, vs)
-		}
+		vols := s.volStatesLocked()
 		s.mu.Unlock()
 		if coord != nil {
 			coord.Close()
@@ -507,7 +485,7 @@ type preparedTxn struct {
 	// prepare log after a crash: its in-memory working state is gone, so
 	// the outcome is applied from the logged intentions in records.
 	recovered bool
-	records   []volRecord
+	records   []tpc.PrepareRecord
 	// applying marks an outcome delivery in progress.  The entry stays in
 	// the table until the outcome is fully applied, so a failed apply is
 	// retried by the coordinator instead of being acknowledged as a
@@ -518,30 +496,6 @@ type preparedTxn struct {
 	// transaction's own prepare-record force was the commit point, so
 	// its outcome resolves locally - no coordinator log exists to query.
 	onePhase bool
-}
-
-// onePhaseCommitted reports whether a one-phase transaction's commit
-// point was reached.  A live entry exists only after its records were
-// forced; a recovered entry is committed iff the full record set
-// survived the crash (each record carries the set's total).  Callers
-// hold s.mu or have exclusive access to pt.
-func (pt *preparedTxn) onePhaseCommitted() bool {
-	if !pt.onePhase {
-		return false
-	}
-	if !pt.recovered {
-		return true
-	}
-	if len(pt.records) == 0 {
-		return false
-	}
-	return len(pt.records) >= pt.records[0].rec.OnePhaseTotal
-}
-
-// volRecord pairs a recovered prepare record with its volume.
-type volRecord struct {
-	volume string
-	rec    tpc.PrepareRecord
 }
 
 // Site is one machine's kernel.
@@ -568,6 +522,12 @@ type Site struct {
 	procs    *proc.Table
 	coord    *tpc.Coordinator
 	prepared map[string]*preparedTxn
+	// txns names the transactions that have locked, read or written a
+	// file here since the last restart (joinTxn; finishTxn forgets them).
+	// It is kernel memory, lost in a crash with the locks and
+	// modifications it stands for, which is how a prepare can tell that
+	// this site no longer has the transaction's work (gatherPrepare).
+	txns     map[string]struct{}
 	replicas map[string]*replicaState // read-only replicas held at this site
 
 	// lock cache (section 5.1): group -> fileID -> granted coverage.
@@ -638,11 +598,6 @@ func (s *Site) Locks() *lockmgr.Manager {
 	defer s.mu.Unlock()
 	return s.locks
 }
-
-// Heat exposes the site's placement heat tracker; nil unless
-// Config.AdaptivePlacement (the tracker is nil-safe, so callers need no
-// guard).
-func (s *Site) Heat() *placement.Tracker { return s.heat }
 
 // Up reports whether the site is running.
 func (s *Site) Up() bool {
@@ -716,6 +671,18 @@ func (s *Site) lookupOpen(fileID string) (*openFile, error) {
 	return of, nil
 }
 
+// joinTxn enters the transaction in s.txns once an access of its to of has
+// been granted.  A handler that a crash and restart of this site overtook
+// holds an entry the restart discarded; what it was granted is gone, so it
+// leaves no mark on the new incarnation.
+func (s *Site) joinTxn(of *openFile, txid string) {
+	s.mu.Lock()
+	if s.open[of.id] == of {
+		s.txns[txid] = struct{}{}
+	}
+	s.mu.Unlock()
+}
+
 // formatVolume builds a fresh volume of the given name on its own new
 // disk, wired to the site and holding an empty directory.
 func (s *Site) formatVolume(name, diskName string) (*volState, error) {
@@ -741,6 +708,21 @@ func (s *Site) wireVolume(vol *fs.Volume) {
 	vol.SetTracer(s.tr)
 	vol.SetClock(cfg.Clock)
 	vol.Log().StartGroupCommit(cfg.groupCommit())
+}
+
+// volStates snapshots the site's mounted and hosted volumes.
+func (s *Site) volStates() []*volState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.volStatesLocked()
+}
+
+func (s *Site) volStatesLocked() []*volState {
+	vols := make([]*volState, 0, len(s.vols))
+	for _, vs := range s.vols {
+		vols = append(vols, vs)
+	}
+	return vols
 }
 
 // volFor returns the volume state for a fileID mounted at this site.

@@ -478,9 +478,8 @@ func TestParticipantCrashRecoveryInDoubtThenCommit(t *testing.T) {
 	if err := s2.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	remaining, err := s1.ResolveInDoubt()
-	if err != nil || remaining != 0 {
-		t.Fatalf("resolve = %d, %v", remaining, err)
+	if n := s1.ResolveInDoubt(); n != 0 {
+		t.Fatalf("resolve left %d in doubt", n)
 	}
 	got, err := s1.Read(id3, pid3, "", 0, 5)
 	if err != nil || string(got) != "hello" {
@@ -641,8 +640,8 @@ func TestInDoubtResolvesToAbort(t *testing.T) {
 	if err := s2.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s1.ResolveInDoubt(); err != nil || n != 0 {
-		t.Fatalf("resolve = %d, %v", n, err)
+	if n := s1.ResolveInDoubt(); n != 0 {
+		t.Fatalf("resolve left %d in doubt", n)
 	}
 	// Rolled back: nothing committed, locks free, prepare log clear.
 	pid2 := cl.NewPID()

@@ -299,6 +299,7 @@ func (s *Site) handleRead(from simnet.SiteID, req readReq) (readResp, error) {
 			return readResp{}, fmt.Errorf("%w: transaction read of %s [%d,%d) without lock",
 				lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+int64(req.Len))
 		}
+		s.joinTxn(of, req.Txn)
 	} else if err := of.locks.CheckAccess(h, false, req.Off, int64(req.Len)); err != nil {
 		return readResp{}, err
 	}
@@ -337,6 +338,7 @@ func (s *Site) handleWrite(from simnet.SiteID, req writeReq) (writeResp, error) 
 					lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+length)
 			}
 		}
+		s.joinTxn(of, req.Txn)
 	} else {
 		if err := of.locks.CheckAccess(h, true, req.Off, length); err != nil {
 			return writeResp{}, err
@@ -393,6 +395,12 @@ func (s *Site) handleLock(from simnet.SiteID, req lockReq) (lockResp, error) {
 	}
 	if req.Txn != "" {
 		s.adoptUncommitted(of, req.Txn, res.Off, res.Len)
+		if !req.NonTxn {
+			// A NonTxn-mode lock does not join the transaction (section
+			// 3.4): on its own it brings this site no prepare and no
+			// finishTxn.
+			s.joinTxn(of, req.Txn)
+		}
 	}
 	resp := lockResp{Off: res.Off, Len: res.Len}
 	// A transactional grant to a remote requester earns a lease: the
@@ -440,8 +448,9 @@ func (s *Site) handleUnlock(req unlockReq) (unlockResp, error) {
 	if req.Txn != "" {
 		// Rule 2 of section 3.3 at release time: a NonTxn-mode lock the
 		// transaction wrote under covers a modified-but-uncommitted
-		// record, so it is retained.  handleAbortTxn relies on it: every
-		// file holding the transaction's records is on its lock index.
+		// record, so it is retained.  An abort (applyFiles) relies on it:
+		// every file holding the transaction's records is on its lock
+		// index.
 		owner := TxnOwner(req.Txn)
 		for _, or := range of.file.UncommittedOverlapping(req.Off, req.Len) {
 			if or.Owner == owner {

@@ -44,6 +44,10 @@ type leaseSpan struct {
 	len  int64
 }
 
+// leaseEscalateThreshold is the number of lease grants to one (file, site)
+// pair that escalates its byte-range leases to a single whole-file lease.
+const leaseEscalateThreshold = 4
+
 // leaseMeta is the storage site's per-(file, leaseholder) lease state.
 type leaseMeta struct {
 	grants   int       // lock grants since the last revoke; drives escalation
@@ -188,7 +192,7 @@ func (s *Site) leaseGranted(fileID string, from simnet.SiteID) (install, escalat
 	}
 	lm.grants++
 	lm.expiry = now.Add(s.cl.cfg.LeaseTTL)
-	return true, lm.grants >= s.cl.cfg.LeaseEscalateThreshold
+	return true, lm.grants >= leaseEscalateThreshold
 }
 
 // leaseRevokeBegin marks a revoke in flight for the pair, returning the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -157,7 +158,7 @@ func TestLeaseRevokeOnConflict(t *testing.T) {
 }
 
 func TestLeaseEscalationToWholeFile(t *testing.T) {
-	cl := leaseCluster(t, Config{LeaseEscalateThreshold: 2})
+	cl := leaseCluster(t, Config{})
 	s1, s2 := cl.Site(1), cl.Site(2)
 	pid := cl.NewPID()
 	s2.Procs().NewProcess(pid, 0)
@@ -166,34 +167,36 @@ func TestLeaseEscalationToWholeFile(t *testing.T) {
 	}
 	id, _, _ := s2.Open("va/f")
 
-	// Two grants at distinct offsets trip the threshold: the second
-	// reply carries a whole-file lease.
-	if _, err := s2.Write(id, pid, "T1", 0, []byte("aaaa")); err != nil {
-		t.Fatal(err)
-	}
-	commitAtStorage(t, s1, "T1", id)
+	// Grants at distinct offsets: the one that reaches the threshold
+	// carries a whole-file lease in its reply, none before it does.
 	before := cl.Stats().Snapshot()
-	if _, err := s2.Write(id, pid, "T2", 100, []byte("bbbb")); err != nil {
-		t.Fatal(err)
-	}
-	commitAtStorage(t, s1, "T2", id)
-	d := cl.Stats().Snapshot().Sub(before)
-	if d.Get(stats.LeaseEscalations) != 1 {
-		t.Fatalf("escalations = %d, want 1", d.Get(stats.LeaseEscalations))
+	for i := 1; i <= leaseEscalateThreshold; i++ {
+		txid := fmt.Sprintf("T%d", i)
+		if _, err := s2.Write(id, pid, txid, int64(100*i), []byte("aaaa")); err != nil {
+			t.Fatal(err)
+		}
+		commitAtStorage(t, s1, txid, id)
+		want := int64(0)
+		if i == leaseEscalateThreshold {
+			want = 1
+		}
+		if got := cl.Stats().Snapshot().Sub(before).Get(stats.LeaseEscalations); got != want {
+			t.Fatalf("escalations after %d grants = %d, want %d", i, got, want)
+		}
 	}
 
 	// A brand-new offset — never locked before — now hits the whole-file
 	// lease with zero lock messages.
 	before = cl.Stats().Snapshot()
-	if _, err := s2.Write(id, pid, "T3", 5000, []byte("cccc")); err != nil {
+	if _, err := s2.Write(id, pid, "TN", 5000, []byte("cccc")); err != nil {
 		t.Fatal(err)
 	}
-	d = cl.Stats().Snapshot().Sub(before)
+	d := cl.Stats().Snapshot().Sub(before)
 	if d.Get(stats.LockMsgs) != 0 || d.Get(stats.LeaseHits) != 1 {
 		t.Fatalf("post-escalation access: lock_msgs=%d lease_hits=%d, want 0/1",
 			d.Get(stats.LockMsgs), d.Get(stats.LeaseHits))
 	}
-	commitAtStorage(t, s1, "T3", id)
+	commitAtStorage(t, s1, "TN", id)
 }
 
 func TestLeaseTTLExpiry(t *testing.T) {

@@ -501,13 +501,7 @@ func (s *Site) hostedVol(volName string) (*volState, error) {
 // quiesced lock list, so no prepare record and a foreign home can
 // coexist.
 func (s *Site) purgeForeignFiles() {
-	s.mu.Lock()
-	vols := make([]*volState, 0, len(s.vols))
-	for _, vs := range s.vols {
-		vols = append(vols, vs)
-	}
-	s.mu.Unlock()
-	for _, vs := range vols {
+	for _, vs := range s.volStates() {
 		for _, name := range vs.dirList() {
 			path := vs.name + "/" + name
 			home, err := s.cl.StorageSite(path)

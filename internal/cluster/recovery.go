@@ -8,7 +8,6 @@ import (
 	"repro/internal/lockmgr"
 	"repro/internal/proc"
 	"repro/internal/shadow"
-	"repro/internal/simnet"
 	"repro/internal/tpc"
 	"repro/internal/trace"
 )
@@ -24,10 +23,7 @@ func (s *Site) Crash() {
 	s.epoch++
 	coord := s.coord
 	s.coord = nil
-	vols := make([]*volState, 0, len(s.vols))
-	for _, vs := range s.vols {
-		vols = append(vols, vs)
-	}
+	vols := s.volStatesLocked()
 	for _, rep := range s.replicas {
 		vols = append(vols, rep.vs)
 	}
@@ -54,16 +50,13 @@ func (s *Site) Crash() {
 //     (transactions that never prepared are thereby aborted);
 //  2. pin every page named by a surviving prepare record;
 //  3. resolve in-doubt prepared transactions by querying their
-//     coordinators; unreachable coordinators leave the transaction in
-//     doubt with its locks re-established;
+//     coordinators; an unreachable or still undecided coordinator leaves
+//     the transaction in doubt with its locks re-established;
 //  4. replay this site's own coordinator log: committed transactions
 //     re-enter phase two, anything else is aborted.
 func (s *Site) Restart() error {
 	s.mu.Lock()
-	vols := make([]*volState, 0, len(s.vols))
-	for _, vs := range s.vols {
-		vols = append(vols, vs)
-	}
+	vols := s.volStatesLocked()
 	// Forfeit kernel memory.
 	s.open = make(map[string]*openFile)
 	s.locks = lockmgr.NewManager(s.st)
@@ -71,6 +64,7 @@ func (s *Site) Restart() error {
 	s.locks.SetClock(s.cl.cfg.Clock)
 	s.procs = proc.NewTable(s.id, s.st)
 	s.prepared = make(map[string]*preparedTxn)
+	s.txns = make(map[string]struct{})
 	s.coord = nil
 	s.mu.Unlock()
 	s.cacheMu.Lock()
@@ -156,7 +150,7 @@ func (s *Site) Restart() error {
 			return fmt.Errorf("cluster: prepare records of %q: %w", vs.name, err)
 		}
 		for _, rec := range recs {
-			s.relockRecovered(vs, rec)
+			s.relockRecovered(rec)
 		}
 	}
 
@@ -167,10 +161,8 @@ func (s *Site) Restart() error {
 	s.cl.net.RestartSite(s.id)
 
 	// 3b: resolve what we can now; transactions whose coordinator is
-	// unreachable stay in doubt for a later ResolveInDoubt.
-	if _, err := s.ResolveInDoubt(); err != nil {
-		return err
-	}
+	// unreachable or undecided stay in doubt for a later ResolveInDoubt.
+	s.ResolveInDoubt()
 
 	// 4: coordinator recovery.
 	coord, err := s.Coordinator()
@@ -191,18 +183,15 @@ func (s *Site) Restart() error {
 // restart: its prepare record is remembered (so a later commit or abort
 // message can be applied from the log) and its retained locks are
 // re-established so other users stay excluded until the outcome arrives.
-func (s *Site) relockRecovered(vs *volState, rec tpc.PrepareRecord) {
+func (s *Site) relockRecovered(rec tpc.PrepareRecord) {
 	s.mu.Lock()
 	pt := s.prepared[rec.Txid]
 	if pt == nil {
 		pt = &preparedTxn{coord: rec.CoordSite, recovered: true}
 		s.prepared[rec.Txid] = pt
 	}
-	pt.recovered = true
-	if rec.OnePhaseTotal > 0 {
-		pt.onePhase = true
-	}
-	pt.records = append(pt.records, volRecord{volume: vs.name, rec: rec})
+	pt.onePhase = pt.onePhase || rec.OnePhaseTotal > 0
+	pt.records = append(pt.records, rec)
 	for _, pf := range rec.Files {
 		pt.fileIDs = append(pt.fileIDs, pf.FileID)
 	}
@@ -219,18 +208,44 @@ func (s *Site) relockRecovered(vs *volState, rec tpc.PrepareRecord) {
 	}
 }
 
-// ResolveInDoubt retries participant recovery for transactions whose
-// coordinator was unreachable at restart.  Returns the number still in
-// doubt.
-func (s *Site) ResolveInDoubt() (int, error) {
-	s.mu.Lock()
-	var txids []string
-	for txid, pt := range s.prepared {
-		if pt.recovered {
-			txids = append(txids, txid)
+// resolve is the in-doubt rule (section 4.4; the table in DESIGN.md
+// section 9): what this site may conclude, without a message from the
+// coordinator, about a transaction it holds prepared.  StatusUnknown means
+// stay in doubt - keep the prepare records and the retained locks.
+//
+// A one-phase transaction is its own verdict (DESIGN.md section 10): the
+// coordinator kept no log for it, so a query would wrongly read presumed
+// abort.  Its entry exists live only once its records were forced, and a
+// recovered set is committed iff complete - every record carries the
+// set's total, and the force of the last one was the commit point.  That
+// half sends nothing, so deliver may ask it under s.mu.
+//
+// Anyone else asks the coordinator, and only its word decides: committed,
+// or aborted (which includes "never heard of it": no live state and no
+// log record means the commit point was never reached).  A coordinator
+// that is unreachable, or still collecting votes ("undecided"), leaves the
+// transaction in doubt: this site voted yes, the coordinator may yet
+// commit, and aborting on its own is the one thing a prepared participant
+// may never do.
+func (s *Site) resolve(txid string, pt *preparedTxn) tpc.Status {
+	if pt.onePhase {
+		if !pt.recovered || (len(pt.records) > 0 && len(pt.records) >= pt.records[0].OnePhaseTotal) {
+			return tpc.StatusCommitted
 		}
+		return tpc.StatusAborted
 	}
-	s.mu.Unlock()
+	st, err := s.QueryStatus(pt.coord, txid)
+	if err != nil {
+		return tpc.StatusUnknown
+	}
+	return st
+}
+
+// ResolveInDoubt retries participant recovery for transactions whose
+// coordinator was unreachable or undecided at restart.  Returns the
+// number still in doubt.
+func (s *Site) ResolveInDoubt() int {
+	txids := s.inDoubt()
 	sort.Strings(txids)
 
 	remaining := 0
@@ -241,54 +256,35 @@ func (s *Site) ResolveInDoubt() (int, error) {
 		if pt == nil {
 			continue
 		}
-		var st tpc.Status
-		if pt.onePhase {
-			// One-phase transactions resolve locally (DESIGN.md section
-			// 10): the coordinator kept no log for them, so a query would
-			// wrongly read presumed abort.  The record set is its own
-			// verdict - complete means the last force (the commit point)
-			// happened, torn means it did not.
-			st = tpc.StatusAborted
-			if pt.onePhaseCommitted() {
-				st = tpc.StatusCommitted
-			}
-		} else {
-			var err error
-			st, err = s.QueryStatus(pt.coord, txid)
-			if err != nil {
-				remaining++
-				continue
-			}
-		}
 		// An apply error (including a racing delivery from the
 		// coordinator itself) leaves the transaction in doubt; the next
 		// resolution pass retries.
-		switch st {
-		case tpc.StatusCommitted:
-			if err := s.handleCommit2(commit2Req{Txid: txid}); err != nil {
-				remaining++
-			}
-		default:
-			if err := s.handleAbortTxn(abortTxnReq{Txid: txid}); err != nil {
-				remaining++
-			}
+		st := s.resolve(txid, pt)
+		if st == tpc.StatusUnknown || s.deliver(txid, st == tpc.StatusCommitted) != nil {
+			remaining++
 		}
 	}
-	return remaining, nil
+	return remaining
+}
+
+// inDoubt lists the recovered prepared transactions still awaiting their
+// outcome.
+func (s *Site) inDoubt() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var txids []string
+	for txid, pt := range s.prepared {
+		if pt.recovered {
+			txids = append(txids, txid)
+		}
+	}
+	return txids
 }
 
 // InDoubtCount returns how many recovered prepared transactions still
 // await their coordinator.
 func (s *Site) InDoubtCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, pt := range s.prepared {
-		if pt.recovered {
-			n++
-		}
-	}
-	return n
+	return len(s.inDoubt())
 }
 
 // Volumes returns the site's volume names, sorted.
@@ -311,14 +307,4 @@ func (s *Site) Volume(name string) *fs.Volume {
 		return vs.vol
 	}
 	return nil
-}
-
-// CrashSiteOf is a convenience for tests: crash the storage site of path.
-func (c *Cluster) CrashSiteOf(path string) (simnet.SiteID, error) {
-	site, err := c.StorageSite(path)
-	if err != nil {
-		return 0, err
-	}
-	c.Site(site).Crash()
-	return site, nil
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/fs"
 	"repro/internal/lockmgr"
 	"repro/internal/shadow"
 	"repro/internal/simnet"
@@ -40,7 +41,6 @@ type commit2Req struct{ Txid string }
 type abortTxnReq struct{ Txid string }
 type statusReq struct{ Txid string }
 type statusResp struct{ Status tpc.Status }
-type waitEdgesResp struct{ Edges []lockmgr.WaitEdge }
 
 // registerHandlers installs every kernel message handler for the site.
 func (s *Site) registerHandlers() {
@@ -50,7 +50,7 @@ func (s *Site) registerHandlers() {
 	s.registerPlacementHandlers()
 	s.ep.Handle("prepare", s.wrap(func(req any) (any, error) { return nil, s.handlePrepare(req.(prepareReq)) }))
 	s.ep.Handle("preparev", s.wrap(func(req any) (any, error) {
-		v, err := s.handlePrepareVote(req.(prepareReq))
+		v, err := s.prepare(req.(prepareReq))
 		return prepareResp{Vote: v}, err
 	}))
 	s.ep.Handle("prepareCommit", s.wrap(func(req any) (any, error) {
@@ -60,9 +60,6 @@ func (s *Site) registerHandlers() {
 	s.ep.Handle("commit2", s.wrap(func(req any) (any, error) { return nil, s.handleCommit2(req.(commit2Req)) }))
 	s.ep.Handle("abortTxn", s.wrap(func(req any) (any, error) { return nil, s.handleAbortTxn(req.(abortTxnReq)) }))
 	s.ep.Handle("status", s.wrap(func(req any) (any, error) { return s.handleStatus(req.(statusReq)) }))
-	s.ep.Handle("waitedges", s.wrap(func(req any) (any, error) {
-		return waitEdgesResp{Edges: s.locks.WaitEdges()}, nil
-	}))
 }
 
 // siteTransport adapts the site's endpoint to tpc.Transport.  Prepare is
@@ -111,9 +108,13 @@ func (s *Site) prof() *telemetry.Profiler {
 	return s.st.Registry().Profiler()
 }
 
-// volPrep is one volume's share of a transaction's prepare payload.
+// volPrep is one volume's share of a transaction's prepare payload.  The
+// force goes through vol, the handle pinned when the gather began, so a
+// prepare that a crash and restart of this site cut in two fails on the
+// fenced handle instead of logging dead shadow pages in the reloaded log.
 type volPrep struct {
-	vs    *volState
+	name  string
+	vol   *fs.Volume
 	files []tpc.PreparedFile
 	locks []tpc.LockInfo
 }
@@ -128,6 +129,18 @@ func (s *Site) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, er
 	group := TxnGroup(req.Txid)
 	var held []lockmgr.EntryInfo
 	for _, fileID := range req.FileIDs {
+		// Pin the volume before looking at any state on it: nothing
+		// gathered below is then older than the handle.
+		vs, err := s.volFor(fileID)
+		if err != nil {
+			return nil, false, err
+		}
+		i := slices.IndexFunc(preps, func(vp *volPrep) bool { return vp.name == vs.name })
+		if i < 0 {
+			i = len(preps)
+			preps = append(preps, &volPrep{name: vs.name, vol: vs.pinVol()})
+		}
+		vp := preps[i]
 		of, err := s.lookupOpen(fileID)
 		if err != nil {
 			return nil, false, err
@@ -135,15 +148,7 @@ func (s *Site) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, er
 		if err := of.file.Flush(owner); err != nil {
 			return nil, false, err
 		}
-		if of.file.HasMods(owner) {
-			hasMods = true
-		}
-		i := slices.IndexFunc(preps, func(vp *volPrep) bool { return vp.vs.name == of.vs.name })
-		if i < 0 {
-			i = len(preps)
-			preps = append(preps, &volPrep{vs: of.vs})
-		}
-		vp := preps[i]
+		hasMods = hasMods || of.file.HasMods(owner)
 		il := of.file.IntentionsFor(owner)
 		vp.files = append(vp.files, tpc.PreparedFile{FileID: fileID, Intentions: il})
 		held = of.locks.GroupEntries(held[:0], group)
@@ -153,7 +158,22 @@ func (s *Site) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, er
 			})
 		}
 	}
-	slices.SortFunc(preps, func(a, b *volPrep) int { return strings.Compare(a.vs.name, b.vs.name) })
+	s.mu.Lock()
+	_, known := s.txns[req.Txid]
+	s.mu.Unlock()
+	if !known {
+		// Every file a prepare names was locked, read or written here by the
+		// transaction, and each grant left its mark (joinTxn).  No mark means
+		// this site crashed and restarted since, and the locks and
+		// modifications went with it: vote no.  Holding nothing is not the
+		// test - an access under the process's own pre-transaction lock, or
+		// under a NonTxn lock released early (section 3.4), joins the file to
+		// the transaction and leaves neither lock nor record in its name.
+		// The test follows the pin: a restart before the pin is caught here,
+		// one after it by the fenced handle.
+		return nil, false, fmt.Errorf("cluster: txn %s is unknown at %v (state lost in a crash)", req.Txid, s.id)
+	}
+	slices.SortFunc(preps, func(a, b *volPrep) int { return strings.Compare(a.name, b.name) })
 	return preps, hasMods, nil
 }
 
@@ -161,31 +181,29 @@ func (s *Site) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, er
 // per file under the footnote-10 option.  onePhaseTotal is zero for
 // ordinary two-phase prepares; for a one-phase commit it is the total
 // record count, stamped into every record so recovery can tell a
-// complete (committed) set from a torn (aborted) one.
+// complete (committed) set from a torn (aborted) one.  The time the force
+// takes is the transaction's prepare-force charge.
 func (s *Site) writePrepareRecords(req prepareReq, preps []*volPrep, onePhaseTotal int) error {
+	clk := s.cl.cfg.Clock
+	t0 := clk.Now()
+	defer func() { s.prof().Charge(req.Txid, telemetry.ResPrepareForce, clk.Now().Sub(t0)) }()
 	for _, vp := range preps {
-		if s.cl.cfg.PerFilePrepareLogs {
-			// Footnote 10: one prepare record per file per transaction.
-			for _, pf := range vp.files {
-				rec := tpc.PrepareRecord{
-					Txid: req.Txid, CoordSite: req.Coord,
-					OnePhaseTotal: onePhaseTotal,
-					Files:         []tpc.PreparedFile{pf},
-					Locks:         vp.locks,
-				}
-				if err := tpc.WritePrepareRecord(vp.vs.vol, rec, pf.FileID); err != nil {
-					return err
-				}
+		rec := tpc.PrepareRecord{
+			Txid: req.Txid, CoordSite: req.Coord, OnePhaseTotal: onePhaseTotal,
+			Files: vp.files, Locks: vp.locks,
+		}
+		if !s.cl.cfg.PerFilePrepareLogs {
+			if err := tpc.WritePrepareRecord(vp.vol, rec, ""); err != nil {
+				return err
 			}
 			continue
 		}
-		rec := tpc.PrepareRecord{
-			Txid: req.Txid, CoordSite: req.Coord,
-			OnePhaseTotal: onePhaseTotal,
-			Files:         vp.files, Locks: vp.locks,
-		}
-		if err := tpc.WritePrepareRecord(vp.vs.vol, rec, ""); err != nil {
-			return err
+		// Footnote 10: one prepare record per file per transaction.
+		for _, pf := range vp.files {
+			rec.Files = []tpc.PreparedFile{pf}
+			if err := tpc.WritePrepareRecord(vp.vol, rec, pf.FileID); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -204,303 +222,248 @@ func (s *Site) prepareRecordCount(preps []*volPrep) int {
 	return n
 }
 
-// handlePrepare is the participant's first phase (section 4.2): flush the
-// transaction's modified records, write the prepare log (intentions lists
-// and lock lists, one record per volume - or per file under the
-// footnote-10 option), and remember the prepared state.
-func (s *Site) handlePrepare(req prepareReq) error {
-	clk := s.cl.cfg.Clock
-	t0 := clk.Now()
-	preps, _, err := s.gatherPrepare(req)
-	s.prof().Charge(req.Txid, telemetry.ResDataFlush, clk.Now().Sub(t0))
-	if err != nil {
-		return err
-	}
-	t0 = clk.Now()
-	err = s.writePrepareRecords(req, preps, 0)
-	s.prof().Charge(req.Txid, telemetry.ResPrepareForce, clk.Now().Sub(t0))
-	if err != nil {
-		return err
-	}
+// setPrepared installs (or, with nil, forgets) the site's memory of a
+// prepared transaction.
+func (s *Site) setPrepared(txid string, pt *preparedTxn) {
 	s.mu.Lock()
-	s.prepared[req.Txid] = &preparedTxn{coord: req.Coord, fileIDs: append([]string(nil), req.FileIDs...)}
-	s.mu.Unlock()
-	return nil
-}
-
-// readOnlyHere reports whether the transaction did no work at this site
-// that phase two would have to make durable: no uncommitted
-// modifications in any gathered file, and no lock stronger than
-// ModeShared (an exclusive range could have been the basis of a read
-// another site's write depends on, so only pure readers take the fast
-// exit).
-func (s *Site) readOnlyHere(txid string, hasMods bool) bool {
-	if hasMods {
-		return false
+	if pt == nil {
+		delete(s.prepared, txid)
+	} else {
+		s.prepared[txid] = pt
 	}
-	return s.locks.GroupSummary(TxnGroup(txid)).MaxMode <= lockmgr.ModeShared
+	s.mu.Unlock()
 }
 
-// handlePrepareVote is the fast-path first phase (DESIGN.md section 10):
-// like handlePrepare, but a participant whose transaction turned out to
-// be read-only at this site answers VoteReadOnly instead of forcing a
-// prepare record.  Its locks release immediately - there is nothing for
-// phase two to deliver here - and the coordinator drops the site from
-// the outcome distribution.
-func (s *Site) handlePrepareVote(req prepareReq) (tpc.Vote, error) {
+// beginPrepare opens the participant's first phase (section 4.2), whichever
+// op asked for it: flush the transaction's modified records and gather the
+// prepare payload (intentions lists and lock lists).
+//
+// With FastPaths (DESIGN.md section 10) a participant at which the
+// transaction was read-only answers VoteReadOnly instead of forcing a
+// record: its locks release at once - phase two has nothing to deliver
+// here - and the coordinator drops the site from the outcome distribution.
+// Read-only means nothing here for phase two to make durable: no
+// uncommitted modification in any gathered file, and no lock stronger than
+// ModeShared (an exclusive range could have been the basis of a read
+// another site's write depends on, so only pure readers take the exit).
+// A VoteReadOnly return means the exit was taken and the site is done.
+func (s *Site) beginPrepare(req prepareReq) ([]*volPrep, tpc.Vote, error) {
 	clk := s.cl.cfg.Clock
 	t0 := clk.Now()
 	preps, hasMods, err := s.gatherPrepare(req)
 	s.prof().Charge(req.Txid, telemetry.ResDataFlush, clk.Now().Sub(t0))
 	if err != nil {
-		return tpc.VoteCommit, err
+		return nil, tpc.VoteCommit, err
 	}
-	if s.readOnlyHere(req.Txid, hasMods) {
+	if s.cl.cfg.FastPaths && !hasMods && s.locks.GroupSummary(TxnGroup(req.Txid)).MaxMode <= lockmgr.ModeShared {
 		// No prepare record exists, so finishTxn costs no log I/O: it
 		// releases the read locks and retires idle opens.
-		if err := s.finishTxn(req.Txid, req.FileIDs); err != nil {
-			return tpc.VoteCommit, err
-		}
-		return tpc.VoteReadOnly, nil
+		return nil, tpc.VoteReadOnly, s.finishTxn(req.Txid, req.FileIDs)
 	}
-	t0 = clk.Now()
-	err = s.writePrepareRecords(req, preps, 0)
-	s.prof().Charge(req.Txid, telemetry.ResPrepareForce, clk.Now().Sub(t0))
-	if err != nil {
+	return preps, tpc.VoteCommit, nil
+}
+
+// prepare is the two-phase first phase, behind the "prepare" and "preparev"
+// ops: write the prepare log (one record per volume - or per file under
+// footnote 10), then remember the prepared state.
+func (s *Site) prepare(req prepareReq) (tpc.Vote, error) {
+	preps, vote, err := s.beginPrepare(req)
+	if err != nil || vote == tpc.VoteReadOnly {
+		return vote, err
+	}
+	if err := s.writePrepareRecords(req, preps, 0); err != nil {
 		return tpc.VoteCommit, err
 	}
-	s.mu.Lock()
-	s.prepared[req.Txid] = &preparedTxn{coord: req.Coord, fileIDs: append([]string(nil), req.FileIDs...)}
-	s.mu.Unlock()
+	s.setPrepared(req.Txid, &preparedTxn{
+		coord:   req.Coord,
+		fileIDs: append([]string(nil), req.FileIDs...),
+	})
 	return tpc.VoteCommit, nil
 }
 
-// handlePrepareCommit executes a one-phase commit (DESIGN.md section
-// 10): the coordinator has delegated the commit point to this - the
-// only - participant, so prepare and phase two collapse into one
-// message.  The force of the last prepare record is the commit point;
-// every record carries the set's total so recovery commits iff the
-// complete set survived.  After the force the outcome is applied and
-// cleaned up exactly as a phase-two commit would be.
-func (s *Site) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
-	clk := s.cl.cfg.Clock
-	t0 := clk.Now()
-	preps, hasMods, err := s.gatherPrepare(req)
-	s.prof().Charge(req.Txid, telemetry.ResDataFlush, clk.Now().Sub(t0))
-	if err != nil {
-		return tpc.VoteCommit, err
-	}
-	if s.readOnlyHere(req.Txid, hasMods) {
-		if err := s.finishTxn(req.Txid, req.FileIDs); err != nil {
-			return tpc.VoteCommit, err
-		}
-		return tpc.VoteReadOnly, nil
-	}
+// handlePrepare is the paper-exact "prepare" op: the first phase, answered
+// with an empty response.
+func (s *Site) handlePrepare(req prepareReq) error {
+	_, err := s.prepare(req)
+	return err
+}
 
+// handlePrepareCommit executes a one-phase commit (DESIGN.md section
+// 10): prepare and phase two collapse into one message.  The coordinator
+// delegated the commit point to this - the only - participant: the force
+// of the last prepare record is the commit point, and every record carries
+// the set's total so recovery commits iff the complete set survived.
+// After the force the outcome is applied and cleaned up exactly as a
+// phase-two commit would be; a failure there leaves the entry (no longer
+// applying) so recovery or a later resolution pass re-drives the commit -
+// the outcome can no longer be abort.
+//
+// It is kept apart from prepare because the two differ in when the entry
+// is registered and in who cleans up a failed force, and both orders are
+// safety properties.
+func (s *Site) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
+	preps, vote, err := s.beginPrepare(req)
+	if err != nil || vote == tpc.VoteReadOnly {
+		return vote, err
+	}
 	// Register the prepared entry (applying: an outcome delivery is
 	// already in progress - a racing abort must be refused, not
-	// interleaved) before the force, then write the records.
+	// interleaved) before the force that is the commit point.
 	pt := &preparedTxn{
 		coord:    req.Coord,
 		fileIDs:  append([]string(nil), req.FileIDs...),
 		onePhase: true,
 		applying: true,
 	}
-	s.mu.Lock()
-	s.prepared[req.Txid] = pt
-	s.mu.Unlock()
-	total := s.prepareRecordCount(preps)
-	t0 = clk.Now()
-	err = s.writePrepareRecords(req, preps, total)
-	s.prof().Charge(req.Txid, telemetry.ResPrepareForce, clk.Now().Sub(t0))
-	if err != nil {
+	s.setPrepared(req.Txid, pt)
+	if err := s.writePrepareRecords(req, preps, s.prepareRecordCount(preps)); err != nil {
 		// Before the commit point: scrub any partial record set (best
 		// effort - a torn set self-resolves to abort by count) and
 		// refuse, which the coordinator turns into an abort.
 		for _, vp := range preps {
-			tpc.DeletePrepareRecords(vp.vs.vol, req.Txid) //nolint:errcheck // incomplete set aborts by count
+			tpc.DeletePrepareRecords(vp.vol, req.Txid) //nolint:errcheck // incomplete set aborts by count
 		}
-		s.mu.Lock()
-		delete(s.prepared, req.Txid)
-		s.mu.Unlock()
+		s.setPrepared(req.Txid, nil)
 		return tpc.VoteCommit, err
 	}
-
-	// Commit point passed.  Apply and clean up; a failure here leaves
-	// the entry (no longer applying) so recovery or a later resolution
-	// pass re-drives the commit - the outcome can no longer be abort.
-	applyT0 := clk.Now()
-	owner := TxnOwner(req.Txid)
-	fail := func(err error) (tpc.Vote, error) {
-		s.mu.Lock()
-		pt.applying = false
-		s.mu.Unlock()
+	clk := s.cl.cfg.Clock
+	t0 := clk.Now()
+	if err := s.apply(req.Txid, pt, true); err != nil {
 		return tpc.VoteCommit, err
 	}
-	for _, fileID := range pt.fileIDs {
-		of, err := s.lookupOpen(fileID)
-		if err != nil {
-			return fail(err)
-		}
-		if of.file.HasMods(owner) {
-			if err := of.file.Commit(owner); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if err := s.finishTxn(req.Txid, pt.fileIDs); err != nil {
-		return fail(err)
-	}
-	s.prof().Charge(req.Txid, telemetry.ResOnePhaseApply, clk.Now().Sub(applyT0))
-	s.mu.Lock()
-	delete(s.prepared, req.Txid)
-	s.mu.Unlock()
-	s.tr.Record(trace.CommitApplied, req.Txid, "", int64(len(pt.fileIDs)))
+	s.prof().Charge(req.Txid, telemetry.ResOnePhaseApply, clk.Now().Sub(t0))
 	return tpc.VoteCommit, nil
 }
 
-// handleCommit2 is the participant's second phase: apply the single-file
-// commit for every prepared file, release the transaction's retained
-// locks, and clear the prepare log.  Duplicate commit messages are
-// harmless: an unknown transaction acknowledges silently (its work is
-// already done), per section 4.4.
+// handleCommit2 is the participant's second phase: deliver the commit.
 func (s *Site) handleCommit2(req commit2Req) error {
 	clk := s.cl.cfg.Clock
 	t0 := clk.Now()
-	defer func() {
-		// Participant phase-two work; the coordinator's attribution only
-		// counts it toward latency when phase two ran synchronously.
-		s.prof().Charge(req.Txid, telemetry.ResPhase2Apply, clk.Now().Sub(t0))
-	}()
-	s.mu.Lock()
-	pt, ok := s.prepared[req.Txid]
-	if ok {
-		if pt.applying {
-			s.mu.Unlock()
-			// A duplicate racing the first delivery: make the coordinator
-			// retry rather than ack an outcome that may yet fail.
-			return fmt.Errorf("cluster: txn %s commit already in progress", req.Txid)
-		}
-		pt.applying = true
-	}
-	s.mu.Unlock()
-	if !ok {
-		return nil // duplicate or already-finished: idempotent ack
-	}
-	owner := TxnOwner(req.Txid)
-
-	// The prepared entry stays in the table until the outcome has fully
-	// applied; a mid-apply failure leaves it for the coordinator's retry
-	// (already-committed files are skipped by the HasMods check, so the
-	// retry is idempotent).
-	fail := func(err error) error {
-		s.mu.Lock()
-		pt.applying = false
-		s.mu.Unlock()
-		return err
-	}
-	if pt.recovered {
-		// The in-memory working state died with the crash; apply the
-		// logged intentions instead.
-		if err := s.applyRecovered(pt); err != nil {
-			return fail(err)
-		}
-	} else {
-		for _, fileID := range pt.fileIDs {
-			of, err := s.lookupOpen(fileID)
-			if err != nil {
-				return fail(err)
-			}
-			if of.file.HasMods(owner) {
-				if err := of.file.Commit(owner); err != nil {
-					return fail(err)
-				}
-			}
-		}
-	}
-	// The prepared entry also survives a failed finish (prepare-record
-	// deletion), so a coordinator retry re-drives it; only after the
-	// finish is durable is the ack (nil return) sent.
-	if err := s.finishTxn(req.Txid, pt.fileIDs); err != nil {
-		return fail(err)
-	}
-	s.mu.Lock()
-	delete(s.prepared, req.Txid)
-	s.mu.Unlock()
-	s.tr.Record(trace.CommitApplied, req.Txid, "", int64(len(pt.fileIDs)))
-	return nil
+	err := s.deliver(req.Txid, true)
+	// Participant phase-two work; the coordinator's attribution only
+	// counts it toward latency when phase two ran synchronously.
+	s.prof().Charge(req.Txid, telemetry.ResPhase2Apply, clk.Now().Sub(t0))
+	return err
 }
 
 // handleAbortTxn rolls back everything the transaction touched at this
-// site: in-memory modifications in every open file, prepared state, and
-// locks.  It is idempotent, as required for duplicate abort messages.
+// site.  It is idempotent, as required for duplicate abort messages.
 func (s *Site) handleAbortTxn(req abortTxnReq) error {
-	owner := TxnOwner(req.Txid)
+	return s.deliver(req.Txid, false)
+}
 
+// deliver brings a transaction's outcome to this site - the phase-two
+// commit, an abort, or what ResolveInDoubt concluded.  It claims the
+// prepared entry and applies the outcome to it.  Duplicates are harmless
+// (section 4.4): a commit for an unknown transaction acknowledges
+// silently, its work already done, and an abort rolls back whatever the
+// transaction still has here - in-memory modifications and locks, whether
+// or not it ever prepared.
+func (s *Site) deliver(txid string, commit bool) error {
 	s.mu.Lock()
-	pt := s.prepared[req.Txid]
+	pt := s.prepared[txid]
 	if pt != nil {
 		if pt.applying {
 			s.mu.Unlock()
-			return fmt.Errorf("cluster: txn %s outcome already in progress", req.Txid)
+			// A duplicate racing the first delivery: make the sender retry
+			// rather than ack an outcome that may yet fail.
+			return fmt.Errorf("cluster: txn %s outcome already in progress", txid)
 		}
-		if pt.onePhaseCommitted() {
+		if !commit && pt.onePhase && s.resolve(txid, pt) == tpc.StatusCommitted {
 			// The one-phase commit point was reached; a late abort (e.g.
 			// the coordinator lost the ack) must not tear it down.
 			s.mu.Unlock()
-			return fmt.Errorf("cluster: txn %s already past its one-phase commit point", req.Txid)
+			return fmt.Errorf("cluster: txn %s already past its one-phase commit point", txid)
 		}
 		pt.applying = true
 	}
-	// A transaction's records lie under locks it still holds (a write
-	// needs one; handleUnlock retains any it wrote under), so roll back
-	// the files its group is indexed on, plus the prepared list.
-	ids := s.locks.GroupFileIDs(TxnGroup(req.Txid))
-	if pt != nil {
-		ids = append(ids, pt.fileIDs...)
-	}
-	files := make([]*openFile, 0, len(ids))
-	for _, id := range ids {
-		if of := s.open[id]; of != nil {
-			files = append(files, of)
+	s.mu.Unlock()
+	if pt == nil {
+		if commit {
+			return nil // duplicate or already-finished: idempotent ack
 		}
+		pt = &preparedTxn{} // never prepared here: nothing logged, no entry to forget
+	}
+	return s.apply(txid, pt, commit)
+}
+
+// apply carries out the outcome on a claimed (applying) prepared entry:
+// commit or roll back every file, from the working state or - when the
+// entry was recovered from the log, its in-memory working state having
+// died with the crash - from the logged intentions; then finish and
+// forget.  The entry stays in the table until the outcome has fully
+// applied, the prepare-record deletion of finishTxn included: a failure
+// releases the claim and leaves the entry for the coordinator's retry
+// (already-committed files are skipped by the HasMods check, so the retry
+// is idempotent), and only after the finish is durable is the ack (nil
+// return) sent.
+func (s *Site) apply(txid string, pt *preparedTxn, commit bool) error {
+	err := s.applyFiles(txid, pt, commit)
+	if err == nil {
+		err = s.finishTxn(txid, pt.fileIDs)
+	}
+	s.mu.Lock()
+	if err != nil {
+		pt.applying = false
+	} else if s.prepared[txid] == pt {
+		delete(s.prepared, txid)
 	}
 	s.mu.Unlock()
-
-	// As in handleCommit2, the prepared entry survives a failed rollback
-	// so the coordinator's retry finds it again.
-	fail := func(err error) error {
-		if pt != nil {
-			s.mu.Lock()
-			pt.applying = false
-			s.mu.Unlock()
-		}
-		return err
+	if err == nil && commit {
+		s.tr.Record(trace.CommitApplied, txid, "", int64(len(pt.fileIDs)))
 	}
-	if pt != nil && pt.recovered {
-		if err := s.discardRecovered(pt); err != nil {
-			return fail(err)
-		}
-	} else {
-		for _, of := range files {
-			if of.file.HasMods(owner) {
-				if err := of.file.Abort(owner); err != nil {
-					return fail(err)
+	return err
+}
+
+// applyFiles is the per-file step of apply.
+func (s *Site) applyFiles(txid string, pt *preparedTxn, commit bool) error {
+	if pt.recovered {
+		for _, rec := range pt.records {
+			for _, pf := range rec.Files {
+				vs, err := s.volFor(pf.FileID)
+				if err != nil {
+					return err
 				}
+				if commit {
+					err = shadow.ApplyIntentions(vs.vol, pf.Intentions)
+				} else {
+					err = shadow.DiscardIntentions(vs.vol, pf.Intentions)
+				}
+				if err != nil {
+					return fmt.Errorf("cluster: resolving logged intentions for %s: %w", pf.FileID, err)
+				}
+				s.dropOpen(pf.FileID)
 			}
 		}
+		return nil
 	}
-	var fileIDs []string
-	if pt != nil {
-		fileIDs = pt.fileIDs
+	ids := pt.fileIDs
+	if !commit {
+		// A transaction's records lie under locks it still holds (a write
+		// needs one; handleUnlock retains any it wrote under), so roll back
+		// the files its group is indexed on, plus the prepared list.
+		ids = append(s.locks.GroupFileIDs(TxnGroup(txid)), ids...)
 	}
-	if err := s.finishTxn(req.Txid, fileIDs); err != nil {
-		return fail(err)
-	}
-	if pt != nil {
-		s.mu.Lock()
-		delete(s.prepared, req.Txid)
-		s.mu.Unlock()
+	owner := TxnOwner(txid)
+	for _, id := range ids {
+		of, err := s.lookupOpen(id)
+		if err != nil {
+			if commit {
+				return err
+			}
+			continue // nothing of the transaction's is open under that name
+		}
+		if !of.file.HasMods(owner) {
+			continue
+		}
+		if commit {
+			err = of.file.Commit(owner)
+		} else {
+			err = of.file.Abort(owner)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -514,13 +477,7 @@ func (s *Site) handleAbortTxn(req abortTxnReq) error {
 // so the participant's phase-two ack can only be sent once nothing is
 // left on disk for recovery to re-resolve.
 func (s *Site) finishTxn(txid string, fileIDs []string) error {
-	s.mu.Lock()
-	vols := make([]*volState, 0, len(s.vols))
-	for _, vs := range s.vols {
-		vols = append(vols, vs)
-	}
-	s.mu.Unlock()
-	for _, vs := range vols {
+	for _, vs := range s.volStates() {
 		if err := tpc.DeletePrepareRecords(vs.vol, txid); err != nil {
 			return fmt.Errorf("cluster: clearing prepare records for %s on %s: %w", txid, vs.name, err)
 		}
@@ -528,6 +485,9 @@ func (s *Site) finishTxn(txid string, fileIDs []string) error {
 	group := TxnGroup(txid)
 	released := s.locks.ReleaseGroup(group)
 	s.DropLockCache(group)
+	s.mu.Lock()
+	delete(s.txns, txid)
+	s.mu.Unlock()
 	// Propagate committed contents to replicas of the transaction's files
 	// that quiesced, and retire the idle opens it was keeping alive: the
 	// files it named, plus any it held locks on without naming (an aborted
@@ -608,42 +568,6 @@ func (s *Site) AbortEverywhere(txid string) {
 	for _, id := range s.cl.Sites() {
 		s.ep.Call(id, "abortTxn", abortTxnReq{Txid: txid}) //nolint:errcheck // down sites roll back on restart (section 4.3)
 	}
-}
-
-// applyRecovered replays logged intentions for a transaction committed
-// after this site crashed between prepare and phase two.
-func (s *Site) applyRecovered(pt *preparedTxn) error {
-	for _, vr := range pt.records {
-		vs, err := s.volByName(vr.volume)
-		if err != nil {
-			return err
-		}
-		for _, pf := range vr.rec.Files {
-			if err := shadow.ApplyIntentions(vs.vol, pf.Intentions); err != nil {
-				return fmt.Errorf("cluster: apply intentions for %s: %w", pf.FileID, err)
-			}
-			s.dropOpen(pf.FileID)
-		}
-	}
-	return nil
-}
-
-// discardRecovered releases the shadow pages of an aborted recovered
-// transaction.
-func (s *Site) discardRecovered(pt *preparedTxn) error {
-	for _, vr := range pt.records {
-		vs, err := s.volByName(vr.volume)
-		if err != nil {
-			return err
-		}
-		for _, pf := range vr.rec.Files {
-			if err := shadow.DiscardIntentions(vs.vol, pf.Intentions); err != nil {
-				return fmt.Errorf("cluster: discard intentions for %s: %w", pf.FileID, err)
-			}
-			s.dropOpen(pf.FileID)
-		}
-	}
-	return nil
 }
 
 // dropOpen refreshes a cached open file whose on-disk inode changed

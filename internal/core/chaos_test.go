@@ -104,8 +104,8 @@ func TestChaosMessageLossAtomicity(t *testing.T) {
 		}
 	}
 	for _, id := range []simnet.SiteID{1, 2, 3} {
-		if n, err := sys.Cluster().Site(id).ResolveInDoubt(); err != nil || n != 0 {
-			t.Fatalf("site %v in doubt after recovery: %d, %v", id, n, err)
+		if n := sys.Cluster().Site(id).ResolveInDoubt(); n != 0 {
+			t.Fatalf("site %v: %d in doubt after recovery", id, n)
 		}
 	}
 
@@ -236,9 +236,7 @@ func TestChaosSiteCrashAtomicity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range []simnet.SiteID{1, 2, 3} {
-			if _, err := sys.Cluster().Site(id).ResolveInDoubt(); err != nil {
-				t.Fatal(err)
-			}
+			sys.Cluster().Site(id).ResolveInDoubt()
 		}
 	}
 

@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -130,15 +131,6 @@ func NewSystem(cfg cluster.Config) *System {
 
 // Cluster exposes the underlying kernel network (benchmarks and tools).
 func (sys *System) Cluster() *cluster.Cluster { return sys.cl }
-
-// SetPlacementModel changes the cost model the Begin-time router scores
-// process migrations under (default Vax750).  No-op when adaptive
-// placement is off.
-func (sys *System) SetPlacementModel(m costmodel.Model) {
-	if sys.router != nil {
-		sys.placeModel = m
-	}
-}
 
 // Stats returns the system-wide counters.
 func (sys *System) Stats() *stats.Set { return sys.cl.Stats() }
@@ -274,31 +266,35 @@ func (sys *System) detectorTracer() *trace.Tracer {
 	return sys.cl.Site(sites[0]).Tracer()
 }
 
-// StartDeadlockDetector launches the user-level deadlock detection
-// "system process" of section 3.1: it polls the wait-for edges of every
-// site and aborts the victim transaction of each cycle (youngest by
-// transaction id).  Stop it with StopDeadlockDetector.
-func (sys *System) StartDeadlockDetector(interval time.Duration) {
-	sys.mu.Lock()
-	if sys.detector != nil {
-		sys.mu.Unlock()
-		return
-	}
-	d := &wfg.Detector{
+// newDetector builds the user-level deadlock detection "system process"
+// of section 3.1: it reads the wait-for edges of every site and aborts the
+// victim transaction of each cycle (youngest by transaction id).
+func (sys *System) newDetector() *wfg.Detector {
+	return &wfg.Detector{
 		Collect: sys.cl.WaitEdges,
 		Policy:  wfg.VictimYoungest,
 		Tracer:  sys.detectorTracer(),
 		Clock:   sys.cl.Clock(),
 		Stats:   sys.Stats(),
 		OnVictim: func(group string, cycle []string) {
-			const p = "txn:"
-			if len(group) > len(p) && group[:len(p)] == p {
-				if ts := sys.lookupTxn(group[len(p):]); ts != nil {
+			if txid, ok := strings.CutPrefix(group, "txn:"); ok && txid != "" {
+				if ts := sys.lookupTxn(txid); ts != nil {
 					sys.abortTxn(ts)
 				}
 			}
 		},
 	}
+}
+
+// StartDeadlockDetector launches the detector, polling every interval.
+// Stop it with StopDeadlockDetector.
+func (sys *System) StartDeadlockDetector(interval time.Duration) {
+	sys.mu.Lock()
+	if sys.detector != nil {
+		sys.mu.Unlock()
+		return
+	}
+	d := sys.newDetector()
 	sys.detector = d
 	sys.mu.Unlock()
 	d.Start(interval)
@@ -317,23 +313,7 @@ func (sys *System) StopDeadlockDetector() {
 
 // DetectDeadlocksOnce runs a single detection scan, returning the victims
 // aborted.
-func (sys *System) DetectDeadlocksOnce() []string {
-	d := &wfg.Detector{
-		Collect: sys.cl.WaitEdges,
-		Policy:  wfg.VictimYoungest,
-		Tracer:  sys.detectorTracer(),
-		Stats:   sys.Stats(),
-		OnVictim: func(group string, cycle []string) {
-			const p = "txn:"
-			if len(group) > len(p) && group[:len(p)] == p {
-				if ts := sys.lookupTxn(group[len(p):]); ts != nil {
-					sys.abortTxn(ts)
-				}
-			}
-		},
-	}
-	return d.Step()
-}
+func (sys *System) DetectDeadlocksOnce() []string { return sys.newDetector().Step() }
 
 // NewProcess creates a non-transaction process on a site.
 func (sys *System) NewProcess(site simnet.SiteID) (*Process, error) {

@@ -424,6 +424,72 @@ func TestPreTransactionLocksStayOutside(t *testing.T) {
 	}
 }
 
+func TestAccessUnderEscapeLockStillCommits(t *testing.T) {
+	// Section 3.4's two escapes, used for an access inside the transaction:
+	// a read under the process's own pre-transaction lock, or under a NonTxn
+	// lock released before the commit, puts the file on the transaction's
+	// file list while the transaction itself holds no lock and no record at
+	// that storage site.  Its prepare there is vacuous, not refused: the
+	// site has not lost the transaction, it never held anything of it.
+	for _, tc := range []struct {
+		name        string
+		before, use func(t *testing.T, cat *File)
+	}{
+		{name: "pre-transaction lock", before: func(t *testing.T, cat *File) {
+			if err := cat.LockRange(0, 7, Shared); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "NonTxn lock released early", use: func(t *testing.T, cat *File) {
+			if err := cat.LockRange(0, 7, Shared, LockOpts{NonTxn: true}); err != nil {
+				t.Fatal(err)
+			}
+			if got := readString(t, cat, 0, 7); got != "catalog" {
+				t.Fatalf("catalog = %q", got)
+			}
+			if retained, err := cat.Unlock(0, 7); err != nil || retained {
+				t.Fatalf("nontxn-mode unlock retained=%v err=%v", retained, err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := newSystem(t)
+			p := mustProcess(t, sys, 3) // coordinator site 3, catalog at 1, data at 2
+			cat := mustCreate(t, p, "va/catalog")
+			data := mustCreate(t, p, "vb/data")
+			if _, err := cat.WriteAt([]byte("catalog"), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := cat.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.before != nil {
+				tc.before(t, cat)
+			}
+			if _, err := p.BeginTrans(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.use != nil {
+				tc.use(t, cat)
+			} else if got := readString(t, cat, 0, 7); got != "catalog" {
+				t.Fatalf("catalog = %q", got)
+			}
+			if sum := sys.Cluster().Site(1).Locks().GroupSummary(cluster.TxnGroup(p.Txn())); sum.MaxMode >= Shared {
+				t.Fatalf("the transaction holds a lock at the catalog's site: %+v", sum)
+			}
+			if _, err := data.WriteAt([]byte("entry"), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.EndTrans(); err != nil {
+				t.Fatalf("EndTrans = %v, want a commit", err)
+			}
+			if n, err := data.CommittedSize(); err != nil || n != 5 {
+				t.Fatalf("committed size of vb/data = %d, %v; want 5", n, err)
+			}
+		})
+	}
+}
+
 func TestMultiSiteAtomicCommit(t *testing.T) {
 	// One transaction updating files at two storage sites: both commit.
 	sys := newSystem(t)
@@ -766,9 +832,7 @@ func TestCoordinatorCrashAfterCommitPointRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Give retries a moment, then resolve any remaining doubt.
-	if _, err := sys.Cluster().Site(1).ResolveInDoubt(); err != nil {
-		t.Fatal(err)
-	}
+	sys.Cluster().Site(1).ResolveInDoubt()
 
 	q := mustProcess(t, sys, 1)
 	fq, err := q.Open("va/f")

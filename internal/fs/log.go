@@ -373,9 +373,6 @@ func (l *LogStore) chargeFootnote9Locked(freshPuts int) {
 // synchronously (the paper's behaviour); with one, the record rides a
 // batched flush that forces the disk once for the whole batch.
 func (l *LogStore) Put(key string, kind LogKind, payload []byte) error {
-	if err := l.v.staleErr(); err != nil {
-		return err
-	}
 	if gc := l.committer(); gc != nil {
 		if err, handled := gc.submit(&logReq{key: key, kind: kind, payload: payload}); handled {
 			return err
@@ -384,6 +381,13 @@ func (l *LogStore) Put(key string, kind LogKind, payload []byte) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// Fenced under the lock, as flushBatch does: the holder parks across
+	// its disk force, so a writer can queue here before a crash and get
+	// the lock after the volume was reloaded - and would then write the
+	// reloaded log's pages from this store's dead slot map.
+	if err := l.v.staleErr(); err != nil {
+		return err
+	}
 	l.writes, l.used = l.writes[:0], 0
 	fresh, err := l.applyPutLocked(key, kind, payload)
 	if err != nil {
@@ -447,9 +451,6 @@ func (l *LogStore) applyDeleteLocked(key string) {
 // has completed (section 4.4).  Deleting a missing key is a no-op.
 // Deletes ride the group-commit daemon when one is attached.
 func (l *LogStore) Delete(key string) error {
-	if err := l.v.staleErr(); err != nil {
-		return err
-	}
 	if gc := l.committer(); gc != nil {
 		if err, handled := gc.submit(&logReq{key: key, del: true}); handled {
 			return err
@@ -457,6 +458,9 @@ func (l *LogStore) Delete(key string) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.v.staleErr(); err != nil { // under the lock, see Put
+		return err
+	}
 	l.writes, l.used = l.writes[:0], 0
 	l.applyDeleteLocked(key)
 	return l.writeEachLocked()

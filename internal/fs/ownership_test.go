@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -156,5 +157,30 @@ func TestWriteInodeReusesItsImage(t *testing.T) {
 	back, err := v.ReadInode(ino)
 	if err != nil || back.Version != node.Version {
 		t.Fatalf("inode read back version %v (err %v), want %d", back, err, node.Version)
+	}
+}
+
+// A log writer that queued behind another's disk force before the volume
+// was fenced must not write once it gets the lock: by then the disk may
+// carry a reloaded log, and this store's slot map describes a dead one
+// (the "fs: log record corrupt" of EXPERIMENTS.md E25).
+func TestLogWriterQueuedAcrossInvalidateIsFenced(t *testing.T) {
+	clk, v := virtualLogVolume(t, 16)
+	l := v.Log()
+	var first, queued error
+	g := vtime.NewGroup(clk)
+	g.Go(func() { first = l.Put("a", KindCoordinator, []byte("holds the lock across its force")) })
+	g.Go(func() {
+		clk.Sleep(time.Millisecond) // queue on the store lock behind the force
+		queued = l.Put("b", KindCoordinator, []byte("queued before the fence"))
+	})
+	clk.Sleep(2 * time.Millisecond)
+	v.Invalidate()
+	g.Wait()
+	if first != nil {
+		t.Fatalf("the write already under way when the volume was fenced: %v", first)
+	}
+	if !errors.Is(queued, ErrStaleVolume) {
+		t.Fatalf("the write queued across the fence returned %v, want ErrStaleVolume", queued)
 	}
 }

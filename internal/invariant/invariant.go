@@ -373,10 +373,7 @@ func Drain(cl *cluster.Cluster, clk vtime.Clock, budget time.Duration) error {
 		var stuck []string
 		for _, id := range cl.Sites() {
 			s := cl.Site(id)
-			if _, err := s.ResolveInDoubt(); err != nil {
-				stuck = append(stuck, fmt.Sprintf("site %d: resolve in doubt: %v", id, err))
-			}
-			if n := s.InDoubtCount(); n != 0 {
+			if n := s.ResolveInDoubt(); n != 0 {
 				stuck = append(stuck, fmt.Sprintf("site %d: %d in doubt", id, n))
 			}
 			if coord, err := s.Coordinator(); err == nil {

@@ -219,18 +219,3 @@ func TestPhase2ParallelDelivery(t *testing.T) {
 		t.Fatalf("slow site commits=%d pending=%d", tr.count(tr.commits, 2), c.PendingCount())
 	}
 }
-
-func TestResolveGroupOnePhase(t *testing.T) {
-	noQuery := func(coord simnet.SiteID, txid string) (Status, error) {
-		t.Fatal("one-phase resolution must not query the coordinator")
-		return StatusUnknown, nil
-	}
-	full := []PrepareRecord{{Txid: "T", OnePhaseTotal: 2}, {Txid: "T", OnePhaseTotal: 2}}
-	if st, inDoubt := resolveGroup(full, noQuery); st != StatusCommitted || inDoubt {
-		t.Fatalf("complete set: %v/%v, want committed", st, inDoubt)
-	}
-	torn := full[:1]
-	if st, inDoubt := resolveGroup(torn, noQuery); st != StatusAborted || inDoubt {
-		t.Fatalf("torn set: %v/%v, want aborted", st, inDoubt)
-	}
-}

@@ -1,7 +1,8 @@
 // Package tpc implements the distributed two-phase commit of sections
 // 4.2-4.4: the coordinator state machine, the three levels of logging
 // (coordinator log, per-volume prepare logs, and the per-file shadow
-// pages underneath), the abort paths, and crash recovery for both roles.
+// pages underneath), the abort paths, and the coordinator's crash recovery
+// (a participant's is Site.Restart and ResolveInDoubt in internal/cluster).
 //
 // The protocol, exactly as the paper lays it out:
 //
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -76,9 +78,6 @@ var (
 	ErrPrepareFailed = errors.New("tpc: participant failed to prepare")
 	// ErrTxnExists rejects reusing a live transaction id.
 	ErrTxnExists = errors.New("tpc: transaction already in progress")
-	// ErrUnknownTxn reports an operation on a transaction the
-	// coordinator has no record of.
-	ErrUnknownTxn = errors.New("tpc: unknown transaction")
 )
 
 // LockInfo is one retained lock recorded in a prepare log so the lock can
@@ -147,24 +146,29 @@ func putCoordRecord(v *fs.Volume, key string, rec *CoordRecord) error {
 	return v.Log().Put(key, fs.KindCoordinator, encodeCoordRecord(rec))
 }
 
-// ReadCoordRecords returns every coordinator record in the volume's log.
-func ReadCoordRecords(v *fs.Volume) ([]CoordRecord, error) {
+// readRecords decodes every record of one kind in the volume's log.
+func readRecords[T any](v *fs.Volume, kind fs.LogKind, what string, decode func([]byte) (T, error)) ([]T, error) {
 	recs, err := v.Log().Records()
 	if err != nil {
 		return nil, err
 	}
-	var out []CoordRecord
+	var out []T
 	for _, r := range recs {
-		if r.Kind != fs.KindCoordinator {
+		if r.Kind != kind {
 			continue
 		}
-		cr, err := decodeCoordRecord(r.Payload)
+		rec, err := decode(r.Payload)
 		if err != nil {
-			return nil, fmt.Errorf("tpc: corrupt coordinator record %q: %v", r.Key, err)
+			return nil, fmt.Errorf("tpc: corrupt %s record %q: %v", what, r.Key, err)
 		}
-		out = append(out, cr)
+		out = append(out, rec)
 	}
 	return out, nil
+}
+
+// ReadCoordRecords returns every coordinator record in the volume's log.
+func ReadCoordRecords(v *fs.Volume) ([]CoordRecord, error) {
+	return readRecords(v, fs.KindCoordinator, "coordinator", decodeCoordRecord)
 }
 
 // DeleteCoordRecord removes the coordinator log record once all commit or
@@ -181,30 +185,15 @@ func WritePrepareRecord(v *fs.Volume, rec PrepareRecord, suffix string) error {
 
 // ReadPrepareRecords returns every prepare record in the volume's log.
 func ReadPrepareRecords(v *fs.Volume) ([]PrepareRecord, error) {
-	recs, err := v.Log().Records()
-	if err != nil {
-		return nil, err
-	}
-	var out []PrepareRecord
-	for _, r := range recs {
-		if r.Kind != fs.KindPrepare {
-			continue
-		}
-		pr, err := decodePrepareRecord(r.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("tpc: corrupt prepare record %q: %v", r.Key, err)
-		}
-		out = append(out, pr)
-	}
-	return out, nil
+	return readRecords(v, fs.KindPrepare, "prepare", decodePrepareRecord)
 }
 
 // DeletePrepareRecords removes every prepare record for txid (all
 // suffixes).
 func DeletePrepareRecords(v *fs.Volume, txid string) error {
+	whole := prepKey(txid, "")
 	for _, key := range v.Log().Keys() {
-		if key == prepKey(txid, "") ||
-			(len(key) > len("prep:"+txid) && key[:len("prep:"+txid)+1] == "prep:"+txid+":") {
+		if key == whole || strings.HasPrefix(key, whole+":") {
 			if err := v.Log().Delete(key); err != nil {
 				return err
 			}
@@ -290,14 +279,12 @@ type Config struct {
 	Clock vtime.Clock
 }
 
-// maxFanout bounds the goroutines a single phase-two or outcome fan-out
-// spawns; larger participant sets queue on the semaphore.
-const maxFanout = 16
-
-// pendingTxn tracks a transaction past its commit/abort decision whose
-// phase two has not fully acknowledged.
+// pendingTxn tracks a live transaction: undecided (status is
+// StatusUnknown while votes are collected), or decided with its outcome
+// not yet delivered and acknowledged everywhere.
 type pendingTxn struct {
-	rec     CoordRecord
+	status  Status
+	logged  bool            // a coordinator log record may exist for finish to reclaim
 	unacked []simnet.SiteID // ascending
 }
 
@@ -374,28 +361,23 @@ func (c *Coordinator) prof() *telemetry.Profiler {
 	return c.st.Registry().Profiler()
 }
 
-// recordLocality accounts a committed transaction's placement quality:
-// nParts participant sites, nRemote of them away from the coordinator.
-// A commit with zero remote participants is the placement policies'
-// target metric (local_commits / txn_commits = local commit fraction).
-func (c *Coordinator) recordLocality(nParts, nRemote int) {
-	if nRemote == 0 {
-		c.st.Inc(stats.LocalCommits)
-	} else {
-		c.st.Add(stats.RemoteParticipants, int64(nRemote))
-	}
-	c.st.Registry().Histogram("txn_participant_sites", telemetry.SizeBuckets()).Observe(int64(nParts))
-}
-
-// remoteCount counts the participant sites that are not the coordinator.
-func (c *Coordinator) remoteCount(parts []participant) int {
-	n := 0
+// recordLocality accounts a committed transaction's placement quality by
+// how many of its participant sites are away from the coordinator.  A
+// commit with none is the placement policies' target metric
+// (local_commits / txn_commits = local commit fraction).
+func (c *Coordinator) recordLocality(parts []participant) {
+	remote := 0
 	for _, p := range parts {
 		if p.site != c.site {
-			n++
+			remote++
 		}
 	}
-	return n
+	if remote == 0 {
+		c.st.Inc(stats.LocalCommits)
+	} else {
+		c.st.Add(stats.RemoteParticipants, int64(remote))
+	}
+	c.st.Registry().Histogram("txn_participant_sites", telemetry.SizeBuckets()).Observe(int64(len(parts)))
 }
 
 // participant is one storage site of a transaction with its files there.
@@ -433,80 +415,83 @@ func sitesOf(parts []participant) []simnet.SiteID {
 	return sites
 }
 
+// fanOut runs send(0..n-1) concurrently and returns when all have: the
+// one fan-out behind prepare, abort distribution, phase two and the retry
+// backlog.  A slow or unreachable site delays only the return, never the
+// delivery to the others.  It is unbounded: n is a transaction's sites or
+// the unacknowledged commits, and a simulated send holds no descriptor.
+// Callers keep bookkeeping and trace events outside it, in site order, so
+// a fixed-seed run's event sequence does not depend on scheduling.
+func (c *Coordinator) fanOut(n int, send func(i int)) {
+	g := vtime.NewGroup(c.clk)
+	for i := 0; i < n; i++ {
+		g.Go(func() { send(i) })
+	}
+	g.Wait()
+}
+
+// logStatus writes the transaction's coordinator record with the given
+// status marker: step 1 when new, the in-place one-write flip after.
+func (c *Coordinator) logStatus(key string, rec *CoordRecord, st Status) error {
+	rec.Status = st
+	t0 := c.clk.Now()
+	err := putCoordRecord(c.vol, key, rec)
+	c.prof().Charge(rec.Txid, telemetry.ResCoordLog, c.clk.Now().Sub(t0))
+	return err
+}
+
 // CommitTransaction runs the full protocol for txid over the merged file
 // list.  It returns nil once the commit point is durable (or, with
 // SyncPhase2, once phase two has fully completed).  A prepare failure
 // aborts the transaction everywhere and returns ErrPrepareFailed.
 func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error {
+	parts := participants(files)
+	// One-phase fast path: a single participant site stores every file,
+	// so the commit point can be delegated to that site's prepare-record
+	// force and the coordinator log skipped entirely.
+	onePhase := c.cfg.FastPaths && len(parts) == 1
 	c.mu.Lock()
 	if _, ok := c.pending[txid]; ok {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrTxnExists, txid)
 	}
-	rec := CoordRecord{Txid: txid, Files: append([]proc.FileRef(nil), files...), Status: StatusUnknown}
-	pt := &pendingTxn{rec: rec}
+	pt := &pendingTxn{logged: !onePhase}
 	c.pending[txid] = pt
 	c.mu.Unlock()
-
-	parts := participants(files)
-
-	// One-phase fast path: a single participant site stores every file,
-	// so the commit point can be delegated to that site's prepare-record
-	// force and the coordinator log skipped entirely.
-	if c.cfg.FastPaths && len(parts) == 1 {
-		return c.commitOnePhase(txid, parts)
+	if onePhase {
+		return c.commitOnePhase(txid, pt, parts)
 	}
 
 	// Step 1: coordinator log, status unknown.
 	key := coordKey(txid)
-	logT0 := c.clk.Now()
-	err := putCoordRecord(c.vol, key, &rec)
-	c.prof().Charge(txid, telemetry.ResCoordLog, c.clk.Now().Sub(logT0))
-	if err != nil {
+	rec := CoordRecord{Txid: txid, Files: files}
+	if err := c.logStatus(key, &rec, StatusUnknown); err != nil {
 		// The record never landed, so recovery reads the transaction as
 		// aborted (presumed abort).  The participants were never
 		// contacted, but they already hold the transaction's retained
 		// locks and uncommitted modifications from its data operations:
 		// the abort must be distributed now or those leak forever.
-		c.distributeOutcome(txid, parts, false)
-		c.forget(txid)
-		c.st.Inc(stats.TxnAborts)
-		c.trc.Record(trace.TxnAbort, txid, "", 0)
+		c.abort(txid, pt, parts)
 		return err
 	}
 
-	// Step 2: prepare at every participant, in parallel.  Trace events
-	// are recorded outside the fan-out, in site order.
+	// Step 2: prepare at every participant, in parallel.
 	for _, p := range parts {
 		c.trc.Record(trace.PrepareSent, txid, p.site.String(), int64(len(p.files)))
 	}
-	type prepResult struct {
-		i    int // index into parts
+	votes := make([]struct {
 		vote Vote
 		err  error
-	}
+	}, len(parts))
 	prepT0 := c.clk.Now()
-	results := make(chan prepResult, len(parts))
-	for i, p := range parts {
-		i, p := i, p
-		c.clk.Go(func() {
-			vote, err := c.tr.SendPrepare(p.site, txid, p.files, c.site)
-			vtime.NotifySend(c.clk, results, prepResult{i, vote, err})
-		})
-	}
-	votes := make([]prepResult, len(parts))
-	var prepErr error
-	for range parts {
-		r, _ := vtime.WaitRecv(c.clk, results, 0)
-		votes[r.i] = r
-		if r.err != nil && prepErr == nil {
-			prepErr = fmt.Errorf("%w: %s: %v", ErrPrepareFailed, parts[r.i].site, r.err)
-		}
-	}
+	c.fanOut(len(parts), func(i int) {
+		votes[i].vote, votes[i].err = c.tr.SendPrepare(parts[i].site, txid, parts[i].files, c.site)
+	})
 	c.prof().Window(txid, telemetry.WinPrepare, c.clk.Now().Sub(prepT0))
 	// Read-only voters released their locks at prepare time and hold no
 	// prepare records: they drop out of the protocol here, receiving
 	// neither the phase-two commit nor an abort.
+	var prepErr error
 	p2parts := make([]participant, 0, len(parts))
 	for i, p := range parts {
 		if votes[i].err == nil && votes[i].vote == VoteReadOnly {
@@ -518,6 +503,9 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		yes := int64(1)
 		if votes[i].err != nil {
 			yes = 0
+			if prepErr == nil {
+				prepErr = fmt.Errorf("%w: %s: %v", ErrPrepareFailed, p.site, votes[i].err)
+			}
 		}
 		c.trc.Record(trace.Voted, txid, p.site.String(), yes)
 	}
@@ -530,14 +518,8 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		// and retained locks forever.
 		rec.Status = StatusAborted
 		markErr := putCoordRecord(c.vol, key, &rec)
-		c.distributeOutcome(txid, p2parts, false)
-		c.finish(txid, StatusAborted)
-		c.st.Inc(stats.TxnAborts)
-		c.trc.Record(trace.TxnAbort, txid, "", 0)
-		if markErr != nil {
-			return errors.Join(prepErr, markErr)
-		}
-		return prepErr
+		c.abort(txid, pt, p2parts)
+		return errors.Join(prepErr, markErr)
 	}
 
 	// All participants read-only: nothing anywhere to redo, so the
@@ -547,32 +529,17 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 	// a StatusUnknown record that resolves to abort, which no participant
 	// can contradict because none holds any transaction state.
 	if len(p2parts) == 0 {
-		c.finish(txid, StatusCommitted)
-		c.st.Inc(stats.TxnCommits)
-		c.recordLocality(len(parts), c.remoteCount(parts))
-		c.trc.Record(trace.TxnCommit, txid, "", 0)
+		c.decided(txid, pt, StatusCommitted, parts, nil, 0)
 		return nil
 	}
 
 	// Step 3: the commit point - one in-place status flip.
-	rec.Status = StatusCommitted
-	logT0 = c.clk.Now()
-	err = putCoordRecord(c.vol, key, &rec)
-	c.prof().Charge(txid, telemetry.ResCoordLog, c.clk.Now().Sub(logT0))
-	if err != nil {
+	if err := c.logStatus(key, &rec, StatusCommitted); err != nil {
 		// The outcome is undecided on disk; treat as abort.
-		c.distributeOutcome(txid, p2parts, false)
-		c.finish(txid, StatusAborted)
-		c.trc.Record(trace.TxnAbort, txid, "", 0)
+		c.abort(txid, pt, p2parts)
 		return err
 	}
-	c.mu.Lock()
-	pt.rec.Status = StatusCommitted
-	pt.unacked = sitesOf(p2parts)
-	c.mu.Unlock()
-	c.st.Inc(stats.TxnCommits)
-	c.recordLocality(len(parts), c.remoteCount(parts))
-	c.trc.Record(trace.TxnCommit, txid, "", int64(len(p2parts)))
+	c.decided(txid, pt, StatusCommitted, parts, sitesOf(p2parts), len(p2parts))
 
 	// Step 4: phase two.  The window is measured only when the
 	// coordinator drives it synchronously: an asynchronous phase two is
@@ -593,7 +560,7 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 // the commit point (the record carries its one-phase mark, so the
 // participant's recovery resolves it without a coordinator), which makes
 // the coordinator log - and both its forced writes - unnecessary.
-func (c *Coordinator) commitOnePhase(txid string, parts []participant) error {
+func (c *Coordinator) commitOnePhase(txid string, pt *pendingTxn, parts []participant) error {
 	site, ids := parts[0].site, parts[0].files
 	c.trc.Record(trace.PrepareSent, txid, site.String(), int64(len(ids)))
 	prepT0 := c.clk.Now()
@@ -606,13 +573,7 @@ func (c *Coordinator) commitOnePhase(txid string, parts []participant) error {
 		// participant's one-phase record resolves itself, and the caller
 		// learns only that the outcome was not confirmed.
 		c.trc.Record(trace.Voted, txid, site.String(), 0)
-		c.tr.SendAbort(site, txid) //nolint:errcheck // best effort; participant recovery self-resolves
-		c.forget(txid)
-		c.mu.Lock()
-		c.done[txid] = StatusAborted
-		c.mu.Unlock()
-		c.st.Inc(stats.TxnAborts)
-		c.trc.Record(trace.TxnAbort, txid, "", 0)
+		c.abort(txid, pt, parts)
 		return fmt.Errorf("%w: %s: %v", ErrPrepareFailed, site, err)
 	}
 	if vote == VoteReadOnly {
@@ -623,58 +584,57 @@ func (c *Coordinator) commitOnePhase(txid string, parts []participant) error {
 	}
 	c.st.Inc(stats.OnePhaseCommits)
 	c.trc.Record(trace.OnePhaseCommit, txid, site.String(), int64(len(ids)))
-	c.forget(txid)
-	c.mu.Lock()
-	c.done[txid] = StatusCommitted
-	c.mu.Unlock()
-	c.st.Inc(stats.TxnCommits)
-	c.recordLocality(1, c.remoteCount(parts))
-	c.trc.Record(trace.TxnCommit, txid, "", 1)
+	c.decided(txid, pt, StatusCommitted, parts, nil, 1)
 	return nil
 }
 
-// AbortTransaction distributes an abort decision for a transaction that
-// had not yet entered two-phase commit; per section 4.3 no coordinator
-// log is needed (failures before prepare are treated as aborts, and an
-// absent log reads as aborted to in-doubt queries).
-func (c *Coordinator) AbortTransaction(txid string, files []proc.FileRef) error {
-	parts := participants(files)
-	c.distributeOutcome(txid, parts, false)
-	c.mu.Lock()
-	c.done[txid] = StatusAborted
-	c.mu.Unlock()
-	c.st.Inc(stats.TxnAborts)
-	c.trc.Record(trace.TxnAbort, txid, "", 0)
-	return nil
-}
-
-// distributeOutcome sends commit/abort messages to every participant
-// concurrently, best effort.  A slow or unreachable site cannot delay
-// delivery to the others; it only delays the return.
-func (c *Coordinator) distributeOutcome(txid string, parts []participant, commit bool) {
-	g := vtime.NewGroup(c.clk)
-	sem := vtime.NewSemaphore(c.clk, maxFanout)
-	for _, p := range parts {
-		site := p.site
-		sem.Acquire()
-		g.Go(func() {
-			defer sem.Release()
-			if commit {
-				c.tr.SendCommit(site, txid) //nolint:errcheck // retried by phase-2 machinery
-			} else {
-				c.tr.SendAbort(site, txid) //nolint:errcheck // duplicates are harmless; recovery re-sends
-			}
-		})
+// decided is the one place the coordinator records a transaction's
+// outcome: the live status in-doubt queries hear from here on, the
+// counter, and the trace event (value holders: the participant sites
+// that have the outcome to apply).  unacked lists the sites phase two
+// must still reach; with none, the transaction is finished on the spot.
+func (c *Coordinator) decided(txid string, pt *pendingTxn, st Status, parts []participant, unacked []simnet.SiteID, holders int) {
+	if len(unacked) == 0 {
+		c.finish(txid, pt, st)
+	} else {
+		c.mu.Lock()
+		pt.status = st
+		pt.unacked = unacked
+		c.mu.Unlock()
 	}
-	g.Wait()
+	if st != StatusCommitted {
+		c.st.Inc(stats.TxnAborts)
+		c.trc.Record(trace.TxnAbort, txid, "", 0)
+		return
+	}
+	c.st.Inc(stats.TxnCommits)
+	c.recordLocality(parts)
+	c.trc.Record(trace.TxnCommit, txid, "", int64(holders))
+}
+
+// abort is the abort decision: from here on an in-doubt query hears
+// "aborted" rather than "undecided", every site in parts is told, and the
+// transaction is finished.
+func (c *Coordinator) abort(txid string, pt *pendingTxn, parts []participant) {
+	c.mu.Lock()
+	pt.status = StatusAborted
+	c.mu.Unlock()
+	c.sendAborts(txid, parts)
+	c.decided(txid, pt, StatusAborted, nil, nil, 0)
+}
+
+// sendAborts tells every site in parts to roll the transaction back, best
+// effort: duplicates are harmless, and a site that misses the message
+// learns the outcome from its own recovery query (presumed abort).
+func (c *Coordinator) sendAborts(txid string, parts []participant) {
+	c.fanOut(len(parts), func(i int) {
+		c.tr.SendAbort(parts[i].site, txid) //nolint:errcheck // best effort, see above
+	})
 }
 
 // runPhase2 drives commit messages until every participant acknowledges,
-// then releases the coordinator log.  The sends fan out concurrently
-// (bounded by maxFanout), so a partitioned participant stalls only its
-// own ack, not commit delivery to healthy sites; the bookkeeping and any
-// trace activity stay outside the fan-out in sorted site order so
-// fixed-seed runs do not depend on goroutine scheduling.
+// then releases the coordinator log.  A partitioned participant stalls
+// only its own ack, not commit delivery to healthy sites.
 func (c *Coordinator) runPhase2(txid string) {
 	c.mu.Lock()
 	pt, ok := c.pending[txid]
@@ -686,19 +646,9 @@ func (c *Coordinator) runPhase2(txid string) {
 	c.mu.Unlock()
 
 	acked := make([]bool, len(sites))
-	g := vtime.NewGroup(c.clk)
-	sem := vtime.NewSemaphore(c.clk, maxFanout)
-	for i, site := range sites {
-		i, site := i, site
-		sem.Acquire()
-		g.Go(func() {
-			defer sem.Release()
-			if err := c.tr.SendCommit(site, txid); err == nil {
-				acked[i] = true
-			}
-		})
-	}
-	g.Wait()
+	c.fanOut(len(sites), func(i int) {
+		acked[i] = c.tr.SendCommit(sites[i], txid) == nil
+	})
 
 	c.mu.Lock()
 	pt.unacked = slices.DeleteFunc(pt.unacked, func(s simnet.SiteID) bool {
@@ -708,22 +658,19 @@ func (c *Coordinator) runPhase2(txid string) {
 	remaining := len(pt.unacked)
 	c.mu.Unlock()
 	if remaining == 0 {
-		c.finish(txid, StatusCommitted)
+		c.finish(txid, pt, StatusCommitted)
 	}
 }
 
-// finish deletes the coordinator log record and retires the transaction.
-func (c *Coordinator) finish(txid string, st Status) {
-	DeleteCoordRecord(c.vol, txid) //nolint:errcheck // stale records are re-resolved by Recover
+// finish retires the transaction: its coordinator log record, if one was
+// written, is deleted, and its outcome moves from pending to done.
+func (c *Coordinator) finish(txid string, pt *pendingTxn, st Status) {
+	if pt.logged {
+		DeleteCoordRecord(c.vol, txid) //nolint:errcheck // stale records are re-resolved by Recover
+	}
 	c.mu.Lock()
 	delete(c.pending, txid)
 	c.done[txid] = st
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) forget(txid string) {
-	c.mu.Lock()
-	delete(c.pending, txid)
 	c.mu.Unlock()
 }
 
@@ -736,22 +683,12 @@ func (c *Coordinator) RetryPending() {
 	c.mu.Lock()
 	var txids []string
 	for txid, pt := range c.pending {
-		if pt.rec.Status == StatusCommitted {
+		if pt.status == StatusCommitted {
 			txids = append(txids, txid)
 		}
 	}
 	c.mu.Unlock()
-	g := vtime.NewGroup(c.clk)
-	sem := vtime.NewSemaphore(c.clk, maxFanout)
-	for _, txid := range txids {
-		txid := txid
-		sem.Acquire()
-		g.Go(func() {
-			defer sem.Release()
-			c.runPhase2(txid)
-		})
-	}
-	g.Wait()
+	c.fanOut(len(txids), func(i int) { c.runPhase2(txids[i]) })
 }
 
 func (c *Coordinator) retryLoop() {
@@ -792,24 +729,28 @@ func (c *Coordinator) PendingCount() int {
 // StatusOf answers a participant's in-doubt query (section 4.4).  The
 // order matters: live state, then the durable log, then presumed abort -
 // the log is only deleted after every participant acknowledged, so an
-// absent record means the transaction never committed.
+// absent record means the transaction never committed.  StatusUnknown
+// answers exactly one case, a live transaction still collecting votes, and
+// means "undecided, ask again": the asker voted yes and this coordinator
+// may yet commit.  A logged record still marked unknown is another thing:
+// its coordinator crashed before the commit point, and that is an abort.
 func (c *Coordinator) StatusOf(txid string) Status {
 	c.mu.Lock()
-	if pt, ok := c.pending[txid]; ok {
-		st := pt.rec.Status
-		c.mu.Unlock()
-		return st
-	}
-	if st, ok := c.done[txid]; ok {
-		c.mu.Unlock()
-		return st
+	pt, live := c.pending[txid]
+	st, ok := c.done[txid]
+	if live {
+		st = pt.status
+		ok = true
 	}
 	c.mu.Unlock()
+	if ok {
+		return st
+	}
 	recs, err := ReadCoordRecords(c.vol)
 	if err == nil {
 		for _, r := range recs {
-			if r.Txid == txid {
-				return r.Status
+			if r.Txid == txid && r.Status == StatusCommitted {
+				return StatusCommitted
 			}
 		}
 	}
@@ -817,8 +758,9 @@ func (c *Coordinator) StatusOf(txid string) Status {
 }
 
 // Recover replays the coordinator log after a crash (section 4.4): a
-// record with a commit mark re-enters phase two; anything else is queued
-// for abort processing.  Duplicate messages to participants are safe.
+// record with a commit mark re-enters phase two; anything else - unknown
+// (crashed before the commit point) or aborted - gets abort processing.
+// Duplicate messages to participants are safe.
 func (c *Coordinator) Recover() error {
 	recs, err := ReadCoordRecords(c.vol)
 	if err != nil {
@@ -826,17 +768,30 @@ func (c *Coordinator) Recover() error {
 	}
 	for _, rec := range recs {
 		parts := participants(rec.Files)
-		switch rec.Status {
-		case StatusCommitted:
-			c.mu.Lock()
-			c.pending[rec.Txid] = &pendingTxn{rec: rec, unacked: sitesOf(parts)}
-			c.mu.Unlock()
+		st := StatusAborted
+		if rec.Status == StatusCommitted {
+			st = StatusCommitted
+		}
+		pt := &pendingTxn{status: st, logged: true, unacked: sitesOf(parts)}
+		c.mu.Lock()
+		_, live := c.pending[rec.Txid]
+		if !live {
+			c.pending[rec.Txid] = pt
+		}
+		c.mu.Unlock()
+		if live {
+			// Not a survivor of the crash: a client reached this coordinator
+			// between its site's restart and this replay, and the record is
+			// the one its CommitTransaction just wrote and is still driving.
+			// Aborting it here would tell participants to roll back a
+			// transaction that goes on to commit.
+			continue
+		}
+		if st == StatusCommitted {
 			c.runPhase2(rec.Txid)
-		default:
-			// Unknown (crashed before the commit point) or aborted:
-			// abort processing.
-			c.distributeOutcome(rec.Txid, parts, false)
-			c.finish(rec.Txid, StatusAborted)
+		} else {
+			c.sendAborts(rec.Txid, parts)
+			c.finish(rec.Txid, pt, StatusAborted)
 		}
 	}
 	return nil

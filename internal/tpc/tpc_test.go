@@ -238,31 +238,94 @@ func TestDuplicateTxnRejected(t *testing.T) {
 	}
 }
 
-func TestAbortTransactionNeedsNoLog(t *testing.T) {
-	v := coordVolume(t)
-	tr := newFakeTransport()
-	c := NewCoordinator(1, v, tr, stats.NewSet(), Config{})
-	before := v.Stats().Snapshot()
-	if err := c.AbortTransaction("T9", testFiles); err != nil {
-		t.Fatal(err)
-	}
-	d := v.Stats().Snapshot().Sub(before)
-	if d.Get(stats.CoordLogWrites) != 0 {
-		t.Fatal("pre-2PC abort wrote a coordinator log")
-	}
-	if tr.count(tr.aborts, 2) != 1 || tr.count(tr.aborts, 3) != 1 {
-		t.Fatalf("aborts = %v", tr.aborts)
-	}
-	if c.StatusOf("T9") != StatusAborted {
-		t.Fatal("status")
-	}
-}
-
 func TestStatusOfUnknownIsPresumedAbort(t *testing.T) {
 	v := coordVolume(t)
 	c := NewCoordinator(1, v, newFakeTransport(), stats.NewSet(), Config{})
 	if c.StatusOf("never-seen") != StatusAborted {
 		t.Fatal("presumed abort violated")
+	}
+}
+
+// gatedTransport parks SendPrepare to one site until released, so a test
+// can look at the coordinator while it is still collecting votes.
+type gatedTransport struct {
+	*fakeTransport
+	site             simnet.SiteID
+	entered, release chan struct{}
+}
+
+func (g *gatedTransport) SendPrepare(site simnet.SiteID, txid string, files []string, coord simnet.SiteID) (Vote, error) {
+	if site == g.site {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return g.fakeTransport.SendPrepare(site, txid, files, coord)
+}
+
+// TestStatusOfUndecidedWhileCollectingVotes: a participant that has voted
+// yes may ask about a transaction whose coordinator is still inside its
+// prepare phase.  The answer must be "undecided" (StatusUnknown), never
+// abort - the coordinator may yet commit - and turn into the decision once
+// it is made.  Only a transaction the coordinator never heard of is
+// presumed aborted.
+func TestStatusOfUndecidedWhileCollectingVotes(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		failPrepare bool
+		want        Status
+	}{{"commit", false, StatusCommitted}, {"abort", true, StatusAborted}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &gatedTransport{fakeTransport: newFakeTransport(), site: 3,
+				entered: make(chan struct{}), release: make(chan struct{})}
+			tr.failPrepare[3] = tc.failPrepare
+			c := NewCoordinator(1, coordVolume(t), tr, stats.NewSet(), Config{SyncPhase2: true})
+			done := make(chan error, 1)
+			go func() { done <- c.CommitTransaction("T1", testFiles) }()
+			<-tr.entered
+			if st := c.StatusOf("T1"); st != StatusUnknown {
+				t.Fatalf("status while collecting votes = %v, want unknown (undecided)", st)
+			}
+			if st := c.StatusOf("never-seen"); st != StatusAborted {
+				t.Fatalf("status of a transaction never seen = %v, want aborted", st)
+			}
+			close(tr.release)
+			if err := <-done; (err != nil) != tc.failPrepare {
+				t.Fatalf("CommitTransaction: %v", err)
+			}
+			if st := c.StatusOf("T1"); st != tc.want {
+				t.Fatalf("status after the decision = %v, want %v", st, tc.want)
+			}
+		})
+	}
+}
+
+// TestRecoverLeavesLiveTransactionsAlone: the site's log replay can run on
+// a coordinator that is already serving a client (one that arrived between
+// the restart and the replay).  The record of a transaction still in its
+// prepare phase reads "unknown" in the log, but it is live, not a survivor
+// of the crash: replay must not abort it under the CommitTransaction that
+// is about to commit it.
+func TestRecoverLeavesLiveTransactionsAlone(t *testing.T) {
+	tr := &gatedTransport{fakeTransport: newFakeTransport(), site: 3,
+		entered: make(chan struct{}), release: make(chan struct{})}
+	c := NewCoordinator(1, coordVolume(t), tr, stats.NewSet(), Config{SyncPhase2: true})
+	done := make(chan error, 1)
+	go func() { done <- c.CommitTransaction("T1", testFiles) }()
+	<-tr.entered
+	if err := c.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	close(tr.release)
+	if err := <-done; err != nil {
+		t.Fatalf("CommitTransaction: %v", err)
+	}
+	for _, site := range []simnet.SiteID{2, 3} {
+		if a, cm := tr.count(tr.aborts, site), tr.count(tr.commits, site); a != 0 || cm != 1 {
+			t.Errorf("site %v got %d aborts and %d commits for a committed transaction, want 0 and 1", site, a, cm)
+		}
+	}
+	if st := c.StatusOf("T1"); st != StatusCommitted {
+		t.Fatalf("status = %v, want committed", st)
 	}
 }
 
@@ -431,112 +494,6 @@ func TestPinPreparedPages(t *testing.T) {
 	// Idempotent.
 	if err := PinPreparedPages(v2); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRecoverParticipant(t *testing.T) {
-	// Build a volume with a real prepared transaction: file with a
-	// flushed shadow image and a prepare record, then crash.
-	st := stats.NewSet()
-	d := simdisk.New("pd", 128, 512, st)
-	v, err := fs.Format("pvol", d, fs.Options{NumInodes: 4, LogPages: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ino, _ := v.AllocInode()
-	file, err := shadow.Open(v, ino)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := file.WriteAt("txn:C", []byte("committed"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := file.Flush("txn:C"); err != nil {
-		t.Fatal(err)
-	}
-	ilC := file.IntentionsFor("txn:C")
-	if err := WritePrepareRecord(v, PrepareRecord{Txid: "C", CoordSite: 9,
-		Files: []PreparedFile{{FileID: "pvol/0", Intentions: ilC}}}, ""); err != nil {
-		t.Fatal(err)
-	}
-
-	ino2, _ := v.AllocInode()
-	file2, err := shadow.Open(v, ino2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := file2.WriteAt("txn:A", []byte("aborted"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := file2.Flush("txn:A"); err != nil {
-		t.Fatal(err)
-	}
-	ilA := file2.IntentionsFor("txn:A")
-	if err := WritePrepareRecord(v, PrepareRecord{Txid: "A", CoordSite: 9,
-		Files: []PreparedFile{{FileID: "pvol/1", Intentions: ilA}}}, ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := WritePrepareRecord(v, PrepareRecord{Txid: "D", CoordSite: 8,
-		Files: []PreparedFile{{FileID: "pvol/1", Intentions: shadow.IntentionsList{Ino: ino2}}}}, ""); err != nil {
-		t.Fatal(err)
-	}
-
-	d.Crash()
-	d.Restart()
-	v2, err := fs.Load("pvol", d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := PinPreparedPages(v2); err != nil {
-		t.Fatal(err)
-	}
-
-	var relocked []string
-	res, err := RecoverParticipant(v2, func(coord simnet.SiteID, txid string) (Status, error) {
-		switch txid {
-		case "C":
-			return StatusCommitted, nil
-		case "A":
-			return StatusAborted, nil
-		default:
-			return StatusUnknown, errors.New("coordinator unreachable")
-		}
-	}, func(r PrepareRecord) { relocked = append(relocked, r.Txid) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Committed, []string{"C"}) ||
-		!reflect.DeepEqual(res.Aborted, []string{"A"}) ||
-		!reflect.DeepEqual(res.InDoubt, []string{"D"}) {
-		t.Fatalf("result = %+v", res)
-	}
-	if !reflect.DeepEqual(relocked, []string{"D"}) {
-		t.Fatalf("relocked = %v", relocked)
-	}
-
-	// Committed data applied; aborted data gone.
-	fileC, err := shadow.Open(v2, ino)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 9)
-	if _, err := fileC.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "committed" {
-		t.Fatalf("committed file = %q", buf)
-	}
-	fileA, err := shadow.Open(v2, ino2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fileA.CommittedSize() != 0 {
-		t.Fatal("aborted transaction changed the file")
-	}
-	// The in-doubt record survives for the next pass.
-	recs, _ := ReadPrepareRecords(v2)
-	if len(recs) != 1 || recs[0].Txid != "D" {
-		t.Fatalf("surviving records = %+v", recs)
 	}
 }
 

@@ -32,7 +32,7 @@
 //
 // Code that parks on a channel in virtual mode must use the credited
 // helpers (WaitRecv / TryRecv paired with NotifySend, or Group, Gate,
-// Semaphore).  Raw After/NewTimer events carry no credit and fire only
+// Mutex).  Raw After/NewTimer events carry no credit and fire only
 // once every actor is idle; they are for actors that remain busy, not
 // for parking.
 package vtime
@@ -127,7 +127,7 @@ type event struct {
 // needs comes from free lists.  A wake is one send on a cap-1 channel, not
 // a close, and has exactly one receiver, so the channel is empty again -
 // and reusable - once its waiter has resumed.  wakeChans serves waiters
-// queued on a Mutex, Semaphore or Group; parkEvents the events of Sleep,
+// queued on a Mutex or Group; parkEvents the events of Sleep,
 // Yield and the WaitRecv deadline, whose lifetime ends inside the call
 // that scheduled them (a timer's event outlives its call - Stop may
 // inspect it any time - and is never pooled).
@@ -608,7 +608,6 @@ func NotifySend[T any](c Clock, ch chan<- T, val T) bool {
 // waiter parks idly and the last worker hands it its token directly, so
 // the join is deterministic in virtual time.  One waiter at a time.
 type Group struct {
-	c  Clock
 	v  *Virtual // nil under the real clock
 	wg sync.WaitGroup
 
@@ -619,7 +618,7 @@ type Group struct {
 
 // NewGroup creates a join group on the clock.
 func NewGroup(c Clock) *Group {
-	g := &Group{c: c}
+	g := &Group{}
 	g.v, _ = c.(*Virtual)
 	return g
 }
@@ -690,7 +689,6 @@ func (g *Group) Wait() {
 // actor Releases.  The releaser (which must be busy, i.e. hold its
 // token) credits every parked waiter.
 type Gate struct {
-	c Clock
 	v *Virtual
 	// real-mode state
 	mu       sync.Mutex
@@ -701,7 +699,7 @@ type Gate struct {
 
 // NewGate creates an unreleased gate on the clock.
 func NewGate(c Clock) *Gate {
-	g := &Gate{c: c, ch: make(chan struct{})}
+	g := &Gate{ch: make(chan struct{})}
 	g.v, _ = c.(*Virtual)
 	return g
 }
@@ -803,78 +801,14 @@ func (mu *Mutex) Unlock() {
 	}
 	if len(mu.q) > 0 {
 		v.active++ // the waiter's resume token
-		mu.q = wakeHead(mu.q)
+		// Wake the head and shift the rest down, so the backing array is
+		// reused for good.
+		mu.q[0] <- struct{}{}
+		n := copy(mu.q, mu.q[1:])
+		mu.q[n] = nil
+		mu.q = mu.q[:n]
 	} else {
 		mu.locked = false
-	}
-	v.mu.Unlock()
-}
-
-// wakeHead wakes the head of a waiter queue and returns the queue without
-// it, shifted down so the backing array is reused for good.
-func wakeHead(q []chan struct{}) []chan struct{} {
-	q[0] <- struct{}{}
-	n := copy(q, q[1:])
-	q[n] = nil
-	return q[:n]
-}
-
-// Semaphore bounds concurrency like a buffered-channel semaphore, but
-// parks virtual-clock acquirers idly and transfers the slot (and a
-// token) directly from Release to the head waiter.
-type Semaphore struct {
-	c     Clock
-	v     *Virtual
-	slots chan struct{} // real mode
-	// virtual state, guarded by v.mu
-	capacity int
-	inUse    int
-	queue    []chan struct{}
-}
-
-// NewSemaphore creates a semaphore with n slots.
-func NewSemaphore(c Clock, n int) *Semaphore {
-	s := &Semaphore{c: c, capacity: n}
-	if s.v, _ = c.(*Virtual); s.v == nil {
-		s.slots = make(chan struct{}, n)
-	}
-	return s
-}
-
-// Acquire takes a slot, parking until one frees.
-func (s *Semaphore) Acquire() {
-	if s.v == nil {
-		s.slots <- struct{}{}
-		return
-	}
-	v := s.v
-	v.mu.Lock()
-	if s.inUse < s.capacity {
-		s.inUse++
-		v.mu.Unlock()
-		return
-	}
-	ch := wakeChans.Get().(chan struct{})
-	s.queue = append(s.queue, ch)
-	v.releaseLocked()
-	v.mu.Unlock()
-	awaitWake(ch)
-}
-
-// Release frees a slot, handing it (with a token) to the head waiter if
-// any.
-func (s *Semaphore) Release() {
-	if s.v == nil {
-		<-s.slots
-		return
-	}
-	v := s.v
-	v.mu.Lock()
-	if len(s.queue) > 0 {
-		v.active++ // slot transfers in-use; waiter gets the releaser's spare credit
-		s.queue = wakeHead(s.queue)
-	} else {
-		s.inUse--
 	}
 	v.mu.Unlock()
 }

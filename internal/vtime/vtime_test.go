@@ -199,34 +199,6 @@ func TestGateMultipleWaiters(t *testing.T) {
 	v.Sleep(time.Millisecond)
 }
 
-// TestSemaphoreBounds: capacity 2, four workers; the clock keeps
-// advancing while waiters park.
-func TestSemaphoreBounds(t *testing.T) {
-	v := NewVirtual()
-	sem := NewSemaphore(v, 2)
-	var inside, peak atomic.Int32
-	g := NewGroup(v)
-	for i := 0; i < 4; i++ {
-		sem.Acquire()
-		g.Go(func() {
-			defer sem.Release()
-			cur := inside.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			v.Sleep(time.Millisecond)
-			inside.Add(-1)
-		})
-	}
-	g.Wait()
-	if peak.Load() > 2 {
-		t.Fatalf("peak concurrency %d exceeds semaphore", peak.Load())
-	}
-}
-
 // TestGroupTokenTransfer: the joiner resumes at the exact virtual instant
 // the last worker finishes.
 func TestGroupTokenTransfer(t *testing.T) {
