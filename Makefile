@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-check ledger-check ledger-pairs chaos matrix seed87 vtime telemetry probe trace experiments examples tools lines clean
+.PHONY: all test race bench bench-check ledger-check ledger-pairs chaos matrix soak seed87 vtime telemetry probe trace experiments examples tools lines clean
 
 all: test
 
@@ -84,6 +84,24 @@ matrix:          ## 50-seed virtual-clock chaos sweep of every row of the layer 
 			|| echo "RED row $$n: $${layers:-(no optional layer)}" >> matrix-red.txt; \
 	done; \
 	if [ -s matrix-red.txt ]; then cat matrix-red.txt; rm -f matrix-red.txt; exit 1; fi
+
+# The soak: what EXPERIMENTS.md E23/E25/E26 ran by hand.  Interleavings do not
+# replay from the seed yet (ROADMAP.md item 1), so a change to the crash path is
+# judged by how often a 100-seed sweep goes red, over enough sweeps to see a
+# one-in-a-hundred shape.  The binary is built once; a red sweep keeps its
+# report and forensics (soak-<row>-<i>*.txt), a green one leaves nothing.
+SOAK_ROWS ?= 1 8 12
+soak:            ## N x `locuschaos -vtime -sweep 100 -duration 2s` for matrix rows 1 (bare), 8 (-groupcommit 5ms -placement) and 12 (all four); prints red/N per row (RACE=-race for the detector)
+	@mkdir -p .bench_build && $(GO) build $(RACE) -o .bench_build/locuschaos-soak ./cmd/locuschaos || exit 1; bad=0; \
+	for row in $(SOAK_ROWS); do \
+		layers=$$(echo "$$MATRIX" | sed -n "$${row}p"); [ "$$layers" = "-" ] && layers=""; \
+		red=0; for i in $$(seq 1 $(N)); do \
+			out=soak-$$row-$$i; \
+			if .bench_build/locuschaos-soak -vtime -sweep 100 -duration 2s -forensics $$out-forensics.txt $$layers > $$out.txt 2>&1; \
+			then rm -f $$out.txt $$out-forensics.txt; else red=$$((red+1)); fi; \
+		done; \
+		echo "soak row $$row ($${layers:-no optional layer}): $$red/$(N) red"; bad=$$((bad+red)); \
+	done; [ $$bad -eq 0 ]
 
 seed87:          ## EXPERIMENTS.md E25's reproducer, twenty times: no disk fault in the menu, money created on 3 runs in 4 before the in-doubt rule was fixed; the seed does not replay the interleaving, hence the repetitions
 	@for i in $$(seq 1 20); do \

@@ -19,6 +19,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -46,6 +47,9 @@ var (
 	ErrNoSuchFile   = errors.New("cluster: no such file")
 	ErrFileExists   = errors.New("cluster: file already exists")
 	ErrBadPath      = errors.New("cluster: bad path (want volume/name)")
+	// ErrSiteDown is what a request gets from a site whose kernel died
+	// before it could answer (registerHandlers' handle).
+	ErrSiteDown = errors.New("cluster: site down")
 )
 
 // Config tunes the cluster; zero values give the paper's intended design.
@@ -244,42 +248,20 @@ func (c *Cluster) NewTxnID(site simnet.SiteID) string {
 	return fmt.Sprintf("%08d.%d", c.nextTxn.Add(1), int(site))
 }
 
-// AddSite creates a site kernel.
+// AddSite creates a site: the machine, and a first kernel incarnation
+// over its (no) disks.
 func (c *Cluster) AddSite(id simnet.SiteID) *Site {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s, ok := c.sites[id]; ok {
 		return s
 	}
-	s := &Site{
-		id:        id,
-		cl:        c,
-		ep:        c.net.AddSite(id),
-		st:        c.st,
-		tr:        c.cfg.Trace.Site(int(id)),
-		up:        true,
-		vols:      make(map[string]*volState),
-		open:      make(map[string]*openFile),
-		lockCache: make(map[string]map[string][]cachedLock),
-		locks:     lockmgr.NewManager(c.st),
-		procs:     proc.NewTable(id, c.st),
-		prepared:  make(map[string]*preparedTxn),
-		txns:      make(map[string]struct{}),
-	}
+	s := &Site{machine: machine{id: id, cl: c, ep: c.net.AddSite(id), st: c.st, tr: c.cfg.Trace.Site(int(id))}}
 	s.ep.SetTracer(s.tr)
-	s.mu.SetClock(c.cfg.Clock)
-	s.locks.SetTracer(s.tr)
-	s.locks.SetClock(c.cfg.Clock)
-	s.registerHandlers()
 	if c.cfg.AdaptivePlacement {
 		s.heat = placement.NewTracker(c.cfg.PlacementConfig())
-		s.moving = make(map[string]uint64)
-		s.adopted = make(map[string]uint64)
-		s.purgeWanted = make(map[string]uint64)
 	}
 	if c.cfg.LockLeases {
-		s.leases = make(map[string]*siteLease)
-		s.leaseMeta = make(map[string]map[simnet.SiteID]*leaseMeta)
 		s.leaseGauge = c.st.Registry().Gauge("lease_cache_files")
 		// Lease reclamation rides the failure detector (section 4.3): a
 		// site-down announcement reclaims the downed leaseholder's leases
@@ -287,6 +269,9 @@ func (c *Cluster) AddSite(id simnet.SiteID) *Site {
 		// files the downed site stores.
 		c.net.Watch(s.onTopology)
 	}
+	k, _ := newIncarnation(&s.machine) // no disk yet, so nothing to load and nothing to fail
+	s.inc.Store(k)
+	s.registerHandlers()
 	c.sites[id] = s
 	return s
 }
@@ -325,13 +310,9 @@ func (c *Cluster) AddVolume(site simnet.SiteID, name string) error {
 	}
 	c.mu.Unlock()
 
-	vs, err := s.formatVolume(name, name)
-	if err != nil {
+	if _, err := s.kernel().addVolume(&disk{vol: name}); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.vols[name] = vs
-	s.mu.Unlock()
 	c.mu.Lock()
 	c.mounts[name] = site
 	c.mu.Unlock()
@@ -427,14 +408,14 @@ func (c *Cluster) Shutdown() {
 	}
 	c.mu.Unlock()
 	for _, s := range sites {
-		s.mu.Lock()
-		coord := s.coord
-		vols := s.volStatesLocked()
-		s.mu.Unlock()
+		k := s.kernel()
+		k.mu.Lock()
+		coord := k.coord
+		k.mu.Unlock()
 		if coord != nil {
 			coord.Close()
 		}
-		for _, vs := range vols {
+		for _, vs := range k.volStates(true) {
 			vs.vol.Log().StopGroupCommit()
 		}
 	}
@@ -446,17 +427,27 @@ func (c *Cluster) Report(m costmodel.Model) costmodel.Report {
 	return m.Report(c.st.Snapshot())
 }
 
-// volState is one mounted volume at its storage site.
-type volState struct {
-	name string
-	disk *simdisk.Disk
-	vol  *fs.Volume
+// disk is one spindle of the machine and the name of the volume formatted
+// on it.  It is what survives a crash; the fs.Volume loaded from it and
+// the directory cached over that do not (volState).
+type disk struct {
+	vol string
+	dev *simdisk.Disk
 	// hosted marks a volume created by an ownership-move adoption rather
 	// than a mount (placement.go hostedVol).  Hosted volumes serve files
 	// like mounted ones but are ineligible to carry the coordinator log:
 	// they appear mid-run, so binding the log to one would move it across
 	// a restart and recovery would replay the wrong volume.
 	hosted bool
+	// replica marks a read-only replica of a volume mounted elsewhere.
+	replica bool
+}
+
+// volState is one volume as one incarnation serves it.
+type volState struct {
+	name string
+	disk *disk
+	vol  *fs.Volume
 
 	// dirMu is clock-aware: writeDirLocked commits the directory file
 	// (forced disk writes) while holding it.
@@ -498,75 +489,102 @@ type preparedTxn struct {
 	onePhase bool
 }
 
-// Site is one machine's kernel.
-type Site struct {
+// machine is the part of a site a crash leaves standing (section 4.3: a
+// site failure loses all kernel memory and nothing on disk).  Code that
+// holds a *machine can send messages and spin disks but can reach no
+// kernel table.
+type machine struct {
 	id simnet.SiteID
 	cl *Cluster
 	ep *simnet.Endpoint
 	st *stats.Set
 	tr *trace.Tracer // nil when Config.Trace is unset
 
+	diskMu sync.Mutex
+	disks  []*disk // in the order they were added
+
+	// Three things that describe the workload or the machine rather than
+	// what the kernel knows, and so outlive it.  heat is this storage
+	// site's per-file accessor profile (DESIGN.md section 14), nil unless
+	// Config.AdaptivePlacement.  moveSeq numbers this site's ownership
+	// moves; were it to repeat, a purge disowning a pre-crash move could
+	// name a post-restart adoption.  placeOps counts in-flight placement
+	// operations (moves, adoptions, purges) so a harness can quiesce
+	// placement before auditing: it tracks goroutines, which no crash kills.
+	heat     *placement.Tracker
+	moveSeq  atomic.Uint64
+	placeOps atomic.Int64
+	// leaseGauge counts the files the live incarnation caches a lease on;
+	// nil unless Config.LockLeases, so legacy runs never materialize it.
+	leaseGauge *telemetry.Gauge
+}
+
+// incarnation is one boot of a site's kernel: everything a crash forfeits,
+// as one value.  newIncarnation builds it, Crash marks it dead, nothing is
+// carried from one to the next, and a handler - or an actor it spawned -
+// runs in the one that received the request (handle) and can reach no
+// other.  DESIGN.md section 9 lists each field with who rebuilds it.
+type incarnation struct {
+	*machine
+
 	// mu is clock-aware: handleOpen and friends hold it across shadow
 	// reads and forced writes, so under a virtual clock contenders must
 	// park without freezing simulated time.
 	mu vtime.Mutex
-	up bool
-	// epoch counts crashes: goroutines whose work spans a crash boundary
-	// (an inline ownership move on a commit handler) capture it and
-	// refuse state-changing steps once it advances, since every
-	// precondition they checked died with the kernel memory.
-	epoch    uint64
-	vols     map[string]*volState
+	// dead is set once, by Crash, under mu.  What must not happen after
+	// the crash (an ownership move's repoint, a new volume) tests it under
+	// mu; what merely must not be answered loads it.
+	dead     atomic.Bool
+	vols     map[string]*volState     // mounted and hosted volumes
+	replicas map[string]*replicaState // read-only replicas held at this site
 	open     map[string]*openFile
 	locks    *lockmgr.Manager
 	procs    *proc.Table
 	coord    *tpc.Coordinator
 	prepared map[string]*preparedTxn
 	// txns names the transactions that have locked, read or written a
-	// file here since the last restart (joinTxn; finishTxn forgets them).
-	// It is kernel memory, lost in a crash with the locks and
-	// modifications it stands for, which is how a prepare can tell that
-	// this site no longer has the transaction's work (gatherPrepare).
-	txns     map[string]struct{}
-	replicas map[string]*replicaState // read-only replicas held at this site
+	// file here since boot (joinTxn; finishTxn forgets them).  It is lost
+	// in a crash with the locks and modifications it stands for, which is
+	// how a prepare can tell that this site no longer has the
+	// transaction's work (gatherPrepare).
+	txns map[string]struct{}
 
 	// lock cache (section 5.1): group -> fileID -> granted coverage.
 	cacheMu   sync.Mutex
 	lockCache map[string]map[string][]cachedLock
 
-	// Lock-lease state (DESIGN.md section 13), both halves under one
-	// mutex: leases is the requesting-site cache (fileID -> coverage this
-	// site may re-acquire without a lock message), leaseMeta the
-	// storage-site book-keeping (per (fileID, leaseholder) grant counts,
-	// expiry and revocation state).  leaseGauge is nil unless
-	// Config.LockLeases is set, so legacy runs never materialize the
-	// metric.
-	leaseMu    sync.Mutex
-	leases     map[string]*siteLease
-	leaseMeta  map[string]map[simnet.SiteID]*leaseMeta
-	leaseGauge *telemetry.Gauge
+	// Lock-lease state (DESIGN.md section 13), nil unless
+	// Config.LockLeases, both halves under one mutex: leases is the
+	// requesting-site cache (fileID -> coverage this site may re-acquire
+	// without a lock message), leaseMeta the storage-site book-keeping
+	// (per (fileID, leaseholder) grant counts, expiry and revocation
+	// state).
+	leaseMu   sync.Mutex
+	leases    map[string]*siteLease
+	leaseMeta map[string]map[simnet.SiteID]*leaseMeta
 
 	// Adaptive-placement state (DESIGN.md section 14), nil unless
-	// Config.AdaptivePlacement: heat is this storage site's per-file
-	// accessor profile; moving marks files whose primary copy is mid-move,
-	// fencing new operations behind errMoved until the repoint completes.
-	// The map value is a claim token (moveSeq at claim time): the fence is
-	// kernel memory, wiped by Restart like the lock table, and the token
-	// keeps a pre-crash move's deferred release from deleting a claim
-	// made after the restart.  adopted remembers, per path, the MoveID of
-	// the adoption that installed the local copy; purgeWanted holds purge
-	// requests that arrived while that adoption was still running (the
-	// handler honors them when it finishes).  placeOps counts in-flight
-	// placement operations (moves, adoptions, purges) so a harness can
-	// quiesce placement before auditing - it tracks goroutines, not
-	// kernel state, and deliberately survives Restart.
+	// Config.AdaptivePlacement: moving marks files whose primary copy is
+	// mid-move, fencing new operations behind errMoved until the repoint
+	// completes; adopted remembers, per path, the MoveID of the adoption
+	// that installed the local copy; purgeWanted holds purge requests
+	// that arrived while that adoption was still running (the handler
+	// honors them when it finishes).
 	placeMu     sync.Mutex
-	heat        *placement.Tracker
-	moving      map[string]uint64
-	moveSeq     uint64
+	moving      map[string]struct{}
 	adopted     map[string]uint64
 	purgeWanted map[string]uint64
-	placeOps    atomic.Int64
+}
+
+// Site is one machine and the latest incarnation of its kernel.
+type Site struct {
+	machine
+	// inc is never nil once AddSite returns.  Between Crash and Restart it
+	// names the dead incarnation: a harness can still inspect a down site,
+	// a process there still finds its caches, no message is answered.
+	inc atomic.Pointer[incarnation]
+	// stall, set by tests only, runs at the top of every handler.
+	stall atomic.Pointer[func(op string)]
 }
 
 type cachedLock struct {
@@ -575,169 +593,203 @@ type cachedLock struct {
 	len  int64
 }
 
-// ID returns the site's network identifier.
-func (s *Site) ID() simnet.SiteID { return s.id }
-
-// Cluster returns the owning cluster.
-func (s *Site) Cluster() *Cluster { return s.cl }
-
-// Procs exposes the site's process table.  (Restart swaps in a fresh
-// table, so the read is guarded.)
-func (s *Site) Procs() *proc.Table {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.procs
-}
-
-// Tracer returns the site's event tracer, nil when tracing is off.
-func (s *Site) Tracer() *trace.Tracer { return s.tr }
-
-// Locks exposes the site's lock manager (storage-site lock lists).
-func (s *Site) Locks() *lockmgr.Manager {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.locks
-}
-
-// Up reports whether the site is running.
-func (s *Site) Up() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.up
-}
-
-// coordVolume picks the site's volume that holds its coordinator log: the
-// first mounted volume by name.  Hosted volumes (ownership-move
-// adoptions) are skipped even when lexically first: they materialize
-// mid-run, and a log that moved volumes across a restart would leave
-// recovery replaying the wrong log - stranding records whose presumed-
-// abort answer could then contradict a commit that already happened.
-// Sites that coordinate transactions must have at least one mounted
-// volume.
-func (s *Site) coordVolume() (*fs.Volume, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var names []string
-	for n, vs := range s.vols {
-		if vs.hosted {
-			continue
-		}
-		names = append(names, n)
+// mount turns a disk into a served volume, the only way one comes into
+// being: format it (a new disk) or load what survived on it (a restart),
+// wire the volume to the site's configuration, tracer, clock and
+// group-commit daemon, and read its directory.
+func (m *machine) mount(d *disk, format bool) (*volState, error) {
+	cfg := m.cl.cfg
+	vs := &volState{name: d.vol, disk: d}
+	vs.dirMu.SetClock(cfg.Clock)
+	var err error
+	if format {
+		vs.vol, err = fs.Format(d.vol, d.dev, fs.Options{})
+	} else {
+		vs.vol, err = fs.Load(d.vol, d.dev)
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("cluster: site %v has no mounted volume for its coordinator log", s.id)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: volume %q: %w", d.vol, err)
 	}
-	sort.Strings(names)
-	return s.vols[names[0]].vol, nil
+	vs.vol.DoubleLogWrite = cfg.DoubleLogWrites
+	vs.vol.SetTracer(m.tr)
+	vs.vol.SetClock(cfg.Clock)
+	vs.vol.Log().StartGroupCommit(cfg.groupCommit())
+	if format {
+		err = vs.initDirectory()
+	} else {
+		err = vs.loadDirectory()
+	}
+	if err != nil {
+		vs.vol.Invalidate()
+		return nil, err
+	}
+	return vs, nil
 }
 
-// Coordinator returns (creating on first use) the site's two-phase commit
-// coordinator.
-func (s *Site) Coordinator() (*tpc.Coordinator, error) {
-	s.mu.Lock()
-	if s.coord != nil {
-		c := s.coord
-		s.mu.Unlock()
-		return c, nil
+// addVolume formats the volume d names on a new disk and brings it into
+// service: a mounted or hosted volume joins k.vols (of two racing first
+// adoptions the loser gets the winner's), a replica joins k.replicas.  The
+// machine keeps the disk only once a live incarnation serves the volume,
+// so the next boot loads exactly the disks some kernel vouched for.
+func (k *incarnation) addVolume(d *disk) (*volState, error) {
+	cfg := k.cl.cfg
+	name := d.vol
+	if d.hosted || d.replica {
+		name = fmt.Sprintf("%s@%v", d.vol, k.id)
 	}
-	s.mu.Unlock()
-	vol, err := s.coordVolume()
+	d.dev = simdisk.New(name, cfg.VolumePages, cfg.PageSize, k.st)
+	d.dev.SetSyncDelay(cfg.DiskSyncDelay)
+	d.dev.SetClock(cfg.Clock)
+	vs, err := k.mount(d, true)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.coord == nil {
-		s.coord = tpc.NewCoordinator(s.id, vol, &siteTransport{s: s}, s.st, tpc.Config{
-			SyncPhase2:    s.cl.cfg.SyncPhase2,
-			RetryInterval: s.cl.cfg.RetryInterval,
-			FastPaths:     s.cl.cfg.FastPaths,
-			Clock:         s.cl.cfg.Clock,
-		})
-		s.coord.SetTracer(s.tr)
+	k.mu.Lock()
+	cur, dup := k.vols[d.vol]
+	if d.replica {
+		_, dup = k.replicas[d.vol]
 	}
-	return s.coord, nil
+	switch {
+	case k.dead.Load():
+		err = ErrSiteDown
+	case dup && d.replica:
+		err = fmt.Errorf("cluster: %q already replicated at %v", d.vol, k.id)
+	case dup:
+		// Two first adoptions raced and this one lost.
+	case d.replica:
+		k.replicas[d.vol], cur = newReplicaState(vs), vs
+	default:
+		k.vols[d.vol], cur = vs, vs
+	}
+	if cur == vs {
+		k.diskMu.Lock()
+		k.disks = append(k.disks, d)
+		k.diskMu.Unlock()
+	}
+	k.mu.Unlock()
+	if cur != vs {
+		vs.vol.Invalidate() // stops the daemon mount started
+	}
+	return cur, err
+}
+
+// kernel returns the site's latest incarnation, live or dead.
+func (s *Site) kernel() *incarnation { return s.inc.Load() }
+
+// ID returns the site's network identifier.
+func (m *machine) ID() simnet.SiteID { return m.id }
+
+// Cluster returns the owning cluster.
+func (m *machine) Cluster() *Cluster { return m.cl }
+
+// Tracer returns the site's event tracer, nil when tracing is off.
+func (m *machine) Tracer() *trace.Tracer { return m.tr }
+
+// Procs exposes the site's process table.
+func (s *Site) Procs() *proc.Table { return s.kernel().procs }
+
+// Locks exposes the site's lock manager (storage-site lock lists).
+func (s *Site) Locks() *lockmgr.Manager { return s.kernel().locks }
+
+// Up reports whether the site is running.
+func (s *Site) Up() bool { return !s.kernel().dead.Load() }
+
+// Coordinator returns (creating on first use) the site's two-phase commit
+// coordinator.
+func (s *Site) Coordinator() (*tpc.Coordinator, error) { return s.kernel().Coordinator() }
+
+// Coordinator returns (creating on first use) the incarnation's two-phase
+// commit coordinator.  Its log lives on the first mounted volume by name.
+// Hosted volumes (ownership-move adoptions) are skipped even when
+// lexically first: they materialize mid-run, and a log that moved volumes
+// across a restart would leave recovery replaying the wrong log -
+// stranding records whose presumed-abort answer could then contradict a
+// commit that already happened.  Sites that coordinate transactions must
+// have at least one mounted volume.
+func (k *incarnation) Coordinator() (*tpc.Coordinator, error) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.coord != nil {
+		return k.coord, nil
+	}
+	if k.dead.Load() {
+		return nil, ErrSiteDown
+	}
+	var names []string
+	for n, vs := range k.vols {
+		if !vs.disk.hosted {
+			names = append(names, n)
+		}
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("cluster: site %v has no mounted volume for its coordinator log", k.id)
+	}
+	cfg := k.cl.cfg
+	k.coord = tpc.NewCoordinator(k.id, k.vols[slices.Min(names)].vol, &siteTransport{k.machine}, k.st, tpc.Config{
+		SyncPhase2:    cfg.SyncPhase2,
+		RetryInterval: cfg.RetryInterval,
+		FastPaths:     cfg.FastPaths,
+		Clock:         cfg.Clock,
+	})
+	k.coord.SetTracer(k.tr)
+	return k.coord, nil
 }
 
 // lookupOpen returns the open-file entry, which must exist at this
 // (storage) site.
-func (s *Site) lookupOpen(fileID string) (*openFile, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	of, ok := s.open[fileID]
+func (k *incarnation) lookupOpen(fileID string) (*openFile, error) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	of, ok := k.open[fileID]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q not open at %v", ErrNoSuchFile, fileID, s.id)
+		return nil, fmt.Errorf("%w: %q not open at %v", ErrNoSuchFile, fileID, k.id)
 	}
 	return of, nil
 }
 
-// joinTxn enters the transaction in s.txns once an access of its to of has
-// been granted.  A handler that a crash and restart of this site overtook
-// holds an entry the restart discarded; what it was granted is gone, so it
-// leaves no mark on the new incarnation.
-func (s *Site) joinTxn(of *openFile, txid string) {
-	s.mu.Lock()
-	if s.open[of.id] == of {
-		s.txns[txid] = struct{}{}
-	}
-	s.mu.Unlock()
+// joinTxn enters the transaction in k.txns once an access of its has been
+// granted.
+func (k *incarnation) joinTxn(txid string) {
+	k.mu.Lock()
+	k.txns[txid] = struct{}{}
+	k.mu.Unlock()
 }
 
-// formatVolume builds a fresh volume of the given name on its own new
-// disk, wired to the site and holding an empty directory.
-func (s *Site) formatVolume(name, diskName string) (*volState, error) {
-	cfg := s.cl.cfg
-	disk := simdisk.New(diskName, cfg.VolumePages, cfg.PageSize, s.cl.st)
-	disk.SetSyncDelay(cfg.DiskSyncDelay)
-	disk.SetClock(cfg.Clock)
-	vol, err := fs.Format(name, disk, fs.Options{})
-	if err != nil {
-		return nil, err
-	}
-	s.wireVolume(vol)
-	vs := &volState{name: name, disk: disk, vol: vol}
-	vs.dirMu.SetClock(cfg.Clock)
-	return vs, vs.initDirectory()
-}
-
-// wireVolume attaches a freshly formatted or reloaded primary volume to
-// the site's configuration, tracer, clock and group-commit daemon.
-func (s *Site) wireVolume(vol *fs.Volume) {
-	cfg := s.cl.cfg
-	vol.DoubleLogWrite = cfg.DoubleLogWrites
-	vol.SetTracer(s.tr)
-	vol.SetClock(cfg.Clock)
-	vol.Log().StartGroupCommit(cfg.groupCommit())
-}
-
-// volStates snapshots the site's mounted and hosted volumes.
-func (s *Site) volStates() []*volState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.volStatesLocked()
-}
-
-func (s *Site) volStatesLocked() []*volState {
-	vols := make([]*volState, 0, len(s.vols))
-	for _, vs := range s.vols {
+// volStates snapshots the volumes the incarnation serves, mounted and
+// hosted - and, with replicas set, the replicas it holds.
+func (k *incarnation) volStates(replicas bool) []*volState {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	vols := make([]*volState, 0, len(k.vols))
+	for _, vs := range k.vols {
 		vols = append(vols, vs)
+	}
+	if replicas {
+		for _, rep := range k.replicas {
+			vols = append(vols, rep.vs)
+		}
 	}
 	return vols
 }
 
-// volFor returns the volume state for a fileID mounted at this site.
-func (s *Site) volFor(fileID string) (*volState, error) {
+// volByName returns the state of a volume served at this site.
+func (k *incarnation) volByName(name string) (*volState, error) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	vs, ok := k.vols[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q not stored at %v", ErrNoSuchVolume, name, k.id)
+	}
+	return vs, nil
+}
+
+// volFor returns the volume state for a fileID stored at this site.
+func (k *incarnation) volFor(fileID string) (*volState, error) {
 	volName, _, err := splitPath(fileID)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	vs, ok := s.vols[volName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q not stored at %v", ErrNoSuchVolume, volName, s.id)
-	}
-	return vs, nil
+	return k.volByName(volName)
 }
 
 // Holder builds a lock holder for a process.

@@ -215,14 +215,14 @@ func TestTxnWriteRequiresLockAtStorageSite(t *testing.T) {
 	if err := s1.Create("va/f"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.handleOpen(openReq{Path: "va/f"}); err != nil {
+	if _, err := s1.kernel().handleOpen(openReq{Path: "va/f"}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := s1.handleWrite(s1.id, writeReq{FileID: "va/f", Off: 0, Data: []byte("x"), PID: 1, Txn: "T1"})
+	_, err := s1.kernel().handleWrite(s1.id, writeReq{FileID: "va/f", Off: 0, Data: []byte("x"), PID: 1, Txn: "T1"})
 	if !errors.Is(err, lockmgr.ErrAccessDenied) {
 		t.Fatalf("unlocked txn write: %v", err)
 	}
-	if _, err := s1.handleRead(s1.id, readReq{FileID: "va/f", Off: 0, Len: 1, PID: 1, Txn: "T1"}); !errors.Is(err, lockmgr.ErrAccessDenied) {
+	if _, err := s1.kernel().handleRead(s1.id, readReq{FileID: "va/f", Off: 0, Len: 1, PID: 1, Txn: "T1"}); !errors.Is(err, lockmgr.ErrAccessDenied) {
 		t.Fatalf("unlocked txn read: %v", err)
 	}
 }
@@ -317,7 +317,7 @@ func TestRule2AdoptionAtLockTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ownership moved to the transaction.
-	of, err := s1.lookupOpen(id)
+	of, err := s1.kernel().lookupOpen(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,10 +329,10 @@ func TestRule2AdoptionAtLockTime(t *testing.T) {
 	}
 
 	// Commit the transaction through the participant machinery.
-	if err := s1.handlePrepare(prepareReq{Txid: "T5", FileIDs: []string{id}, Coord: 1}); err != nil {
+	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T5", FileIDs: []string{id}, Coord: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.handleCommit2(commit2Req{Txid: "T5"}); err != nil {
+	if err := s1.kernel().handleCommit2(commit2Req{Txid: "T5"}); err != nil {
 		t.Fatal(err)
 	}
 	_, committed, _ := s1.Stat(id)
@@ -362,7 +362,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 	}
 
 	before := cl.Stats().Snapshot()
-	if err := s1.handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id}, Coord: 2}); err != nil {
+	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id}, Coord: 2}); err != nil {
 		t.Fatal(err)
 	}
 	d := cl.Stats().Snapshot().Sub(before)
@@ -379,7 +379,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 		t.Fatal("prepare record has no lock list")
 	}
 
-	if err := s1.handleCommit2(commit2Req{Txid: "T1"}); err != nil {
+	if err := s1.kernel().handleCommit2(commit2Req{Txid: "T1"}); err != nil {
 		t.Fatal(err)
 	}
 	_, committed, _ := s1.Stat(id)
@@ -391,7 +391,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("prepare records remain: %+v", recs)
 	}
-	if err := s1.handleCommit2(commit2Req{Txid: "T1"}); err != nil {
+	if err := s1.kernel().handleCommit2(commit2Req{Txid: "T1"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -405,7 +405,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 	if _, err := s1.Write(id2, pid2, "T2", 0, []byte("DOOMEDXX")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.handleAbortTxn(abortTxnReq{Txid: "T2"}); err != nil {
+	if err := s1.kernel().handleAbortTxn(abortTxnReq{Txid: "T2"}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s1.Read(id2, pid2, "", 0, 8)
@@ -413,7 +413,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 		t.Fatalf("after abort = %q, %v", got, err)
 	}
 	// Duplicate abort is harmless.
-	if err := s1.handleAbortTxn(abortTxnReq{Txid: "T2"}); err != nil {
+	if err := s1.kernel().handleAbortTxn(abortTxnReq{Txid: "T2"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -444,7 +444,7 @@ func TestParticipantCrashRecoveryInDoubtThenCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = coord2
-	if err := s1.handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id}, Coord: 2}); err != nil {
+	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id}, Coord: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tpc.WriteCoordRecord(s2.Volume("vb"), tpc.CoordRecord{
@@ -507,7 +507,7 @@ func TestDirectorySurvivesRestart(t *testing.T) {
 	if err != nil || len(names) != 3 {
 		t.Fatalf("names after restart = %v, %v", names, err)
 	}
-	if _, err := s1.handleOpen(openReq{Path: "va/b"}); err != nil {
+	if _, err := s1.kernel().handleOpen(openReq{Path: "va/b"}); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate create still rejected after reload.
@@ -621,7 +621,7 @@ func TestInDoubtResolvesToAbort(t *testing.T) {
 	if _, err := s1.Write(id, pid, "TD", 0, []byte("gone")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.handlePrepare(prepareReq{Txid: "TD", FileIDs: []string{id}, Coord: 2}); err != nil {
+	if err := s1.kernel().handlePrepare(prepareReq{Txid: "TD", FileIDs: []string{id}, Coord: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Coordinator records the abort decision, then BOTH crash; the

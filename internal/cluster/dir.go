@@ -60,18 +60,11 @@ func (vs *volState) loadDirectory() error {
 // writeDirLocked persists the directory map with an immediate commit.
 // Caller holds vs.dirMu.
 func (vs *volState) writeDirLocked() error {
-	return vs.writeDirLockedOn(vs.vol)
-}
-
-// writeDirLockedOn is writeDirLocked against an explicit volume handle,
-// for callers whose operation spans several durable steps and must not
-// straddle a reload (see dirCreateOn).  Caller holds vs.dirMu.
-func (vs *volState) writeDirLockedOn(vol *fs.Volume) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(vs.dir); err != nil {
 		return err
 	}
-	f, err := shadow.Open(vol, 0)
+	f, err := shadow.Open(vs.vol, 0)
 	if err != nil {
 		return err
 	}
@@ -81,48 +74,19 @@ func (vs *volState) writeDirLockedOn(vol *fs.Volume) error {
 	return f.Commit(dirOwner)
 }
 
-// pinVol snapshots the current volume handle.  A multi-step operation
-// (an ownership-move adoption) captures it once and performs every
-// durable step against it: if the site crash-restarts mid-operation the
-// reload invalidates this handle, so the whole operation fails cleanly
-// instead of splitting across two volume generations - inode numbers
-// allocated in the old one are meaningless to the reloaded allocator.
-func (vs *volState) pinVol() *fs.Volume {
-	vs.dirMu.Lock()
-	defer vs.dirMu.Unlock()
-	return vs.vol
-}
-
 // dirCreate allocates an inode for name and persists the entry.
 func (vs *volState) dirCreate(name string) (int, error) {
 	vs.dirMu.Lock()
 	defer vs.dirMu.Unlock()
-	return vs.dirCreateLocked(vs.vol, name)
-}
-
-// dirCreateOn is dirCreate pinned to a volume handle from pinVol: it
-// refuses if a reload swapped the volume since the pin, so the caller's
-// inode number and directory entry are guaranteed to belong to the same
-// volume generation as its later writes.
-func (vs *volState) dirCreateOn(vol *fs.Volume, name string) (int, error) {
-	vs.dirMu.Lock()
-	defer vs.dirMu.Unlock()
-	if vs.vol != vol {
-		return 0, fmt.Errorf("cluster: %q: %w", vs.name, fs.ErrStaleVolume)
-	}
-	return vs.dirCreateLocked(vol, name)
-}
-
-func (vs *volState) dirCreateLocked(vol *fs.Volume, name string) (int, error) {
 	if _, ok := vs.dir[name]; ok {
 		return 0, fmt.Errorf("%w: %s/%s", ErrFileExists, vs.name, name)
 	}
-	ino, err := vol.AllocInode()
+	ino, err := vs.vol.AllocInode()
 	if err != nil {
 		return 0, err
 	}
 	vs.dir[name] = ino
-	if err := vs.writeDirLockedOn(vol); err != nil {
+	if err := vs.writeDirLocked(); err != nil {
 		delete(vs.dir, name)
 		return 0, err
 	}
@@ -209,8 +173,8 @@ func (vs *volState) reclaimFile(name string) error {
 
 // committedImage reads the committed contents of path's local primary
 // copy - what a replica sync or an ownership move ships.
-func (s *Site) committedImage(path string) (vs *volState, name string, data []byte, err error) {
-	if vs, err = s.volFor(path); err != nil {
+func (k *incarnation) committedImage(path string) (vs *volState, name string, data []byte, err error) {
+	if vs, err = k.volFor(path); err != nil {
 		return nil, "", nil, err
 	}
 	if _, name, err = splitPath(path); err != nil {
@@ -233,17 +197,17 @@ func (s *Site) committedImage(path string) (vs *volState, name string, data []by
 	return vs, name, data, nil
 }
 
-// openOrCreateOn opens name on vol - a handle from pinVol - creating its
-// directory entry first when the file is new here.
-func (vs *volState) openOrCreateOn(vol *fs.Volume, name string) (*shadow.File, error) {
+// openOrCreate opens name on the volume, creating its directory entry
+// first when the file is new here.
+func (vs *volState) openOrCreate(name string) (*shadow.File, error) {
 	ino, err := vs.dirLookup(name)
 	if errors.Is(err, ErrNoSuchFile) {
-		ino, err = vs.dirCreateOn(vol, name)
+		ino, err = vs.dirCreate(name)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return shadow.Open(vol, ino)
+	return shadow.Open(vs.vol, ino)
 }
 
 // installImage commits a shipped committed image over f.

@@ -3,17 +3,25 @@ package cluster
 // LockCacheGroups reports how many lock groups have coverage cached at
 // this (requesting) site.
 func (s *Site) LockCacheGroups() int {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	return len(s.lockCache)
+	k := s.kernel()
+	k.cacheMu.Lock()
+	defer k.cacheMu.Unlock()
+	return len(k.lockCache)
 }
 
-// StallPrepare re-registers the site's paper-exact "prepare" op so that
-// each prepare runs the real handler only after wait returns: a test's way
-// to hold a coordinator inside its prepare phase.
-func (s *Site) StallPrepare(wait func()) {
-	s.ep.Handle("prepare", s.wrap(func(req any) (any, error) {
-		wait()
-		return nil, s.handlePrepare(req.(prepareReq))
-	}))
+// Stall makes every handler of op at this site run wait first - after the
+// request is bound to the incarnation that received it, before the handler
+// body: a test's way to park a request across whatever it does meanwhile.
+// A nil wait removes the stall.
+func (s *Site) Stall(op string, wait func()) {
+	if wait == nil {
+		s.stall.Store(nil)
+		return
+	}
+	hook := func(got string) {
+		if got == op {
+			wait()
+		}
+	}
+	s.stall.Store(&hook)
 }

@@ -180,14 +180,14 @@ func onePhasePrepared(t *testing.T, cl *Cluster, txid string, total int) *Site {
 	// Coord site 9 does not exist: any status query would fail, proving
 	// one-phase resolution never asks.
 	req := prepareReq{Txid: txid, FileIDs: []string{"va/f"}, Coord: 9}
-	preps, _, err := s1.gatherPrepare(req)
+	preps, _, err := s1.kernel().gatherPrepare(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total == 0 {
-		total = s1.prepareRecordCount(preps)
+		total = s1.kernel().prepareRecordCount(preps)
 	}
-	if err := s1.writePrepareRecords(req, preps, total); err != nil {
+	if err := s1.kernel().writePrepareRecords(req, preps, total); err != nil {
 		t.Fatal(err)
 	}
 	return s1
@@ -260,10 +260,10 @@ func TestAbortRefusedPastOnePhaseCommitPoint(t *testing.T) {
 	// A live one-phase entry exists only after its records were forced -
 	// past the commit point.  A late abort (the coordinator lost the
 	// ack) must be refused, not applied.
-	s1.mu.Lock()
-	s1.prepared["OPX"] = &preparedTxn{onePhase: true}
-	s1.mu.Unlock()
-	if err := s1.handleAbortTxn(abortTxnReq{Txid: "OPX"}); err == nil {
+	s1.kernel().mu.Lock()
+	s1.kernel().prepared["OPX"] = &preparedTxn{onePhase: true}
+	s1.kernel().mu.Unlock()
+	if err := s1.kernel().handleAbortTxn(abortTxnReq{Txid: "OPX"}); err == nil {
 		t.Fatal("abort accepted past the one-phase commit point")
 	}
 }

@@ -110,42 +110,14 @@ type listResp struct{ Names []string }
 
 type removeReq struct{ Path string }
 
-// wrap adapts a request-only handler to the simnet.Handler signature.
-func (s *Site) wrap(fn func(req any) (any, error)) func(simnet.SiteID, any) (any, error) {
-	return func(from simnet.SiteID, req any) (any, error) { return fn(req) }
-}
-
-// registerFileHandlers installs the storage-site side of the file
-// operations.
-func (s *Site) registerFileHandlers() {
-	s.ep.Handle("create", s.wrap(func(req any) (any, error) { return nil, s.handleCreate(req.(createReq)) }))
-	s.ep.Handle("open", s.wrap(func(req any) (any, error) { return s.handleOpen(req.(openReq)) }))
-	s.ep.Handle("close", s.wrap(func(req any) (any, error) { return nil, s.handleClose(req.(closeReq)) }))
-	s.ep.Handle("sync", s.wrap(func(req any) (any, error) { return nil, s.handleSync(req.(syncReq)) }))
-	s.ep.Handle("stat", s.wrap(func(req any) (any, error) { return s.handleStat(req.(statReq)) }))
-	// read, write and lock keep the sender's identity: the lease
-	// protocol needs to know which site is asking (a site's own leases
-	// never block it, and leases are only granted to remote requesters).
-	s.ep.Handle("read", func(from simnet.SiteID, req any) (any, error) { return s.handleRead(from, req.(readReq)) })
-	s.ep.Handle("write", func(from simnet.SiteID, req any) (any, error) { return s.handleWrite(from, req.(writeReq)) })
-	s.ep.Handle("lock", func(from simnet.SiteID, req any) (any, error) { return s.handleLock(from, req.(lockReq)) })
-	s.ep.Handle("leaseRevoke", s.wrap(func(req any) (any, error) {
-		s.leaseCacheDrop(req.(leaseRevokeReq).FileID)
-		return nil, nil
-	}))
-	s.ep.Handle("unlock", s.wrap(func(req any) (any, error) { return s.handleUnlock(req.(unlockReq)) }))
-	s.ep.Handle("list", s.wrap(func(req any) (any, error) { return s.handleList(req.(listReq)) }))
-	s.ep.Handle("remove", s.wrap(func(req any) (any, error) { return nil, s.handleRemove(req.(removeReq)) }))
-}
-
 // ---- storage-site handlers ----
 
-func (s *Site) handleCreate(req createReq) error {
+func (k *incarnation) handleCreate(req createReq) error {
 	volName, name, err := splitPath(req.Path)
 	if err != nil {
 		return err
 	}
-	vs, err := s.volByName(volName)
+	vs, err := k.volByName(volName)
 	if err != nil {
 		return err
 	}
@@ -153,28 +125,18 @@ func (s *Site) handleCreate(req createReq) error {
 	return err
 }
 
-func (s *Site) volByName(name string) (*volState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	vs, ok := s.vols[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q not stored at %v", ErrNoSuchVolume, name, s.id)
-	}
-	return vs, nil
-}
-
 // handleOpen resolves the name (the expensive name-mapping the paper
 // separates from locking, section 3.2), brings the inode into memory, and
 // returns the file's identity.
-func (s *Site) handleOpen(req openReq) (openResp, error) {
-	if err := s.movingGuard(req.Path); err != nil {
+func (k *incarnation) handleOpen(req openReq) (openResp, error) {
+	if err := k.movingGuard(req.Path); err != nil {
 		return openResp{}, err
 	}
 	volName, name, err := splitPath(req.Path)
 	if err != nil {
 		return openResp{}, err
 	}
-	vs, err := s.volByName(volName)
+	vs, err := k.volByName(volName)
 	if err != nil {
 		return openResp{}, err
 	}
@@ -183,15 +145,15 @@ func (s *Site) handleOpen(req openReq) (openResp, error) {
 		return openResp{}, err
 	}
 	fileID := req.Path
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	of, ok := s.open[fileID]
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	of, ok := k.open[fileID]
 	if !ok {
 		file, err := shadow.Open(vs.vol, ino)
 		if err != nil {
 			return openResp{}, err
 		}
-		file.CleanCacheForDiff = s.cl.cfg.DiffFromBufferPool
+		file.CleanCacheForDiff = k.cl.cfg.DiffFromBufferPool
 		of = &openFile{
 			id:   fileID,
 			vs:   vs,
@@ -199,8 +161,8 @@ func (s *Site) handleOpen(req openReq) (openResp, error) {
 		}
 		// The size function reads through the entry, not the file, so a
 		// recovery-time refresh of of.file keeps append locks correct.
-		of.locks = s.locks.File(fileID, func() int64 { return of.file.Size() })
-		s.open[fileID] = of
+		of.locks = k.locks.File(fileID, func() int64 { return of.file.Size() })
+		k.open[fileID] = of
 	}
 	of.refs++
 	return openResp{FileID: fileID, Size: of.file.Size()}, nil
@@ -210,11 +172,11 @@ func (s *Site) handleOpen(req openReq) (openResp, error) {
 // uncommitted modifications, close commits them - the base Locus
 // single-file atomic update on close.  A transaction's close commits
 // nothing; its changes wait for the transaction's outcome.
-func (s *Site) handleClose(req closeReq) error {
-	if err := s.movingGuard(req.FileID); err != nil {
+func (k *incarnation) handleClose(req closeReq) error {
+	if err := k.movingGuard(req.FileID); err != nil {
 		return err
 	}
-	of, err := s.lookupOpen(req.FileID)
+	of, err := k.lookupOpen(req.FileID)
 	if err != nil {
 		return err
 	}
@@ -227,22 +189,22 @@ func (s *Site) handleClose(req closeReq) error {
 		}
 		// A process's own locks die with its use of the file.
 		of.locks.ReleaseGroup(lockmgr.Holder{PID: req.PID}.Group())
-		s.DropLockCache(lockmgr.Holder{PID: req.PID}.Group())
+		k.dropLockCache(lockmgr.Holder{PID: req.PID}.Group())
 	}
-	s.mu.Lock()
+	k.mu.Lock()
 	of.refs--
-	s.mu.Unlock()
-	s.settle(req.FileID)
+	k.mu.Unlock()
+	k.settle(req.FileID)
 	return nil
 }
 
 // handleSync commits a non-transaction owner's modifications immediately
 // (fsync-style), using the single-file commit mechanism.
-func (s *Site) handleSync(req syncReq) error {
-	if err := s.movingGuard(req.FileID); err != nil {
+func (k *incarnation) handleSync(req syncReq) error {
+	if err := k.movingGuard(req.FileID); err != nil {
 		return err
 	}
-	of, err := s.lookupOpen(req.FileID)
+	of, err := k.lookupOpen(req.FileID)
 	if err != nil {
 		return err
 	}
@@ -251,21 +213,21 @@ func (s *Site) handleSync(req syncReq) error {
 		return fmt.Errorf("cluster: sync inside a transaction commits at EndTrans")
 	}
 	if !of.file.HasMods(owner) {
-		s.maybeSyncReplicas(of)
+		k.maybeSyncReplicas(of)
 		return nil
 	}
 	if err := of.file.Commit(owner); err != nil {
 		return err
 	}
-	s.maybeSyncReplicas(of)
+	k.maybeSyncReplicas(of)
 	return nil
 }
 
-func (s *Site) handleStat(req statReq) (statResp, error) {
-	if err := s.movingGuard(req.FileID); err != nil {
+func (k *incarnation) handleStat(req statReq) (statResp, error) {
+	if err := k.movingGuard(req.FileID); err != nil {
 		return statResp{}, err
 	}
-	of, err := s.lookupOpen(req.FileID)
+	of, err := k.lookupOpen(req.FileID)
 	if err != nil {
 		return statResp{}, err
 	}
@@ -276,15 +238,15 @@ func (s *Site) handleStat(req statReq) (statResp, error) {
 // Transaction readers must hold (at least) a shared lock over the range:
 // the requesting kernel acquires it implicitly before the data request,
 // so a bare storage-site check suffices here.
-func (s *Site) handleRead(from simnet.SiteID, req readReq) (readResp, error) {
-	if err := s.movingGuard(req.FileID); err != nil {
+func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, error) {
+	if err := k.movingGuard(req.FileID); err != nil {
 		return readResp{}, err
 	}
-	of, err := s.lookupOpen(req.FileID)
+	of, err := k.lookupOpen(req.FileID)
 	if err != nil {
 		return readResp{}, err
 	}
-	s.recordHeat(req.FileID, from, req.Txn)
+	k.recordHeat(req.FileID, from, req.Txn)
 	h := Holder(req.PID, req.Txn)
 	if req.Txn != "" {
 		// Coverage by the transaction's locks, or by the process's own
@@ -295,11 +257,11 @@ func (s *Site) handleRead(from simnet.SiteID, req readReq) (readResp, error) {
 		pre := Holder(req.PID, "")
 		if !of.locks.Covers(h, lockmgr.ModeShared, req.Off, int64(req.Len)) &&
 			!of.locks.Covers(pre, lockmgr.ModeShared, req.Off, int64(req.Len)) &&
-			!s.materializeLease(of, from, req.FileID, req.PID, req.Txn, lockmgr.ModeShared, req.Off, int64(req.Len)) {
+			!k.materializeLease(of, from, req.FileID, req.PID, req.Txn, lockmgr.ModeShared, req.Off, int64(req.Len)) {
 			return readResp{}, fmt.Errorf("%w: transaction read of %s [%d,%d) without lock",
 				lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+int64(req.Len))
 		}
-		s.joinTxn(of, req.Txn)
+		k.joinTxn(req.Txn)
 	} else if err := of.locks.CheckAccess(h, false, req.Off, int64(req.Len)); err != nil {
 		return readResp{}, err
 	}
@@ -312,15 +274,15 @@ func (s *Site) handleRead(from simnet.SiteID, req readReq) (readResp, error) {
 }
 
 // handleWrite validates and applies a write at the storage site.
-func (s *Site) handleWrite(from simnet.SiteID, req writeReq) (writeResp, error) {
-	if err := s.movingGuard(req.FileID); err != nil {
+func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, error) {
+	if err := k.movingGuard(req.FileID); err != nil {
 		return writeResp{}, err
 	}
-	of, err := s.lookupOpen(req.FileID)
+	of, err := k.lookupOpen(req.FileID)
 	if err != nil {
 		return writeResp{}, err
 	}
-	s.recordHeat(req.FileID, from, req.Txn)
+	k.recordHeat(req.FileID, from, req.Txn)
 	h := Holder(req.PID, req.Txn)
 	owner := ownerFor(req.PID, req.Txn)
 	length := int64(len(req.Data))
@@ -333,12 +295,12 @@ func (s *Site) handleWrite(from simnet.SiteID, req writeReq) (writeResp, error) 
 			pre := Holder(req.PID, "")
 			if of.locks.Covers(pre, lockmgr.ModeExclusive, req.Off, length) {
 				owner = ownerFor(req.PID, "")
-			} else if !s.materializeLease(of, from, req.FileID, req.PID, req.Txn, lockmgr.ModeExclusive, req.Off, length) {
+			} else if !k.materializeLease(of, from, req.FileID, req.PID, req.Txn, lockmgr.ModeExclusive, req.Off, length) {
 				return writeResp{}, fmt.Errorf("%w: transaction write of %s [%d,%d) without exclusive lock",
 					lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+length)
 			}
 		}
-		s.joinTxn(of, req.Txn)
+		k.joinTxn(req.Txn)
 	} else {
 		if err := of.locks.CheckAccess(h, true, req.Off, length); err != nil {
 			return writeResp{}, err
@@ -352,7 +314,7 @@ func (s *Site) handleWrite(from simnet.SiteID, req writeReq) (writeResp, error) 
 			}
 		}
 	}
-	s.markOpenForUpdate(of)
+	k.markOpenForUpdate(of)
 	n, err := of.file.WriteAt(owner, req.Data, req.Off)
 	if err != nil {
 		return writeResp{}, err
@@ -364,11 +326,11 @@ func (s *Site) handleWrite(from simnet.SiteID, req writeReq) (writeResp, error) 
 // and applies rule 2 of section 3.3: locking a record that carries
 // modified-but-uncommitted non-transaction data pulls those bytes into
 // the transaction, and the lock is forcibly transactional (retained).
-func (s *Site) handleLock(from simnet.SiteID, req lockReq) (lockResp, error) {
-	if err := s.movingGuard(req.FileID); err != nil {
+func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, error) {
+	if err := k.movingGuard(req.FileID); err != nil {
 		return lockResp{}, err
 	}
-	of, err := s.lookupOpen(req.FileID)
+	of, err := k.lookupOpen(req.FileID)
 	if err != nil {
 		return lockResp{}, err
 	}
@@ -383,38 +345,38 @@ func (s *Site) handleLock(from simnet.SiteID, req lockReq) (lockResp, error) {
 		FromSite: int(from),
 	}
 	if req.Wait {
-		lreq.Timeout = s.cl.cfg.LockWaitTimeout
+		lreq.Timeout = k.cl.cfg.LockWaitTimeout
 	}
-	s.markOpenForUpdate(of)
-	res, err := s.lockAt(of, req.FileID, lreq)
+	k.markOpenForUpdate(of)
+	res, err := k.lockAt(of, req.FileID, lreq)
 	if err != nil {
 		return lockResp{}, err
 	}
-	if s.cl.cfg.PrefetchOnLock {
+	if k.cl.cfg.PrefetchOnLock {
 		of.file.Prefetch(res.Off, res.Len) //nolint:errcheck // best-effort read-ahead
 	}
 	if req.Txn != "" {
-		s.adoptUncommitted(of, req.Txn, res.Off, res.Len)
+		k.adoptUncommitted(of, req.Txn, res.Off, res.Len)
 		if !req.NonTxn {
 			// A NonTxn-mode lock does not join the transaction (section
 			// 3.4): on its own it brings this site no prepare and no
 			// finishTxn.
-			s.joinTxn(of, req.Txn)
+			k.joinTxn(req.Txn)
 		}
 	}
 	resp := lockResp{Off: res.Off, Len: res.Len}
 	// A transactional grant to a remote requester earns a lease: the
 	// coverage will outlive the transaction's release, so the requester's
 	// next transaction can skip the lock message entirely.
-	if s.cl.cfg.LockLeases && from != s.id && req.Txn != "" && !req.NonTxn {
-		if install, escalate := s.leaseGranted(req.FileID, from); install {
+	if k.cl.cfg.LockLeases && from != k.id && req.Txn != "" && !req.NonTxn {
+		if install, escalate := k.leaseGranted(req.FileID, from); install {
 			if of.locks.GrantLease(int(from), req.Mode, res.Off, res.Len) {
 				resp.LeaseMode = req.Mode
 				resp.LeaseOff, resp.LeaseLen = res.Off, res.Len
-				s.tr.Record(trace.LeaseGrant, TxnGroup(req.Txn), req.FileID, int64(from))
+				k.tr.Record(trace.LeaseGrant, TxnGroup(req.Txn), req.FileID, int64(from))
 				if escalate && of.locks.TryEscalateLease(int(from), TxnGroup(req.Txn), req.Mode) {
-					s.st.Inc(stats.LeaseEscalations)
-					s.tr.Record(trace.LockEscalate, TxnGroup(req.Txn), req.FileID, int64(from))
+					k.st.Inc(stats.LeaseEscalations)
+					k.tr.Record(trace.LockEscalate, TxnGroup(req.Txn), req.FileID, int64(from))
 					resp.LeaseWhole = true
 				}
 			}
@@ -427,7 +389,7 @@ func (s *Site) handleLock(from simnet.SiteID, req lockReq) (lockResp, error) {
 // lock grant: modified-but-uncommitted non-transaction bytes under the
 // granted range join the transaction, and the lock is forcibly
 // transactional (retained).
-func (s *Site) adoptUncommitted(of *openFile, txn string, off, length int64) {
+func (k *incarnation) adoptUncommitted(of *openFile, txn string, off, length int64) {
 	txnOwner := TxnOwner(txn)
 	for _, or := range of.file.UncommittedOverlapping(off, length) {
 		if or.Owner != txnOwner && strings.HasPrefix(string(or.Owner), "proc:") {
@@ -437,11 +399,11 @@ func (s *Site) adoptUncommitted(of *openFile, txn string, off, length int64) {
 	}
 }
 
-func (s *Site) handleUnlock(req unlockReq) (unlockResp, error) {
-	if err := s.movingGuard(req.FileID); err != nil {
+func (k *incarnation) handleUnlock(req unlockReq) (unlockResp, error) {
+	if err := k.movingGuard(req.FileID); err != nil {
 		return unlockResp{}, err
 	}
-	of, err := s.lookupOpen(req.FileID)
+	of, err := k.lookupOpen(req.FileID)
 	if err != nil {
 		return unlockResp{}, err
 	}
@@ -472,20 +434,20 @@ func (s *Site) handleUnlock(req unlockReq) (unlockResp, error) {
 		}
 	}
 	if !retained {
-		s.maybeSyncReplicas(of)
+		k.maybeSyncReplicas(of)
 	}
 	return unlockResp{Retained: retained}, nil
 }
 
-func (s *Site) handleList(req listReq) (listResp, error) {
-	vs, err := s.volByName(req.Volume)
+func (k *incarnation) handleList(req listReq) (listResp, error) {
+	vs, err := k.volByName(req.Volume)
 	if err != nil {
 		return listResp{}, err
 	}
 	names := vs.dirList()
 	// Files homed away from the mount site left this directory when they
 	// moved; the namespace still lists them under their volume.
-	if extra := s.cl.homesForVolume(req.Volume); len(extra) > 0 {
+	if extra := k.cl.homesForVolume(req.Volume); len(extra) > 0 {
 		have := make(map[string]bool, len(names))
 		for _, n := range names {
 			have[n] = true
@@ -503,31 +465,31 @@ func (s *Site) handleList(req listReq) (listResp, error) {
 // handleRemove deletes a file: the directory entry goes first (the
 // committed point of the removal), then the data pages and inode are
 // reclaimed.  An open file cannot be removed.
-func (s *Site) handleRemove(req removeReq) error {
-	if err := s.movingGuard(req.Path); err != nil {
+func (k *incarnation) handleRemove(req removeReq) error {
+	if err := k.movingGuard(req.Path); err != nil {
 		return err
 	}
 	volName, name, err := splitPath(req.Path)
 	if err != nil {
 		return err
 	}
-	vs, err := s.volByName(volName)
+	vs, err := k.volByName(volName)
 	if err != nil {
 		return err
 	}
-	s.settle(req.Path) // an idle entry nobody references does not hold the file open
-	s.mu.Lock()
-	_, open := s.open[req.Path]
-	s.mu.Unlock()
+	k.settle(req.Path) // an idle entry nobody references does not hold the file open
+	k.mu.Lock()
+	_, open := k.open[req.Path]
+	k.mu.Unlock()
 	if open {
 		return fmt.Errorf("cluster: %q is open; close it everywhere first", req.Path)
 	}
 	if err := vs.reclaimFile(name); err != nil {
 		return err
 	}
-	s.cl.clearFileHome(req.Path)
-	s.heat.Forget(req.Path)
-	s.notifyReplicaRemove(req.Path, volName)
+	k.cl.clearFileHome(req.Path)
+	k.heat.Forget(req.Path)
+	k.notifyReplicaRemove(req.Path, volName)
 	return nil
 }
 
@@ -537,39 +499,39 @@ func (s *Site) handleRemove(req removeReq) error {
 // runs the handler directly with no network charge (simnet handles both).
 // An errMoved refusal (the file's primary copy is mid-move) waits the
 // move out and retries against the re-resolved home.
-func (s *Site) callStorage(path, op string, req any) (any, error) {
+func (m *machine) callStorage(path, op string, req any) (any, error) {
 	for attempt := 0; ; attempt++ {
-		site, err := s.cl.StorageSite(path)
+		site, err := m.cl.StorageSite(path)
 		if err != nil {
 			return nil, err
 		}
-		resp, err := s.ep.Call(site, op, req)
+		resp, err := m.ep.Call(site, op, req)
 		if err == nil || attempt >= movedRetries || !errors.Is(err, errMoved) {
 			return resp, err
 		}
-		s.retryMovedWait(attempt)
+		m.retryMovedWait(attempt)
 	}
 }
 
 // Create makes an empty file at the path's storage site.
-func (s *Site) Create(path string) error {
-	s.st.Inc(stats.Syscalls)
-	_, err := s.callStorage(path, "create", createReq{Path: path})
+func (m *machine) Create(path string) error {
+	m.st.Inc(stats.Syscalls)
+	_, err := m.callStorage(path, "create", createReq{Path: path})
 	return err
 }
 
 // Remove deletes a file and reclaims its storage.
-func (s *Site) Remove(path string) error {
-	s.st.Inc(stats.Syscalls)
-	_, err := s.callStorage(path, "remove", removeReq{Path: path})
+func (m *machine) Remove(path string) error {
+	m.st.Inc(stats.Syscalls)
+	_, err := m.callStorage(path, "remove", removeReq{Path: path})
 	return err
 }
 
 // Open resolves the path and opens the file, returning its file ID and
 // current size.
-func (s *Site) Open(path string) (string, int64, error) {
-	s.st.Inc(stats.Syscalls)
-	resp, err := s.callStorage(path, "open", openReq{Path: path})
+func (m *machine) Open(path string) (string, int64, error) {
+	m.st.Inc(stats.Syscalls)
+	resp, err := m.callStorage(path, "open", openReq{Path: path})
 	if err != nil {
 		return "", 0, err
 	}
@@ -584,22 +546,22 @@ func (s *Site) Close(fileID string, pid int, txn string) error {
 	if txn == "" {
 		// The storage site released the process's locks on the file with
 		// the close; what this site cached of them is void.
-		s.cacheTrim(fileID, Holder(pid, "").Group(), 0, math.MaxInt64)
+		s.kernel().cacheTrim(fileID, Holder(pid, "").Group(), 0, math.MaxInt64)
 	}
 	return err
 }
 
 // Sync commits a non-transaction process's modifications immediately.
-func (s *Site) Sync(fileID string, pid int, txn string) error {
-	s.st.Inc(stats.Syscalls)
-	_, err := s.callStorage(fileID, "sync", syncReq{FileID: fileID, PID: pid, Txn: txn})
+func (m *machine) Sync(fileID string, pid int, txn string) error {
+	m.st.Inc(stats.Syscalls)
+	_, err := m.callStorage(fileID, "sync", syncReq{FileID: fileID, PID: pid, Txn: txn})
 	return err
 }
 
 // Stat returns the file's working and committed sizes.
-func (s *Site) Stat(fileID string) (size, committed int64, err error) {
-	s.st.Inc(stats.Syscalls)
-	resp, err := s.callStorage(fileID, "stat", statReq{FileID: fileID})
+func (m *machine) Stat(fileID string) (size, committed int64, err error) {
+	m.st.Inc(stats.Syscalls)
+	resp, err := m.callStorage(fileID, "stat", statReq{FileID: fileID})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -608,9 +570,9 @@ func (s *Site) Stat(fileID string) (size, committed int64, err error) {
 }
 
 // List returns a volume's file names.
-func (s *Site) List(volume string) ([]string, error) {
-	s.st.Inc(stats.Syscalls)
-	resp, err := s.callStorage(volume+"/.", "list", listReq{Volume: volume})
+func (m *machine) List(volume string) ([]string, error) {
+	m.st.Inc(stats.Syscalls)
+	resp, err := m.callStorage(volume+"/.", "list", listReq{Volume: volume})
 	if err != nil {
 		return nil, err
 	}
@@ -628,7 +590,7 @@ func (s *Site) Read(fileID string, pid int, txn string, off int64, n int) ([]byt
 		if err := s.ensureLocked(fileID, pid, txn, lockmgr.ModeShared, off, int64(n)); err != nil {
 			return nil, err
 		}
-	} else if data, ok := s.replicaRead(fileID, off, n); ok {
+	} else if data, ok := s.kernel().replicaRead(fileID, off, n); ok {
 		// Served by the closest available storage site: the local
 		// replica (section 5.2).  Transaction reads always go to the
 		// primary, where their locks live.
@@ -661,6 +623,7 @@ func (s *Site) Write(fileID string, pid int, txn string, off int64, data []byte)
 // of section 3.2).  Granted locks are cached at the requesting site.
 func (s *Site) Lock(fileID string, pid int, txn string, mode lockmgr.Mode, off, length int64, atEOF, nonTxn, wait bool) (lockmgr.Result, error) {
 	s.st.Inc(stats.Syscalls)
+	k := s.kernel() // the grant is cached by the kernel that asked for it
 	if site, err := s.cl.StorageSite(fileID); err == nil && site != s.id {
 		s.st.Inc(stats.LockMsgs)
 	}
@@ -672,9 +635,9 @@ func (s *Site) Lock(fileID string, pid int, txn string, mode lockmgr.Mode, off, 
 		return lockmgr.Result{}, err
 	}
 	r := resp.(lockResp)
-	s.cacheAdd(fileID, Holder(pid, txn).Group(), mode, r.Off, r.Len)
+	k.cacheAdd(fileID, Holder(pid, txn).Group(), mode, r.Off, r.Len)
 	if r.LeaseMode != lockmgr.ModeNone {
-		s.leaseCacheAdd(fileID, r.LeaseMode, r.LeaseOff, r.LeaseLen, r.LeaseWhole)
+		k.leaseCacheAdd(fileID, r.LeaseMode, r.LeaseOff, r.LeaseLen, r.LeaseWhole)
 	}
 	return lockmgr.Result{Off: r.Off, Len: r.Len}, nil
 }
@@ -694,7 +657,7 @@ func (s *Site) Unlock(fileID string, pid int, txn string, off, length int64) (bo
 	// lose coverage.
 	r := resp.(unlockResp)
 	if !r.Retained {
-		s.cacheTrim(fileID, Holder(pid, txn).Group(), off, length)
+		s.kernel().cacheTrim(fileID, Holder(pid, txn).Group(), off, length)
 	}
 	return r.Retained, nil
 }
@@ -705,16 +668,17 @@ func (s *Site) Unlock(fileID string, pid int, txn string, off, length int64) (bo
 func (s *Site) ensureLocked(fileID string, pid int, txn string, mode lockmgr.Mode, off, length int64) error {
 	group := Holder(pid, txn).Group()
 	preGroup := Holder(pid, "").Group()
+	k := s.kernel()
 	if !s.cl.cfg.DisableLockCache &&
-		(s.cacheCovers(fileID, group, mode, off, length) ||
-			s.cacheCovers(fileID, preGroup, mode, off, length)) {
+		(k.cacheCovers(fileID, group, mode, off, length) ||
+			k.cacheCovers(fileID, preGroup, mode, off, length)) {
 		s.st.Inc(stats.LockCacheHits)
 		return nil
 	}
 	// The lease cache is consulted after the per-transaction cache: a
 	// lease survives transaction boundaries, so a repeat access by a new
 	// transaction hits here and sends no lock message at all.
-	if s.cl.cfg.LockLeases && s.leaseHit(fileID, mode, off, length) {
+	if s.cl.cfg.LockLeases && k.leaseHit(fileID, mode, off, length) {
 		s.st.Inc(stats.LeaseHits)
 		return nil
 	}
@@ -730,24 +694,24 @@ func (s *Site) ensureLocked(fileID string, pid int, txn string, mode lockmgr.Mod
 // of ranges on one file, and the group is dropped whole - one map delete -
 // when the transaction ends here (DropLockCache).
 
-func (s *Site) cacheAdd(fileID, group string, mode lockmgr.Mode, off, length int64) {
-	if s.cl.cfg.DisableLockCache {
+func (k *incarnation) cacheAdd(fileID, group string, mode lockmgr.Mode, off, length int64) {
+	if k.cl.cfg.DisableLockCache {
 		return
 	}
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	files := s.lockCache[group]
+	k.cacheMu.Lock()
+	defer k.cacheMu.Unlock()
+	files := k.lockCache[group]
 	if files == nil {
 		files = make(map[string][]cachedLock)
-		s.lockCache[group] = files
+		k.lockCache[group] = files
 	}
 	files[fileID] = append(files[fileID], cachedLock{mode: mode, off: off, len: length})
 }
 
-func (s *Site) cacheCovers(fileID, group string, mode lockmgr.Mode, off, length int64) bool {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	ranges := s.lockCache[group][fileID]
+func (k *incarnation) cacheCovers(fileID, group string, mode lockmgr.Mode, off, length int64) bool {
+	k.cacheMu.Lock()
+	defer k.cacheMu.Unlock()
+	ranges := k.lockCache[group][fileID]
 	// Coverage check against the cached ranges: greedy sweep.
 	for need, end := off, off+length; need < end; {
 		advanced := false
@@ -764,10 +728,10 @@ func (s *Site) cacheCovers(fileID, group string, mode lockmgr.Mode, off, length 
 	return true
 }
 
-func (s *Site) cacheTrim(fileID, group string, off, length int64) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	files := s.lockCache[group]
+func (k *incarnation) cacheTrim(fileID, group string, off, length int64) {
+	k.cacheMu.Lock()
+	defer k.cacheMu.Unlock()
+	files := k.lockCache[group]
 	var kept []cachedLock
 	for _, c := range files[fileID] {
 		if c.off+c.len <= off || off+length <= c.off {
@@ -787,7 +751,7 @@ func (s *Site) cacheTrim(fileID, group string, off, length int64) {
 	}
 	delete(files, fileID)
 	if len(files) == 0 {
-		delete(s.lockCache, group)
+		delete(k.lockCache, group)
 	}
 }
 
@@ -796,8 +760,10 @@ func (s *Site) cacheTrim(fileID, group string, off, length int64) {
 // member process here left it, or the process closed the file.  A storage
 // site calls it when it releases the group's locks; package core calls it
 // at each site a transaction ran at.  Purely local: no message is sent.
-func (s *Site) DropLockCache(group string) {
-	s.cacheMu.Lock()
-	delete(s.lockCache, group)
-	s.cacheMu.Unlock()
+func (s *Site) DropLockCache(group string) { s.kernel().dropLockCache(group) }
+
+func (k *incarnation) dropLockCache(group string) {
+	k.cacheMu.Lock()
+	delete(k.lockCache, group)
+	k.cacheMu.Unlock()
 }

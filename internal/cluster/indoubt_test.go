@@ -37,7 +37,7 @@ func TestPreparedParticipantNeverAbortsOnItsOwn(t *testing.T) {
 	// Site 3 sits on its prepare for a simulated second; site 2 has long
 	// voted by the time it is crashed, half way through.
 	const stall = time.Second
-	cl.Site(3).StallPrepare(func() { clk.Sleep(stall) })
+	cl.Site(3).Stall("prepare", func() { clk.Sleep(stall) })
 	p, files := client(t, sys, 1, "v2/f", "v3/f")
 	if _, err := p.BeginTrans(); err != nil {
 		t.Fatal(err)

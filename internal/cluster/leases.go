@@ -62,15 +62,18 @@ type leaseMeta struct {
 // own deadline ran from grant time, so the storage site always expires
 // first and a stale hit here is caught by materialization (the lease
 // entry is gone, the materializing lock waits honestly).
-func (s *Site) leaseCacheAdd(fileID string, mode lockmgr.Mode, off, length int64, whole bool) {
-	expiry := s.cl.cfg.Clock.Now().Add(s.cl.cfg.LeaseTTL)
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	l := s.leases[fileID]
+func (k *incarnation) leaseCacheAdd(fileID string, mode lockmgr.Mode, off, length int64, whole bool) {
+	expiry := k.cl.cfg.Clock.Now().Add(k.cl.cfg.LeaseTTL)
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	if k.dead.Load() {
+		return
+	}
+	l := k.leases[fileID]
 	if l == nil {
 		l = &siteLease{}
-		s.leases[fileID] = l
-		s.leaseGauge.Add(1)
+		k.leases[fileID] = l
+		k.leaseGauge.Add(1)
 	}
 	if expiry.After(l.expiry) {
 		l.expiry = expiry
@@ -93,17 +96,17 @@ func (s *Site) leaseCacheAdd(fileID string, mode lockmgr.Mode, off, length int64
 // leaseHit reports whether this site's cached lease covers
 // [off, off+length) at mode and has not expired; an expired entry is
 // dropped on the way out.
-func (s *Site) leaseHit(fileID string, mode lockmgr.Mode, off, length int64) bool {
-	now := s.cl.cfg.Clock.Now()
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	l := s.leases[fileID]
+func (k *incarnation) leaseHit(fileID string, mode lockmgr.Mode, off, length int64) bool {
+	now := k.cl.cfg.Clock.Now()
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	l := k.leases[fileID]
 	if l == nil {
 		return false
 	}
 	if !now.Before(l.expiry) {
-		delete(s.leases, fileID)
-		s.leaseGauge.Add(-1)
+		delete(k.leases, fileID)
+		k.leaseGauge.Add(-1)
 		return false
 	}
 	if l.whole >= mode && l.whole != lockmgr.ModeNone {
@@ -128,41 +131,44 @@ func (s *Site) leaseHit(fileID string, mode lockmgr.Mode, off, length int64) boo
 
 // leaseCacheDrop forgets the cached lease for one file (revoke callback,
 // or a stale hit the storage site bounced).
-func (s *Site) leaseCacheDrop(fileID string) {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	if _, ok := s.leases[fileID]; ok {
-		delete(s.leases, fileID)
-		s.leaseGauge.Add(-1)
+func (k *incarnation) leaseCacheDrop(fileID string) {
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	if _, ok := k.leases[fileID]; ok {
+		delete(k.leases, fileID)
+		k.leaseGauge.Add(-1)
 	}
 }
 
 // dropLeasesStoredAt forgets every cached lease on files the downed site
 // stores: its lock table dies with it, so the coverage no longer exists.
-func (s *Site) dropLeasesStoredAt(down simnet.SiteID) {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	for fileID := range s.leases {
-		if site, err := s.cl.StorageSite(fileID); err == nil && site == down {
-			delete(s.leases, fileID)
-			s.leaseGauge.Add(-1)
+func (k *incarnation) dropLeasesStoredAt(down simnet.SiteID) {
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	for fileID := range k.leases {
+		if site, err := k.cl.StorageSite(fileID); err == nil && site == down {
+			delete(k.leases, fileID)
+			k.leaseGauge.Add(-1)
 		}
 	}
 }
 
-// resetLeaseState forfeits both halves of the lease state (crash
-// recovery: kernel memory is gone).
-func (s *Site) resetLeaseState() {
-	if !s.cl.cfg.LockLeases {
-		return
+// forfeitLeases runs at Crash: the lease cache dies with the incarnation,
+// and the gauge counts only what a live one holds (leaseCacheAdd refuses a
+// dead one, so a requester that outlives the crash cannot bring it back).
+func (k *incarnation) forfeitLeases() {
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	if n := len(k.leases); n > 0 {
+		k.leaseGauge.Add(int64(-n))
+		clear(k.leases)
 	}
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	if n := len(s.leases); n > 0 {
-		s.leaseGauge.Add(int64(-n))
-	}
-	s.leases = make(map[string]*siteLease)
-	s.leaseMeta = make(map[string]map[simnet.SiteID]*leaseMeta)
+}
+
+// handleLeaseRevoke is the leaseholder's side of the callback.
+func (k *incarnation) handleLeaseRevoke(req leaseRevokeReq) error {
+	k.leaseCacheDrop(req.FileID)
+	return nil
 }
 
 // ---- storage-site lease book-keeping ----
@@ -173,14 +179,14 @@ func (s *Site) resetLeaseState() {
 // would race); otherwise the grant count rises and the TTL deadline is
 // pushed out.  escalate reports that the count reached the whole-file
 // escalation threshold.
-func (s *Site) leaseGranted(fileID string, from simnet.SiteID) (install, escalate bool) {
-	now := s.cl.cfg.Clock.Now()
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	m := s.leaseMeta[fileID]
+func (k *incarnation) leaseGranted(fileID string, from simnet.SiteID) (install, escalate bool) {
+	now := k.cl.cfg.Clock.Now()
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	m := k.leaseMeta[fileID]
 	if m == nil {
 		m = make(map[simnet.SiteID]*leaseMeta)
-		s.leaseMeta[fileID] = m
+		k.leaseMeta[fileID] = m
 	}
 	lm := m[from]
 	if lm == nil {
@@ -191,26 +197,26 @@ func (s *Site) leaseGranted(fileID string, from simnet.SiteID) (install, escalat
 		return false, false
 	}
 	lm.grants++
-	lm.expiry = now.Add(s.cl.cfg.LeaseTTL)
+	lm.expiry = now.Add(k.cl.cfg.LeaseTTL)
 	return true, lm.grants >= leaseEscalateThreshold
 }
 
 // leaseRevokeBegin marks a revoke in flight for the pair, returning the
 // lease's TTL deadline (the fallback if the callback is undeliverable).
 // A second conflicting request while one revoke is pending is deduped.
-func (s *Site) leaseRevokeBegin(fileID string, holder simnet.SiteID) (time.Time, bool) {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	m := s.leaseMeta[fileID]
+func (k *incarnation) leaseRevokeBegin(fileID string, holder simnet.SiteID) (time.Time, bool) {
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	m := k.leaseMeta[fileID]
 	if m == nil {
 		m = make(map[simnet.SiteID]*leaseMeta)
-		s.leaseMeta[fileID] = m
+		k.leaseMeta[fileID] = m
 	}
 	lm := m[holder]
 	if lm == nil {
-		// A lease entry without meta (the meta died with a restart):
+		// A lease entry without meta (leaseMetaDropSite raced the grant):
 		// revoke with an already-expired deadline.
-		lm = &leaseMeta{expiry: s.cl.cfg.Clock.Now()}
+		lm = &leaseMeta{expiry: k.cl.cfg.Clock.Now()}
 		m[holder] = lm
 	}
 	if lm.revoking {
@@ -221,25 +227,25 @@ func (s *Site) leaseRevokeBegin(fileID string, holder simnet.SiteID) (time.Time,
 }
 
 // leaseRevokeEnd retires the pair's meta once the lease is reclaimed.
-func (s *Site) leaseRevokeEnd(fileID string, holder simnet.SiteID) {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	if m := s.leaseMeta[fileID]; m != nil {
+func (k *incarnation) leaseRevokeEnd(fileID string, holder simnet.SiteID) {
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	if m := k.leaseMeta[fileID]; m != nil {
 		delete(m, holder)
 		if len(m) == 0 {
-			delete(s.leaseMeta, fileID)
+			delete(k.leaseMeta, fileID)
 		}
 	}
 }
 
 // leaseMetaDropSite forgets every pair involving the downed leaseholder.
-func (s *Site) leaseMetaDropSite(down simnet.SiteID) {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	for fileID, m := range s.leaseMeta {
+func (k *incarnation) leaseMetaDropSite(down simnet.SiteID) {
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	for fileID, m := range k.leaseMeta {
 		delete(m, down)
 		if len(m) == 0 {
-			delete(s.leaseMeta, fileID)
+			delete(k.leaseMeta, fileID)
 		}
 	}
 }
@@ -255,24 +261,24 @@ func (s *Site) leaseMetaDropSite(down simnet.SiteID) {
 // already queued under its own LockWaitTimeout, which the default
 // configuration keeps above the TTL so an expiry-based reclaim still
 // reaches it in time.
-func (s *Site) startLeaseRevokes(fileID string, of *openFile, sites []int) {
+func (k *incarnation) startLeaseRevokes(fileID string, of *openFile, sites []int) {
 	for _, site := range sites {
 		holder := simnet.SiteID(site)
-		expiry, ok := s.leaseRevokeBegin(fileID, holder)
+		expiry, ok := k.leaseRevokeBegin(fileID, holder)
 		if !ok {
 			continue
 		}
 		site := site
-		s.cl.cfg.Clock.Go(func() {
-			if _, err := s.ep.CallRetry(holder, "leaseRevoke", leaseRevokeReq{FileID: fileID}, 0); err != nil {
-				if rem := expiry.Sub(s.cl.cfg.Clock.Now()); rem > 0 {
-					s.cl.cfg.Clock.Sleep(rem)
+		k.cl.cfg.Clock.Go(func() {
+			if _, err := k.ep.CallRetry(holder, "leaseRevoke", leaseRevokeReq{FileID: fileID}, 0); err != nil {
+				if rem := expiry.Sub(k.cl.cfg.Clock.Now()); rem > 0 {
+					k.cl.cfg.Clock.Sleep(rem)
 				}
 			}
-			s.leaseRevokeEnd(fileID, holder)
+			k.leaseRevokeEnd(fileID, holder)
 			if of.locks.RevokeLease(site) {
-				s.st.Inc(stats.LeaseRevokes)
-				s.tr.Record(trace.LeaseRevoke, "", fileID, int64(site))
+				k.st.Inc(stats.LeaseRevokes)
+				k.tr.Record(trace.LeaseRevoke, "", fileID, int64(site))
 			}
 		})
 	}
@@ -282,10 +288,10 @@ func (s *Site) startLeaseRevokes(fileID string, of *openFile, sites []int) {
 // callback/revoke protocol first when lease entries stand in the way —
 // the single choke point for both the explicit lock RPC (handleLock) and
 // lease materialization (handleRead / handleWrite).
-func (s *Site) lockAt(of *openFile, fileID string, lreq lockmgr.Request) (lockmgr.Result, error) {
-	if s.cl.cfg.LockLeases {
+func (k *incarnation) lockAt(of *openFile, fileID string, lreq lockmgr.Request) (lockmgr.Result, error) {
+	if k.cl.cfg.LockLeases {
 		if sites := of.locks.BlockingLeaseSites(lreq); len(sites) > 0 {
-			s.startLeaseRevokes(fileID, of, sites)
+			k.startLeaseRevokes(fileID, of, sites)
 		}
 	}
 	return of.locks.Lock(lreq)
@@ -302,8 +308,8 @@ func (s *Site) lockAt(of *openFile, fileID string, lreq lockmgr.Request) (lockmg
 // the request waits its turn like any implicit lock (section 3.1 allows
 // implicit acquisition at access time).  Reports whether coverage now
 // exists.
-func (s *Site) materializeLease(of *openFile, from simnet.SiteID, fileID string, pid int, txn string, mode lockmgr.Mode, off, length int64) bool {
-	if !s.cl.cfg.LockLeases || from == s.id || txn == "" || length <= 0 || off < 0 {
+func (k *incarnation) materializeLease(of *openFile, from simnet.SiteID, fileID string, pid int, txn string, mode lockmgr.Mode, off, length int64) bool {
+	if !k.cl.cfg.LockLeases || from == k.id || txn == "" || length <= 0 || off < 0 {
 		return false
 	}
 	lreq := lockmgr.Request{
@@ -312,15 +318,15 @@ func (s *Site) materializeLease(of *openFile, from simnet.SiteID, fileID string,
 		Off:      off,
 		Len:      length,
 		Wait:     true,
-		Timeout:  s.cl.cfg.LockWaitTimeout,
+		Timeout:  k.cl.cfg.LockWaitTimeout,
 		FromSite: int(from),
 	}
-	s.markOpenForUpdate(of)
-	res, err := s.lockAt(of, fileID, lreq)
+	k.markOpenForUpdate(of)
+	res, err := k.lockAt(of, fileID, lreq)
 	if err != nil {
 		return false
 	}
-	s.adoptUncommitted(of, txn, res.Off, res.Len)
+	k.adoptUncommitted(of, txn, res.Off, res.Len)
 	return true
 }
 
@@ -330,18 +336,19 @@ func (s *Site) materializeLease(of *openFile, from simnet.SiteID, fileID string,
 // owed); as requester, it forgets cached leases on files the downed site
 // stores.
 func (s *Site) onTopology(ev simnet.TopologyEvent) {
-	if ev.Kind != simnet.SiteDown {
+	k := s.kernel()
+	if ev.Kind != simnet.SiteDown || k.dead.Load() {
 		return
 	}
 	for _, down := range ev.Sites {
-		if down == s.id || !s.Up() {
+		if down == k.id {
 			continue
 		}
-		if n := s.Locks().RevokeSiteLeases(int(down)); n > 0 {
-			s.st.Add(stats.LeaseRevokes, int64(n))
-			s.tr.Record(trace.LeaseRevoke, "", down.String(), int64(n))
+		if n := k.locks.RevokeSiteLeases(int(down)); n > 0 {
+			k.st.Add(stats.LeaseRevokes, int64(n))
+			k.tr.Record(trace.LeaseRevoke, "", down.String(), int64(n))
 		}
-		s.leaseMetaDropSite(down)
-		s.dropLeasesStoredAt(down)
+		k.leaseMetaDropSite(down)
+		k.dropLeasesStoredAt(down)
 	}
 }

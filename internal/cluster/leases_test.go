@@ -8,6 +8,7 @@ import (
 	"repro/internal/lockmgr"
 	"repro/internal/simnet"
 	"repro/internal/stats"
+	"repro/internal/vtime"
 )
 
 // leaseCluster builds the standard two-site cluster with leases on.
@@ -22,10 +23,10 @@ func leaseCluster(t *testing.T, cfg Config) *Cluster {
 // lock group (the lease entry survives the release).
 func commitAtStorage(t *testing.T, s *Site, txid string, fileIDs ...string) {
 	t.Helper()
-	if err := s.handlePrepare(prepareReq{Txid: txid, FileIDs: fileIDs, Coord: s.id}); err != nil {
+	if err := s.kernel().handlePrepare(prepareReq{Txid: txid, FileIDs: fileIDs, Coord: s.id}); err != nil {
 		t.Fatalf("prepare %s: %v", txid, err)
 	}
-	if err := s.handleCommit2(commit2Req{Txid: txid}); err != nil {
+	if err := s.kernel().handleCommit2(commit2Req{Txid: txid}); err != nil {
 		t.Fatalf("commit %s: %v", txid, err)
 	}
 }
@@ -146,9 +147,9 @@ func TestLeaseRevokeOnConflict(t *testing.T) {
 	}
 	// Both halves of the lease are gone: the holder's cache and the
 	// storage site's entry.
-	s2.leaseMu.Lock()
-	cached := len(s2.leases)
-	s2.leaseMu.Unlock()
+	s2.kernel().leaseMu.Lock()
+	cached := len(s2.kernel().leases)
+	s2.kernel().leaseMu.Unlock()
 	if cached != 0 {
 		t.Fatalf("leaseholder cache still has %d files after revoke", cached)
 	}
@@ -265,9 +266,9 @@ func TestLeaseReclaimOnLeaseholderCrash(t *testing.T) {
 	if err := s2.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	s2.leaseMu.Lock()
-	cached := len(s2.leases)
-	s2.leaseMu.Unlock()
+	s2.kernel().leaseMu.Lock()
+	cached := len(s2.kernel().leases)
+	s2.kernel().leaseMu.Unlock()
 	if cached != 0 {
 		t.Fatalf("restarted site kept %d cached leases", cached)
 	}
@@ -417,5 +418,77 @@ func TestLeaseDoesNotBlockReplicaSync(t *testing.T) {
 	}
 	if n := cl.Stats().Snapshot().Sub(before).Get(stats.MsgsSent); n != 0 {
 		t.Fatalf("replica read sent %d messages: the lease kept the file open-for-update", n)
+	}
+}
+
+// TestLeaseRevokeActorOutlivesItsIncarnation: a revoke actor sleeping out
+// the TTL of a partitioned leaseholder while its storage site crashes and
+// restarts wakes up in the kernel that started it.  It used to retire the
+// (file, holder) meta of whichever incarnation was current when its sleep
+// ended, leaving the successor's re-granted lease with no deadline.
+func TestLeaseRevokeActorOutlivesItsIncarnation(t *testing.T) {
+	clk := vtime.NewVirtual()
+	cl := leaseCluster(t, Config{Clock: clk, LeaseTTL: time.Second})
+	defer cl.Shutdown()
+	s1, s2 := cl.Site(1), cl.Site(2)
+	pid2 := cl.NewPID()
+	s2.Procs().NewProcess(pid2, 0)
+	if err := s2.Create("va/f"); err != nil {
+		t.Fatal(err)
+	}
+	id, _, _ := s2.Open("va/f")
+	if _, err := s2.Write(id, pid2, "T1", 0, []byte("abcd")); err != nil {
+		t.Fatal(err)
+	}
+	commitAtStorage(t, s1, "T1", id)
+
+	// The leaseholder is cut off, so the revoke a conflicting request
+	// fires cannot be delivered: its actor settles down to sleep out the
+	// TTL.  The request itself waits on the dead kernel's lock list.
+	cl.Net().Partition(2)
+	pid1 := cl.NewPID()
+	s1.Procs().NewProcess(pid1, 0)
+	g := vtime.NewGroup(clk)
+	g.Go(func() {
+		s1.Lock(id, pid1, "T9", lockmgr.ModeExclusive, 0, 4, false, false, true) //nolint:errcheck // answered by a dead kernel
+	})
+	clk.Sleep(100 * time.Millisecond)
+	s1.Crash()
+	if err := s1.Restart(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The new incarnation grants site 2 a lease on the same file.
+	cl.Net().Heal()
+	if _, _, err := s2.Open("va/f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Lock(id, pid2, "T2", lockmgr.ModeExclusive, 0, 4, false, false, true); err != nil {
+		t.Fatal(err)
+	}
+	commitAtStorage(t, s1, "T2", id)
+	meta := func() (leaseMeta, bool) {
+		k := s1.kernel()
+		k.leaseMu.Lock()
+		defer k.leaseMu.Unlock()
+		lm := k.leaseMeta[id][2]
+		if lm == nil {
+			return leaseMeta{}, false
+		}
+		return *lm, true
+	}
+	want, ok := meta()
+	if !ok || want.grants != 1 || want.revoking {
+		t.Fatalf("re-granted lease meta = %+v, %v", want, ok)
+	}
+
+	// Let the old actor's sleep end.
+	clk.Sleep(3 * time.Second)
+	g.Wait()
+	if got, ok := meta(); !ok || got != want {
+		t.Errorf("a revoke actor of the dead incarnation changed its successor's lease meta: %+v, %v; want %+v", got, ok, want)
+	}
+	if got := s1.Locks().Lookup(id).LeaseSites(); len(got) != 1 || got[0] != 2 {
+		t.Errorf("lease sites in the new incarnation = %v, want [2]", got)
 	}
 }

@@ -39,45 +39,34 @@ type childMovedReq struct {
 
 type whereisReq struct{ PID int }
 
-func (s *Site) registerProcHandlers() {
-	s.ep.Handle("forkproc", s.wrap(func(req any) (any, error) { return nil, s.handleFork(req.(forkReq)) }))
-	s.ep.Handle("adoptproc", s.wrap(func(req any) (any, error) { return nil, s.handleAdopt(req.(adoptReq)) }))
-	s.ep.Handle("mergefl", s.wrap(func(req any) (any, error) { return nil, s.handleMergeFL(req.(mergeFLReq)) }))
-	s.ep.Handle("childmoved", s.wrap(func(req any) (any, error) { return nil, s.handleChildMoved(req.(childMovedReq)) }))
-	s.ep.Handle("whereis", s.wrap(func(req any) (any, error) {
-		here, err := s.handleWhereis(req.(whereisReq))
-		return here, err
-	}))
-}
-
-func (s *Site) handleFork(req forkReq) error {
-	p := s.procs.NewProcess(req.PID, req.Parent)
+func (k *incarnation) handleFork(req forkReq) error {
+	p := k.procs.NewProcess(req.PID, req.Parent)
 	p.TxnID = req.TxnID
 	p.TopPID = req.TopPID
 	p.TopSite = req.TopSite
-	s.st.Add(stats.Instructions, costmodel.InstrProcessFork)
+	k.st.Add(stats.Instructions, costmodel.InstrProcessFork)
 	return nil
 }
 
-func (s *Site) handleAdopt(req adoptReq) error {
-	s.procs.Adopt(req.Proc)
+func (k *incarnation) handleAdopt(req adoptReq) error {
+	k.procs.Adopt(req.Proc)
 	return nil
 }
 
-func (s *Site) handleMergeFL(req mergeFLReq) error {
-	return s.procs.MergeFileList(req.PID, req.Files)
+func (k *incarnation) handleMergeFL(req mergeFLReq) error {
+	return k.procs.MergeFileList(req.PID, req.Files)
 }
 
-func (s *Site) handleChildMoved(req childMovedReq) error {
+func (k *incarnation) handleChildMoved(req childMovedReq) error {
 	if req.Site < 0 {
 		// Negative site marks a completed child: drop the reference.
-		return s.procs.RemoveChild(req.Parent, req.Child)
+		return k.procs.RemoveChild(req.Parent, req.Child)
 	}
-	return s.procs.UpdateChildSite(req.Parent, req.Child, req.Site)
+	return k.procs.UpdateChildSite(req.Parent, req.Child, req.Site)
 }
 
-func (s *Site) handleWhereis(req whereisReq) (bool, error) {
-	_, err := s.procs.Get(req.PID)
+func (k *incarnation) handleWhereis(req whereisReq) (bool, error) {
+	_, err := k.procs.Get(req.PID)
 	return err == nil, nil
 }
 
@@ -88,7 +77,7 @@ func (s *Site) handleWhereis(req whereisReq) (bool, error) {
 // transaction identifier (section 3.1) and the location of the top-level
 // process for its eventual file-list merge.
 func (s *Site) Spawn(parentPID int, at simnet.SiteID) (int, error) {
-	parent, err := s.procs.Info(parentPID)
+	parent, err := s.Procs().Info(parentPID)
 	if err != nil {
 		return 0, err
 	}
@@ -101,7 +90,7 @@ func (s *Site) Spawn(parentPID int, at simnet.SiteID) (int, error) {
 	if _, err := s.ep.Call(at, "forkproc", req); err != nil {
 		return 0, err
 	}
-	if err := s.procs.AddChild(parentPID, proc.ChildRef{PID: pid, Site: at}); err != nil {
+	if err := s.Procs().AddChild(parentPID, proc.ChildRef{PID: pid, Site: at}); err != nil {
 		return 0, err
 	}
 	return pid, nil
@@ -117,7 +106,7 @@ func (s *Site) Migrate(pid int, to simnet.SiteID) error {
 	var p *proc.Process
 	for attempt := 0; ; attempt++ {
 		var err error
-		p, err = s.procs.BeginMigrate(pid)
+		p, err = s.Procs().BeginMigrate(pid)
 		if err == nil {
 			break
 		}
@@ -129,10 +118,10 @@ func (s *Site) Migrate(pid int, to simnet.SiteID) error {
 	}
 	s.st.Add(stats.Instructions, costmodel.InstrProcessMigrate)
 	if _, err := s.ep.Call(to, "adoptproc", adoptReq{Proc: p}); err != nil {
-		s.procs.CancelMigrate(pid)
+		s.Procs().CancelMigrate(pid)
 		return fmt.Errorf("cluster: migrate pid %d to %v: %w", pid, to, err)
 	}
-	s.procs.CompleteMigrate(pid)
+	s.Procs().CompleteMigrate(pid)
 	s.tr.Record(trace.Migration, "", fmt.Sprintf("pid%d", pid), int64(to))
 	// Tell the parent so the abort cascade can find the child at its new
 	// home; the parent itself may be migrating, so this retries until
@@ -146,14 +135,14 @@ func (s *Site) Migrate(pid int, to simnet.SiteID) error {
 // notifyChildMoved delivers a child-list update to whichever site holds
 // the (settled) parent, retrying across migrations.  A parent that no
 // longer exists anywhere is eventually given up on.
-func (s *Site) notifyChildMoved(req childMovedReq) {
+func (m *machine) notifyChildMoved(req childMovedReq) {
 	for attempt := 0; attempt < 100; attempt++ {
-		for _, siteID := range s.cl.Sites() {
-			if _, err := s.ep.Call(siteID, "childmoved", req); err == nil {
+		for _, siteID := range m.cl.Sites() {
+			if _, err := m.ep.Call(siteID, "childmoved", req); err == nil {
 				return
 			}
 		}
-		s.cl.cfg.Clock.Sleep(time.Millisecond)
+		m.cl.cfg.Clock.Sleep(time.Millisecond)
 	}
 }
 
@@ -161,11 +150,11 @@ func (s *Site) notifyChildMoved(req childMovedReq) {
 // top-level process, retrying when the top-level process has migrated or
 // is in transit (section 4.1).  It first tries the hint site, then asks
 // around.
-func (s *Site) MergeToTop(topPID int, hint simnet.SiteID, files []proc.FileRef) error {
+func (m *machine) MergeToTop(topPID int, hint simnet.SiteID, files []proc.FileRef) error {
 	const attempts = 20
 	var lastErr error
 	try := func(site simnet.SiteID) (bool, error) {
-		_, err := s.ep.Call(site, "mergefl", mergeFLReq{PID: topPID, Files: files})
+		_, err := m.ep.Call(site, "mergefl", mergeFLReq{PID: topPID, Files: files})
 		if err == nil {
 			return true, nil
 		}
@@ -182,11 +171,11 @@ func (s *Site) MergeToTop(topPID int, hint simnet.SiteID, files []proc.FileRef) 
 			return err
 		}
 		// Ask every other site.
-		for _, siteID := range s.cl.Sites() {
+		for _, siteID := range m.cl.Sites() {
 			if siteID == hint {
 				continue
 			}
-			resp, err := s.ep.Call(siteID, "whereis", whereisReq{PID: topPID})
+			resp, err := m.ep.Call(siteID, "whereis", whereisReq{PID: topPID})
 			if err != nil || resp != true {
 				continue
 			}
@@ -194,7 +183,7 @@ func (s *Site) MergeToTop(topPID int, hint simnet.SiteID, files []proc.FileRef) 
 				return err
 			}
 		}
-		s.cl.cfg.Clock.Sleep(time.Millisecond)
+		m.cl.cfg.Clock.Sleep(time.Millisecond)
 	}
 	return fmt.Errorf("cluster: file-list merge to pid %d failed: %w", topPID, lastErr)
 }
@@ -203,12 +192,12 @@ func (s *Site) MergeToTop(topPID int, hint simnet.SiteID, files []proc.FileRef) 
 // merged into the top-level process before the process disappears, so the
 // coordinator eventually knows every file the transaction used.
 func (s *Site) ExitProc(pid int) error {
-	p, err := s.procs.Info(pid)
+	p, err := s.Procs().Info(pid)
 	if err != nil {
 		return err
 	}
 	if p.TxnID != "" && !p.TopLevel && p.TopPID != 0 {
-		files, err := s.procs.FileList(pid)
+		files, err := s.Procs().FileList(pid)
 		if err != nil {
 			return err
 		}
@@ -224,8 +213,8 @@ func (s *Site) ExitProc(pid int) error {
 	if p.Parent != 0 {
 		s.notifyChildMoved(childMovedReq{Parent: p.Parent, Child: pid, Site: -1})
 	}
-	s.procs.Remove(pid)
-	if p.TxnID != "" && !s.procs.AnyInTxn(p.TxnID) {
+	s.Procs().Remove(pid)
+	if p.TxnID != "" && !s.Procs().AnyInTxn(p.TxnID) {
 		// The transaction's last member here is gone, and with it the
 		// reason to keep its locks cached at this site.
 		s.DropLockCache(TxnGroup(p.TxnID))

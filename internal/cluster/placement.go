@@ -98,88 +98,58 @@ func (r coordCommitReq) WireSize() int {
 	return n
 }
 
-// registerPlacementHandlers installs the adaptive-placement protocol.
-func (s *Site) registerPlacementHandlers() {
-	s.ep.Handle("owneradopt", s.wrap(func(req any) (any, error) { return nil, s.handleOwnerAdopt(req.(ownerAdoptReq)) }))
-	s.ep.Handle("ownerpurge", s.wrap(func(req any) (any, error) { return nil, s.handleOwnerPurge(req.(ownerPurgeReq)) }))
-	s.ep.Handle("coordcommit", s.wrap(func(req any) (any, error) { return nil, s.handleCoordCommit(req.(coordCommitReq)) }))
-}
-
 // movingGuard rejects an operation on a mid-move file.  Free when
 // placement is off (s.moving is nil).
-func (s *Site) movingGuard(path string) error {
-	if s.moving == nil {
+func (k *incarnation) movingGuard(path string) error {
+	if k.moving == nil {
 		return nil
 	}
-	s.placeMu.Lock()
-	defer s.placeMu.Unlock()
-	if _, ok := s.moving[path]; ok {
+	k.placeMu.Lock()
+	defer k.placeMu.Unlock()
+	if _, ok := k.moving[path]; ok {
 		return fmt.Errorf("%w: %s", errMoved, path)
 	}
 	return nil
 }
 
-// beginMove claims the move fence for path; the returned token must be
-// passed to endMove.  False if already claimed.
-func (s *Site) beginMove(path string) (uint64, bool) {
-	s.placeMu.Lock()
-	defer s.placeMu.Unlock()
-	if _, ok := s.moving[path]; ok {
-		return 0, false
+// beginMove claims the move fence for path; false if already claimed.  The
+// fence is kernel memory, forfeit in a crash with the lock table: a move
+// blocked in a network call across the crash neither leaves its file
+// fenced behind errMoved nor, unwinding, releases anyone else's claim.
+func (k *incarnation) beginMove(path string) bool {
+	k.placeMu.Lock()
+	defer k.placeMu.Unlock()
+	if _, ok := k.moving[path]; ok {
+		return false
 	}
-	s.moveSeq++
-	s.moving[path] = s.moveSeq
-	return s.moveSeq, true
+	k.moving[path] = struct{}{}
+	return true
 }
 
-// endMove releases the fence, but only if path still carries this
-// claim's token: a crash wipes the fence table (resetMoving), so a
-// pre-crash move goroutine unwinding afterwards must not delete a fence
-// some post-restart move has since claimed.
-func (s *Site) endMove(path string, tok uint64) {
-	s.placeMu.Lock()
-	if cur, ok := s.moving[path]; ok && cur == tok {
-		delete(s.moving, path)
-	}
-	s.placeMu.Unlock()
-}
-
-// resetMoving forfeits the placement fence tables at restart: they are
-// kernel memory, and the goroutines that claimed entries died with the
-// crash (or, if still unwinding, are token-fenced out of endMove).
-// Without this, a move blocked in a network call across the final crash
-// leaves its file permanently fenced behind errMoved.  The adopted and
-// purgeWanted maps go with it - any on-disk copy they described was
-// either purged by this restart (foreign home) or is the legitimate
-// primary.
-func (s *Site) resetMoving() {
-	if s.moving == nil {
-		return
-	}
-	s.placeMu.Lock()
-	s.moving = make(map[string]uint64)
-	s.adopted = make(map[string]uint64)
-	s.purgeWanted = make(map[string]uint64)
-	s.placeMu.Unlock()
+// endMove releases the fence.
+func (k *incarnation) endMove(path string) {
+	k.placeMu.Lock()
+	delete(k.moving, path)
+	k.placeMu.Unlock()
 }
 
 // PlacementInFlight reports how many placement operations (moves,
 // adoptions, purges) this site is currently running.  The chaos
 // harness drains it to zero before auditing the single-primary
 // invariant, which otherwise races the tail of an in-flight move.
-func (s *Site) PlacementInFlight() int {
-	return int(s.placeOps.Load())
+func (m *machine) PlacementInFlight() int {
+	return int(m.placeOps.Load())
 }
 
 // recordHeat feeds one transactional access into the heat tracker.
 // Only transactional accesses count: they are the accesses whose
 // locality the move can actually improve (and the only ones whose
 // locking discipline makes the move's quiesce check airtight).
-func (s *Site) recordHeat(path string, from simnet.SiteID, txn string) {
-	if s.heat == nil || txn == "" {
+func (k *incarnation) recordHeat(path string, from simnet.SiteID, txn string) {
+	if k.heat == nil || txn == "" {
 		return
 	}
-	s.heat.Record(path, from)
+	k.heat.Record(path, from)
 }
 
 // maybeMovePlacement runs after a transaction finishes at this storage
@@ -187,8 +157,8 @@ func (s *Site) recordHeat(path string, from simnet.SiteID, txn string) {
 // there, synchronously, before the commit acknowledgment returns.  Best
 // effort - a move that cannot proceed (file busy, target unreachable)
 // is simply skipped; the heat survives and the next quiesce retries.
-func (s *Site) maybeMovePlacement(fileIDs []string) {
-	if s.heat == nil || len(fileIDs) == 0 {
+func (k *incarnation) maybeMovePlacement(fileIDs []string) {
+	if k.heat == nil || len(fileIDs) == 0 {
 		return
 	}
 	paths := append([]string(nil), fileIDs...)
@@ -199,28 +169,28 @@ func (s *Site) maybeMovePlacement(fileIDs []string) {
 			continue
 		}
 		seen[path] = true
-		if home, err := s.cl.StorageSite(path); err != nil || home != s.id {
+		if home, err := k.cl.StorageSite(path); err != nil || home != k.id {
 			continue // no longer (or never) primary here
 		}
-		target, ok := s.heat.Dominant(path, s.id)
+		target, ok := k.heat.Dominant(path, k.id)
 		if !ok {
 			continue
 		}
-		s.moveFile(path, target) //nolint:errcheck // best effort; heat persists and the next commit retries
+		k.moveFile(path, target) //nolint:errcheck // best effort; heat persists and the next commit retries
 	}
 }
 
 // moveFile migrates path's primary copy to target.  The caller has
 // established that this site is path's home and target its dominant
 // accessor.
-func (s *Site) moveFile(path string, target simnet.SiteID) error {
-	tok, ok := s.beginMove(path)
-	if !ok {
+func (k *incarnation) moveFile(path string, target simnet.SiteID) error {
+	if !k.beginMove(path) {
 		return nil // concurrent move already running
 	}
-	defer s.endMove(path, tok)
-	s.placeOps.Add(1)
-	defer s.placeOps.Add(-1)
+	defer k.endMove(path)
+	tok := k.moveSeq.Add(1) // names this attempt to the target (ownerAdoptReq.MoveID)
+	k.placeOps.Add(1)
+	defer k.placeOps.Add(-1)
 
 	// Quiesce check behind the fence: no uncommitted owners and no lock
 	// entries means no transaction can be mid-flight on the file (every
@@ -229,14 +199,9 @@ func (s *Site) moveFile(path string, target simnet.SiteID) error {
 	// atomic; anything else holding coverage - a retained lock of a
 	// prepared transaction, an unrevoked lease, a non-transaction lock -
 	// denies it and the move waits for a later quiesce.
-	s.mu.Lock()
-	if !s.up {
-		s.mu.Unlock()
-		return nil
-	}
-	epoch := s.epoch
-	of := s.open[path]
-	s.mu.Unlock()
+	k.mu.Lock()
+	of := k.open[path]
+	k.mu.Unlock()
 	refs := 0
 	if of != nil {
 		if len(of.file.Owners()) > 0 {
@@ -252,47 +217,53 @@ func (s *Site) moveFile(path string, target simnet.SiteID) error {
 	}
 
 	// Ship the committed image.
-	vs, name, data, err := s.committedImage(path)
+	vs, name, data, err := k.committedImage(path)
 	if err != nil {
 		return err
 	}
-	if _, err := s.ep.Call(target, "owneradopt", ownerAdoptReq{Path: path, Data: data, Size: int64(len(data)), Refs: refs, MoveID: tok}); err != nil {
+	if _, err := k.ep.Call(target, "owneradopt", ownerAdoptReq{Path: path, Data: data, Size: int64(len(data)), Refs: refs, MoveID: tok}); err != nil {
 		// No repoint will happen, so whatever the target installed (the
 		// call may have failed on the reply leg) is garbage; tell it so
 		// rather than leaving the copy for a restart that may never come.
 		// Async: the adoption may still be running over there (the call
 		// timed out under it), and this goroutine sits on a commit path.
-		s.spawnPurge(target, path, tok)
+		k.spawnPurge(target, path, tok)
 		return err
 	}
 
 	// Commit point of the move: the namespace now says target - but only
-	// if this site has not crashed since the quiesce check.  A crash
-	// wiped the lock table and the fence this goroutine relied on;
-	// recovery may already have admitted new transactions against the
-	// source copy, so repointing now would migrate a stale image out
-	// from under them.  Refusing leaves the target's adopted copy as
-	// unreferenced garbage its next restart purges.
-	if !s.repointIfCurrent(path, target, epoch) {
-		// This site crashed since the quiesce check, so the move is dead;
-		// disown the copy the target just installed.
-		s.spawnPurge(target, path, tok)
+	// if this kernel is still alive.  A crash forfeited the lock table and
+	// the fence this goroutine relied on; recovery may already have
+	// admitted new transactions against the source copy, so repointing now
+	// would migrate a stale image out from under them.  Taking k.mu
+	// serializes the flip with Crash, so the crash/restart story stays the
+	// two-case analysis in the package comment, with the restart purge as
+	// the only healer.
+	k.mu.Lock()
+	alive := !k.dead.Load()
+	if alive {
+		k.cl.setFileHome(path, target)
+	}
+	k.mu.Unlock()
+	if !alive {
+		// The move is dead; disown the copy the target just installed.
+		k.spawnPurge(target, path, tok)
 		return nil
 	}
-	s.st.Inc(stats.OwnerMoves)
-	s.tr.Record(trace.OwnerMove, "", path, int64(target))
-	s.heat.NoteMove(path)
-	s.heat.Forget(path)
+	k.st.Inc(stats.OwnerMoves)
+	k.tr.Record(trace.OwnerMove, "", path, int64(target))
+	k.heat.NoteMove(path)
+	k.heat.Forget(path)
 
 	// Reclaim the source copy; every step below is redone by the restart
 	// purge if a crash interrupts it (the namespace already points away).
-	s.mu.Lock()
-	if cur, ok := s.open[path]; ok && cur == of {
-		delete(s.open, path)
-		s.locks.Drop(path)
+	k.mu.Lock()
+	if cur, ok := k.open[path]; ok && cur == of {
+		delete(k.open, path)
+		k.locks.Drop(path)
 	}
-	s.mu.Unlock()
-	s.leaseCacheDrop(path)
+	k.mu.Unlock()
+	k.leaseCacheDrop(path)
 	return vs.reclaimFile(name)
 }
 
@@ -311,35 +282,32 @@ func (s *Site) moveFile(path string, target simnet.SiteID) error {
 // commit through the stale one frees pages the durable state still
 // references (which the allocator then hands to, say, the directory -
 // the cross-file corruption the chaos audit catches as torn gob and
-// double-referenced pages).  Second, a crash-restart mid-adoption
-// reloads the volume, so every durable step runs against one pinned
-// handle: the reload's invalidation then fails the remainder of the
-// adoption instead of letting old-generation inode numbers loose on the
-// reloaded allocator.
-func (s *Site) handleOwnerAdopt(req ownerAdoptReq) error {
+// double-referenced pages).  Second, a crash mid-adoption must fail the
+// remainder of the adoption instead of letting old-generation inode
+// numbers loose on the reloaded allocator: every durable step runs on
+// this incarnation's volume handle, which Crash fences.
+func (k *incarnation) handleOwnerAdopt(req ownerAdoptReq) error {
 	volName, name, err := splitPath(req.Path)
 	if err != nil {
 		return err
 	}
-	tok, ok := s.beginMove(req.Path)
-	if !ok {
+	if !k.beginMove(req.Path) {
 		return fmt.Errorf("%w: %s", errMoved, req.Path)
 	}
-	defer s.endMove(req.Path, tok)
-	s.placeOps.Add(1)
-	defer s.placeOps.Add(-1)
-	vs, err := s.hostedVol(volName)
+	defer k.endMove(req.Path)
+	k.placeOps.Add(1)
+	defer k.placeOps.Add(-1)
+	vs, err := k.hostedVol(volName)
 	if err != nil {
 		return err
 	}
-	vol := vs.pinVol()
-	s.mu.Lock()
-	of := s.open[req.Path]
-	s.mu.Unlock()
+	k.mu.Lock()
+	of := k.open[req.Path]
+	k.mu.Unlock()
 	var f *shadow.File
 	if of != nil {
 		f = of.file
-	} else if f, err = vs.openOrCreateOn(vol, name); err != nil {
+	} else if f, err = vs.openOrCreate(name); err != nil {
 		return err
 	}
 	if err := installImage(f, req.Data); err != nil {
@@ -351,36 +319,36 @@ func (s *Site) handleOwnerAdopt(req ownerAdoptReq) error {
 	// it already disowned the move): honor it now, before advertising
 	// the copy anywhere.  A tombstone naming a different MoveID is
 	// obsolete - the copy it described was replaced by this adoption.
-	s.placeMu.Lock()
-	pw, wanted := s.purgeWanted[req.Path]
-	delete(s.purgeWanted, req.Path)
+	k.placeMu.Lock()
+	pw, wanted := k.purgeWanted[req.Path]
+	delete(k.purgeWanted, req.Path)
 	if wanted && pw == req.MoveID {
-		s.placeMu.Unlock()
-		s.tr.Record(trace.OwnerPurge, "disown", req.Path, int64(req.MoveID))
+		k.placeMu.Unlock()
+		k.tr.Record(trace.OwnerPurge, "disown", req.Path, int64(req.MoveID))
 		if err := vs.reclaimFile(name); err != nil {
 			return err
 		}
 		return fmt.Errorf("cluster: adoption of %s disowned by source", req.Path)
 	}
-	s.adopted[req.Path] = req.MoveID
-	s.placeMu.Unlock()
-	s.st.Inc(stats.OwnerAdopts)
-	s.tr.Record(trace.OwnerAdopt, "install", req.Path, int64(req.MoveID))
+	k.adopted[req.Path] = req.MoveID
+	k.placeMu.Unlock()
+	k.st.Inc(stats.OwnerAdopts)
+	k.tr.Record(trace.OwnerAdopt, "install", req.Path, int64(req.MoveID))
 
 	if req.Refs > 0 {
 		// Inherit the live opens: closes re-resolve the storage site and
 		// arrive here expecting an open-file entry.
-		s.mu.Lock()
-		if cur, dup := s.open[req.Path]; dup {
+		k.mu.Lock()
+		if cur, dup := k.open[req.Path]; dup {
 			if cur.refs < req.Refs {
 				cur.refs = req.Refs
 			}
 		} else {
 			nf := &openFile{id: req.Path, vs: vs, file: f, refs: req.Refs}
-			nf.locks = s.locks.File(req.Path, func() int64 { return nf.file.Size() })
-			s.open[req.Path] = nf
+			nf.locks = k.locks.File(req.Path, func() int64 { return nf.file.Size() })
+			k.open[req.Path] = nf
 		}
-		s.mu.Unlock()
+		k.mu.Unlock()
 	}
 	return nil
 }
@@ -392,51 +360,50 @@ func (s *Site) handleOwnerAdopt(req ownerAdoptReq) error {
 // still running the purge is parked as a tombstone the handler honors
 // when it finishes; and if the installed copy carries a different
 // MoveID it belongs to a newer move whose verdict is not ours to give.
-func (s *Site) handleOwnerPurge(req ownerPurgeReq) error {
+func (k *incarnation) handleOwnerPurge(req ownerPurgeReq) error {
 	volName, name, err := splitPath(req.Path)
 	if err != nil {
 		return err
 	}
-	s.placeOps.Add(1)
-	defer s.placeOps.Add(-1)
-	if home, herr := s.cl.StorageSite(req.Path); herr == nil && home == s.id {
+	k.placeOps.Add(1)
+	defer k.placeOps.Add(-1)
+	if home, herr := k.cl.StorageSite(req.Path); herr == nil && home == k.id {
 		return nil
 	}
-	tok, ok := s.beginMove(req.Path)
-	if !ok {
-		s.placeMu.Lock()
-		s.purgeWanted[req.Path] = req.MoveID
-		s.placeMu.Unlock()
-		s.tr.Record(trace.OwnerPurge, "tombstone-busy", req.Path, int64(req.MoveID))
+	if !k.beginMove(req.Path) {
+		k.placeMu.Lock()
+		k.purgeWanted[req.Path] = req.MoveID
+		k.placeMu.Unlock()
+		k.tr.Record(trace.OwnerPurge, "tombstone-busy", req.Path, int64(req.MoveID))
 		return nil
 	}
-	defer s.endMove(req.Path, tok)
-	s.placeMu.Lock()
-	id, adoptedHere := s.adopted[req.Path]
+	defer k.endMove(req.Path)
+	k.placeMu.Lock()
+	id, adoptedHere := k.adopted[req.Path]
 	if adoptedHere && id == req.MoveID {
-		delete(s.adopted, req.Path)
+		delete(k.adopted, req.Path)
 	} else {
-		// Nothing this epoch matches: the adoption may still be in the
-		// network (its request outlived the source's patience), already
-		// purged by a restart, or superseded by a newer move.  Leave the
-		// tombstone so a late-arriving adoption with this MoveID is
+		// Nothing this incarnation knows matches: the adoption may still
+		// be in the network (its request outlived the source's patience),
+		// already purged by a restart, or superseded by a newer move.  Leave
+		// the tombstone so a late-arriving adoption with this MoveID is
 		// discarded on installation instead of resurrecting the copy.
-		s.purgeWanted[req.Path] = req.MoveID
+		k.purgeWanted[req.Path] = req.MoveID
 	}
-	s.placeMu.Unlock()
+	k.placeMu.Unlock()
 	if !adoptedHere || id != req.MoveID {
-		s.tr.Record(trace.OwnerPurge, "tombstone-miss", req.Path, int64(req.MoveID))
+		k.tr.Record(trace.OwnerPurge, "tombstone-miss", req.Path, int64(req.MoveID))
 		return nil
 	}
-	s.tr.Record(trace.OwnerPurge, "reclaim", req.Path, int64(req.MoveID))
-	s.mu.Lock()
-	vs := s.vols[volName]
-	if _, live := s.open[req.Path]; live {
-		delete(s.open, req.Path)
-		s.locks.Drop(req.Path)
+	k.tr.Record(trace.OwnerPurge, "reclaim", req.Path, int64(req.MoveID))
+	k.mu.Lock()
+	vs := k.vols[volName]
+	if _, live := k.open[req.Path]; live {
+		delete(k.open, req.Path)
+		k.locks.Drop(req.Path)
 	}
-	s.mu.Unlock()
-	s.leaseCacheDrop(req.Path)
+	k.mu.Unlock()
+	k.leaseCacheDrop(req.Path)
 	if vs == nil {
 		return nil
 	}
@@ -451,44 +418,29 @@ func (s *Site) handleOwnerPurge(req ownerPurgeReq) error {
 // still-running adoption at the target.  Bounded patient retries cover
 // transport failures; if the target stays unreachable its copy is
 // garbage that site's own next restart purges anyway.
-func (s *Site) spawnPurge(target simnet.SiteID, path string, moveID uint64) {
-	s.placeOps.Add(1)
-	s.cl.cfg.Clock.Go(func() {
-		defer s.placeOps.Add(-1)
+func (k *incarnation) spawnPurge(target simnet.SiteID, path string, moveID uint64) {
+	k.placeOps.Add(1)
+	k.cl.cfg.Clock.Go(func() {
+		defer k.placeOps.Add(-1)
 		for attempt := 0; attempt < movedRetries; attempt++ {
-			if _, err := s.ep.Call(target, "ownerpurge", ownerPurgeReq{Path: path, MoveID: moveID}); err == nil {
+			if _, err := k.ep.Call(target, "ownerpurge", ownerPurgeReq{Path: path, MoveID: moveID}); err == nil {
 				return
 			}
-			s.retryMovedWait(attempt)
+			k.retryMovedWait(attempt)
 		}
 	})
 }
 
 // hostedVol returns the named volume at this site, creating a fresh one
 // (on its own disk) the first time a file of that volume is adopted
-// here.  The hosted volume joins s.vols under the canonical name and is
+// here.  The hosted volume joins k.vols under the canonical name and is
 // indistinguishable from a mounted one to every other subsystem; it is
 // NOT added to the cluster mount table - the mount stays where it was.
-func (s *Site) hostedVol(volName string) (*volState, error) {
-	s.mu.Lock()
-	if vs, ok := s.vols[volName]; ok {
-		s.mu.Unlock()
+func (k *incarnation) hostedVol(volName string) (*volState, error) {
+	if vs, err := k.volByName(volName); err == nil {
 		return vs, nil
 	}
-	s.mu.Unlock()
-
-	vs, err := s.formatVolume(volName, fmt.Sprintf("%s@%v", volName, s.id))
-	if err != nil {
-		return nil, err
-	}
-	vs.hosted = true
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.vols[volName]; ok {
-		return cur, nil // lost a creation race
-	}
-	s.vols[volName] = vs
-	return vs, nil
+	return k.addVolume(&disk{vol: volName, hosted: true})
 }
 
 // purgeForeignFiles runs during restart, after the volumes reload but
@@ -500,33 +452,17 @@ func (s *Site) hostedVol(volName string) (*volState, error) {
 // cannot reference such a file: a move only proceeds through a fully
 // quiesced lock list, so no prepare record and a foreign home can
 // coexist.
-func (s *Site) purgeForeignFiles() {
-	for _, vs := range s.volStates() {
+func (k *incarnation) purgeForeignFiles() {
+	for _, vs := range k.volStates(false) {
 		for _, name := range vs.dirList() {
 			path := vs.name + "/" + name
-			home, err := s.cl.StorageSite(path)
-			if err != nil || home == s.id {
+			home, err := k.cl.StorageSite(path)
+			if err != nil || home == k.id {
 				continue
 			}
 			vs.reclaimFile(name) //nolint:errcheck // load rebuilt the allocator; a re-crash just purges again
 		}
 	}
-}
-
-// repointIfCurrent flips path's namespace home to target iff this site
-// has not crashed since epoch was observed.  Holding s.mu across the
-// flip serializes it with Crash, so a move a crash interrupted can
-// never repoint afterwards: the crash/restart story stays the two-case
-// analysis in the package comment, with the restart purge as the only
-// healer.
-func (s *Site) repointIfCurrent(path string, target simnet.SiteID, epoch uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.up || s.epoch != epoch {
-		return false
-	}
-	s.cl.setFileHome(path, target)
-	return true
 }
 
 // HasLocalFile reports whether this site's copy of the named volume
@@ -535,20 +471,12 @@ func (s *Site) repointIfCurrent(path string, target simnet.SiteID, epoch uint64)
 // elsewhere while an interrupted move's garbage copy still exists here
 // until the next restart purges it).
 func (s *Site) HasLocalFile(volName, name string) (bool, error) {
-	s.mu.Lock()
-	vs, ok := s.vols[volName]
-	s.mu.Unlock()
-	if !ok {
-		return false, nil
-	}
-	_, err := vs.dirLookup(name)
-	if errors.Is(err, ErrNoSuchFile) {
-		return false, nil
-	}
+	vs, err := s.kernel().volByName(volName)
 	if err != nil {
-		return false, err
+		return false, nil
 	}
-	return true, nil
+	_, err = vs.dirLookup(name) // found, or ErrNoSuchFile
+	return err == nil, nil
 }
 
 // retryMoved reports whether a storage call that failed with errMoved
@@ -557,8 +485,8 @@ func (s *Site) HasLocalFile(volName, name string) (bool, error) {
 // caller forever.
 const movedRetries = 16
 
-func (s *Site) retryMovedWait(attempt int) {
-	s.cl.cfg.Clock.Sleep(time.Duration(attempt+1) * time.Millisecond)
+func (m *machine) retryMovedWait(attempt int) {
+	m.cl.cfg.Clock.Sleep(time.Duration(attempt+1) * time.Millisecond)
 }
 
 // ---- routed commit (coordinator placement) ----
@@ -567,8 +495,8 @@ func (s *Site) retryMovedWait(attempt int) {
 // site where it began: this site stores all of the transaction's data,
 // so prepare and phase two run locally (with FastPaths, as a one-phase
 // commit) instead of crossing the network.
-func (s *Site) handleCoordCommit(req coordCommitReq) error {
-	coord, err := s.Coordinator()
+func (k *incarnation) handleCoordCommit(req coordCommitReq) error {
+	coord, err := k.Coordinator()
 	if err != nil {
 		return err
 	}
@@ -581,22 +509,23 @@ func (s *Site) handleCoordCommit(req coordCommitReq) error {
 // returned as an error WITHOUT aborting - a unilateral abort could tear
 // a commit the unreachable target already logged; recovery resolves the
 // participant state when the partition heals.
-func (s *Site) RouteCommit(target simnet.SiteID, txid string, files []proc.FileRef) error {
-	_, err := s.ep.Call(target, "coordcommit", coordCommitReq{Txid: txid, Files: files})
+func (m *machine) RouteCommit(target simnet.SiteID, txid string, files []proc.FileRef) error {
+	_, err := m.ep.Call(target, "coordcommit", coordCommitReq{Txid: txid, Files: files})
 	if err == nil {
-		s.st.Inc(stats.RoutedCommits)
-		s.tr.Record(trace.RoutedCommit, txid, "", int64(target))
+		m.st.Inc(stats.RoutedCommits)
+		m.tr.Record(trace.RoutedCommit, txid, "", int64(target))
 		return nil
 	}
 	var re *simnet.RemoteError
-	if errors.As(err, &re) {
+	if errors.As(err, &re) && !errors.Is(err, ErrSiteDown) {
 		// The coordinator ran and refused (prepare failure => it already
-		// aborted everywhere, per the protocol).
+		// aborted everywhere, per the protocol).  A kernel that died
+		// under the request refused nothing: that is a lost reply.
 		return err
 	}
-	if st, qerr := s.QueryStatus(target, txid); qerr == nil && st == tpc.StatusCommitted {
-		s.st.Inc(stats.RoutedCommits)
-		s.tr.Record(trace.RoutedCommit, txid, "", int64(target))
+	if st, qerr := m.QueryStatus(target, txid); qerr == nil && st == tpc.StatusCommitted {
+		m.st.Inc(stats.RoutedCommits)
+		m.tr.Record(trace.RoutedCommit, txid, "", int64(target))
 		return nil
 	}
 	return fmt.Errorf("cluster: routed commit of %s to %v unconfirmed: %w", txid, target, err)

@@ -206,9 +206,9 @@ func TestOwnershipMoveSurvivesRestarts(t *testing.T) {
 	// Exactly one site's volume holds the file: the old home's directory
 	// for va must not have a local copy (its listing still shows the
 	// name, merged from the namespace, but the volume itself does not).
-	s1.mu.Lock()
-	vs1 := s1.vols["va"]
-	s1.mu.Unlock()
+	s1.kernel().mu.Lock()
+	vs1 := s1.kernel().vols["va"]
+	s1.kernel().mu.Unlock()
 	for _, n := range vs1.dirList() {
 		if n == "f" {
 			t.Fatal("old home still holds a local copy after restart purge")

@@ -2,180 +2,168 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fs"
 	"repro/internal/lockmgr"
 	"repro/internal/proc"
-	"repro/internal/shadow"
+	"repro/internal/simnet"
 	"repro/internal/tpc"
 	"repro/internal/trace"
 )
 
-// Crash takes the site down: network detached, disks lose their volatile
-// (unflushed) pages, and all kernel memory - open files, lock lists,
-// process table, lock cache, prepared-transaction map - is forfeit.  The
-// in-memory state is actually discarded at Restart, which is equivalent
-// and keeps Crash callable from topology-watch goroutines.
+// Crash takes the site down: its kernel incarnation is marked dead - all
+// of its memory forfeit at once, its volume handles fenced, its disks
+// stripped of their volatile (unflushed) pages - and the machine leaves the
+// network.  Crashing a site that is already down does nothing.
 func (s *Site) Crash() {
-	s.mu.Lock()
-	s.up = false
-	s.epoch++
-	coord := s.coord
-	s.coord = nil
-	vols := s.volStatesLocked()
-	for _, rep := range s.replicas {
-		vols = append(vols, rep.vs)
+	k := s.kernel()
+	k.mu.Lock()
+	if k.dead.Load() {
+		k.mu.Unlock()
+		return
 	}
-	s.mu.Unlock()
+	k.dead.Store(true)
+	coord := k.coord
+	k.mu.Unlock()
 	if coord != nil {
 		// The retry-timer goroutine dies with its kernel; Restart builds
 		// a fresh coordinator and its Recover re-drives pending phase two.
 		coord.Close()
 	}
 	s.cl.net.CrashSite(s.id)
-	for _, vs := range vols {
-		vs.disk.Crash()
+	k.halt()
+	k.forfeitLeases()
+}
+
+// halt stops the incarnation's storage dead: each disk loses its volatile
+// (unflushed) pages and each volume handle is fenced, so a goroutine that
+// outlives the kernel (a phase-two retry, a shadow commit in flight)
+// fails on it instead of writing through a superseded allocator or log.
+func (k *incarnation) halt() {
+	for _, vs := range k.volStates(true) {
+		vs.disk.dev.Crash()
+		vs.vol.Invalidate()
 	}
 }
 
-// Restart brings the site back: volumes are reloaded from stable storage,
-// prepared shadow pages are pinned before any allocation, the transaction
-// recovery mechanism runs before new transactions are admitted (section
-// 4.4), and only then does the site rejoin the network.
-//
-// Recovery order, per the paper:
+// newIncarnation boots a kernel over the machine's disks, up to the point
+// where it may take messages.  Recovery order, per the paper (section
+// 4.4; Restart does the rest):
 //
 //  1. reload each volume; the load scan reclaims orphan shadow pages
 //     (transactions that never prepared are thereby aborted);
-//  2. pin every page named by a surviving prepare record;
-//  3. resolve in-doubt prepared transactions by querying their
-//     coordinators; an unreachable or still undecided coordinator leaves
-//     the transaction in doubt with its locks re-established;
-//  4. replay this site's own coordinator log: committed transactions
-//     re-enter phase two, anything else is aborted.
-func (s *Site) Restart() error {
-	s.mu.Lock()
-	vols := s.volStatesLocked()
-	// Forfeit kernel memory.
-	s.open = make(map[string]*openFile)
-	s.locks = lockmgr.NewManager(s.st)
-	s.locks.SetTracer(s.tr)
-	s.locks.SetClock(s.cl.cfg.Clock)
-	s.procs = proc.NewTable(s.id, s.st)
-	s.prepared = make(map[string]*preparedTxn)
-	s.txns = make(map[string]struct{})
-	s.coord = nil
-	s.mu.Unlock()
-	s.cacheMu.Lock()
-	s.lockCache = make(map[string]map[string][]cachedLock)
-	s.cacheMu.Unlock()
-	s.resetLeaseState()
-	s.resetMoving()
-
-	// 1-2: reload volumes, pin prepared pages.  The old volume handles
-	// are fenced first: goroutines from before the crash (phase-two
-	// retries, a stale coordinator's finish) may still hold them, and a
-	// write through a superseded handle lands on pages the reloaded
-	// allocator has reassigned.
-	for _, vs := range vols {
-		if vs.vol != nil {
-			vs.vol.Invalidate()
-		}
-		vs.disk.Restart()
-		vol, err := fs.Load(vs.name, vs.disk)
+//  2. pin every page named by a surviving prepare record, before anything
+//     allocates;
+//  3. (a) re-register every surviving prepare record and re-establish its
+//     retained locks.  A commit or abort retry that found the table still
+//     empty would be acknowledged as an idempotent duplicate, letting the
+//     coordinator reclaim its log record while this site still held the
+//     transaction in doubt - which presumed abort would then mis-resolve.
+//
+// A machine with no disk (AddSite) boots the same way and cannot fail.
+func newIncarnation(m *machine) (_ *incarnation, err error) {
+	cfg := m.cl.cfg
+	k := &incarnation{
+		machine:   m,
+		vols:      make(map[string]*volState),
+		replicas:  make(map[string]*replicaState),
+		open:      make(map[string]*openFile),
+		locks:     lockmgr.NewManager(m.st),
+		procs:     proc.NewTable(m.id, m.st),
+		prepared:  make(map[string]*preparedTxn),
+		txns:      make(map[string]struct{}),
+		lockCache: make(map[string]map[string][]cachedLock),
+	}
+	k.mu.SetClock(cfg.Clock)
+	k.locks.SetTracer(m.tr)
+	k.locks.SetClock(cfg.Clock)
+	if cfg.LockLeases {
+		k.leases = make(map[string]*siteLease)
+		k.leaseMeta = make(map[string]map[simnet.SiteID]*leaseMeta)
+	}
+	if cfg.AdaptivePlacement {
+		k.moving = make(map[string]struct{})
+		k.adopted = make(map[string]uint64)
+		k.purgeWanted = make(map[string]uint64)
+	}
+	defer func() {
 		if err != nil {
-			return fmt.Errorf("cluster: reload %q: %w", vs.name, err)
+			k.halt()
 		}
-		s.wireVolume(vol)
-		// The swap happens under dirMu so pinVol/dirCreateOn (an adoption
-		// spanning this restart) see either old-handle-everywhere (and
-		// fail on the invalidation above) or the new handle consistently.
-		vs.dirMu.Lock()
-		vs.vol = vol
-		vs.dirMu.Unlock()
-		if err := tpc.PinPreparedPages(vol); err != nil {
-			return err
-		}
-		if err := vs.loadDirectory(); err != nil {
-			return err
-		}
-	}
-	// Reload replica volumes; conservatively forward all reads to the
-	// primary until the next propagation refreshes each file.
-	s.mu.Lock()
-	reps := make([]*replicaState, 0, len(s.replicas))
-	for _, rep := range s.replicas {
-		reps = append(reps, rep)
-	}
-	s.mu.Unlock()
-	for _, rep := range reps {
-		if rep.vs.vol != nil {
-			rep.vs.vol.Invalidate()
-		}
-		rep.vs.disk.Restart()
-		vol, err := fs.Load(rep.vs.name, rep.vs.disk)
+	}()
+	m.diskMu.Lock()
+	disks := slices.Clone(m.disks)
+	m.diskMu.Unlock()
+	for _, d := range disks {
+		d.dev.Restart()
+		vs, err := m.mount(d, false)
 		if err != nil {
-			return fmt.Errorf("cluster: reload replica %q: %w", rep.vs.name, err)
+			return nil, err
 		}
-		vol.SetClock(s.cl.cfg.Clock)
-		rep.vs.dirMu.Lock()
-		rep.vs.vol = vol
-		rep.vs.dirMu.Unlock()
-		if err := rep.vs.loadDirectory(); err != nil {
-			return err
+		if d.replica {
+			k.replicas[d.vol] = newReplicaState(vs)
+			continue
 		}
-		s.mu.Lock()
-		rep.files = make(map[string]*shadow.File)
-		s.mu.Unlock()
+		k.vols[d.vol] = vs
+		if err := tpc.PinPreparedPages(vs.vol); err != nil {
+			return nil, err
+		}
 	}
-
 	// Adaptive placement: reclaim any local copy of a file the namespace
 	// homes elsewhere (an ownership move this crash interrupted), before
 	// prepare-record processing - a quiesced move cannot coexist with a
 	// prepared transaction, so the purge never races recovery state.
-	if s.cl.cfg.AdaptivePlacement {
-		s.purgeForeignFiles()
+	if cfg.AdaptivePlacement {
+		k.purgeForeignFiles()
 	}
-
-	// 3a: re-register every surviving prepare record and re-establish its
-	// retained locks BEFORE rejoining the network.  A commit or abort
-	// retry that arrived while s.prepared was still empty would be
-	// acknowledged as an idempotent duplicate, letting the coordinator
-	// reclaim its log record while this site still held the transaction
-	// in doubt - which presumed abort would then mis-resolve.
-	for _, vs := range vols {
+	for _, vs := range k.vols {
 		recs, err := tpc.ReadPrepareRecords(vs.vol)
 		if err != nil {
-			return fmt.Errorf("cluster: prepare records of %q: %w", vs.name, err)
+			return nil, fmt.Errorf("cluster: prepare records of %q: %w", vs.name, err)
 		}
 		for _, rec := range recs {
-			s.relockRecovered(rec)
+			k.relockRecovered(rec)
 		}
 	}
+	return k, nil
+}
 
+// Restart brings the site back with a fresh kernel incarnation: volumes
+// are reloaded from stable storage and the transaction recovery mechanism
+// runs before new transactions are admitted (section 4.4): steps 1 to 3a in
+// newIncarnation, before the site rejoins the network, then
+//
+//  3. (b) resolve in-doubt prepared transactions by querying their
+//     coordinators; an unreachable or still undecided coordinator leaves
+//     the transaction in doubt with its locks re-established;
+//  4. replay this site's own coordinator log: committed transactions
+//     re-enter phase two, anything else is aborted.
+//
+// A running site is crashed first.
+func (s *Site) Restart() error {
+	s.Crash()
+	k, err := newIncarnation(&s.machine)
+	if err != nil {
+		return err
+	}
+	s.inc.Store(k)
 	// Rejoin the network so coordinator queries can flow both ways.
-	s.mu.Lock()
-	s.up = true
-	s.mu.Unlock()
 	s.cl.net.RestartSite(s.id)
 
-	// 3b: resolve what we can now; transactions whose coordinator is
-	// unreachable or undecided stay in doubt for a later ResolveInDoubt.
-	s.ResolveInDoubt()
-
-	// 4: coordinator recovery.
-	coord, err := s.Coordinator()
-	if err == nil {
+	// Transactions whose coordinator is unreachable or undecided stay in
+	// doubt for a later ResolveInDoubt.
+	k.ResolveInDoubt()
+	if coord, err := k.Coordinator(); err == nil {
 		if rerr := coord.Recover(); rerr != nil {
 			return fmt.Errorf("cluster: coordinator recovery at site %v: %w", s.id, rerr)
 		}
 	}
-
 	// Refresh replica contents (stale copies forward to the primary
 	// until the pull completes).
-	s.resyncReplicas()
-	s.tr.Record(trace.Recovery, "", s.id.String(), int64(s.InDoubtCount()))
+	k.resyncReplicas()
+	s.tr.Record(trace.Recovery, "", s.id.String(), int64(len(k.inDoubt())))
 	return nil
 }
 
@@ -183,25 +171,25 @@ func (s *Site) Restart() error {
 // restart: its prepare record is remembered (so a later commit or abort
 // message can be applied from the log) and its retained locks are
 // re-established so other users stay excluded until the outcome arrives.
-func (s *Site) relockRecovered(rec tpc.PrepareRecord) {
-	s.mu.Lock()
-	pt := s.prepared[rec.Txid]
+func (k *incarnation) relockRecovered(rec tpc.PrepareRecord) {
+	k.mu.Lock()
+	pt := k.prepared[rec.Txid]
 	if pt == nil {
 		pt = &preparedTxn{coord: rec.CoordSite, recovered: true}
-		s.prepared[rec.Txid] = pt
+		k.prepared[rec.Txid] = pt
 	}
 	pt.onePhase = pt.onePhase || rec.OnePhaseTotal > 0
 	pt.records = append(pt.records, rec)
 	for _, pf := range rec.Files {
 		pt.fileIDs = append(pt.fileIDs, pf.FileID)
 	}
-	s.mu.Unlock()
+	k.mu.Unlock()
 
 	// Re-establish the retained locks from the logged lock list.  The
 	// holder process is gone; the transaction group is what matters.
 	h := lockmgr.Holder{PID: 0, Txn: rec.Txid}
 	for _, li := range rec.Locks {
-		fl := s.locks.File(li.FileID, nil)
+		fl := k.locks.File(li.FileID, nil)
 		fl.Lock(lockmgr.Request{ //nolint:errcheck // re-granting our own logged locks cannot conflict
 			Holder: h, Mode: li.Mode, Off: li.Off, Len: li.Len,
 		})
@@ -218,7 +206,7 @@ func (s *Site) relockRecovered(rec tpc.PrepareRecord) {
 // abort.  Its entry exists live only once its records were forced, and a
 // recovered set is committed iff complete - every record carries the
 // set's total, and the force of the last one was the commit point.  That
-// half sends nothing, so deliver may ask it under s.mu.
+// half sends nothing, so deliver may ask it under k.mu.
 //
 // Anyone else asks the coordinator, and only its word decides: committed,
 // or aborted (which includes "never heard of it": no live state and no
@@ -227,40 +215,37 @@ func (s *Site) relockRecovered(rec tpc.PrepareRecord) {
 // transaction in doubt: this site voted yes, the coordinator may yet
 // commit, and aborting on its own is the one thing a prepared participant
 // may never do.
-func (s *Site) resolve(txid string, pt *preparedTxn) tpc.Status {
+func (k *incarnation) resolve(txid string, pt *preparedTxn) tpc.Status {
 	if pt.onePhase {
 		if !pt.recovered || (len(pt.records) > 0 && len(pt.records) >= pt.records[0].OnePhaseTotal) {
 			return tpc.StatusCommitted
 		}
 		return tpc.StatusAborted
 	}
-	st, err := s.QueryStatus(pt.coord, txid)
+	st, err := k.QueryStatus(pt.coord, txid)
 	if err != nil {
 		return tpc.StatusUnknown
 	}
 	return st
 }
 
-// ResolveInDoubt retries participant recovery for transactions whose
-// coordinator was unreachable or undecided at restart.  Returns the
-// number still in doubt.
-func (s *Site) ResolveInDoubt() int {
-	txids := s.inDoubt()
+func (k *incarnation) ResolveInDoubt() int {
+	txids := k.inDoubt()
 	sort.Strings(txids)
 
 	remaining := 0
 	for _, txid := range txids {
-		s.mu.Lock()
-		pt := s.prepared[txid]
-		s.mu.Unlock()
+		k.mu.Lock()
+		pt := k.prepared[txid]
+		k.mu.Unlock()
 		if pt == nil {
 			continue
 		}
 		// An apply error (including a racing delivery from the
 		// coordinator itself) leaves the transaction in doubt; the next
 		// resolution pass retries.
-		st := s.resolve(txid, pt)
-		if st == tpc.StatusUnknown || s.deliver(txid, st == tpc.StatusCommitted) != nil {
+		st := k.resolve(txid, pt)
+		if st == tpc.StatusUnknown || k.deliver(txid, st == tpc.StatusCommitted) != nil {
 			remaining++
 		}
 	}
@@ -269,11 +254,11 @@ func (s *Site) ResolveInDoubt() int {
 
 // inDoubt lists the recovered prepared transactions still awaiting their
 // outcome.
-func (s *Site) inDoubt() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (k *incarnation) inDoubt() []string {
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	var txids []string
-	for txid, pt := range s.prepared {
+	for txid, pt := range k.prepared {
 		if pt.recovered {
 			txids = append(txids, txid)
 		}
@@ -281,29 +266,35 @@ func (s *Site) inDoubt() []string {
 	return txids
 }
 
+// ResolveInDoubt retries participant recovery for transactions whose
+// coordinator was unreachable or undecided at restart.  Returns the
+// number still in doubt.
+func (s *Site) ResolveInDoubt() int { return s.kernel().ResolveInDoubt() }
+
 // InDoubtCount returns how many recovered prepared transactions still
 // await their coordinator.
-func (s *Site) InDoubtCount() int {
-	return len(s.inDoubt())
-}
+func (s *Site) InDoubtCount() int { return len(s.kernel().inDoubt()) }
 
-// Volumes returns the site's volume names, sorted.
-func (s *Site) Volumes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.vols))
-	for n := range s.vols {
-		out = append(out, n)
+// Volumes returns the names of the volumes on the site's disks (mounted
+// and hosted, not replicas), sorted.
+func (m *machine) Volumes() []string {
+	m.diskMu.Lock()
+	defer m.diskMu.Unlock()
+	var out []string
+	for _, d := range m.disks {
+		if !d.replica {
+			out = append(out, d.vol)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Volume returns a mounted volume (tests and tools reach through this).
+// Volume returns a mounted volume (tests and tools reach through this; on
+// a down site it is the dead incarnation's fenced handle, whose Disk is
+// the machine's).
 func (s *Site) Volume(name string) *fs.Volume {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if vs, ok := s.vols[name]; ok {
+	if vs, err := s.kernel().volByName(name); err == nil {
 		return vs.vol
 	}
 	return nil

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/fs"
 	"repro/internal/shadow"
-	"repro/internal/simdisk"
 	"repro/internal/simnet"
 )
 
@@ -48,18 +46,6 @@ type replPullReq struct {
 
 type replRemoveReq struct{ Path string }
 
-// newReplicaDisk builds the disk backing a replica volume.
-func newReplicaDisk(c *Cluster, volName string, site simnet.SiteID) *simdisk.Disk {
-	d := simdisk.New(fmt.Sprintf("%s@%v", volName, site), c.cfg.VolumePages, c.cfg.PageSize, c.st)
-	d.SetClock(c.cfg.Clock)
-	return d
-}
-
-// formatReplica formats a replica volume on its disk.
-func formatReplica(name string, disk *simdisk.Disk) (*fs.Volume, error) {
-	return fs.Format(name, disk, fs.Options{})
-}
-
 // AddReplica creates a read-only replica of an existing volume at another
 // site and synchronizes the current committed contents.
 func (c *Cluster) AddReplica(volName string, site simnet.SiteID) error {
@@ -76,33 +62,9 @@ func (c *Cluster) AddReplica(volName string, site simnet.SiteID) error {
 	if rs == nil {
 		return fmt.Errorf("cluster: no site %v", site)
 	}
-	rs.mu.Lock()
-	if _, dup := rs.replicas[volName]; dup {
-		rs.mu.Unlock()
-		return fmt.Errorf("cluster: %q already replicated at %v", volName, site)
-	}
-	rs.mu.Unlock()
-
-	// Build the replica volume on its own disk.
-	disk := newReplicaDisk(c, volName, site)
-	vol, err := formatReplica(volName, disk)
-	if err != nil {
+	if _, err := rs.kernel().addVolume(&disk{vol: volName, replica: true}); err != nil {
 		return err
 	}
-	vol.SetClock(c.cfg.Clock)
-	vs := &volState{name: volName, disk: disk, vol: vol}
-	vs.dirMu.SetClock(c.cfg.Clock)
-	if err := vs.initDirectory(); err != nil {
-		return err
-	}
-	rs.mu.Lock()
-	if rs.replicas == nil {
-		rs.replicas = make(map[string]*replicaState)
-	}
-	rs.replicas[volName] = &replicaState{
-		vs: vs, updating: make(map[string]bool), files: make(map[string]*shadow.File),
-	}
-	rs.mu.Unlock()
 
 	c.mu.Lock()
 	c.replicaSites[volName] = append(c.replicaSites[volName], site)
@@ -115,8 +77,7 @@ func (c *Cluster) AddReplica(volName string, site simnet.SiteID) error {
 		return err
 	}
 	for _, name := range names {
-		path := volName + "/" + name
-		if err := ps.pushFileToReplica(site, path); err != nil {
+		if err := ps.kernel().pushFileToReplica(site, volName+"/"+name); err != nil {
 			return err
 		}
 	}
@@ -140,19 +101,22 @@ type replicaState struct {
 	files map[string]*shadow.File
 }
 
-// registerReplicaHandlers installs the replica-side protocol.
-func (s *Site) registerReplicaHandlers() {
-	s.ep.Handle("replsync", s.wrap(func(req any) (any, error) { return nil, s.handleReplSync(req.(replSyncReq)) }))
-	s.ep.Handle("replupdating", s.wrap(func(req any) (any, error) { return nil, s.handleReplUpdating(req.(replUpdatingReq)) }))
-	s.ep.Handle("replpull", s.wrap(func(req any) (any, error) { return nil, s.handleReplPull(req.(replPullReq)) }))
-	s.ep.Handle("replremove", s.wrap(func(req any) (any, error) { return nil, s.handleReplRemove(req.(replRemoveReq)) }))
+// newReplicaState wraps a replica volume just formatted or reloaded.  Every
+// file a reload finds is marked service-migrated: reads forward to the
+// primary, which is always correct, until a propagation refreshes it.
+func newReplicaState(vs *volState) *replicaState {
+	rep := &replicaState{vs: vs, updating: make(map[string]bool), files: make(map[string]*shadow.File)}
+	for _, name := range vs.dirList() {
+		rep.updating[vs.name+"/"+name] = true
+	}
+	return rep
 }
 
 // handleReplRemove mirrors a file removal onto the local replica.
-func (s *Site) handleReplRemove(req replRemoveReq) error {
-	rep := s.replicaFor(req.Path)
+func (k *incarnation) handleReplRemove(req replRemoveReq) error {
+	rep := k.replicaFor(req.Path)
 	if rep == nil {
-		return fmt.Errorf("cluster: %v holds no replica for %q", s.id, req.Path)
+		return fmt.Errorf("cluster: %v holds no replica for %q", k.id, req.Path)
 	}
 	_, name, err := splitPath(req.Path)
 	if err != nil {
@@ -162,108 +126,97 @@ func (s *Site) handleReplRemove(req replRemoveReq) error {
 	if err := rep.vs.reclaimFile(name); err != nil && !errors.Is(err, ErrNoSuchFile) {
 		return err
 	}
-	s.mu.Lock()
+	k.mu.Lock()
 	delete(rep.files, req.Path)
 	delete(rep.updating, req.Path)
-	s.mu.Unlock()
+	k.mu.Unlock()
 	return nil
 }
 
 // notifyReplicaRemove fans a removal out to the volume's replicas, best
 // effort (a down replica drops the file during its restart resync).
-func (s *Site) notifyReplicaRemove(path, volName string) {
-	for _, site := range s.cl.ReplicaSites(volName) {
-		s.ep.Call(site, "replremove", replRemoveReq{Path: path}) //nolint:errcheck
+func (k *incarnation) notifyReplicaRemove(path, volName string) {
+	for _, site := range k.cl.ReplicaSites(volName) {
+		k.ep.Call(site, "replremove", replRemoveReq{Path: path}) //nolint:errcheck
 	}
 }
 
 // handleReplPull runs at a primary: a restarting replica asks for a full
 // resynchronization of the volume.
-func (s *Site) handleReplPull(req replPullReq) error {
-	vs, err := s.volByName(req.Volume)
+func (k *incarnation) handleReplPull(req replPullReq) error {
+	vs, err := k.volByName(req.Volume)
 	if err != nil {
 		return err
 	}
 	for _, name := range vs.dirList() {
-		if err := s.pushFileToReplica(req.Replica, req.Volume+"/"+name); err != nil {
+		if err := k.pushFileToReplica(req.Replica, req.Volume+"/"+name); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// resyncReplicas runs after a replica site restarts: every replicated
-// file is marked service-migrated (reads forward to the primary, which is
-// always correct), then a full pull refreshes the local copies; files
-// refreshed by the pull resume local service.  An unreachable primary
-// leaves the conservative forwarding in place.
-func (s *Site) resyncReplicas() {
-	s.mu.Lock()
-	reps := make(map[string]*replicaState, len(s.replicas))
-	for name, rep := range s.replicas {
-		reps[name] = rep
-	}
-	s.mu.Unlock()
-	for volName, rep := range reps {
-		s.mu.Lock()
-		for _, name := range rep.vs.dirList() {
-			rep.updating[volName+"/"+name] = true
-		}
-		s.mu.Unlock()
-		primary, err := s.cl.StorageSite(volName + "/.")
-		if err != nil {
+// resyncReplicas runs after a replica site restarts: a full pull of each
+// replicated volume refreshes the local copies, which then resume local
+// service.  An unreachable primary leaves the conservative forwarding
+// (newReplicaState) in place.
+func (k *incarnation) resyncReplicas() {
+	for _, vs := range k.volStates(true) {
+		if !vs.disk.replica {
 			continue
 		}
-		s.ep.Call(primary, "replpull", replPullReq{Volume: volName, Replica: s.id}) //nolint:errcheck // primary down: keep forwarding
+		if primary, err := k.cl.StorageSite(vs.name + "/."); err == nil {
+			k.ep.Call(primary, "replpull", replPullReq{Volume: vs.name, Replica: k.id}) //nolint:errcheck // primary down: keep forwarding
+		}
 	}
 }
 
 // replicaFor returns the site's replica of the path's volume, if any.
-func (s *Site) replicaFor(path string) *replicaState {
+func (k *incarnation) replicaFor(path string) *replicaState {
 	volName, _, err := splitPath(path)
 	if err != nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replicas[volName]
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.replicas[volName]
 }
 
 // handleReplSync installs propagated file contents on the local replica
 // and re-enables local reading of the path.
-func (s *Site) handleReplSync(req replSyncReq) error {
-	rep := s.replicaFor(req.Path)
+func (k *incarnation) handleReplSync(req replSyncReq) error {
+	rep := k.replicaFor(req.Path)
 	if rep == nil {
-		return fmt.Errorf("cluster: %v holds no replica for %q", s.id, req.Path)
+		return fmt.Errorf("cluster: %v holds no replica for %q", k.id, req.Path)
 	}
 	_, name, err := splitPath(req.Path)
 	if err != nil {
 		return err
 	}
-	f, err := rep.vs.openOrCreateOn(rep.vs.pinVol(), name)
+	f, err := rep.vs.openOrCreate(name)
 	if err != nil {
 		return err
 	}
 	if err := installImage(f, req.Data); err != nil {
 		return err
 	}
-	s.mu.Lock()
+	k.mu.Lock()
 	delete(rep.updating, req.Path)
 	rep.files[req.Path] = f // refreshed handle serves subsequent local reads
-	s.mu.Unlock()
+	k.mu.Unlock()
 	return nil
 }
 
 // handleReplUpdating marks a path as open-for-update at the primary:
 // local reads forward there until the next replsync.
-func (s *Site) handleReplUpdating(req replUpdatingReq) error {
-	rep := s.replicaFor(req.Path)
+func (k *incarnation) handleReplUpdating(req replUpdatingReq) error {
+	rep := k.replicaFor(req.Path)
 	if rep == nil {
-		return fmt.Errorf("cluster: %v holds no replica for %q", s.id, req.Path)
+		return fmt.Errorf("cluster: %v holds no replica for %q", k.id, req.Path)
 	}
-	s.mu.Lock()
+	k.mu.Lock()
 	rep.updating[req.Path] = true
-	s.mu.Unlock()
+	k.mu.Unlock()
 	return nil
 }
 
@@ -271,21 +224,21 @@ func (s *Site) handleReplUpdating(req replUpdatingReq) error {
 // the volume is replicated here and the file's service has not migrated
 // to the primary.  It returns (nil, false) when the caller must go
 // remote.
-func (s *Site) replicaRead(fileID string, off int64, n int) ([]byte, bool) {
-	rep := s.replicaFor(fileID)
+func (k *incarnation) replicaRead(fileID string, off int64, n int) ([]byte, bool) {
+	rep := k.replicaFor(fileID)
 	if rep == nil {
 		return nil, false
 	}
-	if _, moved := s.cl.FileHome(fileID); moved {
+	if _, moved := k.cl.FileHome(fileID); moved {
 		// The primary migrated since this replica last synced; its copy
 		// refreshes from the new home on the next propagation, so reads
 		// go remote until then.
 		return nil, false
 	}
-	s.mu.Lock()
+	k.mu.Lock()
 	migrated := rep.updating[fileID]
 	f := rep.files[fileID]
-	s.mu.Unlock()
+	k.mu.Unlock()
 	if migrated {
 		return nil, false
 	}
@@ -302,9 +255,9 @@ func (s *Site) replicaRead(fileID string, off int64, n int) ([]byte, bool) {
 		if err != nil {
 			return nil, false
 		}
-		s.mu.Lock()
+		k.mu.Lock()
 		rep.files[fileID] = f
-		s.mu.Unlock()
+		k.mu.Unlock()
 	}
 	buf := make([]byte, n)
 	m, err := f.ReadAt(buf, off)
@@ -317,16 +270,16 @@ func (s *Site) replicaRead(fileID string, off int64, n int) ([]byte, bool) {
 // markOpenForUpdate flags the file at its primary and tells every replica
 // to forward reads (storage-site service migration).  Idempotent; called
 // on the first write or lock of a file on a replicated volume.
-func (s *Site) markOpenForUpdate(of *openFile) {
-	s.mu.Lock()
+func (k *incarnation) markOpenForUpdate(of *openFile) {
+	k.mu.Lock()
 	if of.updateMode {
-		s.mu.Unlock()
+		k.mu.Unlock()
 		return
 	}
 	of.updateMode = true
-	s.mu.Unlock()
-	for _, site := range s.cl.ReplicaSites(of.vs.name) {
-		s.ep.Call(site, "replupdating", replUpdatingReq{Path: of.id}) //nolint:errcheck // unreachable replicas serve stale data, as Locus allowed
+	k.mu.Unlock()
+	for _, site := range k.cl.ReplicaSites(of.vs.name) {
+		k.ep.Call(site, "replupdating", replUpdatingReq{Path: of.id}) //nolint:errcheck // unreachable replicas serve stale data, as Locus allowed
 	}
 }
 
@@ -336,31 +289,31 @@ func (s *Site) markOpenForUpdate(of *openFile) {
 // open-for-update migration.  A volume without replicas has nobody to
 // push to: its lock list is not consulted, and the flag clears as soon as
 // nothing is uncommitted, for the next write or lock to raise again.
-func (s *Site) maybeSyncReplicas(of *openFile) {
-	s.mu.Lock()
+func (k *incarnation) maybeSyncReplicas(of *openFile) {
+	k.mu.Lock()
 	wasUpdating := of.updateMode
-	s.mu.Unlock()
+	k.mu.Unlock()
 	if !wasUpdating || of.file.Modified() {
 		return
 	}
-	replicas := s.cl.ReplicaSites(of.vs.name)
+	replicas := k.cl.ReplicaSites(of.vs.name)
 	if len(replicas) > 0 && of.locks.Held(false) {
 		return
 	}
-	s.mu.Lock()
+	k.mu.Lock()
 	of.updateMode = false
-	s.mu.Unlock()
+	k.mu.Unlock()
 	for _, site := range replicas {
-		s.pushFileToReplica(site, of.id) //nolint:errcheck // unreachable replicas stay stale until the next push
+		k.pushFileToReplica(site, of.id) //nolint:errcheck // unreachable replicas stay stale until the next push
 	}
 }
 
 // pushFileToReplica ships a file's committed contents to one replica.
-func (s *Site) pushFileToReplica(site simnet.SiteID, path string) error {
-	_, _, data, err := s.committedImage(path)
+func (k *incarnation) pushFileToReplica(site simnet.SiteID, path string) error {
+	_, _, data, err := k.committedImage(path)
 	if err != nil {
 		return err
 	}
-	_, err = s.ep.Call(site, "replsync", replSyncReq{Path: path, Data: data, Size: int64(len(data))})
+	_, err = k.ep.Call(site, "replsync", replSyncReq{Path: path, Data: data, Size: int64(len(data))})
 	return err
 }

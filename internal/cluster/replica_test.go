@@ -3,10 +3,12 @@ package cluster
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/lockmgr"
 	"repro/internal/simnet"
 	"repro/internal/stats"
+	"repro/internal/vtime"
 )
 
 // replicatedCluster: volume "va" primary at site 1, replicas at 2 and 3.
@@ -128,10 +130,10 @@ func TestTransactionCommitPropagatesToReplicas(t *testing.T) {
 	if _, err := s1.Write(id, pid, "T1", 0, []byte("committed!!")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id}, Coord: 1}); err != nil {
+	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id}, Coord: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.handleCommit2(commit2Req{Txid: "T1"}); err != nil {
+	if err := s1.kernel().handleCommit2(commit2Req{Txid: "T1"}); err != nil {
 		t.Fatal(err)
 	}
 	// Replica at site 3 serves the committed contents locally.
@@ -163,7 +165,7 @@ func TestReplicaAvailabilityWhenPrimaryDown(t *testing.T) {
 	// Open cannot reach the primary, but a previously opened handle (the
 	// file ID is just the path) keeps reading locally: optimistic
 	// availability.
-	got, ok := s2.replicaRead("va/pre", 0, 11)
+	got, ok := s2.kernel().replicaRead("va/pre", 0, 11)
 	if !ok || string(got) != "preexisting" {
 		t.Fatalf("replica read with primary down = %q, %v", got, ok)
 	}
@@ -191,7 +193,7 @@ func TestReplicaRestartResyncs(t *testing.T) {
 	if err := s2.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s2.replicaRead("va/pre", 0, 11)
+	got, ok := s2.kernel().replicaRead("va/pre", 0, 11)
 	if !ok {
 		t.Fatal("replica not serving after resync")
 	}
@@ -231,7 +233,7 @@ func TestNewFileCreatedAfterReplicationPropagates(t *testing.T) {
 	if err := s1.Close(id, pid, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s2.replicaRead("va/late", 0, 9)
+	got, ok := s2.kernel().replicaRead("va/late", 0, 9)
 	if !ok || string(got) != "late file" {
 		t.Fatalf("late file on replica = %q, %v", got, ok)
 	}
@@ -243,7 +245,7 @@ func TestRemovePropagatesToReplicas(t *testing.T) {
 	if err := s1.Remove("va/pre"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.replicaRead("va/pre", 0, 4); ok {
+	if _, ok := s2.kernel().replicaRead("va/pre", 0, 4); ok {
 		t.Fatal("replica serves a removed file")
 	}
 	// Resync after a replica restart also drops removed files... by way
@@ -261,8 +263,40 @@ func TestRemovePropagatesToReplicas(t *testing.T) {
 	if err := s1.Close(id, pid, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s2.replicaRead("va/pre", 0, 6)
+	got, ok := s2.kernel().replicaRead("va/pre", 0, 6)
 	if !ok || string(got) != "reborn" {
 		t.Fatalf("recreated file on replica = %q, %v", got, ok)
 	}
+}
+
+// TestReplicaDiskChargesTheSpindle: a replica's disk is built like every
+// other (machine.mount via addVolume), so installing propagated contents
+// pays the forced-write delay - at AddReplica time and again after the
+// replica site reloads.  Replica disks used to be built a second way that
+// forgot SetSyncDelay, and their forces cost zero simulated time.
+func TestReplicaDiskChargesTheSpindle(t *testing.T) {
+	const delay = 5 * time.Millisecond
+	clk := vtime.NewVirtual()
+	cl := twoSiteCluster(t, Config{Clock: clk, DiskSyncDelay: delay})
+	defer cl.Shutdown()
+	if err := cl.AddReplica("va", 2); err != nil {
+		t.Fatal(err)
+	}
+	s2 := cl.Site(2)
+	install := func(when string, data string) {
+		t.Helper()
+		t0 := clk.Now()
+		if err := s2.kernel().handleReplSync(replSyncReq{Path: "va/f", Data: []byte(data)}); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if took := clk.Now().Sub(t0); took < delay {
+			t.Errorf("%s: a replsync install took %v of simulated time, want at least one force (%v)", when, took, delay)
+		}
+	}
+	install("fresh replica", "one")
+	s2.Crash()
+	if err := s2.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	install("reloaded replica", "two")
 }

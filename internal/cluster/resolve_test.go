@@ -30,7 +30,7 @@ func prepareAt(t *testing.T, s *Site, path, txid, data string, coord simnet.Site
 	if _, err := s.Write(id, pid, txid, 0, []byte(data)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.handlePrepare(prepareReq{Txid: txid, FileIDs: []string{id}, Coord: coord}); err != nil {
+	if err := s.kernel().handlePrepare(prepareReq{Txid: txid, FileIDs: []string{id}, Coord: coord}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -121,7 +121,7 @@ func TestResolveOnePhaseNeedsNoCoordinator(t *testing.T) {
 		{"live entry (records forced)", &preparedTxn{coord: 9, onePhase: true}, tpc.StatusCommitted},
 		{"two-phase, coordinator unreachable", &preparedTxn{coord: 9, recovered: true, records: []tpc.PrepareRecord{{Txid: "T"}}}, tpc.StatusUnknown},
 	} {
-		if got := s1.resolve("T", tc.pt); got != tc.want {
+		if got := s1.kernel().resolve("T", tc.pt); got != tc.want {
 			t.Errorf("%s: resolve = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -206,7 +206,7 @@ func TestPrepareRefusedAfterLosingTheTransaction(t *testing.T) {
 	// A straggler of the transaction's (a duplicated read, say) is denied,
 	// its lock having died in the crash; being denied does not make the
 	// transaction known here again.
-	if _, err := s1.handleRead(2, readReq{FileID: "va/f", Len: 4, PID: pid, Txn: "T1"}); !errors.Is(err, lockmgr.ErrAccessDenied) {
+	if _, err := s1.kernel().handleRead(2, readReq{FileID: "va/f", Len: 4, PID: pid, Txn: "T1"}); !errors.Is(err, lockmgr.ErrAccessDenied) {
 		t.Fatalf("read under a lock lost in the crash = %v, want access denied", err)
 	}
 

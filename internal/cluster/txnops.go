@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/fs"
 	"repro/internal/lockmgr"
 	"repro/internal/shadow"
 	"repro/internal/simnet"
@@ -42,42 +41,22 @@ type abortTxnReq struct{ Txid string }
 type statusReq struct{ Txid string }
 type statusResp struct{ Status tpc.Status }
 
-// registerHandlers installs every kernel message handler for the site.
-func (s *Site) registerHandlers() {
-	s.registerFileHandlers()
-	s.registerProcHandlers()
-	s.registerReplicaHandlers()
-	s.registerPlacementHandlers()
-	s.ep.Handle("prepare", s.wrap(func(req any) (any, error) { return nil, s.handlePrepare(req.(prepareReq)) }))
-	s.ep.Handle("preparev", s.wrap(func(req any) (any, error) {
-		v, err := s.prepare(req.(prepareReq))
-		return prepareResp{Vote: v}, err
-	}))
-	s.ep.Handle("prepareCommit", s.wrap(func(req any) (any, error) {
-		v, err := s.handlePrepareCommit(req.(prepareReq))
-		return prepareResp{Vote: v}, err
-	}))
-	s.ep.Handle("commit2", s.wrap(func(req any) (any, error) { return nil, s.handleCommit2(req.(commit2Req)) }))
-	s.ep.Handle("abortTxn", s.wrap(func(req any) (any, error) { return nil, s.handleAbortTxn(req.(abortTxnReq)) }))
-	s.ep.Handle("status", s.wrap(func(req any) (any, error) { return s.handleStatus(req.(statusReq)) }))
-}
-
 // siteTransport adapts the site's endpoint to tpc.Transport.  Prepare is
 // a single exchange: a lost prepare is treated as a refusal and aborts
 // the transaction (section 4.3).  Commit and abort messages are
 // idempotent (temporally-unique txids, section 4.4), so they ride
 // CallRetry's backoff to shrug off transient loss without waiting for
 // the coarse phase-two retry timer.
-type siteTransport struct{ s *Site }
+type siteTransport struct{ *machine }
 
 func (t *siteTransport) SendPrepare(site simnet.SiteID, txid string, fileIDs []string, coord simnet.SiteID) (tpc.Vote, error) {
-	if !t.s.cl.cfg.FastPaths {
+	if !t.cl.cfg.FastPaths {
 		// Paper-exact mode keeps the original wire exchange (empty
 		// response) so fixed-seed runs stay byte-identical.
-		_, err := t.s.ep.Call(site, "prepare", prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
+		_, err := t.ep.Call(site, "prepare", prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
 		return tpc.VoteCommit, err
 	}
-	resp, err := t.s.ep.Call(site, "preparev", prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
+	resp, err := t.ep.Call(site, "preparev", prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
 	if err != nil {
 		return tpc.VoteCommit, err
 	}
@@ -85,7 +64,7 @@ func (t *siteTransport) SendPrepare(site simnet.SiteID, txid string, fileIDs []s
 }
 
 func (t *siteTransport) SendPrepareCommit(site simnet.SiteID, txid string, fileIDs []string, coord simnet.SiteID) (tpc.Vote, error) {
-	resp, err := t.s.ep.Call(site, "prepareCommit", prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
+	resp, err := t.ep.Call(site, "prepareCommit", prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
 	if err != nil {
 		return tpc.VoteCommit, err
 	}
@@ -93,28 +72,24 @@ func (t *siteTransport) SendPrepareCommit(site simnet.SiteID, txid string, fileI
 }
 
 func (t *siteTransport) SendCommit(site simnet.SiteID, txid string) error {
-	_, err := t.s.ep.CallRetry(site, "commit2", commit2Req{Txid: txid}, 0)
+	_, err := t.ep.CallRetry(site, "commit2", commit2Req{Txid: txid}, 0)
 	return err
 }
 
 func (t *siteTransport) SendAbort(site simnet.SiteID, txid string) error {
-	_, err := t.s.ep.CallRetry(site, "abortTxn", abortTxnReq{Txid: txid}, 0)
+	_, err := t.ep.CallRetry(site, "abortTxn", abortTxnReq{Txid: txid}, 0)
 	return err
 }
 
 // prof returns the cluster's critical-path profiler; nil (profiling
 // off) makes every charge a cheap no-op.
-func (s *Site) prof() *telemetry.Profiler {
-	return s.st.Registry().Profiler()
+func (m *machine) prof() *telemetry.Profiler {
+	return m.st.Registry().Profiler()
 }
 
-// volPrep is one volume's share of a transaction's prepare payload.  The
-// force goes through vol, the handle pinned when the gather began, so a
-// prepare that a crash and restart of this site cut in two fails on the
-// fenced handle instead of logging dead shadow pages in the reloaded log.
+// volPrep is one volume's share of a transaction's prepare payload.
 type volPrep struct {
-	name  string
-	vol   *fs.Volume
+	vs    *volState
 	files []tpc.PreparedFile
 	locks []tpc.LockInfo
 }
@@ -124,24 +99,22 @@ type volPrep struct {
 // 4.2 step 2), in volume-name order.  hasMods reports whether any
 // gathered file carries uncommitted modifications - the write half of the
 // read-only test.
-func (s *Site) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, err error) {
+func (k *incarnation) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, err error) {
 	owner := TxnOwner(req.Txid)
 	group := TxnGroup(req.Txid)
 	var held []lockmgr.EntryInfo
 	for _, fileID := range req.FileIDs {
-		// Pin the volume before looking at any state on it: nothing
-		// gathered below is then older than the handle.
-		vs, err := s.volFor(fileID)
+		vs, err := k.volFor(fileID)
 		if err != nil {
 			return nil, false, err
 		}
-		i := slices.IndexFunc(preps, func(vp *volPrep) bool { return vp.name == vs.name })
+		i := slices.IndexFunc(preps, func(vp *volPrep) bool { return vp.vs == vs })
 		if i < 0 {
 			i = len(preps)
-			preps = append(preps, &volPrep{name: vs.name, vol: vs.pinVol()})
+			preps = append(preps, &volPrep{vs: vs})
 		}
 		vp := preps[i]
-		of, err := s.lookupOpen(fileID)
+		of, err := k.lookupOpen(fileID)
 		if err != nil {
 			return nil, false, err
 		}
@@ -158,9 +131,9 @@ func (s *Site) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, er
 			})
 		}
 	}
-	s.mu.Lock()
-	_, known := s.txns[req.Txid]
-	s.mu.Unlock()
+	k.mu.Lock()
+	_, known := k.txns[req.Txid]
+	k.mu.Unlock()
 	if !known {
 		// Every file a prepare names was locked, read or written here by the
 		// transaction, and each grant left its mark (joinTxn).  No mark means
@@ -169,11 +142,11 @@ func (s *Site) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, er
 		// test - an access under the process's own pre-transaction lock, or
 		// under a NonTxn lock released early (section 3.4), joins the file to
 		// the transaction and leaves neither lock nor record in its name.
-		// The test follows the pin: a restart before the pin is caught here,
-		// one after it by the fenced handle.
-		return nil, false, fmt.Errorf("cluster: txn %s is unknown at %v (state lost in a crash)", req.Txid, s.id)
+		// (A crash after this request arrived is not this test's business:
+		// the force then fails on the handle Crash fenced.)
+		return nil, false, fmt.Errorf("cluster: txn %s is unknown at %v (state lost in a crash)", req.Txid, k.id)
 	}
-	slices.SortFunc(preps, func(a, b *volPrep) int { return strings.Compare(a.name, b.name) })
+	slices.SortFunc(preps, func(a, b *volPrep) int { return strings.Compare(a.vs.name, b.vs.name) })
 	return preps, hasMods, nil
 }
 
@@ -183,17 +156,17 @@ func (s *Site) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, er
 // record count, stamped into every record so recovery can tell a
 // complete (committed) set from a torn (aborted) one.  The time the force
 // takes is the transaction's prepare-force charge.
-func (s *Site) writePrepareRecords(req prepareReq, preps []*volPrep, onePhaseTotal int) error {
-	clk := s.cl.cfg.Clock
+func (k *incarnation) writePrepareRecords(req prepareReq, preps []*volPrep, onePhaseTotal int) error {
+	clk := k.cl.cfg.Clock
 	t0 := clk.Now()
-	defer func() { s.prof().Charge(req.Txid, telemetry.ResPrepareForce, clk.Now().Sub(t0)) }()
+	defer func() { k.prof().Charge(req.Txid, telemetry.ResPrepareForce, clk.Now().Sub(t0)) }()
 	for _, vp := range preps {
 		rec := tpc.PrepareRecord{
 			Txid: req.Txid, CoordSite: req.Coord, OnePhaseTotal: onePhaseTotal,
 			Files: vp.files, Locks: vp.locks,
 		}
-		if !s.cl.cfg.PerFilePrepareLogs {
-			if err := tpc.WritePrepareRecord(vp.vol, rec, ""); err != nil {
+		if !k.cl.cfg.PerFilePrepareLogs {
+			if err := tpc.WritePrepareRecord(vp.vs.vol, rec, ""); err != nil {
 				return err
 			}
 			continue
@@ -201,7 +174,7 @@ func (s *Site) writePrepareRecords(req prepareReq, preps []*volPrep, onePhaseTot
 		// Footnote 10: one prepare record per file per transaction.
 		for _, pf := range vp.files {
 			rec.Files = []tpc.PreparedFile{pf}
-			if err := tpc.WritePrepareRecord(vp.vol, rec, pf.FileID); err != nil {
+			if err := tpc.WritePrepareRecord(vp.vs.vol, rec, pf.FileID); err != nil {
 				return err
 			}
 		}
@@ -211,8 +184,8 @@ func (s *Site) writePrepareRecords(req prepareReq, preps []*volPrep, onePhaseTot
 
 // prepareRecordCount is the number of log records writePrepareRecords
 // will force for this payload.
-func (s *Site) prepareRecordCount(preps []*volPrep) int {
-	if !s.cl.cfg.PerFilePrepareLogs {
+func (k *incarnation) prepareRecordCount(preps []*volPrep) int {
+	if !k.cl.cfg.PerFilePrepareLogs {
 		return len(preps)
 	}
 	n := 0
@@ -224,14 +197,14 @@ func (s *Site) prepareRecordCount(preps []*volPrep) int {
 
 // setPrepared installs (or, with nil, forgets) the site's memory of a
 // prepared transaction.
-func (s *Site) setPrepared(txid string, pt *preparedTxn) {
-	s.mu.Lock()
+func (k *incarnation) setPrepared(txid string, pt *preparedTxn) {
+	k.mu.Lock()
 	if pt == nil {
-		delete(s.prepared, txid)
+		delete(k.prepared, txid)
 	} else {
-		s.prepared[txid] = pt
+		k.prepared[txid] = pt
 	}
-	s.mu.Unlock()
+	k.mu.Unlock()
 }
 
 // beginPrepare opens the participant's first phase (section 4.2), whichever
@@ -247,18 +220,18 @@ func (s *Site) setPrepared(txid string, pt *preparedTxn) {
 // ModeShared (an exclusive range could have been the basis of a read
 // another site's write depends on, so only pure readers take the exit).
 // A VoteReadOnly return means the exit was taken and the site is done.
-func (s *Site) beginPrepare(req prepareReq) ([]*volPrep, tpc.Vote, error) {
-	clk := s.cl.cfg.Clock
+func (k *incarnation) beginPrepare(req prepareReq) ([]*volPrep, tpc.Vote, error) {
+	clk := k.cl.cfg.Clock
 	t0 := clk.Now()
-	preps, hasMods, err := s.gatherPrepare(req)
-	s.prof().Charge(req.Txid, telemetry.ResDataFlush, clk.Now().Sub(t0))
+	preps, hasMods, err := k.gatherPrepare(req)
+	k.prof().Charge(req.Txid, telemetry.ResDataFlush, clk.Now().Sub(t0))
 	if err != nil {
 		return nil, tpc.VoteCommit, err
 	}
-	if s.cl.cfg.FastPaths && !hasMods && s.locks.GroupSummary(TxnGroup(req.Txid)).MaxMode <= lockmgr.ModeShared {
+	if k.cl.cfg.FastPaths && !hasMods && k.locks.GroupSummary(TxnGroup(req.Txid)).MaxMode <= lockmgr.ModeShared {
 		// No prepare record exists, so finishTxn costs no log I/O: it
 		// releases the read locks and retires idle opens.
-		return nil, tpc.VoteReadOnly, s.finishTxn(req.Txid, req.FileIDs)
+		return nil, tpc.VoteReadOnly, k.finishTxn(req.Txid, req.FileIDs)
 	}
 	return preps, tpc.VoteCommit, nil
 }
@@ -266,15 +239,15 @@ func (s *Site) beginPrepare(req prepareReq) ([]*volPrep, tpc.Vote, error) {
 // prepare is the two-phase first phase, behind the "prepare" and "preparev"
 // ops: write the prepare log (one record per volume - or per file under
 // footnote 10), then remember the prepared state.
-func (s *Site) prepare(req prepareReq) (tpc.Vote, error) {
-	preps, vote, err := s.beginPrepare(req)
+func (k *incarnation) prepare(req prepareReq) (tpc.Vote, error) {
+	preps, vote, err := k.beginPrepare(req)
 	if err != nil || vote == tpc.VoteReadOnly {
 		return vote, err
 	}
-	if err := s.writePrepareRecords(req, preps, 0); err != nil {
+	if err := k.writePrepareRecords(req, preps, 0); err != nil {
 		return tpc.VoteCommit, err
 	}
-	s.setPrepared(req.Txid, &preparedTxn{
+	k.setPrepared(req.Txid, &preparedTxn{
 		coord:   req.Coord,
 		fileIDs: append([]string(nil), req.FileIDs...),
 	})
@@ -283,8 +256,8 @@ func (s *Site) prepare(req prepareReq) (tpc.Vote, error) {
 
 // handlePrepare is the paper-exact "prepare" op: the first phase, answered
 // with an empty response.
-func (s *Site) handlePrepare(req prepareReq) error {
-	_, err := s.prepare(req)
+func (k *incarnation) handlePrepare(req prepareReq) error {
+	_, err := k.prepare(req)
 	return err
 }
 
@@ -301,8 +274,8 @@ func (s *Site) handlePrepare(req prepareReq) error {
 // It is kept apart from prepare because the two differ in when the entry
 // is registered and in who cleans up a failed force, and both orders are
 // safety properties.
-func (s *Site) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
-	preps, vote, err := s.beginPrepare(req)
+func (k *incarnation) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
+	preps, vote, err := k.beginPrepare(req)
 	if err != nil || vote == tpc.VoteReadOnly {
 		return vote, err
 	}
@@ -315,41 +288,41 @@ func (s *Site) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
 		onePhase: true,
 		applying: true,
 	}
-	s.setPrepared(req.Txid, pt)
-	if err := s.writePrepareRecords(req, preps, s.prepareRecordCount(preps)); err != nil {
+	k.setPrepared(req.Txid, pt)
+	if err := k.writePrepareRecords(req, preps, k.prepareRecordCount(preps)); err != nil {
 		// Before the commit point: scrub any partial record set (best
 		// effort - a torn set self-resolves to abort by count) and
 		// refuse, which the coordinator turns into an abort.
 		for _, vp := range preps {
-			tpc.DeletePrepareRecords(vp.vol, req.Txid) //nolint:errcheck // incomplete set aborts by count
+			tpc.DeletePrepareRecords(vp.vs.vol, req.Txid) //nolint:errcheck // incomplete set aborts by count
 		}
-		s.setPrepared(req.Txid, nil)
+		k.setPrepared(req.Txid, nil)
 		return tpc.VoteCommit, err
 	}
-	clk := s.cl.cfg.Clock
+	clk := k.cl.cfg.Clock
 	t0 := clk.Now()
-	if err := s.apply(req.Txid, pt, true); err != nil {
+	if err := k.apply(req.Txid, pt, true); err != nil {
 		return tpc.VoteCommit, err
 	}
-	s.prof().Charge(req.Txid, telemetry.ResOnePhaseApply, clk.Now().Sub(t0))
+	k.prof().Charge(req.Txid, telemetry.ResOnePhaseApply, clk.Now().Sub(t0))
 	return tpc.VoteCommit, nil
 }
 
 // handleCommit2 is the participant's second phase: deliver the commit.
-func (s *Site) handleCommit2(req commit2Req) error {
-	clk := s.cl.cfg.Clock
+func (k *incarnation) handleCommit2(req commit2Req) error {
+	clk := k.cl.cfg.Clock
 	t0 := clk.Now()
-	err := s.deliver(req.Txid, true)
+	err := k.deliver(req.Txid, true)
 	// Participant phase-two work; the coordinator's attribution only
 	// counts it toward latency when phase two ran synchronously.
-	s.prof().Charge(req.Txid, telemetry.ResPhase2Apply, clk.Now().Sub(t0))
+	k.prof().Charge(req.Txid, telemetry.ResPhase2Apply, clk.Now().Sub(t0))
 	return err
 }
 
 // handleAbortTxn rolls back everything the transaction touched at this
 // site.  It is idempotent, as required for duplicate abort messages.
-func (s *Site) handleAbortTxn(req abortTxnReq) error {
-	return s.deliver(req.Txid, false)
+func (k *incarnation) handleAbortTxn(req abortTxnReq) error {
+	return k.deliver(req.Txid, false)
 }
 
 // deliver brings a transaction's outcome to this site - the phase-two
@@ -359,32 +332,32 @@ func (s *Site) handleAbortTxn(req abortTxnReq) error {
 // silently, its work already done, and an abort rolls back whatever the
 // transaction still has here - in-memory modifications and locks, whether
 // or not it ever prepared.
-func (s *Site) deliver(txid string, commit bool) error {
-	s.mu.Lock()
-	pt := s.prepared[txid]
+func (k *incarnation) deliver(txid string, commit bool) error {
+	k.mu.Lock()
+	pt := k.prepared[txid]
 	if pt != nil {
 		if pt.applying {
-			s.mu.Unlock()
+			k.mu.Unlock()
 			// A duplicate racing the first delivery: make the sender retry
 			// rather than ack an outcome that may yet fail.
 			return fmt.Errorf("cluster: txn %s outcome already in progress", txid)
 		}
-		if !commit && pt.onePhase && s.resolve(txid, pt) == tpc.StatusCommitted {
+		if !commit && pt.onePhase && k.resolve(txid, pt) == tpc.StatusCommitted {
 			// The one-phase commit point was reached; a late abort (e.g.
 			// the coordinator lost the ack) must not tear it down.
-			s.mu.Unlock()
+			k.mu.Unlock()
 			return fmt.Errorf("cluster: txn %s already past its one-phase commit point", txid)
 		}
 		pt.applying = true
 	}
-	s.mu.Unlock()
+	k.mu.Unlock()
 	if pt == nil {
 		if commit {
 			return nil // duplicate or already-finished: idempotent ack
 		}
 		pt = &preparedTxn{} // never prepared here: nothing logged, no entry to forget
 	}
-	return s.apply(txid, pt, commit)
+	return k.apply(txid, pt, commit)
 }
 
 // apply carries out the outcome on a claimed (applying) prepared entry:
@@ -397,30 +370,30 @@ func (s *Site) deliver(txid string, commit bool) error {
 // (already-committed files are skipped by the HasMods check, so the retry
 // is idempotent), and only after the finish is durable is the ack (nil
 // return) sent.
-func (s *Site) apply(txid string, pt *preparedTxn, commit bool) error {
-	err := s.applyFiles(txid, pt, commit)
+func (k *incarnation) apply(txid string, pt *preparedTxn, commit bool) error {
+	err := k.applyFiles(txid, pt, commit)
 	if err == nil {
-		err = s.finishTxn(txid, pt.fileIDs)
+		err = k.finishTxn(txid, pt.fileIDs)
 	}
-	s.mu.Lock()
+	k.mu.Lock()
 	if err != nil {
 		pt.applying = false
-	} else if s.prepared[txid] == pt {
-		delete(s.prepared, txid)
+	} else {
+		delete(k.prepared, txid)
 	}
-	s.mu.Unlock()
+	k.mu.Unlock()
 	if err == nil && commit {
-		s.tr.Record(trace.CommitApplied, txid, "", int64(len(pt.fileIDs)))
+		k.tr.Record(trace.CommitApplied, txid, "", int64(len(pt.fileIDs)))
 	}
 	return err
 }
 
 // applyFiles is the per-file step of apply.
-func (s *Site) applyFiles(txid string, pt *preparedTxn, commit bool) error {
+func (k *incarnation) applyFiles(txid string, pt *preparedTxn, commit bool) error {
 	if pt.recovered {
 		for _, rec := range pt.records {
 			for _, pf := range rec.Files {
-				vs, err := s.volFor(pf.FileID)
+				vs, err := k.volFor(pf.FileID)
 				if err != nil {
 					return err
 				}
@@ -432,7 +405,7 @@ func (s *Site) applyFiles(txid string, pt *preparedTxn, commit bool) error {
 				if err != nil {
 					return fmt.Errorf("cluster: resolving logged intentions for %s: %w", pf.FileID, err)
 				}
-				s.dropOpen(pf.FileID)
+				k.dropOpen(pf.FileID)
 			}
 		}
 		return nil
@@ -442,11 +415,11 @@ func (s *Site) applyFiles(txid string, pt *preparedTxn, commit bool) error {
 		// A transaction's records lie under locks it still holds (a write
 		// needs one; handleUnlock retains any it wrote under), so roll back
 		// the files its group is indexed on, plus the prepared list.
-		ids = append(s.locks.GroupFileIDs(TxnGroup(txid)), ids...)
+		ids = append(k.locks.GroupFileIDs(TxnGroup(txid)), ids...)
 	}
 	owner := TxnOwner(txid)
 	for _, id := range ids {
-		of, err := s.lookupOpen(id)
+		of, err := k.lookupOpen(id)
 		if err != nil {
 			if commit {
 				return err
@@ -476,61 +449,61 @@ func (s *Site) applyFiles(txid string, pt *preparedTxn, commit bool) error {
 // newer committed data.  A deletion failure is returned - not swallowed -
 // so the participant's phase-two ack can only be sent once nothing is
 // left on disk for recovery to re-resolve.
-func (s *Site) finishTxn(txid string, fileIDs []string) error {
-	for _, vs := range s.volStates() {
+func (k *incarnation) finishTxn(txid string, fileIDs []string) error {
+	for _, vs := range k.volStates(false) {
 		if err := tpc.DeletePrepareRecords(vs.vol, txid); err != nil {
 			return fmt.Errorf("cluster: clearing prepare records for %s on %s: %w", txid, vs.name, err)
 		}
 	}
 	group := TxnGroup(txid)
-	released := s.locks.ReleaseGroup(group)
-	s.DropLockCache(group)
-	s.mu.Lock()
-	delete(s.txns, txid)
-	s.mu.Unlock()
+	released := k.locks.ReleaseGroup(group)
+	k.dropLockCache(group)
+	k.mu.Lock()
+	delete(k.txns, txid)
+	k.mu.Unlock()
 	// Propagate committed contents to replicas of the transaction's files
 	// that quiesced, and retire the idle opens it was keeping alive: the
 	// files it named, plus any it held locks on without naming (an aborted
 	// or recovered transaction has no file list; NonTxn-mode locks never
 	// join one).
 	for _, id := range fileIDs {
-		s.settle(id)
+		k.settle(id)
 	}
 	for _, fl := range released {
 		if !slices.Contains(fileIDs, fl.ID()) {
-			s.settle(fl.ID())
+			k.settle(fl.ID())
 		}
 	}
 	// Adaptive placement: with the transaction's locks gone, any of its
 	// files now dominated by a remote accessor migrates there (no-op
 	// unless Config.AdaptivePlacement).
-	s.maybeMovePlacement(fileIDs)
+	k.maybeMovePlacement(fileIDs)
 	return nil
 }
 
 // settle runs the end-of-use duties for one file some holder just let go
 // of: push the committed contents to the replicas if it quiesced, and
 // retire the open-file entry once nothing references it.
-func (s *Site) settle(fileID string) {
-	s.mu.Lock()
-	of := s.open[fileID]
-	s.mu.Unlock()
+func (k *incarnation) settle(fileID string) {
+	k.mu.Lock()
+	of := k.open[fileID]
+	k.mu.Unlock()
 	if of == nil {
 		return
 	}
-	s.maybeSyncReplicas(of)
-	s.mu.Lock()
-	if s.open[fileID] == of && of.refs <= 0 && !of.file.Modified() && !of.locks.Held(true) {
-		delete(s.open, fileID)
-		s.locks.Drop(fileID)
+	k.maybeSyncReplicas(of)
+	k.mu.Lock()
+	if k.open[fileID] == of && of.refs <= 0 && !of.file.Modified() && !of.locks.Held(true) {
+		delete(k.open, fileID)
+		k.locks.Drop(fileID)
 	}
-	s.mu.Unlock()
+	k.mu.Unlock()
 }
 
 // handleStatus answers an in-doubt participant's query against this
 // site's coordinator state (section 4.4).
-func (s *Site) handleStatus(req statusReq) (statusResp, error) {
-	coord, err := s.Coordinator()
+func (k *incarnation) handleStatus(req statusReq) (statusResp, error) {
+	coord, err := k.Coordinator()
 	if err != nil {
 		return statusResp{}, err
 	}
@@ -538,8 +511,8 @@ func (s *Site) handleStatus(req statusReq) (statusResp, error) {
 }
 
 // QueryStatus asks a remote coordinator for a transaction's outcome.
-func (s *Site) QueryStatus(coordSite simnet.SiteID, txid string) (tpc.Status, error) {
-	resp, err := s.ep.Call(coordSite, "status", statusReq{Txid: txid})
+func (m *machine) QueryStatus(coordSite simnet.SiteID, txid string) (tpc.Status, error) {
+	resp, err := m.ep.Call(coordSite, "status", statusReq{Txid: txid})
 	if err != nil {
 		return tpc.StatusUnknown, err
 	}
@@ -551,11 +524,9 @@ func (s *Site) QueryStatus(coordSite simnet.SiteID, txid string) (tpc.Status, er
 func (c *Cluster) WaitEdges() []lockmgr.WaitEdge {
 	var out []lockmgr.WaitEdge
 	for _, id := range c.Sites() {
-		s := c.Site(id)
-		if s == nil || !s.Up() {
-			continue
+		if k := c.Site(id).kernel(); !k.dead.Load() {
+			out = append(out, k.locks.WaitEdges()...)
 		}
-		out = append(out, s.locks.WaitEdges()...)
 	}
 	return out
 }
@@ -564,26 +535,26 @@ func (c *Cluster) WaitEdges() []lockmgr.WaitEdge {
 // implementing the cascade's data side (the process-tree side is driven
 // by package core).  Unreachable sites clean up during their own
 // recovery.
-func (s *Site) AbortEverywhere(txid string) {
-	for _, id := range s.cl.Sites() {
-		s.ep.Call(id, "abortTxn", abortTxnReq{Txid: txid}) //nolint:errcheck // down sites roll back on restart (section 4.3)
+func (m *machine) AbortEverywhere(txid string) {
+	for _, id := range m.cl.Sites() {
+		m.ep.Call(id, "abortTxn", abortTxnReq{Txid: txid}) //nolint:errcheck // down sites roll back on restart (section 4.3)
 	}
 }
 
 // dropOpen refreshes a cached open file whose on-disk inode changed
 // behind its back (recovery path): live handles keep working against the
 // reloaded descriptor.
-func (s *Site) dropOpen(fileID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	of, ok := s.open[fileID]
+func (k *incarnation) dropOpen(fileID string) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	of, ok := k.open[fileID]
 	if !ok {
 		return
 	}
 	if f, err := shadow.Open(of.vs.vol, of.file.Ino()); err == nil {
 		of.file = f
 	} else {
-		delete(s.open, fileID)
+		delete(k.open, fileID)
 	}
 }
 
@@ -598,23 +569,21 @@ type reapReq struct{ PID int }
 // live close performs).
 func (c *Cluster) ReapProcess(pid int) {
 	for _, id := range c.Sites() {
-		s := c.Site(id)
-		if s == nil || !s.Up() {
-			continue
+		if k := c.Site(id).kernel(); !k.dead.Load() {
+			k.reapLocal(pid)
 		}
-		s.reapLocal(pid)
 	}
 }
 
-func (s *Site) reapLocal(pid int) {
+func (k *incarnation) reapLocal(pid int) {
 	owner := ownerFor(pid, "")
 	group := lockmgr.Holder{PID: pid}.Group()
-	s.mu.Lock()
-	files := make([]*openFile, 0, len(s.open))
-	for _, of := range s.open {
+	k.mu.Lock()
+	files := make([]*openFile, 0, len(k.open))
+	for _, of := range k.open {
 		files = append(files, of)
 	}
-	s.mu.Unlock()
+	k.mu.Unlock()
 	var touched []*openFile
 	for _, of := range files {
 		if of.file.HasMods(owner) {
@@ -622,13 +591,13 @@ func (s *Site) reapLocal(pid int) {
 			touched = append(touched, of)
 		}
 	}
-	for _, fl := range s.locks.ReleaseGroup(group) {
-		if of, err := s.lookupOpen(fl.ID()); err == nil {
+	for _, fl := range k.locks.ReleaseGroup(group) {
+		if of, err := k.lookupOpen(fl.ID()); err == nil {
 			touched = append(touched, of)
 		}
 	}
-	s.DropLockCache(group)
+	k.dropLockCache(group)
 	for _, of := range touched {
-		s.maybeSyncReplicas(of)
+		k.maybeSyncReplicas(of)
 	}
 }
