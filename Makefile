@@ -149,6 +149,7 @@ lines:           ## the non-test line counts ROADMAP.md and the issues quote, so
 	echo "harness (cmd/ + internal/{bench,chaos,crashprobe,scenario,invariant}): $$(count cmd/*/*.go internal/bench/*.go internal/chaos/*.go internal/crashprobe/*.go internal/scenario/*.go internal/invariant/*.go)"; \
 	echo "internal/cluster: $$(count internal/cluster/*.go)"; \
 	echo "commit path (internal/tpc + internal/cluster/{txnops,recovery}.go + internal/vtime): $$(count internal/tpc/*.go internal/cluster/txnops.go internal/cluster/recovery.go internal/vtime/*.go)"; \
+	echo "copy protocols (internal/cluster/placement.go, replica.go): $$(count internal/cluster/placement.go) + $$(count internal/cluster/replica.go)"; \
 	echo "all non-test Go outside benchmark/: $$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)"
 
 cover:           ## coverage summary per package

@@ -198,6 +198,10 @@ type Cluster struct {
 	// home site.  Entries exist only while a file lives away from its
 	// volume's mount site, so static runs never consult a populated map.
 	fileHomes map[string]simnet.SiteID
+	// moves holds each ownership move from its proposal to its settle.
+	// commitMove (placement.go) is the only flip of a file's home; a
+	// removal clears it (clearFileHome).
+	moves map[moveKey]*move
 
 	nextPID atomic.Int64
 	nextTxn atomic.Int64
@@ -223,6 +227,7 @@ func New(cfg Config) *Cluster {
 		mounts:       make(map[string]simnet.SiteID),
 		replicaSites: make(map[string][]simnet.SiteID),
 		fileHomes:    make(map[string]simnet.SiteID),
+		moves:        make(map[moveKey]*move),
 	}
 }
 
@@ -338,23 +343,6 @@ func (c *Cluster) StorageSite(path string) (simnet.SiteID, error) {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchVolume, volName)
 	}
 	return site, nil
-}
-
-// setFileHome repoints a file's primary copy in the transparent
-// namespace.  Moving a file back to its volume's mount site erases the
-// override - the mount is canonical again.
-func (c *Cluster) setFileHome(path string, site simnet.SiteID) {
-	volName, _, err := splitPath(path)
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
-	if c.mounts[volName] == site {
-		delete(c.fileHomes, path)
-	} else {
-		c.fileHomes[path] = site
-	}
-	c.mu.Unlock()
 }
 
 // clearFileHome drops a file's placement override (file removed).
@@ -507,9 +495,9 @@ type machine struct {
 	// what the kernel knows, and so outlive it.  heat is this storage
 	// site's per-file accessor profile (DESIGN.md section 14), nil unless
 	// Config.AdaptivePlacement.  moveSeq numbers this site's ownership
-	// moves; were it to repeat, a purge disowning a pre-crash move could
-	// name a post-restart adoption.  placeOps counts in-flight placement
-	// operations (moves, adoptions, purges) so a harness can quiesce
+	// moves; were it to repeat, a pre-crash move still in the catalog and
+	// a post-restart one would share a name.  placeOps counts in-flight
+	// placement operations (moves and adoptions) so a harness can quiesce
 	// placement before auditing: it tracks goroutines, which no crash kills.
 	heat     *placement.Tracker
 	moveSeq  atomic.Uint64
@@ -532,8 +520,9 @@ type incarnation struct {
 	// park without freezing simulated time.
 	mu vtime.Mutex
 	// dead is set once, by Crash, under mu.  What must not happen after
-	// the crash (an ownership move's repoint, a new volume) tests it under
-	// mu; what merely must not be answered loads it.
+	// the crash (an adoption's commit, a new volume) tests it under mu;
+	// what merely must not be answered, or may no longer commit (a move
+	// this kernel proposed), loads it.
 	dead     atomic.Bool
 	vols     map[string]*volState     // mounted and hosted volumes
 	replicas map[string]*replicaState // read-only replicas held at this site
@@ -565,15 +554,10 @@ type incarnation struct {
 
 	// Adaptive-placement state (DESIGN.md section 14), nil unless
 	// Config.AdaptivePlacement: moving marks files whose primary copy is
-	// mid-move, fencing new operations behind errMoved until the repoint
-	// completes; adopted remembers, per path, the MoveID of the adoption
-	// that installed the local copy; purgeWanted holds purge requests
-	// that arrived while that adoption was still running (the handler
-	// honors them when it finishes).
-	placeMu     sync.Mutex
-	moving      map[string]struct{}
-	adopted     map[string]uint64
-	purgeWanted map[string]uint64
+	// mid-move here, as source or target, fencing new operations behind
+	// errMoved until the move is decided and settled.
+	placeMu sync.Mutex
+	moving  map[string]struct{}
 }
 
 // Site is one machine and the latest incarnation of its kernel.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/lockmgr"
 	"repro/internal/shadow"
@@ -509,7 +510,7 @@ func (m *machine) callStorage(path, op string, req any) (any, error) {
 		if err == nil || attempt >= movedRetries || !errors.Is(err, errMoved) {
 			return resp, err
 		}
-		m.retryMovedWait(attempt)
+		m.cl.cfg.Clock.Sleep(time.Duration(attempt+1) * time.Millisecond)
 	}
 }
 

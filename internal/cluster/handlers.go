@@ -55,7 +55,8 @@ func voted(fn func(*incarnation, prepareReq) (tpc.Vote, error)) func(*incarnatio
 func (s *Site) registerHandlers() {
 	// read, write and lock keep the sender's identity: the lease protocol
 	// needs to know which site is asking (a site's own leases never block
-	// it, and leases are only granted to remote requesters).
+	// it, and leases are only granted to remote requesters).  So does
+	// owneradopt: the sender and its MoveID name the move in the catalog.
 	handle(s, "create", act((*incarnation).handleCreate))
 	handle(s, "open", ask((*incarnation).handleOpen))
 	handle(s, "close", act((*incarnation).handleClose))
@@ -77,8 +78,7 @@ func (s *Site) registerHandlers() {
 	handle(s, "replupdating", act((*incarnation).handleReplUpdating))
 	handle(s, "replpull", act((*incarnation).handleReplPull))
 	handle(s, "replremove", act((*incarnation).handleReplRemove))
-	handle(s, "owneradopt", act((*incarnation).handleOwnerAdopt))
-	handle(s, "ownerpurge", act((*incarnation).handleOwnerPurge))
+	handle(s, "owneradopt", (*incarnation).handleOwnerAdopt)
 	handle(s, "coordcommit", act((*incarnation).handleCoordCommit))
 	// The classic "prepare" keeps its empty response so fast-paths-off
 	// runs are wire-identical.

@@ -18,20 +18,26 @@ package cluster
 // inode), which fs.Load's allocator rebuild makes crash-safe at every
 // intermediate step.
 //
-// Crash safety of the repoint itself: the namespace override
-// (Cluster.fileHomes) flips only after the target durably holds the
-// full committed copy.  A crash before the flip leaves the source
-// primary (the target's copy is unreferenced garbage its next restart
-// purges); a crash after the flip leaves the target primary (the
-// source's leftover copy is purged on its next restart).  Either way
-// exactly one site resolves as the file's home.
+// Who decides a move: the catalog, once.  The source registers the move
+// pending (proposeMove) before it ships the image.  The target decides
+// commit: it installs the copy, then flips the file's home in the
+// catalog (commitMove) - only if the move is still pending and its own
+// incarnation is alive - before it replies.  The source decides abort:
+// after its call returns, error or not, it settles (settleMove), which
+// aborts a move still pending and otherwise tells it the target
+// committed.  A crash of the source aborts too - a move whose source
+// incarnation is dead can no longer commit.  The first decision wins, and
+// both sides learn it rather than guess it from a reply: a refused
+// adoption reclaims its own copy before answering, and a source whose
+// reply was lost still reclaims its copy once the catalog says "moved".
+// Only a crash can leave a second copy, only on the crashed site, and
+// that site's restart purge (purgeForeignFiles) reclaims it.
 
 import (
 	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/lockmgr"
 	"repro/internal/proc"
@@ -53,34 +59,94 @@ var moveHolder = lockmgr.Holder{PID: -1}
 // wholeFile is a lock length covering any possible file extent.
 const wholeFile = int64(math.MaxInt64 / 2)
 
+// errMoveDecided refuses an adoption whose move the catalog no longer
+// holds pending: the source gave up or crashed, or this is a duplicate of
+// an adoption that already committed.
+var errMoveDecided = errors.New("cluster: ownership move already decided")
+
 // ownerAdoptReq carries a file's committed contents to its new home.
 type ownerAdoptReq struct {
 	Path string
 	Data []byte
-	Size int64
 	// Refs is the source's open reference count: live opens survive the
 	// move (the new home inherits them; closes re-route there).
 	Refs int
-	// MoveID is the source's fence token for this move attempt.  The
-	// target remembers it with the installed copy so a later purge can
-	// name exactly which adoption it is disowning - a purge must never
-	// delete the copy a NEWER move installed.
+	// MoveID names the move in the catalog, together with the sending site.
 	MoveID uint64
 }
 
 func (r ownerAdoptReq) WireSize() int { return 64 + len(r.Data) }
 
-// ownerPurgeReq asks a site to discard the copy adoption MoveID
-// installed: the source abandoned that move (adopt call failed, or the
-// source crashed before the repoint), so no repoint is coming, and
-// without this the garbage copy would sit at the target until its next
-// restart purge (which may never come).
-type ownerPurgeReq struct {
-	Path   string
-	MoveID uint64
+// moveKey names one ownership move: its source site and the MoveID the
+// source drew from moveSeq, which no crash resets.
+type moveKey struct {
+	from simnet.SiteID
+	id   uint64
 }
 
-func (r ownerPurgeReq) WireSize() int { return 64 }
+// move is one ownership move as the catalog holds it, from the source's
+// proposal to its settle.
+type move struct {
+	src       *incarnation // the source's kernel: its crash aborts the move
+	path      string
+	to        simnet.SiteID
+	committed bool
+}
+
+// pending reports whether the move is still undecided.  Called under c.mu.
+func (mv *move) pending() bool {
+	return mv != nil && !mv.committed && !mv.src.dead.Load()
+}
+
+// proposeMove registers src's move of path to target as pending, before
+// the source ships the image.
+func (c *Cluster) proposeMove(src *incarnation, id uint64, path string, to simnet.SiteID) moveKey {
+	key := moveKey{src.id, id}
+	c.mu.Lock()
+	c.moves[key] = &move{src: src, path: path, to: to}
+	c.mu.Unlock()
+	return key
+}
+
+// movePending reports whether an adoption for the move may install.
+func (c *Cluster) movePending(key moveKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.moves[key].pending()
+}
+
+// commitMove is the commit point of a move and the only flip of a moved
+// file's home: if the move is still pending the catalog names its target
+// from now on (a file back at its volume's mount site drops its override -
+// the mount is canonical again).  It reports whether the move is
+// committed; false means the source, or its crash, aborted it first.
+// Crash marks the source dead before its restart reads the catalog, so a
+// restarted source never serves a copy the catalog moved away.
+func (c *Cluster) commitMove(key moveKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	mv := c.moves[key]
+	if mv.pending() {
+		mv.committed = true
+		if vol, _, _ := splitPath(mv.path); c.mounts[vol] == mv.to {
+			delete(c.fileHomes, mv.path)
+		} else {
+			c.fileHomes[mv.path] = mv.to
+		}
+	}
+	return mv != nil && mv.committed
+}
+
+// settleMove retires the move once the source's call has returned, error
+// or not: a move still pending is aborted here.  It reports whether the
+// target committed it.
+func (c *Cluster) settleMove(key moveKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	mv := c.moves[key]
+	delete(c.moves, key)
+	return mv != nil && mv.committed
+}
 
 // coordCommitReq asks a site to coordinate a transaction whose data it
 // stores, turning a remote two-phase commit into a local one (plus this
@@ -133,10 +199,10 @@ func (k *incarnation) endMove(path string) {
 	k.placeMu.Unlock()
 }
 
-// PlacementInFlight reports how many placement operations (moves,
-// adoptions, purges) this site is currently running.  The chaos
-// harness drains it to zero before auditing the single-primary
-// invariant, which otherwise races the tail of an in-flight move.
+// PlacementInFlight reports how many placement operations (moves and
+// adoptions) this site is currently running.  The chaos harness drains it
+// to zero before auditing the single-primary invariant, which otherwise
+// races the tail of an in-flight move.
 func (m *machine) PlacementInFlight() int {
 	return int(m.placeOps.Load())
 }
@@ -188,7 +254,7 @@ func (k *incarnation) moveFile(path string, target simnet.SiteID) error {
 		return nil // concurrent move already running
 	}
 	defer k.endMove(path)
-	tok := k.moveSeq.Add(1) // names this attempt to the target (ownerAdoptReq.MoveID)
+	tok := k.moveSeq.Add(1) // names this attempt in the catalog (ownerAdoptReq.MoveID)
 	k.placeOps.Add(1)
 	defer k.placeOps.Add(-1)
 
@@ -221,34 +287,12 @@ func (k *incarnation) moveFile(path string, target simnet.SiteID) error {
 	if err != nil {
 		return err
 	}
-	if _, err := k.ep.Call(target, "owneradopt", ownerAdoptReq{Path: path, Data: data, Size: int64(len(data)), Refs: refs, MoveID: tok}); err != nil {
-		// No repoint will happen, so whatever the target installed (the
-		// call may have failed on the reply leg) is garbage; tell it so
-		// rather than leaving the copy for a restart that may never come.
-		// Async: the adoption may still be running over there (the call
-		// timed out under it), and this goroutine sits on a commit path.
-		k.spawnPurge(target, path, tok)
+	key := k.cl.proposeMove(k, tok, path, target)
+	_, err = k.ep.Call(target, "owneradopt", ownerAdoptReq{Path: path, Data: data, Refs: refs, MoveID: tok})
+	// Error or not, the catalog has the verdict.  A lost reply does not
+	// mean a lost move: the target may have committed it before answering.
+	if !k.cl.settleMove(key) {
 		return err
-	}
-
-	// Commit point of the move: the namespace now says target - but only
-	// if this kernel is still alive.  A crash forfeited the lock table and
-	// the fence this goroutine relied on; recovery may already have
-	// admitted new transactions against the source copy, so repointing now
-	// would migrate a stale image out from under them.  Taking k.mu
-	// serializes the flip with Crash, so the crash/restart story stays the
-	// two-case analysis in the package comment, with the restart purge as
-	// the only healer.
-	k.mu.Lock()
-	alive := !k.dead.Load()
-	if alive {
-		k.cl.setFileHome(path, target)
-	}
-	k.mu.Unlock()
-	if !alive {
-		// The move is dead; disown the copy the target just installed.
-		k.spawnPurge(target, path, tok)
-		return nil
 	}
 	k.st.Inc(stats.OwnerMoves)
 	k.tr.Record(trace.OwnerMove, "", path, int64(target))
@@ -272,34 +316,37 @@ func (k *incarnation) moveFile(path string, target simnet.SiteID) error {
 // so every path-keyed mechanism (prepare records, recovery, locks,
 // replica propagation) works unchanged at the new site.
 //
-// Two hazards shape the code.  First, the source retries a move whose
-// reply was lost, so a second adoption of the same path can arrive
-// while leftovers of the first exist - possibly while the first handler
-// is STILL RUNNING after a partition swallowed its reply.  The per-path
-// fence serializes adoptions, and an orphaned open-file handle from an
-// earlier adoption is written through rather than shadowed: two live
-// shadow.File handles on one inode each cache a committed inode, and a
-// commit through the stale one frees pages the durable state still
-// references (which the allocator then hands to, say, the directory -
-// the cross-file corruption the chaos audit catches as torn gob and
-// double-referenced pages).  Second, a crash mid-adoption must fail the
-// remainder of the adoption instead of letting old-generation inode
-// numbers loose on the reloaded allocator: every durable step runs on
-// this incarnation's volume handle, which Crash fences.
-func (k *incarnation) handleOwnerAdopt(req ownerAdoptReq) error {
+// The adoption decides the move's commit (package comment): it installs
+// only a move the catalog still holds pending - a duplicate of an
+// adoption that committed, or one whose source gave up or crashed, finds
+// nothing to do - and the per-path fence keeps every other operation on
+// the file out until the verdict.  An open-file handle already here is
+// written through rather than shadowed: two live shadow.File handles on
+// one inode each cache a committed inode, and a commit through the stale
+// one frees pages the durable state still references (the cross-file
+// corruption the chaos audit catches as torn gob and double-referenced
+// pages).  A crash mid-adoption fails the remainder instead of letting
+// old-generation inode numbers loose on the reloaded allocator: every
+// durable step runs on this incarnation's volume handle, which Crash
+// fences.
+func (k *incarnation) handleOwnerAdopt(from simnet.SiteID, req ownerAdoptReq) (none, error) {
 	volName, name, err := splitPath(req.Path)
 	if err != nil {
-		return err
+		return none{}, err
 	}
 	if !k.beginMove(req.Path) {
-		return fmt.Errorf("%w: %s", errMoved, req.Path)
+		return none{}, fmt.Errorf("%w: %s", errMoved, req.Path)
 	}
 	defer k.endMove(req.Path)
 	k.placeOps.Add(1)
 	defer k.placeOps.Add(-1)
+	key := moveKey{from, req.MoveID}
+	if !k.cl.movePending(key) {
+		return none{}, fmt.Errorf("%w: %s", errMoveDecided, req.Path)
+	}
 	vs, err := k.hostedVol(volName)
 	if err != nil {
-		return err
+		return none{}, err
 	}
 	k.mu.Lock()
 	of := k.open[req.Path]
@@ -308,127 +355,41 @@ func (k *incarnation) handleOwnerAdopt(req ownerAdoptReq) error {
 	if of != nil {
 		f = of.file
 	} else if f, err = vs.openOrCreate(name); err != nil {
-		return err
+		return none{}, err
 	}
-	if err := installImage(f, req.Data); err != nil {
-		return err
-	}
+	err = installImage(f, req.Data)
 
-	// A purge for this very adoption may have arrived while the installs
-	// above were running (the source's adopt call timed out under us and
-	// it already disowned the move): honor it now, before advertising
-	// the copy anywhere.  A tombstone naming a different MoveID is
-	// obsolete - the copy it described was replaced by this adoption.
-	k.placeMu.Lock()
-	pw, wanted := k.purgeWanted[req.Path]
-	delete(k.purgeWanted, req.Path)
-	if wanted && pw == req.MoveID {
-		k.placeMu.Unlock()
-		k.tr.Record(trace.OwnerPurge, "disown", req.Path, int64(req.MoveID))
-		if err := vs.reclaimFile(name); err != nil {
-			return err
-		}
-		return fmt.Errorf("cluster: adoption of %s disowned by source", req.Path)
-	}
-	k.adopted[req.Path] = req.MoveID
-	k.placeMu.Unlock()
-	k.st.Inc(stats.OwnerAdopts)
-	k.tr.Record(trace.OwnerAdopt, "install", req.Path, int64(req.MoveID))
-
-	if req.Refs > 0 {
-		// Inherit the live opens: closes re-resolve the storage site and
-		// arrive here expecting an open-file entry.
-		k.mu.Lock()
-		if cur, dup := k.open[req.Path]; dup {
-			if cur.refs < req.Refs {
-				cur.refs = req.Refs
-			}
-		} else {
-			nf := &openFile{id: req.Path, vs: vs, file: f, refs: req.Refs}
-			nf.locks = k.locks.File(req.Path, func() int64 { return nf.file.Size() })
-			k.open[req.Path] = nf
-		}
-		k.mu.Unlock()
-	}
-	return nil
-}
-
-// handleOwnerPurge discards the copy adoption req.MoveID installed: the
-// source abandoned that move, so no repoint is coming.  Three guards
-// keep it from ever deleting a live primary: if the namespace homes the
-// file here a repoint DID land and the copy is real; if the adoption is
-// still running the purge is parked as a tombstone the handler honors
-// when it finishes; and if the installed copy carries a different
-// MoveID it belongs to a newer move whose verdict is not ours to give.
-func (k *incarnation) handleOwnerPurge(req ownerPurgeReq) error {
-	volName, name, err := splitPath(req.Path)
-	if err != nil {
-		return err
-	}
-	k.placeOps.Add(1)
-	defer k.placeOps.Add(-1)
-	if home, herr := k.cl.StorageSite(req.Path); herr == nil && home == k.id {
-		return nil
-	}
-	if !k.beginMove(req.Path) {
-		k.placeMu.Lock()
-		k.purgeWanted[req.Path] = req.MoveID
-		k.placeMu.Unlock()
-		k.tr.Record(trace.OwnerPurge, "tombstone-busy", req.Path, int64(req.MoveID))
-		return nil
-	}
-	defer k.endMove(req.Path)
-	k.placeMu.Lock()
-	id, adoptedHere := k.adopted[req.Path]
-	if adoptedHere && id == req.MoveID {
-		delete(k.adopted, req.Path)
-	} else {
-		// Nothing this incarnation knows matches: the adoption may still
-		// be in the network (its request outlived the source's patience),
-		// already purged by a restart, or superseded by a newer move.  Leave
-		// the tombstone so a late-arriving adoption with this MoveID is
-		// discarded on installation instead of resurrecting the copy.
-		k.purgeWanted[req.Path] = req.MoveID
-	}
-	k.placeMu.Unlock()
-	if !adoptedHere || id != req.MoveID {
-		k.tr.Record(trace.OwnerPurge, "tombstone-miss", req.Path, int64(req.MoveID))
-		return nil
-	}
-	k.tr.Record(trace.OwnerPurge, "reclaim", req.Path, int64(req.MoveID))
+	// Commit the move under k.mu, where Crash marks this incarnation dead:
+	// the catalog names this site only for a copy a live kernel finished
+	// installing, which its restart purge will keep.  Then, still behind
+	// the fence, inherit the live opens (closes re-resolve the storage
+	// site and arrive here expecting an open-file entry).
 	k.mu.Lock()
-	vs := k.vols[volName]
-	if _, live := k.open[req.Path]; live {
+	if err == nil && (k.dead.Load() || !k.cl.commitMove(key)) {
+		err = fmt.Errorf("%w: %s", errMoveDecided, req.Path)
+	}
+	cur, dup := k.open[req.Path]
+	switch {
+	case err != nil:
 		delete(k.open, req.Path)
 		k.locks.Drop(req.Path)
+	case dup:
+		cur.refs = max(cur.refs, req.Refs)
+	case req.Refs > 0:
+		nf := &openFile{id: req.Path, vs: vs, file: f, refs: req.Refs}
+		nf.locks = k.locks.File(req.Path, func() int64 { return nf.file.Size() })
+		k.open[req.Path] = nf
 	}
 	k.mu.Unlock()
-	k.leaseCacheDrop(req.Path)
-	if vs == nil {
-		return nil
+	if err != nil {
+		// Refused (or never installed): the copy is this site's to reclaim.
+		k.tr.Record(trace.OwnerPurge, "refused", req.Path, int64(req.MoveID))
+		vs.reclaimFile(name) //nolint:errcheck // a crash leaves it to the restart purge
+		return none{}, err
 	}
-	if _, err := vs.dirLookup(name); errors.Is(err, ErrNoSuchFile) {
-		return nil
-	}
-	return vs.reclaimFile(name)
-}
-
-// spawnPurge disowns an abandoned move's adopted copy from a detached
-// goroutine: the caller sits on a commit path and must not wait out a
-// still-running adoption at the target.  Bounded patient retries cover
-// transport failures; if the target stays unreachable its copy is
-// garbage that site's own next restart purges anyway.
-func (k *incarnation) spawnPurge(target simnet.SiteID, path string, moveID uint64) {
-	k.placeOps.Add(1)
-	k.cl.cfg.Clock.Go(func() {
-		defer k.placeOps.Add(-1)
-		for attempt := 0; attempt < movedRetries; attempt++ {
-			if _, err := k.ep.Call(target, "ownerpurge", ownerPurgeReq{Path: path, MoveID: moveID}); err == nil {
-				return
-			}
-			k.retryMovedWait(attempt)
-		}
-	})
+	k.st.Inc(stats.OwnerAdopts)
+	k.tr.Record(trace.OwnerAdopt, "install", req.Path, int64(req.MoveID))
+	return none{}, nil
 }
 
 // hostedVol returns the named volume at this site, creating a fresh one
@@ -445,10 +406,10 @@ func (k *incarnation) hostedVol(volName string) (*volState, error) {
 
 // purgeForeignFiles runs during restart, after the volumes reload but
 // before in-doubt recovery: any local file the namespace homes at
-// another site is a leftover of an interrupted ownership move (either a
-// source copy whose removal was cut short after the repoint, or an
-// adopted copy whose repoint never happened) and is reclaimed here,
-// restoring the exactly-one-primary invariant.  Prepared transactions
+// another site is a leftover of an ownership move this site's crash
+// interrupted (either a source copy whose removal was cut short after the
+// target committed, or an adopted copy the crash kept from committing)
+// and is reclaimed here, restoring the exactly-one-primary invariant.  Prepared transactions
 // cannot reference such a file: a move only proceeds through a fully
 // quiesced lock list, so no prepare record and a foreign home can
 // coexist.
@@ -465,29 +426,11 @@ func (k *incarnation) purgeForeignFiles() {
 	}
 }
 
-// HasLocalFile reports whether this site's copy of the named volume
-// holds a directory entry for name - the crash-audit probe into the
-// exactly-one-primary invariant (the namespace can say a file lives
-// elsewhere while an interrupted move's garbage copy still exists here
-// until the next restart purges it).
-func (s *Site) HasLocalFile(volName, name string) (bool, error) {
-	vs, err := s.kernel().volByName(volName)
-	if err != nil {
-		return false, nil
-	}
-	_, err = vs.dirLookup(name) // found, or ErrNoSuchFile
-	return err == nil, nil
-}
-
-// retryMoved reports whether a storage call that failed with errMoved
-// should be retried: the requester waits out the in-flight move, then
-// re-resolves the storage site.  Bounded so a wedged move cannot hang a
-// caller forever.
+// movedRetries bounds how often a storage call that failed with errMoved
+// is retried (callStorage): the requester waits out the in-flight move,
+// then re-resolves the storage site.  Bounded so a wedged move cannot hang
+// a caller forever.
 const movedRetries = 16
-
-func (m *machine) retryMovedWait(attempt int) {
-	m.cl.cfg.Clock.Sleep(time.Duration(attempt+1) * time.Millisecond)
-}
 
 // ---- routed commit (coordinator placement) ----
 

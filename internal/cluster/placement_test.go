@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/proc"
 	"repro/internal/simnet"
 	"repro/internal/stats"
+	"repro/internal/vtime"
 )
 
 // placementCluster builds a 2-site cluster with adaptive placement on
@@ -308,4 +312,149 @@ func TestRouteCommitCoordinatesRemotely(t *testing.T) {
 	if err != nil || !bytes.Equal(got, []byte("abcd")) {
 		t.Fatalf("read after routed commit = %q, %v", got, err)
 	}
+}
+
+// moveWorld is a placementCluster with a process at site 2 that has va/f
+// (mounted at site 1) open, and the bytes its transactions committed.
+type moveWorld struct {
+	cl   *Cluster
+	pid  int
+	id   string
+	data []byte
+}
+
+func newMoveWorld(t *testing.T, cfg Config) *moveWorld {
+	t.Helper()
+	cl := placementCluster(t, cfg)
+	t.Cleanup(cl.Shutdown)
+	w := &moveWorld{cl: cl, pid: cl.NewPID()}
+	s2 := cl.Site(2)
+	s2.Procs().NewProcess(w.pid, 0)
+	must(t, s2.Create("va/f"))
+	id, _, err := s2.Open("va/f")
+	must(t, err)
+	w.id = id
+	return w
+}
+
+// heat commits site 2's transactions on va/f at site 1 until the commit
+// sweep there has tried to move the file.  It may run in an actor, so it
+// reports with t.Error.
+func (w *moveWorld) heat(t *testing.T) {
+	s1 := w.cl.Site(1)
+	for i := 0; i < 8 && s1.moveSeq.Load() == 0; i++ {
+		txid := fmt.Sprintf("T%d", i)
+		if _, err := w.cl.Site(2).Write(w.id, w.pid, txid, int64(len(w.data)), []byte("abcd")); err != nil {
+			t.Error(err)
+			return
+		}
+		k := s1.kernel()
+		if err := k.handlePrepare(prepareReq{Txid: txid, FileIDs: []string{w.id}, Coord: 1}); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := k.handleCommit2(commit2Req{Txid: txid}); err != nil {
+			t.Error(err)
+			return
+		}
+		w.data = append(w.data, "abcd"...)
+	}
+	if s1.moveSeq.Load() == 0 {
+		t.Error("no ownership move was tried")
+	}
+}
+
+// expect requires the move's end state: the catalog names home, exactly
+// home holds a copy, nothing is in flight and - when home is up - the
+// committed bytes read back through it.
+func (w *moveWorld) expect(t *testing.T, home simnet.SiteID) {
+	t.Helper()
+	if got, _ := w.cl.StorageSite(w.id); got != home {
+		t.Errorf("catalog says %v, want %v", got, home)
+	}
+	vol, name, _ := splitPath(w.id)
+	var holders []simnet.SiteID
+	for _, id := range w.cl.Sites() {
+		if vs, err := w.cl.Site(id).kernel().volByName(vol); err == nil {
+			if _, err := vs.dirLookup(name); err == nil {
+				holders = append(holders, id)
+			}
+		}
+		if n := w.cl.Site(id).PlacementInFlight(); n != 0 {
+			t.Errorf("site %v: %d placement operations in flight", id, n)
+		}
+	}
+	if len(holders) != 1 || holders[0] != home {
+		t.Errorf("copies at sites %v, want one at %v", holders, home)
+	}
+	if !w.cl.Site(home).Up() {
+		return
+	}
+	s2 := w.cl.Site(2)
+	if _, _, err := s2.Open("va/f"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Read(w.id, w.pid, "", 0, len(w.data)); err != nil || !bytes.Equal(got, w.data) {
+		t.Errorf("read through %v = %q, %v; want %q", home, got, err, w.data)
+	}
+}
+
+// TestMoveVerdict: an ownership move is decided once, in the catalog - the
+// target commits it before it replies, the source's settle or its crash
+// aborts it - and each side acts on the verdict, with no restart.  Rows (a)
+// and (c) fail where moves were decided by disown messages: a lost reply
+// plus a lost disown, or a source crashing mid-adoption, left the target's
+// copy beside the source's until a restart.
+func TestMoveVerdict(t *testing.T) {
+	t.Run("a-reply-lost", func(t *testing.T) {
+		w := newMoveWorld(t, Config{Clock: vtime.NewVirtual()})
+		var cut atomic.Bool
+		w.cl.Net().SetFaultFilter(func(from, to simnet.SiteID, op string) bool {
+			if op == "owneradopt" && from == 2 { // the adoption's reply
+				cut.Store(true)
+				return true
+			}
+			return cut.Load() && from == 1 && to == 2
+		})
+		w.heat(t)
+		w.expect(t, 2)
+	})
+	// Under the virtual clock a call runs its handler on the caller's
+	// goroutine, so a stalled adoption stalls its caller too: only the real
+	// clock lets the source time out under it.
+	t.Run("b-source-times-out", func(t *testing.T) {
+		w := newMoveWorld(t, Config{Net: simnet.Config{CallTimeout: 100 * time.Millisecond}})
+		parked, release := make(chan struct{}, 1), make(chan struct{})
+		w.cl.Site(2).Stall("owneradopt", func() { parked <- struct{}{}; <-release })
+		w.heat(t) // the triggering commit returns once the source settled
+		<-parked
+		w.cl.Site(2).Stall("owneradopt", nil)
+		sent := func() int64 { return w.cl.Stats().Snapshot().Get(stats.MsgsSent) }
+		before := sent()
+		close(release)
+		for deadline := time.Now().Add(5 * time.Second); sent() == before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond) // until the adoption has answered
+		}
+		w.expect(t, 1)
+	})
+	t.Run("c-source-crashes", func(t *testing.T) {
+		clk := vtime.NewVirtual()
+		w := newMoveWorld(t, Config{Clock: clk})
+		s1 := w.cl.Site(1)
+		parked, release := make(chan struct{}, 1), make(chan struct{}, 1)
+		w.cl.Site(2).Stall("owneradopt", func() {
+			vtime.NotifySend(clk, parked, struct{}{})
+			vtime.WaitRecv(clk, release, 0)
+		})
+		g := vtime.NewGroup(clk)
+		g.Go(func() { w.heat(t) })
+		vtime.WaitRecv(clk, parked, 0)
+		w.cl.Site(2).Stall("owneradopt", nil)
+		s1.Crash()
+		vtime.NotifySend(clk, release, struct{}{})
+		g.Wait()
+		w.expect(t, 1)
+		must(t, s1.Restart())
+		w.expect(t, 1)
+	})
 }

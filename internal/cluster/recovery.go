@@ -85,8 +85,6 @@ func newIncarnation(m *machine) (_ *incarnation, err error) {
 	}
 	if cfg.AdaptivePlacement {
 		k.moving = make(map[string]struct{})
-		k.adopted = make(map[string]uint64)
-		k.purgeWanted = make(map[string]uint64)
 	}
 	defer func() {
 		if err != nil {

@@ -32,7 +32,6 @@ const replOwner shadow.Owner = "kernel:repl"
 type replSyncReq struct {
 	Path string
 	Data []byte
-	Size int64
 }
 
 func (r replSyncReq) WireSize() int { return 64 + len(r.Data) }
@@ -314,6 +313,6 @@ func (k *incarnation) pushFileToReplica(site simnet.SiteID, path string) error {
 	if err != nil {
 		return err
 	}
-	_, err = k.ep.Call(site, "replsync", replSyncReq{Path: path, Data: data, Size: int64(len(data))})
+	_, err = k.ep.Call(site, "replsync", replSyncReq{Path: path, Data: data})
 	return err
 }

@@ -73,12 +73,24 @@ func (w *straddleWorld) prepared() {
 	w.cl.Site(3).Crash()
 }
 
-// adopted has site 1 adopt vc/<name> as move id without the namespace
-// ever pointing there - an abandoned move's copy.
-func (w *straddleWorld) adopted(name string, id uint64) {
+// pending creates vc/<name> at site 3 and registers its move to site 1 in
+// the catalog, as moveFile does before shipping the image; the returned
+// adoption is site 3's.
+func (w *straddleWorld) pending(name string, id uint64) ownerAdoptReq {
 	w.t.Helper()
 	must(w.t, w.cl.Site(3).Create("vc/"+name))
-	must(w.t, w.cl.Site(1).kernel().handleOwnerAdopt(ownerAdoptReq{Path: "vc/" + name, Data: []byte("image"), Size: 5, MoveID: id}))
+	w.cl.proposeMove(w.cl.Site(3).kernel(), id, "vc/"+name, 1)
+	return ownerAdoptReq{Path: "vc/" + name, Data: []byte("image"), MoveID: id}
+}
+
+// hosted has site 3 move vc/h to site 1 for real, so site 1 hosts vc.
+func (w *straddleWorld) hosted() {
+	w.t.Helper()
+	must(w.t, w.cl.Site(3).Create("vc/h"))
+	must(w.t, w.cl.Site(3).kernel().moveFile("vc/h", 1))
+	if home, _ := w.cl.StorageSite("vc/h"); home != 1 {
+		w.t.Fatalf("vc/h did not move to site 1 (home %v)", home)
+	}
 }
 
 // snapshot renders everything a stale handler could have disturbed in
@@ -88,6 +100,8 @@ func (w *straddleWorld) snapshot() string {
 	k := s.kernel()
 	var b strings.Builder
 	fmt.Fprintf(&b, "up=%v volumes=%v indoubt=%d lockcache=%d\n", s.Up(), s.Volumes(), s.InDoubtCount(), s.LockCacheGroups())
+	home, moved := w.cl.FileHome("vc/g")
+	fmt.Fprintf(&b, "catalog vc/g moved=%v home=%v\n", moved, home)
 	for _, f := range k.locks.Files() {
 		fmt.Fprintf(&b, "locks %s: %+v\n", f, k.locks.Lookup(f).Entries())
 	}
@@ -107,7 +121,7 @@ func (w *straddleWorld) snapshot() string {
 	}
 	k.mu.Unlock()
 	k.placeMu.Lock()
-	lines = append(lines, fmt.Sprintf("placement moving=%v adopted=%v purgeWanted=%v", k.moving, k.adopted, k.purgeWanted))
+	lines = append(lines, fmt.Sprintf("placement moving=%v", k.moving))
 	k.placeMu.Unlock()
 	for _, vs := range k.volStates(true) {
 		recs, err := tpc.ReadPrepareRecords(vs.vol)
@@ -126,6 +140,7 @@ func (w *straddleWorld) snapshot() string {
 func TestStraddle(t *testing.T) {
 	rows := []struct {
 		op    string
+		from  simnet.SiteID              // the sender; 0 means site 2
 		setup func(w *straddleWorld) any // prepares the world, returns the request
 		// check, if set, inspects the new incarnation's snapshot: the row
 		// is only worth its name if recovery left there what the stale
@@ -155,20 +170,14 @@ func TestStraddle(t *testing.T) {
 		{op: "prepareCommit", setup: func(w *straddleWorld) any { w.txnWrite(); return w.prepareReq() }},
 		{op: "commit2", setup: func(w *straddleWorld) any { w.prepared(); return commit2Req{Txid: "T1"} }, check: inDoubt},
 		{op: "abortTxn", setup: func(w *straddleWorld) any { w.prepared(); return abortTxnReq{Txid: "T1"} }, check: inDoubt},
-		{op: "owneradopt", setup: func(w *straddleWorld) any {
-			must(w.t, w.cl.Site(3).Create("vc/g"))
-			return ownerAdoptReq{Path: "vc/g", Data: []byte("image"), Size: 5, MoveID: 7}
+		{op: "owneradopt", from: 3, setup: func(w *straddleWorld) any { return w.pending("g", 7) }},
+		{op: "owneradopt", from: 3, setup: func(w *straddleWorld) any { // site 1 hosts vc already
+			w.hosted()
+			return w.pending("g", 7)
 		}},
-		{op: "owneradopt", setup: func(w *straddleWorld) any { // site 1 hosts vc already
-			w.adopted("h", 6)
-			must(w.t, w.cl.Site(3).Create("vc/g"))
-			return ownerAdoptReq{Path: "vc/g", Data: []byte("image"), Size: 5, MoveID: 7}
-		}},
-		{op: "ownerpurge", setup: func(w *straddleWorld) any {
-			w.adopted("h", 6)
-			return ownerPurgeReq{Path: "vc/h", MoveID: 6}
-		}},
-		{op: "replsync", setup: func(w *straddleWorld) any { return replSyncReq{Path: "vb/r", Data: []byte("fresh"), Size: 5} }},
+		// remove reclaims a file the way a refused adoption reclaims its copy.
+		{op: "remove", setup: func(w *straddleWorld) any { must(w.t, w.cl.Site(2).Create("va/x")); return removeReq{Path: "va/x"} }},
+		{op: "replsync", setup: func(w *straddleWorld) any { return replSyncReq{Path: "vb/r", Data: []byte("fresh")} }},
 		{op: "replremove", setup: func(w *straddleWorld) any { return replRemoveReq{Path: "vb/r"} }},
 	}
 	clocks := map[string]func() vtime.Clock{
@@ -190,7 +199,11 @@ func TestStraddle(t *testing.T) {
 				})
 				var callErr error
 				g := vtime.NewGroup(clk)
-				g.Go(func() { _, callErr = w.cl.Site(2).ep.Call(1, row.op, req) })
+				from := row.from
+				if from == 0 {
+					from = 2
+				}
+				g.Go(func() { _, callErr = w.cl.Site(from).ep.Call(1, row.op, req) })
 				vtime.WaitRecv(clk, parked, 0)
 				s1.Stall(row.op, nil) // recovery's own traffic goes through
 

@@ -243,7 +243,7 @@ func TestUnknownWorkloadAndKind(t *testing.T) {
 // TestOwnerMoveMatrix sweeps the adaptive-placement workload: the
 // probed commit's post-commit sweep migrates the hot file's primary
 // copy inline, so crash points land inside the ownership move (source
-// reclaim, hosted-volume adoption, the namespace repoint between them)
+// reclaim, hosted-volume adoption, the catalog commit between them)
 // while a second commit from the old home races the moved file.  Every
 // point must heal to exactly one primary copy with no committed data
 // lost.

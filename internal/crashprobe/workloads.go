@@ -39,7 +39,7 @@ import (
 //	           probed commit's post-commit sweep migrates the hot file's
 //	           primary copy to its dominant accessor, inline, so crash
 //	           points land inside the ownership move itself (source
-//	           reclaim, target adoption, the namespace repoint between
+//	           reclaim, target adoption, the catalog commit between
 //	           them) while a second commit races the moved file
 //
 // Each run is serial and deterministic: every replay performs the same

@@ -22,7 +22,6 @@ import (
 	"repro/internal/lockmgr"
 	"repro/internal/shadow"
 	"repro/internal/simnet"
-	"repro/internal/stats"
 	"repro/internal/tpc"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -225,37 +224,43 @@ func checkAllocators(cl *cluster.Cluster) Check {
 // the directory itself; unmapped inodes render as "?".
 func inodeNames(vol *fs.Volume) func(ino int) string {
 	names := map[int]string{0: "<directory>"}
-	lookup := func(ino int) string {
+	for name, ino := range directory(vol) {
+		names[ino] = name
+	}
+	return func(ino int) string {
 		if n, ok := names[ino]; ok {
 			return n
 		}
 		return "?"
 	}
+}
+
+// directory reads the name -> inode map a volume's directory (inode 0)
+// holds on stable storage; nil if it cannot be read.
+func directory(vol *fs.Volume) map[string]int {
 	f, err := shadow.Open(vol, 0)
 	if err != nil || f.CommittedSize() == 0 {
-		return lookup
+		return nil
 	}
 	buf := make([]byte, f.CommittedSize())
 	if _, err := f.ReadAt(buf, 0); err != nil {
-		return lookup
+		return nil
 	}
 	dir := map[string]int{}
 	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&dir); err != nil {
-		return lookup
+		return nil
 	}
-	for name, ino := range dir {
-		names[ino] = name
-	}
-	return lookup
+	return dir
 }
 
 // checkPlacement: whatever ownership moves the heat tracker performed -
 // and wherever a crash or partition cut one short - every workload file
 // must end with exactly one primary copy after recovery, held by the
-// site the catalog names.  A shipped copy whose home flip never
-// committed must be purged on restart; two primaries would let sites
-// serve divergent committed bytes.  With placement off this degenerates
-// to "every file still lives at its mount site", so it runs always.
+// site the catalog names: a copy is a directory entry on stable storage
+// in a volume of the file's name.  A shipped copy whose home flip never
+// committed must be reclaimed; two primaries would let sites serve
+// divergent committed bytes.  With placement off this degenerates to
+// "every file still lives at its mount site", so it runs always.
 func checkPlacement(cl *cluster.Cluster, col *trace.Collector, files []string) Check {
 	c := Check{Name: "single-primary", Detail: fmt.Sprintf("%d files", len(files))}
 	for _, path := range files {
@@ -271,11 +276,10 @@ func checkPlacement(cl *cluster.Cluster, col *trace.Collector, files []string) C
 		}
 		var holders []simnet.SiteID
 		for _, id := range cl.Sites() {
-			has, err := cl.Site(id).HasLocalFile(vol, name)
-			if err != nil {
-				c.Failf("%s: scanning site %d for a local copy: %v", path, id, err)
-			} else if has {
-				holders = append(holders, id)
+			if v := cl.Site(id).Volume(vol); v != nil {
+				if _, ok := directory(v)[name]; ok {
+					holders = append(holders, id)
+				}
 			}
 		}
 		if len(holders) != 1 || holders[0] != home {
@@ -315,18 +319,11 @@ func Restart(cl *cluster.Cluster, all bool) error {
 // Quiesce returns a run's cluster to the clean, fully recovered state
 // Audit expects: injected network faults cleared, the sites whose disks
 // tripped - or, with all, every site - crash-restarted, in-doubt
-// participants resolved and phase two drained everywhere.
-//
-// An adoption request can sit queued in the network long after its move
-// gave up on it (the source's disown retries exhaust while the target is
-// unreachable, then the source forgets the move entirely at its next
-// crash).  If such a stale request lands after its target's restart purge
-// already ran, it installs an orphan copy nothing will ever reclaim -
-// except the next restart purge.  So whenever adoptions landed inside a
-// round, another round restarts every site: the last round's purge then
-// provably saw every copy.  No new moves start once recovery has
-// drained, so the rounds converge as soon as the in-flight tail of the
-// network empties.
+// participants resolved and phase two drained everywhere.  One round is
+// enough: an ownership move is decided once, in the catalog, and a refused
+// adoption reclaims its own copy, so a second copy survives only on a
+// site whose crash or disk failure interrupted the move - and that site's
+// restart, during the run or here, purges it (DESIGN.md section 14).
 func Quiesce(cl *cluster.Cluster, clk vtime.Clock, all bool) error {
 	net := cl.Net()
 	net.SetDropRate(0)
@@ -334,25 +331,12 @@ func Quiesce(cl *cluster.Cluster, clk vtime.Clock, all bool) error {
 	net.SetLatency(0)
 	net.SetFaultFilter(nil)
 	net.Heal()
-	adopts := func() int64 { return cl.Stats().Snapshot().Get(stats.OwnerAdopts) }
-	const maxRounds = 5
-	for round := 1; round <= maxRounds; round++ {
-		before := adopts()
-		if err := Restart(cl, all || round > 1); err != nil {
-			return err
-		}
-		// Recovery-driven commits can trigger ownership moves, and an
-		// abandoned move disowns its copy from a detached purge actor;
-		// the drain waits those out too, so the single-primary audit
-		// races neither.
-		if err := Drain(cl, clk, 10*time.Second); err != nil {
-			return err
-		}
-		if adopts() == before {
-			return nil
-		}
+	if err := Restart(cl, all); err != nil {
+		return err
 	}
-	return errors.New("placement never quiesced (adoptions kept landing across restart rounds)")
+	// Recovery-driven commits can trigger ownership moves; the drain waits
+	// those out too, so the single-primary audit races none.
+	return Drain(cl, clk, 10*time.Second)
 }
 
 // ErrStuck marks a Drain that ran out of budget: the cluster is up but
@@ -361,12 +345,11 @@ var ErrStuck = errors.New("recovery never drained")
 
 // Drain drives resolution on a recovered cluster until no work is
 // pending: in-doubt participants resolve against coordinator records,
-// coordinators re-drive phase two, ownership moves (and the purges an
-// abandoned move spawns) finish, and the asynchronous topology-abort
-// watcher releases its locks.  It polls on clk - the scenario's clock,
-// so a virtual run drains in simulated time - and a correct system
-// drains in a few iterations; the budget only bounds a buggy one, whose
-// stuck work the error names.
+// coordinators re-drive phase two, ownership moves and adoptions finish,
+// and the asynchronous topology-abort watcher releases its locks.  It
+// polls on clk - the scenario's clock, so a virtual run drains in
+// simulated time - and a correct system drains in a few iterations; the
+// budget only bounds a buggy one, whose stuck work the error names.
 func Drain(cl *cluster.Cluster, clk vtime.Clock, budget time.Duration) error {
 	deadline := clk.Now().Add(budget)
 	for {

@@ -1,6 +1,8 @@
 package invariant_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/lockmgr"
 	"repro/internal/scenario"
+	"repro/internal/shadow"
 	"repro/internal/simnet"
 	"repro/internal/tpc"
 )
@@ -131,21 +134,44 @@ func TestAuditCatchesEachDefect(t *testing.T) {
 			check: "resolution", want: "log not reclaimed: [coord:00000098.1]",
 		},
 		{
-			// The adoption's reply and every disown message are lost, so
-			// the source abandons a move whose copy the target keeps: the
-			// orphan the restart purge exists for, caught before any
+			// A move lands (site 2 commits v1/b until it migrates there),
+			// then the source's directory gets the name back: the leftover
+			// a crash between the target's commit and the source's reclaim
+			// leaves for the source's restart purge, caught before any
 			// restart.
 			name: "second primary copy",
 			spec: scenario.Spec{Virtual: true, Layers: scenario.Layers{Placement: scenario.Eager}},
 			plant: func(t *testing.T, sys *core.System) {
-				sys.Cluster().Net().SetFaultFilter(func(from, to simnet.SiteID, op string) bool {
-					return op == "ownerpurge" || (op == "owneradopt" && from == 2)
-				})
 				for i := 0; i < 3; i++ {
 					commit(t, sys, 2, "v1/b", "from site two")
 				}
+				if home, _ := sys.Cluster().StorageSite("v1/b"); home != 2 {
+					t.Fatalf("v1/b did not move to site 2 (home %v)", home)
+				}
+				f, err := shadow.Open(vol1(sys), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf, dir := make([]byte, f.CommittedSize()), map[string]int{}
+				if _, err := f.ReadAt(buf, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&dir); err != nil {
+					t.Fatal(err)
+				}
+				dir["b"] = dir["a"]
+				var out bytes.Buffer
+				if err := gob.NewEncoder(&out).Encode(dir); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteAt("plant", out.Bytes(), 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Commit("plant"); err != nil {
+					t.Fatal(err)
+				}
 			},
-			check: "single-primary", want: "v1/b: primary copies at sites [site1 site2], catalog says site1",
+			check: "single-primary", want: "v1/b: primary copies at sites [site1 site2], catalog says site2",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

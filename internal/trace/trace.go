@@ -62,9 +62,9 @@ const (
 	// its coordinator role is handed to the data's site (Arg = target).
 	OwnerMove
 	RoutedCommit
-	// OwnerAdopt at the new home when an adoption installs a copy (Arg =
-	// MoveID); OwnerPurge there when an abandoned move's copy is
-	// discarded or tombstoned (Arg = MoveID).
+	// OwnerAdopt at the new home when an adoption commits its move (Arg =
+	// MoveID); OwnerPurge there when an adoption is refused, or fails, and
+	// reclaims the copy it installed (Arg = MoveID).
 	OwnerAdopt
 	OwnerPurge
 
