@@ -224,12 +224,10 @@ func ConcurrentCommit(o ConcurrentOpts, groupCommit bool) (ConcurrentRow, error)
 
 // TelemetryJSON renders the row's telemetry artifacts as one canonical
 // JSON document: fixed field order, sorted metric keys, no
-// map-iteration dependence.  Serial (1-client) virtual-clock runs
-// produce byte-identical output - the CI golden-snapshot job diffs one
-// against a checked-in copy.  Concurrent runs are deterministic in
-// aggregate (commit counts, attribution fractions, per-page I/O) but
-// same-instant scheduling ties leave batch composition and
-// per-boundary samples to the Go scheduler (DESIGN.md section 12).
+// map-iteration dependence.  Virtual-clock runs produce byte-identical
+// output, concurrent ones included (the clock's run queue decides every
+// same-instant tie) - the CI golden-snapshot job diffs a 4-client run
+// against a checked-in copy (DESIGN.md section 12).
 func (r ConcurrentRow) TelemetryJSON() []byte {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, `{"schema":"locusbench-telemetry/v1","case":%q,"clients":%d,"txns_per_client":%d,"committed":%d,"aborted":%d,"sim_time_ns":%d,`,

@@ -1,10 +1,13 @@
 package chaos
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // vaxWith is the -vtime spec with optional layers on.
@@ -69,7 +72,7 @@ func TestVtimePlacement(t *testing.T) {
 
 // TestVtimeSweep runs a batch of seeds through both configurations.
 // Sixty full chaos runs cost well under a second of wall-clock on the
-// virtual clock - the breadth that shook out the credit-handoff and
+// virtual clock - the breadth that shook out the clock hand-off and
 // crash-epoch bugs during development.
 func TestVtimeSweep(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
@@ -99,20 +102,78 @@ func TestVtimeSweep(t *testing.T) {
 // schedule with no disk fault in its menu that created money on about
 // three runs in four while an in-doubt participant could read its
 // coordinator's "still collecting votes" as an abort (and, far more
-// rarely, through the other three holes E25 lists).  The interleaving is
-// not replayed by the seed, hence the repetitions.
+// rarely, through the other three holes E25 lists).  The seed replays the
+// interleaving, so one run is the whole test.
 func TestSeed87NoUnilateralAbort(t *testing.T) {
 	faults, err := ParseFaults("crash,partition,block,drop,dup,latency")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		res, err := Run(Options{Seed: 87, Duration: 2 * time.Second, Faults: faults, Spec: vax})
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if !res.OK() {
-			t.Fatalf("run %d violations:\n%s", i, res.Report(true))
+	res, err := Run(Options{Seed: 87, Duration: 2 * time.Second, Faults: faults, Spec: vax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK() {
+		t.Fatalf("violations:\n%s", res.Report(true))
+	}
+}
+
+// TestConcurrentRunReplays: a multi-client virtual-clock chaos run racing
+// crashes and partitions is a function of its options - the report, the
+// tallies and the canonical trace come out the same on every run, bare and
+// with all four optional layers on.
+func TestConcurrentRunReplays(t *testing.T) {
+	faults, err := ParseFaults("crash,partition")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		name string
+		spec scenario.Spec
+	}{
+		{"bare", vax},
+		{"all layers", vaxWith(scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true, Leases: true, Placement: scenario.Eager})},
+	}
+	for _, row := range rows {
+		opts := Options{Seed: 3, Duration: 2 * time.Second, Faults: faults, Spec: row.spec}
+		first := replayRun(t, opts)
+		for i := 1; i < 5; i++ {
+			if got := replayRun(t, opts); got != first {
+				t.Fatalf("%s: run %d differs from run 0; first difference:\n%s", row.name, i, firstDifference(first, got))
+			}
 		}
 	}
+}
+
+// replayRun renders everything a run reports: the report with its stats,
+// the counter deltas and the canonical trace.
+func replayRun(t *testing.T, opts Options) string {
+	t.Helper()
+	w, err := newWorkload(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := w.scenario()
+	var canonical []byte
+	check := sc.Check
+	sc.Check = func(e *scenario.Env, out *scenario.Outcome) {
+		check(e, out)
+		canonical = trace.Canonical(e.Trace.Events())
+	}
+	res, err := w.run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s%v\n%s", res.Report(true), res.Counters, canonical)
+}
+
+// firstDifference quotes the first line where two renderings part.
+func firstDifference(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range min(len(al), len(bl)) {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n  %s\n  %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("one rendering is %d lines, the other %d", len(al), len(bl))
 }

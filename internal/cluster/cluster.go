@@ -47,8 +47,8 @@ var (
 	ErrNoSuchFile   = errors.New("cluster: no such file")
 	ErrFileExists   = errors.New("cluster: file already exists")
 	ErrBadPath      = errors.New("cluster: bad path (want volume/name)")
-	// ErrSiteDown is what a request gets from a site whose kernel died
-	// before it could answer (registerHandlers' handle).
+	// ErrSiteDown is what a local call into a dead incarnation gets (a
+	// remote one gets no reply at all: registerHandlers' handle).
 	ErrSiteDown = errors.New("cluster: site down")
 )
 
@@ -389,14 +389,8 @@ func splitPath(path string) (vol, name string, err error) {
 // exists so tests and the chaos engine can tear a cluster down without
 // leaking goroutines.
 func (c *Cluster) Shutdown() {
-	c.mu.Lock()
-	sites := make([]*Site, 0, len(c.sites))
-	for _, s := range c.sites {
-		sites = append(sites, s)
-	}
-	c.mu.Unlock()
-	for _, s := range sites {
-		k := s.kernel()
+	for _, id := range c.Sites() {
+		k := c.Site(id).kernel()
 		k.mu.Lock()
 		coord := k.coord
 		k.mu.Unlock()
@@ -740,7 +734,8 @@ func (k *incarnation) joinTxn(txid string) {
 }
 
 // volStates snapshots the volumes the incarnation serves, mounted and
-// hosted - and, with replicas set, the replicas it holds.
+// hosted - and, with replicas set, the replicas it holds - each set in
+// name order, the order their disk work is issued in.
 func (k *incarnation) volStates(replicas bool) []*volState {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -748,10 +743,14 @@ func (k *incarnation) volStates(replicas bool) []*volState {
 	for _, vs := range k.vols {
 		vols = append(vols, vs)
 	}
+	byName := func(a, b *volState) int { return strings.Compare(a.name, b.name) }
+	slices.SortFunc(vols, byName)
 	if replicas {
+		n := len(vols)
 		for _, rep := range k.replicas {
 			vols = append(vols, rep.vs)
 		}
+		slices.SortFunc(vols[n:], byName)
 	}
 	return vols
 }

@@ -7,7 +7,7 @@ import (
 
 // handle installs the kernel's handler for one message op - the only place
 // one is installed.  A request is bound, at receipt, to the incarnation
-// live then (a down site answers ErrSiteDown), and fn can reach no other.
+// live then (a dead one replies nothing), and fn can reach no other.
 // A goroutine cannot be killed, so a handler parked across a crash - on a
 // disk force, a mutex, a nested call - wakes up and runs on: into tables
 // nobody will read again and volume handles Crash fenced, and its reply is
@@ -17,14 +17,14 @@ func handle[Req, Resp any](s *Site, op string, fn func(*incarnation, simnet.Site
 	s.ep.Handle(op, func(from simnet.SiteID, req any) (any, error) {
 		k := s.kernel()
 		if k.dead.Load() {
-			return nil, ErrSiteDown
+			return nil, simnet.ErrNoReply
 		}
 		if stall := s.stall.Load(); stall != nil {
 			(*stall)(op)
 		}
 		resp, err := fn(k, from, req.(Req))
 		if k.dead.Load() {
-			return nil, ErrSiteDown
+			return nil, simnet.ErrNoReply
 		}
 		return resp, err
 	})

@@ -459,11 +459,9 @@ func (m *machine) RouteCommit(target simnet.SiteID, txid string, files []proc.Fi
 		m.tr.Record(trace.RoutedCommit, txid, "", int64(target))
 		return nil
 	}
-	var re *simnet.RemoteError
-	if errors.As(err, &re) && !errors.Is(err, ErrSiteDown) {
+	if errors.As(err, new(*simnet.RemoteError)) {
 		// The coordinator ran and refused (prepare failure => it already
-		// aborted everywhere, per the protocol).  A kernel that died
-		// under the request refused nothing: that is a lost reply.
+		// aborted everywhere, per the protocol).
 		return err
 	}
 	if st, qerr := m.QueryStatus(target, txid); qerr == nil && st == tpc.StatusCommitted {

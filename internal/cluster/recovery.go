@@ -116,7 +116,7 @@ func newIncarnation(m *machine) (_ *incarnation, err error) {
 	if cfg.AdaptivePlacement {
 		k.purgeForeignFiles()
 	}
-	for _, vs := range k.vols {
+	for _, vs := range k.volStates(false) {
 		recs, err := tpc.ReadPrepareRecords(vs.vol)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: prepare records of %q: %w", vs.name, err)
@@ -251,7 +251,7 @@ func (k *incarnation) ResolveInDoubt() int {
 }
 
 // inDoubt lists the recovered prepared transactions still awaiting their
-// outcome.
+// outcome, sorted: resolution queries them in this order.
 func (k *incarnation) inDoubt() []string {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -261,6 +261,7 @@ func (k *incarnation) inDoubt() []string {
 			txids = append(txids, txid)
 		}
 	}
+	sort.Strings(txids)
 	return txids
 }
 

@@ -584,6 +584,7 @@ func (k *incarnation) reapLocal(pid int) {
 		files = append(files, of)
 	}
 	k.mu.Unlock()
+	slices.SortFunc(files, func(a, b *openFile) int { return strings.Compare(a.id, b.id) })
 	var touched []*openFile
 	for _, of := range files {
 		if of.file.HasMods(owner) {

@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -171,6 +172,7 @@ func (sys *System) abortTxnsInvolving(sites []simnet.SiteID) {
 		}
 	}
 	sys.mu.Unlock()
+	slices.SortFunc(doomed, func(a, b *txnState) int { return strings.Compare(a.txid, b.txid) })
 	for _, ts := range doomed {
 		sys.abortTxn(ts)
 	}

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -538,7 +539,8 @@ func (v *Volume) InodeAllocated(ino int) bool {
 	return v.inodeUsed[ino]
 }
 
-// Inodes returns the allocated inode numbers, for recovery scans.
+// Inodes returns the allocated inode numbers, ascending, for recovery
+// scans.
 func (v *Volume) Inodes() []int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -546,6 +548,7 @@ func (v *Volume) Inodes() []int {
 	for ino := range v.inodeUsed {
 		out = append(out, ino)
 	}
+	slices.Sort(out)
 	return out
 }
 

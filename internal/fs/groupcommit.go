@@ -63,17 +63,10 @@ type logReq struct {
 // groupCommitter is the batching daemon.  Callers enqueue via submit and
 // park on their request's done channel; the run loop drains the queue in
 // MaxBatch-sized slices and hands each slice to LogStore.flushBatch.
-//
-// The wake handshake: the daemon sets waiting under gc.mu just before
-// parking on the cap-1 signal channel, and submit/stop send (with
-// vtime.NotifySend, which carries the waker's activity credit under a
-// virtual clock) only while that flag is up.  When the daemon is busy
-// flushing instead, senders merely update queue/stopped - state the run
-// loop re-reads under gc.mu after every flush - and send nothing.  A
-// credited token aimed at a busy daemon would strand in the channel
-// until the flush returned, and under a virtual clock a stranded credit
-// pins the activity counter above zero: simulated time freezes, the
-// flush's disk writes never complete, and the run deadlocks.
+// submit and stop signal the daemon on a cap-1 channel after changing
+// queue/stopped; a signal sent while the daemon is flushing waits in the
+// channel, and the daemon re-reads the state under gc.mu before it parks
+// again.
 type groupCommitter struct {
 	ls  *LogStore
 	cfg GroupCommitConfig
@@ -82,7 +75,6 @@ type groupCommitter struct {
 	mu      sync.Mutex
 	queue   []*logReq
 	stopped bool
-	waiting bool
 
 	signal chan struct{}
 	exit   *vtime.Gate
@@ -116,11 +108,8 @@ func (gc *groupCommitter) submit(r *logReq) (err error, handled bool) {
 	r.done = make(chan error, 1)
 	r.enqueued = gc.clk.Now()
 	gc.queue = append(gc.queue, r)
-	if gc.waiting {
-		gc.waiting = false
-		vtime.NotifySend(gc.clk, gc.signal, struct{}{})
-	}
 	gc.mu.Unlock()
+	vtime.NotifySend(gc.clk, gc.signal, struct{}{})
 	err, _ = vtime.WaitRecv(gc.clk, r.done, 0)
 	return err, true
 }
@@ -129,32 +118,24 @@ func (gc *groupCommitter) run() {
 	defer gc.exit.Release()
 	for {
 		gc.mu.Lock()
-		if len(gc.queue) == 0 {
-			if gc.stopped {
-				gc.mu.Unlock()
-				return
-			}
-			gc.waiting = true
-			gc.mu.Unlock()
-			vtime.WaitRecv[struct{}](gc.clk, gc.signal, 0)
-			gc.mu.Lock()
-			gc.waiting = false
-			gc.mu.Unlock()
-			continue
-		}
 		n := len(gc.queue)
 		stopped := gc.stopped
 		gc.mu.Unlock()
+		if n == 0 {
+			if stopped {
+				return
+			}
+			vtime.WaitRecv(gc.clk, gc.signal, 0)
+			continue
+		}
 		if n < gc.cfg.maxBatch() && !stopped {
 			// A flush just finished (or the queue just went non-empty):
 			// linger briefly so records arriving now share this force.
 			gc.clk.Sleep(gc.cfg.MaxDelay)
-			// Settle the instant before cutting the batch: a record
-			// whose force completes exactly when the linger expires
-			// would otherwise race the snapshot below, making batch
-			// membership — and the telemetry byte stream — depend on
-			// Go scheduling.  No-op on the real clock.
-			vtime.Yield(gc.clk)
+			// Settle the instant before cutting the batch: a record whose
+			// force completes exactly when the linger expires joins this
+			// batch whichever of the two woke first.
+			vtime.Settle(gc.clk)
 		}
 		gc.mu.Lock()
 		n = len(gc.queue)
@@ -175,14 +156,9 @@ func (gc *groupCommitter) run() {
 // handled == false.
 func (gc *groupCommitter) stop() {
 	gc.mu.Lock()
-	if !gc.stopped {
-		gc.stopped = true
-		if gc.waiting {
-			gc.waiting = false
-			vtime.NotifySend(gc.clk, gc.signal, struct{}{})
-		}
-	}
+	gc.stopped = true
 	gc.mu.Unlock()
+	vtime.NotifySend(gc.clk, gc.signal, struct{}{})
 	gc.exit.Wait()
 }
 

@@ -410,8 +410,8 @@ func (fl *FileLocks) Lock(req Request) (Result, error) {
 		return Result{}, fmt.Errorf("%w: %s held by %s", ErrConflict, fl.id, strings.Join(groups, ","))
 	}
 	// Queue and wait.  The wait parks through the clock so a virtual
-	// clock advances past it; grants and cancellations arrive as
-	// credited sends from pumpQueueLocked / CancelWaiters.
+	// clock advances past it; grants and cancellations arrive by
+	// NotifySend from pumpQueueLocked / CancelWaiters.
 	w := &waiter{req: req, group: group, done: make(chan grant, 1), enqueued: fl.clk.Now()}
 	fl.queue = append(fl.queue, w)
 	fl.mgr.index(group, fl)
@@ -427,8 +427,9 @@ func (fl *FileLocks) Lock(req Request) (Result, error) {
 	fl.st.Registry().Profiler().Charge(req.Holder.Txn, telemetry.ResLockWait, waited)
 	if !ok {
 		fl.removeWaiter(w)
-		// A grant may have raced the timeout.
-		if g2, ok2 := vtime.TryRecv(fl.clk, w.done); ok2 {
+		// A grant may have raced the timeout (on the real clock; a
+		// virtual wait already prefers the value).
+		if g2, ok2 := vtime.TryRecv(w.done); ok2 {
 			g = g2
 		} else {
 			fl.tr.Record(trace.LockDeny, group, fl.id, 0)

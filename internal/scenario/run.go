@@ -131,8 +131,7 @@ func (e *Env) guard(fn func(*Env)) (err error) {
 	return nil
 }
 
-// Stopped reports whether the run's window has closed (safe under the
-// virtual clock: no token is parked).
+// Stopped reports whether the run's window has closed, without parking.
 func (e *Env) Stopped() bool {
 	select {
 	case <-e.stop:

@@ -123,8 +123,8 @@ func runTimeline(t *testing.T, spec Spec) (fired []time.Duration, out *Outcome) 
 		},
 		Check: func(e *Env, _ *Outcome) {
 			if v, ok := vtime.AsVirtual(e.Clock); ok {
-				if active, _ := v.DebugState(); active != 1 {
-					t.Errorf("%d clock tokens outstanding after the join, want only the caller's", active)
+				if ready, _ := v.DebugState(); ready != 0 {
+					t.Errorf("%d actors left ready behind the caller after the join, want none", ready)
 				}
 			}
 			if !e.Sys.Cluster().Site(1).Up() {
@@ -140,8 +140,8 @@ func runTimeline(t *testing.T, spec Spec) (fired []time.Duration, out *Outcome) 
 
 // TestScheduleFiresAtExactSimulatedInstants: on the virtual clock every
 // timed fault fires at exactly its offset, in order; the window stops the
-// clients, drops the unfired tail and joins the schedule actor without
-// stranding a clock token.
+// clients, drops the unfired tail and joins the schedule actor, leaving no
+// actor ready behind the caller.
 func TestScheduleFiresAtExactSimulatedInstants(t *testing.T) {
 	fired, out := runTimeline(t, Spec{Virtual: true})
 	if len(fired) != len(timeline) {

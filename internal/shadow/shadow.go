@@ -581,13 +581,16 @@ func (f *File) HasMods(owner Owner) bool {
 func (f *File) Flush(owner Owner) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, st := range f.pages {
-		if !st.dirty {
-			continue
+	var buf [8]int // a transaction rarely dirties more pages of a file: no allocation
+	logicals := buf[:0]
+	for l, st := range f.pages {
+		if touched, _ := st.touchedBy(owner); st.dirty && touched {
+			logicals = append(logicals, l)
 		}
-		if touched, _ := st.touchedBy(owner); !touched {
-			continue
-		}
+	}
+	slices.Sort(logicals) // one forced write each: their order is the schedule's
+	for _, l := range logicals {
+		st := f.pages[l]
 		if err := f.v.FlushPage(st.shadow); err != nil {
 			return err
 		}

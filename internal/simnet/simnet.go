@@ -61,6 +61,10 @@ var (
 	ErrTimeout     = errors.New("simnet: request timed out")
 	ErrNoHandler   = errors.New("simnet: no handler for operation")
 	ErrNetClosed   = errors.New("simnet: network closed")
+
+	// ErrNoReply is what a handler returns to send no response at all: a
+	// kernel that died under the request.  The caller sees a lost message.
+	ErrNoReply = errors.New("simnet: no reply")
 )
 
 // RemoteError wraps an error returned by a remote handler so the caller
@@ -528,7 +532,8 @@ type callResult struct {
 // Call performs a synchronous request/response exchange with the remote
 // site: one lightweight message each way.  It fails with ErrUnreachable if
 // the destination is down or partitioned away, ErrTimeout if a message was
-// lost, and *RemoteError if the remote handler returned an error.
+// lost or the handler sent no reply (ErrNoReply), and *RemoteError if the
+// remote handler returned an error.
 //
 // Calling a site's own endpoint is allowed and models a local kernel
 // operation: the handler runs directly with no messages charged.
@@ -547,7 +552,11 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return h(e.id, req)
+		resp, err := h(e.id, req)
+		if err == ErrNoReply {
+			return nil, fmt.Errorf("%w: %s (%s)", ErrTimeout, e.id, op)
+		}
+		return resp, err
 	}
 	dst, ok := n.sites[to]
 	if !ok {
@@ -620,6 +629,9 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 			dst.tr.Load().MsgRecv(op, "", reqClock)
 			h(e.id, req) //nolint:errcheck // duplicate's result discarded
 		}
+		if herr == ErrNoReply {
+			return
+		}
 
 		// Response leg.
 		n.st.Inc(stats.MsgsSent)
@@ -645,7 +657,7 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 		done <- callResult{resp: resp, clock: respClock}
 	}()
 
-	t := n.clock.NewTimer(timeout)
+	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
 	case r := <-done:
@@ -653,7 +665,7 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 			e.tr.Load().MsgRecv(op+":resp", "", r.clock)
 		}
 		return r.resp, r.err
-	case <-t.C():
+	case <-t.C:
 		return nil, fmt.Errorf("%w: %s -> %s (%s)", ErrTimeout, e.id, to, op)
 	}
 }
@@ -698,6 +710,9 @@ func (e *Endpoint) callVirtual(v *vtime.Virtual, dst *Endpoint, to SiteID, op st
 		n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
 		dst.tr.Load().MsgRecv(op, "", reqClock)
 		h(e.id, req) //nolint:errcheck // duplicate's result discarded
+	}
+	if herr == ErrNoReply {
+		return lost()
 	}
 
 	// Response leg.

@@ -26,12 +26,11 @@ type Sample struct {
 // clock's quiescent time-advance hook and emits one sample per interval
 // boundary the jump crosses.  Because every registered actor is parked
 // when the hook runs, the sampled values are deterministic for a fixed
-// seed, the sampler can never strand an activity token, and — since it
-// schedules no events — an idle simulation never advances simulated
-// time on its behalf.
+// seed, and — since it is no actor and schedules no events — an idle
+// simulation never advances simulated time on its behalf.
 //
-// Under the real clock it runs one ticker goroutine parked in a
-// credited WaitRecv (the wfg.Detector stop pattern), so Stop joins it
+// Under the real clock it runs one ticker goroutine parked in WaitRecv
+// on its stop channel (the wfg.Detector stop pattern), so Stop joins it
 // without leaks.
 type Sampler struct {
 	reg      *Registry

@@ -303,17 +303,7 @@ type Coordinator struct {
 	pending map[string]*pendingTxn
 	done    map[string]Status // completed this incarnation (for StatusOf)
 
-	// retryLoop shutdown handshake.  Close wakes the loop with a
-	// credited send only while it is parked on stopCh (stopWaiting);
-	// when the loop is busy inside RetryPending the flag alone is set
-	// and the loop notices it on its next pass.  Sending a credited
-	// token at a busy loop would strand the credit in the channel:
-	// under a virtual clock that pins the activity counter above zero,
-	// freezing simulated time while the loop waits on it - deadlock.
-	stopMu      sync.Mutex
-	stopping    bool
-	stopWaiting bool
-	stopCh      chan struct{}
+	stopCh chan struct{} // cap 1; Close's signal to the retry loop
 }
 
 // NewCoordinator creates a coordinator logging to vol.  A coordinator
@@ -346,13 +336,7 @@ func (c *Coordinator) SetTracer(t *trace.Tracer) { c.trc = t }
 // the coordinator log survives, and Recover (or a fresh coordinator's
 // RetryPending) re-drives it - exactly the crash path of section 4.4.
 func (c *Coordinator) Close() {
-	c.stopMu.Lock()
-	defer c.stopMu.Unlock()
-	c.stopping = true
-	if c.stopWaiting {
-		c.stopWaiting = false
-		vtime.NotifySend(c.clk, c.stopCh, struct{}{})
-	}
+	vtime.NotifySend(c.clk, c.stopCh, struct{}{})
 }
 
 // prof returns the critical-path profiler hanging off the shared
@@ -688,30 +672,15 @@ func (c *Coordinator) RetryPending() {
 		}
 	}
 	c.mu.Unlock()
+	sort.Strings(txids) // the fan-out's start order, and so the interleaving, follows
 	c.fanOut(len(txids), func(i int) { c.runPhase2(txids[i]) })
 }
 
+// retryLoop re-drives phase two every RetryInterval until Close; a Close
+// that lands mid-pass is found waiting on the next receive.
 func (c *Coordinator) retryLoop() {
 	for {
-		c.stopMu.Lock()
-		if c.stopping {
-			c.stopMu.Unlock()
-			return
-		}
-		c.stopWaiting = true
-		c.stopMu.Unlock()
-		_, woken := vtime.WaitRecv[struct{}](c.clk, c.stopCh, c.cfg.RetryInterval)
-		c.stopMu.Lock()
-		c.stopWaiting = false
-		stopping := c.stopping
-		c.stopMu.Unlock()
-		if !woken {
-			// Close may have raced the timeout: it saw the loop still
-			// waiting and sent the token just as the timer fired.
-			// Absorb it here or its credit strands.
-			_, woken = vtime.TryRecv[struct{}](c.clk, c.stopCh)
-		}
-		if woken || stopping {
+		if _, stop := vtime.WaitRecv(c.clk, c.stopCh, c.cfg.RetryInterval); stop {
 			return
 		}
 		c.RetryPending()

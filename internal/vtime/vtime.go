@@ -6,40 +6,34 @@
 //
 // # The virtual clock
 //
-// Virtual time never flows on its own.  Every goroutine that can touch
-// the clock is a registered *actor* holding one activity token; an
-// actor parks (Sleep, the credited wait helpers, Group.Wait, ...) by
-// releasing its token, and when the counter hits zero the clock is
-// quiescent: no registered actor can take another step at the current
-// instant, so the only causally-valid next step is the earliest pending
-// event.  Time jumps there, every event at that deadline fires, and the
-// woken actors resume.  Because the clock only advances at quiescence,
-// goroutine interleavings stay causally valid: nothing observes a
-// timestamp that concurrent work at an earlier instant could still
-// contradict.
+// Virtual time never flows on its own, and neither does concurrency.
+// Every goroutine that can touch the clock is a registered *actor*, and
+// at most one actor runs at a time: the others are parked (Sleep,
+// WaitRecv, Group.Wait, Mutex.Lock, ...) or ready, waiting their turn on
+// the clock's run queue.  A wake - a deadline firing, NotifySend to a
+// parked receiver, a Mutex hand-off, a Group's last member finishing, a
+// Gate opening, Go starting an actor - appends the woken actor to the
+// tail of the queue; it does not run it.  A park, and an actor's exit,
+// hands the run straight to the head of the queue.  Only when the queue
+// is empty - no actor can take another step at the current instant -
+// does time jump to the earliest pending deadline, firing every event
+// scheduled there in creation order.
 //
-// # The credit rule
+// So the interleaving is a function of the program and its inputs, not
+// of the Go scheduler: a seed replays a concurrent run.  And because the
+// clock only advances with every actor parked, nothing observes a
+// timestamp that concurrent work at an earlier instant could contradict.
 //
-// The activity counter is kept exact by a strict token-handoff rule:
-// whoever wakes a parked actor supplies the token it resumes with.  A
-// firing timer credits each sleeper it wakes; NotifySend attaches a
-// credit to the value it delivers (and attaches none when the channel
-// is full, so credits cannot leak); Group and Gate transfer the last
-// worker's token to the joiner.  An actor therefore always ends a wait
-// holding exactly one token, and the counter can hit zero only when
-// every actor is genuinely parked - never in the window between a wake
-// being decided and the woken goroutine being scheduled.
-//
-// Code that parks on a channel in virtual mode must use the credited
-// helpers (WaitRecv / TryRecv paired with NotifySend, or Group, Gate,
-// Mutex).  Raw After/NewTimer events carry no credit and fire only
-// once every actor is idle; they are for actors that remain busy, not
-// for parking.
+// Code that parks in virtual mode must park through the clock: Sleep,
+// WaitRecv paired with NotifySend, Group, Gate or Mutex.  A raw channel
+// receive, a sync.WaitGroup or a sync.Mutex held across a park blocks
+// the one running actor, and with it the whole simulation.
 package vtime
 
 import (
 	"container/heap"
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 )
@@ -53,23 +47,10 @@ type Clock interface {
 	// Sleep pauses the calling actor for d (non-positive returns
 	// immediately).
 	Sleep(d time.Duration)
-	// After returns a channel that receives the time after d.
-	After(d time.Duration) <-chan time.Time
-	// NewTimer returns a stoppable timer firing after d.
-	NewTimer(d time.Duration) Timer
 	// Go runs fn on its own goroutine.  Under the virtual clock the
-	// goroutine is a registered actor: it holds an activity token from
-	// before launch until fn returns, so the clock cannot advance past
-	// work it still owes.
+	// goroutine is a registered actor: it joins the run queue and starts
+	// when its turn comes.
 	Go(fn func())
-}
-
-// Timer is a stoppable single-shot timer.
-type Timer interface {
-	// C returns the firing channel.
-	C() <-chan time.Time
-	// Stop cancels the timer, reporting whether it was still pending.
-	Stop() bool
 }
 
 // ---- real clock ----
@@ -81,17 +62,9 @@ type realClock struct{}
 // behaviour exactly.
 func Real() Clock { return realClock{} }
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (realClock) Go(fn func())                           { go fn() }
-
-type realTimer struct{ t *time.Timer }
-
-func (realClock) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
-
-func (t realTimer) C() <-chan time.Time { return t.t.C }
-func (t realTimer) Stop() bool          { return t.t.Stop() }
+func (realClock) Now() time.Time        { return time.Now() }
+func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
+func (realClock) Go(fn func())          { go fn() }
 
 // ---- virtual clock ----
 
@@ -99,49 +72,38 @@ func (t realTimer) Stop() bool          { return t.t.Stop() }
 // constant keeps every timestamp a pure function of the workload.
 var virtualEpoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 
-// event is one pending deadline on the virtual clock's queue.
+// event is one parked Sleep or WaitRecv: its deadline on the clock's heap
+// (if it has one) and the channel its actor is woken on.
 type event struct {
 	at  time.Duration // offset from the epoch
 	seq uint64        // tie-break so same-instant events fire in creation order
 	idx int           // heap index; -1 once fired or removed
 
-	// credited events hand a token to the actor they wake (Sleep and
-	// the WaitRecv timeout); uncredited events (After/NewTimer) fire
-	// for actors that stayed busy.
-	credited bool
+	ch   chan struct{} // cap 1; the actor's wake
+	recv uintptr       // the channel a WaitRecv waits on (chanKey); 0 for Sleep
+}
 
-	// yield events (Virtual.Yield) fire only once no ordinary event
-	// remains at their instant: they sort after every non-yield event
-	// at the same time, and a firing round that released any ordinary
-	// event stops before them, so the yielder wakes strictly after
-	// same-instant activity — including chains those wakes spawn — has
-	// run to its next park.
-	yield bool
-
-	ch    chan struct{}  // cap 1; sent one wake at fire when non-nil (Sleep, WaitRecv)
-	tch   chan time.Time // receives the fire time when non-nil (After, NewTimer)
-	fired bool
+// actor is a goroutine waiting for its first turn: its wake, the clock and
+// group it joins, and its body.
+type actor struct {
+	ch chan struct{}
+	v  *Virtual
+	g  *Group
+	fn func()
 }
 
 // Parking is the simulator's most frequent operation, so what a park
 // needs comes from free lists.  A wake is one send on a cap-1 channel, not
 // a close, and has exactly one receiver, so the channel is empty again -
-// and reusable - once its waiter has resumed.  wakeChans serves waiters
-// queued on a Mutex or Group; parkEvents the events of Sleep,
-// Yield and the WaitRecv deadline, whose lifetime ends inside the call
-// that scheduled them (a timer's event outlives its call - Stop may
-// inspect it any time - and is never pooled).
+// and reusable - once its actor has resumed.  wakeChans serves actors
+// parked on a Mutex, Group, Gate, Settle or WaitIdle; parkEvents the
+// events of Sleep and WaitRecv, whose lifetime ends inside the call that
+// made them; actors the starts of Go.
 var (
 	wakeChans  = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-	parkEvents = sync.Pool{New: func() any { return &event{ch: make(chan struct{}, 1)} }}
+	parkEvents = sync.Pool{New: func() any { return &event{idx: -1, ch: make(chan struct{}, 1)} }}
+	actors     = sync.Pool{New: func() any { return &actor{ch: make(chan struct{}, 1)} }}
 )
-
-// awaitWake parks on a pooled wake channel until its one wake arrives,
-// then returns the channel to the pool.
-func awaitWake(ch chan struct{}) {
-	<-ch
-	wakeChans.Put(ch)
-}
 
 type eventHeap []*event
 
@@ -149,9 +111,6 @@ func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
-	}
-	if h[i].yield != h[j].yield {
-		return h[j].yield // ordinary events fire before yields
 	}
 	return h[i].seq < h[j].seq
 }
@@ -175,26 +134,37 @@ func (h *eventHeap) Pop() any {
 }
 
 // Virtual is the deterministic discrete-event clock.  The goroutine
-// that calls NewVirtual is its first registered actor.
+// that calls NewVirtual is its first registered actor, and the one
+// running.
 type Virtual struct {
 	mu     sync.Mutex
 	now    time.Duration // elapsed virtual time since the epoch
-	active int           // tokens held by runnable actors
 	seq    uint64
 	events eventHeap
 
+	// runq holds the wake channels of the actors ready to run, in the
+	// order they were woken.  The running actor is not on it.
+	runq []chan struct{}
+
+	// settling holds the actors parked in Settle: they join the run
+	// queue only once it has drained at the current instant.
+	settling []chan struct{}
+
+	// recvs maps a channel (chanKey) to the actor parked on it in
+	// WaitRecv, so NotifySend can ready it.
+	recvs map[uintptr]*event
+
 	// advanceHook, when set, observes every time jump: it runs with
 	// v.mu held, after now moves and before any event at the new
-	// instant fires, so every registered actor is still parked and the
-	// world is quiescent — reads of atomic state are deterministic.
-	// The hook must not call clock methods or take any lock that is
-	// ever held across a clock call.
+	// instant fires, so every registered actor is parked and the world
+	// is quiescent — reads of atomic state are deterministic.  The hook
+	// must not call clock methods or take any lock that is ever held
+	// across a clock call.
 	advanceHook func(prev, now time.Duration)
 
 	// idleCh, when non-nil, is a WaitIdle caller parked until the
-	// simulation runs completely dry (no runnable actor, no pending
-	// event).  Closed - with the waiter's token restored - instead of
-	// panicking when that state is reached.
+	// simulation runs completely dry (no ready actor, no pending event).
+	// It is readied instead of panicking when that state is reached.
 	idleCh chan struct{}
 }
 
@@ -210,20 +180,20 @@ func (v *Virtual) SetAdvanceHook(fn func(prev, now time.Duration)) {
 }
 
 // NewVirtual creates a virtual clock whose time starts at a fixed epoch.
-// The calling goroutine is registered as an actor and must drive the
-// simulation (or park through the clock) for time to advance.
+// The calling goroutine is registered as the running actor and must
+// drive the simulation (or park through the clock) for anything else to
+// run.
 func NewVirtual() *Virtual {
-	return &Virtual{active: 1}
+	return &Virtual{recvs: make(map[uintptr]*event)}
 }
 
-// DebugState reports the instantaneous token count and pending-event
-// count - a forensic aid when a simulation freezes (active > 0 with
-// every goroutine parked means a credited value was stranded in a
-// channel nobody receives).
-func (v *Virtual) DebugState() (active, events int) {
+// DebugState reports the run-queue census - actors ready to run behind
+// the running one, and pending deadlines - a forensic aid when a
+// simulation freezes.
+func (v *Virtual) DebugState() (ready, events int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.active, len(v.events)
+	return len(v.runq), len(v.events)
 }
 
 // AsVirtual reports whether c is a virtual clock, returning it.
@@ -247,48 +217,38 @@ func (v *Virtual) Elapsed() time.Duration {
 }
 
 // scheduleLocked queues ev to fire d from now.  Caller holds v.mu.
-func (v *Virtual) scheduleLocked(ev *event, d time.Duration) *event {
+func (v *Virtual) scheduleLocked(ev *event, d time.Duration) {
 	v.seq++
 	ev.at, ev.seq = v.now+d, v.seq
 	heap.Push(&v.events, ev)
-	return ev
 }
 
-// parkLocked schedules a credited wake d from now on a pooled event and
-// releases the caller's token.  Caller holds v.mu, and must receive the
-// wake (or cancelWait it) before handing the event back to parkEvents.
-func (v *Virtual) parkLocked(d time.Duration, yield bool) *event {
-	ev := parkEvents.Get().(*event)
-	ev.credited, ev.yield, ev.fired = true, yield, false
-	v.scheduleLocked(ev, d)
-	v.releaseLocked()
-	return ev
+// readyLocked appends a woken actor to the run queue.  Caller holds v.mu.
+func (v *Virtual) readyLocked(ch chan struct{}) {
+	v.runq = append(v.runq, ch)
 }
 
-// releaseLocked gives up the caller's token and, at quiescence, advances
-// time to the earliest deadline and fires everything scheduled there.
-// Caller holds v.mu.
-func (v *Virtual) releaseLocked() {
-	v.active--
-	if v.active < 0 {
-		panic("vtime: activity token underflow (unbalanced release)")
-	}
-	for v.active == 0 {
+// dispatchLocked hands the run to the head of the run queue: the caller
+// has just parked or is exiting.  With the queue empty the instant is
+// settled: the Settle callers run, and once they too have parked, time
+// advances to the earliest deadline and everything scheduled there fires;
+// with no deadline left either, a WaitIdle caller is woken, and otherwise
+// the simulation is deadlocked.  Caller holds v.mu.
+func (v *Virtual) dispatchLocked() {
+	for len(v.runq) == 0 {
+		if len(v.settling) > 0 {
+			v.runq, v.settling = v.settling, v.runq
+			break
+		}
 		if len(v.events) == 0 {
-			if v.idleCh != nil {
-				// A WaitIdle caller is parked for exactly this state:
-				// hand it the last token and wake it instead of
-				// declaring deadlock.
-				ch := v.idleCh
-				v.idleCh = nil
-				v.active++
-				close(ch)
-				return
+			if v.idleCh == nil {
+				// Every actor is parked on a channel, a mutex or a join and
+				// no deadline is pending: nobody is left to wake anyone.
+				panic("vtime: deadlock: all actors idle with no pending events")
 			}
-			// Every actor is parked on a channel and no deadline is
-			// pending: only a credited send could make progress, and
-			// nobody is left to send one.
-			panic("vtime: deadlock: all actors idle with no pending events")
+			v.readyLocked(v.idleCh)
+			v.idleCh = nil
+			break
 		}
 		at := v.events[0].at
 		if at < v.now {
@@ -299,46 +259,38 @@ func (v *Virtual) releaseLocked() {
 		if v.advanceHook != nil && at > prev {
 			v.advanceHook(prev, at)
 		}
-		firedOrdinary := false
 		for len(v.events) > 0 && v.events[0].at == at {
-			if v.events[0].yield && firedOrdinary {
-				// Leave the yielders for a later quiescence round at
-				// this same instant: the actors just released (and any
-				// same-instant events they schedule) settle first.
-				break
-			}
 			ev := heap.Pop(&v.events).(*event)
-			if !ev.yield {
-				firedOrdinary = true
+			if ev.recv != 0 {
+				delete(v.recvs, ev.recv)
 			}
-			v.fireLocked(ev)
+			v.readyLocked(ev.ch)
 		}
 	}
+	ch := v.runq[0]
+	n := copy(v.runq, v.runq[1:])
+	v.runq[n] = nil
+	v.runq = v.runq[:n]
+	ch <- struct{}{}
 }
 
-// fireLocked marks the event fired, credits its waker, and signals its
-// channel.  Caller holds v.mu.
-func (v *Virtual) fireLocked(ev *event) {
-	ev.fired = true
-	if ev.credited {
-		v.active++
-	}
-	if ev.ch != nil {
-		ev.ch <- struct{}{}
-	}
-	if ev.tch != nil {
-		select {
-		case ev.tch <- virtualEpoch.Add(ev.at):
-		default:
-		}
-	}
+// park gives up the run and blocks until ch is readied and reaches the
+// head of the run queue.  The caller holds v.mu and has arranged for ch
+// to be readied (a deadline, a waiter list); park releases v.mu.
+func (v *Virtual) park(ch chan struct{}) {
+	v.dispatchLocked()
+	v.mu.Unlock()
+	<-ch
 }
 
-// removeLocked unlinks a pending event.  Caller holds v.mu.
-func (v *Virtual) removeLocked(ev *event) {
-	if ev.idx >= 0 {
-		heap.Remove(&v.events, ev.idx)
-	}
+// parkWake parks on a pooled wake channel registered by add, returning
+// the channel to the pool once the actor runs again.  Caller holds v.mu;
+// parkWake releases it.
+func (v *Virtual) parkWake(add func(ch chan struct{})) {
+	ch := wakeChans.Get().(chan struct{})
+	add(ch)
+	v.park(ch)
+	wakeChans.Put(ch)
 }
 
 // Sleep parks the calling actor until virtual time reaches now+d.
@@ -346,55 +298,42 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
+	ev := parkEvents.Get().(*event)
+	ev.recv = 0
 	v.mu.Lock()
-	ev := v.parkLocked(d, false)
-	v.mu.Unlock()
-	<-ev.ch
+	v.scheduleLocked(ev, d)
+	v.park(ev.ch)
 	parkEvents.Put(ev)
 }
 
-// Yield parks the calling actor until every other actor runnable at
-// the current instant — and every event chain they schedule for this
-// same instant — has run to its next park.  Virtual time does not
-// advance.  Batching daemons use it to cut deterministic batches: a
-// record submitted at instant T lands in the batch flushed at T
-// regardless of which goroutine the Go scheduler happened to run
-// first.
-func (v *Virtual) Yield() {
-	v.mu.Lock()
-	ev := v.parkLocked(0, true)
-	v.mu.Unlock()
-	<-ev.ch
-	parkEvents.Put(ev)
-}
-
-// Yield settles the current instant on a virtual clock (see
-// Virtual.Yield); on the real clock it is a no-op.
-func Yield(clk Clock) {
-	if v, ok := AsVirtual(clk); ok {
-		v.Yield()
+// Settle parks the calling actor until the current instant has settled:
+// every actor ready now, and every actor they ready at this instant, has
+// run to its next park.  Virtual time does not advance.  A batching
+// daemon settles before it cuts a batch, so a record submitted at instant
+// T lands in the batch cut at T whatever order T's actors ran in.  On the
+// real clock it returns at once.
+func Settle(c Clock) {
+	v, ok := c.(*Virtual)
+	if !ok {
+		return
 	}
+	v.mu.Lock()
+	v.parkWake(func(ch chan struct{}) { v.settling = append(v.settling, ch) })
 }
 
-// WaitIdle parks the calling actor until the simulation runs dry:
-// every other actor has exited or parked without a pending deadline,
-// and no event remains on the queue.  The caller's token is released
-// while it waits, so the remaining work (background daemons, async
-// cleanup) runs to completion - advancing virtual time as far as it
-// needs - before WaitIdle returns with the token restored.  Actors
-// parked on channels waiting for a credited send (an idle daemon)
-// stay parked; they do not block idleness.  One waiter at a time.
+// WaitIdle parks the calling actor until the simulation runs dry: every
+// other actor has exited or parked without a pending deadline, and no
+// event remains on the queue.  The remaining work (background daemons,
+// async cleanup) runs to completion meanwhile - advancing virtual time as
+// far as it needs.  Actors parked on channels with no deadline (an idle
+// daemon) stay parked; they do not block idleness.  One waiter at a time.
 func (v *Virtual) WaitIdle() {
 	v.mu.Lock()
 	if v.idleCh != nil {
 		v.mu.Unlock()
 		panic("vtime: concurrent WaitIdle")
 	}
-	ch := make(chan struct{})
-	v.idleCh = ch
-	v.releaseLocked()
-	v.mu.Unlock()
-	<-ch
+	v.parkWake(func(ch chan struct{}) { v.idleCh = ch })
 }
 
 // SleepUntil parks the calling actor until the given virtual instant
@@ -406,109 +345,59 @@ func (v *Virtual) SleepUntil(t time.Time) {
 	v.Sleep(d)
 }
 
-// After returns a channel receiving the virtual time once it reaches
-// now+d.  The event is uncredited: it fires only at quiescence of other
-// actors, so the receiver must stay busy (or park via the credited
-// helpers) rather than treat this as a parking primitive.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	return v.NewTimer(d).C()
-}
+// Go launches fn as a registered actor at the tail of the run queue.
+func (v *Virtual) Go(fn func()) { v.spawn(fn, nil) }
 
-type virtualTimer struct {
-	v  *Virtual
-	ev *event
-}
-
-// NewTimer returns a stoppable uncredited timer (see After).
-func (v *Virtual) NewTimer(d time.Duration) Timer {
+// spawn readies a new actor running fn; a member of g counts in g until
+// it exits.
+func (v *Virtual) spawn(fn func(), g *Group) {
+	a := actors.Get().(*actor)
+	a.v, a.g, a.fn = v, g, fn
 	v.mu.Lock()
-	ev := v.scheduleLocked(&event{tch: make(chan time.Time, 1)}, d)
-	v.mu.Unlock()
-	return &virtualTimer{v: v, ev: ev}
-}
-
-func (t *virtualTimer) C() <-chan time.Time { return t.ev.tch }
-
-func (t *virtualTimer) Stop() bool {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	pending := !t.ev.fired && t.ev.idx >= 0
-	t.v.removeLocked(t.ev)
-	return pending
-}
-
-// Go launches fn as a registered actor: its token is taken before the
-// goroutine starts, so the clock cannot advance past it.
-func (v *Virtual) Go(fn func()) {
-	v.mu.Lock()
-	v.active++
-	v.mu.Unlock()
-	go func() {
-		defer v.release()
-		fn()
-	}()
-}
-
-func (v *Virtual) release() {
-	v.mu.Lock()
-	v.releaseLocked()
-	v.mu.Unlock()
-}
-
-// beginWait releases the caller's token and, when timeout > 0, schedules
-// a credited deadline for it.  Pair with cancelWait/consumeCredit.
-func (v *Virtual) beginWait(timeout time.Duration) *event {
-	v.mu.Lock()
-	var ev *event
-	if timeout > 0 {
-		ev = v.parkLocked(timeout, false)
-	} else {
-		v.releaseLocked()
+	if g != nil {
+		g.n++
 	}
+	v.readyLocked(a.ch)
 	v.mu.Unlock()
-	return ev
+	go a.run()
 }
 
-// cancelWait retires an unused wait deadline after the waiter was woken
-// by a credited value instead: a still-pending event is removed; one
-// that fired concurrently already issued its credit, which is returned
-// along with the wake nobody will receive.
-func (v *Virtual) cancelWait(ev *event) {
+// run waits for the actor's first turn, then runs its body and retires.
+func (a *actor) run() {
+	<-a.ch
+	v, g, fn := a.v, a.g, a.fn
+	a.v, a.g, a.fn = nil, nil, nil
+	actors.Put(a)
+	defer v.exit(g)
+	fn()
+}
+
+// exit retires the calling actor: the last member of a joined group
+// readies the joiner, and the run passes on.
+func (v *Virtual) exit(g *Group) {
 	v.mu.Lock()
-	if ev.fired {
-		<-ev.ch
-		v.active-- // the value's credit keeps us; return the timer's
-		if v.active <= 0 {
-			panic("vtime: credit underflow cancelling a fired wait")
+	if g != nil {
+		if g.n--; g.n == 0 && g.waitCh != nil {
+			v.readyLocked(g.waitCh)
+			g.waitCh = nil
 		}
-	} else {
-		v.removeLocked(ev)
 	}
-	v.mu.Unlock()
-	parkEvents.Put(ev)
-}
-
-// consumeCredit absorbs the credit attached to a value received by an
-// actor that already holds its token (TryRecv, or a value draining
-// after a timeout fired).
-func (v *Virtual) consumeCredit() {
-	v.mu.Lock()
-	v.active--
-	if v.active <= 0 {
-		panic("vtime: credit underflow absorbing a delivered value")
-	}
+	v.dispatchLocked()
 	v.mu.Unlock()
 }
 
-// ---- credited channel helpers ----
+// ---- channel helpers ----
 
-// WaitRecv receives from ch, parking the calling actor idly so virtual
-// time can advance.  timeout <= 0 waits indefinitely.  The sender must
-// use NotifySend (the value carries the waker's credit).  When both the
-// timeout and a value are ready the value wins.  Under the real clock
-// this is a plain receive with a stoppable timer.
+// chanKey identifies a channel whatever direction it is typed with.
+func chanKey(ch any) uintptr { return reflect.ValueOf(ch).Pointer() }
+
+// WaitRecv receives from ch, parking the calling actor so virtual time
+// can advance.  timeout <= 0 waits indefinitely.  The sender must use
+// NotifySend, which readies the parked receiver.  When both the timeout
+// and a value are ready the value wins.  One receiver per channel at a
+// time.  Under the real clock this is a plain receive with a stoppable
+// timer.
 func WaitRecv[T any](c Clock, ch <-chan T, timeout time.Duration) (T, bool) {
-	var zero T
 	v, ok := c.(*Virtual)
 	if !ok {
 		if timeout <= 0 {
@@ -520,93 +409,76 @@ func WaitRecv[T any](c Clock, ch <-chan T, timeout time.Duration) (T, bool) {
 		case val := <-ch:
 			return val, true
 		case <-t.C:
-			select {
-			case val := <-ch:
-				return val, true
-			default:
-			}
-			return zero, false
+			return TryRecv(ch)
 		}
 	}
-	ev := v.beginWait(timeout)
-	if ev == nil {
-		return <-ch, true
-	}
-	select {
-	case val := <-ch:
-		v.cancelWait(ev)
+	v.mu.Lock()
+	if val, ok := TryRecv(ch); ok {
+		v.mu.Unlock()
 		return val, true
-	case <-ev.ch:
-		parkEvents.Put(ev)
-		select {
-		case val := <-ch:
-			v.consumeCredit() // timer credit keeps us; absorb the value's
-			return val, true
-		default:
-		}
-		return zero, false
 	}
+	key := chanKey(ch)
+	if v.recvs[key] != nil {
+		v.mu.Unlock()
+		panic("vtime: two actors WaitRecv on one channel")
+	}
+	ev := parkEvents.Get().(*event)
+	ev.recv = key
+	v.recvs[key] = ev
+	if timeout > 0 {
+		v.scheduleLocked(ev, timeout)
+	}
+	v.park(ev.ch)
+	parkEvents.Put(ev)
+	return TryRecv(ch)
 }
 
-// TryRecv performs a non-blocking receive, absorbing the credit a
-// NotifySend attached to the value (the caller already holds its own
-// token).  Use it to drain a credited channel after a timed-out wait.
-func TryRecv[T any](c Clock, ch <-chan T) (T, bool) {
-	var zero T
-	if v, ok := c.(*Virtual); ok {
-		v.mu.Lock()
-		select {
-		case val := <-ch:
-			v.active--
-			if v.active <= 0 {
-				panic("vtime: credit underflow in TryRecv")
-			}
-			v.mu.Unlock()
-			return val, true
-		default:
-			v.mu.Unlock()
-			return zero, false
-		}
-	}
+// TryRecv is a non-blocking receive.  A value carries nothing but itself
+// on either clock, so one found after a timed-out wait is simply taken.
+func TryRecv[T any](ch <-chan T) (T, bool) {
 	select {
 	case val := <-ch:
 		return val, true
 	default:
+		var zero T
 		return zero, false
 	}
 }
 
-// NotifySend performs a non-blocking send that, under the virtual
-// clock, attaches one activity credit to the delivered value - the
-// token the parked receiver resumes with.  A full channel sends nothing
-// and credits nothing, so credits cannot leak; size channels so a lost
+// NotifySend performs a non-blocking send.  Under the virtual clock a
+// delivered value readies the actor parked on ch in WaitRecv, cancelling
+// its deadline.  A full channel sends nothing; size channels so a lost
 // notification is harmless (cap-1 wake channels, cap-1 reply channels).
 func NotifySend[T any](c Clock, ch chan<- T, val T) bool {
-	if v, ok := c.(*Virtual); ok {
+	v, virtual := c.(*Virtual)
+	if virtual {
 		v.mu.Lock()
-		select {
-		case ch <- val:
-			v.active++
-			v.mu.Unlock()
-			return true
-		default:
-			v.mu.Unlock()
-			return false
-		}
+		defer v.mu.Unlock()
 	}
 	select {
 	case ch <- val:
-		return true
 	default:
 		return false
 	}
+	if !virtual {
+		return true
+	}
+	key := chanKey(ch)
+	if ev := v.recvs[key]; ev != nil {
+		delete(v.recvs, key)
+		if ev.idx >= 0 {
+			heap.Remove(&v.events, ev.idx)
+		}
+		v.readyLocked(ev.ch)
+	}
+	return true
 }
 
 // ---- join primitives ----
 
 // Group is a clock-aware sync.WaitGroup: under the virtual clock the
-// waiter parks idly and the last worker hands it its token directly, so
-// the join is deterministic in virtual time.  One waiter at a time.
+// waiter parks and the last member's exit readies it, so the join is
+// deterministic in virtual time.  One waiter at a time.
 type Group struct {
 	v  *Virtual // nil under the real clock
 	wg sync.WaitGroup
@@ -634,32 +506,7 @@ func (g *Group) Go(fn func()) {
 		}()
 		return
 	}
-	v := g.v
-	v.mu.Lock()
-	g.n++
-	v.active++
-	v.mu.Unlock()
-	go func() {
-		defer g.done()
-		fn()
-	}()
-}
-
-func (g *Group) done() {
-	v := g.v
-	v.mu.Lock()
-	g.n--
-	if g.n == 0 && g.waitCh != nil {
-		// Hand this worker's token straight to the joiner: no release,
-		// no window where the clock could advance between the last
-		// worker finishing and the waiter resuming.
-		g.waitCh <- struct{}{}
-		g.waitCh = nil
-		v.mu.Unlock()
-		return
-	}
-	v.releaseLocked()
-	v.mu.Unlock()
+	g.v.spawn(fn, g)
 }
 
 // Wait parks until every member launched so far has returned.
@@ -678,23 +525,18 @@ func (g *Group) Wait() {
 		v.mu.Unlock()
 		panic("vtime: Group supports one waiter at a time")
 	}
-	ch := wakeChans.Get().(chan struct{})
-	g.waitCh = ch
-	v.releaseLocked()
-	v.mu.Unlock()
-	awaitWake(ch)
+	v.parkWake(func(ch chan struct{}) { g.waitCh = ch })
 }
 
 // Gate is a one-shot completion barrier: any number of actors Wait, one
-// actor Releases.  The releaser (which must be busy, i.e. hold its
-// token) credits every parked waiter.
+// actor Releases.
 type Gate struct {
 	v *Virtual
 	// real-mode state
 	mu       sync.Mutex
 	ch       chan struct{}
 	released bool
-	waiters  int
+	waiters  []chan struct{} // virtual mode, guarded by v.mu
 }
 
 // NewGate creates an unreleased gate on the clock.
@@ -710,8 +552,10 @@ func (g *Gate) Release() {
 		g.v.mu.Lock()
 		if !g.released {
 			g.released = true
-			g.v.active += g.waiters
-			close(g.ch)
+			for _, ch := range g.waiters {
+				g.v.readyLocked(ch)
+			}
+			g.waiters = nil
 		}
 		g.v.mu.Unlock()
 		return
@@ -733,10 +577,7 @@ func (g *Gate) Wait() {
 			g.v.mu.Unlock()
 			return
 		}
-		g.waiters++
-		g.v.releaseLocked()
-		g.v.mu.Unlock()
-		<-g.ch
+		g.v.parkWake(func(ch chan struct{}) { g.waiters = append(g.waiters, ch) })
 		return
 	}
 	<-g.ch
@@ -744,11 +585,10 @@ func (g *Gate) Wait() {
 
 // Mutex is a clock-aware mutual-exclusion lock for critical sections
 // that may park inside (e.g. a log store holding its lock across a
-// forced disk write).  A plain sync.Mutex there would freeze virtual
-// time: a contender blocks while still holding its activity token, so
-// the clock never reaches quiescence and the holder's wake deadline
-// never fires.  Mutex parks contenders idly instead, and Unlock hands
-// the lock (and a token) straight to the head waiter.
+// forced disk write).  A plain sync.Mutex there would freeze the
+// simulation: a contender blocks the one running actor while the holder
+// waits for a turn that never comes.  Mutex parks contenders instead, and
+// Unlock hands the lock straight to the head waiter, readying it.
 //
 // The zero value is a real-mode mutex; call SetClock before first use
 // to bind it to a virtual clock.
@@ -767,7 +607,7 @@ func (mu *Mutex) SetClock(c Clock) {
 	mu.v, _ = c.(*Virtual)
 }
 
-// Lock acquires the mutex, parking idly under the virtual clock.
+// Lock acquires the mutex, parking under the virtual clock.
 func (mu *Mutex) Lock() {
 	if mu.v == nil {
 		mu.m.Lock()
@@ -780,11 +620,7 @@ func (mu *Mutex) Lock() {
 		v.mu.Unlock()
 		return
 	}
-	ch := wakeChans.Get().(chan struct{})
-	mu.q = append(mu.q, ch)
-	v.releaseLocked()
-	v.mu.Unlock()
-	awaitWake(ch) // ownership and a token arrive together
+	v.parkWake(func(ch chan struct{}) { mu.q = append(mu.q, ch) }) // ownership arrives with the wake
 }
 
 // Unlock releases the mutex, transferring it to the head waiter if any.
@@ -795,20 +631,18 @@ func (mu *Mutex) Unlock() {
 	}
 	v := mu.v
 	v.mu.Lock()
+	defer v.mu.Unlock()
 	if !mu.locked {
-		v.mu.Unlock()
 		panic("vtime: Unlock of unlocked Mutex")
 	}
-	if len(mu.q) > 0 {
-		v.active++ // the waiter's resume token
-		// Wake the head and shift the rest down, so the backing array is
-		// reused for good.
-		mu.q[0] <- struct{}{}
-		n := copy(mu.q, mu.q[1:])
-		mu.q[n] = nil
-		mu.q = mu.q[:n]
-	} else {
+	if len(mu.q) == 0 {
 		mu.locked = false
+		return
 	}
-	v.mu.Unlock()
+	// Ready the head and shift the rest down, so the backing array is
+	// reused for good.
+	v.readyLocked(mu.q[0])
+	n := copy(mu.q, mu.q[1:])
+	mu.q[n] = nil
+	mu.q = mu.q[:n]
 }

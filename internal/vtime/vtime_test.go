@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,8 +69,8 @@ func TestVirtualSameDeadline(t *testing.T) {
 	}
 }
 
-// TestWaitRecvValue: a credited send wakes the waiter before its
-// timeout, and the timeout event is retired without leaking credit.
+// TestWaitRecvValue: a NotifySend wakes the waiter before its timeout,
+// and the timeout event is retired.
 func TestWaitRecvValue(t *testing.T) {
 	v := NewVirtual()
 	ch := make(chan int, 1)
@@ -84,7 +85,7 @@ func TestWaitRecvValue(t *testing.T) {
 	if v.Elapsed() != 5*time.Millisecond {
 		t.Fatalf("elapsed %v", v.Elapsed())
 	}
-	// the clock must still be able to advance (no leaked credits)
+	// the clock must still be able to advance (no stale deadline)
 	v.Sleep(time.Millisecond)
 }
 
@@ -103,29 +104,29 @@ func TestWaitRecvTimeout(t *testing.T) {
 	v.Sleep(time.Millisecond)
 }
 
-// TestWaitRecvRace: a value that lands at the same instant the timeout
-// fires is still delivered, and its credit absorbed.
+// TestWaitRecvRace: a value that lands at the same instant the deadline
+// fires, from an actor woken ahead of the waiter, is delivered - the value
+// wins over the deadline - and the clock goes on.
 func TestWaitRecvRace(t *testing.T) {
 	v := NewVirtual()
-	ch := make(chan int, 1)
+	ch, started := make(chan int, 1), make(chan struct{}, 1)
 	v.Go(func() {
-		v.Sleep(3 * time.Millisecond)
+		NotifySend(v, started, struct{}{})
+		v.Sleep(3 * time.Millisecond) // scheduled before the waiter's deadline
 		NotifySend[int](v, ch, 7)
 	})
-	val, ok := WaitRecv[int](v, ch, 3*time.Millisecond)
-	if ok && val != 7 {
-		t.Fatalf("bad value %d", val)
+	WaitRecv[struct{}](v, started, 0)
+	if val, ok := WaitRecv[int](v, ch, 3*time.Millisecond); !ok || val != 7 {
+		t.Fatalf("got (%d,%v), want the value over the same-instant deadline", val, ok)
 	}
-	if !ok {
-		// timeout won the select: the raced value must be drainable
-		if got, ok2 := TryRecv[int](v, ch); !ok2 || got != 7 {
-			t.Fatalf("lost raced value (%d,%v)", got, ok2)
-		}
+	if got := v.Elapsed(); got != 3*time.Millisecond {
+		t.Fatalf("elapsed %v", got)
 	}
 	v.Sleep(time.Millisecond)
 }
 
-// TestNotifySendFull: a full channel accepts nothing and credits nothing.
+// TestNotifySendFull: a full channel accepts nothing, and what it holds
+// is drained by a plain non-blocking receive.
 func TestNotifySendFull(t *testing.T) {
 	v := NewVirtual()
 	ch := make(chan int, 1)
@@ -135,43 +136,83 @@ func TestNotifySendFull(t *testing.T) {
 	if NotifySend[int](v, ch, 2) {
 		t.Fatal("second send accepted on full channel")
 	}
-	if got, ok := TryRecv[int](v, ch); !ok || got != 1 {
+	if got, ok := TryRecv(ch); !ok || got != 1 {
 		t.Fatalf("drain got (%d,%v)", got, ok)
+	}
+	if _, ok := TryRecv(ch); ok {
+		t.Fatal("drained channel still holds a value")
 	}
 	v.Sleep(time.Millisecond)
 }
 
-// TestTimerFiresDuringSleep: an uncredited timer stamps its own earlier
-// deadline while another actor's sleep drives the clock past it.
-func TestTimerFiresDuringSleep(t *testing.T) {
-	v := NewVirtual()
-	tm := v.NewTimer(5 * time.Millisecond)
-	v.Sleep(10 * time.Millisecond)
-	select {
-	case ts := <-tm.C():
-		if got := ts.Sub(virtualEpoch); got != 5*time.Millisecond {
-			t.Fatalf("timer stamped %v", got)
+// TestSameInstantWakesRunInOrder: actors woken at one instant resume in
+// the order they were woken - deadlines in creation order, then whatever
+// those actors ready - one at a time, so the interleaving is the same on
+// every run whatever the Go scheduler does.
+func TestSameInstantWakesRunInOrder(t *testing.T) {
+	run := func() []int {
+		v := NewVirtual()
+		var order []int
+		relay := make(chan struct{}, 1)
+		var mu Mutex
+		mu.SetClock(v)
+		g := NewGroup(v)
+		g.Go(func() { // readied at 5ms by actor 1's send, after 1..3's deadlines
+			WaitRecv[struct{}](v, relay, 0)
+			order = append(order, 0)
+		})
+		for i := 1; i <= 3; i++ {
+			g.Go(func() {
+				v.Sleep(5 * time.Millisecond)
+				order = append(order, i)
+				if i == 1 {
+					NotifySend(v, relay, struct{}{})
+				}
+				mu.Lock() // 2 and 3 queue behind 1, which sleeps holding it
+				order = append(order, 10*i)
+				v.Sleep(time.Millisecond)
+				mu.Unlock()
+			})
 		}
-	default:
-		t.Fatal("timer did not fire")
+		g.Wait()
+		return order
 	}
-	if tm.Stop() {
-		t.Fatal("Stop reported pending after fire")
+	want := []int{1, 10, 2, 3, 0, 20, 30}
+	for rep := 0; rep < 20; rep++ {
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("run %d resumed in order %v, want %v", rep, got, want)
+		}
 	}
 }
 
-// TestTimerStop removes a pending timer so it never fires.
-func TestTimerStop(t *testing.T) {
+// TestNotifySendToBusyReceiver: a signal sent while its receiver is busy
+// sleeping waits in the channel - the receiver finds it on its next
+// WaitRecv - and time goes on advancing meanwhile.
+func TestNotifySendToBusyReceiver(t *testing.T) {
 	v := NewVirtual()
-	tm := v.NewTimer(5 * time.Millisecond)
-	if !tm.Stop() {
-		t.Fatal("Stop reported not pending")
+	sig := make(chan bool, 1)
+	var got []time.Duration
+	g := NewGroup(v)
+	g.Go(func() {
+		for {
+			if more, _ := WaitRecv(v, sig, 0); !more {
+				return
+			}
+			got = append(got, v.Elapsed())
+			v.Sleep(10 * time.Millisecond) // busy: not parked on sig
+		}
+	})
+	NotifySend(v, sig, true)
+	v.Sleep(time.Millisecond)
+	NotifySend(v, sig, true) // lands mid-sleep
+	v.Sleep(20 * time.Millisecond)
+	NotifySend(v, sig, false)
+	g.Wait()
+	if want := []time.Duration{0, 10 * time.Millisecond}; !slices.Equal(got, want) {
+		t.Fatalf("signals handled at %v, want %v", got, want)
 	}
-	v.Sleep(10 * time.Millisecond)
-	select {
-	case <-tm.C():
-		t.Fatal("stopped timer fired")
-	default:
+	if e := v.Elapsed(); e != 21*time.Millisecond {
+		t.Fatalf("elapsed %v, want 21ms", e)
 	}
 }
 
@@ -240,10 +281,6 @@ func TestRealClockBasics(t *testing.T) {
 	if c.Now().IsZero() {
 		t.Fatal("zero Now")
 	}
-	tm := c.NewTimer(time.Hour)
-	if !tm.Stop() {
-		t.Fatal("Stop on pending real timer")
-	}
 	ch := make(chan int, 1)
 	NotifySend[int](c, ch, 3)
 	if got, ok := WaitRecv[int](c, ch, time.Second); !ok || got != 3 {
@@ -284,10 +321,9 @@ func TestVirtualDeterminism(t *testing.T) {
 	}
 }
 
-// TestWaitIdle: the caller's token is released while background actors
-// drain; WaitIdle returns once no actor can run and no event is
-// pending, with the caller's token restored (so it may keep using the
-// clock and later exit normally).
+// TestWaitIdle: the caller parks while background actors drain; WaitIdle
+// returns once no actor can run and no event is pending, and the caller
+// may keep using the clock.
 func TestWaitIdle(t *testing.T) {
 	v := NewVirtual()
 	var done atomic.Int64
@@ -305,7 +341,7 @@ func TestWaitIdle(t *testing.T) {
 	if got := v.Elapsed(); got != 30*time.Millisecond {
 		t.Fatalf("elapsed %v, want 30ms", got)
 	}
-	// Token restored: the caller can still drive the clock.
+	// The caller can still drive the clock.
 	v.Sleep(5 * time.Millisecond)
 	if got := v.Elapsed(); got != 35*time.Millisecond {
 		t.Fatalf("post-idle sleep elapsed %v, want 35ms", got)
@@ -322,8 +358,8 @@ func TestWaitIdleImmediate(t *testing.T) {
 	}
 }
 
-// TestWaitIdleSkipsParkedDaemon: an actor parked uncredited on a
-// channel (an idle daemon waiting for work) does not block idleness.
+// TestWaitIdleSkipsParkedDaemon: an actor parked on a channel with no
+// deadline (an idle daemon waiting for work) does not block idleness.
 func TestWaitIdleSkipsParkedDaemon(t *testing.T) {
 	v := NewVirtual()
 	wake := make(chan struct{}, 1)
@@ -341,15 +377,25 @@ func TestWaitIdleSkipsParkedDaemon(t *testing.T) {
 	exited.Wait()
 }
 
-// TestYieldSettlesInstant: a yielder woken at instant T must observe
-// every same-instant actor's work — including a chain woken by a
-// credited send at T — before it runs, with no time advance.
-func TestYieldSettlesInstant(t *testing.T) {
+// TestSettleWaitsOutTheInstant: a settler woken at instant T must observe
+// every same-instant actor's work - including a chain readied by a send at
+// T - before it runs, with no time advance.
+func TestSettleWaitsOutTheInstant(t *testing.T) {
 	v := NewVirtual()
 	var x atomic.Int64
 	relay := make(chan struct{}, 1)
 	g := NewGroup(v)
-	g.Go(func() { // chain tail: woken at T by the credited send below
+	g.Go(func() { // settler at T, woken first
+		v.Sleep(10 * time.Millisecond)
+		Settle(v)
+		if got := x.Load(); got != 2 {
+			t.Errorf("settler saw x=%d, want 2", got)
+		}
+		if got := v.Elapsed(); got != 10*time.Millisecond {
+			t.Errorf("settling advanced time to %v", got)
+		}
+	})
+	g.Go(func() { // chain tail: readied at T by the send below
 		WaitRecv[struct{}](v, relay, 0)
 		x.Add(1)
 		v.Sleep(5 * time.Millisecond)
@@ -360,28 +406,17 @@ func TestYieldSettlesInstant(t *testing.T) {
 		NotifySend(v, relay, struct{}{})
 		v.Sleep(5 * time.Millisecond)
 	})
-	g.Go(func() { // yielder at T
-		v.Sleep(10 * time.Millisecond)
-		v.Yield()
-		if got := x.Load(); got != 2 {
-			t.Errorf("yielder saw x=%d at yield, want 2", got)
-		}
-		if got := v.Elapsed(); got != 10*time.Millisecond {
-			t.Errorf("yield advanced time to %v", got)
-		}
-	})
 	g.Wait()
 }
 
-// TestYieldRealNoop: the package-level helper is a no-op on the real
-// clock.
-func TestYieldRealNoop(t *testing.T) {
+// TestSettleRealNoop: Settle returns at once on the real clock.
+func TestSettleRealNoop(t *testing.T) {
 	done := make(chan struct{})
-	go func() { Yield(Real()); close(done) }()
+	go func() { Settle(Real()); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(time.Second):
-		t.Fatal("Yield(Real()) blocked")
+		t.Fatal("Settle(Real()) blocked")
 	}
 }
 
@@ -395,8 +430,8 @@ func TestParkingReusesItsWakeState(t *testing.T) {
 	mu.SetClock(v)
 	ch := make(chan int, 1)
 	for name, park := range map[string]func(){
-		"Sleep": func() { v.Sleep(time.Millisecond) },
-		"Yield": func() { v.Yield() },
+		"Sleep":  func() { v.Sleep(time.Millisecond) },
+		"Settle": func() { Settle(v) },
 		"WaitRecv deadline": func() {
 			if _, ok := WaitRecv[int](v, ch, time.Millisecond); ok {
 				t.Fatal("value from an empty channel")
@@ -429,7 +464,7 @@ func TestParkingReusesItsWakeState(t *testing.T) {
 		mu.Lock()
 		mu.Unlock()
 		val, ok := WaitRecv[int](v, ch, timeout)
-		if !ok && i%4 != 3 { // the deadline won a same-instant race: the value is about to land
+		if !ok && i%4 != 3 { // the deadline fired first at the delivery instant: the value is about to land
 			val, ok = WaitRecv[int](v, ch, 0)
 		}
 		if i%4 == 3 {

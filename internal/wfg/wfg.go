@@ -226,16 +226,9 @@ type Detector struct {
 	// ("deadlock_victims") into the registry behind the set.
 	Stats *stats.Set
 
-	// Stop wakes the scan goroutine with a credited send only while it
-	// is parked on stop (waiting); when the goroutine is busy inside
-	// Step the stopping flag alone is set and the loop notices it after
-	// the scan.  A credited token aimed at a busy loop would strand in
-	// the channel and, under a virtual clock, freeze simulated time.
-	mu       sync.Mutex
-	stopping bool
-	waiting  bool
-	stop     chan struct{} // cap 1; one token stops the scan goroutine
-	exit     *vtime.Gate   // released by the scan goroutine on exit
+	mu   sync.Mutex
+	stop chan struct{} // cap 1; Stop's signal to the scan goroutine
+	exit *vtime.Gate   // released by the scan goroutine on exit
 }
 
 // Step performs one detection scan and returns the victims (after
@@ -290,28 +283,12 @@ func (d *Detector) Start(interval time.Duration) {
 	exit := vtime.NewGate(clk)
 	d.stop = stop
 	d.exit = exit
-	d.stopping = false
 	d.mu.Unlock()
 	clk.Go(func() {
 		defer exit.Release()
+		// A Stop that lands mid-scan is found waiting on the next receive.
 		for {
-			d.mu.Lock()
-			if d.stopping {
-				d.mu.Unlock()
-				return
-			}
-			d.waiting = true
-			d.mu.Unlock()
-			_, woken := vtime.WaitRecv[struct{}](clk, stop, interval)
-			d.mu.Lock()
-			d.waiting = false
-			stopping := d.stopping
-			d.mu.Unlock()
-			if !woken {
-				// Stop may have raced the timeout; absorb its token.
-				_, woken = vtime.TryRecv[struct{}](clk, stop)
-			}
-			if woken || stopping {
+			if _, stopped := vtime.WaitRecv(clk, stop, interval); stopped {
 				return
 			}
 			d.Step()
@@ -330,15 +307,9 @@ func (d *Detector) Stop() {
 	d.mu.Lock()
 	stop, exit := d.stop, d.exit
 	d.stop, d.exit = nil, nil
-	if stop != nil {
-		d.stopping = true
-		if d.waiting {
-			d.waiting = false
-			vtime.NotifySend(clk, stop, struct{}{})
-		}
-	}
 	d.mu.Unlock()
-	if exit != nil {
+	if stop != nil {
+		vtime.NotifySend(clk, stop, struct{}{})
 		exit.Wait()
 	}
 }
