@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-check ledger-check ledger-pairs chaos matrix seed87 vtime telemetry probe trace experiments examples tools lines clean
+.PHONY: all test race bench-check ledger-check ledger-pairs chaos matrix seed87 vtime telemetry probe trace experiments examples tools lines clean
 
 all: test
 
@@ -12,11 +12,8 @@ test:            ## run the full test suite
 race:            ## run the suite under the race detector
 	$(GO) test -race ./...
 
-bench:           ## regenerate every paper table/figure via testing.B
-	$(GO) test -bench=. -benchmem .
-
 bench-check:     ## regenerate the snapshot and gate it against BENCH_BASELINE.json
-	$(GO) run ./cmd/locusbench -check BENCH_BASELINE.json
+	$(GO) run ./cmd/locus bench -check BENCH_BASELINE.json
 
 ledger-check:    ## short ledger runs of the two serial workloads: their simulated metrics are exact functions of the seed and must equal LEDGER_BASELINE.json (host metrics are printed, not gated)
 	@for w in local_transfer skew_tuned; do \
@@ -54,9 +51,9 @@ ledger-pairs:    ## N alternating parent/child ledger runs per workload (PARENT=
 	$(GO) run ./benchmark -compare $$out/parent.json $$out/child.json
 
 chaos:           ## 20-seed fault-injection sweep with the section 5 audit
-	$(GO) run ./cmd/locuschaos -sweep 20 -duration 1s
-	$(GO) run ./cmd/locuschaos -fastpaths -schedule 150ms:partition:2,450ms:heal,700ms:partition:3,1000ms:heal -duration 2s
-	$(GO) run ./cmd/locuschaos -leases -schedule 200ms:partition:2,600ms:heal,900ms:partition:3,1300ms:heal -duration 2s
+	$(GO) run ./cmd/locus chaos -sweep 20 -duration 1s
+	$(GO) run ./cmd/locus chaos -fastpaths -schedule 150ms:partition:2,450ms:heal,700ms:partition:3,1000ms:heal -duration 2s
+	$(GO) run ./cmd/locus chaos -leases -schedule 200ms:partition:2,600ms:heal,900ms:partition:3,1300ms:heal -duration 2s
 
 # The optional-layer matrix: no layer, each layer alone, every pair, all
 # four.  One row per line; a new layer is one more flag in this table.
@@ -80,39 +77,38 @@ matrix:          ## 50-seed virtual-clock chaos sweep of every row of the layer 
 	@rm -f matrix-red.txt; n=0; echo "$$MATRIX" | while IFS= read -r layers; do \
 		n=$$((n+1)); [ "$$layers" = "-" ] && layers=""; \
 		echo "== matrix row $$n: $${layers:-(no optional layer)}"; \
-		$(GO) run $(RACE) ./cmd/locuschaos -vtime -sweep 50 -duration 2s -forensics matrix-$$n-forensics.txt $$layers \
+		$(GO) run $(RACE) ./cmd/locus chaos -vtime -sweep 50 -duration 2s -forensics matrix-$$n-forensics.txt $$layers \
 			|| echo "RED row $$n: $${layers:-(no optional layer)}" >> matrix-red.txt; \
 	done; \
 	if [ -s matrix-red.txt ]; then cat matrix-red.txt; rm -f matrix-red.txt; exit 1; fi
 
 seed87:          ## EXPERIMENTS.md E25's reproducer: no disk fault in the menu, money created on 3 runs in 4 before the in-doubt rule was fixed; the seed replays the interleaving, so one run decides
-	@$(GO) run $(RACE) ./cmd/locuschaos -vtime -seed 87 -duration 2s -faults crash,partition,block,drop,dup,latency > seed87-forensics.txt \
+	@$(GO) run $(RACE) ./cmd/locus chaos -vtime -seed 87 -duration 2s -faults crash,partition,block,drop,dup,latency > seed87-forensics.txt \
 		|| { cat seed87-forensics.txt; echo "seed87: failed"; exit 1; }; \
 	rm -f seed87-forensics.txt; echo "seed87: passed"
 
 vtime:           ## the layer-matrix chaos sweeps, the seed-87 reproducer + vtime bench (DESIGN.md section 11)
 	$(MAKE) matrix
 	$(MAKE) seed87
-	$(GO) run ./cmd/locusbench -exp concurrent -vtime
+	$(GO) run ./cmd/locus bench -exp concurrent -vtime
 
-telemetry:       ## utilization + critical-path report, then verify the golden snapshot
-	$(GO) run ./cmd/locusmon -clients 4 -txns 8
-	$(GO) run ./cmd/locusbench -vtime -telemetry -clients 4 -txns 8 -json tele-now.json
+telemetry:       ## verify the golden telemetry snapshot byte for byte
+	$(GO) run ./cmd/locus bench -vtime -telemetry -clients 4 -txns 8 -json tele-now.json
 	diff TELEMETRY_GOLDEN.json tele-now.json && rm tele-now.json
 
 probe:           ## exhaustive crash-point matrix (DESIGN.md section 9), race-enabled
-	$(GO) run -race ./cmd/locusprobe -forensics probe-forensics.txt
+	$(GO) run -race ./cmd/locus probe -forensics probe-forensics.txt
 	$(GO) test -race ./internal/crashprobe
 
 trace:           ## causal timeline of a small cross-site workload + Chrome export
-	$(GO) run ./cmd/locustrace -txns 3
-	$(GO) run ./cmd/locustrace -txns 3 -chrome /tmp/locustrace.json
+	$(GO) run ./cmd/locus trace -txns 3
+	$(GO) run ./cmd/locus trace -txns 3 -chrome trace-chrome.json
 
 experiments:     ## print every experiment as paper-style tables
-	$(GO) run ./cmd/locusbench
+	$(GO) run ./cmd/locus bench
 
 experiments.md:  ## refresh the measured tables in EXPERIMENTS.md format
-	$(GO) run ./cmd/locusbench -markdown
+	$(GO) run ./cmd/locus bench -markdown
 
 examples:        ## run all runnable examples
 	$(GO) run ./examples/quickstart
@@ -122,7 +118,7 @@ examples:        ## run all runnable examples
 	$(GO) run ./examples/sharedlog
 	$(GO) run ./examples/minidb
 
-tools:           ## build the command-line tools
+tools:           ## build the command-line tool, ./locus
 	$(GO) build ./cmd/...
 
 lines:           ## the non-test line counts ROADMAP.md and the issues quote, so a line budget is one command

@@ -8,6 +8,6 @@
 // volume layer, record lock manager, process model, and two-phase commit
 // engine - each live in their own internal package.  See DESIGN.md for
 // the system inventory and EXPERIMENTS.md for the paper-vs-measured
-// results; the benchmarks in bench_test.go regenerate every table and
-// figure of the paper's evaluation.
+// results; `locus bench` (cmd/locus) regenerates every table and figure
+// of the paper's evaluation.
 package repro

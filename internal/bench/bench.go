@@ -3,8 +3,8 @@
 // operation counts and simulated times under the calibrated VAX 11/750
 // cost model, side by side with the paper's reported numbers.
 //
-// Both the root-level testing.B benchmarks and cmd/locusbench drive these
-// functions; EXPERIMENTS.md records their output.
+// `locus bench` (cmd/locus) prints these functions' rows as tables;
+// EXPERIMENTS.md records their output.
 package bench
 
 import (
@@ -82,17 +82,17 @@ func coOwn(e *scenario.Env, path string, off, n int64, data string) {
 // The JSON tags here and on the other row types are the locusbench/v1
 // snapshot schema: append-only, so perf trajectories stay comparable.
 type Fig5Row struct {
-	Case      string `json:"case"`
-	DoubleLog bool   `json:"footnote9_double_log"`
+	Case      string `json:"case" col:"configuration"`
+	DoubleLog bool   `json:"footnote9_double_log" col:"mode,1985 impl (fn 9)/intended design"`
 	// Measured I/O counts for one transaction commit.
-	CoordLog   int64 `json:"-"`                    // steps 1 (record) and 4 (commit mark)
-	DataPages  int64 `json:"-"`                    // step 2 (flush modified pages at prepare)
-	PrepareLog int64 `json:"-"`                    // step 3 (one per volume, or per file in fn-10 mode)
-	Inode      int64 `json:"-"`                    // step 5 (phase-two pointer replacement)
-	Total      int64 `json:"protocol_ios_per_txn"` // protocol I/Os (sum of the above)
+	CoordLog   int64 `json:"-" col:"coord log (1+4)"`          // steps 1 (record) and 4 (commit mark)
+	DataPages  int64 `json:"-" col:"data (2)"`                 // step 2 (flush modified pages at prepare)
+	PrepareLog int64 `json:"-" col:"prepare (3)"`              // step 3 (one per volume, or per file in fn-10 mode)
+	Inode      int64 `json:"-" col:"inode (5)"`                // step 5 (phase-two pointer replacement)
+	Total      int64 `json:"protocol_ios_per_txn" col:"total"` // protocol I/Os (sum of the above)
 	// PaperTotal is the paper's count for this configuration (0 = the
 	// paper gives no single number).
-	PaperTotal int64 `json:"-"`
+	PaperTotal int64 `json:"-" col:"paper,,-"`
 	// Msgs and ForcedIOs are the commit's full network and forced-disk
 	// traffic - the counts the virtual-clock mode must reproduce
 	// exactly, since simulated time only re-prices events, never adds
@@ -176,12 +176,12 @@ func Fig5On(doubleLogWrites bool, spec scenario.Spec) ([]Fig5Row, error) {
 
 // LockRow is one case of the locking-cost experiment.
 type LockRow struct {
-	Case         string
-	InstrPerLock int64
-	MsgsPerLock  float64
-	SimService   time.Duration // per lock, CPU only
-	SimLatency   time.Duration // per lock, including network
-	PaperNote    string
+	Case         string        `col:"case"`
+	InstrPerLock int64         `col:"instructions"`
+	MsgsPerLock  float64       `col:"messages,%.0f"`
+	SimService   time.Duration `col:"sim service,%.3fms"` // per lock, CPU only
+	SimLatency   time.Duration `col:"sim latency,%.3fms"` // per lock, including network
+	PaperNote    string        `col:"paper"`
 }
 
 // LockCost measures local and remote record locking, reproducing the
@@ -224,14 +224,14 @@ func LockCost(locksPerRun int) ([]LockRow, error) {
 
 // Fig6Row is one cell of Figure 6.
 type Fig6Row struct {
-	Case        string
-	Instr       int64
-	Reads       int64
-	Writes      int64
-	Msgs        int64
-	SimService  time.Duration
-	SimLatency  time.Duration
-	PaperValues string
+	Case        string        `col:"case"`
+	Instr       int64         `col:"instr"`
+	Reads       int64         `col:"reads"`
+	Writes      int64         `col:"writes"`
+	Msgs        int64         `col:"msgs"`
+	SimService  time.Duration `col:"sim service,%.1fms"`
+	SimLatency  time.Duration `col:"sim latency,%.1fms"`
+	PaperValues string        `col:"paper"`
 }
 
 // Fig6 measures the record commit mechanism in the paper's four cases:
@@ -299,10 +299,10 @@ func recordCommit(cfg cluster.Config, requester simnet.SiteID, rec int, overlap 
 
 // PageSizeRow is one page size in the differencing sweep.
 type PageSizeRow struct {
-	PageSize    int
-	BytesCopied int64
-	SimService  time.Duration
-	DeltaVs1K   time.Duration
+	PageSize    int           `col:"page size"`
+	BytesCopied int64         `col:"bytes copied"`
+	SimService  time.Duration `col:"sim service,%.2fms"`
+	DeltaVs1K   time.Duration `col:"delta vs 1K,%+.2fms"`
 }
 
 // PageSizeDifferencing sweeps the page size with a "substantial portion

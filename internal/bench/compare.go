@@ -22,16 +22,16 @@ import (
 
 // ShadowVsWALRow is one point of the access-string sweep.
 type ShadowVsWALRow struct {
-	Pattern    workload.Pattern
-	RecordSize int
-	RecsPerTxn int
+	Pattern    workload.Pattern `col:"pattern"`
+	RecordSize int              `col:"rec size"`
+	RecsPerTxn int              `col:"recs/txn"`
 	// I/Os per transaction, including the WAL's amortized checkpoint.
-	ShadowIO float64
-	WALIO    float64
+	ShadowIO float64 `col:"shadow IO,%.2f"`
+	WALIO    float64 `col:"wal IO,%.2f"`
 	// Simulated commit latency per transaction.
-	ShadowLatency time.Duration
-	WALLatency    time.Duration
-	Winner        string
+	ShadowLatency time.Duration `col:"shadow lat,%.0fms"`
+	WALLatency    time.Duration `col:"wal lat,%.0fms"`
+	Winner        string        `col:"winner"`
 }
 
 // shadowVsWALConfig fixes the comparison environment.
@@ -180,11 +180,11 @@ func runSide[O ~string, F commitFile[O]](accesses []workload.Access, recsPerTxn 
 
 // PrepGranRow compares per-volume and per-file prepare logs.
 type PrepGranRow struct {
-	FilesPerTxn    int
-	PerVolumeIO    int64 // step-3 writes with one record per volume
-	PerFileIO      int64 // step-3 writes with the footnote-10 layout
-	PaperPerVolume int64
-	PaperPerFile   int64
+	FilesPerTxn    int   `col:"files/txn"`
+	PerVolumeIO    int64 `col:"per volume (design)"` // step-3 writes with one record per volume
+	PaperPerVolume int64 `col:"paper"`
+	PerFileIO      int64 `col:"per file (1985 impl)"` // step-3 writes with the footnote-10 layout
+	PaperPerFile   int64 `col:"paper"`
 }
 
 // PrepareLogGranularity measures step 3 of Figure 5 for transactions
@@ -234,9 +234,9 @@ func PrepareLogGranularity(filesPerTxn []int) ([]PrepGranRow, error) {
 // PerOpRow is one configuration of an experiment that repeats one remote
 // operation: what each repetition cost in messages and simulated latency.
 type PerOpRow struct {
-	Case       string
-	MsgsPerOp  float64
-	SimLatency time.Duration
+	Case       string        `col:"case"`
+	MsgsPerOp  float64       `col:"msgs/op,%.2f"`
+	SimLatency time.Duration `col:"sim latency/op,%.1fms"`
 }
 
 // perOp averages the counters d spent over ops repetitions.
@@ -293,10 +293,10 @@ func offThenOn[Row any](run func(name string, on bool) (Row, error), offName, on
 
 // RecoveryRow summarizes one crash scenario.
 type RecoveryRow struct {
-	Scenario  string
-	Outcome   string // all-or-nothing result observed
-	RecoverIO int64  // disk I/Os spent during recovery
-	Correct   bool
+	Scenario  string `col:"scenario"`
+	Outcome   string `col:"observed"`      // all-or-nothing result observed
+	RecoverIO int64  `col:"recovery I/Os"` // disk I/Os spent during recovery
+	Correct   bool   `col:"all-or-nothing,PASS/FAIL"`
 }
 
 // Recovery exercises the crash matrix: participant crash before prepare,
@@ -415,9 +415,9 @@ func ReplicaLocality(readsPerRun int) ([]PerOpRow, error) {
 // PrefetchRow splits the lock+read critical path with and without
 // prefetch-on-lock.
 type PrefetchRow struct {
-	Case        string
-	LockLatency time.Duration // lock request incl. any prefetch I/O
-	ReadLatency time.Duration // first data read after the lock
+	Case        string        `col:"case"`
+	LockLatency time.Duration `col:"lock latency,%.1fms"`       // lock request incl. any prefetch I/O
+	ReadLatency time.Duration `col:"first read latency,%.1fms"` // first data read after the lock
 }
 
 // PrefetchAblation measures a remote lock followed by a read of the
@@ -453,9 +453,9 @@ func PrefetchAblation() ([]PrefetchRow, error) {
 // from disk (the measured 1985 implementation) vs served from the clean
 // page buffer pool (the optimization footnote 7 sketches).
 type Fn7Row struct {
-	Case       string
-	Reads      int64
-	SimLatency time.Duration
+	Case       string        `col:"case"`
+	Reads      int64         `col:"page reads"`
+	SimLatency time.Duration `col:"sim latency,%.1fms"`
 }
 
 // Footnote7Ablation measures a local overlap commit in both modes.
@@ -475,9 +475,9 @@ func Footnote7Ablation() ([]Fn7Row, error) {
 // GranularityRow compares lock granularities under concurrent disjoint
 // updates to one file.
 type GranularityRow struct {
-	Case      string
-	LockWaits int64
-	WallClock time.Duration
+	Case      string        `col:"case"`
+	LockWaits int64         `col:"lock waits"`
+	WallClock time.Duration `col:"wall clock"`
 }
 
 // LockGranularity runs concurrent transactions updating DISJOINT records

@@ -30,20 +30,20 @@ const DefaultDiskSyncDelay = 300 * time.Microsecond
 // experiment: N client goroutines driving disjoint two-account transfer
 // transactions against one accounts file at one storage site.
 type ConcurrentRow struct {
-	Case         string  `json:"case"` // "group-commit off" / "group-commit on"
+	Case         string  `json:"case" col:"case"` // "group-commit off" / "group-commit on"
 	Clients      int     `json:"clients"`
 	TxnsPerCl    int     `json:"txns_per_client"`
-	Committed    int64   `json:"committed"`
+	Committed    int64   `json:"committed" col:"committed"`
 	Aborted      int64   `json:"-"`
-	TxnsPerSec   float64 `json:"txns_per_sec"`
-	P50          Ms      `json:"p50_ms"` // per-transaction latency on the run's clock
-	P95          Ms      `json:"p95_ms"`
-	P99          Ms      `json:"p99_ms"`
-	ForcedIOs    int64   `json:"-"`                    // synchronous disk forces during the run
-	ForcedPerTxn float64 `json:"forced_ios_per_txn"`   // forces per committed transaction
-	Batches      int64   `json:"group_commit_batches"` // group-commit flushes issued
-	BatchRecords int64   `json:"group_commit_records"` // log records carried by those flushes
-	DiskWrites   int64   `json:"disk_writes"`          // per-page writes (identical in both modes)
+	TxnsPerSec   float64 `json:"txns_per_sec" col:"txns/sec,%.0f"`
+	P50          Ms      `json:"p50_ms" col:"p50"` // per-transaction latency on the run's clock
+	P95          Ms      `json:"p95_ms" col:"p95"`
+	P99          Ms      `json:"p99_ms" col:"p99"`
+	ForcedIOs    int64   `json:"-"`                                            // synchronous disk forces during the run
+	ForcedPerTxn float64 `json:"forced_ios_per_txn" col:"forced IOs/txn,%.2f"` // forces per committed transaction
+	Batches      int64   `json:"group_commit_batches"`                         // group-commit flushes issued
+	BatchRecords int64   `json:"group_commit_records"`                         // log records carried by those flushes
+	DiskWrites   int64   `json:"disk_writes" col:"page writes"`                // per-page writes (identical in both modes)
 	// Counters is the run's full stats delta (the -json snapshot embeds
 	// it so perf trajectories can drill past the headline numbers).
 	Counters stats.Snapshot `json:"counters"`
@@ -59,8 +59,8 @@ type ConcurrentRow struct {
 	// the real clock); TxnsPerSimSec is throughput against that clock -
 	// the figure the paper's VAX-750 testbed would have measured, no
 	// matter how fast the host ran the simulation.
-	SimTime       time.Duration `json:"sim_time_ns,omitempty"`
-	TxnsPerSimSec float64       `json:"txns_per_sim_sec,omitempty"`
+	SimTime       time.Duration `json:"sim_time_ns,omitempty" col:"sim time,,omitempty"`
+	TxnsPerSimSec float64       `json:"txns_per_sim_sec,omitempty" col:"txns/sim-sec,%.0f,omitempty"`
 	// SimTotal is the virtual clock's total elapsed time at measurement,
 	// setup included (SimTime counts only the workload window).  It is
 	// the denominator matching cumulative registry counters like
@@ -295,7 +295,7 @@ func utilizationStrip(samples []telemetry.Sample, interval time.Duration) string
 }
 
 // ConcurrentPair runs the workload with group commit off then on and
-// returns both rows (the locusbench concurrent table).
+// returns both rows (the locus bench concurrent table).
 func ConcurrentPair(o ConcurrentOpts) ([]ConcurrentRow, error) {
 	var rows []ConcurrentRow
 	for _, groupCommit := range []bool{false, true} {

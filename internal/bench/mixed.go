@@ -15,23 +15,23 @@ import (
 // candidate) and a write-plus-remote-read shape (read-only vote
 // candidate), so every fast path shows up in the counters.  The client
 // is serial, the fault-free schedule fixed and the clock virtual, so
-// every counter and latency is deterministic - `locusbench -check` gates
+// every counter and latency is deterministic - `locus bench -check` gates
 // ForcedPerTxn against BENCH_BASELINE.json.
 type MixedRow struct {
-	Case         string         `json:"case"` // "fast-paths off" / "fast-paths on"
+	Case         string         `json:"case" col:"case"` // "fast-paths off" / "fast-paths on"
 	FastPaths    bool           `json:"fast_paths"`
-	ReadShare    int            `json:"read_share"` // percent of transactions that only read
+	ReadShare    int            `json:"read_share" col:"reads,%d%%"` // percent of transactions that only read
 	Txns         int            `json:"txns"`
-	Committed    int64          `json:"committed"`
+	Committed    int64          `json:"committed" col:"committed"`
 	Aborted      int64          `json:"-"`
-	P50          Ms             `json:"p50_ms"` // per-transaction simulated latency
-	P99          Ms             `json:"p99_ms"`
-	ForcedIOs    int64          `json:"forced_ios"`         // synchronous disk forces during the run
-	ForcedPerTxn float64        `json:"forced_ios_per_txn"` // forces per committed transaction
-	CoordWrites  int64          `json:"coord_log_writes"`   // coordinator-log forces
-	PrepWrites   int64          `json:"prepare_log_writes"` // prepare-log forces
-	ReadOnly     int64          `json:"read_only_votes"`    // VoteReadOnly answers observed
-	OnePhase     int64          `json:"one_phase_commits"`  // one-phase commits taken
+	P50          Ms             `json:"p50_ms" col:"sim p50"` // per-transaction simulated latency
+	P99          Ms             `json:"p99_ms" col:"sim p99"`
+	ForcedIOs    int64          `json:"forced_ios"`                                   // synchronous disk forces during the run
+	ForcedPerTxn float64        `json:"forced_ios_per_txn" col:"forced IOs/txn,%.2f"` // forces per committed transaction
+	CoordWrites  int64          `json:"coord_log_writes" col:"coord log"`             // coordinator-log forces
+	PrepWrites   int64          `json:"prepare_log_writes" col:"prepare log"`         // prepare-log forces
+	ReadOnly     int64          `json:"read_only_votes" col:"ro votes"`               // VoteReadOnly answers observed
+	OnePhase     int64          `json:"one_phase_commits" col:"1-phase"`              // one-phase commits taken
 	Counters     stats.Snapshot `json:"counters"`
 }
 
@@ -148,7 +148,7 @@ func MixedCommit(txns, readShare int, fastPaths bool) (MixedRow, error) {
 }
 
 // MixedSweep runs the mixed workload at each read share, fast paths off
-// then on - the locusbench "mixed" experiment.
+// then on - the locus bench "mixed" experiment.
 func MixedSweep() ([]MixedRow, error) {
 	var rows []MixedRow
 	for _, share := range MixedShares {

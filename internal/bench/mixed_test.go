@@ -34,7 +34,7 @@ func TestMixedCommitFastPathSavings(t *testing.T) {
 }
 
 func TestMixedCommitDeterministicIOs(t *testing.T) {
-	// `locusbench -check` gates ForcedPerTxn against BENCH_BASELINE.json, so
+	// `locus bench -check` gates ForcedPerTxn against BENCH_BASELINE.json, so
 	// the serial workload's I/O counts must not wobble between runs.
 	a, err := MixedCommit(10, 50, true)
 	if err != nil {

@@ -18,16 +18,16 @@ import (
 // access, and the steady state sends zero lock messages - the experiment
 // E20 win condition is LockMsgsPerTxn approaching zero.
 type RepeatRow struct {
-	Case           string         `json:"case"` // "leases off" / "leases on"
+	Case           string         `json:"case" col:"case"` // "leases off" / "leases on"
 	Leases         bool           `json:"leases"`
 	Txns           int            `json:"txns"`
-	Committed      int64          `json:"committed"`
+	Committed      int64          `json:"committed" col:"committed"`
 	Aborted        int64          `json:"-"`
-	LockMsgs       int64          `json:"lock_msgs"`
-	LockMsgsPerTxn float64        `json:"lock_msgs_per_txn"`
-	LeaseHits      int64          `json:"lease_hits"`
-	LeaseRevokes   int64          `json:"lease_revokes"`
-	Escalations    int64          `json:"escalations"`
+	LockMsgs       int64          `json:"lock_msgs" col:"lock msgs"`
+	LockMsgsPerTxn float64        `json:"lock_msgs_per_txn" col:"lock msgs/txn,%.3f"`
+	LeaseHits      int64          `json:"lease_hits" col:"lease hits"`
+	LeaseRevokes   int64          `json:"lease_revokes" col:"revokes"`
+	Escalations    int64          `json:"escalations" col:"escalations"`
 	Counters       stats.Snapshot `json:"counters"`
 }
 
@@ -36,7 +36,7 @@ const RepeatTxns = 64
 
 // RepeatAccess runs the repeated-access workload once.  The client is
 // serial and fault-free, so every counter is deterministic -
-// `locusbench -check` gates LockMsgsPerTxn against BENCH_BASELINE.json.
+// `locus bench -check` gates LockMsgsPerTxn against BENCH_BASELINE.json.
 func RepeatAccess(txns int, leases bool) (RepeatRow, error) {
 	if txns <= 0 {
 		return RepeatRow{}, fmt.Errorf("bench: txns %d out of range", txns)
@@ -88,7 +88,7 @@ func RepeatAccess(txns int, leases bool) (RepeatRow, error) {
 }
 
 // RepeatPair runs the repeated-access workload leases off then on - the
-// locusbench "repeat" experiment.
+// locus bench "repeat" experiment.
 func RepeatPair() ([]RepeatRow, error) {
 	var rows []RepeatRow
 	for _, leases := range []bool{false, true} {

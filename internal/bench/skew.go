@@ -22,27 +22,27 @@ import (
 // window most transactions commit with zero remote participant sites.
 // The run is serial (the two clients alternate turns in one goroutine)
 // on the virtual clock, so every counter is deterministic -
-// `locusbench -check` gates LocalCommitFraction (higher is better),
+// `locus bench -check` gates LocalCommitFraction (higher is better),
 // ForcedPerTxn and MsgsPerTxn against BENCH_BASELINE.json.
 type SkewRow struct {
-	Case     string `json:"case"`    // e.g. "zipfian placement off"
-	Pattern  string `json:"pattern"` // "zipfian" / "shifting-hotspot"
+	Case     string `json:"case" col:"case"` // e.g. "zipfian placement off"
+	Pattern  string `json:"pattern"`         // "zipfian" / "shifting-hotspot"
 	Adaptive bool   `json:"adaptive_placement"`
 	// Txns is the measured-window transaction count (after warm-up).
 	Txns      int   `json:"txns"`
-	Committed int64 `json:"committed"`
+	Committed int64 `json:"committed" col:"committed"`
 	Aborted   int64 `json:"-"`
 	// The headline locality metrics, all measured after warm-up.
 	LocalCommits        int64   `json:"-"`
-	LocalCommitFraction float64 `json:"local_commit_fraction"`       // LocalCommits / Committed
-	RemotePartsPerTxn   float64 `json:"remote_participants_per_txn"` // remote participant sites per commit
-	MsgsPerTxn          float64 `json:"msgs_per_txn"`
-	ForcedPerTxn        float64 `json:"forced_ios_per_txn"`
+	LocalCommitFraction float64 `json:"local_commit_fraction" col:"local frac,%.3f"`             // LocalCommits / Committed
+	RemotePartsPerTxn   float64 `json:"remote_participants_per_txn" col:"remote parts/txn,%.2f"` // remote participant sites per commit
+	MsgsPerTxn          float64 `json:"msgs_per_txn" col:"msgs/txn,%.2f"`
+	ForcedPerTxn        float64 `json:"forced_ios_per_txn" col:"forced IOs/txn,%.2f"`
 	// Placement machinery activity over the whole run (warm-up
 	// included - that is where the moves happen).
-	OwnerMoves    int64          `json:"owner_moves"`
-	RoutedCommits int64          `json:"routed_commits"`
-	ProcMoves     int64          `json:"placement_migrations"` // Begin-time process migrations
+	OwnerMoves    int64          `json:"owner_moves" col:"owner moves"`
+	RoutedCommits int64          `json:"routed_commits" col:"routed"`
+	ProcMoves     int64          `json:"placement_migrations" col:"proc moves"` // Begin-time process migrations
 	SimTime       time.Duration  `json:"-"`
 	Counters      stats.Snapshot `json:"counters"`
 }
@@ -181,7 +181,7 @@ func onOff(b bool) string {
 }
 
 // SkewSweep runs the experiment's four rows: both access patterns,
-// placement off then on - the locusbench "skew" experiment.
+// placement off then on - the locus bench "skew" experiment.
 func SkewSweep() ([]SkewRow, error) {
 	var rows []SkewRow
 	for _, pat := range []workload.Pattern{workload.Zipfian, workload.ShiftingHotspot} {

@@ -239,7 +239,7 @@ func TestRunShortPlacement(t *testing.T) {
 
 // TestReportReproducible runs the same seed twice and demands the exact
 // same deterministic report - the property that makes a failure's
-// "replay: locuschaos -seed N" line trustworthy.
+// "replay: locus chaos -seed N" line trustworthy.
 func TestReportReproducible(t *testing.T) {
 	opts := Options{Seed: 99, Duration: 400 * time.Millisecond, Sites: 3, Workers: 4}
 	r1, err := Run(opts)
@@ -376,9 +376,9 @@ func TestReplayRoundTrip(t *testing.T) {
 		{Seed: 3, Duration: time.Second, Sites: 5, Workers: 3, Faults: DefaultFaults(), Schedule: sched, Spec: layered},
 	} {
 		line := opts.ReplayCommand()
-		args := strings.Fields(strings.ReplaceAll(strings.TrimPrefix(line, "locuschaos"), "'", ""))
+		args := strings.Fields(strings.ReplaceAll(strings.TrimPrefix(line, "locus chaos"), "'", ""))
 		back := Defaults()
-		fset := flag.NewFlagSet("locuschaos", flag.ContinueOnError)
+		fset := flag.NewFlagSet("locus chaos", flag.ContinueOnError)
 		back.Flags(fset)
 		if err := fset.Parse(args); err != nil {
 			t.Fatalf("%s: %v", line, err)
@@ -388,7 +388,7 @@ func TestReplayRoundTrip(t *testing.T) {
 		}
 	}
 	if got, want := (Options{Seed: 87, Duration: 2 * time.Second, Sites: 4, Workers: 6, Faults: menu, Spec: vax}).ReplayCommand(),
-		"locuschaos -faults crash,partition,block,drop,dup,latency -seed 87 -vtime"; got != want {
+		"locus chaos -faults crash,partition,block,drop,dup,latency -seed 87 -vtime"; got != want {
 		t.Errorf("replay line = %q, want %q", got, want)
 	}
 }
@@ -417,7 +417,7 @@ func TestRecoveryFailureIsAVerdict(t *testing.T) {
 		t.Fatalf("want a failed recovery check first, got:\n%s", res.Report(false))
 	}
 	rep := res.Report(false)
-	for _, want := range []string{"FAIL recovery", "restart site 2", "prep:00000099.1", "forensics: last", "log_force", "replay: locuschaos"} {
+	for _, want := range []string{"FAIL recovery", "restart site 2", "prep:00000099.1", "forensics: last", "log_force", "replay: locus chaos"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report lacks %q:\n%s", want, rep)
 		}

@@ -48,7 +48,7 @@ type Options struct {
 	Spec scenario.Spec
 }
 
-// Defaults are the options of a bare locuschaos invocation.
+// Defaults are the options of a bare locus chaos invocation.
 func Defaults() Options {
 	return Options{Seed: 1, Duration: 2 * time.Second, Sites: 4, Workers: 6, Faults: DefaultFaults()}
 }
@@ -69,7 +69,7 @@ func (b boolFlag) Set(s string) error {
 	return err
 }
 
-// Flags binds the options to the locuschaos flag set, each flag's default
+// Flags binds the options to the locus chaos flag set, each flag's default
 // being the option's current value.  The same binding, read back, is a
 // failing run's replay line.
 func (o *Options) Flags(fs *flag.FlagSet) {
@@ -101,7 +101,7 @@ func (o *Options) Flags(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Spec.Profile, "telemetry", o.Spec.Profile, "enable commit-path profiling and append the attribution/utilization summary to the report (nondeterministic, like -stats)")
 }
 
-// ReplayCommand is the locuschaos invocation that reproduces this run's
+// ReplayCommand is the locus chaos invocation that reproduces this run's
 // schedule and verdicts exactly: every flag whose value differs from a
 // bare invocation's, read off the flag binding itself.
 func (o Options) ReplayCommand() string {
@@ -109,7 +109,7 @@ func (o Options) ReplayCommand() string {
 	defaults, current := flag.NewFlagSet("", flag.ContinueOnError), flag.NewFlagSet("", flag.ContinueOnError)
 	def.Flags(defaults)
 	o.Flags(current)
-	cmd := "locuschaos"
+	cmd := "locus chaos"
 	current.VisitAll(func(f *flag.Flag) {
 		switch v := f.Value.String(); {
 		case v == defaults.Lookup(f.Name).Value.String():
