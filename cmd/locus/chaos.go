@@ -79,7 +79,7 @@ func chaosCmd(fs *flag.FlagSet) func() error {
 //	locus probe -max-points 8 -json
 func probeCmd(fs *flag.FlagSet) func() error {
 	var opts crashprobe.Options
-	fs.StringVar(&opts.Workload, "workload", "all", "workload to sweep: single, diff, tpc, migrate, readonly, onephase, lease, ownermove, or all")
+	fs.StringVar(&opts.Workload, "workload", "all", "workload to sweep: single, diff, tpc, migrate, readonly, onephase, lease, ownermove, replica, or all")
 	fs.StringVar(&opts.Kind, "kind", "", "restrict crash points to one I/O class: data, inode, coordlog, preparelog (empty = every stable write)")
 	fs.IntVar(&opts.MaxPointsPerDisk, "max-points", 0, "bound the sweep per disk by stride-sampling this many indices (0 = exhaustive)")
 	jsonOut := fs.Bool("json", false, "emit the full matrix as deterministic JSON instead of the text report")

@@ -17,8 +17,8 @@ import (
 // files all mounted at site 1, each client with its own rotated rank
 // order so the hot sets are disjoint.  With adaptive placement off,
 // every commit crosses the network to site 1 forever; with it on, the
-// heat tracker migrates each client's hot files to that client and the
-// Begin/End-time router localizes what remains, so after the warm-up
+// heat tracker migrates each client's hot files to that client and
+// commit routing localizes what remains, so after the warm-up
 // window most transactions commit with zero remote participant sites.
 // The run is serial (the two clients alternate turns in one goroutine)
 // on the virtual clock, so every counter is deterministic -
@@ -42,7 +42,6 @@ type SkewRow struct {
 	// included - that is where the moves happen).
 	OwnerMoves    int64          `json:"owner_moves" col:"owner moves"`
 	RoutedCommits int64          `json:"routed_commits" col:"routed"`
-	ProcMoves     int64          `json:"placement_migrations" col:"proc moves"` // Begin-time process migrations
 	SimTime       time.Duration  `json:"-"`
 	Counters      stats.Snapshot `json:"counters"`
 }
@@ -149,7 +148,6 @@ func SkewPlacement(o SkewOpts) (SkewRow, error) {
 			whole := e.Sys.Stats().Snapshot()
 			row.OwnerMoves = whole.Get(stats.OwnerMoves)
 			row.RoutedCommits = whole.Get(stats.RoutedCommits)
-			row.ProcMoves = whole.Get(stats.PlacementMigrations)
 			for _, c := range clients {
 				for _, f := range c.files {
 					scenario.Ok(f.Close())

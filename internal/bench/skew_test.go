@@ -18,7 +18,7 @@ func TestSkewPlacementLocalizes(t *testing.T) {
 	if off.LocalCommitFraction != 0 {
 		t.Fatalf("placement off local fraction = %.3f, want 0 (all files remote)", off.LocalCommitFraction)
 	}
-	if off.OwnerMoves != 0 || off.RoutedCommits != 0 || off.ProcMoves != 0 {
+	if off.OwnerMoves != 0 || off.RoutedCommits != 0 {
 		t.Fatalf("placement off ran the machinery: %+v", off)
 	}
 

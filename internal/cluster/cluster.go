@@ -189,19 +189,22 @@ type Cluster struct {
 	st  *stats.Set
 	net *simnet.Network
 
-	mu           sync.Mutex
-	sites        map[simnet.SiteID]*Site
-	mounts       map[string]simnet.SiteID // volume name -> storage site
-	replicaSites map[string][]simnet.SiteID
+	mu     sync.Mutex
+	sites  map[simnet.SiteID]*Site
+	mounts map[string]simnet.SiteID // volume name -> storage site
+	// The rest is the copy catalog (placement.go); only an install's
+	// verdict changes a copy, and a removal forgets the file.
+	//
 	// fileHomes overrides the volume mount for individual files whose
 	// primary copy was migrated by adaptive placement: path -> current
 	// home site.  Entries exist only while a file lives away from its
 	// volume's mount site, so static runs never consult a populated map.
 	fileHomes map[string]simnet.SiteID
-	// moves holds each ownership move from its proposal to its settle.
-	// commitMove (placement.go) is the only flip of a file's home; a
-	// removal clears it (clearFileHome).
-	moves map[moveKey]*move
+	// replicas lists each replicated volume's replica sites; copies, per
+	// file of such a volume, its version and its replica copies'.
+	replicas map[string][]simnet.SiteID
+	copies   map[string]*fileCopies
+	installs map[installKey]*install // from proposal to settle
 
 	nextPID atomic.Int64
 	nextTxn atomic.Int64
@@ -220,14 +223,15 @@ func New(cfg Config) *Cluster {
 	}
 	st := stats.NewSet()
 	return &Cluster{
-		cfg:          cfg,
-		st:           st,
-		net:          simnet.New(cfg.Net, st),
-		sites:        make(map[simnet.SiteID]*Site),
-		mounts:       make(map[string]simnet.SiteID),
-		replicaSites: make(map[string][]simnet.SiteID),
-		fileHomes:    make(map[string]simnet.SiteID),
-		moves:        make(map[moveKey]*move),
+		cfg:       cfg,
+		st:        st,
+		net:       simnet.New(cfg.Net, st),
+		sites:     make(map[simnet.SiteID]*Site),
+		mounts:    make(map[string]simnet.SiteID),
+		fileHomes: make(map[string]simnet.SiteID),
+		replicas:  make(map[string][]simnet.SiteID),
+		copies:    make(map[string]*fileCopies),
+		installs:  make(map[installKey]*install),
 	}
 }
 
@@ -315,7 +319,7 @@ func (c *Cluster) AddVolume(site simnet.SiteID, name string) error {
 	}
 	c.mu.Unlock()
 
-	if _, err := s.kernel().addVolume(&disk{vol: name}); err != nil {
+	if _, err := s.kernel().addVolume(&disk{vol: name, mounted: true}); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -335,29 +339,28 @@ func (c *Cluster) StorageSite(path string) (simnet.SiteID, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if site, ok := c.fileHomes[path]; ok {
-		return site, nil
-	}
-	site, ok := c.mounts[volName]
+	site, ok := c.homeLocked(path, volName)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchVolume, volName)
 	}
 	return site, nil
 }
 
-// clearFileHome drops a file's placement override (file removed).
-func (c *Cluster) clearFileHome(path string) {
-	c.mu.Lock()
-	delete(c.fileHomes, path)
-	c.mu.Unlock()
+// homeLocked is StorageSite under c.mu, for a path of volume volName.
+func (c *Cluster) homeLocked(path, volName string) (simnet.SiteID, bool) {
+	if site, ok := c.fileHomes[path]; ok {
+		return site, true
+	}
+	site, ok := c.mounts[volName]
+	return site, ok
 }
 
-// FileHome reports a file's placement override, if it has one.
-func (c *Cluster) FileHome(path string) (simnet.SiteID, bool) {
+// forget drops the catalog's records of a removed file.
+func (c *Cluster) forget(path string) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	site, ok := c.fileHomes[path]
-	return site, ok
+	delete(c.fileHomes, path)
+	delete(c.copies, path)
+	c.mu.Unlock()
 }
 
 // homesForVolume lists the names (not paths) of the volume's files
@@ -397,7 +400,7 @@ func (c *Cluster) Shutdown() {
 		if coord != nil {
 			coord.Close()
 		}
-		for _, vs := range k.volStates(true) {
+		for _, vs := range k.volStates() {
 			vs.vol.Log().StopGroupCommit()
 		}
 	}
@@ -415,14 +418,11 @@ func (c *Cluster) Report(m costmodel.Model) costmodel.Report {
 type disk struct {
 	vol string
 	dev *simdisk.Disk
-	// hosted marks a volume created by an ownership-move adoption rather
-	// than a mount (placement.go hostedVol).  Hosted volumes serve files
-	// like mounted ones but are ineligible to carry the coordinator log:
-	// they appear mid-run, so binding the log to one would move it across
-	// a restart and recovery would replay the wrong volume.
-	hosted bool
-	// replica marks a read-only replica of a volume mounted elsewhere.
-	replica bool
+	// mounted marks a volume's mount (AddVolume), as against one a site's
+	// first install of one of its files created.  Only a mount carries the
+	// coordinator log: a log bound to a volume that appeared mid-run would
+	// move across a restart and recovery would replay the wrong volume.
+	mounted bool
 }
 
 // volState is one volume as one incarnation serves it.
@@ -435,6 +435,10 @@ type volState struct {
 	// (forced disk writes) while holding it.
 	dirMu vtime.Mutex
 	dir   map[string]int
+	// files (under the incarnation's mu) holds the handle installs write a
+	// copy through and replica reads read through - one per inode, whose
+	// clean-page cache serves repeated reads as the paper's buffer pool did.
+	files map[string]*shadow.File
 }
 
 // openFile is the storage-site state of one open file.
@@ -444,9 +448,10 @@ type openFile struct {
 	file  *shadow.File
 	locks *lockmgr.FileLocks
 	refs  int
-	// updateMode marks a file on a replicated volume whose storage-site
-	// service has migrated to this primary (section 5.2).
-	updateMode bool
+	// updateMode marks the file open for update (section 5.2): written or
+	// locked since it last quiesced.  replicated: its volume had replicas
+	// then, so the catalog advanced its version (replica.go).
+	updateMode, replicated bool
 }
 
 // preparedTxn is a participant site's memory of a prepared transaction,
@@ -488,14 +493,14 @@ type machine struct {
 	// Three things that describe the workload or the machine rather than
 	// what the kernel knows, and so outlive it.  heat is this storage
 	// site's per-file accessor profile (DESIGN.md section 14), nil unless
-	// Config.AdaptivePlacement.  moveSeq numbers this site's ownership
-	// moves; were it to repeat, a pre-crash move still in the catalog and
-	// a post-restart one would share a name.  placeOps counts in-flight
-	// placement operations (moves and adoptions) so a harness can quiesce
-	// placement before auditing: it tracks goroutines, which no crash kills.
-	heat     *placement.Tracker
-	moveSeq  atomic.Uint64
-	placeOps atomic.Int64
+	// Config.AdaptivePlacement.  installSeq numbers the installs this site
+	// ships; were it to repeat, a pre-crash install still in the catalog
+	// and a post-restart one would share a name.  placeOps counts in-flight
+	// moves and installs so a harness can quiesce them before auditing: it
+	// tracks goroutines, which no crash kills.
+	heat       *placement.Tracker
+	installSeq atomic.Uint64
+	placeOps   atomic.Int64
 	// leaseGauge counts the files the live incarnation caches a lease on;
 	// nil unless Config.LockLeases, so legacy runs never materialize it.
 	leaseGauge *telemetry.Gauge
@@ -514,12 +519,11 @@ type incarnation struct {
 	// park without freezing simulated time.
 	mu vtime.Mutex
 	// dead is set once, by Crash, under mu.  What must not happen after
-	// the crash (an adoption's commit, a new volume) tests it under mu;
+	// the crash (an install's verdict, a new volume) tests it under mu;
 	// what merely must not be answered, or may no longer commit (a move
 	// this kernel proposed), loads it.
 	dead     atomic.Bool
-	vols     map[string]*volState     // mounted and hosted volumes
-	replicas map[string]*replicaState // read-only replicas held at this site
+	vols     map[string]*volState // one per volume name: mounted or installed
 	open     map[string]*openFile
 	locks    *lockmgr.Manager
 	procs    *proc.Table
@@ -546,12 +550,12 @@ type incarnation struct {
 	leases    map[string]*siteLease
 	leaseMeta map[string]map[simnet.SiteID]*leaseMeta
 
-	// Adaptive-placement state (DESIGN.md section 14), nil unless
-	// Config.AdaptivePlacement: moving marks files whose primary copy is
-	// mid-move here, as source or target, fencing new operations behind
-	// errMoved until the move is decided and settled.
-	placeMu sync.Mutex
-	moving  map[string]struct{}
+	// fenced marks files mid-install here - the source of a move, or the
+	// target of any install - so two installs of one file never
+	// interleave, and (with Config.AdaptivePlacement, movingGuard) new
+	// operations wait behind errMoved until a move is decided and settled.
+	fenceMu sync.Mutex
+	fenced  map[string]struct{}
 }
 
 // Site is one machine and the latest incarnation of its kernel.
@@ -577,7 +581,7 @@ type cachedLock struct {
 // group-commit daemon, and read its directory.
 func (m *machine) mount(d *disk, format bool) (*volState, error) {
 	cfg := m.cl.cfg
-	vs := &volState{name: d.vol, disk: d}
+	vs := &volState{name: d.vol, disk: d, files: make(map[string]*shadow.File)}
 	vs.dirMu.SetClock(cfg.Clock)
 	var err error
 	if format {
@@ -605,14 +609,14 @@ func (m *machine) mount(d *disk, format bool) (*volState, error) {
 }
 
 // addVolume formats the volume d names on a new disk and brings it into
-// service: a mounted or hosted volume joins k.vols (of two racing first
-// adoptions the loser gets the winner's), a replica joins k.replicas.  The
+// service in k.vols: a mount, or a site's first install of one of its
+// files (of two racing first installs the loser gets the winner's).  The
 // machine keeps the disk only once a live incarnation serves the volume,
 // so the next boot loads exactly the disks some kernel vouched for.
 func (k *incarnation) addVolume(d *disk) (*volState, error) {
 	cfg := k.cl.cfg
 	name := d.vol
-	if d.hosted || d.replica {
+	if !d.mounted {
 		name = fmt.Sprintf("%s@%v", d.vol, k.id)
 	}
 	d.dev = simdisk.New(name, cfg.VolumePages, cfg.PageSize, k.st)
@@ -624,19 +628,10 @@ func (k *incarnation) addVolume(d *disk) (*volState, error) {
 	}
 	k.mu.Lock()
 	cur, dup := k.vols[d.vol]
-	if d.replica {
-		_, dup = k.replicas[d.vol]
-	}
 	switch {
 	case k.dead.Load():
 		err = ErrSiteDown
-	case dup && d.replica:
-		err = fmt.Errorf("cluster: %q already replicated at %v", d.vol, k.id)
-	case dup:
-		// Two first adoptions raced and this one lost.
-	case d.replica:
-		k.replicas[d.vol], cur = newReplicaState(vs), vs
-	default:
+	case !dup:
 		k.vols[d.vol], cur = vs, vs
 	}
 	if cur == vs {
@@ -678,12 +673,12 @@ func (s *Site) Coordinator() (*tpc.Coordinator, error) { return s.kernel().Coord
 
 // Coordinator returns (creating on first use) the incarnation's two-phase
 // commit coordinator.  Its log lives on the first mounted volume by name.
-// Hosted volumes (ownership-move adoptions) are skipped even when
-// lexically first: they materialize mid-run, and a log that moved volumes
-// across a restart would leave recovery replaying the wrong log -
-// stranding records whose presumed-abort answer could then contradict a
-// commit that already happened.  Sites that coordinate transactions must
-// have at least one mounted volume.
+// Installed volumes (moves and replicas) are skipped even when lexically
+// first: they materialize mid-run, and a log that moved volumes across a
+// restart would leave recovery replaying the wrong log - stranding records
+// whose presumed-abort answer could then contradict a commit that already
+// happened.  Sites that coordinate transactions must have at least one
+// mounted volume.
 func (k *incarnation) Coordinator() (*tpc.Coordinator, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -695,7 +690,7 @@ func (k *incarnation) Coordinator() (*tpc.Coordinator, error) {
 	}
 	var names []string
 	for n, vs := range k.vols {
-		if !vs.disk.hosted {
+		if vs.disk.mounted {
 			names = append(names, n)
 		}
 	}
@@ -733,25 +728,16 @@ func (k *incarnation) joinTxn(txid string) {
 	k.mu.Unlock()
 }
 
-// volStates snapshots the volumes the incarnation serves, mounted and
-// hosted - and, with replicas set, the replicas it holds - each set in
-// name order, the order their disk work is issued in.
-func (k *incarnation) volStates(replicas bool) []*volState {
+// volStates snapshots the volumes the incarnation serves, in name order,
+// the order their disk work is issued in.
+func (k *incarnation) volStates() []*volState {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	vols := make([]*volState, 0, len(k.vols))
 	for _, vs := range k.vols {
 		vols = append(vols, vs)
 	}
-	byName := func(a, b *volState) int { return strings.Compare(a.name, b.name) }
-	slices.SortFunc(vols, byName)
-	if replicas {
-		n := len(vols)
-		for _, rep := range k.replicas {
-			vols = append(vols, rep.vs)
-		}
-		slices.SortFunc(vols[n:], byName)
-	}
+	slices.SortFunc(vols, func(a, b *volState) int { return strings.Compare(a.name, b.name) })
 	return vols
 }
 

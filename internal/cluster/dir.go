@@ -172,7 +172,7 @@ func (vs *volState) reclaimFile(name string) error {
 }
 
 // committedImage reads the committed contents of path's local primary
-// copy - what a replica sync or an ownership move ships.
+// copy - what an install ships (ship).
 func (k *incarnation) committedImage(path string) (vs *volState, name string, data []byte, err error) {
 	if vs, err = k.volFor(path); err != nil {
 		return nil, "", nil, err

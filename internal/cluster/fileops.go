@@ -481,6 +481,9 @@ func (k *incarnation) handleRemove(req removeReq) error {
 	k.settle(req.Path) // an idle entry nobody references does not hold the file open
 	k.mu.Lock()
 	_, open := k.open[req.Path]
+	if !open {
+		delete(vs.files, name)
+	}
 	k.mu.Unlock()
 	if open {
 		return fmt.Errorf("cluster: %q is open; close it everywhere first", req.Path)
@@ -488,7 +491,7 @@ func (k *incarnation) handleRemove(req removeReq) error {
 	if err := vs.reclaimFile(name); err != nil {
 		return err
 	}
-	k.cl.clearFileHome(req.Path)
+	k.cl.forget(req.Path)
 	k.heat.Forget(req.Path)
 	k.notifyReplicaRemove(req.Path, volName)
 	return nil

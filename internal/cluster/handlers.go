@@ -56,7 +56,7 @@ func (s *Site) registerHandlers() {
 	// read, write and lock keep the sender's identity: the lease protocol
 	// needs to know which site is asking (a site's own leases never block
 	// it, and leases are only granted to remote requesters).  So does
-	// owneradopt: the sender and its MoveID name the move in the catalog.
+	// install: the sender and its ID name the install in the catalog.
 	handle(s, "create", act((*incarnation).handleCreate))
 	handle(s, "open", ask((*incarnation).handleOpen))
 	handle(s, "close", act((*incarnation).handleClose))
@@ -74,11 +74,9 @@ func (s *Site) registerHandlers() {
 	handle(s, "mergefl", act((*incarnation).handleMergeFL))
 	handle(s, "childmoved", act((*incarnation).handleChildMoved))
 	handle(s, "whereis", ask((*incarnation).handleWhereis))
-	handle(s, "replsync", act((*incarnation).handleReplSync))
-	handle(s, "replupdating", act((*incarnation).handleReplUpdating))
+	handle(s, "install", (*incarnation).handleInstall)
 	handle(s, "replpull", act((*incarnation).handleReplPull))
 	handle(s, "replremove", act((*incarnation).handleReplRemove))
-	handle(s, "owneradopt", (*incarnation).handleOwnerAdopt)
 	handle(s, "coordcommit", act((*incarnation).handleCoordCommit))
 	// The classic "prepare" keeps its empty response so fast-paths-off
 	// runs are wire-identical.

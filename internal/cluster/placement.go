@@ -1,37 +1,32 @@
 package cluster
 
-// Locality-adaptive placement (DESIGN.md section 14): the kernel side of
-// moving a file's primary copy to the site that actually uses it, and of
-// routing a transaction's commit coordination to the site that stores
-// all of its data.
+// The copy catalog, its one copy primitive, and locality-adaptive placement
+// (DESIGN.md sections 5.2 and 14).
 //
-// The ownership move is deliberately synchronous and inline: it runs
-// from finishTxn at the storage site, after the triggering transaction's
-// locks have released, so a fixed-seed run makes the same moves at the
-// same points no matter how the host schedules goroutines - the property
-// crashprobe and the chaos engine depend on.  The move itself reuses the
-// machinery that already exists: the committed bytes ship exactly like a
-// replica propagation, the target hosts them on a volume of the same
-// name (so prepare records, recovery and lock lists work unchanged), and
-// the source's copy is reclaimed with the same ordering handleRemove
-// uses (directory entry first - the commit point - then pages and
-// inode), which fs.Load's allocator rebuild makes crash-safe at every
-// intermediate step.
+// The catalog (Cluster) records every copy of a file: its home - the
+// volume's mount site, or where adaptive placement moved its primary - and
+// the committed version each replica site's copy holds (replica.go).  A
+// copy is made one way: the primary's holder ships the committed image
+// (ship) and the target lands it on its one volume of that name, created
+// by its first install (handleInstall), where prepare records, recovery,
+// lock lists and replica reads work unchanged.  A move and a replica sync
+// differ only in the verdict: a move flips the home, a sync records the
+// version its target holds.
 //
-// Who decides a move: the catalog, once.  The source registers the move
-// pending (proposeMove) before it ships the image.  The target decides
-// commit: it installs the copy, then flips the file's home in the
-// catalog (commitMove) - only if the move is still pending and its own
-// incarnation is alive - before it replies.  The source decides abort:
-// after its call returns, error or not, it settles (settleMove), which
-// aborts a move still pending and otherwise tells it the target
-// committed.  A crash of the source aborts too - a move whose source
-// incarnation is dead can no longer commit.  The first decision wins, and
-// both sides learn it rather than guess it from a reply: a refused
-// adoption reclaims its own copy before answering, and a source whose
-// reply was lost still reclaims its copy once the catalog says "moved".
-// Only a crash can leave a second copy, only on the crashed site, and
-// that site's restart purge (purgeForeignFiles) reclaims it.
+// The catalog decides each install once.  The source registers it pending
+// (propose) before the call; the target commits it (verdict) under its
+// k.mu while alive, before it replies; the source's settle after the call,
+// reply or not, aborts it if still pending, as does the source's crash.  A
+// source whose reply was lost still learns "moved" and reclaims its copy.
+// One rule says which copies stand - a site keeps a copy iff the catalog
+// records one there (holdsCopy) - applied by a refused install before it
+// answers and by every boot to the whole disk (reclaimUnrecorded).
+//
+// A move runs inline from finishTxn at the storage site, after the
+// triggering transaction's locks released, so a fixed-seed run makes the
+// same moves at the same points.  The source's copy is reclaimed in
+// handleRemove's order (directory entry first - the commit point - then
+// pages and inode), which fs.Load's allocator rebuild makes crash-safe.
 
 import (
 	"errors"
@@ -41,7 +36,6 @@ import (
 
 	"repro/internal/lockmgr"
 	"repro/internal/proc"
-	"repro/internal/shadow"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/tpc"
@@ -59,93 +53,114 @@ var moveHolder = lockmgr.Holder{PID: -1}
 // wholeFile is a lock length covering any possible file extent.
 const wholeFile = int64(math.MaxInt64 / 2)
 
-// errMoveDecided refuses an adoption whose move the catalog no longer
-// holds pending: the source gave up or crashed, or this is a duplicate of
-// an adoption that already committed.
-var errMoveDecided = errors.New("cluster: ownership move already decided")
+// errInstallDecided refuses an install the catalog no longer holds
+// pending.
+var errInstallDecided = errors.New("cluster: install already decided")
 
-// ownerAdoptReq carries a file's committed contents to its new home.
-type ownerAdoptReq struct {
+// installReq carries a file's committed image to the site that is to hold
+// a copy of it.  Refs is the source's open count when the copy becomes
+// the primary: live opens survive a move (closes re-route to the new
+// home).  ID names the install in the catalog, with the sending site.
+type installReq struct {
 	Path string
 	Data []byte
-	// Refs is the source's open reference count: live opens survive the
-	// move (the new home inherits them; closes re-route there).
 	Refs int
-	// MoveID names the move in the catalog, together with the sending site.
-	MoveID uint64
+	ID   uint64
 }
 
-func (r ownerAdoptReq) WireSize() int { return 64 + len(r.Data) }
+func (r installReq) WireSize() int { return 64 + len(r.Data) }
 
-// moveKey names one ownership move: its source site and the MoveID the
-// source drew from moveSeq, which no crash resets.
-type moveKey struct {
+// installKey names one install: its source and the ID the source drew
+// from installSeq, which no crash resets.
+type installKey struct {
 	from simnet.SiteID
 	id   uint64
 }
 
-// move is one ownership move as the catalog holds it, from the source's
-// proposal to its settle.
-type move struct {
-	src       *incarnation // the source's kernel: its crash aborts the move
+// install is one shipped copy as the catalog holds it from proposal to
+// settle: a move, or a replica sync of version.
+type install struct {
+	src       *incarnation // the source's kernel: its crash aborts the install
 	path      string
 	to        simnet.SiteID
+	move      bool
+	version   uint64
 	committed bool
 }
 
-// pending reports whether the move is still undecided.  Called under c.mu.
-func (mv *move) pending() bool {
-	return mv != nil && !mv.committed && !mv.src.dead.Load()
+// fileCopies is the catalog's record of a file of a replicated volume: its
+// version, which every open for update advances, and the version each
+// replica site's copy holds.
+type fileCopies struct {
+	version uint64
+	held    map[simnet.SiteID]uint64
 }
 
-// proposeMove registers src's move of path to target as pending, before
-// the source ships the image.
-func (c *Cluster) proposeMove(src *incarnation, id uint64, path string, to simnet.SiteID) moveKey {
-	key := moveKey{src.id, id}
+// propose registers in, drawn as id, pending before its source ships it.
+func (c *Cluster) propose(in *install, id uint64) installKey {
+	key := installKey{in.src.id, id}
 	c.mu.Lock()
-	c.moves[key] = &move{src: src, path: path, to: to}
+	c.installs[key] = in
 	c.mu.Unlock()
 	return key
 }
 
-// movePending reports whether an adoption for the move may install.
-func (c *Cluster) movePending(key moveKey) bool {
+// verdict returns the install if it may still commit - undecided, source
+// alive, and a sync to a site that is not the home and holds no newer copy
+// of a file not removed since - and with commit set commits it: a move
+// makes its target the home (back at its mount: no override) and no
+// replica, a sync records its version.  Crash marks the source dead before
+// its restart reads the catalog, so it never serves a copy moved away.
+func (c *Cluster) verdict(key installKey, commit bool) *install {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.moves[key].pending()
-}
-
-// commitMove is the commit point of a move and the only flip of a moved
-// file's home: if the move is still pending the catalog names its target
-// from now on (a file back at its volume's mount site drops its override -
-// the mount is canonical again).  It reports whether the move is
-// committed; false means the source, or its crash, aborted it first.
-// Crash marks the source dead before its restart reads the catalog, so a
-// restarted source never serves a copy the catalog moved away.
-func (c *Cluster) commitMove(key moveKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	mv := c.moves[key]
-	if mv.pending() {
-		mv.committed = true
-		if vol, _, _ := splitPath(mv.path); c.mounts[vol] == mv.to {
-			delete(c.fileHomes, mv.path)
-		} else {
-			c.fileHomes[mv.path] = mv.to
+	in := c.installs[key]
+	if in == nil || in.committed || in.src.dead.Load() {
+		return nil
+	}
+	vol, _, _ := splitPath(in.path)
+	fc := c.copies[in.path]
+	if !in.move {
+		if home, _ := c.homeLocked(in.path, vol); home == in.to || fc == nil {
+			return nil
+		}
+		if v, ok := fc.held[in.to]; ok && v >= in.version {
+			return nil
 		}
 	}
-	return mv != nil && mv.committed
+	switch {
+	case !commit:
+		return in
+	case !in.move:
+		fc.held[in.to] = in.version
+	case c.mounts[vol] == in.to:
+		delete(c.fileHomes, in.path)
+	default:
+		c.fileHomes[in.path] = in.to
+	}
+	if in.move && fc != nil {
+		delete(fc.held, in.to)
+	}
+	in.committed = true
+	return in
 }
 
-// settleMove retires the move once the source's call has returned, error
-// or not: a move still pending is aborted here.  It reports whether the
-// target committed it.
-func (c *Cluster) settleMove(key moveKey) bool {
+// settle retires the install once its source's call has returned, aborting
+// it if still pending, and reports whether the target committed it.
+func (c *Cluster) settle(key installKey) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mv := c.moves[key]
-	delete(c.moves, key)
-	return mv != nil && mv.committed
+	in := c.installs[key]
+	delete(c.installs, key)
+	return in != nil && in.committed
+}
+
+// holdsCopy is the copy rule: site keeps a copy of path iff the catalog
+// records one there, its home or a replica's.
+func (c *Cluster) holdsCopy(path string, site simnet.SiteID) bool {
+	home, err := c.StorageSite(path)
+	recorded, _ := c.ReplicaCopy(path, site)
+	return err == nil && home == site || recorded
 }
 
 // coordCommitReq asks a site to coordinate a transaction whose data it
@@ -165,44 +180,42 @@ func (r coordCommitReq) WireSize() int {
 }
 
 // movingGuard rejects an operation on a mid-move file.  Free when
-// placement is off (s.moving is nil).
+// placement is off: nothing moves, and only a file's home serves it.
 func (k *incarnation) movingGuard(path string) error {
-	if k.moving == nil {
+	if k.heat == nil {
 		return nil
 	}
-	k.placeMu.Lock()
-	defer k.placeMu.Unlock()
-	if _, ok := k.moving[path]; ok {
+	k.fenceMu.Lock()
+	defer k.fenceMu.Unlock()
+	if _, ok := k.fenced[path]; ok {
 		return fmt.Errorf("%w: %s", errMoved, path)
 	}
 	return nil
 }
 
-// beginMove claims the move fence for path; false if already claimed.  The
-// fence is kernel memory, forfeit in a crash with the lock table: a move
-// blocked in a network call across the crash neither leaves its file
-// fenced behind errMoved nor, unwinding, releases anyone else's claim.
-func (k *incarnation) beginMove(path string) bool {
-	k.placeMu.Lock()
-	defer k.placeMu.Unlock()
-	if _, ok := k.moving[path]; ok {
+// fence claims the install fence for path; false if already claimed.  It
+// is kernel memory, forfeit in a crash: an install blocked in a network
+// call across the crash neither leaves its file fenced nor, unwinding,
+// releases anyone else's claim.
+func (k *incarnation) fence(path string) bool {
+	k.fenceMu.Lock()
+	defer k.fenceMu.Unlock()
+	if _, ok := k.fenced[path]; ok {
 		return false
 	}
-	k.moving[path] = struct{}{}
+	k.fenced[path] = struct{}{}
 	return true
 }
 
-// endMove releases the fence.
-func (k *incarnation) endMove(path string) {
-	k.placeMu.Lock()
-	delete(k.moving, path)
-	k.placeMu.Unlock()
+func (k *incarnation) unfence(path string) {
+	k.fenceMu.Lock()
+	delete(k.fenced, path)
+	k.fenceMu.Unlock()
 }
 
-// PlacementInFlight reports how many placement operations (moves and
-// adoptions) this site is currently running.  The chaos harness drains it
-// to zero before auditing the single-primary invariant, which otherwise
-// races the tail of an in-flight move.
+// PlacementInFlight reports how many copy operations (moves, and installs
+// shipped or landing) this site is running.  The harness drains it to
+// zero before auditing the single-primary invariant.
 func (m *machine) PlacementInFlight() int {
 	return int(m.placeOps.Load())
 }
@@ -246,15 +259,31 @@ func (k *incarnation) maybeMovePlacement(fileIDs []string) {
 	}
 }
 
+// ship installs path's committed image at in.to - as its primary or as a
+// replica copy at in.version - and returns the catalog's verdict, which a
+// lost reply does not change: committed image, propose, call, settle.
+func (k *incarnation) ship(in install, refs int) (bool, error) {
+	_, _, data, err := k.committedImage(in.path)
+	if err != nil {
+		return false, err
+	}
+	k.placeOps.Add(1)
+	defer k.placeOps.Add(-1)
+	in.src = k
+	id := k.installSeq.Add(1)
+	key := k.cl.propose(&in, id)
+	_, err = k.ep.Call(in.to, "install", installReq{Path: in.path, Data: data, Refs: refs, ID: id})
+	return k.cl.settle(key), err
+}
+
 // moveFile migrates path's primary copy to target.  The caller has
 // established that this site is path's home and target its dominant
 // accessor.
 func (k *incarnation) moveFile(path string, target simnet.SiteID) error {
-	if !k.beginMove(path) {
+	if !k.fence(path) {
 		return nil // concurrent move already running
 	}
-	defer k.endMove(path)
-	tok := k.moveSeq.Add(1) // names this attempt in the catalog (ownerAdoptReq.MoveID)
+	defer k.unfence(path)
 	k.placeOps.Add(1)
 	defer k.placeOps.Add(-1)
 
@@ -282,16 +311,7 @@ func (k *incarnation) moveFile(path string, target simnet.SiteID) error {
 		refs = of.refs
 	}
 
-	// Ship the committed image.
-	vs, name, data, err := k.committedImage(path)
-	if err != nil {
-		return err
-	}
-	key := k.cl.proposeMove(k, tok, path, target)
-	_, err = k.ep.Call(target, "owneradopt", ownerAdoptReq{Path: path, Data: data, Refs: refs, MoveID: tok})
-	// Error or not, the catalog has the verdict.  A lost reply does not
-	// mean a lost move: the target may have committed it before answering.
-	if !k.cl.settleMove(key) {
+	if moved, err := k.ship(install{path: path, to: target, move: true}, refs); !moved {
 		return err
 	}
 	k.st.Inc(stats.OwnerMoves)
@@ -299,80 +319,83 @@ func (k *incarnation) moveFile(path string, target simnet.SiteID) error {
 	k.heat.NoteMove(path)
 	k.heat.Forget(path)
 
-	// Reclaim the source copy; every step below is redone by the restart
-	// purge if a crash interrupts it (the namespace already points away).
+	// Reclaim the source copy; a crash that interrupts it leaves the rest
+	// to the boot rule (the catalog already records no copy here).
+	vs, err := k.volFor(path)
+	if err != nil {
+		return err
+	}
+	_, name, _ := splitPath(path)
 	k.mu.Lock()
 	if cur, ok := k.open[path]; ok && cur == of {
 		delete(k.open, path)
 		k.locks.Drop(path)
 	}
+	delete(vs.files, name)
 	k.mu.Unlock()
 	k.leaseCacheDrop(path)
 	return vs.reclaimFile(name)
 }
 
-// handleOwnerAdopt installs a migrated file at its new home.  The file
-// lands on a volume of the same name - created here on first adoption -
-// so every path-keyed mechanism (prepare records, recovery, locks,
-// replica propagation) works unchanged at the new site.
-//
-// The adoption decides the move's commit (package comment): it installs
-// only a move the catalog still holds pending - a duplicate of an
-// adoption that committed, or one whose source gave up or crashed, finds
-// nothing to do - and the per-path fence keeps every other operation on
-// the file out until the verdict.  An open-file handle already here is
-// written through rather than shadowed: two live shadow.File handles on
-// one inode each cache a committed inode, and a commit through the stale
-// one frees pages the durable state still references (the cross-file
-// corruption the chaos audit catches as torn gob and double-referenced
-// pages).  A crash mid-adoption fails the remainder instead of letting
-// old-generation inode numbers loose on the reloaded allocator: every
-// durable step runs on this incarnation's volume handle, which Crash
-// fences.
-func (k *incarnation) handleOwnerAdopt(from simnet.SiteID, req ownerAdoptReq) (none, error) {
+// handleInstall lands a shipped image as this site's copy of the file,
+// behind the per-path fence, while the catalog holds the install pending.
+// It writes through the one handle this site has on the file (an open
+// entry's, else volState.files'): two live handles on one inode each cache
+// a committed inode, and a commit through the stale one frees pages the
+// durable state still references.  Crash fences the volume handle every
+// durable step runs on, so a crash fails the remainder.
+func (k *incarnation) handleInstall(from simnet.SiteID, req installReq) (none, error) {
 	volName, name, err := splitPath(req.Path)
 	if err != nil {
 		return none{}, err
 	}
-	if !k.beginMove(req.Path) {
+	if !k.fence(req.Path) {
 		return none{}, fmt.Errorf("%w: %s", errMoved, req.Path)
 	}
-	defer k.endMove(req.Path)
+	defer k.unfence(req.Path)
 	k.placeOps.Add(1)
 	defer k.placeOps.Add(-1)
-	key := moveKey{from, req.MoveID}
-	if !k.cl.movePending(key) {
-		return none{}, fmt.Errorf("%w: %s", errMoveDecided, req.Path)
+	key := installKey{from, req.ID}
+	in := k.cl.verdict(key, false)
+	if in == nil {
+		return none{}, fmt.Errorf("%w: %s", errInstallDecided, req.Path)
 	}
-	vs, err := k.hostedVol(volName)
+	vs, err := k.volByName(volName)
+	if err != nil { // the first install here: a volume of the name, not mounted
+		vs, err = k.addVolume(&disk{vol: volName})
+	}
 	if err != nil {
 		return none{}, err
 	}
 	k.mu.Lock()
-	of := k.open[req.Path]
-	k.mu.Unlock()
-	var f *shadow.File
-	if of != nil {
+	f := vs.files[name]
+	if of := k.open[req.Path]; of != nil {
 		f = of.file
-	} else if f, err = vs.openOrCreate(name); err != nil {
-		return none{}, err
 	}
-	err = installImage(f, req.Data)
+	k.mu.Unlock()
+	if f == nil {
+		f, err = vs.openOrCreate(name)
+	}
+	if err == nil {
+		err = installImage(f, req.Data)
+	}
 
-	// Commit the move under k.mu, where Crash marks this incarnation dead:
-	// the catalog names this site only for a copy a live kernel finished
-	// installing, which its restart purge will keep.  Then, still behind
-	// the fence, inherit the live opens (closes re-resolve the storage
-	// site and arrive here expecting an open-file entry).
+	// The verdict commits under k.mu, where Crash marks this incarnation
+	// dead: the catalog records a copy only a live kernel wrote.  A new
+	// home inherits the live opens (closes re-route here); a refused
+	// install reclaims its copy unless the catalog records one here.
+	keep := true
 	k.mu.Lock()
-	if err == nil && (k.dead.Load() || !k.cl.commitMove(key)) {
-		err = fmt.Errorf("%w: %s", errMoveDecided, req.Path)
+	if err == nil && (k.dead.Load() || k.cl.verdict(key, true) == nil) {
+		err = fmt.Errorf("%w: %s", errInstallDecided, req.Path)
 	}
-	cur, dup := k.open[req.Path]
-	switch {
+	switch cur, dup := k.open[req.Path]; {
 	case err != nil:
-		delete(k.open, req.Path)
-		k.locks.Drop(req.Path)
+		if keep = k.cl.holdsCopy(req.Path, k.id); !keep {
+			delete(k.open, req.Path)
+			k.locks.Drop(req.Path)
+			delete(vs.files, name)
+		}
 	case dup:
 		cur.refs = max(cur.refs, req.Refs)
 	case req.Refs > 0:
@@ -380,48 +403,33 @@ func (k *incarnation) handleOwnerAdopt(from simnet.SiteID, req ownerAdoptReq) (n
 		nf.locks = k.locks.File(req.Path, func() int64 { return nf.file.Size() })
 		k.open[req.Path] = nf
 	}
+	if err == nil {
+		vs.files[name] = f
+	}
 	k.mu.Unlock()
-	if err != nil {
-		// Refused (or never installed): the copy is this site's to reclaim.
-		k.tr.Record(trace.OwnerPurge, "refused", req.Path, int64(req.MoveID))
-		vs.reclaimFile(name) //nolint:errcheck // a crash leaves it to the restart purge
-		return none{}, err
+	switch {
+	case in.move && err != nil:
+		k.tr.Record(trace.OwnerPurge, "refused", req.Path, int64(req.ID))
+	case in.move:
+		k.st.Inc(stats.OwnerAdopts)
+		k.tr.Record(trace.OwnerAdopt, "install", req.Path, int64(req.ID))
 	}
-	k.st.Inc(stats.OwnerAdopts)
-	k.tr.Record(trace.OwnerAdopt, "install", req.Path, int64(req.MoveID))
-	return none{}, nil
+	if !keep {
+		vs.reclaimFile(name) //nolint:errcheck // a crash leaves it to the boot rule
+	}
+	return none{}, err
 }
 
-// hostedVol returns the named volume at this site, creating a fresh one
-// (on its own disk) the first time a file of that volume is adopted
-// here.  The hosted volume joins k.vols under the canonical name and is
-// indistinguishable from a mounted one to every other subsystem; it is
-// NOT added to the cluster mount table - the mount stays where it was.
-func (k *incarnation) hostedVol(volName string) (*volState, error) {
-	if vs, err := k.volByName(volName); err == nil {
-		return vs, nil
-	}
-	return k.addVolume(&disk{vol: volName, hosted: true})
-}
-
-// purgeForeignFiles runs during restart, after the volumes reload but
-// before in-doubt recovery: any local file the namespace homes at
-// another site is a leftover of an ownership move this site's crash
-// interrupted (either a source copy whose removal was cut short after the
-// target committed, or an adopted copy the crash kept from committing)
-// and is reclaimed here, restoring the exactly-one-primary invariant.  Prepared transactions
-// cannot reference such a file: a move only proceeds through a fully
-// quiesced lock list, so no prepare record and a foreign home can
-// coexist.
-func (k *incarnation) purgeForeignFiles() {
-	for _, vs := range k.volStates(false) {
+// reclaimUnrecorded is the copy rule at boot (newIncarnation): it reclaims
+// every local copy the catalog records none of here - a moved file's
+// source copy or an install a crash cut short, a replica copy of a file
+// removed meanwhile.
+func (k *incarnation) reclaimUnrecorded() {
+	for _, vs := range k.volStates() {
 		for _, name := range vs.dirList() {
-			path := vs.name + "/" + name
-			home, err := k.cl.StorageSite(path)
-			if err != nil || home == k.id {
-				continue
+			if !k.cl.holdsCopy(vs.name+"/"+name, k.id) {
+				vs.reclaimFile(name) //nolint:errcheck // load rebuilt the allocator; a re-crash just reclaims again
 			}
-			vs.reclaimFile(name) //nolint:errcheck // load rebuilt the allocator; a re-crash just purges again
 		}
 	}
 }

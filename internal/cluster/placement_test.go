@@ -342,7 +342,7 @@ func newMoveWorld(t *testing.T, cfg Config) *moveWorld {
 // reports with t.Error.
 func (w *moveWorld) heat(t *testing.T) {
 	s1 := w.cl.Site(1)
-	for i := 0; i < 8 && s1.moveSeq.Load() == 0; i++ {
+	for i := 0; i < 8 && s1.installSeq.Load() == 0; i++ {
 		txid := fmt.Sprintf("T%d", i)
 		if _, err := w.cl.Site(2).Write(w.id, w.pid, txid, int64(len(w.data)), []byte("abcd")); err != nil {
 			t.Error(err)
@@ -359,7 +359,7 @@ func (w *moveWorld) heat(t *testing.T) {
 		}
 		w.data = append(w.data, "abcd"...)
 	}
-	if s1.moveSeq.Load() == 0 {
+	if s1.installSeq.Load() == 0 {
 		t.Error("no ownership move was tried")
 	}
 }
@@ -410,7 +410,7 @@ func TestMoveVerdict(t *testing.T) {
 		w := newMoveWorld(t, Config{Clock: vtime.NewVirtual()})
 		var cut atomic.Bool
 		w.cl.Net().SetFaultFilter(func(from, to simnet.SiteID, op string) bool {
-			if op == "owneradopt" && from == 2 { // the adoption's reply
+			if op == "install" && from == 2 { // the adoption's reply
 				cut.Store(true)
 				return true
 			}
@@ -425,10 +425,10 @@ func TestMoveVerdict(t *testing.T) {
 	t.Run("b-source-times-out", func(t *testing.T) {
 		w := newMoveWorld(t, Config{Net: simnet.Config{CallTimeout: 100 * time.Millisecond}})
 		parked, release := make(chan struct{}, 1), make(chan struct{})
-		w.cl.Site(2).Stall("owneradopt", func() { parked <- struct{}{}; <-release })
+		w.cl.Site(2).Stall("install", func() { parked <- struct{}{}; <-release })
 		w.heat(t) // the triggering commit returns once the source settled
 		<-parked
-		w.cl.Site(2).Stall("owneradopt", nil)
+		w.cl.Site(2).Stall("install", nil)
 		sent := func() int64 { return w.cl.Stats().Snapshot().Get(stats.MsgsSent) }
 		before := sent()
 		close(release)
@@ -442,14 +442,14 @@ func TestMoveVerdict(t *testing.T) {
 		w := newMoveWorld(t, Config{Clock: clk})
 		s1 := w.cl.Site(1)
 		parked, release := make(chan struct{}, 1), make(chan struct{}, 1)
-		w.cl.Site(2).Stall("owneradopt", func() {
+		w.cl.Site(2).Stall("install", func() {
 			vtime.NotifySend(clk, parked, struct{}{})
 			vtime.WaitRecv(clk, release, 0)
 		})
 		g := vtime.NewGroup(clk)
 		g.Go(func() { w.heat(t) })
 		vtime.WaitRecv(clk, parked, 0)
-		w.cl.Site(2).Stall("owneradopt", nil)
+		w.cl.Site(2).Stall("install", nil)
 		s1.Crash()
 		vtime.NotifySend(clk, release, struct{}{})
 		g.Wait()

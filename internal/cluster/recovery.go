@@ -42,7 +42,7 @@ func (s *Site) Crash() {
 // outlives the kernel (a phase-two retry, a shadow commit in flight)
 // fails on it instead of writing through a superseded allocator or log.
 func (k *incarnation) halt() {
-	for _, vs := range k.volStates(true) {
+	for _, vs := range k.volStates() {
 		vs.disk.dev.Crash()
 		vs.vol.Invalidate()
 	}
@@ -55,7 +55,8 @@ func (k *incarnation) halt() {
 //  1. reload each volume; the load scan reclaims orphan shadow pages
 //     (transactions that never prepared are thereby aborted);
 //  2. pin every page named by a surviving prepare record, before anything
-//     allocates;
+//     allocates, then reclaim every copy the catalog records none of here
+//     (the copy rule, placement.go);
 //  3. (a) re-register every surviving prepare record and re-establish its
 //     retained locks.  A commit or abort retry that found the table still
 //     empty would be acknowledged as an idempotent duplicate, letting the
@@ -68,13 +69,13 @@ func newIncarnation(m *machine) (_ *incarnation, err error) {
 	k := &incarnation{
 		machine:   m,
 		vols:      make(map[string]*volState),
-		replicas:  make(map[string]*replicaState),
 		open:      make(map[string]*openFile),
 		locks:     lockmgr.NewManager(m.st),
 		procs:     proc.NewTable(m.id, m.st),
 		prepared:  make(map[string]*preparedTxn),
 		txns:      make(map[string]struct{}),
 		lockCache: make(map[string]map[string][]cachedLock),
+		fenced:    make(map[string]struct{}),
 	}
 	k.mu.SetClock(cfg.Clock)
 	k.locks.SetTracer(m.tr)
@@ -82,9 +83,6 @@ func newIncarnation(m *machine) (_ *incarnation, err error) {
 	if cfg.LockLeases {
 		k.leases = make(map[string]*siteLease)
 		k.leaseMeta = make(map[string]map[simnet.SiteID]*leaseMeta)
-	}
-	if cfg.AdaptivePlacement {
-		k.moving = make(map[string]struct{})
 	}
 	defer func() {
 		if err != nil {
@@ -100,23 +98,15 @@ func newIncarnation(m *machine) (_ *incarnation, err error) {
 		if err != nil {
 			return nil, err
 		}
-		if d.replica {
-			k.replicas[d.vol] = newReplicaState(vs)
-			continue
-		}
 		k.vols[d.vol] = vs
 		if err := tpc.PinPreparedPages(vs.vol); err != nil {
 			return nil, err
 		}
 	}
-	// Adaptive placement: reclaim any local copy of a file the namespace
-	// homes elsewhere (an ownership move this crash interrupted), before
-	// prepare-record processing - a quiesced move cannot coexist with a
-	// prepared transaction, so the purge never races recovery state.
-	if cfg.AdaptivePlacement {
-		k.purgeForeignFiles()
-	}
-	for _, vs := range k.volStates(false) {
+	// Before prepare-record processing: a copy is shipped only quiesced,
+	// so no prepare record names one the rule reclaims.
+	k.reclaimUnrecorded()
+	for _, vs := range k.volStates() {
 		recs, err := tpc.ReadPrepareRecords(vs.vol)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: prepare records of %q: %w", vs.name, err)
@@ -158,9 +148,9 @@ func (s *Site) Restart() error {
 			return fmt.Errorf("cluster: coordinator recovery at site %v: %w", s.id, rerr)
 		}
 	}
-	// Refresh replica contents (stale copies forward to the primary
-	// until the pull completes).
-	k.resyncReplicas()
+	// Pull the replica copies the catalog records behind here (they
+	// forward their reads to the primary until the pull lands).
+	k.pullBehind()
 	s.tr.Record(trace.Recovery, "", s.id.String(), int64(len(k.inDoubt())))
 	return nil
 }
@@ -274,16 +264,14 @@ func (s *Site) ResolveInDoubt() int { return s.kernel().ResolveInDoubt() }
 // await their coordinator.
 func (s *Site) InDoubtCount() int { return len(s.kernel().inDoubt()) }
 
-// Volumes returns the names of the volumes on the site's disks (mounted
-// and hosted, not replicas), sorted.
+// Volumes returns the names of the volumes on the site's disks, mounted or
+// installed, sorted.
 func (m *machine) Volumes() []string {
 	m.diskMu.Lock()
 	defer m.diskMu.Unlock()
 	var out []string
 	for _, d := range m.disks {
-		if !d.replica {
-			out = append(out, d.vol)
-		}
+		out = append(out, d.vol)
 	}
 	sort.Strings(out)
 	return out

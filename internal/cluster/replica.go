@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/shadow"
 	"repro/internal/simnet"
@@ -14,29 +15,20 @@ import (
 // opened for update (a write or a record-locking request), storage-site
 // service migrates to the primary update site: the lock list lives there
 // and replicas forward reads there until the file quiesces, at which
-// point the primary propagates the committed contents back to the
-// replicas and local reading resumes.
+// point the primary ships the committed contents back to the replicas
+// (ship, placement.go) and local reading resumes.
 //
-// Replication is by logical file content (path + bytes), not physical
-// page numbers: each replica lays the file out on its own volume.  As in
-// Locus, a replica that cannot be reached during propagation simply
-// misses the update; it serves its last-synced committed state until the
-// next successful propagation (optimistic availability - Locus relied on
+// The catalog keeps the books: the primary's open for update advances the
+// file's version, a sync's verdict records the version the replica's copy
+// then holds, and a replica serves a read itself iff its copy is at the
+// file's current version.  Replication is by logical file content (path +
+// bytes): each replica lays the file out on its own volume.  As in Locus,
+// a replica that cannot be reached misses the update and forwards its
+// reads until a later sync lands (optimistic availability; Locus relied on
 // reconciliation for partitioned operation, which is out of scope here).
 
-// replOwner commits propagated contents on replica volumes.
+// replOwner commits shipped contents on the volume receiving them.
 const replOwner shadow.Owner = "kernel:repl"
-
-// Replication payloads.
-
-type replSyncReq struct {
-	Path string
-	Data []byte
-}
-
-func (r replSyncReq) WireSize() int { return 64 + len(r.Data) }
-
-type replUpdatingReq struct{ Path string }
 
 type replPullReq struct {
 	Volume  string
@@ -46,122 +38,131 @@ type replPullReq struct {
 type replRemoveReq struct{ Path string }
 
 // AddReplica creates a read-only replica of an existing volume at another
-// site and synchronizes the current committed contents.
+// site and ships it the current committed contents.
 func (c *Cluster) AddReplica(volName string, site simnet.SiteID) error {
+	var err error
 	c.mu.Lock()
 	primary, ok := c.mounts[volName]
+	switch {
+	case !ok:
+		err = fmt.Errorf("%w: %q", ErrNoSuchVolume, volName)
+	case primary == site:
+		err = fmt.Errorf("cluster: %q is already primary at %v", volName, site)
+	case c.sites[site] == nil:
+		err = fmt.Errorf("cluster: no site %v", site)
+	case slices.Contains(c.replicas[volName], site):
+		err = fmt.Errorf("cluster: %q already replicated at %v", volName, site)
+	default:
+		c.replicas[volName] = append(c.replicas[volName], site)
+	}
 	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchVolume, volName)
-	}
-	if primary == site {
-		return fmt.Errorf("cluster: %q is already primary at %v", volName, site)
-	}
-	rs := c.Site(site)
-	if rs == nil {
-		return fmt.Errorf("cluster: no site %v", site)
-	}
-	if _, err := rs.kernel().addVolume(&disk{vol: volName, replica: true}); err != nil {
-		return err
-	}
-
-	c.mu.Lock()
-	c.replicaSites[volName] = append(c.replicaSites[volName], site)
-	c.mu.Unlock()
-
-	// Initial synchronization: copy every committed file.
-	ps := c.Site(primary)
-	names, err := ps.List(volName)
 	if err != nil {
 		return err
 	}
-	for _, name := range names {
-		if err := ps.kernel().pushFileToReplica(site, volName+"/"+name); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Site(primary).kernel().handleReplPull(replPullReq{Volume: volName, Replica: site})
 }
 
 // ReplicaSites returns the replica sites of a volume.
 func (c *Cluster) ReplicaSites(volName string) []simnet.SiteID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]simnet.SiteID(nil), c.replicaSites[volName]...)
+	return slices.Clone(c.replicas[volName])
 }
 
-// replicaState is a site's local copy of a replicated volume.
-type replicaState struct {
-	vs       *volState
-	updating map[string]bool // paths whose service migrated to the primary
-	// files caches open read-only handles so repeated replica reads hit
-	// the in-memory inode and clean-page cache, as the paper's buffer
-	// pool did; entries refresh whenever new contents arrive.
-	files map[string]*shadow.File
-}
-
-// newReplicaState wraps a replica volume just formatted or reloaded.  Every
-// file a reload finds is marked service-migrated: reads forward to the
-// primary, which is always correct, until a propagation refreshes it.
-func newReplicaState(vs *volState) *replicaState {
-	rep := &replicaState{vs: vs, updating: make(map[string]bool), files: make(map[string]*shadow.File)}
-	for _, name := range vs.dirList() {
-		rep.updating[vs.name+"/"+name] = true
+// ReplicaCopy reports whether the catalog records a replica copy of path
+// at site - which the single-primary audit must not count as a primary -
+// and whether it is at the file's current version, the one case a
+// replica serves a read itself.
+func (c *Cluster) ReplicaCopy(path string, site simnet.SiteID) (recorded, current bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if fc := c.copies[path]; fc != nil {
+		v, ok := fc.held[site]
+		return ok, ok && v == fc.version
 	}
-	return rep
+	return false, false
 }
 
-// handleReplRemove mirrors a file removal onto the local replica.
+// updateCycle begins (advancing its version) or ends path's update cycle
+// in the catalog, returning the replica sites of its volume and the
+// version a copy shipped to them carries; none for a volume without.
+func (c *Cluster) updateCycle(path string, begin bool) ([]simnet.SiteID, uint64) {
+	vol, _, _ := splitPath(path)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.replicas[vol]) == 0 {
+		return nil, 0
+	}
+	fc := c.copies[path]
+	if fc == nil {
+		fc = &fileCopies{held: make(map[simnet.SiteID]uint64)}
+		c.copies[path] = fc
+	}
+	if begin {
+		fc.version++
+	}
+	return c.replicas[vol], fc.version
+}
+
+// handleReplRemove drops this site's copy of a removed file: the boot
+// rule applied to one path, whose records the removal already erased.
 func (k *incarnation) handleReplRemove(req replRemoveReq) error {
-	rep := k.replicaFor(req.Path)
-	if rep == nil {
-		return fmt.Errorf("cluster: %v holds no replica for %q", k.id, req.Path)
+	vs, err := k.volFor(req.Path)
+	if err != nil || k.cl.holdsCopy(req.Path, k.id) {
+		return nil // nothing synced here, or the copy is recorded after all
 	}
-	_, name, err := splitPath(req.Path)
-	if err != nil {
-		return err
-	}
-	// A file never synced here has nothing to free.
-	if err := rep.vs.reclaimFile(name); err != nil && !errors.Is(err, ErrNoSuchFile) {
-		return err
-	}
+	_, name, _ := splitPath(req.Path)
 	k.mu.Lock()
-	delete(rep.files, req.Path)
-	delete(rep.updating, req.Path)
+	delete(vs.files, name)
 	k.mu.Unlock()
+	if err := vs.reclaimFile(name); !errors.Is(err, ErrNoSuchFile) {
+		return err
+	}
 	return nil
 }
 
 // notifyReplicaRemove fans a removal out to the volume's replicas, best
-// effort (a down replica drops the file during its restart resync).
+// effort (a down replica's boot rule drops the file when it restarts).
 func (k *incarnation) notifyReplicaRemove(path, volName string) {
 	for _, site := range k.cl.ReplicaSites(volName) {
 		k.ep.Call(site, "replremove", replRemoveReq{Path: path}) //nolint:errcheck
 	}
 }
 
-// handleReplPull runs at a primary: a restarting replica asks for a full
-// resynchronization of the volume.
+// handleReplPull runs at a volume's mount site: it ships a replica - new
+// (AddReplica) or restarting (pullBehind) - each copy the catalog records
+// it behind on.  A file open for update or locked (an in-doubt
+// transaction's retained locks) is skipped, its committed contents about
+// to change: its update cycle's end ships it.  The version is read under
+// k.mu with that test, as maybeSyncReplicas reads it.
 func (k *incarnation) handleReplPull(req replPullReq) error {
 	vs, err := k.volByName(req.Volume)
 	if err != nil {
 		return err
 	}
 	for _, name := range vs.dirList() {
-		if err := k.pushFileToReplica(req.Replica, req.Volume+"/"+name); err != nil {
+		path := req.Volume + "/" + name
+		k.mu.Lock()
+		of, fl := k.open[path], k.locks.Lookup(path)
+		busy := of != nil && of.updateMode || fl != nil && fl.Held(false)
+		_, version := k.cl.updateCycle(path, false)
+		k.mu.Unlock()
+		if _, current := k.cl.ReplicaCopy(path, req.Replica); busy || current {
+			continue
+		}
+		if _, err := k.ship(install{path: path, to: req.Replica, version: version}, 0); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// resyncReplicas runs after a replica site restarts: a full pull of each
-// replicated volume refreshes the local copies, which then resume local
-// service.  An unreachable primary leaves the conservative forwarding
-// (newReplicaState) in place.
-func (k *incarnation) resyncReplicas() {
-	for _, vs := range k.volStates(true) {
-		if !vs.disk.replica {
+// pullBehind runs after a restart: each volume this site replicates asks
+// its mount site for the copies behind here.  An unreachable mount leaves
+// them behind, forwarding their reads.
+func (k *incarnation) pullBehind() {
+	for _, vs := range k.volStates() {
+		if vs.disk.mounted || !slices.Contains(k.cl.ReplicaSites(vs.name), k.id) {
 			continue
 		}
 		if primary, err := k.cl.StorageSite(vs.name + "/."); err == nil {
@@ -170,92 +171,36 @@ func (k *incarnation) resyncReplicas() {
 	}
 }
 
-// replicaFor returns the site's replica of the path's volume, if any.
-func (k *incarnation) replicaFor(path string) *replicaState {
-	volName, _, err := splitPath(path)
-	if err != nil {
-		return nil
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.replicas[volName]
-}
-
-// handleReplSync installs propagated file contents on the local replica
-// and re-enables local reading of the path.
-func (k *incarnation) handleReplSync(req replSyncReq) error {
-	rep := k.replicaFor(req.Path)
-	if rep == nil {
-		return fmt.Errorf("cluster: %v holds no replica for %q", k.id, req.Path)
-	}
-	_, name, err := splitPath(req.Path)
-	if err != nil {
-		return err
-	}
-	f, err := rep.vs.openOrCreate(name)
-	if err != nil {
-		return err
-	}
-	if err := installImage(f, req.Data); err != nil {
-		return err
-	}
-	k.mu.Lock()
-	delete(rep.updating, req.Path)
-	rep.files[req.Path] = f // refreshed handle serves subsequent local reads
-	k.mu.Unlock()
-	return nil
-}
-
-// handleReplUpdating marks a path as open-for-update at the primary:
-// local reads forward there until the next replsync.
-func (k *incarnation) handleReplUpdating(req replUpdatingReq) error {
-	rep := k.replicaFor(req.Path)
-	if rep == nil {
-		return fmt.Errorf("cluster: %v holds no replica for %q", k.id, req.Path)
-	}
-	k.mu.Lock()
-	rep.updating[req.Path] = true
-	k.mu.Unlock()
-	return nil
-}
-
-// replicaRead serves a read from the local replica when permitted:
-// the volume is replicated here and the file's service has not migrated
-// to the primary.  It returns (nil, false) when the caller must go
-// remote.
+// replicaRead serves a read from the local replica when the catalog
+// records its copy at the file's current version; (nil, false) sends the
+// caller remote.  A mount site is never a replica, so its reads never
+// consult the catalog.
 func (k *incarnation) replicaRead(fileID string, off int64, n int) ([]byte, bool) {
-	rep := k.replicaFor(fileID)
-	if rep == nil {
+	vs, err := k.volFor(fileID)
+	if err != nil || vs.disk.mounted {
 		return nil, false
 	}
-	if _, moved := k.cl.FileHome(fileID); moved {
-		// The primary migrated since this replica last synced; its copy
-		// refreshes from the new home on the next propagation, so reads
-		// go remote until then.
+	if _, current := k.cl.ReplicaCopy(fileID, k.id); !current {
 		return nil, false
 	}
+	_, name, _ := splitPath(fileID)
 	k.mu.Lock()
-	migrated := rep.updating[fileID]
-	f := rep.files[fileID]
+	f := vs.files[name]
 	k.mu.Unlock()
-	if migrated {
-		return nil, false
-	}
 	if f == nil {
-		_, name, err := splitPath(fileID)
+		ino, err := vs.dirLookup(name)
 		if err != nil {
 			return nil, false
 		}
-		ino, err := rep.vs.dirLookup(name)
-		if err != nil {
-			return nil, false
-		}
-		f, err = shadow.Open(rep.vs.vol, ino)
-		if err != nil {
+		if f, err = shadow.Open(vs.vol, ino); err != nil {
 			return nil, false
 		}
 		k.mu.Lock()
-		rep.files[fileID] = f
+		if cur := vs.files[name]; cur != nil {
+			f = cur // an install got there first: its handle is the one
+		} else {
+			vs.files[name] = f
+		}
 		k.mu.Unlock()
 	}
 	buf := make([]byte, n)
@@ -266,53 +211,45 @@ func (k *incarnation) replicaRead(fileID string, off int64, n int) ([]byte, bool
 	return buf[:m], true
 }
 
-// markOpenForUpdate flags the file at its primary and tells every replica
-// to forward reads (storage-site service migration).  Idempotent; called
-// on the first write or lock of a file on a replicated volume.
+// markOpenForUpdate begins the file's update cycle at its primary, in the
+// same step advancing a replicated file's version so every replica
+// forwards its reads (storage-site service migration).  Idempotent;
+// called on each write or lock.
 func (k *incarnation) markOpenForUpdate(of *openFile) {
 	k.mu.Lock()
-	if of.updateMode {
-		k.mu.Unlock()
-		return
+	if !of.updateMode {
+		of.updateMode = true
+		sites, _ := k.cl.updateCycle(of.id, true)
+		of.replicated = sites != nil
 	}
-	of.updateMode = true
 	k.mu.Unlock()
-	for _, site := range k.cl.ReplicaSites(of.vs.name) {
-		k.ep.Call(site, "replupdating", replUpdatingReq{Path: of.id}) //nolint:errcheck // unreachable replicas serve stale data, as Locus allowed
-	}
 }
 
-// maybeSyncReplicas propagates the committed contents to replicas once a
-// file has quiesced (no uncommitted owners, no live locks - a sticky lease
-// is a cached right to re-acquire, not a holder) and clears the
-// open-for-update migration.  A volume without replicas has nobody to
-// push to: its lock list is not consulted, and the flag clears as soon as
-// nothing is uncommitted, for the next write or lock to raise again.
+// maybeSyncReplicas ends the update cycle once the file has quiesced (no
+// uncommitted owners, no live locks - a sticky lease is a cached right to
+// re-acquire, not a holder) and ships the committed contents to the
+// replicas, at the version read as the cycle ends: one that begins before
+// they land leaves them behind.  A volume without replicas has nobody to
+// ship to: its lock list is not consulted, and the cycle ends as soon as
+// nothing is uncommitted, for the next write or lock to begin again.
 func (k *incarnation) maybeSyncReplicas(of *openFile) {
 	k.mu.Lock()
-	wasUpdating := of.updateMode
+	updating, replicated := of.updateMode, of.replicated
 	k.mu.Unlock()
-	if !wasUpdating || of.file.Modified() {
+	if !updating || of.file.Modified() || replicated && of.locks.Held(false) {
 		return
 	}
-	replicas := k.cl.ReplicaSites(of.vs.name)
-	if len(replicas) > 0 && of.locks.Held(false) {
-		return
-	}
+	var sites []simnet.SiteID
+	var version uint64
 	k.mu.Lock()
 	of.updateMode = false
+	if replicated {
+		sites, version = k.cl.updateCycle(of.id, false)
+	}
 	k.mu.Unlock()
-	for _, site := range replicas {
-		k.pushFileToReplica(site, of.id) //nolint:errcheck // unreachable replicas stay stale until the next push
+	for _, site := range sites {
+		if site != k.id {
+			k.ship(install{path: of.id, to: site, version: version}, 0) //nolint:errcheck // an unreachable replica stays behind until the next sync
+		}
 	}
-}
-
-// pushFileToReplica ships a file's committed contents to one replica.
-func (k *incarnation) pushFileToReplica(site simnet.SiteID, path string) error {
-	_, _, data, err := k.committedImage(path)
-	if err != nil {
-		return err
-	}
-	_, err = k.ep.Call(site, "replsync", replSyncReq{Path: path, Data: data})
-	return err
 }

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,9 +14,10 @@ import (
 )
 
 // replicatedCluster: volume "va" primary at site 1, replicas at 2 and 3.
-func replicatedCluster(t *testing.T) *Cluster {
+func replicatedCluster(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
-	cl := New(Config{SyncPhase2: true})
+	cfg.SyncPhase2 = true
+	cl := New(cfg)
 	for i := 1; i <= 3; i++ {
 		cl.AddSite(simnet.SiteID(i))
 	}
@@ -44,7 +47,7 @@ func replicatedCluster(t *testing.T) *Cluster {
 }
 
 func TestReplicaServesLocalReads(t *testing.T) {
-	cl := replicatedCluster(t)
+	cl := replicatedCluster(t, Config{})
 	s2 := cl.Site(2)
 	pid := cl.NewPID()
 	s2.Procs().NewProcess(pid, 0)
@@ -69,7 +72,7 @@ func TestReplicaServesLocalReads(t *testing.T) {
 }
 
 func TestOpenForUpdateMigratesService(t *testing.T) {
-	cl := replicatedCluster(t)
+	cl := replicatedCluster(t, Config{})
 	s1, s2 := cl.Site(1), cl.Site(2)
 	w := cl.NewPID()
 	s1.Procs().NewProcess(w, 0)
@@ -119,7 +122,7 @@ func TestOpenForUpdateMigratesService(t *testing.T) {
 }
 
 func TestTransactionCommitPropagatesToReplicas(t *testing.T) {
-	cl := replicatedCluster(t)
+	cl := replicatedCluster(t, Config{})
 	s1, s3 := cl.Site(1), cl.Site(3)
 	pid := cl.NewPID()
 	s1.Procs().NewProcess(pid, 0)
@@ -157,7 +160,7 @@ func TestTransactionCommitPropagatesToReplicas(t *testing.T) {
 }
 
 func TestReplicaAvailabilityWhenPrimaryDown(t *testing.T) {
-	cl := replicatedCluster(t)
+	cl := replicatedCluster(t, Config{})
 	cl.Site(1).Crash()
 	s2 := cl.Site(2)
 	pid := cl.NewPID()
@@ -175,7 +178,7 @@ func TestReplicaAvailabilityWhenPrimaryDown(t *testing.T) {
 }
 
 func TestReplicaRestartResyncs(t *testing.T) {
-	cl := replicatedCluster(t)
+	cl := replicatedCluster(t, Config{})
 	s1, s2 := cl.Site(1), cl.Site(2)
 
 	// Crash the replica, update the file at the primary meanwhile.
@@ -203,7 +206,7 @@ func TestReplicaRestartResyncs(t *testing.T) {
 }
 
 func TestAddReplicaValidation(t *testing.T) {
-	cl := replicatedCluster(t)
+	cl := replicatedCluster(t, Config{})
 	if err := cl.AddReplica("nope", 2); !errors.Is(err, ErrNoSuchVolume) {
 		t.Fatalf("unknown volume: %v", err)
 	}
@@ -219,7 +222,7 @@ func TestAddReplicaValidation(t *testing.T) {
 }
 
 func TestNewFileCreatedAfterReplicationPropagates(t *testing.T) {
-	cl := replicatedCluster(t)
+	cl := replicatedCluster(t, Config{})
 	s1, s2 := cl.Site(1), cl.Site(2)
 	pid := cl.NewPID()
 	s1.Procs().NewProcess(pid, 0)
@@ -240,7 +243,7 @@ func TestNewFileCreatedAfterReplicationPropagates(t *testing.T) {
 }
 
 func TestRemovePropagatesToReplicas(t *testing.T) {
-	cl := replicatedCluster(t)
+	cl := replicatedCluster(t, Config{})
 	s1, s2 := cl.Site(1), cl.Site(2)
 	if err := s1.Remove("va/pre"); err != nil {
 		t.Fatal(err)
@@ -270,33 +273,166 @@ func TestRemovePropagatesToReplicas(t *testing.T) {
 }
 
 // TestReplicaDiskChargesTheSpindle: a replica's disk is built like every
-// other (machine.mount via addVolume), so installing propagated contents
-// pays the forced-write delay - at AddReplica time and again after the
-// replica site reloads.  Replica disks used to be built a second way that
-// forgot SetSyncDelay, and their forces cost zero simulated time.
+// other (machine.mount via addVolume), so installing shipped contents pays
+// the forced-write delay - on the replica's first volume and again after
+// the replica site reloads.  Replica disks used to be built a second way
+// that forgot SetSyncDelay, and their forces cost zero simulated time.
 func TestReplicaDiskChargesTheSpindle(t *testing.T) {
 	const delay = 5 * time.Millisecond
 	clk := vtime.NewVirtual()
 	cl := twoSiteCluster(t, Config{Clock: clk, DiskSyncDelay: delay})
 	defer cl.Shutdown()
-	if err := cl.AddReplica("va", 2); err != nil {
-		t.Fatal(err)
-	}
-	s2 := cl.Site(2)
-	install := func(when string, data string) {
+	s1, s2 := cl.Site(1), cl.Site(2)
+	must(t, s1.Create("va/f"))
+	must(t, cl.AddReplica("va", 2))
+	sync := func(when string, version uint64, data string) {
 		t.Helper()
+		cl.updateCycle("va/f", true)
+		req := proposeInstall(s1.kernel(), 100+version, install{path: "va/f", to: 2, version: version}, data)
 		t0 := clk.Now()
-		if err := s2.kernel().handleReplSync(replSyncReq{Path: "va/f", Data: []byte(data)}); err != nil {
+		if _, err := s2.kernel().handleInstall(1, req); err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
 		if took := clk.Now().Sub(t0); took < delay {
-			t.Errorf("%s: a replsync install took %v of simulated time, want at least one force (%v)", when, took, delay)
+			t.Errorf("%s: a replica install took %v of simulated time, want at least one force (%v)", when, took, delay)
 		}
 	}
-	install("fresh replica", "one")
+	sync("fresh replica", 1, "one")
 	s2.Crash()
 	if err := s2.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	install("reloaded replica", "two")
+	sync("reloaded replica", 2, "two")
+}
+
+// TestSyncOvertakenByUpdateForwards: a sync that lands after its file was
+// opened for update again must not make the replica current.  The sync is
+// parked at the top of the replica's handler while a second writer opens
+// the file for update; once it lands, the replica's copy is a version
+// behind, so its reads forward and see the working bytes (as in
+// TestOpenForUpdateMigratesService).  When the update cycle was a mark on
+// the replica, set by its own message, the late sync cleared it and the
+// replica served its copy locally mid-update.
+func TestSyncOvertakenByUpdateForwards(t *testing.T) {
+	clk := vtime.NewVirtual()
+	cl := replicatedCluster(t, Config{Clock: clk})
+	defer cl.Shutdown()
+	s1, s2 := cl.Site(1), cl.Site(2)
+	first, second, reader := cl.NewPID(), cl.NewPID(), cl.NewPID()
+	s1.Procs().NewProcess(first, 0)
+	s1.Procs().NewProcess(second, 0)
+	s2.Procs().NewProcess(reader, 0)
+	id, _, err := s1.Open("va/pre")
+	must(t, err)
+	_, err = s1.Write(id, first, "", 0, []byte("first write"))
+	must(t, err)
+
+	parked, release := make(chan struct{}, 1), make(chan struct{}, 1)
+	s2.Stall("install", func() {
+		vtime.NotifySend(clk, parked, struct{}{})
+		vtime.WaitRecv(clk, release, 0)
+	})
+	g := vtime.NewGroup(clk)
+	g.Go(func() {
+		if err := s1.Close(id, first, ""); err != nil { // commits; the quiesce ships to 2 and 3
+			t.Error(err)
+		}
+	})
+	vtime.WaitRecv(clk, parked, 0)
+	s2.Stall("install", nil)
+	_, err = s1.Write(id, second, "", 0, []byte("UPDATING..!"))
+	must(t, err)
+	vtime.NotifySend(clk, release, struct{}{})
+	g.Wait()
+
+	rid, _, err := s2.Open("va/pre")
+	must(t, err)
+	before := cl.Stats().Snapshot()
+	got, err := s2.Read(rid, reader, "", 0, 11)
+	must(t, err)
+	if cl.Stats().Snapshot().Sub(before).Get(stats.MsgsSent) == 0 {
+		t.Fatalf("replica served %q locally while the file is open for update", got)
+	}
+	if string(got) != "UPDATING..!" {
+		t.Fatalf("forwarded read = %q, want the working bytes", got)
+	}
+}
+
+// TestMoveOntoReplicaLeavesOneCopy: a primary copy that moves to a site
+// holding a replica of its volume lands on the replica's copy, written
+// through the replica's read handle, which becomes the new home's: one
+// copy, one volume and one live handle there, and clean allocators after
+// commits at the new home.
+func TestMoveOntoReplicaLeavesOneCopy(t *testing.T) {
+	w := newMoveWorld(t, Config{PlacementMinAccesses: 1e9}) // moves only when told
+	s2 := w.cl.Site(2)
+	must(t, w.cl.AddReplica("va", 2))
+	if _, err := s2.Read(w.id, w.pid, "", 0, 1); err != nil { // opens the read handle
+		t.Fatal(err)
+	}
+	for _, txid := range []string{"T1", "T2"} { // each commit syncs the replica
+		_, err := s2.Write(w.id, w.pid, txid, int64(len(w.data)), []byte("abcd"))
+		must(t, err)
+		commitAtHome(t, w.cl, txid, w.id)
+		w.data = append(w.data, "abcd"...)
+	}
+	must(t, w.cl.Site(1).kernel().moveFile(w.id, 2))
+	w.expect(t, 2)
+	if recorded, _ := w.cl.ReplicaCopy(w.id, 2); recorded {
+		t.Error("the new home is still recorded as a replica")
+	}
+	_, err := s2.Write(w.id, w.pid, "T-home", 0, []byte("home"))
+	must(t, err)
+	commitAtHome(t, w.cl, "T-home", w.id)
+
+	k := s2.kernel()
+	k.mu.Lock()
+	of, vs := k.open[w.id], k.vols["va"]
+	oneHandle := of != nil && of.file == vs.files["f"]
+	k.mu.Unlock()
+	if !oneHandle {
+		t.Error("the new home's open file does not use the replica's handle")
+	}
+	if got := s2.Volumes(); len(got) != 2 || len(s2.disks) != 2 {
+		t.Errorf("site 2 volumes %v on %d disks, want [va vb] on 2", got, len(s2.disks))
+	}
+	for _, id := range w.cl.Sites() {
+		for _, vs := range w.cl.Site(id).kernel().volStates() {
+			for _, v := range allocatorViolations(vs) {
+				t.Errorf("site %v %s: %s", id, vs.name, v)
+			}
+		}
+	}
+}
+
+// allocatorViolations checks that the volume's page allocator agrees with
+// its inodes, as invariant.Audit's allocator check does.
+func allocatorViolations(vs *volState) []string {
+	var out []string
+	vol, ref := vs.vol, map[int]int{}
+	for _, ino := range vol.Inodes() {
+		node, err := vol.ReadInode(ino)
+		if err != nil {
+			out = append(out, fmt.Sprintf("ino %d unreadable: %v", ino, err))
+			continue
+		}
+		for _, pg := range append(slices.Clone(node.Pages), node.Indirect) {
+			if pg < 0 {
+				continue
+			}
+			if prev, dup := ref[pg]; dup {
+				out = append(out, fmt.Sprintf("page %d referenced by ino %d and ino %d", pg, prev, ino))
+			}
+			ref[pg] = ino
+			if !vol.PageAllocated(pg) {
+				out = append(out, fmt.Sprintf("ino %d references free page %d", ino, pg))
+			}
+		}
+	}
+	for pg := vol.Geometry().DataStart; pg < vol.Geometry().NumPages; pg++ {
+		if _, ok := ref[pg]; !ok && vol.PageAllocated(pg) {
+			out = append(out, fmt.Sprintf("page %d allocated but referenced by no inode", pg))
+		}
+	}
+	return out
 }

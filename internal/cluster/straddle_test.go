@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -77,13 +78,20 @@ func (w *straddleWorld) prepared() {
 }
 
 // pending creates vc/<name> at site 3 and registers its move to site 1 in
-// the catalog, as moveFile does before shipping the image; the returned
-// adoption is site 3's.
-func (w *straddleWorld) pending(name string, id uint64) ownerAdoptReq {
+// the catalog, as ship does before the call; the returned install is site
+// 3's.
+func (w *straddleWorld) pending(name string, id uint64) installReq {
 	w.t.Helper()
 	must(w.t, w.cl.Site(3).Create("vc/"+name))
-	w.cl.proposeMove(w.cl.Site(3).kernel(), id, "vc/"+name, 1)
-	return ownerAdoptReq{Path: "vc/" + name, Data: []byte("image"), MoveID: id}
+	return proposeInstall(w.cl.Site(3).kernel(), id, install{path: "vc/" + name, to: 1, move: true}, "image")
+}
+
+// proposeInstall registers src's install in the catalog, drawn as id, as
+// ship does before the call, and returns the request that carries data.
+func proposeInstall(src *incarnation, id uint64, in install, data string) installReq {
+	in.src = src
+	src.cl.propose(&in, id)
+	return installReq{Path: in.path, Data: []byte(data), ID: id}
 }
 
 // hosted has site 3 move vc/h to site 1 for real, so site 1 hosts vc.
@@ -103,8 +111,9 @@ func (w *straddleWorld) snapshot() string {
 	k := s.kernel()
 	var b strings.Builder
 	fmt.Fprintf(&b, "up=%v volumes=%v indoubt=%d lockcache=%d\n", s.Up(), s.Volumes(), s.InDoubtCount(), s.LockCacheGroups())
-	home, moved := w.cl.FileHome("vc/g")
-	fmt.Fprintf(&b, "catalog vc/g moved=%v home=%v\n", moved, home)
+	home, _ := w.cl.StorageSite("vc/g")
+	recorded, current := w.cl.ReplicaCopy("vb/r", 1)
+	fmt.Fprintf(&b, "catalog vc/g home=%v, vb/r replica at 1=%v current=%v\n", home, recorded, current)
 	for _, f := range k.locks.Files() {
 		fmt.Fprintf(&b, "locks %s: %+v\n", f, k.locks.Lookup(f).Entries())
 	}
@@ -119,22 +128,22 @@ func (w *straddleWorld) snapshot() string {
 	for txid := range k.txns {
 		lines = append(lines, "txn "+txid)
 	}
-	for vol, rep := range k.replicas {
-		lines = append(lines, fmt.Sprintf("replica %s updating=%d cached=%d", vol, len(rep.updating), len(rep.files)))
+	for _, vs := range k.vols {
+		lines = append(lines, fmt.Sprintf("handles %s=%d", vs.name, len(vs.files)))
 	}
 	k.mu.Unlock()
-	k.placeMu.Lock()
-	lines = append(lines, fmt.Sprintf("placement moving=%v", k.moving))
-	k.placeMu.Unlock()
-	for _, vs := range k.volStates(true) {
+	k.fenceMu.Lock()
+	lines = append(lines, fmt.Sprintf("fenced=%v", k.fenced))
+	k.fenceMu.Unlock()
+	for _, vs := range k.volStates() {
 		recs, err := tpc.ReadPrepareRecords(vs.vol)
 		must(w.t, err)
 		var txids []string
 		for _, rec := range recs {
 			txids = append(txids, rec.Txid)
 		}
-		lines = append(lines, fmt.Sprintf("volume %s replica=%v dir=%v log=%v prepare=%v free=%d",
-			vs.name, vs.disk.replica, vs.dirList(), vs.vol.Log().Keys(), txids, vs.vol.FreePages()))
+		lines = append(lines, fmt.Sprintf("volume %s mounted=%v dir=%v log=%v prepare=%v free=%d",
+			vs.name, vs.disk.mounted, vs.dirList(), vs.vol.Log().Keys(), txids, vs.vol.FreePages()))
 	}
 	sort.Strings(lines)
 	return b.String() + strings.Join(lines, "\n")
@@ -142,7 +151,11 @@ func (w *straddleWorld) snapshot() string {
 
 func TestStraddle(t *testing.T) {
 	rows := []struct {
-		op    string
+		op string
+		// name, if set, names the row in place of op: an install row is
+		// named for the copy it lands - a move's adoption at its new home,
+		// or a replica's sync.
+		name  string
 		from  simnet.SiteID              // the sender; 0 means site 2
 		setup func(w *straddleWorld) any // prepares the world, returns the request
 		// check, if set, inspects the new incarnation's snapshot: the row
@@ -173,14 +186,20 @@ func TestStraddle(t *testing.T) {
 		{op: "prepareCommit", setup: func(w *straddleWorld) any { w.txnWrite(); return w.prepareReq() }},
 		{op: "commit2", setup: func(w *straddleWorld) any { w.prepared(); return commit2Req{Txid: "T1"} }, check: inDoubt},
 		{op: "abortTxn", setup: func(w *straddleWorld) any { w.prepared(); return abortTxnReq{Txid: "T1"} }, check: inDoubt},
-		{op: "owneradopt", from: 3, setup: func(w *straddleWorld) any { return w.pending("g", 7) }},
-		{op: "owneradopt", from: 3, setup: func(w *straddleWorld) any { // site 1 hosts vc already
+		{op: "install", name: "owneradopt", from: 3, setup: func(w *straddleWorld) any { return w.pending("g", 7) }},
+		{op: "install", name: "owneradopt", from: 3, setup: func(w *straddleWorld) any { // site 1 hosts vc already
 			w.hosted()
 			return w.pending("g", 7)
 		}},
-		// remove reclaims a file the way a refused adoption reclaims its copy.
+		// remove reclaims a file the way a refused install reclaims its copy.
 		{op: "remove", setup: func(w *straddleWorld) any { must(w.t, w.cl.Site(2).Create("va/x")); return removeReq{Path: "va/x"} }},
-		{op: "replsync", setup: func(w *straddleWorld) any { return replSyncReq{Path: "vb/r", Data: []byte("fresh")} }},
+		{op: "install", name: "replsync", setup: func(w *straddleWorld) any { // vb/r, held at 1 at version 0
+			id, _, err := w.cl.Site(2).Open("vb/r")
+			must(w.t, err)
+			_, err = w.cl.Site(2).Write(id, w.pid, "", 0, []byte("dirty")) // version 1; the restart's pull skips it
+			must(w.t, err)
+			return proposeInstall(w.cl.Site(2).kernel(), 9, install{path: "vb/r", to: 1, version: 1}, "fresh")
+		}},
 		{op: "replremove", setup: func(w *straddleWorld) any { return replRemoveReq{Path: "vb/r"} }},
 	}
 	clocks := map[string]func() vtime.Clock{
@@ -189,7 +208,7 @@ func TestStraddle(t *testing.T) {
 	}
 	for name, newClock := range clocks {
 		for i, row := range rows {
-			t.Run(fmt.Sprintf("%s/%d-%s", name, i, row.op), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%d-%s", name, i, cmp.Or(row.name, row.op)), func(t *testing.T) {
 				if name == "real" {
 					t.Parallel() // the silence costs the caller its whole call budget
 				}

@@ -450,7 +450,7 @@ func (k *incarnation) applyFiles(txid string, pt *preparedTxn, commit bool) erro
 // so the participant's phase-two ack can only be sent once nothing is
 // left on disk for recovery to re-resolve.
 func (k *incarnation) finishTxn(txid string, fileIDs []string) error {
-	for _, vs := range k.volStates(false) {
+	for _, vs := range k.volStates() {
 		if err := tpc.DeletePrepareRecords(vs.vol, txid); err != nil {
 			return fmt.Errorf("cluster: clearing prepare records for %s on %s: %w", txid, vs.name, err)
 		}

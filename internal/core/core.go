@@ -33,9 +33,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/costmodel"
 	"repro/internal/lockmgr"
-	"repro/internal/placement"
 	"repro/internal/proc"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -84,13 +82,6 @@ type System struct {
 	active map[string]*txnState
 
 	detector *wfg.Detector
-
-	// Adaptive-placement routing (DESIGN.md section 14), nil/zero unless
-	// cluster.Config.AdaptivePlacement: router keeps per-process site
-	// affinity profiles, placeModel scores a process migration against
-	// staying put.
-	router     *placement.Router
-	placeModel costmodel.Model
 }
 
 // txnState is the coordinator-side view of one live transaction.
@@ -114,10 +105,6 @@ func NewSystem(cfg cluster.Config) *System {
 	sys := &System{
 		cl:     cluster.New(cfg),
 		active: make(map[string]*txnState),
-	}
-	if cfg.AdaptivePlacement {
-		sys.router = placement.NewRouter(cfg.PlacementConfig())
-		sys.placeModel = costmodel.Vax750()
 	}
 	// Section 4.3: when the transaction mechanism is informed of a
 	// change in network topology, it aborts all ongoing transactions
@@ -335,21 +322,6 @@ type Process struct {
 	sys  *System
 	pid  int
 	site simnet.SiteID
-	// txnOps counts the current transaction's operations by storage
-	// site - the Begin-time router's affinity feed.  Only touched when
-	// the router exists; a Process handle is single-threaded by contract.
-	txnOps map[simnet.SiteID]int
-}
-
-// noteOp counts one transactional operation against a storage site.
-func (p *Process) noteOp(site simnet.SiteID) {
-	if p.sys.router == nil {
-		return
-	}
-	if p.txnOps == nil {
-		p.txnOps = make(map[simnet.SiteID]int)
-	}
-	p.txnOps[site]++
 }
 
 // PID returns the process identifier.
@@ -385,21 +357,6 @@ func (p *Process) BeginTrans() (int, error) {
 	if ps.TxnID != "" {
 		// Nested: count only.
 		return p.kernel().Procs().BeginTrans(p.pid, ps.TxnID)
-	}
-	// Adaptive placement: if this process's recent transactions ran
-	// mostly against one remote site's storage and the cost model says a
-	// migration beats the round trips, ship the computation to the data
-	// before the transaction starts (section 6 pairs moving the process
-	// to the data with moving the data; the router picks whichever the
-	// heat supports).
-	if p.sys.router != nil {
-		if to, ok := p.sys.router.Preferred(p.pid, p.site, p.sys.placeModel); ok {
-			if err := p.Migrate(to); err == nil {
-				p.sys.Stats().Inc(stats.PlacementMigrations)
-				p.sys.router.Forget(p.pid) // roles swapped; rebuild the profile
-			}
-		}
-		p.txnOps = nil
 	}
 	txid := p.sys.cl.NewTxnID(p.site)
 	n, err := p.kernel().Procs().BeginTrans(p.pid, txid)
@@ -474,10 +431,6 @@ func (p *Process) EndTrans() error {
 		p.sys.prof().TxnEnd(txid, p.sys.cl.Clock().Now(), true)
 		p.kernel().Tracer().Record(trace.TxnCommit, txid, "", 0)
 		return nil
-	}
-	if p.sys.router != nil && len(p.txnOps) > 0 {
-		p.sys.router.NoteTxn(p.pid, p.txnOps)
-		p.txnOps = nil
 	}
 	// Adaptive placement: when a single remote site stores every file,
 	// hand it the coordinator role - prepare and phase two run locally

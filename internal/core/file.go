@@ -130,7 +130,6 @@ func (f *File) registerUse() error {
 		return err
 	}
 	f.p.sys.noteTxnSite(ps.TxnID, site)
-	f.p.noteOp(site)
 	return nil
 }
 

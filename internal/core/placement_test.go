@@ -74,40 +74,3 @@ func TestRoutedCommitFromEndTrans(t *testing.T) {
 		t.Fatalf("split transaction routed (%d routed commits)", d.Get(stats.RoutedCommits))
 	}
 }
-
-func TestBeginTransMigratesHotProcess(t *testing.T) {
-	// A process at site 3 whose transactions run entirely against site
-	// 1's storage, with enough operations per transaction that a process
-	// migration beats the per-op round trips, should be shipped to site
-	// 1 at a later BeginTrans.  MinAccesses=16 keeps per-file heat (2
-	// accesses each) far below the file-move bar, isolating the router.
-	sys := placementSystem(t, cluster.Config{PlacementMinAccesses: 16})
-	p := mustProcess(t, sys, 3)
-	files := make([]*File, 8)
-	for i := range files {
-		files[i] = mustCreate(t, p, "va/hot"+string(rune('a'+i)))
-	}
-	var migrated simnet.SiteID
-	for txn := 0; txn < 4; txn++ {
-		if _, err := p.BeginTrans(); err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			if _, err := f.WriteAt([]byte("x"), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := p.EndTrans(); err != nil {
-			t.Fatal(err)
-		}
-		if p.Site() != 3 && migrated == 0 {
-			migrated = p.Site()
-		}
-	}
-	if p.Site() != 1 {
-		t.Fatalf("process site after hot run = %v, want 1", p.Site())
-	}
-	if n := sys.Stats().Snapshot().Get(stats.PlacementMigrations); n != 1 {
-		t.Fatalf("placement migrations = %d, want 1", n)
-	}
-}

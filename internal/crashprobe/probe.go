@@ -34,8 +34,8 @@ import (
 // Options selects and bounds one probe sweep.
 type Options struct {
 	// Workload is one of "single", "diff", "tpc", "migrate",
-	// "readonly", "onephase", "lease", "ownermove", or "all"/"" for
-	// every workload.
+	// "readonly", "onephase", "lease", "ownermove", "replica", or
+	// "all"/"" for every workload.
 	Workload string
 	// Kind optionally restricts the sweep to one I/O class ("data",
 	// "inode", "coordlog", "preparelog"): only stable writes of that
@@ -198,9 +198,9 @@ type workload struct {
 	// are collected for).
 	paths []string
 	// disks overrides the sweep's default of each site's own mounted
-	// volume (the ownermove workload adds the hosted volume an adopted
-	// file lands on at its new home site).  Every listed volume must
-	// exist once setup returns.
+	// volume (the ownermove workload adds the volume a moved file lands on
+	// at its new home site, the replica workload the replica's).  Every
+	// listed volume must exist once setup returns.
 	disks []diskRef
 	// setup commits the baseline state.  Stable writes here happen
 	// before the fault is armed and are not crash points.
@@ -250,7 +250,7 @@ type harness struct {
 	// recovery so its locks and working pages do not read as residue.
 	coOwner *core.Process
 	// confirmed2 records whether the follow-up commit of a two-commit
-	// workload (lease, ownermove) was confirmed to its client.
+	// workload (lease, ownermove, replica) was confirmed to its client.
 	confirmed2 bool
 }
 
@@ -272,8 +272,8 @@ func (w workload) sweepDisks() []diskRef {
 	return refs
 }
 
-// disk resolves a sweep disk ref; the volume may be a hosted one
-// (created by an ownership-move adoption), as long as setup created it.
+// disk resolves a sweep disk ref; the volume may be one an install
+// created (a move's or a replica's), as long as setup created it.
 func (h *harness) disk(ref diskRef) *simdisk.Disk {
 	vol := h.Sys.Cluster().Site(simnet.SiteID(ref.Site)).Volume(ref.Volume)
 	if vol == nil {

@@ -8,10 +8,11 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 )
 
-// The eight workloads cover the commit shapes of the paper plus the
-// optional layers (DESIGN.md sections 10, 13, 14):
+// The nine workloads cover the commit shapes of the paper plus the
+// optional layers and replication (DESIGN.md sections 5.2, 10, 13, 14):
 //
 //	single   - single-file commit on one site (Figure 4(a) direct path:
 //	           shadow pages flushed, one inode write is the commit point)
@@ -39,8 +40,13 @@ import (
 //	           probed commit's post-commit sweep migrates the hot file's
 //	           primary copy to its dominant accessor, inline, so crash
 //	           points land inside the ownership move itself (source
-//	           reclaim, target adoption, the catalog commit between
+//	           reclaim, target install, the catalog commit between
 //	           them) while a second commit races the moved file
+//	replica  - v1 replicated at site 2 (section 5.2): each commit's
+//	           quiesce ships the new image to the replica, so crash points
+//	           land in the primary's commit and in the replica's install;
+//	           the replica must serve its copy only at the version the
+//	           catalog records as current, and forward otherwise
 //
 // Each run is serial and deterministic: every replay performs the same
 // stable writes in the same order until the armed crash fires.  (The
@@ -133,7 +139,7 @@ var workloads = []workload{
 		name:  "ownermove",
 		spec:  scenario.Spec{Volumes: scenario.PerSite(2), Layers: scenario.Layers{Placement: scenario.Eager}},
 		paths: []string{"v1/f", "v1/warm"},
-		// The hosted v1 volume at site 2 is the disk the adoption writes
+		// The installed v1 volume at site 2 is the disk the move's writes
 		// land on; setup's warm move creates it before any fault is armed.
 		disks: []diskRef{{Site: 1, Volume: "v1"}, {Site: 2, Volume: "v2"}, {Site: 2, Volume: "v1"}},
 		setup: setupOwnermove,
@@ -157,6 +163,24 @@ var workloads = []workload{
 			}
 			return state, violations
 		},
+	},
+	{
+		name:  "replica",
+		spec:  scenario.Spec{Volumes: scenario.PerSite(2)},
+		paths: []string{"v1/f"},
+		disks: []diskRef{{Site: 1, Volume: "v1"}, {Site: 2, Volume: "v1"}},
+		setup: func(h *harness) {
+			h.create(1, preImage, "v1/f")
+			scenario.Ok(h.Sys.AddReplica("v1", 2))
+		},
+		// A commit at the primary, then one from the replica's site: each
+		// ends with the primary shipping the new image to the replica.
+		run: func(h *harness) bool {
+			confirmed := h.update(1, postImage, "v1/f")
+			h.confirmed2 = h.update(2, thirdImage, "v1/f")
+			return confirmed
+		},
+		check: checkReplica,
 	},
 }
 
@@ -436,11 +460,11 @@ func setupOwnermove(h *harness) {
 	}
 	// Warm move: three remote commits on v1/warm migrate it to site 2
 	// (the decayed access mass crosses MinAccesses=2 on the third),
-	// creating the hosted v1 volume there so its disk is part of the
+	// creating the installed v1 volume there so its disk is part of the
 	// sweep from the first armed write.
 	commitTimes("v1/warm", 3)
 	if h.Sys.Cluster().Site(2).Volume("v1") == nil {
-		scenario.Ok(fmt.Errorf("ownermove setup: warm move did not create hosted v1 at site 2"))
+		scenario.Ok(fmt.Errorf("ownermove setup: warm move did not create v1 at site 2"))
 	}
 	// The probed file: two committed remote accesses, one short of the
 	// move threshold - the probed commit supplies the third.
@@ -448,4 +472,36 @@ func setupOwnermove(h *harness) {
 	if home, err := h.Sys.Cluster().StorageSite("v1/f"); err != nil || home != 1 {
 		scenario.Ok(fmt.Errorf("ownermove setup: v1/f moved early (home %v, err %v)", home, err))
 	}
+}
+
+// ---------------------------------------------------------------------
+// replica: commits on a replicated volume.
+
+// checkReplica audits the replicated file: its committed content marches
+// pre -> post -> third at the primary, and a read at the replica's site is
+// either served there - the catalog records the replica's copy at the
+// file's current version - with exactly the primary's committed bytes, or
+// forwarded to the primary.
+func checkReplica(h *harness, confirmed bool) (string, []string) {
+	state, violations := checkMarch(h, "v1/f", confirmed)
+	want, err := readCommitted(h, "v1/f")
+	if err != nil {
+		return state, violations
+	}
+	p, files, err := h.Open(2, "v1/f")
+	if err != nil {
+		return state, append(violations, fmt.Sprintf("v1/f: open at the replica's site failed: %v", err))
+	}
+	defer p.Kill() //nolint:errcheck
+	before := h.Sys.Stats().Snapshot()
+	got := make([]byte, len(want))
+	n, err := files[0].ReadAt(got, 0)
+	local := h.Sys.Stats().Snapshot().Sub(before).Get(stats.MsgsSent) == 0
+	if err != nil {
+		violations = append(violations, fmt.Sprintf("v1/f: read at the replica's site failed: %v", err))
+	} else if local && !bytes.Equal(got[:n], want) {
+		violations = append(violations, fmt.Sprintf(
+			"v1/f: the replica serves %d bytes of its own that are not the committed version", n))
+	}
+	return state, violations
 }

@@ -257,8 +257,9 @@ func directory(vol *fs.Volume) map[string]int {
 // and wherever a crash or partition cut one short - every workload file
 // must end with exactly one primary copy after recovery, held by the
 // site the catalog names: a copy is a directory entry on stable storage
-// in a volume of the file's name.  A shipped copy whose home flip never
-// committed must be reclaimed; two primaries would let sites serve
+// in a volume of the file's name, and one the catalog records as a
+// replica (section 5.2) is not a primary.  A shipped copy whose verdict
+// never committed must be reclaimed; two primaries would let sites serve
 // divergent committed bytes.  With placement off this degenerates to
 // "every file still lives at its mount site", so it runs always.
 func checkPlacement(cl *cluster.Cluster, col *trace.Collector, files []string) Check {
@@ -277,7 +278,8 @@ func checkPlacement(cl *cluster.Cluster, col *trace.Collector, files []string) C
 		var holders []simnet.SiteID
 		for _, id := range cl.Sites() {
 			if v := cl.Site(id).Volume(vol); v != nil {
-				if _, ok := directory(v)[name]; ok {
+				_, ok := directory(v)[name]
+				if replica, _ := cl.ReplicaCopy(path, id); ok && !replica {
 					holders = append(holders, id)
 				}
 			}
@@ -289,10 +291,10 @@ func checkPlacement(cl *cluster.Cluster, col *trace.Collector, files []string) C
 	return c
 }
 
-// Restart crash-restarts every site with a tripped disk - its own or a
-// hosted volume's (ownership-move adoptions land on hosted volumes) - or,
-// with all set, every site: the audit then sees only what stable storage
-// and the recovery protocol preserve.
+// Restart crash-restarts every site with a tripped disk - a mounted
+// volume's or one an install created (moves and replicas land there) -
+// or, with all set, every site: the audit then sees only what stable
+// storage and the recovery protocol preserve.
 func Restart(cl *cluster.Cluster, all bool) error {
 	for _, id := range cl.Sites() {
 		s := cl.Site(id)
@@ -320,10 +322,11 @@ func Restart(cl *cluster.Cluster, all bool) error {
 // Audit expects: injected network faults cleared, the sites whose disks
 // tripped - or, with all, every site - crash-restarted, in-doubt
 // participants resolved and phase two drained everywhere.  One round is
-// enough: an ownership move is decided once, in the catalog, and a refused
-// adoption reclaims its own copy, so a second copy survives only on a
-// site whose crash or disk failure interrupted the move - and that site's
-// restart, during the run or here, purges it (DESIGN.md section 14).
+// enough: a copy is decided once, in the catalog, and a refused install
+// reclaims its own copy, so a copy the catalog does not record survives
+// only on a site whose crash or disk failure interrupted the install - and
+// that site's boot, during the run or here, reclaims it (DESIGN.md
+// section 14).
 func Quiesce(cl *cluster.Cluster, clk vtime.Clock, all bool) error {
 	net := cl.Net()
 	net.SetDropRate(0)
@@ -345,7 +348,7 @@ var ErrStuck = errors.New("recovery never drained")
 
 // Drain drives resolution on a recovered cluster until no work is
 // pending: in-doubt participants resolve against coordinator records,
-// coordinators re-drive phase two, ownership moves and adoptions finish,
+// coordinators re-drive phase two, moves and installs finish,
 // and the asynchronous topology-abort watcher releases its locks.  It
 // polls on clk - the scenario's clock, so a virtual run drains in
 // simulated time - and a correct system drains in a few iterations; the

@@ -1,9 +1,7 @@
 // Package placement implements locality-adaptive placement (DESIGN.md
 // section 14): the heat tracker that learns which site is actually
-// using each file, the policy that decides when a file's primary copy
-// should move to its dominant accessor, and the router that decides
-// when a transaction (or its whole process) should travel to the data
-// instead.
+// using each file, and the policy that decides when a file's primary copy
+// should move to its dominant accessor.
 //
 // The motivation is the ROADMAP's observation that the cheapest
 // distributed commit is the one that stopped being distributed: the

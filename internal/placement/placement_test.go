@@ -3,7 +3,6 @@ package placement
 import (
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/simnet"
 )
 
@@ -114,59 +113,5 @@ func TestNilTrackerSafe(t *testing.T) {
 	}
 	if tr.Shares("x") != nil {
 		t.Fatal("nil tracker shares")
-	}
-}
-
-func TestRouterPrefersDominantRemote(t *testing.T) {
-	r := NewRouter(Config{Threshold: 0.6, MinAccesses: 4})
-	m := costmodel.Vax750()
-	const self = simnet.SiteID(1)
-	// Every transaction does 8 ops against site 2's storage: migrating
-	// (26 ms on the Vax model) beats 8 round trips (128 ms).
-	for i := 0; i < 4; i++ {
-		r.NoteTxn(7, map[simnet.SiteID]int{2: 8})
-	}
-	if s, ok := r.Preferred(7, self, m); !ok || s != 2 {
-		t.Fatalf("Preferred = %v,%v, want 2,true", s, ok)
-	}
-	// From site 2's own point of view there is nothing to do.
-	if _, ok := r.Preferred(7, 2, m); ok {
-		t.Fatal("router suggested migrating to self")
-	}
-	// An unknown process has no preference.
-	if _, ok := r.Preferred(99, self, m); ok {
-		t.Fatal("unknown pid preferred")
-	}
-	r.Forget(7)
-	if _, ok := r.Preferred(7, self, m); ok {
-		t.Fatal("forgotten pid preferred")
-	}
-}
-
-func TestRouterRespectsCostModel(t *testing.T) {
-	r := NewRouter(Config{Threshold: 0.6, MinAccesses: 2})
-	m := costmodel.Vax750()
-	// One op per transaction: one 16 ms round trip saved never repays a
-	// 26 ms migration.
-	for i := 0; i < 8; i++ {
-		r.NoteTxn(7, map[simnet.SiteID]int{2: 1})
-	}
-	if s, ok := r.Preferred(7, 1, m); ok {
-		t.Fatalf("uneconomic migration preferred to %v", s)
-	}
-	if MigratePays(m, 1) {
-		t.Fatal("MigratePays(1 op) on Vax750")
-	}
-	if !MigratePays(m, 8) {
-		t.Fatal("!MigratePays(8 ops) on Vax750")
-	}
-}
-
-func TestNilRouterSafe(t *testing.T) {
-	var r *Router
-	r.NoteTxn(1, map[simnet.SiteID]int{2: 3})
-	r.Forget(1)
-	if _, ok := r.Preferred(1, 1, costmodel.Vax750()); ok {
-		t.Fatal("nil router preferred")
 	}
 }

@@ -95,9 +95,9 @@ const (
 	LocalCommits        // transactions committed with zero remote participant sites
 	RemoteParticipants  // remote participant sites summed across committed transactions
 	OwnerMoves          // primary copies migrated to the dominant accessor
-	OwnerAdopts         // primary copies installed at a new home by the adoption RPC
+	OwnerAdopts         // primary copies installed at a new home by a move's install
 	RoutedCommits       // commits whose coordinator role was routed to the data's site
-	PlacementMigrations // processes shipped to the data by the Begin-time router
+	PlacementMigrations // processes moved to their data by placement: none; kept because the ledger reports it
 
 	numCounters
 )

@@ -62,9 +62,9 @@ const (
 	// its coordinator role is handed to the data's site (Arg = target).
 	OwnerMove
 	RoutedCommit
-	// OwnerAdopt at the new home when an adoption commits its move (Arg =
-	// MoveID); OwnerPurge there when an adoption is refused, or fails, and
-	// reclaims the copy it installed (Arg = MoveID).
+	// OwnerAdopt at the new home when a move's install commits (Arg = the
+	// install's ID); OwnerPurge there when a move's install is refused, or
+	// fails (Arg = the install's ID).
 	OwnerAdopt
 	OwnerPurge
 
