@@ -40,7 +40,7 @@ ledger-pairs:    ## N alternating parent/child ledger runs per workload (PARENT=
 			for side in $$order; do \
 				dir=$$PWD; [ $$side = parent ] && dir=$$out/parent; \
 				(cd $$dir && bash benchmark/run.sh --workload $$w --seed $$i --trace 0 --out $$out/$$side-$$w-$$i.json | tail -1 \
-					| jq -r --arg s $$side --arg w $$w --arg i $$i '"\($$w) pair \($$i) \($$s): \(.metrics.host_txn_per_s.value | floor) txn/s  \(.metrics.host_bytes_per_txn.value | floor) B/txn  \(.metrics.host_allocs_per_txn.value | floor) allocs/txn"'); \
+					| jq -r --arg s $$side --arg w $$w --arg i $$i '"\($$w) pair \($$i) \($$s): \(.metrics.host_txn_per_s.value | floor) txn/s  \(.metrics.host_cpu_us_per_txn.value * 10 | round / 10) us/txn  \(.metrics.host_bytes_per_txn.value | floor) B/txn  \(.metrics.host_allocs_per_txn.value | floor) allocs/txn"'); \
 			done; \
 		done; \
 	done; \

@@ -135,9 +135,9 @@ func printQueues(sys *core.System) {
 	if !any {
 		fmt.Println("  (no waiters)")
 	}
-	// The merged summary spans every shard of a site's lock manager: the
+	// The merged summary spans every file of a site's lock manager: the
 	// oldest waiter it names is the cluster-operator answer to "who has
-	// been stuck longest here", not the oldest within one shard.
+	// been stuck longest here", not the oldest on one file.
 	for _, id := range sys.Cluster().Sites() {
 		qs := sys.Cluster().Site(id).Locks().QueueSummary()
 		if qs.Depth == 0 {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -254,7 +255,12 @@ func (c *Cluster) NewPID() int { return int(c.nextPID.Add(1)) }
 // 4.1); identifiers are monotonically ordered, which the youngest-victim
 // deadlock policy relies on.
 func (c *Cluster) NewTxnID(site simnet.SiteID) string {
-	return fmt.Sprintf("%08d.%d", c.nextTxn.Add(1), int(site))
+	// Eight zeros, then the number: its last eight characters, or all its
+	// digits once it has more, are the number zero-padded to eight.
+	var b [48]byte
+	id := strconv.AppendInt(append(b[:0], "00000000"...), c.nextTxn.Add(1), 10)
+	id = append(id[min(len(id)-8, 8):], '.')
+	return string(strconv.AppendInt(id, int64(site), 10))
 }
 
 // AddSite creates a site: the machine, and a first kernel incarnation
@@ -530,15 +536,18 @@ type incarnation struct {
 	coord    *tpc.Coordinator
 	prepared map[string]*preparedTxn
 	// txns names the transactions that have locked, read or written a
-	// file here since boot (joinTxn; finishTxn forgets them).  It is lost
-	// in a crash with the locks and modifications it stands for, which is
-	// how a prepare can tell that this site no longer has the
-	// transaction's work (gatherPrepare).
-	txns map[string]struct{}
+	// file here since boot (joinTxn; finishTxn forgets them), each mapped
+	// to its name (txnName).  It is lost in a crash with the locks and
+	// modifications it stands for, which is how a prepare can tell that
+	// this site no longer has the transaction's work (gatherPrepare).
+	// Writers hold mu and txnMu; txnName reads under txnMu alone, since a
+	// wait for mu could park the caller and move the interleaving.
+	txnMu sync.Mutex
+	txns  map[string]string
 
-	// lock cache (section 5.1): group -> fileID -> granted coverage.
+	// lock cache (section 5.1): the coverage granted to each group.
 	cacheMu   sync.Mutex
-	lockCache map[string]map[string][]cachedLock
+	lockCache []cachedLock
 
 	// Lock-lease state (DESIGN.md section 13), nil unless
 	// Config.LockLeases, both halves under one mutex: leases is the
@@ -569,10 +578,21 @@ type Site struct {
 	stall atomic.Pointer[func(op string)]
 }
 
+// groupKey is a lock group as a comparable value, without building its
+// name: the transaction, or outside one the process.
+func groupKey(pid int, txn string) lockmgr.Holder {
+	if txn != "" {
+		return lockmgr.Holder{Txn: txn}
+	}
+	return lockmgr.Holder{PID: pid}
+}
+
 type cachedLock struct {
-	mode lockmgr.Mode
-	off  int64
-	len  int64
+	group  lockmgr.Holder // groupKey
+	fileID string
+	mode   lockmgr.Mode
+	off    int64
+	len    int64
 }
 
 // mount turns a disk into a served volume, the only way one comes into
@@ -720,12 +740,27 @@ func (k *incarnation) lookupOpen(fileID string) (*openFile, error) {
 	return of, nil
 }
 
-// joinTxn enters the transaction in k.txns once an access of its has been
-// granted.
-func (k *incarnation) joinTxn(txid string) {
+// joinTxn enters the transaction, under its name, in k.txns once an
+// access of its has been granted.
+func (k *incarnation) joinTxn(txid, name string) {
 	k.mu.Lock()
-	k.txns[txid] = struct{}{}
+	k.txnMu.Lock()
+	k.txns[txid] = name
+	k.txnMu.Unlock()
 	k.mu.Unlock()
+}
+
+// txnName is the transaction's name (lockmgr.TxnGroup): its lock group
+// and its shadow owner, built when it first reaches this site and kept
+// with its mark (joinTxn) until finishTxn.
+func (k *incarnation) txnName(txid string) string {
+	k.txnMu.Lock()
+	name, ok := k.txns[txid]
+	k.txnMu.Unlock()
+	if !ok {
+		name = lockmgr.TxnGroup(txid)
+	}
+	return name
 }
 
 // volStates snapshots the volumes the incarnation serves, in name order,
@@ -766,17 +801,8 @@ func Holder(pid int, txn string) lockmgr.Holder {
 	return lockmgr.Holder{PID: pid, Txn: txn}
 }
 
-// ownerFor derives the shadow-layer owner for a process: its transaction
-// when inside one, else the process itself.
-func ownerFor(pid int, txn string) shadow.Owner {
-	if txn != "" {
-		return shadow.Owner("txn:" + txn)
-	}
-	return shadow.Owner(fmt.Sprintf("proc:%d", pid))
+// procOwner is the shadow-layer owner of a process's own (non-transaction)
+// modifications; a transaction's owner is its name (txnName).
+func procOwner(pid int) shadow.Owner {
+	return shadow.Owner("proc:" + strconv.Itoa(pid))
 }
-
-// TxnOwner is the shadow-layer owner string for a transaction.
-func TxnOwner(txid string) shadow.Owner { return shadow.Owner("txn:" + txid) }
-
-// TxnGroup is the lock-group string for a transaction.
-func TxnGroup(txid string) string { return "txn:" + txid }

@@ -324,7 +324,7 @@ func TestRule2AdoptionAtLockTime(t *testing.T) {
 	if of.file.HasMods(shadow.Owner(fmt.Sprintf("proc:%d", procPid))) {
 		t.Fatal("non-transaction still owns the record")
 	}
-	if !of.file.HasMods(TxnOwner("T5")) {
+	if !of.file.HasMods(shadow.Owner(lockmgr.TxnGroup("T5"))) {
 		t.Fatal("transaction did not adopt the record")
 	}
 
@@ -690,5 +690,21 @@ func TestInodeExhaustionSurfacesCleanly(t *testing.T) {
 	}
 	if err := s1.Create("va/fresh"); err != nil {
 		t.Fatalf("create after remove: %v", err)
+	}
+}
+
+// TestNewTxnIDText: identifiers are the sequence number zero-padded to
+// eight digits (wider once it outgrows them), a dot and the site, so they
+// sort in the order they were issued.
+func TestNewTxnIDText(t *testing.T) {
+	c := New(Config{})
+	t.Cleanup(c.Shutdown)
+	for _, seq := range []int64{0, 8, 99, 12345678, 123456789, 1 << 40} {
+		for _, site := range []simnet.SiteID{1, 12} {
+			c.nextTxn.Store(seq)
+			if got, want := c.NewTxnID(site), fmt.Sprintf("%08d.%d", seq+1, int(site)); got != want {
+				t.Errorf("NewTxnID after %d at site %v = %q, want %q", seq, site, got, want)
+			}
+		}
 	}
 }

@@ -1,12 +1,18 @@
 package cluster
 
+import "repro/internal/lockmgr"
+
 // LockCacheGroups reports how many lock groups have coverage cached at
 // this (requesting) site.
 func (s *Site) LockCacheGroups() int {
 	k := s.kernel()
 	k.cacheMu.Lock()
 	defer k.cacheMu.Unlock()
-	return len(k.lockCache)
+	groups := map[lockmgr.Holder]bool{}
+	for _, c := range k.lockCache {
+		groups[c.group] = true
+	}
+	return len(groups)
 }
 
 // Stall makes every handler of op at this site run wait first - after the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -182,7 +183,7 @@ func (k *incarnation) handleClose(req closeReq) error {
 		return err
 	}
 	if req.Txn == "" {
-		owner := ownerFor(req.PID, "")
+		owner := procOwner(req.PID)
 		if of.file.HasMods(owner) {
 			if err := of.file.Commit(owner); err != nil {
 				return err
@@ -190,7 +191,7 @@ func (k *incarnation) handleClose(req closeReq) error {
 		}
 		// A process's own locks die with its use of the file.
 		of.locks.ReleaseGroup(lockmgr.Holder{PID: req.PID}.Group())
-		k.dropLockCache(lockmgr.Holder{PID: req.PID}.Group())
+		k.dropLockCache(groupKey(req.PID, ""))
 	}
 	k.mu.Lock()
 	of.refs--
@@ -209,10 +210,10 @@ func (k *incarnation) handleSync(req syncReq) error {
 	if err != nil {
 		return err
 	}
-	owner := ownerFor(req.PID, req.Txn)
 	if req.Txn != "" {
 		return fmt.Errorf("cluster: sync inside a transaction commits at EndTrans")
 	}
+	owner := procOwner(req.PID)
 	if !of.file.HasMods(owner) {
 		k.maybeSyncReplicas(of)
 		return nil
@@ -256,13 +257,14 @@ func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, err
 		// lock message on a lease hit materializes the real descriptor
 		// here instead.
 		pre := Holder(req.PID, "")
+		name := k.txnName(req.Txn)
 		if !of.locks.Covers(h, lockmgr.ModeShared, req.Off, int64(req.Len)) &&
 			!of.locks.Covers(pre, lockmgr.ModeShared, req.Off, int64(req.Len)) &&
-			!k.materializeLease(of, from, req.FileID, req.PID, req.Txn, lockmgr.ModeShared, req.Off, int64(req.Len)) {
+			!k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeShared, req.Off, int64(req.Len)) {
 			return readResp{}, fmt.Errorf("%w: transaction read of %s [%d,%d) without lock",
 				lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+int64(req.Len))
 		}
-		k.joinTxn(req.Txn)
+		k.joinTxn(req.Txn, name)
 	} else if err := of.locks.CheckAccess(h, false, req.Off, int64(req.Len)); err != nil {
 		return readResp{}, err
 	}
@@ -285,9 +287,11 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 	}
 	k.recordHeat(req.FileID, from, req.Txn)
 	h := Holder(req.PID, req.Txn)
-	owner := ownerFor(req.PID, req.Txn)
+	var owner shadow.Owner
 	length := int64(len(req.Data))
 	if req.Txn != "" {
+		name := k.txnName(req.Txn)
+		owner = shadow.Owner(name)
 		if !of.locks.Covers(h, lockmgr.ModeExclusive, req.Off, length) {
 			// A write under the process's own pre-transaction lock does
 			// not join the transaction: the record belongs to the
@@ -295,14 +299,15 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 			// transaction (section 3.4).
 			pre := Holder(req.PID, "")
 			if of.locks.Covers(pre, lockmgr.ModeExclusive, req.Off, length) {
-				owner = ownerFor(req.PID, "")
-			} else if !k.materializeLease(of, from, req.FileID, req.PID, req.Txn, lockmgr.ModeExclusive, req.Off, length) {
+				owner = procOwner(req.PID)
+			} else if !k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeExclusive, req.Off, length) {
 				return writeResp{}, fmt.Errorf("%w: transaction write of %s [%d,%d) without exclusive lock",
 					lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+length)
 			}
 		}
-		k.joinTxn(req.Txn)
+		k.joinTxn(req.Txn, name)
 	} else {
+		owner = procOwner(req.PID)
 		if err := of.locks.CheckAccess(h, true, req.Off, length); err != nil {
 			return writeResp{}, err
 		}
@@ -335,6 +340,10 @@ func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, err
 	if err != nil {
 		return lockResp{}, err
 	}
+	var name string
+	if req.Txn != "" {
+		name = k.txnName(req.Txn)
+	}
 	lreq := lockmgr.Request{
 		Holder:   Holder(req.PID, req.Txn),
 		Mode:     req.Mode,
@@ -344,6 +353,7 @@ func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, err
 		NonTxn:   req.NonTxn,
 		Wait:     req.Wait,
 		FromSite: int(from),
+		Group:    name,
 	}
 	if req.Wait {
 		lreq.Timeout = k.cl.cfg.LockWaitTimeout
@@ -357,12 +367,12 @@ func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, err
 		of.file.Prefetch(res.Off, res.Len) //nolint:errcheck // best-effort read-ahead
 	}
 	if req.Txn != "" {
-		k.adoptUncommitted(of, req.Txn, res.Off, res.Len)
+		k.adoptUncommitted(of, name, res.Off, res.Len)
 		if !req.NonTxn {
 			// A NonTxn-mode lock does not join the transaction (section
 			// 3.4): on its own it brings this site no prepare and no
 			// finishTxn.
-			k.joinTxn(req.Txn)
+			k.joinTxn(req.Txn, name)
 		}
 	}
 	resp := lockResp{Off: res.Off, Len: res.Len}
@@ -374,10 +384,10 @@ func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, err
 			if of.locks.GrantLease(int(from), req.Mode, res.Off, res.Len) {
 				resp.LeaseMode = req.Mode
 				resp.LeaseOff, resp.LeaseLen = res.Off, res.Len
-				k.tr.Record(trace.LeaseGrant, TxnGroup(req.Txn), req.FileID, int64(from))
-				if escalate && of.locks.TryEscalateLease(int(from), TxnGroup(req.Txn), req.Mode) {
+				k.tr.Record(trace.LeaseGrant, name, req.FileID, int64(from))
+				if escalate && of.locks.TryEscalateLease(int(from), name, req.Mode) {
 					k.st.Inc(stats.LeaseEscalations)
-					k.tr.Record(trace.LockEscalate, TxnGroup(req.Txn), req.FileID, int64(from))
+					k.tr.Record(trace.LockEscalate, name, req.FileID, int64(from))
 					resp.LeaseWhole = true
 				}
 			}
@@ -386,16 +396,15 @@ func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, err
 	return resp, nil
 }
 
-// adoptUncommitted applies rule 2 of section 3.3 after a transactional
-// lock grant: modified-but-uncommitted non-transaction bytes under the
-// granted range join the transaction, and the lock is forcibly
+// adoptUncommitted applies rule 2 of section 3.3 after a grant to the
+// transaction named name: modified-but-uncommitted non-transaction bytes
+// under the granted range join the transaction, and the lock is forcibly
 // transactional (retained).
-func (k *incarnation) adoptUncommitted(of *openFile, txn string, off, length int64) {
-	txnOwner := TxnOwner(txn)
+func (k *incarnation) adoptUncommitted(of *openFile, name string, off, length int64) {
 	for _, or := range of.file.UncommittedOverlapping(off, length) {
-		if or.Owner != txnOwner && strings.HasPrefix(string(or.Owner), "proc:") {
-			of.file.TransferMods(or.Owner, txnOwner, or.Off, or.Len)
-			of.locks.ForceTransactional(TxnGroup(txn), off, length)
+		if strings.HasPrefix(string(or.Owner), "proc:") {
+			of.file.TransferMods(or.Owner, shadow.Owner(name), or.Off, or.Len)
+			of.locks.ForceTransactional(name, off, length)
 		}
 	}
 }
@@ -414,10 +423,10 @@ func (k *incarnation) handleUnlock(req unlockReq) (unlockResp, error) {
 		// record, so it is retained.  An abort (applyFiles) relies on it:
 		// every file holding the transaction's records is on its lock
 		// index.
-		owner := TxnOwner(req.Txn)
+		name := k.txnName(req.Txn)
 		for _, or := range of.file.UncommittedOverlapping(req.Off, req.Len) {
-			if or.Owner == owner {
-				of.locks.ForceTransactional(TxnGroup(req.Txn), req.Off, req.Len)
+			if or.Owner == shadow.Owner(name) {
+				of.locks.ForceTransactional(name, req.Off, req.Len)
 				break
 			}
 		}
@@ -550,7 +559,7 @@ func (s *Site) Close(fileID string, pid int, txn string) error {
 	if txn == "" {
 		// The storage site released the process's locks on the file with
 		// the close; what this site cached of them is void.
-		s.kernel().cacheTrim(fileID, Holder(pid, "").Group(), 0, math.MaxInt64)
+		s.kernel().cacheTrim(fileID, groupKey(pid, ""), 0, math.MaxInt64)
 	}
 	return err
 }
@@ -639,7 +648,7 @@ func (s *Site) Lock(fileID string, pid int, txn string, mode lockmgr.Mode, off, 
 		return lockmgr.Result{}, err
 	}
 	r := resp.(lockResp)
-	k.cacheAdd(fileID, Holder(pid, txn).Group(), mode, r.Off, r.Len)
+	k.cacheAdd(fileID, groupKey(pid, txn), mode, r.Off, r.Len)
 	if r.LeaseMode != lockmgr.ModeNone {
 		k.leaseCacheAdd(fileID, r.LeaseMode, r.LeaseOff, r.LeaseLen, r.LeaseWhole)
 	}
@@ -661,7 +670,7 @@ func (s *Site) Unlock(fileID string, pid int, txn string, off, length int64) (bo
 	// lose coverage.
 	r := resp.(unlockResp)
 	if !r.Retained {
-		s.kernel().cacheTrim(fileID, Holder(pid, txn).Group(), off, length)
+		s.kernel().cacheTrim(fileID, groupKey(pid, txn), off, length)
 	}
 	return r.Retained, nil
 }
@@ -670,12 +679,10 @@ func (s *Site) Unlock(fileID string, pid int, txn string, off, length int64) (bo
 // access, consulting the requester's lock cache first (unless the E8
 // ablation disabled it).
 func (s *Site) ensureLocked(fileID string, pid int, txn string, mode lockmgr.Mode, off, length int64) error {
-	group := Holder(pid, txn).Group()
-	preGroup := Holder(pid, "").Group()
 	k := s.kernel()
 	if !s.cl.cfg.DisableLockCache &&
-		(k.cacheCovers(fileID, group, mode, off, length) ||
-			k.cacheCovers(fileID, preGroup, mode, off, length)) {
+		(k.cacheCovers(fileID, groupKey(pid, txn), mode, off, length) ||
+			k.cacheCovers(fileID, groupKey(pid, ""), mode, off, length)) {
 		s.st.Inc(stats.LockCacheHits)
 		return nil
 	}
@@ -693,34 +700,30 @@ func (s *Site) ensureLocked(fileID string, pid int, txn string, mode lockmgr.Mod
 
 // ---- requesting-site lock cache (section 5.1) ----
 //
-// The cache lives as long as the transaction does at this site: entries
-// are keyed by lock group first, so a hit scans one transaction's handful
-// of ranges on one file, and the group is dropped whole - one map delete -
-// when the transaction ends here (DropLockCache).
+// The cache lives as long as the transaction does at this site: every
+// group's granted ranges sit in one list, a hit scans that site-wide
+// handful, and a group's entries go when the transaction ends here
+// (DropLockCache).  The list keeps its array, so caching costs no
+// allocation once it has grown to the site's working size.
 
-func (k *incarnation) cacheAdd(fileID, group string, mode lockmgr.Mode, off, length int64) {
+func (k *incarnation) cacheAdd(fileID string, group lockmgr.Holder, mode lockmgr.Mode, off, length int64) {
 	if k.cl.cfg.DisableLockCache {
 		return
 	}
 	k.cacheMu.Lock()
-	defer k.cacheMu.Unlock()
-	files := k.lockCache[group]
-	if files == nil {
-		files = make(map[string][]cachedLock)
-		k.lockCache[group] = files
-	}
-	files[fileID] = append(files[fileID], cachedLock{mode: mode, off: off, len: length})
+	k.lockCache = append(k.lockCache, cachedLock{group: group, fileID: fileID, mode: mode, off: off, len: length})
+	k.cacheMu.Unlock()
 }
 
-func (k *incarnation) cacheCovers(fileID, group string, mode lockmgr.Mode, off, length int64) bool {
+func (k *incarnation) cacheCovers(fileID string, group lockmgr.Holder, mode lockmgr.Mode, off, length int64) bool {
 	k.cacheMu.Lock()
 	defer k.cacheMu.Unlock()
-	ranges := k.lockCache[group][fileID]
-	// Coverage check against the cached ranges: greedy sweep.
+	// Coverage check against the group's cached ranges of the file: greedy
+	// sweep.
 	for need, end := off, off+length; need < end; {
 		advanced := false
-		for _, c := range ranges {
-			if c.mode >= mode && c.off <= need && c.off+c.len > need {
+		for _, c := range k.lockCache {
+			if c.group == group && c.fileID == fileID && c.mode >= mode && c.off <= need && c.off+c.len > need {
 				need = c.off + c.len
 				advanced = true
 			}
@@ -732,42 +735,39 @@ func (k *incarnation) cacheCovers(fileID, group string, mode lockmgr.Mode, off, 
 	return true
 }
 
-func (k *incarnation) cacheTrim(fileID, group string, off, length int64) {
+// cacheTrim removes [off, off+length) of fileID from the group's cached
+// coverage: what a range keeps on either side of the cut is re-added.
+func (k *incarnation) cacheTrim(fileID string, group lockmgr.Holder, off, length int64) {
 	k.cacheMu.Lock()
 	defer k.cacheMu.Unlock()
-	files := k.lockCache[group]
-	var kept []cachedLock
-	for _, c := range files[fileID] {
-		if c.off+c.len <= off || off+length <= c.off {
-			kept = append(kept, c)
+	cut := func(c cachedLock) bool {
+		return c.group == group && c.fileID == fileID && c.off < off+length && off < c.off+c.len
+	}
+	for _, c := range k.lockCache {
+		if !cut(c) {
 			continue
 		}
-		if c.off < off {
-			kept = append(kept, cachedLock{mode: c.mode, off: c.off, len: off - c.off})
+		if head := c; c.off < off {
+			head.len = off - c.off
+			k.lockCache = append(k.lockCache, head)
 		}
-		if c.off+c.len > off+length {
-			kept = append(kept, cachedLock{mode: c.mode, off: off + length, len: c.off + c.len - off - length})
+		if tail := c; c.off+c.len > off+length {
+			tail.off, tail.len = off+length, c.off+c.len-off-length
+			k.lockCache = append(k.lockCache, tail)
 		}
 	}
-	if len(kept) > 0 {
-		files[fileID] = kept
-		return
-	}
-	delete(files, fileID)
-	if len(files) == 0 {
-		delete(k.lockCache, group)
-	}
+	k.lockCache = slices.DeleteFunc(k.lockCache, cut)
 }
 
-// DropLockCache forgets every lock this site cached for the group - the
-// end of the cache's life: the transaction committed or aborted, its last
-// member process here left it, or the process closed the file.  A storage
-// site calls it when it releases the group's locks; package core calls it
-// at each site a transaction ran at.  Purely local: no message is sent.
-func (s *Site) DropLockCache(group string) { s.kernel().dropLockCache(group) }
+// DropLockCache forgets every lock this site cached for the transaction -
+// the end of the cache's life: the transaction committed or aborted, or
+// its last member process here left it.  A storage site drops a group when
+// it releases the group's locks; package core calls this at each site a
+// transaction ran at.  Purely local: no message is sent.
+func (s *Site) DropLockCache(txid string) { s.kernel().dropLockCache(groupKey(0, txid)) }
 
-func (k *incarnation) dropLockCache(group string) {
+func (k *incarnation) dropLockCache(group lockmgr.Holder) {
 	k.cacheMu.Lock()
-	delete(k.lockCache, group)
+	k.lockCache = slices.DeleteFunc(k.lockCache, func(c cachedLock) bool { return c.group == group })
 	k.cacheMu.Unlock()
 }

@@ -308,25 +308,26 @@ func (k *incarnation) lockAt(of *openFile, fileID string, lreq lockmgr.Request) 
 // the request waits its turn like any implicit lock (section 3.1 allows
 // implicit acquisition at access time).  Reports whether coverage now
 // exists.
-func (k *incarnation) materializeLease(of *openFile, from simnet.SiteID, fileID string, pid int, txn string, mode lockmgr.Mode, off, length int64) bool {
-	if !k.cl.cfg.LockLeases || from == k.id || txn == "" || length <= 0 || off < 0 {
+func (k *incarnation) materializeLease(of *openFile, from simnet.SiteID, fileID string, h lockmgr.Holder, name string, mode lockmgr.Mode, off, length int64) bool {
+	if !k.cl.cfg.LockLeases || from == k.id || !h.IsTxn() || length <= 0 || off < 0 {
 		return false
 	}
 	lreq := lockmgr.Request{
-		Holder:   Holder(pid, txn),
+		Holder:   h,
 		Mode:     mode,
 		Off:      off,
 		Len:      length,
 		Wait:     true,
 		Timeout:  k.cl.cfg.LockWaitTimeout,
 		FromSite: int(from),
+		Group:    name,
 	}
 	k.markOpenForUpdate(of)
 	res, err := k.lockAt(of, fileID, lreq)
 	if err != nil {
 		return false
 	}
-	k.adoptUncommitted(of, txn, res.Off, res.Len)
+	k.adoptUncommitted(of, name, res.Off, res.Len)
 	return true
 }
 

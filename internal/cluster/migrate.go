@@ -217,7 +217,7 @@ func (s *Site) ExitProc(pid int) error {
 	if p.TxnID != "" && !s.Procs().AnyInTxn(p.TxnID) {
 		// The transaction's last member here is gone, and with it the
 		// reason to keep its locks cached at this site.
-		s.DropLockCache(TxnGroup(p.TxnID))
+		s.DropLockCache(p.TxnID)
 	}
 	return nil
 }

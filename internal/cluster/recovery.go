@@ -67,15 +67,14 @@ func (k *incarnation) halt() {
 func newIncarnation(m *machine) (_ *incarnation, err error) {
 	cfg := m.cl.cfg
 	k := &incarnation{
-		machine:   m,
-		vols:      make(map[string]*volState),
-		open:      make(map[string]*openFile),
-		locks:     lockmgr.NewManager(m.st),
-		procs:     proc.NewTable(m.id, m.st),
-		prepared:  make(map[string]*preparedTxn),
-		txns:      make(map[string]struct{}),
-		lockCache: make(map[string]map[string][]cachedLock),
-		fenced:    make(map[string]struct{}),
+		machine:  m,
+		vols:     make(map[string]*volState),
+		open:     make(map[string]*openFile),
+		locks:    lockmgr.NewManager(m.st),
+		procs:    proc.NewTable(m.id, m.st),
+		prepared: make(map[string]*preparedTxn),
+		txns:     make(map[string]string),
+		fenced:   make(map[string]struct{}),
 	}
 	k.mu.SetClock(cfg.Clock)
 	k.locks.SetTracer(m.tr)

@@ -88,7 +88,7 @@ func TestRestartResolvesEachPreparedTransaction(t *testing.T) {
 	if recs, _ := tpc.ReadPrepareRecords(s1.Volume("va")); len(recs) != 1 || recs[0].Txid != "D" {
 		t.Fatalf("surviving prepare records = %+v, want D's alone", recs)
 	}
-	if sum := s1.Locks().GroupSummary(TxnGroup("D")); sum.MaxMode != lockmgr.ModeExclusive {
+	if sum := s1.Locks().GroupSummary(lockmgr.TxnGroup("D")); sum.MaxMode != lockmgr.ModeExclusive {
 		t.Fatalf("in-doubt transaction's retained lock not re-established: %+v", sum)
 	}
 
@@ -155,7 +155,7 @@ func TestAbortEverywhereNeedsNoLog(t *testing.T) {
 	if d := cl.Stats().Snapshot().Sub(before); d.Get(stats.CoordLogWrites) != 0 || d.Get(stats.PrepareLogWrites) != 0 {
 		t.Fatalf("pre-2PC abort wrote a log: %v", d)
 	}
-	if sum := s2.Locks().GroupSummary(TxnGroup("T9")); sum.MaxMode != lockmgr.ModeNone {
+	if sum := s2.Locks().GroupSummary(lockmgr.TxnGroup("T9")); sum.MaxMode != lockmgr.ModeNone {
 		t.Fatalf("aborted transaction still holds locks at the storage site: %+v", sum)
 	}
 	if _, committed, _ := s1.Stat(id); committed != 0 {

@@ -11,6 +11,9 @@ import (
 	"repro/internal/simnet"
 )
 
+// raceBuild is set in race-detector builds (race_test.go).
+var raceBuild bool
+
 // threeSites builds three sites on the virtual clock, one file at each.
 func threeSites(t *testing.T) *core.System {
 	t.Helper()
@@ -256,5 +259,44 @@ func TestLocalTransferAllocatesNoPageImages(t *testing.T) {
 	t.Logf("%.0f B, %.0f allocations per local transfer", perTxn, float64(after.Mallocs-before.Mallocs)/runs)
 	if pageSize := float64(sys.Cluster().Site(1).Volume("v1").PageSize()); perTxn > 6*pageSize {
 		t.Errorf("a local transfer allocates %.0f B: more than 6 pages' worth for 7 page writes, so some hop is copying its page into a fresh buffer again", perTxn)
+	}
+}
+
+// TestRemoteCommitAllocationBudget bounds what remote_2pc's transaction
+// costs the host in allocations: a client at site 2 writes one record at
+// each of sites 1 and 3, so site 2 coordinates two remote participants.
+// The parallel prepare and commit sends run on reused actor workers with
+// no closure or join group per send, each site names the transaction
+// once, and the requester's lock cache refills a kept slice; at 132
+// allocations per transaction none of that was so.
+func TestRemoteCommitAllocationBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	sys := threeSites(t)
+	p, files := client(t, sys, 2, "v1/f", "v3/f")
+	rec := make([]byte, 8)
+	txn := func() {
+		rec[0]++
+		if _, err := p.BeginTrans(); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if _, err := f.WriteAt(rec, int64(rec[0]%16)*8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.EndTrans(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 32; i++ { // fill caches, grow tables to their working size
+		txn()
+	}
+	const budget = 100
+	got := testing.AllocsPerRun(500, txn)
+	t.Logf("%.1f allocations per remote transaction", got)
+	if got > budget {
+		t.Errorf("a remote two-participant commit allocates %.1f times, budget %d", got, budget)
 	}
 }

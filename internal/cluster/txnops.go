@@ -100,8 +100,8 @@ type volPrep struct {
 // gathered file carries uncommitted modifications - the write half of the
 // read-only test.
 func (k *incarnation) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, err error) {
-	owner := TxnOwner(req.Txid)
-	group := TxnGroup(req.Txid)
+	name := k.txnName(req.Txid)
+	owner := shadow.Owner(name)
 	var held []lockmgr.EntryInfo
 	for _, fileID := range req.FileIDs {
 		vs, err := k.volFor(fileID)
@@ -124,7 +124,7 @@ func (k *incarnation) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods b
 		hasMods = hasMods || of.file.HasMods(owner)
 		il := of.file.IntentionsFor(owner)
 		vp.files = append(vp.files, tpc.PreparedFile{FileID: fileID, Intentions: il})
-		held = of.locks.GroupEntries(held[:0], group)
+		held = of.locks.GroupEntries(held[:0], name)
 		for _, e := range held {
 			vp.locks = append(vp.locks, tpc.LockInfo{
 				FileID: fileID, Mode: e.Mode, Off: e.Off, Len: e.Len,
@@ -228,7 +228,7 @@ func (k *incarnation) beginPrepare(req prepareReq) ([]*volPrep, tpc.Vote, error)
 	if err != nil {
 		return nil, tpc.VoteCommit, err
 	}
-	if k.cl.cfg.FastPaths && !hasMods && k.locks.GroupSummary(TxnGroup(req.Txid)).MaxMode <= lockmgr.ModeShared {
+	if k.cl.cfg.FastPaths && !hasMods && k.locks.GroupSummary(k.txnName(req.Txid)).MaxMode <= lockmgr.ModeShared {
 		// No prepare record exists, so finishTxn costs no log I/O: it
 		// releases the read locks and retires idle opens.
 		return nil, tpc.VoteReadOnly, k.finishTxn(req.Txid, req.FileIDs)
@@ -410,14 +410,15 @@ func (k *incarnation) applyFiles(txid string, pt *preparedTxn, commit bool) erro
 		}
 		return nil
 	}
+	name := k.txnName(txid)
 	ids := pt.fileIDs
 	if !commit {
 		// A transaction's records lie under locks it still holds (a write
 		// needs one; handleUnlock retains any it wrote under), so roll back
 		// the files its group is indexed on, plus the prepared list.
-		ids = append(k.locks.GroupFileIDs(TxnGroup(txid)), ids...)
+		ids = append(k.locks.GroupFileIDs(name), ids...)
 	}
-	owner := TxnOwner(txid)
+	owner := shadow.Owner(name)
 	for _, id := range ids {
 		of, err := k.lookupOpen(id)
 		if err != nil {
@@ -455,11 +456,12 @@ func (k *incarnation) finishTxn(txid string, fileIDs []string) error {
 			return fmt.Errorf("cluster: clearing prepare records for %s on %s: %w", txid, vs.name, err)
 		}
 	}
-	group := TxnGroup(txid)
-	released := k.locks.ReleaseGroup(group)
-	k.dropLockCache(group)
+	released := k.locks.ReleaseGroup(k.txnName(txid))
+	k.dropLockCache(groupKey(0, txid))
 	k.mu.Lock()
+	k.txnMu.Lock()
 	delete(k.txns, txid)
+	k.txnMu.Unlock()
 	k.mu.Unlock()
 	// Propagate committed contents to replicas of the transaction's files
 	// that quiesced, and retire the idle opens it was keeping alive: the
@@ -576,8 +578,7 @@ func (c *Cluster) ReapProcess(pid int) {
 }
 
 func (k *incarnation) reapLocal(pid int) {
-	owner := ownerFor(pid, "")
-	group := lockmgr.Holder{PID: pid}.Group()
+	owner := procOwner(pid)
 	k.mu.Lock()
 	files := make([]*openFile, 0, len(k.open))
 	for _, of := range k.open {
@@ -592,12 +593,12 @@ func (k *incarnation) reapLocal(pid int) {
 			touched = append(touched, of)
 		}
 	}
-	for _, fl := range k.locks.ReleaseGroup(group) {
+	for _, fl := range k.locks.ReleaseGroup(lockmgr.Holder{PID: pid}.Group()) {
 		if of, err := k.lookupOpen(fl.ID()); err == nil {
 			touched = append(touched, of)
 		}
 	}
-	k.dropLockCache(group)
+	k.dropLockCache(groupKey(pid, ""))
 	for _, of := range touched {
 		k.maybeSyncReplicas(of)
 	}

@@ -89,7 +89,7 @@ type txnState struct {
 	txid    string
 	topPID  int
 	topSite simnet.SiteID
-	sites   map[simnet.SiteID]bool // sites known to be involved
+	sites   []simnet.SiteID // sites known to be involved, in the order they joined
 	aborted bool
 	// committing marks that the transaction has been handed to the
 	// two-phase commit coordinator.  From that moment only the protocol
@@ -152,7 +152,7 @@ func (sys *System) abortTxnsInvolving(sites []simnet.SiteID) {
 	var doomed []*txnState
 	for _, ts := range sys.active {
 		for _, s := range sites {
-			if ts.sites[s] {
+			if slices.Contains(ts.sites, s) {
 				doomed = append(doomed, ts)
 				break
 			}
@@ -214,15 +214,11 @@ func (sys *System) abortTxn(ts *txnState) {
 // could not reach.  Local calls: no message is sent.
 func (sys *System) dropLockCaches(ts *txnState) {
 	sys.mu.Lock()
-	sites := make([]simnet.SiteID, 0, len(ts.sites))
-	for id := range ts.sites {
-		sites = append(sites, id)
-	}
+	sites := ts.sites // noteTxnSite only appends, so this prefix never changes
 	sys.mu.Unlock()
-	group := cluster.TxnGroup(ts.txid)
 	for _, id := range sites {
 		if s := sys.cl.Site(id); s != nil {
-			s.DropLockCache(group)
+			s.DropLockCache(ts.txid)
 		}
 	}
 }
@@ -238,8 +234,8 @@ func (sys *System) lookupTxn(txid string) *txnState {
 func (sys *System) noteTxnSite(txid string, site simnet.SiteID) {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
-	if ts, ok := sys.active[txid]; ok {
-		ts.sites[site] = true
+	if ts, ok := sys.active[txid]; ok && !slices.Contains(ts.sites, site) {
+		ts.sites = append(ts.sites, site)
 	}
 }
 
@@ -266,7 +262,7 @@ func (sys *System) newDetector() *wfg.Detector {
 		Clock:   sys.cl.Clock(),
 		Stats:   sys.Stats(),
 		OnVictim: func(group string, cycle []string) {
-			if txid, ok := strings.CutPrefix(group, "txn:"); ok && txid != "" {
+			if txid, ok := lockmgr.GroupTxn(group); ok {
 				if ts := sys.lookupTxn(txid); ts != nil {
 					sys.abortTxn(ts)
 				}
@@ -369,7 +365,7 @@ func (p *Process) BeginTrans() (int, error) {
 	p.sys.mu.Lock()
 	p.sys.active[txid] = &txnState{
 		txid: txid, topPID: p.pid, topSite: p.site,
-		sites: map[simnet.SiteID]bool{p.site: true},
+		sites: append(make([]simnet.SiteID, 0, 4), p.site), // room for a few sites without regrowth
 	}
 	p.sys.mu.Unlock()
 	p.sys.prof().TxnBegin(txid, p.sys.cl.Clock().Now())
@@ -395,7 +391,7 @@ func (p *Process) EndTrans() error {
 	if ts == nil && ps.TopLevel {
 		// Aborted underneath us (partition, deadlock victim).
 		p.kernel().Procs().ClearTxn(p.pid)
-		p.kernel().DropLockCache(cluster.TxnGroup(txid)) // a grant that raced the abort
+		p.kernel().DropLockCache(txid) // a grant that raced the abort
 		return fmt.Errorf("%w: %s", ErrAborted, txid)
 	}
 	if ps.TopLevel && ps.Nesting == 1 && ps.Children > 0 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/lockmgr"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 )
@@ -474,7 +475,7 @@ func TestAccessUnderEscapeLockStillCommits(t *testing.T) {
 			} else if got := readString(t, cat, 0, 7); got != "catalog" {
 				t.Fatalf("catalog = %q", got)
 			}
-			if sum := sys.Cluster().Site(1).Locks().GroupSummary(cluster.TxnGroup(p.Txn())); sum.MaxMode >= Shared {
+			if sum := sys.Cluster().Site(1).Locks().GroupSummary(lockmgr.TxnGroup(p.Txn())); sum.MaxMode >= Shared {
 				t.Fatalf("the transaction holds a lock at the catalog's site: %+v", sum)
 			}
 			if _, err := data.WriteAt([]byte("entry"), 0); err != nil {

@@ -77,7 +77,7 @@ type groupCommitter struct {
 	stopped bool
 
 	signal chan struct{}
-	exit   *vtime.Gate
+	daemon *vtime.Group // the run loop, joined by stop
 }
 
 func newGroupCommitter(ls *LogStore, cfg GroupCommitConfig) *groupCommitter {
@@ -90,9 +90,9 @@ func newGroupCommitter(ls *LogStore, cfg GroupCommitConfig) *groupCommitter {
 		cfg:    cfg,
 		clk:    clk,
 		signal: make(chan struct{}, 1),
-		exit:   vtime.NewGate(clk),
+		daemon: vtime.NewGroup(clk),
 	}
-	clk.Go(gc.run)
+	gc.daemon.Go(gc.run)
 	return gc
 }
 
@@ -115,7 +115,6 @@ func (gc *groupCommitter) submit(r *logReq) (err error, handled bool) {
 }
 
 func (gc *groupCommitter) run() {
-	defer gc.exit.Release()
 	for {
 		gc.mu.Lock()
 		n := len(gc.queue)
@@ -159,7 +158,7 @@ func (gc *groupCommitter) stop() {
 	gc.stopped = true
 	gc.mu.Unlock()
 	vtime.NotifySend(gc.clk, gc.signal, struct{}{})
-	gc.exit.Wait()
+	gc.daemon.Wait()
 }
 
 // StartGroupCommit attaches a group-commit daemon to the store.  With

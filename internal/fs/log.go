@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -568,13 +568,7 @@ func (l *LogStore) observeBatchLocked(batch []*logReq, clk vtime.Clock) {
 // Records returns every stored record, sorted by key.  Recovery iterates
 // this after Load.
 func (l *LogStore) Records() ([]*Record, error) {
-	l.mu.Lock()
-	keys := make([]string, 0, len(l.slots))
-	for k := range l.slots {
-		keys = append(keys, k)
-	}
-	l.mu.Unlock()
-	sort.Strings(keys)
+	keys := l.Keys()
 	out := make([]*Record, 0, len(keys))
 	for _, k := range keys {
 		rec, err := l.Get(k)
@@ -589,14 +583,20 @@ func (l *LogStore) Records() ([]*Record, error) {
 	return out, nil
 }
 
-// Keys returns the stored keys, sorted.
-func (l *LogStore) Keys() []string {
+// AppendKeysWithPrefix appends the stored keys that start with prefix to
+// dst, sorted, and returns the extended slice.
+func (l *LogStore) AppendKeysWithPrefix(dst []string, prefix string) []string {
+	n := len(dst)
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	keys := make([]string, 0, len(l.slots))
 	for k := range l.slots {
-		keys = append(keys, k)
+		if strings.HasPrefix(k, prefix) {
+			dst = append(dst, k)
+		}
 	}
-	sort.Strings(keys)
-	return keys
+	l.mu.Unlock()
+	slices.Sort(dst[n:])
+	return dst
 }
+
+// Keys returns the stored keys, sorted.
+func (l *LogStore) Keys() []string { return l.AppendKeysWithPrefix(nil, "") }

@@ -94,9 +94,20 @@ type Holder struct {
 // (all member processes share locks), else the process itself.
 func (h Holder) Group() string {
 	if h.Txn != "" {
-		return "txn:" + h.Txn
+		return TxnGroup(h.Txn)
 	}
 	return "pid:" + strconv.Itoa(h.PID)
+}
+
+// TxnGroup is a transaction's name, "txn:" + txid: its lock group here,
+// and its owner of uncommitted records in the shadow layer.  One string
+// serves both, so a site builds it once per transaction.
+func TxnGroup(txid string) string { return "txn:" + txid }
+
+// GroupTxn returns the transaction a group names, if it names one.
+func GroupTxn(group string) (txid string, ok bool) {
+	txid, ok = strings.CutPrefix(group, "txn:")
+	return txid, ok && txid != ""
 }
 
 // IsTxn reports whether the holder executes within a transaction.
@@ -159,6 +170,8 @@ type Request struct {
 	// own lease entries never block its requests: the lease is exactly
 	// its entitlement to re-acquire without a round trip.
 	FromSite int
+	// Group is Holder.Group(), if the caller has built it; empty builds it.
+	Group string
 }
 
 // Result reports a granted lock.  Off is the actual locked offset, which
@@ -391,7 +404,10 @@ func (fl *FileLocks) Lock(req Request) (Result, error) {
 	if req.Mode != ModeShared && req.Mode != ModeExclusive {
 		return Result{}, fmt.Errorf("lockmgr: unsupported lock mode %v", req.Mode)
 	}
-	group := req.Holder.Group()
+	group := req.Group
+	if group == "" {
+		group = req.Holder.Group()
+	}
 	fl.mu.Lock()
 	fl.st.Add(stats.Instructions, costmodel.InstrLockRequest)
 	fl.tr.Record(trace.LockRequest, group, fl.id, int64(req.Mode))
@@ -903,26 +919,15 @@ func (fl *FileLocks) QueueInfo() QueueInfo {
 	return qi
 }
 
-// numShards divides the Manager's file table so that unrelated files'
-// lookups do not contend on one map mutex under concurrent transaction
-// load.  Per-file serialization stays in FileLocks.mu; the shard mutex
-// guards only the id -> FileLocks map itself, so the shard count trades
-// memory for lookup parallelism and 32 is plenty for a single site.
-const numShards = 32
-
-// lockShard is one slice of the Manager's file table.
-type lockShard struct {
+// Manager is a storage site's collection of per-file lock lists.  Its
+// mutex guards only the id -> FileLocks map; per-file serialization is
+// each list's own.
+type Manager struct {
+	st    *stats.Set
+	tr    *trace.Tracer // installed on lock lists created after SetTracer
+	clk   vtime.Clock   // inherited by lock lists created after SetClock
 	mu    sync.Mutex
 	files map[string]*FileLocks
-}
-
-// Manager is a storage site's collection of per-file lock lists, sharded
-// by file id.
-type Manager struct {
-	st     *stats.Set
-	tr     *trace.Tracer // installed on lock lists created after SetTracer
-	clk    vtime.Clock   // inherited by lock lists created after SetClock
-	shards [numShards]lockShard
 
 	// groups indexes the table by lock group: the lock lists on which the
 	// group has a descriptor or a queued request, maintained by the lists
@@ -938,40 +943,21 @@ type Manager struct {
 
 // NewManager creates an empty lock manager.
 func NewManager(st *stats.Set) *Manager {
-	m := &Manager{st: st, groups: make(map[string][]*FileLocks)}
-	for i := range m.shards {
-		m.shards[i].files = make(map[string]*FileLocks)
-	}
-	return m
-}
-
-// shard maps a file id to its table slice (FNV-1a).
-func (m *Manager) shard(id string) *lockShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return &m.shards[h%numShards]
+	return &Manager{st: st, files: make(map[string]*FileLocks), groups: make(map[string][]*FileLocks)}
 }
 
 // File returns (creating if needed) the lock list for the file.  sizeFn
 // is installed only on creation.
 func (m *Manager) File(id string, sizeFn func() int64) *FileLocks {
-	s := m.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fl, ok := s.files[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fl, ok := m.files[id]
 	if !ok {
 		fl = NewFileLocks(id, sizeFn, m.st)
 		fl.mgr = m
 		fl.SetTracer(m.tr)
 		fl.SetClock(m.clk)
-		s.files[id] = fl
+		m.files[id] = fl
 	}
 	return fl
 }
@@ -988,13 +974,8 @@ func (m *Manager) SetClock(c vtime.Clock) { m.clk = c }
 // tools walk this to scan the whole lock table for conflicts.
 func (m *Manager) Files() []string {
 	var out []string
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for id := range s.files {
-			out = append(out, id)
-		}
-		s.mu.Unlock()
+	for _, fl := range m.all() {
+		out = append(out, fl.id)
 	}
 	sort.Strings(out)
 	return out
@@ -1002,19 +983,17 @@ func (m *Manager) Files() []string {
 
 // Lookup returns the lock list for the file, or nil.
 func (m *Manager) Lookup(id string) *FileLocks {
-	s := m.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.files[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.files[id]
 }
 
 // Drop removes a file's lock list (file closed everywhere).
 func (m *Manager) Drop(id string) {
-	s := m.shard(id)
-	s.mu.Lock()
-	fl := s.files[id]
-	delete(s.files, id)
-	s.mu.Unlock()
+	m.mu.Lock()
+	fl := m.files[id]
+	delete(m.files, id)
+	m.mu.Unlock()
 	if fl != nil {
 		fl.detach()
 	}
@@ -1079,16 +1058,13 @@ func (m *Manager) GroupFileIDs(group string) []string {
 	return ids
 }
 
-// all snapshots every lock list across the shards.
+// all snapshots every lock list.
 func (m *Manager) all() []*FileLocks {
-	var files []*FileLocks
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for _, fl := range s.files {
-			files = append(files, fl)
-		}
-		s.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	files := make([]*FileLocks, 0, len(m.files))
+	for _, fl := range m.files {
+		files = append(files, fl)
 	}
 	return files
 }
@@ -1142,9 +1118,7 @@ func (m *Manager) QueueStats() []QueueInfo {
 
 // QueueSummary is the site-wide merge of every file's wait-queue view:
 // total files with waiters, total queued requests, and the single oldest
-// waiter across the whole table.  QueueStats alone cannot provide the
-// oldest waiter — each row is per file, and files hash across the 32 FNV
-// shards, so any per-shard or per-row "oldest" can miss the true one.
+// waiter across the whole table.
 type QueueSummary struct {
 	Files      int
 	Depth      int
@@ -1152,9 +1126,9 @@ type QueueSummary struct {
 	OldestWait time.Duration
 }
 
-// QueueSummary merges the wait-queue state across every shard of the
-// table.  Ties on wait age break toward the smaller file id, so the
-// result is deterministic.
+// QueueSummary merges the wait-queue state across the table.  Ties on
+// wait age break toward the smaller file id, so the result is
+// deterministic.
 func (m *Manager) QueueSummary() QueueSummary {
 	var qs QueueSummary
 	for _, fl := range m.all() {

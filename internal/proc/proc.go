@@ -17,7 +17,9 @@ package proc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/simnet"
@@ -271,7 +273,7 @@ func (t *Table) ClearTxn(pid int) {
 		p.TxnID = ""
 		p.Nesting = 0
 		p.TopLevel = false
-		p.FileList = make(map[string]FileRef)
+		clear(p.FileList) // in place: the next transaction reuses the map
 		p.Children = nil
 	}
 }
@@ -302,7 +304,7 @@ func (t *Table) FileList(pid int) ([]FileRef, error) {
 	for _, r := range p.FileList {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FileID < out[j].FileID })
+	slices.SortFunc(out, func(a, b FileRef) int { return strings.Compare(a.FileID, b.FileID) })
 	return out, nil
 }
 

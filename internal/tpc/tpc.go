@@ -188,15 +188,18 @@ func ReadPrepareRecords(v *fs.Volume) ([]PrepareRecord, error) {
 	return readRecords(v, fs.KindPrepare, "prepare", decodePrepareRecord)
 }
 
-// DeletePrepareRecords removes every prepare record for txid (all
-// suffixes).
+// DeletePrepareRecords removes every prepare record for txid, in key
+// order: the volume's one record, "prep:<txid>", and any footnote-10
+// per-file records, "prep:<txid>:<fileID>", found by one prefix lookup.
 func DeletePrepareRecords(v *fs.Volume, txid string) error {
 	whole := prepKey(txid, "")
-	for _, key := range v.Log().Keys() {
-		if key == whole || strings.HasPrefix(key, whole+":") {
-			if err := v.Log().Delete(key); err != nil {
-				return err
-			}
+	var found [4]string
+	for _, key := range v.Log().AppendKeysWithPrefix(found[:0], whole) {
+		if key != whole && !strings.HasPrefix(key, whole+":") {
+			continue // another transaction's id extends this one's
+		}
+		if err := v.Log().Delete(key); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -284,8 +287,8 @@ type Config struct {
 // not yet delivered and acknowledged everywhere.
 type pendingTxn struct {
 	status  Status
-	logged  bool            // a coordinator log record may exist for finish to reclaim
-	unacked []simnet.SiteID // ascending
+	key     string        // its coordinator log record's key, for finish to reclaim; "" when none is written
+	unacked []participant // ascending by site
 }
 
 // Coordinator runs two-phase commit for transactions whose top-level
@@ -364,54 +367,39 @@ func (c *Coordinator) recordLocality(parts []participant) {
 	c.st.Registry().Histogram("txn_participant_sites", telemetry.SizeBuckets()).Observe(int64(len(parts)))
 }
 
-// participant is one storage site of a transaction with its files there.
+// participant is one storage site of a transaction with its files there,
+// and what the site answered the last message the coordinator sent it.
 type participant struct {
 	site  simnet.SiteID
 	files []string // sorted
+	vote  Vote
+	err   error
 }
 
 // participants groups the file list by storage site, ascending by site:
 // the order every per-site trace event and bookkeeping step follows, so a
 // fixed-seed run's event sequence does not depend on goroutine scheduling.
+// The sites' file lists share one array.
 func participants(files []proc.FileRef) []participant {
-	var parts []participant
-	for _, f := range files {
-		i := slices.IndexFunc(parts, func(p participant) bool { return p.site == f.StorageSite })
-		if i < 0 {
-			i = len(parts)
+	parts := make([]participant, 0, len(files)) // at most a site per file
+	for i, f := range files {
+		if !slices.ContainsFunc(files[:i], func(g proc.FileRef) bool { return g.StorageSite == f.StorageSite }) {
 			parts = append(parts, participant{site: f.StorageSite})
 		}
-		parts[i].files = append(parts[i].files, f.FileID)
 	}
 	slices.SortFunc(parts, func(a, b participant) int { return int(a.site) - int(b.site) })
-	for _, p := range parts {
-		sort.Strings(p.files)
+	ids := make([]string, 0, len(files))
+	for i := range parts {
+		start := len(ids)
+		for _, f := range files {
+			if f.StorageSite == parts[i].site {
+				ids = append(ids, f.FileID)
+			}
+		}
+		parts[i].files = ids[start:len(ids):len(ids)]
+		slices.Sort(parts[i].files)
 	}
 	return parts
-}
-
-// sitesOf lists the participants' sites (ascending, as parts is).
-func sitesOf(parts []participant) []simnet.SiteID {
-	sites := make([]simnet.SiteID, len(parts))
-	for i, p := range parts {
-		sites[i] = p.site
-	}
-	return sites
-}
-
-// fanOut runs send(0..n-1) concurrently and returns when all have: the
-// one fan-out behind prepare, abort distribution, phase two and the retry
-// backlog.  A slow or unreachable site delays only the return, never the
-// delivery to the others.  It is unbounded: n is a transaction's sites or
-// the unacknowledged commits, and a simulated send holds no descriptor.
-// Callers keep bookkeeping and trace events outside it, in site order, so
-// a fixed-seed run's event sequence does not depend on scheduling.
-func (c *Coordinator) fanOut(n int, send func(i int)) {
-	g := vtime.NewGroup(c.clk)
-	for i := 0; i < n; i++ {
-		g.Go(func() { send(i) })
-	}
-	g.Wait()
 }
 
 // logStatus writes the transaction's coordinator record with the given
@@ -439,7 +427,10 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrTxnExists, txid)
 	}
-	pt := &pendingTxn{logged: !onePhase}
+	pt := &pendingTxn{}
+	if !onePhase {
+		pt.key = coordKey(txid)
+	}
 	c.pending[txid] = pt
 	c.mu.Unlock()
 	if onePhase {
@@ -447,9 +438,8 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 	}
 
 	// Step 1: coordinator log, status unknown.
-	key := coordKey(txid)
 	rec := CoordRecord{Txid: txid, Files: files}
-	if err := c.logStatus(key, &rec, StatusUnknown); err != nil {
+	if err := c.logStatus(pt.key, &rec, StatusUnknown); err != nil {
 		// The record never landed, so recovery reads the transaction as
 		// aborted (presumed abort).  The participants were never
 		// contacted, but they already hold the transaction's retained
@@ -459,40 +449,42 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		return err
 	}
 
-	// Step 2: prepare at every participant, in parallel.
+	// Step 2: prepare at every participant, in parallel: a slow site delays
+	// only the return.  Bookkeeping and trace events stay outside the
+	// fan-out, in site order, so they do not depend on scheduling.
 	for _, p := range parts {
 		c.trc.Record(trace.PrepareSent, txid, p.site.String(), int64(len(p.files)))
 	}
-	votes := make([]struct {
-		vote Vote
-		err  error
-	}, len(parts))
 	prepT0 := c.clk.Now()
-	c.fanOut(len(parts), func(i int) {
-		votes[i].vote, votes[i].err = c.tr.SendPrepare(parts[i].site, txid, parts[i].files, c.site)
+	vtime.Fan(c.clk, len(parts), func(i int) {
+		p := &parts[i]
+		p.vote, p.err = c.tr.SendPrepare(p.site, txid, p.files, c.site)
 	})
 	c.prof().Window(txid, telemetry.WinPrepare, c.clk.Now().Sub(prepT0))
 	// Read-only voters released their locks at prepare time and hold no
 	// prepare records: they drop out of the protocol here, receiving
-	// neither the phase-two commit nor an abort.
+	// neither the phase-two commit nor an abort.  The others move to the
+	// front, in site order: parts[:n2].
 	var prepErr error
-	p2parts := make([]participant, 0, len(parts))
+	n2 := 0
 	for i, p := range parts {
-		if votes[i].err == nil && votes[i].vote == VoteReadOnly {
+		if p.err == nil && p.vote == VoteReadOnly {
 			c.st.Inc(stats.ReadOnlyVotes)
 			c.trc.Record(trace.VotedReadOnly, txid, p.site.String(), int64(len(p.files)))
 			continue
 		}
-		p2parts = append(p2parts, p)
+		parts[n2], parts[i] = p, parts[n2]
+		n2++
 		yes := int64(1)
-		if votes[i].err != nil {
+		if p.err != nil {
 			yes = 0
 			if prepErr == nil {
-				prepErr = fmt.Errorf("%w: %s: %v", ErrPrepareFailed, p.site, votes[i].err)
+				prepErr = fmt.Errorf("%w: %s: %v", ErrPrepareFailed, p.site, p.err)
 			}
 		}
 		c.trc.Record(trace.Voted, txid, p.site.String(), yes)
 	}
+	p2parts := parts[:n2]
 	if prepErr != nil {
 		// Abort: flip the marker, tell everyone, clean up.  If the
 		// marker write fails the record still reads StatusUnknown -
@@ -501,7 +493,7 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		// it, participants that voted yes keep their prepare records
 		// and retained locks forever.
 		rec.Status = StatusAborted
-		markErr := putCoordRecord(c.vol, key, &rec)
+		markErr := putCoordRecord(c.vol, pt.key, &rec)
 		c.abort(txid, pt, p2parts)
 		return errors.Join(prepErr, markErr)
 	}
@@ -518,12 +510,12 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 	}
 
 	// Step 3: the commit point - one in-place status flip.
-	if err := c.logStatus(key, &rec, StatusCommitted); err != nil {
+	if err := c.logStatus(pt.key, &rec, StatusCommitted); err != nil {
 		// The outcome is undecided on disk; treat as abort.
 		c.abort(txid, pt, p2parts)
 		return err
 	}
-	c.decided(txid, pt, StatusCommitted, parts, sitesOf(p2parts), len(p2parts))
+	c.decided(txid, pt, StatusCommitted, parts, slices.Clone(p2parts), len(p2parts))
 
 	// Step 4: phase two.  The window is measured only when the
 	// coordinator drives it synchronously: an asynchronous phase two is
@@ -577,7 +569,7 @@ func (c *Coordinator) commitOnePhase(txid string, pt *pendingTxn, parts []partic
 // counter, and the trace event (value holders: the participant sites
 // that have the outcome to apply).  unacked lists the sites phase two
 // must still reach; with none, the transaction is finished on the spot.
-func (c *Coordinator) decided(txid string, pt *pendingTxn, st Status, parts []participant, unacked []simnet.SiteID, holders int) {
+func (c *Coordinator) decided(txid string, pt *pendingTxn, st Status, parts, unacked []participant, holders int) {
 	if len(unacked) == 0 {
 		c.finish(txid, pt, st)
 	} else {
@@ -611,7 +603,7 @@ func (c *Coordinator) abort(txid string, pt *pendingTxn, parts []participant) {
 // effort: duplicates are harmless, and a site that misses the message
 // learns the outcome from its own recovery query (presumed abort).
 func (c *Coordinator) sendAborts(txid string, parts []participant) {
-	c.fanOut(len(parts), func(i int) {
+	vtime.Fan(c.clk, len(parts), func(i int) {
 		c.tr.SendAbort(parts[i].site, txid) //nolint:errcheck // best effort, see above
 	})
 }
@@ -626,18 +618,19 @@ func (c *Coordinator) runPhase2(txid string) {
 		c.mu.Unlock()
 		return
 	}
-	sites := slices.Clone(pt.unacked)
+	// A copy, not pt.unacked itself: a concurrent pass (the retry timer's)
+	// may trim that meanwhile.
+	sends := slices.Clone(pt.unacked)
 	c.mu.Unlock()
 
-	acked := make([]bool, len(sites))
-	c.fanOut(len(sites), func(i int) {
-		acked[i] = c.tr.SendCommit(sites[i], txid) == nil
+	vtime.Fan(c.clk, len(sends), func(i int) {
+		sends[i].err = c.tr.SendCommit(sends[i].site, txid)
 	})
 
 	c.mu.Lock()
-	pt.unacked = slices.DeleteFunc(pt.unacked, func(s simnet.SiteID) bool {
-		i, ok := slices.BinarySearch(sites, s)
-		return ok && acked[i]
+	pt.unacked = slices.DeleteFunc(pt.unacked, func(p participant) bool {
+		i := slices.IndexFunc(sends, func(s participant) bool { return s.site == p.site })
+		return i >= 0 && sends[i].err == nil
 	})
 	remaining := len(pt.unacked)
 	c.mu.Unlock()
@@ -649,8 +642,8 @@ func (c *Coordinator) runPhase2(txid string) {
 // finish retires the transaction: its coordinator log record, if one was
 // written, is deleted, and its outcome moves from pending to done.
 func (c *Coordinator) finish(txid string, pt *pendingTxn, st Status) {
-	if pt.logged {
-		DeleteCoordRecord(c.vol, txid) //nolint:errcheck // stale records are re-resolved by Recover
+	if pt.key != "" {
+		c.vol.Log().Delete(pt.key) //nolint:errcheck // stale records are re-resolved by Recover
 	}
 	c.mu.Lock()
 	delete(c.pending, txid)
@@ -673,7 +666,7 @@ func (c *Coordinator) RetryPending() {
 	}
 	c.mu.Unlock()
 	sort.Strings(txids) // the fan-out's start order, and so the interleaving, follows
-	c.fanOut(len(txids), func(i int) { c.runPhase2(txids[i]) })
+	vtime.Fan(c.clk, len(txids), func(i int) { c.runPhase2(txids[i]) })
 }
 
 // retryLoop re-drives phase two every RetryInterval until Close; a Close
@@ -741,7 +734,7 @@ func (c *Coordinator) Recover() error {
 		if rec.Status == StatusCommitted {
 			st = StatusCommitted
 		}
-		pt := &pendingTxn{status: st, logged: true, unacked: sitesOf(parts)}
+		pt := &pendingTxn{status: st, key: coordKey(rec.Txid), unacked: parts}
 		c.mu.Lock()
 		_, live := c.pending[rec.Txid]
 		if !live {

@@ -11,9 +11,9 @@
 // at most one actor runs at a time: the others are parked (Sleep,
 // WaitRecv, Group.Wait, Mutex.Lock, ...) or ready, waiting their turn on
 // the clock's run queue.  A wake - a deadline firing, NotifySend to a
-// parked receiver, a Mutex hand-off, a Group's last member finishing, a
-// Gate opening, Go starting an actor - appends the woken actor to the
-// tail of the queue; it does not run it.  A park, and an actor's exit,
+// parked receiver, a Mutex hand-off, a Group's last member finishing, Go
+// starting an actor - appends the woken actor to the tail of the queue;
+// it does not run it.  A park, and an actor's exit,
 // hands the run straight to the head of the queue.  Only when the queue
 // is empty - no actor can take another step at the current instant -
 // does time jump to the earliest pending deadline, firing every event
@@ -25,7 +25,7 @@
 // timestamp that concurrent work at an earlier instant could contradict.
 //
 // Code that parks in virtual mode must park through the clock: Sleep,
-// WaitRecv paired with NotifySend, Group, Gate or Mutex.  A raw channel
+// WaitRecv paired with NotifySend, Group or Mutex.  A raw channel
 // receive, a sync.WaitGroup or a sync.Mutex held across a park blocks
 // the one running actor, and with it the whole simulation.
 package vtime
@@ -83,26 +83,42 @@ type event struct {
 	recv uintptr       // the channel a WaitRecv waits on (chanKey); 0 for Sleep
 }
 
-// actor is a goroutine waiting for its first turn: its wake, the clock and
-// group it joins, and its body.
-type actor struct {
-	ch chan struct{}
-	v  *Virtual
-	g  *Group
-	fn func()
+// worker is a goroutine that runs actor bodies one after another.  Its
+// current actor's wake is ch, its clock v and group g, and its body fn -
+// or, for a member of Fan, each(i).
+type worker struct {
+	ch   chan struct{}
+	v    *Virtual
+	g    *Group
+	fn   func()
+	each func(int)
+	i    int
+}
+
+// maxIdleWorkers caps the workers parked between bodies.  A new goroutine
+// starts on a small stack that an actor body (a message handler down to
+// the simulated disk) regrows, a copy per doubling; a parked worker keeps
+// the stack its last body grew.
+const maxIdleWorkers = 64
+
+// idleWorkers is shared by every clock, so the clocks a harness discards
+// leave at most maxIdleWorkers goroutines behind.
+var idleWorkers struct {
+	mu sync.Mutex
+	ws []*worker
 }
 
 // Parking is the simulator's most frequent operation, so what a park
 // needs comes from free lists.  A wake is one send on a cap-1 channel, not
 // a close, and has exactly one receiver, so the channel is empty again -
 // and reusable - once its actor has resumed.  wakeChans serves actors
-// parked on a Mutex, Group, Gate, Settle or WaitIdle; parkEvents the
+// parked on a Mutex, Group, Settle or WaitIdle; parkEvents the
 // events of Sleep and WaitRecv, whose lifetime ends inside the call that
-// made them; actors the starts of Go.
+// made them; fanGroups the joins of Fan.
 var (
 	wakeChans  = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 	parkEvents = sync.Pool{New: func() any { return &event{idx: -1, ch: make(chan struct{}, 1)} }}
-	actors     = sync.Pool{New: func() any { return &actor{ch: make(chan struct{}, 1)} }}
+	fanGroups  = sync.Pool{New: func() any { return new(Group) }}
 )
 
 type eventHeap []*event
@@ -346,36 +362,63 @@ func (v *Virtual) SleepUntil(t time.Time) {
 }
 
 // Go launches fn as a registered actor at the tail of the run queue.
-func (v *Virtual) Go(fn func()) { v.spawn(fn, nil) }
+func (v *Virtual) Go(fn func()) { v.spawn(fn, nil, 0, nil) }
 
-// spawn readies a new actor running fn; a member of g counts in g until
-// it exits.
-func (v *Virtual) spawn(fn func(), g *Group) {
-	a := actors.Get().(*actor)
-	a.v, a.g, a.fn = v, g, fn
+// spawn readies a new actor running fn, or each(i), on an idle worker or
+// a new one; a member of g counts in g until it exits.  The worker is
+// taken under v.mu, where an exiting actor of this clock returns its own,
+// so a park-spawn-exit cycle reuses one goroutine.
+func (v *Virtual) spawn(fn func(), each func(int), i int, g *Group) {
 	v.mu.Lock()
+	defer v.mu.Unlock()
+	var w *worker
+	idleWorkers.mu.Lock()
+	if n := len(idleWorkers.ws); n > 0 {
+		w, idleWorkers.ws = idleWorkers.ws[n-1], idleWorkers.ws[:n-1]
+	}
+	idleWorkers.mu.Unlock()
+	if w == nil {
+		w = &worker{ch: make(chan struct{}, 1)}
+		go w.run() // waits for its first turn on ch
+	}
+	w.v, w.g, w.fn, w.each, w.i = v, g, fn, each, i
 	if g != nil {
 		g.n++
 	}
-	v.readyLocked(a.ch)
-	v.mu.Unlock()
-	go a.run()
+	v.readyLocked(w.ch)
 }
 
-// run waits for the actor's first turn, then runs its body and retires.
-func (a *actor) run() {
-	<-a.ch
-	v, g, fn := a.v, a.g, a.fn
-	a.v, a.g, a.fn = nil, nil, nil
-	actors.Put(a)
-	defer v.exit(g)
-	fn()
+// run is a worker's goroutine: each turn runs one actor's body and
+// retires the actor.  A body that ends the goroutine (runtime.Goexit, as
+// t.FailNow does, or a panic) still hands the run on, from the defer.
+func (w *worker) run() {
+	defer func() {
+		if w.v != nil {
+			w.v.exit(w.g, nil)
+		}
+	}()
+	for {
+		<-w.ch
+		if w.fn != nil {
+			w.fn()
+		} else {
+			w.each(w.i)
+		}
+		v, g := w.v, w.g
+		w.v, w.g, w.fn, w.each = nil, nil, nil, nil
+		if !v.exit(g, w) {
+			return
+		}
+	}
 }
 
 // exit retires the calling actor: the last member of a joined group
-// readies the joiner, and the run passes on.
-func (v *Virtual) exit(g *Group) {
+// readies the joiner, and the run passes on.  Then its worker, if it has
+// one to give back, joins the idle list, unless the list is full; exit
+// reports whether it did.
+func (v *Virtual) exit(g *Group, w *worker) bool {
 	v.mu.Lock()
+	defer v.mu.Unlock()
 	if g != nil {
 		if g.n--; g.n == 0 && g.waitCh != nil {
 			v.readyLocked(g.waitCh)
@@ -383,7 +426,13 @@ func (v *Virtual) exit(g *Group) {
 		}
 	}
 	v.dispatchLocked()
-	v.mu.Unlock()
+	idleWorkers.mu.Lock()
+	defer idleWorkers.mu.Unlock()
+	if w == nil || len(idleWorkers.ws) == maxIdleWorkers {
+		return false
+	}
+	idleWorkers.ws = append(idleWorkers.ws, w)
+	return true
 }
 
 // ---- channel helpers ----
@@ -506,7 +555,25 @@ func (g *Group) Go(fn func()) {
 		}()
 		return
 	}
-	g.v.spawn(fn, g)
+	g.v.spawn(fn, nil, 0, g)
+}
+
+// Fan runs fn(0), ..., fn(n-1) concurrently, each as a registered actor
+// under the virtual clock, started in index order, and returns when all
+// have.  It is Group.Go and Wait without a closure per member or a Group
+// per call.
+func Fan(c Clock, n int, fn func(i int)) {
+	g := fanGroups.Get().(*Group)
+	g.v, _ = c.(*Virtual)
+	for i := 0; i < n; i++ {
+		if g.v == nil {
+			g.Go(func() { fn(i) })
+		} else {
+			g.v.spawn(nil, fn, i, g)
+		}
+	}
+	g.Wait()
+	fanGroups.Put(g)
 }
 
 // Wait parks until every member launched so far has returned.
@@ -526,61 +593,6 @@ func (g *Group) Wait() {
 		panic("vtime: Group supports one waiter at a time")
 	}
 	v.parkWake(func(ch chan struct{}) { g.waitCh = ch })
-}
-
-// Gate is a one-shot completion barrier: any number of actors Wait, one
-// actor Releases.
-type Gate struct {
-	v *Virtual
-	// real-mode state
-	mu       sync.Mutex
-	ch       chan struct{}
-	released bool
-	waiters  []chan struct{} // virtual mode, guarded by v.mu
-}
-
-// NewGate creates an unreleased gate on the clock.
-func NewGate(c Clock) *Gate {
-	g := &Gate{ch: make(chan struct{})}
-	g.v, _ = c.(*Virtual)
-	return g
-}
-
-// Release opens the gate, waking every waiter.  Idempotent.
-func (g *Gate) Release() {
-	if g.v != nil {
-		g.v.mu.Lock()
-		if !g.released {
-			g.released = true
-			for _, ch := range g.waiters {
-				g.v.readyLocked(ch)
-			}
-			g.waiters = nil
-		}
-		g.v.mu.Unlock()
-		return
-	}
-	g.mu.Lock()
-	if !g.released {
-		g.released = true
-		close(g.ch)
-	}
-	g.mu.Unlock()
-}
-
-// Wait parks until the gate is released (returning immediately if it
-// already was).
-func (g *Gate) Wait() {
-	if g.v != nil {
-		g.v.mu.Lock()
-		if g.released {
-			g.v.mu.Unlock()
-			return
-		}
-		g.v.parkWake(func(ch chan struct{}) { g.waiters = append(g.waiters, ch) })
-		return
-	}
-	<-g.ch
 }
 
 // Mutex is a clock-aware mutual-exclusion lock for critical sections

@@ -1,7 +1,9 @@
 package vtime
 
 import (
+	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -216,30 +218,6 @@ func TestNotifySendToBusyReceiver(t *testing.T) {
 	}
 }
 
-// TestGateMultipleWaiters: several actors join one completion.
-func TestGateMultipleWaiters(t *testing.T) {
-	v := NewVirtual()
-	gate := NewGate(v)
-	var woke atomic.Int32
-	g := NewGroup(v)
-	for i := 0; i < 3; i++ {
-		g.Go(func() {
-			gate.Wait()
-			woke.Add(1)
-		})
-	}
-	v.Go(func() {
-		v.Sleep(2 * time.Millisecond)
-		gate.Release()
-	})
-	g.Wait()
-	if woke.Load() != 3 {
-		t.Fatalf("woke %d", woke.Load())
-	}
-	gate.Wait() // released gate returns immediately
-	v.Sleep(time.Millisecond)
-}
-
 // TestGroupTokenTransfer: the joiner resumes at the exact virtual instant
 // the last worker finishes.
 func TestGroupTokenTransfer(t *testing.T) {
@@ -295,6 +273,13 @@ func TestRealClockBasics(t *testing.T) {
 	g.Wait()
 	if n.Load() != 1 {
 		t.Fatal("real group")
+	}
+	var hits [3]atomic.Int32
+	Fan(c, len(hits), func(i int) { hits[i].Add(1) })
+	for i := range hits {
+		if hits[i].Load() != 1 {
+			t.Fatalf("real Fan ran member %d %d times", i, hits[i].Load())
+		}
 	}
 }
 
@@ -363,9 +348,8 @@ func TestWaitIdleImmediate(t *testing.T) {
 func TestWaitIdleSkipsParkedDaemon(t *testing.T) {
 	v := NewVirtual()
 	wake := make(chan struct{}, 1)
-	exited := NewGate(v)
-	v.Go(func() {
-		defer exited.Release()
+	daemon := NewGroup(v)
+	daemon.Go(func() {
 		WaitRecv[struct{}](v, wake, 0) // parks with no deadline
 	})
 	v.Go(func() { v.Sleep(10 * time.Millisecond) })
@@ -374,7 +358,7 @@ func TestWaitIdleSkipsParkedDaemon(t *testing.T) {
 		t.Fatalf("elapsed %v, want 10ms", got)
 	}
 	NotifySend(v, wake, struct{}{})
-	exited.Wait()
+	daemon.Wait()
 }
 
 // TestSettleWaitsOutTheInstant: a settler woken at instant T must observe
@@ -481,5 +465,81 @@ func TestParkingReusesItsWakeState(t *testing.T) {
 	}
 	if got := v.Elapsed() - start; got != 200*time.Millisecond {
 		t.Fatalf("200 rounds took %v of virtual time, want 200ms", got)
+	}
+}
+
+// goid is the calling goroutine's id, from its stack header.
+func goid() string {
+	var buf [64]byte
+	s := string(buf[:runtime.Stack(buf[:], false)])
+	id, _, _ := strings.Cut(strings.TrimPrefix(s, "goroutine "), " ")
+	return id
+}
+
+// grow recurses through depth frames of a few hundred bytes each, growing
+// the calling goroutine's stack the way a message handler running down to
+// the simulated disk does.
+func grow(depth int) int {
+	var pad [256]byte
+	pad[depth%len(pad)] = byte(depth)
+	if depth == 0 {
+		return int(pad[0])
+	}
+	return grow(depth-1) + int(pad[depth%len(pad)])
+}
+
+// TestActorKeepsItsWorker: an actor body runs on a reused worker, so once
+// one body has grown a stack, later actors run on that goroutine - its
+// stack already grown - instead of starting a new one; and a Fan
+// allocates nothing.
+func TestActorKeepsItsWorker(t *testing.T) {
+	v := NewVirtual()
+	g := NewGroup(v)
+	var first string
+	g.Go(func() {
+		grow(200)
+		first = goid()
+	})
+	g.Wait()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		var id string
+		g.Go(func() { id = goid() })
+		g.Wait()
+		if id != first {
+			t.Fatalf("cycle %d ran on goroutine %s, not the reused worker %s", i, id, first)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew %d -> %d over 1000 Go/Wait cycles", before, after)
+	}
+
+	var sum atomic.Int64
+	fan := func(i int) { sum.Add(int64(i)) }
+	Fan(v, 3, fan)
+	if got := testing.AllocsPerRun(200, func() { Fan(v, 3, fan) }); got != 0 {
+		t.Errorf("Fan of 3: %v allocations per call, want 0", got)
+	}
+	if got := sum.Load(); got != 3*202 {
+		t.Errorf("Fan members summed to %d, want %d", got, 3*202)
+	}
+}
+
+// TestIdleWorkersCapped: clocks that are discarded after a burst of
+// concurrent actors leave no more than maxIdleWorkers parked workers.
+func TestIdleWorkersCapped(t *testing.T) {
+	for c := 0; c < 100; c++ {
+		v := NewVirtual()
+		g := NewGroup(v)
+		for i := 0; i < 200; i++ {
+			g.Go(func() { v.Sleep(time.Millisecond) })
+		}
+		g.Wait()
+		idleWorkers.mu.Lock()
+		n := len(idleWorkers.ws)
+		idleWorkers.mu.Unlock()
+		if n > maxIdleWorkers {
+			t.Fatalf("clock %d: %d parked workers, cap %d", c, n, maxIdleWorkers)
+		}
 	}
 }

@@ -147,7 +147,7 @@ type Policy func(cycle []string) string
 func VictimYoungest(cycle []string) string {
 	best := ""
 	for _, g := range cycle {
-		if len(g) > 4 && g[:4] == "txn:" {
+		if _, ok := lockmgr.GroupTxn(g); ok {
 			if best == "" || g > best {
 				best = g
 			}
@@ -170,7 +170,7 @@ func VictimYoungest(cycle []string) string {
 func VictimOldest(cycle []string) string {
 	best := ""
 	for _, g := range cycle {
-		if len(g) > 4 && g[:4] == "txn:" {
+		if _, ok := lockmgr.GroupTxn(g); ok {
 			if best == "" || g < best {
 				best = g
 			}
@@ -228,7 +228,7 @@ type Detector struct {
 
 	mu   sync.Mutex
 	stop chan struct{} // cap 1; Stop's signal to the scan goroutine
-	exit *vtime.Gate   // released by the scan goroutine on exit
+	scan *vtime.Group  // the scan goroutine, joined by Stop
 }
 
 // Step performs one detection scan and returns the victims (after
@@ -279,13 +279,10 @@ func (d *Detector) Start(interval time.Duration) {
 		d.mu.Unlock()
 		return
 	}
-	stop := make(chan struct{}, 1)
-	exit := vtime.NewGate(clk)
-	d.stop = stop
-	d.exit = exit
+	stop, scan := make(chan struct{}, 1), vtime.NewGroup(clk)
+	d.stop, d.scan = stop, scan
 	d.mu.Unlock()
-	clk.Go(func() {
-		defer exit.Release()
+	scan.Go(func() {
 		// A Stop that lands mid-scan is found waiting on the next receive.
 		for {
 			if _, stopped := vtime.WaitRecv(clk, stop, interval); stopped {
@@ -305,11 +302,11 @@ func (d *Detector) Stop() {
 		clk = vtime.Real()
 	}
 	d.mu.Lock()
-	stop, exit := d.stop, d.exit
-	d.stop, d.exit = nil, nil
+	stop, scan := d.stop, d.scan
+	d.stop, d.scan = nil, nil
 	d.mu.Unlock()
 	if stop != nil {
 		vtime.NotifySend(clk, stop, struct{}{})
-		exit.Wait()
+		scan.Wait()
 	}
 }
