@@ -530,6 +530,7 @@ type incarnation struct {
 	// this kernel proposed), loads it.
 	dead     atomic.Bool
 	vols     map[string]*volState // one per volume name: mounted or installed
+	volList  []*volState          // vols in name order (serveLocked)
 	open     map[string]*openFile
 	locks    *lockmgr.Manager
 	procs    *proc.Table
@@ -652,7 +653,8 @@ func (k *incarnation) addVolume(d *disk) (*volState, error) {
 	case k.dead.Load():
 		err = ErrSiteDown
 	case !dup:
-		k.vols[d.vol], cur = vs, vs
+		k.serveLocked(vs)
+		cur = vs
 	}
 	if cur == vs {
 		k.diskMu.Lock()
@@ -763,17 +765,21 @@ func (k *incarnation) txnName(txid string) string {
 	return name
 }
 
-// volStates snapshots the volumes the incarnation serves, in name order,
-// the order their disk work is issued in.
+// volStates returns the volumes the incarnation serves, in name order,
+// the order their disk work is issued in.  Callers only read the slice,
+// which serveLocked replaces rather than edits.
 func (k *incarnation) volStates() []*volState {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	vols := make([]*volState, 0, len(k.vols))
-	for _, vs := range k.vols {
-		vols = append(vols, vs)
-	}
-	slices.SortFunc(vols, func(a, b *volState) int { return strings.Compare(a.name, b.name) })
-	return vols
+	return k.volList
+}
+
+// serveLocked enters vs in k.vols and in a fresh copy of k.volList.
+// Caller holds k.mu, or is booting k.
+func (k *incarnation) serveLocked(vs *volState) {
+	k.vols[vs.name] = vs
+	i, _ := slices.BinarySearchFunc(k.volList, vs.name, func(a *volState, name string) int { return strings.Compare(a.name, name) })
+	k.volList = slices.Insert(slices.Clip(k.volList), i, vs)
 }
 
 // volByName returns the state of a volume served at this site.

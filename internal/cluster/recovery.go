@@ -97,7 +97,7 @@ func newIncarnation(m *machine) (_ *incarnation, err error) {
 		if err != nil {
 			return nil, err
 		}
-		k.vols[d.vol] = vs
+		k.serveLocked(vs)
 		if err := tpc.PinPreparedPages(vs.vol); err != nil {
 			return nil, err
 		}

@@ -371,7 +371,10 @@ func (l *LogStore) chargeFootnote9Locked(freshPuts int) {
 // same-size record reuses the same pages, so a status-marker flip is
 // exactly one write.  Without a group-commit daemon each page is written
 // synchronously (the paper's behaviour); with one, the record rides a
-// batched flush that forces the disk once for the whole batch.
+// batched flush that forces the disk once for the whole batch.  Either
+// way the payload is copied into the store's own page buffers and not
+// retained once Put returns (submit parks until the flush is done), so
+// the caller may reuse it.
 func (l *LogStore) Put(key string, kind LogKind, payload []byte) error {
 	if gc := l.committer(); gc != nil {
 		if err, handled := gc.submit(&logReq{key: key, kind: kind, payload: payload}); handled {

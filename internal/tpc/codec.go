@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/fs"
 	"repro/internal/lockmgr"
 	"repro/internal/proc"
 	"repro/internal/shadow"
@@ -15,8 +16,9 @@ import (
 // path encodes a coordinator record and a prepare record per transaction
 // (per file in footnote-10 mode), and gob's per-call reflection and type
 // streams made encode the hottest allocation site under concurrent load.
-// This codec appends into a pooled staging buffer and returns an
-// exact-size copy, so steady-state encoding allocates only the payload.
+// This codec appends into a pooled staging buffer that the log copies
+// into its own pages (putRecord), so steady-state encoding allocates
+// nothing.
 //
 // Layout rules:
 //   - every record starts with a one-byte format version;
@@ -37,14 +39,15 @@ var encPool = sync.Pool{
 	},
 }
 
-// finish copies the staged bytes into an exact-size payload and returns
-// the staging buffer to the pool.
-func finish(staged *[]byte) []byte {
-	out := make([]byte, len(*staged))
-	copy(out, *staged)
-	*staged = (*staged)[:0]
+// putRecord encodes a record into a pooled staging buffer and stores it
+// under key.  The buffer goes back to the pool as Put returns: the log
+// keeps no reference to a payload.
+func putRecord(v *fs.Volume, key string, kind fs.LogKind, encode func([]byte) []byte) error {
+	staged := encPool.Get().(*[]byte)
+	*staged = encode((*staged)[:0])
+	err := v.Log().Put(key, kind, *staged)
 	encPool.Put(staged)
-	return out
+	return err
 }
 
 func appendStr(b []byte, s string) []byte {
@@ -127,11 +130,10 @@ func (d *decoder) done(what string) error {
 	return nil
 }
 
-// encodeCoordRecord serializes the coordinator log record.  Re-encoding
-// with only Status changed yields a payload of identical length.
-func encodeCoordRecord(rec *CoordRecord) []byte {
-	staged := encPool.Get().(*[]byte)
-	b := *staged
+// appendCoordRecord serializes the coordinator log record onto b.
+// Re-encoding with only Status changed yields a payload of identical
+// length.
+func appendCoordRecord(b []byte, rec *CoordRecord) []byte {
 	b = append(b, coordRecVersion, byte(rec.Status))
 	b = appendStr(b, rec.Txid)
 	b = binary.AppendUvarint(b, uint64(len(rec.Files)))
@@ -139,8 +141,7 @@ func encodeCoordRecord(rec *CoordRecord) []byte {
 		b = appendStr(b, f.FileID)
 		b = appendInt(b, int64(f.StorageSite))
 	}
-	*staged = b
-	return finish(staged)
+	return b
 }
 
 func decodeCoordRecord(payload []byte) (CoordRecord, error) {
@@ -168,11 +169,9 @@ func decodeCoordRecord(payload []byte) (CoordRecord, error) {
 	return rec, d.done("coordinator record")
 }
 
-// encodePrepareRecord serializes a participant's prepare log entry:
-// the intentions lists and lock lists of section 4.2 step 2.
-func encodePrepareRecord(rec *PrepareRecord) []byte {
-	staged := encPool.Get().(*[]byte)
-	b := *staged
+// appendPrepareRecord serializes a participant's prepare log entry onto
+// b: the intentions lists and lock lists of section 4.2 step 2.
+func appendPrepareRecord(b []byte, rec *PrepareRecord) []byte {
 	b = append(b, prepRecVersion)
 	b = appendStr(b, rec.Txid)
 	b = appendInt(b, int64(rec.CoordSite))
@@ -201,8 +200,7 @@ func encodePrepareRecord(rec *PrepareRecord) []byte {
 		b = appendInt(b, l.Off)
 		b = appendInt(b, l.Len)
 	}
-	*staged = b
-	return finish(staged)
+	return b
 }
 
 func decodePrepareRecord(payload []byte) (PrepareRecord, error) {

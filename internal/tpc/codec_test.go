@@ -25,7 +25,7 @@ func TestCoordCodecRoundTrip(t *testing.T) {
 		{Txid: "", Status: StatusAborted, Files: []proc.FileRef{{FileID: "", StorageSite: 0}}},
 	}
 	for _, rec := range recs {
-		got, err := decodeCoordRecord(encodeCoordRecord(&rec))
+		got, err := decodeCoordRecord(appendCoordRecord(nil, &rec))
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", rec, err)
 		}
@@ -47,10 +47,10 @@ func TestCoordRecordStatusFlipKeepsSize(t *testing.T) {
 			{FileID: "vol0/b", StorageSite: 2},
 		},
 	}
-	n := len(encodeCoordRecord(&rec))
+	n := len(appendCoordRecord(nil, &rec))
 	for _, st := range []Status{StatusCommitted, StatusAborted} {
 		rec.Status = st
-		if got := len(encodeCoordRecord(&rec)); got != n {
+		if got := len(appendCoordRecord(nil, &rec)); got != n {
 			t.Fatalf("status %v re-encodes to %d bytes, want %d", st, got, n)
 		}
 	}
@@ -79,7 +79,7 @@ func TestPrepareCodecRoundTrip(t *testing.T) {
 			{FileID: "vol0/accounts", Mode: lockmgr.ModeShared, Off: 512, Len: 64},
 		},
 	}
-	got, err := decodePrepareRecord(encodePrepareRecord(&rec))
+	got, err := decodePrepareRecord(appendPrepareRecord(nil, &rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPrepareRecordRoundTripProperty(t *testing.T) {
 			}},
 			Locks: []LockInfo{{FileID: fileID, Mode: lockmgr.Mode(mode % 3), Off: int64(off), Len: int64(length)}},
 		}
-		got, err := decodePrepareRecord(encodePrepareRecord(&rec))
+		got, err := decodePrepareRecord(appendPrepareRecord(nil, &rec))
 		return err == nil && reflect.DeepEqual(got, rec)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -118,7 +118,7 @@ func TestPrepareRecordRoundTripProperty(t *testing.T) {
 func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 	rec := CoordRecord{Txid: "T1", Status: StatusCommitted,
 		Files: []proc.FileRef{{FileID: "vol0/a", StorageSite: 1}}}
-	good := encodeCoordRecord(&rec)
+	good := appendCoordRecord(nil, &rec)
 
 	// Truncations at every length must fail cleanly, never panic.
 	for i := 0; i < len(good); i++ {
@@ -144,7 +144,7 @@ func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 
 	prec := PrepareRecord{Txid: "T1", CoordSite: 1,
 		Files: []PreparedFile{{FileID: "f", Intentions: shadow.IntentionsList{Ino: 1}}}}
-	pgood := encodePrepareRecord(&prec)
+	pgood := appendPrepareRecord(nil, &prec)
 	for i := 0; i < len(pgood); i++ {
 		if _, err := decodePrepareRecord(pgood[:i]); err == nil {
 			t.Fatalf("prepare decode of %d-byte truncation succeeded", i)
@@ -169,7 +169,8 @@ func BenchmarkEncodePrepareRecord(b *testing.B) {
 		Locks: []LockInfo{{FileID: "vol0/accounts", Mode: lockmgr.ModeExclusive, Off: 0, Len: 128}},
 	}
 	b.ReportAllocs()
+	var buf []byte
 	for i := 0; i < b.N; i++ {
-		encodePrepareRecord(&rec)
+		buf = appendPrepareRecord(buf[:0], &rec)
 	}
 }

@@ -143,7 +143,7 @@ func WriteCoordRecord(v *fs.Volume, rec CoordRecord) error {
 }
 
 func putCoordRecord(v *fs.Volume, key string, rec *CoordRecord) error {
-	return v.Log().Put(key, fs.KindCoordinator, encodeCoordRecord(rec))
+	return putRecord(v, key, fs.KindCoordinator, func(b []byte) []byte { return appendCoordRecord(b, rec) })
 }
 
 // readRecords decodes every record of one kind in the volume's log.
@@ -180,7 +180,7 @@ func DeleteCoordRecord(v *fs.Volume, txid string) error {
 // WritePrepareRecord writes a participant's prepare log entry.  suffix
 // distinguishes per-file records in footnote-10 mode ("" otherwise).
 func WritePrepareRecord(v *fs.Volume, rec PrepareRecord, suffix string) error {
-	return v.Log().Put(prepKey(rec.Txid, suffix), fs.KindPrepare, encodePrepareRecord(&rec))
+	return putRecord(v, prepKey(rec.Txid, suffix), fs.KindPrepare, func(b []byte) []byte { return appendPrepareRecord(b, &rec) })
 }
 
 // ReadPrepareRecords returns every prepare record in the volume's log.

@@ -13,11 +13,12 @@
 // the clock's run queue.  A wake - a deadline firing, NotifySend to a
 // parked receiver, a Mutex hand-off, a Group's last member finishing, Go
 // starting an actor - appends the woken actor to the tail of the queue;
-// it does not run it.  A park, and an actor's exit,
-// hands the run straight to the head of the queue.  Only when the queue
-// is empty - no actor can take another step at the current instant -
-// does time jump to the earliest pending deadline, firing every event
-// scheduled there in creation order.
+// it does not run it.  A park, and an actor's exit, hands the run straight
+// to the head of the queue, by a coroutine switch rather than through the
+// Go scheduler (Virtual.drive).  Only when the queue is empty - no actor
+// can take another step at the current instant - does time jump to the
+// earliest pending deadline, firing every event scheduled there in
+// creation order.
 //
 // So the interleaving is a function of the program and its inputs, not
 // of the Go scheduler: a seed replays a concurrent run.  And because the
@@ -33,7 +34,9 @@ package vtime
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -47,9 +50,9 @@ type Clock interface {
 	// Sleep pauses the calling actor for d (non-positive returns
 	// immediately).
 	Sleep(d time.Duration)
-	// Go runs fn on its own goroutine.  Under the virtual clock the
-	// goroutine is a registered actor: it joins the run queue and starts
-	// when its turn comes.
+	// Go runs fn on its own goroutine.  Under the virtual clock fn runs as
+	// a registered actor on a worker coroutine: it joins the run queue and
+	// starts when its turn comes.
 	Go(fn func())
 }
 
@@ -72,22 +75,28 @@ func (realClock) Go(fn func())          { go fn() }
 // constant keeps every timestamp a pure function of the workload.
 var virtualEpoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 
-// event is one parked Sleep or WaitRecv: its deadline on the clock's heap
-// (if it has one) and the channel its actor is woken on.
-type event struct {
-	at  time.Duration // offset from the epoch
-	seq uint64        // tie-break so same-instant events fire in creation order
-	idx int           // heap index; -1 once fired or removed
-
-	ch   chan struct{} // cap 1; the actor's wake
+// actor is what the run queue, the event heap and every waiter list hold:
+// one registered actor.  The clock's root - whichever goroutine that is
+// not a worker drives it - is the Virtual's root field; every other actor
+// runs on a worker, a coroutine that runs bodies one after another.
+type actor struct {
+	// The deadline a parked Sleep or WaitRecv has on the clock's heap, if
+	// any, and the channel a WaitRecv waits on.  An actor parks on one
+	// thing at a time, so its record serves every wait it makes.
+	at   time.Duration // offset from the epoch
+	seq  uint64        // tie-break so same-instant events fire in creation order
+	idx  int           // heap index; -1 once fired or removed
 	recv uintptr       // the channel a WaitRecv waits on (chanKey); 0 for Sleep
-}
 
-// worker is a goroutine that runs actor bodies one after another.  Its
-// current actor's wake is ch, its clock v and group g, and its body fn -
-// or, for a member of Fan, each(i).
-type worker struct {
-	ch   chan struct{}
+	// A worker's coroutine (nil for the root): resume runs it until it
+	// parks or its body returns, and returns the actor to run next; the
+	// worker hands that actor over through yield.
+	resume func() (*actor, bool)
+	stop   func()
+	yield  func(*actor) bool
+
+	// The current body: fn, or each(i) for a member of Fan, on clock v
+	// as a member of g.  v is nil between bodies.
 	v    *Virtual
 	g    *Group
 	fn   func()
@@ -95,33 +104,23 @@ type worker struct {
 	i    int
 }
 
-// maxIdleWorkers caps the workers parked between bodies.  A new goroutine
-// starts on a small stack that an actor body (a message handler down to
-// the simulated disk) regrows, a copy per doubling; a parked worker keeps
-// the stack its last body grew.
+// maxIdleWorkers caps the workers suspended between bodies.  A new
+// coroutine starts on a small stack that an actor body (a message handler
+// down to the simulated disk) regrows, a copy per doubling; an idle worker
+// keeps the stack its last body grew.
 const maxIdleWorkers = 64
 
 // idleWorkers is shared by every clock, so the clocks a harness discards
 // leave at most maxIdleWorkers goroutines behind.
 var idleWorkers struct {
 	mu sync.Mutex
-	ws []*worker
+	ws []*actor
 }
 
-// Parking is the simulator's most frequent operation, so what a park
-// needs comes from free lists.  A wake is one send on a cap-1 channel, not
-// a close, and has exactly one receiver, so the channel is empty again -
-// and reusable - once its actor has resumed.  wakeChans serves actors
-// parked on a Mutex, Group, Settle or WaitIdle; parkEvents the
-// events of Sleep and WaitRecv, whose lifetime ends inside the call that
-// made them; fanGroups the joins of Fan.
-var (
-	wakeChans  = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-	parkEvents = sync.Pool{New: func() any { return &event{idx: -1, ch: make(chan struct{}, 1)} }}
-	fanGroups  = sync.Pool{New: func() any { return new(Group) }}
-)
+// fanGroups pools the joins of Fan.
+var fanGroups = sync.Pool{New: func() any { return new(Group) }}
 
-type eventHeap []*event
+type eventHeap []*actor
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -135,40 +134,43 @@ func (h eventHeap) Swap(i, j int) {
 	h[i].idx, h[j].idx = i, j
 }
 func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
+	a := x.(*actor)
+	a.idx = len(*h)
+	*h = append(*h, a)
 }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
-	ev := old[n-1]
+	a := old[n-1]
 	old[n-1] = nil
-	ev.idx = -1
+	a.idx = -1
 	*h = old[:n-1]
-	return ev
+	return a
 }
 
-// Virtual is the deterministic discrete-event clock.  The goroutine
-// that calls NewVirtual is its first registered actor, and the one
-// running.
+// Virtual is the deterministic discrete-event clock.  Its root - the
+// goroutine that calls NewVirtual, or any other that is not one of its
+// workers - is its first registered actor, and the one running.
 type Virtual struct {
 	mu     sync.Mutex
 	now    time.Duration // elapsed virtual time since the epoch
 	seq    uint64
 	events eventHeap
 
-	// runq holds the wake channels of the actors ready to run, in the
-	// order they were woken.  The running actor is not on it.
-	runq []chan struct{}
+	root actor  // the root's record
+	cur  *actor // the running actor
+
+	// runq holds the actors ready to run, in the order they were woken.
+	// The running actor is not on it.
+	runq []*actor
 
 	// settling holds the actors parked in Settle: they join the run
 	// queue only once it has drained at the current instant.
-	settling []chan struct{}
+	settling []*actor
 
 	// recvs maps a channel (chanKey) to the actor parked on it in
 	// WaitRecv, so NotifySend can ready it.
-	recvs map[uintptr]*event
+	recvs map[uintptr]*actor
 
 	// advanceHook, when set, observes every time jump: it runs with
 	// v.mu held, after now moves and before any event at the new
@@ -178,10 +180,10 @@ type Virtual struct {
 	// across a clock call.
 	advanceHook func(prev, now time.Duration)
 
-	// idleCh, when non-nil, is a WaitIdle caller parked until the
+	// idler, when non-nil, is a WaitIdle caller parked until the
 	// simulation runs completely dry (no ready actor, no pending event).
 	// It is readied instead of panicking when that state is reached.
-	idleCh chan struct{}
+	idler *actor
 }
 
 // SetAdvanceHook installs (or, with nil, removes) the quiescent
@@ -200,7 +202,10 @@ func (v *Virtual) SetAdvanceHook(fn func(prev, now time.Duration)) {
 // drive the simulation (or park through the clock) for anything else to
 // run.
 func NewVirtual() *Virtual {
-	return &Virtual{recvs: make(map[uintptr]*event)}
+	v := &Virtual{recvs: make(map[uintptr]*actor)}
+	v.root.idx = -1
+	v.cur = &v.root
+	return v
 }
 
 // DebugState reports the run-queue census - actors ready to run behind
@@ -232,38 +237,39 @@ func (v *Virtual) Elapsed() time.Duration {
 	return v.now
 }
 
-// scheduleLocked queues ev to fire d from now.  Caller holds v.mu.
-func (v *Virtual) scheduleLocked(ev *event, d time.Duration) {
+// scheduleLocked queues a's deadline d from now.  Caller holds v.mu.
+func (v *Virtual) scheduleLocked(a *actor, d time.Duration) {
 	v.seq++
-	ev.at, ev.seq = v.now+d, v.seq
-	heap.Push(&v.events, ev)
+	a.at, a.seq = v.now+d, v.seq
+	heap.Push(&v.events, a)
 }
 
 // readyLocked appends a woken actor to the run queue.  Caller holds v.mu.
-func (v *Virtual) readyLocked(ch chan struct{}) {
-	v.runq = append(v.runq, ch)
+func (v *Virtual) readyLocked(a *actor) {
+	v.runq = append(v.runq, a)
 }
 
-// dispatchLocked hands the run to the head of the run queue: the caller
-// has just parked or is exiting.  With the queue empty the instant is
-// settled: the Settle callers run, and once they too have parked, time
-// advances to the earliest deadline and everything scheduled there fires;
-// with no deadline left either, a WaitIdle caller is woken, and otherwise
-// the simulation is deadlocked.  Caller holds v.mu.
-func (v *Virtual) dispatchLocked() {
+// dispatchLocked pops the head of the run queue, the actor to run next,
+// and makes it the running one: the caller has just parked or is exiting.
+// With the queue empty the instant is settled: the Settle callers run, and
+// once they too have parked, time advances to the earliest deadline and
+// everything scheduled there fires; with no deadline left either, a
+// WaitIdle caller is woken, and otherwise the simulation is deadlocked.
+// Caller holds v.mu.
+func (v *Virtual) dispatchLocked() *actor {
 	for len(v.runq) == 0 {
 		if len(v.settling) > 0 {
 			v.runq, v.settling = v.settling, v.runq
 			break
 		}
 		if len(v.events) == 0 {
-			if v.idleCh == nil {
+			if v.idler == nil {
 				// Every actor is parked on a channel, a mutex or a join and
 				// no deadline is pending: nobody is left to wake anyone.
 				panic("vtime: deadlock: all actors idle with no pending events")
 			}
-			v.readyLocked(v.idleCh)
-			v.idleCh = nil
+			v.readyLocked(v.idler)
+			v.idler = nil
 			break
 		}
 		at := v.events[0].at
@@ -276,37 +282,53 @@ func (v *Virtual) dispatchLocked() {
 			v.advanceHook(prev, at)
 		}
 		for len(v.events) > 0 && v.events[0].at == at {
-			ev := heap.Pop(&v.events).(*event)
-			if ev.recv != 0 {
-				delete(v.recvs, ev.recv)
+			a := heap.Pop(&v.events).(*actor)
+			if a.recv != 0 {
+				delete(v.recvs, a.recv)
 			}
-			v.readyLocked(ev.ch)
+			v.readyLocked(a)
 		}
 	}
-	ch := v.runq[0]
+	a := v.runq[0]
 	n := copy(v.runq, v.runq[1:])
 	v.runq[n] = nil
 	v.runq = v.runq[:n]
-	ch <- struct{}{}
+	v.cur = a
+	return a
 }
 
-// park gives up the run and blocks until ch is readied and reaches the
-// head of the run queue.  The caller holds v.mu and has arranged for ch
-// to be readied (a deadline, a waiter list); park releases v.mu.
-func (v *Virtual) park(ch chan struct{}) {
-	v.dispatchLocked()
+// park gives up the run until the calling actor, which the caller has
+// arranged to be readied (a deadline, a waiter list), reaches the head of
+// the run queue.  A parker that is its own head carries on.  A worker
+// yields the head to the root; the root resumes it (drive).  Caller holds
+// v.mu; park releases it.
+func (v *Virtual) park() {
+	me := v.cur
+	next := v.dispatchLocked()
 	v.mu.Unlock()
-	<-ch
+	switch {
+	case next == me:
+	case me != &v.root:
+		me.yield(next)
+	default:
+		v.drive(next)
+	}
 }
 
-// parkWake parks on a pooled wake channel registered by add, returning
-// the channel to the pool once the actor runs again.  Caller holds v.mu;
-// parkWake releases it.
-func (v *Virtual) parkWake(add func(ch chan struct{})) {
-	ch := wakeChans.Get().(chan struct{})
-	add(ch)
-	v.park(ch)
-	wakeChans.Put(ch)
+// drive is the parked root's loop: it resumes a, then each actor the
+// previous one's park or exit handed the run to, until that is the root.
+// A worker whose body has returned goes back to the idle list here, once
+// it has yielded, so no other clock's root can resume it before.  A body's
+// panic is re-raised by resume, and its runtime.Goexit ends the root's
+// goroutine too.
+func (v *Virtual) drive(a *actor) {
+	for a != &v.root {
+		next, _ := a.resume()
+		if a.v == nil {
+			a.retire()
+		}
+		a = next
+	}
 }
 
 // Sleep parks the calling actor until virtual time reaches now+d.
@@ -314,12 +336,10 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	ev := parkEvents.Get().(*event)
-	ev.recv = 0
 	v.mu.Lock()
-	v.scheduleLocked(ev, d)
-	v.park(ev.ch)
-	parkEvents.Put(ev)
+	v.cur.recv = 0
+	v.scheduleLocked(v.cur, d)
+	v.park()
 }
 
 // Settle parks the calling actor until the current instant has settled:
@@ -334,7 +354,8 @@ func Settle(c Clock) {
 		return
 	}
 	v.mu.Lock()
-	v.parkWake(func(ch chan struct{}) { v.settling = append(v.settling, ch) })
+	v.settling = append(v.settling, v.cur)
+	v.park()
 }
 
 // WaitIdle parks the calling actor until the simulation runs dry: every
@@ -345,11 +366,12 @@ func Settle(c Clock) {
 // daemon) stay parked; they do not block idleness.  One waiter at a time.
 func (v *Virtual) WaitIdle() {
 	v.mu.Lock()
-	if v.idleCh != nil {
+	if v.idler != nil {
 		v.mu.Unlock()
 		panic("vtime: concurrent WaitIdle")
 	}
-	v.parkWake(func(ch chan struct{}) { v.idleCh = ch })
+	v.idler = v.cur
+	v.park()
 }
 
 // SleepUntil parks the calling actor until the given virtual instant
@@ -365,74 +387,80 @@ func (v *Virtual) SleepUntil(t time.Time) {
 func (v *Virtual) Go(fn func()) { v.spawn(fn, nil, 0, nil) }
 
 // spawn readies a new actor running fn, or each(i), on an idle worker or
-// a new one; a member of g counts in g until it exits.  The worker is
-// taken under v.mu, where an exiting actor of this clock returns its own,
-// so a park-spawn-exit cycle reuses one goroutine.
+// a new one; a member of g counts in g until it exits.  An exiting actor's
+// worker is idle again before the next actor runs, so a park-spawn-exit
+// cycle reuses one coroutine.
 func (v *Virtual) spawn(fn func(), each func(int), i int, g *Group) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	var w *worker
+	var a *actor
 	idleWorkers.mu.Lock()
 	if n := len(idleWorkers.ws); n > 0 {
-		w, idleWorkers.ws = idleWorkers.ws[n-1], idleWorkers.ws[:n-1]
+		a, idleWorkers.ws = idleWorkers.ws[n-1], idleWorkers.ws[:n-1]
 	}
 	idleWorkers.mu.Unlock()
-	if w == nil {
-		w = &worker{ch: make(chan struct{}, 1)}
-		go w.run() // waits for its first turn on ch
+	if a == nil {
+		a = &actor{idx: -1}
+		a.resume, a.stop = iter.Pull(a.run) // starts on its first resume
 	}
-	w.v, w.g, w.fn, w.each, w.i = v, g, fn, each, i
+	a.v, a.g, a.fn, a.each, a.i = v, g, fn, each, i
 	if g != nil {
 		g.n++
 	}
-	v.readyLocked(w.ch)
+	v.readyLocked(a)
 }
 
-// run is a worker's goroutine: each turn runs one actor's body and
-// retires the actor.  A body that ends the goroutine (runtime.Goexit, as
-// t.FailNow does, or a panic) still hands the run on, from the defer.
-func (w *worker) run() {
+// run is a worker's coroutine: each turn runs one actor's body, retires
+// the actor and yields the actor its exit handed the run to.  A panic
+// leaves with the body's stack attached, since the root that re-raises it
+// has a stack of its own.
+func (a *actor) run(yield func(*actor) bool) {
+	a.yield = yield
 	defer func() {
-		if w.v != nil {
-			w.v.exit(w.g, nil)
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("%v\n\nactor stack:\n%s", r, debug.Stack()))
 		}
 	}()
 	for {
-		<-w.ch
-		if w.fn != nil {
-			w.fn()
+		if a.fn != nil {
+			a.fn()
 		} else {
-			w.each(w.i)
+			a.each(a.i)
 		}
-		v, g := w.v, w.g
-		w.v, w.g, w.fn, w.each = nil, nil, nil, nil
-		if !v.exit(g, w) {
+		v, g := a.v, a.g
+		a.v, a.g, a.fn, a.each = nil, nil, nil, nil
+		if !yield(v.exit(g)) {
 			return
 		}
 	}
 }
 
 // exit retires the calling actor: the last member of a joined group
-// readies the joiner, and the run passes on.  Then its worker, if it has
-// one to give back, joins the idle list, unless the list is full; exit
-// reports whether it did.
-func (v *Virtual) exit(g *Group, w *worker) bool {
+// readies the joiner, and the run passes on; exit returns to whom.
+func (v *Virtual) exit(g *Group) *actor {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if g != nil {
-		if g.n--; g.n == 0 && g.waitCh != nil {
-			v.readyLocked(g.waitCh)
-			g.waitCh = nil
+		if g.n--; g.n == 0 && g.waiter != nil {
+			v.readyLocked(g.waiter)
+			g.waiter = nil
 		}
 	}
-	v.dispatchLocked()
+	return v.dispatchLocked()
+}
+
+// retire puts a worker whose body has returned back on the idle list, or
+// ends its coroutine when the list is full.
+func (a *actor) retire() {
 	idleWorkers.mu.Lock()
-	defer idleWorkers.mu.Unlock()
-	if w == nil || len(idleWorkers.ws) == maxIdleWorkers {
-		return false
+	full := len(idleWorkers.ws) == maxIdleWorkers
+	if !full {
+		idleWorkers.ws = append(idleWorkers.ws, a)
 	}
-	idleWorkers.ws = append(idleWorkers.ws, w)
-	return true
+	idleWorkers.mu.Unlock()
+	if full {
+		a.stop()
+	}
 }
 
 // ---- channel helpers ----
@@ -471,14 +499,13 @@ func WaitRecv[T any](c Clock, ch <-chan T, timeout time.Duration) (T, bool) {
 		v.mu.Unlock()
 		panic("vtime: two actors WaitRecv on one channel")
 	}
-	ev := parkEvents.Get().(*event)
-	ev.recv = key
-	v.recvs[key] = ev
+	me := v.cur
+	me.recv = key
+	v.recvs[key] = me
 	if timeout > 0 {
-		v.scheduleLocked(ev, timeout)
+		v.scheduleLocked(me, timeout)
 	}
-	v.park(ev.ch)
-	parkEvents.Put(ev)
+	v.park()
 	return TryRecv(ch)
 }
 
@@ -513,12 +540,12 @@ func NotifySend[T any](c Clock, ch chan<- T, val T) bool {
 		return true
 	}
 	key := chanKey(ch)
-	if ev := v.recvs[key]; ev != nil {
+	if a := v.recvs[key]; a != nil {
 		delete(v.recvs, key)
-		if ev.idx >= 0 {
-			heap.Remove(&v.events, ev.idx)
+		if a.idx >= 0 {
+			heap.Remove(&v.events, a.idx)
 		}
-		v.readyLocked(ev.ch)
+		v.readyLocked(a)
 	}
 	return true
 }
@@ -534,7 +561,7 @@ type Group struct {
 
 	// virtual state, guarded by v.mu
 	n      int
-	waitCh chan struct{}
+	waiter *actor
 }
 
 // NewGroup creates a join group on the clock.
@@ -588,11 +615,12 @@ func (g *Group) Wait() {
 		v.mu.Unlock()
 		return
 	}
-	if g.waitCh != nil {
+	if g.waiter != nil {
 		v.mu.Unlock()
 		panic("vtime: Group supports one waiter at a time")
 	}
-	v.parkWake(func(ch chan struct{}) { g.waitCh = ch })
+	g.waiter = v.cur
+	v.park()
 }
 
 // Mutex is a clock-aware mutual-exclusion lock for critical sections
@@ -610,7 +638,7 @@ type Mutex struct {
 
 	// virtual state, guarded by v.mu
 	locked bool
-	q      []chan struct{}
+	q      []*actor
 }
 
 // SetClock binds the mutex to a clock.  Must be called before the mutex
@@ -632,7 +660,8 @@ func (mu *Mutex) Lock() {
 		v.mu.Unlock()
 		return
 	}
-	v.parkWake(func(ch chan struct{}) { mu.q = append(mu.q, ch) }) // ownership arrives with the wake
+	mu.q = append(mu.q, v.cur)
+	v.park() // ownership arrives with the wake
 }
 
 // Unlock releases the mutex, transferring it to the head waiter if any.

@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -404,10 +405,10 @@ func TestSettleRealNoop(t *testing.T) {
 	}
 }
 
-// TestParkingReusesItsWakeState: a wake is one send on a pooled cap-1
-// channel, so parking allocates nothing in steady state - and a reused
-// channel or event never carries a stale wake into its next use, however
-// the previous wait ended (deadline, value, or both at one instant).
+// TestParkingReusesItsWakeState: an actor parks on its own record, so
+// parking allocates nothing in steady state - and the record never carries
+// a stale wake or deadline into its next wait, however the previous wait
+// ended (deadline, value, or both at one instant).
 func TestParkingReusesItsWakeState(t *testing.T) {
 	v := NewVirtual()
 	var mu Mutex
@@ -429,7 +430,7 @@ func TestParkingReusesItsWakeState(t *testing.T) {
 	}
 
 	// Every way a deadline wait can end, interleaved with sleeps and lock
-	// hand-offs that reuse the same pooled state: any stale wake would
+	// hand-offs that reuse the same actor records: any stale wake would
 	// end a later wait early and show as a wrong elapsed time or value.
 	start := v.Elapsed()
 	g := NewGroup(v)
@@ -489,7 +490,7 @@ func grow(depth int) int {
 }
 
 // TestActorKeepsItsWorker: an actor body runs on a reused worker, so once
-// one body has grown a stack, later actors run on that goroutine - its
+// one body has grown a stack, later actors run on that coroutine - its
 // stack already grown - instead of starting a new one; and a Fan
 // allocates nothing.
 func TestActorKeepsItsWorker(t *testing.T) {
@@ -526,7 +527,7 @@ func TestActorKeepsItsWorker(t *testing.T) {
 }
 
 // TestIdleWorkersCapped: clocks that are discarded after a burst of
-// concurrent actors leave no more than maxIdleWorkers parked workers.
+// concurrent actors leave no more than maxIdleWorkers idle workers.
 func TestIdleWorkersCapped(t *testing.T) {
 	for c := 0; c < 100; c++ {
 		v := NewVirtual()
@@ -539,7 +540,49 @@ func TestIdleWorkersCapped(t *testing.T) {
 		n := len(idleWorkers.ws)
 		idleWorkers.mu.Unlock()
 		if n > maxIdleWorkers {
-			t.Fatalf("clock %d: %d parked workers, cap %d", c, n, maxIdleWorkers)
+			t.Fatalf("clock %d: %d idle workers, cap %d", c, n, maxIdleWorkers)
 		}
+	}
+}
+
+func panicOuter()  { panicMiddle() }
+func panicMiddle() { panicInner() }
+func panicInner()  { panic("actor failed") }
+
+// TestActorPanicCarriesItsStack: a body that panics after parking has its
+// panic re-raised in the root's park, and the value names the function
+// that panicked, not only the root's frames.
+func TestActorPanicCarriesItsStack(t *testing.T) {
+	v := NewVirtual()
+	v.Go(func() {
+		v.Sleep(time.Millisecond)
+		panicOuter()
+	})
+	v.Sleep(time.Millisecond) // the actor parks and hands the run back
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "actor failed") || !strings.Contains(msg, "vtime.panicInner(") {
+			t.Fatalf("recovered %q: want the panic value and the actor's frames", msg)
+		}
+	}()
+	v.Sleep(time.Hour)
+	t.Fatal("the root's park returned over a panicking actor")
+}
+
+// TestActorGoexitEndsTheRoot: a body that ends its goroutine, as t.FailNow
+// does, ends the root's goroutine too, running its defers; the root does
+// not carry on.
+func TestActorGoexitEndsTheRoot(t *testing.T) {
+	ended, returned := make(chan struct{}), false
+	go func() {
+		defer close(ended)
+		v := NewVirtual()
+		v.Go(runtime.Goexit)
+		v.Sleep(time.Millisecond)
+		returned = true
+	}()
+	<-ended
+	if returned {
+		t.Fatal("the root carried on after an actor called runtime.Goexit")
 	}
 }
