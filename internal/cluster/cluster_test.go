@@ -3,9 +3,9 @@ package cluster
 import (
 	"bytes"
 	"errors"
-	"testing"
-
 	"fmt"
+	"slices"
+	"testing"
 
 	"repro/internal/fs"
 	"repro/internal/lockmgr"
@@ -343,6 +343,51 @@ func TestRule2AdoptionAtLockTime(t *testing.T) {
 
 func mkRef(id string, site int) proc.FileRef {
 	return proc.FileRef{FileID: id, StorageSite: simnet.SiteID(site)}
+}
+
+// TestPrepareRecordPerVolume: a prepare naming files on two volumes of one
+// site, the later volume's first, forces one record per volume, and each
+// names exactly that volume's files and locks.
+func TestPrepareRecordPerVolume(t *testing.T) {
+	cl := twoSiteCluster(t, Config{})
+	if err := cl.AddVolume(1, "vc"); err != nil {
+		t.Fatal(err)
+	}
+	s1 := cl.Site(1)
+	pid := cl.NewPID()
+	s1.Procs().NewProcess(pid, 0)
+	paths := []string{"vc/f", "va/f", "vc/g"}
+	for _, path := range paths {
+		if err := s1.Create(path); err != nil {
+			t.Fatal(err)
+		}
+		id, _, _ := s1.Open(path)
+		if _, err := s1.Lock(id, pid, "T1", lockmgr.ModeExclusive, 0, 8, false, false, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s1.Write(id, pid, "T1", 0, []byte("prepared")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: paths, Coord: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for vol, want := range map[string][]string{"va": {"va/f"}, "vc": {"vc/f", "vc/g"}} {
+		recs, _ := tpc.ReadPrepareRecords(s1.Volume(vol))
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d prepare records, want 1", vol, len(recs))
+		}
+		var files, locked []string
+		for _, f := range recs[0].Files {
+			files = append(files, f.FileID)
+		}
+		for _, l := range recs[0].Locks {
+			locked = append(locked, l.FileID)
+		}
+		if !slices.Equal(files, want) || !slices.Equal(locked, want) {
+			t.Errorf("%s: record names files %v and locks on %v, want %v", vol, files, locked, want)
+		}
+	}
 }
 
 func TestParticipantPrepareCommitAbort(t *testing.T) {

@@ -32,7 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/lockmgr"
 	"repro/internal/proc"
@@ -240,14 +240,12 @@ func (k *incarnation) maybeMovePlacement(fileIDs []string) {
 	if k.heat == nil || len(fileIDs) == 0 {
 		return
 	}
-	paths := append([]string(nil), fileIDs...)
-	sort.Strings(paths)
-	seen := make(map[string]bool, len(paths))
-	for _, path := range paths {
-		if seen[path] {
+	paths := append(make([]string, 0, 8), fileIDs...) // no allocation up to 8 files
+	slices.Sort(paths)
+	for i, path := range paths {
+		if i > 0 && path == paths[i-1] {
 			continue
 		}
-		seen[path] = true
 		if home, err := k.cl.StorageSite(path); err != nil || home != k.id {
 			continue // no longer (or never) primary here
 		}

@@ -87,11 +87,16 @@ func (m *machine) prof() *telemetry.Profiler {
 	return m.st.Registry().Profiler()
 }
 
-// volPrep is one volume's share of a transaction's prepare payload.
+// volPrep is one volume's share of a transaction's prepare payload.  Its
+// first file and first lock start out in the entry itself (file, lock),
+// so the usual prepare - one file with one lock per volume - allocates
+// nothing but its preps slice.
 type volPrep struct {
 	vs    *volState
 	files []tpc.PreparedFile
 	locks []tpc.LockInfo
+	file  [1]tpc.PreparedFile
+	lock  [1]tpc.LockInfo
 }
 
 // gatherPrepare flushes the transaction's modified records and collects
@@ -99,21 +104,26 @@ type volPrep struct {
 // 4.2 step 2), in volume-name order.  hasMods reports whether any
 // gathered file carries uncommitted modifications - the write half of the
 // read-only test.
-func (k *incarnation) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods bool, err error) {
+func (k *incarnation) gatherPrepare(req prepareReq) (preps []volPrep, hasMods bool, err error) {
 	name := k.txnName(req.Txid)
 	owner := shadow.Owner(name)
-	var held []lockmgr.EntryInfo
+	held := make([]lockmgr.EntryInfo, 0, 4) // no allocation up to 4 locks a file
+	// A volume per file at most, so preps never moves while it fills.
+	preps = make([]volPrep, 0, len(req.FileIDs))
 	for _, fileID := range req.FileIDs {
 		vs, err := k.volFor(fileID)
 		if err != nil {
 			return nil, false, err
 		}
-		i := slices.IndexFunc(preps, func(vp *volPrep) bool { return vp.vs == vs })
-		if i < 0 {
-			i = len(preps)
-			preps = append(preps, &volPrep{vs: vs})
+		i := 0
+		for i < len(preps) && preps[i].vs != vs {
+			i++
 		}
-		vp := preps[i]
+		if i == len(preps) {
+			preps = append(preps, volPrep{vs: vs})
+			preps[i].files, preps[i].locks = preps[i].file[:0], preps[i].lock[:0]
+		}
+		vp := &preps[i]
 		of, err := k.lookupOpen(fileID)
 		if err != nil {
 			return nil, false, err
@@ -146,7 +156,13 @@ func (k *incarnation) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods b
 		// the force then fails on the handle Crash fenced.)
 		return nil, false, fmt.Errorf("cluster: txn %s is unknown at %v (state lost in a crash)", req.Txid, k.id)
 	}
-	slices.SortFunc(preps, func(a, b *volPrep) int { return strings.Compare(a.vs.name, b.vs.name) })
+	if len(preps) > 1 {
+		// Sorting moves the entries, so first move each payload out of its own.
+		for i := range preps {
+			preps[i].files, preps[i].locks = slices.Clone(preps[i].files), slices.Clone(preps[i].locks)
+		}
+		slices.SortFunc(preps, func(a, b volPrep) int { return strings.Compare(a.vs.name, b.vs.name) })
+	}
 	return preps, hasMods, nil
 }
 
@@ -156,7 +172,7 @@ func (k *incarnation) gatherPrepare(req prepareReq) (preps []*volPrep, hasMods b
 // record count, stamped into every record so recovery can tell a
 // complete (committed) set from a torn (aborted) one.  The time the force
 // takes is the transaction's prepare-force charge.
-func (k *incarnation) writePrepareRecords(req prepareReq, preps []*volPrep, onePhaseTotal int) error {
+func (k *incarnation) writePrepareRecords(req prepareReq, preps []volPrep, onePhaseTotal int) error {
 	clk := k.cl.cfg.Clock
 	t0 := clk.Now()
 	defer func() { k.prof().Charge(req.Txid, telemetry.ResPrepareForce, clk.Now().Sub(t0)) }()
@@ -184,7 +200,7 @@ func (k *incarnation) writePrepareRecords(req prepareReq, preps []*volPrep, oneP
 
 // prepareRecordCount is the number of log records writePrepareRecords
 // will force for this payload.
-func (k *incarnation) prepareRecordCount(preps []*volPrep) int {
+func (k *incarnation) prepareRecordCount(preps []volPrep) int {
 	if !k.cl.cfg.PerFilePrepareLogs {
 		return len(preps)
 	}
@@ -220,7 +236,7 @@ func (k *incarnation) setPrepared(txid string, pt *preparedTxn) {
 // ModeShared (an exclusive range could have been the basis of a read
 // another site's write depends on, so only pure readers take the exit).
 // A VoteReadOnly return means the exit was taken and the site is done.
-func (k *incarnation) beginPrepare(req prepareReq) ([]*volPrep, tpc.Vote, error) {
+func (k *incarnation) beginPrepare(req prepareReq) ([]volPrep, tpc.Vote, error) {
 	clk := k.cl.cfg.Clock
 	t0 := clk.Now()
 	preps, hasMods, err := k.gatherPrepare(req)

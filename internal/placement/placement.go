@@ -19,7 +19,7 @@ package placement
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/simnet"
@@ -164,14 +164,15 @@ func (t *Tracker) Dominant(path string, self simnet.SiteID) (simnet.SiteID, bool
 		return 0, false
 	}
 	t.age(f)
+	// Sum in ascending site order, so total (a float) is the same on every run.
 	var total float64
 	var best simnet.SiteID
 	bestV := -1.0
-	sites := make([]simnet.SiteID, 0, len(f.counts))
+	sites := make([]simnet.SiteID, 0, 8) // no allocation up to 8 sites
 	for s := range f.counts {
 		sites = append(sites, s)
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	slices.Sort(sites)
 	for _, s := range sites {
 		v := f.counts[s]
 		total += v

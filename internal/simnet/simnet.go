@@ -194,8 +194,8 @@ type Network struct {
 	watchers []func(TopologyEvent)
 	closed   bool
 
+	// linkMu serialises the birth of link handles (Endpoint.link).
 	linkMu sync.Mutex
-	links  map[[2]SiteID]linkStats
 }
 
 // New creates a network charging message events to st (may be nil).
@@ -227,7 +227,6 @@ func New(cfg Config, st *stats.Set) *Network {
 		seed:      seed,
 		rng:       rand.New(rand.NewSource(seed)),
 		sites:     make(map[SiteID]*Endpoint),
-		links:     make(map[[2]SiteID]linkStats),
 		group:     make(map[SiteID]int),
 		blocked:   make(map[SiteID]map[SiteID]bool),
 	}
@@ -243,6 +242,7 @@ func (n *Network) AddSite(id SiteID) *Endpoint {
 	}
 	e := &Endpoint{id: id, net: n, handlers: make(map[string]Handler)}
 	e.up.Store(true)
+	e.links.Store(new([]*linkStats))
 	n.sites[id] = e
 	n.group[id] = 0
 	return e
@@ -447,21 +447,39 @@ type linkStats struct {
 	inflight *telemetry.Gauge
 }
 
-// link returns the directed pair's handles.  They are born - and their
-// names built - on the pair's first message and cached for the rest;
-// without a registry they are nil-safe no-ops.
-func (n *Network) link(from, to SiteID) linkStats {
-	key := [2]SiteID{from, to}
+// link returns the handles of the link from e to site to.  They are born -
+// and their names built - on the pair's first message and cached on the
+// sender for the rest, so a leg reads them with one atomic load; without a
+// registry they are nil-safe no-ops.
+func (e *Endpoint) link(to SiteID) *linkStats {
+	if l := linkAt(*e.links.Load(), to); l != nil {
+		return l
+	}
+	n := e.net
 	n.linkMu.Lock()
 	defer n.linkMu.Unlock()
-	l, ok := n.links[key]
-	if !ok {
-		pair := from.String() + "->" + to.String()
-		reg := n.st.Registry()
-		l = linkStats{msgs: reg.Counter("net_msgs:" + pair), inflight: reg.Gauge("net_inflight:" + pair)}
-		n.links[key] = l
+	old := *e.links.Load()
+	if l := linkAt(old, to); l != nil {
+		return l
+	}
+	pair := e.id.String() + "->" + to.String()
+	reg := n.st.Registry()
+	l := &linkStats{msgs: reg.Counter("net_msgs:" + pair), inflight: reg.Gauge("net_inflight:" + pair)}
+	if to >= 0 { // copy on write: a reader may hold the old slice
+		grown := make([]*linkStats, max(len(old), int(to)+1))
+		copy(grown, old)
+		grown[to] = l
+		e.links.Store(&grown)
 	}
 	return l
+}
+
+// linkAt is ls[to], or nil if ls holds no handles for to.
+func linkAt(ls []*linkStats, to SiteID) *linkStats {
+	if to < 0 || int(to) >= len(ls) {
+		return nil
+	}
+	return ls[to]
 }
 
 // sendResp stamps the response leg of op on the replying site's tracer,
@@ -486,6 +504,9 @@ type Endpoint struct {
 	// tr is the site's event tracer; nil (the common case) costs one
 	// atomic load per message leg.  Atomic so SetTracer needs no lock.
 	tr atomic.Pointer[trace.Tracer]
+
+	// links holds the handles of e's outgoing links by destination.
+	links atomic.Pointer[[]*linkStats]
 
 	mu       sync.Mutex
 	handlers map[string]Handler
@@ -587,20 +608,20 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 	n.st.Add(stats.BytesSent, int64(payloadSize(req)))
 	n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
 	reqClock := e.tr.Load().MsgSend(op, "", int(to))
-	n.link(e.id, to).msgs.Inc()
+	out := e.link(to)
+	out.msgs.Inc()
 
 	if v, ok := vtime.AsVirtual(n.clock); ok {
-		return e.callVirtual(v, dst, to, op, req, latency, timeout, dropReq, dropResp, dupReq, reqClock)
+		return e.callVirtual(v, dst, out, to, op, req, latency, timeout, dropReq, dropResp, dupReq, reqClock)
 	}
 
-	reqFlight := n.link(e.id, to).inflight
-	reqFlight.Add(1)
+	out.inflight.Add(1)
 	done := make(chan callResult, 1)
 	go func() {
 		if latency > 0 {
 			n.clock.Sleep(latency)
 		}
-		reqFlight.Add(-1)
+		out.inflight.Add(-1)
 		n.transitNS.Add(latency.Nanoseconds())
 		if dropReq {
 			return // request lost; caller times out
@@ -638,7 +659,7 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 		n.st.Add(stats.BytesSent, int64(payloadSize(resp)))
 		n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
 		respClock := dst.sendResp(op, e.id)
-		back := n.link(to, e.id)
+		back := dst.link(e.id)
 		back.msgs.Inc()
 		respFlight := back.inflight
 		respFlight.Add(1)
@@ -680,7 +701,7 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 // message loss or in-flight unreachability, never merely because the
 // handler was slow - the caller observes the handler's simulated
 // duration instead.
-func (e *Endpoint) callVirtual(v *vtime.Virtual, dst *Endpoint, to SiteID, op string, req any,
+func (e *Endpoint) callVirtual(v *vtime.Virtual, dst *Endpoint, out *linkStats, to SiteID, op string, req any,
 	latency, timeout time.Duration, dropReq, dropResp, dupReq bool, reqClock uint64) (any, error) {
 	n := e.net
 	start := v.Now()
@@ -691,10 +712,9 @@ func (e *Endpoint) callVirtual(v *vtime.Virtual, dst *Endpoint, to SiteID, op st
 		return nil, fmt.Errorf("%w: %s -> %s (%s)", ErrTimeout, e.id, to, op)
 	}
 
-	reqFlight := n.link(e.id, to).inflight
-	reqFlight.Add(1)
+	out.inflight.Add(1)
 	v.Sleep(latency)
-	reqFlight.Add(-1)
+	out.inflight.Add(-1)
 	n.transitNS.Add(latency.Nanoseconds())
 	if dropReq || !n.Reachable(e.id, to) {
 		return lost()
@@ -720,7 +740,7 @@ func (e *Endpoint) callVirtual(v *vtime.Virtual, dst *Endpoint, to SiteID, op st
 	n.st.Add(stats.BytesSent, int64(payloadSize(resp)))
 	n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
 	respClock := dst.sendResp(op, e.id)
-	back := n.link(to, e.id)
+	back := dst.link(e.id)
 	back.msgs.Inc()
 	respFlight := back.inflight
 	respFlight.Add(1)
@@ -855,7 +875,7 @@ func (e *Endpoint) Send(to SiteID, op string, req any) {
 	n.st.Add(stats.BytesSent, int64(payloadSize(req)))
 	n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
 	sendClock := e.tr.Load().MsgSend(op, "", int(to))
-	out := n.link(e.id, to)
+	out := e.link(to)
 	out.msgs.Inc()
 	inflight := out.inflight
 	inflight.Add(1)

@@ -83,8 +83,8 @@ func (s *Sampler) Start(clk vtime.Clock) {
 }
 
 // onAdvance is the Virtual clock's quiescent advance observer.  It runs
-// with the clock lock held: only atomics and s.mu/reg.mu are touched,
-// none of which are ever held across a clock call.
+// inside a clock park, with every actor parked: only atomics and
+// s.mu/reg.mu are touched, none of which are ever held across a clock call.
 func (s *Sampler) onAdvance(_, now time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -15,15 +15,20 @@
 // starting an actor - appends the woken actor to the tail of the queue;
 // it does not run it.  A park, and an actor's exit, hands the run straight
 // to the head of the queue, by a coroutine switch rather than through the
-// Go scheduler (Virtual.drive).  Only when the queue is empty - no actor
-// can take another step at the current instant - does time jump to the
-// earliest pending deadline, firing every event scheduled there in
-// creation order.
+// Go scheduler (park).  Only when the queue is empty - no actor can take
+// another step at the current instant - does time jump to the earliest
+// pending deadline, firing every event scheduled there in creation order.
 //
 // So the interleaving is a function of the program and its inputs, not
 // of the Go scheduler: a seed replays a concurrent run.  And because the
 // clock only advances with every actor parked, nothing observes a
 // timestamp that concurrent work at an earlier instant could contradict.
+//
+// A Virtual has no lock: it is touched only by the actor that holds its
+// run.  The run passes by coroutine switches, and each is a happens-before
+// edge for the race detector, so a goroutine that touches the clock
+// without holding the run - one that is not an actor, or a second root -
+// is a data race that -race reports.
 //
 // Code that parks in virtual mode must park through the clock: Sleep,
 // WaitRecv paired with NotifySend, Group or Mutex.  A raw channel
@@ -32,7 +37,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 	"reflect"
@@ -89,11 +93,12 @@ type actor struct {
 	recv uintptr       // the channel a WaitRecv waits on (chanKey); 0 for Sleep
 
 	// A worker's coroutine (nil for the root): resume runs it until it
-	// parks or its body returns, and returns the actor to run next; the
-	// worker hands that actor over through yield.
-	resume func() (*actor, bool)
-	stop   func()
-	yield  func(*actor) bool
+	// yields, and returns the actor it handed the run to.  driving is set
+	// while the actor is parked inside another actor's resume.
+	resume  func() (*actor, bool)
+	stop    func()
+	yield   func(*actor) bool
+	driving bool
 
 	// The current body: fn, or each(i) for a member of Fan, on clock v
 	// as a member of g.  v is nil between bodies.
@@ -111,7 +116,8 @@ type actor struct {
 const maxIdleWorkers = 64
 
 // idleWorkers is shared by every clock, so the clocks a harness discards
-// leave at most maxIdleWorkers goroutines behind.
+// leave at most maxIdleWorkers goroutines behind; clocks on different
+// goroutines share it, so it is the one list here with a lock.
 var idleWorkers struct {
 	mu sync.Mutex
 	ws []*actor
@@ -120,31 +126,70 @@ var idleWorkers struct {
 // fanGroups pools the joins of Fan.
 var fanGroups = sync.Pool{New: func() any { return new(Group) }}
 
+// eventHeap is the parked deadlines, earliest (then first scheduled)
+// first: container/heap's algorithm on actor records.
 type eventHeap []*actor
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (h eventHeap) less(i, j int) bool {
+	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].idx, h[j].idx = i, j
 }
-func (h *eventHeap) Push(x any) {
-	a := x.(*actor)
+
+func (h eventHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			return
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h eventHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) push(a *actor) {
 	a.idx = len(*h)
 	*h = append(*h, a)
+	h.up(a.idx)
 }
-func (h *eventHeap) Pop() any {
+
+// remove takes the event at index i off the heap and returns it; remove(0)
+// is the earliest.
+func (h *eventHeap) remove(i int) *actor {
 	old := *h
-	n := len(old)
-	a := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	if n != i {
+		old.swap(i, n)
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	a := old[n]
+	old[n] = nil
 	a.idx = -1
-	*h = old[:n-1]
+	*h = old[:n]
 	return a
 }
 
@@ -152,7 +197,6 @@ func (h *eventHeap) Pop() any {
 // goroutine that calls NewVirtual, or any other that is not one of its
 // workers - is its first registered actor, and the one running.
 type Virtual struct {
-	mu     sync.Mutex
 	now    time.Duration // elapsed virtual time since the epoch
 	seq    uint64
 	events eventHeap
@@ -172,12 +216,12 @@ type Virtual struct {
 	// WaitRecv, so NotifySend can ready it.
 	recvs map[uintptr]*actor
 
-	// advanceHook, when set, observes every time jump: it runs with
-	// v.mu held, after now moves and before any event at the new
-	// instant fires, so every registered actor is parked and the world
-	// is quiescent — reads of atomic state are deterministic.  The hook
-	// must not call clock methods or take any lock that is ever held
-	// across a clock call.
+	// advanceHook, when set, observes every time jump: it runs inside the
+	// park that found the run queue empty, after now moves and before any
+	// event at the new instant fires, so every registered actor is parked
+	// and the world is quiescent — reads of atomic state are
+	// deterministic.  The hook must not call clock methods or take any
+	// lock that is ever held across a clock call.
 	advanceHook func(prev, now time.Duration)
 
 	// idler, when non-nil, is a WaitIdle caller parked until the
@@ -191,11 +235,7 @@ type Virtual struct {
 // uses it to cut deterministic time-series samples at interval
 // boundaries without scheduling events of its own — an idle simulation
 // therefore never advances on the sampler's behalf.
-func (v *Virtual) SetAdvanceHook(fn func(prev, now time.Duration)) {
-	v.mu.Lock()
-	v.advanceHook = fn
-	v.mu.Unlock()
-}
+func (v *Virtual) SetAdvanceHook(fn func(prev, now time.Duration)) { v.advanceHook = fn }
 
 // NewVirtual creates a virtual clock whose time starts at a fixed epoch.
 // The calling goroutine is registered as the running actor and must
@@ -211,11 +251,7 @@ func NewVirtual() *Virtual {
 // DebugState reports the run-queue census - actors ready to run behind
 // the running one, and pending deadlines - a forensic aid when a
 // simulation freezes.
-func (v *Virtual) DebugState() (ready, events int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.runq), len(v.events)
-}
+func (v *Virtual) DebugState() (ready, events int) { return len(v.runq), len(v.events) }
 
 // AsVirtual reports whether c is a virtual clock, returning it.
 func AsVirtual(c Clock) (*Virtual, bool) {
@@ -224,39 +260,28 @@ func AsVirtual(c Clock) (*Virtual, bool) {
 }
 
 // Now returns the current virtual time.
-func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return virtualEpoch.Add(v.now)
-}
+func (v *Virtual) Now() time.Time { return virtualEpoch.Add(v.now) }
 
 // Elapsed returns the total simulated time since the clock was created.
-func (v *Virtual) Elapsed() time.Duration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
+func (v *Virtual) Elapsed() time.Duration { return v.now }
 
-// scheduleLocked queues a's deadline d from now.  Caller holds v.mu.
-func (v *Virtual) scheduleLocked(a *actor, d time.Duration) {
+// schedule queues a's deadline d from now.
+func (v *Virtual) schedule(a *actor, d time.Duration) {
 	v.seq++
 	a.at, a.seq = v.now+d, v.seq
-	heap.Push(&v.events, a)
+	v.events.push(a)
 }
 
-// readyLocked appends a woken actor to the run queue.  Caller holds v.mu.
-func (v *Virtual) readyLocked(a *actor) {
-	v.runq = append(v.runq, a)
-}
+// ready appends a woken actor to the run queue.
+func (v *Virtual) ready(a *actor) { v.runq = append(v.runq, a) }
 
-// dispatchLocked pops the head of the run queue, the actor to run next,
-// and makes it the running one: the caller has just parked or is exiting.
+// dispatch pops the head of the run queue, the actor to run next, and
+// makes it the running one: the caller has just parked or is exiting.
 // With the queue empty the instant is settled: the Settle callers run, and
 // once they too have parked, time advances to the earliest deadline and
 // everything scheduled there fires; with no deadline left either, a
 // WaitIdle caller is woken, and otherwise the simulation is deadlocked.
-// Caller holds v.mu.
-func (v *Virtual) dispatchLocked() *actor {
+func (v *Virtual) dispatch() *actor {
 	for len(v.runq) == 0 {
 		if len(v.settling) > 0 {
 			v.runq, v.settling = v.settling, v.runq
@@ -268,7 +293,7 @@ func (v *Virtual) dispatchLocked() *actor {
 				// no deadline is pending: nobody is left to wake anyone.
 				panic("vtime: deadlock: all actors idle with no pending events")
 			}
-			v.readyLocked(v.idler)
+			v.ready(v.idler)
 			v.idler = nil
 			break
 		}
@@ -282,11 +307,11 @@ func (v *Virtual) dispatchLocked() *actor {
 			v.advanceHook(prev, at)
 		}
 		for len(v.events) > 0 && v.events[0].at == at {
-			a := heap.Pop(&v.events).(*actor)
+			a := v.events.remove(0)
 			if a.recv != 0 {
 				delete(v.recvs, a.recv)
 			}
-			v.readyLocked(a)
+			v.ready(a)
 		}
 	}
 	a := v.runq[0]
@@ -299,35 +324,29 @@ func (v *Virtual) dispatchLocked() *actor {
 
 // park gives up the run until the calling actor, which the caller has
 // arranged to be readied (a deadline, a waiter list), reaches the head of
-// the run queue.  A parker that is its own head carries on.  A worker
-// yields the head to the root; the root resumes it (drive).  Caller holds
-// v.mu; park releases it.
+// the run queue.  A parker that is its own head carries on.  Otherwise one
+// coroutine switch passes the run.  The actors parked inside a resume
+// (driving) form a chain down to the root: a head on it the parker reaches
+// by yielding, which unwinds the chain to it; any other head it resumes,
+// and goes on with whoever the resume hands the run back with.  A worker
+// whose body has returned goes back to the idle list once it has yielded,
+// so no other clock can resume it before.  A body's panic is re-raised by
+// resume, and its runtime.Goexit ends this goroutine too.
 func (v *Virtual) park() {
 	me := v.cur
-	next := v.dispatchLocked()
-	v.mu.Unlock()
-	switch {
-	case next == me:
-	case me != &v.root:
-		me.yield(next)
-	default:
-		v.drive(next)
-	}
-}
-
-// drive is the parked root's loop: it resumes a, then each actor the
-// previous one's park or exit handed the run to, until that is the root.
-// A worker whose body has returned goes back to the idle list here, once
-// it has yielded, so no other clock's root can resume it before.  A body's
-// panic is re-raised by resume, and its runtime.Goexit ends the root's
-// goroutine too.
-func (v *Virtual) drive(a *actor) {
-	for a != &v.root {
-		next, _ := a.resume()
-		if a.v == nil {
-			a.retire()
+	next := v.dispatch()
+	for next != me {
+		if next.driving {
+			me.yield(next)
+			return
 		}
-		a = next
+		me.driving = true
+		handed, _ := next.resume()
+		me.driving = false
+		if next.v == nil {
+			next.retire()
+		}
+		next = handed
 	}
 }
 
@@ -336,9 +355,8 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	v.mu.Lock()
 	v.cur.recv = 0
-	v.scheduleLocked(v.cur, d)
+	v.schedule(v.cur, d)
 	v.park()
 }
 
@@ -353,7 +371,6 @@ func Settle(c Clock) {
 	if !ok {
 		return
 	}
-	v.mu.Lock()
 	v.settling = append(v.settling, v.cur)
 	v.park()
 }
@@ -365,9 +382,7 @@ func Settle(c Clock) {
 // far as it needs.  Actors parked on channels with no deadline (an idle
 // daemon) stay parked; they do not block idleness.  One waiter at a time.
 func (v *Virtual) WaitIdle() {
-	v.mu.Lock()
 	if v.idler != nil {
-		v.mu.Unlock()
 		panic("vtime: concurrent WaitIdle")
 	}
 	v.idler = v.cur
@@ -376,12 +391,7 @@ func (v *Virtual) WaitIdle() {
 
 // SleepUntil parks the calling actor until the given virtual instant
 // (returning immediately if it already passed).
-func (v *Virtual) SleepUntil(t time.Time) {
-	v.mu.Lock()
-	d := t.Sub(virtualEpoch.Add(v.now))
-	v.mu.Unlock()
-	v.Sleep(d)
-}
+func (v *Virtual) SleepUntil(t time.Time) { v.Sleep(t.Sub(v.Now())) }
 
 // Go launches fn as a registered actor at the tail of the run queue.
 func (v *Virtual) Go(fn func()) { v.spawn(fn, nil, 0, nil) }
@@ -391,8 +401,6 @@ func (v *Virtual) Go(fn func()) { v.spawn(fn, nil, 0, nil) }
 // worker is idle again before the next actor runs, so a park-spawn-exit
 // cycle reuses one coroutine.
 func (v *Virtual) spawn(fn func(), each func(int), i int, g *Group) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	var a *actor
 	idleWorkers.mu.Lock()
 	if n := len(idleWorkers.ws); n > 0 {
@@ -407,18 +415,27 @@ func (v *Virtual) spawn(fn func(), each func(int), i int, g *Group) {
 	if g != nil {
 		g.n++
 	}
-	v.readyLocked(a)
+	v.ready(a)
 }
 
+// actorPanic is a body's panic on its way to the root, with the body's
+// stack attached, since the root that re-raises it has a stack of its own.
+// The worker that panicked wraps it; the driving workers it passes through
+// on the way down re-raise it as it is.
+type actorPanic struct{ msg string }
+
+func (p actorPanic) Error() string { return p.msg }
+
 // run is a worker's coroutine: each turn runs one actor's body, retires
-// the actor and yields the actor its exit handed the run to.  A panic
-// leaves with the body's stack attached, since the root that re-raises it
-// has a stack of its own.
+// the actor and yields the actor its exit handed the run to.
 func (a *actor) run(yield func(*actor) bool) {
 	a.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
-			panic(fmt.Sprintf("%v\n\nactor stack:\n%s", r, debug.Stack()))
+			if _, ok := r.(actorPanic); !ok {
+				r = actorPanic{fmt.Sprintf("%v\n\nactor stack:\n%s", r, debug.Stack())}
+			}
+			panic(r)
 		}
 	}()
 	for {
@@ -438,15 +455,13 @@ func (a *actor) run(yield func(*actor) bool) {
 // exit retires the calling actor: the last member of a joined group
 // readies the joiner, and the run passes on; exit returns to whom.
 func (v *Virtual) exit(g *Group) *actor {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if g != nil {
 		if g.n--; g.n == 0 && g.waiter != nil {
-			v.readyLocked(g.waiter)
+			v.ready(g.waiter)
 			g.waiter = nil
 		}
 	}
-	return v.dispatchLocked()
+	return v.dispatch()
 }
 
 // retire puts a worker whose body has returned back on the idle list, or
@@ -489,21 +504,18 @@ func WaitRecv[T any](c Clock, ch <-chan T, timeout time.Duration) (T, bool) {
 			return TryRecv(ch)
 		}
 	}
-	v.mu.Lock()
 	if val, ok := TryRecv(ch); ok {
-		v.mu.Unlock()
 		return val, true
 	}
 	key := chanKey(ch)
 	if v.recvs[key] != nil {
-		v.mu.Unlock()
 		panic("vtime: two actors WaitRecv on one channel")
 	}
 	me := v.cur
 	me.recv = key
 	v.recvs[key] = me
 	if timeout > 0 {
-		v.scheduleLocked(me, timeout)
+		v.schedule(me, timeout)
 	}
 	v.park()
 	return TryRecv(ch)
@@ -526,26 +538,22 @@ func TryRecv[T any](ch <-chan T) (T, bool) {
 // its deadline.  A full channel sends nothing; size channels so a lost
 // notification is harmless (cap-1 wake channels, cap-1 reply channels).
 func NotifySend[T any](c Clock, ch chan<- T, val T) bool {
-	v, virtual := c.(*Virtual)
-	if virtual {
-		v.mu.Lock()
-		defer v.mu.Unlock()
-	}
 	select {
 	case ch <- val:
 	default:
 		return false
 	}
-	if !virtual {
+	v, ok := c.(*Virtual)
+	if !ok {
 		return true
 	}
 	key := chanKey(ch)
 	if a := v.recvs[key]; a != nil {
 		delete(v.recvs, key)
 		if a.idx >= 0 {
-			heap.Remove(&v.events, a.idx)
+			v.events.remove(a.idx)
 		}
-		v.readyLocked(a)
+		v.ready(a)
 	}
 	return true
 }
@@ -559,7 +567,7 @@ type Group struct {
 	v  *Virtual // nil under the real clock
 	wg sync.WaitGroup
 
-	// virtual state, guarded by v.mu
+	// virtual state, touched only by the actor holding v's run
 	n      int
 	waiter *actor
 }
@@ -609,18 +617,14 @@ func (g *Group) Wait() {
 		g.wg.Wait()
 		return
 	}
-	v := g.v
-	v.mu.Lock()
 	if g.n == 0 {
-		v.mu.Unlock()
 		return
 	}
 	if g.waiter != nil {
-		v.mu.Unlock()
 		panic("vtime: Group supports one waiter at a time")
 	}
-	g.waiter = v.cur
-	v.park()
+	g.waiter = g.v.cur
+	g.v.park()
 }
 
 // Mutex is a clock-aware mutual-exclusion lock for critical sections
@@ -636,7 +640,7 @@ type Mutex struct {
 	v *Virtual   // nil => real mode
 	m sync.Mutex // real mode
 
-	// virtual state, guarded by v.mu
+	// virtual state, touched only by the actor holding v's run
 	locked bool
 	q      []*actor
 }
@@ -653,15 +657,12 @@ func (mu *Mutex) Lock() {
 		mu.m.Lock()
 		return
 	}
-	v := mu.v
-	v.mu.Lock()
 	if !mu.locked {
 		mu.locked = true
-		v.mu.Unlock()
 		return
 	}
-	mu.q = append(mu.q, v.cur)
-	v.park() // ownership arrives with the wake
+	mu.q = append(mu.q, mu.v.cur)
+	mu.v.park() // ownership arrives with the wake
 }
 
 // Unlock releases the mutex, transferring it to the head waiter if any.
@@ -670,9 +671,6 @@ func (mu *Mutex) Unlock() {
 		mu.m.Unlock()
 		return
 	}
-	v := mu.v
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if !mu.locked {
 		panic("vtime: Unlock of unlocked Mutex")
 	}
@@ -682,7 +680,7 @@ func (mu *Mutex) Unlock() {
 	}
 	// Ready the head and shift the rest down, so the backing array is
 	// reused for good.
-	v.readyLocked(mu.q[0])
+	mu.v.ready(mu.q[0])
 	n := copy(mu.q, mu.q[1:])
 	mu.q[n] = nil
 	mu.q = mu.q[:n]

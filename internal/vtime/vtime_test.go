@@ -549,20 +549,27 @@ func panicOuter()  { panicMiddle() }
 func panicMiddle() { panicInner() }
 func panicInner()  { panic("actor failed") }
 
-// TestActorPanicCarriesItsStack: a body that panics after parking has its
+// TestActorPanicCarriesItsStack: a body that panics after parking, two
+// resumes deep (the root resumed one actor, which resumed it), has its
 // panic re-raised in the root's park, and the value names the function
-// that panicked, not only the root's frames.
+// that panicked, not only the root's frames - with the stack attached
+// once, not again by the actor it passed through.
 func TestActorPanicCarriesItsStack(t *testing.T) {
 	v := NewVirtual()
 	v.Go(func() {
-		v.Sleep(time.Millisecond)
-		panicOuter()
+		v.Go(func() {
+			v.Sleep(time.Millisecond)
+			panicOuter()
+		})
+		WaitRecv(v, make(chan struct{}), 0) // resumes the panicking actor
 	})
-	v.Sleep(time.Millisecond) // the actor parks and hands the run back
 	defer func() {
 		msg := fmt.Sprint(recover())
 		if !strings.Contains(msg, "actor failed") || !strings.Contains(msg, "vtime.panicInner(") {
 			t.Fatalf("recovered %q: want the panic value and the actor's frames", msg)
+		}
+		if n := strings.Count(msg, "actor stack:"); n != 1 {
+			t.Fatalf("recovered %q: %d actor stacks, want 1", msg, n)
 		}
 	}()
 	v.Sleep(time.Hour)
@@ -570,19 +577,95 @@ func TestActorPanicCarriesItsStack(t *testing.T) {
 }
 
 // TestActorGoexitEndsTheRoot: a body that ends its goroutine, as t.FailNow
-// does, ends the root's goroutine too, running its defers; the root does
-// not carry on.
+// does, ends the root's goroutine too, running its defers, whether the
+// root resumed it or another actor did; the root does not carry on.
 func TestActorGoexitEndsTheRoot(t *testing.T) {
-	ended, returned := make(chan struct{}), false
-	go func() {
-		defer close(ended)
-		v := NewVirtual()
-		v.Go(runtime.Goexit)
-		v.Sleep(time.Millisecond)
-		returned = true
-	}()
-	<-ended
-	if returned {
-		t.Fatal("the root carried on after an actor called runtime.Goexit")
+	for name, body := range map[string]func(v *Virtual){
+		"one resume deep": func(v *Virtual) { v.Go(runtime.Goexit) },
+		"two resumes deep": func(v *Virtual) {
+			v.Go(func() {
+				v.Go(runtime.Goexit)
+				v.Sleep(time.Hour) // resumes the exiting actor
+			})
+		},
+	} {
+		ended, returned := make(chan struct{}), false
+		go func() {
+			defer close(ended)
+			v := NewVirtual()
+			body(v)
+			v.Sleep(time.Millisecond)
+			returned = true
+		}()
+		<-ended
+		if returned {
+			t.Fatalf("%s: the root carried on after an actor called runtime.Goexit", name)
+		}
+	}
+}
+
+// TestHandOffRing: three actors pass a token round a ring by NotifySend and
+// WaitRecv, so each hand-off goes from one worker to another, and one
+// member leaves mid-ring.  They run in the run queue's FIFO order, every
+// resume is unwound (no actor is left driving), and each exited worker is
+// back on the idle list.
+func TestHandOffRing(t *testing.T) {
+	v := NewVirtual()
+	var in [3]chan int
+	var members [3]*actor
+	var order []int
+	const leaver, last = 1, 9
+	gone := false
+	next := func(i int) int {
+		if i = (i + 1) % 3; i == leaver && gone {
+			i = (i + 1) % 3
+		}
+		return i
+	}
+	g := NewGroup(v)
+	for i := range in {
+		in[i] = make(chan int, 1)
+		g.Go(func() {
+			members[i] = v.cur
+			order = append(order, 10+i) // started
+			for {
+				tok, _ := WaitRecv(v, in[i], 0)
+				order = append(order, i)
+				if tok < 0 {
+					return
+				}
+				if tok == last {
+					NotifySend(v, in[next(i)], -1)
+					return
+				}
+				if i == leaver && tok >= 4 {
+					gone = true
+					NotifySend(v, in[next(i)], tok+1)
+					return
+				}
+				NotifySend(v, in[next(i)], tok+1)
+			}
+		})
+	}
+	Settle(v) // every member starts and parks
+	NotifySend(v, in[0], 0)
+	g.Wait()
+
+	want := []int{10, 11, 12, 0, 1, 2, 0, 1, 2, 0, 2, 0, 2, 0}
+	if !slices.Equal(order, want) {
+		t.Fatalf("ran in order %v, want %v", order, want)
+	}
+	if v.root.driving {
+		t.Error("the root is left driving")
+	}
+	idleWorkers.mu.Lock()
+	defer idleWorkers.mu.Unlock()
+	for i, a := range members {
+		if a.driving {
+			t.Errorf("member %d is left driving", i)
+		}
+		if !slices.Contains(idleWorkers.ws, a) {
+			t.Errorf("member %d's worker is not on the idle list", i)
+		}
 	}
 }
