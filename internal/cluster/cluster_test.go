@@ -466,7 +466,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 func TestParticipantCrashRecoveryInDoubtThenCommit(t *testing.T) {
 	// The participant crashes after prepare; on restart the coordinator
 	// is unreachable, so the transaction stays in doubt with its locks
-	// re-established; when the coordinator answers, the intentions are
+	// re-established; when the coordinator is back, the intentions are
 	// applied from the log.
 	cl := twoSiteCluster(t, Config{})
 	s1, s2 := cl.Site(1), cl.Site(2)
@@ -483,17 +483,16 @@ func TestParticipantCrashRecoveryInDoubtThenCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Coordinator is site 2; write its log as committed (commit point
-	// reached) before the participant crash.
-	coord2, err := s2.Coordinator()
-	if err != nil {
+	// reached) before the participant crash.  The record names site 1, so
+	// the coordinator's recovery drives phase two there.
+	if _, err := s2.Coordinator(); err != nil {
 		t.Fatal(err)
 	}
-	_ = coord2
 	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id}, Coord: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tpc.WriteCoordRecord(s2.Volume("vb"), tpc.CoordRecord{
-		Txid: "T1", Files: nil, Status: tpc.StatusCommitted,
+		Txid: "T1", Files: []proc.FileRef{{FileID: id, StorageSite: 1}}, Status: tpc.StatusCommitted,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +518,8 @@ func TestParticipantCrashRecoveryInDoubtThenCommit(t *testing.T) {
 		t.Fatalf("in-doubt record not protected: %v", err)
 	}
 
-	// Coordinator returns; resolution applies the commit.
+	// Coordinator returns; its recovery re-drives phase two, and the commit
+	// applies from the logged intentions.
 	if err := s2.Restart(); err != nil {
 		t.Fatal(err)
 	}

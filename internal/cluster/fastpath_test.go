@@ -180,14 +180,15 @@ func onePhasePrepared(t *testing.T, cl *Cluster, txid string, total int) *Site {
 	// Coord site 9 does not exist: any status query would fail, proving
 	// one-phase resolution never asks.
 	req := prepareReq{Txid: txid, FileIDs: []string{"va/f"}, Coord: 9}
-	preps, _, err := s1.kernel().gatherPrepare(req)
+	sc, _, err := s1.kernel().gatherPrepare(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer prepScratches.Put(sc)
 	if total == 0 {
-		total = s1.kernel().prepareRecordCount(preps)
+		total = s1.kernel().prepareRecordCount(sc.preps)
 	}
-	if err := s1.kernel().writePrepareRecords(req, preps, total); err != nil {
+	if err := s1.kernel().writePrepareRecords(req, sc.preps, total); err != nil {
 		t.Fatal(err)
 	}
 	return s1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/lockmgr"
 	"repro/internal/shadow"
@@ -87,43 +88,49 @@ func (m *machine) prof() *telemetry.Profiler {
 	return m.st.Registry().Profiler()
 }
 
-// volPrep is one volume's share of a transaction's prepare payload.  Its
-// first file and first lock start out in the entry itself (file, lock),
-// so the usual prepare - one file with one lock per volume - allocates
-// nothing but its preps slice.
+// volPrep is one volume's share of a transaction's prepare payload.
 type volPrep struct {
 	vs    *volState
 	files []tpc.PreparedFile
 	locks []tpc.LockInfo
-	file  [1]tpc.PreparedFile
-	lock  [1]tpc.LockInfo
 }
+
+// prepScratch is one prepare call's payload, kept with every array in it
+// (the intentions lists' too) for the next call it serves: gatherPrepare
+// takes one from prepScratches, and the caller puts it back once the
+// records are written - tpc encodes a record into its own buffer, which
+// the log copies.  It belongs to the call, not the site: two prepares at
+// one site interleave at their forced writes.
+type prepScratch struct {
+	preps []volPrep // in volume-name order
+	held  []lockmgr.EntryInfo
+}
+
+var prepScratches = sync.Pool{New: func() any { return new(prepScratch) }}
 
 // gatherPrepare flushes the transaction's modified records and collects
 // per-volume prepare payloads (intentions lists and lock lists, section
-// 4.2 step 2), in volume-name order.  hasMods reports whether any
-// gathered file carries uncommitted modifications - the write half of the
-// read-only test.
-func (k *incarnation) gatherPrepare(req prepareReq) (preps []volPrep, hasMods bool, err error) {
+// 4.2 step 2) into a scratch (on an error the scratch is simply dropped).
+// hasMods reports whether any gathered file carries uncommitted
+// modifications - the write half of the read-only test.
+func (k *incarnation) gatherPrepare(req prepareReq) (_ *prepScratch, hasMods bool, err error) {
 	name := k.txnName(req.Txid)
 	owner := shadow.Owner(name)
-	held := make([]lockmgr.EntryInfo, 0, 4) // no allocation up to 4 locks a file
-	// A volume per file at most, so preps never moves while it fills.
-	preps = make([]volPrep, 0, len(req.FileIDs))
+	sc := prepScratches.Get().(*prepScratch)
+	sc.preps = sc.preps[:0]
 	for _, fileID := range req.FileIDs {
 		vs, err := k.volFor(fileID)
 		if err != nil {
 			return nil, false, err
 		}
-		i := 0
-		for i < len(preps) && preps[i].vs != vs {
-			i++
+		i := slices.IndexFunc(sc.preps, func(vp volPrep) bool { return vp.vs == vs })
+		if i < 0 {
+			i = len(sc.preps)
+			sc.preps = slices.Grow(sc.preps, 1)[:i+1] // a reused slot keeps its arrays
+			vp := &sc.preps[i]
+			vp.vs, vp.files, vp.locks = vs, vp.files[:0], vp.locks[:0]
 		}
-		if i == len(preps) {
-			preps = append(preps, volPrep{vs: vs})
-			preps[i].files, preps[i].locks = preps[i].file[:0], preps[i].lock[:0]
-		}
-		vp := &preps[i]
+		vp := &sc.preps[i]
 		of, err := k.lookupOpen(fileID)
 		if err != nil {
 			return nil, false, err
@@ -132,10 +139,12 @@ func (k *incarnation) gatherPrepare(req prepareReq) (preps []volPrep, hasMods bo
 			return nil, false, err
 		}
 		hasMods = hasMods || of.file.HasMods(owner)
-		il := of.file.IntentionsFor(owner)
-		vp.files = append(vp.files, tpc.PreparedFile{FileID: fileID, Intentions: il})
-		held = of.locks.GroupEntries(held[:0], name)
-		for _, e := range held {
+		vp.files = slices.Grow(vp.files, 1)[:len(vp.files)+1]
+		pf := &vp.files[len(vp.files)-1]
+		pf.FileID = fileID
+		of.file.IntentionsFor(owner, &pf.Intentions)
+		sc.held = of.locks.GroupEntries(sc.held[:0], name)
+		for _, e := range sc.held {
 			vp.locks = append(vp.locks, tpc.LockInfo{
 				FileID: fileID, Mode: e.Mode, Off: e.Off, Len: e.Len,
 			})
@@ -156,14 +165,8 @@ func (k *incarnation) gatherPrepare(req prepareReq) (preps []volPrep, hasMods bo
 		// the force then fails on the handle Crash fenced.)
 		return nil, false, fmt.Errorf("cluster: txn %s is unknown at %v (state lost in a crash)", req.Txid, k.id)
 	}
-	if len(preps) > 1 {
-		// Sorting moves the entries, so first move each payload out of its own.
-		for i := range preps {
-			preps[i].files, preps[i].locks = slices.Clone(preps[i].files), slices.Clone(preps[i].locks)
-		}
-		slices.SortFunc(preps, func(a, b volPrep) int { return strings.Compare(a.vs.name, b.vs.name) })
-	}
-	return preps, hasMods, nil
+	slices.SortFunc(sc.preps, func(a, b volPrep) int { return strings.Compare(a.vs.name, b.vs.name) })
+	return sc, hasMods, nil
 }
 
 // writePrepareRecords forces the prepare log: one record per volume, or
@@ -188,8 +191,8 @@ func (k *incarnation) writePrepareRecords(req prepareReq, preps []volPrep, onePh
 			continue
 		}
 		// Footnote 10: one prepare record per file per transaction.
-		for _, pf := range vp.files {
-			rec.Files = []tpc.PreparedFile{pf}
+		for i, pf := range vp.files {
+			rec.Files = vp.files[i : i+1]
 			if err := tpc.WritePrepareRecord(vp.vs.vol, rec, pf.FileID); err != nil {
 				return err
 			}
@@ -236,10 +239,10 @@ func (k *incarnation) setPrepared(txid string, pt *preparedTxn) {
 // ModeShared (an exclusive range could have been the basis of a read
 // another site's write depends on, so only pure readers take the exit).
 // A VoteReadOnly return means the exit was taken and the site is done.
-func (k *incarnation) beginPrepare(req prepareReq) ([]volPrep, tpc.Vote, error) {
+func (k *incarnation) beginPrepare(req prepareReq) (*prepScratch, tpc.Vote, error) {
 	clk := k.cl.cfg.Clock
 	t0 := clk.Now()
-	preps, hasMods, err := k.gatherPrepare(req)
+	sc, hasMods, err := k.gatherPrepare(req)
 	k.prof().Charge(req.Txid, telemetry.ResDataFlush, clk.Now().Sub(t0))
 	if err != nil {
 		return nil, tpc.VoteCommit, err
@@ -247,20 +250,23 @@ func (k *incarnation) beginPrepare(req prepareReq) ([]volPrep, tpc.Vote, error) 
 	if k.cl.cfg.FastPaths && !hasMods && k.locks.GroupSummary(k.txnName(req.Txid)).MaxMode <= lockmgr.ModeShared {
 		// No prepare record exists, so finishTxn costs no log I/O: it
 		// releases the read locks and retires idle opens.
+		prepScratches.Put(sc)
 		return nil, tpc.VoteReadOnly, k.finishTxn(req.Txid, req.FileIDs)
 	}
-	return preps, tpc.VoteCommit, nil
+	return sc, tpc.VoteCommit, nil
 }
 
 // prepare is the two-phase first phase, behind the "prepare" and "preparev"
 // ops: write the prepare log (one record per volume - or per file under
 // footnote 10), then remember the prepared state.
 func (k *incarnation) prepare(req prepareReq) (tpc.Vote, error) {
-	preps, vote, err := k.beginPrepare(req)
+	sc, vote, err := k.beginPrepare(req)
 	if err != nil || vote == tpc.VoteReadOnly {
 		return vote, err
 	}
-	if err := k.writePrepareRecords(req, preps, 0); err != nil {
+	err = k.writePrepareRecords(req, sc.preps, 0)
+	prepScratches.Put(sc)
+	if err != nil {
 		return tpc.VoteCommit, err
 	}
 	k.setPrepared(req.Txid, &preparedTxn{
@@ -291,7 +297,7 @@ func (k *incarnation) handlePrepare(req prepareReq) error {
 // is registered and in who cleans up a failed force, and both orders are
 // safety properties.
 func (k *incarnation) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
-	preps, vote, err := k.beginPrepare(req)
+	sc, vote, err := k.beginPrepare(req)
 	if err != nil || vote == tpc.VoteReadOnly {
 		return vote, err
 	}
@@ -305,14 +311,18 @@ func (k *incarnation) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
 		applying: true,
 	}
 	k.setPrepared(req.Txid, pt)
-	if err := k.writePrepareRecords(req, preps, k.prepareRecordCount(preps)); err != nil {
+	err = k.writePrepareRecords(req, sc.preps, k.prepareRecordCount(sc.preps))
+	if err != nil {
 		// Before the commit point: scrub any partial record set (best
 		// effort - a torn set self-resolves to abort by count) and
 		// refuse, which the coordinator turns into an abort.
-		for _, vp := range preps {
+		for _, vp := range sc.preps {
 			tpc.DeletePrepareRecords(vp.vs.vol, req.Txid) //nolint:errcheck // incomplete set aborts by count
 		}
 		k.setPrepared(req.Txid, nil)
+	}
+	prepScratches.Put(sc)
+	if err != nil {
 		return tpc.VoteCommit, err
 	}
 	clk := k.cl.cfg.Clock

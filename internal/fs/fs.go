@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -86,10 +87,15 @@ type Inode struct {
 }
 
 // Clone returns a deep copy of the inode.
-func (ino *Inode) Clone() *Inode {
-	c := *ino
-	c.Pages = append([]int(nil), ino.Pages...)
-	return &c
+func (ino *Inode) Clone() *Inode { return ino.CopyTo(new(Inode)) }
+
+// CopyTo makes dst a deep copy of the inode, reusing dst's pointer table,
+// and returns it.
+func (ino *Inode) CopyTo(dst *Inode) *Inode {
+	pages := dst.Pages[:0]
+	*dst = *ino
+	dst.Pages = append(pages, ino.Pages...)
+	return dst
 }
 
 // inodeHeaderBytes is the fixed part of the on-disk inode encoding:
@@ -132,7 +138,7 @@ type Volume struct {
 	clk vtime.Clock // set by SetClock; nil means real time
 
 	mu        sync.Mutex
-	allocated map[int]bool // data-region pages currently in use
+	allocated []uint64 // bitmap: bit p%64 of word p/64 is set while page p is in use
 	inodeUsed map[int]bool
 	encBuf    []byte // the page image WriteInode encodes into, between uses
 	log       *LogStore
@@ -196,7 +202,7 @@ func Format(name string, disk *simdisk.Disk, opts Options) (*Volume, error) {
 		disk:      disk,
 		st:        disk.Stats(),
 		geo:       geo,
-		allocated: make(map[int]bool),
+		allocated: make([]uint64, (geo.NumPages+63)/64),
 		inodeUsed: make(map[int]bool),
 	}
 
@@ -246,7 +252,7 @@ func Load(name string, disk *simdisk.Disk) (*Volume, error) {
 		disk:      disk,
 		st:        disk.Stats(),
 		geo:       geo,
-		allocated: make(map[int]bool),
+		allocated: make([]uint64, (geo.NumPages+63)/64),
 		inodeUsed: make(map[int]bool),
 	}
 	// Rebuild allocation from committed inodes.
@@ -259,13 +265,9 @@ func Load(name string, disk *simdisk.Disk) (*Volume, error) {
 			return nil, err
 		}
 		v.inodeUsed[ino] = true
-		if node.Indirect >= 0 {
-			v.allocated[node.Indirect] = true
-		}
+		v.markUsed(node.Indirect)
 		for _, p := range node.Pages {
-			if p >= 0 {
-				v.allocated[p] = true
-			}
+			v.markUsed(p)
 		}
 	}
 	v.log = newLogStore(v)
@@ -561,6 +563,19 @@ func (v *Volume) checkData(p int) error {
 	return nil
 }
 
+// used reports whether page p is allocated.  Caller holds v.mu.
+func (v *Volume) used(p int) bool {
+	return p >= 0 && p < v.geo.NumPages && v.allocated[p/64]&(1<<(p%64)) != 0
+}
+
+// markUsed allocates page p, if it is a page of the disk.  Caller holds
+// v.mu (or owns v, as Load does).
+func (v *Volume) markUsed(p int) {
+	if p >= 0 && p < v.geo.NumPages {
+		v.allocated[p/64] |= 1 << (p % 64)
+	}
+}
+
 // AllocPage allocates a free data page (first fit) and returns its
 // physical number.  The page contents are whatever was on disk; callers
 // overwrite before use.
@@ -571,10 +586,12 @@ func (v *Volume) AllocPage() (int, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.st.Add(stats.Instructions, 60)
-	for p := v.geo.DataStart; p < v.geo.NumPages; p++ {
-		if !v.allocated[p] {
-			v.allocated[p] = true
-			return p, nil
+	for p := v.geo.DataStart; p < v.geo.NumPages; p = p/64*64 + 64 {
+		if free := ^v.allocated[p/64] >> (p % 64); free != 0 { // p's word, from p up
+			if p += bits.TrailingZeros64(free); p < v.geo.NumPages {
+				v.markUsed(p)
+				return p, nil
+			}
 		}
 	}
 	return -1, ErrNoSpace
@@ -590,10 +607,10 @@ func (v *Volume) FreePage(p int) error {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if !v.allocated[p] {
+	if !v.used(p) {
 		return fmt.Errorf("%w: page %d", ErrDoubleFree, p)
 	}
-	delete(v.allocated, p)
+	v.allocated[p/64] &^= 1 << (p % 64)
 	return nil
 }
 
@@ -608,10 +625,10 @@ func (v *Volume) ReservePage(p int) error {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.allocated[p] {
+	if v.used(p) {
 		return fmt.Errorf("%w: page %d", ErrDoubleAlloc, p)
 	}
-	v.allocated[p] = true
+	v.markUsed(p)
 	return nil
 }
 
@@ -619,14 +636,18 @@ func (v *Volume) ReservePage(p int) error {
 func (v *Volume) PageAllocated(p int) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.allocated[p]
+	return v.used(p)
 }
 
 // FreePages returns the number of unallocated data pages.
 func (v *Volume) FreePages() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.geo.NumPages - v.geo.DataStart - len(v.allocated)
+	used := 0
+	for _, w := range v.allocated {
+		used += bits.OnesCount64(w)
+	}
+	return v.geo.NumPages - v.geo.DataStart - used
 }
 
 // ---- Raw page I/O (data region only) ----

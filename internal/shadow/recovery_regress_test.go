@@ -34,7 +34,8 @@ func TestApplyIntentionsStaleBase(t *testing.T) {
 	if err := f.Flush("txn:T"); err != nil {
 		t.Fatal(err)
 	}
-	il := f.IntentionsFor("txn:T")
+	var il IntentionsList
+	f.IntentionsFor("txn:T", &il)
 	if len(il.Entries) != 1 {
 		t.Fatalf("intentions = %+v", il)
 	}

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/costmodel"
 	"repro/internal/fs"
@@ -100,17 +99,6 @@ func (p *pageState) touchedBy(owner Owner) (touched, sole bool) {
 	return touched, touched && sole
 }
 
-func (p *pageState) ownerMods(owner Owner) []Range {
-	var rs []Range
-	for _, m := range p.mods {
-		if m.owner == owner {
-			rs = append(rs, m.r)
-		}
-	}
-	slices.SortFunc(rs, func(a, b Range) int { return a.Off - b.Off })
-	return rs
-}
-
 func (p *pageState) dropOwner(owner Owner) {
 	out := p.mods[:0]
 	for _, m := range p.mods {
@@ -146,8 +134,10 @@ type File struct {
 	// would stall time while the holder parks in simulated disk latency.
 	mu      vtime.Mutex
 	ino     *fs.Inode
-	size    int64 // working size including uncommitted extensions
-	pages   map[int]*pageState
+	nextIno *fs.Inode    // spare: Commit builds the next committed inode here, then swaps
+	size    int64        // working size including uncommitted extensions
+	pages   []*pageState // the working set, ascending by logical page
+	retired []*pageState // page states (with their mods arrays) for the next dirty page
 	maxPtrs int
 
 	// LRU cache of committed page images, logical -> contents.  The
@@ -170,8 +160,8 @@ func Open(v *fs.Volume, ino int) (*File, error) {
 		v:       v,
 		st:      v.Stats(),
 		ino:     node,
+		nextIno: new(fs.Inode),
 		size:    node.Size,
-		pages:   make(map[int]*pageState),
 		maxPtrs: fs.MaxPointers(v.PageSize()),
 		cache:   make(map[int][]byte),
 	}
@@ -227,6 +217,26 @@ func (f *File) takeBuf() []byte {
 func (f *File) putBuf(buf []byte) {
 	if len(f.spare) < cleanCachePages {
 		f.spare = append(f.spare, buf)
+	}
+}
+
+// page returns the working state of a logical page (nil if it has none)
+// and its index in f.pages, or the index it would take.  Caller holds f.mu.
+func (f *File) page(logical int) (*pageState, int) {
+	i, ok := slices.BinarySearchFunc(f.pages, logical, func(st *pageState, l int) int { return st.logical - l })
+	if !ok {
+		return nil, i
+	}
+	return f.pages[i], i
+}
+
+// retire keeps a page state nothing references any more, its mods array
+// with it, for the next dirty page.  Its buffer must have a new owner.
+// Caller holds f.mu.
+func (f *File) retire(st *pageState) {
+	st.buf = nil
+	if len(f.retired) < cleanCachePages {
+		f.retired = append(f.retired, st)
 	}
 }
 
@@ -311,7 +321,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		if take > len(p)-n {
 			take = len(p) - n
 		}
-		if st, ok := f.pages[logical]; ok {
+		if st, _ := f.page(logical); st != nil {
 			copy(p[n:n+take], st.buf[pageOff:])
 		} else if phys := f.committedPhys(logical); phys >= 0 {
 			buf, err := f.readCommitted(logical, phys)
@@ -333,7 +343,8 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // marks an incoming whole-page overwrite, which needs no base contents at
 // all.  Caller holds f.mu.
 func (f *File) loadPage(logical int, fullWrite bool) (*pageState, error) {
-	if st, ok := f.pages[logical]; ok {
+	st, i := f.page(logical)
+	if st != nil {
 		return st, nil
 	}
 	base := f.committedPhys(logical)
@@ -354,8 +365,13 @@ func (f *File) loadPage(logical int, fullWrite bool) (*pageState, error) {
 	} else {
 		clear(buf)
 	}
-	st := &pageState{logical: logical, base: base, shadow: shadowPhys, buf: buf, dirty: true}
-	f.pages[logical] = st
+	if n := len(f.retired); n > 0 {
+		st, f.retired = f.retired[n-1], f.retired[:n-1]
+	} else {
+		st = new(pageState)
+	}
+	*st = pageState{logical: logical, base: base, shadow: shadowPhys, buf: buf, mods: st.mods[:0], dirty: true}
+	f.pages = slices.Insert(f.pages, i, st)
 	return st, nil
 }
 
@@ -446,7 +462,7 @@ func (f *File) Prefetch(off, length int64) error {
 	}
 	ps := int64(f.v.PageSize())
 	for logical := int(off / ps); int64(logical)*ps < off+length; logical++ {
-		if _, dirty := f.pages[logical]; dirty {
+		if st, _ := f.page(logical); st != nil {
 			continue
 		}
 		phys := f.committedPhys(logical)
@@ -533,18 +549,14 @@ func (f *File) TransferMods(from, to Owner, off, length int64) int {
 func (f *File) Owners() []Owner {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	set := make(map[Owner]bool)
+	var out []Owner
 	for _, st := range f.pages {
 		for _, m := range st.mods {
-			set[m.owner] = true
+			out = append(out, m.owner)
 		}
 	}
-	out := make([]Owner, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Modified reports whether any owner holds uncommitted modifications:
@@ -581,16 +593,10 @@ func (f *File) HasMods(owner Owner) bool {
 func (f *File) Flush(owner Owner) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var buf [8]int // a transaction rarely dirties more pages of a file: no allocation
-	logicals := buf[:0]
-	for l, st := range f.pages {
-		if touched, _ := st.touchedBy(owner); st.dirty && touched {
-			logicals = append(logicals, l)
+	for _, st := range f.pages { // one forced write each, in page order: their order is the schedule's
+		if touched, _ := st.touchedBy(owner); !st.dirty || !touched {
+			continue
 		}
-	}
-	slices.Sort(logicals) // one forced write each: their order is the schedule's
-	for _, l := range logicals {
-		st := f.pages[l]
 		if err := f.v.FlushPage(st.shadow); err != nil {
 			return err
 		}
@@ -616,63 +622,45 @@ type IntentionsList struct {
 	Ino     int
 	NewSize int64
 	Entries []Intention
+	ranges  []Range // the entries' Ranges, one array kept for the next IntentionsFor
 }
 
-// IntentionsFor returns owner's intentions list.  The caller should Flush
-// first; the list describes the flushed shadow images.
-func (f *File) IntentionsFor(owner Owner) IntentionsList {
+// IntentionsFor fills il with owner's intentions list, reusing il's
+// arrays: its entries share one, and their ranges another (once it has
+// grown to fit).  The caller should Flush first; the list describes the
+// flushed shadow images.
+func (f *File) IntentionsFor(owner Owner, il *IntentionsList) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	il := IntentionsList{Ino: f.ino.Ino, NewSize: f.ownerSizeLocked(owner)}
-	var logicals []int
-	for l := range f.pages {
-		logicals = append(logicals, l)
-	}
-	sort.Ints(logicals)
-	for _, l := range logicals {
-		st := f.pages[l]
-		rs := st.ownerMods(owner)
-		if len(rs) == 0 {
+	il.Ino, il.NewSize = f.ino.Ino, f.sizeLocked(owner)
+	il.Entries, il.ranges = il.Entries[:0], il.ranges[:0]
+	for _, st := range f.pages {
+		start := len(il.ranges)
+		for _, m := range st.mods {
+			if m.owner == owner {
+				il.ranges = append(il.ranges, m.r)
+			}
+		}
+		if len(il.ranges) == start {
 			continue
 		}
-		il.Entries = append(il.Entries, Intention{
-			Logical: st.logical,
-			Base:    st.base,
-			Shadow:  st.shadow,
-			Ranges:  rs,
-		})
+		rs := il.ranges[start:len(il.ranges):len(il.ranges)] // stays put if the array grows on
+		slices.SortFunc(rs, func(a, b Range) int { return a.Off - b.Off })
+		il.Entries = append(il.Entries, Intention{Logical: st.logical, Base: st.base, Shadow: st.shadow, Ranges: rs})
 	}
 	f.st.Add(stats.Instructions, int64(len(il.Entries))*costmodel.InstrIntentionEntry)
-	return il
 }
 
-// ownerSizeLocked computes the size the file would have if owner's
-// modifications committed now: the committed size extended by owner's
-// highest written byte.  Caller holds f.mu.
-func (f *File) ownerSizeLocked(owner Owner) int64 {
+// sizeLocked computes the size the file would have if owner's
+// modifications committed now - the committed size extended by owner's
+// highest written byte - or, for owner "", the working size: extended by
+// every owner's.  Caller holds f.mu.
+func (f *File) sizeLocked(owner Owner) int64 {
 	size := f.ino.Size
 	ps := int64(f.v.PageSize())
 	for _, st := range f.pages {
 		for _, m := range st.mods {
-			if m.owner != owner {
-				continue
-			}
-			if end := int64(st.logical)*ps + int64(m.r.End()); end > size {
-				size = end
-			}
-		}
-	}
-	return size
-}
-
-// workingSizeLocked recomputes the working size from the committed size
-// and the surviving modifications.  Caller holds f.mu.
-func (f *File) workingSizeLocked() int64 {
-	size := f.ino.Size
-	ps := int64(f.v.PageSize())
-	for _, st := range f.pages {
-		for _, m := range st.mods {
-			if end := int64(st.logical)*ps + int64(m.r.End()); end > size {
+			if end := int64(st.logical)*ps + int64(m.r.End()); end > size && (owner == "" || m.owner == owner) {
 				size = end
 			}
 		}
@@ -700,27 +688,21 @@ func (f *File) commitLocked(owner Owner) error {
 		shared  bool   // differencing path taken
 		merged  []byte // committed image on the differencing path
 	}
-	var acts []action
-	var logicals []int
-	for l := range f.pages {
-		logicals = append(logicals, l)
-	}
-	sort.Ints(logicals)
-
+	var buf [8]action // a transaction rarely commits more pages of a file: no allocation
+	acts := buf[:0]
 	tr := f.v.Tracer()
 	var obj string // trace label, built only when someone is listening
 	if tr != nil {
 		obj = fmt.Sprintf("%s#%d", f.v.Name(), f.ino.Ino)
 	}
-	for _, l := range logicals {
-		st := f.pages[l]
+	for _, st := range f.pages {
 		touched, sole := st.touchedBy(owner)
 		if !touched {
 			continue
 		}
 		f.st.Inc(stats.PageCommits)
 		f.st.Add(stats.Instructions, costmodel.InstrPageCommitBase)
-		tr.Record(trace.PageWrite, string(owner), obj, int64(l))
+		tr.Record(trace.PageWrite, string(owner), obj, int64(st.logical))
 		if sole {
 			// Figure 4(a): direct commit of the shadow page.
 			if st.dirty {
@@ -735,14 +717,16 @@ func (f *File) commitLocked(owner Owner) error {
 		// Figure 4(b): merge owner's records onto the previous version.
 		f.st.Inc(stats.PageDiffs)
 		f.st.Add(stats.Instructions, costmodel.InstrPageDiffBase)
-		tr.Record(trace.PageDiff, string(owner), obj, int64(l))
+		tr.Record(trace.PageDiff, string(owner), obj, int64(st.logical))
 		merged := f.takeBuf()
 		if err := f.previousVersion(st, merged); err != nil {
 			return err
 		}
-		for _, r := range st.ownerMods(owner) {
-			copy(merged[r.Off:r.End()], st.buf[r.Off:r.End()])
-			f.st.Add(stats.BytesCopied, int64(r.Len))
+		for _, m := range st.mods {
+			if m.owner == owner {
+				copy(merged[m.r.Off:m.r.End()], st.buf[m.r.Off:m.r.End()])
+				f.st.Add(stats.BytesCopied, int64(m.r.Len))
+			}
 		}
 		mergePhys, err := f.v.AllocPage()
 		if err != nil {
@@ -757,9 +741,11 @@ func (f *File) commitLocked(owner Owner) error {
 		return fmt.Errorf("%w: %v", ErrNoSuchOwner, owner)
 	}
 
-	// Build and atomically write the new inode: the commit point.
-	newIno := f.ino.Clone()
-	newSize := f.ownerSizeLocked(owner)
+	// Build the new inode in the spare and atomically write it: the commit
+	// point.  The volume keeps no reference to it, and Inode hands out
+	// copies, so the replaced inode is the next spare.
+	newIno := f.ino.CopyTo(f.nextIno)
+	newSize := f.sizeLocked(owner)
 	for _, a := range acts {
 		for len(newIno.Pages) <= a.st.logical {
 			newIno.Pages = append(newIno.Pages, -1)
@@ -772,7 +758,7 @@ func (f *File) commitLocked(owner Owner) error {
 	if err := f.v.WriteInode(newIno); err != nil {
 		return err
 	}
-	f.ino = newIno
+	f.ino, f.nextIno = newIno, f.ino
 
 	// Post-commit bookkeeping: free replaced pages, retire or rebase
 	// working state, refresh the clean-page cache with the newly
@@ -793,10 +779,12 @@ func (f *File) commitLocked(owner Owner) error {
 			// The shadow page became the committed page, and its
 			// working buffer the committed image.
 			f.cachePut(a.st.logical, a.st.buf)
-			delete(f.pages, a.st.logical)
+			_, i := f.page(a.st.logical)
+			f.pages = slices.Delete(f.pages, i, i+1)
+			f.retire(a.st)
 		}
 	}
-	f.size = f.workingSizeLocked()
+	f.size = f.sizeLocked("")
 	return nil
 }
 
@@ -829,13 +817,8 @@ func (f *File) Abort(owner Owner) error {
 
 func (f *File) abortLocked(owner Owner) error {
 	touched := false
-	var logicals []int
-	for l := range f.pages {
-		logicals = append(logicals, l)
-	}
-	sort.Ints(logicals)
-	for _, l := range logicals {
-		st := f.pages[l]
+	for i := 0; i < len(f.pages); i++ {
+		st := f.pages[i]
 		mine, sole := st.touchedBy(owner)
 		if !mine {
 			continue
@@ -843,12 +826,14 @@ func (f *File) abortLocked(owner Owner) error {
 		touched = true
 		f.st.Inc(stats.PageAborts)
 		if sole {
-			// Discard the whole working page.
+			// Discard the whole working page; the next one moves into slot i.
 			if err := f.v.FreePage(st.shadow); err != nil {
 				return err
 			}
-			delete(f.pages, l)
+			f.pages = slices.Delete(f.pages, i, i+1)
+			i--
 			f.putBuf(st.buf)
+			f.retire(st)
 			continue
 		}
 		// Restore the owner's ranges from the previous version.
@@ -856,9 +841,11 @@ func (f *File) abortLocked(owner Owner) error {
 		if err := f.previousVersion(st, prev); err != nil {
 			return err
 		}
-		for _, r := range st.ownerMods(owner) {
-			copy(st.buf[r.Off:r.End()], prev[r.Off:r.End()])
-			f.st.Add(stats.BytesCopied, int64(r.Len))
+		for _, m := range st.mods {
+			if m.owner == owner {
+				copy(st.buf[m.r.Off:m.r.End()], prev[m.r.Off:m.r.End()])
+				f.st.Add(stats.BytesCopied, int64(m.r.Len))
+			}
 		}
 		f.putBuf(prev)
 		st.dropOwner(owner)
@@ -870,7 +857,7 @@ func (f *File) abortLocked(owner Owner) error {
 	if !touched {
 		return fmt.Errorf("%w: %v", ErrNoSuchOwner, owner)
 	}
-	f.size = f.workingSizeLocked()
+	f.size = f.sizeLocked("")
 	return nil
 }
 
@@ -950,19 +937,13 @@ func ApplyIntentions(v *fs.Volume, il IntentionsList) error {
 	// Free the replaced previous versions (plus any prepare-time Base a
 	// co-owner's commit already superseded) that are still allocated and
 	// no longer referenced by the inode.
-	inUse := make(map[int]bool)
-	for _, p := range node.Pages {
-		if p >= 0 {
-			inUse[p] = true
-		}
-	}
 	for _, ent := range il.Entries {
 		if ent.Base >= 0 {
 			replaced = append(replaced, ent.Base)
 		}
 	}
 	for _, pg := range replaced {
-		if !inUse[pg] && v.PageAllocated(pg) {
+		if !slices.Contains(node.Pages, pg) && v.PageAllocated(pg) {
 			if err := v.FreePage(pg); err != nil {
 				return err
 			}
@@ -979,14 +960,8 @@ func DiscardIntentions(v *fs.Volume, il IntentionsList) error {
 	if err != nil {
 		return err
 	}
-	inUse := make(map[int]bool)
-	for _, p := range node.Pages {
-		if p >= 0 {
-			inUse[p] = true
-		}
-	}
 	for _, ent := range il.Entries {
-		if !inUse[ent.Shadow] && v.PageAllocated(ent.Shadow) {
+		if !slices.Contains(node.Pages, ent.Shadow) && v.PageAllocated(ent.Shadow) {
 			if err := v.FreePage(ent.Shadow); err != nil {
 				return err
 			}

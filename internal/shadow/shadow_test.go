@@ -389,7 +389,8 @@ func TestPrepareFlushAndRecoveryApply(t *testing.T) {
 	if err := f.Flush("txn:T"); err != nil {
 		t.Fatal(err)
 	}
-	il := f.IntentionsFor("txn:T")
+	var il IntentionsList
+	f.IntentionsFor("txn:T", &il)
 	if il.Ino != f.Ino() || len(il.Entries) != 1 {
 		t.Fatalf("intentions = %+v", il)
 	}
@@ -445,7 +446,8 @@ func TestDiscardIntentions(t *testing.T) {
 	if err := f.Flush("txn:T"); err != nil {
 		t.Fatal(err)
 	}
-	il := f.IntentionsFor("txn:T")
+	var il IntentionsList
+	f.IntentionsFor("txn:T", &il)
 
 	v.Disk().Crash()
 	v.Disk().Restart()

@@ -304,7 +304,6 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	pending map[string]*pendingTxn
-	done    map[string]Status // completed this incarnation (for StatusOf)
 
 	stopCh chan struct{} // cap 1; Close's signal to the retry loop
 }
@@ -320,7 +319,6 @@ func NewCoordinator(site simnet.SiteID, vol *fs.Volume, tr Transport, st *stats.
 	c := &Coordinator{
 		site: site, vol: vol, tr: tr, st: st, cfg: cfg, clk: clk,
 		pending: make(map[string]*pendingTxn),
-		done:    make(map[string]Status),
 		stopCh:  make(chan struct{}, 1),
 	}
 	if cfg.RetryInterval > 0 {
@@ -571,7 +569,7 @@ func (c *Coordinator) commitOnePhase(txid string, pt *pendingTxn, parts []partic
 // must still reach; with none, the transaction is finished on the spot.
 func (c *Coordinator) decided(txid string, pt *pendingTxn, st Status, parts, unacked []participant, holders int) {
 	if len(unacked) == 0 {
-		c.finish(txid, pt, st)
+		c.finish(txid, pt)
 	} else {
 		c.mu.Lock()
 		pt.status = st
@@ -635,19 +633,18 @@ func (c *Coordinator) runPhase2(txid string) {
 	remaining := len(pt.unacked)
 	c.mu.Unlock()
 	if remaining == 0 {
-		c.finish(txid, pt, StatusCommitted)
+		c.finish(txid, pt)
 	}
 }
 
 // finish retires the transaction: its coordinator log record, if one was
-// written, is deleted, and its outcome moves from pending to done.
-func (c *Coordinator) finish(txid string, pt *pendingTxn, st Status) {
+// written, is deleted, and the coordinator forgets it (see StatusOf).
+func (c *Coordinator) finish(txid string, pt *pendingTxn) {
 	if pt.key != "" {
 		c.vol.Log().Delete(pt.key) //nolint:errcheck // stale records are re-resolved by Recover
 	}
 	c.mu.Lock()
 	delete(c.pending, txid)
-	c.done[txid] = st
 	c.mu.Unlock()
 }
 
@@ -690,24 +687,21 @@ func (c *Coordinator) PendingCount() int {
 
 // StatusOf answers a participant's in-doubt query (section 4.4).  The
 // order matters: live state, then the durable log, then presumed abort -
-// the log is only deleted after every participant acknowledged, so an
-// absent record means the transaction never committed.  StatusUnknown
-// answers exactly one case, a live transaction still collecting votes, and
-// means "undecided, ask again": the asker voted yes and this coordinator
-// may yet commit.  A logged record still marked unknown is another thing:
-// its coordinator crashed before the commit point, and that is an abort.
+// the log is only deleted after every participant acknowledged, each once
+// its prepare record was durably gone, so an absent record means nobody
+// is in doubt of a commit.  StatusUnknown answers exactly one case, a live
+// transaction still collecting votes, and means "undecided, ask again":
+// the asker voted yes and this coordinator may yet commit.  A logged
+// record still marked unknown is another thing: its coordinator crashed
+// before the commit point, and that is an abort.
 func (c *Coordinator) StatusOf(txid string) Status {
 	c.mu.Lock()
-	pt, live := c.pending[txid]
-	st, ok := c.done[txid]
-	if live {
-		st = pt.status
-		ok = true
-	}
-	c.mu.Unlock()
-	if ok {
+	if pt, live := c.pending[txid]; live {
+		st := pt.status
+		c.mu.Unlock()
 		return st
 	}
+	c.mu.Unlock()
 	recs, err := ReadCoordRecords(c.vol)
 	if err == nil {
 		for _, r := range recs {
@@ -753,7 +747,7 @@ func (c *Coordinator) Recover() error {
 			c.runPhase2(rec.Txid)
 		} else {
 			c.sendAborts(rec.Txid, parts)
-			c.finish(rec.Txid, pt, StatusAborted)
+			c.finish(rec.Txid, pt)
 		}
 	}
 	return nil

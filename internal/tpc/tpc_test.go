@@ -126,15 +126,12 @@ func TestCommitHappyPath(t *testing.T) {
 				tr.count(tr.prepares, site), tr.count(tr.commits, site))
 		}
 	}
-	// Phase two completed: log cleared, nothing pending, status recorded.
+	// Phase two completed: log cleared, nothing pending, commit counted.
 	if c.PendingCount() != 0 {
 		t.Fatalf("pending = %d", c.PendingCount())
 	}
 	if len(v.Log().Keys()) != 0 {
 		t.Fatalf("coordinator log not cleared: %v", v.Log().Keys())
-	}
-	if c.StatusOf("T1") != StatusCommitted {
-		t.Fatalf("StatusOf = %v", c.StatusOf("T1"))
 	}
 	if st.Get(stats.TxnCommits) != 1 {
 		t.Fatal("commit not counted")
@@ -266,8 +263,9 @@ func (g *gatedTransport) SendPrepare(site simnet.SiteID, txid string, files []st
 // yes may ask about a transaction whose coordinator is still inside its
 // prepare phase.  The answer must be "undecided" (StatusUnknown), never
 // abort - the coordinator may yet commit - and turn into the decision once
-// it is made.  Only a transaction the coordinator never heard of is
-// presumed aborted.
+// it is made (site 2 refuses phase two, so a commit stays live to ask
+// about).  Only a transaction the coordinator never heard of is presumed
+// aborted.
 func TestStatusOfUndecidedWhileCollectingVotes(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -278,6 +276,7 @@ func TestStatusOfUndecidedWhileCollectingVotes(t *testing.T) {
 			tr := &gatedTransport{fakeTransport: newFakeTransport(), site: 3,
 				entered: make(chan struct{}), release: make(chan struct{})}
 			tr.failPrepare[3] = tc.failPrepare
+			tr.failCommit[2] = true
 			c := NewCoordinator(1, coordVolume(t), tr, stats.NewSet(), Config{SyncPhase2: true})
 			done := make(chan error, 1)
 			go func() { done <- c.CommitTransaction("T1", testFiles) }()
@@ -308,7 +307,8 @@ func TestStatusOfUndecidedWhileCollectingVotes(t *testing.T) {
 func TestRecoverLeavesLiveTransactionsAlone(t *testing.T) {
 	tr := &gatedTransport{fakeTransport: newFakeTransport(), site: 3,
 		entered: make(chan struct{}), release: make(chan struct{})}
-	c := NewCoordinator(1, coordVolume(t), tr, stats.NewSet(), Config{SyncPhase2: true})
+	st := stats.NewSet()
+	c := NewCoordinator(1, coordVolume(t), tr, st, Config{SyncPhase2: true})
 	done := make(chan error, 1)
 	go func() { done <- c.CommitTransaction("T1", testFiles) }()
 	<-tr.entered
@@ -324,8 +324,8 @@ func TestRecoverLeavesLiveTransactionsAlone(t *testing.T) {
 			t.Errorf("site %v got %d aborts and %d commits for a committed transaction, want 0 and 1", site, a, cm)
 		}
 	}
-	if st := c.StatusOf("T1"); st != StatusCommitted {
-		t.Fatalf("status = %v, want committed", st)
+	if cm, a := st.Get(stats.TxnCommits), st.Get(stats.TxnAborts); cm != 1 || a != 0 {
+		t.Fatalf("%d commits and %d aborts counted, want 1 and 0", cm, a)
 	}
 }
 
@@ -352,11 +352,8 @@ func TestCoordinatorRecoveryCommitted(t *testing.T) {
 	if tr.count(tr.commits, 2) != 1 || tr.count(tr.commits, 3) != 1 {
 		t.Fatalf("recovery commits = %v", tr.commits)
 	}
-	if len(v2.Log().Keys()) != 0 {
-		t.Fatal("log not cleared after recovery phase two")
-	}
-	if c.StatusOf("T1") != StatusCommitted {
-		t.Fatal("status after recovery")
+	if len(v2.Log().Keys()) != 0 || c.PendingCount() != 0 {
+		t.Fatalf("after recovery phase two: log %v, %d pending", v2.Log().Keys(), c.PendingCount())
 	}
 }
 
