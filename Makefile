@@ -73,27 +73,27 @@ define MATRIX
 endef
 export MATRIX
 
-matrix:          ## 50-seed virtual-clock chaos sweep of every row of the layer matrix (RACE=-race for the detector); red rows are listed, not skipped
+matrix:          ## 50-seed chaos sweep of every row of the layer matrix (RACE=-race for the detector); red rows are listed, not skipped
 	@rm -f matrix-red.txt; n=0; echo "$$MATRIX" | while IFS= read -r layers; do \
 		n=$$((n+1)); [ "$$layers" = "-" ] && layers=""; \
 		echo "== matrix row $$n: $${layers:-(no optional layer)}"; \
-		$(GO) run $(RACE) ./cmd/locus chaos -vtime -sweep 50 -duration 2s -forensics matrix-$$n-forensics.txt $$layers \
+		$(GO) run $(RACE) ./cmd/locus chaos -sweep 50 -duration 2s -forensics matrix-$$n-forensics.txt $$layers \
 			|| echo "RED row $$n: $${layers:-(no optional layer)}" >> matrix-red.txt; \
 	done; \
 	if [ -s matrix-red.txt ]; then cat matrix-red.txt; rm -f matrix-red.txt; exit 1; fi
 
 seed87:          ## EXPERIMENTS.md E25's reproducer: no disk fault in the menu, money created on 3 runs in 4 before the in-doubt rule was fixed; the seed replays the interleaving, so one run decides
-	@$(GO) run $(RACE) ./cmd/locus chaos -vtime -seed 87 -duration 2s -faults crash,partition,block,drop,dup,latency > seed87-forensics.txt \
+	@$(GO) run $(RACE) ./cmd/locus chaos -seed 87 -duration 2s -faults crash,partition,block,drop,dup,latency > seed87-forensics.txt \
 		|| { cat seed87-forensics.txt; echo "seed87: failed"; exit 1; }; \
 	rm -f seed87-forensics.txt; echo "seed87: passed"
 
-vtime:           ## the layer-matrix chaos sweeps, the seed-87 reproducer + vtime bench (DESIGN.md section 11)
+vtime:           ## the layer-matrix chaos sweeps, the seed-87 reproducer + the group-commit bench in simulated time (DESIGN.md section 11)
 	$(MAKE) matrix
 	$(MAKE) seed87
-	$(GO) run ./cmd/locus bench -exp concurrent -vtime
+	$(GO) run ./cmd/locus bench -exp concurrent
 
 telemetry:       ## verify the golden telemetry snapshot byte for byte
-	$(GO) run ./cmd/locus bench -vtime -telemetry -clients 4 -txns 8 -json tele-now.json
+	$(GO) run ./cmd/locus bench -telemetry -clients 4 -txns 8 -json tele-now.json
 	diff TELEMETRY_GOLDEN.json tele-now.json && rm tele-now.json
 
 probe:           ## exhaustive crash-point matrix (DESIGN.md section 9), race-enabled

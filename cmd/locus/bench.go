@@ -25,13 +25,13 @@ import (
 //
 //	locus bench                        # every experiment
 //	locus bench -exp fig5 -markdown    # one experiment as a Markdown table
-//	locus bench -exp concurrent -vtime # group commit in simulated time
+//	locus bench -exp concurrent        # group commit in simulated time
 //	locus bench -model modern          # a contemporary cost model
 //	locus bench -check BENCH_BASELINE.json
-//	locus bench -vtime -telemetry -json t.json -csv s.csv
+//	locus bench -telemetry -json t.json -csv s.csv
 type benchFlags struct {
 	exp, model, jsonPath, checkPath, csvPath string
-	markdown, vtime, telemetry               bool
+	markdown, telemetry                      bool
 	clients, txns                            int
 	interval                                 time.Duration
 }
@@ -47,9 +47,8 @@ func newBench(fs *flag.FlagSet) *benchFlags {
 	fs.IntVar(&b.txns, "txns", 25, "transactions per client for the concurrent experiment")
 	fs.StringVar(&b.jsonPath, "json", "", "write a machine-readable benchmark snapshot (stable schema) to this path")
 	fs.StringVar(&b.checkPath, "check", "", "regenerate the snapshot and gate it against this baseline file (rows of experiment, case, metric, value, better, tolerance); exit 1 on a regression or a missing row")
-	fs.BoolVar(&b.vtime, "vtime", false, "run the concurrent experiment on the virtual discrete-event clock with the cost model's disk latency: latencies and throughput are reported in simulated time, wall-clock shrinks by orders of magnitude")
 	fs.BoolVar(&b.telemetry, "telemetry", false, "run the concurrent pair with the metrics registry, utilization sampler and commit critical-path profiler attached; prints the attribution summary (with -json, writes the canonical locusbench-telemetry/v1 document instead of the classic snapshot)")
-	fs.DurationVar(&b.interval, "interval", 100*time.Millisecond, "telemetry sampler period (simulated time under -vtime)")
+	fs.DurationVar(&b.interval, "interval", 100*time.Millisecond, "telemetry sampler period, in simulated time")
 	fs.StringVar(&b.csvPath, "csv", "", "with -telemetry, write the group-commit-on run's sampler time-series as CSV to this path")
 	return b
 }
@@ -119,10 +118,7 @@ func (e experiment) show(markdown bool) error {
 // experiments is the one registry -exp, its help text and the
 // run-everything order are drawn from.
 func (b *benchFlags) experiments() []experiment {
-	concurrent := fmt.Sprintf("Group commit: concurrent transfer throughput (%d clients x %d txns)", b.clients, b.txns)
-	if b.vtime {
-		concurrent += " [virtual clock; latencies in simulated time]"
-	}
+	concurrent := fmt.Sprintf("Group commit: concurrent transfer throughput (%d clients x %d txns) [latencies in simulated time]", b.clients, b.txns)
 	return []experiment{
 		fig1,
 		{name: "fig5", title: "Figure 5: transaction I/O overhead - intended design and 1985 implementation (footnote 9)",
@@ -262,24 +258,15 @@ func (b *benchFlags) phases(rows []bench.ConcurrentRow) {
 		}
 	}
 	printTable(os.Stdout, b.markdown, "Per-2PC-phase commit latency (from the event trace)", phases)
-	off, on, per := rows[0].TxnsPerSec, rows[1].TxnsPerSec, "committed-txns/sec"
-	if b.vtime {
-		off, on, per = rows[0].TxnsPerSimSec, rows[1].TxnsPerSimSec, "committed-txns/sim-sec at "+bench.Vax.Name+" disk speed"
-	}
-	if off > 0 {
-		fmt.Printf("speedup: %.2fx %s; per-page write counts identical,\nso the Figure 5 I/O tables reproduce unchanged (batching only merges sync forces)\n", on/off, per)
+	if off, on := rows[0].TxnsPerSimSec, rows[1].TxnsPerSimSec; off > 0 {
+		fmt.Printf("speedup: %.2fx committed-txns/sim-sec at %s disk speed; per-page write counts identical,\nso the Figure 5 I/O tables reproduce unchanged (batching only merges sync forces)\n", on/off, bench.Vax.Name)
 	}
 }
 
 // concurrentOpts is the concurrent experiment as the flags select it:
-// the traced transfer workload, on the virtual clock at the cost
-// model's disk latency under -vtime.
+// the traced transfer workload at the cost model's disk latency.
 func (b *benchFlags) concurrentOpts() bench.ConcurrentOpts {
-	o := bench.ConcurrentOpts{Clients: b.clients, TxnsPerClient: b.txns, Spec: scenario.Spec{Trace: true}}
-	if b.vtime {
-		o = o.Simulated()
-	}
-	return o
+	return bench.ConcurrentOpts{Clients: b.clients, TxnsPerClient: b.txns, Spec: scenario.Spec{Trace: true}}.Simulated()
 }
 
 // telemetryRun runs the concurrent pair with the registry, sampler and
@@ -325,15 +312,15 @@ func writeFile(path string, data []byte) error {
 // append-only: future PRs may add keys but must not rename or remove
 // these, so perf trajectories stay comparable across snapshots.
 type snapshot struct {
-	Schema     string                `json:"schema"`
-	Model      string                `json:"model"`
-	Fig5       []bench.Fig5Row       `json:"fig5"`
+	Schema string          `json:"schema"`
+	Model  string          `json:"model"`
+	Fig5   []bench.Fig5Row `json:"fig5"`
+	// The concurrent pair at bench.DefaultDiskSyncDelay per force.
 	Concurrent []bench.ConcurrentRow `json:"concurrent"`
 	// The mixed read/write sweep at read shares 0/50/90, fast paths
 	// off/on.
 	Mixed []bench.MixedRow `json:"mixed"`
-	// The concurrent pair re-run in discrete-event time at the cost
-	// model's disk latency, reporting simulated-time throughput.
+	// The concurrent pair re-run at the cost model's disk latency.
 	Vtime []bench.ConcurrentRow `json:"vtime"`
 	// The repeated-access workload, sticky lock leases off and on.
 	Repeat []bench.RepeatRow `json:"repeat"`

@@ -16,20 +16,20 @@ import (
 // crashes, partitions, one-way link failures and message drop,
 // duplication and latency spikes; then every site is crash-restarted,
 // recovery runs to completion and the DESIGN.md section 5 invariants are
-// audited.  The schedule, the fault timeline and every verdict are a
-// pure function of the flags chaos.Options binds, so a failing report's
-// "replay:" line reproduces the run.
+// audited.  The run is simulated at VAX-750 latencies on a virtual clock,
+// and the whole report is a pure function of the flags chaos.Options
+// binds, so a failing report's "replay:" line reproduces the run.
 //
 //	locus chaos -seed 7 -duration 5s      # one run
 //	locus chaos -faults crash,partition   # restrict the fault menu
 //	locus chaos -schedule 100ms:crash:2,400ms:restart:2
 //	locus chaos -sweep 20                 # seeds 1..20, exit 1 on any FAIL
-//	locus chaos -vtime -groupcommit 5ms -fastpaths -leases -placement
+//	locus chaos -groupcommit 5ms -fastpaths -leases -placement
 func chaosCmd(fs *flag.FlagSet) func() error {
 	opts := chaos.Defaults()
 	opts.Flags(fs)
 	sweep := fs.Int("sweep", 0, "run seeds seed..seed+N-1 instead of a single run")
-	stats := fs.Bool("stats", false, "append nondeterministic commit/abort counts to the report")
+	stats := fs.Bool("stats", false, "append the commit/abort tallies and the simulated time to the report")
 	verbose := fs.Bool("v", false, "log faults and recovery progress as they happen")
 	forensics := fs.String("forensics", "", "on any invariant failure, also write the full failure reports (violations + event-trace forensics) to this file; CI uploads it as an artifact")
 	return func() error {

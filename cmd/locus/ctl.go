@@ -15,6 +15,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
+	"repro/internal/vtime"
 	"repro/internal/wfg"
 )
 
@@ -136,6 +137,9 @@ func (sh *shell) exec(args []string) error {
 	if len(args) == 0 {
 		return nil
 	}
+	// The shell is the clock's root: what a command set off at this
+	// instant (topology watchers) runs before the next prompt.
+	defer vtime.Settle(sh.sys.Cluster().Clock())
 	i := slices.IndexFunc(ctlCommands, func(c struct{ name, args, help string }) bool { return c.name == args[0] })
 	if i < 0 {
 		return fmt.Errorf("unknown command %q (try help)", args[0])

@@ -1,23 +1,18 @@
 package main
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/simnet"
+	"repro/internal/scenario"
 )
 
 func testShell(t *testing.T) *shell {
 	t.Helper()
-	sys := core.NewSystem(cluster.Config{SyncPhase2: true})
-	for i := 1; i <= 3; i++ {
-		sys.AddSite(simnet.SiteID(i))
-		if err := sys.AddVolume(simnet.SiteID(i), fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
+	sys, err := scenario.Spec{Volumes: scenario.PerSite(3)}.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return &shell{sys: sys, procs: map[string]*core.Process{}, files: map[[2]string]*core.File{}}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/vtime"
 	"repro/internal/wfg"
 )
 
@@ -71,12 +72,12 @@ func demo(e *scenario.Env) {
 	fmt.Println("== Section 3.1: wait-for graph and victim selection ==")
 	fmt.Println()
 	scenario.Ok(fb.LockRange(300, 10, core.Exclusive))
-	errA := make(chan error, 1)
-	errB := make(chan error, 1)
-	go func() { errA <- fa.LockRange(300, 10, core.Exclusive) }() // A waits on B
-	go func() { errB <- fb.LockRange(400, 5, core.Exclusive) }()  // B waits on C
+	var errA, errB error
+	waitA, waitB := vtime.NewGroup(e.Clock), vtime.NewGroup(e.Clock)
+	waitA.Go(func() { errA = fa.LockRange(300, 10, core.Exclusive) }) // A waits on B
+	waitB.Go(func() { errB = fb.LockRange(400, 5, core.Exclusive) })  // B waits on C
 	// Give the waits a moment to queue.
-	time.Sleep(50 * time.Millisecond)
+	e.Clock.Sleep(50 * time.Millisecond)
 
 	edges := sys.Cluster().WaitEdges()
 	for _, e := range edges {
@@ -90,11 +91,11 @@ func demo(e *scenario.Env) {
 	// Turn it into a true cycle: C (non-transaction) releases; B then
 	// waits on A's retained range.
 	scenario.Must(fc.Unlock(400, 25))
-	if err := <-errB; err != nil {
-		scenario.Ok(fmt.Errorf("B's second lock: %w", err))
+	if waitB.Wait(); errB != nil {
+		scenario.Ok(fmt.Errorf("B's second lock: %w", errB))
 	}
-	go func() { errB <- fb.LockRange(0, 10, core.Exclusive) }() // B waits on A: cycle
-	time.Sleep(50 * time.Millisecond)
+	waitB.Go(func() { errB = fb.LockRange(0, 10, core.Exclusive) }) // B waits on A: cycle
+	e.Clock.Sleep(50 * time.Millisecond)
 
 	edges = sys.Cluster().WaitEdges()
 	fmt.Println()
@@ -105,11 +106,11 @@ func demo(e *scenario.Env) {
 	fmt.Printf("  detector victims (youngest txn policy): %v\n", victims)
 
 	// The survivor's wait completes; the victim's request is cancelled.
-	if err := <-errA; err != nil {
-		scenario.Ok(fmt.Errorf("survivor's lock: %w", err))
+	if waitA.Wait(); errA != nil {
+		scenario.Ok(fmt.Errorf("survivor's lock: %w", errA))
 	}
-	if err := <-errB; err != nil {
-		fmt.Printf("  victim's queued request failed as expected: %v\n", err)
+	if waitB.Wait(); errB != nil {
+		fmt.Printf("  victim's queued request failed as expected: %v\n", errB)
 	}
 	scenario.Ok(pa.EndTrans())
 	fmt.Println()

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/costmodel"
 	"repro/internal/scenario"
 )
 
@@ -45,7 +44,6 @@ func TestReplayLineRuns(t *testing.T) {
 	}
 	opts := chaos.Defaults()
 	opts.Duration, opts.Schedule = 300*time.Millisecond, sched
-	opts.Spec = opts.Spec.At(costmodel.Vax750())
 	line := opts.ReplayCommand()
 	args := strings.Fields(strings.ReplaceAll(line, "'", ""))
 	if args[0] != "locus" || args[1] != "chaos" {

@@ -18,13 +18,13 @@ import (
 // human timeline by default, Chrome trace_event JSON (chrome://tracing,
 // Perfetto) with -chrome, or the canonical machine form with -canonical.
 // A single serial client at site 1 commits transactions whose files live
-// on one remote storage site each, over a zero-jitter network, so two
-// runs with the same flags produce byte-identical -canonical output
-// (DESIGN.md section 8).
+// on one remote storage site each, at VAX-750 latencies in simulated
+// time, so two runs with the same flags produce byte-identical
+// -canonical output (DESIGN.md section 8).  The simulated duration is
+// reported on stderr, outside the trace output.
 //
-//	locus trace -filter prepare       # only events mentioning "prepare"
-//	locus trace -vtime -canonical     # VAX-750 latencies in simulated time
-//	locus trace -vtime -drop commit2  # force the retry/backoff path
+//	locus trace -filter prepare  # only events mentioning "prepare"
+//	locus trace -drop commit2    # force the retry/backoff path
 func traceCmd(fs *flag.FlagSet) func() error {
 	seed := fs.Int64("seed", 1, "simnet seed (workload is serial, so this fixes the trace bytes)")
 	sites := fs.Int("sites", 3, "cluster size; site 1 runs the client, the rest store files (min 2)")
@@ -33,16 +33,13 @@ func traceCmd(fs *flag.FlagSet) func() error {
 	canonical := fs.Bool("canonical", false, "emit the canonical machine form (wall-time free, byte-stable)")
 	filter := fs.String("filter", "", "only show events whose type, txn or object contains this substring")
 	outPath := fs.String("out", "", "write output here instead of stdout")
-	vtimeF := fs.Bool("vtime", false, "run on the virtual discrete-event clock with VAX-750 latencies; the simulated duration is reported on stderr, outside the (still byte-stable) trace output")
-	dropOp := fs.String("drop", "", "drop every other delivery of this message op (e.g. commit2), forcing the CallRetry backoff path; deterministic, so same-seed -vtime runs stay byte-identical")
+	dropOp := fs.String("drop", "", "drop every other delivery of this message op (e.g. commit2), forcing the CallRetry backoff path; deterministic, so same-seed runs stay byte-identical")
 	return func() error {
-		col, sim, err := runWorkload(*seed, *sites, *txns, *vtimeF, *dropOp)
+		col, sim, err := runWorkload(*seed, *sites, *txns, *dropOp)
 		if err != nil {
 			return err
 		}
-		if *vtimeF {
-			fmt.Fprintf(os.Stderr, "locus trace: %s simulated\n", sim)
-		}
+		fmt.Fprintf(os.Stderr, "locus trace: %s simulated\n", sim)
 		evs := filterEvents(col.Events(), *filter)
 		var out bytes.Buffer
 		switch {
@@ -72,20 +69,16 @@ func traceCmd(fs *flag.FlagSet) func() error {
 
 // runWorkload commits txns serial transactions, each writing one file
 // that lives on a single storage site different from the requesting
-// site, and returns the attached collector plus the simulated duration
-// (zero unless vt).  Zero network jitter plus a serial client makes the
-// merged trace a pure function of the inputs - on either clock.  A
-// non-empty dropOp arms a deterministic fault that drops every other
+// site, and returns the attached collector plus the simulated duration.
+// A non-empty dropOp arms a deterministic fault that drops every other
 // delivery of that op, so each retried call walks the per-call seeded
 // backoff exactly once.
-func runWorkload(seed int64, sites, txns int, vt bool, dropOp string) (*trace.Collector, time.Duration, error) {
+func runWorkload(seed int64, sites, txns int, dropOp string) (*trace.Collector, time.Duration, error) {
 	if sites < 2 {
 		return nil, 0, fmt.Errorf("need at least 2 sites (client + storage), got %d", sites)
 	}
-	sc := scenario.Scenario{Spec: scenario.Spec{Volumes: scenario.PerSite(sites), Seed: seed, Trace: true}}
-	if vt {
-		sc.Spec = sc.Spec.At(costmodel.Vax750())
-	}
+	spec := scenario.Spec{Volumes: scenario.PerSite(sites), Seed: seed, Trace: true}
+	sc := scenario.Scenario{Spec: spec.At(costmodel.Vax750())}
 	if dropOp != "" {
 		sc.Armed = scenario.Schedule{{Kind: scenario.FaultDropOp, Op: dropOp}}
 	}

@@ -15,7 +15,7 @@ import (
 // every same-seed run.
 func TestWorkloadTraceDeterministic(t *testing.T) {
 	run := func() []byte {
-		col, _, err := runWorkload(1, 3, 5, false, "")
+		col, _, err := runWorkload(1, 3, 5, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,37 +30,28 @@ func TestWorkloadTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestVtimeTraceDeterministic is the virtual-clock extension of the
+// TestVtimeTraceDeterministic is the simulated-time half of the
 // acceptance check: with VAX-750 latencies simulated in timestamps, two
 // same-seed runs must agree byte for byte on the canonical trace AND on
-// the total simulated duration - and the trace bytes must match the
-// real-clock run, since the virtual clock re-prices time without
-// changing any event.
+// the total simulated duration.
 func TestVtimeTraceDeterministic(t *testing.T) {
-	run := func(vt bool) ([]byte, time.Duration) {
-		col, sim, err := runWorkload(1, 3, 5, vt, "")
+	run := func() ([]byte, time.Duration) {
+		col, sim, err := runWorkload(1, 3, 5, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		return trace.Canonical(col.Events()), sim
 	}
-	a, simA := run(true)
-	b, simB := run(true)
+	a, simA := run()
+	b, simB := run()
 	if len(a) == 0 {
 		t.Fatal("empty canonical trace")
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("same-seed vtime runs diverged:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
+		t.Fatalf("same-seed runs diverged:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
 	}
 	if simA != simB || simA <= 0 {
 		t.Fatalf("simulated durations diverged or degenerate: %v vs %v", simA, simB)
-	}
-	real, simReal := run(false)
-	if simReal != 0 {
-		t.Fatalf("real-clock run reported simulated time %v", simReal)
-	}
-	if !bytes.Equal(a, real) {
-		t.Fatal("virtual-clock trace bytes differ from the real-clock run")
 	}
 }
 
@@ -69,7 +60,7 @@ func TestVtimeTraceDeterministic(t *testing.T) {
 // transaction, and instant events carrying the full vocabulary.
 func TestChromeExportStructure(t *testing.T) {
 	const nTxns = 4
-	col, _, err := runWorkload(1, 3, nTxns, false, "")
+	col, _, err := runWorkload(1, 3, nTxns, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +140,7 @@ func TestChromeExportStructure(t *testing.T) {
 // TestFilterEvents checks the -filter substring match across type, txn
 // and object fields.
 func TestFilterEvents(t *testing.T) {
-	col, _, err := runWorkload(1, 2, 2, false, "")
+	col, _, err := runWorkload(1, 2, 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +166,10 @@ func TestFilterEvents(t *testing.T) {
 
 // TestWorkloadValidation rejects degenerate cluster sizes.
 func TestWorkloadValidation(t *testing.T) {
-	if _, _, err := runWorkload(1, 1, 1, false, ""); err == nil {
+	if _, _, err := runWorkload(1, 1, 1, ""); err == nil {
 		t.Fatal("accepted a 1-site cluster (no remote storage site possible)")
 	}
-	if _, _, err := runWorkload(1, 0, 1, false, ""); err == nil {
+	if _, _, err := runWorkload(1, 0, 1, ""); err == nil {
 		t.Fatal("accepted a 0-site cluster")
 	}
 }
@@ -186,11 +177,11 @@ func TestWorkloadValidation(t *testing.T) {
 // TestDropRetryTraceDeterministic covers the retry path: with every
 // other commit2 delivery dropped, each phase-two call walks CallRetry's
 // backoff.  The jitter is derived per call from the network seed (not
-// drawn from the shared rng stream), so two same-seed -vtime runs must
+// drawn from the shared rng stream), so two same-seed runs must
 // still agree byte for byte and on the simulated duration.
 func TestDropRetryTraceDeterministic(t *testing.T) {
 	run := func() ([]byte, time.Duration) {
-		col, sim, err := runWorkload(1, 3, 5, true, "commit2")
+		col, sim, err := runWorkload(1, 3, 5, "commit2")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +201,7 @@ func TestDropRetryTraceDeterministic(t *testing.T) {
 	// The retry path actually ran: dropped deliveries cost call timeouts
 	// plus backoff, so the run simulates strictly more time than the
 	// clean one.
-	_, simClean, err := runWorkload(1, 3, 5, true, "")
+	_, simClean, err := runWorkload(1, 3, 5, "")
 	if err != nil {
 		t.Fatal(err)
 	}

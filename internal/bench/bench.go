@@ -94,7 +94,7 @@ type Fig5Row struct {
 	// paper gives no single number).
 	PaperTotal int64 `json:"-" col:"paper,,-"`
 	// Msgs and ForcedIOs are the commit's full network and forced-disk
-	// traffic - the counts the virtual-clock mode must reproduce
+	// traffic - the counts a run at VAX-750 latencies must reproduce
 	// exactly, since simulated time only re-prices events, never adds
 	// or removes them.
 	Msgs      int64 `json:"-"`
@@ -110,8 +110,8 @@ func Fig5(doubleLogWrites bool) ([]Fig5Row, error) {
 }
 
 // Fig5On runs the Figure 5 workloads on a caller-supplied scenario - the
-// cross-mode test puts it on the virtual clock at VAX-era latencies and
-// checks that every I/O and message count matches the instantaneous run.
+// cross-mode test charges VAX-era latencies and checks that every I/O
+// and message count matches the instantaneous run.
 func Fig5On(doubleLogWrites bool, spec scenario.Spec) ([]Fig5Row, error) {
 	type config struct {
 		name       string

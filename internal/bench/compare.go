@@ -477,7 +477,7 @@ func Footnote7Ablation() ([]Fn7Row, error) {
 type GranularityRow struct {
 	Case      string        `col:"case"`
 	LockWaits int64         `col:"lock waits"`
-	WallClock time.Duration `col:"wall clock"`
+	SimTime   time.Duration `col:"sim time"`
 }
 
 // LockGranularity runs concurrent transactions updating DISJOINT records
@@ -488,7 +488,7 @@ type GranularityRow struct {
 // implement a database system").  Each transaction holds its lock for
 // hold (simulating the record processing a database would do); record
 // locking admits all updaters in parallel, whole-file locking serializes
-// them, so the wall-clock ratio approaches the worker count.
+// them, so the ratio of simulated run times approaches the worker count.
 func LockGranularity(workers, txnsEach int, hold time.Duration) ([]GranularityRow, error) {
 	run := func(name string, wholeFile bool) (GranularityRow, error) {
 		const fileBytes = 8192
@@ -528,7 +528,7 @@ func LockGranularity(workers, txnsEach int, hold time.Duration) ([]GranularityRo
 		if err != nil {
 			return GranularityRow{}, err
 		}
-		return GranularityRow{Case: name, LockWaits: out.Counters.Get(stats.LockWaits), WallClock: out.Wall}, nil
+		return GranularityRow{Case: name, LockWaits: out.Counters.Get(stats.LockWaits), SimTime: out.SimTime}, nil
 	}
 	return offThenOn(run, "record-level locking (this paper)", "whole-file locking (previous Locus, sec 7.1)")
 }

@@ -55,13 +55,13 @@ type ConcurrentRow struct {
 	PhaseTotal   trace.Histogram `json:"-"` // TxnBegin -> outcome
 	PhasePrepare trace.Histogram `json:"-"` // first PrepareSent -> last vote
 	PhasePhase2  trace.Histogram `json:"-"` // last vote -> last CommitApplied
-	// SimTime is the simulated duration of a virtual-clock run (zero on
-	// the real clock); TxnsPerSimSec is throughput against that clock -
-	// the figure the paper's VAX-750 testbed would have measured, no
-	// matter how fast the host ran the simulation.
+	// SimTime is the simulated duration of the run; TxnsPerSimSec is
+	// throughput against that clock - the figure the paper's VAX-750
+	// testbed would have measured, no matter how fast the host ran the
+	// simulation.  TxnsPerSec above is the host's.
 	SimTime       time.Duration `json:"sim_time_ns,omitempty" col:"sim time,,omitempty"`
 	TxnsPerSimSec float64       `json:"txns_per_sim_sec,omitempty" col:"txns/sim-sec,%.0f,omitempty"`
-	// SimTotal is the virtual clock's total elapsed time at measurement,
+	// SimTotal is the clock's total elapsed time at measurement,
 	// setup included (SimTime counts only the workload window).  It is
 	// the denominator matching cumulative registry counters like
 	// disk_busy_ns, which also count from boot.
@@ -111,27 +111,25 @@ func (r ConcurrentRow) MarshalJSON() ([]byte, error) {
 type ConcurrentOpts struct {
 	Clients       int
 	TxnsPerClient int
-	// Spec selects the clock, the per-forced-I/O charge (Disk; zero means
+	// Spec selects the per-forced-I/O charge (Disk; zero means
 	// DefaultDiskSyncDelay - pass a costmodel figure, e.g. the VAX-750
 	// 26ms, to reproduce 1985 hardware), Trace (fills the per-phase
 	// histograms) and Profile (commit-path profiling plus the periodic
-	// utilization sampler, filling the row's Samples/Profile/Metrics; a
-	// virtual-clock run then also drains to full quiescence before the
-	// final measurements, so the telemetry is complete and
-	// deterministic).  Topology and the group-commit linger are the
-	// experiment's own.
+	// utilization sampler, filling the row's Samples/Profile/Metrics; the
+	// run then also drains to full quiescence before the final
+	// measurements, so the telemetry is complete and deterministic).
+	// Topology and the group-commit linger are the experiment's own.
 	Spec scenario.Spec
-	// SampleInterval is the sampler period (simulated time on a virtual
-	// clock); zero means the sampler default.
+	// SampleInterval is the sampler period in simulated time; zero means
+	// the sampler default.
 	SampleInterval time.Duration
 }
 
-// Simulated returns the options on the virtual clock charging the
-// active cost model's disk latency per force, so rows report simulated
-// time and txns/sim-sec at 1985 (or modern) hardware speed while the run
-// itself takes milliseconds of wall-clock.
+// Simulated returns the options charging the active cost model's disk
+// latency per force, so rows report simulated time and txns/sim-sec at
+// 1985 (or modern) hardware speed.
 func (o ConcurrentOpts) Simulated() ConcurrentOpts {
-	o.Spec.Virtual, o.Spec.Disk = true, Vax.DiskWriteTime
+	o.Spec.Disk = Vax.DiskWriteTime
 	return o
 }
 
@@ -209,9 +207,7 @@ func ConcurrentCommit(o ConcurrentOpts, groupCommit bool) (ConcurrentRow, error)
 	row.Batches, row.BatchRecords = d.Get(stats.GroupCommitBatches), d.Get(stats.GroupCommitRecords)
 	row.DiskWrites, row.Counters = d.Get(stats.DiskWrites), d
 	row.Profile, row.Metrics = out.Profile, out.Metrics
-	if spec.Virtual {
-		row.SimTime, row.SimTotal = out.SimTime, out.SimElapsed
-	}
+	row.SimTime, row.SimTotal = out.SimTime, out.SimElapsed
 	if row.Committed > 0 {
 		row.TxnsPerSec = float64(row.Committed) / out.Wall.Seconds()
 		row.ForcedPerTxn = float64(row.ForcedIOs) / float64(row.Committed)
@@ -224,8 +220,8 @@ func ConcurrentCommit(o ConcurrentOpts, groupCommit bool) (ConcurrentRow, error)
 
 // TelemetryJSON renders the row's telemetry artifacts as one canonical
 // JSON document: fixed field order, sorted metric keys, no
-// map-iteration dependence.  Virtual-clock runs produce byte-identical
-// output, concurrent ones included (the clock's run queue decides every
+// map-iteration dependence.  Runs produce byte-identical output,
+// concurrent ones included (the clock's run queue decides every
 // same-instant tie) - the CI golden-snapshot job diffs a 4-client run
 // against a checked-in copy (DESIGN.md section 12).
 func (r ConcurrentRow) TelemetryJSON() []byte {

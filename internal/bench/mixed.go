@@ -42,11 +42,10 @@ const MixedTxns = 50
 var MixedShares = []int{0, 50, 90}
 
 // serialSpec is the scenario of the serial counting experiments (mixed,
-// repeat, skew): the virtual clock charging DefaultDiskSyncDelay per
-// force over an instantaneous network, so the run costs no wall-clock
-// and every count and simulated latency is deterministic.
+// repeat, skew): DefaultDiskSyncDelay per force over an instantaneous
+// network.
 func serialSpec(volumes ...string) scenario.Spec {
-	return scenario.Spec{Volumes: volumes, Virtual: true, Disk: DefaultDiskSyncDelay}
+	return scenario.Spec{Volumes: volumes, Disk: DefaultDiskSyncDelay}
 }
 
 // MixedCommit runs the mixed workload once.  txns transactions execute

@@ -8,14 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/fs"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
 )
-
-// vax is the -vtime spec: the virtual clock at VAX-750 latencies.
-var vax = scenario.Spec{}.At(costmodel.Vax750())
 
 func TestGenScheduleDeterministic(t *testing.T) {
 	sites := []simnet.SiteID{1, 2, 3, 4}
@@ -92,13 +88,13 @@ func TestArmCrashFault(t *testing.T) {
 // workload's own I/O determines, the monitor takes the site down, and
 // the audit must still find every invariant intact.
 func TestRunArmCrash(t *testing.T) {
-	sched, err := scenario.ParseSchedule("50ms:armcrash:2@25,250ms:restart:2,300ms:armcrash:3@10,500ms:restart:3")
+	sched, err := scenario.ParseSchedule("250ms:armcrash:2@25,1250ms:restart:2,1500ms:armcrash:3@10,2500ms:restart:3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(Options{
 		Seed:     5,
-		Duration: 600 * time.Millisecond,
+		Duration: 3 * time.Second,
 		Sites:    3,
 		Workers:  4,
 		Schedule: sched,
@@ -116,7 +112,7 @@ func TestRunArmCrash(t *testing.T) {
 func TestRunShort(t *testing.T) {
 	res, err := Run(Options{
 		Seed:     1,
-		Duration: 600 * time.Millisecond,
+		Duration: 3 * time.Second,
 		Sites:    3,
 		Workers:  4,
 	})
@@ -139,7 +135,7 @@ func TestRunShort(t *testing.T) {
 func TestRunShortGroupCommit(t *testing.T) {
 	res, err := Run(Options{
 		Seed:     1,
-		Duration: 600 * time.Millisecond,
+		Duration: 3 * time.Second,
 		Sites:    3,
 		Workers:  4,
 		Spec:     scenario.Spec{Layers: scenario.Layers{GroupCommit: 200 * time.Microsecond}},
@@ -160,13 +156,13 @@ func TestRunShortGroupCommit(t *testing.T) {
 // shared locks released at vote time, no stale prepare records, no
 // transaction stuck in doubt.
 func TestRunShortFastPaths(t *testing.T) {
-	sched, err := scenario.ParseSchedule("80ms:partition:2,220ms:heal,320ms:partition:3,450ms:heal")
+	sched, err := scenario.ParseSchedule("400ms:partition:2,1100ms:heal,1600ms:partition:3,2250ms:heal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(Options{
 		Seed:     1,
-		Duration: 600 * time.Millisecond,
+		Duration: 3 * time.Second,
 		Sites:    3,
 		Workers:  4,
 		Schedule: sched,
@@ -182,20 +178,20 @@ func TestRunShortFastPaths(t *testing.T) {
 }
 
 // TestRunShortLeases drives the revoke-during-partition schedule with
-// sticky lock leases on: the 50ms TTL guarantees leases are granted,
+// sticky lock leases on: the 500ms TTL guarantees leases are granted,
 // re-hit, revoked and expiry-reclaimed inside the window, and the
 // partitions land mid-revoke so the expiry fallback runs.  The audit
 // (residual locks, pair atomicity, balance conservation) must stay
 // clean - leases are a message-count optimization, never a correctness
 // change.
 func TestRunShortLeases(t *testing.T) {
-	sched, err := scenario.ParseSchedule("80ms:partition:2,220ms:heal,320ms:partition:3,450ms:heal")
+	sched, err := scenario.ParseSchedule("400ms:partition:2,1100ms:heal,1600ms:partition:3,2250ms:heal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(Options{
 		Seed:     1,
-		Duration: 600 * time.Millisecond,
+		Duration: 3 * time.Second,
 		Sites:    3,
 		Workers:  4,
 		Schedule: sched,
@@ -216,13 +212,13 @@ func TestRunShortLeases(t *testing.T) {
 // partition windows.  Every invariant - including the single-primary
 // check the placement mode adds - must hold.
 func TestRunShortPlacement(t *testing.T) {
-	sched, err := scenario.ParseSchedule("80ms:partition:2,220ms:heal,320ms:partition:3,450ms:heal")
+	sched, err := scenario.ParseSchedule("400ms:partition:2,1100ms:heal,1600ms:partition:3,2250ms:heal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(Options{
 		Seed:     1,
-		Duration: 600 * time.Millisecond,
+		Duration: 3 * time.Second,
 		Sites:    3,
 		Workers:  4,
 		Schedule: sched,
@@ -241,7 +237,7 @@ func TestRunShortPlacement(t *testing.T) {
 // same deterministic report - the property that makes a failure's
 // "replay: locus chaos -seed N" line trustworthy.
 func TestReportReproducible(t *testing.T) {
-	opts := Options{Seed: 99, Duration: 400 * time.Millisecond, Sites: 3, Workers: 4}
+	opts := Options{Seed: 99, Duration: 2 * time.Second, Sites: 3, Workers: 4}
 	r1, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -256,11 +252,8 @@ func TestReportReproducible(t *testing.T) {
 }
 
 // TestSweep hammers many seeds with crashes, partitions and message
-// drops.  Long; skipped under -short.
+// drops.
 func TestSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("randomized sweep skipped in -short mode")
-	}
 	faults, err := ParseFaults("crash,partition,drop")
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +263,7 @@ func TestSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			res, err := Run(Options{
 				Seed:     seed,
-				Duration: 400 * time.Millisecond,
+				Duration: 2 * time.Second,
 				Sites:    3,
 				Workers:  4,
 				Faults:   faults,
@@ -356,7 +349,7 @@ func TestCheckerCatchesTornPair(t *testing.T) {
 
 // TestReplayRoundTrip: the replay line is read off the same flag binding
 // the command parses, so parsing it back must yield the options of the
-// run it came from - every layer, the clock, an explicit schedule (block
+// run it came from - every layer, an explicit schedule (block
 // faults need shell quoting) and a restricted fault menu included.
 func TestReplayRoundTrip(t *testing.T) {
 	sched, err := scenario.ParseSchedule("237ms:crash:4,575ms:block:3>4,668ms:restart:4,907ms:unblock:3>4")
@@ -367,12 +360,11 @@ func TestReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layered := vax
-	layered.Layers = scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true, Leases: true, Placement: scenario.Eager}
+	layered := scenario.Spec{Layers: scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true, Leases: true, Placement: scenario.Eager}}
 	layered.Profile = true
 	for _, opts := range []Options{
 		Defaults(),
-		{Seed: 87, Duration: 2 * time.Second, Sites: 4, Workers: 6, Faults: menu, Spec: vax},
+		{Seed: 87, Duration: 2 * time.Second, Sites: 4, Workers: 6, Faults: menu},
 		{Seed: 3, Duration: time.Second, Sites: 5, Workers: 3, Faults: DefaultFaults(), Schedule: sched, Spec: layered},
 	} {
 		line := opts.ReplayCommand()
@@ -387,8 +379,8 @@ func TestReplayRoundTrip(t *testing.T) {
 			t.Errorf("%s\nparsed back to %+v\nwant            %+v", line, back, opts)
 		}
 	}
-	if got, want := (Options{Seed: 87, Duration: 2 * time.Second, Sites: 4, Workers: 6, Faults: menu, Spec: vax}).ReplayCommand(),
-		"locus chaos -faults crash,partition,block,drop,dup,latency -seed 87 -vtime"; got != want {
+	if got, want := (Options{Seed: 87, Duration: 2 * time.Second, Sites: 4, Workers: 6, Faults: menu}).ReplayCommand(),
+		"locus chaos -faults crash,partition,block,drop,dup,latency -seed 87"; got != want {
 		t.Errorf("replay line = %q, want %q", got, want)
 	}
 }
@@ -399,7 +391,7 @@ func TestReplayRoundTrip(t *testing.T) {
 // carrying the record's trace tail, rendered with its replay line - not
 // as a harness error that would end a sweep.
 func TestRecoveryFailureIsAVerdict(t *testing.T) {
-	w, err := newWorkload(Options{Seed: 5, Duration: 100 * time.Millisecond, Sites: 2, Workers: 2, Spec: vax})
+	w, err := newWorkload(Options{Seed: 5, Duration: 100 * time.Millisecond, Sites: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,15 +36,15 @@ type Options struct {
 	Faults   FaultSet                         // kinds GenSchedule may draw (default all)
 	Schedule scenario.Schedule                // explicit schedule; overrides generation
 	Logf     func(format string, args ...any) // live fault/progress log (nil = silent)
-	// Spec selects the clock, the optional layers and telemetry; the
-	// topology, seed, fault budgets and trace are the engine's own.  Every
+	// Spec selects the optional layers and telemetry; the topology, seed,
+	// VAX-750 latencies, fault budgets and trace are the engine's own.  Every
 	// layer interleaves with the fault schedule: group commit tears
 	// batches at crashes, fast paths additionally mix read-only audit
 	// transactions into the transfer workers (faults land between a
 	// read-only vote and the outcome it never waits for), leases run under
 	// the short fault-mode TTL, placement (use scenario.Eager) keeps
-	// ownership moves in flight.  On a virtual clock Duration counts
-	// simulated time and the schedule fires at exact simulated instants.
+	// ownership moves in flight.  Duration counts simulated time, and the
+	// schedule fires at exact simulated instants.
 	Spec scenario.Spec
 }
 
@@ -90,15 +90,7 @@ func (o *Options) Flags(fs *flag.FlagSet) {
 			}
 		},
 	}, "placement", "enable locality-adaptive placement with aggressive knobs, so ownership moves and routed commits interleave with the fault schedule; the audit adds a single-primary convergence check")
-	fs.Var(boolFlag{
-		func() bool { return o.Spec.Virtual },
-		func(on bool) {
-			if o.Spec.Virtual, o.Spec.Disk, o.Spec.Msg = false, 0, 0; on {
-				o.Spec = o.Spec.At(costmodel.Vax750())
-			}
-		},
-	}, "vtime", "run on the virtual discrete-event clock with VAX-750 latencies: -duration counts simulated time and wall-clock shrinks by orders of magnitude")
-	fs.BoolVar(&o.Spec.Profile, "telemetry", o.Spec.Profile, "enable commit-path profiling and append the attribution/utilization summary to the report (nondeterministic, like -stats)")
+	fs.BoolVar(&o.Spec.Profile, "telemetry", o.Spec.Profile, "enable commit-path profiling and append the attribution/utilization summary to the report")
 }
 
 // ReplayCommand is the locus chaos invocation that reproduces this run's
@@ -142,11 +134,9 @@ type pairState struct {
 }
 
 // Result is the outcome of a chaos run: the options it ran under
-// (defaults filled in) and what came of them.  Timeline and Checks are
-// deterministic for a given (Seed, Duration, Sites, Workers, Faults);
-// everything in the Outcome but its Checks depends on real scheduling
-// and is reported separately (under a virtual clock the placement
-// counters are exact).
+// (defaults filled in) and what came of them.  All of it - timeline,
+// checks, tallies and counters - is a function of the options: the run
+// replays from its seed.
 type Result struct {
 	Options
 	// Timeline is the schedule actually injected: Options.Schedule, or
@@ -163,7 +153,7 @@ func (r *Result) Violations() []string { return r.Checks.Violations() }
 
 // Report renders the run: header, fault timeline, invariant verdicts.
 // Everything here is bit-for-bit reproducible from the same options;
-// withStats appends the (nondeterministic) commit/abort counts.
+// withStats appends the commit/abort tallies and the simulated time.
 func (r *Result) Report(withStats bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos seed=%d sites=%d workers=%d duration=%s\n",
@@ -194,9 +184,7 @@ func (r *Result) Report(withStats bool) string {
 			fmt.Fprintf(&b, "stats: %d owner moves, %d routed commits\n",
 				r.Counters.Get(stats.OwnerMoves), r.Counters.Get(stats.RoutedCommits))
 		}
-		if r.Spec.Virtual {
-			fmt.Fprintf(&b, "stats: %s simulated\n", r.SimElapsed)
-		}
+		fmt.Fprintf(&b, "stats: %s simulated\n", r.SimElapsed)
 	}
 	return b.String()
 }
@@ -261,13 +249,14 @@ func newWorkload(opts Options) (*workload, error) {
 	return w, nil
 }
 
-// scenario is the run as a value: one volume per site, faults expected,
-// the caller's clock and layers, the workers racing the schedule for
-// Duration, then full recovery, the audit and the two content checks.
+// scenario is the run as a value: one volume per site at VAX-750
+// latencies, faults expected, the caller's layers, the workers racing the
+// schedule for Duration, then full recovery, the audit and the two
+// content checks.
 func (w *workload) scenario() scenario.Scenario {
 	opts := w.opts
 	sc := scenario.Scenario{
-		Spec:     opts.Spec,
+		Spec:     opts.Spec.At(costmodel.Vax750()),
 		Setup:    w.setup,
 		Schedule: opts.Schedule,
 		Window:   opts.Duration,

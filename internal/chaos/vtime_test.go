@@ -10,20 +10,13 @@ import (
 	"repro/internal/trace"
 )
 
-// vaxWith is the -vtime spec with optional layers on.
-func vaxWith(l scenario.Layers) scenario.Spec {
-	s := vax
-	s.Layers = l
-	return s
-}
-
 // TestVtimeRun drives a full chaos run on the virtual clock: the
 // 2-second fault window and the VAX-era latencies elapse in simulated
 // time, the run finishes in a fraction of that wall-clock, and every
 // invariant still holds.
 func TestVtimeRun(t *testing.T) {
 	start := time.Now()
-	res, err := Run(Options{Seed: 7, Duration: 2 * time.Second, Spec: vax})
+	res, err := Run(Options{Seed: 7, Duration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +37,7 @@ func TestVtimeRun(t *testing.T) {
 // commit fast paths under faults on the virtual clock.
 func TestVtimeGroupCommit(t *testing.T) {
 	res, err := Run(Options{
-		Seed: 11, Duration: time.Second, Spec: vaxWith(scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true}),
+		Seed: 11, Duration: time.Second, Spec: scenario.Spec{Layers: scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +53,7 @@ func TestVtimeGroupCommit(t *testing.T) {
 // regime that shook out the duplicate-adoption and abandoned-copy bugs.
 func TestVtimePlacement(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		res, err := Run(Options{Seed: seed, Duration: 2 * time.Second, Spec: vaxWith(scenario.Layers{Placement: scenario.Eager})})
+		res, err := Run(Options{Seed: seed, Duration: 2 * time.Second, Spec: scenario.Spec{Layers: scenario.Layers{Placement: scenario.Eager}}})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -76,7 +69,7 @@ func TestVtimePlacement(t *testing.T) {
 // crash-epoch bugs during development.
 func TestVtimeSweep(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
-		res, err := Run(Options{Seed: seed, Duration: 2 * time.Second, Spec: vax})
+		res, err := Run(Options{Seed: seed, Duration: 2 * time.Second})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -87,7 +80,7 @@ func TestVtimeSweep(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		res, err := Run(Options{
 			Seed: seed, Duration: 2 * time.Second,
-			Spec: vaxWith(scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true}),
+			Spec: scenario.Spec{Layers: scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true}},
 		})
 		if err != nil {
 			t.Fatalf("seed %d (gc+fp): %v", seed, err)
@@ -109,7 +102,7 @@ func TestSeed87NoUnilateralAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Options{Seed: 87, Duration: 2 * time.Second, Faults: faults, Spec: vax})
+	res, err := Run(Options{Seed: 87, Duration: 2 * time.Second, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +124,8 @@ func TestConcurrentRunReplays(t *testing.T) {
 		name string
 		spec scenario.Spec
 	}{
-		{"bare", vax},
-		{"all layers", vaxWith(scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true, Leases: true, Placement: scenario.Eager})},
+		{"bare", scenario.Spec{}},
+		{"all layers", scenario.Spec{Layers: scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true, Leases: true, Placement: scenario.Eager}}},
 	}
 	for _, row := range rows {
 		opts := Options{Seed: 3, Duration: 2 * time.Second, Faults: faults, Spec: row.spec}

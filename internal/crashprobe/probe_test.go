@@ -56,9 +56,6 @@ func TestPageDifferencingMatrix(t *testing.T) {
 }
 
 func TestTwoPhaseCommitMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 3-site matrix is long; run without -short")
-	}
 	res, err := Run(Options{Workload: "tpc"})
 	if err != nil {
 		t.Fatal(err)
@@ -83,9 +80,6 @@ func TestTwoPhaseCommitMatrixBounded(t *testing.T) {
 }
 
 func TestMigrationCommitMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 2-site matrix is long; run without -short")
-	}
 	res, err := Run(Options{Workload: "migrate"})
 	if err != nil {
 		t.Fatal(err)

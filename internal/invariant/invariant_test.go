@@ -140,7 +140,7 @@ func TestAuditCatchesEachDefect(t *testing.T) {
 			// leaves for the source's restart purge, caught before any
 			// restart.
 			name: "second primary copy",
-			spec: scenario.Spec{Virtual: true, Layers: scenario.Layers{Placement: scenario.Eager}},
+			spec: scenario.Spec{Layers: scenario.Layers{Placement: scenario.Eager}},
 			plant: func(t *testing.T, sys *core.System) {
 				for i := 0; i < 3; i++ {
 					commit(t, sys, 2, "v1/b", "from site two")
@@ -211,7 +211,7 @@ func TestAuditCatchesEachDefect(t *testing.T) {
 // TestDrainReportsStuckWork: a drain that cannot finish says what is
 // stuck instead of returning silently.
 func TestDrainReportsStuckWork(t *testing.T) {
-	sys, err := scenario.Spec{Volumes: scenario.PerSite(1), Virtual: true}.Build()
+	sys, err := scenario.Spec{Volumes: scenario.PerSite(1)}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@
 // cooldown advance one tick per recorded access, so a fixed-seed run
 // makes exactly the same placement decisions no matter how fast the
 // clock runs - the property every deterministic harness in this repo
-// (crashprobe, chaos, -vtime benches) depends on.
+// (crashprobe, chaos, the benches) depends on.
 package placement
 
 import (

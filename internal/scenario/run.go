@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -69,8 +68,8 @@ type Outcome struct {
 	Commits, Aborts int64           // Env.Txn outcomes
 	Latencies       []time.Duration // confirmed commits, on the scenario clock
 	// Wall and SimTime are the clients' window on the host's and the
-	// scenario's clock; SimElapsed is a virtual clock's total since boot,
-	// recovery included (zero on the real clock).
+	// scenario's clock; SimElapsed is the scenario clock's total since
+	// boot, recovery included.
 	Wall, SimTime, SimElapsed time.Duration
 	// Profile and Metrics are the commit critical-path attribution and
 	// the final registry snapshot of a Spec.Profile run.
@@ -84,14 +83,15 @@ type Outcome struct {
 // Env is a live run as its Setup, clients and Check see it.
 type Env struct {
 	Sys   *core.System
-	Clock vtime.Clock
+	Clock *vtime.Virtual
 	Trace *trace.Collector // nil (valid, silent) on an untraced spec
 
-	logf func(format string, args ...any)
-	stop chan struct{} // closed when the window closes or the clients return
-	aux  *vtime.Group  // the schedule actor and its armed-disk monitors
+	logf    func(format string, args ...any)
+	stopped bool         // set when the window closes or the clients return
+	aux     *vtime.Group // the schedule actor and its armed-disk monitors
 
-	mu              sync.Mutex // guards the tallies
+	// The tallies need no lock: only one of the clock's actors runs at a
+	// time.
 	commits, aborts int64
 	lats            []time.Duration
 }
@@ -132,14 +132,7 @@ func (e *Env) guard(fn func(*Env)) (err error) {
 }
 
 // Stopped reports whether the run's window has closed, without parking.
-func (e *Env) Stopped() bool {
-	select {
-	case <-e.stop:
-		return true
-	default:
-		return false
-	}
-}
+func (e *Env) Stopped() bool { return e.stopped }
 
 // Logf writes to the run's live log.
 func (e *Env) Logf(format string, args ...any) {
@@ -157,8 +150,6 @@ func (e *Env) Txn(p *core.Process, body func() error) error {
 	t0 := e.Clock.Now()
 	err := p.RunTransaction(1, body)
 	lat := e.Clock.Now().Sub(t0)
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if err != nil {
 		e.aborts++
 		return err
@@ -196,7 +187,7 @@ func Run(sc Scenario) (*Outcome, error) {
 	}
 	cl := sys.Cluster()
 	defer cl.Shutdown()
-	e := &Env{Sys: sys, Clock: cl.Clock(), Trace: Collector(sys), logf: sc.Logf, stop: make(chan struct{})}
+	e := &Env{Sys: sys, Clock: cl.Clock().(*vtime.Virtual), Trace: Collector(sys), logf: sc.Logf}
 	e.aux = vtime.NewGroup(e.Clock)
 	var before stats.Snapshot
 	if err := e.guard(func(e *Env) {
@@ -227,15 +218,14 @@ func Run(sc Scenario) (*Outcome, error) {
 	} else {
 		clients.Wait()
 	}
-	close(e.stop)
+	e.stopped = true
 	clients.Wait()
 	e.aux.Wait()
-	v, virtual := vtime.AsVirtual(e.Clock)
-	if virtual && sc.Profile && !sc.Faults {
+	if sc.Profile && !sc.Faults {
 		// A fault-free cluster runs no background timer, so the clock can
 		// run dry: let phase-two cleanup and the group-commit daemon
 		// finish, and the profile and busy fractions cover the whole run.
-		v.WaitIdle()
+		e.Clock.WaitIdle()
 	}
 	out := &Outcome{Wall: time.Since(wall), SimTime: e.Clock.Now().Sub(start)}
 	if err := errors.Join(errs...); err != nil {
@@ -248,9 +238,7 @@ func Run(sc Scenario) (*Outcome, error) {
 	}
 	out.Counters = sys.Stats().Snapshot().Sub(before)
 	out.Commits, out.Aborts, out.Latencies = e.commits, e.aborts, e.lats
-	if virtual {
-		out.SimElapsed = v.Elapsed()
-	}
+	out.SimElapsed = e.Clock.Elapsed()
 	if sc.Profile {
 		reg := sys.Stats().Registry()
 		out.Profile, out.Metrics = reg.Profiler().Report(), reg.Snapshot()
@@ -268,24 +256,15 @@ func Run(sc Scenario) (*Outcome, error) {
 // (site 0 for network-wide faults) so forensics interleave faults with
 // the transaction events they disturbed.
 func (e *Env) inject(sched Schedule, start time.Time) {
-	v, virtual := vtime.AsVirtual(e.Clock)
 	for _, f := range sched {
-		if virtual {
-			// Virtual sleeps cost no wall-clock, so sleeping past a
-			// closed window is harmless; poll stop around the jump.
-			if e.Stopped() {
-				return
-			}
-			v.SleepUntil(start.Add(f.At))
-			if e.Stopped() {
-				return
-			}
-		} else {
-			select {
-			case <-e.stop:
-				return
-			case <-time.After(time.Until(start.Add(f.At))):
-			}
+		// Virtual sleeps cost no wall-clock, so sleeping past a closed
+		// window is harmless; poll stop around the jump.
+		if e.Stopped() {
+			return
+		}
+		e.Clock.SleepUntil(start.Add(f.At))
+		if e.Stopped() {
+			return
 		}
 		e.Logf("inject +%s %s", f.At, f.String())
 		e.Trace.Site(int(f.Site)).Record(trace.CrashInject, "", f.String(), int64(f.At/time.Millisecond))
@@ -353,14 +332,11 @@ func (e *Env) apply(f Fault) {
 	case FaultLatency:
 		net.SetLatency(f.Dur)
 	case FaultDropOp:
-		var mu sync.Mutex
-		seen := map[[2]simnet.SiteID]int{}
+		seen := map[[2]simnet.SiteID]int{} // the filter runs under the network's lock
 		net.SetFaultFilter(func(from, to simnet.SiteID, op string) bool {
 			if op != f.Op {
 				return false
 			}
-			mu.Lock()
-			defer mu.Unlock()
 			seen[[2]simnet.SiteID{from, to}]++
 			return seen[[2]simnet.SiteID{from, to}]%2 == 1
 		})

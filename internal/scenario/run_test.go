@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/lockmgr"
-	"repro/internal/vtime"
 )
 
 // commitOne creates path from site 1 and commits data into it.
@@ -81,7 +80,7 @@ func TestMustFailureIsRunsError(t *testing.T) {
 		"client": {Clients: []func(*Env){func(*Env) {}, fail}},
 		"check":  {Check: func(e *Env, _ *Outcome) { fail(e) }},
 	} {
-		sc.Spec = Spec{Volumes: PerSite(1), Virtual: true}
+		sc.Spec = Spec{Volumes: PerSite(1)}
 		if _, err := Run(sc); !errors.Is(err, boom) {
 			t.Errorf("%s: Run = %v, want the Must failure", name, err)
 		}
@@ -122,10 +121,8 @@ func runTimeline(t *testing.T, spec Spec) (fired []time.Duration, out *Outcome) 
 			}
 		},
 		Check: func(e *Env, _ *Outcome) {
-			if v, ok := vtime.AsVirtual(e.Clock); ok {
-				if ready, _ := v.DebugState(); ready != 0 {
-					t.Errorf("%d actors left ready behind the caller after the join, want none", ready)
-				}
+			if ready, _ := e.Clock.DebugState(); ready != 0 {
+				t.Errorf("%d actors left ready behind the caller after the join, want none", ready)
 			}
 			if !e.Sys.Cluster().Site(1).Up() {
 				t.Error("the fault scheduled past the window was injected")
@@ -138,12 +135,12 @@ func runTimeline(t *testing.T, spec Spec) (fired []time.Duration, out *Outcome) 
 	return fired, out
 }
 
-// TestScheduleFiresAtExactSimulatedInstants: on the virtual clock every
-// timed fault fires at exactly its offset, in order; the window stops the
-// clients, drops the unfired tail and joins the schedule actor, leaving no
-// actor ready behind the caller.
+// TestScheduleFiresAtExactSimulatedInstants: every timed fault fires at
+// exactly its offset, in order; the window stops the clients, drops the
+// unfired tail and joins the schedule actor, leaving no actor ready behind
+// the caller.
 func TestScheduleFiresAtExactSimulatedInstants(t *testing.T) {
-	fired, out := runTimeline(t, Spec{Virtual: true})
+	fired, out := runTimeline(t, Spec{})
 	if len(fired) != len(timeline) {
 		t.Fatalf("fired %v, want %d injections", fired, len(timeline))
 	}
@@ -157,27 +154,13 @@ func TestScheduleFiresAtExactSimulatedInstants(t *testing.T) {
 	}
 }
 
-// TestScheduleFiresInOrderOnRealClock: on the real clock offsets are
-// lower bounds and the order is the schedule's.
-func TestScheduleFiresInOrderOnRealClock(t *testing.T) {
-	fired, _ := runTimeline(t, Spec{})
-	if len(fired) != len(timeline) {
-		t.Fatalf("fired %v, want %d injections", fired, len(timeline))
-	}
-	for i, f := range timeline {
-		if fired[i] < f.At || (i > 0 && fired[i] < fired[i-1]) {
-			t.Errorf("fault %d (%s) fired at +%s after +%v", i, f, fired[i], fired[:i])
-		}
-	}
-}
-
 // TestArmedFaultPrecedesFirstClientOperation: an armed fault is in place
 // before any client runs - here a partition the client's first open
 // already cannot cross - and after Setup, which still could.
 func TestArmedFaultPrecedesFirstClientOperation(t *testing.T) {
 	var order []string
 	_, err := Run(Scenario{
-		Spec: Spec{Volumes: PerSite(2), Virtual: true, Faults: true},
+		Spec: Spec{Volumes: PerSite(2), Faults: true},
 		Setup: func(e *Env) {
 			commitOne(e, "v2/f", "x")
 			order = append(order, "setup")
@@ -204,7 +187,7 @@ func TestArmedFaultPrecedesFirstClientOperation(t *testing.T) {
 // says both that recovery stuck and what it left behind.
 func TestStuckRecoveryIsAVerdict(t *testing.T) {
 	out, err := Run(Scenario{
-		Spec:    Spec{Volumes: PerSite(1), Virtual: true},
+		Spec:    Spec{Volumes: PerSite(1)},
 		Recover: RestartCrashed,
 		Clients: []func(*Env){func(e *Env) {
 			fl := e.Sys.Cluster().Site(1).Locks().File("v1/a", nil)

@@ -1,6 +1,6 @@
 // Package scenario is the single source from which every harness builds
-// and drives its simulated cluster.  A Spec names the topology, the clock
-// and the optional protocol layers, and Build turns it into a running
+// and drives its simulated cluster.  A Spec names the topology, the
+// latencies and the optional protocol layers, and Build turns it into a running
 // core.System; a Scenario adds the workload - setup, client functions, a
 // fault schedule, a recovery mode, a check - and Run drives it through
 // the one loop every harness shares: build, setup, clients racing the
@@ -48,7 +48,10 @@ type Layers struct {
 }
 
 // Spec describes one simulated cluster.  The zero value of every field
-// is the paper-exact behavior on the real clock.
+// is the paper-exact behavior.  Every cluster runs on its own
+// discrete-event clock, so a run replays from its seed: the latencies
+// below elapse as timestamp arithmetic, and the goroutine that calls
+// Build is the clock's first actor.
 type Spec struct {
 	// Volumes names one volume per site: Volumes[i] is mounted at site
 	// i+1.  PerSite(n) gives the "v1".."vn" layout.
@@ -56,12 +59,8 @@ type Spec struct {
 	// Seed drives the simulated network's randomness.
 	Seed int64
 
-	// Virtual runs the cluster on a discrete-event clock: the latencies
-	// below elapse as timestamp arithmetic instead of sleeps.  The
-	// goroutine that calls Build is the clock's first actor.
-	Virtual bool
-	// Disk is charged per forced disk I/O and Msg per message hop, on
-	// either clock.  At fills both from a cost model.
+	// Disk is charged per forced disk I/O and Msg per message hop.  At
+	// fills both from a cost model.
 	Disk, Msg time.Duration
 
 	// Faults prepares the cluster for injected faults: phase two runs
@@ -96,10 +95,10 @@ func PerSite(n int) []string {
 	return vols
 }
 
-// At returns the spec on the virtual clock charging the cost model's
-// latencies: one forced disk write and one message hop.
+// At returns the spec charging the cost model's latencies: one forced
+// disk write and one message hop.
 func (s Spec) At(m costmodel.Model) Spec {
-	s.Virtual, s.Disk, s.Msg = true, m.DiskWriteTime, m.MsgTime
+	s.Disk, s.Msg = m.DiskWriteTime, m.MsgTime
 	return s
 }
 
@@ -112,9 +111,7 @@ func (s Spec) config() cluster.Config {
 	cfg.Net.Seed = s.Seed
 	cfg.GroupCommitMaxDelay = s.GroupCommit
 	cfg.FastPaths = s.FastPaths
-	if s.Virtual {
-		cfg.Clock = vtime.NewVirtual()
-	}
+	cfg.Clock = vtime.NewVirtual()
 	if s.Trace {
 		cfg.Trace = trace.NewCollector(0)
 	}
@@ -127,15 +124,10 @@ func (s Spec) config() cluster.Config {
 	if s.Faults {
 		// Lost commit messages, coordinator crashes and the retry path
 		// only interleave when phase two is asynchronous.  The budgets
-		// scale with the network: a two-hop prepare at 8ms per message
-		// plus a 26ms log force outlasts the instantaneous-network
-		// budgets many times over.
-		cfg.RetryInterval, cfg.LockWaitTimeout, cfg.Net.CallTimeout = 10*time.Millisecond, 75*time.Millisecond, 60*time.Millisecond
-		leaseTTL = 50 * time.Millisecond
-		if s.Msg > 0 {
-			cfg.RetryInterval, cfg.LockWaitTimeout, cfg.Net.CallTimeout = 100*time.Millisecond, time.Second, time.Second
-			leaseTTL = 500 * time.Millisecond
-		}
+		// fit the paper's testbed: a two-hop prepare at 8ms per message
+		// plus a 26ms log force fits many times over.
+		cfg.RetryInterval, cfg.LockWaitTimeout, cfg.Net.CallTimeout = 100*time.Millisecond, time.Second, time.Second
+		leaseTTL = 500 * time.Millisecond
 	}
 	if s.Leases {
 		cfg.LockLeases, cfg.LeaseTTL = true, leaseTTL

@@ -51,7 +51,9 @@ var siteNames = func() (names [64]string) {
 }()
 
 // Handler processes one inbound request and returns a response or error.
-// Handlers run concurrently; shared state must be synchronized.
+// It runs on the caller's actor (a one-way Send's on an actor of its own),
+// so the handlers of concurrent callers interleave wherever they park on
+// the clock; shared state must be synchronized.
 type Handler func(from SiteID, req any) (any, error)
 
 // Errors returned by message operations.
@@ -139,8 +141,9 @@ type Config struct {
 	// the paper leans on temporally-unique transaction ids for exactly
 	// this (section 4.4); the chaos engine spikes DupRate to prove it.
 	DupRate float64
-	// CallTimeout bounds how long a Call waits for a response.  Zero
-	// means a generous default (2s real time).
+	// CallTimeout is how long a Call waits for a lost message before it
+	// gives up, on the network's clock.  Zero means a generous default
+	// (2s).
 	CallTimeout time.Duration
 	// Seed seeds the drop generator; zero means a fixed default so runs
 	// are reproducible.
@@ -155,12 +158,9 @@ type Config struct {
 	// RetryCap bounds the exponential CallRetry backoff.  Zero means
 	// 100ms.
 	RetryCap time.Duration
-	// Clock supplies latency waits and call timeouts.  Nil means the
-	// real-time clock (today's wall-clock behaviour).  With a virtual
-	// clock, transit latency and timeouts become simulated-time
-	// arithmetic: calls run inline on the caller with deterministic
-	// message-loss draws, and a lost message costs exactly CallTimeout
-	// of simulated time instead of a wall-clock wait.
+	// Clock supplies transit latency and call timeouts as Sleeps; nil
+	// means the real-time clock.  A call runs inline on its caller either
+	// way (see Endpoint.Call).
 	Clock vtime.Clock
 }
 
@@ -266,8 +266,8 @@ func (n *Network) Endpoint(id SiteID) *Endpoint {
 	return n.sites[id]
 }
 
-// Watch registers a callback invoked (on its own goroutine) for every
-// topology change.
+// Watch registers a callback invoked, as an actor of its own on the
+// network's clock, for every topology change.
 func (n *Network) Watch(fn func(TopologyEvent)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -544,17 +544,18 @@ func (e *Endpoint) handler(op string) (Handler, error) {
 	return h, nil
 }
 
-type callResult struct {
-	resp  any
-	err   error
-	clock uint64 // responder's Lamport send stamp, 0 when untraced
-}
-
 // Call performs a synchronous request/response exchange with the remote
 // site: one lightweight message each way.  It fails with ErrUnreachable if
 // the destination is down or partitioned away, ErrTimeout if a message was
 // lost or the handler sent no reply (ErrNoReply), and *RemoteError if the
 // remote handler returned an error.
+//
+// The exchange runs inline on the caller, on either clock: each transit
+// leg is a Sleep of the network latency on the network's clock, and the
+// handler runs between them.  A lost message costs the caller exactly
+// CallTimeout.  A timeout follows only from a lost message, ErrNoReply,
+// or an exchange that outlasted CallTimeout; in the last case the caller
+// gets the error once the handler has returned, never while it runs.
 //
 // Calling a site's own endpoint is allowed and models a local kernel
 // operation: the handler runs directly with no messages charged.
@@ -611,113 +612,16 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 	out := e.link(to)
 	out.msgs.Inc()
 
-	if v, ok := vtime.AsVirtual(n.clock); ok {
-		return e.callVirtual(v, dst, out, to, op, req, latency, timeout, dropReq, dropResp, dupReq, reqClock)
-	}
-
+	clk := n.clock
+	start := clk.Now()
 	out.inflight.Add(1)
-	done := make(chan callResult, 1)
-	go func() {
-		if latency > 0 {
-			n.clock.Sleep(latency)
-		}
-		out.inflight.Add(-1)
-		n.transitNS.Add(latency.Nanoseconds())
-		if dropReq {
-			return // request lost; caller times out
-		}
-		// Re-check reachability at delivery time: a partition or crash
-		// that happened in flight loses the message.
-		if !n.Reachable(e.id, to) {
-			return
-		}
-		h, err := dst.handler(op)
-		if err != nil {
-			done <- callResult{err: err}
-			return
-		}
-		n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
-		dst.tr.Load().MsgRecv(op, "", reqClock)
-		resp, herr := h(e.id, req)
-		if dupReq && n.Reachable(e.id, to) {
-			// Duplicate delivery: the handler runs a second time with
-			// the same payload; only the first response is returned.
-			// Handlers must be idempotent (section 4.4).  The duplicate
-			// is a distinct in-flight message, so it pays the same
-			// delivery-time reachability check as the original - a
-			// partition raised by the first invocation drops it.
-			n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
-			dst.tr.Load().MsgRecv(op, "", reqClock)
-			h(e.id, req) //nolint:errcheck // duplicate's result discarded
-		}
-		if herr == ErrNoReply {
-			return
-		}
-
-		// Response leg.
-		n.st.Inc(stats.MsgsSent)
-		n.st.Add(stats.BytesSent, int64(payloadSize(resp)))
-		n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
-		respClock := dst.sendResp(op, e.id)
-		back := dst.link(e.id)
-		back.msgs.Inc()
-		respFlight := back.inflight
-		respFlight.Add(1)
-		if latency > 0 {
-			n.clock.Sleep(latency)
-		}
-		respFlight.Add(-1)
-		n.transitNS.Add(latency.Nanoseconds())
-		if dropResp || !n.Reachable(to, e.id) {
-			return
-		}
-		if herr != nil {
-			done <- callResult{err: &RemoteError{Op: op, Site: to, Err: herr}, clock: respClock}
-			return
-		}
-		done <- callResult{resp: resp, clock: respClock}
-	}()
-
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case r := <-done:
-		if r.clock != 0 {
-			e.tr.Load().MsgRecv(op+":resp", "", r.clock)
-		}
-		return r.resp, r.err
-	case <-t.C:
-		return nil, fmt.Errorf("%w: %s -> %s (%s)", ErrTimeout, e.id, to, op)
-	}
-}
-
-// callVirtual is the discrete-event form of Call: the whole exchange
-// runs inline on the caller's goroutine with transit latency charged as
-// virtual Sleep, so no delivery goroutine or timer exists.  The fault
-// draws were already taken (in the same order as the real path, so a
-// seed behaves identically in both modes).  A lost message costs the
-// caller exactly the remainder of its timeout in simulated time.  One
-// deliberate divergence from the real path: the timeout fires only on
-// message loss or in-flight unreachability, never merely because the
-// handler was slow - the caller observes the handler's simulated
-// duration instead.
-func (e *Endpoint) callVirtual(v *vtime.Virtual, dst *Endpoint, out *linkStats, to SiteID, op string, req any,
-	latency, timeout time.Duration, dropReq, dropResp, dupReq bool, reqClock uint64) (any, error) {
-	n := e.net
-	start := v.Now()
-	lost := func() (any, error) {
-		if rem := timeout - v.Now().Sub(start); rem > 0 {
-			v.Sleep(rem)
-		}
-		return nil, fmt.Errorf("%w: %s -> %s (%s)", ErrTimeout, e.id, to, op)
-	}
-
-	out.inflight.Add(1)
-	v.Sleep(latency)
+	clk.Sleep(latency)
 	out.inflight.Add(-1)
 	n.transitNS.Add(latency.Nanoseconds())
+	// Reachability is re-checked at delivery: a partition or crash that
+	// happened in flight loses the message.
 	if dropReq || !n.Reachable(e.id, to) {
-		return lost()
+		return nil, e.timedOut(start, timeout, to, op)
 	}
 	h, err := dst.handler(op)
 	if err != nil {
@@ -727,12 +631,17 @@ func (e *Endpoint) callVirtual(v *vtime.Virtual, dst *Endpoint, out *linkStats, 
 	dst.tr.Load().MsgRecv(op, "", reqClock)
 	resp, herr := h(e.id, req)
 	if dupReq && n.Reachable(e.id, to) {
+		// Duplicate delivery: the handler runs a second time with the same
+		// payload; only the first response is returned.  Handlers must be
+		// idempotent (section 4.4).  The duplicate is a distinct in-flight
+		// message, so it pays the same delivery-time reachability check as
+		// the original - a partition raised by the first invocation drops it.
 		n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
 		dst.tr.Load().MsgRecv(op, "", reqClock)
 		h(e.id, req) //nolint:errcheck // duplicate's result discarded
 	}
 	if herr == ErrNoReply {
-		return lost()
+		return nil, e.timedOut(start, timeout, to, op)
 	}
 
 	// Response leg.
@@ -742,18 +651,13 @@ func (e *Endpoint) callVirtual(v *vtime.Virtual, dst *Endpoint, out *linkStats, 
 	respClock := dst.sendResp(op, e.id)
 	back := dst.link(e.id)
 	back.msgs.Inc()
-	respFlight := back.inflight
-	respFlight.Add(1)
-	v.Sleep(latency)
-	respFlight.Add(-1)
+	back.inflight.Add(1)
+	clk.Sleep(latency)
+	back.inflight.Add(-1)
 	n.transitNS.Add(latency.Nanoseconds())
-	if dropResp || !n.Reachable(to, e.id) {
-		return lost()
-	}
-	if v.Now().Sub(start) >= timeout && timeout > 0 {
-		// The response exists but arrived after the caller gave up -
-		// same outcome as the real path's raced timer.
-		return nil, fmt.Errorf("%w: %s -> %s (%s)", ErrTimeout, e.id, to, op)
+	if dropResp || !n.Reachable(to, e.id) || clk.Now().Sub(start) >= timeout {
+		// Lost, or the response arrived after the caller gave up.
+		return nil, e.timedOut(start, timeout, to, op)
 	}
 	if respClock != 0 {
 		e.tr.Load().MsgRecv(op+":resp", "", respClock)
@@ -762,6 +666,16 @@ func (e *Endpoint) callVirtual(v *vtime.Virtual, dst *Endpoint, out *linkStats, 
 		return nil, &RemoteError{Op: op, Site: to, Err: herr}
 	}
 	return resp, nil
+}
+
+// timedOut is the caller's side of a lost exchange begun at start: it
+// waits out what is left of the timeout, then gives up.
+func (e *Endpoint) timedOut(start time.Time, timeout time.Duration, to SiteID, op string) error {
+	clk := e.net.clock
+	if rem := timeout - clk.Now().Sub(start); rem > 0 {
+		clk.Sleep(rem)
+	}
+	return fmt.Errorf("%w: %s -> %s (%s)", ErrTimeout, e.id, to, op)
 }
 
 // backoffFor returns the pause before retry attempt (0-based) of the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/vtime"
 )
 
 func pairNet(t *testing.T, cfg Config, st *stats.Set) (*Network, *Endpoint, *Endpoint) {
@@ -514,10 +515,103 @@ func TestFaultFilterDropsMatchingOps(t *testing.T) {
 	}
 }
 
+// TestOneCallRuleOnBothClocks pins Call's single semantics: on the real and
+// the virtual clock alike, each way an exchange can go wrong gives the same
+// error and charges the same RPCs, messages and transit time, and a handler
+// slower than CallTimeout times its caller out only once it has returned.
+func TestOneCallRuleOnBothClocks(t *testing.T) {
+	const latency, timeout = 2 * time.Millisecond, 40 * time.Millisecond
+	cases := []struct {
+		name    string
+		dup     bool
+		filter  FaultFilter
+		handler func(clk vtime.Clock) (any, error)
+		wantErr error // nil: the first invocation's "ok"
+		// Messages sent, transit legs charged and handler invocations.
+		msgs, legs, runs int64
+	}{
+		{name: "request lost", filter: func(from, _ SiteID, _ string) bool { return from == 1 },
+			wantErr: ErrTimeout, msgs: 1, legs: 1, runs: 0},
+		{name: "reply lost", filter: func(from, _ SiteID, _ string) bool { return from == 2 },
+			wantErr: ErrTimeout, msgs: 2, legs: 2, runs: 1},
+		{name: "no reply", handler: func(vtime.Clock) (any, error) { return nil, ErrNoReply },
+			wantErr: ErrTimeout, msgs: 1, legs: 1, runs: 1},
+		{name: "handler slower than the timeout", handler: func(clk vtime.Clock) (any, error) {
+			clk.Sleep(2 * timeout)
+			return "ok", nil
+		}, wantErr: ErrTimeout, msgs: 2, legs: 2, runs: 1},
+		{name: "duplicate delivery", dup: true, msgs: 2, legs: 2, runs: 2},
+	}
+	clocks := []struct {
+		name string
+		clk  func() vtime.Clock
+	}{
+		{"real", vtime.Real},
+		{"virtual", func() vtime.Clock { return vtime.NewVirtual() }},
+	}
+	for _, tc := range cases {
+		for _, c := range clocks {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				clk := c.clk()
+				cfg := Config{Latency: latency, CallTimeout: timeout, Clock: clk}
+				if tc.dup {
+					cfg.DupRate = 1
+				}
+				st := stats.NewSet()
+				n, a, b := pairNet(t, cfg, st)
+				n.SetFaultFilter(tc.filter)
+				var runs, returned int64
+				b.Handle("op", func(SiteID, any) (any, error) {
+					defer func() { returned++ }()
+					if runs++; runs == 1 && tc.handler != nil {
+						return tc.handler(clk)
+					}
+					return "ok", nil
+				})
+				start := clk.Now()
+				resp, err := a.Call(2, "op", nil)
+				elapsed := clk.Now().Sub(start)
+				if tc.wantErr == nil && (err != nil || resp != "ok") {
+					t.Fatalf("Call = %v, %v; want the first invocation's ok", resp, err)
+				}
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("Call err = %v, want %v", err, tc.wantErr)
+				}
+				if tc.wantErr != nil && elapsed < timeout {
+					t.Errorf("gave up after %v, before the %v timeout", elapsed, timeout)
+				}
+				if returned != runs {
+					t.Errorf("Call returned with %d of %d handler invocations still running", runs-returned, runs)
+				}
+				got := [...]int64{st.Get(stats.RPCs), st.Get(stats.MsgsSent), st.Registry().Counter("net_transit_ns").Get(), runs}
+				if want := [...]int64{1, tc.msgs, tc.legs * latency.Nanoseconds(), tc.runs}; got != want {
+					t.Errorf("RPCs, MsgsSent, net_transit_ns, handler runs = %v, want %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// A remote Call on the virtual clock allocates nothing: the exchange is
+// straight-line code on the caller's stack.
+func TestVirtualCallAllocatesNothing(t *testing.T) {
+	_, a, b := pairNet(t, Config{Latency: time.Millisecond, Clock: vtime.NewVirtual()}, stats.NewSet())
+	b.Handle("echo", func(_ SiteID, req any) (any, error) { return req, nil })
+	call := func() {
+		if _, err := a.Call(2, "echo", 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // the first call creates the link handles
+	if got := testing.AllocsPerRun(200, call); got != 0 {
+		t.Errorf("%v allocations per remote call, want 0", got)
+	}
+}
+
 func TestBackoffJitterDeterministicPerCall(t *testing.T) {
 	// The retry pause is a pure function of (seed, from, to, op, attempt):
 	// same-seed runs reproduce it exactly no matter how goroutines
-	// interleave, which the -vtime byte-identical trace check relies on.
+	// interleave, which the byte-identical trace check relies on.
 	cfg := Config{Seed: 99, RetryBase: 2 * time.Millisecond, RetryCap: 100 * time.Millisecond}
 	n1, _, _ := pairNet(t, cfg, nil)
 	n2, _, _ := pairNet(t, cfg, nil)
