@@ -27,10 +27,11 @@ const (
 	tableRows = 64
 )
 
-// DB is a fixed-slot record store over one Locus file.  Every method is
-// internally transactional; record locks give fine-grain concurrency, so
-// two clients updating different rows - even rows on the same data page -
-// proceed in parallel.
+// DB is a fixed-slot record store over one Locus file: a key lives in its
+// home slot or, probing forward, the first free one after it.  Every
+// method is internally transactional; record locks give fine-grain
+// concurrency, so two clients updating different rows - even rows on the
+// same data page - proceed in parallel.
 type DB struct {
 	p *core.Process
 	f *core.File
@@ -64,7 +65,7 @@ func (db *DB) Put(key uint64, val string) error {
 	if _, err := db.p.BeginTrans(); err != nil {
 		return err
 	}
-	slot, existing, err := db.findSlot(key)
+	slot, _, err := db.findSlot(key, core.Exclusive)
 	if err != nil {
 		db.p.AbortTrans() //nolint:errcheck
 		return err
@@ -76,11 +77,6 @@ func (db *DB) Put(key uint64, val string) error {
 	row := make([]byte, rowBytes)
 	binary.BigEndian.PutUint64(row, key)
 	copy(row[keyBytes:], val)
-	_ = existing
-	if err := db.f.LockRange(slotOff(slot), rowBytes, core.Exclusive); err != nil {
-		db.p.AbortTrans() //nolint:errcheck
-		return err
-	}
 	if _, err := db.f.WriteAt(row, slotOff(slot)); err != nil {
 		db.p.AbortTrans() //nolint:errcheck
 		return err
@@ -93,7 +89,7 @@ func (db *DB) Get(key uint64) (string, bool, error) {
 	if _, err := db.p.BeginTrans(); err != nil {
 		return "", false, err
 	}
-	slot, found, err := db.findSlot(key)
+	slot, found, err := db.findSlot(key, core.Shared)
 	if err != nil || !found {
 		endErr := db.p.EndTrans()
 		if err == nil {
@@ -117,24 +113,29 @@ func (db *DB) Get(key uint64) (string, bool, error) {
 	return string(val[:end]), true, nil
 }
 
-// findSlot scans for key (or the first empty slot).  The scan takes
-// shared locks implicitly through the transactional reads.
-func (db *DB) findSlot(key uint64) (slot int, found bool, err error) {
-	firstEmpty := -1
+// findSlot probes from key's home slot for key, or for the first empty
+// slot (rows are never deleted, so an empty slot ends the probe); -1 means
+// the table is full.  Each slot is locked in mode before it is read: two
+// writers that both read an empty slot under shared locks would each wait
+// forever to upgrade it under the other's.
+func (db *DB) findSlot(key uint64, mode core.Mode) (slot int, found bool, err error) {
 	row := make([]byte, rowBytes)
-	for s := 0; s < tableRows; s++ {
+	for i := 0; i < tableRows; i++ {
+		s := int((key + uint64(i)) % tableRows)
+		if err := db.f.LockRange(slotOff(s), rowBytes, mode); err != nil {
+			return -1, false, err
+		}
 		if _, err := db.f.ReadAt(row, slotOff(s)); err != nil {
 			return -1, false, err
 		}
-		k := binary.BigEndian.Uint64(row)
-		if k == key {
+		switch binary.BigEndian.Uint64(row) {
+		case key:
 			return s, true, nil
-		}
-		if k == 0 && firstEmpty < 0 {
-			firstEmpty = s
+		case 0:
+			return s, false, nil
 		}
 	}
-	return firstEmpty, false, nil
+	return -1, false, nil
 }
 
 // ---- the application composing the subsystem ----

@@ -461,15 +461,17 @@ type openFile struct {
 }
 
 // preparedTxn is a participant site's memory of a prepared transaction,
-// mirrored in the prepare log for crash recovery.
+// mirrored in the prepare log for crash recovery.  A prepare copies its
+// file list into fileBuf, up to its size.
 type preparedTxn struct {
 	coord   simnet.SiteID
 	fileIDs []string
+	fileBuf [1]string
+	records []tpc.PrepareRecord
 	// recovered marks a prepared transaction rediscovered from the
 	// prepare log after a crash: its in-memory working state is gone, so
 	// the outcome is applied from the logged intentions in records.
 	recovered bool
-	records   []tpc.PrepareRecord
 	// applying marks an outcome delivery in progress.  The entry stays in
 	// the table until the outcome is fully applied, so a failed apply is
 	// retried by the coordinator instead of being acknowledged as a

@@ -598,7 +598,7 @@ func TestForkMigrateMergeFileList(t *testing.T) {
 	if err := s2.ExitProc(child); err != nil {
 		t.Fatal(err)
 	}
-	fl, err := s2.Procs().FileList(parent)
+	fl, err := s2.Procs().FileList(nil, parent)
 	if err != nil {
 		t.Fatal(err)
 	}

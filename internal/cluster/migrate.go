@@ -197,7 +197,7 @@ func (s *Site) ExitProc(pid int) error {
 		return err
 	}
 	if p.TxnID != "" && !p.TopLevel && p.TopPID != 0 {
-		files, err := s.Procs().FileList(pid)
+		files, err := s.Procs().FileList(nil, pid)
 		if err != nil {
 			return err
 		}

@@ -269,10 +269,9 @@ func (k *incarnation) prepare(req prepareReq) (tpc.Vote, error) {
 	if err != nil {
 		return tpc.VoteCommit, err
 	}
-	k.setPrepared(req.Txid, &preparedTxn{
-		coord:   req.Coord,
-		fileIDs: append([]string(nil), req.FileIDs...),
-	})
+	pt := &preparedTxn{coord: req.Coord}
+	pt.fileIDs = append(pt.fileBuf[:0], req.FileIDs...)
+	k.setPrepared(req.Txid, pt)
 	return tpc.VoteCommit, nil
 }
 
@@ -304,12 +303,8 @@ func (k *incarnation) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
 	// Register the prepared entry (applying: an outcome delivery is
 	// already in progress - a racing abort must be refused, not
 	// interleaved) before the force that is the commit point.
-	pt := &preparedTxn{
-		coord:    req.Coord,
-		fileIDs:  append([]string(nil), req.FileIDs...),
-		onePhase: true,
-		applying: true,
-	}
+	pt := &preparedTxn{coord: req.Coord, onePhase: true, applying: true}
+	pt.fileIDs = append(pt.fileBuf[:0], req.FileIDs...)
 	k.setPrepared(req.Txid, pt)
 	err = k.writePrepareRecords(req, sc.preps, k.prepareRecordCount(sc.preps))
 	if err != nil {

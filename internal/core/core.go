@@ -84,12 +84,15 @@ type System struct {
 	detector *wfg.Detector
 }
 
-// txnState is the coordinator-side view of one live transaction.
+// txnState is the requester's record of one live transaction, the
+// coordinator-side view, with room for its sites and its commit file list.
 type txnState struct {
-	txid    string
-	topPID  int
-	topSite simnet.SiteID
-	sites   []simnet.SiteID // sites known to be involved, in the order they joined
+	txid string
+	// sites known to be involved, in the order they joined: the top-level
+	// process's first, in siteBuf[0] (written once: read it without sys.mu).
+	sites   []simnet.SiteID
+	siteBuf [4]simnet.SiteID
+	files   [2]proc.FileRef // EndTrans's file list, up to its size
 	aborted bool
 	// committing marks that the transaction has been handed to the
 	// two-phase commit coordinator.  From that moment only the protocol
@@ -181,9 +184,9 @@ func (sys *System) abortTxn(ts *txnState) {
 	sys.mu.Unlock()
 
 	// Drive the abort from any live site - preferably the top-level
-	// process's current site.
+	// process's site.
 	var origin *cluster.Site
-	if s := sys.cl.Site(ts.topSite); s != nil && s.Up() {
+	if s := sys.cl.Site(ts.siteBuf[0]); s != nil && s.Up() {
 		origin = s
 	} else {
 		for _, id := range sys.cl.Sites() {
@@ -362,11 +365,10 @@ func (p *Process) BeginTrans() (int, error) {
 	if err := p.kernel().Procs().SetTop(p.pid, p.pid, p.site); err != nil {
 		return 0, err
 	}
+	ts := &txnState{txid: txid}
+	ts.sites = append(ts.siteBuf[:0], p.site)
 	p.sys.mu.Lock()
-	p.sys.active[txid] = &txnState{
-		txid: txid, topPID: p.pid, topSite: p.site,
-		sites: append(make([]simnet.SiteID, 0, 4), p.site), // room for a few sites without regrowth
-	}
+	p.sys.active[txid] = ts
 	p.sys.mu.Unlock()
 	p.sys.prof().TxnBegin(txid, p.sys.cl.Clock().Now())
 	p.kernel().Tracer().Record(trace.TxnBegin, txid, "", int64(p.pid))
@@ -406,7 +408,11 @@ func (p *Process) EndTrans() error {
 	}
 
 	// Commit time: this site coordinates.
-	files, err := p.kernel().Procs().FileList(p.pid)
+	var buf []proc.FileRef
+	if ts != nil {
+		buf = ts.files[:0]
+	}
+	files, err := p.kernel().Procs().FileList(buf, p.pid)
 	if err != nil {
 		return err
 	}

@@ -96,9 +96,10 @@ type LogStore struct {
 	// mu is clock-aware because it is held across forced disk writes:
 	// under a virtual clock a contender must park idly or time would
 	// freeze while the holder waits out its force.
-	mu    vtime.Mutex
-	slots map[string][]int // key -> pages (header first)
-	free  []int            // free log pages, ascending
+	mu     vtime.Mutex
+	slots  map[string][]int // key -> pages (header first)
+	free   []int            // free log pages, ascending
+	single [][1]int         // by header page: a one-page record's pages (slotLocked)
 
 	// The operation in flight: its write list, and in bufs[:used] the
 	// header and continuation images the list names.  The store owns
@@ -123,6 +124,7 @@ func (l *LogStore) setClock(c vtime.Clock) {
 
 func newLogStore(v *Volume) *LogStore {
 	l := &LogStore{v: v, slots: make(map[string][]int), zero: make([]byte, v.geo.PageSize)}
+	l.single = make([][1]int, v.geo.LogPages)
 	for p := v.geo.LogStart; p < v.geo.LogStart+v.geo.LogPages; p++ {
 		l.free = append(l.free, p)
 	}
@@ -249,6 +251,15 @@ func (l *LogStore) takeFreeLocked(dst []int, n int) []int {
 	return dst
 }
 
+// slotLocked returns an empty page list for a need-page record headed at
+// page p: for one page, the store's own, so such a record allocates none.
+func (l *LogStore) slotLocked(p, need int) []int {
+	if need == 1 {
+		return l.single[p-l.v.geo.LogStart][:0]
+	}
+	return make([]int, 0, need)
+}
+
 // releaseLocked returns pages to the free list, keeping it ascending.
 func (l *LogStore) releaseLocked(pages []int) {
 	for _, p := range pages {
@@ -308,7 +319,7 @@ func (l *LogStore) applyPutLocked(key string, kind LogKind, payload []byte) (fre
 		if len(l.free) < need {
 			return false, fmt.Errorf("%w: need %d pages, %d free", ErrLogFull, need, len(l.free))
 		}
-		pages = l.takeFreeLocked(make([]int, 0, need), need)
+		pages = l.takeFreeLocked(l.slotLocked(l.free[0], need), need)
 	} else {
 		header, oldCont := pages[0], pages[1:]
 		if len(l.free) < need-1 {
@@ -317,7 +328,7 @@ func (l *LogStore) applyPutLocked(key string, kind LogKind, payload []byte) (fre
 		// Allocate the new continuation pages before releasing the old
 		// ones, so the new record cannot land on pages the old record
 		// still needs if the flush tears before the header swap.
-		pages = l.takeFreeLocked(append(make([]int, 0, need), header), need-1)
+		pages = l.takeFreeLocked(append(l.slotLocked(header, need), header), need-1)
 		l.releaseLocked(oldCont)
 	}
 

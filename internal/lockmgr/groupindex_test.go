@@ -256,3 +256,52 @@ func TestGroupIndexConcurrentMembers(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupIndexOneFileEntry: a group on one file is indexed as that
+// list's own one-element array, so it costs no allocation; a second file
+// moves it to a slice of its own, and losing one of the two files moves it
+// back to the survivor's array, without editing what a reader fetched
+// before; release then visits and clears the right list.
+func TestGroupIndexOneFileEntry(t *testing.T) {
+	m := NewManager(stats.NewSet())
+	fa, fb := m.File("v/a", nil), m.File("v/b", nil)
+	g := txnA.Group()
+	isAlone := func(fl *FileLocks) bool {
+		files := m.groupFiles(g)
+		return len(files) == 1 && &files[0] == &fl.alone[0]
+	}
+
+	mustLock(t, fa, txnA, ModeExclusive, 0, 10)
+	if !isAlone(fa) {
+		t.Fatalf("a one-file group is indexed as %v, not the list's own array", m.GroupFileIDs(g))
+	}
+	mustLock(t, fb, txnA, ModeShared, 0, 10)
+	if ids := m.GroupFileIDs(g); len(ids) != 2 || ids[0] != "v/a" || ids[1] != "v/b" {
+		t.Fatalf("two-file group indexed as %v", ids)
+	}
+	fetched := m.groupFiles(g)
+	if fa.alone[0] != fa || len(fa.alone) != 1 {
+		t.Fatal("growing the group wrote into the first list's array")
+	}
+
+	fa.ReleaseGroup(g)
+	if !isAlone(fb) {
+		t.Fatalf("back to one file, the group is indexed as %v, not the survivor's array", m.GroupFileIDs(g))
+	}
+	if len(fetched) != 2 || fetched[0] != fa || fetched[1] != fb {
+		t.Fatal("a slice a reader fetched was edited in place")
+	}
+	if gs := m.GroupSummary(g); gs.Entries != 1 || gs.MaxMode != ModeShared {
+		t.Fatalf("summary after the first file left: %+v", gs)
+	}
+	if visited := m.ReleaseGroup(g); len(visited) != 1 || visited[0] != fb {
+		t.Fatalf("ReleaseGroup visited %d lists, want just v/b", len(visited))
+	}
+	if indexSize(m) != 0 || fb.Held(true) {
+		t.Fatalf("after release: %d groups indexed, v/b held: %v", indexSize(m), fb.Held(true))
+	}
+
+	if got := testing.AllocsPerRun(100, func() { m.index(g, fa); m.unindex(g, fa) }); got != 0 {
+		t.Errorf("indexing a one-file group: %v allocations, want 0", got)
+	}
+}

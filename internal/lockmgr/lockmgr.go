@@ -236,6 +236,9 @@ type FileLocks struct {
 	// mgr is the table whose group index this list reports to; nil for a
 	// stand-alone list and after Drop.  Guarded by mu.
 	mgr *Manager
+	// alone (written once) is the group index's entry for a group on this
+	// file alone, so such a group costs no slice of its own.
+	alone [1]*FileLocks
 }
 
 // NewFileLocks creates a lock list for the file.  sizeFn supplies the
@@ -245,11 +248,13 @@ func NewFileLocks(id string, sizeFn func() int64, st *stats.Set) *FileLocks {
 		sizeFn = func() int64 { return 0 }
 	}
 	reg := st.Registry()
-	return &FileLocks{
+	fl := &FileLocks{
 		id: id, sizeFn: sizeFn, st: st, clk: vtime.Real(),
 		qdepth: reg.Gauge("lock_queue_depth"),
 		waitNS: reg.Histogram("lock_wait_ns", telemetry.DurationBuckets()),
 	}
+	fl.alone[0] = fl
+	return fl
 }
 
 // ID returns the file's identifier.
@@ -1014,7 +1019,11 @@ func (m *Manager) index(group string, fl *FileLocks) {
 			return
 		}
 	}
-	m.groups[group] = append(files, fl)
+	if len(files) == 0 {
+		m.groups[group] = fl.alone[:]
+		return
+	}
+	m.groups[group] = append(files, fl) // alone has no room: never appended in place
 }
 
 // unindex removes fl from the group's lock lists, dropping an emptied key.
@@ -1029,9 +1038,12 @@ func (m *Manager) unindex(group string, fl *FileLocks) {
 		if f != fl {
 			continue
 		}
-		if len(files) == 1 {
+		switch len(files) {
+		case 1:
 			delete(m.groups, group)
-		} else {
+		case 2:
+			m.groups[group] = files[1-i].alone[:]
+		default:
 			rest := make([]*FileLocks, 0, len(files)-1)
 			m.groups[group] = append(append(rest, files[:i]...), files[i+1:]...)
 		}

@@ -292,20 +292,21 @@ func (t *Table) AddFile(pid int, ref FileRef) error {
 	return nil
 }
 
-// FileList returns a copy of the process's file-list, sorted by file ID.
-func (t *Table) FileList(pid int) ([]FileRef, error) {
+// FileList appends a copy of the process's file-list, sorted by file ID,
+// to dst and returns the extended slice.
+func (t *Table) FileList(dst []FileRef, pid int) ([]FileRef, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p, ok := t.procs[pid]
 	if !ok {
-		return nil, fmt.Errorf("%w: pid %d", ErrNotResident, pid)
+		return dst, fmt.Errorf("%w: pid %d", ErrNotResident, pid)
 	}
-	out := make([]FileRef, 0, len(p.FileList))
+	n := len(dst)
 	for _, r := range p.FileList {
-		out = append(out, r)
+		dst = append(dst, r)
 	}
-	slices.SortFunc(out, func(a, b FileRef) int { return strings.Compare(a.FileID, b.FileID) })
-	return out, nil
+	slices.SortFunc(dst[n:], func(a, b FileRef) int { return strings.Compare(a.FileID, b.FileID) })
+	return dst, nil
 }
 
 // MergeFileList merges a completed child's file-list into the resident

@@ -99,7 +99,7 @@ func TestFileListOps(t *testing.T) {
 	if err := tb.AddFile(1, FileRef{FileID: "v0/f1", StorageSite: 2}); err != nil {
 		t.Fatal(err)
 	}
-	fl, err := tb.FileList(1)
+	fl, err := tb.FileList(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFileListOps(t *testing.T) {
 	if err := tb.AddFile(99, FileRef{}); !errors.Is(err, ErrNotResident) {
 		t.Fatalf("AddFile absent: %v", err)
 	}
-	if _, err := tb.FileList(99); !errors.Is(err, ErrNotResident) {
+	if _, err := tb.FileList(nil, 99); !errors.Is(err, ErrNotResident) {
 		t.Fatalf("FileList absent: %v", err)
 	}
 }
@@ -126,7 +126,7 @@ func TestMergeFileList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, _ := tb.FileList(1)
+	fl, _ := tb.FileList(nil, 1)
 	if len(fl) != 2 {
 		t.Fatalf("merged list = %+v", fl)
 	}
@@ -190,7 +190,7 @@ func TestMigrationLifecycle(t *testing.T) {
 		t.Fatal("still in transit after adoption")
 	}
 	// File-list traveled with the process.
-	fl, _ := dst.FileList(7)
+	fl, _ := dst.FileList(nil, 7)
 	if len(fl) != 1 || fl[0].FileID != "f" {
 		t.Fatalf("file list after migration = %+v", fl)
 	}

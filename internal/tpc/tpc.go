@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -282,13 +281,22 @@ type Config struct {
 	Clock vtime.Clock
 }
 
-// pendingTxn tracks a live transaction: undecided (status is
-// StatusUnknown while votes are collected), or decided with its outcome
-// not yet delivered and acknowledged everywhere.
+// pendingTxn is the coordinator's one record of a live transaction:
+// undecided (status is StatusUnknown while votes are collected), or
+// decided with its outcome not yet delivered and acknowledged everywhere.
+// It is its fan-outs' argument, sized for one or two files at one site,
+// and never reused: a pass may still hold it after finish forgets it.
 type pendingTxn struct {
-	status  Status
-	key     string        // its coordinator log record's key, for finish to reclaim; "" when none is written
-	unacked []participant // ascending by site
+	c      *Coordinator
+	txid   string
+	key    string // its coordinator log record's key, for finish to reclaim; "" when none is written
+	status Status
+	// parts is every participant site, ascending.  Once the transaction is
+	// decided it is the prefix phase two must still reach (the unacked
+	// sites, still ascending), and each pass trims it under c.mu.
+	parts   []participant
+	partBuf [1]participant
+	idBuf   [2]string
 }
 
 // Coordinator runs two-phase commit for transactions whose top-level
@@ -374,19 +382,20 @@ type participant struct {
 	err   error
 }
 
-// participants groups the file list by storage site, ascending by site:
-// the order every per-site trace event and bookkeeping step follows, so a
-// fixed-seed run's event sequence does not depend on goroutine scheduling.
-// The sites' file lists share one array.
-func participants(files []proc.FileRef) []participant {
-	parts := make([]participant, 0, len(files)) // at most a site per file
+// newPending makes txid's record, grouping the file list by storage site,
+// ascending by site: the order every per-site trace event and bookkeeping
+// step follows, so a fixed-seed run's event sequence does not depend on
+// goroutine scheduling.  The sites' file lists share one array.
+func (c *Coordinator) newPending(txid string, files []proc.FileRef) *pendingTxn {
+	pt := &pendingTxn{c: c, txid: txid}
+	parts := pt.partBuf[:0]
 	for i, f := range files {
 		if !slices.ContainsFunc(files[:i], func(g proc.FileRef) bool { return g.StorageSite == f.StorageSite }) {
 			parts = append(parts, participant{site: f.StorageSite})
 		}
 	}
 	slices.SortFunc(parts, func(a, b participant) int { return int(a.site) - int(b.site) })
-	ids := make([]string, 0, len(files))
+	ids := slices.Grow(pt.idBuf[:0], len(files))
 	for i := range parts {
 		start := len(ids)
 		for _, f := range files {
@@ -397,7 +406,8 @@ func participants(files []proc.FileRef) []participant {
 		parts[i].files = ids[start:len(ids):len(ids)]
 		slices.Sort(parts[i].files)
 	}
-	return parts
+	pt.parts = parts
+	return pt
 }
 
 // logStatus writes the transaction's coordinator record with the given
@@ -415,7 +425,8 @@ func (c *Coordinator) logStatus(key string, rec *CoordRecord, st Status) error {
 // SyncPhase2, once phase two has fully completed).  A prepare failure
 // aborts the transaction everywhere and returns ErrPrepareFailed.
 func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error {
-	parts := participants(files)
+	pt := c.newPending(txid, files)
+	parts := pt.parts
 	// One-phase fast path: a single participant site stores every file,
 	// so the commit point can be delegated to that site's prepare-record
 	// force and the coordinator log skipped entirely.
@@ -425,14 +436,13 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrTxnExists, txid)
 	}
-	pt := &pendingTxn{}
 	if !onePhase {
 		pt.key = coordKey(txid)
 	}
 	c.pending[txid] = pt
 	c.mu.Unlock()
 	if onePhase {
-		return c.commitOnePhase(txid, pt, parts)
+		return c.commitOnePhase(pt)
 	}
 
 	// Step 1: coordinator log, status unknown.
@@ -443,7 +453,7 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		// contacted, but they already hold the transaction's retained
 		// locks and uncommitted modifications from its data operations:
 		// the abort must be distributed now or those leak forever.
-		c.abort(txid, pt, parts)
+		c.abort(pt, len(parts))
 		return err
 	}
 
@@ -454,10 +464,7 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		c.trc.Record(trace.PrepareSent, txid, p.site.String(), int64(len(p.files)))
 	}
 	prepT0 := c.clk.Now()
-	vtime.Fan(c.clk, len(parts), func(i int) {
-		p := &parts[i]
-		p.vote, p.err = c.tr.SendPrepare(p.site, txid, p.files, c.site)
-	})
+	vtime.Fan(c.clk, len(parts), pt, sendPrepare)
 	c.prof().Window(txid, telemetry.WinPrepare, c.clk.Now().Sub(prepT0))
 	// Read-only voters released their locks at prepare time and hold no
 	// prepare records: they drop out of the protocol here, receiving
@@ -482,7 +489,6 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		}
 		c.trc.Record(trace.Voted, txid, p.site.String(), yes)
 	}
-	p2parts := parts[:n2]
 	if prepErr != nil {
 		// Abort: flip the marker, tell everyone, clean up.  If the
 		// marker write fails the record still reads StatusUnknown -
@@ -492,7 +498,7 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 		// and retained locks forever.
 		rec.Status = StatusAborted
 		markErr := putCoordRecord(c.vol, pt.key, &rec)
-		c.abort(txid, pt, p2parts)
+		c.abort(pt, n2)
 		return errors.Join(prepErr, markErr)
 	}
 
@@ -502,18 +508,18 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 	// reclaimed.  Recovery stays sound: a crash before this point leaves
 	// a StatusUnknown record that resolves to abort, which no participant
 	// can contradict because none holds any transaction state.
-	if len(p2parts) == 0 {
-		c.decided(txid, pt, StatusCommitted, parts, nil, 0)
+	if n2 == 0 {
+		c.decided(pt, StatusCommitted, 0, 0)
 		return nil
 	}
 
 	// Step 3: the commit point - one in-place status flip.
 	if err := c.logStatus(pt.key, &rec, StatusCommitted); err != nil {
 		// The outcome is undecided on disk; treat as abort.
-		c.abort(txid, pt, p2parts)
+		c.abort(pt, n2)
 		return err
 	}
-	c.decided(txid, pt, StatusCommitted, parts, slices.Clone(p2parts), len(p2parts))
+	c.decided(pt, StatusCommitted, n2, n2)
 
 	// Step 4: phase two.  The window is measured only when the
 	// coordinator drives it synchronously: an asynchronous phase two is
@@ -521,12 +527,19 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 	// its latency.
 	if c.cfg.SyncPhase2 {
 		p2T0 := c.clk.Now()
-		c.runPhase2(txid)
+		runPhase2(pt, 0)
 		c.prof().Window(txid, telemetry.WinPhase2, c.clk.Now().Sub(p2T0))
 	} else {
-		c.clk.Go(func() { c.runPhase2(txid) })
+		vtime.GoArg(c.clk, pt, runPhase2)
 	}
 	return nil
+}
+
+// sendPrepare is the phase-one fan-out's member: prepare site i of record arg.
+func sendPrepare(arg any, i int) {
+	pt := arg.(*pendingTxn)
+	p := &pt.parts[i]
+	p.vote, p.err = pt.c.tr.SendPrepare(p.site, pt.txid, p.files, pt.c.site)
 }
 
 // commitOnePhase commits a single-site transaction with one combined
@@ -534,8 +547,8 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 // the commit point (the record carries its one-phase mark, so the
 // participant's recovery resolves it without a coordinator), which makes
 // the coordinator log - and both its forced writes - unnecessary.
-func (c *Coordinator) commitOnePhase(txid string, pt *pendingTxn, parts []participant) error {
-	site, ids := parts[0].site, parts[0].files
+func (c *Coordinator) commitOnePhase(pt *pendingTxn) error {
+	txid, site, ids := pt.txid, pt.parts[0].site, pt.parts[0].files
 	c.trc.Record(trace.PrepareSent, txid, site.String(), int64(len(ids)))
 	prepT0 := c.clk.Now()
 	vote, err := c.tr.SendPrepareCommit(site, txid, ids, c.site)
@@ -547,7 +560,7 @@ func (c *Coordinator) commitOnePhase(txid string, pt *pendingTxn, parts []partic
 		// participant's one-phase record resolves itself, and the caller
 		// learns only that the outcome was not confirmed.
 		c.trc.Record(trace.Voted, txid, site.String(), 0)
-		c.abort(txid, pt, parts)
+		c.abort(pt, 1)
 		return fmt.Errorf("%w: %s: %v", ErrPrepareFailed, site, err)
 	}
 	if vote == VoteReadOnly {
@@ -558,93 +571,109 @@ func (c *Coordinator) commitOnePhase(txid string, pt *pendingTxn, parts []partic
 	}
 	c.st.Inc(stats.OnePhaseCommits)
 	c.trc.Record(trace.OnePhaseCommit, txid, site.String(), int64(len(ids)))
-	c.decided(txid, pt, StatusCommitted, parts, nil, 1)
+	c.decided(pt, StatusCommitted, 0, 1)
 	return nil
 }
 
 // decided is the one place the coordinator records a transaction's
 // outcome: the live status in-doubt queries hear from here on, the
 // counter, and the trace event (value holders: the participant sites
-// that have the outcome to apply).  unacked lists the sites phase two
-// must still reach; with none, the transaction is finished on the spot.
-func (c *Coordinator) decided(txid string, pt *pendingTxn, st Status, parts, unacked []participant, holders int) {
-	if len(unacked) == 0 {
-		c.finish(txid, pt)
-	} else {
-		c.mu.Lock()
-		pt.status = st
-		pt.unacked = unacked
-		c.mu.Unlock()
+// that have the outcome to apply).  The first unacked of pt.parts are the
+// sites phase two must still reach; with none, the transaction is
+// finished on the spot, else they become pt.parts once recordLocality is
+// done with it, since a phase-two pass may trim that array from then on.
+func (c *Coordinator) decided(pt *pendingTxn, st Status, unacked, holders int) {
+	if unacked == 0 {
+		c.finish(pt)
 	}
 	if st != StatusCommitted {
 		c.st.Inc(stats.TxnAborts)
-		c.trc.Record(trace.TxnAbort, txid, "", 0)
+		c.trc.Record(trace.TxnAbort, pt.txid, "", 0)
 		return
 	}
 	c.st.Inc(stats.TxnCommits)
-	c.recordLocality(parts)
-	c.trc.Record(trace.TxnCommit, txid, "", int64(holders))
+	c.recordLocality(pt.parts)
+	c.trc.Record(trace.TxnCommit, pt.txid, "", int64(holders))
+	if unacked > 0 {
+		c.mu.Lock()
+		pt.status = st
+		pt.parts = pt.parts[:unacked]
+		c.mu.Unlock()
+	}
 }
 
 // abort is the abort decision: from here on an in-doubt query hears
-// "aborted" rather than "undecided", every site in parts is told, and the
-// transaction is finished.
-func (c *Coordinator) abort(txid string, pt *pendingTxn, parts []participant) {
+// "aborted" rather than "undecided", the first n sites of pt.parts are
+// told, and the transaction is finished.
+func (c *Coordinator) abort(pt *pendingTxn, n int) {
 	c.mu.Lock()
 	pt.status = StatusAborted
 	c.mu.Unlock()
-	c.sendAborts(txid, parts)
-	c.decided(txid, pt, StatusAborted, nil, nil, 0)
+	vtime.Fan(c.clk, n, pt, sendAbort)
+	c.decided(pt, StatusAborted, 0, 0)
 }
 
-// sendAborts tells every site in parts to roll the transaction back, best
-// effort: duplicates are harmless, and a site that misses the message
-// learns the outcome from its own recovery query (presumed abort).
-func (c *Coordinator) sendAborts(txid string, parts []participant) {
-	vtime.Fan(c.clk, len(parts), func(i int) {
-		c.tr.SendAbort(parts[i].site, txid) //nolint:errcheck // best effort, see above
-	})
+// sendAbort is the abort fan-out's member: tell site i of record arg to
+// roll back.  Best effort: a site that misses it asks (presumed abort).
+func sendAbort(arg any, i int) {
+	pt := arg.(*pendingTxn)
+	pt.c.tr.SendAbort(pt.parts[i].site, pt.txid) //nolint:errcheck // best effort
 }
 
-// runPhase2 drives commit messages until every participant acknowledges,
-// then releases the coordinator log.  A partitioned participant stalls
-// only its own ack, not commit delivery to healthy sites.
-func (c *Coordinator) runPhase2(txid string) {
+// phase2Pass is one runPhase2 pass, its fan-out argument: the sites it
+// sends the commit to, copied from the record's unacked ones (a concurrent
+// pass may trim those meanwhile), and what each answered.
+type phase2Pass struct {
+	pt    *pendingTxn
+	sends []participant
+	buf   [2]participant // two sites' sends without a second allocation
+}
+
+// runPhase2 is a phase-two pass over record arg: it drives commit messages
+// until every participant acknowledges, then releases the coordinator log.
+// A partitioned participant stalls only its own ack, not commit delivery
+// to healthy sites.
+func runPhase2(arg any, _ int) {
+	pt := arg.(*pendingTxn)
+	c := pt.c
 	c.mu.Lock()
-	pt, ok := c.pending[txid]
-	if !ok {
+	if c.pending[pt.txid] != pt {
 		c.mu.Unlock()
 		return
 	}
-	// A copy, not pt.unacked itself: a concurrent pass (the retry timer's)
-	// may trim that meanwhile.
-	sends := slices.Clone(pt.unacked)
+	ps := &phase2Pass{pt: pt}
+	ps.sends = append(ps.buf[:0], pt.parts...)
 	c.mu.Unlock()
 
-	vtime.Fan(c.clk, len(sends), func(i int) {
-		sends[i].err = c.tr.SendCommit(sends[i].site, txid)
-	})
+	vtime.Fan(c.clk, len(ps.sends), ps, sendCommit)
 
 	c.mu.Lock()
-	pt.unacked = slices.DeleteFunc(pt.unacked, func(p participant) bool {
-		i := slices.IndexFunc(sends, func(s participant) bool { return s.site == p.site })
-		return i >= 0 && sends[i].err == nil
+	pt.parts = slices.DeleteFunc(pt.parts, func(p participant) bool {
+		i := slices.IndexFunc(ps.sends, func(s participant) bool { return s.site == p.site })
+		return i >= 0 && ps.sends[i].err == nil
 	})
-	remaining := len(pt.unacked)
+	remaining := len(pt.parts)
 	c.mu.Unlock()
 	if remaining == 0 {
-		c.finish(txid, pt)
+		c.finish(pt)
 	}
+}
+
+// sendCommit is a phase-two fan-out's member: commit site i of pass arg.
+func sendCommit(arg any, i int) {
+	ps := arg.(*phase2Pass)
+	s := &ps.sends[i]
+	s.err = ps.pt.c.tr.SendCommit(s.site, ps.pt.txid)
 }
 
 // finish retires the transaction: its coordinator log record, if one was
 // written, is deleted, and the coordinator forgets it (see StatusOf).
-func (c *Coordinator) finish(txid string, pt *pendingTxn) {
+func (c *Coordinator) finish(pt *pendingTxn) {
 	if pt.key != "" {
 		c.vol.Log().Delete(pt.key) //nolint:errcheck // stale records are re-resolved by Recover
 	}
 	c.mu.Lock()
-	delete(c.pending, txid)
+	delete(c.pending, pt.txid)
 	c.mu.Unlock()
 }
 
@@ -655,15 +684,16 @@ func (c *Coordinator) finish(txid string, pt *pendingTxn) {
 // recovery path call it directly.
 func (c *Coordinator) RetryPending() {
 	c.mu.Lock()
-	var txids []string
-	for txid, pt := range c.pending {
+	var pts []*pendingTxn
+	for _, pt := range c.pending {
 		if pt.status == StatusCommitted {
-			txids = append(txids, txid)
+			pts = append(pts, pt)
 		}
 	}
 	c.mu.Unlock()
-	sort.Strings(txids) // the fan-out's start order, and so the interleaving, follows
-	vtime.Fan(c.clk, len(txids), func(i int) { c.runPhase2(txids[i]) })
+	// The fan-out's start order, and so the interleaving, follows the ids.
+	slices.SortFunc(pts, func(a, b *pendingTxn) int { return strings.Compare(a.txid, b.txid) })
+	vtime.Fan(c.clk, len(pts), pts, func(arg any, i int) { runPhase2(arg.([]*pendingTxn)[i], 0) })
 }
 
 // retryLoop re-drives phase two every RetryInterval until Close; a Close
@@ -723,12 +753,12 @@ func (c *Coordinator) Recover() error {
 		return err
 	}
 	for _, rec := range recs {
-		parts := participants(rec.Files)
-		st := StatusAborted
+		pt := c.newPending(rec.Txid, rec.Files)
+		pt.key = coordKey(rec.Txid)
+		pt.status = StatusAborted
 		if rec.Status == StatusCommitted {
-			st = StatusCommitted
+			pt.status = StatusCommitted
 		}
-		pt := &pendingTxn{status: st, key: coordKey(rec.Txid), unacked: parts}
 		c.mu.Lock()
 		_, live := c.pending[rec.Txid]
 		if !live {
@@ -743,11 +773,11 @@ func (c *Coordinator) Recover() error {
 			// transaction that goes on to commit.
 			continue
 		}
-		if st == StatusCommitted {
-			c.runPhase2(rec.Txid)
+		if pt.status == StatusCommitted {
+			runPhase2(pt, 0)
 		} else {
-			c.sendAborts(rec.Txid, parts)
-			c.finish(rec.Txid, pt)
+			vtime.Fan(c.clk, len(pt.parts), pt, sendAbort)
+			c.finish(pt)
 		}
 	}
 	return nil

@@ -100,12 +100,13 @@ type actor struct {
 	yield   func(*actor) bool
 	driving bool
 
-	// The current body: fn, or each(i) for a member of Fan, on clock v
-	// as a member of g.  v is nil between bodies.
+	// The current body: fn, or each(arg, i) for a member of Fan or GoArg,
+	// on clock v as a member of g.  v is nil between bodies.
 	v    *Virtual
 	g    *Group
 	fn   func()
-	each func(int)
+	each func(any, int)
+	arg  any
 	i    int
 }
 
@@ -394,13 +395,13 @@ func (v *Virtual) WaitIdle() {
 func (v *Virtual) SleepUntil(t time.Time) { v.Sleep(t.Sub(v.Now())) }
 
 // Go launches fn as a registered actor at the tail of the run queue.
-func (v *Virtual) Go(fn func()) { v.spawn(fn, nil, 0, nil) }
+func (v *Virtual) Go(fn func()) { v.spawn(fn, nil, nil, 0, nil) }
 
-// spawn readies a new actor running fn, or each(i), on an idle worker or
-// a new one; a member of g counts in g until it exits.  An exiting actor's
-// worker is idle again before the next actor runs, so a park-spawn-exit
-// cycle reuses one coroutine.
-func (v *Virtual) spawn(fn func(), each func(int), i int, g *Group) {
+// spawn readies a new actor running fn, or each(arg, i), on an idle worker
+// or a new one; a member of g counts in g until it exits.  An exiting
+// actor's worker is idle again before the next actor runs, so a
+// park-spawn-exit cycle reuses one coroutine.
+func (v *Virtual) spawn(fn func(), each func(any, int), arg any, i int, g *Group) {
 	var a *actor
 	idleWorkers.mu.Lock()
 	if n := len(idleWorkers.ws); n > 0 {
@@ -411,7 +412,7 @@ func (v *Virtual) spawn(fn func(), each func(int), i int, g *Group) {
 		a = &actor{idx: -1}
 		a.resume, a.stop = iter.Pull(a.run) // starts on its first resume
 	}
-	a.v, a.g, a.fn, a.each, a.i = v, g, fn, each, i
+	a.v, a.g, a.fn, a.each, a.arg, a.i = v, g, fn, each, arg, i
 	if g != nil {
 		g.n++
 	}
@@ -442,10 +443,10 @@ func (a *actor) run(yield func(*actor) bool) {
 		if a.fn != nil {
 			a.fn()
 		} else {
-			a.each(a.i)
+			a.each(a.arg, a.i)
 		}
 		v, g := a.v, a.g
-		a.v, a.g, a.fn, a.each = nil, nil, nil, nil
+		a.v, a.g, a.fn, a.each, a.arg = nil, nil, nil, nil, nil
 		if !yield(v.exit(g)) {
 			return
 		}
@@ -590,25 +591,35 @@ func (g *Group) Go(fn func()) {
 		}()
 		return
 	}
-	g.v.spawn(fn, nil, 0, g)
+	g.v.spawn(fn, nil, nil, 0, g)
 }
 
-// Fan runs fn(0), ..., fn(n-1) concurrently, each as a registered actor
-// under the virtual clock, started in index order, and returns when all
-// have.  It is Group.Go and Wait without a closure per member or a Group
-// per call.
-func Fan(c Clock, n int, fn func(i int)) {
+// Fan runs fn(arg, 0), ..., fn(arg, n-1) concurrently, each as a
+// registered actor under the virtual clock, started in index order, and
+// returns when all have.  It is Group.Go and Wait without a Group per call
+// or a closure per member: fn captures nothing, and arg (a pointer boxes
+// without allocating) carries what the members share.
+func Fan(c Clock, n int, arg any, fn func(arg any, i int)) {
 	g := fanGroups.Get().(*Group)
 	g.v, _ = c.(*Virtual)
 	for i := 0; i < n; i++ {
 		if g.v == nil {
-			g.Go(func() { fn(i) })
+			g.Go(func() { fn(arg, i) })
 		} else {
-			g.v.spawn(nil, fn, i, g)
+			g.v.spawn(nil, fn, arg, i, g)
 		}
 	}
 	g.Wait()
 	fanGroups.Put(g)
+}
+
+// GoArg is c.Go(func() { fn(arg, 0) }) without the closure.
+func GoArg(c Clock, arg any, fn func(arg any, i int)) {
+	if v, ok := c.(*Virtual); ok {
+		v.spawn(nil, fn, arg, 0, nil)
+	} else {
+		go fn(arg, 0)
+	}
 }
 
 // Wait parks until every member launched so far has returned.

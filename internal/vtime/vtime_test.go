@@ -276,7 +276,7 @@ func TestRealClockBasics(t *testing.T) {
 		t.Fatal("real group")
 	}
 	var hits [3]atomic.Int32
-	Fan(c, len(hits), func(i int) { hits[i].Add(1) })
+	Fan(c, len(hits), &hits, func(arg any, i int) { arg.(*[3]atomic.Int32)[i].Add(1) })
 	for i := range hits {
 		if hits[i].Load() != 1 {
 			t.Fatalf("real Fan ran member %d %d times", i, hits[i].Load())
@@ -516,13 +516,41 @@ func TestActorKeepsItsWorker(t *testing.T) {
 	}
 
 	var sum atomic.Int64
-	fan := func(i int) { sum.Add(int64(i)) }
-	Fan(v, 3, fan)
-	if got := testing.AllocsPerRun(200, func() { Fan(v, 3, fan) }); got != 0 {
+	fan := func(arg any, i int) { arg.(*atomic.Int64).Add(int64(i)) }
+	Fan(v, 3, &sum, fan)
+	if got := testing.AllocsPerRun(200, func() { Fan(v, 3, &sum, fan) }); got != 0 {
 		t.Errorf("Fan of 3: %v allocations per call, want 0", got)
 	}
 	if got := sum.Load(); got != 3*202 {
 		t.Errorf("Fan members summed to %d, want %d", got, 3*202)
+	}
+}
+
+// TestFanArgAllocatesNothing: a Fan whose members share a pointer argument
+// and a GoArg joined through a Group allocate nothing on the virtual clock,
+// and each member sees the argument and its own index.
+func TestFanArgAllocatesNothing(t *testing.T) {
+	v := NewVirtual()
+	type tally struct{ seen [4]int }
+	var tl tally
+	member := func(arg any, i int) { arg.(*tally).seen[i]++ }
+	Fan(v, len(tl.seen), &tl, member)
+	if got := testing.AllocsPerRun(100, func() { Fan(v, len(tl.seen), &tl, member) }); got != 0 {
+		t.Errorf("Fan with an argument: %v allocations per call, want 0", got)
+	}
+	for i, n := range tl.seen {
+		if n != 102 {
+			t.Errorf("member %d ran %d times, want 102", i, n)
+		}
+	}
+	var async tally
+	GoArg(v, &async, member)
+	v.Sleep(time.Millisecond)
+	if got := testing.AllocsPerRun(100, func() { GoArg(v, &async, member); v.Sleep(time.Millisecond) }); got != 0 {
+		t.Errorf("GoArg: %v allocations per call, want 0", got)
+	}
+	if async.seen[0] != 102 {
+		t.Errorf("GoArg body ran %d times, want 102", async.seen[0])
 	}
 }
 
