@@ -206,6 +206,10 @@ type Cluster struct {
 	replicas map[string][]simnet.SiteID
 	copies   map[string]*fileCopies
 	installs map[installKey]*install // from proposal to settle
+	// epoch counts the changes to mounts and fileHomes, the two maps a
+	// storage site is resolved from, so a Binding resolved at the current
+	// epoch is still right.  It starts at 1: a zero Binding is unresolved.
+	epoch atomic.Uint64
 
 	nextPID atomic.Int64
 	nextTxn atomic.Int64
@@ -223,7 +227,7 @@ func New(cfg Config) *Cluster {
 		cfg.Trace.SetNow(cfg.Clock.Now)
 	}
 	st := stats.NewSet()
-	return &Cluster{
+	c := &Cluster{
 		cfg:       cfg,
 		st:        st,
 		net:       simnet.New(cfg.Net, st),
@@ -234,6 +238,8 @@ func New(cfg Config) *Cluster {
 		copies:    make(map[string]*fileCopies),
 		installs:  make(map[installKey]*install),
 	}
+	c.epoch.Store(1)
+	return c
 }
 
 // Stats returns the cluster-wide counter set.
@@ -330,6 +336,7 @@ func (c *Cluster) AddVolume(site simnet.SiteID, name string) error {
 	}
 	c.mu.Lock()
 	c.mounts[name] = site
+	c.epoch.Add(1)
 	c.mu.Unlock()
 	return nil
 }
@@ -339,16 +346,46 @@ func (c *Cluster) AddVolume(site simnet.SiteID, name string) error {
 // primary copy was migrated by adaptive placement resolves to its
 // current home, not its volume's mount site.
 func (c *Cluster) StorageSite(path string) (simnet.SiteID, error) {
-	volName, _, err := splitPath(path)
+	return c.bind(&Binding{id: path})
+}
+
+// Binding is an open file's binding to its storage site (section 3.2: the
+// open does the name mapping, later calls skip it): the file ID, the site
+// the catalog named for it, and the catalog epoch it was named at.  Open
+// returns one and every requester call on the file takes it: the call
+// goes to the bound site while the epoch is unchanged, and resolves the
+// site again - rebinding - once the epoch has moved or the site refused
+// the call as moving (callStorage).  Like the core.File that holds it, a
+// Binding is not safe for concurrent use.
+type Binding struct {
+	id    string
+	site  simnet.SiteID
+	epoch uint64
+}
+
+// ID returns the file's global identifier, its path.
+func (b *Binding) ID() string { return b.id }
+
+// Site returns the storage site b's last call went to.
+func (b *Binding) Site() simnet.SiteID { return b.site }
+
+// bind returns b's storage site, resolved again (and b rebound) unless b
+// was resolved at the catalog's current epoch.
+func (c *Cluster) bind(b *Binding) (simnet.SiteID, error) {
+	if b.epoch == c.epoch.Load() {
+		return b.site, nil
+	}
+	volName, _, err := splitPath(b.id)
 	if err != nil {
 		return 0, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	site, ok := c.homeLocked(path, volName)
+	site, ok := c.homeLocked(b.id, volName)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchVolume, volName)
 	}
+	b.site, b.epoch = site, c.epoch.Load()
 	return site, nil
 }
 
@@ -366,6 +403,7 @@ func (c *Cluster) forget(path string) {
 	c.mu.Lock()
 	delete(c.fileHomes, path)
 	delete(c.copies, path)
+	c.epoch.Add(1)
 	c.mu.Unlock()
 }
 

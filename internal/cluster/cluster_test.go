@@ -63,8 +63,8 @@ func TestLocalAndRemoteFileIO(t *testing.T) {
 			t.Fatalf("create %s: %v", path, err)
 		}
 		id, size, err := s1.Open(path)
-		if err != nil || id != path || size != 0 {
-			t.Fatalf("open %s = %q, %d, %v", path, id, size, err)
+		if err != nil || id.ID() != path || size != 0 {
+			t.Fatalf("open %s = %q, %d, %v", path, id.ID(), size, err)
 		}
 		data := []byte("payload for " + path)
 		if n, err := s1.Write(id, pid, "", 3, data); err != nil || n != len(data) {
@@ -317,7 +317,7 @@ func TestRule2AdoptionAtLockTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ownership moved to the transaction.
-	of, err := s1.kernel().lookupOpen(id)
+	of, err := s1.kernel().lookupOpen(id.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestRule2AdoptionAtLockTime(t *testing.T) {
 	}
 
 	// Commit the transaction through the participant machinery.
-	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T5", FileIDs: []string{id}, Coord: 1}); err != nil {
+	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T5", FileIDs: []string{id.ID()}, Coord: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.kernel().handleCommit2(commit2Req{Txid: "T5"}); err != nil {
@@ -407,7 +407,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 	}
 
 	before := cl.Stats().Snapshot()
-	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id}, Coord: 2}); err != nil {
+	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id.ID()}, Coord: 2}); err != nil {
 		t.Fatal(err)
 	}
 	d := cl.Stats().Snapshot().Sub(before)
@@ -488,11 +488,11 @@ func TestParticipantCrashRecoveryInDoubtThenCommit(t *testing.T) {
 	if _, err := s2.Coordinator(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id}, Coord: 2}); err != nil {
+	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id.ID()}, Coord: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tpc.WriteCoordRecord(s2.Volume("vb"), tpc.CoordRecord{
-		Txid: "T1", Files: []proc.FileRef{{FileID: id, StorageSite: 1}}, Status: tpc.StatusCommitted,
+		Txid: "T1", Files: []proc.FileRef{{FileID: id.ID(), StorageSite: 1}}, Status: tpc.StatusCommitted,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -666,7 +666,7 @@ func TestInDoubtResolvesToAbort(t *testing.T) {
 	if _, err := s1.Write(id, pid, "TD", 0, []byte("gone")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.kernel().handlePrepare(prepareReq{Txid: "TD", FileIDs: []string{id}, Coord: 2}); err != nil {
+	if err := s1.kernel().handlePrepare(prepareReq{Txid: "TD", FileIDs: []string{id.ID()}, Coord: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Coordinator records the abort decision, then BOTH crash; the

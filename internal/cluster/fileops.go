@@ -17,31 +17,44 @@ import (
 )
 
 // Request/response payloads for the file operations.  Data-carrying
-// payloads implement simnet.Sizer so the cost model charges realistic
-// wire bytes.
+// payloads report their own wire size (simnet.Sizer) so the cost model
+// charges realistic wire bytes; the rest embed simnet.Small, the
+// small-message default.
 
-type createReq struct{ Path string }
+type createReq struct {
+	simnet.Small
+	Path string
+}
 
-type openReq struct{ Path string }
+type openReq struct {
+	simnet.Small
+	Path string
+}
 type openResp struct {
-	FileID string
-	Size   int64
+	simnet.Small
+	Size int64
 }
 
 type closeReq struct {
+	simnet.Small
 	FileID string
 	PID    int
 	Txn    string
 }
 
 type syncReq struct {
+	simnet.Small
 	FileID string
 	PID    int
 	Txn    string
 }
 
-type statReq struct{ FileID string }
+type statReq struct {
+	simnet.Small
+	FileID string
+}
 type statResp struct {
+	simnet.Small
 	Size          int64
 	CommittedSize int64
 }
@@ -70,9 +83,13 @@ type writeReq struct {
 
 func (r writeReq) WireSize() int { return 48 + len(r.Data) }
 
-type writeResp struct{ N int }
+type writeResp struct {
+	simnet.Small
+	N int
+}
 
 type lockReq struct {
+	simnet.Small
 	FileID string
 	PID    int
 	Txn    string
@@ -85,6 +102,7 @@ type lockReq struct {
 }
 
 type lockResp struct {
+	simnet.Small
 	Off int64
 	Len int64
 	// Lease grant piggybacked on the reply (DESIGN.md section 13):
@@ -98,6 +116,7 @@ type lockResp struct {
 }
 
 type unlockReq struct {
+	simnet.Small
 	FileID string
 	PID    int
 	Txn    string
@@ -105,12 +124,24 @@ type unlockReq struct {
 	Len    int64
 }
 
-type unlockResp struct{ Retained bool }
+type unlockResp struct {
+	simnet.Small
+	Retained bool
+}
 
-type listReq struct{ Volume string }
-type listResp struct{ Names []string }
+type listReq struct {
+	simnet.Small
+	Volume string
+}
+type listResp struct {
+	simnet.Small
+	Names []string
+}
 
-type removeReq struct{ Path string }
+type removeReq struct {
+	simnet.Small
+	Path string
+}
 
 // ---- storage-site handlers ----
 
@@ -167,7 +198,7 @@ func (k *incarnation) handleOpen(req openReq) (openResp, error) {
 		k.open[fileID] = of
 	}
 	of.refs++
-	return openResp{FileID: fileID, Size: of.file.Size()}, nil
+	return openResp{Size: of.file.Size()}, nil
 }
 
 // handleClose drops one reference.  For a non-transaction process with
@@ -508,20 +539,27 @@ func (k *incarnation) handleRemove(req removeReq) error {
 
 // ---- requesting-site API (used by package core) ----
 
-// call routes an operation to the file's storage site; a local target
+// callStorage sends op to b's storage site, the bound one unless the
+// catalog moved on since b was resolved (Cluster.bind); a local target
 // runs the handler directly with no network charge (simnet handles both).
-// An errMoved refusal (the file's primary copy is mid-move) waits the
-// move out and retries against the re-resolved home.
-func (m *machine) callStorage(path, op string, req any) (any, error) {
+// An errMoved refusal (the file's primary copy is mid-move) waits the move
+// out and retries against the re-resolved home.  lockMsg charges
+// stats.LockMsgs when the request leaves this site.
+func callStorage[Resp, Req simnet.Sizer](m *machine, b *Binding, op string, req Req, lockMsg bool) (Resp, error) {
 	for attempt := 0; ; attempt++ {
-		site, err := m.cl.StorageSite(path)
+		site, err := m.cl.bind(b)
 		if err != nil {
-			return nil, err
+			var none Resp
+			return none, err
 		}
-		resp, err := m.ep.Call(site, op, req)
+		if lockMsg && attempt == 0 && site != m.id {
+			m.st.Inc(stats.LockMsgs)
+		}
+		resp, err := simnet.Exchange[Resp](m.ep, site, op, req)
 		if err == nil || attempt >= movedRetries || !errors.Is(err, errMoved) {
 			return resp, err
 		}
+		b.epoch = 0 // refused: resolve again
 		m.cl.cfg.Clock.Sleep(time.Duration(attempt+1) * time.Millisecond)
 	}
 }
@@ -529,67 +567,60 @@ func (m *machine) callStorage(path, op string, req any) (any, error) {
 // Create makes an empty file at the path's storage site.
 func (m *machine) Create(path string) error {
 	m.st.Inc(stats.Syscalls)
-	_, err := m.callStorage(path, "create", createReq{Path: path})
+	_, err := callStorage[none](m, &Binding{id: path}, "create", createReq{Path: path}, false)
 	return err
 }
 
 // Remove deletes a file and reclaims its storage.
 func (m *machine) Remove(path string) error {
 	m.st.Inc(stats.Syscalls)
-	_, err := m.callStorage(path, "remove", removeReq{Path: path})
+	_, err := callStorage[none](m, &Binding{id: path}, "remove", removeReq{Path: path}, false)
 	return err
 }
 
-// Open resolves the path and opens the file, returning its file ID and
-// current size.
-func (m *machine) Open(path string) (string, int64, error) {
+// Open resolves the path and opens the file, returning its binding to
+// the storage site and its current size.
+func (m *machine) Open(path string) (*Binding, int64, error) {
 	m.st.Inc(stats.Syscalls)
-	resp, err := m.callStorage(path, "open", openReq{Path: path})
+	b := &Binding{id: path}
+	r, err := callStorage[openResp](m, b, "open", openReq{Path: path}, false)
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
-	r := resp.(openResp)
-	return r.FileID, r.Size, nil
+	return b, r.Size, nil
 }
 
 // Close releases one open reference.
-func (s *Site) Close(fileID string, pid int, txn string) error {
+func (s *Site) Close(b *Binding, pid int, txn string) error {
 	s.st.Inc(stats.Syscalls)
-	_, err := s.callStorage(fileID, "close", closeReq{FileID: fileID, PID: pid, Txn: txn})
+	_, err := callStorage[none](&s.machine, b, "close", closeReq{FileID: b.id, PID: pid, Txn: txn}, false)
 	if txn == "" {
 		// The storage site released the process's locks on the file with
 		// the close; what this site cached of them is void.
-		s.kernel().cacheTrim(fileID, groupKey(pid, ""), 0, math.MaxInt64)
+		s.kernel().cacheTrim(b.id, groupKey(pid, ""), 0, math.MaxInt64)
 	}
 	return err
 }
 
 // Sync commits a non-transaction process's modifications immediately.
-func (m *machine) Sync(fileID string, pid int, txn string) error {
+func (m *machine) Sync(b *Binding, pid int, txn string) error {
 	m.st.Inc(stats.Syscalls)
-	_, err := m.callStorage(fileID, "sync", syncReq{FileID: fileID, PID: pid, Txn: txn})
+	_, err := callStorage[none](m, b, "sync", syncReq{FileID: b.id, PID: pid, Txn: txn}, false)
 	return err
 }
 
 // Stat returns the file's working and committed sizes.
-func (m *machine) Stat(fileID string) (size, committed int64, err error) {
+func (m *machine) Stat(b *Binding) (size, committed int64, err error) {
 	m.st.Inc(stats.Syscalls)
-	resp, err := m.callStorage(fileID, "stat", statReq{FileID: fileID})
-	if err != nil {
-		return 0, 0, err
-	}
-	r := resp.(statResp)
-	return r.Size, r.CommittedSize, nil
+	r, err := callStorage[statResp](m, b, "stat", statReq{FileID: b.id}, false)
+	return r.Size, r.CommittedSize, err
 }
 
 // List returns a volume's file names.
 func (m *machine) List(volume string) ([]string, error) {
 	m.st.Inc(stats.Syscalls)
-	resp, err := m.callStorage(volume+"/.", "list", listReq{Volume: volume})
-	if err != nil {
-		return nil, err
-	}
-	return resp.(listResp).Names, nil
+	r, err := callStorage[listResp](m, &Binding{id: volume + "/."}, "list", listReq{Volume: volume}, false)
+	return r.Names, err
 }
 
 // Read reads from the file on behalf of the process.  For transaction
@@ -597,80 +628,66 @@ func (m *machine) List(volume string) ([]string, error) {
 // lock first (section 3.1: locks may be acquired implicitly at access
 // time), consulting its lock cache to skip the extra exchange when the
 // transaction already holds coverage (section 5.1).
-func (s *Site) Read(fileID string, pid int, txn string, off int64, n int) ([]byte, error) {
+func (s *Site) Read(b *Binding, pid int, txn string, off int64, n int) ([]byte, error) {
 	s.st.Inc(stats.Syscalls)
 	if txn != "" {
-		if err := s.ensureLocked(fileID, pid, txn, lockmgr.ModeShared, off, int64(n)); err != nil {
+		if err := s.ensureLocked(b, pid, txn, lockmgr.ModeShared, off, int64(n)); err != nil {
 			return nil, err
 		}
-	} else if data, ok := s.kernel().replicaRead(fileID, off, n); ok {
+	} else if data, ok := s.kernel().replicaRead(b.id, off, n); ok {
 		// Served by the closest available storage site: the local
 		// replica (section 5.2).  Transaction reads always go to the
 		// primary, where their locks live.
 		return data, nil
 	}
-	resp, err := s.callStorage(fileID, "read", readReq{FileID: fileID, Off: off, Len: n, PID: pid, Txn: txn})
-	if err != nil {
-		return nil, err
-	}
-	return resp.(readResp).Data, nil
+	r, err := callStorage[readResp](&s.machine, b, "read", readReq{FileID: b.id, Off: off, Len: n, PID: pid, Txn: txn}, false)
+	return r.Data, err
 }
 
 // Write writes to the file on behalf of the process, implicitly acquiring
 // the exclusive record lock for transactions.
-func (s *Site) Write(fileID string, pid int, txn string, off int64, data []byte) (int, error) {
+func (s *Site) Write(b *Binding, pid int, txn string, off int64, data []byte) (int, error) {
 	s.st.Inc(stats.Syscalls)
 	if txn != "" {
-		if err := s.ensureLocked(fileID, pid, txn, lockmgr.ModeExclusive, off, int64(len(data))); err != nil {
+		if err := s.ensureLocked(b, pid, txn, lockmgr.ModeExclusive, off, int64(len(data))); err != nil {
 			return 0, err
 		}
 	}
-	resp, err := s.callStorage(fileID, "write", writeReq{FileID: fileID, Off: off, Data: data, PID: pid, Txn: txn})
-	if err != nil {
-		return 0, err
-	}
-	return resp.(writeResp).N, nil
+	r, err := callStorage[writeResp](&s.machine, b, "write", writeReq{FileID: b.id, Off: off, Data: data, PID: pid, Txn: txn}, false)
+	return r.N, err
 }
 
 // Lock issues an explicit lock request (the Lock(file,length,mode) call
 // of section 3.2).  Granted locks are cached at the requesting site.
-func (s *Site) Lock(fileID string, pid int, txn string, mode lockmgr.Mode, off, length int64, atEOF, nonTxn, wait bool) (lockmgr.Result, error) {
+func (s *Site) Lock(b *Binding, pid int, txn string, mode lockmgr.Mode, off, length int64, atEOF, nonTxn, wait bool) (lockmgr.Result, error) {
 	s.st.Inc(stats.Syscalls)
 	k := s.kernel() // the grant is cached by the kernel that asked for it
-	if site, err := s.cl.StorageSite(fileID); err == nil && site != s.id {
-		s.st.Inc(stats.LockMsgs)
-	}
-	resp, err := s.callStorage(fileID, "lock", lockReq{
-		FileID: fileID, PID: pid, Txn: txn, Mode: mode,
+	r, err := callStorage[lockResp](&s.machine, b, "lock", lockReq{
+		FileID: b.id, PID: pid, Txn: txn, Mode: mode,
 		Off: off, Len: length, AtEOF: atEOF, NonTxn: nonTxn, Wait: wait,
-	})
+	}, true)
 	if err != nil {
 		return lockmgr.Result{}, err
 	}
-	r := resp.(lockResp)
-	k.cacheAdd(fileID, groupKey(pid, txn), mode, r.Off, r.Len)
+	k.cacheAdd(b.id, groupKey(pid, txn), mode, r.Off, r.Len)
 	if r.LeaseMode != lockmgr.ModeNone {
-		k.leaseCacheAdd(fileID, r.LeaseMode, r.LeaseOff, r.LeaseLen, r.LeaseWhole)
+		k.leaseCacheAdd(b.id, r.LeaseMode, r.LeaseOff, r.LeaseLen, r.LeaseWhole)
 	}
 	return lockmgr.Result{Off: r.Off, Len: r.Len}, nil
 }
 
 // Unlock releases (or, for transactions, retains) the range.
-func (s *Site) Unlock(fileID string, pid int, txn string, off, length int64) (bool, error) {
+func (s *Site) Unlock(b *Binding, pid int, txn string, off, length int64) (bool, error) {
 	s.st.Inc(stats.Syscalls)
-	if site, err := s.cl.StorageSite(fileID); err == nil && site != s.id {
-		s.st.Inc(stats.LockMsgs)
-	}
-	resp, err := s.callStorage(fileID, "unlock", unlockReq{FileID: fileID, PID: pid, Txn: txn, Off: off, Len: length})
+	r, err := callStorage[unlockResp](&s.machine, b, "unlock", unlockReq{FileID: b.id, PID: pid, Txn: txn, Off: off, Len: length}, true)
 	if err != nil {
 		return false, err
 	}
 	// The retained lock remains reacquirable by the transaction, so the
 	// cache entry stays valid for transactions; non-transaction holders
 	// lose coverage.
-	r := resp.(unlockResp)
 	if !r.Retained {
-		s.kernel().cacheTrim(fileID, groupKey(pid, txn), off, length)
+		s.kernel().cacheTrim(b.id, groupKey(pid, txn), off, length)
 	}
 	return r.Retained, nil
 }
@@ -678,8 +695,8 @@ func (s *Site) Unlock(fileID string, pid int, txn string, off, length int64) (bo
 // ensureLocked implicitly acquires the record lock for a transaction
 // access, consulting the requester's lock cache first (unless the E8
 // ablation disabled it).
-func (s *Site) ensureLocked(fileID string, pid int, txn string, mode lockmgr.Mode, off, length int64) error {
-	k := s.kernel()
+func (s *Site) ensureLocked(b *Binding, pid int, txn string, mode lockmgr.Mode, off, length int64) error {
+	k, fileID := s.kernel(), b.id
 	if !s.cl.cfg.DisableLockCache &&
 		(k.cacheCovers(fileID, groupKey(pid, txn), mode, off, length) ||
 			k.cacheCovers(fileID, groupKey(pid, ""), mode, off, length)) {
@@ -694,7 +711,7 @@ func (s *Site) ensureLocked(fileID string, pid int, txn string, mode lockmgr.Mod
 		return nil
 	}
 	s.st.Inc(stats.LockCacheMisses)
-	_, err := s.Lock(fileID, pid, txn, mode, off, length, false, false, true)
+	_, err := s.Lock(b, pid, txn, mode, off, length, false, false, true)
 	return err
 }
 

@@ -13,33 +13,34 @@ import (
 // nobody will read again and volume handles Crash fenced, and its reply is
 // dropped here, for a dead kernel sends nothing.  To the caller that is a
 // lost message: a refusal for a prepare, a retry for an outcome.
-func handle[Req, Resp any](s *Site, op string, fn func(*incarnation, simnet.SiteID, Req) (Resp, error)) {
-	s.ep.Handle(op, func(from simnet.SiteID, req any) (any, error) {
+func handle[Req, Resp simnet.Sizer](s *Site, op string, fn func(*incarnation, simnet.SiteID, Req) (Resp, error)) {
+	simnet.Serve(s.ep, op, func(from simnet.SiteID, req Req) (Resp, error) {
+		var lost Resp
 		k := s.kernel()
 		if k.dead.Load() {
-			return nil, simnet.ErrNoReply
+			return lost, simnet.ErrNoReply
 		}
 		if stall := s.stall.Load(); stall != nil {
 			(*stall)(op)
 		}
-		resp, err := fn(k, from, req.(Req))
+		resp, err := fn(k, from, req)
 		if k.dead.Load() {
-			return nil, simnet.ErrNoReply
+			return lost, simnet.ErrNoReply
 		}
 		return resp, err
 	})
 }
 
 // none is the response of an op that only acknowledges.
-type none = struct{}
+type none = simnet.Small
 
 // act adapts a handler that neither answers nor cares who asked.
-func act[Req any](fn func(*incarnation, Req) error) func(*incarnation, simnet.SiteID, Req) (none, error) {
+func act[Req simnet.Sizer](fn func(*incarnation, Req) error) func(*incarnation, simnet.SiteID, Req) (none, error) {
 	return func(k *incarnation, _ simnet.SiteID, req Req) (none, error) { return none{}, fn(k, req) }
 }
 
 // ask adapts a handler that does not care who asked.
-func ask[Req, Resp any](fn func(*incarnation, Req) (Resp, error)) func(*incarnation, simnet.SiteID, Req) (Resp, error) {
+func ask[Req, Resp simnet.Sizer](fn func(*incarnation, Req) (Resp, error)) func(*incarnation, simnet.SiteID, Req) (Resp, error) {
 	return func(k *incarnation, _ simnet.SiteID, req Req) (Resp, error) { return fn(k, req) }
 }
 

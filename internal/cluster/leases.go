@@ -27,7 +27,10 @@ import (
 // whose lease blocks a conflicting request: drop the cached coverage.
 // The handler is idempotent — duplicates and crossed callbacks are
 // harmless.
-type leaseRevokeReq struct{ FileID string }
+type leaseRevokeReq struct {
+	simnet.Small
+	FileID string
+}
 
 // siteLease is the requesting site's memory of lease coverage on one
 // remote file.  Whole (ModeNone when unset) records a whole-file lease
@@ -270,7 +273,7 @@ func (k *incarnation) startLeaseRevokes(fileID string, of *openFile, sites []int
 		}
 		site := site
 		k.cl.cfg.Clock.Go(func() {
-			if _, err := k.ep.CallRetry(holder, "leaseRevoke", leaseRevokeReq{FileID: fileID}, 0); err != nil {
+			if _, err := simnet.ExchangeRetry[none](k.ep, holder, "leaseRevoke", leaseRevokeReq{FileID: fileID}, 0); err != nil {
 				if rem := expiry.Sub(k.cl.cfg.Clock.Now()); rem > 0 {
 					k.cl.cfg.Clock.Sleep(rem)
 				}

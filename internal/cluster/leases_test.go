@@ -50,7 +50,7 @@ func TestLeaseHitSkipsLockMessage(t *testing.T) {
 	if d.Get(stats.LockMsgs) != 1 || d.Get(stats.LockCacheMisses) != 1 {
 		t.Fatalf("first txn: lock_msgs=%d misses=%d, want 1/1", d.Get(stats.LockMsgs), d.Get(stats.LockCacheMisses))
 	}
-	commitAtStorage(t, s1, "T1", id)
+	commitAtStorage(t, s1, "T1", id.ID())
 
 	// T2, same range: the cached lease answers locally — zero lock
 	// messages, the descriptor materializes with the write itself.
@@ -69,7 +69,7 @@ func TestLeaseHitSkipsLockMessage(t *testing.T) {
 		t.Fatalf("lease-hit write sent %d messages, want 2 (data RPC only)", d.Get(stats.MsgsSent))
 	}
 	// The materialized lock is a perfectly ordinary transaction lock.
-	commitAtStorage(t, s1, "T2", id)
+	commitAtStorage(t, s1, "T2", id.ID())
 	_, committed, _ := s2.Stat(id)
 	if committed != 4 {
 		t.Fatalf("committed size = %d, want 4", committed)
@@ -102,7 +102,7 @@ func TestLeaseOffMatchesLegacyByteForByte(t *testing.T) {
 			if _, err := s2.Write(id, pid, txid, int64(8*i), []byte("12345678")); err != nil {
 				t.Fatal(err)
 			}
-			commitAtStorage(t, cl.Site(1), txid, id)
+			commitAtStorage(t, cl.Site(1), txid, id.ID())
 		}
 		return cl.Stats().Snapshot()
 	}
@@ -128,8 +128,8 @@ func TestLeaseRevokeOnConflict(t *testing.T) {
 	if _, err := s2.Write(id, pid2, "T1", 0, []byte("abcd")); err != nil {
 		t.Fatal(err)
 	}
-	commitAtStorage(t, s1, "T1", id)
-	if got := s1.Locks().Lookup(id).LeaseSites(); len(got) != 1 || got[0] != 2 {
+	commitAtStorage(t, s1, "T1", id.ID())
+	if got := s1.Locks().Lookup(id.ID()).LeaseSites(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("lease sites after commit = %v, want [2]", got)
 	}
 
@@ -153,7 +153,7 @@ func TestLeaseRevokeOnConflict(t *testing.T) {
 	if cached != 0 {
 		t.Fatalf("leaseholder cache still has %d files after revoke", cached)
 	}
-	if got := s1.Locks().Lookup(id).LeaseSites(); len(got) != 0 {
+	if got := s1.Locks().Lookup(id.ID()).LeaseSites(); len(got) != 0 {
 		t.Fatalf("lease sites after revoke = %v", got)
 	}
 }
@@ -176,7 +176,7 @@ func TestLeaseEscalationToWholeFile(t *testing.T) {
 		if _, err := s2.Write(id, pid, txid, int64(100*i), []byte("aaaa")); err != nil {
 			t.Fatal(err)
 		}
-		commitAtStorage(t, s1, txid, id)
+		commitAtStorage(t, s1, txid, id.ID())
 		want := int64(0)
 		if i == leaseEscalateThreshold {
 			want = 1
@@ -197,7 +197,7 @@ func TestLeaseEscalationToWholeFile(t *testing.T) {
 		t.Fatalf("post-escalation access: lock_msgs=%d lease_hits=%d, want 0/1",
 			d.Get(stats.LockMsgs), d.Get(stats.LeaseHits))
 	}
-	commitAtStorage(t, s1, "TN", id)
+	commitAtStorage(t, s1, "TN", id.ID())
 }
 
 func TestLeaseTTLExpiry(t *testing.T) {
@@ -212,7 +212,7 @@ func TestLeaseTTLExpiry(t *testing.T) {
 	if _, err := s2.Write(id, pid, "T1", 0, []byte("abcd")); err != nil {
 		t.Fatal(err)
 	}
-	commitAtStorage(t, s1, "T1", id)
+	commitAtStorage(t, s1, "T1", id.ID())
 
 	time.Sleep(50 * time.Millisecond)
 	before := cl.Stats().Snapshot()
@@ -226,7 +226,7 @@ func TestLeaseTTLExpiry(t *testing.T) {
 	if d.Get(stats.LockMsgs) != 1 {
 		t.Fatalf("expired lease skipped the lock message (lock_msgs=%d)", d.Get(stats.LockMsgs))
 	}
-	commitAtStorage(t, s1, "T2", id)
+	commitAtStorage(t, s1, "T2", id.ID())
 }
 
 func TestLeaseReclaimOnLeaseholderCrash(t *testing.T) {
@@ -241,15 +241,15 @@ func TestLeaseReclaimOnLeaseholderCrash(t *testing.T) {
 	if _, err := s2.Write(id, pid, "T1", 0, []byte("abcd")); err != nil {
 		t.Fatal(err)
 	}
-	commitAtStorage(t, s1, "T1", id)
+	commitAtStorage(t, s1, "T1", id.ID())
 
 	// The leaseholder crashes: the failure detector's SiteDown reclaims
 	// its leases at the storage site without any callback.
 	s2.Crash()
 	deadline := time.Now().Add(2 * time.Second)
-	for len(s1.Locks().Lookup(id).LeaseSites()) != 0 {
+	for len(s1.Locks().Lookup(id.ID()).LeaseSites()) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("crashed leaseholder's lease never reclaimed: %v", s1.Locks().Lookup(id).LeaseSites())
+			t.Fatalf("crashed leaseholder's lease never reclaimed: %v", s1.Locks().Lookup(id.ID()).LeaseSites())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -289,7 +289,7 @@ func TestLeaseRevokeDuringPartitionFallsBackToExpiry(t *testing.T) {
 	if _, err := s2.Write(id, pid2, "T1", 0, []byte("abcd")); err != nil {
 		t.Fatal(err)
 	}
-	commitAtStorage(t, s1, "T1", id)
+	commitAtStorage(t, s1, "T1", id.ID())
 
 	cl.Net().Partition(2)
 	defer cl.Net().Heal()
@@ -304,7 +304,7 @@ func TestLeaseRevokeDuringPartitionFallsBackToExpiry(t *testing.T) {
 	if d.Get(stats.LeaseRevokes) != 1 {
 		t.Fatalf("lease revokes = %d, want 1 (expiry-based)", d.Get(stats.LeaseRevokes))
 	}
-	if got := s1.Locks().Lookup(id).LeaseSites(); len(got) != 0 {
+	if got := s1.Locks().Lookup(id.ID()).LeaseSites(); len(got) != 0 {
 		t.Fatalf("lease survived expiry reclaim: %v", got)
 	}
 }
@@ -334,7 +334,7 @@ func TestLeaseRevokeFIFOFairnessMatrix(t *testing.T) {
 			if _, err := s2.Write(id, pid2, "T1", 0, []byte("abcd")); err != nil {
 				t.Fatal(err)
 			}
-			commitAtStorage(t, s1, "T1", id)
+			commitAtStorage(t, s1, "T1", id.ID())
 
 			// The leaseholder keeps re-hitting its cache in the background.
 			stopHits := make(chan struct{})
@@ -349,7 +349,7 @@ func TestLeaseRevokeFIFOFairnessMatrix(t *testing.T) {
 					}
 					txid := "H" + string(rune('0'+i%10))
 					if _, err := s2.Write(id, pid2, txid, 0, []byte("hhhh")); err == nil {
-						commitAtStorage(t, s1, txid, id)
+						commitAtStorage(t, s1, txid, id.ID())
 					}
 					time.Sleep(time.Millisecond)
 				}
@@ -399,8 +399,8 @@ func TestLeaseDoesNotBlockReplicaSync(t *testing.T) {
 	if _, err := s2.Write(id, writer, "T1", 0, []byte("leased!")); err != nil {
 		t.Fatal(err)
 	}
-	commitAtStorage(t, s1, "T1", id)
-	if sites := s1.Locks().Lookup(id).LeaseSites(); len(sites) != 1 || sites[0] != 2 {
+	commitAtStorage(t, s1, "T1", id.ID())
+	if sites := s1.Locks().Lookup(id.ID()).LeaseSites(); len(sites) != 1 || sites[0] != 2 {
 		t.Fatalf("lease sites after commit = %v, want [2]", sites)
 	}
 
@@ -440,7 +440,7 @@ func TestLeaseRevokeActorOutlivesItsIncarnation(t *testing.T) {
 	if _, err := s2.Write(id, pid2, "T1", 0, []byte("abcd")); err != nil {
 		t.Fatal(err)
 	}
-	commitAtStorage(t, s1, "T1", id)
+	commitAtStorage(t, s1, "T1", id.ID())
 
 	// The leaseholder is cut off, so the revoke a conflicting request
 	// fires cannot be delivered: its actor settles down to sleep out the
@@ -466,12 +466,12 @@ func TestLeaseRevokeActorOutlivesItsIncarnation(t *testing.T) {
 	if _, err := s2.Lock(id, pid2, "T2", lockmgr.ModeExclusive, 0, 4, false, false, true); err != nil {
 		t.Fatal(err)
 	}
-	commitAtStorage(t, s1, "T2", id)
+	commitAtStorage(t, s1, "T2", id.ID())
 	meta := func() (leaseMeta, bool) {
 		k := s1.kernel()
 		k.leaseMu.Lock()
 		defer k.leaseMu.Unlock()
-		lm := k.leaseMeta[id][2]
+		lm := k.leaseMeta[id.ID()][2]
 		if lm == nil {
 			return leaseMeta{}, false
 		}
@@ -488,7 +488,7 @@ func TestLeaseRevokeActorOutlivesItsIncarnation(t *testing.T) {
 	if got, ok := meta(); !ok || got != want {
 		t.Errorf("a revoke actor of the dead incarnation changed its successor's lease meta: %+v, %v; want %+v", got, ok, want)
 	}
-	if got := s1.Locks().Lookup(id).LeaseSites(); len(got) != 1 || got[0] != 2 {
+	if got := s1.Locks().Lookup(id.ID()).LeaseSites(); len(got) != 1 || got[0] != 2 {
 		t.Errorf("lease sites in the new incarnation = %v, want [2]", got)
 	}
 }

@@ -15,6 +15,7 @@ import (
 // Process protocol payloads.
 
 type forkReq struct {
+	simnet.Small
 	PID     int // new child's pid, allocated by the requester
 	Parent  int
 	TxnID   string
@@ -27,17 +28,27 @@ type adoptReq struct{ Proc *proc.Process }
 func (r adoptReq) WireSize() int { return 256 + 64*len(r.Proc.FileList) }
 
 type mergeFLReq struct {
+	simnet.Small
 	PID   int
 	Files []proc.FileRef
 }
 
 type childMovedReq struct {
+	simnet.Small
 	Parent int
 	Child  int
 	Site   simnet.SiteID
 }
 
-type whereisReq struct{ PID int }
+type whereisReq struct {
+	simnet.Small
+	PID int
+}
+
+type whereisResp struct {
+	simnet.Small
+	Here bool
+}
 
 func (k *incarnation) handleFork(req forkReq) error {
 	p := k.procs.NewProcess(req.PID, req.Parent)
@@ -65,9 +76,9 @@ func (k *incarnation) handleChildMoved(req childMovedReq) error {
 	return k.procs.UpdateChildSite(req.Parent, req.Child, req.Site)
 }
 
-func (k *incarnation) handleWhereis(req whereisReq) (bool, error) {
+func (k *incarnation) handleWhereis(req whereisReq) (whereisResp, error) {
 	_, err := k.procs.Get(req.PID)
-	return err == nil, nil
+	return whereisResp{Here: err == nil}, nil
 }
 
 // ---- requesting-site process operations ----
@@ -87,7 +98,7 @@ func (s *Site) Spawn(parentPID int, at simnet.SiteID) (int, error) {
 		topPID, topSite = parent.PID, parent.Site
 	}
 	req := forkReq{PID: pid, Parent: parentPID, TxnID: parent.TxnID, TopPID: topPID, TopSite: topSite}
-	if _, err := s.ep.Call(at, "forkproc", req); err != nil {
+	if _, err := simnet.Exchange[none](s.ep, at, "forkproc", req); err != nil {
 		return 0, err
 	}
 	if err := s.Procs().AddChild(parentPID, proc.ChildRef{PID: pid, Site: at}); err != nil {
@@ -117,7 +128,7 @@ func (s *Site) Migrate(pid int, to simnet.SiteID) error {
 		return err
 	}
 	s.st.Add(stats.Instructions, costmodel.InstrProcessMigrate)
-	if _, err := s.ep.Call(to, "adoptproc", adoptReq{Proc: p}); err != nil {
+	if _, err := simnet.Exchange[none](s.ep, to, "adoptproc", adoptReq{Proc: p}); err != nil {
 		s.Procs().CancelMigrate(pid)
 		return fmt.Errorf("cluster: migrate pid %d to %v: %w", pid, to, err)
 	}
@@ -138,7 +149,7 @@ func (s *Site) Migrate(pid int, to simnet.SiteID) error {
 func (m *machine) notifyChildMoved(req childMovedReq) {
 	for attempt := 0; attempt < 100; attempt++ {
 		for _, siteID := range m.cl.Sites() {
-			if _, err := m.ep.Call(siteID, "childmoved", req); err == nil {
+			if _, err := simnet.Exchange[none](m.ep, siteID, "childmoved", req); err == nil {
 				return
 			}
 		}
@@ -154,7 +165,7 @@ func (m *machine) MergeToTop(topPID int, hint simnet.SiteID, files []proc.FileRe
 	const attempts = 20
 	var lastErr error
 	try := func(site simnet.SiteID) (bool, error) {
-		_, err := m.ep.Call(site, "mergefl", mergeFLReq{PID: topPID, Files: files})
+		_, err := simnet.Exchange[none](m.ep, site, "mergefl", mergeFLReq{PID: topPID, Files: files})
 		if err == nil {
 			return true, nil
 		}
@@ -175,8 +186,8 @@ func (m *machine) MergeToTop(topPID int, hint simnet.SiteID, files []proc.FileRe
 			if siteID == hint {
 				continue
 			}
-			resp, err := m.ep.Call(siteID, "whereis", whereisReq{PID: topPID})
-			if err != nil || resp != true {
+			resp, err := simnet.Exchange[whereisResp](m.ep, siteID, "whereis", whereisReq{PID: topPID})
+			if err != nil || !resp.Here {
 				continue
 			}
 			if ok, err := try(siteID); ok || err != nil {

@@ -135,8 +135,10 @@ func (c *Cluster) verdict(key installKey, commit bool) *install {
 		fc.held[in.to] = in.version
 	case c.mounts[vol] == in.to:
 		delete(c.fileHomes, in.path)
+		c.epoch.Add(1)
 	default:
 		c.fileHomes[in.path] = in.to
+		c.epoch.Add(1)
 	}
 	if in.move && fc != nil {
 		delete(fc.held, in.to)
@@ -270,7 +272,7 @@ func (k *incarnation) ship(in install, refs int) (bool, error) {
 	in.src = k
 	id := k.installSeq.Add(1)
 	key := k.cl.propose(&in, id)
-	_, err = k.ep.Call(in.to, "install", installReq{Path: in.path, Data: data, Refs: refs, ID: id})
+	_, err = simnet.Exchange[none](k.ep, in.to, "install", installReq{Path: in.path, Data: data, Refs: refs, ID: id})
 	return k.cl.settle(key), err
 }
 
@@ -459,7 +461,7 @@ func (k *incarnation) handleCoordCommit(req coordCommitReq) error {
 // a commit the unreachable target already logged; recovery resolves the
 // participant state when the partition heals.
 func (m *machine) RouteCommit(target simnet.SiteID, txid string, files []proc.FileRef) error {
-	_, err := m.ep.Call(target, "coordcommit", coordCommitReq{Txid: txid, Files: files})
+	_, err := simnet.Exchange[none](m.ep, target, "coordcommit", coordCommitReq{Txid: txid, Files: files})
 	if err == nil {
 		m.st.Inc(stats.RoutedCommits)
 		m.tr.Record(trace.RoutedCommit, txid, "", int64(target))

@@ -74,7 +74,7 @@ func TestPlacementOffMatchesLegacyByteForByte(t *testing.T) {
 			if _, err := s2.Write(id, pid, txid, int64(8*i), []byte("12345678")); err != nil {
 				t.Fatal(err)
 			}
-			commitAtStorage(t, cl.Site(1), txid, id)
+			commitAtStorage(t, cl.Site(1), txid, id.ID())
 		}
 		return cl.Stats().Snapshot()
 	}
@@ -106,10 +106,10 @@ func TestOwnershipMoveMigratesHotFile(t *testing.T) {
 		if _, err := s2.Write(id, pid, txid, int64(4*i), []byte("abcd")); err != nil {
 			t.Fatal(err)
 		}
-		commitAtHome(t, cl, txid, id)
+		commitAtHome(t, cl, txid, id.ID())
 	}
 
-	home, err := cl.StorageSite(id)
+	home, err := cl.StorageSite(id.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestOwnershipMoveMigratesHotFile(t *testing.T) {
 	if _, err := s2.Write(id, pid, "T5", 0, []byte("zzzz")); err != nil {
 		t.Fatalf("write after move: %v", err)
 	}
-	commitAtHome(t, cl, "T5", id)
+	commitAtHome(t, cl, "T5", id.ID())
 	got, err := s2.Read(id, pid, "", 0, 4)
 	if err != nil || !bytes.Equal(got, []byte("zzzz")) {
 		t.Fatalf("read after post-move commit = %q, %v", got, err)
@@ -175,9 +175,9 @@ func TestOwnershipMoveSurvivesRestarts(t *testing.T) {
 		if _, err := s2.Write(id, pid, txid, 0, []byte("data")); err != nil {
 			t.Fatal(err)
 		}
-		commitAtHome(t, cl, txid, id)
+		commitAtHome(t, cl, txid, id.ID())
 	}
-	if home, _ := cl.StorageSite(id); home != 2 {
+	if home, _ := cl.StorageSite(id.ID()); home != 2 {
 		t.Fatalf("file did not migrate (home %v)", home)
 	}
 	if err := s2.Close(id, pid, ""); err != nil {
@@ -193,7 +193,7 @@ func TestOwnershipMoveSurvivesRestarts(t *testing.T) {
 			t.Fatalf("restart site %v: %v", s.id, err)
 		}
 	}
-	if home, _ := cl.StorageSite(id); home != 2 {
+	if home, _ := cl.StorageSite(id.ID()); home != 2 {
 		t.Fatalf("home after restarts = %v, want 2", home)
 	}
 	pid2 := cl.NewPID()
@@ -232,7 +232,7 @@ func TestOwnershipMoveDeferredWhileLocked(t *testing.T) {
 		if _, err := s2.Write(id, pid, txid, 0, []byte("data")); err != nil {
 			t.Fatal(err)
 		}
-		commitAtHome(t, cl, txid, id)
+		commitAtHome(t, cl, txid, id.ID())
 	}
 
 	// A second process holds an uncommitted write when T-hot commits:
@@ -254,14 +254,14 @@ func TestOwnershipMoveDeferredWhileLocked(t *testing.T) {
 		if _, err := s2b.Write(idB, pidA, txid, 4, []byte("data")); err != nil {
 			t.Fatal(err)
 		}
-		commitAtHome(t, cl2, txid, idB)
+		commitAtHome(t, cl2, txid, idB.ID())
 	}
-	if home, _ := cl2.StorageSite(idB); home != 1 {
+	if home, _ := cl2.StorageSite(idB.ID()); home != 1 {
 		t.Fatalf("move proceeded past an uncommitted owner (home %v)", home)
 	}
 	// Release the holder; the next commit quiesces and the move lands.
-	commitAtHome(t, cl2, "THOLD", idB)
-	if home, _ := cl2.StorageSite(idB); home != 2 {
+	commitAtHome(t, cl2, "THOLD", idB.ID())
+	if home, _ := cl2.StorageSite(idB.ID()); home != 2 {
 		t.Fatalf("move did not land after quiesce (home %v)", home)
 	}
 }
@@ -301,7 +301,7 @@ func TestRouteCommitCoordinatesRemotely(t *testing.T) {
 	if _, err := s2.Write(id, pid, "TR", 0, []byte("abcd")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.RouteCommit(1, "TR", []proc.FileRef{{FileID: id, StorageSite: simnet.SiteID(1)}}); err != nil {
+	if err := s2.RouteCommit(1, "TR", []proc.FileRef{{FileID: id.ID(), StorageSite: simnet.SiteID(1)}}); err != nil {
 		t.Fatalf("routed commit: %v", err)
 	}
 	if n := cl.Stats().Snapshot().Get(stats.RoutedCommits); n != 1 {
@@ -318,7 +318,8 @@ func TestRouteCommitCoordinatesRemotely(t *testing.T) {
 type moveWorld struct {
 	cl   *Cluster
 	pid  int
-	id   string
+	id   string   // va/f
+	f    *Binding // va/f, opened at site 2
 	data []byte
 }
 
@@ -332,7 +333,7 @@ func newMoveWorld(t *testing.T, cfg Config) *moveWorld {
 	must(t, s2.Create("va/f"))
 	id, _, err := s2.Open("va/f")
 	must(t, err)
-	w.id = id
+	w.f, w.id = id, id.ID()
 	return w
 }
 
@@ -343,7 +344,7 @@ func (w *moveWorld) heat(t *testing.T) {
 	s1 := w.cl.Site(1)
 	for i := 0; i < 8 && s1.installSeq.Load() == 0; i++ {
 		txid := fmt.Sprintf("T%d", i)
-		if _, err := w.cl.Site(2).Write(w.id, w.pid, txid, int64(len(w.data)), []byte("abcd")); err != nil {
+		if _, err := w.cl.Site(2).Write(w.f, w.pid, txid, int64(len(w.data)), []byte("abcd")); err != nil {
 			t.Error(err)
 			return
 		}
@@ -393,7 +394,7 @@ func (w *moveWorld) expect(t *testing.T, home simnet.SiteID) {
 	if _, _, err := s2.Open("va/f"); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s2.Read(w.id, w.pid, "", 0, len(w.data)); err != nil || !bytes.Equal(got, w.data) {
+	if got, err := s2.Read(w.f, w.pid, "", 0, len(w.data)); err != nil || !bytes.Equal(got, w.data) {
 		t.Errorf("read through %v = %q, %v; want %q", home, got, err, w.data)
 	}
 }

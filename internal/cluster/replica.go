@@ -31,11 +31,15 @@ import (
 const replOwner shadow.Owner = "kernel:repl"
 
 type replPullReq struct {
+	simnet.Small
 	Volume  string
 	Replica simnet.SiteID
 }
 
-type replRemoveReq struct{ Path string }
+type replRemoveReq struct {
+	simnet.Small
+	Path string
+}
 
 // AddReplica creates a read-only replica of an existing volume at another
 // site and ships it the current committed contents.
@@ -125,7 +129,7 @@ func (k *incarnation) handleReplRemove(req replRemoveReq) error {
 // effort (a down replica's boot rule drops the file when it restarts).
 func (k *incarnation) notifyReplicaRemove(path, volName string) {
 	for _, site := range k.cl.ReplicaSites(volName) {
-		k.ep.Call(site, "replremove", replRemoveReq{Path: path}) //nolint:errcheck
+		simnet.Exchange[none](k.ep, site, "replremove", replRemoveReq{Path: path}) //nolint:errcheck
 	}
 }
 
@@ -166,7 +170,7 @@ func (k *incarnation) pullBehind() {
 			continue
 		}
 		if primary, err := k.cl.StorageSite(vs.name + "/."); err == nil {
-			k.ep.Call(primary, "replpull", replPullReq{Volume: vs.name, Replica: k.id}) //nolint:errcheck // primary down: keep forwarding
+			simnet.Exchange[none](k.ep, primary, "replpull", replPullReq{Volume: vs.name, Replica: k.id}) //nolint:errcheck // primary down: keep forwarding
 		}
 	}
 }

@@ -133,7 +133,7 @@ func TestTransactionCommitPropagatesToReplicas(t *testing.T) {
 	if _, err := s1.Write(id, pid, "T1", 0, []byte("committed!!")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id}, Coord: 1}); err != nil {
+	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id.ID()}, Coord: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.kernel().handleCommit2(commit2Req{Txid: "T1"}); err != nil {
@@ -367,11 +367,11 @@ func TestMoveOntoReplicaLeavesOneCopy(t *testing.T) {
 	w := newMoveWorld(t, Config{PlacementMinAccesses: 1e9}) // moves only when told
 	s2 := w.cl.Site(2)
 	must(t, w.cl.AddReplica("va", 2))
-	if _, err := s2.Read(w.id, w.pid, "", 0, 1); err != nil { // opens the read handle
+	if _, err := s2.Read(w.f, w.pid, "", 0, 1); err != nil { // opens the read handle
 		t.Fatal(err)
 	}
 	for _, txid := range []string{"T1", "T2"} { // each commit syncs the replica
-		_, err := s2.Write(w.id, w.pid, txid, int64(len(w.data)), []byte("abcd"))
+		_, err := s2.Write(w.f, w.pid, txid, int64(len(w.data)), []byte("abcd"))
 		must(t, err)
 		commitAtHome(t, w.cl, txid, w.id)
 		w.data = append(w.data, "abcd"...)
@@ -381,7 +381,7 @@ func TestMoveOntoReplicaLeavesOneCopy(t *testing.T) {
 	if recorded, _ := w.cl.ReplicaCopy(w.id, 2); recorded {
 		t.Error("the new home is still recorded as a replica")
 	}
-	_, err := s2.Write(w.id, w.pid, "T-home", 0, []byte("home"))
+	_, err := s2.Write(w.f, w.pid, "T-home", 0, []byte("home"))
 	must(t, err)
 	commitAtHome(t, w.cl, "T-home", w.id)
 

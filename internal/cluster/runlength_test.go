@@ -301,7 +301,7 @@ func TestRemoteCommitAllocationBudget(t *testing.T) {
 	for i := 0; i < 32; i++ { // fill caches, grow tables to their working size
 		txn()
 	}
-	const budget = 25
+	const budget = 15
 	got := testing.AllocsPerRun(500, txn)
 	t.Logf("%.1f allocations per remote transaction", got)
 	if got > budget {

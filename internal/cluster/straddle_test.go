@@ -31,8 +31,9 @@ type straddleWorld struct {
 	t   *testing.T
 	cl  *Cluster
 	clk vtime.Clock
-	pid int    // a process at site 2 with va/f open
-	id  string // va/f
+	pid int      // a process at site 2 with va/f open
+	id  string   // va/f
+	f   *Binding // va/f, opened at site 2
 }
 
 func newStraddleWorld(t *testing.T, clk vtime.Clock) *straddleWorld {
@@ -53,14 +54,14 @@ func newStraddleWorld(t *testing.T, clk vtime.Clock) *straddleWorld {
 	must(t, s2.Create("va/f"))
 	id, _, err := s2.Open("va/f")
 	must(t, err)
-	w.id = id
+	w.f, w.id = id, id.ID()
 	return w
 }
 
 // txnWrite has transaction T1 lock and write va/f from site 2.
 func (w *straddleWorld) txnWrite() {
 	w.t.Helper()
-	_, err := w.cl.Site(2).Write(w.id, w.pid, "T1", 0, []byte("abcd"))
+	_, err := w.cl.Site(2).Write(w.f, w.pid, "T1", 0, []byte("abcd"))
 	must(w.t, err)
 }
 
@@ -172,12 +173,12 @@ func TestStraddle(t *testing.T) {
 			return writeReq{FileID: w.id, PID: w.pid, Data: []byte("abcd")}
 		}},
 		{op: "unlock", setup: func(w *straddleWorld) any {
-			_, err := w.cl.Site(2).Lock(w.id, w.pid, "", lockmgr.ModeExclusive, 0, 4, false, false, false)
+			_, err := w.cl.Site(2).Lock(w.f, w.pid, "", lockmgr.ModeExclusive, 0, 4, false, false, false)
 			must(w.t, err)
 			return unlockReq{FileID: w.id, PID: w.pid, Len: 4}
 		}},
 		{op: "close", setup: func(w *straddleWorld) any {
-			_, err := w.cl.Site(2).Write(w.id, w.pid, "", 0, []byte("abcd"))
+			_, err := w.cl.Site(2).Write(w.f, w.pid, "", 0, []byte("abcd"))
 			must(w.t, err)
 			return closeReq{FileID: w.id, PID: w.pid}
 		}},

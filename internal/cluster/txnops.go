@@ -37,10 +37,22 @@ type prepareResp struct{ Vote tpc.Vote }
 
 func (prepareResp) WireSize() int { return 16 }
 
-type commit2Req struct{ Txid string }
-type abortTxnReq struct{ Txid string }
-type statusReq struct{ Txid string }
-type statusResp struct{ Status tpc.Status }
+type commit2Req struct {
+	simnet.Small
+	Txid string
+}
+type abortTxnReq struct {
+	simnet.Small
+	Txid string
+}
+type statusReq struct {
+	simnet.Small
+	Txid string
+}
+type statusResp struct {
+	simnet.Small
+	Status tpc.Status
+}
 
 // siteTransport adapts the site's endpoint to tpc.Transport.  Prepare is
 // a single exchange: a lost prepare is treated as a refusal and aborts
@@ -51,34 +63,36 @@ type statusResp struct{ Status tpc.Status }
 type siteTransport struct{ *machine }
 
 func (t *siteTransport) SendPrepare(site simnet.SiteID, txid string, fileIDs []string, coord simnet.SiteID) (tpc.Vote, error) {
+	req := prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord}
 	if !t.cl.cfg.FastPaths {
 		// Paper-exact mode keeps the original wire exchange (empty
 		// response) so fixed-seed runs stay byte-identical.
-		_, err := t.ep.Call(site, "prepare", prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
+		_, err := simnet.Exchange[none](t.ep, site, "prepare", req)
 		return tpc.VoteCommit, err
 	}
-	resp, err := t.ep.Call(site, "preparev", prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
-	if err != nil {
-		return tpc.VoteCommit, err
-	}
-	return resp.(prepareResp).Vote, nil
+	return t.vote("preparev", site, req)
 }
 
 func (t *siteTransport) SendPrepareCommit(site simnet.SiteID, txid string, fileIDs []string, coord simnet.SiteID) (tpc.Vote, error) {
-	resp, err := t.ep.Call(site, "prepareCommit", prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
+	return t.vote("prepareCommit", site, prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
+}
+
+// vote sends a fast-path prepare op and returns the participant's vote.
+func (t *siteTransport) vote(op string, site simnet.SiteID, req prepareReq) (tpc.Vote, error) {
+	resp, err := simnet.Exchange[prepareResp](t.ep, site, op, req)
 	if err != nil {
 		return tpc.VoteCommit, err
 	}
-	return resp.(prepareResp).Vote, nil
+	return resp.Vote, nil
 }
 
 func (t *siteTransport) SendCommit(site simnet.SiteID, txid string) error {
-	_, err := t.ep.CallRetry(site, "commit2", commit2Req{Txid: txid}, 0)
+	_, err := simnet.ExchangeRetry[none](t.ep, site, "commit2", commit2Req{Txid: txid}, 0)
 	return err
 }
 
 func (t *siteTransport) SendAbort(site simnet.SiteID, txid string) error {
-	_, err := t.ep.CallRetry(site, "abortTxn", abortTxnReq{Txid: txid}, 0)
+	_, err := simnet.ExchangeRetry[none](t.ep, site, "abortTxn", abortTxnReq{Txid: txid}, 0)
 	return err
 }
 
@@ -535,11 +549,11 @@ func (k *incarnation) handleStatus(req statusReq) (statusResp, error) {
 
 // QueryStatus asks a remote coordinator for a transaction's outcome.
 func (m *machine) QueryStatus(coordSite simnet.SiteID, txid string) (tpc.Status, error) {
-	resp, err := m.ep.Call(coordSite, "status", statusReq{Txid: txid})
+	resp, err := simnet.Exchange[statusResp](m.ep, coordSite, "status", statusReq{Txid: txid})
 	if err != nil {
 		return tpc.StatusUnknown, err
 	}
-	return resp.(statusResp).Status, nil
+	return resp.Status, nil
 }
 
 // WaitEdges collects wait-for edges from every reachable site - the data
@@ -560,7 +574,7 @@ func (c *Cluster) WaitEdges() []lockmgr.WaitEdge {
 // recovery.
 func (m *machine) AbortEverywhere(txid string) {
 	for _, id := range m.cl.Sites() {
-		m.ep.Call(id, "abortTxn", abortTxnReq{Txid: txid}) //nolint:errcheck // down sites roll back on restart (section 4.3)
+		simnet.Exchange[none](m.ep, id, "abortTxn", abortTxnReq{Txid: txid}) //nolint:errcheck // down sites roll back on restart (section 4.3)
 	}
 }
 
@@ -580,9 +594,6 @@ func (k *incarnation) dropOpen(fileID string) {
 		delete(k.open, fileID)
 	}
 }
-
-// reapReq cleans up after a dead non-transaction process.
-type reapReq struct{ PID int }
 
 // ReapProcess discards a dead non-transaction process's uncommitted
 // modifications and releases its locks at every reachable site - the

@@ -311,7 +311,7 @@ func (sys *System) NewProcess(site simnet.SiteID) (*Process, error) {
 	}
 	pid := sys.cl.NewPID()
 	s.Procs().NewProcess(pid, 0)
-	return &Process{sys: sys, pid: pid, site: site}, nil
+	return &Process{sys: sys, pid: pid, site: site, k: s}, nil
 }
 
 // Process is a handle on one process; its methods are that process's
@@ -321,6 +321,7 @@ type Process struct {
 	sys  *System
 	pid  int
 	site simnet.SiteID
+	k    *cluster.Site // site's kernel: Migrate changes both
 }
 
 // PID returns the process identifier.
@@ -329,7 +330,7 @@ func (p *Process) PID() int { return p.pid }
 // Site returns the process's current site.
 func (p *Process) Site() simnet.SiteID { return p.site }
 
-func (p *Process) kernel() *cluster.Site { return p.sys.cl.Site(p.site) }
+func (p *Process) kernel() *cluster.Site { return p.k }
 
 // state fetches a consistent snapshot of the process's kernel record at
 // its current site.
@@ -541,7 +542,7 @@ func (p *Process) Fork(at simnet.SiteID) (*Process, error) {
 	if txid := p.Txn(); txid != "" {
 		p.sys.noteTxnSite(txid, at)
 	}
-	return &Process{sys: p.sys, pid: pid, site: at}, nil
+	return &Process{sys: p.sys, pid: pid, site: at, k: p.sys.cl.Site(at)}, nil
 }
 
 // Exit completes the process.  A member process of a transaction merges
@@ -556,7 +557,7 @@ func (p *Process) Migrate(to simnet.SiteID) error {
 	if err := p.kernel().Migrate(p.pid, to); err != nil {
 		return err
 	}
-	p.site = to
+	p.site, p.k = to, p.sys.cl.Site(to)
 	if txid := p.Txn(); txid != "" {
 		p.sys.noteTxnSite(txid, to)
 	}

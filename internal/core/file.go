@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/cluster"
 	"repro/internal/proc"
 	"repro/internal/telemetry"
 )
@@ -15,7 +16,7 @@ import (
 // process that uses it.
 type File struct {
 	p      *Process
-	id     string
+	b      *cluster.Binding
 	pos    int64
 	append bool
 	closed bool
@@ -32,13 +33,14 @@ type LockOpts struct {
 
 // Open opens the file at path ("volume/name") through the transparent
 // namespace; the storage site may be anywhere.  Opening performs the
-// name-mapping once; subsequent lock and data operations skip it.
+// name-mapping once, binding the file to its storage site; subsequent lock
+// and data operations go there directly.
 func (p *Process) Open(path string) (*File, error) {
-	id, _, err := p.kernel().Open(path)
+	b, _, err := p.kernel().Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return &File{p: p, id: id}, nil
+	return &File{p: p, b: b}, nil
 }
 
 // Create makes an empty file and opens it.
@@ -56,7 +58,7 @@ func (p *Process) Remove(path string) error {
 }
 
 // ID returns the file's global identifier.
-func (f *File) ID() string { return f.id }
+func (f *File) ID() string { return f.b.ID() }
 
 // Close releases the channel.  For a non-transaction process, close
 // commits its modifications atomically (the base Locus single-file
@@ -66,19 +68,19 @@ func (f *File) Close() error {
 		return nil
 	}
 	f.closed = true
-	return f.p.kernel().Close(f.id, f.p.pid, f.p.Txn())
+	return f.p.kernel().Close(f.b, f.p.pid, f.p.Txn())
 }
 
 // Size returns the file's working size (committed size plus uncommitted
 // extensions visible through the commit mechanism).
 func (f *File) Size() (int64, error) {
-	size, _, err := f.p.kernel().Stat(f.id)
+	size, _, err := f.p.kernel().Stat(f.b)
 	return size, err
 }
 
 // CommittedSize returns the last committed size.
 func (f *File) CommittedSize() (int64, error) {
-	_, cs, err := f.p.kernel().Stat(f.id)
+	_, cs, err := f.p.kernel().Stat(f.b)
 	return cs, err
 }
 
@@ -122,11 +124,9 @@ func (f *File) registerUse() error {
 	if ps.TxnID == "" {
 		return nil
 	}
-	site, err := f.p.sys.cl.StorageSite(f.id)
-	if err != nil {
-		return err
-	}
-	if err := f.p.kernel().Procs().AddFile(f.p.pid, proc.FileRef{FileID: f.id, StorageSite: site}); err != nil {
+	// The call that just returned went to the bound site.
+	site := f.b.Site()
+	if err := f.p.kernel().Procs().AddFile(f.p.pid, proc.FileRef{FileID: f.b.ID(), StorageSite: site}); err != nil {
 		return err
 	}
 	f.p.sys.noteTxnSite(ps.TxnID, site)
@@ -157,7 +157,7 @@ func (f *File) Lock(length int64, mode Mode, opts ...LockOpts) (int64, error) {
 		return 0, err
 	}
 	opDone := f.opWindow(ps.TxnID)
-	res, err := f.p.kernel().Lock(f.id, f.p.pid, ps.TxnID, mode, f.pos, length, f.append, o.NonTxn, !o.NoWait)
+	res, err := f.p.kernel().Lock(f.b, f.p.pid, ps.TxnID, mode, f.pos, length, f.append, o.NonTxn, !o.NoWait)
 	opDone()
 	if err != nil {
 		return 0, err
@@ -207,7 +207,7 @@ func (f *File) LockRange(off, length int64, mode Mode, opts ...LockOpts) error {
 // until commit or abort, and any member process may reacquire it.  The
 // return value reports whether the lock was retained.
 func (f *File) Unlock(off, length int64) (retained bool, err error) {
-	return f.p.kernel().Unlock(f.id, f.p.pid, f.p.Txn(), off, length)
+	return f.p.kernel().Unlock(f.b, f.p.pid, f.p.Txn(), off, length)
 }
 
 // ReadAt reads len(buf) bytes at off, implicitly acquiring a shared
@@ -221,7 +221,7 @@ func (f *File) ReadAt(buf []byte, off int64) (int, error) {
 		return 0, err
 	}
 	opDone := f.opWindow(ps.TxnID)
-	data, err := f.p.kernel().Read(f.id, f.p.pid, ps.TxnID, off, len(buf))
+	data, err := f.p.kernel().Read(f.b, f.p.pid, ps.TxnID, off, len(buf))
 	opDone()
 	if err != nil {
 		return 0, err
@@ -246,7 +246,7 @@ func (f *File) WriteAt(buf []byte, off int64) (int, error) {
 		return 0, err
 	}
 	opDone := f.opWindow(ps.TxnID)
-	n, err := f.p.kernel().Write(f.id, f.p.pid, ps.TxnID, off, buf)
+	n, err := f.p.kernel().Write(f.b, f.p.pid, ps.TxnID, off, buf)
 	opDone()
 	if err != nil {
 		return 0, err
@@ -281,5 +281,5 @@ func (f *File) Write(buf []byte) (int, error) {
 // immediately (single-file atomic commit).  Inside a transaction it
 // fails: the data commits with the transaction.
 func (f *File) Sync() error {
-	return f.p.kernel().Sync(f.id, f.p.pid, f.p.Txn())
+	return f.p.kernel().Sync(f.b, f.p.pid, f.p.Txn())
 }

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -80,50 +79,49 @@ func TestLamportClockAcrossLatencySpike(t *testing.T) {
 
 func TestLamportClockUnderDuplicateDelivery(t *testing.T) {
 	_, a, b, col := traced(t, Config{DupRate: 0.95})
-	var mu sync.Mutex
 	handled := 0
 	b.Handle("note", func(from SiteID, req any) (any, error) {
-		mu.Lock()
 		handled++
-		mu.Unlock()
 		return nil, nil
 	})
 
 	const sends = 20
 	for i := 0; i < sends; i++ {
-		a.Send(2, "note", i)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		h := handled
-		mu.Unlock()
-		if h > sends {
-			break // at least one duplicate landed
+		if _, err := a.Call(2, "note", i); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no duplicate delivery after %d sends (handled %d)", sends, h)
-		}
-		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(10 * time.Millisecond) // let in-flight duplicates finish
+	// A duplicate runs inline, before its call returns.
+	if handled <= sends {
+		t.Fatalf("no duplicate delivery after %d calls (handled %d)", sends, handled)
+	}
 
 	evs := col.Events()
-	recvs := assertLamport(t, evs)
-	if recvs <= sends {
-		t.Fatalf("MsgRecv events = %d, want > %d (duplicates stamped too)", recvs, sends)
-	}
-	// Every receive, duplicate or not, must credit the same send stamp
-	// family: stamps come only from the sender's recorded sends.
-	sent := map[int64]bool{}
+	assertLamport(t, evs)
+	reqRecvs := 0
 	for _, ev := range evs {
-		if ev.Type == trace.MsgSend && ev.Site == 1 {
-			sent[int64(ev.Clock)] = true
+		if ev.Type == trace.MsgRecv && ev.Site == 2 {
+			reqRecvs++
+		}
+	}
+	if reqRecvs <= sends {
+		t.Fatalf("request MsgRecv events = %d, want > %d (duplicates stamped too)", reqRecvs, sends)
+	}
+	// Every receive, duplicate or not, must credit a send stamp of the
+	// other site: stamps come only from recorded sends.
+	type stamp struct {
+		site  int
+		clock int64
+	}
+	sent := map[stamp]bool{}
+	for _, ev := range evs {
+		if ev.Type == trace.MsgSend {
+			sent[stamp{ev.Site, int64(ev.Clock)}] = true
 		}
 	}
 	for _, ev := range evs {
-		if ev.Type == trace.MsgRecv && !sent[ev.Arg] {
-			t.Fatalf("MsgRecv stamp %d matches no recorded send", ev.Arg)
+		if ev.Type == trace.MsgRecv && !sent[stamp{3 - ev.Site, ev.Arg}] {
+			t.Fatalf("MsgRecv stamp %d at site %d matches no recorded send", ev.Arg, ev.Site)
 		}
 	}
 }

@@ -51,9 +51,9 @@ var siteNames = func() (names [64]string) {
 }()
 
 // Handler processes one inbound request and returns a response or error.
-// It runs on the caller's actor (a one-way Send's on an actor of its own),
-// so the handlers of concurrent callers interleave wherever they park on
-// the clock; shared state must be synchronized.
+// It runs on the caller's actor, so the handlers of concurrent callers
+// interleave wherever they park on the clock; shared state must be
+// synchronized.
 type Handler func(from SiteID, req any) (any, error)
 
 // Errors returned by message operations.
@@ -121,12 +121,42 @@ type TopologyEvent struct {
 }
 
 // Sizer may be implemented by payloads to report their wire size; payloads
-// without it are charged smallMsgBytes.
+// without it, or reporting 0, are charged smallMsgBytes.  It is also what
+// the typed exchange (Exchange, Serve) asks of its request and response
+// types, which is how that exchange sizes a message without boxing it; a
+// message of the default size embeds Small.
 type Sizer interface {
 	WireSize() int
 }
 
 const smallMsgBytes = 64
+
+// Small gives the message type that embeds it the small-message default
+// size.
+type Small struct{}
+
+// WireSize reports 0: the small-message default.
+func (Small) WireSize() int { return 0 }
+
+// wireSize is the bytes charged for a message reporting size n.
+func wireSize(n int) int {
+	if n > 0 {
+		return n
+	}
+	return smallMsgBytes
+}
+
+// boxed carries an untyped payload through the typed exchange: Call,
+// CallRetry and Handle are that exchange on boxed messages.
+type boxed struct{ v any }
+
+// WireSize is the payload's own size if it reports one.
+func (b boxed) WireSize() int {
+	if s, ok := b.v.(Sizer); ok {
+		return s.WireSize()
+	}
+	return 0
+}
 
 // Config controls network behaviour.  The zero value gives a reliable
 // zero-latency network, which keeps unit tests deterministic.
@@ -240,7 +270,7 @@ func (n *Network) AddSite(id SiteID) *Endpoint {
 	if e, ok := n.sites[id]; ok {
 		return e
 	}
-	e := &Endpoint{id: id, net: n, handlers: make(map[string]Handler)}
+	e := &Endpoint{id: id, net: n, handlers: make(map[string]route)}
 	e.up.Store(true)
 	e.links.Store(new([]*linkStats))
 	n.sites[id] = e
@@ -306,7 +336,7 @@ func (n *Network) SetDupRate(p float64) {
 
 // SetFaultFilter installs (or, with nil, removes) a message-drop filter.
 // Filtered messages are lost exactly as probabilistic drops are: callers
-// time out, one-way sends vanish.
+// time out.
 func (n *Network) SetFaultFilter(f FaultFilter) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -430,16 +460,6 @@ func (n *Network) Close() {
 	n.closed = true
 }
 
-// payloadSize estimates the wire size of a payload.
-func payloadSize(p any) int {
-	if s, ok := p.(Sizer); ok {
-		if n := s.WireSize(); n > 0 {
-			return n
-		}
-	}
-	return smallMsgBytes
-}
-
 // linkStats is the telemetry of one directed site pair: messages sent
 // and legs currently in the air.
 type linkStats struct {
@@ -509,7 +529,16 @@ type Endpoint struct {
 	links atomic.Pointer[[]*linkStats]
 
 	mu       sync.Mutex
-	handlers map[string]Handler
+	handlers map[string]route
+}
+
+// route is an op's handler twice over: typed is a func(SiteID, Req) (Resp,
+// error) of the types Serve registered it with (nil for Handle's), boxed
+// the same handler on boxed payloads, so an untyped Call reaches a typed
+// handler too.
+type route struct {
+	typed any
+	boxed func(SiteID, boxed) (boxed, error)
 }
 
 // ID returns the endpoint's site ID.
@@ -523,25 +552,55 @@ func (e *Endpoint) SetTracer(t *trace.Tracer) { e.tr.Store(t) }
 func (e *Endpoint) Tracer() *trace.Tracer { return e.tr.Load() }
 
 // Handle registers the handler for an operation name, replacing any
-// previous handler.
+// previous handler.  It is Serve on untyped payloads.
 func (e *Endpoint) Handle(op string, h Handler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.handlers[op] = h
+	e.setRoute(op, route{boxed: func(from SiteID, req boxed) (boxed, error) {
+		resp, err := h(from, req.v)
+		return boxed{resp}, err
+	}})
 }
 
-// handler returns the handler for op if the endpoint is up.
-func (e *Endpoint) handler(op string) (Handler, error) {
+// Serve registers the typed handler for an operation name, replacing any
+// previous handler.  Exchange[Resp] with a request of type Req reaches it
+// with no payload boxed; an untyped Call reaches it too, and gets an error
+// if its payload is not a Req.
+func Serve[Req, Resp Sizer](e *Endpoint, op string, h func(from SiteID, req Req) (Resp, error)) {
+	e.setRoute(op, route{typed: h, boxed: func(from SiteID, req boxed) (boxed, error) {
+		r, ok := req.v.(Req)
+		if !ok {
+			return boxed{}, fmt.Errorf("%w: %q at %s takes %T, not %T", ErrNoHandler, op, e.id, r, req.v)
+		}
+		resp, err := h(from, r)
+		return boxed{resp}, err
+	}})
+}
+
+func (e *Endpoint) setRoute(op string, r route) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.handlers[op] = r
+}
+
+// handlerFor returns op's handler on Req and Resp if the endpoint is up.
+func handlerFor[Req, Resp Sizer](e *Endpoint, op string) (func(SiteID, Req) (Resp, error), error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.up.Load() {
 		return nil, ErrUnreachable
 	}
-	h, ok := e.handlers[op]
+	r, ok := e.handlers[op]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q at %s", ErrNoHandler, op, e.id)
 	}
-	return h, nil
+	if h, ok := r.typed.(func(SiteID, Req) (Resp, error)); ok {
+		return h, nil
+	}
+	if h, ok := any(r.boxed).(func(SiteID, Req) (Resp, error)); ok {
+		return h, nil
+	}
+	var req Req
+	var resp Resp
+	return nil, fmt.Errorf("%w: %q at %s does not take %T to %T", ErrNoHandler, op, e.id, req, resp)
 }
 
 // Call performs a synchronous request/response exchange with the remote
@@ -559,35 +618,46 @@ func (e *Endpoint) handler(op string) (Handler, error) {
 //
 // Calling a site's own endpoint is allowed and models a local kernel
 // operation: the handler runs directly with no messages charged.
+//
+// Call is Exchange on untyped payloads.
 func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
+	resp, err := Exchange[boxed](e, to, op, boxed{req})
+	return resp.v, err
+}
+
+// Exchange is Call with the request and response moved by value, sized by
+// their WireSize: the one exchange body, on the handler Serve registered
+// for op with these types.
+func Exchange[Resp, Req Sizer](e *Endpoint, to SiteID, op string, req Req) (Resp, error) {
+	var none Resp
 	n := e.net
 
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return nil, ErrNetClosed
+		return none, ErrNetClosed
 	}
 	if to == e.id {
 		// Local operation: no network involved.
 		n.mu.Unlock()
-		h, err := e.handler(op)
+		h, err := handlerFor[Req, Resp](e, op)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		resp, err := h(e.id, req)
 		if err == ErrNoReply {
-			return nil, fmt.Errorf("%w: %s (%s)", ErrTimeout, e.id, op)
+			return none, fmt.Errorf("%w: %s (%s)", ErrTimeout, e.id, op)
 		}
 		return resp, err
 	}
 	dst, ok := n.sites[to]
 	if !ok {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSite, to)
+		return none, fmt.Errorf("%w: %s", ErrUnknownSite, to)
 	}
 	if !n.reachableLocked(e.id, to) {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s -> %s (%s)", ErrUnreachable, e.id, to, op)
+		return none, fmt.Errorf("%w: %s -> %s (%s)", ErrUnreachable, e.id, to, op)
 	}
 	latency := n.cfg.Latency
 	timeout := n.cfg.CallTimeout
@@ -606,7 +676,7 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 
 	n.st.Inc(stats.RPCs)
 	n.st.Inc(stats.MsgsSent)
-	n.st.Add(stats.BytesSent, int64(payloadSize(req)))
+	n.st.Add(stats.BytesSent, int64(wireSize(req.WireSize())))
 	n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
 	reqClock := e.tr.Load().MsgSend(op, "", int(to))
 	out := e.link(to)
@@ -621,11 +691,11 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 	// Reachability is re-checked at delivery: a partition or crash that
 	// happened in flight loses the message.
 	if dropReq || !n.Reachable(e.id, to) {
-		return nil, e.timedOut(start, timeout, to, op)
+		return none, e.timedOut(start, timeout, to, op)
 	}
-	h, err := dst.handler(op)
+	h, err := handlerFor[Req, Resp](dst, op)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
 	dst.tr.Load().MsgRecv(op, "", reqClock)
@@ -641,12 +711,12 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 		h(e.id, req) //nolint:errcheck // duplicate's result discarded
 	}
 	if herr == ErrNoReply {
-		return nil, e.timedOut(start, timeout, to, op)
+		return none, e.timedOut(start, timeout, to, op)
 	}
 
 	// Response leg.
 	n.st.Inc(stats.MsgsSent)
-	n.st.Add(stats.BytesSent, int64(payloadSize(resp)))
+	n.st.Add(stats.BytesSent, int64(wireSize(resp.WireSize())))
 	n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
 	respClock := dst.sendResp(op, e.id)
 	back := dst.link(e.id)
@@ -657,13 +727,13 @@ func (e *Endpoint) Call(to SiteID, op string, req any) (any, error) {
 	n.transitNS.Add(latency.Nanoseconds())
 	if dropResp || !n.Reachable(to, e.id) || clk.Now().Sub(start) >= timeout {
 		// Lost, or the response arrived after the caller gave up.
-		return nil, e.timedOut(start, timeout, to, op)
+		return none, e.timedOut(start, timeout, to, op)
 	}
 	if respClock != 0 {
 		e.tr.Load().MsgRecv(op+":resp", "", respClock)
 	}
 	if herr != nil {
-		return nil, &RemoteError{Op: op, Site: to, Err: herr}
+		return none, &RemoteError{Op: op, Site: to, Err: herr}
 	}
 	return resp, nil
 }
@@ -739,82 +809,33 @@ func (n *Network) retryAttempts() int {
 // Handlers invoked through CallRetry must therefore be idempotent - the
 // paper leans on temporally-unique transaction IDs for exactly this
 // (section 4.4: duplicate commit or abort messages are harmless).
+//
+// CallRetry is ExchangeRetry on untyped payloads.
 func (e *Endpoint) CallRetry(to SiteID, op string, req any, attempts int) (any, error) {
+	resp, err := ExchangeRetry[boxed](e, to, op, boxed{req}, attempts)
+	return resp.v, err
+}
+
+// ExchangeRetry is CallRetry with the request and response moved by value.
+func ExchangeRetry[Resp, Req Sizer](e *Endpoint, to SiteID, op string, req Req, attempts int) (Resp, error) {
 	if attempts <= 0 {
 		attempts = e.net.retryAttempts()
 	}
+	var none Resp
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			e.net.clock.Sleep(e.net.backoffFor(e.id, to, op, i-1))
 		}
-		var resp any
-		resp, err = e.Call(to, op, req)
+		var resp Resp
+		resp, err = Exchange[Resp](e, to, op, req)
 		if err == nil {
 			return resp, nil
 		}
 		var re *RemoteError
 		if errors.As(err, &re) {
-			return nil, err
+			return none, err
 		}
 	}
-	return nil, err
-}
-
-// Send delivers a one-way message with no response and no delivery
-// confirmation.  It is used for the asynchronous phase-two commit
-// messages of section 4.2.
-func (e *Endpoint) Send(to SiteID, op string, req any) {
-	n := e.net
-
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	dst, ok := n.sites[to]
-	if !ok || !n.reachableLocked(e.id, to) {
-		n.mu.Unlock()
-		return
-	}
-	latency := n.cfg.Latency
-	drop := n.rng.Float64() < n.cfg.DropRate
-	dup := n.cfg.DupRate > 0 && n.rng.Float64() < n.cfg.DupRate
-	if n.filter != nil && n.filter(e.id, to, op) {
-		drop = true
-	}
-	n.mu.Unlock()
-
-	n.st.Inc(stats.MsgsSent)
-	n.st.Add(stats.BytesSent, int64(payloadSize(req)))
-	n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
-	sendClock := e.tr.Load().MsgSend(op, "", int(to))
-	out := e.link(to)
-	out.msgs.Inc()
-	inflight := out.inflight
-	inflight.Add(1)
-
-	n.clock.Go(func() {
-		if latency > 0 {
-			n.clock.Sleep(latency)
-		}
-		inflight.Add(-1)
-		n.transitNS.Add(latency.Nanoseconds())
-		if drop || !n.Reachable(e.id, to) {
-			return
-		}
-		h, err := dst.handler(op)
-		if err != nil {
-			return
-		}
-		n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
-		dst.tr.Load().MsgRecv(op, "", sendClock)
-		h(e.id, req) //nolint:errcheck // one-way: result discarded
-		if dup && n.Reachable(e.id, to) {
-			// Same delivery-time reachability rule as Call's duplicate.
-			n.st.Add(stats.Instructions, costmodel.InstrMsgHandling)
-			dst.tr.Load().MsgRecv(op, "", sendClock)
-			h(e.id, req) //nolint:errcheck // duplicate delivery; handlers are idempotent
-		}
-	})
+	return none, err
 }
