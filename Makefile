@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench-check ledger-check ledger-pairs chaos matrix seed87 vtime telemetry probe trace experiments examples tools lines clean
+.PHONY: all test race bench-check ledger-check ledger-pairs chaos matrix seed87 vtime telemetry golden probe trace experiments examples tools lines clean
 
 all: test
 
@@ -95,6 +95,12 @@ vtime:           ## the layer-matrix chaos sweeps, the seed-87 reproducer + the 
 telemetry:       ## verify the golden telemetry snapshot byte for byte
 	$(GO) run ./cmd/locus bench -telemetry -clients 4 -txns 8 -json tele-now.json
 	diff TELEMETRY_GOLDEN.json tele-now.json && rm tele-now.json
+
+# The golden directory: outputs a pure refactor must leave byte-identical.
+# `make golden` rewrites them; `git diff testdata/golden` shows what moved.
+golden:          ## regenerate testdata/golden/ (so far the seed-7 all-layer chaos report)
+	@mkdir -p testdata/golden
+	$(GO) run ./cmd/locus chaos -seed 7 -duration 2s -stats -groupcommit 5ms -fastpaths -leases -placement > testdata/golden/chaos-seed7-all.txt
 
 probe:           ## exhaustive crash-point matrix (DESIGN.md section 9), race-enabled
 	$(GO) run -race ./cmd/locus probe -forensics probe-forensics.txt

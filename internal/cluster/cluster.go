@@ -599,6 +599,8 @@ type incarnation struct {
 	leaseMu   sync.Mutex
 	leases    map[string]*siteLease
 	leaseMeta map[string]map[simnet.SiteID]*leaseMeta
+	// leaseSpare holds emptied siteLease records for reuse (leaseForgetLocked).
+	leaseSpare []*siteLease
 
 	// fenced marks files mid-install here - the source of a move, or the
 	// target of any install - so two installs of one file never

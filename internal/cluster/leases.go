@@ -74,7 +74,11 @@ func (k *incarnation) leaseCacheAdd(fileID string, mode lockmgr.Mode, off, lengt
 	}
 	l := k.leases[fileID]
 	if l == nil {
-		l = &siteLease{}
+		if n := len(k.leaseSpare); n > 0 {
+			l, k.leaseSpare = k.leaseSpare[n-1], k.leaseSpare[:n-1]
+		} else {
+			l = &siteLease{}
+		}
 		k.leases[fileID] = l
 		k.leaseGauge.Add(1)
 	}
@@ -85,7 +89,7 @@ func (k *incarnation) leaseCacheAdd(fileID string, mode lockmgr.Mode, off, lengt
 		if mode > l.whole {
 			l.whole = mode
 		}
-		l.spans = nil
+		l.spans = l.spans[:0]
 		return
 	}
 	for _, sp := range l.spans {
@@ -108,8 +112,7 @@ func (k *incarnation) leaseHit(fileID string, mode lockmgr.Mode, off, length int
 		return false
 	}
 	if !now.Before(l.expiry) {
-		delete(k.leases, fileID)
-		k.leaseGauge.Add(-1)
+		k.leaseForgetLocked(fileID, l)
 		return false
 	}
 	if l.whole >= mode && l.whole != lockmgr.ModeNone {
@@ -132,14 +135,23 @@ func (k *incarnation) leaseHit(fileID string, mode lockmgr.Mode, off, length int
 	return true
 }
 
+// leaseForgetLocked drops fileID's cached lease l and keeps the emptied
+// record, span array and all, for the next leaseCacheAdd: the gauge counts
+// the map's entries, not the records.  Caller holds leaseMu.
+func (k *incarnation) leaseForgetLocked(fileID string, l *siteLease) {
+	delete(k.leases, fileID)
+	k.leaseGauge.Add(-1)
+	*l = siteLease{spans: l.spans[:0]}
+	k.leaseSpare = append(k.leaseSpare, l)
+}
+
 // leaseCacheDrop forgets the cached lease for one file (revoke callback,
 // or a stale hit the storage site bounced).
 func (k *incarnation) leaseCacheDrop(fileID string) {
 	k.leaseMu.Lock()
 	defer k.leaseMu.Unlock()
-	if _, ok := k.leases[fileID]; ok {
-		delete(k.leases, fileID)
-		k.leaseGauge.Add(-1)
+	if l := k.leases[fileID]; l != nil {
+		k.leaseForgetLocked(fileID, l)
 	}
 }
 
@@ -148,10 +160,9 @@ func (k *incarnation) leaseCacheDrop(fileID string) {
 func (k *incarnation) dropLeasesStoredAt(down simnet.SiteID) {
 	k.leaseMu.Lock()
 	defer k.leaseMu.Unlock()
-	for fileID := range k.leases {
+	for fileID, l := range k.leases {
 		if site, err := k.cl.StorageSite(fileID); err == nil && site == down {
-			delete(k.leases, fileID)
-			k.leaseGauge.Add(-1)
+			k.leaseForgetLocked(fileID, l)
 		}
 	}
 }

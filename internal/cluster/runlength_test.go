@@ -5,10 +5,12 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 )
 
 // raceBuild is set in race-detector builds (race_test.go).
@@ -306,5 +308,70 @@ func TestRemoteCommitAllocationBudget(t *testing.T) {
 	t.Logf("%.1f allocations per remote transaction", got)
 	if got > budget {
 		t.Errorf("a remote two-participant commit allocates %.1f times, budget %d", got, budget)
+	}
+}
+
+// TestTunedCommitAllocationBudget pins the cost of a commit with every
+// optional layer on (the ledger's Tuned preset), in the shape that made
+// skew_tuned twice as costly as any other workload: a writer at site 2 of
+// a file stored at site 1, so every commit at site 1 finds site 2 dominant
+// and tries to move the file there, and site 2's own lease on the file
+// refuses the move's quiesce lock.  The refusal is counted (one lock
+// denial per transaction, no move) and must cost no allocation; group
+// commit's request, channel and batch arrays are reused; a lease grant
+// allocates only its entry.
+func TestTunedCommitAllocationBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	m := costmodel.Vax750()
+	sys, err := scenario.Spec{
+		Volumes: scenario.PerSite(3),
+		Layers:  scenario.Layers{GroupCommit: m.DiskWriteTime, FastPaths: true, Leases: true},
+		Base:    cluster.Config{AdaptivePlacement: true}, // at the policy's defaults, as Tuned runs it
+	}.At(m).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Cluster().Shutdown)
+	creator, _ := client(t, sys, 1)
+	f, err := creator.Create("v1/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, files := client(t, sys, 2, "v1/f")
+	rec := make([]byte, 8)
+	txn := func() {
+		rec[0]++
+		if _, err := p.BeginTrans(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := files[0].WriteAt(rec, int64(rec[0]%16)*8); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.EndTrans(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 32; i++ { // fill caches, grow tables to their working size
+		txn()
+	}
+	st := sys.Stats()
+	before := st.Snapshot()
+	const runs, budget = 500, 12
+	got := testing.AllocsPerRun(runs, txn)
+	d := st.Snapshot().Sub(before)
+	t.Logf("%.1f allocations per Tuned remote transaction", got)
+	if n := d.Get(stats.OwnerMoves); n != 0 {
+		t.Fatalf("%d owner moves: the writer's lease should refuse every quiesce", n)
+	}
+	if n := d.Get(stats.LockDenials); n < runs {
+		t.Fatalf("%d lock denials in %d transactions: the move was not attempted after each commit", n, runs+1)
+	}
+	if got > budget {
+		t.Errorf("a Tuned remote commit allocates %.1f times, budget %d", got, budget)
 	}
 }

@@ -323,3 +323,42 @@ func TestKillNonTransactionProcessReleasesEverything(t *testing.T) {
 		t.Fatalf("dead process's uncommitted bytes linger: %d", size)
 	}
 }
+
+// TestKillNonTransactionProcessDiscardsUnlockedWrites: Figure 1 lets a
+// process write without a lock, and a reap must find those writes too -
+// they are in no lock list and in no transaction's file-list, here or at
+// the remote storage site.  The writes of a process that closed its file
+// are committed, and stay.
+func TestKillNonTransactionProcessDiscardsUnlockedWrites(t *testing.T) {
+	sys := newSystem(t)
+	p := mustProcess(t, sys, 1)
+	paths := []string{"va/u", "vb/u", "vc/kept"}
+	for _, path := range paths {
+		f := mustCreate(t, p, path)
+		if _, err := f.WriteAt([]byte("dirty"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if path == "vc/kept" {
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := p.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	q := mustProcess(t, sys, 2)
+	for _, path := range paths {
+		fq, err := q.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if path == "vc/kept" {
+			want = 5
+		}
+		if size, _ := fq.Size(); size != want {
+			t.Fatalf("%s: working size %d after the writer's death, want %d", path, size, want)
+		}
+	}
+}

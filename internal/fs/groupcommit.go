@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/vtime"
 )
 
@@ -46,11 +47,20 @@ func (c GroupCommitConfig) maxBatch() int {
 }
 
 // logReq is one queued Put (or Delete, when del is set) awaiting a
-// batched flush.  done receives the record's outcome exactly once.
-// enqueued is stamped by submit so the flush can report how long the
-// record lingered waiting for companions; requests built directly for
+// batched flush.  done receives the record's outcome exactly once per
+// submit.  enqueued is stamped by submit so the flush can report how long
+// the record lingered waiting for companions; requests built directly for
 // flushBatch (tests) leave it zero and are skipped by the linger
 // accounting.
+//
+// A request and its channel are reused: submit takes one from the
+// daemon's free list and puts it back once its own WaitRecv has returned
+// the outcome.  That wait has no deadline, so it returns only after the
+// daemon's NotifySend, and the NotifySend is the daemon's last use of the
+// request (flushBatch reads every field it needs before it notifies
+// anyone).  From then on the submitter is the only one holding it.  The
+// tpc records of DESIGN.md section 4 item 10 had no such point: a reply
+// could still be on its way when the waiter gave up.
 type logReq struct {
 	del      bool
 	key      string
@@ -74,10 +84,18 @@ type groupCommitter struct {
 
 	mu      sync.Mutex
 	queue   []*logReq
+	free    []*logReq // requests whose submit returned, for reuse
 	stopped bool
 
 	signal chan struct{}
 	daemon *vtime.Group // the run loop, joined by stop
+
+	// The run loop's own: the batch it cuts and what flushBatch keeps
+	// across flushes.  They are per daemon, not per store: StartGroupCommit
+	// installs a new daemon before stopping the old one, whose last batch
+	// may still be notifying, off l.mu, while the new one flushes.
+	batch []*logReq
+	flush flushState
 }
 
 func newGroupCommitter(ls *LogStore, cfg GroupCommitConfig) *groupCommitter {
@@ -85,32 +103,49 @@ func newGroupCommitter(ls *LogStore, cfg GroupCommitConfig) *groupCommitter {
 	if clk == nil {
 		clk = vtime.Real()
 	}
+	reg := ls.v.st.Registry()
 	gc := &groupCommitter{
 		ls:     ls,
 		cfg:    cfg,
 		clk:    clk,
 		signal: make(chan struct{}, 1),
 		daemon: vtime.NewGroup(clk),
+		flush: flushState{
+			clk:       clk,
+			batchSize: reg.Histogram("group_commit_batch_size", telemetry.SizeBuckets()),
+			linger:    reg.Histogram("group_commit_linger_ns", telemetry.DurationBuckets()),
+		},
 	}
 	gc.daemon.Go(gc.run)
 	return gc
 }
 
-// submit enqueues the request and parks until its flush completes.
-// handled is false when the daemon had already stopped, in which case the
-// caller must fall back to the synchronous path.
-func (gc *groupCommitter) submit(r *logReq) (err error, handled bool) {
+// submit enqueues a Put of (key, kind, payload), or with del a Delete of
+// key, and parks until its flush completes.  handled is false when the
+// daemon had already stopped, in which case the caller must fall back to
+// the synchronous path.
+func (gc *groupCommitter) submit(del bool, key string, kind LogKind, payload []byte) (err error, handled bool) {
 	gc.mu.Lock()
 	if gc.stopped {
 		gc.mu.Unlock()
 		return nil, false
 	}
-	r.done = make(chan error, 1)
+	var r *logReq
+	if n := len(gc.free); n > 0 {
+		r, gc.free = gc.free[n-1], gc.free[:n-1]
+	} else {
+		r = &logReq{done: make(chan error, 1)}
+	}
+	r.del, r.key, r.kind, r.payload = del, key, kind, payload
 	r.enqueued = gc.clk.Now()
 	gc.queue = append(gc.queue, r)
 	gc.mu.Unlock()
 	vtime.NotifySend(gc.clk, gc.signal, struct{}{})
 	err, _ = vtime.WaitRecv(gc.clk, r.done, 0)
+	r.key, r.payload = "", nil // the caller's, not ours to keep
+	gc.mu.Lock()
+	gc.free = append(gc.free, r)
+	gc.mu.Unlock()
 	return err, true
 }
 
@@ -137,16 +172,15 @@ func (gc *groupCommitter) run() {
 			vtime.Settle(gc.clk)
 		}
 		gc.mu.Lock()
-		n = len(gc.queue)
-		if max := gc.cfg.maxBatch(); n > max {
-			n = max
-		}
-		batch := make([]*logReq, n)
-		copy(batch, gc.queue)
-		gc.queue = append(gc.queue[:0], gc.queue[n:]...)
+		n = min(len(gc.queue), gc.cfg.maxBatch())
+		gc.batch = append(gc.batch[:0], gc.queue[:n]...)
+		rest := copy(gc.queue, gc.queue[n:])
+		clear(gc.queue[rest:])
+		gc.queue = gc.queue[:rest]
 		gc.mu.Unlock()
 
-		gc.ls.flushBatch(batch, gc.clk)
+		gc.ls.flushBatch(gc.batch, &gc.flush)
+		clear(gc.batch) // notified: the submitters own them again
 	}
 }
 

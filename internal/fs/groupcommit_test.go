@@ -33,7 +33,7 @@ func TestFlushBatchOneForcedIO(t *testing.T) {
 	for i := range batch {
 		batch[i] = mkPutReq(fmt.Sprintf("tx%d", i), []byte("status=prepared"))
 	}
-	l.flushBatch(batch, vtime.Real())
+	l.flushBatch(batch, &flushState{clk: vtime.Real()})
 	for i, r := range batch {
 		if err := <-r.done; err != nil {
 			t.Fatalf("record %d: %v", i, err)
@@ -75,7 +75,7 @@ func TestFlushBatchLaterOpSupersedes(t *testing.T) {
 		mkPutReq("kept", []byte("v1")),
 		mkPutReq("kept", []byte("v2")),
 	}
-	l.flushBatch(batch, vtime.Real())
+	l.flushBatch(batch, &flushState{clk: vtime.Real()})
 	for i, r := range batch {
 		if err := <-r.done; err != nil {
 			t.Fatalf("record %d: %v", i, err)
@@ -104,7 +104,7 @@ func TestFlushBatchTornLosesWholeRecords(t *testing.T) {
 		batch[i] = mkPutReq(fmt.Sprintf("tx%d", i), []byte(fmt.Sprintf("payload-%d", i)))
 	}
 	v.Disk().CrashAfterWrites(2)
-	l.flushBatch(batch, vtime.Real())
+	l.flushBatch(batch, &flushState{clk: vtime.Real()})
 	// Outcomes are per-record truthful: the two records ahead of the tear
 	// are durable and report success; the rest report the crash.
 	for i, r := range batch {
@@ -154,7 +154,7 @@ func TestFlushBatchTornMidRecordLosesIt(t *testing.T) {
 	// Tear after small's header + big's two continuation pages: big has
 	// no header on stable storage.
 	v.Disk().CrashAfterWrites(3)
-	l.flushBatch(batch, vtime.Real())
+	l.flushBatch(batch, &flushState{clk: vtime.Real()})
 	for i, r := range batch {
 		err := <-r.done
 		if i == 0 && err != nil {

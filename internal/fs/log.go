@@ -388,7 +388,7 @@ func (l *LogStore) chargeFootnote9Locked(freshPuts int) {
 // the caller may reuse it.
 func (l *LogStore) Put(key string, kind LogKind, payload []byte) error {
 	if gc := l.committer(); gc != nil {
-		if err, handled := gc.submit(&logReq{key: key, kind: kind, payload: payload}); handled {
+		if err, handled := gc.submit(false, key, kind, payload); handled {
 			return err
 		}
 		// The daemon stopped while we were enqueueing: zero-delay path.
@@ -466,7 +466,7 @@ func (l *LogStore) applyDeleteLocked(key string) {
 // Deletes ride the group-commit daemon when one is attached.
 func (l *LogStore) Delete(key string) error {
 	if gc := l.committer(); gc != nil {
-		if err, handled := gc.submit(&logReq{key: key, del: true}); handled {
+		if err, handled := gc.submit(true, key, 0, nil); handled {
 			return err
 		}
 	}
@@ -488,8 +488,10 @@ func (l *LogStore) Delete(key string) error {
 // failure (the disk crashed mid-batch) is reported to every record whose
 // own preparation succeeded: the batch loses whole records, never partial
 // ones, because each record's header page is ordered after its
-// continuation pages.
-func (l *LogStore) flushBatch(batch []*logReq, clk vtime.Clock) {
+// continuation pages.  A request's NotifySend is the last the flush does
+// with it (see logReq).
+func (l *LogStore) flushBatch(batch []*logReq, f *flushState) {
+	clk := f.clk
 	l.mu.Lock()
 	if err := l.v.staleErr(); err != nil {
 		l.mu.Unlock()
@@ -499,8 +501,9 @@ func (l *LogStore) flushBatch(batch []*logReq, clk vtime.Clock) {
 		return
 	}
 	l.writes, l.used = l.writes[:0], 0
-	errs := make([]error, len(batch))
-	ends := make([]int, len(batch)) // writes index one past each record's last page
+	errs := append(f.errs[:0], make([]error, len(batch))...)
+	ends := append(f.ends[:0], make([]int, len(batch))...) // writes index one past each record's last page
+	f.errs, f.ends = errs, ends
 	freshPuts := 0
 	for i, r := range batch {
 		if r.del {
@@ -521,7 +524,7 @@ func (l *LogStore) flushBatch(batch []*logReq, clk vtime.Clock) {
 	var werr error
 	written := len(l.writes)
 	if len(l.writes) > 0 {
-		l.observeBatchLocked(batch, clk)
+		l.observeBatchLocked(batch, f)
 		written, werr = l.v.disk.WritePages(l.writes)
 		l.v.st.Inc(stats.GroupCommitBatches)
 		l.v.st.Add(stats.GroupCommitRecords, int64(len(batch)))
@@ -545,6 +548,18 @@ func (l *LogStore) flushBatch(batch []*logReq, clk vtime.Clock) {
 		}
 		vtime.NotifySend(clk, r.done, err)
 	}
+	clear(errs)
+}
+
+// flushState is what one group-commit daemon's flushes keep: its clock,
+// the per-record outcome arrays flushBatch refills, and the two telemetry
+// histograms, resolved when the daemon starts (nil ones no-op).
+type flushState struct {
+	clk       vtime.Clock
+	errs      []error
+	ends      []int
+	batchSize *telemetry.Histogram
+	linger    *telemetry.Histogram
 }
 
 // observeBatchLocked records the batch-size and per-record linger
@@ -553,11 +568,9 @@ func (l *LogStore) flushBatch(batch []*logReq, clk vtime.Clock) {
 // trace event carries the worst linger in the batch; it is emitted only
 // for daemon-submitted batches (direct flushBatch callers leave
 // enqueued zero), so synchronous-mode traces are unchanged.
-func (l *LogStore) observeBatchLocked(batch []*logReq, clk vtime.Clock) {
-	reg := l.v.st.Registry()
-	reg.Histogram("group_commit_batch_size", telemetry.SizeBuckets()).Observe(int64(len(batch)))
-	lingerHist := reg.Histogram("group_commit_linger_ns", telemetry.DurationBuckets())
-	now := clk.Now()
+func (l *LogStore) observeBatchLocked(batch []*logReq, f *flushState) {
+	f.batchSize.Observe(int64(len(batch)))
+	now := f.clk.Now()
 	var maxLinger time.Duration
 	stamped := false
 	for _, r := range batch {
@@ -569,7 +582,7 @@ func (l *LogStore) observeBatchLocked(batch []*logReq, clk vtime.Clock) {
 		if lg < 0 {
 			lg = 0
 		}
-		lingerHist.Observe(lg.Nanoseconds())
+		f.linger.Observe(lg.Nanoseconds())
 		if lg > maxLinger {
 			maxLinger = lg
 		}

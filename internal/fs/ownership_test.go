@@ -125,7 +125,7 @@ func TestLogStoreBuffersAndFreeListBounded(t *testing.T) {
 	for i := range batch {
 		batch[i] = mkPutReq(fmt.Sprintf("b%d", i), make([]byte, 16))
 	}
-	l.flushBatch(batch, vtime.Real())
+	l.flushBatch(batch, &flushState{clk: vtime.Real()})
 	check(6)
 	for i := 0; i < 40; i++ {
 		if err := l.Put("after", KindPrepare, big[:100]); err != nil {

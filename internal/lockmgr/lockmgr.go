@@ -29,6 +29,7 @@ package lockmgr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -232,6 +233,7 @@ type FileLocks struct {
 
 	mu      sync.Mutex
 	entries []*entry
+	spare   []*entry // install's rebuild target: the list's last array, cleared
 	queue   []*waiter
 	// mgr is the table whose group index this list reports to; nil for a
 	// stand-alone list and after Drop.  Guarded by mu.
@@ -273,39 +275,44 @@ func (fl *FileLocks) SetClock(c vtime.Clock) {
 	}
 }
 
-// conflicting returns the groups whose entries block the request over s.
-// A process's own pre-transaction locks never block it: section 3.4 lets
+// blocks reports whether e blocks a request of group over s.  A
+// process's own pre-transaction locks never block it: section 3.4 lets
 // resources locked before BeginTrans be used within the transaction
 // (without joining it).  Lease entries block foreign requests like held
 // locks (the storage site revokes them before queueing the waiter), but a
 // site's own leases never block it, and the wait-for graph builder asks
 // for them to be skipped entirely — a lease has no live transaction
-// behind it, so it can never be a deadlock participant.  Caller holds
-// fl.mu.
+// behind it, so it can never be a deadlock participant.
+func (e *entry) blocks(h Holder, group string, mode Mode, s span, fromSite int, includeLeases bool) bool {
+	if e.group == group || !e.s.overlaps(s) {
+		return false
+	}
+	if e.leased && (!includeLeases || (fromSite != 0 && e.leaseSite == fromSite)) {
+		return false
+	}
+	if h.IsTxn() && e.holder.PID == h.PID && e.holder.Txn == "" {
+		return false // the requester's own pre-transaction lock
+	}
+	return mode == ModeExclusive || e.mode == ModeExclusive
+}
+
+// chargeScan charges one walk of the whole lock list.  Caller holds fl.mu.
+func (fl *FileLocks) chargeScan() {
+	fl.st.Add(stats.Instructions, int64(len(fl.entries))*costmodel.InstrLockListScanEntry)
+}
+
+// conflicting returns the groups whose entries block the request over s,
+// sorted: the names a denial reports and the wait-for edges a waiter
+// contributes.  It charges nothing; its callers charge the scan.  Caller
+// holds fl.mu.
 func (fl *FileLocks) conflicting(h Holder, group string, mode Mode, s span, fromSite int, includeLeases bool) []string {
 	var out []string
-	fl.st.Add(stats.Instructions, int64(len(fl.entries))*costmodel.InstrLockListScanEntry)
-scan:
 	for _, e := range fl.entries {
-		if e.group == group || !e.s.overlaps(s) {
-			continue
-		}
-		if e.leased && (!includeLeases || (fromSite != 0 && e.leaseSite == fromSite)) {
-			continue
-		}
-		if h.IsTxn() && e.holder.PID == h.PID && e.holder.Txn == "" {
-			continue // the requester's own pre-transaction lock
-		}
-		if mode == ModeExclusive || e.mode == ModeExclusive {
-			for _, g := range out {
-				if g == e.group {
-					continue scan
-				}
-			}
+		if e.blocks(h, group, mode, s, fromSite, includeLeases) && !slices.Contains(out, e.group) {
 			out = append(out, e.group)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -325,12 +332,13 @@ func carve(kept []*entry, e *entry, s span) []*entry {
 }
 
 // install adds ne to the list, absorbing its group's overlapping entries
-// of equal or weaker mode.  Transactional and lease coverage never
-// weakens: entries held at a stronger mode survive untouched (two-phase
-// locking forbids early release; the paper's retention rule 1), so a
-// "downgrade" request leaves the stronger lock in place where it was
-// held.  Non-transaction processes (and NonTxn-mode locks) may truly
-// downgrade.  Caller holds fl.mu.
+// of equal or weaker mode (rebuilt into fl.spare: the two arrays trade
+// places).  Transactional and lease coverage never weakens: entries held
+// at a stronger mode survive untouched (two-phase locking forbids early
+// release; the paper's retention rule 1), so a "downgrade" request leaves
+// the stronger lock in place where it was held.  Non-transaction
+// processes (and NonTxn-mode locks) may truly downgrade.  Caller holds
+// fl.mu.
 func (fl *FileLocks) install(ne *entry) {
 	first, had := -1, false
 	for i, e := range fl.entries {
@@ -350,8 +358,7 @@ func (fl *FileLocks) install(ne *entry) {
 		}
 		return
 	}
-	kept := make([]*entry, first, len(fl.entries)+2)
-	copy(kept, fl.entries[:first])
+	kept := append(fl.spare[:0], fl.entries[:first]...)
 	for _, e := range fl.entries[first:] {
 		switch {
 		case e.group != ne.group || !e.s.overlaps(ne.s):
@@ -364,7 +371,8 @@ func (fl *FileLocks) install(ne *entry) {
 			kept = carve(kept, e, ne.s)
 		}
 	}
-	fl.entries = append(kept, ne)
+	clear(fl.entries)
+	fl.entries, fl.spare = append(kept, ne), fl.entries[:0]
 }
 
 // filterInPlace removes from list, in place and keeping order, every
@@ -399,36 +407,86 @@ func (fl *FileLocks) forgetGroup(group string) {
 	fl.mgr.unindex(group, fl)
 }
 
+// check rejects a malformed request.
+func (req Request) check() error {
+	if req.Len <= 0 || (!req.AtEOF && req.Off < 0) {
+		return fmt.Errorf("%w: off=%d len=%d", ErrBadRange, req.Off, req.Len)
+	}
+	if req.Mode != ModeShared && req.Mode != ModeExclusive {
+		return fmt.Errorf("lockmgr: unsupported lock mode %v", req.Mode)
+	}
+	return nil
+}
+
+// group is the request's conflict group: Group if the caller built it.
+func (req Request) group() string {
+	if req.Group != "" {
+		return req.Group
+	}
+	return req.Holder.Group()
+}
+
+// requestLocked opens a request: it charges and traces it, then grants it
+// if compatible.  Caller holds fl.mu.
+func (fl *FileLocks) requestLocked(req *Request, group string) (Result, bool) {
+	fl.st.Add(stats.Instructions, costmodel.InstrLockRequest)
+	fl.tr.Record(trace.LockRequest, group, fl.id, int64(req.Mode))
+	return fl.tryGrantLocked(req, group)
+}
+
+// granted counts and traces a grant.
+func (fl *FileLocks) granted(group string, res Result) {
+	fl.st.Inc(stats.LockAcquires)
+	fl.tr.Record(trace.LockGrant, group, fl.id, res.Len)
+}
+
+// TryLock is Lock without queueing and without an error: it grants req
+// if compatible and otherwise refuses it (req.Wait is ignored), with the
+// counters and trace events Lock gives a no-wait request.  A refusal
+// charges the list twice, as Lock's always has: the grant decision and the
+// recount that names the blockers.  The names are built only by Lock,
+// whose ErrConflict carries them to the requester; a caller that needs
+// only the answer (the placement quiesce) pays no text for it.  A
+// malformed request is refused uncounted.
+func (fl *FileLocks) TryLock(req Request) (Result, bool) {
+	if req.check() != nil {
+		return Result{}, false
+	}
+	group := req.group()
+	fl.mu.Lock()
+	if res, ok := fl.requestLocked(&req, group); ok {
+		fl.mu.Unlock()
+		fl.granted(group, res)
+		return res, true
+	}
+	fl.chargeScan()
+	fl.mu.Unlock()
+	fl.st.Inc(stats.LockDenials)
+	fl.tr.Record(trace.LockDeny, group, fl.id, 0)
+	return Result{}, false
+}
+
 // Lock processes one lock request at the storage site.  On conflict it
 // either fails with ErrConflict (carrying the blocking groups in its
 // message) or queues per Request.Wait.
 func (fl *FileLocks) Lock(req Request) (Result, error) {
-	if req.Len <= 0 || (!req.AtEOF && req.Off < 0) {
-		return Result{}, fmt.Errorf("%w: off=%d len=%d", ErrBadRange, req.Off, req.Len)
+	if err := req.check(); err != nil {
+		return Result{}, err
 	}
-	if req.Mode != ModeShared && req.Mode != ModeExclusive {
-		return Result{}, fmt.Errorf("lockmgr: unsupported lock mode %v", req.Mode)
+	req.Group = req.group()
+	if !req.Wait {
+		if res, ok := fl.TryLock(req); ok {
+			return res, nil
+		}
+		groups := fl.blockingGroups(req, req.Group)
+		return Result{}, fmt.Errorf("%w: %s held by %s", ErrConflict, fl.id, strings.Join(groups, ","))
 	}
 	group := req.Group
-	if group == "" {
-		group = req.Holder.Group()
-	}
 	fl.mu.Lock()
-	fl.st.Add(stats.Instructions, costmodel.InstrLockRequest)
-	fl.tr.Record(trace.LockRequest, group, fl.id, int64(req.Mode))
-
-	if res, ok := fl.tryGrantLocked(req, group); ok {
+	if res, ok := fl.requestLocked(&req, group); ok {
 		fl.mu.Unlock()
-		fl.st.Inc(stats.LockAcquires)
-		fl.tr.Record(trace.LockGrant, group, fl.id, res.Len)
+		fl.granted(group, res)
 		return res, nil
-	}
-	if !req.Wait {
-		fl.mu.Unlock()
-		fl.st.Inc(stats.LockDenials)
-		fl.tr.Record(trace.LockDeny, group, fl.id, 0)
-		groups := fl.blockingGroups(req, group)
-		return Result{}, fmt.Errorf("%w: %s held by %s", ErrConflict, fl.id, strings.Join(groups, ","))
 	}
 	// Queue and wait.  The wait parks through the clock so a virtual
 	// clock advances past it; grants and cancellations arrive by
@@ -458,22 +516,22 @@ func (fl *FileLocks) Lock(req Request) (Result, error) {
 		}
 	}
 	if g.err == nil {
-		fl.st.Inc(stats.LockAcquires)
-		fl.tr.Record(trace.LockGrant, group, fl.id, g.res.Len)
+		fl.granted(group, g.res)
 	}
 	return g.res, g.err
 }
 
-// blockingGroups recomputes the groups blocking req (for error text).
+// blockingGroups recomputes the groups blocking req (for error text); the
+// refusal already charged this recount.
 func (fl *FileLocks) blockingGroups(req Request, group string) []string {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	s := fl.requestSpan(req)
+	s := fl.requestSpan(&req)
 	return fl.conflicting(req.Holder, group, req.Mode, s, req.FromSite, true)
 }
 
 // requestSpan resolves AtEOF at this instant.  Caller holds fl.mu.
-func (fl *FileLocks) requestSpan(req Request) span {
+func (fl *FileLocks) requestSpan(req *Request) span {
 	if req.AtEOF {
 		off := fl.sizeFn()
 		return span{off, off + req.Len}
@@ -483,10 +541,13 @@ func (fl *FileLocks) requestSpan(req Request) span {
 
 // tryGrantLocked grants req if compatible, returning the granted range.
 // Caller holds fl.mu.
-func (fl *FileLocks) tryGrantLocked(req Request, group string) (Result, bool) {
+func (fl *FileLocks) tryGrantLocked(req *Request, group string) (Result, bool) {
 	s := fl.requestSpan(req)
-	if len(fl.conflicting(req.Holder, group, req.Mode, s, req.FromSite, true)) > 0 {
-		return Result{}, false
+	fl.chargeScan()
+	for _, e := range fl.entries {
+		if e.blocks(req.Holder, group, req.Mode, s, req.FromSite, true) {
+			return Result{}, false
+		}
 	}
 	fl.install(&entry{holder: req.Holder, group: group, mode: req.Mode, s: s, nonTxn: req.NonTxn})
 	return Result{Off: s.lo, Len: req.Len}, true
@@ -504,7 +565,7 @@ func (fl *FileLocks) removeWaiter(w *waiter) {
 // FIFO order.  Caller holds fl.mu.
 func (fl *FileLocks) pumpQueueLocked() {
 	fl.queue = filterInPlace(fl.queue, func(w *waiter) bool {
-		res, ok := fl.tryGrantLocked(w.req, w.group)
+		res, ok := fl.tryGrantLocked(&w.req, w.group)
 		if ok {
 			vtime.NotifySend(fl.clk, w.done, grant{res: res})
 		}
@@ -671,7 +732,7 @@ func (fl *FileLocks) GrantLease(site int, mode Mode, off, length int64) bool {
 		return false
 	}
 	fl.install(&entry{
-		holder: Holder{PID: -site}, group: leaseGroup(site), mode: mode,
+		holder: Holder{PID: -site}, group: fl.mgr.leaseGroup(site), mode: mode,
 		s: span{off, off + length}, leased: true, leaseSite: site,
 	})
 	return true
@@ -695,7 +756,7 @@ func (fl *FileLocks) RevokeLease(site int) bool {
 	if len(fl.entries) == before {
 		return false
 	}
-	fl.forgetGroup(leaseGroup(site))
+	fl.forgetGroup(fl.mgr.leaseGroup(site))
 	fl.pumpQueueLocked()
 	return true
 }
@@ -706,7 +767,7 @@ func (fl *FileLocks) RevokeLease(site int) bool {
 func (fl *FileLocks) BlockingLeaseSites(req Request) []int {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	s := fl.requestSpan(req)
+	s := fl.requestSpan(&req)
 	seen := map[int]bool{}
 	var out []int
 	for _, e := range fl.entries {
@@ -764,7 +825,7 @@ func (fl *FileLocks) TryEscalateLease(site int, exceptGroup string, mode Mode) b
 	}
 	fl.entries = filterInPlace(fl.entries, func(e *entry) bool { return e.leased && e.leaseSite == site })
 	fl.install(&entry{
-		holder: Holder{PID: -site}, group: leaseGroup(site), mode: mode,
+		holder: Holder{PID: -site}, group: fl.mgr.leaseGroup(site), mode: mode,
 		s: span{0, leaseSpanMax}, leased: true, leaseSite: site,
 	})
 	return true
@@ -886,7 +947,8 @@ func (fl *FileLocks) WaitEdges() []WaitEdge {
 	defer fl.mu.Unlock()
 	var out []WaitEdge
 	for _, w := range fl.queue {
-		s := fl.requestSpan(w.req)
+		s := fl.requestSpan(&w.req)
+		fl.chargeScan()
 		for _, g := range fl.conflicting(w.req.Holder, w.group, w.req.Mode, s, w.req.FromSite, false) {
 			out = append(out, WaitEdge{Waiter: w.group, Holder: g, FileID: fl.id})
 		}
@@ -944,6 +1006,9 @@ type Manager struct {
 	// the header it fetched after dropping gmu.
 	gmu    sync.Mutex
 	groups map[string][]*FileLocks
+	// leaseNames[site] is leaseGroup(site) once a lease of site's has been
+	// named here, so a lease grant builds no string.  Guarded by gmu.
+	leaseNames []string
 }
 
 // NewManager creates an empty lock manager.
@@ -1049,6 +1114,23 @@ func (m *Manager) unindex(group string, fl *FileLocks) {
 		}
 		return
 	}
+}
+
+// leaseGroup returns leaseGroup(site), building it once per table (a
+// stand-alone or dropped list, with no table, builds it each time).
+func (m *Manager) leaseGroup(site int) string {
+	if m == nil || site <= 0 {
+		return leaseGroup(site)
+	}
+	m.gmu.Lock()
+	defer m.gmu.Unlock()
+	if site >= len(m.leaseNames) {
+		m.leaseNames = append(m.leaseNames, make([]string, site+1-len(m.leaseNames))...)
+	}
+	if m.leaseNames[site] == "" {
+		m.leaseNames[site] = leaseGroup(site)
+	}
+	return m.leaseNames[site]
 }
 
 // groupFiles returns the lock lists on which the group holds a descriptor
@@ -1164,7 +1246,7 @@ func (m *Manager) QueueSummary() QueueSummary {
 // crashes or is declared down.  Returns the number of files affected.
 func (m *Manager) RevokeSiteLeases(site int) int {
 	n := 0
-	for _, fl := range m.groupFiles(leaseGroup(site)) {
+	for _, fl := range m.groupFiles(m.leaseGroup(site)) {
 		if fl.RevokeLease(site) {
 			n++
 		}

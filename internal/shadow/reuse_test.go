@@ -35,8 +35,8 @@ func TestRecycledPageStateCarriesNoRanges(t *testing.T) {
 	if len(il.Entries) != 1 || !slices.Equal(il.Entries[0].Ranges, []Range{{Off: 50, Len: 8}}) {
 		t.Fatalf("B's intentions = %+v, want one entry with range {50 8}", il.Entries)
 	}
-	if owners := f.Owners(); !slices.Equal(owners, []Owner{"txn:B"}) {
-		t.Fatalf("owners = %v, want [txn:B]", owners)
+	if !f.HasMods("txn:B") || f.HasMods("txn:A") {
+		t.Fatalf("owners: txn:B=%v txn:A=%v, want only txn:B", f.HasMods("txn:B"), f.HasMods("txn:A"))
 	}
 	diffs := f.st.Get(stats.PageDiffs)
 	if err := f.Commit("txn:B"); err != nil {

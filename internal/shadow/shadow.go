@@ -545,22 +545,7 @@ func (f *File) TransferMods(from, to Owner, off, length int64) int {
 	return moved
 }
 
-// Owners returns every owner holding uncommitted modifications.
-func (f *File) Owners() []Owner {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []Owner
-	for _, st := range f.pages {
-		for _, m := range st.mods {
-			out = append(out, m.owner)
-		}
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// Modified reports whether any owner holds uncommitted modifications:
-// len(Owners()) > 0 without building the set.
+// Modified reports whether any owner holds uncommitted modifications.
 func (f *File) Modified() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -358,14 +358,22 @@ func TestUncommittedOverlappingAndTransfer(t *testing.T) {
 
 func TestOwnersEnumeration(t *testing.T) {
 	_, f := newFile(t)
-	if got := f.Owners(); len(got) != 0 {
-		t.Fatalf("fresh file owners = %v", got)
+	if f.Modified() {
+		t.Fatal("fresh file reports uncommitted modifications")
 	}
 	_, _ = f.WriteAt("b", []byte("x"), 0)
 	_, _ = f.WriteAt("a", []byte("y"), 10)
-	got := f.Owners()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("owners = %v", got)
+	if !f.Modified() || !f.HasMods("a") || !f.HasMods("b") || f.HasMods("c") {
+		t.Fatalf("owners: modified=%v a=%v b=%v c=%v", f.Modified(), f.HasMods("a"), f.HasMods("b"), f.HasMods("c"))
+	}
+	if err := f.Abort("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Commit("b"); err != nil {
+		t.Fatal(err)
+	}
+	if f.Modified() {
+		t.Fatal("modifications remain after every owner settled")
 	}
 }
 
