@@ -11,6 +11,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/stats"
+	"repro/internal/vtime"
 )
 
 // raceBuild is set in race-detector builds (race_test.go).
@@ -261,6 +262,96 @@ func TestLocalTransferAllocatesNoPageImages(t *testing.T) {
 	t.Logf("%.0f B, %.0f allocations per local transfer", perTxn, float64(after.Mallocs-before.Mallocs)/runs)
 	if pageSize := float64(sys.Cluster().Site(1).Volume("v1").PageSize()); perTxn > 6*pageSize {
 		t.Errorf("a local transfer allocates %.0f B: more than 6 pages' worth for 7 page writes, so some hop is copying its page into a fresh buffer again", perTxn)
+	}
+}
+
+// TestLocalTransferAllocationBudget pins local_transfer's shape: two
+// clients at one site, each moving money between two accounts on its own
+// page, so each transaction queues behind its predecessor's asynchronous
+// phase two, which still holds the accounts' locks.  The lock list reuses
+// its descriptors and wait records, so neither the grants nor the wait
+// allocate; at about 13 allocations per transaction they still did.
+func TestLocalTransferAllocationBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	// The ledger's PaperExact preset: unlike a scenario.Spec without
+	// faults, phase two runs asynchronously.
+	m, clk := costmodel.Vax750(), vtime.NewVirtual()
+	sys := core.NewSystem(cluster.Config{Clock: clk, DiskSyncDelay: m.DiskWriteTime, Net: simnet.Config{Latency: m.MsgTime}})
+	t.Cleanup(sys.Cluster().Shutdown)
+	sys.AddSite(1)
+	if err := sys.AddVolume(1, "v1"); err != nil {
+		t.Fatal(err)
+	}
+	setup, _ := client(t, sys, 1)
+	f, err := setup.Create("v1/accounts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 2048), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	type teller struct {
+		p      *core.Process
+		f      *core.File
+		page   int64
+		amount []byte
+	}
+	var clients []*teller
+	for c := int64(0); c < 2; c++ {
+		p, files := client(t, sys, 1, "v1/accounts")
+		clients = append(clients, &teller{p: p, f: files[0], page: 1024 * c, amount: make([]byte, 8)})
+	}
+	transfer := func(a *teller) error {
+		a.amount[0]++
+		if _, err := a.p.BeginTrans(); err != nil {
+			return err
+		}
+		for _, off := range []int64{a.page, a.page + 8} {
+			if err := a.f.LockRange(off, 8, core.Exclusive); err != nil {
+				return err
+			}
+			if _, err := a.f.WriteAt(a.amount, off); err != nil {
+				return err
+			}
+		}
+		return a.p.EndTrans()
+	}
+	drive := func(n int) { // both clients at once, then every phase two
+		g := vtime.NewGroup(clk)
+		for _, a := range clients {
+			g.Go(func() {
+				for i := 0; i < n; i++ {
+					if err := transfer(a); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			})
+		}
+		g.Wait()
+		clk.WaitIdle()
+	}
+	drive(32) // fill caches, grow tables to their working size
+	const runs, budget = 500, 9
+	st := sys.Stats()
+	before := st.Snapshot()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	drive(runs)
+	runtime.ReadMemStats(&m1)
+	got := float64(m1.Mallocs-m0.Mallocs) / (2 * runs)
+	waits := st.Snapshot().Sub(before).Get(stats.LockWaits)
+	t.Logf("%.2f allocations per local transfer, %d lock waits", got, waits)
+	if waits < runs {
+		t.Fatalf("%d lock waits in %d transactions: the clients did not queue behind phase two", waits, 2*runs)
+	}
+	if got > budget {
+		t.Errorf("a local transfer allocates %.2f times, budget %d", got, budget)
 	}
 }
 

@@ -233,8 +233,13 @@ type FileLocks struct {
 
 	mu      sync.Mutex
 	entries []*entry
-	spare   []*entry // install's rebuild target: the list's last array, cleared
+	spare   []*entry // install's and Unlock's rebuild target: the list's last array, cleared
 	queue   []*waiter
+	// free holds cleared descriptors that have left entries, and idle the
+	// wait records whose Lock has returned (channel drained): a grant and a
+	// wait take theirs from here before allocating (DESIGN.md section 4).
+	free []*entry
+	idle []*waiter
 	// mgr is the table whose group index this list reports to; nil for a
 	// stand-alone list and after Drop.  Guarded by mu.
 	mgr *Manager
@@ -316,18 +321,40 @@ func (fl *FileLocks) conflicting(h Holder, group string, mode Mode, s span, from
 	return out
 }
 
-// carve appends to kept the fragments of e that lie outside s.
-func carve(kept []*entry, e *entry, s span) []*entry {
+// newEntry returns a descriptor holding e, taken from the free list when
+// it has one.  Caller holds fl.mu.
+func (fl *FileLocks) newEntry(e entry) *entry {
+	var p *entry
+	if n := len(fl.free); n > 0 {
+		p, fl.free = fl.free[n-1], fl.free[:n-1]
+	} else {
+		p = new(entry) // not &e: that would move every call's e to the heap
+	}
+	*p = e
+	return p
+}
+
+// recycle puts a descriptor that has left the list on the free list.
+// Caller holds fl.mu.
+func (fl *FileLocks) recycle(e *entry) {
+	*e = entry{}
+	fl.free = append(fl.free, e)
+}
+
+// carve appends to kept the fragments of e that lie outside s and
+// recycles e.  Caller holds fl.mu.
+func (fl *FileLocks) carve(kept []*entry, e *entry, s span) []*entry {
 	if e.s.lo < s.lo {
-		left := *e
-		left.s = span{e.s.lo, s.lo}
-		kept = append(kept, &left)
+		left := fl.newEntry(*e)
+		left.s.hi = s.lo
+		kept = append(kept, left)
 	}
 	if e.s.hi > s.hi {
-		right := *e
-		right.s = span{s.hi, e.s.hi}
-		kept = append(kept, &right)
+		right := fl.newEntry(*e)
+		right.s.lo = s.hi
+		kept = append(kept, right)
 	}
+	fl.recycle(e)
 	return kept
 }
 
@@ -368,11 +395,26 @@ func (fl *FileLocks) install(ne *entry) {
 			// overlaps it harmlessly.
 			kept = append(kept, e)
 		default:
-			kept = carve(kept, e, ne.s)
+			kept = fl.carve(kept, e, ne.s)
 		}
 	}
 	clear(fl.entries)
 	fl.entries, fl.spare = append(kept, ne), fl.entries[:0]
+}
+
+// dropEntries removes from the list, in place and keeping order, every
+// descriptor drop accepts, recycling it, and returns how many it removed.
+// Caller holds fl.mu.
+func (fl *FileLocks) dropEntries(drop func(*entry) bool) int {
+	n := len(fl.entries)
+	fl.entries = filterInPlace(fl.entries, func(e *entry) bool {
+		if !drop(e) {
+			return false
+		}
+		fl.recycle(e)
+		return true
+	})
+	return n - len(fl.entries)
 }
 
 // filterInPlace removes from list, in place and keeping order, every
@@ -491,7 +533,9 @@ func (fl *FileLocks) Lock(req Request) (Result, error) {
 	// Queue and wait.  The wait parks through the clock so a virtual
 	// clock advances past it; grants and cancellations arrive by
 	// NotifySend from pumpQueueLocked / CancelWaiters.
-	w := &waiter{req: req, group: group, done: make(chan grant, 1), enqueued: fl.clk.Now()}
+	w := fl.newWaiter()
+	enqueued := fl.clk.Now()
+	w.req, w.group, w.enqueued = req, group, enqueued
 	fl.queue = append(fl.queue, w)
 	fl.mgr.index(group, fl)
 	fl.st.Inc(stats.LockWaits)
@@ -500,20 +544,26 @@ func (fl *FileLocks) Lock(req Request) (Result, error) {
 	fl.mu.Unlock()
 
 	g, ok := vtime.WaitRecv(fl.clk, w.done, req.Timeout)
-	waited := fl.clk.Now().Sub(w.enqueued)
+	waited := fl.clk.Now().Sub(enqueued)
 	fl.qdepth.Add(-1)
 	fl.waitNS.Observe(waited.Nanoseconds())
 	fl.st.Registry().Profiler().Charge(req.Holder.Txn, telemetry.ResLockWait, waited)
+	fl.mu.Lock()
 	if !ok {
-		fl.removeWaiter(w)
-		// A grant may have raced the timeout (on the real clock; a
-		// virtual wait already prefers the value).
-		if g2, ok2 := vtime.TryRecv(w.done); ok2 {
-			g = g2
-		} else {
-			fl.tr.Record(trace.LockDeny, group, fl.id, 0)
-			return Result{}, fmt.Errorf("%w: %s", ErrTimeout, fl.id)
-		}
+		// Every send happens under fl.mu to a queued waiter, so once w is
+		// dequeued here its channel holds all it will: a grant that raced
+		// the timeout (on the real clock; a virtual wait already prefers
+		// the value), or nothing.
+		fl.queue = filterInPlace(fl.queue, func(q *waiter) bool { return q == w })
+		fl.forgetGroup(group)
+		g, ok = vtime.TryRecv(w.done)
+	}
+	*w = waiter{done: w.done} // drained: the next wait may take it
+	fl.idle = append(fl.idle, w)
+	fl.mu.Unlock()
+	if !ok {
+		fl.tr.Record(trace.LockDeny, group, fl.id, 0)
+		return Result{}, fmt.Errorf("%w: %s", ErrTimeout, fl.id)
 	}
 	if g.err == nil {
 		fl.granted(group, g.res)
@@ -549,16 +599,19 @@ func (fl *FileLocks) tryGrantLocked(req *Request, group string) (Result, bool) {
 			return Result{}, false
 		}
 	}
-	fl.install(&entry{holder: req.Holder, group: group, mode: req.Mode, s: s, nonTxn: req.NonTxn})
+	fl.install(fl.newEntry(entry{holder: req.Holder, group: group, mode: req.Mode, s: s, nonTxn: req.NonTxn}))
 	return Result{Off: s.lo, Len: req.Len}, true
 }
 
-// removeWaiter unlinks a waiter from the queue.
-func (fl *FileLocks) removeWaiter(w *waiter) {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	fl.queue = filterInPlace(fl.queue, func(q *waiter) bool { return q == w })
-	fl.forgetGroup(w.group)
+// newWaiter returns an empty wait record, an idle one when there is one.
+// Caller holds fl.mu.
+func (fl *FileLocks) newWaiter() *waiter {
+	if n := len(fl.idle); n > 0 {
+		w := fl.idle[n-1]
+		fl.idle = fl.idle[:n-1]
+		return w
+	}
+	return &waiter{done: make(chan grant, 1)}
 }
 
 // pumpQueueLocked grants queued requests that have become compatible, in
@@ -588,7 +641,7 @@ func (fl *FileLocks) Unlock(h Holder, off, length int64) (retained bool, err err
 	fl.st.Inc(stats.LockReleases)
 	group := h.Group()
 	s := span{off, off + length}
-	var kept []*entry
+	kept := fl.spare[:0]
 	for _, e := range fl.entries {
 		switch {
 		case e.group != group || !e.s.overlaps(s):
@@ -600,10 +653,11 @@ func (fl *FileLocks) Unlock(h Holder, off, length int64) (retained bool, err err
 			kept = append(kept, e)
 		default:
 			// Non-transaction (or NonTxn-mode) locks really release.
-			kept = carve(kept, e, s)
+			kept = fl.carve(kept, e, s)
 		}
 	}
-	fl.entries = kept
+	clear(fl.entries)
+	fl.entries, fl.spare = kept, fl.entries[:0]
 	fl.forgetGroup(group)
 	fl.pumpQueueLocked()
 	return retained, nil
@@ -615,9 +669,7 @@ func (fl *FileLocks) Unlock(h Holder, off, length int64) (retained bool, err err
 func (fl *FileLocks) ReleaseGroup(group string) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	before := len(fl.entries)
-	fl.entries = filterInPlace(fl.entries, func(e *entry) bool { return e.group == group })
-	if removed := before - len(fl.entries); removed > 0 {
+	if removed := fl.dropEntries(func(e *entry) bool { return e.group == group }); removed > 0 {
 		fl.st.Add(stats.LockReleases, int64(removed))
 	}
 	fl.forgetGroup(group)
@@ -731,10 +783,10 @@ func (fl *FileLocks) GrantLease(site int, mode Mode, off, length int64) bool {
 	if len(fl.queue) > 0 {
 		return false
 	}
-	fl.install(&entry{
+	fl.install(fl.newEntry(entry{
 		holder: Holder{PID: -site}, group: fl.mgr.leaseGroup(site), mode: mode,
 		s: span{off, off + length}, leased: true, leaseSite: site,
-	})
+	}))
 	return true
 }
 
@@ -751,9 +803,7 @@ func (fl *FileLocks) LeaseCovers(site int, mode Mode, off, length int64) bool {
 func (fl *FileLocks) RevokeLease(site int) bool {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	before := len(fl.entries)
-	fl.entries = filterInPlace(fl.entries, func(e *entry) bool { return e.leased && e.leaseSite == site })
-	if len(fl.entries) == before {
+	if fl.dropEntries(func(e *entry) bool { return e.leased && e.leaseSite == site }) == 0 {
 		return false
 	}
 	fl.forgetGroup(fl.mgr.leaseGroup(site))
@@ -823,11 +873,11 @@ func (fl *FileLocks) TryEscalateLease(site int, exceptGroup string, mode Mode) b
 	if mode == ModeNone {
 		mode = ModeShared
 	}
-	fl.entries = filterInPlace(fl.entries, func(e *entry) bool { return e.leased && e.leaseSite == site })
-	fl.install(&entry{
+	fl.dropEntries(func(e *entry) bool { return e.leased && e.leaseSite == site })
+	fl.install(fl.newEntry(entry{
 		holder: Holder{PID: -site}, group: fl.mgr.leaseGroup(site), mode: mode,
 		s: span{0, leaseSpanMax}, leased: true, leaseSite: site,
-	})
+	}))
 	return true
 }
 
