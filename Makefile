@@ -98,9 +98,11 @@ telemetry:       ## verify the golden telemetry snapshot byte for byte
 
 # The golden directory: outputs a pure refactor must leave byte-identical.
 # `make golden` rewrites them; `git diff testdata/golden` shows what moved.
-golden:          ## regenerate testdata/golden/ (the seed-7 all-layer chaos report, the canonical traces, the crash-point matrix)
+golden:          ## regenerate testdata/golden/ (the seed-7 chaos reports, bare and all-layer, the bench gate's report, the canonical traces, the crash-point matrix)
 	@mkdir -p testdata/golden
+	$(GO) run ./cmd/locus chaos -seed 7 -duration 2s -stats > testdata/golden/chaos-seed7.txt
 	$(GO) run ./cmd/locus chaos -seed 7 -duration 2s -stats -groupcommit 5ms -fastpaths -leases -placement > testdata/golden/chaos-seed7-all.txt
+	$(GO) run ./cmd/locus bench -check BENCH_BASELINE.json > testdata/golden/bench-check.txt
 	$(GO) run ./cmd/locus trace -canonical > testdata/golden/trace-canonical.txt
 	$(GO) run ./cmd/locus trace -canonical -drop commit2 > testdata/golden/trace-canonical-drop-commit2.txt
 	$(GO) run ./cmd/locus probe -json > testdata/golden/probe.json

@@ -30,6 +30,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/fs"
 	"repro/internal/lockmgr"
+	"repro/internal/names"
 	"repro/internal/placement"
 	"repro/internal/proc"
 	"repro/internal/shadow"
@@ -213,6 +214,7 @@ type Cluster struct {
 
 	nextPID atomic.Int64
 	nextTxn atomic.Int64
+	txids   names.Buffer // NewTxnID's
 }
 
 // New creates an empty cluster.
@@ -266,7 +268,7 @@ func (c *Cluster) NewTxnID(site simnet.SiteID) string {
 	var b [48]byte
 	id := strconv.AppendInt(append(b[:0], "00000000"...), c.nextTxn.Add(1), 10)
 	id = append(id[min(len(id)-8, 8):], '.')
-	return string(strconv.AppendInt(id, int64(site), 10))
+	return c.txids.Cut(string(strconv.AppendInt(id, int64(site), 10)))
 }
 
 // AddSite creates a site: the machine, and a first kernel incarnation
@@ -583,8 +585,9 @@ type incarnation struct {
 	// this site no longer has the transaction's work (gatherPrepare).
 	// Writers hold mu and txnMu; txnName reads under txnMu alone, since a
 	// wait for mu could park the caller and move the interleaving.
-	txnMu sync.Mutex
-	txns  map[string]string
+	txnMu    sync.Mutex
+	txns     map[string]string
+	txnNames names.Buffer // txnName's
 
 	// lock cache (section 5.1): the coverage granted to each group.
 	cacheMu   sync.Mutex
@@ -795,14 +798,14 @@ func (k *incarnation) joinTxn(txid, name string) {
 }
 
 // txnName is the transaction's name (lockmgr.TxnGroup): its lock group
-// and its shadow owner, built when it first reaches this site and kept
+// and its shadow owner, cut when it first reaches this site and kept
 // with its mark (joinTxn) until finishTxn.
 func (k *incarnation) txnName(txid string) string {
 	k.txnMu.Lock()
 	name, ok := k.txns[txid]
 	k.txnMu.Unlock()
 	if !ok {
-		name = lockmgr.TxnGroup(txid)
+		name = k.txnNames.Cut(lockmgr.TxnPrefix, txid)
 	}
 	return name
 }

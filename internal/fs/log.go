@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/names"
 	"repro/internal/simdisk"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -111,6 +112,7 @@ type LogStore struct {
 	bufs   [][]byte
 	used   int
 	zero   []byte // shared read-only zero page: what a delete writes
+	keys   names.Buffer
 
 	gcMu sync.Mutex
 	gc   *groupCommitter
@@ -376,6 +378,11 @@ func (l *LogStore) chargeFootnote9Locked(freshPuts int) {
 		l.v.st.Inc(stats.InodeWrites)
 	}
 }
+
+// Key returns the concatenation of parts, cut from the store's own
+// chunks (names.Buffer): the key of a record about to be Put, which the
+// store's index keeps until the record is deleted.
+func (l *LogStore) Key(parts ...string) string { return l.keys.Cut(parts...) }
 
 // Put stores (or overwrites) the record under key.  Every page of the
 // record is charged to the kind's I/O class.  In-place overwrite of a

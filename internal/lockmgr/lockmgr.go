@@ -100,14 +100,18 @@ func (h Holder) Group() string {
 	return "pid:" + strconv.Itoa(h.PID)
 }
 
-// TxnGroup is a transaction's name, "txn:" + txid: its lock group here,
-// and its owner of uncommitted records in the shadow layer.  One string
-// serves both, so a site builds it once per transaction.
-func TxnGroup(txid string) string { return "txn:" + txid }
+// TxnPrefix begins every transaction's group name.
+const TxnPrefix = "txn:"
+
+// TxnGroup is a transaction's name, TxnPrefix + txid: its lock group
+// here, and its owner of uncommitted records in the shadow layer.  One
+// string serves both, so a site keeps it once per transaction (cut from
+// a names.Buffer, not built here).
+func TxnGroup(txid string) string { return TxnPrefix + txid }
 
 // GroupTxn returns the transaction a group names, if it names one.
 func GroupTxn(group string) (txid string, ok bool) {
-	txid, ok = strings.CutPrefix(group, "txn:")
+	txid, ok = strings.CutPrefix(group, TxnPrefix)
 	return txid, ok && txid != ""
 }
 
@@ -639,12 +643,12 @@ func (fl *FileLocks) Unlock(h Holder, off, length int64) (retained bool, err err
 	defer fl.mu.Unlock()
 	fl.st.Add(stats.Instructions, costmodel.InstrLockRelease)
 	fl.st.Inc(stats.LockReleases)
-	group := h.Group()
 	s := span{off, off + length}
+	group := "" // a released descriptor's: Unlock builds no name
 	kept := fl.spare[:0]
 	for _, e := range fl.entries {
 		switch {
-		case e.group != group || !e.s.overlaps(s):
+		case !e.heldBy(h) || !e.s.overlaps(s):
 			kept = append(kept, e)
 		case h.IsTxn() && !e.nonTxn:
 			// Rule 1: retain.
@@ -653,12 +657,15 @@ func (fl *FileLocks) Unlock(h Holder, off, length int64) (retained bool, err err
 			kept = append(kept, e)
 		default:
 			// Non-transaction (or NonTxn-mode) locks really release.
+			group = e.group // before carve recycles e
 			kept = fl.carve(kept, e, s)
 		}
 	}
 	clear(fl.entries)
 	fl.entries, fl.spare = kept, fl.entries[:0]
-	fl.forgetGroup(group)
+	if group != "" {
+		fl.forgetGroup(group)
+	}
 	fl.pumpQueueLocked()
 	return retained, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/names"
 	"repro/internal/stats"
 )
 
@@ -439,6 +440,35 @@ func TestModeAndHolderStrings(t *testing.T) {
 	}
 	if !txnA.IsTxn() || procP.IsTxn() {
 		t.Fatal("IsTxn")
+	}
+}
+
+// TestGroupTxnOnCutName reads the transaction back from a group name cut
+// from a names.Buffer, as a site keeps it, and from names that are not a
+// transaction's.  The cut name and TxnGroup's are the same group.
+func TestGroupTxnOnCutName(t *testing.T) {
+	var b names.Buffer
+	const txid = "00000042.3"
+	b.Cut("coord:", "00000041.3") // the name does not start the chunk
+	group := b.Cut(TxnPrefix, txid)
+	if got, ok := GroupTxn(group); !ok || got != txid {
+		t.Fatalf("GroupTxn(%q) = %q, %v", group, got, ok)
+	}
+	if group != TxnGroup(txid) {
+		t.Fatalf("cut name %q differs from TxnGroup's %q", group, TxnGroup(txid))
+	}
+	for _, g := range []string{"pid:10", "lease:site2", TxnPrefix, ""} {
+		if got, ok := GroupTxn(g); ok {
+			t.Errorf("GroupTxn(%q) = %q, true: not a transaction's group", g, got)
+		}
+	}
+	fl := fileLocks(100)
+	if _, err := fl.Lock(Request{Holder: Holder{PID: 1, Txn: txid}, Mode: ModeExclusive, Len: 10, Group: group}); err != nil {
+		t.Fatal(err)
+	}
+	fl.ReleaseGroup(TxnGroup(txid))
+	if n := len(fl.Entries()); n != 0 {
+		t.Fatalf("%d descriptors left after releasing the group by its built name", n)
 	}
 }
 

@@ -122,23 +122,30 @@ type CoordRecord struct {
 // ---- log record encoding ----
 // (hand-rolled binary codec with pooled staging buffers; see codec.go)
 
-func coordKey(txid string) string { return "coord:" + txid }
+// A log key is its kind's prefix and the txid: "coord:<txid>",
+// "prep:<txid>", or "prep:<txid>:<fileID>" (see prepKey).
+const coordPrefix, prepPrefix = "coord:", "prep:"
 
-// prepKey builds the prepare log key.  In the paper's intended design
-// there is one prepare record per transaction per volume; the footnote-10
-// "current implementation" writes one per file (see PerFilePrepare).
-func prepKey(txid, suffix string) string {
+// coordKey cuts the coordinator log key of a record about to be
+// written from v's log store, which keeps it (fs.LogStore.Key).
+func coordKey(v *fs.Volume, txid string) string { return v.Log().Key(coordPrefix, txid) }
+
+// prepKey cuts the prepare log key the same way.  In the paper's intended
+// design there is one prepare record per transaction per volume; the
+// footnote-10 "current implementation" writes one per file (see
+// PerFilePrepare).
+func prepKey(v *fs.Volume, txid, suffix string) string {
 	if suffix == "" {
-		return "prep:" + txid
+		return v.Log().Key(prepPrefix, txid)
 	}
-	return "prep:" + txid + ":" + suffix
+	return v.Log().Key(prepPrefix, txid, ":", suffix)
 }
 
 // WriteCoordRecord writes (or overwrites) the coordinator log record.
 // Overwriting with an equal-size payload is a single I/O: the status
 // marker flip that defines the commit point.
 func WriteCoordRecord(v *fs.Volume, rec CoordRecord) error {
-	return putCoordRecord(v, coordKey(rec.Txid), &rec)
+	return putCoordRecord(v, coordKey(v, rec.Txid), &rec)
 }
 
 func putCoordRecord(v *fs.Volume, key string, rec *CoordRecord) error {
@@ -173,13 +180,13 @@ func ReadCoordRecords(v *fs.Volume) ([]CoordRecord, error) {
 // DeleteCoordRecord removes the coordinator log record once all commit or
 // abort processing has completed (section 4.4).
 func DeleteCoordRecord(v *fs.Volume, txid string) error {
-	return v.Log().Delete(coordKey(txid))
+	return v.Log().Delete(coordPrefix + txid)
 }
 
 // WritePrepareRecord writes a participant's prepare log entry.  suffix
 // distinguishes per-file records in footnote-10 mode ("" otherwise).
 func WritePrepareRecord(v *fs.Volume, rec PrepareRecord, suffix string) error {
-	return putRecord(v, prepKey(rec.Txid, suffix), fs.KindPrepare, func(b []byte) []byte { return appendPrepareRecord(b, &rec) })
+	return putRecord(v, prepKey(v, rec.Txid, suffix), fs.KindPrepare, func(b []byte) []byte { return appendPrepareRecord(b, &rec) })
 }
 
 // ReadPrepareRecords returns every prepare record in the volume's log.
@@ -191,7 +198,7 @@ func ReadPrepareRecords(v *fs.Volume) ([]PrepareRecord, error) {
 // order: the volume's one record, "prep:<txid>", and any footnote-10
 // per-file records, "prep:<txid>:<fileID>", found by one prefix lookup.
 func DeletePrepareRecords(v *fs.Volume, txid string) error {
-	whole := prepKey(txid, "")
+	whole := prepPrefix + txid
 	var found [4]string
 	for _, key := range v.Log().AppendKeysWithPrefix(found[:0], whole) {
 		if key != whole && !strings.HasPrefix(key, whole+":") {
@@ -431,13 +438,13 @@ func (c *Coordinator) CommitTransaction(txid string, files []proc.FileRef) error
 	// so the commit point can be delegated to that site's prepare-record
 	// force and the coordinator log skipped entirely.
 	onePhase := c.cfg.FastPaths && len(parts) == 1
+	if !onePhase {
+		pt.key = coordKey(c.vol, txid)
+	}
 	c.mu.Lock()
 	if _, ok := c.pending[txid]; ok {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrTxnExists, txid)
-	}
-	if !onePhase {
-		pt.key = coordKey(txid)
 	}
 	c.pending[txid] = pt
 	c.mu.Unlock()
@@ -754,7 +761,7 @@ func (c *Coordinator) Recover() error {
 	}
 	for _, rec := range recs {
 		pt := c.newPending(rec.Txid, rec.Files)
-		pt.key = coordKey(rec.Txid)
+		pt.key = coordKey(c.vol, rec.Txid)
 		pt.status = StatusAborted
 		if rec.Status == StatusCommitted {
 			pt.status = StatusCommitted
