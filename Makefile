@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench-check ledger-check ledger-pairs chaos matrix seed87 vtime telemetry golden probe trace experiments examples tools lines clean
+.PHONY: all test race bench-check ledger-check ledger-pairs chaos matrix seed87 vtime telemetry golden golden-telemetry golden-ledger probe trace experiments examples tools lines clean
 
 all: test
 
@@ -15,14 +15,9 @@ race:            ## run the suite under the race detector
 bench-check:     ## regenerate the snapshot and gate it against BENCH_BASELINE.json
 	$(GO) run ./cmd/locus bench -check BENCH_BASELINE.json
 
-ledger-check:    ## short ledger runs of the two serial workloads: their simulated metrics are exact functions of the seed and must equal LEDGER_BASELINE.json (host metrics are printed, not gated)
-	@for w in local_transfer skew_tuned; do \
-		line=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -1) || exit 1; \
-		echo "$$w $$line"; \
-		echo "$$line" | jq -e --arg w $$w --slurpfile base LEDGER_BASELINE.json \
-			'.metrics as $$got | [$$base[0][$$w] | to_entries[] | select(.value != $$got[.key].value) | "\(.key): want \(.value), got \($$got[.key].value)"] | if length == 0 then true else (join("; ") | halt_error) end' \
-			>/dev/null || { echo "ledger-check: $$w simulated metrics moved"; exit 1; }; \
-	done
+ledger-check:    ## rerun the four 2 s ledger runs and diff their simulated metrics against testdata/golden/ledger.json (exact functions of the seed)
+	$(MAKE) golden-ledger
+	git diff --exit-code testdata/golden/ledger.json
 
 # Paired ledger runs: how a host-speed claim is measured (ROADMAP.md, "fixed
 # points"; benchmark/README.md, "-compare").  The parent commit is unpacked next to the build
@@ -92,20 +87,30 @@ vtime:           ## the layer-matrix chaos sweeps, the seed-87 reproducer + the 
 	$(MAKE) seed87
 	$(GO) run ./cmd/locus bench -exp concurrent
 
-telemetry:       ## verify the golden telemetry snapshot byte for byte
-	$(GO) run ./cmd/locus bench -telemetry -clients 4 -txns 8 -json tele-now.json
-	diff TELEMETRY_GOLDEN.json tele-now.json && rm tele-now.json
+telemetry:       ## rerun the telemetry document and diff it against testdata/golden/telemetry.json
+	$(MAKE) golden-telemetry
+	git diff --exit-code testdata/golden/telemetry.json
 
 # The golden directory: outputs a pure refactor must leave byte-identical.
 # `make golden` rewrites them; `git diff testdata/golden` shows what moved.
-golden:          ## regenerate testdata/golden/ (the seed-7 chaos reports, bare and all-layer, the bench gate's report, the canonical traces, the crash-point matrix)
-	@mkdir -p testdata/golden
+golden: golden-telemetry golden-ledger ## regenerate testdata/golden/ (the seed-7 chaos reports, bare and all-layer, the bench gate's report, the telemetry document, the ledger's simulated metrics, the canonical traces, the crash-point matrix)
 	$(GO) run ./cmd/locus chaos -seed 7 -duration 2s -stats > testdata/golden/chaos-seed7.txt
 	$(GO) run ./cmd/locus chaos -seed 7 -duration 2s -stats -groupcommit 5ms -fastpaths -leases -placement > testdata/golden/chaos-seed7-all.txt
 	$(GO) run ./cmd/locus bench -check BENCH_BASELINE.json > testdata/golden/bench-check.txt
 	$(GO) run ./cmd/locus trace -canonical > testdata/golden/trace-canonical.txt
 	$(GO) run ./cmd/locus trace -canonical -drop commit2 > testdata/golden/trace-canonical-drop-commit2.txt
 	$(GO) run ./cmd/locus probe -json > testdata/golden/probe.json
+
+golden-telemetry: ## the 4-client concurrent pair's locusbench-telemetry/v1 document
+	$(GO) run ./cmd/locus bench -telemetry -clients 4 -txns 8 -json testdata/golden/telemetry.json
+
+# Host metrics and setup time are the host's, so only the simulated half of
+# each run is kept.
+golden-ledger:   ## the simulated end-to-end metrics of --seed 1 --seconds 2 ledger runs of all four workloads (needs jq)
+	@mkdir -p .bench_build
+	bash benchmark/run.sh --seed 1 --seconds 2 --trace 0 --out .bench_build/golden-ledger.json > /dev/null
+	jq '.workloads | map_values(.runs[0].end_to_end | with_entries(select(.key | startswith("host_") or . == "setup_s" | not)))' \
+		.bench_build/golden-ledger.json > testdata/golden/ledger.json
 
 probe:           ## exhaustive crash-point matrix (DESIGN.md section 9), race-enabled
 	$(GO) run -race ./cmd/locus probe -forensics probe-forensics.txt

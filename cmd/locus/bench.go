@@ -320,7 +320,9 @@ type snapshot struct {
 	// The mixed read/write sweep at read shares 0/50/90, fast paths
 	// off/on.
 	Mixed []bench.MixedRow `json:"mixed"`
-	// The concurrent pair re-run at the cost model's disk latency.
+	// The concurrent pair re-run at the cost model's disk latency, then
+	// with one client (cases "group-commit off, 1 client" / "on, 1
+	// client"): a serial stream, which batching must not slow down.
 	Vtime []bench.ConcurrentRow `json:"vtime"`
 	// The repeated-access workload, sticky lock leases off and on.
 	Repeat []bench.RepeatRow `json:"repeat"`
@@ -343,6 +345,16 @@ func (b *benchFlags) snapshotRun() error {
 	if snap.Vtime, err = bench.ConcurrentPair(o.Simulated()); err != nil {
 		return err
 	}
+	serial := o.Simulated()
+	serial.Clients = 1
+	one, err := bench.ConcurrentPair(serial)
+	if err != nil {
+		return err
+	}
+	for i := range one {
+		one[i].Case += ", 1 client"
+	}
+	snap.Vtime = append(snap.Vtime, one...)
 	if snap.Mixed, err = bench.MixedSweep(); err != nil {
 		return err
 	}

@@ -21,9 +21,9 @@ import (
 // bottleneck the paper's section 5 describes.  It approximates one
 // rotation of a 3600-rpm disk at half stroke - the paper's 1985-era
 // charge.  The group-commit linger always matches it: a record waits at
-// most one disk force for companions, so batching can never more than
-// double a lone record's latency while a full batch divides the force
-// count by its size.
+// most one disk force for companions, and only after a flush that
+// carried some, so a lone record is forced at once while a full batch
+// divides the force count by its size.
 const DefaultDiskSyncDelay = 300 * time.Microsecond
 
 // ConcurrentRow is one mode of the concurrent-commit throughput
@@ -134,8 +134,8 @@ func (o ConcurrentOpts) Simulated() ConcurrentOpts {
 }
 
 // ConcurrentCommit runs the transfer workload once.  groupCommit toggles
-// the log batching daemon, lingering one disk force (so batching can
-// never more than double a lone record's latency); everything else -
+// the log batching daemon, lingering one disk force after a flush that
+// carried company (a serial client never waits); everything else -
 // workload, sync delay, page writes - is identical, so an off/on pair
 // isolates the batching win.
 func ConcurrentCommit(o ConcurrentOpts, groupCommit bool) (ConcurrentRow, error) {

@@ -79,7 +79,7 @@ func (o *Options) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "workers", o.Workers, "concurrent workload goroutines")
 	fs.Var(&o.Faults, "faults", "fault kinds the generator may draw: all, or a comma list of crash,diskcrash,armcrash,partition,block,drop,dup,latency")
 	fs.Var(&o.Schedule, "schedule", "explicit fault schedule (overrides generation), e.g. 100ms:crash:2,400ms:restart:2,500ms:drop:0.3")
-	fs.DurationVar(&o.Spec.GroupCommit, "groupcommit", o.Spec.GroupCommit, "enable the group-commit log daemon with this max batching delay (0 = synchronous log forces)")
+	fs.DurationVar(&o.Spec.GroupCommit, "groupcommit", o.Spec.GroupCommit, "enable the group-commit log daemon with this linger, spent only after a flush of two or more records (0 = synchronous log forces)")
 	fs.BoolVar(&o.Spec.FastPaths, "fastpaths", o.Spec.FastPaths, "enable the commit fast paths (read-only votes, one-phase commit) and mix read-only audit transactions into the workload")
 	fs.BoolVar(&o.Spec.Leases, "leases", o.Spec.Leases, "enable sticky lock leases with a short TTL, so callback revokes, partition-delayed revokes and leaseholder crashes interleave with the fault schedule")
 	fs.Var(boolFlag{

@@ -91,10 +91,12 @@ type Config struct {
 	RetryInterval time.Duration
 	// GroupCommitMaxDelay enables the group-commit daemon on every
 	// volume's log store: concurrent log writes coalesce into one
-	// vectored disk force, each record waiting up to this long for
-	// companions.  Zero (the default) keeps the paper's synchronous
-	// per-record log writes, so every I/O-count table reproduces.  A
-	// batch holds at most fs.DefaultGroupCommitMaxBatch records.
+	// vectored disk force, and after a flush that carried two or more
+	// records the next waits up to this long for companions (a lone
+	// record is forced at once).  Zero (the default) keeps the paper's
+	// synchronous per-record log writes, so every I/O-count table
+	// reproduces.  A batch holds at most fs.DefaultGroupCommitMaxBatch
+	// records.
 	GroupCommitMaxDelay time.Duration
 	// FastPaths enables the commit fast paths of DESIGN.md section 10:
 	// participants that did only shared-mode reads vote read-only (no

@@ -13,8 +13,9 @@ import (
 // The daemon implements the classic group-commit optimisation (Gray):
 // while one batched flush is in flight, every Put/Delete that arrives
 // queues behind it, and the next flush carries them all in one vectored
-// disk write - one forced I/O (seek + sync) for the whole batch, at the
-// cost of each record waiting up to MaxDelay for companions.  Per-page
+// disk write - one forced I/O (seek + sync) for the whole batch.  Only
+// after a flush that carried company does a record wait up to MaxDelay
+// for more; a lone record on an idle daemon is forced at once.  Per-page
 // write counts are unchanged, so the paper's Figure 5 I/O tables
 // reproduce identically with the daemon on or off; only ForcedIOs and
 // simulated latency shrink.
@@ -24,8 +25,10 @@ type GroupCommitConfig struct {
 	MaxBatch int
 
 	// MaxDelay is how long the daemon waits for companion records before
-	// flushing a non-full batch.  Zero disables group commit entirely:
-	// the store degrades to the paper's synchronous per-record writes.
+	// flushing a non-full batch, when its last flush carried two or more
+	// (a serial stream never waits).  Zero disables group commit
+	// entirely: the store degrades to the paper's synchronous per-record
+	// writes.
 	MaxDelay time.Duration
 
 	// Clock paces the linger window and the submit/flush handshake.
@@ -163,12 +166,15 @@ func (gc *groupCommitter) run() {
 			continue
 		}
 		if n < gc.cfg.maxBatch() && !stopped {
-			// A flush just finished (or the queue just went non-empty):
-			// linger briefly so records arriving now share this force.
-			gc.clk.Sleep(gc.cfg.MaxDelay)
-			// Settle the instant before cutting the batch: a record whose
-			// force completes exactly when the linger expires joins this
-			// batch whichever of the two woke first.
+			// Linger for companions only if the last flush had some
+			// (gc.batch keeps its length): a serial stream never does,
+			// so its lone records are forced at once.
+			if len(gc.batch) >= 2 {
+				gc.clk.Sleep(gc.cfg.MaxDelay)
+			}
+			// Settle the instant before cutting the batch: records
+			// submitted at this instant, or whose force completes exactly
+			// when the linger expires, join this batch.
 			vtime.Settle(gc.clk)
 		}
 		gc.mu.Lock()

@@ -38,8 +38,9 @@ var Eager = Placement{MinAccesses: 2, Cooldown: 2}
 
 // Layers selects the optional protocol layers (DESIGN.md sections 10,
 // 13, 14 and the group-commit daemon); the zero value is the paper's
-// protocol.  GroupCommit is the batching linger; zero keeps one force per
-// log record.
+// protocol.  GroupCommit enables group commit and is its linger, spent
+// only after a flush that carried two or more records; zero keeps one
+// force per log record.
 type Layers struct {
 	GroupCommit time.Duration
 	FastPaths   bool
