@@ -29,7 +29,7 @@ func chaosCmd(fs *flag.FlagSet) func() error {
 	opts := chaos.Defaults()
 	opts.Flags(fs)
 	sweep := fs.Int("sweep", 0, "run seeds seed..seed+N-1 instead of a single run")
-	stats := fs.Bool("stats", false, "append the commit/abort tallies and the simulated time to the report")
+	stats := fs.Bool("stats", false, "append the commit/abort tallies and the simulated set-up and total time to the report")
 	verbose := fs.Bool("v", false, "log faults and recovery progress as they happen")
 	forensics := fs.String("forensics", "", "on any invariant failure, also write the full failure reports (violations + event-trace forensics) to this file; CI uploads it as an artifact")
 	return func() error {

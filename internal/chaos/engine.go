@@ -153,7 +153,8 @@ func (r *Result) Violations() []string { return r.Checks.Violations() }
 
 // Report renders the run: header, fault timeline, invariant verdicts.
 // Everything here is bit-for-bit reproducible from the same options;
-// withStats appends the commit/abort tallies and the simulated time.
+// withStats appends the commit/abort tallies and the simulated set-up
+// and total time.
 func (r *Result) Report(withStats bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos seed=%d sites=%d workers=%d duration=%s\n",
@@ -184,6 +185,7 @@ func (r *Result) Report(withStats bool) string {
 			fmt.Fprintf(&b, "stats: %d owner moves, %d routed commits\n",
 				r.Counters.Get(stats.OwnerMoves), r.Counters.Get(stats.RoutedCommits))
 		}
+		fmt.Fprintf(&b, "stats: set-up %s simulated\n", r.SimSetup)
 		fmt.Fprintf(&b, "stats: %s simulated\n", r.SimElapsed)
 	}
 	return b.String()

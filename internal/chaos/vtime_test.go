@@ -26,6 +26,12 @@ func TestVtimeRun(t *testing.T) {
 	if res.SimElapsed < 2*time.Second {
 		t.Fatalf("SimElapsed=%v, want a virtual-clock run covering the window", res.SimElapsed)
 	}
+	// Set-up is four volume formats of two forces each, account files and
+	// seeding; it ends where the window opens.
+	if res.SimSetup <= 0 || res.SimSetup+res.SimTime > res.SimElapsed || res.SimSetup > 3*time.Second {
+		t.Fatalf("SimSetup=%v with window %v of %v total, want a set-up under 3s ending where the window opens",
+			res.SimSetup, res.SimTime, res.SimElapsed)
+	}
 	if res.Commits == 0 {
 		t.Fatal("no transaction committed under the virtual clock")
 	}

@@ -481,8 +481,9 @@ type volState struct {
 
 	// dirMu is clock-aware: writeDirLocked commits the directory file
 	// (forced disk writes) while holding it.
-	dirMu vtime.Mutex
-	dir   map[string]int
+	dirMu  vtime.Mutex
+	dir    map[string]int
+	dirBuf []byte // the encoding writeDirLocked commits, between uses
 	// files (under the incarnation's mu) holds the handle installs write a
 	// copy through and replica reads read through - one per inode, whose
 	// clean-page cache serves repeated reads as the paper's buffer pool did.

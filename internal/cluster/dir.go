@@ -1,11 +1,11 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/fs"
 	"repro/internal/shadow"
@@ -37,41 +37,74 @@ func (vs *volState) initDirectory() error {
 
 // loadDirectory reads the directory after a volume reload.
 func (vs *volState) loadDirectory() error {
-	f, err := shadow.Open(vs.vol, 0)
+	dir, err := ReadDirectory(vs.vol)
 	if err != nil {
-		return fmt.Errorf("cluster: open directory of %q: %w", vs.name, err)
-	}
-	buf := make([]byte, f.CommittedSize())
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return fmt.Errorf("cluster: read directory of %q: %w", vs.name, err)
+		return fmt.Errorf("cluster: directory of %q: %w", vs.name, err)
 	}
 	vs.dirMu.Lock()
 	defer vs.dirMu.Unlock()
-	vs.dir = make(map[string]int)
-	if len(buf) == 0 {
-		return nil
-	}
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&vs.dir); err != nil {
-		return fmt.Errorf("cluster: decode directory of %q: %w", vs.name, err)
-	}
+	vs.dir = dir
 	return nil
 }
 
 // writeDirLocked persists the directory map with an immediate commit.
 // Caller holds vs.dirMu.
 func (vs *volState) writeDirLocked() error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(vs.dir); err != nil {
-		return err
-	}
 	f, err := shadow.Open(vs.vol, 0)
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteAt(dirOwner, buf.Bytes(), 0); err != nil {
+	vs.dirBuf = AppendDirectory(vs.dirBuf[:0], vs.dir)
+	if _, err := f.WriteAt(dirOwner, vs.dirBuf, 0); err != nil {
 		return err
 	}
 	return f.Commit(dirOwner)
+}
+
+// AppendDirectory appends a directory's one encoding to dst: the entry
+// count, then each entry in name order as a uvarint-length-prefixed name
+// and a uvarint inode number.
+func AppendDirectory(dst []byte, dir map[string]int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(dir)))
+	for _, name := range slices.Sorted(maps.Keys(dir)) {
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = binary.AppendUvarint(append(dst, name...), uint64(dir[name]))
+	}
+	return dst
+}
+
+// ReadDirectory decodes the directory a volume's inode 0 holds on stable
+// storage.  Bytes past the last entry - the tail a shrinking rewrite left
+// in place - are ignored.
+func ReadDirectory(vol *fs.Volume) (map[string]int, error) {
+	f, err := shadow.Open(vol, 0)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, f.CommittedSize())
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		return nil, err
+	}
+	dir, bad := make(map[string]int), false
+	next := func() uint64 {
+		v, k := binary.Uvarint(buf)
+		bad = bad || k <= 0
+		buf = buf[max(k, 0):]
+		return v
+	}
+	for n := next(); !bad && n > 0; n-- {
+		if l := next(); !bad && l <= uint64(len(buf)) {
+			name := string(buf[:l])
+			buf = buf[l:]
+			dir[name] = int(next())
+		} else {
+			bad = true
+		}
+	}
+	if bad {
+		return nil, errors.New("cluster: directory encoding truncated")
+	}
+	return dir, nil
 }
 
 // dirCreate allocates an inode for name and persists the entry.
@@ -125,12 +158,7 @@ func (vs *volState) dirRemove(name string) error {
 func (vs *volState) dirList() []string {
 	vs.dirMu.Lock()
 	defer vs.dirMu.Unlock()
-	out := make([]string, 0, len(vs.dir))
-	for n := range vs.dir {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(vs.dir))
 }
 
 // reclaimFile removes name from the volume and frees its storage, in

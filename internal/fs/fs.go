@@ -172,7 +172,7 @@ type Options struct {
 }
 
 // Format writes a fresh filesystem onto the disk and returns the mounted
-// volume.  Existing contents are ignored.
+// volume in two forced I/Os.  Existing contents are ignored.
 func Format(name string, disk *simdisk.Disk, opts Options) (*Volume, error) {
 	if opts.NumInodes == 0 {
 		opts.NumInodes = 64
@@ -206,20 +206,22 @@ func Format(name string, disk *simdisk.Disk, opts Options) (*Volume, error) {
 		inodeUsed: make(map[int]bool),
 	}
 
-	// Superblock.
+	// Clear the inode table and log area in one force, then write the
+	// superblock in a second: it is the commit point, so Load rejects a
+	// format a crash cut short.
+	zero := make([]simdisk.PageWrite, geo.DataStart-1)
+	for i := range zero {
+		zero[i] = simdisk.PageWrite{Page: 1 + i, Kind: simdisk.IOMeta}
+	}
+	if _, err := disk.WritePages(zero); err != nil {
+		return nil, err
+	}
 	super := make([]byte, ps)
 	binary.LittleEndian.PutUint32(super[0:], superMagic)
 	binary.LittleEndian.PutUint32(super[4:], uint32(geo.NumInodes))
 	binary.LittleEndian.PutUint32(super[8:], uint32(geo.LogPages))
 	if err := disk.WritePage(0, super, simdisk.IOMeta, true); err != nil {
 		return nil, err
-	}
-	// Clear the inode table and log area.
-	zero := make([]byte, ps)
-	for p := 1; p < geo.DataStart; p++ {
-		if err := disk.WritePage(p, zero, simdisk.IOMeta, true); err != nil {
-			return nil, err
-		}
 	}
 	v.log = newLogStore(v)
 	return v, nil

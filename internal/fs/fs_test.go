@@ -53,6 +53,43 @@ func TestLoadRejectsUnformatted(t *testing.T) {
 	}
 }
 
+// A format is two forced I/Os - the metadata region zeroed in one batch,
+// then the superblock - still charged as one disk write per page.
+func TestFormatCostsTwoForces(t *testing.T) {
+	st := stats.NewSet()
+	d := simdisk.New("d", 256, 1024, st)
+	v, err := Format("v", d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Get(stats.ForcedIOs); got != 2 {
+		t.Errorf("format forced %d I/Os, want 2", got)
+	}
+	if got, want := st.Get(stats.DiskWrites), int64(v.Geometry().DataStart); got != want || want != 129 {
+		t.Errorf("format charged %d disk writes, want %d (129)", got, want)
+	}
+	if _, err := Load("v", d); err != nil {
+		t.Fatalf("load after format: %v", err)
+	}
+}
+
+// The superblock is the format's commit point: a crash anywhere before
+// it lands - inside the zeroing batch or at the superblock write itself -
+// leaves a disk Load rejects.
+func TestTornFormatIsNotAVolume(t *testing.T) {
+	for _, k := range []int{0, 1, 64, 128} {
+		d := simdisk.New("d", 256, 1024, nil)
+		d.CrashAfterWrites(k)
+		if _, err := Format("v", d, Options{}); !errors.Is(err, simdisk.ErrCrashed) {
+			t.Fatalf("crash after %d writes: format = %v, want ErrCrashed", k, err)
+		}
+		d.Restart()
+		if _, err := Load("v", d); !errors.Is(err, ErrBadVolume) {
+			t.Fatalf("crash after %d writes: load = %v, want ErrBadVolume", k, err)
+		}
+	}
+}
+
 func TestInodeRoundTrip(t *testing.T) {
 	v := testVolume(t, 64, 1024)
 	ino, err := v.AllocInode()

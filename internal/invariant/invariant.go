@@ -10,7 +10,6 @@ package invariant
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/lockmgr"
-	"repro/internal/shadow"
 	"repro/internal/simnet"
 	"repro/internal/tpc"
 	"repro/internal/trace"
@@ -224,7 +222,8 @@ func checkAllocators(cl *cluster.Cluster) Check {
 // the directory itself; unmapped inodes render as "?".
 func inodeNames(vol *fs.Volume) func(ino int) string {
 	names := map[int]string{0: "<directory>"}
-	for name, ino := range directory(vol) {
+	dir, _ := cluster.ReadDirectory(vol) // nil if it cannot be read
+	for name, ino := range dir {
 		names[ino] = name
 	}
 	return func(ino int) string {
@@ -233,24 +232,6 @@ func inodeNames(vol *fs.Volume) func(ino int) string {
 		}
 		return "?"
 	}
-}
-
-// directory reads the name -> inode map a volume's directory (inode 0)
-// holds on stable storage; nil if it cannot be read.
-func directory(vol *fs.Volume) map[string]int {
-	f, err := shadow.Open(vol, 0)
-	if err != nil || f.CommittedSize() == 0 {
-		return nil
-	}
-	buf := make([]byte, f.CommittedSize())
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return nil
-	}
-	dir := map[string]int{}
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&dir); err != nil {
-		return nil
-	}
-	return dir
 }
 
 // checkPlacement: whatever ownership moves the heat tracker performed -
@@ -278,7 +259,8 @@ func checkPlacement(cl *cluster.Cluster, col *trace.Collector, files []string) C
 		var holders []simnet.SiteID
 		for _, id := range cl.Sites() {
 			if v := cl.Site(id).Volume(vol); v != nil {
-				_, ok := directory(v)[name]
+				dir, _ := cluster.ReadDirectory(v)
+				_, ok := dir[name]
 				if replica, _ := cl.ReplicaCopy(path, id); ok && !replica {
 					holders = append(holders, id)
 				}

@@ -1,12 +1,11 @@
 package invariant_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/invariant"
@@ -148,23 +147,16 @@ func TestAuditCatchesEachDefect(t *testing.T) {
 				if home, _ := sys.Cluster().StorageSite("v1/b"); home != 2 {
 					t.Fatalf("v1/b did not move to site 2 (home %v)", home)
 				}
+				dir, err := cluster.ReadDirectory(vol1(sys))
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir["b"] = dir["a"]
 				f, err := shadow.Open(vol1(sys), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				buf, dir := make([]byte, f.CommittedSize()), map[string]int{}
-				if _, err := f.ReadAt(buf, 0); err != nil {
-					t.Fatal(err)
-				}
-				if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&dir); err != nil {
-					t.Fatal(err)
-				}
-				dir["b"] = dir["a"]
-				var out bytes.Buffer
-				if err := gob.NewEncoder(&out).Encode(dir); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.WriteAt("plant", out.Bytes(), 0); err != nil {
+				if _, err := f.WriteAt("plant", cluster.AppendDirectory(nil, dir), 0); err != nil {
 					t.Fatal(err)
 				}
 				if err := f.Commit("plant"); err != nil {

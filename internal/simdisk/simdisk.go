@@ -332,7 +332,9 @@ func (d *Disk) WritePage(page int, data []byte, kind IOKind, sync bool) error {
 	return d.writeStableLocked(page, data, kind)
 }
 
-// PageWrite is one page of a vectored synchronous write.
+// PageWrite is one page of a vectored synchronous write.  A nil Data
+// zeroes the page: its stable image is dropped, as a page never written
+// reads as zeros, and the write is charged like any other.
 type PageWrite struct {
 	Page int
 	Data []byte
@@ -365,7 +367,7 @@ func (d *Disk) WritePages(writes []PageWrite) (int, error) {
 		if err := d.check(w.Page); err != nil {
 			return 0, err
 		}
-		if len(w.Data) != d.pageSize {
+		if w.Data != nil && len(w.Data) != d.pageSize {
 			return 0, fmt.Errorf("%w: got %d want %d on %s page %d", ErrBadSize, len(w.Data), d.pageSize, d.name, w.Page)
 		}
 	}
@@ -438,7 +440,8 @@ func (d *Disk) crashLocked() {
 // crash fault first: the stable image is overwritten in place only once
 // the budget has let the write through, so a torn batch leaves every
 // later page's old image intact.  data may be the page's own volatile
-// image (a flush).  Caller holds d.mu and has validated page and size.
+// image (a flush), or nil to zero the page.  Caller holds d.mu and has
+// validated page and size.
 func (d *Disk) writeStableLocked(page int, data []byte, kind IOKind) error {
 	if !d.crashKindSet || kind == d.crashKind {
 		if d.crashAfter == 0 {
@@ -451,10 +454,14 @@ func (d *Disk) writeStableLocked(page int, data []byte, kind IOKind) error {
 			d.crashAfter--
 		}
 	}
-	if d.stable[page] == nil {
-		d.stable[page] = d.takeBufLocked()
+	if data == nil {
+		d.stable[page] = nil
+	} else {
+		if d.stable[page] == nil {
+			d.stable[page] = d.takeBufLocked()
+		}
+		copy(d.stable[page], data)
 	}
-	copy(d.stable[page], data)
 	if v, ok := d.volatile[page]; ok {
 		delete(d.volatile, page)
 		d.spare = append(d.spare, v)
