@@ -77,8 +77,8 @@ matrix:          ## 50-seed chaos sweep of every row of the layer matrix (RACE=-
 	done; \
 	if [ -s matrix-red.txt ]; then cat matrix-red.txt; rm -f matrix-red.txt; exit 1; fi
 
-seed87:          ## EXPERIMENTS.md E25's reproducer: no disk fault in the menu, money created on 3 runs in 4 before the in-doubt rule was fixed; the seed replays the interleaving, so one run decides
-	@$(GO) run $(RACE) ./cmd/locus chaos -seed 87 -duration 2s -faults crash,partition,block,drop,dup,latency > seed87-forensics.txt \
+seed87:          ## EXPERIMENTS.md E25's reproducer (testdata/scenarios/seed87.scn): no disk fault in the menu, money created on 3 runs in 4 before the in-doubt rule was fixed; the seed replays the interleaving, so one run decides
+	@$(GO) run $(RACE) ./cmd/locus run testdata/scenarios/seed87.scn > seed87-forensics.txt \
 		|| { cat seed87-forensics.txt; echo "seed87: failed"; exit 1; }; \
 	rm -f seed87-forensics.txt; echo "seed87: passed"
 

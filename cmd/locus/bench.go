@@ -120,7 +120,9 @@ func (e experiment) show(markdown bool) error {
 func (b *benchFlags) experiments() []experiment {
 	concurrent := fmt.Sprintf("Group commit: concurrent transfer throughput (%d clients x %d txns) [latencies in simulated time]", b.clients, b.txns)
 	return []experiment{
-		fig1,
+		{name: "fig1", title: "Figure 1: transaction synchronization rules (held \\ requested)",
+			rows:  func() (any, error) { return fig1Matrix(), nil },
+			notes: []string{"paper:  Unix/Unix r/w, Shared row: read read no, Exclusive row: no no no"}},
 		{name: "fig5", title: "Figure 5: transaction I/O overhead - intended design and 1985 implementation (footnote 9)",
 			rows: func() (any, error) { return fig5() }},
 		{name: "lock", title: "Section 6.2: record locking cost (per lock)",
@@ -173,12 +175,6 @@ func (b *benchFlags) experiments() []experiment {
 	}
 }
 
-// fig1 probes a live lock table for every pair of held and requested
-// modes (experiment E1); lockstat prints it too.
-var fig1 = experiment{name: "fig1", title: "Figure 1: transaction synchronization rules (held \\ requested)",
-	rows:  func() (any, error) { return fig1Matrix(), nil },
-	notes: []string{"paper:  Unix/Unix r/w, Shared row: read read no, Exclusive row: no no no"}}
-
 type fig1Row struct {
 	Held      string `col:"held \\ req"`
 	Unix      string `col:"Unix"`
@@ -186,6 +182,8 @@ type fig1Row struct {
 	Exclusive string `col:"Exclusive"`
 }
 
+// fig1Matrix probes a live lock table for every pair of held and
+// requested modes (experiment E1).
 func fig1Matrix() []fig1Row {
 	modes := []lockmgr.Mode{lockmgr.ModeNone, lockmgr.ModeShared, lockmgr.ModeExclusive} // ModeNone = Unix (unlocked access)
 	cell := func(held, req lockmgr.Mode) string {

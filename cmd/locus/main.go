@@ -1,7 +1,7 @@
 // Command locus is the one front end to the reproduction: the paper's
 // section 6 tables, the fault-injection and crash-point harnesses, the
-// causal trace, the lock demonstrator and an interactive cluster shell,
-// each a subcommand with its own flags.
+// causal trace and the scenario-file interpreter, which also runs a
+// session typed at the terminal, each a subcommand with its own flags.
 //
 // Usage:
 //
@@ -38,8 +38,7 @@ var commands = []command{
 	{"chaos", "seeded fault-injection runs and sweeps with the section 5 audit and a replay line", chaosCmd},
 	{"probe", "exhaustive crash-point matrix: a crash at every stable write, then recovery and audit", probeCmd},
 	{"trace", "causal timeline of a small cross-site workload, or its canonical or Chrome form", traceCmd},
-	{"lockstat", "Figure 1, a live Figure 3 lock list and a staged distributed deadlock", lockstatCmd},
-	{"ctl", "interactive shell for a simulated cluster: transactions, crashes, partitions", ctlCmd},
+	{"run", "replay scenario files, or a session typed at the terminal (-): transactions, locks, faults and expectations", runCmd},
 }
 
 func main() { os.Exit(dispatch(os.Args[1:])) }

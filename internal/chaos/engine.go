@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"strings"
 	"time"
 
@@ -53,22 +52,6 @@ func Defaults() Options {
 	return Options{Seed: 1, Duration: 2 * time.Second, Sites: 4, Workers: 6, Faults: DefaultFaults()}
 }
 
-// boolFlag adapts a derived boolean option to flag.Value.
-type boolFlag struct {
-	get func() bool
-	set func(bool)
-}
-
-func (b boolFlag) IsBoolFlag() bool { return true }
-func (b boolFlag) String() string   { return strconv.FormatBool(b.get != nil && b.get()) }
-func (b boolFlag) Set(s string) error {
-	v, err := strconv.ParseBool(s)
-	if err == nil {
-		b.set(v)
-	}
-	return err
-}
-
 // Flags binds the options to the locus chaos flag set, each flag's default
 // being the option's current value.  The same binding, read back, is a
 // failing run's replay line.
@@ -79,17 +62,9 @@ func (o *Options) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "workers", o.Workers, "concurrent workload goroutines")
 	fs.Var(&o.Faults, "faults", "fault kinds the generator may draw: all, or a comma list of crash,diskcrash,armcrash,partition,block,drop,dup,latency")
 	fs.Var(&o.Schedule, "schedule", "explicit fault schedule (overrides generation), e.g. 100ms:crash:2,400ms:restart:2,500ms:drop:0.3")
-	fs.DurationVar(&o.Spec.GroupCommit, "groupcommit", o.Spec.GroupCommit, "enable the group-commit log daemon with this linger, spent only after a flush of two or more records (0 = synchronous log forces)")
-	fs.BoolVar(&o.Spec.FastPaths, "fastpaths", o.Spec.FastPaths, "enable the commit fast paths (read-only votes, one-phase commit) and mix read-only audit transactions into the workload")
-	fs.BoolVar(&o.Spec.Leases, "leases", o.Spec.Leases, "enable sticky lock leases with a short TTL, so callback revokes, partition-delayed revokes and leaseholder crashes interleave with the fault schedule")
-	fs.Var(boolFlag{
-		func() bool { return o.Spec.Placement != scenario.Placement{} },
-		func(on bool) {
-			if o.Spec.Placement = (scenario.Placement{}); on {
-				o.Spec.Placement = scenario.Eager
-			}
-		},
-	}, "placement", "enable locality-adaptive placement with aggressive knobs, so ownership moves and routed commits interleave with the fault schedule; the audit adds a single-primary convergence check")
+	// With fast paths the transfer workers mix in read-only audits; with
+	// placement the audit adds a single-primary convergence check.
+	o.Spec.Layers.Flags(fs)
 	fs.BoolVar(&o.Spec.Profile, "telemetry", o.Spec.Profile, "enable commit-path profiling and append the attribution/utilization summary to the report")
 }
 
@@ -373,8 +348,13 @@ func (w *workload) transferWorker(e *scenario.Env, rng *rand.Rand) {
 		if i == j {
 			continue
 		}
+		// A fixed lock order across workers rules out the cross-account
+		// ABBA deadlock, but not the conversion deadlock: transfer reads
+		// both balances under implicit Shared locks, so two transfers
+		// over one account can both wait to convert it to Exclusive.  The
+		// lock-wait timeout breaks that one.
 		if i > j {
-			i, j = j, i // fixed lock order across workers: no ABBA deadlocks
+			i, j = j, i
 		}
 		site := simnet.SiteID(rng.Intn(w.opts.Sites) + 1)
 		// With fast paths on, a quarter of the attempts are pure read

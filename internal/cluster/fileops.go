@@ -735,21 +735,9 @@ func (k *incarnation) cacheAdd(fileID string, group lockmgr.Holder, mode lockmgr
 func (k *incarnation) cacheCovers(fileID string, group lockmgr.Holder, mode lockmgr.Mode, off, length int64) bool {
 	k.cacheMu.Lock()
 	defer k.cacheMu.Unlock()
-	// Coverage check against the group's cached ranges of the file: greedy
-	// sweep.
-	for need, end := off, off+length; need < end; {
-		advanced := false
-		for _, c := range k.lockCache {
-			if c.group == group && c.fileID == fileID && c.mode >= mode && c.off <= need && c.off+c.len > need {
-				need = c.off + c.len
-				advanced = true
-			}
-		}
-		if !advanced {
-			return false
-		}
-	}
-	return true
+	return lockmgr.SpansCover(k.lockCache, off, length, func(c cachedLock) (int64, int64, bool) {
+		return c.off, c.off + c.len, c.group == group && c.fileID == fileID && c.mode >= mode
+	})
 }
 
 // cacheTrim removes [off, off+length) of fileID from the group's cached

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestObserversDoNotRaceRestart is the deadlock detector's poll (WaitEdges),
-// lockstat's (QueueSummary) and core's (Procs) running against a site that
-// crashes and restarts twenty times.  Before a site's kernel memory was
+// TestObserversDoNotRaceRestart is the deadlock detector's poll (WaitEdges,
+// cluster-wide and of one site's lock table) and core's (Procs) running
+// against a site that crashes and restarts twenty times.  Before a site's kernel memory was
 // one value swapped in one store, Restart replaced Site.locks field by
 // field under a mutex these readers never took, and `go test -race`
 // reported it on the first run.
@@ -28,7 +28,7 @@ func TestObserversDoNotRaceRestart(t *testing.T) {
 			}
 			cl.WaitEdges()
 			cl.ReapProcess(9999)
-			s2.Locks().QueueSummary()
+			s2.Locks().WaitEdges()
 			s2.Procs().Resident()
 		}
 	}()

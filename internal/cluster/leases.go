@@ -118,21 +118,9 @@ func (k *incarnation) leaseHit(fileID string, mode lockmgr.Mode, off, length int
 	if l.whole >= mode && l.whole != lockmgr.ModeNone {
 		return true
 	}
-	need := off
-	end := off + length
-	for need < end {
-		advanced := false
-		for _, sp := range l.spans {
-			if sp.mode >= mode && sp.off <= need && sp.off+sp.len > need {
-				need = sp.off + sp.len
-				advanced = true
-			}
-		}
-		if !advanced {
-			return false
-		}
-	}
-	return true
+	return lockmgr.SpansCover(l.spans, off, length, func(sp leaseSpan) (int64, int64, bool) {
+		return sp.off, sp.off + sp.len, sp.mode >= mode
+	})
 }
 
 // leaseForgetLocked drops fileID's cached lease l and keeps the emptied

@@ -232,13 +232,8 @@ func parseKind(name string) (simdisk.IOKind, bool, error) {
 	if name == "" {
 		return 0, false, nil
 	}
-	for _, k := range []simdisk.IOKind{
-		simdisk.IOData, simdisk.IOInode, simdisk.IOCoordLog,
-		simdisk.IOPrepareLog, simdisk.IOWAL, simdisk.IOMeta,
-	} {
-		if k.String() == name {
-			return k, true, nil
-		}
+	if k, ok := simdisk.KindByName(name); ok {
+		return k, true, nil
 	}
 	return 0, false, fmt.Errorf("crashprobe: unknown I/O kind %q", name)
 }

@@ -143,6 +143,23 @@ func TestLeaseMatrix(t *testing.T) {
 	}
 }
 
+// TestReplicaMatrix crashes at every stable write of the replica
+// workload: a commit at the primary and one from the replica's site, each
+// ending with the primary shipping the new image to the replica.  At
+// every crash point the primary must recover to pre, post or third, and
+// a read at the replica's site must be forwarded or return exactly the
+// primary's committed bytes (checkReplica).
+func TestReplicaMatrix(t *testing.T) {
+	res, err := Run(Options{Workload: "replica"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireClean(t, res)
+	if fireCount(res) == 0 {
+		t.Fatal("no replica crash point fired")
+	}
+}
+
 // TestPhase2AckDurabilityMatrix pins the coordinator's phase-two
 // ordering: crashing a participant on any prepare-log write (the class
 // that persists and clears its prepared state) must leave recovery able

@@ -218,48 +218,6 @@ func TestManagerRevokeSiteLeases(t *testing.T) {
 	}
 }
 
-// ---- satellite 1: site-wide oldest waiter across files ----
-
-func TestQueueSummaryMergesAcrossShards(t *testing.T) {
-	st := stats.NewSet()
-	m := NewManager(st)
-
-	// Two files, each with one waiter: the summary's oldest waiter is the
-	// older of the two files' oldest.
-	ids := []string{"v/q0", "v/qb0"}
-
-	release := make([]func(), 0, 2)
-	for i, id := range ids {
-		fl := m.File(id, nil)
-		h := Holder{PID: 100 + i, Txn: "TH" + id}
-		mustLock(t, fl, h, ModeExclusive, 0, 10)
-		w := Holder{PID: 200 + i, Txn: "TW" + id}
-		go fl.Lock(Request{Holder: w, Mode: ModeExclusive, Off: 0, Len: 10, Wait: true}) //nolint:errcheck
-		waitQueueLen(t, fl, 1)
-		release = append(release, func() { m.ReleaseGroup(h.Group()); m.ReleaseGroup(w.Group()) })
-		if i == 0 {
-			// Age the first waiter well past scheduling noise.
-			time.Sleep(30 * time.Millisecond)
-		}
-	}
-	defer func() {
-		for _, r := range release {
-			r()
-		}
-	}()
-
-	qs := m.QueueSummary()
-	if qs.Files != 2 || qs.Depth != 2 {
-		t.Fatalf("summary = %+v, want 2 files / depth 2", qs)
-	}
-	if qs.OldestFile != ids[0] {
-		t.Fatalf("oldest waiter attributed to %q, want %q (summary %+v)", qs.OldestFile, ids[0], qs)
-	}
-	if qs.OldestWait < 30*time.Millisecond {
-		t.Fatalf("oldest wait = %v, want >= 30ms", qs.OldestWait)
-	}
-}
-
 // ---- satellite 2: leases are invisible to the wait-for edges ----
 // (graph-level assertions live in internal/wfg, which may import lockmgr)
 

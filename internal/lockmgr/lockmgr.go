@@ -209,10 +209,9 @@ type WaitEdge struct {
 
 // waiter is a queued request.
 type waiter struct {
-	req      Request
-	group    string // req.Holder.Group(), built once at enqueue
-	done     chan grant
-	enqueued time.Time // for wait-queue age reporting
+	req   Request
+	group string // req.Holder.Group(), built once at enqueue
+	done  chan grant
 }
 
 type grant struct {
@@ -226,7 +225,7 @@ type FileLocks struct {
 	sizeFn func() int64 // current working file size, for AtEOF
 	st     *stats.Set
 	tr     *trace.Tracer // nil disables lock-event tracing
-	clk    vtime.Clock   // paces waits and queue-age arithmetic
+	clk    vtime.Clock   // paces waits
 
 	// Telemetry handles, resolved once from the stats registry (nil
 	// handles no-op).  qdepth is a plain atomic gauge — not a computed
@@ -539,7 +538,7 @@ func (fl *FileLocks) Lock(req Request) (Result, error) {
 	// NotifySend from pumpQueueLocked / CancelWaiters.
 	w := fl.newWaiter()
 	enqueued := fl.clk.Now()
-	w.req, w.group, w.enqueued = req, group, enqueued
+	w.req, w.group = req, group
 	fl.queue = append(fl.queue, w)
 	fl.mgr.index(group, fl)
 	fl.st.Inc(stats.LockWaits)
@@ -752,19 +751,26 @@ func (fl *FileLocks) Covers(h Holder, mode Mode, off, length int64) bool {
 }
 
 // covered reports whether the descriptors match accepts cover every byte
-// of [off, off+length): a greedy sweep over the list, no allocation.
+// of [off, off+length).
 func (fl *FileLocks) covered(off, length int64, match func(*entry) bool) bool {
 	if length <= 0 {
 		return false
 	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
+	return SpansCover(fl.entries, off, length, func(e *entry) (int64, int64, bool) { return e.s.lo, e.s.hi, match(e) })
+}
+
+// SpansCover reports whether the items that span accepts, each covering
+// [lo, hi), together cover every byte of [off, off+length): a greedy
+// sweep that advances past any accepted span holding the next uncovered
+// byte, with no allocation.  An empty range is covered.
+func SpansCover[T any](items []T, off, length int64, span func(T) (lo, hi int64, ok bool)) bool {
 	for need, end := off, off+length; need < end; {
 		advanced := false
-		for _, e := range fl.entries {
-			if e.s.lo <= need && need < e.s.hi && match(e) {
-				need = e.s.hi
-				advanced = true
+		for _, it := range items {
+			if lo, hi, ok := span(it); ok && lo <= need && need < hi {
+				need, advanced = hi, true
 			}
 		}
 		if !advanced {
@@ -1020,29 +1026,6 @@ func (fl *FileLocks) QueueLength() int {
 	return len(fl.queue)
 }
 
-// QueueInfo is a point-in-time view of one file's wait queue: its depth
-// and how long the oldest waiter has been queued.
-type QueueInfo struct {
-	FileID     string
-	Depth      int
-	OldestWait time.Duration
-}
-
-// QueueInfo snapshots the file's wait-queue state.  OldestWait is zero
-// when the queue is empty.
-func (fl *FileLocks) QueueInfo() QueueInfo {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	qi := QueueInfo{FileID: fl.id, Depth: len(fl.queue)}
-	now := fl.clk.Now()
-	for _, w := range fl.queue {
-		if age := now.Sub(w.enqueued); age > qi.OldestWait {
-			qi.OldestWait = age
-		}
-	}
-	return qi
-}
-
 // Manager is a storage site's collection of per-file lock lists.  Its
 // mutex guards only the id -> FileLocks map; per-file serialization is
 // each list's own.
@@ -1252,50 +1235,6 @@ func (m *Manager) GroupSummary(group string) GroupSummary {
 		fl.summarize(group, &gs)
 	}
 	return gs
-}
-
-// QueueStats reports the wait-queue state of every file with at least
-// one queued request, sorted by file id — the lockstat contention view.
-func (m *Manager) QueueStats() []QueueInfo {
-	var out []QueueInfo
-	for _, fl := range m.all() {
-		if qi := fl.QueueInfo(); qi.Depth > 0 {
-			out = append(out, qi)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FileID < out[j].FileID })
-	return out
-}
-
-// QueueSummary is the site-wide merge of every file's wait-queue view:
-// total files with waiters, total queued requests, and the single oldest
-// waiter across the whole table.
-type QueueSummary struct {
-	Files      int
-	Depth      int
-	OldestFile string
-	OldestWait time.Duration
-}
-
-// QueueSummary merges the wait-queue state across the table.  Ties on
-// wait age break toward the smaller file id, so the result is
-// deterministic.
-func (m *Manager) QueueSummary() QueueSummary {
-	var qs QueueSummary
-	for _, fl := range m.all() {
-		qi := fl.QueueInfo()
-		if qi.Depth == 0 {
-			continue
-		}
-		qs.Files++
-		qs.Depth += qi.Depth
-		if qi.OldestWait > qs.OldestWait ||
-			(qi.OldestWait == qs.OldestWait && (qs.OldestFile == "" || qi.FileID < qs.OldestFile)) {
-			qs.OldestWait = qi.OldestWait
-			qs.OldestFile = qi.FileID
-		}
-	}
-	return qs
 }
 
 // RevokeSiteLeases reclaims every lease held on behalf of site across the

@@ -103,9 +103,6 @@ func NewTracker(cfg Config) *Tracker {
 	}
 }
 
-// Config returns the tracker's resolved knobs.
-func (t *Tracker) Config() Config { return t.cfg }
-
 // age applies the decay owed to f since it was last touched.  Caller
 // holds t.mu.
 func (t *Tracker) age(f *fileHeat) {

@@ -102,9 +102,6 @@ func NewTable(site simnet.SiteID, st *stats.Set) *Table {
 	return &Table{site: site, st: st, procs: make(map[int]*Process)}
 }
 
-// Site returns the table's site.
-func (t *Table) Site() simnet.SiteID { return t.site }
-
 // NewProcess registers a fresh process resident at this site.
 func (t *Table) NewProcess(pid, parent int) *Process {
 	t.mu.Lock()

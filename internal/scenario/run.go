@@ -198,7 +198,7 @@ func Run(sc Scenario) (*Outcome, error) {
 		e.commits, e.aborts, e.lats = 0, 0, nil
 		for _, f := range sc.Armed {
 			e.Logf("arm %s", f)
-			e.apply(f)
+			Ok(e.Apply(f))
 		}
 	}); err != nil {
 		return nil, fmt.Errorf("scenario: setup: %w", err)
@@ -268,22 +268,33 @@ func (e *Env) inject(sched Schedule, start time.Time) {
 		}
 		e.Logf("inject +%s %s", f.At, f.String())
 		e.Trace.Site(int(f.Site)).Record(trace.CrashInject, "", f.String(), int64(f.At/time.Millisecond))
-		e.apply(f)
+		if err := e.Apply(f); err != nil {
+			e.Logf("%v", err)
+		}
 	}
 }
 
-// apply injects one fault into the live cluster.
-func (e *Env) apply(f Fault) {
+// Apply injects one fault into the live cluster: the one fault applier
+// of every harness and of a locus run session.  A crash of a site that
+// is down, and a restart of one that is up, change nothing.  The error
+// names a site or disk the cluster lacks, or a restart that failed.
+func (e *Env) Apply(f Fault) error {
 	cl := e.Sys.Cluster()
 	net := cl.Net()
 	s := cl.Site(f.Site)
 	switch f.Kind {
+	case FaultCrash, FaultDiskCrash, FaultCrashWrites, FaultArmDisk, FaultRestart:
+		if s == nil {
+			return fmt.Errorf("scenario: %s: no site %d", f.Kind, f.Site)
+		}
+	}
+	switch f.Kind {
 	case FaultCrash:
-		if s != nil && s.Up() {
+		if s.Up() {
 			s.Crash()
 		}
 	case FaultDiskCrash:
-		if s != nil && s.Up() {
+		if s.Up() {
 			// Media failure first (volatile pages gone), then the machine
 			// goes down with its disks.
 			for _, d := range siteDisks(s) {
@@ -292,7 +303,7 @@ func (e *Env) apply(f Fault) {
 			s.Crash()
 		}
 	case FaultCrashWrites:
-		if s != nil && s.Up() {
+		if s.Up() {
 			disks := siteDisks(s)
 			for _, d := range disks {
 				d.CrashAfterWrites(f.N)
@@ -303,18 +314,19 @@ func (e *Env) apply(f Fault) {
 			e.aux.Go(func() { e.watchArmedDisks(f.Site, disks) })
 		}
 	case FaultArmDisk:
-		if s == nil || s.Volume(f.Volume) == nil {
-			Ok(fmt.Errorf("scenario: %s: no such disk once setup is done", f))
+		v := s.Volume(f.Volume)
+		if v == nil {
+			return fmt.Errorf("scenario: %s: no such disk once setup is done", f)
 		}
-		if d := s.Volume(f.Volume).Disk(); f.ByClass {
+		if d := v.Disk(); f.ByClass {
 			d.CrashAfterWritesOfKind(f.Class, f.N)
 		} else {
 			d.CrashAfterWrites(f.N)
 		}
 	case FaultRestart:
-		if s != nil && !s.Up() {
+		if !s.Up() {
 			if err := s.Restart(); err != nil {
-				e.Logf("restart site %d failed: %v", f.Site, err)
+				return fmt.Errorf("restart site %d failed: %w", f.Site, err)
 			}
 		}
 	case FaultPartition:
@@ -341,6 +353,7 @@ func (e *Env) apply(f Fault) {
 			return seen[[2]simnet.SiteID{from, to}]%2 == 1
 		})
 	}
+	return nil
 }
 
 // siteDisks lists the disks under a site's volumes.

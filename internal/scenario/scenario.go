@@ -11,7 +11,9 @@
 package scenario
 
 import (
+	"flag"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -46,6 +48,32 @@ type Layers struct {
 	FastPaths   bool
 	Leases      bool
 	Placement   Placement
+}
+
+// Flags binds the layers to the -groupcommit, -fastpaths, -leases and
+// -placement flags, each flag's default being the layer's current value.
+func (l *Layers) Flags(fs *flag.FlagSet) {
+	fs.DurationVar(&l.GroupCommit, "groupcommit", l.GroupCommit, "enable the group-commit log daemon with this linger, spent only after a flush of two or more records (0 = synchronous log forces)")
+	fs.BoolVar(&l.FastPaths, "fastpaths", l.FastPaths, "enable the commit fast paths (read-only votes, one-phase commit)")
+	fs.BoolVar(&l.Leases, "leases", l.Leases, "enable sticky lock leases (short-lived on a Faults cluster, so revokes and leaseholder crashes interleave with the faults)")
+	fs.Var(placementFlag{&l.Placement}, "placement", "enable locality-adaptive placement with the Eager knobs, so ownership moves and routed commits are in flight when a fault lands")
+}
+
+// placementFlag is the -placement switch: on is Eager, off the zero
+// policy.
+type placementFlag struct{ p *Placement }
+
+func (f placementFlag) IsBoolFlag() bool { return true }
+func (f placementFlag) String() string   { return strconv.FormatBool(f.p != nil && *f.p != Placement{}) }
+func (f placementFlag) Set(s string) error {
+	on, err := strconv.ParseBool(s)
+	if err == nil {
+		*f.p = Placement{}
+		if on {
+			*f.p = Eager
+		}
+	}
+	return err
 }
 
 // Spec describes one simulated cluster.  The zero value of every field

@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
+	"repro/internal/simdisk"
 	"repro/internal/vtime"
 )
 
@@ -68,5 +70,52 @@ func TestBuildMountsOneVolumePerSite(t *testing.T) {
 	}
 	if _, err := (Spec{Volumes: []string{"va", "va"}}).Build(); err == nil {
 		t.Error("duplicate volume name must fail the build")
+	}
+}
+
+// TestEveryFaultKindRoundTrips: each of the thirteen fault kinds is
+// written by Fault.String and read back by ParseSchedule, so a schedule,
+// a session word and an armed fault share one spelling.
+func TestEveryFaultKindRoundTrips(t *testing.T) {
+	sched := Schedule{
+		{At: 0, Kind: FaultCrash, Site: 1},
+		{At: 1, Kind: FaultRestart, Site: 1},
+		{At: 2, Kind: FaultDiskCrash, Site: 2},
+		{At: 3, Kind: FaultPartition, Site: 3},
+		{At: 4, Kind: FaultHeal},
+		{At: 5, Kind: FaultBlockLink, Site: 1, To: 2},
+		{At: 6, Kind: FaultUnblockLink, Site: 1, To: 2},
+		{At: 7, Kind: FaultDrop, Rate: 0.25},
+		{At: 8, Kind: FaultDup, Rate: 0.5},
+		{At: 9, Kind: FaultLatency, Dur: 4 * time.Millisecond},
+		{At: 10, Kind: FaultCrashWrites, Site: 2, N: 17},
+		{At: 11, Kind: FaultArmDisk, Site: 2, Volume: "v2", N: 5},
+		{At: 12, Kind: FaultArmDisk, Site: 2, Volume: "v2", N: 5, Class: simdisk.IOPrepareLog, ByClass: true},
+		{At: 13, Kind: FaultDropOp, Op: "commit2"},
+	}
+	back, err := ParseSchedule(sched.String())
+	if err != nil || !reflect.DeepEqual(back, sched) {
+		t.Fatalf("ParseSchedule(%q) = %v, %v", sched, back, err)
+	}
+	for _, bad := range []string{"0s:armdisk:2@5", "0s:armdisk:2/v2@x", "0s:armdisk:2/v2@5/nosuch", "0s:dropop"} {
+		if _, err := ParseSchedule(bad); err == nil {
+			t.Errorf("ParseSchedule(%q) accepted garbage", bad)
+		}
+	}
+}
+
+// TestApplyNamesAMissingSite: a fault aimed at a site or disk the cluster
+// lacks is an error from Apply, not a silent no-op.
+func TestApplyNamesAMissingSite(t *testing.T) {
+	_, err := Run(Scenario{Spec: Spec{Volumes: PerSite(2)}, Clients: []func(*Env){func(e *Env) {
+		for _, f := range []Fault{{Kind: FaultCrash, Site: 9}, {Kind: FaultArmDisk, Site: 1, Volume: "v9"}} {
+			if err := e.Apply(f); err == nil {
+				t.Errorf("Apply(%s) on a 2-site cluster succeeded", f)
+			}
+		}
+		Ok(e.Apply(Fault{Kind: FaultBlockLink, Site: 1, To: 2}))
+	}}})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -165,6 +165,7 @@ func (sc *Schedule) Set(s string) (err error) {
 //
 //	100ms:crash:2,400ms:restart:2,500ms:drop:0.3,800ms:drop:0
 //	120ms:block:1>3,300ms:unblock:1>3,1s:partition:2,1.4s:heal
+//	0s:armdisk:2/v2@5/preparelog,0s:dropop:commit2
 func ParseSchedule(s string) (Schedule, error) {
 	var sched Schedule
 	s = strings.TrimSpace(s)
@@ -226,10 +227,25 @@ func ParseSchedule(s string) (Schedule, error) {
 			}
 			f.Site = simnet.SiteID(site)
 			f.N = n
+		case FaultArmDisk:
+			disk, budget, _ := strings.Cut(arg, "@")
+			site, vol, _ := strings.Cut(disk, "/")
+			n, class, byClass := strings.Cut(budget, "/")
+			id, err1 := strconv.Atoi(site)
+			f.N, err = strconv.Atoi(n)
+			if byClass {
+				f.Class, f.ByClass = simdisk.KindByName(class)
+			}
+			if err1 != nil || err != nil || f.N < 0 || vol == "" || byClass != f.ByClass {
+				return nil, fmt.Errorf("scenario: %s needs site/volume@writes[/class], got %q", kind, arg)
+			}
+			f.Site, f.Volume = simnet.SiteID(id), vol
+		case FaultDropOp:
+			if f.Op = arg; arg == "" {
+				return nil, fmt.Errorf("scenario: %s needs a message op", kind)
+			}
 		case FaultHeal:
 			// no argument
-		default:
-			return nil, fmt.Errorf("scenario: %s faults are armed by a harness, not written in a schedule", kind)
 		}
 		sched = append(sched, f)
 	}

@@ -60,6 +60,16 @@ func (k IOKind) String() string {
 	return fmt.Sprintf("iokind(%d)", int(k))
 }
 
+// KindByName is the inverse of IOKind.String.
+func KindByName(name string) (IOKind, bool) {
+	for k, n := range ioKindNames {
+		if n == name {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
 // writeCounter maps an IOKind to its dedicated stats counter (in addition
 // to the aggregate DiskWrites counter).
 func (k IOKind) writeCounter() (stats.Counter, bool) {

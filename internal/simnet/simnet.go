@@ -278,24 +278,6 @@ func (n *Network) AddSite(id SiteID) *Endpoint {
 	return e
 }
 
-// Sites returns the registered site IDs in unspecified order.
-func (n *Network) Sites() []SiteID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ids := make([]SiteID, 0, len(n.sites))
-	for id := range n.sites {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-// Endpoint returns the endpoint for a site, or nil if unknown.
-func (n *Network) Endpoint(id SiteID) *Endpoint {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sites[id]
-}
-
 // Watch registers a callback invoked, as an actor of its own on the
 // network's clock, for every topology change.
 func (n *Network) Watch(fn func(TopologyEvent)) {
@@ -547,9 +529,6 @@ func (e *Endpoint) ID() SiteID { return e.id }
 // SetTracer attaches an event tracer; message sends and receipts are
 // stamped with its Lamport clock.  A nil tracer disables tracing.
 func (e *Endpoint) SetTracer(t *trace.Tracer) { e.tr.Store(t) }
-
-// Tracer returns the attached tracer, nil if tracing is disabled.
-func (e *Endpoint) Tracer() *trace.Tracer { return e.tr.Load() }
 
 // Handle registers the handler for an operation name, replacing any
 // previous handler.  It is Serve on untyped payloads.
