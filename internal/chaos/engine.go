@@ -123,9 +123,6 @@ type Result struct {
 // OK reports whether every invariant held.
 func (r *Result) OK() bool { return r.Checks.OK() }
 
-// Violations flattens every failed check's findings.
-func (r *Result) Violations() []string { return r.Checks.Violations() }
-
 // Report renders the run: header, fault timeline, invariant verdicts.
 // Everything here is bit-for-bit reproducible from the same options;
 // withStats appends the commit/abort tallies and the simulated set-up

@@ -481,9 +481,11 @@ type volState struct {
 
 	// dirMu is clock-aware: writeDirLocked commits the directory file
 	// (forced disk writes) while holding it.
-	dirMu  vtime.Mutex
-	dir    map[string]int
-	dirBuf []byte // the encoding writeDirLocked commits, between uses
+	dirMu    vtime.Mutex
+	dir      map[string]int
+	dirIno   *fs.Inode // inode 0 as committed, kept for the volume's life
+	dirNames []string  // dir's names, sorted by writeDirLocked, between uses
+	dirBuf   []byte    // the encoding writeDirLocked commits, between uses
 	// files (under the incarnation's mu) holds the handle installs write a
 	// copy through and replica reads read through - one per inode, whose
 	// clean-page cache serves repeated reads as the paper's buffer pool did.
@@ -604,7 +606,7 @@ type incarnation struct {
 	// state).
 	leaseMu   sync.Mutex
 	leases    map[string]*siteLease
-	leaseMeta map[string]map[simnet.SiteID]*leaseMeta
+	leaseMeta map[leaseKey]*leaseMeta
 	// leaseSpare holds emptied siteLease records for reuse (leaseForgetLocked).
 	leaseSpare []*siteLease
 

@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/fs"
 	"repro/internal/shadow"
+	"repro/internal/simdisk"
+	"repro/internal/trace"
 )
 
 // The per-volume directory maps file names to inode numbers.  It is
@@ -20,9 +22,10 @@ import (
 // immediately rather than at commit time.
 const dirOwner shadow.Owner = "kernel:dir"
 
-// initDirectory creates the directory file in inode 0 of a fresh volume.
+// initDirectory creates the directory file in inode 0 of a fresh volume:
+// its first write makes the inode durable.
 func (vs *volState) initDirectory() error {
-	ino, err := vs.vol.AllocInode()
+	ino, err := vs.vol.ReserveInode()
 	if err != nil {
 		return err
 	}
@@ -31,42 +34,55 @@ func (vs *volState) initDirectory() error {
 	}
 	vs.dirMu.Lock()
 	defer vs.dirMu.Unlock()
+	vs.dirIno = &fs.Inode{Ino: 0, Indirect: -1}
 	vs.dir = make(map[string]int)
 	return vs.writeDirLocked()
 }
 
-// loadDirectory reads the directory after a volume reload.
+// loadDirectory reads the directory after a volume reload and keeps its
+// committed inode.
 func (vs *volState) loadDirectory() error {
-	dir, err := ReadDirectory(vs.vol)
+	f, err := shadow.Open(vs.vol, 0)
+	if err == nil {
+		vs.dir, err = decodeDirectory(f)
+	}
 	if err != nil {
 		return fmt.Errorf("cluster: directory of %q: %w", vs.name, err)
 	}
-	vs.dirMu.Lock()
-	defer vs.dirMu.Unlock()
-	vs.dir = dir
+	vs.dirIno = f.Inode()
 	return nil
 }
 
-// writeDirLocked persists the directory map with an immediate commit.
-// Caller holds vs.dirMu.
+// writeDirLocked persists the directory map: the encoding is rewritten
+// whole, shadow-style, in one forced write (fs.RewriteFile).  Caller holds
+// vs.dirMu.
 func (vs *volState) writeDirLocked() error {
-	f, err := shadow.Open(vs.vol, 0)
-	if err != nil {
-		return err
+	vs.dirNames = vs.dirNames[:0]
+	for name := range vs.dir {
+		vs.dirNames = append(vs.dirNames, name)
 	}
-	vs.dirBuf = AppendDirectory(vs.dirBuf[:0], vs.dir)
-	if _, err := f.WriteAt(dirOwner, vs.dirBuf, 0); err != nil {
-		return err
+	slices.Sort(vs.dirNames)
+	vs.dirBuf = appendDirectory(vs.dirBuf[:0], vs.dirNames, vs.dir)
+	if tr := vs.vol.Tracer(); tr != nil {
+		obj := fmt.Sprintf("%s#0", vs.vol.Name())
+		for off := 0; off < len(vs.dirBuf); off += vs.vol.PageSize() {
+			tr.Record(trace.PageWrite, string(dirOwner), obj, int64(off/vs.vol.PageSize()))
+		}
 	}
-	return f.Commit(dirOwner)
+	return vs.vol.RewriteFile(vs.dirIno, vs.dirBuf)
 }
 
 // AppendDirectory appends a directory's one encoding to dst: the entry
 // count, then each entry in name order as a uvarint-length-prefixed name
 // and a uvarint inode number.
 func AppendDirectory(dst []byte, dir map[string]int) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(dir)))
-	for _, name := range slices.Sorted(maps.Keys(dir)) {
+	return appendDirectory(dst, slices.Sorted(maps.Keys(dir)), dir)
+}
+
+// appendDirectory is AppendDirectory with dir's names given, sorted.
+func appendDirectory(dst []byte, names []string, dir map[string]int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
+	for _, name := range names {
 		dst = binary.AppendUvarint(dst, uint64(len(name)))
 		dst = binary.AppendUvarint(append(dst, name...), uint64(dir[name]))
 	}
@@ -74,13 +90,18 @@ func AppendDirectory(dst []byte, dir map[string]int) []byte {
 }
 
 // ReadDirectory decodes the directory a volume's inode 0 holds on stable
-// storage.  Bytes past the last entry - the tail a shrinking rewrite left
-// in place - are ignored.
+// storage.
 func ReadDirectory(vol *fs.Volume) (map[string]int, error) {
 	f, err := shadow.Open(vol, 0)
 	if err != nil {
 		return nil, err
 	}
+	return decodeDirectory(f)
+}
+
+// decodeDirectory decodes the directory file f's committed contents.
+// Bytes past the last entry are ignored.
+func decodeDirectory(f *shadow.File) (map[string]int, error) {
 	buf := make([]byte, f.CommittedSize())
 	if _, err := f.ReadAt(buf, 0); err != nil {
 		return nil, err
@@ -107,14 +128,21 @@ func ReadDirectory(vol *fs.Volume) (map[string]int, error) {
 	return dir, nil
 }
 
-// dirCreate allocates an inode for name and persists the entry.
-func (vs *volState) dirCreate(name string) (int, error) {
+// dirCreate allocates an inode for name and persists the entry.  With
+// reserve the inode stays in memory until its file's first write
+// (fs.ReserveInode): the entry then reaches the disk first, the dangling
+// case reclaimFile handles.
+func (vs *volState) dirCreate(name string, reserve bool) (int, error) {
 	vs.dirMu.Lock()
 	defer vs.dirMu.Unlock()
 	if _, ok := vs.dir[name]; ok {
 		return 0, fmt.Errorf("%w: %s/%s", ErrFileExists, vs.name, name)
 	}
-	ino, err := vs.vol.AllocInode()
+	alloc := vs.vol.AllocInode
+	if reserve {
+		alloc = vs.vol.ReserveInode
+	}
+	ino, err := alloc()
 	if err != nil {
 		return 0, err
 	}
@@ -128,13 +156,19 @@ func (vs *volState) dirCreate(name string) (int, error) {
 
 // dirLookup resolves name to an inode number.
 func (vs *volState) dirLookup(name string) (int, error) {
-	vs.dirMu.Lock()
-	defer vs.dirMu.Unlock()
-	ino, ok := vs.dir[name]
+	ino, ok := vs.dirEntry(name)
 	if !ok {
 		return 0, fmt.Errorf("%w: %s/%s", ErrNoSuchFile, vs.name, name)
 	}
 	return ino, nil
+}
+
+// dirEntry is dirLookup for a caller that expects a miss.
+func (vs *volState) dirEntry(name string) (int, bool) {
+	vs.dirMu.Lock()
+	defer vs.dirMu.Unlock()
+	ino, ok := vs.dir[name]
+	return ino, ok
 }
 
 // dirRemove deletes the entry (the inode is freed by the caller once its
@@ -162,80 +196,79 @@ func (vs *volState) dirList() []string {
 }
 
 // reclaimFile removes name from the volume and frees its storage, in
-// handleRemove's crash-safe order: directory entry first, then pages,
-// then the inode.
+// handleRemove's crash-safe order: the directory entry first, then the
+// inode and its pages in one write (fs.ReleaseInode).  A dangling entry -
+// a crash made it durable while its inode (in memory until the file's
+// first write) was lost - has no storage to free: only the name goes, or
+// the reloaded allocator would hand the inode number to a second file and
+// leave two entries claiming it.
 func (vs *volState) reclaimFile(name string) error {
 	ino, err := vs.dirLookup(name)
-	if err != nil {
-		return err
-	}
-	node, err := vs.vol.ReadInode(ino)
-	if errors.Is(err, fs.ErrFreeInode) {
-		// Dangling entry: a crash made the directory entry durable while
-		// the inode allocation (in-memory until the first commit) was
-		// lost.  There is no storage to free - drop the name, or the
-		// reloaded allocator will hand the inode number to a second file
-		// and leave two entries claiming it.
-		return vs.dirRemove(name)
-	}
 	if err != nil {
 		return err
 	}
 	if err := vs.dirRemove(name); err != nil {
 		return err
 	}
-	for _, p := range node.Pages {
-		if p >= 0 {
-			if err := vs.vol.FreePage(p); err != nil {
-				return err
-			}
-		}
-	}
-	node.Pages = nil
-	node.Size = 0
-	if err := vs.vol.WriteInode(node); err != nil {
-		return err
-	}
-	return vs.vol.FreeInode(ino)
+	return vs.vol.ReleaseInode(ino)
 }
 
 // committedImage reads the committed contents of path's local primary
-// copy - what an install ships (ship).
-func (k *incarnation) committedImage(path string) (vs *volState, name string, data []byte, err error) {
-	if vs, err = k.volFor(path); err != nil {
-		return nil, "", nil, err
-	}
-	if _, name, err = splitPath(path); err != nil {
-		return nil, "", nil, err
-	}
-	ino, err := vs.dirLookup(name)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	f, err := shadow.Open(vs.vol, ino)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	data = make([]byte, f.CommittedSize())
-	if len(data) > 0 {
-		if _, err := f.ReadAt(data, 0); err != nil {
-			return nil, "", nil, err
-		}
-	}
-	return vs, name, data, nil
-}
-
-// openOrCreate opens name on the volume, creating its directory entry
-// first when the file is new here.
-func (vs *volState) openOrCreate(name string) (*shadow.File, error) {
-	ino, err := vs.dirLookup(name)
-	if errors.Is(err, ErrNoSuchFile) {
-		ino, err = vs.dirCreate(name)
-	}
+// copy - what an install ships (ship) - through the one handle this site
+// has on the file (handleInstall), opening one only if there is none.  A
+// failed disk is its site's crash, which the kernel otherwise learns of
+// only at its next I/O, and the image may come from memory: so the disk
+// is asked first, and a crashed site ships nothing - its log may still
+// hold records its restart will replay against this copy.
+func (k *incarnation) committedImage(path string) ([]byte, error) {
+	vs, err := k.volFor(path)
 	if err != nil {
 		return nil, err
 	}
-	return shadow.Open(vs.vol, ino)
+	if vs.vol.Disk().Crashed() {
+		return nil, fmt.Errorf("cluster: shipping %s: %w", path, simdisk.ErrCrashed)
+	}
+	_, name, err := splitPath(path)
+	if err != nil {
+		return nil, err
+	}
+	k.mu.Lock()
+	f := vs.files[name]
+	if of := k.open[path]; of != nil {
+		f = of.file
+	}
+	k.mu.Unlock()
+	if f == nil {
+		ino, err := vs.dirLookup(name)
+		if err != nil {
+			return nil, err
+		}
+		if f, err = shadow.Open(vs.vol, ino); err != nil {
+			return nil, err
+		}
+	}
+	return f.CommittedImage()
+}
+
+// installFile lands a shipped image as name's copy here when this site has
+// no handle on it: over the file if its entry exists, else as a new file
+// in two forced writes - the entry, its inode reserved, then the image and
+// its inode in one batch (shadow.Create, which keeps data).  Nothing reads
+// the new file before the catalog's verdict, so a crash between leaves the
+// dangling entry or torn batch the boot rule reclaims.
+func (vs *volState) installFile(name string, data []byte) (*shadow.File, error) {
+	if ino, ok := vs.dirEntry(name); ok {
+		f, err := shadow.Open(vs.vol, ino)
+		if err != nil {
+			return nil, err
+		}
+		return f, installImage(f, data)
+	}
+	ino, err := vs.dirCreate(name, true)
+	if err != nil {
+		return nil, err
+	}
+	return shadow.Create(vs.vol, ino, data)
 }
 
 // installImage commits a shipped committed image over f.

@@ -69,7 +69,10 @@ type readReq struct {
 
 func (r readReq) WireSize() int { return 48 }
 
-type readResp struct{ Data []byte }
+type readResp struct {
+	Data    []byte
+	Renewed bool // the requester's lease under the access was renewed
+}
 
 func (r readResp) WireSize() int { return 32 + len(r.Data) }
 
@@ -85,7 +88,8 @@ func (r writeReq) WireSize() int { return 48 + len(r.Data) }
 
 type writeResp struct {
 	simnet.Small
-	N int
+	N       int
+	Renewed bool // the requester's lease under the access was renewed
 }
 
 type lockReq struct {
@@ -107,12 +111,12 @@ type lockResp struct {
 	Len int64
 	// Lease grant piggybacked on the reply (DESIGN.md section 13):
 	// LeaseMode != ModeNone means the storage site installed a lease over
-	// [LeaseOff, LeaseOff+LeaseLen) — the whole file when LeaseWhole —
-	// which the requester may cache for Config.LeaseTTL.
-	LeaseMode  lockmgr.Mode
-	LeaseOff   int64
-	LeaseLen   int64
-	LeaseWhole bool
+	// [LeaseOff, LeaseOff+LeaseLen) - the granted range, or the span an
+	// escalation widened it to - which the requester may cache for
+	// Config.LeaseTTL.
+	LeaseMode lockmgr.Mode
+	LeaseOff  int64
+	LeaseLen  int64
 }
 
 type unlockReq struct {
@@ -154,7 +158,7 @@ func (k *incarnation) handleCreate(req createReq) error {
 	if err != nil {
 		return err
 	}
-	_, err = vs.dirCreate(name)
+	_, err = vs.dirCreate(name, false)
 	return err
 }
 
@@ -281,6 +285,7 @@ func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, err
 	}
 	k.recordHeat(req.FileID, from, req.Txn)
 	h := Holder(req.PID, req.Txn)
+	var resp readResp
 	if req.Txn != "" {
 		// Coverage by the transaction's locks, or by the process's own
 		// pre-transaction locks (usable within the transaction without
@@ -290,10 +295,13 @@ func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, err
 		pre := Holder(req.PID, "")
 		name := k.txnName(req.Txn)
 		if !of.locks.Covers(h, lockmgr.ModeShared, req.Off, int64(req.Len)) &&
-			!of.locks.Covers(pre, lockmgr.ModeShared, req.Off, int64(req.Len)) &&
-			!k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeShared, req.Off, int64(req.Len)) {
-			return readResp{}, fmt.Errorf("%w: transaction read of %s [%d,%d) without lock",
-				lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+int64(req.Len))
+			!of.locks.Covers(pre, lockmgr.ModeShared, req.Off, int64(req.Len)) {
+			ok, renewed := k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeShared, req.Off, int64(req.Len))
+			if !ok {
+				return readResp{}, fmt.Errorf("%w: transaction read of %s [%d,%d) without lock",
+					lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+int64(req.Len))
+			}
+			resp.Renewed = renewed
 		}
 		k.joinTxn(req.Txn, name)
 	} else if err := of.locks.CheckAccess(h, false, req.Off, int64(req.Len)); err != nil {
@@ -304,7 +312,8 @@ func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, err
 	if err != nil {
 		return readResp{}, err
 	}
-	return readResp{Data: buf[:n]}, nil
+	resp.Data = buf[:n]
+	return resp, nil
 }
 
 // handleWrite validates and applies a write at the storage site.
@@ -318,6 +327,7 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 	}
 	k.recordHeat(req.FileID, from, req.Txn)
 	h := Holder(req.PID, req.Txn)
+	var resp writeResp
 	var owner shadow.Owner
 	length := int64(len(req.Data))
 	if req.Txn != "" {
@@ -331,7 +341,9 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 			pre := Holder(req.PID, "")
 			if of.locks.Covers(pre, lockmgr.ModeExclusive, req.Off, length) {
 				owner = procOwner(req.PID)
-			} else if !k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeExclusive, req.Off, length) {
+			} else if ok, renewed := k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeExclusive, req.Off, length); ok {
+				resp.Renewed = renewed
+			} else {
 				return writeResp{}, fmt.Errorf("%w: transaction write of %s [%d,%d) without exclusive lock",
 					lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+length)
 			}
@@ -356,7 +368,8 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 	if err != nil {
 		return writeResp{}, err
 	}
-	return writeResp{N: n}, nil
+	resp.N = n
+	return resp, nil
 }
 
 // handleLock processes a lock request at the storage site (section 5.1)
@@ -409,17 +422,22 @@ func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, err
 	resp := lockResp{Off: res.Off, Len: res.Len}
 	// A transactional grant to a remote requester earns a lease: the
 	// coverage will outlive the transaction's release, so the requester's
-	// next transaction can skip the lock message entirely.
-	if k.cl.cfg.LockLeases && from != k.id && req.Txn != "" && !req.NonTxn {
+	// next transaction can skip the lock message entirely.  Not where
+	// this site leads the file's heat (placement on): the home's own next
+	// conflicting access would revoke the lease before the requester came
+	// back, so it would buy a callback and a wait, not a saved message.
+	if k.cl.cfg.LockLeases && from != k.id && req.Txn != "" && !req.NonTxn && !k.heat.Leads(req.FileID, k.id) {
 		if install, escalate := k.leaseGranted(req.FileID, from); install {
 			if of.locks.GrantLease(int(from), req.Mode, res.Off, res.Len) {
 				resp.LeaseMode = req.Mode
 				resp.LeaseOff, resp.LeaseLen = res.Off, res.Len
 				k.tr.Record(trace.LeaseGrant, name, req.FileID, int64(from))
-				if escalate && of.locks.TryEscalateLease(int(from), name, req.Mode) {
-					k.st.Inc(stats.LeaseEscalations)
-					k.tr.Record(trace.LockEscalate, name, req.FileID, int64(from))
-					resp.LeaseWhole = true
+				if escalate {
+					if span, ok := of.locks.TryEscalateLease(int(from), name, req.Mode); ok {
+						k.st.Inc(stats.LeaseEscalations)
+						k.tr.Record(trace.LockEscalate, name, req.FileID, int64(from))
+						resp.LeaseOff, resp.LeaseLen = span.Off, span.Len
+					}
 				}
 			}
 		}
@@ -640,7 +658,11 @@ func (s *Site) Read(b *Binding, pid int, txn string, off int64, n int) ([]byte, 
 		// primary, where their locks live.
 		return data, nil
 	}
+	sent := s.leaseClock()
 	r, err := callStorage[readResp](&s.machine, b, "read", readReq{FileID: b.id, Off: off, Len: n, PID: pid, Txn: txn}, false)
+	if r.Renewed {
+		s.kernel().leaseCacheRenew(b.id, sent)
+	}
 	return r.Data, err
 }
 
@@ -653,7 +675,11 @@ func (s *Site) Write(b *Binding, pid int, txn string, off int64, data []byte) (i
 			return 0, err
 		}
 	}
+	sent := s.leaseClock()
 	r, err := callStorage[writeResp](&s.machine, b, "write", writeReq{FileID: b.id, Off: off, Data: data, PID: pid, Txn: txn}, false)
+	if r.Renewed {
+		s.kernel().leaseCacheRenew(b.id, sent)
+	}
 	return r.N, err
 }
 
@@ -671,7 +697,7 @@ func (s *Site) Lock(b *Binding, pid int, txn string, mode lockmgr.Mode, off, len
 	}
 	k.cacheAdd(b.id, groupKey(pid, txn), mode, r.Off, r.Len)
 	if r.LeaseMode != lockmgr.ModeNone {
-		k.leaseCacheAdd(b.id, r.LeaseMode, r.LeaseOff, r.LeaseLen, r.LeaseWhole)
+		k.leaseCacheAdd(b.id, r.LeaseMode, r.LeaseOff, r.LeaseLen)
 	}
 	return lockmgr.Result{Off: r.Off, Len: r.Len}, nil
 }
@@ -690,6 +716,16 @@ func (s *Site) Unlock(b *Binding, pid int, txn string, off, length int64) (bool,
 		s.kernel().cacheTrim(b.id, groupKey(pid, txn), off, length)
 	}
 	return r.Retained, nil
+}
+
+// leaseClock reads the clock before an access whose reply may renew a
+// lease (leaseCacheRenew); without leases nothing is renewed and the
+// clock is not read.
+func (s *Site) leaseClock() time.Time {
+	if !s.cl.cfg.LockLeases {
+		return time.Time{}
+	}
+	return s.cl.cfg.Clock.Now()
 }
 
 // ensureLocked implicitly acquires the record lock for a transaction

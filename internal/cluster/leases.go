@@ -12,15 +12,18 @@ package cluster
 // exactly as before.  A conflicting request triggers an asynchronous
 // callback/revoke over simnet; an undeliverable callback (partition or
 // crash) falls back to sitting out the lease's TTL before reclaiming, so
-// a lease can delay — never defeat — a conflicting lock.
+// a lease can delay — never defeat — a conflicting lock.  Each hit renews
+// the lease (leaseRenewed), so one in use lapses only after a TTL unused.
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/lockmgr"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/vtime"
 )
 
 // leaseRevokeReq is the callback the storage site sends a leaseholder
@@ -33,10 +36,9 @@ type leaseRevokeReq struct {
 }
 
 // siteLease is the requesting site's memory of lease coverage on one
-// remote file.  Whole (ModeNone when unset) records a whole-file lease
-// from escalation; spans the byte-range grants.
+// remote file: the spans granted, an escalated one (the whole file, or
+// the hull of the site's records) among them.
 type siteLease struct {
-	whole  lockmgr.Mode
 	spans  []leaseSpan
 	expiry time.Time
 }
@@ -51,11 +53,26 @@ type leaseSpan struct {
 // pair that escalates its byte-range leases to a single whole-file lease.
 const leaseEscalateThreshold = 4
 
-// leaseMeta is the storage site's per-(file, leaseholder) lease state.
+// leaseKey names a (file, leaseholder) pair at the storage site.
+type leaseKey struct {
+	fileID string
+	site   simnet.SiteID
+}
+
+// leaseMeta is the storage site's per-(file, leaseholder) lease state.  A
+// revoke resets it rather than deleting it, so the pair's next grant
+// allocates nothing.
 type leaseMeta struct {
 	grants   int       // lock grants since the last revoke; drives escalation
 	expiry   time.Time // TTL fallback deadline for an undeliverable revoke
 	revoking bool      // a callback/revoke for this pair is in flight
+
+	// What the revoke in flight works on, set by leaseRevokeBegin: the
+	// record is its actor's argument (runLeaseRevoke), not a closure.
+	k      *incarnation
+	fileID string
+	of     *openFile
+	site   simnet.SiteID
 }
 
 // ---- requesting-site lease cache ----
@@ -65,7 +82,7 @@ type leaseMeta struct {
 // own deadline ran from grant time, so the storage site always expires
 // first and a stale hit here is caught by materialization (the lease
 // entry is gone, the materializing lock waits honestly).
-func (k *incarnation) leaseCacheAdd(fileID string, mode lockmgr.Mode, off, length int64, whole bool) {
+func (k *incarnation) leaseCacheAdd(fileID string, mode lockmgr.Mode, off, length int64) {
 	expiry := k.cl.cfg.Clock.Now().Add(k.cl.cfg.LeaseTTL)
 	k.leaseMu.Lock()
 	defer k.leaseMu.Unlock()
@@ -85,19 +102,29 @@ func (k *incarnation) leaseCacheAdd(fileID string, mode lockmgr.Mode, off, lengt
 	if expiry.After(l.expiry) {
 		l.expiry = expiry
 	}
-	if whole {
-		if mode > l.whole {
-			l.whole = mode
-		}
-		l.spans = l.spans[:0]
-		return
-	}
 	for _, sp := range l.spans {
 		if sp.mode >= mode && sp.off <= off && sp.off+sp.len >= off+length {
 			return // already covered at this strength
 		}
 	}
+	// An escalated span absorbs the grants it covers.
+	l.spans = slices.DeleteFunc(l.spans, func(sp leaseSpan) bool {
+		return sp.mode <= mode && off <= sp.off && sp.off+sp.len <= off+length
+	})
 	l.spans = append(l.spans, leaseSpan{mode: mode, off: off, len: length})
+}
+
+// leaseCacheRenew extends the cached lease on fileID to a TTL past sent,
+// when the access whose reply renewed it left this site.  The storage
+// site renewed it later, so this site stops trusting the lease before the
+// storage site's deadline, which a revoke that cannot reach it sits out.
+func (k *incarnation) leaseCacheRenew(fileID string, sent time.Time) {
+	expiry := sent.Add(k.cl.cfg.LeaseTTL)
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	if l := k.leases[fileID]; l != nil && expiry.After(l.expiry) {
+		l.expiry = expiry
+	}
 }
 
 // leaseHit reports whether this site's cached lease covers
@@ -114,9 +141,6 @@ func (k *incarnation) leaseHit(fileID string, mode lockmgr.Mode, off, length int
 	if !now.Before(l.expiry) {
 		k.leaseForgetLocked(fileID, l)
 		return false
-	}
-	if l.whole >= mode && l.whole != lockmgr.ModeNone {
-		return true
 	}
 	return lockmgr.SpansCover(l.spans, off, length, func(sp leaseSpan) (int64, int64, bool) {
 		return sp.off, sp.off + sp.len, sp.mode >= mode
@@ -185,16 +209,7 @@ func (k *incarnation) leaseGranted(fileID string, from simnet.SiteID) (install, 
 	now := k.cl.cfg.Clock.Now()
 	k.leaseMu.Lock()
 	defer k.leaseMu.Unlock()
-	m := k.leaseMeta[fileID]
-	if m == nil {
-		m = make(map[simnet.SiteID]*leaseMeta)
-		k.leaseMeta[fileID] = m
-	}
-	lm := m[from]
-	if lm == nil {
-		lm = &leaseMeta{}
-		m[from] = lm
-	}
+	lm := k.leaseMetaLocked(fileID, from)
 	if lm.revoking {
 		return false, false
 	}
@@ -203,51 +218,48 @@ func (k *incarnation) leaseGranted(fileID string, from simnet.SiteID) (install, 
 	return true, lm.grants >= leaseEscalateThreshold
 }
 
-// leaseRevokeBegin marks a revoke in flight for the pair, returning the
-// lease's TTL deadline (the fallback if the callback is undeliverable).
-// A second conflicting request while one revoke is pending is deduped.
-func (k *incarnation) leaseRevokeBegin(fileID string, holder simnet.SiteID) (time.Time, bool) {
-	k.leaseMu.Lock()
-	defer k.leaseMu.Unlock()
-	m := k.leaseMeta[fileID]
-	if m == nil {
-		m = make(map[simnet.SiteID]*leaseMeta)
-		k.leaseMeta[fileID] = m
-	}
-	lm := m[holder]
+// leaseMetaLocked returns the pair's lease state, made on first use.  A
+// pair without one (leaseMetaDropSite raced a grant) reads as a lease
+// already expired.  Caller holds leaseMu.
+func (k *incarnation) leaseMetaLocked(fileID string, holder simnet.SiteID) *leaseMeta {
+	key := leaseKey{fileID, holder}
+	lm := k.leaseMeta[key]
 	if lm == nil {
-		// A lease entry without meta (leaseMetaDropSite raced the grant):
-		// revoke with an already-expired deadline.
-		lm = &leaseMeta{expiry: k.cl.cfg.Clock.Now()}
-		m[holder] = lm
+		lm = &leaseMeta{}
+		k.leaseMeta[key] = lm
 	}
-	if lm.revoking {
-		return time.Time{}, false
-	}
-	lm.revoking = true
-	return lm.expiry, true
+	return lm
 }
 
-// leaseRevokeEnd retires the pair's meta once the lease is reclaimed.
-func (k *incarnation) leaseRevokeEnd(fileID string, holder simnet.SiteID) {
+// leaseRevokeBegin marks a revoke of the pair's lease on of in flight and
+// returns its record, nil if one already is: a second conflicting request
+// while one revoke is pending is deduped.
+func (k *incarnation) leaseRevokeBegin(fileID string, of *openFile, holder simnet.SiteID) *leaseMeta {
 	k.leaseMu.Lock()
 	defer k.leaseMu.Unlock()
-	if m := k.leaseMeta[fileID]; m != nil {
-		delete(m, holder)
-		if len(m) == 0 {
-			delete(k.leaseMeta, fileID)
-		}
+	lm := k.leaseMetaLocked(fileID, holder)
+	if lm.revoking {
+		return nil
 	}
+	lm.revoking, lm.k, lm.fileID, lm.of, lm.site = true, k, fileID, of, holder
+	return lm
+}
+
+// leaseRevokeEnd resets the pair's lease state once the lease is
+// reclaimed.
+func (k *incarnation) leaseRevokeEnd(lm *leaseMeta) {
+	k.leaseMu.Lock()
+	*lm = leaseMeta{}
+	k.leaseMu.Unlock()
 }
 
 // leaseMetaDropSite forgets every pair involving the downed leaseholder.
 func (k *incarnation) leaseMetaDropSite(down simnet.SiteID) {
 	k.leaseMu.Lock()
 	defer k.leaseMu.Unlock()
-	for fileID, m := range k.leaseMeta {
-		delete(m, down)
-		if len(m) == 0 {
-			delete(k.leaseMeta, fileID)
+	for key := range k.leaseMeta {
+		if key.site == down {
+			delete(k.leaseMeta, key)
 		}
 	}
 }
@@ -255,44 +267,46 @@ func (k *incarnation) leaseMetaDropSite(down simnet.SiteID) {
 // ---- revoke protocol ----
 
 // startLeaseRevokes fires the asynchronous callback/revoke at every
-// blocking leaseholder.  Each revoke is one clock actor: deliver the
-// callback (the holder drops its cache and acks), or — when the holder
-// is unreachable — sleep out the lease's TTL; either way the lease entry
-// is then reclaimed and the wait queue pumped, granting the blocked
-// requests in FIFO order.  The requester that triggered the revoke is
-// already queued under its own LockWaitTimeout, which the default
+// blocking leaseholder.  Each revoke is one clock actor (runLeaseRevoke):
+// deliver the callback (the holder drops its cache and acks), or - when
+// the holder is unreachable - sleep out the lease's TTL; either way the
+// lease entry is then reclaimed and the wait queue pumped, granting the
+// blocked requests in FIFO order.  A requester that triggered the revoke
+// is already queued under its own LockWaitTimeout, which the default
 // configuration keeps above the TTL so an expiry-based reclaim still
 // reaches it in time.
 func (k *incarnation) startLeaseRevokes(fileID string, of *openFile, sites []int) {
 	for _, site := range sites {
-		holder := simnet.SiteID(site)
-		expiry, ok := k.leaseRevokeBegin(fileID, holder)
-		if !ok {
-			continue
+		if lm := k.leaseRevokeBegin(fileID, of, simnet.SiteID(site)); lm != nil {
+			vtime.GoArg(k.cl.cfg.Clock, lm, runLeaseRevoke)
 		}
-		site := site
-		k.cl.cfg.Clock.Go(func() {
-			if _, err := simnet.ExchangeRetry[none](k.ep, holder, "leaseRevoke", leaseRevokeReq{FileID: fileID}, 0); err != nil {
-				if rem := expiry.Sub(k.cl.cfg.Clock.Now()); rem > 0 {
-					k.cl.cfg.Clock.Sleep(rem)
-				}
-			}
-			k.leaseRevokeEnd(fileID, holder)
-			if of.locks.RevokeLease(site) {
-				k.st.Inc(stats.LeaseRevokes)
-				k.tr.Record(trace.LeaseRevoke, "", fileID, int64(site))
-			}
-		})
+	}
+}
+
+// runLeaseRevoke is one revoke's actor; arg is the pair's *leaseMeta.
+func runLeaseRevoke(arg any, _ int) {
+	lm := arg.(*leaseMeta)
+	k, fileID, of, holder, expiry := lm.k, lm.fileID, lm.of, lm.site, lm.expiry
+	if _, err := simnet.ExchangeRetry[none](k.ep, holder, "leaseRevoke", leaseRevokeReq{FileID: fileID}, 0); err != nil {
+		if rem := expiry.Sub(k.cl.cfg.Clock.Now()); rem > 0 {
+			k.cl.cfg.Clock.Sleep(rem)
+		}
+	}
+	k.leaseRevokeEnd(lm)
+	if of.locks.RevokeLease(int(holder)) {
+		k.st.Inc(stats.LeaseRevokes)
+		k.tr.Record(trace.LeaseRevoke, "", fileID, int64(holder))
 	}
 }
 
 // lockAt runs one lock request against the file's lock list, firing the
-// callback/revoke protocol first when lease entries stand in the way —
+// callback/revoke protocol first when lease entries stand in the way -
 // the single choke point for both the explicit lock RPC (handleLock) and
 // lease materialization (handleRead / handleWrite).
 func (k *incarnation) lockAt(of *openFile, fileID string, lreq lockmgr.Request) (lockmgr.Result, error) {
 	if k.cl.cfg.LockLeases {
-		if sites := of.locks.BlockingLeaseSites(lreq); len(sites) > 0 {
+		var buf [4]int // no allocation up to four leaseholders
+		if sites := of.locks.BlockingLeaseSites(buf[:0], lreq); len(sites) > 0 {
 			k.startLeaseRevokes(fileID, of, sites)
 		}
 	}
@@ -309,11 +323,13 @@ func (k *incarnation) lockAt(of *openFile, fileID string, lreq lockmgr.Request) 
 // stale cache (the lease was reclaimed meanwhile) degrades gracefully:
 // the request waits its turn like any implicit lock (section 3.1 allows
 // implicit acquisition at access time).  Reports whether coverage now
-// exists.
-func (k *incarnation) materializeLease(of *openFile, from simnet.SiteID, fileID string, h lockmgr.Holder, name string, mode lockmgr.Mode, off, length int64) bool {
+// exists, and whether the requester's lease stood under it and was
+// renewed: a lease in use is kept (leaseRenewed).
+func (k *incarnation) materializeLease(of *openFile, from simnet.SiteID, fileID string, h lockmgr.Holder, name string, mode lockmgr.Mode, off, length int64) (covered, renewed bool) {
 	if !k.cl.cfg.LockLeases || from == k.id || !h.IsTxn() || length <= 0 || off < 0 {
-		return false
+		return false, false
 	}
+	leased := of.locks.LeaseCovers(int(from), mode, off, length)
 	lreq := lockmgr.Request{
 		Holder:   h,
 		Mode:     mode,
@@ -327,9 +343,26 @@ func (k *incarnation) materializeLease(of *openFile, from simnet.SiteID, fileID 
 	k.markOpenForUpdate(of)
 	res, err := k.lockAt(of, fileID, lreq)
 	if err != nil {
-		return false
+		return false, false
 	}
 	k.adoptUncommitted(of, name, res.Off, res.Len)
+	return true, leased && k.leaseRenewed(fileID, from)
+}
+
+// leaseRenewed pushes the pair's TTL deadline a full TTL past now, unless
+// a revoke is in flight, and reports whether it did.  A lease is granted
+// with the lock reply and would otherwise lapse at the requester a TTL
+// later however often it is hit; renewed by each hit, it lapses only
+// after a TTL without one.
+func (k *incarnation) leaseRenewed(fileID string, from simnet.SiteID) bool {
+	now := k.cl.cfg.Clock.Now()
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	lm := k.leaseMetaLocked(fileID, from)
+	if lm.revoking {
+		return false
+	}
+	lm.expiry = now.Add(k.cl.cfg.LeaseTTL)
 	return true
 }
 

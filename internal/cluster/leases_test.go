@@ -229,6 +229,94 @@ func TestLeaseTTLExpiry(t *testing.T) {
 	commitAtStorage(t, s1, "T2", id.ID())
 }
 
+// TestLeaseRenewedByUse: each access a lease answers renews it, so a
+// lease in use outlives its TTL - a new transaction every 15 ms keeps a
+// 20 ms lease for 60 ms without a lock message - and lapses only after
+// a TTL without one.
+func TestLeaseRenewedByUse(t *testing.T) {
+	clk := vtime.NewVirtual()
+	cl := leaseCluster(t, Config{LeaseTTL: 20 * time.Millisecond, Clock: clk})
+	s1, s2 := cl.Site(1), cl.Site(2)
+	pid := cl.NewPID()
+	s2.Procs().NewProcess(pid, 0)
+	if err := s2.Create("va/f"); err != nil {
+		t.Fatal(err)
+	}
+	id, _, _ := s2.Open("va/f")
+	write := func(txid string) stats.Snapshot {
+		t.Helper()
+		before := cl.Stats().Snapshot()
+		if _, err := s2.Write(id, pid, txid, 0, []byte("abcd")); err != nil {
+			t.Fatal(err)
+		}
+		commitAtStorage(t, s1, txid, id.ID())
+		return cl.Stats().Snapshot().Sub(before)
+	}
+	write("T0")
+	for i := 1; i <= 4; i++ {
+		clk.Sleep(15 * time.Millisecond)
+		if d := write(fmt.Sprintf("T%d", i)); d.Get(stats.LeaseHits) != 1 || d.Get(stats.LockMsgs) != 0 {
+			t.Fatalf("T%d, %v after the grant: lease_hits=%d lock_msgs=%d, want 1/0",
+				i, 15*time.Millisecond*time.Duration(i), d.Get(stats.LeaseHits), d.Get(stats.LockMsgs))
+		}
+	}
+	clk.Sleep(25 * time.Millisecond)
+	if d := write("T5"); d.Get(stats.LeaseHits) != 0 || d.Get(stats.LockMsgs) != 1 {
+		t.Fatalf("after a TTL unused: lease_hits=%d lock_msgs=%d, want 0/1", d.Get(stats.LeaseHits), d.Get(stats.LockMsgs))
+	}
+}
+
+// TestLeaseHullBesideAnotherSite: two sites write their own records of
+// one file.  Site 3's lease keeps site 2's escalation off the whole file,
+// so site 2's lease covers the hull of its records: a record of its own
+// it never locked costs no lock message, and neither site's lease is
+// revoked.
+func TestLeaseHullBesideAnotherSite(t *testing.T) {
+	cl := leaseCluster(t, Config{})
+	cl.AddSite(3)
+	s1, s2, s3 := cl.Site(1), cl.Site(2), cl.Site(3)
+	if err := s2.Create("va/f"); err != nil {
+		t.Fatal(err)
+	}
+	writer := func(s *Site) func(txid string, off int64) stats.Snapshot {
+		pid := cl.NewPID()
+		s.Procs().NewProcess(pid, 0)
+		b, _, err := s.Open("va/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(txid string, off int64) stats.Snapshot {
+			t.Helper()
+			before := cl.Stats().Snapshot()
+			if _, err := s.Write(b, pid, txid, off, []byte("abcd")); err != nil {
+				t.Fatal(err)
+			}
+			commitAtStorage(t, s1, txid, b.ID())
+			return cl.Stats().Snapshot().Sub(before)
+		}
+	}
+	w2, w3 := writer(s2), writer(s3)
+	w3("T0", 2048)
+	for i := 1; i <= leaseEscalateThreshold; i++ {
+		w2(fmt.Sprintf("T%d", i), int64(16*i))
+	}
+	if n := cl.Stats().Snapshot().Get(stats.LeaseEscalations); n != 1 {
+		t.Fatalf("%d escalations, want site 2's one", n)
+	}
+	if d := w2("T5", 40); d.Get(stats.LeaseHits) != 1 || d.Get(stats.LockMsgs) != 0 {
+		t.Fatalf("a record inside site 2's hull: lease_hits=%d lock_msgs=%d, want 1/0", d.Get(stats.LeaseHits), d.Get(stats.LockMsgs))
+	}
+	if d := w3("T6", 2048); d.Get(stats.LeaseHits) != 1 {
+		t.Fatalf("site 3's own record: lease_hits=%d, want 1", d.Get(stats.LeaseHits))
+	}
+	if d := w2("T7", 1024); d.Get(stats.LeaseHits) != 0 || d.Get(stats.LockMsgs) != 1 {
+		t.Fatalf("a record past site 2's hull: lease_hits=%d lock_msgs=%d, want 0/1", d.Get(stats.LeaseHits), d.Get(stats.LockMsgs))
+	}
+	if n := cl.Stats().Snapshot().Get(stats.LeaseRevokes); n != 0 {
+		t.Fatalf("%d lease revokes between two sites on their own records", n)
+	}
+}
+
 func TestLeaseReclaimOnLeaseholderCrash(t *testing.T) {
 	cl := leaseCluster(t, Config{})
 	s1, s2 := cl.Site(1), cl.Site(2)
@@ -471,7 +559,7 @@ func TestLeaseRevokeActorOutlivesItsIncarnation(t *testing.T) {
 		k := s1.kernel()
 		k.leaseMu.Lock()
 		defer k.leaseMu.Unlock()
-		lm := k.leaseMeta[id.ID()][2]
+		lm := k.leaseMeta[leaseKey{id.ID(), 2}]
 		if lm == nil {
 			return leaseMeta{}, false
 		}

@@ -55,6 +55,7 @@ func (k *incarnation) handleFork(req forkReq) error {
 	p.TxnID = req.TxnID
 	p.TopPID = req.TopPID
 	p.TopSite = req.TopSite
+	k.st.Inc(stats.Forks)
 	k.st.Add(stats.Instructions, costmodel.InstrProcessFork)
 	return nil
 }

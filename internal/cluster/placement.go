@@ -267,7 +267,7 @@ func (k *incarnation) maybeMovePlacement(fileIDs []string) {
 // replica copy at in.version - and returns the catalog's verdict, which a
 // lost reply does not change: committed image, propose, call, settle.
 func (k *incarnation) ship(in install, refs int) (bool, error) {
-	_, _, data, err := k.committedImage(in.path)
+	data, err := k.committedImage(in.path)
 	if err != nil {
 		return false, err
 	}
@@ -381,9 +381,8 @@ func (k *incarnation) handleInstall(from simnet.SiteID, req installReq) (none, e
 	}
 	k.mu.Unlock()
 	if f == nil {
-		f, err = vs.openOrCreate(name)
-	}
-	if err == nil {
+		f, err = vs.installFile(name, req.Data)
+	} else {
 		err = installImage(f, req.Data)
 	}
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -442,4 +443,87 @@ func TestMoveVerdict(t *testing.T) {
 		must(t, s1.Restart())
 		w.expect(t, 1)
 	})
+}
+
+// movedPair builds a placement cluster whose site 1 stores va/warm and
+// va/f, each holding a record a non-transaction write committed (no heat
+// at site 1), and moves va/warm to site 2 so site 2 already serves its
+// copy of va: a later move of va/f pays for the file alone.
+func movedPair(t *testing.T, cfg Config) (cl *Cluster, f *Binding, pid int) {
+	t.Helper()
+	cl = placementCluster(t, cfg)
+	t.Cleanup(cl.Shutdown)
+	s1 := cl.Site(1)
+	pid = cl.NewPID()
+	s1.Procs().NewProcess(pid, 0)
+	for _, path := range []string{"va/warm", "va/f"} {
+		must(t, s1.Create(path))
+		b, _, err := s1.Open(path)
+		must(t, err)
+		if _, err := s1.Write(b, pid, "", 0, []byte("abcd")); err != nil {
+			t.Fatal(err)
+		}
+		must(t, s1.Sync(b, pid, ""))
+		f = b
+	}
+	must(t, s1.kernel().moveFile("va/warm", 2))
+	if home, _ := cl.StorageSite("va/warm"); home != 2 {
+		t.Fatalf("va/warm at %v after its move, want 2", home)
+	}
+	return cl, f, pid
+}
+
+// TestOwnerMoveForces: a move costs at most six forced I/Os, target and
+// source together - the entry and then the image with its inode at the
+// target, the entry and the released inode at the source, one force each.
+// It cost nine: the target wrote an empty inode first, and each entry and
+// image took a page force and an inode force, the release two more.
+func TestOwnerMoveForces(t *testing.T) {
+	cl, f, _ := movedPair(t, Config{})
+	before := cl.Stats().Snapshot()
+	must(t, cl.Site(1).kernel().moveFile(f.ID(), 2))
+	d := cl.Stats().Snapshot().Sub(before)
+	if n := d.Get(stats.OwnerMoves); n != 1 {
+		t.Fatalf("owner moves = %d, want 1", n)
+	}
+	t.Logf("one move: %d forced I/Os", d.Get(stats.ForcedIOs))
+	if n := d.Get(stats.ForcedIOs); n > 6 {
+		t.Errorf("a move costs %d forced I/Os, want at most 6", n)
+	}
+	if got, err := cl.Site(2).Read(f, cl.NewPID(), "", 0, 4); err != nil || string(got) != "abcd" {
+		t.Errorf("moved file reads %q, %v at its new home", got, err)
+	}
+}
+
+// TestNoLeaseWhereTheHomeLeads: with placement on, a storage site that
+// leads a file's heat grants no lease on it - its own next conflicting
+// access would revoke the lease before the holder came back - and grants
+// one once a remote site leads.
+func TestNoLeaseWhereTheHomeLeads(t *testing.T) {
+	cl := placementCluster(t, Config{LockLeases: true})
+	t.Cleanup(cl.Shutdown)
+	s1, s2 := cl.Site(1), cl.Site(2)
+	pid1, pid2 := cl.NewPID(), cl.NewPID()
+	s1.Procs().NewProcess(pid1, 0)
+	s2.Procs().NewProcess(pid2, 0)
+	must(t, s1.Create("va/f"))
+	b1, _, err := s1.Open("va/f")
+	must(t, err)
+	b2, _, err := s2.Open("va/f")
+	must(t, err)
+	write := func(s *Site, b *Binding, pid int, txid string, off int64) []int {
+		t.Helper()
+		if _, err := s.Write(b, pid, txid, off, []byte("abcd")); err != nil {
+			t.Fatal(err)
+		}
+		commitAtStorage(t, s1, txid, b.ID())
+		return s1.Locks().Lookup(b.ID()).LeaseSites()
+	}
+	write(s1, b1, pid1, "T1", 0)
+	if sites := write(s2, b2, pid2, "T2", 8); len(sites) != 0 {
+		t.Errorf("site 1 leads va/f and granted leases to sites %v", sites)
+	}
+	if sites := write(s2, b2, pid2, "T3", 16); !slices.Equal(sites, []int{2}) {
+		t.Errorf("site 2 leads va/f and holds leases %v, want [2]", sites)
+	}
 }

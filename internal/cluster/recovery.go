@@ -8,7 +8,6 @@ import (
 	"repro/internal/fs"
 	"repro/internal/lockmgr"
 	"repro/internal/proc"
-	"repro/internal/simnet"
 	"repro/internal/tpc"
 	"repro/internal/trace"
 )
@@ -81,7 +80,7 @@ func newIncarnation(m *machine) (_ *incarnation, err error) {
 	k.locks.SetClock(cfg.Clock)
 	if cfg.LockLeases {
 		k.leases = make(map[string]*siteLease)
-		k.leaseMeta = make(map[string]map[simnet.SiteID]*leaseMeta)
+		k.leaseMeta = make(map[leaseKey]*leaseMeta)
 	}
 	defer func() {
 		if err != nil {

@@ -58,7 +58,6 @@ var (
 	ErrDoubleFree  = errors.New("fs: page already free")
 	ErrDoubleAlloc = errors.New("fs: page already allocated")
 	ErrFileTooBig  = errors.New("fs: file exceeds inode pointer capacity")
-	ErrInodeInUse  = errors.New("fs: inode still references pages")
 	ErrBadGeometry = errors.New("fs: bad volume geometry")
 	// ErrStaleVolume: the volume handle was superseded by a reload (the
 	// site crash-restarted and mounted a fresh Volume over the same
@@ -140,7 +139,8 @@ type Volume struct {
 	mu        sync.Mutex
 	allocated []uint64 // bitmap: bit p%64 of word p/64 is set while page p is in use
 	inodeUsed map[int]bool
-	encBuf    []byte // the page image WriteInode encodes into, between uses
+	encBuf    []byte          // the inode page image WriteInode encodes and readInodePage reads into, between uses
+	rewrite   *rewriteBuffers // RewriteFile's buffers, between uses
 	log       *LogStore
 }
 
@@ -339,6 +339,24 @@ func (v *Volume) checkIno(ino int) error {
 // AllocInode allocates a fresh inode, writing its (empty) descriptor block
 // synchronously, and returns its number.
 func (v *Volume) AllocInode() (int, error) {
+	ino, err := v.ReserveInode()
+	if err != nil {
+		return -1, err
+	}
+	if err := v.WriteInode(&Inode{Ino: ino, Version: 1, Indirect: -1}); err != nil {
+		v.mu.Lock()
+		delete(v.inodeUsed, ino)
+		v.mu.Unlock()
+		return -1, err
+	}
+	return ino, nil
+}
+
+// ReserveInode allocates a fresh inode number in memory only.  Nothing
+// reaches the disk before the inode's first write (WriteInode or
+// RewriteFile): until then the slot reads as free (ErrFreeInode), and a
+// crash forfeits the reservation, since Load's rebuild finds the slot free.
+func (v *Volume) ReserveInode() (int, error) {
 	if err := v.staleErr(); err != nil {
 		return -1, err
 	}
@@ -356,49 +374,145 @@ func (v *Volume) AllocInode() (int, error) {
 		return -1, ErrNoInodes
 	}
 	v.st.Add(stats.Instructions, 100)
-	node := &Inode{Ino: ino, Version: 1, Indirect: -1}
-	if err := v.WriteInode(node); err != nil {
-		v.mu.Lock()
-		delete(v.inodeUsed, ino)
-		v.mu.Unlock()
-		return -1, err
-	}
 	return ino, nil
 }
 
-// FreeInode releases an inode.  The caller must have freed or transferred
-// the file's data pages first; an inode still holding pointers is
-// rejected so leaks are loud.
-func (v *Volume) FreeInode(ino int) error {
+// RewriteFile replaces the whole contents of node's file with data in one
+// forced batch - fresh pages for data, the indirect page if the pointer
+// table needs one, then the inode - and on success makes node the new
+// committed inode and frees the pages it replaced.  The batch lands in
+// slice order (simdisk.WritePages), so a crash that tears it before the
+// inode leaves the old file whole and the fresh pages unreferenced, free
+// again after Load's rebuild: a shadow commit in one force.  node may be a
+// reserved inode with nothing on disk yet (no pages, Indirect -1): a new
+// file is written whole this way.  An empty file costs the inode write.
+func (v *Volume) RewriteFile(node *Inode, data []byte) error {
 	if err := v.staleErr(); err != nil {
 		return err
 	}
-	if err := v.checkIno(ino); err != nil {
+	if err := v.checkIno(node.Ino); err != nil {
+		return err
+	}
+	ps := v.geo.PageSize
+	n := (len(data) + ps - 1) / ps
+	if n > MaxPointers(ps) {
+		return fmt.Errorf("%w: %d pointers > %d", ErrFileTooBig, n, MaxPointers(ps))
+	}
+	v.st.Add(stats.Instructions, costmodel.InstrIntentionEntry)
+	v.mu.Lock()
+	sc := v.rewrite
+	v.rewrite = nil
+	v.mu.Unlock()
+	if sc == nil {
+		sc = &rewriteBuffers{tail: make([]byte, ps)}
+	}
+	defer func() {
+		v.mu.Lock()
+		v.rewrite = sc
+		v.mu.Unlock()
+	}()
+	next := Inode{Ino: node.Ino, Size: int64(len(data)), Version: node.Version + 1, Pages: sc.pages[:0], Indirect: -1}
+	sc.writes = sc.writes[:0]
+	stage := func(data []byte) error {
+		p, err := v.AllocPage()
+		if err == nil {
+			sc.writes = append(sc.writes, simdisk.PageWrite{Page: p, Data: data, Kind: simdisk.IOData})
+		}
+		return err
+	}
+	release := func(writes []simdisk.PageWrite) {
+		for _, w := range writes {
+			v.FreePage(w.Page) //nolint:errcheck // pages this call allocated
+		}
+	}
+	for off := 0; off < len(data); off += ps {
+		page := data[off:min(off+ps, len(data))]
+		if len(page) < ps {
+			clear(sc.tail[copy(sc.tail, page):])
+			page = sc.tail
+		}
+		if err := stage(page); err != nil {
+			release(sc.writes)
+			return err
+		}
+		next.Pages = append(next.Pages, sc.writes[len(sc.writes)-1].Page)
+	}
+	if inline := inlinePointers(ps); n > inline {
+		if err := stage(encodePointers(make([]byte, ps), next.Pages[inline:])); err != nil {
+			release(sc.writes)
+			return err
+		}
+		next.Indirect = sc.writes[len(sc.writes)-1].Page
+	}
+	inode := v.takeEncBuf()
+	defer v.putEncBuf(inode)
+	clear(inode)
+	encodeInode(inode, &next)
+	staged := len(sc.writes)
+	sc.writes = append(sc.writes, simdisk.PageWrite{Page: v.inodePage(node.Ino), Data: inode, Kind: simdisk.IOInode})
+	if _, err := v.disk.WritePages(sc.writes); err != nil {
+		release(sc.writes[:staged])
+		return err
+	}
+	// Durable: the replaced pages are free, and node takes the new
+	// pointer table while the buffers keep node's old one.
+	v.mu.Lock()
+	for _, p := range node.Pages {
+		v.releaseLocked(p)
+	}
+	v.releaseLocked(node.Indirect)
+	v.mu.Unlock()
+	sc.pages = node.Pages
+	*node = next
+	return nil
+}
+
+// rewriteBuffers is what RewriteFile builds a batch in, kept between uses:
+// the page writes, a pointer table, and the image of a partial last page
+// (the disk has copied it by the time WritePages returns).
+type rewriteBuffers struct {
+	writes []simdisk.PageWrite
+	pages  []int
+	tail   []byte
+}
+
+// ReleaseInode frees inode ino and every page it references with one
+// forced write, the zeroed slot.  The pages return to the allocator only
+// once that write is durable: a crash before it leaves the file whole, and
+// one after it leaves pages Load's rebuild finds free.  A reserved slot
+// that never reached the disk is released in memory alone.
+func (v *Volume) ReleaseInode(ino int) error {
+	if err := v.staleErr(); err != nil {
 		return err
 	}
 	node, err := v.ReadInode(ino)
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrFreeInode):
+		node = &Inode{Indirect: -1}
+	case err != nil:
 		return err
-	}
-	for _, p := range node.Pages {
-		if p >= 0 {
-			return fmt.Errorf("%w: inode %d", ErrInodeInUse, ino)
+	default: // a nil image zeroes the slot and the disk keeps none (DESIGN.md section 4, item 14)
+		zero := [1]simdisk.PageWrite{{Page: v.inodePage(ino), Kind: simdisk.IOInode}}
+		if _, err := v.disk.WritePages(zero[:]); err != nil {
+			return err
 		}
 	}
-	if err := v.disk.WritePage(v.inodePage(ino), v.log.zero, simdisk.IOInode, true); err != nil {
-		return err
-	}
 	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, p := range node.Pages {
+		v.releaseLocked(p)
+	}
+	v.releaseLocked(node.Indirect)
 	delete(v.inodeUsed, ino)
-	v.mu.Unlock()
 	return nil
 }
 
 // readInodePage decodes the on-disk inode, returning ErrFreeInode for an
 // unallocated slot.  No locks held.
 func (v *Volume) readInodePage(ino int) (*Inode, error) {
-	buf, err := v.disk.ReadPage(v.inodePage(ino), simdisk.IOInode)
-	if err != nil {
+	buf := v.takeEncBuf()
+	defer v.putEncBuf(buf)
+	if err := v.disk.ReadPageInto(v.inodePage(ino), simdisk.IOInode, buf); err != nil {
 		return nil, err
 	}
 	magic := binary.LittleEndian.Uint32(buf[0:])
@@ -473,25 +587,12 @@ func (v *Volume) WriteInode(node *Inode) error {
 	oldIndirect := node.Indirect
 
 	// One kept image serves the indirect page and then the inode page
-	// (the disk has copied the first by the time the second is encoded);
-	// a concurrent WriteInode finds the slot empty and makes its own.
-	v.mu.Lock()
-	buf := v.encBuf
-	v.encBuf = nil
-	v.mu.Unlock()
-	if buf == nil {
-		buf = make([]byte, v.geo.PageSize)
-	}
+	// (the disk has copied the first by the time the second is encoded).
+	buf := v.takeEncBuf()
+	defer v.putEncBuf(buf)
 	clear(buf)
-	defer func() {
-		v.mu.Lock()
-		v.encBuf = buf
-		v.mu.Unlock()
-	}()
 	if len(node.Pages) > inline {
-		for i := inline; i < len(node.Pages); i++ {
-			binary.LittleEndian.PutUint32(buf[4*(i-inline):], uint32(int32(node.Pages[i])))
-		}
+		encodePointers(buf, node.Pages[inline:])
 		p, err := v.AllocPage()
 		if err != nil {
 			return err
@@ -507,19 +608,7 @@ func (v *Volume) WriteInode(node *Inode) error {
 	}
 
 	node.Version++
-	binary.LittleEndian.PutUint32(buf[0:], inodeMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(node.Ino))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(node.Size))
-	binary.LittleEndian.PutUint64(buf[16:], node.Version)
-	binary.LittleEndian.PutUint32(buf[24:], uint32(len(node.Pages)))
-	binary.LittleEndian.PutUint32(buf[28:], uint32(int32(node.Indirect)))
-	n := len(node.Pages)
-	if n > inline {
-		n = inline
-	}
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint32(buf[inodeHeaderBytes+4*i:], uint32(int32(node.Pages[i])))
-	}
+	encodeInode(buf, node)
 	if err := v.disk.WritePage(v.inodePage(node.Ino), buf, simdisk.IOInode, true); err != nil {
 		if node.Indirect >= 0 && node.Indirect != oldIndirect {
 			v.FreePage(node.Indirect) //nolint:errcheck
@@ -534,6 +623,46 @@ func (v *Volume) WriteInode(node *Inode) error {
 		}
 	}
 	return nil
+}
+
+// encodeInode writes node's descriptor into buf, a zeroed page image:
+// the header, then the pointers that fit inline.
+func encodeInode(buf []byte, node *Inode) {
+	binary.LittleEndian.PutUint32(buf[0:], inodeMagic)
+	binary.LittleEndian.PutUint32(buf[4:], uint32(node.Ino))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(node.Size))
+	binary.LittleEndian.PutUint64(buf[16:], node.Version)
+	binary.LittleEndian.PutUint32(buf[24:], uint32(len(node.Pages)))
+	binary.LittleEndian.PutUint32(buf[28:], uint32(int32(node.Indirect)))
+	encodePointers(buf[inodeHeaderBytes:], node.Pages[:min(len(node.Pages), inlinePointers(len(buf)))])
+}
+
+// encodePointers writes page pointers into buf, four bytes each, and
+// returns buf.
+func encodePointers(buf []byte, pages []int) []byte {
+	for i, p := range pages {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(int32(p)))
+	}
+	return buf
+}
+
+// takeEncBuf returns the kept inode page image, or a new one when a
+// concurrent caller holds it; putEncBuf keeps it again.
+func (v *Volume) takeEncBuf() []byte {
+	v.mu.Lock()
+	buf := v.encBuf
+	v.encBuf = nil
+	v.mu.Unlock()
+	if buf == nil {
+		buf = make([]byte, v.geo.PageSize)
+	}
+	return buf
+}
+
+func (v *Volume) putEncBuf(buf []byte) {
+	v.mu.Lock()
+	v.encBuf = buf
+	v.mu.Unlock()
 }
 
 // InodeAllocated reports whether the inode number is in use.
@@ -597,6 +726,14 @@ func (v *Volume) AllocPage() (int, error) {
 		}
 	}
 	return -1, ErrNoSpace
+}
+
+// releaseLocked returns p to the free pool if it is an allocated data
+// page; holes (-1) and free pages are left alone.  Caller holds v.mu.
+func (v *Volume) releaseLocked(p int) {
+	if p >= v.geo.DataStart && v.used(p) {
+		v.allocated[p/64] &^= 1 << (p % 64)
+	}
 }
 
 // FreePage returns a data page to the free pool.

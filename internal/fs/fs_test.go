@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -154,7 +155,7 @@ func TestInodeExhaustionAndFree(t *testing.T) {
 	if len(inos) != 8 {
 		t.Fatalf("allocated %d inodes, want 8", len(inos))
 	}
-	if err := v.FreeInode(inos[3]); err != nil {
+	if err := v.ReleaseInode(inos[3]); err != nil {
 		t.Fatal(err)
 	}
 	if v.InodeAllocated(inos[3]) {
@@ -169,7 +170,10 @@ func TestInodeExhaustionAndFree(t *testing.T) {
 	}
 }
 
-func TestFreeInodeRejectsLivePointers(t *testing.T) {
+// TestReleaseInodeFreesItsPages: releasing a file's inode frees its pages
+// with it, in one forced write, and a reserved inode that never reached
+// the disk is released in memory alone.
+func TestReleaseInodeFreesItsPages(t *testing.T) {
 	v := testVolume(t, 64, 1024)
 	ino, _ := v.AllocInode()
 	node, _ := v.ReadInode(ino)
@@ -178,8 +182,29 @@ func TestFreeInodeRejectsLivePointers(t *testing.T) {
 	if err := v.WriteInode(node); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.FreeInode(ino); !errors.Is(err, ErrInodeInUse) {
-		t.Fatalf("free of in-use inode: %v", err)
+	before := v.Stats().Snapshot()
+	if err := v.ReleaseInode(ino); err != nil {
+		t.Fatal(err)
+	}
+	if n := v.Stats().Snapshot().Sub(before).Get(stats.ForcedIOs); n != 1 {
+		t.Errorf("release cost %d forced I/Os, want 1", n)
+	}
+	if v.PageAllocated(p) || v.InodeAllocated(ino) {
+		t.Errorf("after release: page allocated %v, inode allocated %v", v.PageAllocated(p), v.InodeAllocated(ino))
+	}
+	if _, err := v.ReadInode(ino); !errors.Is(err, ErrFreeInode) {
+		t.Errorf("read of the released inode: %v", err)
+	}
+	reserved, err := v.ReserveInode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = v.Stats().Snapshot()
+	if err := v.ReleaseInode(reserved); err != nil || v.InodeAllocated(reserved) {
+		t.Errorf("release of a reserved inode: %v, still allocated %v", err, v.InodeAllocated(reserved))
+	}
+	if n := v.Stats().Snapshot().Sub(before).Get(stats.ForcedIOs); n != 0 {
+		t.Errorf("releasing a reserved inode cost %d forced I/Os, want 0", n)
 	}
 }
 
@@ -499,4 +524,74 @@ func TestLargeFileThroughShadowLayer(t *testing.T) {
 		t.Fatal("indirect capacity missing")
 	}
 	_ = v
+}
+
+// TestRewriteFileIsOneForce: a whole-file rewrite - fresh pages, then the
+// inode - is one forced I/O, frees the pages it replaced, and a crash
+// anywhere inside its batch leaves the old contents whole after a reload,
+// the fresh pages free again.
+func TestRewriteFileIsOneForce(t *testing.T) {
+	old, next := bytes.Repeat([]byte{1}, 1500), bytes.Repeat([]byte{2}, 1800)
+	setup := func() (*Volume, *Inode) {
+		v := testVolume(t, 64, 1024)
+		ino, err := v.ReserveInode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := &Inode{Ino: ino, Indirect: -1}
+		before := v.Stats().Snapshot()
+		if err := v.RewriteFile(node, old); err != nil {
+			t.Fatal(err)
+		}
+		if n := v.Stats().Snapshot().Sub(before).Get(stats.ForcedIOs); n != 1 {
+			t.Fatalf("a new two-page file cost %d forced I/Os, want 1", n)
+		}
+		return v, node
+	}
+	contents := func(v *Volume, node *Inode) []byte {
+		var got []byte
+		for _, p := range node.Pages {
+			page, err := v.ReadPage(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, page...)
+		}
+		return got[:node.Size]
+	}
+
+	v, node := setup()
+	replaced := slices.Clone(node.Pages)
+	if err := v.RewriteFile(node, next); err != nil {
+		t.Fatal(err)
+	}
+	if got := contents(v, node); !bytes.Equal(got, next) {
+		t.Fatalf("rewritten file holds %d bytes, not the new contents", len(got))
+	}
+	for _, p := range replaced {
+		if v.PageAllocated(p) {
+			t.Errorf("replaced page %d still allocated", p)
+		}
+	}
+
+	for k := 0; k < 3; k++ { // two data pages, then the inode
+		v, node := setup()
+		free := v.FreePages()
+		v.Disk().CrashAfterWrites(k)
+		if err := v.RewriteFile(node, next); !errors.Is(err, simdisk.ErrCrashed) {
+			t.Fatalf("crash after %d writes: rewrite = %v, want ErrCrashed", k, err)
+		}
+		v.Disk().Restart()
+		v2, err := Load("vol0", v.Disk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := v2.ReadInode(node.Ino)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(contents(v2, got), old) || v2.FreePages() != free {
+			t.Errorf("crash after %d writes: reloaded file is not the old one whole (free pages %d, want %d)", k, v2.FreePages(), free)
+		}
+	}
 }

@@ -104,7 +104,7 @@ func TestGroupIndexFollowsEntriesAndWaiters(t *testing.T) {
 			t.Fatal("lease refused on an idle list")
 		}
 	}
-	if !f3.TryEscalateLease(2, "", ModeShared) {
+	if _, ok := f3.TryEscalateLease(2, "", ModeShared); !ok {
 		t.Fatal("escalation refused on a quiet list")
 	}
 	if n := indexed(m, leaseGroup(2)); n != 3 {

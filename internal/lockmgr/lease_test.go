@@ -80,23 +80,23 @@ func TestBlockingLeaseSites(t *testing.T) {
 	fl.GrantLease(3, ModeExclusive, 200, 100)
 
 	// Shared vs shared lease: compatible, no revoke needed.
-	if got := fl.BlockingLeaseSites(Request{Holder: txnA, Mode: ModeShared, Off: 0, Len: 50}); len(got) != 0 {
+	if got := fl.BlockingLeaseSites(nil, Request{Holder: txnA, Mode: ModeShared, Off: 0, Len: 50}); len(got) != 0 {
 		t.Fatalf("shared vs shared lease: %v", got)
 	}
 	// Exclusive vs shared lease: revoke site 2.
-	if got := fl.BlockingLeaseSites(Request{Holder: txnA, Mode: ModeExclusive, Off: 0, Len: 50}); len(got) != 1 || got[0] != 2 {
+	if got := fl.BlockingLeaseSites(nil, Request{Holder: txnA, Mode: ModeExclusive, Off: 0, Len: 50}); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("exclusive vs shared lease: %v", got)
 	}
 	// Shared vs exclusive lease: revoke site 3.
-	if got := fl.BlockingLeaseSites(Request{Holder: txnA, Mode: ModeShared, Off: 200, Len: 10}); len(got) != 1 || got[0] != 3 {
+	if got := fl.BlockingLeaseSites(nil, Request{Holder: txnA, Mode: ModeShared, Off: 200, Len: 10}); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("shared vs exclusive lease: %v", got)
 	}
 	// The requester's own site is never revoked.
-	if got := fl.BlockingLeaseSites(Request{Holder: txnA, Mode: ModeExclusive, Off: 200, Len: 10, FromSite: 3}); len(got) != 0 {
+	if got := fl.BlockingLeaseSites(nil, Request{Holder: txnA, Mode: ModeExclusive, Off: 200, Len: 10, FromSite: 3}); len(got) != 0 {
 		t.Fatalf("own lease listed for revoke: %v", got)
 	}
 	// Disjoint range: nothing to revoke.
-	if got := fl.BlockingLeaseSites(Request{Holder: txnA, Mode: ModeExclusive, Off: 500, Len: 10}); len(got) != 0 {
+	if got := fl.BlockingLeaseSites(nil, Request{Holder: txnA, Mode: ModeExclusive, Off: 500, Len: 10}); len(got) != 0 {
 		t.Fatalf("disjoint range: %v", got)
 	}
 }
@@ -114,7 +114,7 @@ func TestGrantLeaseRefusedWithWaiters(t *testing.T) {
 	if fl.GrantLease(2, ModeShared, 500, 10) {
 		t.Fatal("lease granted with a non-empty queue")
 	}
-	if fl.TryEscalateLease(2, "", ModeShared) {
+	if _, ok := fl.TryEscalateLease(2, "", ModeShared); ok {
 		t.Fatal("escalation with a non-empty queue")
 	}
 	fl.ReleaseGroup(txnA.Group())
@@ -175,7 +175,7 @@ func TestTryEscalateLease(t *testing.T) {
 
 	// A foreign descriptor blocks escalation.
 	mustLock(t, fl, txnB, ModeShared, 500, 10)
-	if fl.TryEscalateLease(2, txnA.Group(), ModeShared) {
+	if _, ok := fl.TryEscalateLease(2, txnA.Group(), ModeShared); ok {
 		t.Fatal("escalated over a foreign lock")
 	}
 	fl.ReleaseGroup(txnB.Group())
@@ -183,7 +183,7 @@ func TestTryEscalateLease(t *testing.T) {
 	// The triggering transaction's own descriptors are exempt; the
 	// whole-file lease takes the strongest absorbed mode.
 	mustLock(t, fl, txnA, ModeShared, 300, 10)
-	if !fl.TryEscalateLease(2, txnA.Group(), ModeShared) {
+	if _, ok := fl.TryEscalateLease(2, txnA.Group(), ModeShared); !ok {
 		t.Fatal("escalation refused")
 	}
 	if !fl.LeaseCovers(2, ModeExclusive, 0, 100000) {
@@ -198,6 +198,38 @@ func TestTryEscalateLease(t *testing.T) {
 	}
 	if leases != 1 {
 		t.Fatalf("lease entries after escalation = %d, want 1", leases)
+	}
+}
+
+// TestEscalateLeaseBesideAnotherSite: where another site leases its own
+// records of the file, escalation cannot take the whole file; it takes
+// the hull of the escalating site's records instead, unless that hull
+// would overlap the other site's lease.
+func TestEscalateLeaseBesideAnotherSite(t *testing.T) {
+	fl := fileLocks(4096)
+	fl.GrantLease(3, ModeExclusive, 2048, 8)
+	fl.GrantLease(2, ModeExclusive, 0, 8)
+	fl.GrantLease(2, ModeShared, 64, 8)
+	mustLock(t, fl, txnA, ModeExclusive, 120, 8)
+	span, ok := fl.TryEscalateLease(2, txnA.Group(), ModeExclusive)
+	if !ok || span != (Result{Off: 0, Len: 128}) {
+		t.Fatalf("escalation beside site 3's lease: %+v, %v; want [0,128)", span, ok)
+	}
+	if !fl.LeaseCovers(2, ModeExclusive, 0, 128) || fl.LeaseCovers(2, ModeShared, 2048, 8) {
+		t.Fatal("site 2's lease does not cover exactly the hull of its records")
+	}
+	if !fl.LeaseCovers(3, ModeExclusive, 2048, 8) {
+		t.Fatal("site 3's lease was taken by site 2's escalation")
+	}
+	fl.ReleaseGroup(txnA.Group())
+
+	// A hull that would reach over site 3's lease is refused.
+	fl.GrantLease(2, ModeShared, 4000, 8)
+	if span, ok := fl.TryEscalateLease(2, "", ModeShared); ok {
+		t.Fatalf("escalated to %+v over site 3's lease", span)
+	}
+	if !fl.LeaseCovers(3, ModeExclusive, 2048, 8) {
+		t.Fatal("a refused escalation touched site 3's lease")
 	}
 }
 

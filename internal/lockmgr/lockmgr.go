@@ -824,74 +824,84 @@ func (fl *FileLocks) RevokeLease(site int) bool {
 	return true
 }
 
-// BlockingLeaseSites returns the sites (other than req.FromSite) whose
-// lease entries conflict with req per Figure 1 — the storage site fires
-// an async revoke callback at each before letting the request queue.
-func (fl *FileLocks) BlockingLeaseSites(req Request) []int {
+// BlockingLeaseSites appends to dst the sites (other than req.FromSite)
+// whose lease entries conflict with req per Figure 1, ascending - the
+// storage site fires an async revoke callback at each before letting the
+// request queue.
+func (fl *FileLocks) BlockingLeaseSites(dst []int, req Request) []int {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	s := fl.requestSpan(&req)
-	seen := map[int]bool{}
-	var out []int
+	start := len(dst)
 	for _, e := range fl.entries {
 		if !e.leased || e.leaseSite == req.FromSite || !e.s.overlaps(s) {
 			continue
 		}
-		if req.Mode == ModeExclusive || e.mode == ModeExclusive {
-			if !seen[e.leaseSite] {
-				seen[e.leaseSite] = true
-				out = append(out, e.leaseSite)
-			}
+		if (req.Mode == ModeExclusive || e.mode == ModeExclusive) && !slices.Contains(dst[start:], e.leaseSite) {
+			dst = append(dst, e.leaseSite)
 		}
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // TryEscalateLease replaces site's byte-range lease entries with a single
-// whole-file lease — the escalation of DESIGN.md section 13, triggered by
-// dense repeated access.  It succeeds only when the file is quiet: no
-// queued waiters, and every descriptor belongs either to site's lease or
-// to exceptGroup (the transaction whose grant tripped the threshold).
-// The whole-file lease takes the strongest mode among mode and the
-// absorbed entries.  Reports whether escalation happened.
-func (fl *FileLocks) TryEscalateLease(site int, exceptGroup string, mode Mode) bool {
+// lease - the escalation of DESIGN.md section 13, triggered by dense
+// repeated access - and returns its span.  It succeeds only when the file
+// is quiet: no queued waiters, and every descriptor belongs to site's
+// lease, to exceptGroup (the transaction whose grant tripped the
+// threshold) or to another site's lease.  With no other site's lease the
+// new lease covers the whole file; beside them, the hull of what it
+// absorbs, provided no other lease overlaps that hull - two sites that
+// each work their own records both stop paying a lock message per record
+// and never revoke each other.  The lease takes the strongest mode among
+// mode and the absorbed entries.
+func (fl *FileLocks) TryEscalateLease(site int, exceptGroup string, mode Mode) (Result, bool) {
 	if site <= 0 {
-		return false
+		return Result{}, false
 	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	if len(fl.queue) > 0 {
-		return false
+		return Result{}, false
 	}
-	sawLease := false
+	sawLease, alone := false, true
+	hull := span{leaseSpanMax, 0}
 	for _, e := range fl.entries {
-		if e.leased && e.leaseSite == site {
+		switch {
+		case e.leased && e.leaseSite == site:
 			sawLease = true
-			if e.mode > mode {
-				mode = e.mode
-			}
+		case e.leased:
+			alone = false
 			continue
+		case e.group != exceptGroup:
+			return Result{}, false
 		}
-		if e.group != exceptGroup {
-			return false
-		}
+		hull = span{min(hull.lo, e.s.lo), max(hull.hi, e.s.hi)}
 		if e.mode > mode {
 			mode = e.mode
 		}
 	}
 	if !sawLease && mode == ModeNone {
-		return false
+		return Result{}, false
 	}
 	if mode == ModeNone {
 		mode = ModeShared
 	}
+	if alone {
+		hull = span{0, leaseSpanMax}
+	}
+	for _, e := range fl.entries {
+		if e.leased && e.leaseSite != site && e.s.overlaps(hull) {
+			return Result{}, false
+		}
+	}
 	fl.dropEntries(func(e *entry) bool { return e.leased && e.leaseSite == site })
 	fl.install(fl.newEntry(entry{
 		holder: Holder{PID: -site}, group: fl.mgr.leaseGroup(site), mode: mode,
-		s: span{0, leaseSpanMax}, leased: true, leaseSite: site,
+		s: hull, leased: true, leaseSite: site,
 	}))
-	return true
+	return Result{Off: hull.lo, Len: hull.hi - hull.lo}, true
 }
 
 // LeaseSites returns the sites holding lease entries on this file, sorted.

@@ -209,6 +209,27 @@ func (t *Tracker) Forget(path string) {
 	t.mu.Unlock()
 }
 
+// Leads reports whether site has accessed path more than any other site,
+// by decayed count.  Decay owed scales every site's count alike, so the
+// comparison needs none applied.  Nil-safe: a nil tracker leads nothing.
+func (t *Tracker) Leads(path string, site simnet.SiteID) bool {
+	if t == nil {
+		return false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f := t.files[path]
+	if f == nil || f.counts[site] <= 0 {
+		return false
+	}
+	for s, v := range f.counts {
+		if s != site && v >= f.counts[site] {
+			return false
+		}
+	}
+	return true
+}
+
 // Shares returns path's current decayed access shares by site, for
 // tests and monitoring.  The map is a copy.
 func (t *Tracker) Shares(path string) map[simnet.SiteID]float64 {

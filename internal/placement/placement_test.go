@@ -115,3 +115,24 @@ func TestNilTrackerSafe(t *testing.T) {
 		t.Fatal("nil tracker shares")
 	}
 }
+
+func TestLeads(t *testing.T) {
+	tr := NewTracker(Config{})
+	if tr.Leads("f", 1) {
+		t.Fatal("a site leads a file nobody accessed")
+	}
+	tr.Record("f", 1)
+	tr.Record("f", 2)
+	tr.Record("f", 1)
+	if !tr.Leads("f", 1) || tr.Leads("f", 2) || tr.Leads("f", 3) {
+		t.Fatal("site 1, with two accesses to site 2's one, does not lead alone")
+	}
+	tr.Record("f", 2)
+	if tr.Leads("f", 1) || !tr.Leads("f", 2) {
+		t.Fatal("of two sites with two accesses each, the later does not lead")
+	}
+	var none *Tracker
+	if none.Leads("f", 1) {
+		t.Fatal("a nil tracker leads")
+	}
+}

@@ -113,7 +113,6 @@ func (t *Table) NewProcess(pid, parent int) *Process {
 		FileList: make(map[string]FileRef),
 	}
 	t.procs[pid] = p
-	t.st.Inc(stats.Forks)
 	return p
 }
 

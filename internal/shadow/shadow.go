@@ -156,6 +156,32 @@ func Open(v *fs.Volume, ino int) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
+	return fileOf(v, node), nil
+}
+
+// Create makes reserved inode ino a new file holding data in one forced
+// write (fs.RewriteFile) and returns its working state, the committed
+// pages in its clean-page cache as a commit would have left them.  Create
+// takes data over: its whole pages become the cached images.
+func Create(v *fs.Volume, ino int, data []byte) (*File, error) {
+	node := &fs.Inode{Ino: ino, Indirect: -1}
+	if err := v.RewriteFile(node, data); err != nil {
+		return nil, err
+	}
+	f := fileOf(v, node)
+	ps := v.PageSize()
+	for logical := range node.Pages {
+		img := data[logical*ps : min((logical+1)*ps, len(data)) : min((logical+1)*ps, len(data))]
+		if len(img) < ps {
+			img = f.takeBuf()
+			clear(img[copy(img, data[logical*ps:]):])
+		}
+		f.cachePut(logical, img)
+	}
+	return f, nil
+}
+
+func fileOf(v *fs.Volume, node *fs.Inode) *File {
 	f := &File{
 		v:       v,
 		st:      v.Stats(),
@@ -166,7 +192,7 @@ func Open(v *fs.Volume, ino int) (*File, error) {
 		cache:   make(map[int][]byte),
 	}
 	f.mu.SetClock(v.Clock())
-	return f, nil
+	return f
 }
 
 // cacheGet returns the cached committed image of a logical page, bumping
@@ -255,6 +281,25 @@ func (f *File) readCommitted(logical, phys int) ([]byte, error) {
 	}
 	f.cachePut(logical, buf)
 	return buf, nil
+}
+
+// CommittedImage returns a copy of the file's committed contents, read
+// through the clean-page cache: what an install ships.
+func (f *File) CommittedImage() ([]byte, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	data := make([]byte, f.ino.Size)
+	ps := f.v.PageSize()
+	for logical := 0; logical*ps < len(data); logical++ {
+		if phys := f.committedPhys(logical); phys >= 0 {
+			img, err := f.readCommitted(logical, phys)
+			if err != nil {
+				return nil, err
+			}
+			copy(data[logical*ps:], img)
+		}
+	}
+	return data, nil
 }
 
 // Ino returns the file's inode number.
