@@ -133,9 +133,12 @@ func Fig5On(doubleLogWrites bool, spec scenario.Spec) ([]Fig5Row, error) {
 	var rows []Fig5Row
 	for _, c := range configs {
 		spec.Volumes = threeSites
-		spec.Base = cluster.Config{DoubleLogWrites: doubleLogWrites}
 		var d stats.Snapshot
-		if _, err := measure(spec, nil, func(e *scenario.Env) {
+		if _, err := measure(spec, func(e *scenario.Env) {
+			for i, vol := range threeSites {
+				e.Sys.Cluster().Site(simnet.SiteID(i + 1)).Volume(vol).DoubleLogWrite = doubleLogWrites
+			}
+		}, func(e *scenario.Env) {
 			p := scenario.Must(e.Sys.NewProcess(3)) // coordinator at the client site
 			var files []*core.File
 			for _, path := range c.files {
@@ -256,7 +259,7 @@ func Fig6() ([]Fig6Row, error) {
 		{"remote, non-overlap", 2, false, "16ms service @requester, 131ms latency"},
 		{"remote, overlap", 2, true, "16ms service @requester, 124ms latency"},
 	} {
-		d, err := recordCommit(cluster.Config{}, c.site, 128, c.overlap)
+		d, err := recordCommit(cluster.Config{}, c.site, 128, c.overlap, false)
 		if err != nil {
 			return nil, err
 		}
@@ -278,10 +281,13 @@ func Fig6() ([]Fig6Row, error) {
 // process at requester locks and updates the first rec bytes of a
 // committed page at site 1 and syncs them.  With overlap a co-owner
 // holds an uncommitted record at the page's tail, forcing the
-// differencing path.  It returns the counters the sync spent.
-func recordCommit(cfg cluster.Config, requester simnet.SiteID, rec int, overlap bool) (stats.Snapshot, error) {
+// differencing path, whose previous version of the page comes from the
+// clean-page cache with fromPool (footnote 7).  It returns the counters
+// the sync spent.
+func recordCommit(cfg cluster.Config, requester simnet.SiteID, rec int, overlap, fromPool bool) (stats.Snapshot, error) {
 	var fp *core.File
 	return measure(standard(cfg), func(e *scenario.Env) {
+		e.Sys.Cluster().Site(1).Volume("va").CleanCacheForDiff = fromPool
 		page := e.Sys.Cluster().Config().PageSize
 		baseFile(scenario.Must(e.Sys.NewProcess(1)), "va/commit", page)
 		if overlap {
@@ -314,7 +320,7 @@ func PageSizeDifferencing(sizes []int) ([]PageSizeRow, error) {
 	for _, ps := range sizes {
 		// Co-owner holds a small record; measured owner rewrites most of
 		// the page (the "substantial portion").
-		d, err := recordCommit(cluster.Config{PageSize: ps, VolumePages: 256}, 1, ps*7/8, true)
+		d, err := recordCommit(cluster.Config{PageSize: ps, VolumePages: 256}, 1, ps*7/8, true, false)
 		if err != nil {
 			return nil, err
 		}

@@ -249,12 +249,15 @@ func perOp(name string, d stats.Snapshot, ops int) PerOpRow {
 }
 
 // LockCacheAblation performs repeated remote transactional writes under a
-// held lock, with the section 5.1 lock cache on and off.
+// held lock, with the section 5.1 lock cache on and off.  Off, the
+// requesting site drops what it cached before each access, so every
+// access re-validates at the storage site.
 func LockCacheAblation(opsPerRun int) ([]PerOpRow, error) {
 	run := func(name string, disable bool) (PerOpRow, error) {
 		var d stats.Snapshot
-		_, err := measure(standard(cluster.Config{DisableLockCache: disable}), nil, func(e *scenario.Env) {
+		_, err := measure(standard(cluster.Config{}), nil, func(e *scenario.Env) {
 			p := scenario.Must(e.Sys.NewProcess(2)) // remote from va's storage site
+			requester := e.Sys.Cluster().Site(p.Site())
 			f := scenario.Must(p.Create("va/f"))
 			scenario.Ok(e.Txn(p, func() error {
 				if err := f.LockRange(0, 4096, core.Exclusive); err != nil {
@@ -262,6 +265,9 @@ func LockCacheAblation(opsPerRun int) ([]PerOpRow, error) {
 				}
 				before := e.Sys.Stats().Snapshot()
 				for i := 0; i < opsPerRun; i++ {
+					if disable {
+						requester.DropLockCache(p.Txn())
+					}
 					if _, err := f.WriteAt([]byte("rec"), int64(i*16)%4000); err != nil {
 						return err
 					}
@@ -461,7 +467,7 @@ type Fn7Row struct {
 // Footnote7Ablation measures a local overlap commit in both modes.
 func Footnote7Ablation() ([]Fn7Row, error) {
 	run := func(name string, fromPool bool) (Fn7Row, error) {
-		d, err := recordCommit(cluster.Config{DiffFromBufferPool: fromPool}, 1, 128, true)
+		d, err := recordCommit(cluster.Config{}, 1, 128, true, fromPool)
 		if err != nil {
 			return Fn7Row{}, err
 		}

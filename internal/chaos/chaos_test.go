@@ -178,9 +178,10 @@ func TestRunShortFastPaths(t *testing.T) {
 }
 
 // TestRunShortLeases drives the revoke-during-partition schedule with
-// sticky lock leases on: the 500ms TTL guarantees leases are granted,
-// re-hit, revoked and expiry-reclaimed inside the window, and the
-// partitions land mid-revoke so the expiry fallback runs.  The audit
+// sticky lock leases on: leases are granted, re-hit and revoked inside
+// the window, and the partitions land mid-revoke, so callbacks fail, the
+// storage site reclaims at once, and the cut-off holders' stale hits
+// materialize behind the locks granted meanwhile.  The audit
 // (residual locks, pair atomicity, balance conservation) must stay
 // clean - leases are a message-count optimization, never a correctness
 // change.

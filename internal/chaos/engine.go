@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/placement"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -40,10 +41,10 @@ type Options struct {
 	// layer interleaves with the fault schedule: group commit tears
 	// batches at crashes, fast paths additionally mix read-only audit
 	// transactions into the transfer workers (faults land between a
-	// read-only vote and the outcome it never waits for), leases run under
-	// the short fault-mode TTL, placement (use scenario.Eager) keeps
-	// ownership moves in flight.  Duration counts simulated time, and the
-	// schedule fires at exact simulated instants.
+	// read-only vote and the outcome it never waits for), leases are
+	// revoked across partitions and leaseholder crashes, placement (use
+	// scenario.Eager) keeps ownership moves in flight.  Duration counts
+	// simulated time, and the schedule fires at exact simulated instants.
 	Spec scenario.Spec
 }
 
@@ -153,7 +154,7 @@ func (r *Result) Report(withStats bool) string {
 	}
 	if withStats {
 		fmt.Fprintf(&b, "stats: %d commits, %d aborts\n", r.Commits, r.Aborts)
-		if r.Spec.Placement != (scenario.Placement{}) {
+		if r.Spec.Placement != (placement.Config{}) {
 			fmt.Fprintf(&b, "stats: %d owner moves, %d routed commits\n",
 				r.Counters.Get(stats.OwnerMoves), r.Counters.Get(stats.RoutedCommits))
 		}

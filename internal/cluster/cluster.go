@@ -62,15 +62,9 @@ type Config struct {
 	VolumePages int
 	// Net configures the simulated network.
 	Net simnet.Config
-	// DisableLockCache turns off the requesting-site lock cache of
-	// section 5.1 (ablation E8): every access re-validates at the
-	// storage site.
-	DisableLockCache bool
 	// PerFilePrepareLogs reproduces footnote 10: one prepare log record
 	// per file per transaction instead of one per volume.
 	PerFilePrepareLogs bool
-	// DoubleLogWrites reproduces footnote 9: two I/Os per log append.
-	DoubleLogWrites bool
 	// SyncPhase2 makes commit drive phase two synchronously (used by
 	// deterministic tests and the I/O-count benchmarks).
 	SyncPhase2 bool
@@ -78,11 +72,8 @@ type Config struct {
 	// record lock prefetches the covered pages into the storage site's
 	// buffer cache, so the subsequent data access pays no disk latency.
 	PrefetchOnLock bool
-	// DiffFromBufferPool enables the footnote-7 optimization: the
-	// differencing commit takes the "previous version" of a page from
-	// the clean-page buffer pool instead of re-reading stable storage.
-	DiffFromBufferPool bool
-	// LockWaitTimeout bounds implicit and Wait-mode lock waits; zero
+	// LockWaitTimeout bounds implicit and Wait-mode lock waits,
+	// including a wait behind a lease whose revoke is in flight; zero
 	// means 2s.
 	LockWaitTimeout time.Duration
 	// RetryInterval spaces each coordinator's automatic phase-two
@@ -112,15 +103,12 @@ type Config struct {
 	// the storage site retains the coverage as a per-site lease, so the
 	// requester's next transaction re-acquires it with zero lock
 	// messages (the real descriptor materializes at the data access).  A
-	// conflicting request triggers an async callback/revoke; if the
-	// callback cannot be delivered the lease dies at its TTL instead.
-	// Off (the default) runs the paper-exact lock protocol.
+	// lease has no expiry.  A conflicting request triggers an async
+	// callback/revoke, and the lease is reclaimed once the callback is
+	// acked or proves undeliverable; a holder that never heard it
+	// materializes its next hit behind the conflicting lock.  Off (the
+	// default) runs the paper-exact lock protocol.
 	LockLeases bool
-	// LeaseTTL bounds how long an unrevoked lease is honored (partition
-	// fallback) and how long the requester trusts its cache.  Zero means
-	// 1s — deliberately below the default LockWaitTimeout, so a queued
-	// waiter survives a full expiry-based reclaim.
-	LeaseTTL time.Duration
 	// AdaptivePlacement enables locality-adaptive placement (DESIGN.md
 	// section 14): each storage site tracks which site actually uses each
 	// file (decayed access counts) and, when a remote site dominates,
@@ -130,13 +118,10 @@ type Config struct {
 	// transaction's data.  Off (the default) runs the static placement,
 	// byte-for-byte identical on the wire and on disk.
 	AdaptivePlacement bool
-	// PlacementMinAccesses is the decayed access mass the dominant site
-	// must have accumulated before a move is considered (zero means 8).
-	PlacementMinAccesses float64
-	// PlacementCooldown is the number of accesses to a file that must
-	// elapse after an ownership move before it may move again (zero
-	// means 32).
-	PlacementCooldown int64
+	// Placement is the adaptive-placement policy's mass floor and
+	// cooldown (zero knobs take the placement defaults); read only with
+	// AdaptivePlacement on.
+	Placement placement.Config
 	// DiskSyncDelay charges every forced disk I/O (sync write, vectored
 	// batch, flush) this much simulated seek+sync time, serialized at
 	// the disk like a real spindle.  Zero keeps operation-counting
@@ -161,13 +146,6 @@ func (c Config) groupCommit() fs.GroupCommitConfig {
 	return fs.GroupCommitConfig{MaxDelay: c.GroupCommitMaxDelay, Clock: c.Clock}
 }
 
-// PlacementConfig builds the placement-policy knobs from the cluster
-// config (zero knobs, and the dominance threshold and decay half-life
-// nobody tunes, take the placement defaults).
-func (c Config) PlacementConfig() placement.Config {
-	return placement.Config{MinAccesses: c.PlacementMinAccesses, Cooldown: c.PlacementCooldown}
-}
-
 func (c Config) withDefaults() Config {
 	if c.PageSize == 0 {
 		c.PageSize = 1024
@@ -177,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LockWaitTimeout == 0 {
 		c.LockWaitTimeout = 2 * time.Second
-	}
-	if c.LeaseTTL == 0 {
-		c.LeaseTTL = time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = vtime.Real()
@@ -284,7 +259,7 @@ func (c *Cluster) AddSite(id simnet.SiteID) *Site {
 	s := &Site{machine: machine{id: id, cl: c, ep: c.net.AddSite(id), st: c.st, tr: c.cfg.Trace.Site(int(id))}}
 	s.ep.SetTracer(s.tr)
 	if c.cfg.AdaptivePlacement {
-		s.heat = placement.NewTracker(c.cfg.PlacementConfig())
+		s.heat = placement.NewTracker(c.cfg.Placement)
 	}
 	if c.cfg.LockLeases {
 		s.leaseGauge = c.st.Registry().Gauge("lease_cache_files")
@@ -602,8 +577,7 @@ type incarnation struct {
 	// Config.LockLeases, both halves under one mutex: leases is the
 	// requesting-site cache (fileID -> coverage this site may re-acquire
 	// without a lock message), leaseMeta the storage-site book-keeping
-	// (per (fileID, leaseholder) grant counts, expiry and revocation
-	// state).
+	// (per (fileID, leaseholder) grant counts and revocation state).
 	leaseMu   sync.Mutex
 	leases    map[string]*siteLease
 	leaseMeta map[leaseKey]*leaseMeta
@@ -663,7 +637,6 @@ func (m *machine) mount(d *disk, format bool) (*volState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: volume %q: %w", d.vol, err)
 	}
-	vs.vol.DoubleLogWrite = cfg.DoubleLogWrites
 	vs.vol.SetTracer(m.tr)
 	vs.vol.SetClock(cfg.Clock)
 	vs.vol.Log().StartGroupCommit(cfg.groupCommit())

@@ -264,7 +264,7 @@ func TestImplicitLockingAndCache(t *testing.T) {
 }
 
 func TestLockCacheAblation(t *testing.T) {
-	cl := twoSiteCluster(t, Config{DisableLockCache: true})
+	cl := twoSiteCluster(t, Config{})
 	s2 := cl.Site(2)
 	pid := cl.NewPID()
 	s2.Procs().NewProcess(pid, 0)
@@ -275,7 +275,8 @@ func TestLockCacheAblation(t *testing.T) {
 	if _, err := s2.Write(id, pid, "T1", 0, []byte("abcd")); err != nil {
 		t.Fatal(err)
 	}
-	// With the cache disabled every transactional access revalidates.
+	// With the cache dropped the next transactional access revalidates.
+	s2.DropLockCache("T1")
 	before := cl.Stats().Snapshot()
 	if _, err := s2.Write(id, pid, "T1", 0, []byte("efgh")); err != nil {
 		t.Fatal(err)

@@ -69,10 +69,7 @@ type readReq struct {
 
 func (r readReq) WireSize() int { return 48 }
 
-type readResp struct {
-	Data    []byte
-	Renewed bool // the requester's lease under the access was renewed
-}
+type readResp struct{ Data []byte }
 
 func (r readResp) WireSize() int { return 32 + len(r.Data) }
 
@@ -88,8 +85,7 @@ func (r writeReq) WireSize() int { return 48 + len(r.Data) }
 
 type writeResp struct {
 	simnet.Small
-	N       int
-	Renewed bool // the requester's lease under the access was renewed
+	N int
 }
 
 type lockReq struct {
@@ -112,8 +108,8 @@ type lockResp struct {
 	// Lease grant piggybacked on the reply (DESIGN.md section 13):
 	// LeaseMode != ModeNone means the storage site installed a lease over
 	// [LeaseOff, LeaseOff+LeaseLen) - the granted range, or the span an
-	// escalation widened it to - which the requester may cache for
-	// Config.LeaseTTL.
+	// escalation widened it to - which the requester caches until a
+	// callback, a topology change or a crash drops it.
 	LeaseMode lockmgr.Mode
 	LeaseOff  int64
 	LeaseLen  int64
@@ -190,7 +186,6 @@ func (k *incarnation) handleOpen(req openReq) (openResp, error) {
 		if err != nil {
 			return openResp{}, err
 		}
-		file.CleanCacheForDiff = k.cl.cfg.DiffFromBufferPool
 		of = &openFile{
 			id:   fileID,
 			vs:   vs,
@@ -285,7 +280,6 @@ func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, err
 	}
 	k.recordHeat(req.FileID, from, req.Txn)
 	h := Holder(req.PID, req.Txn)
-	var resp readResp
 	if req.Txn != "" {
 		// Coverage by the transaction's locks, or by the process's own
 		// pre-transaction locks (usable within the transaction without
@@ -295,13 +289,10 @@ func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, err
 		pre := Holder(req.PID, "")
 		name := k.txnName(req.Txn)
 		if !of.locks.Covers(h, lockmgr.ModeShared, req.Off, int64(req.Len)) &&
-			!of.locks.Covers(pre, lockmgr.ModeShared, req.Off, int64(req.Len)) {
-			ok, renewed := k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeShared, req.Off, int64(req.Len))
-			if !ok {
-				return readResp{}, fmt.Errorf("%w: transaction read of %s [%d,%d) without lock",
-					lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+int64(req.Len))
-			}
-			resp.Renewed = renewed
+			!of.locks.Covers(pre, lockmgr.ModeShared, req.Off, int64(req.Len)) &&
+			!k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeShared, req.Off, int64(req.Len)) {
+			return readResp{}, fmt.Errorf("%w: transaction read of %s [%d,%d) without lock",
+				lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+int64(req.Len))
 		}
 		k.joinTxn(req.Txn, name)
 	} else if err := of.locks.CheckAccess(h, false, req.Off, int64(req.Len)); err != nil {
@@ -312,8 +303,7 @@ func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, err
 	if err != nil {
 		return readResp{}, err
 	}
-	resp.Data = buf[:n]
-	return resp, nil
+	return readResp{Data: buf[:n]}, nil
 }
 
 // handleWrite validates and applies a write at the storage site.
@@ -327,7 +317,6 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 	}
 	k.recordHeat(req.FileID, from, req.Txn)
 	h := Holder(req.PID, req.Txn)
-	var resp writeResp
 	var owner shadow.Owner
 	length := int64(len(req.Data))
 	if req.Txn != "" {
@@ -341,9 +330,7 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 			pre := Holder(req.PID, "")
 			if of.locks.Covers(pre, lockmgr.ModeExclusive, req.Off, length) {
 				owner = procOwner(req.PID)
-			} else if ok, renewed := k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeExclusive, req.Off, length); ok {
-				resp.Renewed = renewed
-			} else {
+			} else if !k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeExclusive, req.Off, length) {
 				return writeResp{}, fmt.Errorf("%w: transaction write of %s [%d,%d) without exclusive lock",
 					lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+length)
 			}
@@ -368,8 +355,7 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 	if err != nil {
 		return writeResp{}, err
 	}
-	resp.N = n
-	return resp, nil
+	return writeResp{N: n}, nil
 }
 
 // handleLock processes a lock request at the storage site (section 5.1)
@@ -658,11 +644,7 @@ func (s *Site) Read(b *Binding, pid int, txn string, off int64, n int) ([]byte, 
 		// primary, where their locks live.
 		return data, nil
 	}
-	sent := s.leaseClock()
 	r, err := callStorage[readResp](&s.machine, b, "read", readReq{FileID: b.id, Off: off, Len: n, PID: pid, Txn: txn}, false)
-	if r.Renewed {
-		s.kernel().leaseCacheRenew(b.id, sent)
-	}
 	return r.Data, err
 }
 
@@ -675,11 +657,7 @@ func (s *Site) Write(b *Binding, pid int, txn string, off int64, data []byte) (i
 			return 0, err
 		}
 	}
-	sent := s.leaseClock()
 	r, err := callStorage[writeResp](&s.machine, b, "write", writeReq{FileID: b.id, Off: off, Data: data, PID: pid, Txn: txn}, false)
-	if r.Renewed {
-		s.kernel().leaseCacheRenew(b.id, sent)
-	}
 	return r.N, err
 }
 
@@ -718,24 +696,12 @@ func (s *Site) Unlock(b *Binding, pid int, txn string, off, length int64) (bool,
 	return r.Retained, nil
 }
 
-// leaseClock reads the clock before an access whose reply may renew a
-// lease (leaseCacheRenew); without leases nothing is renewed and the
-// clock is not read.
-func (s *Site) leaseClock() time.Time {
-	if !s.cl.cfg.LockLeases {
-		return time.Time{}
-	}
-	return s.cl.cfg.Clock.Now()
-}
-
 // ensureLocked implicitly acquires the record lock for a transaction
-// access, consulting the requester's lock cache first (unless the E8
-// ablation disabled it).
+// access, consulting the requester's lock cache first.
 func (s *Site) ensureLocked(b *Binding, pid int, txn string, mode lockmgr.Mode, off, length int64) error {
 	k, fileID := s.kernel(), b.id
-	if !s.cl.cfg.DisableLockCache &&
-		(k.cacheCovers(fileID, groupKey(pid, txn), mode, off, length) ||
-			k.cacheCovers(fileID, groupKey(pid, ""), mode, off, length)) {
+	if k.cacheCovers(fileID, groupKey(pid, txn), mode, off, length) ||
+		k.cacheCovers(fileID, groupKey(pid, ""), mode, off, length) {
 		s.st.Inc(stats.LockCacheHits)
 		return nil
 	}
@@ -760,9 +726,6 @@ func (s *Site) ensureLocked(b *Binding, pid int, txn string, mode lockmgr.Mode, 
 // allocation once it has grown to the site's working size.
 
 func (k *incarnation) cacheAdd(fileID string, group lockmgr.Holder, mode lockmgr.Mode, off, length int64) {
-	if k.cl.cfg.DisableLockCache {
-		return
-	}
 	k.cacheMu.Lock()
 	k.lockCache = append(k.lockCache, cachedLock{group: group, fileID: fileID, mode: mode, off: off, len: length})
 	k.cacheMu.Unlock()

@@ -9,15 +9,17 @@ package cluster
 // caches the grant, its next transaction skips the lock message, and the
 // real descriptor materializes at the data access (handleRead /
 // handleWrite), so Figure 1 is enforced against the actual lock list
-// exactly as before.  A conflicting request triggers an asynchronous
-// callback/revoke over simnet; an undeliverable callback (partition or
-// crash) falls back to sitting out the lease's TTL before reclaiming, so
-// a lease can delay — never defeat — a conflicting lock.  Each hit renews
-// the lease (leaseRenewed), so one in use lapses only after a TTL unused.
+// exactly as before.  A lease has no clock: it stands until a revoke, a
+// topology change or a crash drops it.  A conflicting request triggers an
+// asynchronous callback/revoke over simnet; when the callback cannot be
+// delivered (partition or crash) the storage site reclaims the lease at
+// once.  The holder's cache may then be stale, and that is safe: its next
+// hit materializes an ordinary lock, which waits behind the conflicting
+// one (section 3.1's implicit acquisition at access time), so a lease can
+// delay - never defeat - a conflicting lock.
 
 import (
 	"slices"
-	"time"
 
 	"repro/internal/lockmgr"
 	"repro/internal/simnet"
@@ -39,8 +41,7 @@ type leaseRevokeReq struct {
 // remote file: the spans granted, an escalated one (the whole file, or
 // the hull of the site's records) among them.
 type siteLease struct {
-	spans  []leaseSpan
-	expiry time.Time
+	spans []leaseSpan
 }
 
 type leaseSpan struct {
@@ -63,9 +64,8 @@ type leaseKey struct {
 // revoke resets it rather than deleting it, so the pair's next grant
 // allocates nothing.
 type leaseMeta struct {
-	grants   int       // lock grants since the last revoke; drives escalation
-	expiry   time.Time // TTL fallback deadline for an undeliverable revoke
-	revoking bool      // a callback/revoke for this pair is in flight
+	grants   int  // lock grants since the last revoke; drives escalation
+	revoking bool // a callback/revoke for this pair is in flight
 
 	// What the revoke in flight works on, set by leaseRevokeBegin: the
 	// record is its actor's argument (runLeaseRevoke), not a closure.
@@ -77,13 +77,12 @@ type leaseMeta struct {
 
 // ---- requesting-site lease cache ----
 
-// leaseCacheAdd records coverage the storage site granted as a lease.
-// The expiry is computed locally at response receipt; the storage site's
-// own deadline ran from grant time, so the storage site always expires
-// first and a stale hit here is caught by materialization (the lease
-// entry is gone, the materializing lock waits honestly).
+// leaseCacheAdd records coverage the storage site granted as a lease.  It
+// stands until a callback, a topology change or a crash drops it; a hit
+// on a lease the storage site has meanwhile reclaimed is caught by
+// materialization (the lease entry is gone, the materializing lock waits
+// honestly).
 func (k *incarnation) leaseCacheAdd(fileID string, mode lockmgr.Mode, off, length int64) {
-	expiry := k.cl.cfg.Clock.Now().Add(k.cl.cfg.LeaseTTL)
 	k.leaseMu.Lock()
 	defer k.leaseMu.Unlock()
 	if k.dead.Load() {
@@ -99,9 +98,6 @@ func (k *incarnation) leaseCacheAdd(fileID string, mode lockmgr.Mode, off, lengt
 		k.leases[fileID] = l
 		k.leaseGauge.Add(1)
 	}
-	if expiry.After(l.expiry) {
-		l.expiry = expiry
-	}
 	for _, sp := range l.spans {
 		if sp.mode >= mode && sp.off <= off && sp.off+sp.len >= off+length {
 			return // already covered at this strength
@@ -114,32 +110,13 @@ func (k *incarnation) leaseCacheAdd(fileID string, mode lockmgr.Mode, off, lengt
 	l.spans = append(l.spans, leaseSpan{mode: mode, off: off, len: length})
 }
 
-// leaseCacheRenew extends the cached lease on fileID to a TTL past sent,
-// when the access whose reply renewed it left this site.  The storage
-// site renewed it later, so this site stops trusting the lease before the
-// storage site's deadline, which a revoke that cannot reach it sits out.
-func (k *incarnation) leaseCacheRenew(fileID string, sent time.Time) {
-	expiry := sent.Add(k.cl.cfg.LeaseTTL)
-	k.leaseMu.Lock()
-	defer k.leaseMu.Unlock()
-	if l := k.leases[fileID]; l != nil && expiry.After(l.expiry) {
-		l.expiry = expiry
-	}
-}
-
 // leaseHit reports whether this site's cached lease covers
-// [off, off+length) at mode and has not expired; an expired entry is
-// dropped on the way out.
+// [off, off+length) at mode.
 func (k *incarnation) leaseHit(fileID string, mode lockmgr.Mode, off, length int64) bool {
-	now := k.cl.cfg.Clock.Now()
 	k.leaseMu.Lock()
 	defer k.leaseMu.Unlock()
 	l := k.leases[fileID]
 	if l == nil {
-		return false
-	}
-	if !now.Before(l.expiry) {
-		k.leaseForgetLocked(fileID, l)
 		return false
 	}
 	return lockmgr.SpansCover(l.spans, off, length, func(sp leaseSpan) (int64, int64, bool) {
@@ -153,12 +130,13 @@ func (k *incarnation) leaseHit(fileID string, mode lockmgr.Mode, off, length int
 func (k *incarnation) leaseForgetLocked(fileID string, l *siteLease) {
 	delete(k.leases, fileID)
 	k.leaseGauge.Add(-1)
-	*l = siteLease{spans: l.spans[:0]}
+	l.spans = l.spans[:0]
 	k.leaseSpare = append(k.leaseSpare, l)
 }
 
-// leaseCacheDrop forgets the cached lease for one file (revoke callback,
-// or a stale hit the storage site bounced).
+// leaseCacheDrop forgets the cached lease for one file: a revoke callback,
+// or an owner move to or from this site (a site holds no lease on a file
+// it stores).
 func (k *incarnation) leaseCacheDrop(fileID string) {
 	k.leaseMu.Lock()
 	defer k.leaseMu.Unlock()
@@ -202,11 +180,9 @@ func (k *incarnation) handleLeaseRevoke(req leaseRevokeReq) error {
 // leaseGranted records a lock grant to a remote requester and decides
 // whether a lease may piggyback on the reply.  No lease is granted while
 // a revoke for the pair is in flight (the callback and the new grant
-// would race); otherwise the grant count rises and the TTL deadline is
-// pushed out.  escalate reports that the count reached the whole-file
-// escalation threshold.
+// would race); otherwise the grant count rises.  escalate reports that
+// the count reached the whole-file escalation threshold.
 func (k *incarnation) leaseGranted(fileID string, from simnet.SiteID) (install, escalate bool) {
-	now := k.cl.cfg.Clock.Now()
 	k.leaseMu.Lock()
 	defer k.leaseMu.Unlock()
 	lm := k.leaseMetaLocked(fileID, from)
@@ -214,13 +190,11 @@ func (k *incarnation) leaseGranted(fileID string, from simnet.SiteID) (install, 
 		return false, false
 	}
 	lm.grants++
-	lm.expiry = now.Add(k.cl.cfg.LeaseTTL)
 	return true, lm.grants >= leaseEscalateThreshold
 }
 
-// leaseMetaLocked returns the pair's lease state, made on first use.  A
-// pair without one (leaseMetaDropSite raced a grant) reads as a lease
-// already expired.  Caller holds leaseMu.
+// leaseMetaLocked returns the pair's lease state, made on first use.
+// Caller holds leaseMu.
 func (k *incarnation) leaseMetaLocked(fileID string, holder simnet.SiteID) *leaseMeta {
 	key := leaseKey{fileID, holder}
 	lm := k.leaseMeta[key]
@@ -268,13 +242,11 @@ func (k *incarnation) leaseMetaDropSite(down simnet.SiteID) {
 
 // startLeaseRevokes fires the asynchronous callback/revoke at every
 // blocking leaseholder.  Each revoke is one clock actor (runLeaseRevoke):
-// deliver the callback (the holder drops its cache and acks), or - when
-// the holder is unreachable - sleep out the lease's TTL; either way the
-// lease entry is then reclaimed and the wait queue pumped, granting the
-// blocked requests in FIFO order.  A requester that triggered the revoke
-// is already queued under its own LockWaitTimeout, which the default
-// configuration keeps above the TTL so an expiry-based reclaim still
-// reaches it in time.
+// it tries the callback (the holder drops its cache and acks), and
+// whether that was delivered or the holder proved unreachable, the lease
+// entry is then reclaimed and the wait queue pumped, granting the blocked
+// requests in FIFO order.  The states of a pair are pending -> revoking
+// -> (acked | unreachable) -> removed.
 func (k *incarnation) startLeaseRevokes(fileID string, of *openFile, sites []int) {
 	for _, site := range sites {
 		if lm := k.leaseRevokeBegin(fileID, of, simnet.SiteID(site)); lm != nil {
@@ -286,12 +258,10 @@ func (k *incarnation) startLeaseRevokes(fileID string, of *openFile, sites []int
 // runLeaseRevoke is one revoke's actor; arg is the pair's *leaseMeta.
 func runLeaseRevoke(arg any, _ int) {
 	lm := arg.(*leaseMeta)
-	k, fileID, of, holder, expiry := lm.k, lm.fileID, lm.of, lm.site, lm.expiry
-	if _, err := simnet.ExchangeRetry[none](k.ep, holder, "leaseRevoke", leaseRevokeReq{FileID: fileID}, 0); err != nil {
-		if rem := expiry.Sub(k.cl.cfg.Clock.Now()); rem > 0 {
-			k.cl.cfg.Clock.Sleep(rem)
-		}
-	}
+	k, fileID, of, holder := lm.k, lm.fileID, lm.of, lm.site
+	// An undelivered callback leaves the holder's cache stale, which
+	// materialization makes safe, so the lease is reclaimed either way.
+	simnet.ExchangeRetry[none](k.ep, holder, "leaseRevoke", leaseRevokeReq{FileID: fileID}, 0) //nolint:errcheck // reclaimed whether or not the holder heard
 	k.leaseRevokeEnd(lm)
 	if of.locks.RevokeLease(int(holder)) {
 		k.st.Inc(stats.LeaseRevokes)
@@ -322,14 +292,13 @@ func (k *incarnation) lockAt(of *openFile, fileID string, lreq lockmgr.Request) 
 // which is what keeps the section 5 invariants intact under leases.  A
 // stale cache (the lease was reclaimed meanwhile) degrades gracefully:
 // the request waits its turn like any implicit lock (section 3.1 allows
-// implicit acquisition at access time).  Reports whether coverage now
-// exists, and whether the requester's lease stood under it and was
-// renewed: a lease in use is kept (leaseRenewed).
-func (k *incarnation) materializeLease(of *openFile, from simnet.SiteID, fileID string, h lockmgr.Holder, name string, mode lockmgr.Mode, off, length int64) (covered, renewed bool) {
-	if !k.cl.cfg.LockLeases || from == k.id || !h.IsTxn() || length <= 0 || off < 0 {
-		return false, false
+// implicit acquisition at access time).  The requester may be this site:
+// a hit taken before an owner move made it the file's home reaches the
+// file here.  Reports whether coverage now exists.
+func (k *incarnation) materializeLease(of *openFile, from simnet.SiteID, fileID string, h lockmgr.Holder, name string, mode lockmgr.Mode, off, length int64) bool {
+	if !k.cl.cfg.LockLeases || !h.IsTxn() || length <= 0 || off < 0 {
+		return false
 	}
-	leased := of.locks.LeaseCovers(int(from), mode, off, length)
 	lreq := lockmgr.Request{
 		Holder:   h,
 		Mode:     mode,
@@ -343,26 +312,9 @@ func (k *incarnation) materializeLease(of *openFile, from simnet.SiteID, fileID 
 	k.markOpenForUpdate(of)
 	res, err := k.lockAt(of, fileID, lreq)
 	if err != nil {
-		return false, false
-	}
-	k.adoptUncommitted(of, name, res.Off, res.Len)
-	return true, leased && k.leaseRenewed(fileID, from)
-}
-
-// leaseRenewed pushes the pair's TTL deadline a full TTL past now, unless
-// a revoke is in flight, and reports whether it did.  A lease is granted
-// with the lock reply and would otherwise lapse at the requester a TTL
-// later however often it is hit; renewed by each hit, it lapses only
-// after a TTL without one.
-func (k *incarnation) leaseRenewed(fileID string, from simnet.SiteID) bool {
-	now := k.cl.cfg.Clock.Now()
-	k.leaseMu.Lock()
-	defer k.leaseMu.Unlock()
-	lm := k.leaseMetaLocked(fileID, from)
-	if lm.revoking {
 		return false
 	}
-	lm.expiry = now.Add(k.cl.cfg.LeaseTTL)
+	k.adoptUncommitted(of, name, res.Off, res.Len)
 	return true
 }
 

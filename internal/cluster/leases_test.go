@@ -200,8 +200,12 @@ func TestLeaseEscalationToWholeFile(t *testing.T) {
 	commitAtStorage(t, s1, "TN", id.ID())
 }
 
-func TestLeaseTTLExpiry(t *testing.T) {
-	cl := leaseCluster(t, Config{LeaseTTL: 20 * time.Millisecond})
+// TestLeaseIdleLeaseStillHits: a lease has no clock.  An hour after the
+// grant, with nothing revoked in between, the holder's next write still
+// sends no lock message.
+func TestLeaseIdleLeaseStillHits(t *testing.T) {
+	clk := vtime.NewVirtual()
+	cl := leaseCluster(t, Config{Clock: clk})
 	s1, s2 := cl.Site(1), cl.Site(2)
 	pid := cl.NewPID()
 	s2.Procs().NewProcess(pid, 0)
@@ -214,56 +218,16 @@ func TestLeaseTTLExpiry(t *testing.T) {
 	}
 	commitAtStorage(t, s1, "T1", id.ID())
 
-	time.Sleep(50 * time.Millisecond)
+	clk.Sleep(time.Hour)
 	before := cl.Stats().Snapshot()
 	if _, err := s2.Write(id, pid, "T2", 0, []byte("efgh")); err != nil {
 		t.Fatal(err)
 	}
 	d := cl.Stats().Snapshot().Sub(before)
-	if d.Get(stats.LeaseHits) != 0 {
-		t.Fatalf("expired lease still hit (%d hits)", d.Get(stats.LeaseHits))
-	}
-	if d.Get(stats.LockMsgs) != 1 {
-		t.Fatalf("expired lease skipped the lock message (lock_msgs=%d)", d.Get(stats.LockMsgs))
+	if d.Get(stats.LeaseHits) != 1 || d.Get(stats.LockMsgs) != 0 {
+		t.Fatalf("an hour after the grant: lease_hits=%d lock_msgs=%d, want 1/0", d.Get(stats.LeaseHits), d.Get(stats.LockMsgs))
 	}
 	commitAtStorage(t, s1, "T2", id.ID())
-}
-
-// TestLeaseRenewedByUse: each access a lease answers renews it, so a
-// lease in use outlives its TTL - a new transaction every 15 ms keeps a
-// 20 ms lease for 60 ms without a lock message - and lapses only after
-// a TTL without one.
-func TestLeaseRenewedByUse(t *testing.T) {
-	clk := vtime.NewVirtual()
-	cl := leaseCluster(t, Config{LeaseTTL: 20 * time.Millisecond, Clock: clk})
-	s1, s2 := cl.Site(1), cl.Site(2)
-	pid := cl.NewPID()
-	s2.Procs().NewProcess(pid, 0)
-	if err := s2.Create("va/f"); err != nil {
-		t.Fatal(err)
-	}
-	id, _, _ := s2.Open("va/f")
-	write := func(txid string) stats.Snapshot {
-		t.Helper()
-		before := cl.Stats().Snapshot()
-		if _, err := s2.Write(id, pid, txid, 0, []byte("abcd")); err != nil {
-			t.Fatal(err)
-		}
-		commitAtStorage(t, s1, txid, id.ID())
-		return cl.Stats().Snapshot().Sub(before)
-	}
-	write("T0")
-	for i := 1; i <= 4; i++ {
-		clk.Sleep(15 * time.Millisecond)
-		if d := write(fmt.Sprintf("T%d", i)); d.Get(stats.LeaseHits) != 1 || d.Get(stats.LockMsgs) != 0 {
-			t.Fatalf("T%d, %v after the grant: lease_hits=%d lock_msgs=%d, want 1/0",
-				i, 15*time.Millisecond*time.Duration(i), d.Get(stats.LeaseHits), d.Get(stats.LockMsgs))
-		}
-	}
-	clk.Sleep(25 * time.Millisecond)
-	if d := write("T5"); d.Get(stats.LeaseHits) != 0 || d.Get(stats.LockMsgs) != 1 {
-		t.Fatalf("after a TTL unused: lease_hits=%d lock_msgs=%d, want 0/1", d.Get(stats.LeaseHits), d.Get(stats.LockMsgs))
-	}
 }
 
 // TestLeaseHullBesideAnotherSite: two sites write their own records of
@@ -342,7 +306,7 @@ func TestLeaseReclaimOnLeaseholderCrash(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// A conflicting lock is grantable immediately — no revoke round trip
-	// toward a dead site, no TTL wait.
+	// toward a dead site.
 	pid1 := cl.NewPID()
 	s1.Procs().NewProcess(pid1, 0)
 	if _, err := s1.Lock(id, pid1, "T9", lockmgr.ModeExclusive, 0, 4, false, false, false); err != nil {
@@ -362,11 +326,11 @@ func TestLeaseReclaimOnLeaseholderCrash(t *testing.T) {
 	}
 }
 
-func TestLeaseRevokeDuringPartitionFallsBackToExpiry(t *testing.T) {
+func TestLeaseRevokeDuringPartitionReclaimsWhenCallbackFails(t *testing.T) {
 	// Figure 1 semantics under partition: the callback cannot reach the
-	// leaseholder, so the storage site sits out the lease's TTL and then
-	// reclaims — a lease delays, never defeats, a conflicting lock.
-	cl := leaseCluster(t, Config{LeaseTTL: 50 * time.Millisecond})
+	// leaseholder, so the storage site reclaims the lease as soon as the
+	// callback fails - a lease delays, never defeats, a conflicting lock.
+	cl := leaseCluster(t, Config{})
 	s1, s2 := cl.Site(1), cl.Site(2)
 	pid2 := cl.NewPID()
 	s2.Procs().NewProcess(pid2, 0)
@@ -390,10 +354,10 @@ func TestLeaseRevokeDuringPartitionFallsBackToExpiry(t *testing.T) {
 	}
 	d := cl.Stats().Snapshot().Sub(before)
 	if d.Get(stats.LeaseRevokes) != 1 {
-		t.Fatalf("lease revokes = %d, want 1 (expiry-based)", d.Get(stats.LeaseRevokes))
+		t.Fatalf("lease revokes = %d, want 1 (reclaimed after the failed callback)", d.Get(stats.LeaseRevokes))
 	}
 	if got := s1.Locks().Lookup(id.ID()).LeaseSites(); len(got) != 0 {
-		t.Fatalf("lease survived expiry reclaim: %v", got)
+		t.Fatalf("lease survived the reclaim: %v", got)
 	}
 }
 
@@ -509,14 +473,15 @@ func TestLeaseDoesNotBlockReplicaSync(t *testing.T) {
 	}
 }
 
-// TestLeaseRevokeActorOutlivesItsIncarnation: a revoke actor sleeping out
-// the TTL of a partitioned leaseholder while its storage site crashes and
-// restarts wakes up in the kernel that started it.  It used to retire the
-// (file, holder) meta of whichever incarnation was current when its sleep
-// ended, leaving the successor's re-granted lease with no deadline.
+// TestLeaseRevokeActorOutlivesItsIncarnation: a revoke actor whose
+// callback is still retrying toward the leaseholder while its storage
+// site crashes and restarts finishes in the kernel that started it.  It
+// must not retire the (file, holder) meta of whichever incarnation is
+// current when its callback gives up: that would reset the grant count
+// of the lease the successor has granted since.
 func TestLeaseRevokeActorOutlivesItsIncarnation(t *testing.T) {
 	clk := vtime.NewVirtual()
-	cl := leaseCluster(t, Config{Clock: clk, LeaseTTL: time.Second})
+	cl := leaseCluster(t, Config{Clock: clk})
 	defer cl.Shutdown()
 	s1, s2 := cl.Site(1), cl.Site(2)
 	pid2 := cl.NewPID()
@@ -530,10 +495,11 @@ func TestLeaseRevokeActorOutlivesItsIncarnation(t *testing.T) {
 	}
 	commitAtStorage(t, s1, "T1", id.ID())
 
-	// The leaseholder is cut off, so the revoke a conflicting request
-	// fires cannot be delivered: its actor settles down to sleep out the
-	// TTL.  The request itself waits on the dead kernel's lock list.
-	cl.Net().Partition(2)
+	// Every callback is lost in flight, so the revoke a conflicting
+	// request fires spends each attempt's full call timeout and is still
+	// retrying at the crash.  The request itself waits on the dead
+	// kernel's lock list.
+	cl.Net().SetFaultFilter(func(_, _ simnet.SiteID, op string) bool { return op == "leaseRevoke" })
 	pid1 := cl.NewPID()
 	s1.Procs().NewProcess(pid1, 0)
 	g := vtime.NewGroup(clk)
@@ -547,7 +513,6 @@ func TestLeaseRevokeActorOutlivesItsIncarnation(t *testing.T) {
 	}
 
 	// The new incarnation grants site 2 a lease on the same file.
-	cl.Net().Heal()
 	if _, _, err := s2.Open("va/f"); err != nil {
 		t.Fatal(err)
 	}
@@ -570,8 +535,8 @@ func TestLeaseRevokeActorOutlivesItsIncarnation(t *testing.T) {
 		t.Fatalf("re-granted lease meta = %+v, %v", want, ok)
 	}
 
-	// Let the old actor's sleep end.
-	clk.Sleep(3 * time.Second)
+	// Let the old actor's callback give up.
+	clk.Sleep(10 * time.Second)
 	g.Wait()
 	if got, ok := meta(); !ok || got != want {
 		t.Errorf("a revoke actor of the dead incarnation changed its successor's lease meta: %+v, %v; want %+v", got, ok, want)

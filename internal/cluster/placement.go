@@ -419,6 +419,9 @@ func (k *incarnation) handleInstall(from simnet.SiteID, req installReq) (none, e
 	case in.move:
 		k.st.Inc(stats.OwnerAdopts)
 		k.tr.Record(trace.OwnerAdopt, "install", req.Path, int64(req.ID))
+		// A lease this site cached on the file went stale at the source;
+		// its next access locks here, where the file now lives.
+		k.leaseCacheDrop(req.Path)
 	}
 	if !keep {
 		vs.reclaimFile(name) //nolint:errcheck // a crash leaves it to the boot rule

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/lockmgr"
+	"repro/internal/placement"
 	"repro/internal/proc"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -19,11 +21,11 @@ import (
 func placementCluster(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
 	cfg.AdaptivePlacement = true
-	if cfg.PlacementMinAccesses == 0 {
-		cfg.PlacementMinAccesses = 2
+	if cfg.Placement.MinAccesses == 0 {
+		cfg.Placement.MinAccesses = 2
 	}
-	if cfg.PlacementCooldown == 0 {
-		cfg.PlacementCooldown = 2
+	if cfg.Placement.Cooldown == 0 {
+		cfg.Placement.Cooldown = 2
 	}
 	cfg.SyncPhase2 = true
 	cl := New(cfg)
@@ -291,7 +293,7 @@ func TestRouteTarget(t *testing.T) {
 }
 
 func TestRouteCommitCoordinatesRemotely(t *testing.T) {
-	cl := placementCluster(t, Config{PlacementMinAccesses: 1e9})
+	cl := placementCluster(t, Config{Placement: placement.Config{MinAccesses: 1e9}})
 	s1, s2 := cl.Site(1), cl.Site(2)
 	pid := cl.NewPID()
 	s2.Procs().NewProcess(pid, 0)
@@ -525,5 +527,74 @@ func TestNoLeaseWhereTheHomeLeads(t *testing.T) {
 	}
 	if sites := write(s2, b2, pid2, "T3", 16); !slices.Equal(sites, []int{2}) {
 		t.Errorf("site 2 leads va/f and holds leases %v, want [2]", sites)
+	}
+}
+
+// TestStaleLeaseHolderAdoptsTheFile: a holder whose lease was reclaimed
+// while it was partitioned away keeps the lease cached, and its stale
+// hits materialize at the storage site without granting it a new lease,
+// so nothing denies a later quiesce and the file can move to the holder.
+// The new home then stores the file it holds a stale lease on: the
+// install drops the entry, and a hit taken before the move that reaches
+// the new home after it takes its lock there, so the holder's
+// transactions keep committing.
+func TestStaleLeaseHolderAdoptsTheFile(t *testing.T) {
+	cfg := Config{LockLeases: true}
+	cfg.Placement.MinAccesses = 1 << 20 // only the explicit move below
+	cl := placementCluster(t, cfg)
+	t.Cleanup(cl.Shutdown)
+	s1, s2 := cl.Site(1), cl.Site(2)
+	pid1, pid2 := cl.NewPID(), cl.NewPID()
+	s1.Procs().NewProcess(pid1, 0)
+	s2.Procs().NewProcess(pid2, 0)
+	must(t, s1.Create("va/f"))
+	b1, _, err := s1.Open("va/f")
+	must(t, err)
+	b2, _, err := s2.Open("va/f")
+	must(t, err)
+	write := func(s *Site, b *Binding, pid int, txid, data string) {
+		t.Helper()
+		if _, err := s.Write(b, pid, txid, 0, []byte(data)); err != nil {
+			t.Fatalf("%s at site %v: %v", txid, s.id, err)
+		}
+		commitAtHome(t, cl, txid, b.ID())
+	}
+	cached := func() bool {
+		return s2.kernel().leaseHit("va/f", lockmgr.ModeExclusive, 0, 4)
+	}
+
+	write(s2, b2, pid2, "T1", "aaaa")
+	if sites := s1.Locks().Lookup("va/f").LeaseSites(); !slices.Equal(sites, []int{2}) {
+		t.Fatalf("lease sites after T1 = %v, want [2]", sites)
+	}
+	cl.Net().Partition(2)
+	write(s1, b1, pid1, "T2", "bbbb") // the callback fails; the lease is reclaimed
+	cl.Net().Heal()
+	if !cached() {
+		t.Fatal("the partitioned holder lost its cached lease")
+	}
+	before := cl.Stats().Snapshot()
+	write(s2, b2, pid2, "T3", "cccc")
+	if d := cl.Stats().Snapshot().Sub(before); d.Get(stats.LeaseHits) != 1 || d.Get(stats.LockMsgs) != 0 {
+		t.Fatalf("stale hit: lease_hits=%d lock_msgs=%d, want 1/0", d.Get(stats.LeaseHits), d.Get(stats.LockMsgs))
+	}
+	if sites := s1.Locks().Lookup("va/f").LeaseSites(); len(sites) != 0 {
+		t.Fatalf("a stale hit re-granted leases to %v", sites)
+	}
+
+	must(t, s1.kernel().moveFile("va/f", 2))
+	if home, _ := cl.StorageSite("va/f"); home != 2 {
+		t.Fatalf("va/f at %v after its move, want 2", home)
+	}
+	if cached() {
+		t.Error("the new home kept a cached lease on the file it stores")
+	}
+	write(s2, b2, pid2, "T4", "dddd")
+
+	// A hit taken before the move whose access lands after it.
+	s2.kernel().leaseCacheAdd("va/f", lockmgr.ModeExclusive, 0, wholeFile)
+	write(s2, b2, pid2, "T5", "eeee")
+	if got, err := s1.Read(b1, pid1, "", 0, 4); err != nil || string(got) != "eeee" {
+		t.Fatalf("va/f reads %q, %v; want eeee", got, err)
 	}
 }

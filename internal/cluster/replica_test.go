@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/lockmgr"
+	"repro/internal/placement"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/vtime"
@@ -364,7 +365,7 @@ func TestSyncOvertakenByUpdateForwards(t *testing.T) {
 // copy, one volume and one live handle there, and clean allocators after
 // commits at the new home.
 func TestMoveOntoReplicaLeavesOneCopy(t *testing.T) {
-	w := newMoveWorld(t, Config{PlacementMinAccesses: 1e9}) // moves only when told
+	w := newMoveWorld(t, Config{Placement: placement.Config{MinAccesses: 1e9}}) // moves only when told
 	s2 := w.cl.Site(2)
 	must(t, w.cl.AddReplica("va", 2))
 	if _, err := s2.Read(w.f, w.pid, "", 0, 1); err != nil { // opens the read handle

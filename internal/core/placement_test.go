@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/placement"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 )
@@ -32,7 +33,7 @@ func placementSystem(t *testing.T, cfg cluster.Config) *System {
 func TestRoutedCommitFromEndTrans(t *testing.T) {
 	// All files at site 1, process at site 2: EndTrans should hand the
 	// coordinator role to site 1 and the commit should still be durable.
-	sys := placementSystem(t, cluster.Config{PlacementMinAccesses: 1e9})
+	sys := placementSystem(t, cluster.Config{Placement: placement.Config{MinAccesses: 1e9}})
 	p := mustProcess(t, sys, 2)
 	f := mustCreate(t, p, "va/routed")
 	if _, err := p.BeginTrans(); err != nil {

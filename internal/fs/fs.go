@@ -131,6 +131,12 @@ type Volume struct {
 	// log inode) instead of one.  Benchmarks flip this to regenerate
 	// both rows of Figure 5's discussion.
 	DoubleLogWrite bool
+	// CleanCacheForDiff enables the optimization the paper leaves as
+	// future work (footnote 7): the shadow layer serves a differencing
+	// commit's "previous version" of a page from its clean-page cache
+	// instead of re-reading stable storage.  Off by default, matching the
+	// measured 1985 implementation.
+	CleanCacheForDiff bool
 
 	stale atomic.Bool // set by Invalidate; fences every mutation
 

@@ -10,42 +10,48 @@ import (
 
 // ---- sticky lease entries (DESIGN.md section 13) ----
 
+// leaseCovers reports whether site's lease entries at mode or stronger
+// cover every byte of [off, off+length).
+func (fl *FileLocks) leaseCovers(site int, mode Mode, off, length int64) bool {
+	return fl.covered(off, length, func(e *entry) bool { return e.leased && e.leaseSite == site && e.mode >= mode })
+}
+
 func TestGrantLeaseAndCovers(t *testing.T) {
 	fl := fileLocks(1000)
 	if !fl.GrantLease(2, ModeShared, 0, 100) {
 		t.Fatal("grant refused")
 	}
-	if !fl.LeaseCovers(2, ModeShared, 0, 100) {
+	if !fl.leaseCovers(2, ModeShared, 0, 100) {
 		t.Fatal("no coverage after grant")
 	}
-	if fl.LeaseCovers(2, ModeShared, 50, 100) {
+	if fl.leaseCovers(2, ModeShared, 50, 100) {
 		t.Fatal("coverage past the lease end")
 	}
-	if fl.LeaseCovers(2, ModeExclusive, 0, 100) {
+	if fl.leaseCovers(2, ModeExclusive, 0, 100) {
 		t.Fatal("shared lease covered exclusive need")
 	}
-	if fl.LeaseCovers(3, ModeShared, 0, 100) {
+	if fl.leaseCovers(3, ModeShared, 0, 100) {
 		t.Fatal("another site's coverage")
 	}
 	// Adjacent spans merge coverage via the sweep.
 	if !fl.GrantLease(2, ModeShared, 100, 100) {
 		t.Fatal("second grant refused")
 	}
-	if !fl.LeaseCovers(2, ModeShared, 0, 200) {
+	if !fl.leaseCovers(2, ModeShared, 0, 200) {
 		t.Fatal("no merged coverage")
 	}
 	// A stronger overlapping grant absorbs the weaker span.
 	if !fl.GrantLease(2, ModeExclusive, 0, 200) {
 		t.Fatal("upgrade refused")
 	}
-	if !fl.LeaseCovers(2, ModeExclusive, 0, 200) {
+	if !fl.leaseCovers(2, ModeExclusive, 0, 200) {
 		t.Fatal("no exclusive coverage after upgrade")
 	}
 	// A weaker grant must not erase stronger coverage.
 	if !fl.GrantLease(2, ModeShared, 0, 200) {
 		t.Fatal("downgrade-shaped grant refused")
 	}
-	if !fl.LeaseCovers(2, ModeExclusive, 0, 200) {
+	if !fl.leaseCovers(2, ModeExclusive, 0, 200) {
 		t.Fatal("exclusive coverage lost to a weaker grant")
 	}
 	if got := fl.LeaseSites(); len(got) != 1 || got[0] != 2 {
@@ -186,7 +192,7 @@ func TestTryEscalateLease(t *testing.T) {
 	if _, ok := fl.TryEscalateLease(2, txnA.Group(), ModeShared); !ok {
 		t.Fatal("escalation refused")
 	}
-	if !fl.LeaseCovers(2, ModeExclusive, 0, 100000) {
+	if !fl.leaseCovers(2, ModeExclusive, 0, 100000) {
 		t.Fatal("whole-file exclusive coverage missing after escalation")
 	}
 	// The byte-range entries collapsed into one.
@@ -215,10 +221,10 @@ func TestEscalateLeaseBesideAnotherSite(t *testing.T) {
 	if !ok || span != (Result{Off: 0, Len: 128}) {
 		t.Fatalf("escalation beside site 3's lease: %+v, %v; want [0,128)", span, ok)
 	}
-	if !fl.LeaseCovers(2, ModeExclusive, 0, 128) || fl.LeaseCovers(2, ModeShared, 2048, 8) {
+	if !fl.leaseCovers(2, ModeExclusive, 0, 128) || fl.leaseCovers(2, ModeShared, 2048, 8) {
 		t.Fatal("site 2's lease does not cover exactly the hull of its records")
 	}
-	if !fl.LeaseCovers(3, ModeExclusive, 2048, 8) {
+	if !fl.leaseCovers(3, ModeExclusive, 2048, 8) {
 		t.Fatal("site 3's lease was taken by site 2's escalation")
 	}
 	fl.ReleaseGroup(txnA.Group())
@@ -228,7 +234,7 @@ func TestEscalateLeaseBesideAnotherSite(t *testing.T) {
 	if span, ok := fl.TryEscalateLease(2, "", ModeShared); ok {
 		t.Fatalf("escalated to %+v over site 3's lease", span)
 	}
-	if !fl.LeaseCovers(3, ModeExclusive, 2048, 8) {
+	if !fl.leaseCovers(3, ModeExclusive, 2048, 8) {
 		t.Fatal("a refused escalation touched site 3's lease")
 	}
 }

@@ -803,13 +803,6 @@ func (fl *FileLocks) GrantLease(site int, mode Mode, off, length int64) bool {
 	return true
 }
 
-// LeaseCovers reports whether site's lease entries at mode or stronger
-// cover every byte of [off, off+length) — the storage site's check before
-// materializing a lease-hit access into a real descriptor.
-func (fl *FileLocks) LeaseCovers(site int, mode Mode, off, length int64) bool {
-	return fl.covered(off, length, func(e *entry) bool { return e.leased && e.leaseSite == site && e.mode >= mode })
-}
-
 // RevokeLease removes every lease entry held for site and re-pumps the
 // queue (waiters the lease was blocking are granted in FIFO order).
 // Reports whether anything was removed.

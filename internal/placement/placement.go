@@ -28,11 +28,6 @@ import (
 // Config tunes the placement policy.  The zero value of each knob
 // selects the default noted on it.
 type Config struct {
-	// Threshold is the decayed access share a remote site must hold
-	// before it is considered dominant (default 0.6).  Values above 0.5
-	// are the hysteresis: at most one site can exceed the threshold, and
-	// a site that merely ties the current owner never triggers a move.
-	Threshold float64
 	// MinAccesses is the decayed access mass the dominant site must have
 	// accumulated on the file before a move is considered (default 8).
 	// It suppresses moves driven by a handful of samples.
@@ -41,32 +36,36 @@ type Config struct {
 	// after an ownership move before the file may move again
 	// (default 32).  It bounds ping-ponging under mixed access.
 	Cooldown int64
-	// HalfLife is the number of accesses over which an old observation
-	// loses half its weight (default 256).  Smaller values adapt faster
-	// to shifting hotspots; larger values are steadier.
-	HalfLife float64
 }
 
 // Defaults for the Config knobs.
 const (
-	DefaultThreshold   = 0.6
 	DefaultMinAccesses = 8
 	DefaultCooldown    = 32
-	DefaultHalfLife    = 256
 )
 
+// The policy's fixed constants.
+const (
+	// Threshold is the decayed access share a remote site must hold
+	// before it is considered dominant.  Above 0.5 it is the hysteresis:
+	// at most one site can exceed it, and a site that merely ties the
+	// current owner never triggers a move.
+	Threshold = 0.6
+	// HalfLife is the number of accesses over which an old observation
+	// loses half its weight.  Smaller values would adapt faster to
+	// shifting hotspots; larger ones are steadier.
+	HalfLife = 256
+)
+
+// decay is the per-tick multiplier: 2^(-1/HalfLife).
+var decay = math.Exp2(-1.0 / HalfLife)
+
 func (c Config) withDefaults() Config {
-	if c.Threshold <= 0 {
-		c.Threshold = DefaultThreshold
-	}
 	if c.MinAccesses <= 0 {
 		c.MinAccesses = DefaultMinAccesses
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = DefaultCooldown
-	}
-	if c.HalfLife <= 0 {
-		c.HalfLife = DefaultHalfLife
 	}
 	return c
 }
@@ -84,8 +83,7 @@ type fileHeat struct {
 // per file, only when that file is next touched or queried.  Safe for
 // concurrent use.
 type Tracker struct {
-	cfg   Config
-	decay float64 // per-tick multiplier: 2^(-1/HalfLife)
+	cfg Config
 
 	mu    sync.Mutex
 	tick  int64 // global access counter (decay clock)
@@ -95,12 +93,7 @@ type Tracker struct {
 // NewTracker builds a tracker with the given knobs (zero values take
 // the defaults).
 func NewTracker(cfg Config) *Tracker {
-	cfg = cfg.withDefaults()
-	return &Tracker{
-		cfg:   cfg,
-		decay: math.Exp2(-1 / cfg.HalfLife),
-		files: make(map[string]*fileHeat),
-	}
+	return &Tracker{cfg: cfg.withDefaults(), files: make(map[string]*fileHeat)}
 }
 
 // age applies the decay owed to f since it was last touched.  Caller
@@ -110,7 +103,7 @@ func (t *Tracker) age(f *fileHeat) {
 	if dt <= 0 {
 		return
 	}
-	m := math.Pow(t.decay, float64(dt))
+	m := math.Pow(decay, float64(dt))
 	for s, v := range f.counts {
 		v *= m
 		if v < 1e-6 {
@@ -180,7 +173,7 @@ func (t *Tracker) Dominant(path string, self simnet.SiteID) (simnet.SiteID, bool
 	if best == self || total <= 0 {
 		return 0, false
 	}
-	if bestV < t.cfg.MinAccesses || bestV/total < t.cfg.Threshold {
+	if bestV < t.cfg.MinAccesses || bestV/total < Threshold {
 		return 0, false
 	}
 	return best, true

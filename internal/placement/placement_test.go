@@ -7,7 +7,7 @@ import (
 )
 
 func TestDominantRequiresThresholdAndMass(t *testing.T) {
-	tr := NewTracker(Config{Threshold: 0.6, MinAccesses: 4, Cooldown: 8})
+	tr := NewTracker(Config{MinAccesses: 4, Cooldown: 8})
 	const self = simnet.SiteID(1)
 
 	// Below the mass floor: no move even at 100% share.
@@ -31,7 +31,7 @@ func TestDominantRequiresThresholdAndMass(t *testing.T) {
 }
 
 func TestDominantHysteresis(t *testing.T) {
-	tr := NewTracker(Config{Threshold: 0.6, MinAccesses: 2, Cooldown: 4})
+	tr := NewTracker(Config{MinAccesses: 2, Cooldown: 4})
 	const self = simnet.SiteID(1)
 	// A 50/50 split never crosses a >0.5 threshold.
 	for i := 0; i < 20; i++ {
@@ -44,7 +44,7 @@ func TestDominantHysteresis(t *testing.T) {
 }
 
 func TestCooldownBlocksRemove(t *testing.T) {
-	tr := NewTracker(Config{Threshold: 0.6, MinAccesses: 2, Cooldown: 10})
+	tr := NewTracker(Config{MinAccesses: 2, Cooldown: 10})
 	const self = simnet.SiteID(1)
 	for i := 0; i < 5; i++ {
 		tr.Record("v1/f", 2)
@@ -66,8 +66,8 @@ func TestCooldownBlocksRemove(t *testing.T) {
 }
 
 func TestDecayForgetsColdAccessor(t *testing.T) {
-	// Short half-life: an old majority fades once a new site takes over.
-	tr := NewTracker(Config{Threshold: 0.6, MinAccesses: 2, Cooldown: 1, HalfLife: 8})
+	// An old majority fades once a new site takes over.
+	tr := NewTracker(Config{MinAccesses: 2, Cooldown: 1})
 	const self = simnet.SiteID(1)
 	for i := 0; i < 40; i++ {
 		tr.Record("v1/f", 2)
@@ -75,9 +75,9 @@ func TestDecayForgetsColdAccessor(t *testing.T) {
 	if s, _ := tr.Dominant("v1/f", self); s != 2 {
 		t.Fatalf("initial dominant = %v", s)
 	}
-	// Site 3 becomes the sole accessor; site 2's mass halves every 8
-	// accesses, so well under 40 accesses flips dominance.
-	for i := 0; i < 40; i++ {
+	// Site 3 becomes the sole accessor; site 2's mass halves every
+	// HalfLife accesses, so two half-lives leave it under a tenth.
+	for i := 0; i < 2*HalfLife; i++ {
 		tr.Record("v1/f", 3)
 	}
 	if s, ok := tr.Dominant("v1/f", self); !ok || s != 3 {
@@ -90,7 +90,7 @@ func TestDecayForgetsColdAccessor(t *testing.T) {
 }
 
 func TestForgetDropsHeat(t *testing.T) {
-	tr := NewTracker(Config{MinAccesses: 1, Threshold: 0.51, Cooldown: 1})
+	tr := NewTracker(Config{MinAccesses: 1, Cooldown: 1})
 	for i := 0; i < 10; i++ {
 		tr.Record("v1/f", 2)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/invariant"
+	"repro/internal/placement"
 	"repro/internal/simdisk"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -402,7 +403,7 @@ func (e *Env) recover(sc Scenario) (report invariant.Report, ok bool) {
 		}
 	}
 	err := invariant.Quiesce(cl, e.Clock, sc.Recover == RestartAll)
-	if err == nil && sc.Recover == RestartCrashed && sc.Placement != (Placement{}) {
+	if err == nil && sc.Recover == RestartCrashed && sc.Placement != (placement.Config{}) {
 		// An interrupted ownership move can leave a copy that only its
 		// holder's restart purge reclaims.  Audit what recovery alone
 		// left behind, then restart every site so each runs its purge:

@@ -19,35 +19,30 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/placement"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
-// Placement is the adaptive-placement policy a scenario runs: a file
-// moves once a remote site dominates at least MinAccesses decayed
-// accesses, and may move again Cooldown accesses later.  The zero value
-// leaves placement off (the paper's static layout).
-type Placement struct {
-	MinAccesses float64
-	Cooldown    int64
-}
-
-// Eager is the hair-trigger policy of the fault harnesses: two remote
-// accesses move a file and two more may move it again, so ownership
-// moves are guaranteed to be in flight when a fault or crash point lands.
-var Eager = Placement{MinAccesses: 2, Cooldown: 2}
+// Eager is the hair-trigger placement policy of the fault harnesses: two
+// remote accesses move a file and two more may move it again, so
+// ownership moves are guaranteed to be in flight when a fault or crash
+// point lands.
+var Eager = placement.Config{MinAccesses: 2, Cooldown: 2}
 
 // Layers selects the optional protocol layers (DESIGN.md sections 10,
 // 13, 14 and the group-commit daemon); the zero value is the paper's
 // protocol.  GroupCommit enables group commit and is its linger, spent
 // only after a flush that carried two or more records; zero keeps one
-// force per log record.
+// force per log record.  A non-zero Placement enables adaptive placement
+// with that policy; the zero value leaves placement off (the paper's
+// static layout).
 type Layers struct {
 	GroupCommit time.Duration
 	FastPaths   bool
 	Leases      bool
-	Placement   Placement
+	Placement   placement.Config
 }
 
 // Flags binds the layers to the -groupcommit, -fastpaths, -leases and
@@ -55,20 +50,22 @@ type Layers struct {
 func (l *Layers) Flags(fs *flag.FlagSet) {
 	fs.DurationVar(&l.GroupCommit, "groupcommit", l.GroupCommit, "enable the group-commit log daemon with this linger, spent only after a flush of two or more records (0 = synchronous log forces)")
 	fs.BoolVar(&l.FastPaths, "fastpaths", l.FastPaths, "enable the commit fast paths (read-only votes, one-phase commit)")
-	fs.BoolVar(&l.Leases, "leases", l.Leases, "enable sticky lock leases (short-lived on a Faults cluster, so revokes and leaseholder crashes interleave with the faults)")
+	fs.BoolVar(&l.Leases, "leases", l.Leases, "enable sticky lock leases (a lease stands until a conflicting request revokes it or its holder or storage site goes down, so revokes and leaseholder crashes interleave with the faults)")
 	fs.Var(placementFlag{&l.Placement}, "placement", "enable locality-adaptive placement with the Eager knobs, so ownership moves and routed commits are in flight when a fault lands")
 }
 
 // placementFlag is the -placement switch: on is Eager, off the zero
 // policy.
-type placementFlag struct{ p *Placement }
+type placementFlag struct{ p *placement.Config }
 
 func (f placementFlag) IsBoolFlag() bool { return true }
-func (f placementFlag) String() string   { return strconv.FormatBool(f.p != nil && *f.p != Placement{}) }
+func (f placementFlag) String() string {
+	return strconv.FormatBool(f.p != nil && *f.p != placement.Config{})
+}
 func (f placementFlag) Set(s string) error {
 	on, err := strconv.ParseBool(s)
 	if err == nil {
-		*f.p = Placement{}
+		*f.p = placement.Config{}
 		if on {
 			*f.p = Eager
 		}
@@ -93,8 +90,8 @@ type Spec struct {
 	Disk, Msg time.Duration
 
 	// Faults prepares the cluster for injected faults: phase two runs
-	// asynchronously behind a retry timer, and the call, lock-wait and
-	// lease budgets are short enough that a lost message or a dead site
+	// asynchronously behind a retry timer, and the call and lock-wait
+	// budgets are short enough that a lost message or a dead site
 	// is noticed - and recovered from - inside a chaos window.  Without
 	// it phase two is synchronous and no background timer runs, so a
 	// serial workload performs the same I/Os in the same order on every
@@ -144,27 +141,18 @@ func (s Spec) config() cluster.Config {
 	if s.Trace {
 		cfg.Trace = trace.NewCollector(0)
 	}
-	// A lease normally outlives the run, so the steady state of repeated
-	// access shows; under faults it must instead sit below the lock-wait
-	// timeout, so a waiter blocked on an unreachable leaseholder (revoke
-	// lost to a partition) sees the lease expire before its own wait
-	// gives up.
-	leaseTTL := time.Hour
 	if s.Faults {
 		// Lost commit messages, coordinator crashes and the retry path
 		// only interleave when phase two is asynchronous.  The budgets
 		// fit the paper's testbed: a two-hop prepare at 8ms per message
 		// plus a 26ms log force fits many times over.
 		cfg.RetryInterval, cfg.LockWaitTimeout, cfg.Net.CallTimeout = 100*time.Millisecond, time.Second, time.Second
-		leaseTTL = 500 * time.Millisecond
 	}
 	if s.Leases {
-		cfg.LockLeases, cfg.LeaseTTL = true, leaseTTL
+		cfg.LockLeases = true
 	}
-	if s.Placement != (Placement{}) {
-		cfg.AdaptivePlacement = true
-		cfg.PlacementMinAccesses = s.Placement.MinAccesses
-		cfg.PlacementCooldown = s.Placement.Cooldown
+	if s.Placement != (placement.Config{}) {
+		cfg.AdaptivePlacement, cfg.Placement = true, s.Placement
 	}
 	return cfg
 }

@@ -27,8 +27,8 @@ func TestSpecResolvesToConfig(t *testing.T) {
 	if !quiet.PerFilePrepareLogs || quiet.Net.Seed != 7 {
 		t.Errorf("base switch or seed lost: %+v", quiet)
 	}
-	if !quiet.LockLeases || quiet.LeaseTTL < time.Hour {
-		t.Errorf("a fault-free lease must outlive the run, got TTL %v", quiet.LeaseTTL)
+	if !quiet.LockLeases {
+		t.Errorf("leases layer lost: %+v", quiet)
 	}
 
 	// One set of fault budgets, whatever the latencies.
@@ -38,16 +38,13 @@ func TestSpecResolvesToConfig(t *testing.T) {
 			t.Errorf("latency %v: got retry %v lock-wait %v call %v sync=%v", spec.Msg,
 				cfg.RetryInterval, cfg.LockWaitTimeout, cfg.Net.CallTimeout, cfg.SyncPhase2)
 		}
-		if cfg.LeaseTTL != 500*time.Millisecond {
-			t.Errorf("latency %v: lease TTL %v, want 500ms, under the lock-wait timeout", spec.Msg, cfg.LeaseTTL)
-		}
 	}
 
 	sim := Spec{Layers: Layers{Placement: Eager, GroupCommit: time.Millisecond, FastPaths: true}}.At(vax).config()
 	if sim.DiskSyncDelay != vax.DiskWriteTime || sim.Net.Latency != vax.MsgTime {
 		t.Errorf("At(vax) must charge the model's latencies: %+v", sim)
 	}
-	if !sim.AdaptivePlacement || sim.PlacementMinAccesses != 2 || sim.PlacementCooldown != 2 || !sim.FastPaths || sim.GroupCommitMaxDelay != time.Millisecond {
+	if !sim.AdaptivePlacement || sim.Placement != Eager || !sim.FastPaths || sim.GroupCommitMaxDelay != time.Millisecond {
 		t.Errorf("layers lost: %+v", sim)
 	}
 }

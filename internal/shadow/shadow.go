@@ -122,13 +122,6 @@ type File struct {
 	v  *fs.Volume
 	st *stats.Set
 
-	// CleanCacheForDiff enables the optimization the paper leaves as
-	// future work (footnote 7): serving the differencing commit's
-	// "previous version" read from the clean-page cache instead of
-	// re-reading stable storage.  Off by default, matching the measured
-	// 1985 implementation.
-	CleanCacheForDiff bool
-
 	// mu is clock-aware because it is held across forced page and inode
 	// writes (prepare, commit): under a virtual clock a plain mutex
 	// would stall time while the holder parks in simulated disk latency.
@@ -819,15 +812,15 @@ func (f *File) commitLocked(owner Owner) error {
 }
 
 // previousVersion fills dst with the committed version of st's page (all
-// zero for a page with none): from the clean-page cache when
-// CleanCacheForDiff allows and it is there, else re-read from stable
-// storage as the 1985 implementation did.  Caller holds f.mu.
+// zero for a page with none): from the clean-page cache when the
+// volume's CleanCacheForDiff allows and it is there, else re-read from
+// stable storage as the 1985 implementation did.  Caller holds f.mu.
 func (f *File) previousVersion(st *pageState, dst []byte) error {
 	if st.base < 0 {
 		clear(dst)
 		return nil
 	}
-	if f.CleanCacheForDiff {
+	if f.v.CleanCacheForDiff {
 		if img, ok := f.cacheGet(st.logical); ok {
 			copy(dst, img)
 			return nil

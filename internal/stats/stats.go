@@ -88,7 +88,7 @@ const (
 	// Lock lease events (DESIGN.md section 13).
 	LockMsgs         // lock/unlock RPCs sent to a remote storage site
 	LeaseHits        // remote lock acquisitions satisfied from the lease cache
-	LeaseRevokes     // leases reclaimed by callback or expiry at the storage site
+	LeaseRevokes     // leases reclaimed at the storage site, after a callback or on a site loss
 	LeaseEscalations // byte-range lease sets escalated to whole-file leases
 
 	// Locality-adaptive placement events (DESIGN.md section 14).

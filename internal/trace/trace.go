@@ -52,7 +52,8 @@ const (
 	GroupCommitLinger
 	// Lock lease events (DESIGN.md section 13).  LeaseGrant and
 	// LockEscalate are emitted at the storage site (Arg = leaseholder
-	// site); LeaseRevoke when a lease is reclaimed by callback or expiry.
+	// site); LeaseRevoke when a lease is reclaimed: after its callback, or
+	// by a topology change.
 	LeaseGrant
 	LeaseRevoke
 	LockEscalate
