@@ -145,6 +145,7 @@ lines:           ## the non-test line counts ROADMAP.md and the issues quote, so
 	echo "copy protocols (internal/cluster/placement.go, replica.go): $$(count internal/cluster/placement.go) + $$(count internal/cluster/replica.go)"; \
 	echo "wire ops (handle registrations in internal/cluster/handlers.go): $$(grep -c 'handle(s, "' internal/cluster/handlers.go)"; \
 	echo "cluster.Config: $$(awk '/^type Config struct/{on=1; next} on && /^}/{exit} on && /^\t[A-Z]/{n++; if ($$2 == "bool") b++} END{print n " fields, " b+0 " bools"}' internal/cluster/cluster.go)"; \
+	echo "simnet.Config: $$(awk '/^type Config struct/{on=1; next} on && /^}/{exit} on && /^\t[A-Z]/{n++} END{print n " fields"}' internal/simnet/simnet.go)"; \
 	echo "all non-test Go outside benchmark/: $$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)"
 
 cover:           ## coverage summary per package

@@ -308,7 +308,9 @@ func writeFile(path string, data []byte) error {
 // snapshot is the stable -json schema ("locusbench/v1"); the JSON tags of
 // the row types in internal/bench are its field names.  Fields are
 // append-only: future PRs may add keys but must not rename or remove
-// these, so perf trajectories stay comparable across snapshots.
+// these, so perf trajectories stay comparable across snapshots.  Every
+// field is a function of the flags (no host-speed figure), so two runs
+// write the same bytes.
 type snapshot struct {
 	Schema string          `json:"schema"`
 	Model  string          `json:"model"`

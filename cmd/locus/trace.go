@@ -33,7 +33,7 @@ func traceCmd(fs *flag.FlagSet) func() error {
 	canonical := fs.Bool("canonical", false, "emit the canonical machine form (wall-time free, byte-stable)")
 	filter := fs.String("filter", "", "only show events whose type, txn or object contains this substring")
 	outPath := fs.String("out", "", "write output here instead of stdout")
-	dropOp := fs.String("drop", "", "drop every other delivery of this message op (e.g. commit2), forcing the CallRetry backoff path; deterministic, so same-seed runs stay byte-identical")
+	dropOp := fs.String("drop", "", "drop every other delivery of this message op (e.g. commit2), forcing the ExchangeRetry backoff path; deterministic, so same-seed runs stay byte-identical")
 	return func() error {
 		col, sim, err := runWorkload(*seed, *sites, *txns, *dropOp)
 		if err != nil {

@@ -175,7 +175,7 @@ func TestWorkloadValidation(t *testing.T) {
 }
 
 // TestDropRetryTraceDeterministic covers the retry path: with every
-// other commit2 delivery dropped, each phase-two call walks CallRetry's
+// other commit2 delivery dropped, each phase-two call walks ExchangeRetry's
 // backoff.  The jitter is derived per call from the network seed (not
 // drawn from the shared rng stream), so two same-seed runs must
 // still agree byte for byte and on the simulated duration.

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -317,6 +319,26 @@ func TestLockGranularityConcurrency(t *testing.T) {
 	// locking, so the same work takes four times as long.
 	if record.SimTime != 4*5*time.Millisecond || whole.SimTime != 4*record.SimTime {
 		t.Fatalf("whole-file %v vs record %v: want 80ms vs 20ms", whole.SimTime, record.SimTime)
+	}
+}
+
+// TestConcurrentPairReplays: the concurrent experiment is a function of
+// its options, so two runs marshal to the same bytes - which is what lets
+// a byte comparison of locus bench -json output stand for "nothing moved".
+func TestConcurrentPairReplays(t *testing.T) {
+	run := func() []byte {
+		rows, err := ConcurrentPair(ConcurrentOpts{Clients: 2, TxnsPerClient: 3, Spec: scenario.Spec{Trace: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if a, b := run(), run(); !bytes.Equal(a, b) {
+		t.Fatalf("two runs of one concurrent pair differ:\n%s\n%s", a, b)
 	}
 }
 

@@ -35,7 +35,6 @@ type ConcurrentRow struct {
 	TxnsPerCl    int     `json:"txns_per_client"`
 	Committed    int64   `json:"committed" col:"committed"`
 	Aborted      int64   `json:"-"`
-	TxnsPerSec   float64 `json:"txns_per_sec" col:"txns/sec,%.0f"`
 	P50          Ms      `json:"p50_ms" col:"p50"` // per-transaction latency on the run's clock
 	P95          Ms      `json:"p95_ms" col:"p95"`
 	P99          Ms      `json:"p99_ms" col:"p99"`
@@ -58,7 +57,8 @@ type ConcurrentRow struct {
 	// SimTime is the simulated duration of the run; TxnsPerSimSec is
 	// throughput against that clock - the figure the paper's VAX-750
 	// testbed would have measured, no matter how fast the host ran the
-	// simulation.  TxnsPerSec above is the host's.
+	// simulation.  The row holds no host-speed figure, so two runs of one
+	// commit print the same row.
 	SimTime       time.Duration `json:"sim_time_ns,omitempty" col:"sim time,,omitempty"`
 	TxnsPerSimSec float64       `json:"txns_per_sim_sec,omitempty" col:"txns/sim-sec,%.0f,omitempty"`
 	// SimTotal is the clock's total elapsed time at measurement,
@@ -209,7 +209,6 @@ func ConcurrentCommit(o ConcurrentOpts, groupCommit bool) (ConcurrentRow, error)
 	row.Profile, row.Metrics = out.Profile, out.Metrics
 	row.SimTime, row.SimTotal = out.SimTime, out.SimElapsed
 	if row.Committed > 0 {
-		row.TxnsPerSec = float64(row.Committed) / out.Wall.Seconds()
 		row.ForcedPerTxn = float64(row.ForcedIOs) / float64(row.Committed)
 		if row.SimTime > 0 {
 			row.TxnsPerSimSec = float64(row.Committed) / row.SimTime.Seconds()

@@ -43,7 +43,7 @@ func TestPhase2AckRequiresDurableFinish(t *testing.T) {
 		if _, err := s1.Write(id, pid, txid, 0, []byte("COMMITME")); err != nil {
 			t.Fatal(err)
 		}
-		if err := s1.kernel().handlePrepare(prepareReq{Txid: txid, FileIDs: []string{"va/f"}, Coord: 3}); err != nil {
+		if _, err := s1.kernel().prepare(prepareReq{Txid: txid, FileIDs: []string{"va/f"}, Coord: 3}); err != nil {
 			t.Fatal(err)
 		}
 		return s1
@@ -53,7 +53,7 @@ func TestPhase2AckRequiresDurableFinish(t *testing.T) {
 	// deletion rides this class) a clean phase two performs.
 	clean := setup(t)
 	before := clean.Volume("va").Disk().StableWritesOfKind(simdisk.IOMeta)
-	if err := clean.kernel().handleCommit2(commit2Req{Txid: txid}); err != nil {
+	if err := clean.kernel().handleCommit2(txnReq{Txid: txid}); err != nil {
 		t.Fatal(err)
 	}
 	metaWrites := clean.Volume("va").Disk().StableWritesOfKind(simdisk.IOMeta) - before
@@ -67,7 +67,7 @@ func TestPhase2AckRequiresDurableFinish(t *testing.T) {
 	d := s1.Volume("va").Disk()
 	d.CrashAfterWritesOfKind(simdisk.IOMeta, int(metaWrites)-1)
 
-	err := s1.kernel().handleCommit2(commit2Req{Txid: txid})
+	err := s1.kernel().handleCommit2(txnReq{Txid: txid})
 	if !d.Crashed() {
 		t.Fatal("phase two never attempted the prepare-record deletion")
 	}

@@ -215,7 +215,7 @@ func TestTxnWriteRequiresLockAtStorageSite(t *testing.T) {
 	if err := s1.Create("va/f"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.kernel().handleOpen(openReq{Path: "va/f"}); err != nil {
+	if _, err := s1.kernel().handleOpen(pathReq{Path: "va/f"}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := s1.kernel().handleWrite(s1.id, writeReq{FileID: "va/f", Off: 0, Data: []byte("x"), PID: 1, Txn: "T1"})
@@ -330,10 +330,10 @@ func TestRule2AdoptionAtLockTime(t *testing.T) {
 	}
 
 	// Commit the transaction through the participant machinery.
-	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T5", FileIDs: []string{id.ID()}, Coord: 1}); err != nil {
+	if _, err := s1.kernel().prepare(prepareReq{Txid: "T5", FileIDs: []string{id.ID()}, Coord: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.kernel().handleCommit2(commit2Req{Txid: "T5"}); err != nil {
+	if err := s1.kernel().handleCommit2(txnReq{Txid: "T5"}); err != nil {
 		t.Fatal(err)
 	}
 	_, committed, _ := s1.Stat(id)
@@ -370,7 +370,7 @@ func TestPrepareRecordPerVolume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: paths, Coord: 2}); err != nil {
+	if _, err := s1.kernel().prepare(prepareReq{Txid: "T1", FileIDs: paths, Coord: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for vol, want := range map[string][]string{"va": {"va/f"}, "vc": {"vc/f", "vc/g"}} {
@@ -408,7 +408,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 	}
 
 	before := cl.Stats().Snapshot()
-	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id.ID()}, Coord: 2}); err != nil {
+	if _, err := s1.kernel().prepare(prepareReq{Txid: "T1", FileIDs: []string{id.ID()}, Coord: 2}); err != nil {
 		t.Fatal(err)
 	}
 	d := cl.Stats().Snapshot().Sub(before)
@@ -425,7 +425,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 		t.Fatal("prepare record has no lock list")
 	}
 
-	if err := s1.kernel().handleCommit2(commit2Req{Txid: "T1"}); err != nil {
+	if err := s1.kernel().handleCommit2(txnReq{Txid: "T1"}); err != nil {
 		t.Fatal(err)
 	}
 	_, committed, _ := s1.Stat(id)
@@ -437,7 +437,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("prepare records remain: %+v", recs)
 	}
-	if err := s1.kernel().handleCommit2(commit2Req{Txid: "T1"}); err != nil {
+	if err := s1.kernel().handleCommit2(txnReq{Txid: "T1"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -451,7 +451,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 	if _, err := s1.Write(id2, pid2, "T2", 0, []byte("DOOMEDXX")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.kernel().handleAbortTxn(abortTxnReq{Txid: "T2"}); err != nil {
+	if err := s1.kernel().handleAbortTxn(txnReq{Txid: "T2"}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s1.Read(id2, pid2, "", 0, 8)
@@ -459,7 +459,7 @@ func TestParticipantPrepareCommitAbort(t *testing.T) {
 		t.Fatalf("after abort = %q, %v", got, err)
 	}
 	// Duplicate abort is harmless.
-	if err := s1.kernel().handleAbortTxn(abortTxnReq{Txid: "T2"}); err != nil {
+	if err := s1.kernel().handleAbortTxn(txnReq{Txid: "T2"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -489,7 +489,7 @@ func TestParticipantCrashRecoveryInDoubtThenCommit(t *testing.T) {
 	if _, err := s2.Coordinator(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id.ID()}, Coord: 2}); err != nil {
+	if _, err := s1.kernel().prepare(prepareReq{Txid: "T1", FileIDs: []string{id.ID()}, Coord: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tpc.WriteCoordRecord(s2.Volume("vb"), tpc.CoordRecord{
@@ -553,7 +553,7 @@ func TestDirectorySurvivesRestart(t *testing.T) {
 	if err != nil || len(names) != 3 {
 		t.Fatalf("names after restart = %v, %v", names, err)
 	}
-	if _, err := s1.kernel().handleOpen(openReq{Path: "va/b"}); err != nil {
+	if _, err := s1.kernel().handleOpen(pathReq{Path: "va/b"}); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate create still rejected after reload.
@@ -667,7 +667,7 @@ func TestInDoubtResolvesToAbort(t *testing.T) {
 	if _, err := s1.Write(id, pid, "TD", 0, []byte("gone")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.kernel().handlePrepare(prepareReq{Txid: "TD", FileIDs: []string{id.ID()}, Coord: 2}); err != nil {
+	if _, err := s1.kernel().prepare(prepareReq{Txid: "TD", FileIDs: []string{id.ID()}, Coord: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Coordinator records the abort decision, then BOTH crash; the

@@ -72,7 +72,7 @@ func TestCrashMatrix(t *testing.T) {
 		}
 	}
 	prepare := func(e env, s *Site, fileID string) {
-		if err := s.kernel().handlePrepare(prepareReq{Txid: txid, FileIDs: []string{fileID}, Coord: 3}); err != nil {
+		if _, err := s.kernel().prepare(prepareReq{Txid: txid, FileIDs: []string{fileID}, Coord: 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestCrashMatrix(t *testing.T) {
 		coordRec(e, tpc.StatusCommitted)
 		// Phase two reaches site 2 only; site 1 crashes first.
 		e.s1.Crash()
-		if err := e.s2.kernel().handleCommit2(commit2Req{Txid: txid}); err != nil {
+		if err := e.s2.kernel().handleCommit2(txnReq{Txid: txid}); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.s1.Restart(); err != nil {

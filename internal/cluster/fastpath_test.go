@@ -264,7 +264,7 @@ func TestAbortRefusedPastOnePhaseCommitPoint(t *testing.T) {
 	s1.kernel().mu.Lock()
 	s1.kernel().prepared["OPX"] = &preparedTxn{onePhase: true}
 	s1.kernel().mu.Unlock()
-	if err := s1.kernel().handleAbortTxn(abortTxnReq{Txid: "OPX"}); err == nil {
+	if err := s1.kernel().handleAbortTxn(txnReq{Txid: "OPX"}); err == nil {
 		t.Fatal("abort accepted past the one-phase commit point")
 	}
 }

@@ -21,38 +21,26 @@ import (
 // charges realistic wire bytes; the rest embed simnet.Small, the
 // small-message default.
 
-type createReq struct {
+// pathReq names a file by its path: create, open, remove and replremove.
+type pathReq struct {
 	simnet.Small
 	Path string
 }
 
-type openReq struct {
+// fileReq names an open file: close and sync (for the process and
+// transaction named), stat and leaseRevoke (the file alone).
+type fileReq struct {
 	simnet.Small
-	Path string
+	FileID string
+	PID    int
+	Txn    string
 }
+
 type openResp struct {
 	simnet.Small
 	Size int64
 }
 
-type closeReq struct {
-	simnet.Small
-	FileID string
-	PID    int
-	Txn    string
-}
-
-type syncReq struct {
-	simnet.Small
-	FileID string
-	PID    int
-	Txn    string
-}
-
-type statReq struct {
-	simnet.Small
-	FileID string
-}
 type statResp struct {
 	simnet.Small
 	Size          int64
@@ -138,14 +126,9 @@ type listResp struct {
 	Names []string
 }
 
-type removeReq struct {
-	simnet.Small
-	Path string
-}
-
 // ---- storage-site handlers ----
 
-func (k *incarnation) handleCreate(req createReq) error {
+func (k *incarnation) handleCreate(req pathReq) error {
 	volName, name, err := splitPath(req.Path)
 	if err != nil {
 		return err
@@ -161,7 +144,7 @@ func (k *incarnation) handleCreate(req createReq) error {
 // handleOpen resolves the name (the expensive name-mapping the paper
 // separates from locking, section 3.2), brings the inode into memory, and
 // returns the file's identity.
-func (k *incarnation) handleOpen(req openReq) (openResp, error) {
+func (k *incarnation) handleOpen(req pathReq) (openResp, error) {
 	if err := k.movingGuard(req.Path); err != nil {
 		return openResp{}, err
 	}
@@ -204,7 +187,7 @@ func (k *incarnation) handleOpen(req openReq) (openResp, error) {
 // uncommitted modifications, close commits them - the base Locus
 // single-file atomic update on close.  A transaction's close commits
 // nothing; its changes wait for the transaction's outcome.
-func (k *incarnation) handleClose(req closeReq) error {
+func (k *incarnation) handleClose(req fileReq) error {
 	if err := k.movingGuard(req.FileID); err != nil {
 		return err
 	}
@@ -232,7 +215,7 @@ func (k *incarnation) handleClose(req closeReq) error {
 
 // handleSync commits a non-transaction owner's modifications immediately
 // (fsync-style), using the single-file commit mechanism.
-func (k *incarnation) handleSync(req syncReq) error {
+func (k *incarnation) handleSync(req fileReq) error {
 	if err := k.movingGuard(req.FileID); err != nil {
 		return err
 	}
@@ -255,7 +238,7 @@ func (k *incarnation) handleSync(req syncReq) error {
 	return nil
 }
 
-func (k *incarnation) handleStat(req statReq) (statResp, error) {
+func (k *incarnation) handleStat(req fileReq) (statResp, error) {
 	if err := k.movingGuard(req.FileID); err != nil {
 		return statResp{}, err
 	}
@@ -510,7 +493,7 @@ func (k *incarnation) handleList(req listReq) (listResp, error) {
 // handleRemove deletes a file: the directory entry goes first (the
 // committed point of the removal), then the data pages and inode are
 // reclaimed.  An open file cannot be removed.
-func (k *incarnation) handleRemove(req removeReq) error {
+func (k *incarnation) handleRemove(req pathReq) error {
 	if err := k.movingGuard(req.Path); err != nil {
 		return err
 	}
@@ -571,14 +554,14 @@ func callStorage[Resp, Req simnet.Sizer](m *machine, b *Binding, op string, req 
 // Create makes an empty file at the path's storage site.
 func (m *machine) Create(path string) error {
 	m.st.Inc(stats.Syscalls)
-	_, err := callStorage[none](m, &Binding{id: path}, "create", createReq{Path: path}, false)
+	_, err := callStorage[none](m, &Binding{id: path}, "create", pathReq{Path: path}, false)
 	return err
 }
 
 // Remove deletes a file and reclaims its storage.
 func (m *machine) Remove(path string) error {
 	m.st.Inc(stats.Syscalls)
-	_, err := callStorage[none](m, &Binding{id: path}, "remove", removeReq{Path: path}, false)
+	_, err := callStorage[none](m, &Binding{id: path}, "remove", pathReq{Path: path}, false)
 	return err
 }
 
@@ -587,7 +570,7 @@ func (m *machine) Remove(path string) error {
 func (m *machine) Open(path string) (*Binding, int64, error) {
 	m.st.Inc(stats.Syscalls)
 	b := &Binding{id: path}
-	r, err := callStorage[openResp](m, b, "open", openReq{Path: path}, false)
+	r, err := callStorage[openResp](m, b, "open", pathReq{Path: path}, false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -597,7 +580,7 @@ func (m *machine) Open(path string) (*Binding, int64, error) {
 // Close releases one open reference.
 func (s *Site) Close(b *Binding, pid int, txn string) error {
 	s.st.Inc(stats.Syscalls)
-	_, err := callStorage[none](&s.machine, b, "close", closeReq{FileID: b.id, PID: pid, Txn: txn}, false)
+	_, err := callStorage[none](&s.machine, b, "close", fileReq{FileID: b.id, PID: pid, Txn: txn}, false)
 	if txn == "" {
 		// The storage site released the process's locks on the file with
 		// the close; what this site cached of them is void.
@@ -609,14 +592,14 @@ func (s *Site) Close(b *Binding, pid int, txn string) error {
 // Sync commits a non-transaction process's modifications immediately.
 func (m *machine) Sync(b *Binding, pid int, txn string) error {
 	m.st.Inc(stats.Syscalls)
-	_, err := callStorage[none](m, b, "sync", syncReq{FileID: b.id, PID: pid, Txn: txn}, false)
+	_, err := callStorage[none](m, b, "sync", fileReq{FileID: b.id, PID: pid, Txn: txn}, false)
 	return err
 }
 
 // Stat returns the file's working and committed sizes.
 func (m *machine) Stat(b *Binding) (size, committed int64, err error) {
 	m.st.Inc(stats.Syscalls)
-	r, err := callStorage[statResp](m, b, "stat", statReq{FileID: b.id}, false)
+	r, err := callStorage[statResp](m, b, "stat", fileReq{FileID: b.id}, false)
 	return r.Size, r.CommittedSize, err
 }
 

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"repro/internal/simnet"
-	"repro/internal/tpc"
-)
+import "repro/internal/simnet"
 
 // handle installs the kernel's handler for one message op - the only place
 // one is installed.  A request is bound, at receipt, to the incarnation
@@ -44,14 +41,6 @@ func ask[Req, Resp simnet.Sizer](fn func(*incarnation, Req) (Resp, error)) func(
 	return func(k *incarnation, _ simnet.SiteID, req Req) (Resp, error) { return fn(k, req) }
 }
 
-// voted adapts a first-phase handler to the fast-path ops' response.
-func voted(fn func(*incarnation, prepareReq) (tpc.Vote, error)) func(*incarnation, simnet.SiteID, prepareReq) (prepareResp, error) {
-	return func(k *incarnation, _ simnet.SiteID, req prepareReq) (prepareResp, error) {
-		v, err := fn(k, req)
-		return prepareResp{Vote: v}, err
-	}
-}
-
 // registerHandlers installs every kernel message handler for the site.
 func (s *Site) registerHandlers() {
 	// read, write and lock keep the sender's identity: the lease protocol
@@ -79,11 +68,8 @@ func (s *Site) registerHandlers() {
 	handle(s, "replpull", act((*incarnation).handleReplPull))
 	handle(s, "replremove", act((*incarnation).handleReplRemove))
 	handle(s, "coordcommit", act((*incarnation).handleCoordCommit))
-	// The classic "prepare" keeps its empty response so fast-paths-off
-	// runs are wire-identical.
-	handle(s, "prepare", act((*incarnation).handlePrepare))
-	handle(s, "preparev", voted((*incarnation).prepare))
-	handle(s, "prepareCommit", voted((*incarnation).handlePrepareCommit))
+	handle(s, "prepare", ask((*incarnation).prepare))
+	handle(s, "prepareCommit", ask((*incarnation).handlePrepareCommit))
 	handle(s, "commit2", act((*incarnation).handleCommit2))
 	handle(s, "abortTxn", act((*incarnation).handleAbortTxn))
 	handle(s, "status", ask((*incarnation).handleStatus))

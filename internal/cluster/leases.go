@@ -28,15 +28,6 @@ import (
 	"repro/internal/vtime"
 )
 
-// leaseRevokeReq is the callback the storage site sends a leaseholder
-// whose lease blocks a conflicting request: drop the cached coverage.
-// The handler is idempotent — duplicates and crossed callbacks are
-// harmless.
-type leaseRevokeReq struct {
-	simnet.Small
-	FileID string
-}
-
 // siteLease is the requesting site's memory of lease coverage on one
 // remote file: the spans granted, an escalated one (the whole file, or
 // the hull of the site's records) among them.
@@ -169,8 +160,11 @@ func (k *incarnation) forfeitLeases() {
 	}
 }
 
-// handleLeaseRevoke is the leaseholder's side of the callback.
-func (k *incarnation) handleLeaseRevoke(req leaseRevokeReq) error {
+// handleLeaseRevoke is the leaseholder's side of the callback the storage
+// site sends when its lease blocks a conflicting request: drop the cached
+// coverage.  It is idempotent — duplicates and crossed callbacks are
+// harmless.
+func (k *incarnation) handleLeaseRevoke(req fileReq) error {
 	k.leaseCacheDrop(req.FileID)
 	return nil
 }
@@ -261,7 +255,7 @@ func runLeaseRevoke(arg any, _ int) {
 	k, fileID, of, holder := lm.k, lm.fileID, lm.of, lm.site
 	// An undelivered callback leaves the holder's cache stale, which
 	// materialization makes safe, so the lease is reclaimed either way.
-	simnet.ExchangeRetry[none](k.ep, holder, "leaseRevoke", leaseRevokeReq{FileID: fileID}, 0) //nolint:errcheck // reclaimed whether or not the holder heard
+	simnet.ExchangeRetry[none](k.ep, holder, "leaseRevoke", fileReq{FileID: fileID}) //nolint:errcheck // reclaimed whether or not the holder heard
 	k.leaseRevokeEnd(lm)
 	if of.locks.RevokeLease(int(holder)) {
 		k.st.Inc(stats.LeaseRevokes)

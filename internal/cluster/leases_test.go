@@ -23,10 +23,10 @@ func leaseCluster(t *testing.T, cfg Config) *Cluster {
 // lock group (the lease entry survives the release).
 func commitAtStorage(t *testing.T, s *Site, txid string, fileIDs ...string) {
 	t.Helper()
-	if err := s.kernel().handlePrepare(prepareReq{Txid: txid, FileIDs: fileIDs, Coord: s.id}); err != nil {
+	if _, err := s.kernel().prepare(prepareReq{Txid: txid, FileIDs: fileIDs, Coord: s.id}); err != nil {
 		t.Fatalf("prepare %s: %v", txid, err)
 	}
-	if err := s.kernel().handleCommit2(commit2Req{Txid: txid}); err != nil {
+	if err := s.kernel().handleCommit2(txnReq{Txid: txid}); err != nil {
 		t.Fatalf("commit %s: %v", txid, err)
 	}
 }
@@ -543,5 +543,73 @@ func TestLeaseRevokeActorOutlivesItsIncarnation(t *testing.T) {
 	}
 	if got := s1.Locks().Lookup(id.ID()).LeaseSites(); len(got) != 1 || got[0] != 2 {
 		t.Errorf("lease sites in the new incarnation = %v, want [2]", got)
+	}
+}
+
+// TestLeaseRevokeRetryEndsWithItsIncarnation is the same revoke, but its
+// callback would get through once the storage site has restarted.  A
+// retry ends with its sender: the dead incarnation's actor makes no
+// attempt after the crash, so it cannot drop the lease the new
+// incarnation has granted site 2 since and leave site 1 listing a holder
+// that holds nothing.  With no pause between the restart and the
+// re-grant, site 2's reaction to the crash (dropping the leases site 1
+// stored) must also have run before site 1 came back up, or it drops the
+// fresh lease the same way.
+func TestLeaseRevokeRetryEndsWithItsIncarnation(t *testing.T) {
+	for _, pause := range []time.Duration{time.Millisecond, 0} {
+		t.Run(fmt.Sprintf("pause=%v", pause), func(t *testing.T) {
+			clk := vtime.NewVirtual()
+			cl := leaseCluster(t, Config{Clock: clk})
+			defer cl.Shutdown()
+			s1, s2 := cl.Site(1), cl.Site(2)
+			pid2 := cl.NewPID()
+			s2.Procs().NewProcess(pid2, 0)
+			if err := s2.Create("va/f"); err != nil {
+				t.Fatal(err)
+			}
+			id, _, _ := s2.Open("va/f")
+			if _, err := s2.Write(id, pid2, "T1", 0, []byte("abcd")); err != nil {
+				t.Fatal(err)
+			}
+			commitAtStorage(t, s1, "T1", id.ID())
+
+			cl.Net().SetFaultFilter(func(_, _ simnet.SiteID, op string) bool { return op == "leaseRevoke" })
+			pid1 := cl.NewPID()
+			s1.Procs().NewProcess(pid1, 0)
+			g := vtime.NewGroup(clk)
+			g.Go(func() {
+				s1.Lock(id, pid1, "T9", lockmgr.ModeExclusive, 0, 4, false, false, true) //nolint:errcheck // answered by a dead kernel
+			})
+			clk.Sleep(100 * time.Millisecond)
+			s1.Crash()
+			if err := s1.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			cl.Net().SetFaultFilter(nil)
+			clk.Sleep(pause)
+
+			// The new incarnation grants site 2 a lease on the same file.
+			if _, _, err := s2.Open("va/f"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s2.Lock(id, pid2, "T2", lockmgr.ModeExclusive, 0, 4, false, false, true); err != nil {
+				t.Fatal(err)
+			}
+			commitAtStorage(t, s1, "T2", id.ID())
+
+			// Let the old actor's retries run out.
+			clk.Sleep(10 * time.Second)
+			g.Wait()
+			if got := s1.Locks().Lookup(id.ID()).LeaseSites(); len(got) != 1 || got[0] != 2 {
+				t.Errorf("lease sites in the new incarnation = %v, want [2]", got)
+			}
+			before := cl.Stats().Snapshot()
+			if _, err := s2.Write(id, pid2, "T3", 0, []byte("efgh")); err != nil {
+				t.Fatal(err)
+			}
+			if d := cl.Stats().Snapshot().Sub(before); d.Get(stats.LeaseHits) != 1 || d.Get(stats.LockMsgs) != 0 {
+				t.Errorf("site 2 after the old revoke's retries: lease_hits=%d lock_msgs=%d, want 1/0", d.Get(stats.LeaseHits), d.Get(stats.LockMsgs))
+			}
+		})
 	}
 }

@@ -26,12 +26,7 @@ func TestPartitionDuringPhaseTwo(t *testing.T) {
 	cl := New(Config{
 		SyncPhase2:    true,
 		RetryInterval: 15 * time.Millisecond,
-		Net: simnet.Config{
-			CallTimeout:   40 * time.Millisecond,
-			RetryAttempts: 2,
-			RetryBase:     2 * time.Millisecond,
-			RetryCap:      8 * time.Millisecond,
-		},
+		Net:           simnet.Config{CallTimeout: 40 * time.Millisecond},
 	})
 	defer cl.Shutdown()
 	for i := 1; i <= 3; i++ {
@@ -127,7 +122,7 @@ func TestPartitionDuringPhaseTwo(t *testing.T) {
 
 	// Duplicate commit messages are harmless (section 4.4): replay the
 	// phase-two message by hand and re-audit.
-	if _, err := s3.ep.Call(1, "commit2", commit2Req{Txid: txid}); err != nil {
+	if _, err := s3.ep.Call(1, "commit2", txnReq{Txid: txid}); err != nil {
 		t.Fatalf("duplicate commit2 rejected: %v", err)
 	}
 	for s, path := range map[*Site]string{s1: "va/f", s2: "vb/f"} {

@@ -352,11 +352,11 @@ func (w *moveWorld) heat(t *testing.T) {
 			return
 		}
 		k := s1.kernel()
-		if err := k.handlePrepare(prepareReq{Txid: txid, FileIDs: []string{w.id}, Coord: 1}); err != nil {
+		if _, err := k.prepare(prepareReq{Txid: txid, FileIDs: []string{w.id}, Coord: 1}); err != nil {
 			t.Error(err)
 			return
 		}
-		if err := k.handleCommit2(commit2Req{Txid: txid}); err != nil {
+		if err := k.handleCommit2(txnReq{Txid: txid}); err != nil {
 			t.Error(err)
 			return
 		}

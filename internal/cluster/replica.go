@@ -36,11 +36,6 @@ type replPullReq struct {
 	Replica simnet.SiteID
 }
 
-type replRemoveReq struct {
-	simnet.Small
-	Path string
-}
-
 // AddReplica creates a read-only replica of an existing volume at another
 // site and ships it the current committed contents.
 func (c *Cluster) AddReplica(volName string, site simnet.SiteID) error {
@@ -110,7 +105,7 @@ func (c *Cluster) updateCycle(path string, begin bool) ([]simnet.SiteID, uint64)
 
 // handleReplRemove drops this site's copy of a removed file: the boot
 // rule applied to one path, whose records the removal already erased.
-func (k *incarnation) handleReplRemove(req replRemoveReq) error {
+func (k *incarnation) handleReplRemove(req pathReq) error {
 	vs, err := k.volFor(req.Path)
 	if err != nil || k.cl.holdsCopy(req.Path, k.id) {
 		return nil // nothing synced here, or the copy is recorded after all
@@ -129,7 +124,7 @@ func (k *incarnation) handleReplRemove(req replRemoveReq) error {
 // effort (a down replica's boot rule drops the file when it restarts).
 func (k *incarnation) notifyReplicaRemove(path, volName string) {
 	for _, site := range k.cl.ReplicaSites(volName) {
-		simnet.Exchange[none](k.ep, site, "replremove", replRemoveReq{Path: path}) //nolint:errcheck
+		simnet.Exchange[none](k.ep, site, "replremove", pathReq{Path: path}) //nolint:errcheck
 	}
 }
 

@@ -134,10 +134,10 @@ func TestTransactionCommitPropagatesToReplicas(t *testing.T) {
 	if _, err := s1.Write(id, pid, "T1", 0, []byte("committed!!")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.kernel().handlePrepare(prepareReq{Txid: "T1", FileIDs: []string{id.ID()}, Coord: 1}); err != nil {
+	if _, err := s1.kernel().prepare(prepareReq{Txid: "T1", FileIDs: []string{id.ID()}, Coord: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.kernel().handleCommit2(commit2Req{Txid: "T1"}); err != nil {
+	if err := s1.kernel().handleCommit2(txnReq{Txid: "T1"}); err != nil {
 		t.Fatal(err)
 	}
 	// Replica at site 3 serves the committed contents locally.

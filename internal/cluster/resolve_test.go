@@ -30,7 +30,7 @@ func prepareAt(t *testing.T, s *Site, path, txid, data string, coord simnet.Site
 	if _, err := s.Write(id, pid, txid, 0, []byte(data)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.kernel().handlePrepare(prepareReq{Txid: txid, FileIDs: []string{id.ID()}, Coord: coord}); err != nil {
+	if _, err := s.kernel().prepare(prepareReq{Txid: txid, FileIDs: []string{id.ID()}, Coord: coord}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -74,7 +74,8 @@ func (w *straddleWorld) prepareReq() prepareReq {
 func (w *straddleWorld) prepared() {
 	w.t.Helper()
 	w.txnWrite()
-	must(w.t, w.cl.Site(1).kernel().handlePrepare(w.prepareReq()))
+	_, err := w.cl.Site(1).kernel().prepare(w.prepareReq())
+	must(w.t, err)
 	w.cl.Site(3).Crash()
 }
 
@@ -164,8 +165,8 @@ func TestStraddle(t *testing.T) {
 		// handler would have hit.
 		check func(t *testing.T, snap string)
 	}{
-		{op: "create", setup: func(w *straddleWorld) any { return createReq{Path: "va/new"} }},
-		{op: "open", setup: func(w *straddleWorld) any { return openReq{Path: "va/f"} }},
+		{op: "create", setup: func(w *straddleWorld) any { return pathReq{Path: "va/new"} }},
+		{op: "open", setup: func(w *straddleWorld) any { return pathReq{Path: "va/f"} }},
 		{op: "lock", setup: func(w *straddleWorld) any {
 			return lockReq{FileID: w.id, PID: w.pid, Txn: "T1", Mode: lockmgr.ModeExclusive, Len: 4}
 		}},
@@ -180,20 +181,24 @@ func TestStraddle(t *testing.T) {
 		{op: "close", setup: func(w *straddleWorld) any {
 			_, err := w.cl.Site(2).Write(w.f, w.pid, "", 0, []byte("abcd"))
 			must(w.t, err)
-			return closeReq{FileID: w.id, PID: w.pid}
+			return fileReq{FileID: w.id, PID: w.pid}
 		}},
 		{op: "prepare", setup: func(w *straddleWorld) any { w.txnWrite(); return w.prepareReq() }},
-		{op: "preparev", setup: func(w *straddleWorld) any { w.txnWrite(); return w.prepareReq() }},
+		{op: "sync", setup: func(w *straddleWorld) any {
+			_, err := w.cl.Site(2).Write(w.f, w.pid, "", 0, []byte("abcd"))
+			must(w.t, err)
+			return fileReq{FileID: w.id, PID: w.pid}
+		}},
 		{op: "prepareCommit", setup: func(w *straddleWorld) any { w.txnWrite(); return w.prepareReq() }},
-		{op: "commit2", setup: func(w *straddleWorld) any { w.prepared(); return commit2Req{Txid: "T1"} }, check: inDoubt},
-		{op: "abortTxn", setup: func(w *straddleWorld) any { w.prepared(); return abortTxnReq{Txid: "T1"} }, check: inDoubt},
+		{op: "commit2", setup: func(w *straddleWorld) any { w.prepared(); return txnReq{Txid: "T1"} }, check: inDoubt},
+		{op: "abortTxn", setup: func(w *straddleWorld) any { w.prepared(); return txnReq{Txid: "T1"} }, check: inDoubt},
 		{op: "install", name: "owneradopt", from: 3, setup: func(w *straddleWorld) any { return w.pending("g", 7) }},
 		{op: "install", name: "owneradopt", from: 3, setup: func(w *straddleWorld) any { // site 1 hosts vc already
 			w.hosted()
 			return w.pending("g", 7)
 		}},
 		// remove reclaims a file the way a refused install reclaims its copy.
-		{op: "remove", setup: func(w *straddleWorld) any { must(w.t, w.cl.Site(2).Create("va/x")); return removeReq{Path: "va/x"} }},
+		{op: "remove", setup: func(w *straddleWorld) any { must(w.t, w.cl.Site(2).Create("va/x")); return pathReq{Path: "va/x"} }},
 		{op: "install", name: "replsync", setup: func(w *straddleWorld) any { // vb/r, held at 1 at version 0
 			id, _, err := w.cl.Site(2).Open("vb/r")
 			must(w.t, err)
@@ -201,7 +206,7 @@ func TestStraddle(t *testing.T) {
 			must(w.t, err)
 			return proposeInstall(w.cl.Site(2).kernel(), 9, install{path: "vb/r", to: 1, version: 1}, "fresh")
 		}},
-		{op: "replremove", setup: func(w *straddleWorld) any { return replRemoveReq{Path: "vb/r"} }},
+		{op: "replremove", setup: func(w *straddleWorld) any { return pathReq{Path: "vb/r"} }},
 	}
 	clocks := map[string]func() vtime.Clock{
 		"real":    vtime.Real,

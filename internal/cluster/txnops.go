@@ -30,25 +30,18 @@ func (r prepareReq) WireSize() int {
 	return n
 }
 
-// prepareResp carries the participant's vote on the fast-path prepare
-// exchanges ("preparev", "prepareCommit").  The classic "prepare" op
-// keeps its empty response so fast-paths-off runs are wire-identical.
+// prepareResp carries the participant's vote on the prepare exchanges
+// ("prepare", "prepareCommit").
 type prepareResp struct{ Vote tpc.Vote }
 
 func (prepareResp) WireSize() int { return 16 }
 
-type commit2Req struct {
+// txnReq names a transaction: commit2, abortTxn and status.
+type txnReq struct {
 	simnet.Small
 	Txid string
 }
-type abortTxnReq struct {
-	simnet.Small
-	Txid string
-}
-type statusReq struct {
-	simnet.Small
-	Txid string
-}
+
 type statusResp struct {
 	simnet.Small
 	Status tpc.Status
@@ -58,26 +51,19 @@ type statusResp struct {
 // a single exchange: a lost prepare is treated as a refusal and aborts
 // the transaction (section 4.3).  Commit and abort messages are
 // idempotent (temporally-unique txids, section 4.4), so they ride
-// CallRetry's backoff to shrug off transient loss without waiting for
+// ExchangeRetry's backoff to shrug off transient loss without waiting for
 // the coarse phase-two retry timer.
 type siteTransport struct{ *machine }
 
 func (t *siteTransport) SendPrepare(site simnet.SiteID, txid string, fileIDs []string, coord simnet.SiteID) (tpc.Vote, error) {
-	req := prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord}
-	if !t.cl.cfg.FastPaths {
-		// Paper-exact mode keeps the original wire exchange (empty
-		// response) so fixed-seed runs stay byte-identical.
-		_, err := simnet.Exchange[none](t.ep, site, "prepare", req)
-		return tpc.VoteCommit, err
-	}
-	return t.vote("preparev", site, req)
+	return t.vote("prepare", site, prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
 }
 
 func (t *siteTransport) SendPrepareCommit(site simnet.SiteID, txid string, fileIDs []string, coord simnet.SiteID) (tpc.Vote, error) {
 	return t.vote("prepareCommit", site, prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
 }
 
-// vote sends a fast-path prepare op and returns the participant's vote.
+// vote sends a first-phase op and returns the participant's vote.
 func (t *siteTransport) vote(op string, site simnet.SiteID, req prepareReq) (tpc.Vote, error) {
 	resp, err := simnet.Exchange[prepareResp](t.ep, site, op, req)
 	if err != nil {
@@ -87,12 +73,12 @@ func (t *siteTransport) vote(op string, site simnet.SiteID, req prepareReq) (tpc
 }
 
 func (t *siteTransport) SendCommit(site simnet.SiteID, txid string) error {
-	_, err := simnet.ExchangeRetry[none](t.ep, site, "commit2", commit2Req{Txid: txid}, 0)
+	_, err := simnet.ExchangeRetry[none](t.ep, site, "commit2", txnReq{Txid: txid})
 	return err
 }
 
 func (t *siteTransport) SendAbort(site simnet.SiteID, txid string) error {
-	_, err := simnet.ExchangeRetry[none](t.ep, site, "abortTxn", abortTxnReq{Txid: txid}, 0)
+	_, err := simnet.ExchangeRetry[none](t.ep, site, "abortTxn", txnReq{Txid: txid})
 	return err
 }
 
@@ -270,30 +256,23 @@ func (k *incarnation) beginPrepare(req prepareReq) (*prepScratch, tpc.Vote, erro
 	return sc, tpc.VoteCommit, nil
 }
 
-// prepare is the two-phase first phase, behind the "prepare" and "preparev"
-// ops: write the prepare log (one record per volume - or per file under
-// footnote 10), then remember the prepared state.
-func (k *incarnation) prepare(req prepareReq) (tpc.Vote, error) {
+// prepare is the two-phase first phase, behind the "prepare" op: write
+// the prepare log (one record per volume - or per file under footnote
+// 10), then remember the prepared state.
+func (k *incarnation) prepare(req prepareReq) (prepareResp, error) {
 	sc, vote, err := k.beginPrepare(req)
 	if err != nil || vote == tpc.VoteReadOnly {
-		return vote, err
+		return prepareResp{Vote: vote}, err
 	}
 	err = k.writePrepareRecords(req, sc.preps, 0)
 	prepScratches.Put(sc)
 	if err != nil {
-		return tpc.VoteCommit, err
+		return prepareResp{}, err
 	}
 	pt := &preparedTxn{coord: req.Coord}
 	pt.fileIDs = append(pt.fileBuf[:0], req.FileIDs...)
 	k.setPrepared(req.Txid, pt)
-	return tpc.VoteCommit, nil
-}
-
-// handlePrepare is the paper-exact "prepare" op: the first phase, answered
-// with an empty response.
-func (k *incarnation) handlePrepare(req prepareReq) error {
-	_, err := k.prepare(req)
-	return err
+	return prepareResp{Vote: tpc.VoteCommit}, nil
 }
 
 // handlePrepareCommit executes a one-phase commit (DESIGN.md section
@@ -309,10 +288,10 @@ func (k *incarnation) handlePrepare(req prepareReq) error {
 // It is kept apart from prepare because the two differ in when the entry
 // is registered and in who cleans up a failed force, and both orders are
 // safety properties.
-func (k *incarnation) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
+func (k *incarnation) handlePrepareCommit(req prepareReq) (prepareResp, error) {
 	sc, vote, err := k.beginPrepare(req)
 	if err != nil || vote == tpc.VoteReadOnly {
-		return vote, err
+		return prepareResp{Vote: vote}, err
 	}
 	// Register the prepared entry (applying: an outcome delivery is
 	// already in progress - a racing abort must be refused, not
@@ -332,19 +311,19 @@ func (k *incarnation) handlePrepareCommit(req prepareReq) (tpc.Vote, error) {
 	}
 	prepScratches.Put(sc)
 	if err != nil {
-		return tpc.VoteCommit, err
+		return prepareResp{}, err
 	}
 	clk := k.cl.cfg.Clock
 	t0 := clk.Now()
 	if err := k.apply(req.Txid, pt, true); err != nil {
-		return tpc.VoteCommit, err
+		return prepareResp{}, err
 	}
 	k.prof().Charge(req.Txid, telemetry.ResOnePhaseApply, clk.Now().Sub(t0))
-	return tpc.VoteCommit, nil
+	return prepareResp{Vote: tpc.VoteCommit}, nil
 }
 
 // handleCommit2 is the participant's second phase: deliver the commit.
-func (k *incarnation) handleCommit2(req commit2Req) error {
+func (k *incarnation) handleCommit2(req txnReq) error {
 	clk := k.cl.cfg.Clock
 	t0 := clk.Now()
 	err := k.deliver(req.Txid, true)
@@ -356,7 +335,7 @@ func (k *incarnation) handleCommit2(req commit2Req) error {
 
 // handleAbortTxn rolls back everything the transaction touched at this
 // site.  It is idempotent, as required for duplicate abort messages.
-func (k *incarnation) handleAbortTxn(req abortTxnReq) error {
+func (k *incarnation) handleAbortTxn(req txnReq) error {
 	return k.deliver(req.Txid, false)
 }
 
@@ -539,7 +518,7 @@ func (k *incarnation) settle(fileID string) {
 
 // handleStatus answers an in-doubt participant's query against this
 // site's coordinator state (section 4.4).
-func (k *incarnation) handleStatus(req statusReq) (statusResp, error) {
+func (k *incarnation) handleStatus(req txnReq) (statusResp, error) {
 	coord, err := k.Coordinator()
 	if err != nil {
 		return statusResp{}, err
@@ -549,7 +528,7 @@ func (k *incarnation) handleStatus(req statusReq) (statusResp, error) {
 
 // QueryStatus asks a remote coordinator for a transaction's outcome.
 func (m *machine) QueryStatus(coordSite simnet.SiteID, txid string) (tpc.Status, error) {
-	resp, err := simnet.Exchange[statusResp](m.ep, coordSite, "status", statusReq{Txid: txid})
+	resp, err := simnet.Exchange[statusResp](m.ep, coordSite, "status", txnReq{Txid: txid})
 	if err != nil {
 		return tpc.StatusUnknown, err
 	}
@@ -574,7 +553,7 @@ func (c *Cluster) WaitEdges() []lockmgr.WaitEdge {
 // recovery.
 func (m *machine) AbortEverywhere(txid string) {
 	for _, id := range m.cl.Sites() {
-		simnet.Exchange[none](m.ep, id, "abortTxn", abortTxnReq{Txid: txid}) //nolint:errcheck // down sites roll back on restart (section 4.3)
+		simnet.Exchange[none](m.ep, id, "abortTxn", txnReq{Txid: txid}) //nolint:errcheck // down sites roll back on restart (section 4.3)
 	}
 }
 

@@ -21,12 +21,12 @@ func TestChaosMessageLossAtomicity(t *testing.T) {
 	sys := NewSystem(cluster.Config{
 		SyncPhase2: true,
 		Net: simnet.Config{
-			DropRate:    0.08,
 			CallTimeout: 60 * time.Millisecond,
 			Seed:        0xC0FFEE,
 		},
 		LockWaitTimeout: 100 * time.Millisecond,
 	})
+	sys.Cluster().Net().SetDropRate(0.08)
 	for _, id := range []simnet.SiteID{1, 2, 3} {
 		sys.AddSite(id)
 	}

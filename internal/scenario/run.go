@@ -68,10 +68,10 @@ type Outcome struct {
 	Counters        stats.Snapshot
 	Commits, Aborts int64           // Env.Txn outcomes
 	Latencies       []time.Duration // confirmed commits, on the scenario clock
-	// Wall and SimTime are the clients' window on the host's and the
-	// scenario's clock; SimSetup is the scenario clock's total from boot
-	// to the clients' start, and SimElapsed its total, recovery included.
-	Wall, SimTime, SimSetup, SimElapsed time.Duration
+	// SimTime is the clients' window on the scenario's clock; SimSetup is
+	// that clock's total from boot to the clients' start, and SimElapsed
+	// its total, recovery included.
+	SimTime, SimSetup, SimElapsed time.Duration
 	// Profile and Metrics are the commit critical-path attribution and
 	// the final registry snapshot of a Spec.Profile run.
 	Profile *telemetry.ProfileReport
@@ -205,7 +205,7 @@ func Run(sc Scenario) (*Outcome, error) {
 		return nil, fmt.Errorf("scenario: setup: %w", err)
 	}
 
-	wall, start, setup := time.Now(), e.Clock.Now(), e.Clock.Elapsed()
+	start, setup := e.Clock.Now(), e.Clock.Elapsed()
 	errs := make([]error, len(sc.Clients))
 	clients := vtime.NewGroup(e.Clock)
 	for i, fn := range sc.Clients {
@@ -228,7 +228,7 @@ func Run(sc Scenario) (*Outcome, error) {
 		// finish, and the profile and busy fractions cover the whole run.
 		e.Clock.WaitIdle()
 	}
-	out := &Outcome{Wall: time.Since(wall), SimTime: e.Clock.Now().Sub(start), SimSetup: setup}
+	out := &Outcome{SimTime: e.Clock.Now().Sub(start), SimSetup: setup}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}

@@ -78,7 +78,8 @@ func TestLamportClockAcrossLatencySpike(t *testing.T) {
 }
 
 func TestLamportClockUnderDuplicateDelivery(t *testing.T) {
-	_, a, b, col := traced(t, Config{DupRate: 0.95})
+	n, a, b, col := traced(t, Config{})
+	n.SetDupRate(0.95)
 	handled := 0
 	b.Handle("note", func(from SiteID, req any) (any, error) {
 		handled++

@@ -146,8 +146,8 @@ func wireSize(n int) int {
 	return smallMsgBytes
 }
 
-// boxed carries an untyped payload through the typed exchange: Call,
-// CallRetry and Handle are that exchange on boxed messages.
+// boxed carries an untyped payload through the typed exchange: Call and
+// Handle are that exchange on boxed messages.
 type boxed struct{ v any }
 
 // WireSize is the payload's own size if it reports one.
@@ -159,18 +159,12 @@ func (b boxed) WireSize() int {
 }
 
 // Config controls network behaviour.  The zero value gives a reliable
-// zero-latency network, which keeps unit tests deterministic.
+// zero-latency network, which keeps unit tests deterministic; message loss
+// and duplication are set on the running network (SetDropRate,
+// SetDupRate).
 type Config struct {
 	// Latency is the one-way transit delay applied to every message.
 	Latency time.Duration
-	// DropRate is the probability in [0,1) that any single message is
-	// silently lost.
-	DropRate float64
-	// DupRate is the probability in [0,1) that a delivered message is
-	// delivered twice.  Handlers must be idempotent under duplication -
-	// the paper leans on temporally-unique transaction ids for exactly
-	// this (section 4.4); the chaos engine spikes DupRate to prove it.
-	DupRate float64
 	// CallTimeout is how long a Call waits for a lost message before it
 	// gives up, on the network's clock.  Zero means a generous default
 	// (2s).
@@ -178,21 +172,19 @@ type Config struct {
 	// Seed seeds the drop generator; zero means a fixed default so runs
 	// are reproducible.
 	Seed int64
-	// RetryAttempts is the default try count for CallRetry when the
-	// caller passes attempts <= 0.  Zero means 4.
-	RetryAttempts int
-	// RetryBase is the first CallRetry backoff interval; each retry
-	// doubles it up to RetryCap, with seeded jitter in [d/2, d).  Zero
-	// means 2ms.
-	RetryBase time.Duration
-	// RetryCap bounds the exponential CallRetry backoff.  Zero means
-	// 100ms.
-	RetryCap time.Duration
 	// Clock supplies transit latency and call timeouts as Sleeps; nil
 	// means the real-time clock.  A call runs inline on its caller either
 	// way (see Endpoint.Call).
 	Clock vtime.Clock
 }
+
+// ExchangeRetry's schedule: up to retryAttempts tries, the pause before
+// each retry doubling from retryBase up to retryCap.
+const (
+	retryAttempts = 4
+	retryBase     = 2 * time.Millisecond
+	retryCap      = 100 * time.Millisecond
+)
 
 // FaultFilter inspects an outbound message and returns true to drop it.
 // It runs under the network lock and must not call back into the network.
@@ -213,6 +205,11 @@ type Network struct {
 	mu  sync.Mutex
 	cfg Config
 	rng *rand.Rand
+	// dropRate is the probability in [0,1) that any single message is
+	// silently lost; dupRate that a delivered request is delivered twice.
+	// Handlers must be idempotent under duplication - the paper leans on
+	// temporally-unique transaction ids for exactly this (section 4.4).
+	dropRate, dupRate float64
 	// seed is the resolved Config.Seed; backoffFor hashes it per call so
 	// retry jitter never draws from the shared rng stream (whose draw
 	// order depends on goroutine interleaving under the real clock).
@@ -232,15 +229,6 @@ type Network struct {
 func New(cfg Config, st *stats.Set) *Network {
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = 2 * time.Second
-	}
-	if cfg.RetryAttempts <= 0 {
-		cfg.RetryAttempts = 4
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 2 * time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 100 * time.Millisecond
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = vtime.Real()
@@ -287,12 +275,14 @@ func (n *Network) Watch(fn func(TopologyEvent)) {
 }
 
 // notify must be called with n.mu held.  Watchers run as clock actors
-// so a virtual clock cannot advance past their reactions.
-func (n *Network) notify(ev TopologyEvent) {
+// so a virtual clock cannot advance past their reactions; the returned
+// group joins them.
+func (n *Network) notify(ev TopologyEvent) *vtime.Group {
+	g := vtime.NewGroup(n.clock)
 	for _, w := range n.watchers {
-		w := w
-		n.clock.Go(func() { w(ev) })
+		g.Go(func() { w(ev) })
 	}
+	return g
 }
 
 // SetLatency changes the one-way message latency.
@@ -306,14 +296,14 @@ func (n *Network) SetLatency(d time.Duration) {
 func (n *Network) SetDropRate(p float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.cfg.DropRate = p
+	n.dropRate = p
 }
 
 // SetDupRate changes the duplicate-delivery probability.
 func (n *Network) SetDupRate(p float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.cfg.DupRate = p
+	n.dupRate = p
 }
 
 // SetFaultFilter installs (or, with nil, removes) a message-drop filter.
@@ -325,8 +315,9 @@ func (n *Network) SetFaultFilter(f FaultFilter) {
 	n.filter = f
 }
 
-// CrashSite takes a site offline: its handlers stop running and messages
-// to it fail.  Watchers are notified with SiteDown.
+// CrashSite takes a site offline: its handlers stop running, messages to
+// it fail, and its retries in progress make no further attempt.  Watchers
+// are notified with SiteDown.
 func (n *Network) CrashSite(id SiteID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -335,28 +326,34 @@ func (n *Network) CrashSite(id SiteID) {
 		return
 	}
 	e.up.Store(false)
-	n.notify(TopologyEvent{Kind: SiteDown, Sites: []SiteID{id}})
+	e.crashes.Add(1)
+	e.down = n.notify(TopologyEvent{Kind: SiteDown, Sites: []SiteID{id}})
 }
 
-// RestartSite brings a crashed site back online.  Watchers are notified
-// with SiteUp; higher layers run their recovery protocols in response.
+// RestartSite brings a crashed site back online once every reaction to
+// its crash has finished, so none of them can undo what the new
+// incarnation has already done.  Watchers are notified with SiteUp;
+// higher layers run their recovery protocols in response.
 func (n *Network) RestartSite(id SiteID) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	e := n.sites[id]
 	if e == nil || e.up.Load() {
+		n.mu.Unlock()
+		return
+	}
+	down := e.down
+	e.down = nil
+	n.mu.Unlock()
+	if down != nil {
+		down.Wait()
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if e.up.Load() {
 		return
 	}
 	e.up.Store(true)
 	n.notify(TopologyEvent{Kind: SiteUp, Sites: []SiteID{id}})
-}
-
-// SiteUp reports whether the site is online.
-func (n *Network) SiteUp(id SiteID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	e := n.sites[id]
-	return e != nil && e.up.Load()
 }
 
 // Partition splits the network so that the given sites form their own
@@ -510,6 +507,13 @@ type Endpoint struct {
 	// links holds the handles of e's outgoing links by destination.
 	links atomic.Pointer[[]*linkStats]
 
+	// crashes counts the site's crashes; a retry stops once it moves
+	// (ExchangeRetry).
+	crashes atomic.Uint64
+	// down joins the reactions to the site's last crash (CrashSite), which
+	// RestartSite waits out; nil while up.
+	down *vtime.Group
+
 	mu       sync.Mutex
 	handlers map[string]route
 }
@@ -640,9 +644,9 @@ func Exchange[Resp, Req Sizer](e *Endpoint, to SiteID, op string, req Req) (Resp
 	}
 	latency := n.cfg.Latency
 	timeout := n.cfg.CallTimeout
-	dropReq := n.rng.Float64() < n.cfg.DropRate
-	dropResp := n.rng.Float64() < n.cfg.DropRate
-	dupReq := n.cfg.DupRate > 0 && n.rng.Float64() < n.cfg.DupRate
+	dropReq := n.rng.Float64() < n.dropRate
+	dropResp := n.rng.Float64() < n.dropRate
+	dupReq := n.dupRate > 0 && n.rng.Float64() < n.dupRate
 	if n.filter != nil {
 		if n.filter(e.id, to, op) {
 			dropReq = true
@@ -728,7 +732,7 @@ func (e *Endpoint) timedOut(start time.Time, timeout time.Duration, to SiteID, o
 }
 
 // backoffFor returns the pause before retry attempt (0-based) of the
-// call (from, to, op): exponential from RetryBase, capped at RetryCap,
+// call (from, to, op): exponential from retryBase, capped at retryCap,
 // with jitter in [d/2, d) derived by hashing the call's identity under
 // the network seed.  The jitter is a pure function of its arguments, not
 // a draw from the shared rng stream: two concurrent retriers decorrelate
@@ -737,21 +741,12 @@ func (e *Endpoint) timedOut(start time.Time, timeout time.Duration, to SiteID, o
 // interleaving — the property the virtual clock's byte-identical traces
 // depend on.
 func (n *Network) backoffFor(from, to SiteID, op string, attempt int) time.Duration {
-	n.mu.Lock()
-	base, cap_ := n.cfg.RetryBase, n.cfg.RetryCap
-	seed := n.seed
-	n.mu.Unlock()
-	d := base
-	for k := 0; k < attempt && d < cap_; k++ {
+	d := retryBase
+	for k := 0; k < attempt && d < retryCap; k++ {
 		d *= 2
 	}
-	if d > cap_ {
-		d = cap_
-	}
+	d = min(d, retryCap)
 	half := d / 2
-	if half <= 0 {
-		return d
-	}
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -764,7 +759,7 @@ func (n *Network) backoffFor(from, to SiteID, op string, attempt int) time.Durat
 			v >>= 8
 		}
 	}
-	mix(uint64(seed))
+	mix(uint64(n.seed))
 	mix(uint64(from))
 	mix(uint64(to))
 	mix(uint64(attempt))
@@ -775,36 +770,28 @@ func (n *Network) backoffFor(from, to SiteID, op string, attempt int) time.Durat
 	return half + time.Duration(h%uint64(half))
 }
 
-func (n *Network) retryAttempts() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cfg.RetryAttempts
-}
-
-// CallRetry performs Call with up to attempts tries (attempts <= 0 means
-// Config.RetryAttempts), retrying on timeouts and unreachability with
-// bounded exponential backoff and seeded jitter (Config.RetryBase /
-// RetryCap).  Remote application errors are returned immediately.
-// Handlers invoked through CallRetry must therefore be idempotent - the
-// paper leans on temporally-unique transaction IDs for exactly this
-// (section 4.4: duplicate commit or abort messages are harmless).
+// ExchangeRetry performs Exchange with up to four tries, retrying on
+// timeouts and unreachability with bounded exponential backoff and seeded
+// jitter.  Remote application errors are returned immediately.  Handlers
+// reached through ExchangeRetry must therefore be idempotent - the paper
+// leans on temporally-unique transaction IDs for exactly this (section
+// 4.4: duplicate commit or abort messages are harmless).
 //
-// CallRetry is ExchangeRetry on untyped payloads.
-func (e *Endpoint) CallRetry(to SiteID, op string, req any, attempts int) (any, error) {
-	resp, err := ExchangeRetry[boxed](e, to, op, boxed{req}, attempts)
-	return resp.v, err
-}
-
-// ExchangeRetry is CallRetry with the request and response moved by value.
-func ExchangeRetry[Resp, Req Sizer](e *Endpoint, to SiteID, op string, req Req, attempts int) (Resp, error) {
-	if attempts <= 0 {
-		attempts = e.net.retryAttempts()
-	}
+// A retry ends with its sender: once the sending site has crashed since
+// the call began, no further attempt is made.  A site failure loses all
+// kernel memory, the retry's purpose with it; an attempt sent by the dead
+// kernel after the site restarted would speak for an incarnation that no
+// longer exists.
+func ExchangeRetry[Resp, Req Sizer](e *Endpoint, to SiteID, op string, req Req) (Resp, error) {
 	var none Resp
 	var err error
-	for i := 0; i < attempts; i++ {
+	crashes := e.crashes.Load()
+	for i := 0; i < retryAttempts; i++ {
 		if i > 0 {
 			e.net.clock.Sleep(e.net.backoffFor(e.id, to, op, i-1))
+			if e.crashes.Load() != crashes {
+				return none, err
+			}
 		}
 		var resp Resp
 		resp, err = Exchange[Resp](e, to, op, req)

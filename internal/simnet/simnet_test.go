@@ -87,8 +87,8 @@ func TestCrashedSiteUnreachable(t *testing.T) {
 	n, a, b := pairNet(t, Config{CallTimeout: 100 * time.Millisecond}, nil)
 	b.Handle("op", func(SiteID, any) (any, error) { return nil, nil })
 	n.CrashSite(2)
-	if n.SiteUp(2) {
-		t.Fatal("SiteUp after crash")
+	if n.Reachable(2, 2) {
+		t.Fatal("reachable after crash")
 	}
 	if _, err := a.Call(2, "op", nil); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("call to crashed site: %v", err)
@@ -153,32 +153,44 @@ func TestTopologyWatch(t *testing.T) {
 }
 
 func TestDropCausesTimeout(t *testing.T) {
-	n, a, b := pairNet(t, Config{DropRate: 1.0, CallTimeout: 50 * time.Millisecond}, nil)
+	n, a, b := pairNet(t, Config{CallTimeout: 50 * time.Millisecond}, nil)
+	n.SetDropRate(1.0)
 	b.Handle("op", func(SiteID, any) (any, error) { return nil, nil })
-	_ = n
 	if _, err := a.Call(2, "op", nil); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("dropped call err = %v", err)
 	}
 }
 
+// retry is ExchangeRetry on an untyped payload: the retrying call the
+// TestCallRetry* tests exercise.
+func retry(e *Endpoint, to SiteID, op string) (any, error) {
+	resp, err := ExchangeRetry[boxed](e, to, op, boxed{})
+	return resp.v, err
+}
+
 func TestCallRetrySucceedsAfterLoss(t *testing.T) {
-	// 60% drop rate: with 20 attempts success is overwhelmingly likely.
-	n, a, b := pairNet(t, Config{DropRate: 0.6, CallTimeout: 30 * time.Millisecond, Seed: 42}, nil)
+	// A lossy network: at this seed the first attempt is lost and a later
+	// one, within the four, gets through.
+	st := stats.NewSet()
+	n, a, b := pairNet(t, Config{CallTimeout: 30 * time.Millisecond, Seed: 42, Clock: vtime.NewVirtual()}, st)
+	n.SetDropRate(0.3)
 	var calls atomic.Int64
 	b.Handle("op", func(SiteID, any) (any, error) {
 		calls.Add(1)
 		return "ok", nil
 	})
-	_ = n
-	resp, err := a.CallRetry(2, "op", nil, 20)
+	resp, err := retry(a, 2, "op")
 	if err != nil {
-		t.Fatalf("CallRetry failed: %v", err)
+		t.Fatalf("ExchangeRetry failed: %v", err)
 	}
 	if resp != "ok" {
 		t.Fatalf("resp = %v", resp)
 	}
 	if calls.Load() == 0 {
 		t.Fatal("handler never ran")
+	}
+	if got := st.Get(stats.RPCs); got < 2 || got > retryAttempts {
+		t.Fatalf("%d attempts, want a lost one and success within %d", got, retryAttempts)
 	}
 }
 
@@ -189,7 +201,7 @@ func TestCallRetryStopsOnRemoteError(t *testing.T) {
 		calls.Add(1)
 		return nil, errors.New("app error")
 	})
-	_, err := a.CallRetry(2, "op", nil, 5)
+	_, err := retry(a, 2, "op")
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v", err)
@@ -316,83 +328,110 @@ func TestPartitionWhileCallInFlight(t *testing.T) {
 }
 
 func TestCallRetryBackoffSpacing(t *testing.T) {
-	// Three attempts against a crashed site: each Call fails instantly
-	// with ErrUnreachable, so the elapsed time is pure backoff.  With
-	// jitter in [d/2, d) the two pauses sum to at least base/2 + base
-	// and at most base + 2*base.
-	cfg := Config{
-		RetryBase:     20 * time.Millisecond,
-		RetryCap:      200 * time.Millisecond,
-		RetryAttempts: 3,
-		CallTimeout:   50 * time.Millisecond,
-	}
-	n, a, _ := pairNet(t, cfg, nil)
+	// Four attempts against a crashed site: each fails at once with
+	// ErrUnreachable, so the elapsed time is pure backoff.  With jitter in
+	// [d/2, d) the three pauses (2, 4 and 8 ms steps) sum to at least
+	// 7 ms and less than 14 ms.
+	clk := vtime.NewVirtual()
+	n, a, _ := pairNet(t, Config{Clock: clk}, nil)
 	n.CrashSite(2)
-	start := time.Now()
-	_, err := a.CallRetry(2, "op", nil, 3)
-	elapsed := time.Since(start)
+	start := clk.Now()
+	_, err := retry(a, 2, "op")
+	elapsed := clk.Now().Sub(start)
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v, want unreachable", err)
 	}
-	if min := 30 * time.Millisecond; elapsed < min {
-		t.Fatalf("elapsed = %v, want >= %v (exponential backoff between attempts)", elapsed, min)
-	}
-	if max := 300 * time.Millisecond; elapsed > max {
-		t.Fatalf("elapsed = %v, want <= %v (backoff bounded by cap)", elapsed, max)
+	if elapsed < 7*time.Millisecond || elapsed >= 14*time.Millisecond {
+		t.Fatalf("elapsed = %v, want in [7ms, 14ms) (exponential backoff between attempts)", elapsed)
 	}
 }
 
 func TestCallRetryBackoffCap(t *testing.T) {
-	// With a cap equal to the base, every pause is in [base/2, base).
-	cfg := Config{
-		RetryBase:     10 * time.Millisecond,
-		RetryCap:      10 * time.Millisecond,
-		RetryAttempts: 4,
-	}
-	n, a, _ := pairNet(t, cfg, nil)
-	n.CrashSite(2)
-	start := time.Now()
-	a.CallRetry(2, "op", nil, 4) //nolint:errcheck // failure is the point
-	if elapsed := time.Since(start); elapsed > 60*time.Millisecond {
-		t.Fatalf("elapsed = %v: cap not applied to backoff", elapsed)
+	// However late the attempt, the pause stays in [cap/2, cap).
+	n, _, _ := pairNet(t, Config{}, nil)
+	for attempt := 6; attempt < 12; attempt++ {
+		if d := n.backoffFor(1, 2, "op", attempt); d < retryCap/2 || d >= retryCap {
+			t.Fatalf("attempt %d: pause %v outside [%v, %v)", attempt, d, retryCap/2, retryCap)
+		}
 	}
 }
 
 func TestCallRetryDefaultAttempts(t *testing.T) {
-	// attempts <= 0 falls back to Config.RetryAttempts.
-	cfg := Config{RetryAttempts: 3, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond}
-	_, a, b := pairNet(t, cfg, nil)
-	var calls atomic.Int64
-	b.Handle("op", func(SiteID, any) (any, error) {
-		calls.Add(1)
-		return nil, errors.New("app error")
-	})
-	// Remote app errors stop retries, so count attempts via drops instead:
-	// crash the destination and verify the caller gave up (no hang) after
-	// the default attempt count.
-	a.net.CrashSite(2)
-	if _, err := a.CallRetry(2, "op", nil, 0); !errors.Is(err, ErrUnreachable) {
+	// Every message is lost, so each attempt costs one RPC and the whole
+	// call timeout; the caller gives up after the four tries.
+	st := stats.NewSet()
+	clk := vtime.NewVirtual()
+	n, a, b := pairNet(t, Config{CallTimeout: 50 * time.Millisecond, Clock: clk}, st)
+	b.Handle("op", func(SiteID, any) (any, error) { return "ok", nil })
+	n.SetDropRate(1)
+	if _, err := retry(a, 2, "op"); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v", err)
 	}
-	if calls.Load() != 0 {
-		t.Fatalf("handler ran %d times on a crashed site", calls.Load())
+	if got := st.Get(stats.RPCs); got != retryAttempts {
+		t.Fatalf("%d attempts, want %d", got, retryAttempts)
 	}
 	// No sleeping on first-try success.
-	a.net.RestartSite(2)
-	b.Handle("ok", func(SiteID, any) (any, error) { return "ok", nil })
-	start := time.Now()
-	if _, err := a.CallRetry(2, "ok", nil, 0); err != nil {
+	n.SetDropRate(0)
+	start := clk.Now()
+	if _, err := retry(a, 2, "op"); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 20*time.Millisecond {
+	if elapsed := clk.Now().Sub(start); elapsed != 0 {
 		t.Fatalf("successful first attempt slept %v", elapsed)
+	}
+}
+
+func TestExchangeRetryEndsWithItsSender(t *testing.T) {
+	// The sender crashes and restarts while its first attempt is in the
+	// air: the attempt is lost, and the retry makes no second one.
+	st := stats.NewSet()
+	clk := vtime.NewVirtual()
+	n, a, b := pairNet(t, Config{CallTimeout: 50 * time.Millisecond, Clock: clk}, st)
+	b.Handle("op", func(SiteID, any) (any, error) { return "ok", nil })
+	n.SetDropRate(1)
+	g := vtime.NewGroup(clk)
+	var err error
+	g.Go(func() { _, err = retry(a, 2, "op") })
+	clk.Sleep(10 * time.Millisecond)
+	n.CrashSite(1)
+	n.RestartSite(1)
+	n.SetDropRate(0)
+	g.Wait()
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want the lost attempt's timeout", err)
+	}
+	if got := st.Get(stats.RPCs); got != 1 {
+		t.Fatalf("%d attempts, want 1: a retry ends with its sender", got)
+	}
+}
+
+func TestRestartWaitsForSiteDownReactions(t *testing.T) {
+	// A reaction to a crash that parks on the clock has finished before
+	// RestartSite returns, so it cannot act on the restarted site.
+	clk := vtime.NewVirtual()
+	n, _, _ := pairNet(t, Config{Clock: clk}, nil)
+	var reacted time.Duration
+	n.Watch(func(ev TopologyEvent) {
+		if ev.Kind == SiteDown {
+			clk.Sleep(30 * time.Millisecond)
+			reacted = clk.Elapsed()
+		}
+	})
+	n.CrashSite(2)
+	n.RestartSite(2)
+	if reacted != 30*time.Millisecond || clk.Elapsed() != reacted {
+		t.Fatalf("SiteDown reaction finished at %v, RestartSite returned at %v; want both at 30ms", reacted, clk.Elapsed())
+	}
+	if !n.Reachable(2, 2) {
+		t.Fatal("site 2 still down")
 	}
 }
 
 func TestDuplicateDelivery(t *testing.T) {
 	// DupRate 1: every delivered request runs the handler twice, and the
 	// caller still gets exactly one (the first) response.
-	_, a, b := pairNet(t, Config{DupRate: 1.0}, nil)
+	n, a, b := pairNet(t, Config{}, nil)
+	n.SetDupRate(1.0)
 	var calls atomic.Int64
 	b.Handle("op", func(SiteID, any) (any, error) {
 		return calls.Add(1), nil
@@ -503,13 +542,12 @@ func TestOneCallRuleOnBothClocks(t *testing.T) {
 		for _, c := range clocks {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
 				clk := c.clk()
-				cfg := Config{Latency: latency, CallTimeout: timeout, Clock: clk}
-				if tc.dup {
-					cfg.DupRate = 1
-				}
 				st := stats.NewSet()
-				n, a, b := pairNet(t, cfg, st)
+				n, a, b := pairNet(t, Config{Latency: latency, CallTimeout: timeout, Clock: clk}, st)
 				n.SetFaultFilter(tc.filter)
+				if tc.dup {
+					n.SetDupRate(1)
+				}
 				var runs, returned int64
 				b.Handle("op", func(SiteID, any) (any, error) {
 					defer func() { returned++ }()
@@ -562,7 +600,7 @@ func TestBackoffJitterDeterministicPerCall(t *testing.T) {
 	// The retry pause is a pure function of (seed, from, to, op, attempt):
 	// same-seed runs reproduce it exactly no matter how goroutines
 	// interleave, which the byte-identical trace check relies on.
-	cfg := Config{Seed: 99, RetryBase: 2 * time.Millisecond, RetryCap: 100 * time.Millisecond}
+	cfg := Config{Seed: 99}
 	n1, _, _ := pairNet(t, cfg, nil)
 	n2, _, _ := pairNet(t, cfg, nil)
 	for attempt := 0; attempt < 6; attempt++ {
@@ -573,13 +611,7 @@ func TestBackoffJitterDeterministicPerCall(t *testing.T) {
 		}
 		// Bounds: jitter keeps the pause in [d/2, d) of the exponential
 		// step, capped.
-		step := cfg.RetryBase
-		for k := 0; k < attempt && step < cfg.RetryCap; k++ {
-			step *= 2
-		}
-		if step > cfg.RetryCap {
-			step = cfg.RetryCap
-		}
+		step := min(retryBase<<attempt, retryCap)
 		if d1 < step/2 || d1 >= step {
 			t.Fatalf("attempt %d: pause %v outside [%v, %v)", attempt, d1, step/2, step)
 		}
@@ -602,7 +634,7 @@ func TestBackoffJitterDeterministicPerCall(t *testing.T) {
 		t.Fatal("every call identity produced the same jitter")
 	}
 	// A different seed shifts the jitter stream.
-	n3, _, _ := pairNet(t, Config{Seed: 100, RetryBase: cfg.RetryBase, RetryCap: cfg.RetryCap}, nil)
+	n3, _, _ := pairNet(t, Config{Seed: 100}, nil)
 	diff := false
 	for attempt := 0; attempt < 6 && !diff; attempt++ {
 		diff = n3.backoffFor(1, 2, "prepare", attempt) != n1.backoffFor(1, 2, "prepare", attempt)
