@@ -99,7 +99,15 @@ golden: golden-telemetry golden-ledger ## regenerate testdata/golden/ (the seed-
 	$(GO) run ./cmd/locus bench -check BENCH_BASELINE.json > testdata/golden/bench-check.txt
 	$(GO) run ./cmd/locus trace -canonical > testdata/golden/trace-canonical.txt
 	$(GO) run ./cmd/locus trace -canonical -drop commit2 > testdata/golden/trace-canonical-drop-commit2.txt
-	$(GO) run ./cmd/locus probe -json > testdata/golden/probe.json
+	$(GO) run ./cmd/locus probe -json testdata/scenarios/probe-single.scn \
+		testdata/scenarios/probe-diff.scn \
+		testdata/scenarios/probe-tpc.scn \
+		testdata/scenarios/probe-migrate.scn \
+		testdata/scenarios/probe-readonly.scn \
+		testdata/scenarios/probe-onephase.scn \
+		testdata/scenarios/probe-lease.scn \
+		testdata/scenarios/probe-ownermove.scn \
+		testdata/scenarios/probe-replica.scn > testdata/golden/probe.json
 
 golden-telemetry: ## the 4-client concurrent pair's locusbench-telemetry/v1 document
 	$(GO) run ./cmd/locus bench -telemetry -clients 4 -txns 8 -json testdata/golden/telemetry.json
@@ -112,8 +120,16 @@ golden-ledger:   ## the simulated end-to-end metrics of --seed 1 --seconds 2 led
 	jq '.workloads | map_values(.runs[0].end_to_end | with_entries(select(.key | startswith("host_") or . == "setup_s" | not)))' \
 		.bench_build/golden-ledger.json > testdata/golden/ledger.json
 
-probe:           ## exhaustive crash-point matrix (DESIGN.md section 9), race-enabled
-	$(GO) run -race ./cmd/locus probe -forensics probe-forensics.txt
+probe:           ## exhaustive crash-point matrix of the nine probe files (DESIGN.md section 9), race-enabled
+	$(GO) run -race ./cmd/locus probe -forensics probe-forensics.txt testdata/scenarios/probe-single.scn \
+		testdata/scenarios/probe-diff.scn \
+		testdata/scenarios/probe-tpc.scn \
+		testdata/scenarios/probe-migrate.scn \
+		testdata/scenarios/probe-readonly.scn \
+		testdata/scenarios/probe-onephase.scn \
+		testdata/scenarios/probe-lease.scn \
+		testdata/scenarios/probe-ownermove.scn \
+		testdata/scenarios/probe-replica.scn
 	$(GO) test -race ./internal/crashprobe
 
 trace:           ## causal timeline of a small cross-site workload + Chrome export
@@ -146,7 +162,8 @@ lines:           ## the non-test line counts ROADMAP.md and the issues quote, so
 	echo "wire ops (handle registrations in internal/cluster/handlers.go): $$(grep -c 'handle(s, "' internal/cluster/handlers.go)"; \
 	echo "cluster.Config: $$(awk '/^type Config struct/{on=1; next} on && /^}/{exit} on && /^\t[A-Z]/{n++; if ($$2 == "bool") b++} END{print n " fields, " b+0 " bools"}' internal/cluster/cluster.go)"; \
 	echo "simnet.Config: $$(awk '/^type Config struct/{on=1; next} on && /^}/{exit} on && /^\t[A-Z]/{n++} END{print n " fields"}' internal/simnet/simnet.go)"; \
-	echo "all non-test Go outside benchmark/: $$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)"
+	echo "all non-test Go outside benchmark/: $$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)"; \
+	echo "scenario files (testdata/scenarios/*.scn): $$(cat testdata/scenarios/*.scn | wc -l)"
 
 cover:           ## coverage summary per package
 	$(GO) test -cover ./internal/...

@@ -68,24 +68,27 @@ func chaosCmd(fs *flag.FlagSet) func() error {
 	}
 }
 
-// probeCmd runs the exhaustive crash-point explorer: for each selected
-// workload it learns how many stable page writes every disk performs,
-// then replays the workload once per write index with the disk armed to
-// crash exactly there, drives full recovery and audits the section 5
-// invariants at every point.  The same flags produce byte-identical
-// output, -json included.
+// probeCmd runs the exhaustive crash-point explorer over scenario files:
+// for each file it learns how many stable page writes every swept disk
+// performs after the file's probe line, then replays the file once per
+// write index with the disk armed to crash exactly there, drives full
+// recovery and audits the section 5 invariants and the file's expect
+// atomic and replica lines at every point.  The same files and flags
+// produce byte-identical output, -json included.
 //
-//	locus probe -workload tpc -kind preparelog
-//	locus probe -max-points 8 -json
+//	locus probe -kind preparelog testdata/scenarios/probe-tpc.scn
+//	locus probe -max-points 8 -json testdata/scenarios/figure3-deadlock.scn
 func probeCmd(fs *flag.FlagSet) func() error {
 	var opts crashprobe.Options
-	fs.StringVar(&opts.Workload, "workload", "all", "workload to sweep: single, diff, tpc, migrate, readonly, onephase, lease, ownermove, replica, or all")
 	fs.StringVar(&opts.Kind, "kind", "", "restrict crash points to one I/O class: data, inode, coordlog, preparelog (empty = every stable write)")
 	fs.IntVar(&opts.MaxPointsPerDisk, "max-points", 0, "bound the sweep per disk by stride-sampling this many indices (0 = exhaustive)")
 	jsonOut := fs.Bool("json", false, "emit the full matrix as deterministic JSON instead of the text report")
 	verbose := fs.Bool("v", false, "log per-disk sweep progress")
 	forensics := fs.String("forensics", "", "on any violation, also write the full failure report (with event-trace forensics) to this file; CI uploads it as an artifact")
 	return func() error {
+		if opts.Files = fs.Args(); len(opts.Files) == 0 {
+			return errors.New("usage: locus probe [flags] FILE...")
+		}
 		opts.Forensics = *forensics != "" || *verbose
 		if *verbose {
 			opts.Logf = func(format string, args ...any) {

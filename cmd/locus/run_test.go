@@ -40,8 +40,10 @@ func TestScenarioFiles(t *testing.T) {
 
 // TestAlteredExpectationFails: a copy of each file with one expectation
 // altered - its first output or error expectation asking for text the run
-// does not print, or its verdict line flipped to fail - fails as a
-// violation that names the file and the altered line.
+// does not print, its verdict line flipped to fail, its first atomic line
+// also naming a file no word wrote, or its replica line naming a site
+// with no copy - fails as a violation that names the file and the altered
+// line.
 func TestAlteredExpectationFails(t *testing.T) {
 	alterations := []struct {
 		line *regexp.Regexp
@@ -49,6 +51,8 @@ func TestAlteredExpectationFails(t *testing.T) {
 	}{
 		{regexp.MustCompile(`(?m)^expect (output|error) .*$`), func(l string) string { return l + " (altered)" }},
 		{regexp.MustCompile(`(?m)^expect verdict pass$`), func(string) string { return "expect verdict fail" }},
+		{regexp.MustCompile(`(?m)^expect atomic .*$`), func(l string) string { return l + " v1/altered" }},
+		{regexp.MustCompile(`(?m)^expect replica \S+ \d+$`), func(l string) string { return l[:strings.LastIndex(l, " ")] + " 9" }},
 	}
 	for _, path := range scenarioFiles(t) {
 		t.Run(filepath.Base(path), func(t *testing.T) {
@@ -150,7 +154,8 @@ func TestShellProcessCommands(t *testing.T) { sameAtTerminal(t, "ctl-process.scn
 // TestShellErrors: at the terminal an error is printed and the session
 // goes on; the same line in a file fails the run and names the line.
 func TestShellErrors(t *testing.T) {
-	bad := []string{"nonsense", "begin ghost", "proc p", "crash notanumber", "block 1", "expect verdict maybe", "lock"}
+	bad := []string{"nonsense", "begin ghost", "proc p", "crash notanumber", "block 1", "expect verdict maybe", "lock",
+		"fill p v1/f 0 -1 A", "fill p v1/f 0 4 AB", "probe 9:v9", "expect atomic", "expect replica v1/f"}
 	var out strings.Builder
 	in := strings.Join(append(bad, "proc p 1", "help"), "\n")
 	if err := runScript("-", strings.NewReader(in), &out); err != nil {

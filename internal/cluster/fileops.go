@@ -670,12 +670,11 @@ func (s *Site) Unlock(b *Binding, pid int, txn string, off, length int64) (bool,
 	if err != nil {
 		return false, err
 	}
-	// The retained lock remains reacquirable by the transaction, so the
-	// cache entry stays valid for transactions; non-transaction holders
-	// lose coverage.
-	if !r.Retained {
-		s.kernel().cacheTrim(b.id, groupKey(pid, txn), off, length)
-	}
+	// The range leaves the cache whatever was retained: a transaction's
+	// unlock may also release NonTxn parts of it, and an access the cache
+	// still covered there would skip the lock the storage site no longer
+	// holds.  A retained part is re-granted at once to its own group.
+	s.kernel().cacheTrim(b.id, groupKey(pid, txn), off, length)
 	return r.Retained, nil
 }
 

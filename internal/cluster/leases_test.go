@@ -411,6 +411,10 @@ func TestLeaseRevokeFIFOFairnessMatrix(t *testing.T) {
 			s1.Procs().NewProcess(pid1, 0)
 			start := time.Now()
 			_, err := s1.Lock(id, pid1, "TW", tc.waiterMode, 0, 4, false, false, true)
+			// Release the waiter's lock at the storage site (site 1) before
+			// joining the re-hitter: a write it queued behind TW then ends
+			// at once, where it would sit out the lock-wait timeout.
+			s1.Locks().ReleaseGroup(lockmgr.TxnGroup("TW"))
 			close(stopHits)
 			<-hitsDone
 			if err != nil {

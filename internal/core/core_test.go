@@ -393,6 +393,41 @@ func TestNonTxnLockOverOwnWriteIsRetained(t *testing.T) {
 	}
 }
 
+func TestMixedUnlockTrimsLockCache(t *testing.T) {
+	// A transaction unlocks a range that spans a NonTxn lock and a
+	// transactional one: the storage site releases the first part and
+	// retains the second.  The requesting site's lock cache must not go
+	// on covering the released part, or every later access there skips
+	// the lock request and the storage site refuses it.  The file lives
+	// at site 1; the requester is local at site 1, then remote at site 2.
+	for _, site := range []simnet.SiteID{1, 2} {
+		sys := newSystem(t)
+		p := mustProcess(t, sys, site)
+		f := mustCreate(t, p, "va/mixed")
+		if _, err := p.BeginTrans(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.LockRange(0, 10, Exclusive, LockOpts{NonTxn: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.LockRange(10, 10, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		if retained, err := f.Unlock(0, 20); err != nil || !retained {
+			t.Fatalf("site %d: mixed unlock retained=%v err=%v, want retained", site, retained, err)
+		}
+		for _, off := range []int64{0, 10} {
+			if _, err := f.WriteAt([]byte("0123456789"), off); err != nil {
+				t.Fatalf("site %d: write at %d after the mixed unlock: %v", site, off, err)
+			}
+		}
+		if err := p.EndTrans(); err != nil {
+			t.Fatalf("site %d: commit: %v", site, err)
+		}
+		sys.Cluster().Shutdown()
+	}
+}
+
 func TestPreTransactionLocksStayOutside(t *testing.T) {
 	// Section 3.4's second escape: locks acquired before BeginTrans are
 	// not converted to transaction locks.

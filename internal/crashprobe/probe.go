@@ -1,14 +1,16 @@
 // Package crashprobe is a deterministic, exhaustive crash-schedule
-// explorer for the commit machinery: for each workload it first runs a
-// counting pass to learn N, the number of stable page writes each disk
-// performs, then replays the workload N times, arming
-// simdisk.CrashAfterWrites(i) for every index i (optionally restricted
-// to one IOKind class).  Each replay is a scenario.Run whose only fault is
-// that disk, armed before the workload starts; after the crash Run drives
-// full site recovery (Site.Restart, ResolveInDoubt, coordinator phase-two
-// retries) and mechanically checks the DESIGN.md section 5 invariants: per-file
-// all-or-nothing, durability of confirmed commits, no torn log records,
-// and consistent resolution of in-doubt transactions across sites.
+// explorer for the commit machinery.  A workload is a scenario file
+// (testdata/scenarios; scenario.Script is its format): its words before
+// the probe line are the set-up, the rest the probed run.  For each file
+// a counting run learns N, the number of stable page writes each swept
+// disk performs after the probe line, then the file is replayed N times
+// per disk with the disk armed to fail its i-th write (optionally only
+// writes of one IOKind class).  After the crash the replay drives full
+// site recovery (Site.Restart, ResolveInDoubt, coordinator phase-two
+// retries) and mechanically checks the DESIGN.md section 5 invariants
+// (invariant.Audit) and the file's expect atomic and replica lines:
+// per-file all-or-nothing, durability of confirmed commits, cross-site
+// agreement, no torn log records.
 //
 // Unlike the randomized schedules of internal/chaos, a probe sweep is a
 // complete enumeration: every instant at which a crash could separate
@@ -19,24 +21,25 @@
 package crashprobe
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/invariant"
 	"repro/internal/scenario"
 	"repro/internal/simdisk"
-	"repro/internal/simnet"
 )
 
 // Options selects and bounds one probe sweep.
 type Options struct {
-	// Workload is one of "single", "diff", "tpc", "migrate",
-	// "readonly", "onephase", "lease", "ownermove", "replica", or
-	// "all"/"" for every workload.
-	Workload string
+	// Files are the scenario files to sweep, in order; a file's workload
+	// is its base name without "probe-" and ".scn".
+	Files []string
 	// Kind optionally restricts the sweep to one I/O class ("data",
 	// "inode", "coordlog", "preparelog"): only stable writes of that
 	// kind are counted and crashed on.  Empty sweeps every write.
@@ -53,24 +56,18 @@ type Options struct {
 }
 
 // PointResult is the verdict of one crash point: the workload replayed
-// with the named disk armed to fail its (Index+1)-th stable write.
-// Index -1 is the counting run (no crash armed).
+// with the named disk armed to fail its (Index+1)-th stable write; Index
+// -1 is the counting run (no crash armed).  The Verdict says whether the
+// armed fault tripped, whether the first commit after the probe line was
+// confirmed to its client (then it must survive recovery), and which step
+// of the march the file's first expect atomic line found: "pre", "post",
+// "post2" or an anomaly.
 type PointResult struct {
 	Site   int
 	Volume string
 	Index  int
 	Kind   string `json:",omitempty"`
-	// Fired reports whether the armed fault actually tripped.
-	Fired bool
-	// Confirmed reports whether the commit was confirmed to the client
-	// (EndTrans returned nil).  Confirmed implies the committed state
-	// must survive recovery.
-	Confirmed bool
-	// State summarizes the committed content the audit read back:
-	// "pre", "post", or a workload-specific anomaly tag.
-	State      string
-	Violations []string `json:",omitempty"`
-	Forensics  []string `json:",omitempty"`
+	scenario.Verdict
 }
 
 // DiskSweep is the exhaustive (or stride-bounded) sweep of one disk.
@@ -187,46 +184,6 @@ func (r *Result) Report() string {
 	return b.String()
 }
 
-// workload is one probed scenario: a deterministic, serial transaction
-// whose crash surface the sweep enumerates.
-type workload struct {
-	name string
-	// spec is the cluster the workload runs on: site i hosts volume
-	// "v<i>", with whichever optional layers the workload probes.
-	spec scenario.Spec
-	// paths lists the files the audits read (and the objects forensics
-	// are collected for).
-	paths []string
-	// disks overrides the sweep's default of each site's own mounted
-	// volume (the ownermove workload adds the volume a moved file lands on
-	// at its new home site, the replica workload the replica's).  Every
-	// listed volume must exist once setup returns.
-	disks []diskRef
-	// setup commits the baseline state.  Stable writes here happen
-	// before the fault is armed and are not crash points.
-	setup func(h *harness)
-	// run executes the probed transaction; confirmed reports whether
-	// the commit was confirmed to the client.
-	run func(h *harness) (confirmed bool)
-	// check audits the committed content after recovery.
-	check func(h *harness, confirmed bool) (state string, violations []string)
-}
-
-func selectWorkloads(name string) ([]workload, error) {
-	if name == "" || name == "all" {
-		return workloads, nil
-	}
-	var names []string
-	for _, w := range workloads {
-		if w.name == name {
-			return []workload{w}, nil
-		}
-		names = append(names, w.name)
-	}
-	return nil, fmt.Errorf("crashprobe: unknown workload %q (want %s or all)",
-		name, strings.Join(names, ", "))
-}
-
 // parseKind maps an Options.Kind name to its IOKind.
 func parseKind(name string) (simdisk.IOKind, bool, error) {
 	if name == "" {
@@ -238,69 +195,21 @@ func parseKind(name string) (simdisk.IOKind, bool, error) {
 	return 0, false, fmt.Errorf("crashprobe: unknown I/O kind %q", name)
 }
 
-// harness is one replay's live run plus the replay's own bookkeeping.
-type harness struct {
-	*scenario.Env
-	// coOwner is the diff workload's co-owning process, retired before
-	// recovery so its locks and working pages do not read as residue.
-	coOwner *core.Process
-	// confirmed2 records whether the follow-up commit of a two-commit
-	// workload (lease, ownermove, replica) was confirmed to its client.
-	confirmed2 bool
-}
-
-// diskRef names one disk of the sweep: the volume at a site.
-type diskRef struct {
-	Site   int
-	Volume string
-}
-
-// sweepDisks returns the workload's disk list.
-func (w workload) sweepDisks() []diskRef {
-	if w.disks != nil {
-		return w.disks
-	}
-	refs := make([]diskRef, len(w.spec.Volumes))
-	for i, vol := range w.spec.Volumes {
-		refs[i] = diskRef{Site: i + 1, Volume: vol}
-	}
-	return refs
-}
-
-// disk resolves a sweep disk ref; the volume may be one an install
-// created (a move's or a replica's), as long as setup created it.
-func (h *harness) disk(ref diskRef) *simdisk.Disk {
-	vol := h.Sys.Cluster().Site(simnet.SiteID(ref.Site)).Volume(ref.Volume)
-	if vol == nil {
-		return nil
-	}
-	return vol.Disk()
-}
-
-// stableWrites reads the probe's write counter for a sweep disk.
-func (h *harness) stableWrites(ref diskRef, kind simdisk.IOKind, useKind bool) int64 {
-	d := h.disk(ref)
-	if d == nil {
-		return 0
-	}
-	if useKind {
-		return d.StableWritesOfKind(kind)
-	}
-	return d.StableWrites()
-}
-
 // Run executes the sweep the options select.
 func Run(opts Options) (*Result, error) {
-	list, err := selectWorkloads(opts.Workload)
-	if err != nil {
-		return nil, err
+	if len(opts.Files) == 0 {
+		return nil, errors.New("crashprobe: no scenario file to probe")
 	}
 	if _, _, err := parseKind(opts.Kind); err != nil {
 		return nil, err
 	}
 	res := &Result{Kind: opts.Kind}
-	for _, w := range list {
-		wr, err := sweepWorkload(w, opts)
+	for _, file := range opts.Files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			return nil, fmt.Errorf("crashprobe: %w", err)
+		}
+		wr, err := sweep(file, src, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -309,116 +218,72 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-func sweepWorkload(w workload, opts Options) (*WorkloadResult, error) {
+// sweep runs one file's counting run and crash matrix.
+func sweep(file string, src []byte, opts Options) (*WorkloadResult, error) {
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(file), "probe-"), ".scn")
 
-	// Counting run: learn each disk's stable write count, and audit the
-	// crash-free path while we are at it.
-	wr := &WorkloadResult{Workload: w.name}
-	var counts []int
+	// Counting run: learn each disk's stable write count, and check the
+	// crash-free run's expectations while we are at it.
+	wr := &WorkloadResult{Workload: name}
+	var counted *scenario.Probe
 	var err error
-	if wr.Baseline, counts, err = replay(w, opts, nil, -1); err != nil {
+	if wr.Baseline, counted, err = replay(file, src, opts, nil, -1); errors.As(err, new(*scenario.FileError)) {
+		wr.Baseline.Violations = append(wr.Baseline.Violations, err.Error())
+		return wr, nil
+	} else if err != nil {
 		return nil, err
 	}
-	if !wr.Baseline.Confirmed {
-		wr.Baseline.Violations = append(wr.Baseline.Violations,
-			"counting run did not confirm its commit: the workload is broken without any fault")
-	}
-	logf("%s: counting run confirmed=%v state=%s", w.name, wr.Baseline.Confirmed, wr.Baseline.State)
+	logf("%s: counting run confirmed=%v state=%s", name, wr.Baseline.Confirmed, wr.Baseline.State)
 
 	// Replay matrix: one disk armed per replay, every index visited.
-	for i, ref := range w.sweepDisks() {
-		ds := DiskSweep{Site: ref.Site, Volume: ref.Volume, Writes: counts[i]}
-		indices := sampleIndices(counts[i], opts.MaxPointsPerDisk)
+	for i, disk := range counted.Disks {
+		ds := DiskSweep{Site: int(disk.Site), Volume: disk.Volume, Writes: counted.Writes[i]}
+		indices := sampleIndices(ds.Writes, opts.MaxPointsPerDisk)
 		ds.Swept = len(indices)
 		if ds.Swept < ds.Writes {
 			logf("%s %s: bounding sweep to %d of %d crash points (stride sample)",
-				w.name, ds.Volume, ds.Swept, ds.Writes)
+				name, ds.Volume, ds.Swept, ds.Writes)
 		}
 		for _, idx := range indices {
-			pt, _, err := replay(w, opts, &ref, idx)
+			pt, _, err := replay(file, src, opts, &disk, idx)
 			if err != nil {
 				return nil, err
 			}
 			ds.Points = append(ds.Points, pt)
 			if len(pt.Violations) > 0 {
-				logf("%s %s@%d: FAIL (%d violations)", w.name, ds.Volume, idx, len(pt.Violations))
+				logf("%s %s@%d: FAIL (%d violations)", name, ds.Volume, idx, len(pt.Violations))
 			}
 		}
-		logf("%s %s: swept %d points", w.name, ds.Volume, ds.Swept)
+		logf("%s %s: swept %d points", name, ds.Volume, ds.Swept)
 		wr.Disks = append(wr.Disks, ds)
 	}
 	return wr, nil
 }
 
-// replay runs the workload once on a fresh cluster, recovers and audits.
-// With arm set, that disk is armed to fail its (idx+1)-th stable write of
-// the selected kind; with arm nil the run is fault-free.  Either way
-// writes reports how many selected stable writes the run performed on
-// each sweep disk.  The scenario keeps phase two synchronous with no
-// retry timer: the only actor is the workload itself, so the i-th stable
-// write is the same write on every replay.
-func replay(w workload, opts Options, arm *diskRef, idx int) (pt PointResult, writes []int, err error) {
+// replay runs the file once on a fresh cluster, recovers and audits.
+// With arm set, that disk is armed at the probe line to fail its
+// (idx+1)-th stable write of the selected kind; with arm nil the run is
+// the counting run, which also learns the probe line's disks and how many
+// selected stable writes each performed.  Without "faults" in the file
+// phase two is synchronous with no retry timer, so on a serial file the
+// i-th stable write is the same write on every replay.
+func replay(file string, src []byte, opts Options, arm *scenario.Disk, idx int) (PointResult, *scenario.Probe, error) {
 	kind, useKind, _ := parseKind(opts.Kind)
-	pt = PointResult{Index: idx, Kind: opts.Kind}
-	refs := w.sweepDisks()
-	writes = make([]int, len(refs))
-	h := &harness{}
-	sc := scenario.Scenario{
-		Spec: w.spec,
-		// Setup's stable writes are not crash points: start each count at
-		// minus what setup wrote, and add the total once the run is over.
-		Setup: func(e *scenario.Env) {
-			h.Env = e
-			w.setup(h)
-			for i, ref := range refs {
-				writes[i] = -int(h.stableWrites(ref, kind, useKind))
-			}
-		},
-		Clients: []func(*scenario.Env){func(*scenario.Env) {
-			pt.Confirmed = w.run(h)
-			for i, ref := range refs {
-				writes[i] += int(h.stableWrites(ref, kind, useKind))
-			}
-			if arm != nil {
-				pt.Fired = h.disk(*arm).Crashed()
-			}
-			if h.coOwner != nil {
-				h.coOwner.Kill() //nolint:errcheck // best effort: the disk under it may have tripped
-			}
-		}},
-		Recover: scenario.RestartCrashed,
-		Files:   w.paths,
-		// The content check follows the audit: the lock-table scan must
-		// precede content reads, which themselves take and release locks.
-		Check: func(_ *scenario.Env, out *scenario.Outcome) {
-			var cv []string
-			pt.State, cv = w.check(h, pt.Confirmed)
-			pt.Violations = append(out.Checks.Violations(), cv...)
-		},
-	}
-	sc.Seed, sc.Trace = 7, true
+	p := &scenario.Probe{Arm: arm, Index: idx, Class: kind, ByClass: useKind, Trace: opts.Forensics}
+	pt := PointResult{Index: idx, Kind: opts.Kind}
 	if arm != nil {
-		pt.Site, pt.Volume = arm.Site, arm.Volume
-		sc.Armed = scenario.Schedule{{Kind: scenario.FaultArmDisk, Site: simnet.SiteID(arm.Site),
-			Volume: arm.Volume, N: idx, Class: kind, ByClass: useKind}}
+		pt.Site, pt.Volume = int(arm.Site), arm.Volume
 	}
-	out, err := scenario.Run(sc)
+	err := (&scenario.Script{Name: file, In: bytes.NewReader(src), Out: io.Discard, Probe: p}).Run()
 	if err != nil {
-		return pt, nil, fmt.Errorf("crashprobe: %s: %w", w.name, err)
+		return pt, nil, fmt.Errorf("crashprobe: %w", err)
 	}
-	if pt.State == "" { // a restart failed: there was nothing to check
-		pt.State, pt.Violations = "unrecoverable", out.Checks.Violations()
-	}
-	if len(pt.Violations) > 0 && opts.Forensics {
-		for _, path := range w.paths {
-			pt.Forensics = append(pt.Forensics, invariant.Forensics(h.Trace, path)...)
-		}
-	}
-	return pt, writes, nil
+	pt.Verdict = p.Verdict
+	return pt, p, nil
 }
 
 // sampleIndices returns the crash indices to replay for a disk exposing

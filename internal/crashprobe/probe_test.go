@@ -2,8 +2,21 @@ package crashprobe
 
 import (
 	"bytes"
+	"errors"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/scenario"
 )
+
+// files names the probe scenario files of the workloads.
+func files(workloads ...string) []string {
+	var out []string
+	for _, w := range workloads {
+		out = append(out, filepath.Join("..", "..", "testdata", "scenarios", "probe-"+w+".scn"))
+	}
+	return out
+}
 
 // requireClean fails the test with the full report when any crash point
 // of the matrix found a violation.
@@ -33,7 +46,7 @@ func fireCount(res *Result) int {
 }
 
 func TestSingleFileMatrix(t *testing.T) {
-	res, err := Run(Options{Workload: "single"})
+	res, err := Run(Options{Files: files("single")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +61,7 @@ func TestSingleFileMatrix(t *testing.T) {
 }
 
 func TestPageDifferencingMatrix(t *testing.T) {
-	res, err := Run(Options{Workload: "diff"})
+	res, err := Run(Options{Files: files("diff")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +69,7 @@ func TestPageDifferencingMatrix(t *testing.T) {
 }
 
 func TestTwoPhaseCommitMatrix(t *testing.T) {
-	res, err := Run(Options{Workload: "tpc"})
+	res, err := Run(Options{Files: files("tpc")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +77,7 @@ func TestTwoPhaseCommitMatrix(t *testing.T) {
 }
 
 func TestTwoPhaseCommitMatrixBounded(t *testing.T) {
-	res, err := Run(Options{Workload: "tpc", MaxPointsPerDisk: 6})
+	res, err := Run(Options{Files: files("tpc"), MaxPointsPerDisk: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +93,7 @@ func TestTwoPhaseCommitMatrixBounded(t *testing.T) {
 }
 
 func TestMigrationCommitMatrix(t *testing.T) {
-	res, err := Run(Options{Workload: "migrate"})
+	res, err := Run(Options{Files: files("migrate")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +105,7 @@ func TestMigrationCommitMatrix(t *testing.T) {
 // path itself: the read-only site must expose zero crash points,
 // because a VoteReadOnly participant performs no stable write at all.
 func TestReadOnlyVoteMatrix(t *testing.T) {
-	res, err := Run(Options{Workload: "readonly"})
+	res, err := Run(Options{Files: files("readonly")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +127,7 @@ func TestReadOnlyVoteMatrix(t *testing.T) {
 // has nothing to answer).  The coordinator site must expose zero
 // crash points - its log is skipped entirely.
 func TestOnePhaseCommitMatrix(t *testing.T) {
-	res, err := Run(Options{Workload: "onephase"})
+	res, err := Run(Options{Files: files("onephase")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +146,7 @@ func TestOnePhaseCommitMatrix(t *testing.T) {
 // must recover to one of the three serial images, confirmed commits
 // must survive, and no lease entry may read as a residual lock.
 func TestLeaseMatrix(t *testing.T) {
-	res, err := Run(Options{Workload: "lease"})
+	res, err := Run(Options{Files: files("lease")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +161,9 @@ func TestLeaseMatrix(t *testing.T) {
 // ending with the primary shipping the new image to the replica.  At
 // every crash point the primary must recover to pre, post or third, and
 // a read at the replica's site must be forwarded or return exactly the
-// primary's committed bytes (checkReplica).
+// primary's committed bytes (invariant.Replica).
 func TestReplicaMatrix(t *testing.T) {
-	res, err := Run(Options{Workload: "replica"})
+	res, err := Run(Options{Files: files("replica")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +181,7 @@ func TestReplicaMatrix(t *testing.T) {
 // this sweep left one site committed and the other replaying stale
 // intentions over it.
 func TestPhase2AckDurabilityMatrix(t *testing.T) {
-	res, err := Run(Options{Workload: "tpc", Kind: "preparelog"})
+	res, err := Run(Options{Files: files("tpc"), Kind: "preparelog"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +195,7 @@ func TestPhase2AckDurabilityMatrix(t *testing.T) {
 // commit-point flip and the post-completion record deletion.  Presumed
 // abort must keep both participants consistent on either side.
 func TestCoordinatorLogMatrix(t *testing.T) {
-	res, err := Run(Options{Workload: "tpc", Kind: "coordlog"})
+	res, err := Run(Options{Files: files("tpc"), Kind: "coordlog"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +203,7 @@ func TestCoordinatorLogMatrix(t *testing.T) {
 }
 
 func TestJSONDeterministic(t *testing.T) {
-	opts := Options{Workload: "single"}
+	opts := Options{Files: files("single")}
 	a, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -242,11 +255,17 @@ func TestSampleIndices(t *testing.T) {
 	}
 }
 
+// TestUnknownWorkloadAndKind: a missing file, a chaos file (a chaos.Run,
+// with no words of its own to crash) and an unknown I/O kind are refused.
 func TestUnknownWorkloadAndKind(t *testing.T) {
-	if _, err := Run(Options{Workload: "nope"}); err == nil {
-		t.Fatal("unknown workload accepted")
+	if _, err := Run(Options{Files: files("nope")}); err == nil {
+		t.Fatal("missing file accepted")
 	}
-	if _, err := Run(Options{Workload: "single", Kind: "nope"}); err == nil {
+	chaosFile := filepath.Join("..", "..", "testdata", "scenarios", "seed87.scn")
+	if _, err := Run(Options{Files: []string{chaosFile}}); !errors.Is(err, scenario.ErrChaosFile) {
+		t.Fatalf("chaos file: got %v, want %v", err, scenario.ErrChaosFile)
+	}
+	if _, err := Run(Options{Files: files("single"), Kind: "nope"}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
@@ -259,7 +278,7 @@ func TestUnknownWorkloadAndKind(t *testing.T) {
 // point must heal to exactly one primary copy with no committed data
 // lost.
 func TestOwnerMoveMatrix(t *testing.T) {
-	res, err := Run(Options{Workload: "ownermove"})
+	res, err := Run(Options{Files: files("ownermove")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,16 @@
 // per file - together with the quiesce (restart and drain) that brings a
 // cluster to the state the audit expects and the trace-tail renderer
 // failure reports attach.  scenario.Run calls them after every recovered
-// run: a randomized chaos schedule or one enumerated crash point.
+// run: a randomized chaos schedule or one enumerated crash point.  Atomic
+// and Replica are the content checks a scenario file's expect atomic and
+// expect replica lines ask for.
 package invariant
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -20,6 +23,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/lockmgr"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 	"repro/internal/tpc"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -391,6 +395,96 @@ func ReadCommitted(sys *core.System, site simnet.SiteID, path string) ([]byte, e
 		return nil, err
 	}
 	return buf, nil
+}
+
+// Images is one file's committed content step by step: Steps[0] is its
+// image before the probed words, each later step a commit's, and
+// Confirmed the last step a commit confirmed to its client reached.
+type Images struct {
+	Steps     [][]byte
+	Confirmed int
+}
+
+// stepName names step k of a march: pre, post, post2, post3...
+func stepName(k int) string {
+	switch k {
+	case 0:
+		return "pre"
+	case 1:
+		return "post"
+	}
+	return fmt.Sprintf("post%d", k)
+}
+
+// Atomic checks files that march through committed images (section 4.4:
+// all or nothing, and a confirmed commit survives): after recovery each
+// file holds one of its images whole, no earlier than the last confirmed
+// step, and all of them are at the same step.  state names that step,
+// "split(a/b...)" when the files disagree, or the anomaly.  Run it after
+// Audit: its reads take and release locks.
+func Atomic(sys *core.System, paths []string, images []Images) (state string, c Check) {
+	c = Check{Name: "atomic", Detail: fmt.Sprintf("%d files", len(paths))}
+	states := make([]string, len(paths))
+	for i, path := range paths {
+		im := images[i]
+		got, err := ReadCommitted(sys, 1, path)
+		if err != nil {
+			states[i] = "unreadable"
+			c.Failf("%s: committed read failed after recovery: %v", path, err)
+			continue
+		}
+		// The latest matching step: a commit may rewrite an image.
+		k := len(im.Steps) - 1
+		for k >= 0 && !bytes.Equal(im.Steps[k], got) {
+			k--
+		}
+		states[i] = stepName(k)
+		if k < 0 {
+			states[i] = fmt.Sprintf("torn(len=%d)", len(got))
+			c.Failf("%s: committed content is none of the whole images (%s)", path, states[i])
+		} else if k < im.Confirmed {
+			c.Failf("%s: %s was confirmed to its client but recovery kept %s", path, stepName(im.Confirmed), states[i])
+		}
+	}
+	if state = states[0]; slices.ContainsFunc(states, func(s string) bool { return s != state }) {
+		state = "split(" + strings.Join(states, "/") + ")"
+		c.Failf("cross-site atomicity torn: %s recovered %s", strings.Join(paths, ", "), strings.Join(states, ", "))
+	}
+	return state, c
+}
+
+// Replica checks path's copy at site (section 5.2): a read there is
+// either forwarded to the primary or served locally with exactly the
+// committed bytes the primary holds, so a replica serves its copy only at
+// the version the catalog records as current.
+func Replica(sys *core.System, path string, site simnet.SiteID) Check {
+	c := Check{Name: "replica", Detail: fmt.Sprintf("%s at site %d", path, site)}
+	want, err := ReadCommitted(sys, 1, path)
+	if err != nil {
+		c.Failf("%s: committed read failed after recovery: %v", path, err)
+		return c
+	}
+	p, err := sys.NewProcess(site)
+	if err != nil {
+		c.Failf("%s: no process at the replica's site: %v", path, err)
+		return c
+	}
+	defer p.Kill() //nolint:errcheck
+	f, err := p.Open(path)
+	if err != nil {
+		c.Failf("%s: open at the replica's site failed: %v", path, err)
+		return c
+	}
+	before := sys.Stats().Snapshot()
+	got := make([]byte, len(want))
+	n, err := f.ReadAt(got, 0)
+	local := sys.Stats().Snapshot().Sub(before).Get(stats.MsgsSent) == 0
+	if err != nil {
+		c.Failf("%s: read at the replica's site failed: %v", path, err)
+	} else if local && !bytes.Equal(got[:n], want) {
+		c.Failf("%s: the replica serves %d bytes of its own that are not the committed version", path, n)
+	}
+	return c
 }
 
 // forensicsDepth bounds how many trailing events a violation report

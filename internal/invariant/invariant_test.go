@@ -217,3 +217,77 @@ func TestDrainReportsStuckWork(t *testing.T) {
 		t.Fatalf("Drain = %v, want an error naming the held lock", err)
 	}
 }
+
+// TestAtomicAndReplicaCatchEachDefect: the post-recovery checks of a
+// scenario file's expect atomic and replica lines name the step each
+// file holds and fail on a torn, reverted or split march and on a
+// replica serving bytes that are not the committed version.
+func TestAtomicAndReplicaCatchEachDefect(t *testing.T) {
+	sys, err := scenario.Spec{Volumes: scenario.PerSite(2)}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Cluster().Shutdown()
+	commit(t, sys, 1, "v1/a", "pre")
+	commit(t, sys, 1, "v2/b", "post")
+	march := func(confirmed int, steps ...string) invariant.Images {
+		im := invariant.Images{Confirmed: confirmed}
+		for _, s := range steps {
+			im.Steps = append(im.Steps, []byte(s))
+		}
+		return im
+	}
+	for _, tc := range []struct {
+		name   string
+		paths  []string
+		images []invariant.Images
+		state  string
+		want   string // a violation must say this; "" is clean
+	}{
+		{"pre", []string{"v1/a"}, []invariant.Images{march(0, "pre", "post")}, "pre", ""},
+		{"post2", []string{"v1/a"}, []invariant.Images{march(2, "x", "y", "pre")}, "post2", ""},
+		{"torn", []string{"v1/a"}, []invariant.Images{march(0, "old", "new")}, "torn(len=3)", "none of the whole images"},
+		{"reverted", []string{"v1/a"}, []invariant.Images{march(1, "pre", "post")}, "pre", "post was confirmed to its client but recovery kept pre"},
+		{"split", []string{"v1/a", "v2/b"}, []invariant.Images{march(0, "pre", "post"), march(0, "pre", "post")},
+			"split(pre/post)", "cross-site atomicity torn"},
+		{"unreadable", []string{"v1/none"}, []invariant.Images{march(0, "")}, "unreadable", "committed read failed"},
+	} {
+		state, c := invariant.Atomic(sys, tc.paths, tc.images)
+		if got := strings.Join(c.Violations, "\n"); state != tc.state || !strings.Contains(got, tc.want) || (tc.want == "") != (got == "") {
+			t.Errorf("%s: state %q violations %q, want %q and a violation saying %q", tc.name, state, got, tc.state, tc.want)
+		}
+	}
+
+	for _, r := range []struct {
+		vol  string
+		site simnet.SiteID
+	}{{"v1", 2}, {"v2", 1}} {
+		if err := sys.AddReplica(r.vol, r.site); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := invariant.Replica(sys, "v2/b", 1); len(c.Violations) != 0 {
+		t.Fatalf("a current replica: %v", c.Violations)
+	}
+	// Plant bytes the catalog does not know of in v1's copy at site 2,
+	// then restart the site so it reads the copy from its disk.
+	vol := sys.Cluster().Site(2).Volume("v1")
+	dir, err := cluster.ReadDirectory(vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := vol.ReadInode(dir["a"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vol.RewriteFile(node, []byte("PRE")); err != nil {
+		t.Fatal(err)
+	}
+	sys.Cluster().Site(2).Crash()
+	if err := sys.Cluster().Site(2).Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if c := invariant.Replica(sys, "v1/a", 2); !strings.Contains(strings.Join(c.Violations, "\n"), "not the committed version") {
+		t.Fatalf("a stale replica served locally: %v", c.Violations)
+	}
+}

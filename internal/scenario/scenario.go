@@ -5,9 +5,11 @@
 // fault schedule, a recovery mode, a check - and Run drives it through
 // the one loop every harness shares: build, setup, clients racing the
 // schedule, recovery, the DESIGN.md section 5 audit.  The chaos engine,
-// the crash prober, the benchmark drivers and the trace/monitor tools
-// all describe what they need as a Scenario value, so a new layer,
-// preset or protocol is wired in here once.
+// the benchmark drivers and the trace/monitor tools all describe what
+// they need as a Scenario value, so a new layer, preset or protocol is
+// wired in here once.  A Script is a workload as data: a scenario file
+// (testdata/scenarios), which locus run replays and the crash prober
+// replays once per crash point.
 package scenario
 
 import (
