@@ -107,7 +107,9 @@ golden: golden-telemetry golden-ledger ## regenerate testdata/golden/ (the seed-
 		testdata/scenarios/probe-onephase.scn \
 		testdata/scenarios/probe-lease.scn \
 		testdata/scenarios/probe-ownermove.scn \
-		testdata/scenarios/probe-replica.scn > testdata/golden/probe.json
+		testdata/scenarios/probe-replica.scn \
+		testdata/scenarios/probe-onefile.scn \
+		testdata/scenarios/probe-create.scn > testdata/golden/probe.json
 
 golden-telemetry: ## the 4-client concurrent pair's locusbench-telemetry/v1 document
 	$(GO) run ./cmd/locus bench -telemetry -clients 4 -txns 8 -json testdata/golden/telemetry.json
@@ -120,7 +122,7 @@ golden-ledger:   ## the simulated end-to-end metrics of --seed 1 --seconds 2 led
 	jq '.workloads | map_values(.runs[0].end_to_end | with_entries(select(.key | startswith("host_") or . == "setup_s" | not)))' \
 		.bench_build/golden-ledger.json > testdata/golden/ledger.json
 
-probe:           ## exhaustive crash-point matrix of the nine probe files (DESIGN.md section 9), race-enabled
+probe:           ## exhaustive crash-point matrix of the eleven probe files (DESIGN.md section 9), race-enabled
 	$(GO) run -race ./cmd/locus probe -forensics probe-forensics.txt testdata/scenarios/probe-single.scn \
 		testdata/scenarios/probe-diff.scn \
 		testdata/scenarios/probe-tpc.scn \
@@ -129,7 +131,9 @@ probe:           ## exhaustive crash-point matrix of the nine probe files (DESIG
 		testdata/scenarios/probe-onephase.scn \
 		testdata/scenarios/probe-lease.scn \
 		testdata/scenarios/probe-ownermove.scn \
-		testdata/scenarios/probe-replica.scn
+		testdata/scenarios/probe-replica.scn \
+		testdata/scenarios/probe-onefile.scn \
+		testdata/scenarios/probe-create.scn
 	$(GO) test -race ./internal/crashprobe
 
 trace:           ## causal timeline of a small cross-site workload + Chrome export

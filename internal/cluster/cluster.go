@@ -320,11 +320,30 @@ func (c *Cluster) AddVolume(site simnet.SiteID, name string) error {
 	return nil
 }
 
-// StorageSite resolves the storage site of a path or file ID
-// ("volume/name"), consulting the transparent namespace.  A file whose
-// primary copy was migrated by adaptive placement resolves to its
-// current home, not its volume's mount site.
+// StorageSite resolves the storage site of a file ("volume/name"),
+// consulting the transparent namespace.  A file whose primary copy was
+// migrated by adaptive placement resolves to its current home, not its
+// volume's mount site.  A path with no directory entry there names no
+// file (ErrNoSuchFile): a create a crash undid leaves none.
 func (c *Cluster) StorageSite(path string) (simnet.SiteID, error) {
+	site, err := c.home(path)
+	if err != nil {
+		return 0, err
+	}
+	vol, name, _ := splitPath(path)
+	vs, err := c.Site(site).kernel().volByName(vol)
+	if err != nil {
+		return 0, err
+	}
+	if _, ok := vs.dirEntry(name); !ok {
+		return 0, fmt.Errorf("%w: %s", ErrNoSuchFile, path)
+	}
+	return site, nil
+}
+
+// home is where the catalog sends a call on path: its recorded home, else
+// its volume's mount site - where a create of it goes.
+func (c *Cluster) home(path string) (simnet.SiteID, error) {
 	return c.bind(&Binding{id: path})
 }
 
@@ -368,7 +387,7 @@ func (c *Cluster) bind(b *Binding) (simnet.SiteID, error) {
 	return site, nil
 }
 
-// homeLocked is StorageSite under c.mu, for a path of volume volName.
+// homeLocked is home under c.mu, for a path of volume volName.
 func (c *Cluster) homeLocked(path, volName string) (simnet.SiteID, bool) {
 	if site, ok := c.fileHomes[path]; ok {
 		return site, true
@@ -499,8 +518,9 @@ type preparedTxn struct {
 	// rejected (the coordinator retries) rather than acked early.
 	applying bool
 	// onePhase marks a one-phase commit (DESIGN.md section 10): the
-	// transaction's own prepare-record force was the commit point, so
-	// its outcome resolves locally - no coordinator log exists to query.
+	// transaction's own prepare-record force, or its one file's inode
+	// write, was the commit point, so its outcome resolves locally - no
+	// coordinator log exists to query.
 	onePhase bool
 }
 

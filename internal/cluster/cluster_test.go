@@ -35,6 +35,14 @@ func twoSiteCluster(t *testing.T, cfg Config) *Cluster {
 
 func TestNamespaceAndStorageSites(t *testing.T) {
 	cl := twoSiteCluster(t, Config{})
+	if _, err := cl.StorageSite("va/x"); !errors.Is(err, ErrNoSuchFile) {
+		t.Fatalf("a path no create made: %v, want ErrNoSuchFile", err)
+	}
+	for _, path := range []string{"va/x", "vb/x"} {
+		if err := cl.Site(2).Create(path); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if site, err := cl.StorageSite("va/x"); err != nil || site != 1 {
 		t.Fatalf("va -> %v, %v", site, err)
 	}

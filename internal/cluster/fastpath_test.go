@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/lockmgr"
 	"repro/internal/proc"
+	"repro/internal/shadow"
+	"repro/internal/simdisk"
 	"repro/internal/stats"
 	"repro/internal/tpc"
+	"repro/internal/vtime"
 )
 
 // Participant-side behavior of the commit fast paths (DESIGN.md section
@@ -99,18 +103,27 @@ func TestClusterOnePhaseCommit(t *testing.T) {
 	pid := cl.NewPID()
 	s2.Procs().NewProcess(pid, 0)
 
-	if err := s2.Create("va/f"); err != nil {
-		t.Fatal(err)
-	}
-	fid, _, err := s2.Open("va/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Lock(fid, pid, txid, lockmgr.ModeExclusive, 0, 8, false, false, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Write(fid, pid, txid, 0, []byte("COMMITME")); err != nil {
-		t.Fatal(err)
+	// Two modified files keep the one-phase commit on the record path: a
+	// transaction that changed one file commits at its inode write
+	// (TestOneFileOnePhaseCommitForcesTwice).
+	var fid *Binding
+	for _, path := range []string{"va/f", "va/g"} {
+		if err := s2.Create(path); err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := s2.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s2.Lock(b, pid, txid, lockmgr.ModeExclusive, 0, 8, false, false, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s2.Write(b, pid, txid, 0, []byte("COMMITME")); err != nil {
+			t.Fatal(err)
+		}
+		if fid == nil {
+			fid = b
+		}
 	}
 
 	coord, err := s2.Coordinator()
@@ -118,7 +131,7 @@ func TestClusterOnePhaseCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := cl.Stats().Snapshot()
-	if err := coord.CommitTransaction(txid, []proc.FileRef{{FileID: "va/f", StorageSite: 1}}); err != nil {
+	if err := coord.CommitTransaction(txid, []proc.FileRef{{FileID: "va/f", StorageSite: 1}, {FileID: "va/g", StorageSite: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	d := cl.Stats().Snapshot().Sub(before)
@@ -266,5 +279,147 @@ func TestAbortRefusedPastOnePhaseCommitPoint(t *testing.T) {
 	s1.kernel().mu.Unlock()
 	if err := s1.kernel().handleAbortTxn(txnReq{Txid: "OPX"}); err == nil {
 		t.Fatal("abort accepted past the one-phase commit point")
+	}
+}
+
+// oneFileTxn has a process at site 2 write data to each of paths (files
+// of site 1's volume va, created on first use) in transaction txid, and
+// returns the coordinator that is to commit it from site 2.
+func oneFileTxn(t *testing.T, cl *Cluster, txid, data string, paths ...string) (*tpc.Coordinator, []proc.FileRef) {
+	t.Helper()
+	s2 := cl.Site(2)
+	pid := cl.NewPID()
+	s2.Procs().NewProcess(pid, 0)
+	var refs []proc.FileRef
+	for _, path := range paths {
+		b, _, err := s2.Open(path)
+		if errors.Is(err, ErrNoSuchFile) {
+			must(t, s2.Create(path))
+			b, _, err = s2.Open(path)
+		}
+		must(t, err)
+		if _, err := s2.Lock(b, pid, txid, lockmgr.ModeExclusive, 0, int64(len(data)), false, false, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s2.Write(b, pid, txid, 0, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, proc.FileRef{FileID: path, StorageSite: 1})
+	}
+	coord, err := s2.Coordinator()
+	must(t, err)
+	return coord, refs
+}
+
+// committedAt reads path's committed image at site 1.
+func committedAt(t *testing.T, cl *Cluster, path string) string {
+	t.Helper()
+	img, err := cl.Site(1).kernel().committedImage(path)
+	must(t, err)
+	return string(img)
+}
+
+// TestOneFileOnePhaseCommitForcesTwice: a one-phase commit of a
+// transaction that changed one file is that file's single-file commit.
+// The participant forces the data page and the inode, and nothing else:
+// no prepare record is written, and the coordinator logs nothing.
+func TestOneFileOnePhaseCommitForcesTwice(t *testing.T) {
+	cl := twoSiteCluster(t, Config{FastPaths: true, Clock: vtime.NewVirtual()})
+	defer cl.Shutdown()
+	coord, refs := oneFileTxn(t, cl, "OF1", "COMMITME", "va/f")
+	disk := cl.Site(1).Volume("va").Disk()
+	w0 := disk.StableWrites()
+	before := cl.Stats().Snapshot()
+	must(t, coord.CommitTransaction("OF1", refs))
+	d := cl.Stats().Snapshot().Sub(before)
+	if got := disk.StableWrites() - w0; got != 2 {
+		t.Errorf("participant stable writes = %d, want 2 (data page, inode)", got)
+	}
+	if got := d.Get(stats.ForcedIOs); got != 2 {
+		t.Errorf("ForcedIOs = %d, want 2", got)
+	}
+	if got := d.Get(stats.PrepareLogWrites) + d.Get(stats.CoordLogWrites); got != 0 {
+		t.Errorf("log writes = %d, want 0", got)
+	}
+	if got := d.Get(stats.OnePhaseCommits); got != 1 {
+		t.Errorf("OnePhaseCommits = %d, want 1", got)
+	}
+	if recs, err := tpc.ReadPrepareRecords(cl.Site(1).Volume("va")); err != nil || len(recs) != 0 {
+		t.Errorf("prepare records %+v (%v), want none", recs, err)
+	}
+	if got := committedAt(t, cl, "va/f"); got != "COMMITME" {
+		t.Errorf("committed %q, want COMMITME", got)
+	}
+}
+
+// TestOneFileOnePhaseInodeFailureAborts: a disk failure at the inode
+// write - before the commit point - aborts the transaction.  The
+// participant rolls back, leaves no prepared entry that could read as
+// committed, and recovery keeps the pre image.
+func TestOneFileOnePhaseInodeFailureAborts(t *testing.T) {
+	cl := twoSiteCluster(t, Config{FastPaths: true, Clock: vtime.NewVirtual()})
+	defer cl.Shutdown()
+	coord, refs := oneFileTxn(t, cl, "OF1", "PREIMAGE", "va/f")
+	must(t, coord.CommitTransaction("OF1", refs))
+	coord, refs = oneFileTxn(t, cl, "OF2", "POSTIMAG", "va/f")
+	s1 := cl.Site(1)
+	s1.Volume("va").Disk().CrashAfterWritesOfKind(simdisk.IOInode, 0)
+	if err := coord.CommitTransaction("OF2", refs); !errors.Is(err, tpc.ErrPrepareFailed) {
+		t.Fatalf("commit with the inode write failing: %v, want ErrPrepareFailed", err)
+	}
+	k := s1.kernel()
+	k.mu.Lock()
+	pt := k.prepared["OF2"]
+	k.mu.Unlock()
+	if pt != nil {
+		t.Fatalf("prepared entry left behind: %+v", pt)
+	}
+	if of, err := k.lookupOpen("va/f"); err == nil && of.file.HasMods(shadow.Owner(k.txnName("OF2"))) {
+		t.Error("the working state was not rolled back")
+	}
+	must(t, s1.Restart())
+	if got := committedAt(t, cl, "va/f"); got != "PREIMAGE" {
+		t.Errorf("recovered %q, want the pre image PREIMAGE", got)
+	}
+}
+
+// TestOneFileOnePhaseLateAbortUndoesNothing: an abort that arrives after
+// the one-file commit (the coordinator lost the reply) finds nothing to
+// undo.
+func TestOneFileOnePhaseLateAbortUndoesNothing(t *testing.T) {
+	cl := twoSiteCluster(t, Config{FastPaths: true, Clock: vtime.NewVirtual()})
+	defer cl.Shutdown()
+	coord, refs := oneFileTxn(t, cl, "OF1", "COMMITME", "va/f")
+	must(t, coord.CommitTransaction("OF1", refs))
+	must(t, cl.Site(1).kernel().handleAbortTxn(txnReq{Txid: "OF1"}))
+	if got := committedAt(t, cl, "va/f"); got != "COMMITME" {
+		t.Errorf("after a late abort: %q, want COMMITME", got)
+	}
+}
+
+// TestTwoFilesOnePhaseForceRecordSet: two modified files at the one
+// participant still commit at a complete prepare-record set.  With one
+// record per file the set is two records; a disk failure at the first
+// inode write comes after the commit point, so recovery commits both
+// files from the logged intentions.
+func TestTwoFilesOnePhaseForceRecordSet(t *testing.T) {
+	cl := twoSiteCluster(t, Config{FastPaths: true, PerFilePrepareLogs: true, Clock: vtime.NewVirtual()})
+	defer cl.Shutdown()
+	coord, refs := oneFileTxn(t, cl, "OF1", "COMMITME", "va/f", "va/g")
+	s1 := cl.Site(1)
+	s1.Volume("va").Disk().CrashAfterWritesOfKind(simdisk.IOInode, 0)
+	before := cl.Stats().Snapshot()
+	coord.CommitTransaction("OF1", refs) //nolint:errcheck // the reply is lost with the disk; recovery decides
+	if got := cl.Stats().Snapshot().Sub(before).Get(stats.PrepareLogWrites); got != 2 {
+		t.Fatalf("PrepareLogWrites = %d, want 2 (one record per file)", got)
+	}
+	must(t, s1.Restart())
+	if n := s1.InDoubtCount(); n != 0 {
+		t.Fatalf("in doubt = %d, want 0 (self-resolved)", n)
+	}
+	for _, path := range []string{"va/f", "va/g"} {
+		if got := committedAt(t, cl, path); got != "COMMITME" {
+			t.Errorf("%s recovered %q, want COMMITME", path, got)
+		}
 	}
 }

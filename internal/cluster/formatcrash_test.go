@@ -77,7 +77,7 @@ func TestCrashInFirstInstallFormat(t *testing.T) {
 			if err := invariant.Drain(cl, clk, 10*time.Minute); err != nil {
 				t.Fatal(err)
 			}
-			if rep := invariant.Audit(cl, nil, []string{"v1/b"}); !rep.OK() {
+			if rep := invariant.Audit(cl, nil, []string{"v1/b"}, nil); !rep.OK() {
 				t.Fatalf("audit after the restart: %v", rep.Violations())
 			}
 		})

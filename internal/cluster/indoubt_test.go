@@ -74,7 +74,7 @@ func TestPreparedParticipantNeverAbortsOnItsOwn(t *testing.T) {
 			t.Errorf("confirmed commit: %s at site %d reads %q, %v; want NEWNEWNE", path, site, got, err)
 		}
 	}
-	if rep := invariant.Audit(cl, nil, []string{"v2/f", "v3/f"}); !rep.OK() {
+	if rep := invariant.Audit(cl, nil, []string{"v2/f", "v3/f"}, nil); !rep.OK() {
 		t.Errorf("audit: %v", rep.Violations())
 	}
 }

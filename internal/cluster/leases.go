@@ -142,7 +142,7 @@ func (k *incarnation) dropLeasesStoredAt(down simnet.SiteID) {
 	k.leaseMu.Lock()
 	defer k.leaseMu.Unlock()
 	for fileID, l := range k.leases {
-		if site, err := k.cl.StorageSite(fileID); err == nil && site == down {
+		if site, err := k.cl.home(fileID); err == nil && site == down {
 			k.leaseForgetLocked(fileID, l)
 		}
 	}

@@ -109,7 +109,7 @@ func TestLeaseStaleHitIsSafe(t *testing.T) {
 	if err != nil || string(got) != "HOLDXXXX" {
 		t.Fatalf("committed v1/f = %q, %v; want HOLDXXXX", got, err)
 	}
-	if rep := invariant.Audit(cl, nil, []string{"v1/f"}); !rep.OK() {
+	if rep := invariant.Audit(cl, nil, []string{"v1/f"}, nil); !rep.OK() {
 		t.Errorf("audit: %v", rep.Violations())
 	}
 }

@@ -164,7 +164,7 @@ func (c *Cluster) settle(key installKey) bool {
 // holdsCopy is the copy rule: site keeps a copy of path iff the catalog
 // records one there, its home or a replica's.
 func (c *Cluster) holdsCopy(path string, site simnet.SiteID) bool {
-	home, err := c.StorageSite(path)
+	home, err := c.home(path)
 	recorded, _ := c.ReplicaCopy(path, site)
 	return err == nil && home == site || recorded
 }
@@ -252,7 +252,7 @@ func (k *incarnation) maybeMovePlacement(fileIDs []string) {
 		if i > 0 && path == paths[i-1] {
 			continue
 		}
-		if home, err := k.cl.StorageSite(path); err != nil || home != k.id {
+		if home, err := k.cl.home(path); err != nil || home != k.id {
 			continue // no longer (or never) primary here
 		}
 		target, ok := k.heat.Dominant(path, k.id)
@@ -496,7 +496,7 @@ func (m *machine) RouteCommit(target simnet.SiteID, txid string, files []proc.Fi
 func (c *Cluster) RouteTarget(self simnet.SiteID, files []proc.FileRef) (simnet.SiteID, bool) {
 	var target simnet.SiteID
 	for i, f := range files {
-		site, err := c.StorageSite(f.FileID)
+		site, err := c.home(f.FileID)
 		if err != nil {
 			return 0, false
 		}

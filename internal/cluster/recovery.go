@@ -189,10 +189,12 @@ func (k *incarnation) relockRecovered(rec tpc.PrepareRecord) {
 //
 // A one-phase transaction is its own verdict (DESIGN.md section 10): the
 // coordinator kept no log for it, so a query would wrongly read presumed
-// abort.  Its entry exists live only once its records were forced, and a
-// recovered set is committed iff complete - every record carries the
-// set's total, and the force of the last one was the commit point.  That
-// half sends nothing, so deliver may ask it under k.mu.
+// abort.  handlePrepareCommit keeps its live entry claimed until the
+// commit point has passed and drops it if that write fails, so an
+// unclaimed live entry is committed; a recovered set is committed iff
+// complete - every record carries the set's total, and the force of the
+// last one was the commit point.  That half sends nothing, so deliver may
+// ask it under k.mu.
 //
 // Anyone else asks the coordinator, and only its word decides: committed,
 // or aborted (which includes "never heard of it": no live state and no

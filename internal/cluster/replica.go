@@ -164,7 +164,7 @@ func (k *incarnation) pullBehind() {
 		if vs.disk.mounted || !slices.Contains(k.cl.ReplicaSites(vs.name), k.id) {
 			continue
 		}
-		if primary, err := k.cl.StorageSite(vs.name + "/."); err == nil {
+		if primary, err := k.cl.home(vs.name + "/."); err == nil {
 			simnet.Exchange[none](k.ep, primary, "replpull", replPullReq{Volume: vs.name, Replica: k.id}) //nolint:errcheck // primary down: keep forwarding
 		}
 	}

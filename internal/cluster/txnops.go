@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -277,13 +278,24 @@ func (k *incarnation) prepare(req prepareReq) (prepareResp, error) {
 
 // handlePrepareCommit executes a one-phase commit (DESIGN.md section
 // 10): prepare and phase two collapse into one message.  The coordinator
-// delegated the commit point to this - the only - participant: the force
-// of the last prepare record is the commit point, and every record carries
-// the set's total so recovery commits iff the complete set survived.
-// After the force the outcome is applied and cleaned up exactly as a
-// phase-two commit would be; a failure there leaves the entry (no longer
-// applying) so recovery or a later resolution pass re-drives the commit -
-// the outcome can no longer be abort.
+// delegated the commit point to this - the only - participant.
+//
+// When exactly one gathered file carries modifications, that file's own
+// single-file commit (shadow.File.Commit, sections 4-5) is the commit
+// point: beginPrepare flushed its pages, and its inode write decides the
+// outcome, so no prepare record is written.  A crash before that write
+// leaves nothing logged - presumed abort, and the load scan frees the
+// flushed shadow pages - and one after it leaves the file committed.
+// The other files were only read or locked, and release in finishTxn.
+//
+// Otherwise the force of the last prepare record is the commit point,
+// and every record carries the set's total so recovery commits iff the
+// complete set survived.
+//
+// After the commit point the outcome is applied and cleaned up exactly as
+// a phase-two commit would be; a failure there leaves the entry (no
+// longer applying) so recovery or a later resolution pass re-drives the
+// commit - the outcome can no longer be abort.
 //
 // It is kept apart from prepare because the two differ in when the entry
 // is registered and in who cleans up a failed force, and both orders are
@@ -295,11 +307,14 @@ func (k *incarnation) handlePrepareCommit(req prepareReq) (prepareResp, error) {
 	}
 	// Register the prepared entry (applying: an outcome delivery is
 	// already in progress - a racing abort must be refused, not
-	// interleaved) before the force that is the commit point.
+	// interleaved) before the write that is the commit point.
 	pt := &preparedTxn{coord: req.Coord, onePhase: true, applying: true}
 	pt.fileIDs = append(pt.fileBuf[:0], req.FileIDs...)
 	k.setPrepared(req.Txid, pt)
-	err = k.writePrepareRecords(req, sc.preps, k.prepareRecordCount(sc.preps))
+	oneFile := modifiedFiles(sc.preps) == 1
+	if !oneFile {
+		err = k.writePrepareRecords(req, sc.preps, k.prepareRecordCount(sc.preps))
+	}
 	if err != nil {
 		// Before the commit point: scrub any partial record set (best
 		// effort - a torn set self-resolves to abort by count) and
@@ -316,10 +331,31 @@ func (k *incarnation) handlePrepareCommit(req prepareReq) (prepareResp, error) {
 	clk := k.cl.cfg.Clock
 	t0 := clk.Now()
 	if err := k.apply(req.Txid, pt, true); err != nil {
+		if oneFile && !errors.Is(err, shadow.ErrPastCommitPoint) {
+			// The inode write did not land (with no record, finishTxn
+			// writes nothing): roll back under the claimed entry, then
+			// drop it, so none is left that resolve would read as
+			// committed.  The refusal becomes the coordinator's abort.
+			k.apply(req.Txid, pt, false) //nolint:errcheck // the coordinator's abort retries the rollback
+			k.setPrepared(req.Txid, nil)
+		}
 		return prepareResp{}, err
 	}
 	k.prof().Charge(req.Txid, telemetry.ResOnePhaseApply, clk.Now().Sub(t0))
 	return prepareResp{Vote: tpc.VoteCommit}, nil
+}
+
+// modifiedFiles counts the gathered files that carry intentions.
+func modifiedFiles(preps []volPrep) int {
+	n := 0
+	for _, vp := range preps {
+		for _, pf := range vp.files {
+			if len(pf.Intentions.Entries) > 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // handleCommit2 is the participant's second phase: deliver the commit.

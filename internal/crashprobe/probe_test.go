@@ -137,6 +137,49 @@ func TestOnePhaseCommitMatrix(t *testing.T) {
 			t.Fatalf("one-phase coordinator performed %d stable writes, want 0", d.Writes)
 		}
 	}
+	// Two written files keep the commit point in the prepare log.
+	res, err = Run(Options{Files: files("onephase"), Kind: "preparelog"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireClean(t, res)
+}
+
+// TestOneFileCommitMatrix sweeps the one-phase commit of a transaction
+// that changed one file: that file's single-file commit is the whole
+// protocol.  Site 1's crash points are exactly its data-page and inode
+// writes, no log record is written on either disk, and the file is
+// clean at every point.
+func TestOneFileCommitMatrix(t *testing.T) {
+	writes := map[string]map[string]int{} // kind -> volume -> writes
+	for _, kind := range []string{"", "data", "inode", "preparelog", "coordlog"} {
+		res, err := Run(Options{Files: files("onefile"), Kind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == "" {
+			requireClean(t, res)
+		} else if !res.OK() {
+			t.Fatalf("%s sweep failed:\n%s", kind, res.Report())
+		}
+		writes[kind] = map[string]int{}
+		for _, d := range res.Workloads[0].Disks {
+			writes[kind][d.Volume] = d.Writes
+		}
+	}
+	if all, data, inode := writes[""]["v1"], writes["data"]["v1"], writes["inode"]["v1"]; inode != 1 || data == 0 || data+inode != all {
+		t.Errorf("site 1 writes %d: %d data and %d inode, want every one a data page or the one inode", all, data, inode)
+	}
+	for _, kind := range []string{"preparelog", "coordlog"} {
+		for vol, n := range writes[kind] {
+			if n != 0 {
+				t.Errorf("%s: %d %s writes, want 0", vol, n, kind)
+			}
+		}
+	}
+	if n := writes[""]["v2"]; n != 0 {
+		t.Errorf("the coordinator's disk took %d writes, want 0", n)
+	}
 }
 
 // TestLeaseMatrix sweeps the sticky-lease workload: a commit through

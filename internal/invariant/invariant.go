@@ -72,12 +72,14 @@ func (r Report) Violations() []string {
 }
 
 // Audit checks the recovery invariants on a drained cluster.  files are
-// the workload's paths, for the single-primary check; col (nil when the
-// run was untraced) supplies forensics.  Run it before any content read:
-// reads take and release locks, and the lock-table scan must see only
-// what recovery left behind.
-func Audit(cl *cluster.Cluster, col *trace.Collector, files []string) Report {
-	return Report{checkResolution(cl), checkLocks(cl), checkAllocators(cl), checkPlacement(cl, col, files)}
+// the workload's paths, for the single-primary check, and absent (nil:
+// none) reports those that may have no copy at all: a file no confirmed
+// commit wrote, whose create a crash may undo.  col (nil when the run was
+// untraced) supplies forensics.  Run it before any content read: reads
+// take and release locks, and the lock-table scan must see only what
+// recovery left behind.
+func Audit(cl *cluster.Cluster, col *trace.Collector, files []string, absent func(path string) bool) Report {
+	return Report{checkResolution(cl), checkLocks(cl), checkAllocators(cl), checkPlacement(cl, col, files, absent)}
 }
 
 // checkResolution: after recovery plus resolution nothing may remain in
@@ -247,17 +249,12 @@ func inodeNames(vol *fs.Volume) func(ino int) string {
 // never committed must be reclaimed; two primaries would let sites serve
 // divergent committed bytes.  With placement off this degenerates to
 // "every file still lives at its mount site", so it runs always.
-func checkPlacement(cl *cluster.Cluster, col *trace.Collector, files []string) Check {
+func checkPlacement(cl *cluster.Cluster, col *trace.Collector, files []string, absent func(string) bool) Check {
 	c := Check{Name: "single-primary", Detail: fmt.Sprintf("%d files", len(files))}
 	for _, path := range files {
 		vol, name, ok := strings.Cut(path, "/")
 		if !ok {
 			c.Failf("%s: path has no volume component", path)
-			continue
-		}
-		home, err := cl.StorageSite(path)
-		if err != nil {
-			c.FailAt(col, path, "%s: no storage site after recovery: %v", path, err)
 			continue
 		}
 		var holders []simnet.SiteID
@@ -270,7 +267,13 @@ func checkPlacement(cl *cluster.Cluster, col *trace.Collector, files []string) C
 				}
 			}
 		}
-		if len(holders) != 1 || holders[0] != home {
+		home, err := cl.StorageSite(path)
+		if errors.Is(err, cluster.ErrNoSuchFile) && len(holders) == 0 && absent != nil && absent(path) {
+			continue // an undone create: no copy anywhere
+		}
+		if err != nil {
+			c.FailAt(col, path, "%s: primary copies at sites %v, no storage site after recovery: %v", path, holders, err)
+		} else if len(holders) != 1 || holders[0] != home {
 			c.FailAt(col, path, "%s: primary copies at sites %v, catalog says %v", path, holders, home)
 		}
 	}
@@ -419,15 +422,19 @@ func stepName(k int) string {
 // Atomic checks files that march through committed images (section 4.4:
 // all or nothing, and a confirmed commit survives): after recovery each
 // file holds one of its images whole, no earlier than the last confirmed
-// step, and all of them are at the same step.  state names that step,
-// "split(a/b...)" when the files disagree, or the anomaly.  Run it after
-// Audit: its reads take and release locks.
+// step, and all of them are at the same step; a file that does not exist
+// holds the empty image, since a crash may undo a create.  state names
+// that step, "split(a/b...)" when the files disagree, or the anomaly.
+// Run it after Audit: its reads take and release locks.
 func Atomic(sys *core.System, paths []string, images []Images) (state string, c Check) {
 	c = Check{Name: "atomic", Detail: fmt.Sprintf("%d files", len(paths))}
 	states := make([]string, len(paths))
 	for i, path := range paths {
 		im := images[i]
 		got, err := ReadCommitted(sys, 1, path)
+		if errors.Is(err, cluster.ErrNoSuchFile) && len(im.Steps[0]) == 0 {
+			got, err = nil, nil // an undone create reads as step 0, the empty image
+		}
 		if err != nil {
 			states[i] = "unreadable"
 			c.Failf("%s: committed read failed after recovery: %v", path, err)

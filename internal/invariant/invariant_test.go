@@ -1,6 +1,7 @@
 package invariant_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -184,7 +185,7 @@ func TestAuditCatchesEachDefect(t *testing.T) {
 				}
 			}
 
-			report := invariant.Audit(sys.Cluster(), scenario.Collector(sys), files)
+			report := invariant.Audit(sys.Cluster(), scenario.Collector(sys), files, nil)
 			for _, c := range report {
 				switch {
 				case c.Name != tc.check && len(c.Violations) > 0:
@@ -250,7 +251,9 @@ func TestAtomicAndReplicaCatchEachDefect(t *testing.T) {
 		{"reverted", []string{"v1/a"}, []invariant.Images{march(1, "pre", "post")}, "pre", "post was confirmed to its client but recovery kept pre"},
 		{"split", []string{"v1/a", "v2/b"}, []invariant.Images{march(0, "pre", "post"), march(0, "pre", "post")},
 			"split(pre/post)", "cross-site atomicity torn"},
-		{"unreadable", []string{"v1/none"}, []invariant.Images{march(0, "")}, "unreadable", "committed read failed"},
+		{"unreadable", []string{"v1/none"}, []invariant.Images{march(0, "pre")}, "unreadable", "committed read failed"},
+		{"undone create", []string{"v1/none"}, []invariant.Images{march(0, "", "post")}, "pre", ""},
+		{"lost create", []string{"v1/none"}, []invariant.Images{march(1, "", "post")}, "pre", "post was confirmed to its client but recovery kept pre"},
 	} {
 		state, c := invariant.Atomic(sys, tc.paths, tc.images)
 		if got := strings.Join(c.Violations, "\n"); state != tc.state || !strings.Contains(got, tc.want) || (tc.want == "") != (got == "") {
@@ -289,5 +292,61 @@ func TestAtomicAndReplicaCatchEachDefect(t *testing.T) {
 	}
 	if c := invariant.Replica(sys, "v1/a", 2); !strings.Contains(strings.Join(c.Violations, "\n"), "not the committed version") {
 		t.Fatalf("a stale replica served locally: %v", c.Violations)
+	}
+}
+
+// TestLostCreateFailsBothChecks: a file whose create no confirmed commit
+// covers may be missing after recovery, but a recovery that drops a
+// confirmed create's directory entry fails both the single-primary check
+// and expect atomic.
+func TestLostCreateFailsBothChecks(t *testing.T) {
+	sys, err := scenario.Spec{Volumes: scenario.PerSite(1)}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Cluster().Shutdown()
+	commit(t, sys, 1, "v1/n", "created")
+	// The planted recovery: v1's directory loses n, and the site reloads.
+	vol := sys.Cluster().Site(1).Volume("v1")
+	dir, err := cluster.ReadDirectory(vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(dir, "n")
+	f, err := shadow.Open(vol, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt("plant", cluster.AppendDirectory(nil, dir), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Commit("plant"); err != nil {
+		t.Fatal(err)
+	}
+	sys.Cluster().Site(1).Crash()
+	if err := sys.Cluster().Site(1).Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Cluster().StorageSite("v1/n"); !errors.Is(err, cluster.ErrNoSuchFile) {
+		t.Fatalf("StorageSite of a path with no directory entry: %v, want ErrNoSuchFile", err)
+	}
+	placement := func(absent bool) []string {
+		for _, c := range invariant.Audit(sys.Cluster(), nil, []string{"v1/n"}, func(string) bool { return absent }) {
+			if c.Name == "single-primary" {
+				return c.Violations
+			}
+		}
+		t.Fatal("the audit ran no single-primary check")
+		return nil
+	}
+	if v := placement(true); len(v) != 0 {
+		t.Errorf("an undone create: single-primary %v, want clean", v)
+	}
+	if v := placement(false); len(v) == 0 || !strings.Contains(v[0], "primary copies at sites []") {
+		t.Errorf("a lost confirmed create: single-primary %v, want a violation", v)
+	}
+	lost := invariant.Images{Steps: [][]byte{nil, []byte("created")}, Confirmed: 1}
+	if _, c := invariant.Atomic(sys, []string{"v1/n"}, []invariant.Images{lost}); len(c.Violations) == 0 {
+		t.Error("a lost confirmed create: expect atomic is clean, want a violation")
 	}
 }

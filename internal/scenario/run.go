@@ -52,8 +52,10 @@ type Scenario struct {
 	Window  time.Duration
 	Recover Recovery
 	// Files are the workload's paths, for the audit's single-primary
-	// check.
-	Files []string
+	// check; Absent (nil: none) reports those that may have no copy at
+	// all after recovery (invariant.Audit).
+	Files  []string
+	Absent func(path string) bool
 	// Check runs last, on the recovered and audited cluster: the
 	// workload's own ground truth, appended to the Outcome's Checks.
 	Check func(*Env, *Outcome)
@@ -409,7 +411,7 @@ func (e *Env) recover(sc Scenario) (report invariant.Report, ok bool) {
 		// left behind, then restart every site so each runs its purge:
 		// the single-primary check below sees the garbage-collection half
 		// of the invariant at every crash point.
-		report = invariant.Audit(cl, e.Trace, nil)
+		report = invariant.Audit(cl, e.Trace, nil, nil)
 		err = invariant.Quiesce(cl, e.Clock, true)
 	}
 	if err != nil {
@@ -425,5 +427,5 @@ func (e *Env) recover(sc Scenario) (report invariant.Report, ok bool) {
 			return report, false
 		}
 	}
-	return append(report, invariant.Audit(cl, e.Trace, sc.Files)...), true
+	return append(report, invariant.Audit(cl, e.Trace, sc.Files, sc.Absent)...), true
 }

@@ -58,6 +58,9 @@ func TestBuildMountsOneVolumePerSite(t *testing.T) {
 	}
 	defer sys.Cluster().Shutdown()
 	for path, want := range map[string]int{"va/f": 1, "vb/f": 2} {
+		if err := sys.Cluster().Site(1).Create(path); err != nil {
+			t.Fatal(err)
+		}
 		if got, err := sys.Cluster().StorageSite(path); err != nil || int(got) != want {
 			t.Errorf("%s stored at site %v (err %v), want %d", path, got, err, want)
 		}

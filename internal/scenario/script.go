@@ -181,7 +181,7 @@ func (sc *Script) Run() error {
 		}
 		return s.chaos(args)
 	}
-	scn := Scenario{Spec: s.spec, Recover: RestartAll, Files: slices.Compact(slices.Sorted(slices.Values(s.paths))),
+	scn := Scenario{Spec: s.spec, Recover: RestartAll, Files: slices.Compact(slices.Sorted(slices.Values(s.paths))), Absent: s.model.absent,
 		Clients: []func(*Env){func(e *Env) {
 			s.e, s.bg = e, vtime.NewGroup(e.Clock)
 			base := e.Sys.Stats().Snapshot()
@@ -762,6 +762,14 @@ func (m *model) commit(key string) func() {
 			m.confirmed[path] = len(m.steps[path]) - 1
 		}
 	}
+}
+
+// absent reports whether path may be missing after recovery: its step 0
+// is the empty image and no commit of it was confirmed, so its create may
+// be undone.
+func (m *model) absent(path string) bool {
+	st := m.steps[path]
+	return m.confirmed[path] == 0 && (len(st) == 0 || len(st[0]) == 0)
 }
 
 // images returns each path's steps and the last confirmed one.

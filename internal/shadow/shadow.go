@@ -57,6 +57,13 @@ var (
 	// ErrBeyondMaxFile reports a write beyond the inode's pointer
 	// capacity.
 	ErrBeyondMaxFile = errors.New("shadow: write beyond maximum file size")
+	// ErrPastCommitPoint wraps an error Commit met after its inode write
+	// landed: the modifications are committed, and only the bookkeeping
+	// after the commit point failed.  Any other Commit error left the
+	// committed file as it was, save one: fs.Volume.WriteInode fails after
+	// its page write only on a volume its site's crash fenced, and then
+	// recovery reads the outcome from the disk.
+	ErrPastCommitPoint = errors.New("shadow: failed past the commit point")
 )
 
 // Range is a byte range within a page: [Off, Off+Len).
@@ -695,7 +702,8 @@ func (f *File) sizeLocked(owner Owner) int64 {
 // of section 4, record-level per section 5.2.  Pages solely modified by
 // owner take the direct path (Figure 4(a)); pages shared with other
 // owners take the differencing path (Figure 4(b)).  The commit point is
-// the single synchronous inode write; replaced pages are freed after it.
+// the single synchronous inode write; replaced pages are freed after it,
+// and a failure there wraps ErrPastCommitPoint.
 func (f *File) Commit(owner Owner) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -789,7 +797,7 @@ func (f *File) commitLocked(owner Owner) error {
 	for _, a := range acts {
 		if a.freeOld >= 0 {
 			if err := f.v.FreePage(a.freeOld); err != nil {
-				return err
+				return fmt.Errorf("%w: %w", ErrPastCommitPoint, err)
 			}
 		}
 		if a.shared {
