@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench-check ledger-check ledger-pairs chaos matrix seed87 vtime telemetry golden golden-telemetry golden-ledger probe trace experiments examples tools lines clean
+.PHONY: all test race bench-check ledger-check ledger-pairs chaos matrix seed87 vtime telemetry golden golden-telemetry golden-ledger probe probe-files trace experiments examples tools lines clean
 
 all: test
 
@@ -91,6 +91,11 @@ telemetry:       ## rerun the telemetry document and diff it against testdata/go
 	$(MAKE) golden-telemetry
 	git diff --exit-code testdata/golden/telemetry.json
 
+# The probe files, in the order testdata/golden/probe.json lists them: the
+# one list make golden, make probe and the CI determinism step sweep (a new
+# workload appends its name).
+PROBE_FILES = $(patsubst %,testdata/scenarios/probe-%.scn,single diff tpc migrate readonly onephase lease ownermove replica onefile create)
+
 # The golden directory: outputs a pure refactor must leave byte-identical.
 # `make golden` rewrites them; `git diff testdata/golden` shows what moved.
 golden: golden-telemetry golden-ledger ## regenerate testdata/golden/ (the seed-7 chaos reports, bare and all-layer, the bench gate's report, the telemetry document, the ledger's simulated metrics, the canonical traces, the crash-point matrix)
@@ -99,17 +104,7 @@ golden: golden-telemetry golden-ledger ## regenerate testdata/golden/ (the seed-
 	$(GO) run ./cmd/locus bench -check BENCH_BASELINE.json > testdata/golden/bench-check.txt
 	$(GO) run ./cmd/locus trace -canonical > testdata/golden/trace-canonical.txt
 	$(GO) run ./cmd/locus trace -canonical -drop commit2 > testdata/golden/trace-canonical-drop-commit2.txt
-	$(GO) run ./cmd/locus probe -json testdata/scenarios/probe-single.scn \
-		testdata/scenarios/probe-diff.scn \
-		testdata/scenarios/probe-tpc.scn \
-		testdata/scenarios/probe-migrate.scn \
-		testdata/scenarios/probe-readonly.scn \
-		testdata/scenarios/probe-onephase.scn \
-		testdata/scenarios/probe-lease.scn \
-		testdata/scenarios/probe-ownermove.scn \
-		testdata/scenarios/probe-replica.scn \
-		testdata/scenarios/probe-onefile.scn \
-		testdata/scenarios/probe-create.scn > testdata/golden/probe.json
+	$(GO) run ./cmd/locus probe -json $(PROBE_FILES) > testdata/golden/probe.json
 
 golden-telemetry: ## the 4-client concurrent pair's locusbench-telemetry/v1 document
 	$(GO) run ./cmd/locus bench -telemetry -clients 4 -txns 8 -json testdata/golden/telemetry.json
@@ -122,19 +117,12 @@ golden-ledger:   ## the simulated end-to-end metrics of --seed 1 --seconds 2 led
 	jq '.workloads | map_values(.runs[0].end_to_end | with_entries(select(.key | startswith("host_") or . == "setup_s" | not)))' \
 		.bench_build/golden-ledger.json > testdata/golden/ledger.json
 
-probe:           ## exhaustive crash-point matrix of the eleven probe files (DESIGN.md section 9), race-enabled
-	$(GO) run -race ./cmd/locus probe -forensics probe-forensics.txt testdata/scenarios/probe-single.scn \
-		testdata/scenarios/probe-diff.scn \
-		testdata/scenarios/probe-tpc.scn \
-		testdata/scenarios/probe-migrate.scn \
-		testdata/scenarios/probe-readonly.scn \
-		testdata/scenarios/probe-onephase.scn \
-		testdata/scenarios/probe-lease.scn \
-		testdata/scenarios/probe-ownermove.scn \
-		testdata/scenarios/probe-replica.scn \
-		testdata/scenarios/probe-onefile.scn \
-		testdata/scenarios/probe-create.scn
+probe:           ## exhaustive crash-point matrix of the probe files (DESIGN.md section 9), race-enabled
+	$(GO) run -race ./cmd/locus probe -forensics probe-forensics.txt $(PROBE_FILES)
 	$(GO) test -race ./internal/crashprobe
+
+probe-files:     ## print the ordered probe file list
+	@echo $(PROBE_FILES)
 
 trace:           ## causal timeline of a small cross-site workload + Chrome export
 	$(GO) run ./cmd/locus trace -txns 3
@@ -159,6 +147,7 @@ tools:           ## build the command-line tool, ./locus
 
 lines:           ## the non-test line counts ROADMAP.md and the issues quote, so a line budget is one command
 	@count() { cat $$(ls "$$@" | grep -v _test.go) | wc -l; }; \
+	echo "internal/bench: $$(count internal/bench/*.go) non-test, $$(cat internal/bench/*.go | wc -l) with tests"; \
 	echo "harness (cmd/ + internal/{bench,chaos,crashprobe,scenario,invariant}): $$(count cmd/*/*.go internal/bench/*.go internal/chaos/*.go internal/crashprobe/*.go internal/scenario/*.go internal/invariant/*.go)"; \
 	echo "internal/cluster: $$(count internal/cluster/*.go)"; \
 	echo "commit path (internal/tpc + internal/cluster/{txnops,recovery}.go + internal/vtime): $$(count internal/tpc/*.go internal/cluster/txnops.go internal/cluster/recovery.go internal/vtime/*.go)"; \
@@ -167,7 +156,7 @@ lines:           ## the non-test line counts ROADMAP.md and the issues quote, so
 	echo "cluster.Config: $$(awk '/^type Config struct/{on=1; next} on && /^}/{exit} on && /^\t[A-Z]/{n++; if ($$2 == "bool") b++} END{print n " fields, " b+0 " bools"}' internal/cluster/cluster.go)"; \
 	echo "simnet.Config: $$(awk '/^type Config struct/{on=1; next} on && /^}/{exit} on && /^\t[A-Z]/{n++} END{print n " fields"}' internal/simnet/simnet.go)"; \
 	echo "all non-test Go outside benchmark/: $$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)"; \
-	echo "scenario files (testdata/scenarios/*.scn): $$(cat testdata/scenarios/*.scn | wc -l)"
+	echo "scenario files (testdata/scenarios/*.scn): $$(cat testdata/scenarios/*.scn | wc -l), of which paper-*.scn $$(cat testdata/scenarios/paper-*.scn | wc -l)"
 
 cover:           ## coverage summary per package
 	$(GO) test -cover ./internal/...

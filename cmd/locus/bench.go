@@ -124,7 +124,7 @@ func (b *benchFlags) experiments() []experiment {
 			rows:  func() (any, error) { return fig1Matrix(), nil },
 			notes: []string{"paper:  Unix/Unix r/w, Shared row: read read no, Exclusive row: no no no"}},
 		{name: "fig5", title: "Figure 5: transaction I/O overhead - intended design and 1985 implementation (footnote 9)",
-			rows: func() (any, error) { return fig5() }},
+			rows: func() (any, error) { return bench.Fig5() }},
 		{name: "lock", title: "Section 6.2: record locking cost (per lock)",
 			rows: func() (any, error) { return bench.LockCost(64) }},
 		{name: "fig6", title: "Figure 6: measured commit performance",
@@ -140,15 +140,15 @@ func (b *benchFlags) experiments() []experiment {
 			notes: []string{"paper:  relative performance is highly dependent on the access strings;",
 				"        logging wins small scattered records, shadow paging is competitive elsewhere"}},
 		{name: "preplog", title: "Footnote 10: prepare log granularity (step-3 writes per txn)",
-			rows: func() (any, error) { return bench.PrepareLogGranularity([]int{1, 2, 4, 8}) }},
+			rows: func() (any, error) { return bench.PrepLogRows() }},
 		{name: "lockcache", title: "Section 5.1 ablation: requesting-site lock cache (op = one record access)",
 			rows: func() (any, error) { return bench.LockCacheAblation(32) }},
 		{name: "replica", title: "Section 5.2: replication - reads at the closest storage site (op = one read)",
-			rows: func() (any, error) { return bench.ReplicaLocality(16) }},
+			rows: func() (any, error) { return bench.ReplicaRows() }},
 		{name: "prefetch", title: "Section 5.2: prefetch on lock (remote lock + first read)",
-			rows: func() (any, error) { return bench.PrefetchAblation() }},
+			rows: func() (any, error) { return bench.PrefetchRows() }},
 		{name: "fn7", title: "Footnote 7: differencing from the buffer pool (overlap commit)",
-			rows: func() (any, error) { return bench.Footnote7Ablation() }},
+			rows: func() (any, error) { return bench.Fn7Rows() }},
 		{name: "granularity", title: "Section 7.1: record-level vs whole-file locking (4 workers, disjoint records)",
 			rows: func() (any, error) { return bench.LockGranularity(4, 4, 5*time.Millisecond) },
 			notes: []string{"paper:  whole file locking restricts concurrent access; record locking was",
@@ -221,17 +221,6 @@ func fig1Matrix() []fig1Row {
 		rows = append(rows, fig1Row{name, cell(modes[i], modes[0]), cell(modes[i], modes[1]), cell(modes[i], modes[2])})
 	}
 	return rows
-}
-
-// fig5 is Figure 5 for the intended design, then for the 1985
-// implementation with footnote 9's doubled log writes.
-func fig5() ([]bench.Fig5Row, error) {
-	design, err := bench.Fig5(false)
-	if err != nil {
-		return nil, err
-	}
-	impl, err := bench.Fig5(true)
-	return append(design, impl...), err
 }
 
 // phaseRow is one 2PC phase of one concurrent run, from the event trace.
@@ -336,7 +325,7 @@ func (b *benchFlags) snapshotRun() error {
 	snap := snapshot{Schema: "locusbench/v1", Model: b.model}
 	o := bench.ConcurrentOpts{Clients: b.clients, TxnsPerClient: b.txns, Spec: scenario.Spec{Trace: true}}
 	var err error
-	if snap.Fig5, err = fig5(); err != nil {
+	if snap.Fig5, err = bench.Fig5(); err != nil {
 		return err
 	}
 	if snap.Concurrent, err = bench.ConcurrentPair(o); err != nil {

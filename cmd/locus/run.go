@@ -41,10 +41,11 @@ func runCmd(fs *flag.FlagSet) func() error {
 	}
 }
 
-// runScript runs one file, or stdin when name is "-", printing the
-// transcript to w; a file that fails at a line is a violation.
-func runScript(name string, r io.Reader, w io.Writer) error {
-	err := (&scenario.Script{Name: name, In: r, Out: w, Chaos: runChaos}).Run()
+// runScript runs one file, or stdin when name is "-", with the spec
+// lines set, printing the transcript to w; a file that fails at a line
+// is a violation.
+func runScript(name string, r io.Reader, w io.Writer, spec ...string) error {
+	err := (&scenario.Script{Name: name, In: r, Out: w, Spec: spec, Chaos: runChaos}).Run()
 	if errors.As(err, new(*scenario.FileError)) {
 		return violation{err}
 	}

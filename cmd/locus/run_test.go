@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,36 +22,55 @@ func scenarioFiles(t *testing.T) []string {
 	return files
 }
 
+// specCount is an expect counter line that states a count under a spec
+// line; its third group holds the pairs.
+var specCount = regexp.MustCompile(`(?m)^expect counter \S+ \d+((?: \S+ \d+)+)$`)
+
 // TestScenarioFiles runs every file under testdata/scenarios: each must
-// meet all its expectations and pass the section 5 audit.
+// meet all its expectations and pass the section 5 audit, bare and under
+// each spec line its expect counter lines state a count for.
 func TestScenarioFiles(t *testing.T) {
 	for _, path := range scenarioFiles(t) {
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := []string{""}
+		for _, m := range specCount.FindAllStringSubmatch(string(src), -1) {
+			for i, f := range strings.Fields(m[1]) {
+				if i%2 == 0 && !slices.Contains(specs, f) {
+					specs = append(specs, f)
+				}
 			}
-			defer f.Close()
-			var out strings.Builder
-			if err := runScript(path, f, &out); err != nil {
-				t.Fatalf("%v\ntranscript:\n%s", err, out.String())
-			}
-		})
+		}
+		for _, spec := range specs {
+			t.Run(strings.TrimSuffix(filepath.Base(path)+"+"+spec, "+"), func(t *testing.T) {
+				var out strings.Builder
+				if err := runScript(path, strings.NewReader(string(src)), &out, strings.Fields(spec)...); err != nil {
+					t.Fatalf("%v\ntranscript:\n%s", err, out.String())
+				}
+			})
+		}
 	}
 }
 
 // TestAlteredExpectationFails: a copy of each file with one expectation
 // altered - its first output or error expectation asking for text the run
-// does not print, its verdict line flipped to fail, its first atomic line
-// also naming a file no word wrote, or its replica line naming a site
-// with no copy - fails as a violation that names the file and the altered
-// line.
+// does not print, its first counter expectation asking for one more, its
+// verdict line flipped to fail, its first atomic line also naming a file
+// no word wrote, or its replica line naming a site with no copy - fails
+// as a violation that names the file and the altered line.
 func TestAlteredExpectationFails(t *testing.T) {
 	alterations := []struct {
 		line *regexp.Regexp
 		to   func(string) string
 	}{
 		{regexp.MustCompile(`(?m)^expect (output|error) .*$`), func(l string) string { return l + " (altered)" }},
+		{regexp.MustCompile(`(?m)^expect counter \S+ \d+`), func(l string) string {
+			i := strings.LastIndex(l, " ")
+			n, _ := strconv.Atoi(l[i+1:])
+			return l[:i+1] + strconv.Itoa(n+1)
+		}},
 		{regexp.MustCompile(`(?m)^expect verdict pass$`), func(string) string { return "expect verdict fail" }},
 		{regexp.MustCompile(`(?m)^expect atomic .*$`), func(l string) string { return l + " v1/altered" }},
 		{regexp.MustCompile(`(?m)^expect replica \S+ \d+$`), func(l string) string { return l[:strings.LastIndex(l, " ")] + " 9" }},

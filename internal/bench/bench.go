@@ -1,15 +1,24 @@
 // Package bench implements the paper's evaluation (section 6): one
 // function per table or figure, each returning structured rows with raw
 // operation counts and simulated times under the calibrated VAX 11/750
-// cost model, side by side with the paper's reported numbers.
+// cost model, side by side with the paper's reported numbers.  The
+// experiments that are a fixed sequence of words - Figure 5, footnotes
+// 7 and 10, and section 5.2's replica reads and prefetch on lock - are
+// scenario files (testdata/scenarios/paper-*.scn): their functions
+// replay the embedded file, bare and under an ablation's spec line, and
+// fill the rows from its named marks.  The sweeps stay in Go.
 //
 // `locus bench` (cmd/locus) prints these functions' rows as tables;
 // EXPERIMENTS.md records their output.
 package bench
 
 import (
+	"bytes"
+	"io"
+	"slices"
 	"time"
 
+	"repro"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -52,28 +61,19 @@ func baseFile(p *core.Process, path string, size int) *core.File {
 	return f
 }
 
-// endTrans commits the transaction body opens on p and returns what the
-// EndTrans alone spent: the Figure 5 procedure, which prices the commit
-// protocol and not the writes it commits.
-func endTrans(e *scenario.Env, p *core.Process, body func() error) stats.Snapshot {
-	var before stats.Snapshot
-	scenario.Ok(e.Txn(p, func() error {
-		err := body()
-		before = e.Sys.Stats().Snapshot()
-		return err
-	}))
-	return e.Sys.Stats().Snapshot().Sub(before)
-}
-
-// coOwn has a second process at site 1 dirty [off, off+n) of path and
-// leave it uncommitted, so the next commit of a disjoint record on the
-// same page takes the Figure 4(b) differencing path.
-func coOwn(e *scenario.Env, path string, off, n int64, data string) {
-	_, files, err := e.Open(1, path)
-	scenario.Ok(err)
-	scenario.Ok(files[0].LockRange(off, n, core.Exclusive))
-	scenario.Must(files[0].WriteAt([]byte(data), off))
-	scenario.Must(files[0].Unlock(off, n))
+// replay runs one of the paper-*.scn files (repro.PaperScenarios) with
+// the spec lines set and returns its named marks, each a measured row.
+// Its words cannot fail on a fault-free cluster: a failure or an unmet
+// expect line comes back as the error.
+func replay(file string, spec ...string) ([]scenario.Mark, error) {
+	src, err := repro.PaperScenarios.ReadFile("testdata/scenarios/" + file)
+	if err == nil {
+		sc := &scenario.Script{Name: file, In: bytes.NewReader(src), Out: io.Discard, Spec: spec}
+		if err = sc.Run(); err == nil {
+			return sc.Marks, nil
+		}
+	}
+	return nil, err
 }
 
 // ---- E2: Figure 5, transaction I/O overhead ----
@@ -101,76 +101,38 @@ type Fig5Row struct {
 	ForcedIOs int64 `json:"-"`
 }
 
-// Fig5 measures the transaction mechanism's I/O overhead for the paper's
-// configurations.  doubleLogWrites reproduces footnote 9 (each log append
-// costs an extra inode write), turning the 5-I/O ideal into the 7-I/O
-// 1985 implementation.
-func Fig5(doubleLogWrites bool) ([]Fig5Row, error) {
-	return Fig5On(doubleLogWrites, scenario.Spec{})
-}
-
-// Fig5On runs the Figure 5 workloads on a caller-supplied scenario - the
-// cross-mode test charges VAX-era latencies and checks that every I/O
-// and message count matches the instantaneous run.
-func Fig5On(doubleLogWrites bool, spec scenario.Spec) ([]Fig5Row, error) {
-	type config struct {
-		name       string
-		files      []string // paths; all written
-		pages      int      // pages touched per file
-		paperTotal int64
-	}
-	paperSingle := int64(5)
-	if doubleLogWrites {
-		paperSingle = 7
-	}
-	configs := []config{
-		{"single file, 1 page", []string{"va/f1"}, 1, paperSingle},
-		{"single file, 4 pages", []string{"va/f2"}, 4, paperSingle + 3},
-		{"two files, one volume", []string{"va/f3", "va/f4"}, 1, 0},
-		{"two files, two volumes", []string{"va/f5", "vb/f5"}, 1, 0},
-	}
-
+// Fig5 replays the Figure 5 configurations (paper-fig5.scn), one
+// EndTrans a mark, with the spec lines set ("vax750" charges the 1985
+// testbed's latencies): for the intended design, then for the 1985
+// implementation, whose doubled log writes (footnote 9, "doublelog")
+// turn the 5-I/O ideal into 7.
+func Fig5(spec ...string) ([]Fig5Row, error) {
 	var rows []Fig5Row
-	for _, c := range configs {
-		spec.Volumes = threeSites
-		var d stats.Snapshot
-		if _, err := measure(spec, func(e *scenario.Env) {
-			for i, vol := range threeSites {
-				e.Sys.Cluster().Site(simnet.SiteID(i + 1)).Volume(vol).DoubleLogWrite = doubleLogWrites
-			}
-		}, func(e *scenario.Env) {
-			p := scenario.Must(e.Sys.NewProcess(3)) // coordinator at the client site
-			var files []*core.File
-			for _, path := range c.files {
-				files = append(files, scenario.Must(p.Create(path)))
-			}
-			pageSize := int64(e.Sys.Cluster().Config().PageSize)
-			d = endTrans(e, p, func() error {
-				for _, f := range files {
-					for pg := 0; pg < c.pages; pg++ {
-						if _, err := f.WriteAt([]byte("record update"), int64(pg)*pageSize); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
-		}); err != nil {
+	for _, doubleLog := range []bool{false, true} {
+		paper, lines := []int64{5, 8, 0, 0}, slices.Clip(spec)
+		if doubleLog {
+			paper, lines = []int64{7, 10, 0, 0}, append(lines, "doublelog")
+		}
+		marks, err := replay("paper-fig5.scn", lines...)
+		if err != nil {
 			return nil, err
 		}
-		row := Fig5Row{
-			Case:       c.name,
-			DoubleLog:  doubleLogWrites,
-			CoordLog:   d.Get(stats.CoordLogWrites),
-			DataPages:  d.Get(stats.DataPageWrites),
-			PrepareLog: d.Get(stats.PrepareLogWrites),
-			Inode:      d.Get(stats.InodeWrites),
-			PaperTotal: c.paperTotal,
-			Msgs:       d.Get(stats.MsgsSent),
-			ForcedIOs:  d.Get(stats.ForcedIOs),
+		for i, m := range marks {
+			d := m.Counters
+			r := Fig5Row{
+				Case:       m.Name,
+				DoubleLog:  doubleLog,
+				CoordLog:   d.Get(stats.CoordLogWrites),
+				DataPages:  d.Get(stats.DataPageWrites),
+				PrepareLog: d.Get(stats.PrepareLogWrites),
+				Inode:      d.Get(stats.InodeWrites),
+				PaperTotal: paper[i],
+				Msgs:       d.Get(stats.MsgsSent),
+				ForcedIOs:  d.Get(stats.ForcedIOs),
+			}
+			r.Total = r.CoordLog + r.DataPages + r.PrepareLog + r.Inode
+			rows = append(rows, r)
 		}
-		row.Total = row.CoordLog + row.DataPages + row.PrepareLog + row.Inode
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -259,7 +221,7 @@ func Fig6() ([]Fig6Row, error) {
 		{"remote, non-overlap", 2, false, "16ms service @requester, 131ms latency"},
 		{"remote, overlap", 2, true, "16ms service @requester, 124ms latency"},
 	} {
-		d, err := recordCommit(cluster.Config{}, c.site, 128, c.overlap, false)
+		d, err := recordCommit(cluster.Config{}, c.site, 128, c.overlap)
 		if err != nil {
 			return nil, err
 		}
@@ -281,17 +243,18 @@ func Fig6() ([]Fig6Row, error) {
 // process at requester locks and updates the first rec bytes of a
 // committed page at site 1 and syncs them.  With overlap a co-owner
 // holds an uncommitted record at the page's tail, forcing the
-// differencing path, whose previous version of the page comes from the
-// clean-page cache with fromPool (footnote 7).  It returns the counters
-// the sync spent.
-func recordCommit(cfg cluster.Config, requester simnet.SiteID, rec int, overlap, fromPool bool) (stats.Snapshot, error) {
+// differencing path.  It returns the counters the sync spent.
+func recordCommit(cfg cluster.Config, requester simnet.SiteID, rec int, overlap bool) (stats.Snapshot, error) {
 	var fp *core.File
 	return measure(standard(cfg), func(e *scenario.Env) {
-		e.Sys.Cluster().Site(1).Volume("va").CleanCacheForDiff = fromPool
 		page := e.Sys.Cluster().Config().PageSize
 		baseFile(scenario.Must(e.Sys.NewProcess(1)), "va/commit", page)
-		if overlap {
-			coOwn(e, "va/commit", int64(page)-8, 8, "co-owner")
+		if overlap { // a co-owner's uncommitted record at the page's tail
+			_, co, err := e.Open(1, "va/commit")
+			scenario.Ok(err)
+			scenario.Ok(co[0].LockRange(int64(page)-8, 8, core.Exclusive))
+			scenario.Must(co[0].WriteAt([]byte("co-owner"), int64(page)-8))
+			scenario.Must(co[0].Unlock(int64(page)-8, 8))
 		}
 		_, files, err := e.Open(requester, "va/commit")
 		scenario.Ok(err)
@@ -320,7 +283,7 @@ func PageSizeDifferencing(sizes []int) ([]PageSizeRow, error) {
 	for _, ps := range sizes {
 		// Co-owner holds a small record; measured owner rewrites most of
 		// the page (the "substantial portion").
-		d, err := recordCommit(cluster.Config{PageSize: ps, VolumePages: 256}, 1, ps*7/8, true, false)
+		d, err := recordCommit(cluster.Config{PageSize: ps, VolumePages: 256}, 1, ps*7/8, true)
 		if err != nil {
 			return nil, err
 		}

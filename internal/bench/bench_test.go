@@ -10,51 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-func TestFig5MatchesPaperCounts(t *testing.T) {
-	rows, err := Fig5(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Single file, 1 page: exactly the paper's 5 protocol I/Os -
-	// 2 coordinator log writes (record + commit mark), 1 data page, 1
-	// prepare log, 1 inode.
-	r := rows[0]
-	if r.CoordLog != 2 || r.DataPages != 1 || r.PrepareLog != 1 || r.Inode != 1 || r.Total != 5 {
-		t.Fatalf("single-page txn I/O = %+v, want 2/1/1/1 total 5", r)
-	}
-	// Multi-page single file: only step 2 repeats.
-	r = rows[1]
-	if r.DataPages != 4 || r.CoordLog != 2 || r.PrepareLog != 1 || r.Total != 8 {
-		t.Fatalf("4-page txn I/O = %+v", r)
-	}
-	// Two files on one volume: still one prepare log record; two inodes.
-	r = rows[2]
-	if r.PrepareLog != 1 || r.Inode != 2 {
-		t.Fatalf("two-file one-volume I/O = %+v", r)
-	}
-	// Two volumes: step 3 repeats per volume.
-	r = rows[3]
-	if r.PrepareLog != 2 {
-		t.Fatalf("two-volume I/O = %+v", r)
-	}
-}
-
-func TestFig5Footnote9Mode(t *testing.T) {
-	rows, err := Fig5(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Steps 1 and 3 each cost two I/Os: 5 + 2 = 7 for the single-page
-	// transaction (the commit mark stays in place, one I/O).
-	r := rows[0]
-	if r.Total != 7 {
-		t.Fatalf("footnote-9 single-page total = %d (%+v), want 7", r.Total, r)
-	}
-}
-
 func TestLockCostMatchesPaperShape(t *testing.T) {
 	rows, err := LockCost(64)
 	if err != nil {
@@ -199,21 +154,6 @@ func TestShadowVsWALCrossover(t *testing.T) {
 	}
 }
 
-func TestPrepareLogGranularityFootnote10(t *testing.T) {
-	rows, err := PrepareLogGranularity([]int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.PerVolumeIO != 1 {
-			t.Fatalf("per-volume mode wrote %d prepare records for %d files, want 1", r.PerVolumeIO, r.FilesPerTxn)
-		}
-		if r.PerFileIO != int64(r.FilesPerTxn) {
-			t.Fatalf("per-file mode wrote %d prepare records for %d files", r.PerFileIO, r.FilesPerTxn)
-		}
-	}
-}
-
 func TestLockCacheAblationSavesRPCs(t *testing.T) {
 	rows, err := LockCacheAblation(32)
 	if err != nil {
@@ -249,7 +189,7 @@ func TestRecoveryScenariosAllCorrect(t *testing.T) {
 }
 
 func TestReplicaLocality(t *testing.T) {
-	rows, err := ReplicaLocality(16)
+	rows, err := ReplicaRows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +206,7 @@ func TestReplicaLocality(t *testing.T) {
 }
 
 func TestPrefetchMovesReadLatencyUnderLock(t *testing.T) {
-	rows, err := PrefetchAblation()
+	rows, err := PrefetchRows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +226,7 @@ func TestPrefetchMovesReadLatencyUnderLock(t *testing.T) {
 }
 
 func TestFootnote7DiffFromBufferPool(t *testing.T) {
-	rows, err := Footnote7Ablation()
+	rows, err := Fn7Rows()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,46 +187,29 @@ type PrepGranRow struct {
 	PaperPerFile   int64 `col:"paper"`
 }
 
-// PrepareLogGranularity measures step 3 of Figure 5 for transactions
-// touching several files on one volume, in both layouts.
-func PrepareLogGranularity(filesPerTxn []int) ([]PrepGranRow, error) {
-	count := func(nFiles int, perFile bool) (int64, error) {
-		var d stats.Snapshot
-		_, err := measure(standard(cluster.Config{PerFilePrepareLogs: perFile}), nil, func(e *scenario.Env) {
-			p := scenario.Must(e.Sys.NewProcess(1))
-			var files []*core.File
-			for i := 0; i < nFiles; i++ {
-				files = append(files, scenario.Must(p.Create(fmt.Sprintf("va/f%d", i))))
-			}
-			d = endTrans(e, p, func() error {
-				for _, f := range files {
-					if _, err := f.WriteAt([]byte("update"), 0); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		})
-		return d.Get(stats.PrepareLogWrites), err
+// PrepLogRows replays footnote 10's transactions (paper-preplog.scn),
+// one EndTrans of N files of one volume a mark, in both layouts.
+func PrepLogRows() ([]PrepGranRow, error) {
+	perVol, perFile, err := ablation("paper-preplog.scn", "perfileprepare")
+	if err != nil {
+		return nil, err
 	}
-
-	var rows []PrepGranRow
-	for _, n := range filesPerTxn {
-		perVol, err := count(n, false)
-		if err != nil {
-			return nil, err
-		}
-		perFile, err := count(n, true)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, PrepGranRow{
-			FilesPerTxn: n,
-			PerVolumeIO: perVol, PerFileIO: perFile,
-			PaperPerVolume: 1, PaperPerFile: int64(n),
-		})
+	rows := make([]PrepGranRow, len(perVol))
+	for i, m := range perVol {
+		r := &rows[i]
+		fmt.Sscan(m.Name, &r.FilesPerTxn) //nolint:errcheck // "N files"
+		r.PerVolumeIO, r.PerFileIO = m.Counters.Get(stats.PrepareLogWrites), perFile[i].Counters.Get(stats.PrepareLogWrites)
+		r.PaperPerVolume, r.PaperPerFile = 1, int64(r.FilesPerTxn)
 	}
 	return rows, nil
+}
+
+// ablation replays a paper file without, then with, one spec line.
+func ablation(file, spec string) (off, on []scenario.Mark, err error) {
+	if off, err = replay(file); err == nil {
+		on, err = replay(file, spec)
+	}
+	return off, on, err
 }
 
 // ---- E8: section 5.1, requester lock cache ablation ----
@@ -391,29 +374,17 @@ func restartIO(sys *core.System) int64 {
 
 // ---- E10: section 5.2, replication with a primary update site ----
 
-// ReplicaLocality measures read cost from a non-primary site, without a
-// replica (every read is a round trip) and with one (reads served by the
-// closest available storage site, section 5.2).
-func ReplicaLocality(readsPerRun int) ([]PerOpRow, error) {
-	run := func(name string, replicate bool) (PerOpRow, error) {
-		var fr *core.File
-		d, err := measure(standard(cluster.Config{}), func(e *scenario.Env) {
-			scenario.Ok(baseFile(scenario.Must(e.Sys.NewProcess(1)), "va/shared", 4096).Close())
-			if replicate {
-				scenario.Ok(e.Sys.AddReplica("va", 2))
-			}
-			_, files, err := e.Open(2, "va/shared")
-			scenario.Ok(err)
-			fr = files[0]
-		}, func(*scenario.Env) {
-			buf := make([]byte, 128)
-			for i := 0; i < readsPerRun; i++ {
-				scenario.Must(fr.ReadAt(buf, int64(i*128)%3968))
-			}
-		})
-		return perOp(name, d, readsPerRun), err
+// ReplicaRows replays paper-replica.scn: reads from a non-primary site
+// without a replica (every read is a round trip) and with one (reads
+// served by the closest available storage site, section 5.2), a mark
+// each.
+func ReplicaRows() ([]PerOpRow, error) {
+	marks, err := replay("paper-replica.scn")
+	var rows []PerOpRow
+	for _, m := range marks {
+		rows = append(rows, perOp(m.Name, m.Counters, int(m.Counters.Get(stats.Syscalls)))) // a read is one system call
 	}
-	return offThenOn(run, "no replica (reads cross the network)", "local replica (closest storage site)")
+	return rows, err
 }
 
 // ---- E11: section 5.2, prefetch on lock ----
@@ -426,31 +397,20 @@ type PrefetchRow struct {
 	ReadLatency time.Duration `col:"first read latency,%.1fms"` // first data read after the lock
 }
 
-// PrefetchAblation measures a remote lock followed by a read of the
-// locked range.  Prefetching moves the page read under the lock exchange,
-// so the data access that follows pays no disk latency - the section 5.2
-// "prefetched in anticipation of their subsequent use" optimization.
-func PrefetchAblation() ([]PrefetchRow, error) {
-	run := func(name string, prefetch bool) (PrefetchRow, error) {
-		row := PrefetchRow{Case: name}
-		_, err := measure(standard(cluster.Config{PrefetchOnLock: prefetch}), nil, func(e *scenario.Env) {
-			scenario.Ok(baseFile(scenario.Must(e.Sys.NewProcess(1)), "va/data", 2048).Close())
-			// Restart the storage site so its working state (and caches)
-			// start cold, then lock and read from a remote site.
-			e.Sys.Cluster().Site(1).Crash()
-			scenario.Ok(e.Sys.Cluster().Site(1).Restart())
-			_, files, err := e.Open(2, "va/data")
-			scenario.Ok(err)
-			before := e.Sys.Stats().Snapshot()
-			scenario.Ok(files[0].LockRange(0, 1024, core.Shared))
-			locked := e.Sys.Stats().Snapshot()
-			scenario.Must(files[0].ReadAt(make([]byte, 1024), 0))
-			row.LockLatency = Vax.Latency(locked.Sub(before))
-			row.ReadLatency = Vax.Latency(e.Sys.Stats().Snapshot().Sub(locked))
-		})
-		return row, err
+// PrefetchRows replays paper-prefetch.scn, a remote lock and then a read
+// of the locked range, a mark each.  Prefetching moves the page read
+// under the lock exchange, so the data access that follows pays no disk
+// latency - the section 5.2 "prefetched in anticipation of their
+// subsequent use" optimization.
+func PrefetchRows() ([]PrefetchRow, error) {
+	off, on, err := ablation("paper-prefetch.scn", "prefetch")
+	if err != nil {
+		return nil, err
 	}
-	return offThenOn(run, "no prefetch (1985 implementation)", "prefetch on lock (section 5.2 optimization)")
+	row := func(name string, m []scenario.Mark) PrefetchRow {
+		return PrefetchRow{Case: name, LockLatency: Vax.Latency(m[0].Counters), ReadLatency: Vax.Latency(m[1].Counters)}
+	}
+	return []PrefetchRow{row("no prefetch (1985 implementation)", off), row("prefetch on lock (section 5.2 optimization)", on)}, nil
 }
 
 // ---- E12: footnote 7, differencing from the buffer pool ----
@@ -464,16 +424,17 @@ type Fn7Row struct {
 	SimLatency time.Duration `col:"sim latency,%.1fms"`
 }
 
-// Footnote7Ablation measures a local overlap commit in both modes.
-func Footnote7Ablation() ([]Fn7Row, error) {
-	run := func(name string, fromPool bool) (Fn7Row, error) {
-		d, err := recordCommit(cluster.Config{}, 1, 128, true, fromPool)
-		if err != nil {
-			return Fn7Row{}, err
-		}
-		return Fn7Row{Case: name, Reads: d.Get(stats.DiskReads), SimLatency: Vax.Latency(d)}, nil
+// Fn7Rows replays paper-fn7.scn's local overlap commit in both modes.
+func Fn7Rows() ([]Fn7Row, error) {
+	off, on, err := ablation("paper-fn7.scn", "cleancache")
+	if err != nil {
+		return nil, err
 	}
-	return offThenOn(run, "re-read previous version (1985 impl, Fig 6)", "previous version from buffer pool (footnote 7)")
+	row := func(name string, d stats.Snapshot) Fn7Row {
+		return Fn7Row{Case: name, Reads: d.Get(stats.DiskReads), SimLatency: Vax.Latency(d)}
+	}
+	return []Fn7Row{row("re-read previous version (1985 impl, Fig 6)", off[0].Counters),
+		row("previous version from buffer pool (footnote 7)", on[0].Counters)}, nil
 }
 
 // ---- E13: section 7.1, record-level vs whole-file locking ----

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -198,11 +197,11 @@ func ConcurrentCommit(o ConcurrentOpts, groupCommit bool) (ConcurrentRow, error)
 		return ConcurrentRow{}, err
 	}
 
-	pct := percentiles(out.Latencies)
+	h := trace.NewHistogram(out.Latencies)
 	d := out.Counters
 	row.Committed, row.Aborted = d.Get(stats.TxnCommits), d.Get(stats.TxnAborts)
 	row.ClientCommitted, row.ClientAborted = out.Commits, out.Aborts
-	row.P50, row.P95, row.P99 = pct(0.50), pct(0.95), pct(0.99)
+	row.P50, row.P95, row.P99 = Ms(h.P50), Ms(h.P95), Ms(h.P99)
 	row.ForcedIOs = d.Get(stats.ForcedIOs)
 	row.Batches, row.BatchRecords = d.Get(stats.GroupCommitBatches), d.Get(stats.GroupCommitRecords)
 	row.DiskWrites, row.Counters = d.Get(stats.DiskWrites), d
@@ -312,16 +311,4 @@ func TelemetryDocument(rows []ConcurrentRow) []byte {
 		parts[i] = r.TelemetryJSON()
 	}
 	return append(append([]byte("[\n"), bytes.Join(parts, []byte(",\n"))...), "\n]\n"...)
-}
-
-// percentiles sorts lats and returns the nearest-rank lookup over them
-// (zero when empty).
-func percentiles(lats []time.Duration) func(p float64) Ms {
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return func(p float64) Ms {
-		if len(lats) == 0 {
-			return 0
-		}
-		return Ms(lats[int(p*float64(len(lats)-1))])
-	}
 }

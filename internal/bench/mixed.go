@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // MixedRow is one configuration of the mixed read/write workload: a
@@ -126,13 +127,13 @@ func MixedCommit(txns, readShare int, fastPaths bool) (MixedRow, error) {
 	if err != nil {
 		return MixedRow{}, err
 	}
-	pct := percentiles(out.Latencies)
+	h := trace.NewHistogram(out.Latencies)
 	d := out.Counters
 	row := MixedRow{
 		Case: "fast-paths " + onOff(fastPaths), FastPaths: fastPaths,
 		ReadShare: readShare, Txns: txns,
 		Committed: out.Commits, Aborted: out.Aborts,
-		P50: pct(0.50), P99: pct(0.99),
+		P50: Ms(h.P50), P99: Ms(h.P99),
 		ForcedIOs:   d.Get(stats.ForcedIOs),
 		CoordWrites: d.Get(stats.CoordLogWrites),
 		PrepWrites:  d.Get(stats.PrepareLogWrites),

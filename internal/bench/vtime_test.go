@@ -1,22 +1,17 @@
 package bench
 
-import (
-	"testing"
-
-	"repro/internal/costmodel"
-	"repro/internal/scenario"
-)
+import "testing"
 
 // TestFig5CrossMode proves latency re-prices time without changing what
 // happens: every Figure 5 count - per-category I/Os, messages and forced
 // I/Os - is identical over instantaneous devices and at VAX-750
 // latencies.
 func TestFig5CrossMode(t *testing.T) {
-	base, err := Fig5(false)
+	base, err := Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
-	virt, err := Fig5On(false, scenario.Spec{}.At(costmodel.Vax750()))
+	virt, err := Fig5("vax750")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package crashprobe
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -179,6 +180,29 @@ func TestOneFileCommitMatrix(t *testing.T) {
 	}
 	if n := writes[""]["v2"]; n != 0 {
 		t.Errorf("the coordinator's disk took %d writes, want 0", n)
+	}
+}
+
+// TestOneFileCommitUnderLayers sweeps the one-file one-phase commit
+// under group commit, leases and placement, each alone and all three
+// together: the layers that batch its log forces, lease its locks and
+// may move its file must leave every crash point clean.
+func TestOneFileCommitUnderLayers(t *testing.T) {
+	file := files("onefile")[0]
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"groupcommit 5ms", "leases", "placement", "groupcommit 5ms\nleases\nplacement"} {
+		wr, err := sweep(file, append([]byte(spec+"\n"), src...), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := &Result{Workloads: []WorkloadResult{*wr}}
+		if res.Points() == 0 || !res.OK() {
+			t.Fatalf("%q: %d points:\n%s", spec, res.Points(), res.Report())
+		}
+		t.Logf("%q: %d points, clean", spec, res.Points())
 	}
 }
 

@@ -27,20 +27,27 @@ import (
 // Script replays one scenario file (testdata/scenarios), or a session
 // typed at the terminal.  Spec lines come first, each a flag without its
 // dash ("sites 3", the default, "volumes va vb", "seed 7", "faults",
-// "leases"); then session words, one Run client on the virtual clock
-// ("help" lists them), each followed by any "expect output|error TEXT" or
-// "expect counter NAME N".  After the words every site is crash-restarted
-// and the section 5 audit runs: "expect verdict pass|fail" states its
-// outcome (pass if unstated), and "expect atomic PATH..." and "expect
-// replica PATH SITE" check the recovered files (invariant.Atomic and
-// invariant.Replica).  A file may instead hold one "chaos FLAGS" line and
-// its expect lines.  In a file an unexpected error or unmet expectation
-// fails the run with a *FileError naming the line; at the terminal it is
-// printed and the session goes on.
+// "leases", an ablation switch of the paper's section 6 such as
+// "doublelog", or "vax750" for the 1985 testbed's latencies); then
+// session words, one Run client on the virtual clock ("help" lists them),
+// each followed by any "expect output|error TEXT" or "expect counter NAME
+// N [SPEC N]...", which counts from the last "mark" word (or the first
+// word) and wants the count after a SPEC line the run has set, if any.
+// After the words every site is crash-restarted and the section 5 audit
+// runs: "expect verdict pass|fail" states its outcome (pass if unstated),
+// and "expect atomic PATH..." and "expect replica PATH SITE" check the
+// recovered files (invariant.Atomic and invariant.Replica).  A file may
+// instead hold one "chaos FLAGS" line and its expect lines.  In a file an
+// unexpected error or unmet expectation fails the run with a *FileError
+// naming the line; at the terminal it is printed and the session goes on.
 type Script struct {
 	Name string    // the input's name; "-" is the terminal
 	In   io.Reader // the words
 	Out  io.Writer // the transcript
+	// Spec is spec lines set before the input's own ("doublelog").
+	Spec []string
+	// Marks is filled by Run: each named mark's segment, in order.
+	Marks []Mark
 	// Chaos runs a file's chaos line (FLAGS as locus chaos takes them);
 	// nil refuses a chaos file with ErrChaosFile.
 	Chaos func(args []string) (report string, checks invariant.Report, counters stats.Snapshot, err error)
@@ -78,6 +85,13 @@ type Verdict struct {
 	Forensics  []string `json:",omitempty"` // trace tails of the expect lines' files
 }
 
+// Mark is what a named mark's segment spent: the counters from the mark
+// line to the next one or the end of the words.
+type Mark struct {
+	Name     string // the mark line's words after "mark"
+	Counters stats.Snapshot
+}
+
 // Disk is one volume at one site.
 type Disk struct {
 	Site   simnet.SiteID
@@ -101,29 +115,34 @@ var ErrChaosFile = errors.New("scenario: a chaos file replays under locus run on
 // session is one run of a script.
 type session struct {
 	*Script
-	raw       string // the line last read
-	line      int    // and its number
-	in        *bufio.Scanner
-	tty       bool // stdin: prompt, and no error ends the session
-	armed     bool // an armed probe replay: words may fail
-	spec      Spec
-	e         *Env
-	procs     map[string]*core.Process
-	files     map[[2]string]*core.File // {proc, path} -> handle
-	bg        *vtime.Group
-	pending   []*result             // go words not yet waited for
-	last      result                // the word the expect lines check
-	counters  func() stats.Snapshot // what expect counter reads
-	verdict   int                   // the expect verdict line, if any
-	wantPass  bool
-	model     model
-	hasProbe  bool             // a probe line is ahead (a file is read whole)
-	paths     []string         // the files the atomic and replica lines name
-	post      []result         // those lines, checked after recovery
-	checks    invariant.Report // and their verdicts
-	probeAt   []int64          // each probe disk's writes at the probe line
-	ended     bool             // a transaction has ended since the probe line
-	recovered bool             // the cluster came back and the post lines ran
+	raw        string // the line last read
+	line       int    // and its number
+	in         *bufio.Scanner
+	tty        bool // stdin: prompt, and no error ends the session
+	armed      bool // an armed probe replay: words may fail
+	spec       Spec
+	specs      *flag.FlagSet
+	doubleLog  bool // the doublelog and cleancache spec lines
+	cleanCache bool
+	e          *Env
+	procs      map[string]*core.Process
+	files      map[[2]string]*core.File // {proc, path} -> handle
+	bg         *vtime.Group
+	pending    []*result             // go words not yet waited for
+	last       result                // the word the expect lines check
+	counters   func() stats.Snapshot // what expect counter reads
+	base       stats.Snapshot        // the counters at the last mark
+	marking    bool                  // the last mark was named
+	verdict    int                   // the expect verdict line, if any
+	wantPass   bool
+	model      model
+	hasProbe   bool             // a probe line is ahead (a file is read whole)
+	paths      []string         // the files the atomic and replica lines name
+	post       []result         // those lines, checked after recovery
+	checks     invariant.Report // and their verdicts
+	probeAt    []int64          // each probe disk's writes at the probe line
+	ended      bool             // a transaction has ended since the probe line
+	recovered  bool             // the cluster came back and the post lines ran
 }
 
 // result is what one word, read at line, printed and returned.
@@ -166,9 +185,22 @@ func (sc *Script) Run() error {
 	specs.Int64Var(&s.spec.Seed, "seed", 0, "")
 	specs.BoolVar(&s.spec.Faults, "faults", false, "")
 	s.spec.Layers.Flags(specs)
+	// The ablation switches of the paper's section 6 experiments.
+	specs.BoolVar(&s.doubleLog, "doublelog", false, "")
+	specs.BoolVar(&s.cleanCache, "cleancache", false, "")
+	specs.BoolVar(&s.spec.Base.PerFilePrepareLogs, "perfileprepare", false, "")
+	specs.BoolVar(&s.spec.Base.PrefetchOnLock, "prefetch", false, "")
+	specs.BoolFunc("vax750", "", func(string) error { s.spec = s.spec.At(costmodel.Vax750()); return nil })
+	s.specs = specs
+	set := func(args []string) error { return specs.Set(args[0], cmp.Or(strings.Join(args[1:], " "), "true")) }
+	for _, l := range sc.Spec {
+		if err := set(strings.Fields(l)); err != nil {
+			return fmt.Errorf("%s: spec line %q: %w", sc.Name, l, err)
+		}
+	}
 	args, ok := s.next()
 	for ; ok && specs.Lookup(args[0]) != nil; args, ok = s.next() {
-		if err := s.check(specs.Set(args[0], cmp.Or(strings.Join(args[1:], " "), "true"))); err != nil {
+		if err := s.check(set(args)); err != nil {
 			return err
 		}
 	}
@@ -184,8 +216,9 @@ func (sc *Script) Run() error {
 	scn := Scenario{Spec: s.spec, Recover: RestartAll, Files: slices.Compact(slices.Sorted(slices.Values(s.paths))), Absent: s.model.absent,
 		Clients: []func(*Env){func(e *Env) {
 			s.e, s.bg = e, vtime.NewGroup(e.Clock)
-			base := e.Sys.Stats().Snapshot()
-			s.counters = func() stats.Snapshot { return e.Sys.Stats().Snapshot().Sub(base) }
+			s.base = e.Sys.Stats().Snapshot()
+			s.counters = func() stats.Snapshot { return e.Sys.Stats().Snapshot().Sub(s.base) }
+			s.setVolumes()
 			if !s.hasProbe {
 				Ok(s.probe(nil))
 			}
@@ -195,6 +228,7 @@ func (sc *Script) Run() error {
 				defer s.probed(false)
 				return s.exec(args, false)
 			}))
+			s.endMark()
 			s.probed(true)
 		}},
 		Check: func(e *Env, _ *Outcome) { s.checkPost(e) },
@@ -321,9 +355,17 @@ func (s *session) expect(args []string) error {
 		}
 	case "counter":
 		c, known := stats.CounterByName(args[min(2, len(args)-1)])
-		want, err := strconv.ParseInt(args[len(args)-1], 10, 64)
-		if !known || err != nil || len(args) != 4 {
-			return errors.New("usage: expect counter NAME N")
+		var want int64
+		var err error
+		for i := 3; i < len(args) && err == nil; i += 2 { // a SPEC N pair counts if the line is set
+			if f := s.specs.Lookup(args[i-1]); i == 3 || f != nil && f.Value.String() != f.DefValue {
+				want, err = strconv.ParseInt(args[i], 10, 64)
+			} else if f == nil {
+				err = errors.New(args[i-1])
+			}
+		}
+		if !known || err != nil || len(args) < 4 || len(args)%2 != 0 {
+			return errors.New("usage: expect counter NAME N [SPEC N]...")
 		} else if got := s.counters().Get(c); got != want && !s.armed {
 			return fmt.Errorf("expect counter %s %d: it is %d", c, want, got)
 		}
@@ -338,7 +380,7 @@ func (s *session) expect(args []string) error {
 		}
 		s.post = append(s.post, result{line: s.line, word: s.raw})
 	default:
-		return errors.New("usage: expect output|error TEXT, expect counter NAME N, expect verdict pass|fail, expect atomic PATH..., expect replica PATH SITE")
+		return errors.New("usage: expect output|error TEXT, expect counter NAME N [SPEC N]..., expect verdict pass|fail, expect atomic PATH..., expect replica PATH SITE")
 	}
 	return nil
 }
@@ -380,13 +422,14 @@ func (s *session) audited(checks invariant.Report) error {
 // its <required> ones gets its usage back.  A lock waits only under go.
 var wordList = []string{
 	"proc <name> <site>", "begin <proc>", "end <proc>", "abort <proc>", "write <proc> <vol/file> <off> <text...>",
-	"fill <proc> <vol/file> <off> <n> <byte>", "read <proc> <vol/file> <off> <len>",
+	"fill <proc> <vol/file> <off> <n> <byte>", "read <proc> <vol/file> <off> <len> [count], count reads of consecutive len-byte records",
 	"lock <proc> <vol/file> <off> <len> [s|x] [nontxn]", "unlock <proc> <vol/file> <off> <len>",
 	"sync <proc> <vol/file>", "close <proc> <vol/file>", "fork <proc> <child> <site>", "exitproc <proc>",
 	"kill <proc>", "migrate <proc> <site>", "replica <vol> <site>", "sleep <duration>",
 	"<fault> [arg], as -schedule spells it: crash 1, restart 1, partition 2, heal, block 1>2, drop 0.3, ...",
-	"probe [site:vol...], where the crash points of locus probe start", "go <word...>", "wait",
-	"locks <vol/file>", "edges", "deadlocks", "stats", "help", "quit",
+	"probe [site:vol...], where the crash points of locus probe start", "mark [name...], where expect counter starts counting",
+	"go <word...>", "wait", "locks <vol/file>", "edges", "deadlocks", "stats", "help", "quit",
+	"<spec> lines before the words: sites, volumes, seed, faults, groupcommit, fastpaths, leases, placement, doublelog, perfileprepare, prefetch, cleancache, vax750",
 }
 
 // wordError carries a failed step out of a word.
@@ -465,8 +508,13 @@ func (s *session) exec(args []string, bg bool) (out string, err error) {
 	case "write", "fill":
 		fmt.Fprintf(b, "wrote %d bytes\n", try(s.file(args).WriteAt(try(written(args)), num(3))))
 	case "read":
-		buf := make([]byte, num(4))
-		fmt.Fprintf(b, "%q\n", buf[:try(s.file(args).ReadAt(buf, num(3)))])
+		buf, count := make([]byte, num(4)), int64(1)
+		if len(args) > 5 {
+			count = num(5)
+		}
+		for i := int64(0); i < count; i++ {
+			fmt.Fprintf(b, "%q\n", buf[:try(s.file(args).ReadAt(buf, num(3)+i*num(4)))])
+		}
 	case "lock":
 		mode := core.Exclusive
 		if len(args) > 5 && args[5] == "s" {
@@ -506,6 +554,14 @@ func (s *session) exec(args []string, bg bool) (out string, err error) {
 		}
 		try(0, s.probe(args[1:]))
 		fmt.Fprintln(b, "crash points start here")
+	case "mark":
+		if bg {
+			return "", errors.New("mark: not under go")
+		}
+		s.endMark()
+		if s.base, s.marking = sys.Stats().Snapshot(), len(args) > 1; s.marking {
+			s.Marks = append(s.Marks, Mark{Name: strings.Join(args[1:], " ")})
+		}
 	case "sleep":
 		s.e.Clock.Sleep(try(time.ParseDuration(args[1])))
 	case "go":
@@ -572,9 +628,27 @@ func (s *session) fault(args []string) (string, error) {
 	case FaultCrash:
 		return fmt.Sprintf("site %d down (its processes and unsynced data are lost)\n", f.Site), nil
 	case FaultRestart:
+		s.setVolumes() // the restart loaded the volumes afresh
 		return fmt.Sprintf("site %d recovered (in doubt: %d)\n", f.Site, s.e.Sys.Cluster().Site(f.Site).InDoubtCount()), nil
 	}
 	return fmt.Sprintf("injected %s\n", strings.TrimPrefix(sched[0].String(), "0s:")), nil
+}
+
+// endMark ends a named mark's segment.
+func (s *session) endMark() {
+	if s.marking {
+		s.Marks[len(s.Marks)-1].Counters = s.counters()
+	}
+}
+
+// setVolumes sets the doublelog and cleancache spec lines on each site's
+// own volume.
+func (s *session) setVolumes() {
+	for i, vol := range s.spec.Volumes {
+		if v := s.e.Sys.Cluster().Site(simnet.SiteID(i + 1)).Volume(vol); v != nil {
+			v.DoubleLogWrite, v.CleanCacheForDiff = s.doubleLog, s.cleanCache
+		}
+	}
 }
 
 // probe ends the set-up at a probe line naming disks (SITE:VOL words;
