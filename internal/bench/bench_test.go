@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -202,6 +203,18 @@ func TestReplicaLocality(t *testing.T) {
 	}
 	if with.SimLatency >= without.SimLatency {
 		t.Fatal("replica did not reduce read latency")
+	}
+}
+
+// TestPerOpKeepsRareCosts: a cost paid by fewer than half of the
+// repetitions - two page reads from disk over sixteen remote reads -
+// still shows in the per-op latency.
+func TestPerOpKeepsRareCosts(t *testing.T) {
+	var d stats.Snapshot
+	d[stats.MsgsSent], d[stats.DiskReads] = 32, 2
+	row := perOp("remote reads", d, 16)
+	if want := (32*Vax.MsgTime + 2*Vax.DiskReadTime) / 16; row.SimLatency != want {
+		t.Fatalf("per-op latency %v, want %v (two round-trip hops and an eighth of a page read)", row.SimLatency, want)
 	}
 }
 

@@ -222,12 +222,14 @@ type PerOpRow struct {
 	SimLatency time.Duration `col:"sim latency/op,%.1fms"`
 }
 
-// perOp averages the counters d spent over ops repetitions.
+// perOp averages the counters d spent over ops repetitions.  It prices
+// the totals and then divides, so a cost paid by fewer than half of the
+// repetitions still shows in the average.
 func perOp(name string, d stats.Snapshot, ops int) PerOpRow {
 	return PerOpRow{
 		Case:       name,
 		MsgsPerOp:  float64(d.Get(stats.MsgsSent)) / float64(ops),
-		SimLatency: Vax.Latency(d.Scale(int64(ops))),
+		SimLatency: Vax.Latency(d) / time.Duration(ops),
 	}
 }
 

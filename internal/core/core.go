@@ -38,7 +38,9 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/tpc"
 	"repro/internal/trace"
+	"repro/internal/vtime"
 	"repro/internal/wfg"
 )
 
@@ -80,6 +82,9 @@ type System struct {
 
 	mu     sync.Mutex
 	active map[string]*txnState
+	// unreleased is the read-only transactions whose background release
+	// a fault lost: their Shared locks are aborted when the network heals.
+	unreleased []*handoff
 
 	detector *wfg.Detector
 }
@@ -101,6 +106,11 @@ type txnState struct {
 	// commit), so external abort triggers - topology changes, deadlock
 	// victims - must no longer broadcast aborts.
 	committing bool
+	// wrote marks that a process of the transaction issued a write or
+	// asked for a lock above Shared.  It is set before the request goes
+	// out, so one that fails after reaching its storage site still
+	// counts; a transaction without it only read (commitVia, atLockPoint).
+	wrote bool
 }
 
 // NewSystem builds a system over a fresh cluster.
@@ -113,8 +123,11 @@ func NewSystem(cfg cluster.Config) *System {
 	// change in network topology, it aborts all ongoing transactions
 	// involving sites no longer in the current partition.
 	sys.cl.Net().Watch(func(ev simnet.TopologyEvent) {
-		if ev.Kind == simnet.SiteDown || ev.Kind == simnet.Partitioned {
+		switch ev.Kind {
+		case simnet.SiteDown, simnet.Partitioned:
 			sys.abortTxnsInvolving(ev.Sites)
+		case simnet.Healed:
+			sys.abortUnreleased()
 		}
 	})
 	return sys
@@ -185,18 +198,7 @@ func (sys *System) abortTxn(ts *txnState) {
 
 	// Drive the abort from any live site - preferably the top-level
 	// process's site.
-	var origin *cluster.Site
-	if s := sys.cl.Site(ts.siteBuf[0]); s != nil && s.Up() {
-		origin = s
-	} else {
-		for _, id := range sys.cl.Sites() {
-			if s := sys.cl.Site(id); s != nil && s.Up() {
-				origin = s
-				break
-			}
-		}
-	}
-	if origin != nil {
+	if origin := sys.liveSite(ts.siteBuf[0]); origin != nil {
 		origin.AbortEverywhere(ts.txid)
 		origin.Tracer().Record(trace.TxnAbort, ts.txid, "", 0)
 	}
@@ -207,6 +209,36 @@ func (sys *System) abortTxn(ts *txnState) {
 	sys.mu.Lock()
 	delete(sys.active, ts.txid)
 	sys.mu.Unlock()
+}
+
+// liveSite returns the site if it is up, else the lowest live site, else
+// nil.
+func (sys *System) liveSite(prefer simnet.SiteID) *cluster.Site {
+	if s := sys.cl.Site(prefer); s != nil && s.Up() {
+		return s
+	}
+	for _, id := range sys.cl.Sites() {
+		if s := sys.cl.Site(id); s != nil && s.Up() {
+			return s
+		}
+	}
+	return nil
+}
+
+// abortUnreleased tells every site to abort each read-only transaction
+// whose release a fault lost: it changed nothing, so the abort only drops
+// the Shared locks a storage site still holds for it.
+func (sys *System) abortUnreleased() {
+	sys.mu.Lock()
+	lost := sys.unreleased
+	sys.unreleased = nil
+	sys.mu.Unlock()
+	for _, r := range lost {
+		if origin := sys.liveSite(r.k.ID()); origin != nil {
+			origin.AbortEverywhere(r.txid)
+		}
+		r.recycle()
+	}
 }
 
 // dropLockCaches ends the life of the transaction's requester lock cache
@@ -439,32 +471,108 @@ func (p *Process) EndTrans() error {
 	// hand it the coordinator role - prepare and phase two run locally
 	// there (one-phase with FastPaths), and this site pays one round
 	// trip instead of a cross-site protocol.
+	h := handoff{sys: p.sys, k: p.kernel(), txid: txid, files: files}
+	routed := false
 	if p.sys.cl.Config().AdaptivePlacement {
-		if target, ok := p.sys.cl.RouteTarget(p.site, files); ok {
-			return p.commitVia(ts, txid, func() error {
-				return p.kernel().RouteCommit(target, txid, files)
-			})
+		h.target, routed = p.sys.cl.RouteTarget(p.site, files)
+	}
+	if !routed {
+		if h.coord, err = p.kernel().Coordinator(); err != nil {
+			// This site cannot coordinate (no volume for its log): the
+			// transaction must abort, releasing its retained locks
+			// everywhere - they must never leak.
+			if ts != nil {
+				p.sys.abortTxn(ts)
+			}
+			return fmt.Errorf("%w: %v", ErrAborted, err)
 		}
 	}
-	coord, err := p.kernel().Coordinator()
-	if err != nil {
-		// This site cannot coordinate (no volume for its log): the
-		// transaction must abort, releasing its retained locks
-		// everywhere - they must never leak.
-		if ts != nil {
-			p.sys.abortTxn(ts)
-		}
-		return fmt.Errorf("%w: %v", ErrAborted, err)
+	return p.commitVia(ts, &h, (routed || oneSite(files)) && p.sys.onlyRead(ts))
+}
+
+// handoff is a commit as EndTrans hands it to its driver: the local
+// coordinator, or (coord nil) a routed one at target.
+type handoff struct {
+	sys    *System
+	k      *cluster.Site
+	coord  *tpc.Coordinator
+	target simnet.SiteID
+	txid   string
+	files  []proc.FileRef
+}
+
+func (h *handoff) commit() error {
+	if h.coord != nil {
+		return h.coord.CommitTransaction(h.txid, h.files)
 	}
-	return p.commitVia(ts, txid, func() error {
-		return coord.CommitTransaction(txid, files)
-	})
+	return h.k.RouteCommit(h.target, h.txid, h.files)
+}
+
+// releases recycles the handoffs read-only transactions' background
+// releases run, so the exit allocates nothing that outlives it.
+var releases = sync.Pool{New: func() any { return new(handoff) }}
+
+// oneSite reports whether one site stores every file of the list: the
+// commit's first act is then its one message there (a one-phase prepare),
+// where a commit over several sites forces its coordinator record first.
+func oneSite(files []proc.FileRef) bool {
+	for _, f := range files[1:] {
+		if f.StorageSite != files[0].StorageSite {
+			return false
+		}
+	}
+	return true
+}
+
+// onlyRead reports whether a committing transaction may return at its
+// lock point: FastPaths is on, the clock is virtual and no process of the
+// transaction wrote or took a lock above Shared.
+func (sys *System) onlyRead(ts *txnState) bool {
+	if ts == nil || !sys.cl.Config().FastPaths {
+		return false
+	}
+	if _, virtual := vtime.AsVirtual(sys.cl.Clock()); !virtual {
+		return false // no instant to settle: the release could trail the next request
+	}
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	return !ts.wrote
+}
+
+// runRelease is a read-only transaction's background commit.  Its error
+// is nobody's to return: the outcome was decided at the lock point.  A
+// release a partition or crash lost leaves the transaction's Shared locks
+// at a storage site that did not hear it, so it waits for the network to
+// heal and aborts them then (abortUnreleased).
+func runRelease(arg any, _ int) {
+	r := arg.(*handoff)
+	if err := r.commit(); err != nil {
+		r.sys.mu.Lock()
+		r.sys.unreleased = append(r.sys.unreleased, r)
+		r.sys.mu.Unlock()
+		return
+	}
+	r.recycle()
+}
+
+func (r *handoff) recycle() {
+	*r = handoff{}
+	releases.Put(r)
 }
 
 // commitVia hands the outcome to a commit driver (the local coordinator,
 // or a routed remote one); external abort triggers stand down from here
 // on - only the protocol decides the outcome.
-func (p *Process) commitVia(ts *txnState, txid string, commit func() error) error {
+//
+// atLockPoint commits a transaction that only read without waiting for
+// its commit.  Under two-phase locking it has held every lock it will
+// ever take since its last read - its lock point - and nothing anywhere
+// is left to decide (DESIGN.md section 10): its storage site votes
+// read-only and releases its Shared locks.  That same commit runs in a
+// background actor, and the instant settles first, so its message to the
+// one storage site is on the wire before this process's next request.
+func (p *Process) commitVia(ts *txnState, h *handoff, atLockPoint bool) error {
+	txid := h.txid
 	p.sys.mu.Lock()
 	if ts != nil {
 		if ts.aborted {
@@ -476,8 +584,16 @@ func (p *Process) commitVia(ts *txnState, txid string, commit func() error) erro
 	p.sys.mu.Unlock()
 	clk := p.sys.cl.Clock()
 	prof := p.sys.prof()
+	if atLockPoint {
+		r := releases.Get().(*handoff)
+		*r = *h
+		vtime.GoArg(clk, r, runRelease)
+		vtime.Settle(clk)
+		prof.TxnEnd(txid, clk.Now(), true)
+		return nil
+	}
 	commitT0 := clk.Now()
-	err := commit()
+	err := h.commit()
 	prof.Window(txid, telemetry.WinCommit, clk.Now().Sub(commitT0))
 	if err != nil {
 		prof.TxnEnd(txid, clk.Now(), false)
@@ -565,12 +681,19 @@ func (p *Process) Migrate(to simnet.SiteID) error {
 }
 
 // checkLive fails fast if the process's transaction has been aborted
-// underneath it (deadlock victim or partition).
-func (p *Process) checkLive(txid string) error {
+// underneath it (deadlock victim or partition).  writes marks the
+// transaction as one that did not only read, before the request goes out.
+func (p *Process) checkLive(txid string, writes bool) error {
 	if txid == "" {
 		return nil
 	}
-	if p.sys.lookupTxn(txid) == nil {
+	p.sys.mu.Lock()
+	ts := p.sys.active[txid]
+	if ts != nil && writes {
+		ts.wrote = true
+	}
+	p.sys.mu.Unlock()
+	if ts == nil {
 		return fmt.Errorf("%w: %s", ErrAborted, txid)
 	}
 	return nil

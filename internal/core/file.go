@@ -153,7 +153,7 @@ func (f *File) Lock(length int64, mode Mode, opts ...LockOpts) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := f.p.checkLive(ps.TxnID); err != nil {
+	if err := f.p.checkLive(ps.TxnID, mode != Shared); err != nil {
 		return 0, err
 	}
 	opDone := f.opWindow(ps.TxnID)
@@ -217,7 +217,7 @@ func (f *File) ReadAt(buf []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := f.p.checkLive(ps.TxnID); err != nil {
+	if err := f.p.checkLive(ps.TxnID, false); err != nil {
 		return 0, err
 	}
 	opDone := f.opWindow(ps.TxnID)
@@ -242,7 +242,7 @@ func (f *File) WriteAt(buf []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := f.p.checkLive(ps.TxnID); err != nil {
+	if err := f.p.checkLive(ps.TxnID, true); err != nil {
 		return 0, err
 	}
 	opDone := f.opWindow(ps.TxnID)

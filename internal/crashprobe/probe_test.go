@@ -365,3 +365,68 @@ func TestOwnerMoveMatrix(t *testing.T) {
 		t.Fatal("sweep did not cover the hosted v1 volume at site 2")
 	}
 }
+
+// sweepText probes a scenario file given as text and fails the test on a
+// harness error or on any violation, the counting run's included.
+func sweepText(t *testing.T, name, src string) *Result {
+	t.Helper()
+	wr, err := sweep(name, []byte(src), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{Workloads: []WorkloadResult{*wr}}
+	if res.Points() == 0 || !res.OK() {
+		t.Fatalf("%s: %d points:\n%s", name, res.Points(), res.Report())
+	}
+	return res
+}
+
+// TestProbeEndsLiveProcesses: a file whose words end with a process still
+// holding a non-transaction lock and another inside a transaction that
+// holds a Shared lock probes clean at its baseline and at every point.  A
+// probe replay restarts only the crashed sites, so the processes are
+// ended before the audit, as the restart of every site ends them under
+// locus run.
+func TestProbeEndsLiveProcesses(t *testing.T) {
+	sweepText(t, "held.scn", `sites 2
+proc s 2
+begin s
+fill s v1/f 0 1500 A
+end s
+close s v1/f
+probe
+proc p 2
+begin p
+fill p v1/f 0 2600 B
+end p
+lock p v1/f 0 8 x nontxn
+proc q 1
+begin q
+lock q v1/f 16 8 s
+expect atomic v1/f
+`)
+}
+
+// TestProbeReadOnlyLastWord: a file whose last word is a read-only end
+// under fastpaths and placement probes clean: the release that end left
+// in flight lands during recovery, and no Shared lock is left behind.
+func TestProbeReadOnlyLastWord(t *testing.T) {
+	sweepText(t, "readonly-last.scn", `sites 2
+fastpaths
+placement
+proc s 2
+begin s
+fill s v1/f 0 1500 A
+end s
+close s v1/f
+probe
+proc p 2
+begin p
+fill p v1/f 0 2600 B
+end p
+begin p
+read p v1/f 0 8
+end p
+expect atomic v1/f
+`)
+}

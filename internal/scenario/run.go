@@ -224,13 +224,20 @@ func Run(sc Scenario) (*Outcome, error) {
 	e.stopped = true
 	clients.Wait()
 	e.aux.Wait()
-	if sc.Profile && !sc.Faults {
+	end := e.Clock.Now()
+	if !sc.Faults && (sc.Profile || sc.Recover == NoRecovery) {
 		// A fault-free cluster runs no background timer, so the clock can
-		// run dry: let phase-two cleanup and the group-commit daemon
-		// finish, and the profile and busy fractions cover the whole run.
+		// run dry: let what the clients left running (phase-two cleanup,
+		// a read-only transaction's release, the group-commit daemon)
+		// finish before the counters are read.  A profile and the busy
+		// fractions cover the whole run; a measurement's window ends with
+		// its last client.
 		e.Clock.WaitIdle()
+		if sc.Profile {
+			end = e.Clock.Now()
+		}
 	}
-	out := &Outcome{SimTime: e.Clock.Now().Sub(start), SimSetup: setup}
+	out := &Outcome{SimTime: end.Sub(start), SimSetup: setup}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}

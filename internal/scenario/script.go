@@ -59,11 +59,12 @@ type Script struct {
 // whose stable writes are not crash points; without the line the set-up
 // is empty.  The line names the disks the sweep counts (each site's own
 // volume if it names none) and arms Arm to fail its (Index+1)-th stable
-// write after it.  Recovery restarts only the crashed sites.  The counting
-// run (Arm nil) checks every expectation, as locus run does; an armed
-// replay checks only the audit and the expect atomic and replica lines,
-// and there a word's error aborts its transaction, which is then never
-// confirmed, and the replay goes on.
+// write after it.  After the words every process they left is killed, and
+// recovery restarts only the crashed sites.  The counting run (Arm nil)
+// checks every expectation, as locus run does; an armed replay checks
+// only the audit and the expect atomic and replica lines, and there a
+// word's error aborts its transaction, which is then never confirmed, and
+// the replay goes on.
 type Probe struct {
 	Arm     *Disk
 	Index   int
@@ -230,6 +231,9 @@ func (sc *Script) Run() error {
 			}))
 			s.endMark()
 			s.probed(true)
+			if sc.Probe != nil {
+				s.endProcs()
+			}
 		}},
 		Check: func(e *Env, _ *Outcome) { s.checkPost(e) },
 	}
@@ -699,6 +703,17 @@ func (s *session) probed(done bool) {
 		if done {
 			p.Writes = append(p.Writes, int(s.writes(d)-s.probeAt[i]))
 		}
+	}
+}
+
+// endProcs ends every process the words started and left running, as
+// the crash of every site ends them under RestartAll: a probe replay
+// restarts only the crashed sites, so what a live process still holds -
+// a lock, an open transaction, an uncommitted write - would read as
+// leaked to the audit.  A process whose site is down is gone already.
+func (s *session) endProcs() {
+	for _, name := range slices.Sorted(maps.Keys(s.procs)) {
+		s.procs[name].Kill() //nolint:errcheck // see above
 	}
 }
 

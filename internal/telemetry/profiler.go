@@ -130,25 +130,32 @@ func (p *Profiler) TxnEnd(txid string, at time.Time, committed bool) {
 }
 
 // Charge attributes d of the transaction's latency to a leaf resource.
-// No-op on nil, empty txid, or non-positive d.
+// No-op on nil, empty txid, non-positive d, or a transaction already
+// ended: work its outcome no longer waits for (an asynchronous phase two,
+// a read-only transaction's release) is no part of its latency.
 func (p *Profiler) Charge(txid, resource string, d time.Duration) {
 	if p == nil || txid == "" || d <= 0 {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.get(txid).charges[resource] += d
+	if t := p.get(txid); !t.ended {
+		t.charges[resource] += d
+	}
 }
 
 // Window records a measured protocol-phase span (WinCommit, WinPrepare,
-// WinPhase2).  Spans accumulate (retries extend the window).
+// WinPhase2).  Spans accumulate (retries extend the window); like
+// Charge, it is a no-op once the transaction ended.
 func (p *Profiler) Window(txid, name string, d time.Duration) {
 	if p == nil || txid == "" || d <= 0 {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.get(txid).windows[name] += d
+	if t := p.get(txid); !t.ended {
+		t.windows[name] += d
+	}
 }
 
 // TxnAttribution is one committed transaction's latency broken down by

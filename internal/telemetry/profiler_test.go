@@ -59,6 +59,22 @@ func TestAttributionDecomposition(t *testing.T) {
 	}
 }
 
+// TestChargesAfterTxnEndDropped: what arrives after TxnEnd - a read-only
+// transaction's background release, an asynchronous phase two - is not
+// part of the latency, so the report is the one taken at TxnEnd.
+func TestChargesAfterTxnEndDropped(t *testing.T) {
+	p := NewProfiler()
+	p.TxnBegin("t1", at(0))
+	p.Window("t1", WinOp, 16*time.Millisecond)
+	p.TxnEnd("t1", at(16*time.Millisecond), true)
+	before, _ := p.Report().MarshalJSON()
+	p.Window("t1", WinPrepare, 16*time.Millisecond)
+	p.Charge("t1", ResOnePhaseApply, 4*time.Millisecond)
+	if after, _ := p.Report().MarshalJSON(); !bytes.Equal(before, after) {
+		t.Fatalf("report moved after TxnEnd:\n%s\n%s", before, after)
+	}
+}
+
 // TestAttributionResidualAndAborts: unclaimed time lands in
 // unattributed, aborted transactions count but do not pollute resource
 // totals, and per-txn over-claim is capped.
