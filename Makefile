@@ -50,26 +50,8 @@ chaos:           ## 20-seed fault-injection sweep with the section 5 audit
 	$(GO) run ./cmd/locus chaos -fastpaths -schedule 150ms:partition:2,450ms:heal,700ms:partition:3,1000ms:heal -duration 2s
 	$(GO) run ./cmd/locus chaos -leases -schedule 200ms:partition:2,600ms:heal,900ms:partition:3,1300ms:heal -duration 2s
 
-# The optional-layer matrix: no layer, each layer alone, every pair, all
-# four.  One row per line; a new layer is one more flag in this table.
-define MATRIX
--
--groupcommit 5ms
--fastpaths
--leases
--placement
--groupcommit 5ms -fastpaths
--groupcommit 5ms -leases
--groupcommit 5ms -placement
--fastpaths -leases
--fastpaths -placement
--leases -placement
--groupcommit 5ms -fastpaths -leases -placement
-endef
-export MATRIX
-
-matrix:          ## 50-seed chaos sweep of every row of the layer matrix (RACE=-race for the detector); red rows are listed, not skipped
-	@rm -f matrix-red.txt; n=0; echo "$$MATRIX" | while IFS= read -r layers; do \
+matrix:          ## 50-seed chaos sweep of every row of the layer matrix, testdata/matrix.txt (RACE=-race for the detector); red rows are listed, not skipped
+	@rm -f matrix-red.txt; n=0; grep -v '^#' testdata/matrix.txt | while IFS= read -r layers; do \
 		n=$$((n+1)); [ "$$layers" = "-" ] && layers=""; \
 		echo "== matrix row $$n: $${layers:-(no optional layer)}"; \
 		$(GO) run $(RACE) ./cmd/locus chaos -sweep 50 -duration 2s -forensics matrix-$$n-forensics.txt $$layers \
@@ -154,6 +136,7 @@ lines:           ## the non-test line counts ROADMAP.md and the issues quote, so
 	echo "copy protocols (internal/cluster/placement.go, replica.go): $$(count internal/cluster/placement.go) + $$(count internal/cluster/replica.go)"; \
 	echo "wire ops (handle registrations in internal/cluster/handlers.go): $$(grep -c 'handle(s, "' internal/cluster/handlers.go)"; \
 	echo "cluster.Config: $$(awk '/^type Config struct/{on=1; next} on && /^}/{exit} on && /^\t[A-Z]/{n++; if ($$2 == "bool") b++} END{print n " fields, " b+0 " bools"}' internal/cluster/cluster.go)"; \
+	echo "scenario.Spec: $$(awk '/^type Spec struct/{on=1; next} on && /^}/{exit} on && /^\t[A-Z]/{sub(/\/\/.*/, ""); n += split($$0, names, ",")} END{print n " own fields"}' internal/scenario/scenario.go) beside the cluster.Config it embeds"; \
 	echo "simnet.Config: $$(awk '/^type Config struct/{on=1; next} on && /^}/{exit} on && /^\t[A-Z]/{n++} END{print n " fields"}' internal/simnet/simnet.go)"; \
 	echo "all non-test Go outside benchmark/: $$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)"; \
 	echo "scenario files (testdata/scenarios/*.scn): $$(cat testdata/scenarios/*.scn | wc -l), of which paper-*.scn $$(cat testdata/scenarios/paper-*.scn | wc -l)"

@@ -77,7 +77,8 @@ func runWorkload(seed int64, sites, txns int, dropOp string) (*trace.Collector, 
 	if sites < 2 {
 		return nil, 0, fmt.Errorf("need at least 2 sites (client + storage), got %d", sites)
 	}
-	spec := scenario.Spec{Volumes: scenario.PerSite(sites), Seed: seed, Trace: true}
+	spec := scenario.Spec{Volumes: scenario.PerSite(sites), Trace: true}
+	spec.Net.Seed = seed
 	sc := scenario.Scenario{Spec: spec.At(costmodel.Vax750())}
 	if dropOp != "" {
 		sc.Armed = scenario.Schedule{{Kind: scenario.FaultDropOp, Op: dropOp}}

@@ -34,10 +34,9 @@ var Vax = costmodel.Vax750()
 // holds "vb", site 3 holds "vc" and acts as a diskful client site.
 var threeSites = []string{"va", "vb", "vc"}
 
-// standard is the standard bench cluster with one ablation switch (or
-// none) set.
+// standard is the standard bench cluster over cfg.
 func standard(cfg cluster.Config) scenario.Spec {
-	return scenario.Spec{Volumes: threeSites, Base: cfg}
+	return scenario.Spec{Config: cfg, Volumes: threeSites}
 }
 
 // measure runs one experiment on a fresh cluster - setup, then op as the
@@ -164,13 +163,14 @@ func LockCost(locksPerRun int) ([]LockRow, error) {
 				scenario.Ok(f.LockRange(int64(i)*16, 16, core.Exclusive))
 			}
 		})
-		d = d.Scale(int64(locksPerRun))
+		// The totals are priced and then divided, as perOp does.
+		n := int64(locksPerRun)
 		return LockRow{
 			Case:         name,
-			InstrPerLock: Vax.Instructions(d),
-			MsgsPerLock:  float64(d.Get(stats.MsgsSent)),
-			SimService:   Vax.ServiceTime(d),
-			SimLatency:   Vax.Latency(d),
+			InstrPerLock: Vax.Instructions(d) / n,
+			MsgsPerLock:  float64(d.Get(stats.MsgsSent)) / float64(n),
+			SimService:   Vax.ServiceTime(d) / time.Duration(n),
+			SimLatency:   Vax.Latency(d) / time.Duration(n),
 			PaperNote:    paper,
 		}, err
 	}

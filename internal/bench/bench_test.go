@@ -155,6 +155,26 @@ func TestShadowVsWALCrossover(t *testing.T) {
 	}
 }
 
+// TestShadowVsWALPricesTotals: each side's latency prices every I/O it
+// counted at no less than one VAX disk access.  Hot/cold page-sized
+// records give the WAL 2.47 I/Os a transaction, a fraction that pricing
+// rounded per-transaction counts would drop.
+func TestShadowVsWALPricesTotals(t *testing.T) {
+	rows, err := ShadowVsWAL([]workload.Pattern{workload.HotCold}, []int{1024}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perIO := min(Vax.DiskReadTime, Vax.DiskWriteTime)
+	for _, r := range rows {
+		if lat, floor := r.WALLatency, time.Duration(r.WALIO*float64(perIO)); lat < floor {
+			t.Errorf("%v %d/%d: wal %v for %.2f I/Os, want at least %v", r.Pattern, r.RecordSize, r.RecsPerTxn, lat, r.WALIO, floor)
+		}
+		if lat, floor := r.ShadowLatency, time.Duration(r.ShadowIO*float64(perIO)); lat < floor {
+			t.Errorf("%v %d/%d: shadow %v for %.2f I/Os, want at least %v", r.Pattern, r.RecordSize, r.RecsPerTxn, lat, r.ShadowIO, floor)
+		}
+	}
+}
+
 func TestLockCacheAblationSavesRPCs(t *testing.T) {
 	rows, err := LockCacheAblation(32)
 	if err != nil {

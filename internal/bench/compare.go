@@ -171,9 +171,8 @@ func runSide[O ~string, F commitFile[O]](accesses []workload.Access, recsPerTxn 
 		return 0, 0, err
 	}
 	diff := st.Snapshot().Sub(before)
-	perTxn := diff.Scale(int64(txns))
 	return float64(diff.Get(stats.DiskWrites)+diff.Get(stats.DiskReads)) / float64(txns),
-		Vax.Latency(perTxn), nil
+		Vax.Latency(diff) / time.Duration(txns), nil
 }
 
 // ---- E7: footnote 10, prepare log granularity ----

@@ -110,7 +110,7 @@ func (r ConcurrentRow) MarshalJSON() ([]byte, error) {
 type ConcurrentOpts struct {
 	Clients       int
 	TxnsPerClient int
-	// Spec selects the per-forced-I/O charge (Disk; zero means
+	// Spec selects the per-forced-I/O charge (DiskSyncDelay; zero means
 	// DefaultDiskSyncDelay - pass a costmodel figure, e.g. the VAX-750
 	// 26ms, to reproduce 1985 hardware), Trace (fills the per-phase
 	// histograms) and Profile (commit-path profiling plus the periodic
@@ -128,7 +128,7 @@ type ConcurrentOpts struct {
 // latency per force, so rows report simulated time and txns/sim-sec at
 // 1985 (or modern) hardware speed.
 func (o ConcurrentOpts) Simulated() ConcurrentOpts {
-	o.Spec.Disk = Vax.DiskWriteTime
+	o.Spec.DiskSyncDelay = Vax.DiskWriteTime
 	return o
 }
 
@@ -140,11 +140,11 @@ func (o ConcurrentOpts) Simulated() ConcurrentOpts {
 func ConcurrentCommit(o ConcurrentOpts, groupCommit bool) (ConcurrentRow, error) {
 	spec := o.Spec
 	spec.Volumes = []string{"bank"}
-	if spec.Disk == 0 {
-		spec.Disk = DefaultDiskSyncDelay
+	if spec.DiskSyncDelay == 0 {
+		spec.DiskSyncDelay = DefaultDiskSyncDelay
 	}
 	if groupCommit {
-		spec.GroupCommit = spec.Disk
+		spec.GroupCommitMaxDelay = spec.DiskSyncDelay
 	}
 	// One page per client: the two accounts a client transfers between
 	// share its page, and no page is shared across clients, so every

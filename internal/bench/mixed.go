@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -46,7 +47,7 @@ var MixedShares = []int{0, 50, 90}
 // repeat, skew): DefaultDiskSyncDelay per force over an instantaneous
 // network.
 func serialSpec(volumes ...string) scenario.Spec {
-	return scenario.Spec{Volumes: volumes, Disk: DefaultDiskSyncDelay}
+	return scenario.Spec{Config: cluster.Config{DiskSyncDelay: DefaultDiskSyncDelay}, Volumes: volumes}
 }
 
 // MixedCommit runs the mixed workload once.  txns transactions execute

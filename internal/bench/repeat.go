@@ -42,7 +42,7 @@ func RepeatAccess(txns int, leases bool) (RepeatRow, error) {
 		return RepeatRow{}, fmt.Errorf("bench: txns %d out of range", txns)
 	}
 	spec := serialSpec("va", "vb")
-	spec.Leases = leases
+	spec.LockLeases = leases
 	var p *core.Process
 	var hot *core.File
 	out, err := scenario.Run(scenario.Scenario{

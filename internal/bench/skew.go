@@ -87,7 +87,7 @@ func SkewPlacement(o SkewOpts) (SkewRow, error) {
 		// file), so the policy knobs come down proportionally: a file
 		// moves once a remote site holds 60% of at least 3 decayed
 		// accesses, and may move again after 8 more.
-		spec.Placement = placement.Config{MinAccesses: 3, Cooldown: 8}
+		spec.AdaptivePlacement, spec.Placement = true, placement.Config{MinAccesses: 3, Cooldown: 8}
 	}
 	row := SkewRow{
 		Case:     fmt.Sprintf("%s placement %s", o.Pattern, onOff(o.Adaptive)),

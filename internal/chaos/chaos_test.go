@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/fs"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
@@ -138,7 +139,7 @@ func TestRunShortGroupCommit(t *testing.T) {
 		Duration: 3 * time.Second,
 		Sites:    3,
 		Workers:  4,
-		Spec:     scenario.Spec{Layers: scenario.Layers{GroupCommit: 200 * time.Microsecond}},
+		Spec:     scenario.Spec{Config: cluster.Config{GroupCommitMaxDelay: 200 * time.Microsecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +167,7 @@ func TestRunShortFastPaths(t *testing.T) {
 		Sites:    3,
 		Workers:  4,
 		Schedule: sched,
-		Spec:     scenario.Spec{Layers: scenario.Layers{FastPaths: true}},
+		Spec:     scenario.Spec{Config: cluster.Config{FastPaths: true}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +197,7 @@ func TestRunShortLeases(t *testing.T) {
 		Sites:    3,
 		Workers:  4,
 		Schedule: sched,
-		Spec:     scenario.Spec{Layers: scenario.Layers{Leases: true}},
+		Spec:     scenario.Spec{Config: cluster.Config{LockLeases: true}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +224,7 @@ func TestRunShortPlacement(t *testing.T) {
 		Sites:    3,
 		Workers:  4,
 		Schedule: sched,
-		Spec:     scenario.Spec{Layers: scenario.Layers{Placement: scenario.Eager}},
+		Spec:     scenario.Spec{Config: cluster.Config{AdaptivePlacement: true, Placement: scenario.Eager}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +362,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layered := scenario.Spec{Layers: scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true, Leases: true, Placement: scenario.Eager}}
+	layered := scenario.Spec{Config: cluster.Config{GroupCommitMaxDelay: 5 * time.Millisecond, FastPaths: true, LockLeases: true, AdaptivePlacement: true, Placement: scenario.Eager}}
 	layered.Profile = true
 	for _, opts := range []Options{
 		Defaults(),

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/placement"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -65,7 +64,7 @@ func (o *Options) Flags(fs *flag.FlagSet) {
 	fs.Var(&o.Schedule, "schedule", "explicit fault schedule (overrides generation), e.g. 100ms:crash:2,400ms:restart:2,500ms:drop:0.3")
 	// With fast paths the transfer workers mix in read-only audits; with
 	// placement the audit adds a single-primary convergence check.
-	o.Spec.Layers.Flags(fs)
+	o.Spec.LayerFlags(fs)
 	fs.BoolVar(&o.Spec.Profile, "telemetry", o.Spec.Profile, "enable commit-path profiling and append the attribution/utilization summary to the report")
 }
 
@@ -154,7 +153,7 @@ func (r *Result) Report(withStats bool) string {
 	}
 	if withStats {
 		fmt.Fprintf(&b, "stats: %d commits, %d aborts\n", r.Commits, r.Aborts)
-		if r.Spec.Placement != (placement.Config{}) {
+		if r.Spec.AdaptivePlacement {
 			fmt.Fprintf(&b, "stats: %d owner moves, %d routed commits\n",
 				r.Counters.Get(stats.OwnerMoves), r.Counters.Get(stats.RoutedCommits))
 		}
@@ -241,7 +240,7 @@ func (w *workload) scenario() scenario.Scenario {
 	}
 	// The collector is always attached: forensics must exist when an
 	// invariant fails.
-	sc.Volumes, sc.Seed, sc.Faults, sc.Trace = scenario.PerSite(opts.Sites), opts.Seed, true, true
+	sc.Volumes, sc.Net.Seed, sc.Faults, sc.Trace = scenario.PerSite(opts.Sites), opts.Seed, true, true
 	if sc.Schedule == nil {
 		siteIDs := make([]simnet.SiteID, opts.Sites)
 		for i := range siteIDs {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
@@ -43,7 +44,7 @@ func TestVtimeRun(t *testing.T) {
 // commit fast paths under faults on the virtual clock.
 func TestVtimeGroupCommit(t *testing.T) {
 	res, err := Run(Options{
-		Seed: 11, Duration: time.Second, Spec: scenario.Spec{Layers: scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true}},
+		Seed: 11, Duration: time.Second, Spec: scenario.Spec{Config: cluster.Config{GroupCommitMaxDelay: 5 * time.Millisecond, FastPaths: true}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func TestVtimeGroupCommit(t *testing.T) {
 // regime that shook out the duplicate-adoption and abandoned-copy bugs.
 func TestVtimePlacement(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		res, err := Run(Options{Seed: seed, Duration: 2 * time.Second, Spec: scenario.Spec{Layers: scenario.Layers{Placement: scenario.Eager}}})
+		res, err := Run(Options{Seed: seed, Duration: 2 * time.Second, Spec: scenario.Spec{Config: cluster.Config{AdaptivePlacement: true, Placement: scenario.Eager}}})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -86,7 +87,7 @@ func TestVtimeSweep(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		res, err := Run(Options{
 			Seed: seed, Duration: 2 * time.Second,
-			Spec: scenario.Spec{Layers: scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true}},
+			Spec: scenario.Spec{Config: cluster.Config{GroupCommitMaxDelay: 5 * time.Millisecond, FastPaths: true}},
 		})
 		if err != nil {
 			t.Fatalf("seed %d (gc+fp): %v", seed, err)
@@ -131,7 +132,7 @@ func TestConcurrentRunReplays(t *testing.T) {
 		spec scenario.Spec
 	}{
 		{"bare", scenario.Spec{}},
-		{"all layers", scenario.Spec{Layers: scenario.Layers{GroupCommit: 5 * time.Millisecond, FastPaths: true, Leases: true, Placement: scenario.Eager}}},
+		{"all layers", scenario.Spec{Config: cluster.Config{GroupCommitMaxDelay: 5 * time.Millisecond, FastPaths: true, LockLeases: true, AdaptivePlacement: true, Placement: scenario.Eager}}},
 	}
 	for _, row := range rows {
 		opts := Options{Seed: 3, Duration: 2 * time.Second, Faults: faults, Spec: row.spec}

@@ -62,16 +62,9 @@ type Config struct {
 	VolumePages int
 	// Net configures the simulated network.
 	Net simnet.Config
-	// PerFilePrepareLogs reproduces footnote 10: one prepare log record
-	// per file per transaction instead of one per volume.
-	PerFilePrepareLogs bool
 	// SyncPhase2 makes commit drive phase two synchronously (used by
 	// deterministic tests and the I/O-count benchmarks).
 	SyncPhase2 bool
-	// PrefetchOnLock enables the section 5.2 optimization: granting a
-	// record lock prefetches the covered pages into the storage site's
-	// buffer cache, so the subsequent data access pays no disk latency.
-	PrefetchOnLock bool
 	// LockWaitTimeout bounds implicit and Wait-mode lock waits,
 	// including a wait behind a lease whose revoke is in flight; zero
 	// means 2s.

@@ -403,10 +403,11 @@ func TestOneFileOnePhaseLateAbortUndoesNothing(t *testing.T) {
 // inode write comes after the commit point, so recovery commits both
 // files from the logged intentions.
 func TestTwoFilesOnePhaseForceRecordSet(t *testing.T) {
-	cl := twoSiteCluster(t, Config{FastPaths: true, PerFilePrepareLogs: true, Clock: vtime.NewVirtual()})
+	cl := twoSiteCluster(t, Config{FastPaths: true, Clock: vtime.NewVirtual()})
 	defer cl.Shutdown()
-	coord, refs := oneFileTxn(t, cl, "OF1", "COMMITME", "va/f", "va/g")
 	s1 := cl.Site(1)
+	s1.Volume("va").PerFilePrepareLogs = true
+	coord, refs := oneFileTxn(t, cl, "OF1", "COMMITME", "va/f", "va/g")
 	s1.Volume("va").Disk().CrashAfterWritesOfKind(simdisk.IOInode, 0)
 	before := cl.Stats().Snapshot()
 	coord.CommitTransaction("OF1", refs) //nolint:errcheck // the reply is lost with the disk; recovery decides

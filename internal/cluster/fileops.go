@@ -376,7 +376,7 @@ func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, err
 	if err != nil {
 		return lockResp{}, err
 	}
-	if k.cl.cfg.PrefetchOnLock {
+	if of.vs.vol.PrefetchOnLock {
 		of.file.Prefetch(res.Off, res.Len) //nolint:errcheck // best-effort read-ahead
 	}
 	if req.Txn != "" {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/invariant"
@@ -27,7 +28,7 @@ func TestCrashInFirstInstallFormat(t *testing.T) {
 		{"superblock", 3, 2, 128},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := scenario.Spec{Volumes: scenario.PerSite(2), Layers: scenario.Layers{Placement: scenario.Eager}}
+			spec := scenario.Spec{Config: cluster.Config{AdaptivePlacement: true, Placement: scenario.Eager}, Volumes: scenario.PerSite(2)}
 			sys, err := spec.At(costmodel.Vax750()).Build()
 			if err != nil {
 				t.Fatal(err)

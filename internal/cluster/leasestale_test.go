@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/invariant"
@@ -23,7 +24,7 @@ import (
 // 3's transaction commits, and its read sees what that transaction
 // committed.
 func TestLeaseStaleHitIsSafe(t *testing.T) {
-	sys, err := scenario.Spec{Volumes: scenario.PerSite(3), Layers: scenario.Layers{Leases: true}}.At(costmodel.Vax750()).Build()
+	sys, err := scenario.Spec{Config: cluster.Config{LockLeases: true}, Volumes: scenario.PerSite(3)}.At(costmodel.Vax750()).Build()
 	if err != nil {
 		t.Fatal(err)
 	}

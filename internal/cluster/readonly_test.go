@@ -28,7 +28,7 @@ func readOnlySystem(t *testing.T, fastPaths, routed bool) (*core.System, *vtime.
 	spec := scenario.Spec{Volumes: scenario.PerSite(3)}.At(costmodel.Vax750())
 	spec.FastPaths = fastPaths
 	if routed {
-		spec.Placement = placement.Config{MinAccesses: 1e9}
+		spec.AdaptivePlacement, spec.Placement = true, placement.Config{MinAccesses: 1e9}
 	}
 	sys, err := spec.Build()
 	if err != nil {

@@ -426,9 +426,9 @@ func TestTunedCommitAllocationBudget(t *testing.T) {
 	}
 	m := costmodel.Vax750()
 	sys, err := scenario.Spec{
+		// Placement at the policy's defaults, as Tuned runs it.
+		Config:  cluster.Config{GroupCommitMaxDelay: m.DiskWriteTime, FastPaths: true, LockLeases: true, AdaptivePlacement: true},
 		Volumes: scenario.PerSite(3),
-		Layers:  scenario.Layers{GroupCommit: m.DiskWriteTime, FastPaths: true, Leases: true},
-		Base:    cluster.Config{AdaptivePlacement: true}, // at the policy's defaults, as Tuned runs it
 	}.At(m).Build()
 	if err != nil {
 		t.Fatal(err)

@@ -171,7 +171,7 @@ func (k *incarnation) gatherPrepare(req prepareReq) (_ *prepScratch, hasMods boo
 }
 
 // writePrepareRecords forces the prepare log: one record per volume, or
-// per file under the footnote-10 option.  onePhaseTotal is zero for
+// per file on a volume with the footnote-10 option.  onePhaseTotal is zero for
 // ordinary two-phase prepares; for a one-phase commit it is the total
 // record count, stamped into every record so recovery can tell a
 // complete (committed) set from a torn (aborted) one.  The time the force
@@ -185,7 +185,7 @@ func (k *incarnation) writePrepareRecords(req prepareReq, preps []volPrep, onePh
 			Txid: req.Txid, CoordSite: req.Coord, OnePhaseTotal: onePhaseTotal,
 			Files: vp.files, Locks: vp.locks,
 		}
-		if !k.cl.cfg.PerFilePrepareLogs {
+		if !vp.vs.vol.PerFilePrepareLogs {
 			if err := tpc.WritePrepareRecord(vp.vs.vol, rec, ""); err != nil {
 				return err
 			}
@@ -205,12 +205,13 @@ func (k *incarnation) writePrepareRecords(req prepareReq, preps []volPrep, onePh
 // prepareRecordCount is the number of log records writePrepareRecords
 // will force for this payload.
 func (k *incarnation) prepareRecordCount(preps []volPrep) int {
-	if !k.cl.cfg.PerFilePrepareLogs {
-		return len(preps)
-	}
 	n := 0
 	for _, vp := range preps {
-		n += len(vp.files)
+		if vp.vs.vol.PerFilePrepareLogs {
+			n += len(vp.files)
+		} else {
+			n++
+		}
 	}
 	return n
 }
@@ -583,14 +584,19 @@ func (c *Cluster) WaitEdges() []lockmgr.WaitEdge {
 	return out
 }
 
-// AbortEverywhere broadcasts a transaction abort to every reachable site,
+// AbortEverywhere broadcasts a transaction abort to every site,
 // implementing the cascade's data side (the process-tree side is driven
-// by package core).  Unreachable sites clean up during their own
-// recovery.
-func (m *machine) AbortEverywhere(txid string) {
+// by package core), and reports whether every site heard it.  A down
+// site rolls back during its own recovery (section 4.3); one a partition
+// cut off holds the transaction's locks until the abort reaches it.
+func (m *machine) AbortEverywhere(txid string) (heard bool) {
+	heard = true
 	for _, id := range m.cl.Sites() {
-		simnet.Exchange[none](m.ep, id, "abortTxn", txnReq{Txid: txid}) //nolint:errcheck // down sites roll back on restart (section 4.3)
+		if _, err := simnet.Exchange[none](m.ep, id, "abortTxn", txnReq{Txid: txid}); err != nil {
+			heard = false
+		}
 	}
+	return heard
 }
 
 // dropOpen refreshes a cached open file whose on-disk inode changed

@@ -82,9 +82,11 @@ type System struct {
 
 	mu     sync.Mutex
 	active map[string]*txnState
-	// unreleased is the read-only transactions whose background release
-	// a fault lost: their Shared locks are aborted when the network heals.
-	unreleased []*handoff
+	// lostAborts is the aborts a fault may have kept from a storage site:
+	// transactions whose abort broadcast missed a site, and read-only
+	// transactions whose background release failed.  Each is broadcast
+	// again when the network heals.
+	lostAborts []lostAbort
 
 	detector *wfg.Detector
 }
@@ -127,7 +129,7 @@ func NewSystem(cfg cluster.Config) *System {
 		case simnet.SiteDown, simnet.Partitioned:
 			sys.abortTxnsInvolving(ev.Sites)
 		case simnet.Healed:
-			sys.abortUnreleased()
+			sys.redriveAborts()
 		}
 	})
 	return sys
@@ -199,7 +201,9 @@ func (sys *System) abortTxn(ts *txnState) {
 	// Drive the abort from any live site - preferably the top-level
 	// process's site.
 	if origin := sys.liveSite(ts.siteBuf[0]); origin != nil {
-		origin.AbortEverywhere(ts.txid)
+		if !origin.AbortEverywhere(ts.txid) {
+			sys.loseAbort(ts.txid, ts.siteBuf[0])
+		}
 		origin.Tracer().Record(trace.TxnAbort, ts.txid, "", 0)
 	}
 	sys.dropLockCaches(ts)
@@ -225,19 +229,32 @@ func (sys *System) liveSite(prefer simnet.SiteID) *cluster.Site {
 	return nil
 }
 
-// abortUnreleased tells every site to abort each read-only transaction
-// whose release a fault lost: it changed nothing, so the abort only drops
-// the Shared locks a storage site still holds for it.
-func (sys *System) abortUnreleased() {
+// lostAbort is an abort to broadcast again once the network heals: the
+// transaction and the site it started at.
+type lostAbort struct {
+	txid   string
+	origin simnet.SiteID
+}
+
+func (sys *System) loseAbort(txid string, origin simnet.SiteID) {
 	sys.mu.Lock()
-	lost := sys.unreleased
-	sys.unreleased = nil
+	sys.lostAborts = append(sys.lostAborts, lostAbort{txid, origin})
 	sys.mu.Unlock()
-	for _, r := range lost {
-		if origin := sys.liveSite(r.k.ID()); origin != nil {
-			origin.AbortEverywhere(r.txid)
+}
+
+// redriveAborts broadcasts each lost abort again, so a storage site the
+// fault cut off drops what it still holds for the transaction: its locks
+// and, for one that wrote, its uncommitted records.  A site still
+// unreachable rolls the transaction back at its own restart.
+func (sys *System) redriveAborts() {
+	sys.mu.Lock()
+	lost := sys.lostAborts
+	sys.lostAborts = nil
+	sys.mu.Unlock()
+	for _, a := range lost {
+		if origin := sys.liveSite(a.origin); origin != nil {
+			origin.AbortEverywhere(a.txid)
 		}
-		r.recycle()
 	}
 }
 
@@ -543,19 +560,12 @@ func (sys *System) onlyRead(ts *txnState) bool {
 // is nobody's to return: the outcome was decided at the lock point.  A
 // release a partition or crash lost leaves the transaction's Shared locks
 // at a storage site that did not hear it, so it waits for the network to
-// heal and aborts them then (abortUnreleased).
+// heal and aborts them then (redriveAborts).
 func runRelease(arg any, _ int) {
 	r := arg.(*handoff)
 	if err := r.commit(); err != nil {
-		r.sys.mu.Lock()
-		r.sys.unreleased = append(r.sys.unreleased, r)
-		r.sys.mu.Unlock()
-		return
+		r.sys.loseAbort(r.txid, r.k.ID())
 	}
-	r.recycle()
-}
-
-func (r *handoff) recycle() {
 	*r = handoff{}
 	releases.Put(r)
 }

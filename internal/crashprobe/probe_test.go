@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -184,25 +185,41 @@ func TestOneFileCommitMatrix(t *testing.T) {
 }
 
 // TestOneFileCommitUnderLayers sweeps the one-file one-phase commit
-// under group commit, leases and placement, each alone and all three
-// together: the layers that batch its log forces, lease its locks and
-// may move its file must leave every crash point clean.
+// under every row of the layer matrix (testdata/matrix.txt, the rows
+// make matrix sweeps chaos under): the layers that batch its log forces,
+// lease its locks and may move its file must leave every crash point
+// clean.
 func TestOneFileCommitUnderLayers(t *testing.T) {
 	file := files("onefile")[0]
 	src, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []string{"groupcommit 5ms", "leases", "placement", "groupcommit 5ms\nleases\nplacement"} {
-		wr, err := sweep(file, append([]byte(spec+"\n"), src...), Options{})
+	rows, err := os.ReadFile(filepath.Join("..", "..", "testdata", "matrix.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, row := range strings.Split(strings.TrimSpace(string(rows)), "\n") {
+		if strings.HasPrefix(row, "#") {
+			continue
+		}
+		n++
+		// The row's flags as spec lines: "-leases -placement" is
+		// "leases\nplacement\n", and the row "-" a blank line.
+		spec := strings.ReplaceAll(" "+row, " -", "\n")[1:] + "\n"
+		wr, err := sweep(file, append([]byte(spec), src...), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res := &Result{Workloads: []WorkloadResult{*wr}}
 		if res.Points() == 0 || !res.OK() {
-			t.Fatalf("%q: %d points:\n%s", spec, res.Points(), res.Report())
+			t.Fatalf("row %q: %d points:\n%s", row, res.Points(), res.Report())
 		}
-		t.Logf("%q: %d points, clean", spec, res.Points())
+		t.Logf("row %q: %d points, clean", row, res.Points())
+	}
+	if n != 12 {
+		t.Fatalf("%d matrix rows, want 12 (none, each of four layers, every pair, all four)", n)
 	}
 }
 

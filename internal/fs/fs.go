@@ -137,6 +137,14 @@ type Volume struct {
 	// instead of re-reading stable storage.  Off by default, matching the
 	// measured 1985 implementation.
 	CleanCacheForDiff bool
+	// PerFilePrepareLogs reproduces footnote 10: a transaction's prepare
+	// log on this volume holds one record per file instead of one.
+	PerFilePrepareLogs bool
+	// PrefetchOnLock enables the section 5.2 optimization: granting a
+	// record lock on a file of this volume prefetches the covered pages
+	// into the buffer cache, so the subsequent data access pays no disk
+	// latency.
+	PrefetchOnLock bool
 
 	stale atomic.Bool // set by Invalidate; fences every mutation
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/shadow"
 	"repro/internal/simnet"
 	"repro/internal/tpc"
+	"repro/internal/vtime"
 )
 
 // commit creates (first time) or reopens path from a process at site and
@@ -140,7 +141,7 @@ func TestAuditCatchesEachDefect(t *testing.T) {
 			// leaves for the source's restart purge, caught before any
 			// restart.
 			name: "second primary copy",
-			spec: scenario.Spec{Layers: scenario.Layers{Placement: scenario.Eager}},
+			spec: scenario.Spec{Config: cluster.Config{AdaptivePlacement: true, Placement: scenario.Eager}},
 			plant: func(t *testing.T, sys *core.System) {
 				for i := 0; i < 3; i++ {
 					commit(t, sys, 2, "v1/b", "from site two")
@@ -216,6 +217,43 @@ func TestDrainReportsStuckWork(t *testing.T) {
 	err = invariant.Drain(sys.Cluster(), sys.Cluster().Clock(), time.Second)
 	if err == nil || !strings.Contains(err.Error(), "site 1: 1 locks still held") {
 		t.Fatalf("Drain = %v, want an error naming the held lock", err)
+	}
+}
+
+// TestHealRedrivesLostAbort: a transaction that a partition aborts
+// leaves its lock at the storage site it cut off, since the abort cannot
+// cross; the heal sends the abort again, so recovery without a restart
+// finds nothing held.
+func TestHealRedrivesLostAbort(t *testing.T) {
+	sys, err := scenario.Spec{Volumes: scenario.PerSite(2)}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Cluster().Shutdown()
+	commit(t, sys, 1, "v2/f", "pre")
+	p, err := sys.NewProcess(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := p.Open("v2/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.BeginTrans(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("doomed"), 0); err != nil {
+		t.Fatal(err)
+	}
+	net := sys.Cluster().Net()
+	net.Partition(2)
+	vtime.Settle(sys.Cluster().Clock()) // the watcher aborts the transaction
+	net.Heal()
+	if err := invariant.Quiesce(sys.Cluster(), sys.Cluster().Clock(), false); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(p.EndTrans(), core.ErrAborted) {
+		t.Error("the partition did not abort the transaction")
 	}
 }
 

@@ -1,15 +1,17 @@
 // Package scenario is the single source from which every harness builds
-// and drives its simulated cluster.  A Spec names the topology, the
-// latencies and the optional protocol layers, and Build turns it into a running
-// core.System; a Scenario adds the workload - setup, client functions, a
-// fault schedule, a recovery mode, a check - and Run drives it through
-// the one loop every harness shares: build, setup, clients racing the
-// schedule, recovery, the DESIGN.md section 5 audit.  The chaos engine,
-// the benchmark drivers and the trace/monitor tools all describe what
-// they need as a Scenario value, so a new layer, preset or protocol is
-// wired in here once.  A Script is a workload as data: a scenario file
-// (testdata/scenarios), which locus run replays and the crash prober
-// replays once per crash point.
+// and drives its simulated cluster.  A Spec is a cluster.Config - seed,
+// latencies and optional protocol layers, in the cluster's own fields -
+// plus the topology and the harness's switches, and Build turns it into
+// a running core.System; a Scenario adds the workload - setup, client
+// functions, a fault schedule, a recovery mode, a check - and Run drives
+// it through the one loop every harness shares: build, setup, clients
+// racing the schedule, recovery, the DESIGN.md section 5 audit.  The
+// chaos engine, the benchmark drivers and the trace/monitor tools all
+// describe what they need as a Scenario value, so a new layer is a
+// cluster.Config field and one flag of LayerFlags, which binds locus
+// chaos's flags and the scenario files' spec lines alike.  A Script is a
+// workload as data: a scenario file (testdata/scenarios), which locus run
+// replays and the crash prober replays once per crash point.
 package scenario
 
 import (
@@ -33,63 +35,50 @@ import (
 // point lands.
 var Eager = placement.Config{MinAccesses: 2, Cooldown: 2}
 
-// Layers selects the optional protocol layers (DESIGN.md sections 10,
-// 13, 14 and the group-commit daemon); the zero value is the paper's
-// protocol.  GroupCommit enables group commit and is its linger, spent
-// only after a flush that carried two or more records; zero keeps one
-// force per log record.  A non-zero Placement enables adaptive placement
-// with that policy; the zero value leaves placement off (the paper's
-// static layout).
-type Layers struct {
-	GroupCommit time.Duration
-	FastPaths   bool
-	Leases      bool
-	Placement   placement.Config
+// LayerFlags binds the optional protocol layers (DESIGN.md sections 10,
+// 13, 14 and the group-commit daemon) to the -groupcommit, -fastpaths,
+// -leases and -placement flags, each flag's default being the field's
+// current value.
+func (s *Spec) LayerFlags(fs *flag.FlagSet) {
+	fs.DurationVar(&s.GroupCommitMaxDelay, "groupcommit", s.GroupCommitMaxDelay, "enable the group-commit log daemon with this linger, spent only after a flush of two or more records (0 = synchronous log forces)")
+	fs.BoolVar(&s.FastPaths, "fastpaths", s.FastPaths, "enable the commit fast paths (read-only votes, one-phase commit)")
+	fs.BoolVar(&s.LockLeases, "leases", s.LockLeases, "enable sticky lock leases (a lease stands until a conflicting request revokes it or its holder or storage site goes down, so revokes and leaseholder crashes interleave with the faults)")
+	fs.Var(placementFlag{&s.Config}, "placement", "enable locality-adaptive placement with the Eager knobs, so ownership moves and routed commits are in flight when a fault lands")
 }
 
-// Flags binds the layers to the -groupcommit, -fastpaths, -leases and
-// -placement flags, each flag's default being the layer's current value.
-func (l *Layers) Flags(fs *flag.FlagSet) {
-	fs.DurationVar(&l.GroupCommit, "groupcommit", l.GroupCommit, "enable the group-commit log daemon with this linger, spent only after a flush of two or more records (0 = synchronous log forces)")
-	fs.BoolVar(&l.FastPaths, "fastpaths", l.FastPaths, "enable the commit fast paths (read-only votes, one-phase commit)")
-	fs.BoolVar(&l.Leases, "leases", l.Leases, "enable sticky lock leases (a lease stands until a conflicting request revokes it or its holder or storage site goes down, so revokes and leaseholder crashes interleave with the faults)")
-	fs.Var(placementFlag{&l.Placement}, "placement", "enable locality-adaptive placement with the Eager knobs, so ownership moves and routed commits are in flight when a fault lands")
-}
-
-// placementFlag is the -placement switch: on is Eager, off the zero
-// policy.
-type placementFlag struct{ p *placement.Config }
+// placementFlag is the -placement switch: on is adaptive placement with
+// the Eager policy, off the static layout.
+type placementFlag struct{ cfg *cluster.Config }
 
 func (f placementFlag) IsBoolFlag() bool { return true }
 func (f placementFlag) String() string {
-	return strconv.FormatBool(f.p != nil && *f.p != placement.Config{})
+	return strconv.FormatBool(f.cfg != nil && f.cfg.AdaptivePlacement)
 }
 func (f placementFlag) Set(s string) error {
 	on, err := strconv.ParseBool(s)
 	if err == nil {
-		*f.p = placement.Config{}
+		f.cfg.AdaptivePlacement, f.cfg.Placement = on, placement.Config{}
 		if on {
-			*f.p = Eager
+			f.cfg.Placement = Eager
 		}
 	}
 	return err
 }
 
-// Spec describes one simulated cluster.  The zero value of every field
-// is the paper-exact behavior.  Every cluster runs on its own
-// discrete-event clock, so a run replays from its seed: the latencies
-// below elapse as timestamp arithmetic, and the goroutine that calls
-// Build is the clock's first actor.
+// Spec describes one simulated cluster: the cluster.Config it runs
+// (topology aside, the zero value of every field is the paper-exact
+// behavior) and the harness's own switches.  Every cluster runs on its
+// own discrete-event clock, so a run replays from its seed (Net.Seed):
+// the latencies (DiskSyncDelay, Net.Latency) elapse as timestamp
+// arithmetic, and the goroutine that calls Build is the clock's first
+// actor.  Build sets the clock, SyncPhase2 and the trace collector
+// itself, and the fault budgets under Faults.
 type Spec struct {
+	cluster.Config
+
 	// Volumes names one volume per site: Volumes[i] is mounted at site
 	// i+1.  PerSite(n) gives the "v1".."vn" layout.
 	Volumes []string
-	// Seed drives the simulated network's randomness.
-	Seed int64
-
-	// Disk is charged per forced disk I/O and Msg per message hop.  At
-	// fills both from a cost model.
-	Disk, Msg time.Duration
 
 	// Faults prepares the cluster for injected faults: phase two runs
 	// asynchronously behind a retry timer, and the call and lock-wait
@@ -100,17 +89,11 @@ type Spec struct {
 	// replay.
 	Faults bool
 
-	Layers
-
 	// Trace attaches a causal event collector (Collector(sys) returns
-	// it); Profile enables commit critical-path profiling on the metrics
-	// registry.
+	// it) as the Config's Trace; Profile enables commit critical-path
+	// profiling on the metrics registry.
 	Trace   bool
 	Profile bool
-
-	// Base carries an ablation switch or volume geometry for the paper's
-	// section 6 experiments; the fields above are overlaid on it.
-	Base cluster.Config
 }
 
 // PerSite names the standard harness layout: n sites, site i holding
@@ -126,20 +109,16 @@ func PerSite(n int) []string {
 // At returns the spec charging the cost model's latencies: one forced
 // disk write and one message hop.
 func (s Spec) At(m costmodel.Model) Spec {
-	s.Disk, s.Msg = m.DiskWriteTime, m.MsgTime
+	s.DiskSyncDelay, s.Net.Latency = m.DiskWriteTime, m.MsgTime
 	return s
 }
 
 // config resolves the spec into the cluster configuration Build uses.
 func (s Spec) config() cluster.Config {
-	cfg := s.Base
+	cfg := s.Config
 	cfg.SyncPhase2 = !s.Faults
-	cfg.DiskSyncDelay = s.Disk
-	cfg.Net.Latency = s.Msg
-	cfg.Net.Seed = s.Seed
-	cfg.GroupCommitMaxDelay = s.GroupCommit
-	cfg.FastPaths = s.FastPaths
 	cfg.Clock = vtime.NewVirtual()
+	cfg.Trace = nil // the Trace switch is the one way to attach a collector
 	if s.Trace {
 		cfg.Trace = trace.NewCollector(0)
 	}
@@ -149,12 +128,6 @@ func (s Spec) config() cluster.Config {
 		// fit the paper's testbed: a two-hop prepare at 8ms per message
 		// plus a 26ms log force fits many times over.
 		cfg.RetryInterval, cfg.LockWaitTimeout, cfg.Net.CallTimeout = 100*time.Millisecond, time.Second, time.Second
-	}
-	if s.Leases {
-		cfg.LockLeases = true
-	}
-	if s.Placement != (placement.Config{}) {
-		cfg.AdaptivePlacement, cfg.Placement = true, s.Placement
 	}
 	return cfg
 }

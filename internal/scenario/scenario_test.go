@@ -2,50 +2,118 @@ package scenario
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/simdisk"
+	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
-// TestSpecResolvesToConfig pins what each preset means in cluster terms:
-// the harnesses depend on these values, and they are written down only
-// here.
+// TestSpecResolvesToConfig pins what a spec means in cluster terms: the
+// settings Build makes itself, At's latencies, and the one field each
+// spec line sets.  The harnesses depend on these values, and they are
+// written down only here.
 func TestSpecResolvesToConfig(t *testing.T) {
 	vax := costmodel.Vax750()
 
-	quiet := Spec{Seed: 7, Layers: Layers{Leases: true}, Base: cluster.Config{PerFilePrepareLogs: true}}.config()
+	quiet := Spec{}.config()
 	if !quiet.SyncPhase2 || quiet.RetryInterval != 0 || quiet.Net.CallTimeout != 0 {
 		t.Errorf("zero spec must be synchronous and timer-free: %+v", quiet)
 	}
 	if _, ok := vtime.AsVirtual(quiet.Clock); !ok || quiet.DiskSyncDelay != 0 || quiet.Net.Latency != 0 {
 		t.Errorf("zero spec must run instantaneous devices on a virtual clock: %+v", quiet)
 	}
-	if !quiet.PerFilePrepareLogs || quiet.Net.Seed != 7 {
-		t.Errorf("base switch or seed lost: %+v", quiet)
-	}
-	if !quiet.LockLeases {
-		t.Errorf("leases layer lost: %+v", quiet)
-	}
 
 	// One set of fault budgets, whatever the latencies.
-	for _, spec := range []Spec{{Faults: true, Layers: Layers{Leases: true}}, Spec{Faults: true, Layers: Layers{Leases: true}}.At(vax)} {
+	for _, spec := range []Spec{{Faults: true}, Spec{Faults: true}.At(vax)} {
 		cfg := spec.config()
 		if cfg.SyncPhase2 || cfg.RetryInterval != 100*time.Millisecond || cfg.LockWaitTimeout != time.Second || cfg.Net.CallTimeout != time.Second {
-			t.Errorf("latency %v: got retry %v lock-wait %v call %v sync=%v", spec.Msg,
+			t.Errorf("latency %v: got retry %v lock-wait %v call %v sync=%v", spec.Net.Latency,
 				cfg.RetryInterval, cfg.LockWaitTimeout, cfg.Net.CallTimeout, cfg.SyncPhase2)
 		}
 	}
 
-	sim := Spec{Layers: Layers{Placement: Eager, GroupCommit: time.Millisecond, FastPaths: true}}.At(vax).config()
+	sim := Spec{}.At(vax).config()
 	if sim.DiskSyncDelay != vax.DiskWriteTime || sim.Net.Latency != vax.MsgTime {
 		t.Errorf("At(vax) must charge the model's latencies: %+v", sim)
 	}
-	if !sim.AdaptivePlacement || sim.Placement != Eager || !sim.FastPaths || sim.GroupCommitMaxDelay != time.Millisecond {
-		t.Errorf("layers lost: %+v", sim)
+
+	// The Trace switch is the one way to attach a collector.
+	if (Spec{Trace: true}).config().Trace == nil || (Spec{Config: cluster.Config{Trace: trace.NewCollector(0)}}).config().Trace != nil {
+		t.Error("the collector must follow the Trace switch")
+	}
+
+	// Each spec line help lists sets the Spec, cluster.Config or fs.Volume
+	// fields it names (sorted), and nothing else.
+	lines := []struct{ line, fields string }{
+		{"sites 2", "Volumes"},
+		{"volumes va vb", "Volumes"},
+		{"seed 7", "Net.Seed"},
+		{"faults", "Faults"},
+		{"groupcommit 5ms", "GroupCommitMaxDelay"},
+		{"fastpaths", "FastPaths"},
+		{"leases", "LockLeases"},
+		{"placement", "AdaptivePlacement Placement.Cooldown Placement.MinAccesses"},
+		{"doublelog", "DoubleLogWrite"},
+		{"perfileprepare", "PerFilePrepareLogs"},
+		{"prefetch", "PrefetchOnLock"},
+		{"cleancache", "CleanCacheForDiff"},
+		{"vax750", "DiskSyncDelay Net.Latency"},
+	}
+	_, listed, _ := strings.Cut(wordList[len(wordList)-1], ": ")
+	var named []string
+	set := func(line string) map[string]any {
+		s := &session{}
+		s.specLines()
+		if line != "" {
+			if err := s.setSpec(strings.Fields(line)); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+		}
+		got := map[string]any{}
+		leaves("", reflect.ValueOf(s.spec), got)
+		leaves("", reflect.ValueOf(&s.volOptions).Elem(), got)
+		return got
+	}
+	zero := set("")
+	for _, l := range lines {
+		named = append(named, strings.Fields(l.line)[0])
+		var changed []string
+		for name, v := range set(l.line) {
+			if !reflect.DeepEqual(v, zero[name]) {
+				changed = append(changed, name)
+			}
+		}
+		if slices.Sort(changed); strings.Join(changed, " ") != l.fields {
+			t.Errorf("%q sets %v, want %s", l.line, changed, l.fields)
+		}
+	}
+	if got := strings.Join(named, ", "); got != listed {
+		t.Errorf("the table covers %q, help lists %q", got, listed)
+	}
+	if s := set("placement"); s["Placement.MinAccesses"] != Eager.MinAccesses || s["Placement.Cooldown"] != Eager.Cooldown {
+		t.Errorf("placement must set the Eager policy: %v", s)
+	}
+}
+
+// leaves flattens v's exported fields, through embedded and nested
+// structs, into out by dotted name.
+func leaves(prefix string, v reflect.Value, out map[string]any) {
+	for i := range v.NumField() {
+		switch f, fv := v.Type().Field(i), v.Field(i); {
+		case !f.IsExported():
+		case f.Anonymous:
+			leaves(prefix, fv, out)
+		case fv.Kind() == reflect.Struct:
+			leaves(prefix+f.Name+".", fv, out)
+		default:
+			out[prefix+f.Name] = fv.Interface()
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/fs"
 	"repro/internal/invariant"
 	"repro/internal/simdisk"
 	"repro/internal/simnet"
@@ -123,8 +124,7 @@ type session struct {
 	armed      bool // an armed probe replay: words may fail
 	spec       Spec
 	specs      *flag.FlagSet
-	doubleLog  bool // the doublelog and cleancache spec lines
-	cleanCache bool
+	volOptions fs.Volume // the ablation spec lines' fields, which setVolumes copies
 	e          *Env
 	procs      map[string]*core.Process
 	files      map[[2]string]*core.File // {proc, path} -> handle
@@ -179,34 +179,17 @@ func (sc *Script) Run() error {
 		in = bytes.NewReader(src)
 	}
 	s.in = bufio.NewScanner(in)
-	specs := flag.NewFlagSet("spec", flag.ContinueOnError)
-	specs.SetOutput(io.Discard)
-	sites := specs.Int("sites", 3, "")
-	specs.Func("volumes", "", func(v string) error { s.spec.Volumes = strings.Fields(v); return nil })
-	specs.Int64Var(&s.spec.Seed, "seed", 0, "")
-	specs.BoolVar(&s.spec.Faults, "faults", false, "")
-	s.spec.Layers.Flags(specs)
-	// The ablation switches of the paper's section 6 experiments.
-	specs.BoolVar(&s.doubleLog, "doublelog", false, "")
-	specs.BoolVar(&s.cleanCache, "cleancache", false, "")
-	specs.BoolVar(&s.spec.Base.PerFilePrepareLogs, "perfileprepare", false, "")
-	specs.BoolVar(&s.spec.Base.PrefetchOnLock, "prefetch", false, "")
-	specs.BoolFunc("vax750", "", func(string) error { s.spec = s.spec.At(costmodel.Vax750()); return nil })
-	s.specs = specs
-	set := func(args []string) error { return specs.Set(args[0], cmp.Or(strings.Join(args[1:], " "), "true")) }
+	s.specLines()
 	for _, l := range sc.Spec {
-		if err := set(strings.Fields(l)); err != nil {
+		if err := s.setSpec(strings.Fields(l)); err != nil {
 			return fmt.Errorf("%s: spec line %q: %w", sc.Name, l, err)
 		}
 	}
 	args, ok := s.next()
-	for ; ok && specs.Lookup(args[0]) != nil; args, ok = s.next() {
-		if err := s.check(set(args)); err != nil {
+	for ; ok && s.specs.Lookup(args[0]) != nil; args, ok = s.next() {
+		if err := s.check(s.setSpec(args)); err != nil {
 			return err
 		}
-	}
-	if s.spec.Volumes == nil {
-		s.spec.Volumes = PerSite(*sites)
 	}
 	if ok && args[0] == "chaos" {
 		if sc.Chaos == nil || sc.Probe != nil {
@@ -261,6 +244,37 @@ func (sc *Script) Run() error {
 		}
 	}
 	return s.audited(out.Checks)
+}
+
+// specLines binds the spec lines to the fields they set: the Spec's own
+// (sites and volumes, the last of them winning, and faults), its
+// cluster.Config's (seed, the layer flags, and vax750's latencies) and,
+// for the ablation switches of the paper's section 6 experiments, the
+// fs.Volume fields setVolumes sets.
+func (s *session) specLines() {
+	specs := flag.NewFlagSet("spec", flag.ContinueOnError)
+	specs.SetOutput(io.Discard)
+	s.spec.Volumes = PerSite(3)
+	specs.Func("sites", "", func(v string) error {
+		n, err := strconv.Atoi(v)
+		s.spec.Volumes = PerSite(max(n, 0))
+		return err
+	})
+	specs.Func("volumes", "", func(v string) error { s.spec.Volumes = strings.Fields(v); return nil })
+	specs.Int64Var(&s.spec.Net.Seed, "seed", 0, "")
+	specs.BoolVar(&s.spec.Faults, "faults", false, "")
+	s.spec.LayerFlags(specs)
+	specs.BoolVar(&s.volOptions.DoubleLogWrite, "doublelog", false, "")
+	specs.BoolVar(&s.volOptions.PerFilePrepareLogs, "perfileprepare", false, "")
+	specs.BoolVar(&s.volOptions.PrefetchOnLock, "prefetch", false, "")
+	specs.BoolVar(&s.volOptions.CleanCacheForDiff, "cleancache", false, "")
+	specs.BoolFunc("vax750", "", func(string) error { s.spec = s.spec.At(costmodel.Vax750()); return nil })
+	s.specs = specs
+}
+
+// setSpec sets one spec line; a switch without a value is set true.
+func (s *session) setSpec(args []string) error {
+	return s.specs.Set(args[0], cmp.Or(strings.Join(args[1:], " "), "true"))
 }
 
 // chaos runs a chaos file: its one chaos line and the expect lines.
@@ -645,12 +659,12 @@ func (s *session) endMark() {
 	}
 }
 
-// setVolumes sets the doublelog and cleancache spec lines on each site's
-// own volume.
+// setVolumes sets the ablation spec lines on each site's own volume.
 func (s *session) setVolumes() {
+	a := &s.volOptions
 	for i, vol := range s.spec.Volumes {
 		if v := s.e.Sys.Cluster().Site(simnet.SiteID(i + 1)).Volume(vol); v != nil {
-			v.DoubleLogWrite, v.CleanCacheForDiff = s.doubleLog, s.cleanCache
+			v.DoubleLogWrite, v.PerFilePrepareLogs, v.PrefetchOnLock, v.CleanCacheForDiff = a.DoubleLogWrite, a.PerFilePrepareLogs, a.PrefetchOnLock, a.CleanCacheForDiff
 		}
 	}
 }

@@ -273,20 +273,6 @@ func (s Snapshot) Add(b Snapshot) Snapshot {
 	return d
 }
 
-// Scale returns the snapshot with every counter divided by n, rounding to
-// nearest.  It is used to express per-operation costs from a batch run.
-// Scale panics if n <= 0.
-func (s Snapshot) Scale(n int64) Snapshot {
-	if n <= 0 {
-		panic("stats: Scale by non-positive divisor")
-	}
-	var d Snapshot
-	for i := range s {
-		d[i] = (s[i] + n/2) / n
-	}
-	return d
-}
-
 // IsZero reports whether every counter in the snapshot is zero.
 func (s Snapshot) IsZero() bool {
 	for _, v := range s {

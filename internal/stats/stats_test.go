@@ -60,26 +60,6 @@ func TestSnapshotSubAdd(t *testing.T) {
 	}
 }
 
-func TestSnapshotScale(t *testing.T) {
-	s := NewSet()
-	s.Add(DiskWrites, 10)
-	s.Add(Instructions, 7)
-	sc := s.Snapshot().Scale(2)
-	if sc.Get(DiskWrites) != 5 {
-		t.Fatalf("scaled DiskWrites = %d, want 5", sc.Get(DiskWrites))
-	}
-	// 7/2 rounds to nearest = 4 (3.5 rounds up).
-	if sc.Get(Instructions) != 4 {
-		t.Fatalf("scaled Instructions = %d, want 4", sc.Get(Instructions))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Scale(0) did not panic")
-		}
-	}()
-	sc.Scale(0)
-}
-
 func TestSnapshotString(t *testing.T) {
 	var zero Snapshot
 	if got := zero.String(); got != "(no events)" {
