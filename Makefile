@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench-check ledger-check ledger-pairs chaos matrix seed87 vtime telemetry golden golden-telemetry golden-ledger probe probe-files trace experiments examples tools lines clean
+.PHONY: all test race bench-check ledger-check ledger-pairs chaos matrix seed87 vtime telemetry golden golden-telemetry golden-ledger probe probe-files trace experiments experiments-check examples tools lines clean
 
 all: test
 
@@ -76,7 +76,7 @@ telemetry:       ## rerun the telemetry document and diff it against testdata/go
 # The probe files, in the order testdata/golden/probe.json lists them: the
 # one list make golden, make probe and the CI determinism step sweep (a new
 # workload appends its name).
-PROBE_FILES = $(patsubst %,testdata/scenarios/probe-%.scn,single diff tpc migrate readonly onephase lease ownermove replica onefile create readonly-routed)
+PROBE_FILES = $(patsubst %,testdata/scenarios/probe-%.scn,single diff tpc migrate readonly onephase lease ownermove replica onefile create readonly-routed earlyforce)
 
 # The golden directory: outputs a pure refactor must leave byte-identical.
 # `make golden` rewrites them; `git diff testdata/golden` shows what moved.
@@ -115,6 +115,21 @@ experiments:     ## print every experiment as paper-style tables
 
 experiments.md:  ## refresh the measured tables in EXPERIMENTS.md format
 	$(GO) run ./cmd/locus bench -markdown
+
+# Every `## ` section of `locus bench -markdown` (its heading to the next
+# one, trailing blank lines dropped) must appear verbatim in
+# EXPERIMENTS.md, so the raw tables there are what the tool prints.  The
+# output goes to a file first, so a bench that fails fails the check, as
+# does one that prints no section.  No section carries host time: every
+# table is simulated, and two runs print the same bytes.
+experiments-check: ## fail when a section of locus bench -markdown is not verbatim in EXPERIMENTS.md
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(GO) run ./cmd/locus bench -markdown > "$$out" && awk ' \
+		function check() { sub(/\n+$$/, "\n", sec); if (sec != "" && !index(doc, sec)) { split(sec, l, "\n"); print "EXPERIMENTS.md lacks the section " l[1]; bad = 1 } n += sec != "" } \
+		FNR == NR { doc = doc $$0 "\n"; next } \
+		/^## / { check(); sec = "" } \
+		sec != "" || /^## / { sec = sec $$0 "\n" } \
+		END { check(); if (bad || !n) exit 1; print "experiments-check: all " n " sections of locus bench -markdown are in EXPERIMENTS.md" }' EXPERIMENTS.md "$$out"
 
 examples:        ## run all runnable examples
 	$(GO) run ./examples/quickstart

@@ -844,6 +844,15 @@ func (v *Volume) WritePage(p int, data []byte, sync bool) error {
 	return v.disk.WritePage(p, data, simdisk.IOData, sync)
 }
 
+// StartFlushPage begins forcing an asynchronously written data page ahead
+// of its FlushPage, which then waits only for what is left of the force
+// (simdisk.Disk.StartFlushPage).  It does nothing on a fenced volume.
+func (v *Volume) StartFlushPage(p int) {
+	if v.staleErr() == nil && v.checkData(p) == nil {
+		v.disk.StartFlushPage(p, simdisk.IOData)
+	}
+}
+
 // FlushPage forces an asynchronously written data page to stable storage.
 func (v *Volume) FlushPage(p int) error {
 	if err := v.staleErr(); err != nil {

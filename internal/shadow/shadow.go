@@ -90,6 +90,7 @@ type pageState struct {
 	buf     []byte // working contents (all owners' bytes)
 	mods    []mod  // uncommitted ranges, disjoint across owners
 	dirty   bool   // buf differs from the flushed shadow image
+	early   bool   // an early force of the shadow was begun (StartFlush)
 }
 
 // touchedBy reports whether owner has modified the page, and whether it
@@ -633,6 +634,33 @@ func (f *File) Flush(owner Owner) error {
 		st.dirty = false
 	}
 	return nil
+}
+
+// StartFlush begins forcing each dirty page of [off, off+length) that
+// owner alone has modified, so that the flush its commit or prepare makes
+// waits only for what is left of the force (fs.Volume.StartFlushPage).
+// No committed inode points at a shadow page before the commit's inode
+// write, so the early force changes no crash outcome.  The force is a
+// guess that the page is final: a write after the force's slot dirties
+// the page again and the commit forces it a second time, so each shadow
+// page gets at most one early force, and a page written again is left to
+// the commit's flush.  A page shared with another owner is left alone:
+// it commits by differencing onto a fresh page, and a force of its
+// shadow would be wasted.
+func (f *File) StartFlush(owner Owner, off, length int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ps := int64(f.v.PageSize())
+	for logical := int(off / ps); int64(logical)*ps < off+length; logical++ {
+		st, _ := f.page(logical)
+		if st == nil || st.early || !st.dirty {
+			continue
+		}
+		if _, sole := st.touchedBy(owner); sole {
+			st.early = true
+			f.v.StartFlushPage(st.shadow)
+		}
+	}
 }
 
 // Intention is one entry of an owner's intentions list: enough to finish

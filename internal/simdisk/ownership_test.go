@@ -206,6 +206,15 @@ func TestSteadyStateWritesAllocateNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
+		"async write + early force + FlushPage, virtual": func() {
+			if err := vd.WritePage(1, data, IOData, false); err != nil {
+				t.Fatal(err)
+			}
+			vd.StartFlushPage(1, IOData)
+			if err := vd.FlushPage(1, IOData); err != nil {
+				t.Fatal(err)
+			}
+		},
 		"WritePages overwrite": func() {
 			if _, err := d.WritePages(batch); err != nil {
 				t.Fatal(err)
