@@ -62,8 +62,7 @@ func (s *Site) registerHandlers() {
 	handle(s, "forkproc", act((*incarnation).handleFork))
 	handle(s, "adoptproc", act((*incarnation).handleAdopt))
 	handle(s, "mergefl", act((*incarnation).handleMergeFL))
-	handle(s, "childmoved", act((*incarnation).handleChildMoved))
-	handle(s, "whereis", ask((*incarnation).handleWhereis))
+	handle(s, "childexit", act((*incarnation).handleChildExit))
 	handle(s, "install", (*incarnation).handleInstall)
 	handle(s, "replpull", act((*incarnation).handleReplPull))
 	handle(s, "replremove", act((*incarnation).handleReplRemove))

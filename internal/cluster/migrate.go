@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -33,21 +32,10 @@ type mergeFLReq struct {
 	Files []proc.FileRef
 }
 
-type childMovedReq struct {
+type childExitReq struct {
 	simnet.Small
 	Parent int
 	Child  int
-	Site   simnet.SiteID
-}
-
-type whereisReq struct {
-	simnet.Small
-	PID int
-}
-
-type whereisResp struct {
-	simnet.Small
-	Here bool
 }
 
 func (k *incarnation) handleFork(req forkReq) error {
@@ -69,17 +57,8 @@ func (k *incarnation) handleMergeFL(req mergeFLReq) error {
 	return k.procs.MergeFileList(req.PID, req.Files)
 }
 
-func (k *incarnation) handleChildMoved(req childMovedReq) error {
-	if req.Site < 0 {
-		// Negative site marks a completed child: drop the reference.
-		return k.procs.RemoveChild(req.Parent, req.Child)
-	}
-	return k.procs.UpdateChildSite(req.Parent, req.Child, req.Site)
-}
-
-func (k *incarnation) handleWhereis(req whereisReq) (whereisResp, error) {
-	_, err := k.procs.Get(req.PID)
-	return whereisResp{Here: err == nil}, nil
+func (k *incarnation) handleChildExit(req childExitReq) error {
+	return k.procs.RemoveChild(req.Parent, req.Child)
 }
 
 // ---- requesting-site process operations ----
@@ -102,30 +81,20 @@ func (s *Site) Spawn(parentPID int, at simnet.SiteID) (int, error) {
 	if _, err := simnet.Exchange[none](s.ep, at, "forkproc", req); err != nil {
 		return 0, err
 	}
-	if err := s.Procs().AddChild(parentPID, proc.ChildRef{PID: pid, Site: at}); err != nil {
+	if err := s.Procs().AddChild(parentPID, pid); err != nil {
 		return 0, err
 	}
 	return pid, nil
 }
 
 // Migrate moves a resident process to another site, making the move
-// appear atomic via the in-transit marking of section 4.1.  A merge in
-// progress defers the migration briefly (ErrBusy -> retry).
+// appear atomic via the in-transit marking of section 4.1.
 func (s *Site) Migrate(pid int, to simnet.SiteID) error {
 	if to == s.id {
 		return nil
 	}
-	var p *proc.Process
-	for attempt := 0; ; attempt++ {
-		var err error
-		p, err = s.Procs().BeginMigrate(pid)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, proc.ErrBusy) && attempt < 50 {
-			s.cl.cfg.Clock.Sleep(time.Millisecond)
-			continue
-		}
+	p, err := s.Procs().BeginMigrate(pid)
+	if err != nil {
 		return err
 	}
 	s.st.Add(stats.Instructions, costmodel.InstrProcessMigrate)
@@ -135,69 +104,47 @@ func (s *Site) Migrate(pid int, to simnet.SiteID) error {
 	}
 	s.Procs().CompleteMigrate(pid)
 	s.tr.Record(trace.Migration, "", fmt.Sprintf("pid%d", pid), int64(to))
-	// Tell the parent so the abort cascade can find the child at its new
-	// home; the parent itself may be migrating, so this retries until
-	// the update lands at the parent's settled table.
-	if p.Parent != 0 {
-		s.notifyChildMoved(childMovedReq{Parent: p.Parent, Child: pid, Site: to})
-	}
 	return nil
 }
 
-// notifyChildMoved delivers a child-list update to whichever site holds
-// the (settled) parent, retrying across migrations.  A parent that no
-// longer exists anywhere is eventually given up on.
-func (m *machine) notifyChildMoved(req childMovedReq) {
-	for attempt := 0; attempt < 100; attempt++ {
-		for _, siteID := range m.cl.Sites() {
-			if _, err := simnet.Exchange[none](m.ep, siteID, "childmoved", req); err == nil {
-				return
+// toProcess delivers a message to whichever site holds a process that
+// may be migrating: send tries one site and fails where the process is
+// absent or in transit (section 4.1).  Each round tries the hint first,
+// then every other site; rounds are 1 ms apart, and after the last one
+// toProcess returns send's last error.
+func (m *machine) toProcess(hint simnet.SiteID, rounds int, send func(simnet.SiteID) error) error {
+	var err error
+	for round := 0; round < rounds; round++ {
+		if round > 0 {
+			m.cl.cfg.Clock.Sleep(time.Millisecond)
+		}
+		if err = send(hint); err == nil {
+			return nil
+		}
+		for _, site := range m.cl.Sites() {
+			if site == hint {
+				continue
+			}
+			if err = send(site); err == nil {
+				return nil
 			}
 		}
-		m.cl.cfg.Clock.Sleep(time.Millisecond)
 	}
+	return err
 }
 
 // MergeToTop sends a completed child's file-list to the transaction's
-// top-level process, retrying when the top-level process has migrated or
-// is in transit (section 4.1).  It first tries the hint site, then asks
-// around.
+// top-level process wherever it now lives, starting at the hint site.
 func (m *machine) MergeToTop(topPID int, hint simnet.SiteID, files []proc.FileRef) error {
-	const attempts = 20
-	var lastErr error
-	try := func(site simnet.SiteID) (bool, error) {
-		_, err := simnet.Exchange[none](m.ep, site, "mergefl", mergeFLReq{PID: topPID, Files: files})
-		if err == nil {
-			return true, nil
-		}
-		lastErr = err
-		var re *simnet.RemoteError
-		if errors.As(err, &re) {
-			// Not resident or in transit: retry elsewhere/later.
-			return false, nil
-		}
-		return false, nil // transport error: also retry
+	req := mergeFLReq{PID: topPID, Files: files}
+	err := m.toProcess(hint, 20, func(site simnet.SiteID) error {
+		_, err := simnet.Exchange[none](m.ep, site, "mergefl", req)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("cluster: file-list merge to pid %d failed: %w", topPID, err)
 	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		if ok, err := try(hint); ok || err != nil {
-			return err
-		}
-		// Ask every other site.
-		for _, siteID := range m.cl.Sites() {
-			if siteID == hint {
-				continue
-			}
-			resp, err := simnet.Exchange[whereisResp](m.ep, siteID, "whereis", whereisReq{PID: topPID})
-			if err != nil || !resp.Here {
-				continue
-			}
-			if ok, err := try(siteID); ok || err != nil {
-				return err
-			}
-		}
-		m.cl.cfg.Clock.Sleep(time.Millisecond)
-	}
-	return fmt.Errorf("cluster: file-list merge to pid %d failed: %w", topPID, lastErr)
+	return nil
 }
 
 // ExitProc completes a process: within a transaction, its file-list is
@@ -221,9 +168,14 @@ func (s *Site) ExitProc(pid int) error {
 	}
 	// Drop from the parent's child list before the process disappears,
 	// synchronously and migration-proof: EndTrans at the top level
-	// checks for live children.
+	// checks for live children.  A parent that no longer exists anywhere
+	// is given up on.
 	if p.Parent != 0 {
-		s.notifyChildMoved(childMovedReq{Parent: p.Parent, Child: pid, Site: -1})
+		req := childExitReq{Parent: p.Parent, Child: pid}
+		_ = s.toProcess(s.id, 100, func(site simnet.SiteID) error {
+			_, err := simnet.Exchange[none](s.ep, site, "childexit", req)
+			return err
+		})
 	}
 	s.Procs().Remove(pid)
 	if p.TxnID != "" && !s.Procs().AnyInTxn(p.TxnID) {

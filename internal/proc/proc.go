@@ -10,8 +10,10 @@
 // race: a merge message can arrive at a site the top-level process is
 // just migrating away from.  Table.MergeFileList therefore fails with
 // ErrInTransit (or ErrNotResident) so the sender retries at the process's
-// new site, and a process cannot begin migrating while a merge is in
-// progress - migration appears atomic.
+// new site.  The table lock is the paper's short-duration migration lock:
+// a merge and the in-transit marking of BeginMigrate each run whole under
+// it, so a merge lands either before the copy is taken (and travels with
+// it) or after the marking (and is refused) - migration appears atomic.
 package proc
 
 import (
@@ -38,9 +40,6 @@ var (
 	ErrAlreadyInTransit = errors.New("proc: migration already in progress")
 	// ErrNotInTxn reports EndTrans/AbortTrans outside a transaction.
 	ErrNotInTxn = errors.New("proc: process is not in a transaction")
-	// ErrBusy reports a migration attempt while a file-list merge holds
-	// the process (the short-duration lock of section 4.1).
-	ErrBusy = errors.New("proc: process briefly locked by a merge")
 )
 
 // FileRef names one file a process has used: its global identifier and
@@ -49,12 +48,6 @@ var (
 type FileRef struct {
 	FileID      string
 	StorageSite simnet.SiteID
-}
-
-// ChildRef locates a child process.
-type ChildRef struct {
-	PID  int
-	Site simnet.SiteID
 }
 
 // Process is one process's kernel state.  All fields are guarded by the
@@ -82,10 +75,11 @@ type Process struct {
 	// children merged into it) used inside the transaction.
 	FileList map[string]FileRef
 
-	Children []ChildRef
+	// Children are the pids of the live child processes; EndTrans at
+	// the top level refuses while any remain.
+	Children []int
 
 	inTransit bool
-	merging   int // active merges; blocks migration start
 }
 
 // Table is one site's resident-process table.
@@ -308,8 +302,7 @@ func (t *Table) FileList(dst []FileRef, pid int) ([]FileRef, error) {
 // MergeFileList merges a completed child's file-list into the resident
 // process pid.  Per section 4.1, the system verifies the target process
 // still resides here and is not migrating: otherwise the sender receives
-// a failure and retries at the new site.  While the merge runs, the
-// process is locked against starting a migration.
+// a failure and retries at the new site.
 func (t *Table) MergeFileList(pid int, files []FileRef) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -320,19 +313,14 @@ func (t *Table) MergeFileList(pid int, files []FileRef) error {
 	if p.inTransit {
 		return fmt.Errorf("%w: pid %d", ErrInTransit, pid)
 	}
-	p.merging++
-	// The merge itself is quick and we already hold the table lock; the
-	// counter models the paper's short-duration migration lock and is
-	// observable by BeginMigrate callers racing us.
 	for _, r := range files {
 		p.FileList[r.FileID] = r
 	}
-	p.merging--
 	return nil
 }
 
-// AddChild records a child process reference.
-func (t *Table) AddChild(pid int, child ChildRef) error {
+// AddChild records a child process.
+func (t *Table) AddChild(pid, child int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p, ok := t.procs[pid]
@@ -343,10 +331,11 @@ func (t *Table) AddChild(pid int, child ChildRef) error {
 	return nil
 }
 
-// RemoveChild drops a child reference (child completed).  Like the
-// file-list merge, it fails while the parent is migrating or absent so
-// the sender retries at the parent's settled location - otherwise the
-// update would land on the stale original and be lost with it.
+// RemoveChild drops a completed child; removing one already gone is a
+// no-op, so a duplicated notice is harmless.  Like the file-list merge,
+// it fails while the parent is migrating or absent so the sender retries
+// at the parent's settled location - otherwise the update would land on
+// the stale original and be lost with it.
 func (t *Table) RemoveChild(pid, childPID int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -357,44 +346,7 @@ func (t *Table) RemoveChild(pid, childPID int) error {
 	if p.inTransit {
 		return fmt.Errorf("%w: pid %d", ErrInTransit, pid)
 	}
-	out := p.Children[:0]
-	for _, c := range p.Children {
-		if c.PID != childPID {
-			out = append(out, c)
-		}
-	}
-	p.Children = out
-	return nil
-}
-
-// Children returns a copy of the process's child references.
-func (t *Table) Children(pid int) []ChildRef {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.procs[pid]
-	if !ok {
-		return nil
-	}
-	return append([]ChildRef(nil), p.Children...)
-}
-
-// UpdateChildSite records that a child migrated to a new site, with the
-// same in-transit rejection as RemoveChild.
-func (t *Table) UpdateChildSite(pid, childPID int, site simnet.SiteID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.procs[pid]
-	if !ok {
-		return fmt.Errorf("%w: pid %d at %s", ErrNotResident, pid, t.site)
-	}
-	if p.inTransit {
-		return fmt.Errorf("%w: pid %d", ErrInTransit, pid)
-	}
-	for i := range p.Children {
-		if p.Children[i].PID == childPID {
-			p.Children[i].Site = site
-		}
-	}
+	p.Children = slices.DeleteFunc(p.Children, func(c int) bool { return c == childPID })
 	return nil
 }
 
@@ -404,9 +356,8 @@ func (t *Table) UpdateChildSite(pid, childPID int, site simnet.SiteID) error {
 // shipment to the destination site.  The original stays in this table
 // (rejecting merges with ErrInTransit) until CompleteMigrate removes it;
 // shipping a copy means the destination's adoption never mutates state
-// this table's lock guards.  It fails with ErrBusy while a file-list
-// merge holds the process, and with ErrAlreadyInTransit if a migration
-// is already under way.
+// this table's lock guards.  It fails with ErrAlreadyInTransit if a
+// migration is already under way.
 func (t *Table) BeginMigrate(pid int) (*Process, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -417,9 +368,6 @@ func (t *Table) BeginMigrate(pid int) (*Process, error) {
 	if p.inTransit {
 		return nil, fmt.Errorf("%w: pid %d", ErrAlreadyInTransit, pid)
 	}
-	if p.merging > 0 {
-		return nil, fmt.Errorf("%w: pid %d", ErrBusy, pid)
-	}
 	p.inTransit = true
 	t.st.Inc(stats.Migrations)
 
@@ -428,8 +376,7 @@ func (t *Table) BeginMigrate(pid int) (*Process, error) {
 	for k, v := range p.FileList {
 		cp.FileList[k] = v
 	}
-	cp.Children = append([]ChildRef(nil), p.Children...)
-	cp.merging = 0
+	cp.Children = slices.Clone(p.Children)
 	return &cp, nil
 }
 

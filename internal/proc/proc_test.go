@@ -218,39 +218,51 @@ func TestCancelMigrate(t *testing.T) {
 func TestChildTracking(t *testing.T) {
 	tb := table()
 	tb.NewProcess(1, 0)
-	_ = tb.AddChild(1, ChildRef{PID: 2, Site: 3})
-	_ = tb.AddChild(1, ChildRef{PID: 3, Site: 1})
-	kids := tb.Children(1)
-	if len(kids) != 2 {
-		t.Fatalf("children = %+v", kids)
+	children := func() int {
+		t.Helper()
+		info, err := tb.Info(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Children
 	}
-	if err := tb.UpdateChildSite(1, 2, 5); err != nil {
-		t.Fatal(err)
-	}
-	kids = tb.Children(1)
-	if kids[0].Site != 5 {
-		t.Fatalf("after update = %+v", kids)
+	_ = tb.AddChild(1, 2)
+	_ = tb.AddChild(1, 3)
+	if n := children(); n != 2 {
+		t.Fatalf("children = %d", n)
 	}
 	if err := tb.RemoveChild(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	kids = tb.Children(1)
-	if len(kids) != 1 || kids[0].PID != 3 {
-		t.Fatalf("after remove = %+v", kids)
+	if n := children(); n != 1 {
+		t.Fatalf("after remove = %d", n)
 	}
-	// Updates bounce off an in-transit parent, like merges.
+	// A duplicated exit notice is harmless.
+	if err := tb.RemoveChild(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := children(); n != 1 {
+		t.Fatalf("after duplicate remove = %d", n)
+	}
+	// Removals bounce off an in-transit parent, like merges.
 	if _, err := tb.BeginMigrate(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.RemoveChild(1, 3); !errors.Is(err, ErrInTransit) {
 		t.Fatalf("remove during migration: %v", err)
 	}
-	if err := tb.UpdateChildSite(1, 3, 9); !errors.Is(err, ErrInTransit) {
-		t.Fatalf("update during migration: %v", err)
-	}
 	tb.CancelMigrate(1)
-	if got := tb.Children(99); got != nil {
-		t.Fatalf("children of absent = %v", got)
+	if n := children(); n != 1 {
+		t.Fatalf("after refused remove = %d", n)
+	}
+	if err := tb.RemoveChild(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if n := children(); n != 0 {
+		t.Fatalf("after last remove = %d", n)
+	}
+	if err := tb.RemoveChild(99, 3); !errors.Is(err, ErrNotResident) {
+		t.Fatalf("remove at absent parent: %v", err)
 	}
 }
 
@@ -277,7 +289,7 @@ func TestInfoSnapshotAndSetTop(t *testing.T) {
 	if _, err := tb.BeginTrans(5, "T9"); err != nil {
 		t.Fatal(err)
 	}
-	_ = tb.AddChild(5, ChildRef{PID: 6, Site: 2})
+	_ = tb.AddChild(5, 6)
 	if err := tb.SetTop(5, 5, 1); err != nil {
 		t.Fatal(err)
 	}
