@@ -76,7 +76,7 @@ telemetry:       ## rerun the telemetry document and diff it against testdata/go
 # The probe files, in the order testdata/golden/probe.json lists them: the
 # one list make golden, make probe and the CI determinism step sweep (a new
 # workload appends its name).
-PROBE_FILES = $(patsubst %,testdata/scenarios/probe-%.scn,single diff tpc migrate readonly onephase lease ownermove replica onefile create readonly-routed earlyforce treemove)
+PROBE_FILES = $(patsubst %,testdata/scenarios/probe-%.scn,single diff tpc migrate readonly onephase lease ownermove replica onefile create readonly-routed oneforce treemove)
 
 # The golden directory: outputs a pure refactor must leave byte-identical.
 # `make golden` rewrites them; `git diff testdata/golden` shows what moved.
@@ -150,6 +150,7 @@ lines:           ## the non-test line counts ROADMAP.md and the issues quote, so
 	echo "commit path (internal/tpc + internal/cluster/{txnops,recovery}.go + internal/vtime): $$(count internal/tpc/*.go internal/cluster/txnops.go internal/cluster/recovery.go internal/vtime/*.go)"; \
 	echo "copy protocols (internal/cluster/placement.go, replica.go): $$(count internal/cluster/placement.go) + $$(count internal/cluster/replica.go)"; \
 	echo "process layer (internal/proc + internal/cluster/migrate.go): $$(count internal/proc/*.go internal/cluster/migrate.go)"; \
+	echo "storage path (internal/simdisk + internal/shadow + internal/fs): $$(count internal/simdisk/*.go internal/shadow/*.go internal/fs/*.go)"; \
 	echo "wire ops (handle registrations in internal/cluster/handlers.go): $$(grep -c 'handle(s, "' internal/cluster/handlers.go)"; \
 	echo "cluster.Config: $$(awk '/^type Config struct/{on=1; next} on && /^}/{exit} on && /^\t[A-Z]/{n++; if ($$2 == "bool") b++} END{print n " fields, " b+0 " bools"}' internal/cluster/cluster.go)"; \
 	echo "scenario.Spec: $$(awk '/^type Spec struct/{on=1; next} on && /^}/{exit} on && /^\t[A-Z]/{sub(/\/\/.*/, ""); n += split($$0, names, ",")} END{print n " own fields"}' internal/scenario/scenario.go) beside the cluster.Config it embeds"; \

@@ -256,13 +256,13 @@ func (k *incarnation) committedImage(path string) ([]byte, error) {
 // its inode in one batch (shadow.Create, which keeps data).  Nothing reads
 // the new file before the catalog's verdict, so a crash between leaves the
 // dangling entry or torn batch the boot rule reclaims.
-func (vs *volState) installFile(name string, data []byte) (*shadow.File, error) {
+func (vs *volState) installFile(name string, data []byte, oneForce bool) (*shadow.File, error) {
 	if ino, ok := vs.dirEntry(name); ok {
 		f, err := shadow.Open(vs.vol, ino)
 		if err != nil {
 			return nil, err
 		}
-		return f, installImage(f, data)
+		return f, installImage(f, data, oneForce)
 	}
 	ino, err := vs.dirCreate(name, true)
 	if err != nil {
@@ -271,13 +271,14 @@ func (vs *volState) installFile(name string, data []byte) (*shadow.File, error) 
 	return shadow.Create(vs.vol, ino, data)
 }
 
-// installImage commits a shipped committed image over f.
-func installImage(f *shadow.File, data []byte) error {
+// installImage commits a shipped committed image over f, in one force
+// with oneForce (shadow.File.CommitWith).
+func installImage(f *shadow.File, data []byte, oneForce bool) error {
 	if len(data) == 0 {
 		return nil
 	}
 	if _, err := f.WriteAt(replOwner, data, 0); err != nil {
 		return err
 	}
-	return f.Commit(replOwner)
+	return f.CommitWith(replOwner, oneForce)
 }

@@ -105,7 +105,7 @@ func TestClusterOnePhaseCommit(t *testing.T) {
 
 	// Two modified files keep the one-phase commit on the record path: a
 	// transaction that changed one file commits at its inode write
-	// (TestOneFileOnePhaseCommitForcesTwice).
+	// (TestOneFileOnePhaseCommitForcesOnce).
 	var fid *Binding
 	for _, path := range []string{"va/f", "va/g"} {
 		if err := s2.Create(path); err != nil {
@@ -319,11 +319,12 @@ func committedAt(t *testing.T, cl *Cluster, path string) string {
 	return string(img)
 }
 
-// TestOneFileOnePhaseCommitForcesTwice: a one-phase commit of a
+// TestOneFileOnePhaseCommitForcesOnce: a one-phase commit of a
 // transaction that changed one file is that file's single-file commit.
-// The participant forces the data page and the inode, and nothing else:
-// no prepare record is written, and the coordinator logs nothing.
-func TestOneFileOnePhaseCommitForcesTwice(t *testing.T) {
+// The participant writes the data page and the inode in one force, and
+// nothing else: no prepare record is written, and the coordinator logs
+// nothing.
+func TestOneFileOnePhaseCommitForcesOnce(t *testing.T) {
 	cl := twoSiteCluster(t, Config{FastPaths: true, Clock: vtime.NewVirtual()})
 	defer cl.Shutdown()
 	coord, refs := oneFileTxn(t, cl, "OF1", "COMMITME", "va/f")
@@ -335,8 +336,8 @@ func TestOneFileOnePhaseCommitForcesTwice(t *testing.T) {
 	if got := disk.StableWrites() - w0; got != 2 {
 		t.Errorf("participant stable writes = %d, want 2 (data page, inode)", got)
 	}
-	if got := d.Get(stats.ForcedIOs); got != 2 {
-		t.Errorf("ForcedIOs = %d, want 2", got)
+	if got := d.Get(stats.ForcedIOs); got != 1 {
+		t.Errorf("ForcedIOs = %d, want 1", got)
 	}
 	if got := d.Get(stats.PrepareLogWrites) + d.Get(stats.CoordLogWrites); got != 0 {
 		t.Errorf("log writes = %d, want 0", got)

@@ -198,7 +198,7 @@ func (k *incarnation) handleClose(req fileReq) error {
 	if req.Txn == "" {
 		owner := procOwner(req.PID)
 		if of.file.HasMods(owner) {
-			if err := of.file.Commit(owner); err != nil {
+			if err := of.file.CommitWith(owner, k.cl.cfg.FastPaths); err != nil {
 				return err
 			}
 		}
@@ -231,7 +231,7 @@ func (k *incarnation) handleSync(req fileReq) error {
 		k.maybeSyncReplicas(of)
 		return nil
 	}
-	if err := of.file.Commit(owner); err != nil {
+	if err := of.file.CommitWith(owner, k.cl.cfg.FastPaths); err != nil {
 		return err
 	}
 	k.maybeSyncReplicas(of)
@@ -301,11 +301,10 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 	k.recordHeat(req.FileID, from, req.Txn)
 	h := Holder(req.PID, req.Txn)
 	var owner shadow.Owner
-	txnOwned := false // the bytes commit with the transaction
 	length := int64(len(req.Data))
 	if req.Txn != "" {
 		name := k.txnName(req.Txn)
-		owner, txnOwned = shadow.Owner(name), true
+		owner = shadow.Owner(name)
 		if !of.locks.Covers(h, lockmgr.ModeExclusive, req.Off, length) {
 			// A write under the process's own pre-transaction lock does
 			// not join the transaction: the record belongs to the
@@ -313,7 +312,7 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 			// transaction (section 3.4).
 			pre := Holder(req.PID, "")
 			if of.locks.Covers(pre, lockmgr.ModeExclusive, req.Off, length) {
-				owner, txnOwned = procOwner(req.PID), false
+				owner = procOwner(req.PID)
 			} else if !k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeExclusive, req.Off, length) {
 				return writeResp{}, fmt.Errorf("%w: transaction write of %s [%d,%d) without exclusive lock",
 					lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+length)
@@ -338,12 +337,6 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 	n, err := of.file.WriteAt(owner, req.Data, req.Off)
 	if err != nil {
 		return writeResp{}, err
-	}
-	if txnOwned && k.cl.cfg.FastPaths {
-		// The early force (DESIGN.md section 10): the transaction's own
-		// pages start their force now, overlapping the reply and the
-		// commit's request, and the commit waits for what is left.
-		of.file.StartFlush(owner, req.Off, length)
 	}
 	return writeResp{N: n}, nil
 }

@@ -381,9 +381,9 @@ func (k *incarnation) handleInstall(from simnet.SiteID, req installReq) (none, e
 	}
 	k.mu.Unlock()
 	if f == nil {
-		f, err = vs.installFile(name, req.Data)
+		f, err = vs.installFile(name, req.Data, k.cl.cfg.FastPaths)
 	} else {
-		err = installImage(f, req.Data)
+		err = installImage(f, req.Data, k.cl.cfg.FastPaths)
 	}
 
 	// The verdict commits under k.mu, where Crash marks this incarnation

@@ -90,10 +90,13 @@ func (m *machine) prof() *telemetry.Profiler {
 }
 
 // volPrep is one volume's share of a transaction's prepare payload.
+// Under FastPaths pages holds the files' shadow pages that are not yet
+// durable, for the force of the commit point to carry.
 type volPrep struct {
 	vs    *volState
 	files []tpc.PreparedFile
 	locks []tpc.LockInfo
+	pages []int
 }
 
 // prepScratch is one prepare call's payload, kept with every array in it
@@ -112,6 +115,9 @@ var prepScratches = sync.Pool{New: func() any { return new(prepScratch) }}
 // gatherPrepare flushes the transaction's modified records and collects
 // per-volume prepare payloads (intentions lists and lock lists, section
 // 4.2 step 2) into a scratch (on an error the scratch is simply dropped).
+// Under FastPaths it flushes nothing: it collects the pages instead, and
+// they ride in the force of the commit point, the prepare record or the
+// file's inode (the one-force rule, DESIGN.md section 10).
 // hasMods reports whether any gathered file carries uncommitted
 // modifications - the write half of the read-only test.
 func (k *incarnation) gatherPrepare(req prepareReq) (_ *prepScratch, hasMods bool, err error) {
@@ -129,14 +135,16 @@ func (k *incarnation) gatherPrepare(req prepareReq) (_ *prepScratch, hasMods boo
 			i = len(sc.preps)
 			sc.preps = slices.Grow(sc.preps, 1)[:i+1] // a reused slot keeps its arrays
 			vp := &sc.preps[i]
-			vp.vs, vp.files, vp.locks = vs, vp.files[:0], vp.locks[:0]
+			vp.vs, vp.files, vp.locks, vp.pages = vs, vp.files[:0], vp.locks[:0], vp.pages[:0]
 		}
 		vp := &sc.preps[i]
 		of, err := k.lookupOpen(fileID)
 		if err != nil {
 			return nil, false, err
 		}
-		if err := of.file.Flush(owner); err != nil {
+		if k.cl.cfg.FastPaths {
+			vp.pages = of.file.AppendUnflushed(vp.pages, owner)
+		} else if err := of.file.Flush(owner); err != nil {
 			return nil, false, err
 		}
 		hasMods = hasMods || of.file.HasMods(owner)
@@ -171,11 +179,12 @@ func (k *incarnation) gatherPrepare(req prepareReq) (_ *prepScratch, hasMods boo
 }
 
 // writePrepareRecords forces the prepare log: one record per volume, or
-// per file on a volume with the footnote-10 option.  onePhaseTotal is zero for
-// ordinary two-phase prepares; for a one-phase commit it is the total
-// record count, stamped into every record so recovery can tell a
-// complete (committed) set from a torn (aborted) one.  The time the force
-// takes is the transaction's prepare-force charge.
+// per file on a volume with the footnote-10 option.  A volume's gathered
+// pages ride in the force of its first record, ahead of it.
+// onePhaseTotal is zero for ordinary two-phase prepares; for a one-phase
+// commit it is the total record count, stamped into every record so
+// recovery can tell a complete (committed) set from a torn (aborted) one.
+// The time the force takes is the transaction's prepare-force charge.
 func (k *incarnation) writePrepareRecords(req prepareReq, preps []volPrep, onePhaseTotal int) error {
 	clk := k.cl.cfg.Clock
 	t0 := clk.Now()
@@ -186,17 +195,19 @@ func (k *incarnation) writePrepareRecords(req prepareReq, preps []volPrep, onePh
 			Files: vp.files, Locks: vp.locks,
 		}
 		if !vp.vs.vol.PerFilePrepareLogs {
-			if err := tpc.WritePrepareRecord(vp.vs.vol, rec, ""); err != nil {
+			if err := tpc.WritePrepareRecord(vp.vs.vol, rec, "", vp.pages...); err != nil {
 				return err
 			}
 			continue
 		}
 		// Footnote 10: one prepare record per file per transaction.
+		flush := vp.pages
 		for i, pf := range vp.files {
 			rec.Files = vp.files[i : i+1]
-			if err := tpc.WritePrepareRecord(vp.vs.vol, rec, pf.FileID); err != nil {
+			if err := tpc.WritePrepareRecord(vp.vs.vol, rec, pf.FileID, flush...); err != nil {
 				return err
 			}
+			flush = nil
 		}
 	}
 	return nil
@@ -282,11 +293,11 @@ func (k *incarnation) prepare(req prepareReq) (prepareResp, error) {
 // delegated the commit point to this - the only - participant.
 //
 // When exactly one gathered file carries modifications, that file's own
-// single-file commit (shadow.File.Commit, sections 4-5) is the commit
-// point: beginPrepare flushed its pages, and its inode write decides the
-// outcome, so no prepare record is written.  A crash before that write
-// leaves nothing logged - presumed abort, and the load scan frees the
-// flushed shadow pages - and one after it leaves the file committed.
+// single-file commit (shadow.File.CommitWith, sections 4-5) is the commit
+// point: its pages ride in the force of its inode write, which decides
+// the outcome, so no prepare record is written.  A crash before that
+// write leaves nothing logged - presumed abort, and the load scan frees
+// the shadow pages - and one after it leaves the file committed.
 // The other files were only read or locked, and release in finishTxn.
 //
 // Otherwise the force of the last prepare record is the commit point,
@@ -482,7 +493,7 @@ func (k *incarnation) applyFiles(txid string, pt *preparedTxn, commit bool) erro
 			continue
 		}
 		if commit {
-			err = of.file.Commit(owner)
+			err = of.file.CommitWith(owner, k.cl.cfg.FastPaths)
 		} else {
 			err = of.file.Abort(owner)
 		}

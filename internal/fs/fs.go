@@ -587,6 +587,21 @@ func (v *Volume) ReadInode(ino int) (*Inode, error) {
 // single-indirect page (shadow-style), so a crash between the two writes
 // leaves the old descriptor and its old indirect page fully intact.
 func (v *Volume) WriteInode(node *Inode) error {
+	return v.writeInode(nil, node, false)
+}
+
+// WriteInodeAfter is WriteInode in one forced batch (DESIGN.md section
+// 10, the one-force rule): the data pages in batch, then the indirect page
+// if the pointer table needs one, then the inode, the commit point.  The
+// batch lands in slice order, so a crash that tears it before the inode
+// leaves the old descriptor whole and the pages ahead of it unreferenced,
+// free again after Load's rebuild.  It appends to batch, so a caller that
+// leaves room for the indirect page and the inode allocates nothing.
+func (v *Volume) WriteInodeAfter(batch []simdisk.PageWrite, node *Inode) error {
+	return v.writeInode(batch, node, true)
+}
+
+func (v *Volume) writeInode(batch []simdisk.PageWrite, node *Inode, oneForce bool) error {
 	if err := v.staleErr(); err != nil {
 		return err
 	}
@@ -596,22 +611,29 @@ func (v *Volume) WriteInode(node *Inode) error {
 	if len(node.Pages) > MaxPointers(v.geo.PageSize) {
 		return fmt.Errorf("%w: %d pointers > %d", ErrFileTooBig, len(node.Pages), MaxPointers(v.geo.PageSize))
 	}
+	for _, w := range batch {
+		if err := v.checkData(w.Page); err != nil {
+			return err
+		}
+	}
 	v.st.Add(stats.Instructions, costmodel.InstrIntentionEntry)
 	inline := inlinePointers(v.geo.PageSize)
 	oldIndirect := node.Indirect
 
 	// One kept image serves the indirect page and then the inode page
-	// (the disk has copied the first by the time the second is encoded).
+	// (the disk has copied the first by the time the second is encoded);
+	// a batch holds both at once, so its indirect page gets its own.
 	buf := v.takeEncBuf()
 	defer v.putEncBuf(buf)
 	clear(buf)
 	if len(node.Pages) > inline {
-		encodePointers(buf, node.Pages[inline:])
 		p, err := v.AllocPage()
 		if err != nil {
 			return err
 		}
-		if err := v.disk.WritePage(p, buf, simdisk.IOData, true); err != nil {
+		if oneForce {
+			batch = append(batch, simdisk.PageWrite{Page: p, Data: encodePointers(make([]byte, v.geo.PageSize), node.Pages[inline:]), Kind: simdisk.IOData})
+		} else if err := v.disk.WritePage(p, encodePointers(buf, node.Pages[inline:]), simdisk.IOData, true); err != nil {
 			v.FreePage(p) //nolint:errcheck // best-effort cleanup on the error path
 			return err
 		}
@@ -623,7 +645,14 @@ func (v *Volume) WriteInode(node *Inode) error {
 
 	node.Version++
 	encodeInode(buf, node)
-	if err := v.disk.WritePage(v.inodePage(node.Ino), buf, simdisk.IOInode, true); err != nil {
+	var err error
+	if oneForce {
+		batch = append(batch, simdisk.PageWrite{Page: v.inodePage(node.Ino), Data: buf, Kind: simdisk.IOInode})
+		_, err = v.disk.WritePages(batch)
+	} else {
+		err = v.disk.WritePage(v.inodePage(node.Ino), buf, simdisk.IOInode, true)
+	}
+	if err != nil {
 		if node.Indirect >= 0 && node.Indirect != oldIndirect {
 			v.FreePage(node.Indirect) //nolint:errcheck
 			node.Indirect = oldIndirect
@@ -842,15 +871,6 @@ func (v *Volume) WritePage(p int, data []byte, sync bool) error {
 		return err
 	}
 	return v.disk.WritePage(p, data, simdisk.IOData, sync)
-}
-
-// StartFlushPage begins forcing an asynchronously written data page ahead
-// of its FlushPage, which then waits only for what is left of the force
-// (simdisk.Disk.StartFlushPage).  It does nothing on a fenced volume.
-func (v *Volume) StartFlushPage(p int) {
-	if v.staleErr() == nil && v.checkData(p) == nil {
-		v.disk.StartFlushPage(p, simdisk.IOData)
-	}
 }
 
 // FlushPage forces an asynchronously written data page to stable storage.

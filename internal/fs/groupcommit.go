@@ -50,7 +50,7 @@ func (c GroupCommitConfig) maxBatch() int {
 }
 
 // logReq is one queued Put (or Delete, when del is set) awaiting a
-// batched flush.  done receives the record's outcome exactly once per
+// batched flush; flush is the Put's data pages.  done receives the record's outcome exactly once per
 // submit.  enqueued is stamped by submit so the flush can report how long
 // the record lingered waiting for companions; requests built directly for
 // flushBatch (tests) leave it zero and are skipped by the linger
@@ -69,6 +69,7 @@ type logReq struct {
 	key      string
 	kind     LogKind
 	payload  []byte
+	flush    []int
 	done     chan error
 	enqueued time.Time
 }
@@ -123,11 +124,11 @@ func newGroupCommitter(ls *LogStore, cfg GroupCommitConfig) *groupCommitter {
 	return gc
 }
 
-// submit enqueues a Put of (key, kind, payload), or with del a Delete of
-// key, and parks until its flush completes.  handled is false when the
+// submit enqueues a Put of (key, kind, payload) carrying the data pages in
+// flush, or with del a Delete of key, and parks until its flush completes.  handled is false when the
 // daemon had already stopped, in which case the caller must fall back to
 // the synchronous path.
-func (gc *groupCommitter) submit(del bool, key string, kind LogKind, payload []byte) (err error, handled bool) {
+func (gc *groupCommitter) submit(del bool, key string, kind LogKind, payload []byte, flush []int) (err error, handled bool) {
 	gc.mu.Lock()
 	if gc.stopped {
 		gc.mu.Unlock()
@@ -139,13 +140,13 @@ func (gc *groupCommitter) submit(del bool, key string, kind LogKind, payload []b
 	} else {
 		r = &logReq{done: make(chan error, 1)}
 	}
-	r.del, r.key, r.kind, r.payload = del, key, kind, payload
+	r.del, r.key, r.kind, r.payload, r.flush = del, key, kind, payload, flush
 	r.enqueued = gc.clk.Now()
 	gc.queue = append(gc.queue, r)
 	gc.mu.Unlock()
 	vtime.NotifySend(gc.clk, gc.signal, struct{}{})
 	err, _ = vtime.WaitRecv(gc.clk, r.done, 0)
-	r.key, r.payload = "", nil // the caller's, not ours to keep
+	r.key, r.payload, r.flush = "", nil, nil // the caller's, not ours to keep
 	gc.mu.Lock()
 	gc.free = append(gc.free, r)
 	gc.mu.Unlock()

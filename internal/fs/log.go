@@ -393,9 +393,17 @@ func (l *LogStore) Key(parts ...string) string { return l.keys.Cut(parts...) }
 // way the payload is copied into the store's own page buffers and not
 // retained once Put returns (submit parks until the flush is done), so
 // the caller may reuse it.
-func (l *LogStore) Put(key string, kind LogKind, payload []byte) error {
+//
+// flush names data pages whose volatile images must be durable before the
+// record is: the shadow pages a prepare record's intentions point at
+// (DESIGN.md section 10, the one-force rule).  They land in the record's
+// own force, ahead of its pages, so a crash that tears the force before
+// the header leaves no record and only unreferenced pages; without a
+// daemon such a Put is one WritePages call.  A page with no volatile image
+// is already stable and costs nothing.
+func (l *LogStore) Put(key string, kind LogKind, payload []byte, flush ...int) error {
 	if gc := l.committer(); gc != nil {
-		if err, handled := gc.submit(false, key, kind, payload); handled {
+		if err, handled := gc.submit(false, key, kind, payload, flush); handled {
 			return err
 		}
 		// The daemon stopped while we were enqueueing: zero-delay path.
@@ -410,17 +418,37 @@ func (l *LogStore) Put(key string, kind LogKind, payload []byte) error {
 		return err
 	}
 	l.writes, l.used = l.writes[:0], 0
+	if err := l.appendFlushesLocked(flush); err != nil {
+		return err
+	}
 	fresh, err := l.applyPutLocked(key, kind, payload)
 	if err != nil {
 		return err
 	}
-	if err := l.writeEachLocked(); err != nil {
+	if len(flush) == 0 {
+		err = l.writeEachLocked()
+	} else {
+		_, err = l.v.disk.WritePages(l.writes)
+	}
+	if err != nil {
 		return err
 	}
 	if fresh {
 		l.chargeFootnote9Locked(1)
 	}
-	l.v.tr.Record(trace.LogForce, "", key, int64(len(l.writes)))
+	l.v.tr.Record(trace.LogForce, "", key, int64(len(l.writes)-len(flush)))
+	return nil
+}
+
+// appendFlushesLocked appends a flush of each data page to l.writes.
+// Caller holds l.mu.
+func (l *LogStore) appendFlushesLocked(pages []int) error {
+	for _, p := range pages {
+		if err := l.v.checkData(p); err != nil {
+			return err
+		}
+		l.writes = append(l.writes, simdisk.PageWrite{Page: p, Kind: simdisk.IOData, Flush: true})
+	}
 	return nil
 }
 
@@ -473,7 +501,7 @@ func (l *LogStore) applyDeleteLocked(key string) {
 // Deletes ride the group-commit daemon when one is attached.
 func (l *LogStore) Delete(key string) error {
 	if gc := l.committer(); gc != nil {
-		if err, handled := gc.submit(true, key, 0, nil); handled {
+		if err, handled := gc.submit(true, key, 0, nil, nil); handled {
 			return err
 		}
 	}
@@ -495,8 +523,8 @@ func (l *LogStore) Delete(key string) error {
 // failure (the disk crashed mid-batch) is reported to every record whose
 // own preparation succeeded: the batch loses whole records, never partial
 // ones, because each record's header page is ordered after its
-// continuation pages.  A request's NotifySend is the last the flush does
-// with it (see logReq).
+// continuation pages and the data pages it carries (Put's flush).  A
+// request's NotifySend is the last the flush does with it (see logReq).
 func (l *LogStore) flushBatch(batch []*logReq, f *flushState) {
 	clk := f.clk
 	l.mu.Lock()
@@ -518,12 +546,19 @@ func (l *LogStore) flushBatch(batch []*logReq, f *flushState) {
 			ends[i] = len(l.writes)
 			continue
 		}
-		fresh, err := l.applyPutLocked(r.key, r.kind, r.payload)
-		ends[i] = len(l.writes)
+		start := len(l.writes)
+		err := l.appendFlushesLocked(r.flush)
+		fresh := false
+		if err == nil {
+			fresh, err = l.applyPutLocked(r.key, r.kind, r.payload)
+		}
 		if err != nil {
+			l.writes = l.writes[:start]
+			ends[i] = start
 			errs[i] = err
 			continue
 		}
+		ends[i] = len(l.writes)
 		if fresh {
 			freshPuts++
 		}
@@ -542,9 +577,10 @@ func (l *LogStore) flushBatch(batch []*logReq, f *flushState) {
 	}
 	l.mu.Unlock()
 	// A torn batch loses a suffix of the page writes.  Each record's
-	// header (or zeroing write) is its last page, so a record is durable
-	// exactly when all its pages are among the written prefix: report
-	// success for those and the write error for the rest.  Reporting the
+	// header (or zeroing write) is its last page, after the data pages it
+	// carries, so a record is durable exactly when all its pages are among
+	// the written prefix: report success for those and the write error for
+	// the rest.  Reporting the
 	// shared error to every caller would tell a caller whose record in
 	// fact landed - e.g. the coordinator's commit-point flip - that it
 	// failed, and recovery would then contradict the caller's belief.

@@ -125,4 +125,26 @@ func TestSteadyStateCommitAllocatesNothing(t *testing.T) {
 	if shared != 0 {
 		t.Errorf("shared-page differencing commit allocates %.1f times, want 0", shared)
 	}
+	var pages []int
+	oneForce := testing.AllocsPerRun(50, func() {
+		if _, err := f.WriteAt("txn:A", rec, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt("txn:B", rec, testPageSize); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt("txn:A", rec, testPageSize+64); err != nil {
+			t.Fatal(err)
+		}
+		pages = f.AppendUnflushed(pages[:0], "txn:A")
+		f.IntentionsFor("txn:A", &il)
+		for _, owner := range []Owner{"txn:A", "txn:B"} {
+			if err := f.CommitWith(owner, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if oneForce != 0 {
+		t.Errorf("one-force commits, sole and differencing, allocate %.1f times, want 0", oneForce)
+	}
 }

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/fs"
+	"repro/internal/simdisk"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -90,7 +91,6 @@ type pageState struct {
 	buf     []byte // working contents (all owners' bytes)
 	mods    []mod  // uncommitted ranges, disjoint across owners
 	dirty   bool   // buf differs from the flushed shadow image
-	early   bool   // an early force of the shadow was begun (StartFlush)
 }
 
 // touchedBy reports whether owner has modified the page, and whether it
@@ -135,9 +135,9 @@ type File struct {
 	// would stall time while the holder parks in simulated disk latency.
 	mu      vtime.Mutex
 	ino     *fs.Inode
-	nextIno *fs.Inode    // spare: Commit builds the next committed inode here, then swaps
-	size    int64        // working size including uncommitted extensions
-	pages   []*pageState // the working set, ascending by logical page
+	nextIno *fs.Inode           // spare: Commit builds the next committed inode here, then swaps
+	size    int64               // working size including uncommitted extensions
+	pages   []*pageState        // the working set, ascending by logical page
 	retired []*pageState // page states (with their mods arrays) for the next dirty page
 	maxPtrs int
 
@@ -636,31 +636,21 @@ func (f *File) Flush(owner Owner) error {
 	return nil
 }
 
-// StartFlush begins forcing each dirty page of [off, off+length) that
-// owner alone has modified, so that the flush its commit or prepare makes
-// waits only for what is left of the force (fs.Volume.StartFlushPage).
-// No committed inode points at a shadow page before the commit's inode
-// write, so the early force changes no crash outcome.  The force is a
-// guess that the page is final: a write after the force's slot dirties
-// the page again and the commit forces it a second time, so each shadow
-// page gets at most one early force, and a page written again is left to
-// the commit's flush.  A page shared with another owner is left alone:
-// it commits by differencing onto a fresh page, and a force of its
-// shadow would be wasted.
-func (f *File) StartFlush(owner Owner, off, length int64) {
+// AppendUnflushed appends to dst the shadow page of each page owner has
+// modified that is not yet durable - the pages Flush would force - and
+// returns it.  A prepare record carries them in its own force instead of
+// a Flush (tpc.WritePrepareRecord, DESIGN.md section 10).  They stay
+// marked dirty: a force of a page already stable writes nothing, and a
+// record write that failed leaves them for the next force to land.
+func (f *File) AppendUnflushed(dst []int, owner Owner) []int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ps := int64(f.v.PageSize())
-	for logical := int(off / ps); int64(logical)*ps < off+length; logical++ {
-		st, _ := f.page(logical)
-		if st == nil || st.early || !st.dirty {
-			continue
-		}
-		if _, sole := st.touchedBy(owner); sole {
-			st.early = true
-			f.v.StartFlushPage(st.shadow)
+	for _, st := range f.pages {
+		if touched, _ := st.touchedBy(owner); st.dirty && touched {
+			dst = append(dst, st.shadow)
 		}
 	}
+	return dst
 }
 
 // Intention is one entry of an owner's intentions list: enough to finish
@@ -685,8 +675,9 @@ type IntentionsList struct {
 
 // IntentionsFor fills il with owner's intentions list, reusing il's
 // arrays: its entries share one, and their ranges another (once it has
-// grown to fit).  The caller should Flush first; the list describes the
-// flushed shadow images.
+// grown to fit).  The list describes the flushed shadow images, so the
+// caller should Flush first, or force the pages AppendUnflushed names
+// ahead of the record.
 func (f *File) IntentionsFor(owner Owner, il *IntentionsList) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -731,14 +722,24 @@ func (f *File) sizeLocked(owner Owner) int64 {
 // owner take the direct path (Figure 4(a)); pages shared with other
 // owners take the differencing path (Figure 4(b)).  The commit point is
 // the single synchronous inode write; replaced pages are freed after it,
-// and a failure there wraps ErrPastCommitPoint.
-func (f *File) Commit(owner Owner) error {
+// and a failure there wraps ErrPastCommitPoint.  Commit is the paper's:
+// each page is forced, then the inode (CommitWith, oneForce false).
+func (f *File) Commit(owner Owner) error { return f.CommitWith(owner, false) }
+
+// CommitWith is Commit, and with oneForce the commit takes one forced
+// write (DESIGN.md section 10, the one-force rule): owner's dirty shadow
+// pages, the merged pages of the differencing path and the indirect page
+// if the pointer table needs one go in one batch ahead of the inode
+// (fs.Volume.WriteInodeAfter).  A crash that tears the batch keeps a
+// prefix without the inode, so it leaves the file as it was and the
+// pages unreferenced.
+func (f *File) CommitWith(owner Owner, oneForce bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.commitLocked(owner)
+	return f.commitLocked(owner, oneForce)
 }
 
-func (f *File) commitLocked(owner Owner) error {
+func (f *File) commitLocked(owner Owner, oneForce bool) error {
 	f.st.Add(stats.Instructions, costmodel.InstrCommitEnvelope)
 	type action struct {
 		st      *pageState
@@ -749,6 +750,8 @@ func (f *File) commitLocked(owner Owner) error {
 	}
 	var buf [8]action // a transaction rarely commits more pages of a file: no allocation
 	acts := buf[:0]
+	var pw [len(buf) + 2]simdisk.PageWrite // a one-force batch: the pages, an indirect page and the inode
+	batch := pw[:0]
 	tr := f.v.Tracer()
 	var obj string // trace label, built only when someone is listening
 	if tr != nil {
@@ -763,8 +766,11 @@ func (f *File) commitLocked(owner Owner) error {
 		f.st.Add(stats.Instructions, costmodel.InstrPageCommitBase)
 		tr.Record(trace.PageWrite, string(owner), obj, int64(st.logical))
 		if sole {
-			// Figure 4(a): direct commit of the shadow page.
-			if st.dirty {
+			// Figure 4(a): direct commit of the shadow page.  A batched
+			// page is never marked clean: its state retires once it lands.
+			if st.dirty && oneForce {
+				batch = append(batch, simdisk.PageWrite{Page: st.shadow, Kind: simdisk.IOData, Flush: true})
+			} else if st.dirty {
 				if err := f.v.FlushPage(st.shadow); err != nil {
 					return err
 				}
@@ -791,7 +797,9 @@ func (f *File) commitLocked(owner Owner) error {
 		if err != nil {
 			return err
 		}
-		if err := f.v.WritePage(mergePhys, merged, true); err != nil {
+		if oneForce {
+			batch = append(batch, simdisk.PageWrite{Page: mergePhys, Data: merged, Kind: simdisk.IOData})
+		} else if err := f.v.WritePage(mergePhys, merged, true); err != nil {
 			return err
 		}
 		acts = append(acts, action{st: st, newPhys: mergePhys, freeOld: st.base, shared: true, merged: merged})
@@ -814,7 +822,13 @@ func (f *File) commitLocked(owner Owner) error {
 	if newSize > newIno.Size {
 		newIno.Size = newSize
 	}
-	if err := f.v.WriteInode(newIno); err != nil {
+	var err error
+	if oneForce {
+		err = f.v.WriteInodeAfter(batch, newIno)
+	} else {
+		err = f.v.WriteInode(newIno)
+	}
+	if err != nil {
 		return err
 	}
 	f.ino, f.nextIno = newIno, f.ino

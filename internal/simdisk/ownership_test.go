@@ -186,6 +186,7 @@ func TestSteadyStateWritesAllocateNothing(t *testing.T) {
 	vd.SetSyncDelay(26 * time.Millisecond)
 	data := page(d, 7)
 	batch := []PageWrite{{Page: 2, Data: data, Kind: IOData}, {Page: 3, Data: data, Kind: IOCoordLog}}
+	flushBatch := []PageWrite{{Page: 1, Kind: IOData, Flush: true}, {Page: 2, Data: data, Kind: IOInode}}
 	dst := make([]byte, d.PageSize())
 	for name, op := range map[string]func(){
 		"synchronous overwrite": func() {
@@ -206,12 +207,11 @@ func TestSteadyStateWritesAllocateNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"async write + early force + FlushPage, virtual": func() {
+		"async write + flushing WritePages, virtual": func() {
 			if err := vd.WritePage(1, data, IOData, false); err != nil {
 				t.Fatal(err)
 			}
-			vd.StartFlushPage(1, IOData)
-			if err := vd.FlushPage(1, IOData); err != nil {
+			if _, err := vd.WritePages(flushBatch); err != nil {
 				t.Fatal(err)
 			}
 		},

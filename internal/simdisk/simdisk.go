@@ -103,8 +103,8 @@ var (
 // Disk is a fixed-size array of pages with stable (flushed) and volatile
 // (written but unflushed) versions.  Synchronous writes reach stable
 // storage immediately; asynchronous writes sit in the volatile layer until
-// Flush, FlushPage or an early force (StartFlushPage) lands them, and are
-// lost by Crash.
+// Flush, FlushPage or a flushing PageWrite lands them, and are lost by
+// Crash.
 //
 // The disk owns its stable and volatile images outright: reads copy out
 // of them, writes copy into them, no reference crosses the API.  So a
@@ -145,9 +145,6 @@ type Disk struct {
 	// re-validates - so virtual time advances through queued I/O.
 	clock     vtime.Clock
 	busyUntil time.Time
-	// early is every force StartFlushPage began whose page has not landed,
-	// in reservation order, which is the order their slots end.
-	early []earlyForce
 
 	// crashAfter, when >= 0, crashes the disk after that many more
 	// stable page writes land (the write that would exceed the budget
@@ -172,14 +169,6 @@ type Disk struct {
 	// excluded: a force that queues behind another holds the spindle for
 	// syncDelay only.
 	busyNS *telemetry.Counter
-}
-
-// earlyForce is a force begun ahead of its flush: page's slot on the
-// spindle ends at end, and the page's image at that moment lands then.
-type earlyForce struct {
-	page int
-	kind IOKind
-	end  time.Time
 }
 
 // New creates a disk with numPages pages of pageSize bytes each, charging
@@ -313,9 +302,6 @@ func (d *Disk) readInto(page int, dst []byte, stableOnly bool) error {
 	if len(dst) != d.pageSize {
 		return fmt.Errorf("%w: got %d want %d on %s page %d", ErrBadSize, len(dst), d.pageSize, d.name, page)
 	}
-	if err := d.landDueLocked(); err != nil {
-		return err
-	}
 	d.st.Inc(stats.DiskReads)
 	src := d.stable[page]
 	if v, ok := d.volatile[page]; ok && !stableOnly {
@@ -342,9 +328,6 @@ func (d *Disk) WritePage(page int, data []byte, kind IOKind, sync bool) error {
 	if len(data) != d.pageSize {
 		return fmt.Errorf("%w: got %d want %d on %s page %d", ErrBadSize, len(data), d.pageSize, d.name, page)
 	}
-	if err := d.landDueLocked(); err != nil {
-		return err
-	}
 	if !sync {
 		buf, ok := d.volatile[page]
 		if !ok {
@@ -362,11 +345,14 @@ func (d *Disk) WritePage(page int, data []byte, kind IOKind, sync bool) error {
 
 // PageWrite is one page of a vectored synchronous write.  A nil Data
 // zeroes the page: its stable image is dropped, as a page never written
-// reads as zeros, and the write is charged like any other.
+// reads as zeros, and the write is charged like any other.  Flush lands
+// the page's volatile image instead of Data, as FlushPage would: a page
+// with none is already stable, and its entry writes and charges nothing.
 type PageWrite struct {
-	Page int
-	Data []byte
-	Kind IOKind
+	Page  int
+	Data  []byte
+	Kind  IOKind
+	Flush bool
 }
 
 // WritePages applies the writes to stable storage in order, as a single
@@ -399,14 +385,19 @@ func (d *Disk) WritePages(writes []PageWrite) (int, error) {
 			return 0, fmt.Errorf("%w: got %d want %d on %s page %d", ErrBadSize, len(w.Data), d.pageSize, d.name, w.Page)
 		}
 	}
-	if err := d.landDueLocked(); err != nil {
-		return 0, err
-	}
 	if err := d.force(); err != nil {
 		return 0, err
 	}
 	for i, w := range writes {
-		if err := d.writeStableLocked(w.Page, w.Data, w.Kind); err != nil {
+		data := w.Data
+		if w.Flush {
+			img, dirty := d.volatile[w.Page]
+			if !dirty {
+				continue
+			}
+			data = img
+		}
+		if err := d.writeStableLocked(w.Page, data, w.Kind); err != nil {
 			return i, err
 		}
 	}
@@ -430,90 +421,18 @@ func (d *Disk) force() error {
 		d.clock.Sleep(d.syncDelay)
 		return nil
 	}
-	return d.parkUntil(v, d.reserve(v))
-}
-
-// reserve books the spindle's next syncDelay slot, from now or from the
-// end of the last one booked, and returns the slot's end.  Called with
-// d.mu held, under a virtual clock.
-func (d *Disk) reserve(v *vtime.Virtual) time.Time {
 	start := v.Now()
 	if d.busyUntil.After(start) {
 		start = d.busyUntil
 	}
-	d.busyUntil = start.Add(d.syncDelay)
-	return d.busyUntil
-}
-
-// parkUntil drops d.mu while the caller parks until end, then retakes it
-// and lands every early force whose slot ended by then, before the
-// caller's own stable write; a crash landing during the wait, even one
-// followed by a restart, fails the caller's write.
-func (d *Disk) parkUntil(v *vtime.Virtual, end time.Time) error {
+	end := start.Add(d.syncDelay)
+	d.busyUntil = end
 	epoch := d.epoch
 	d.mu.Unlock()
 	v.SleepUntil(end)
 	d.mu.Lock()
 	if d.crashed || d.epoch != epoch {
 		return ErrCrashed
-	}
-	return d.landDueLocked()
-}
-
-// StartFlushPage begins forcing the page's volatile image ahead of the
-// FlushPage that will need it: the forced I/O is charged and the
-// spindle's next slot booked now, and the caller goes on at once, with no
-// park and no actor.  The image the page holds when the slot ends is what
-// lands, so a write inside the slot rides along; a write after it dirties
-// the page again, and its FlushPage forces (and is charged) again.  A
-// FlushPage inside the slot parks until the slot's end and charges no
-// second force; until a FlushPage returns the page is no more durable
-// than before, and a crash inside the slot loses it.  The disk lands the
-// page at its first operation at or after the slot's end.  A clean page,
-// a page already in flight, a crashed disk, the real clock and a zero
-// sync delay make it a no-op.
-func (d *Disk) StartFlushPage(page int, kind IOKind) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	v, ok := vtime.AsVirtual(d.clock)
-	if !ok || d.syncDelay <= 0 || d.check(page) != nil || d.landDueLocked() != nil {
-		return
-	}
-	if _, dirty := d.volatile[page]; !dirty || d.inFlight(page) >= 0 {
-		return
-	}
-	d.st.Inc(stats.ForcedIOs)
-	d.busyNS.Add(d.syncDelay.Nanoseconds())
-	d.early = append(d.early, earlyForce{page: page, kind: kind, end: d.reserve(v)})
-}
-
-// inFlight returns the index in d.early of the page's early force, or -1.
-// Called with d.mu held.
-func (d *Disk) inFlight(page int) int {
-	for i, e := range d.early {
-		if e.page == page {
-			return i
-		}
-	}
-	return -1
-}
-
-// landDueLocked lands every early force whose slot has ended: the page's
-// volatile image, if it still has one, becomes stable, charged as one
-// disk write of the force's kind.  Called with d.mu held.
-func (d *Disk) landDueLocked() error {
-	if len(d.early) == 0 {
-		return nil
-	}
-	now := d.clock.Now()
-	for len(d.early) > 0 && !d.early[0].end.After(now) {
-		e := d.early[0]
-		d.early = d.early[:copy(d.early, d.early[1:])]
-		if img, ok := d.volatile[e.page]; ok {
-			if err := d.writeStableLocked(e.page, img, e.kind); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -537,7 +456,6 @@ func (d *Disk) crashLocked() {
 		d.spare = append(d.spare, v)
 	}
 	clear(d.volatile)
-	d.early = d.early[:0]
 	d.busyUntil = time.Time{}
 	d.crashed = true
 	d.epoch++
@@ -589,23 +507,12 @@ func (d *Disk) chargeWrite(kind IOKind) {
 
 // FlushPage forces the page's volatile version (if any) to stable storage,
 // charging one disk write of the given kind.  Flushing a clean page is a
-// no-op and charges nothing.  A page whose StartFlushPage force is still
-// in flight waits out the rest of that force's slot instead, and is
-// charged no second force.
+// no-op and charges nothing.
 func (d *Disk) FlushPage(page int, kind IOKind) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.check(page); err != nil {
 		return err
-	}
-	if err := d.landDueLocked(); err != nil {
-		return err
-	}
-	if i := d.inFlight(page); i >= 0 {
-		// StartFlushPage charged the force: wait out the rest of its
-		// slot, and land the page with everything else due by then.
-		v, _ := vtime.AsVirtual(d.clock)
-		return d.parkUntil(v, d.early[i].end)
 	}
 	if _, ok := d.volatile[page]; ok {
 		if err := d.force(); err != nil {
@@ -629,9 +536,6 @@ func (d *Disk) Flush() (int, error) {
 	defer d.mu.Unlock()
 	if d.crashed {
 		return 0, ErrCrashed
-	}
-	if err := d.landDueLocked(); err != nil {
-		return 0, err
 	}
 	if len(d.volatile) == 0 {
 		return 0, nil
@@ -662,7 +566,6 @@ func (d *Disk) DirtyPages() int {
 func (d *Disk) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.landDueLocked() //nolint:errcheck // a fault it trips crashes the disk too
 	d.crashLocked()
 }
 

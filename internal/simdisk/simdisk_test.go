@@ -5,8 +5,10 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/stats"
+	"repro/internal/vtime"
 )
 
 func page(d *Disk, fill byte) []byte {
@@ -485,5 +487,107 @@ func TestCrashAfterWritesOfKind(t *testing.T) {
 	d.CrashAfterWrites(0)
 	if err := d.WritePage(7, page(d, 0x77), IOData, true); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("plain re-arm should hit any kind, got %v", err)
+	}
+}
+
+// A flushing PageWrite lands the page's volatile image in the batch's one
+// force, as FlushPage would, and a clean page's flush writes and charges
+// nothing; the returned count still covers it.
+func TestWritePagesFlushesVolatileImage(t *testing.T) {
+	st := stats.NewSet()
+	d := New("d", 8, 64, st)
+	if err := d.WritePage(1, page(d, 1), IOData, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WritePage(2, page(d, 2), IOData, true); err != nil {
+		t.Fatal(err)
+	}
+	base := st.Snapshot()
+	n, err := d.WritePages([]PageWrite{
+		{Page: 1, Kind: IOData, Flush: true},
+		{Page: 2, Kind: IOData, Flush: true},
+		{Page: 3, Data: page(d, 3), Kind: IOInode},
+	})
+	if err != nil || n != 3 {
+		t.Fatalf("WritePages = %d, %v; want 3, nil", n, err)
+	}
+	delta := st.Snapshot().Sub(base)
+	if delta.Get(stats.ForcedIOs) != 1 || delta.Get(stats.DataPageWrites) != 1 || delta.Get(stats.InodeWrites) != 1 {
+		t.Fatalf("%d forces, %d data and %d inode writes; want 1, 1 and 1",
+			delta.Get(stats.ForcedIOs), delta.Get(stats.DataPageWrites), delta.Get(stats.InodeWrites))
+	}
+	if d.DirtyPages() != 0 {
+		t.Fatalf("%d volatile images left after the flush", d.DirtyPages())
+	}
+	for p, fill := range map[int]byte{1: 1, 2: 2, 3: 3} {
+		got, err := readStable(d)(p, IOData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, page(d, fill)) {
+			t.Errorf("page %d's stable image is %#x..., want all %#x", p, got[0], fill)
+		}
+	}
+}
+
+// A torn batch keeps a prefix: a fault that lets the flushed page through
+// loses the page behind it, and a crash loses the volatile image of a page
+// whose flush did not land.
+func TestTornFlushingBatchKeepsPrefix(t *testing.T) {
+	d := New("d", 8, 64, nil)
+	for p := 1; p <= 2; p++ {
+		if err := d.WritePage(p, page(d, byte(p)), IOData, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.CrashAfterWrites(1)
+	n, err := d.WritePages([]PageWrite{
+		{Page: 1, Kind: IOData, Flush: true},
+		{Page: 2, Kind: IOData, Flush: true},
+		{Page: 3, Data: page(d, 3), Kind: IOInode},
+	})
+	if !errors.Is(err, ErrCrashed) || n != 1 {
+		t.Fatalf("WritePages = %d, %v; want 1, ErrCrashed", n, err)
+	}
+	d.Restart()
+	for p, fill := range map[int]byte{1: 1, 2: 0, 3: 0} {
+		got, err := readStable(d)(p, IOData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, page(d, fill)) {
+			t.Errorf("page %d's stable image is %#x..., want all %#x", p, got[0], fill)
+		}
+	}
+}
+
+// A crash frees the spindle: the slot a destroyed force had booked is
+// not waited out by the first force after the restart.
+func TestCrashFreesTheSpindle(t *testing.T) {
+	const slot = 26 * time.Millisecond
+	d := New("d", 8, 64, nil)
+	clk := vtime.NewVirtual()
+	d.SetClock(clk)
+	d.SetSyncDelay(slot)
+	g := vtime.NewGroup(clk)
+	g.Go(func() {
+		if err := d.WritePage(1, page(d, 2), IOData, true); !errors.Is(err, ErrCrashed) {
+			t.Errorf("the force the crash destroyed returned %v, want ErrCrashed", err)
+		}
+	})
+	var took time.Duration
+	g.Go(func() {
+		clk.Sleep(5 * time.Millisecond)
+		d.Crash()
+		d.Restart()
+		t0 := clk.Now()
+		if err := d.WritePage(2, page(d, 3), IOData, true); err != nil {
+			t.Error(err)
+		}
+		took = clk.Now().Sub(t0)
+	})
+	g.Wait()
+	if took != slot {
+		t.Errorf("the first force after the restart took %v, want %v", took, slot)
 	}
 }

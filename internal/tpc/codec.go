@@ -40,12 +40,13 @@ var encPool = sync.Pool{
 }
 
 // putRecord encodes a record into a pooled staging buffer and stores it
-// under key.  The buffer goes back to the pool as Put returns: the log
-// keeps no reference to a payload.
-func putRecord(v *fs.Volume, key string, kind fs.LogKind, encode func([]byte) []byte) error {
+// under key, forcing the data pages in flush with it (fs.LogStore.Put).
+// The buffer goes back to the pool as Put returns: the log keeps no
+// reference to a payload.
+func putRecord(v *fs.Volume, key string, kind fs.LogKind, encode func([]byte) []byte, flush ...int) error {
 	staged := encPool.Get().(*[]byte)
 	*staged = encode((*staged)[:0])
-	err := v.Log().Put(key, kind, *staged)
+	err := v.Log().Put(key, kind, *staged, flush...)
 	encPool.Put(staged)
 	return err
 }

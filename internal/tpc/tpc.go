@@ -185,8 +185,11 @@ func DeleteCoordRecord(v *fs.Volume, txid string) error {
 
 // WritePrepareRecord writes a participant's prepare log entry.  suffix
 // distinguishes per-file records in footnote-10 mode ("" otherwise).
-func WritePrepareRecord(v *fs.Volume, rec PrepareRecord, suffix string) error {
-	return putRecord(v, prepKey(v, rec.Txid, suffix), fs.KindPrepare, func(b []byte) []byte { return appendPrepareRecord(b, &rec) })
+// flush names the shadow pages the record's intentions point at that are
+// not yet durable: they land in the record's own force, ahead of it
+// (DESIGN.md section 10, the one-force rule).
+func WritePrepareRecord(v *fs.Volume, rec PrepareRecord, suffix string, flush ...int) error {
+	return putRecord(v, prepKey(v, rec.Txid, suffix), fs.KindPrepare, func(b []byte) []byte { return appendPrepareRecord(b, &rec) }, flush...)
 }
 
 // ReadPrepareRecords returns every prepare record in the volume's log.
