@@ -69,10 +69,6 @@ type Config struct {
 	// including a wait behind a lease whose revoke is in flight; zero
 	// means 2s.
 	LockWaitTimeout time.Duration
-	// RetryInterval spaces each coordinator's automatic phase-two
-	// retries to unreachable participants.  Zero disables the timer
-	// (RetryPending still works when called directly).
-	RetryInterval time.Duration
 	// GroupCommitMaxDelay enables the group-commit daemon on every
 	// volume's log store: concurrent log writes coalesce into one
 	// vectored disk force, and after a flush that carried two or more
@@ -126,8 +122,8 @@ type Config struct {
 	// nil check.
 	Trace *trace.Collector
 	// Clock drives every timed wait in the cluster: simulated disk and
-	// network latency, lock and call timeouts, retry and group-commit
-	// timers.  Nil (the default) means the real-time clock; a
+	// network latency, lock and call timeouts, the recovery loop and the
+	// group-commit timer.  Nil (the default) means the real-time clock; a
 	// vtime.Virtual clock runs the same workload in discrete-event
 	// time, jumping over the latencies instead of sleeping them
 	// (DESIGN.md §11).
@@ -422,19 +418,14 @@ func splitPath(path string) (vol, name string, err error) {
 	return path[:i], path[i+1:], nil
 }
 
-// Shutdown stops every site's coordinator retry timer and closes the
-// network.  The cluster's durable state (disks) is untouched; Shutdown
-// exists so tests and the chaos engine can tear a cluster down without
-// leaking goroutines.
+// Shutdown stops every site's recovery loop and group-commit daemon and
+// closes the network.  The cluster's durable state (disks) is untouched;
+// Shutdown exists so tests and the chaos engine can tear a cluster down
+// without leaking goroutines.
 func (c *Cluster) Shutdown() {
 	for _, id := range c.Sites() {
 		k := c.Site(id).kernel()
-		k.mu.Lock()
-		coord := k.coord
-		k.mu.Unlock()
-		if coord != nil {
-			coord.Close()
-		}
+		vtime.NotifySend(c.cfg.Clock, k.stopLoop, struct{}{})
 		for _, vs := range k.volStates() {
 			vs.vol.Log().StopGroupCommit()
 		}
@@ -481,9 +472,11 @@ type volState struct {
 
 // openFile is the storage-site state of one open file.
 type openFile struct {
-	id    string
-	vs    *volState
-	file  *shadow.File
+	id string
+	vs *volState
+	// file is swapped by a recovery-time refresh (dropOpen) while
+	// handlers read it without k.mu.
+	file  atomic.Pointer[shadow.File]
 	locks *lockmgr.FileLocks
 	refs  int
 	// updateMode marks the file open for update (section 5.2): written or
@@ -603,6 +596,11 @@ type incarnation struct {
 	// operations wait behind errMoved until a move is decided and settled.
 	fenceMu sync.Mutex
 	fenced  map[string]struct{}
+
+	// recoverLoop's: passes asked for, a loop running, its stop (cap 1).
+	kicks      atomic.Int64
+	recovering atomic.Bool
+	stopLoop   chan struct{}
 }
 
 // Site is one machine and the latest incarnation of its kernel.
@@ -756,11 +754,10 @@ func (k *incarnation) Coordinator() (*tpc.Coordinator, error) {
 		return nil, fmt.Errorf("cluster: site %v has no mounted volume for its coordinator log", k.id)
 	}
 	cfg := k.cl.cfg
-	k.coord = tpc.NewCoordinator(k.id, k.vols[slices.Min(names)].vol, &siteTransport{k.machine}, k.st, tpc.Config{
-		SyncPhase2:    cfg.SyncPhase2,
-		RetryInterval: cfg.RetryInterval,
-		FastPaths:     cfg.FastPaths,
-		Clock:         cfg.Clock,
+	k.coord = tpc.NewCoordinator(k.id, k.vols[slices.Min(names)].vol, &siteTransport{k}, k.st, tpc.Config{
+		SyncPhase2: cfg.SyncPhase2,
+		FastPaths:  cfg.FastPaths,
+		Clock:      cfg.Clock,
 	})
 	k.coord.SetTracer(k.tr)
 	return k.coord, nil

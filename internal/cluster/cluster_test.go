@@ -14,6 +14,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/tpc"
+	"repro/internal/vtime"
 )
 
 // twoSiteCluster builds sites 1 and 2 with volumes "va" (site 1) and
@@ -330,10 +331,10 @@ func TestRule2AdoptionAtLockTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if of.file.HasMods(shadow.Owner(fmt.Sprintf("proc:%d", procPid))) {
+	if of.file.Load().HasMods(shadow.Owner(fmt.Sprintf("proc:%d", procPid))) {
 		t.Fatal("non-transaction still owns the record")
 	}
-	if !of.file.HasMods(shadow.Owner(lockmgr.TxnGroup("T5"))) {
+	if !of.file.Load().HasMods(shadow.Owner(lockmgr.TxnGroup("T5"))) {
 		t.Fatal("transaction did not adopt the record")
 	}
 
@@ -477,7 +478,7 @@ func TestParticipantCrashRecoveryInDoubtThenCommit(t *testing.T) {
 	// is unreachable, so the transaction stays in doubt with its locks
 	// re-established; when the coordinator is back, the intentions are
 	// applied from the log.
-	cl := twoSiteCluster(t, Config{})
+	cl := twoSiteCluster(t, Config{Clock: vtime.NewVirtual()})
 	s1, s2 := cl.Site(1), cl.Site(2)
 	pid := cl.NewPID()
 	s1.Procs().NewProcess(pid, 0)
@@ -532,7 +533,8 @@ func TestParticipantCrashRecoveryInDoubtThenCommit(t *testing.T) {
 	if err := s2.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if n := s1.ResolveInDoubt(); n != 0 {
+	settle(cl)
+	if n := s1.InDoubtCount(); n != 0 {
 		t.Fatalf("resolve left %d in doubt", n)
 	}
 	got, err := s1.Read(id3, pid3, "", 0, 5)
@@ -661,7 +663,7 @@ func TestInDoubtResolvesToAbort(t *testing.T) {
 	// coordinator was down: in doubt with locks re-established.  When
 	// the coordinator returns with an ABORT outcome, the logged
 	// intentions are discarded.
-	cl := twoSiteCluster(t, Config{})
+	cl := twoSiteCluster(t, Config{Clock: vtime.NewVirtual()})
 	s1, s2 := cl.Site(1), cl.Site(2)
 	pid := cl.NewPID()
 	s1.Procs().NewProcess(pid, 0)
@@ -694,7 +696,8 @@ func TestInDoubtResolvesToAbort(t *testing.T) {
 	if err := s2.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if n := s1.ResolveInDoubt(); n != 0 {
+	settle(cl)
+	if n := s1.InDoubtCount(); n != 0 {
 		t.Fatalf("resolve left %d in doubt", n)
 	}
 	// Rolled back: nothing committed, locks free, prepare log clear.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/proc"
 	"repro/internal/simnet"
 	"repro/internal/tpc"
+	"repro/internal/vtime"
 )
 
 // TestCrashMatrix drives the two-phase commit protocol step by step and
@@ -29,7 +30,7 @@ func TestCrashMatrix(t *testing.T) {
 		s1, s2, s3 *Site
 	}
 	setup := func(t *testing.T) env {
-		cl := New(Config{SyncPhase2: true})
+		cl := New(Config{SyncPhase2: true, Clock: vtime.NewVirtual()})
 		for i := 1; i <= 3; i++ {
 			cl.AddSite(simnet.SiteID(i))
 		}
@@ -135,6 +136,7 @@ func TestCrashMatrix(t *testing.T) {
 		if err := e.s1.Restart(); err != nil {
 			t.Fatal(err)
 		}
+		settle(e.cl)
 		// Restart finds the prepare record; the coordinator has no log,
 		// so presumed abort rolls it back during participant recovery.
 		if e.s1.InDoubtCount() != 0 {
@@ -153,6 +155,7 @@ func TestCrashMatrix(t *testing.T) {
 		if err := e.s3.Restart(); err != nil {
 			t.Fatal(err)
 		}
+		settle(e.cl)
 		// Coordinator recovery re-drives phase two from the durable log.
 		check(t, e, true)
 		if keys := e.s3.Volume("vc").Log().Keys(); len(keys) != 0 {
@@ -174,6 +177,7 @@ func TestCrashMatrix(t *testing.T) {
 		if err := e.s1.Restart(); err != nil {
 			t.Fatal(err)
 		}
+		settle(e.cl)
 		// Participant recovery queried the coordinator and applied the
 		// logged intentions.
 		check(t, e, true)
@@ -200,6 +204,7 @@ func TestCrashMatrix(t *testing.T) {
 		if err := e.s2.Restart(); err != nil {
 			t.Fatal(err)
 		}
+		settle(e.cl)
 		check(t, e, true)
 	})
 
@@ -236,10 +241,11 @@ func TestCrashMatrix(t *testing.T) {
 		if err := e.s3.Restart(); err != nil {
 			t.Fatal(err)
 		}
-		if n := e.s1.ResolveInDoubt(); n != 0 {
+		settle(e.cl)
+		if n := e.s1.InDoubtCount(); n != 0 {
 			t.Fatalf("s1 resolve left %d in doubt", n)
 		}
-		if n := e.s2.ResolveInDoubt(); n != 0 {
+		if n := e.s2.InDoubtCount(); n != 0 {
 			t.Fatalf("s2 resolve left %d in doubt", n)
 		}
 		check(t, e, true)

@@ -235,7 +235,7 @@ func (k *incarnation) committedImage(path string) ([]byte, error) {
 	k.mu.Lock()
 	f := vs.files[name]
 	if of := k.open[path]; of != nil {
-		f = of.file
+		f = of.file.Load()
 	}
 	k.mu.Unlock()
 	if f == nil {

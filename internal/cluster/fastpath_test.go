@@ -208,7 +208,7 @@ func onePhasePrepared(t *testing.T, cl *Cluster, txid string, total int) *Site {
 }
 
 func TestOnePhaseRecoveryCommitsCompleteSet(t *testing.T) {
-	cl := twoSiteCluster(t, Config{FastPaths: true})
+	cl := twoSiteCluster(t, Config{FastPaths: true, Clock: vtime.NewVirtual()})
 	s1 := onePhasePrepared(t, cl, "OPR1", 0)
 
 	// Crash after the force (the commit point), before the apply.
@@ -216,6 +216,7 @@ func TestOnePhaseRecoveryCommitsCompleteSet(t *testing.T) {
 	if err := s1.Restart(); err != nil {
 		t.Fatal(err)
 	}
+	settle(cl)
 	// The complete record set self-resolves to committed - no
 	// coordinator involved (site 9 is unreachable by construction).
 	if n := s1.InDoubtCount(); n != 0 {
@@ -239,7 +240,7 @@ func TestOnePhaseRecoveryCommitsCompleteSet(t *testing.T) {
 }
 
 func TestOnePhaseRecoveryAbortsTornSet(t *testing.T) {
-	cl := twoSiteCluster(t, Config{FastPaths: true})
+	cl := twoSiteCluster(t, Config{FastPaths: true, Clock: vtime.NewVirtual()})
 	// The record claims a set of 2 but only 1 survives: the final force
 	// - the commit point - never landed, so recovery must abort.
 	s1 := onePhasePrepared(t, cl, "OPR2", 2)
@@ -248,6 +249,7 @@ func TestOnePhaseRecoveryAbortsTornSet(t *testing.T) {
 	if err := s1.Restart(); err != nil {
 		t.Fatal(err)
 	}
+	settle(cl)
 	if n := s1.InDoubtCount(); n != 0 {
 		t.Fatalf("in doubt = %d, want 0 (self-resolved)", n)
 	}
@@ -375,7 +377,7 @@ func TestOneFileOnePhaseInodeFailureAborts(t *testing.T) {
 	if pt != nil {
 		t.Fatalf("prepared entry left behind: %+v", pt)
 	}
-	if of, err := k.lookupOpen("va/f"); err == nil && of.file.HasMods(shadow.Owner(k.txnName("OF2"))) {
+	if of, err := k.lookupOpen("va/f"); err == nil && of.file.Load().HasMods(shadow.Owner(k.txnName("OF2"))) {
 		t.Error("the working state was not rolled back")
 	}
 	must(t, s1.Restart())
@@ -416,6 +418,7 @@ func TestTwoFilesOnePhaseForceRecordSet(t *testing.T) {
 		t.Fatalf("PrepareLogWrites = %d, want 2 (one record per file)", got)
 	}
 	must(t, s1.Restart())
+	settle(cl)
 	if n := s1.InDoubtCount(); n != 0 {
 		t.Fatalf("in doubt = %d, want 0 (self-resolved)", n)
 	}

@@ -169,18 +169,15 @@ func (k *incarnation) handleOpen(req pathReq) (openResp, error) {
 		if err != nil {
 			return openResp{}, err
 		}
-		of = &openFile{
-			id:   fileID,
-			vs:   vs,
-			file: file,
-		}
+		of = &openFile{id: fileID, vs: vs}
+		of.file.Store(file)
 		// The size function reads through the entry, not the file, so a
 		// recovery-time refresh of of.file keeps append locks correct.
-		of.locks = k.locks.File(fileID, func() int64 { return of.file.Size() })
+		of.locks = k.locks.File(fileID, func() int64 { return of.file.Load().Size() })
 		k.open[fileID] = of
 	}
 	of.refs++
-	return openResp{Size: of.file.Size()}, nil
+	return openResp{Size: of.file.Load().Size()}, nil
 }
 
 // handleClose drops one reference.  For a non-transaction process with
@@ -197,8 +194,8 @@ func (k *incarnation) handleClose(req fileReq) error {
 	}
 	if req.Txn == "" {
 		owner := procOwner(req.PID)
-		if of.file.HasMods(owner) {
-			if err := of.file.CommitWith(owner, k.cl.cfg.FastPaths); err != nil {
+		if of.file.Load().HasMods(owner) {
+			if err := of.file.Load().CommitWith(owner, k.cl.cfg.FastPaths); err != nil {
 				return err
 			}
 		}
@@ -227,11 +224,11 @@ func (k *incarnation) handleSync(req fileReq) error {
 		return fmt.Errorf("cluster: sync inside a transaction commits at EndTrans")
 	}
 	owner := procOwner(req.PID)
-	if !of.file.HasMods(owner) {
+	if !of.file.Load().HasMods(owner) {
 		k.maybeSyncReplicas(of)
 		return nil
 	}
-	if err := of.file.CommitWith(owner, k.cl.cfg.FastPaths); err != nil {
+	if err := of.file.Load().CommitWith(owner, k.cl.cfg.FastPaths); err != nil {
 		return err
 	}
 	k.maybeSyncReplicas(of)
@@ -246,7 +243,7 @@ func (k *incarnation) handleStat(req fileReq) (statResp, error) {
 	if err != nil {
 		return statResp{}, err
 	}
-	return statResp{Size: of.file.Size(), CommittedSize: of.file.CommittedSize()}, nil
+	return statResp{Size: of.file.Load().Size(), CommittedSize: of.file.Load().CommittedSize()}, nil
 }
 
 // handleRead validates the access per Figure 1 and returns the bytes.
@@ -282,7 +279,7 @@ func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, err
 		return readResp{}, err
 	}
 	buf := make([]byte, req.Len)
-	n, err := of.file.ReadAt(buf, req.Off)
+	n, err := of.file.Load().ReadAt(buf, req.Off)
 	if err != nil {
 		return readResp{}, err
 	}
@@ -327,14 +324,14 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 		// Unix semantics between unlocked processes: the later writer
 		// wins; uncommitted bytes from other non-transaction processes
 		// are taken over rather than conflicting.
-		for _, or := range of.file.UncommittedOverlapping(req.Off, length) {
+		for _, or := range of.file.Load().UncommittedOverlapping(req.Off, length) {
 			if or.Owner != owner && strings.HasPrefix(string(or.Owner), "proc:") {
-				of.file.TransferMods(or.Owner, owner, req.Off, length)
+				of.file.Load().TransferMods(or.Owner, owner, req.Off, length)
 			}
 		}
 	}
 	k.markOpenForUpdate(of)
-	n, err := of.file.WriteAt(owner, req.Data, req.Off)
+	n, err := of.file.Load().WriteAt(owner, req.Data, req.Off)
 	if err != nil {
 		return writeResp{}, err
 	}
@@ -377,7 +374,7 @@ func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, err
 		return lockResp{}, err
 	}
 	if of.vs.vol.PrefetchOnLock {
-		of.file.Prefetch(res.Off, res.Len) //nolint:errcheck // best-effort read-ahead
+		of.file.Load().Prefetch(res.Off, res.Len) //nolint:errcheck // best-effort read-ahead
 	}
 	if req.Txn != "" {
 		k.adoptUncommitted(of, name, res.Off, res.Len)
@@ -419,9 +416,9 @@ func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, err
 // under the granted range join the transaction, and the lock is forcibly
 // transactional (retained).
 func (k *incarnation) adoptUncommitted(of *openFile, name string, off, length int64) {
-	for _, or := range of.file.UncommittedOverlapping(off, length) {
+	for _, or := range of.file.Load().UncommittedOverlapping(off, length) {
 		if strings.HasPrefix(string(or.Owner), "proc:") {
-			of.file.TransferMods(or.Owner, shadow.Owner(name), or.Off, or.Len)
+			of.file.Load().TransferMods(or.Owner, shadow.Owner(name), or.Off, or.Len)
 			of.locks.ForceTransactional(name, off, length)
 		}
 	}
@@ -442,7 +439,7 @@ func (k *incarnation) handleUnlock(req unlockReq) (unlockResp, error) {
 		// every file holding the transaction's records is on its lock
 		// index.
 		name := k.txnName(req.Txn)
-		for _, or := range of.file.UncommittedOverlapping(req.Off, req.Len) {
+		for _, or := range of.file.Load().UncommittedOverlapping(req.Off, req.Len) {
 			if or.Owner == shadow.Owner(name) {
 				of.locks.ForceTransactional(name, req.Off, req.Len)
 				break

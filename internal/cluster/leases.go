@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/lockmgr"
 	"repro/internal/simnet"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -258,7 +257,6 @@ func runLeaseRevoke(arg any, _ int) {
 	simnet.ExchangeRetry[none](k.ep, holder, "leaseRevoke", fileReq{FileID: fileID}) //nolint:errcheck // reclaimed whether or not the holder heard
 	k.leaseRevokeEnd(lm)
 	if of.locks.RevokeLease(int(holder)) {
-		k.st.Inc(stats.LeaseRevokes)
 		k.tr.Record(trace.LeaseRevoke, "", fileID, int64(holder))
 	}
 }
@@ -327,7 +325,6 @@ func (s *Site) onTopology(ev simnet.TopologyEvent) {
 			continue
 		}
 		if n := k.locks.RevokeSiteLeases(int(down)); n > 0 {
-			k.st.Add(stats.LeaseRevokes, int64(n))
 			k.tr.Record(trace.LeaseRevoke, "", down.String(), int64(n))
 		}
 		k.leaseMetaDropSite(down)

@@ -8,13 +8,14 @@ import (
 	"repro/internal/proc"
 	"repro/internal/simnet"
 	"repro/internal/tpc"
+	"repro/internal/vtime"
 )
 
 // TestPartitionDuringPhaseTwo closes the gap between the crash matrix
 // (E9) and the section 4.3 partition rule: a participant partitioned
 // away AFTER the commit point must not lose the commit.  The outcome is
-// decided; the phase-two retry timer drives the lagging participant to
-// completion once the partition heals, and duplicate commit messages
+// decided; the coordinating site's recovery loop drives the lagging
+// participant to completion once the partition heals, and duplicate commit messages
 // along the way are idempotent (section 4.4).
 func TestPartitionDuringPhaseTwo(t *testing.T) {
 	const txid = "PHASE2"
@@ -23,10 +24,11 @@ func TestPartitionDuringPhaseTwo(t *testing.T) {
 		{FileID: "vb/f", StorageSite: 2},
 	}
 
+	clk := vtime.NewVirtual()
 	cl := New(Config{
-		SyncPhase2:    true,
-		RetryInterval: 15 * time.Millisecond,
-		Net:           simnet.Config{CallTimeout: 40 * time.Millisecond},
+		SyncPhase2: true,
+		Clock:      clk,
+		Net:        simnet.Config{CallTimeout: 40 * time.Millisecond},
 	})
 	defer cl.Shutdown()
 	for i := 1; i <= 3; i++ {
@@ -99,7 +101,7 @@ func TestPartitionDuringPhaseTwo(t *testing.T) {
 	// prepared (in doubt), the coordinator keeps retrying into the void.
 	cl.Net().Partition(1)
 	cl.Net().SetFaultFilter(nil)
-	time.Sleep(50 * time.Millisecond) // let retry ticks fire into the partition
+	clk.Sleep(3 * recoveryInterval) // let recovery passes fire into the partition
 	if coord.PendingCount() != 1 {
 		t.Fatalf("pending across partition = %d, want 1", coord.PendingCount())
 	}
@@ -107,14 +109,14 @@ func TestPartitionDuringPhaseTwo(t *testing.T) {
 		t.Fatalf("site 2 tore a committed transaction during the partition: %d", got)
 	}
 
-	// Heal: the retry timer alone must drive phase two to completion.
+	// Heal: the recovery loop alone must drive phase two to completion.
 	cl.Net().Heal()
-	deadline := time.Now().Add(3 * time.Second)
+	deadline := clk.Now().Add(3 * time.Second)
 	for coord.PendingCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("retry timer never completed phase two (pending = %d)", coord.PendingCount())
+		if clk.Now().After(deadline) {
+			t.Fatalf("recovery loop never completed phase two (pending = %d)", coord.PendingCount())
 		}
-		time.Sleep(5 * time.Millisecond)
+		clk.Sleep(5 * time.Millisecond)
 	}
 	if got := committedSize(s1, "va/f"); got != 8 {
 		t.Fatalf("site 1 committed = %d after heal, want 8", got)

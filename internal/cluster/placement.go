@@ -306,7 +306,7 @@ func (k *incarnation) moveFile(path string, target simnet.SiteID) error {
 	k.mu.Unlock()
 	refs := 0
 	if of != nil {
-		if of.file.Modified() {
+		if of.file.Load().Modified() {
 			return nil
 		}
 		if _, ok := of.locks.TryLock(lockmgr.Request{
@@ -377,7 +377,7 @@ func (k *incarnation) handleInstall(from simnet.SiteID, req installReq) (none, e
 	k.mu.Lock()
 	f := vs.files[name]
 	if of := k.open[req.Path]; of != nil {
-		f = of.file
+		f = of.file.Load()
 	}
 	k.mu.Unlock()
 	if f == nil {
@@ -405,8 +405,9 @@ func (k *incarnation) handleInstall(from simnet.SiteID, req installReq) (none, e
 	case dup:
 		cur.refs = max(cur.refs, req.Refs)
 	case req.Refs > 0:
-		nf := &openFile{id: req.Path, vs: vs, file: f, refs: req.Refs}
-		nf.locks = k.locks.File(req.Path, func() int64 { return nf.file.Size() })
+		nf := &openFile{id: req.Path, vs: vs, refs: req.Refs}
+		nf.file.Store(f)
+		nf.locks = k.locks.File(req.Path, func() int64 { return nf.file.Load().Size() })
 		k.open[req.Path] = nf
 	}
 	if err == nil {

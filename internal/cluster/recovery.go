@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"repro/internal/fs"
 	"repro/internal/lockmgr"
 	"repro/internal/proc"
 	"repro/internal/tpc"
 	"repro/internal/trace"
+	"repro/internal/vtime"
 )
 
 // Crash takes the site down: its kernel incarnation is marked dead - all
@@ -24,13 +26,10 @@ func (s *Site) Crash() {
 		return
 	}
 	k.dead.Store(true)
-	coord := k.coord
 	k.mu.Unlock()
-	if coord != nil {
-		// The retry-timer goroutine dies with its kernel; Restart builds
-		// a fresh coordinator and its Recover re-drives pending phase two.
-		coord.Close()
-	}
+	// The recovery loop dies with its kernel; Restart's coordinator
+	// recovery re-drives pending phase two from the log.
+	vtime.NotifySend(s.cl.cfg.Clock, k.stopLoop, struct{}{})
 	s.cl.net.CrashSite(s.id)
 	k.halt()
 	k.forfeitLeases()
@@ -74,6 +73,7 @@ func newIncarnation(m *machine) (_ *incarnation, err error) {
 		prepared: make(map[string]*preparedTxn),
 		txns:     make(map[string]string),
 		fenced:   make(map[string]struct{}),
+		stopLoop: make(chan struct{}, 1),
 	}
 	k.mu.SetClock(cfg.Clock)
 	k.locks.SetTracer(m.tr)
@@ -122,10 +122,10 @@ func newIncarnation(m *machine) (_ *incarnation, err error) {
 // newIncarnation, before the site rejoins the network, then
 //
 //  3. (b) resolve in-doubt prepared transactions by querying their
-//     coordinators; an unreachable or still undecided coordinator leaves
-//     the transaction in doubt with its locks re-established;
+//     coordinators: the recovery loop does, behind the return, while the
+//     retained locks hold;
 //  4. replay this site's own coordinator log: committed transactions
-//     re-enter phase two, anything else is aborted.
+//     re-enter phase two, anything else is aborted, behind the return.
 //
 // A running site is crashed first.
 func (s *Site) Restart() error {
@@ -138,13 +138,13 @@ func (s *Site) Restart() error {
 	// Rejoin the network so coordinator queries can flow both ways.
 	s.cl.net.RestartSite(s.id)
 
-	// Transactions whose coordinator is unreachable or undecided stay in
-	// doubt for a later ResolveInDoubt.
-	k.ResolveInDoubt()
 	if coord, err := k.Coordinator(); err == nil {
 		if rerr := coord.Recover(); rerr != nil {
 			return fmt.Errorf("cluster: coordinator recovery at site %v: %w", s.id, rerr)
 		}
+	}
+	if len(k.inDoubt()) > 0 {
+		k.kickRecovery()
 	}
 	// Pull the replica copies the catalog records behind here (they
 	// forward their reads to the primary until the pull lands).
@@ -217,12 +217,46 @@ func (k *incarnation) resolve(txid string, pt *preparedTxn) tpc.Status {
 	return st
 }
 
-func (k *incarnation) ResolveInDoubt() int {
-	txids := k.inDoubt()
-	sort.Strings(txids)
+// recoveryInterval spaces the passes of a site's recovery loop.
+const recoveryInterval = 100 * time.Millisecond
 
+// kickRecovery asks for a pass of the recovery loop, starting it if none
+// runs: Restart does, and so does a phase-two delivery that failed.
+func (k *incarnation) kickRecovery() {
+	k.kicks.Add(1)
+	if !k.dead.Load() && k.recovering.CompareAndSwap(false, true) {
+		k.cl.cfg.Clock.Go(k.recoverLoop)
+	}
+}
+
+// recoverLoop is the site's one driver of recovery (section 4.4): each
+// pass asks the coordinators of the recovered in-doubt transactions and
+// re-drives this site's unacknowledged phase two, until a pass leaves
+// nothing (a kick meanwhile buys one more), Crash or Shutdown.
+func (k *incarnation) recoverLoop() {
+	for {
+		kicks := k.kicks.Load()
+		left := k.resolveInDoubt()
+		if coord, err := k.Coordinator(); err == nil {
+			left += coord.RetryPending()
+		}
+		if left == 0 {
+			k.recovering.Store(false)
+			if k.kicks.Load() == kicks || !k.recovering.CompareAndSwap(false, true) {
+				return
+			}
+		}
+		if _, stop := vtime.WaitRecv(k.cl.cfg.Clock, k.stopLoop, recoveryInterval); stop {
+			return
+		}
+	}
+}
+
+// resolveInDoubt asks about each recovered in-doubt transaction once and
+// returns how many are still in doubt.
+func (k *incarnation) resolveInDoubt() int {
 	remaining := 0
-	for _, txid := range txids {
+	for _, txid := range k.inDoubt() {
 		k.mu.Lock()
 		pt := k.prepared[txid]
 		k.mu.Unlock()
@@ -231,7 +265,7 @@ func (k *incarnation) ResolveInDoubt() int {
 		}
 		// An apply error (including a racing delivery from the
 		// coordinator itself) leaves the transaction in doubt; the next
-		// resolution pass retries.
+		// pass retries.
 		st := k.resolve(txid, pt)
 		if st == tpc.StatusUnknown || k.deliver(txid, st == tpc.StatusCommitted) != nil {
 			remaining++
@@ -254,11 +288,6 @@ func (k *incarnation) inDoubt() []string {
 	sort.Strings(txids)
 	return txids
 }
-
-// ResolveInDoubt retries participant recovery for transactions whose
-// coordinator was unreachable or undecided at restart.  Returns the
-// number still in doubt.
-func (s *Site) ResolveInDoubt() int { return s.kernel().ResolveInDoubt() }
 
 // InDoubtCount returns how many recovered prepared transactions still
 // await their coordinator.

@@ -235,7 +235,7 @@ func (k *incarnation) maybeSyncReplicas(of *openFile) {
 	k.mu.Lock()
 	updating, replicated := of.updateMode, of.replicated
 	k.mu.Unlock()
-	if !updating || of.file.Modified() || replicated && of.locks.Held(false) {
+	if !updating || of.file.Load().Modified() || replicated && of.locks.Held(false) {
 		return
 	}
 	var sites []simnet.SiteID

@@ -389,7 +389,7 @@ func TestMoveOntoReplicaLeavesOneCopy(t *testing.T) {
 	k := s2.kernel()
 	k.mu.Lock()
 	of, vs := k.open[w.id], k.vols["va"]
-	oneHandle := of != nil && of.file == vs.files["f"]
+	oneHandle := of != nil && of.file.Load() == vs.files["f"]
 	k.mu.Unlock()
 	if !oneHandle {
 		t.Error("the new home's open file does not use the replica's handle")

@@ -9,30 +9,43 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/tpc"
+	"repro/internal/vtime"
 )
+
+// settle runs a virtual-clock cluster for two recovery intervals: what
+// Restart leaves behind it (phase two, coordinator queries) gets at least
+// one recovery pass after the caller's last change.
+func settle(cl *Cluster) { cl.Clock().Sleep(2 * recoveryInterval) }
 
 // prepareAt writes data into path at s under txid and runs the
 // participant's first phase naming coord as the coordinator site.
 func prepareAt(t *testing.T, s *Site, path, txid, data string, coord simnet.SiteID) {
 	t.Helper()
+	id := writeTxn(t, s, path, txid, data)
+	if _, err := s.kernel().prepare(prepareReq{Txid: txid, FileIDs: []string{id.ID()}, Coord: coord}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeTxn writes data into path at s (creating it if need be) under
+// txid, from a fresh process there.
+func writeTxn(t *testing.T, s *Site, path, txid, data string) *Binding {
+	t.Helper()
 	pid := s.cl.NewPID()
 	s.Procs().NewProcess(pid, 0)
-	if err := s.Create(path); err != nil {
-		t.Fatal(err)
-	}
 	id, _, err := s.Open(path)
-	if err != nil {
-		t.Fatal(err)
+	if errors.Is(err, ErrNoSuchFile) {
+		must(t, s.Create(path))
+		id, _, err = s.Open(path)
 	}
+	must(t, err)
 	if _, err := s.Lock(id, pid, txid, lockmgr.ModeExclusive, 0, int64(len(data)), false, false, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Write(id, pid, txid, 0, []byte(data)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.kernel().prepare(prepareReq{Txid: txid, FileIDs: []string{id.ID()}, Coord: coord}); err != nil {
-		t.Fatal(err)
-	}
+	return id
 }
 
 // TestRestartResolvesEachPreparedTransaction walks the in-doubt table of
@@ -42,7 +55,7 @@ func prepareAt(t *testing.T, s *Site, path, txid, data string, coord simnet.Site
 // reached (in doubt: record kept, locks re-established, resolved by a
 // later pass).
 func TestRestartResolvesEachPreparedTransaction(t *testing.T) {
-	cl := twoSiteCluster(t, Config{})
+	cl := twoSiteCluster(t, Config{Clock: vtime.NewVirtual()})
 	cl.AddSite(3)
 	if err := cl.AddVolume(3, "vc"); err != nil {
 		t.Fatal(err)
@@ -60,6 +73,7 @@ func TestRestartResolvesEachPreparedTransaction(t *testing.T) {
 	if err := s1.Restart(); err != nil {
 		t.Fatal(err)
 	}
+	settle(cl)
 	committedSize := func(path string) int64 {
 		t.Helper()
 		id, _, err := s1.Open(path)
@@ -95,7 +109,8 @@ func TestRestartResolvesEachPreparedTransaction(t *testing.T) {
 	if err := s3.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if n := s1.ResolveInDoubt(); n != 0 {
+	settle(cl)
+	if n := s1.InDoubtCount(); n != 0 {
 		t.Fatalf("resolve once the coordinator is back left %d in doubt", n)
 	}
 	if recs, _ := tpc.ReadPrepareRecords(s1.Volume("va")); len(recs) != 0 {

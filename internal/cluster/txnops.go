@@ -53,8 +53,9 @@ type statusResp struct {
 // the transaction (section 4.3).  Commit and abort messages are
 // idempotent (temporally-unique txids, section 4.4), so they ride
 // ExchangeRetry's backoff to shrug off transient loss without waiting for
-// the coarse phase-two retry timer.
-type siteTransport struct{ *machine }
+// the coordinating site's recovery loop, which a delivery that still
+// failed kicks.
+type siteTransport struct{ *incarnation }
 
 func (t *siteTransport) SendPrepare(site simnet.SiteID, txid string, fileIDs []string, coord simnet.SiteID) (tpc.Vote, error) {
 	return t.vote("prepare", site, prepareReq{Txid: txid, FileIDs: fileIDs, Coord: coord})
@@ -75,6 +76,9 @@ func (t *siteTransport) vote(op string, site simnet.SiteID, req prepareReq) (tpc
 
 func (t *siteTransport) SendCommit(site simnet.SiteID, txid string) error {
 	_, err := simnet.ExchangeRetry[none](t.ep, site, "commit2", txnReq{Txid: txid})
+	if err != nil {
+		t.kickRecovery()
+	}
 	return err
 }
 
@@ -143,15 +147,15 @@ func (k *incarnation) gatherPrepare(req prepareReq) (_ *prepScratch, hasMods boo
 			return nil, false, err
 		}
 		if k.cl.cfg.FastPaths {
-			vp.pages = of.file.AppendUnflushed(vp.pages, owner)
-		} else if err := of.file.Flush(owner); err != nil {
+			vp.pages = of.file.Load().AppendUnflushed(vp.pages, owner)
+		} else if err := of.file.Load().Flush(owner); err != nil {
 			return nil, false, err
 		}
-		hasMods = hasMods || of.file.HasMods(owner)
+		hasMods = hasMods || of.file.Load().HasMods(owner)
 		vp.files = slices.Grow(vp.files, 1)[:len(vp.files)+1]
 		pf := &vp.files[len(vp.files)-1]
 		pf.FileID = fileID
-		of.file.IntentionsFor(owner, &pf.Intentions)
+		of.file.Load().IntentionsFor(owner, &pf.Intentions)
 		sc.held = of.locks.GroupEntries(sc.held[:0], name)
 		for _, e := range sc.held {
 			vp.locks = append(vp.locks, tpc.LockInfo{
@@ -388,7 +392,7 @@ func (k *incarnation) handleAbortTxn(req txnReq) error {
 }
 
 // deliver brings a transaction's outcome to this site - the phase-two
-// commit, an abort, or what ResolveInDoubt concluded.  It claims the
+// commit, an abort, or what the recovery loop concluded.  It claims the
 // prepared entry and applies the outcome to it.  Duplicates are harmless
 // (section 4.4): a commit for an unknown transaction acknowledges
 // silently, its work already done, and an abort rolls back whatever the
@@ -489,13 +493,13 @@ func (k *incarnation) applyFiles(txid string, pt *preparedTxn, commit bool) erro
 			}
 			continue // nothing of the transaction's is open under that name
 		}
-		if !of.file.HasMods(owner) {
+		if !of.file.Load().HasMods(owner) {
 			continue
 		}
 		if commit {
-			err = of.file.CommitWith(owner, k.cl.cfg.FastPaths)
+			err = of.file.Load().CommitWith(owner, k.cl.cfg.FastPaths)
 		} else {
-			err = of.file.Abort(owner)
+			err = of.file.Load().Abort(owner)
 		}
 		if err != nil {
 			return err
@@ -557,7 +561,7 @@ func (k *incarnation) settle(fileID string) {
 	}
 	k.maybeSyncReplicas(of)
 	k.mu.Lock()
-	if k.open[fileID] == of && of.refs <= 0 && !of.file.Modified() && !of.locks.Held(true) {
+	if k.open[fileID] == of && of.refs <= 0 && !of.file.Load().Modified() && !of.locks.Held(true) {
 		delete(k.open, fileID)
 		k.locks.Drop(fileID)
 	}
@@ -620,8 +624,8 @@ func (k *incarnation) dropOpen(fileID string) {
 	if !ok {
 		return
 	}
-	if f, err := shadow.Open(of.vs.vol, of.file.Ino()); err == nil {
-		of.file = f
+	if f, err := shadow.Open(of.vs.vol, of.file.Load().Ino()); err == nil {
+		of.file.Store(f)
 	} else {
 		delete(k.open, fileID)
 	}
@@ -652,8 +656,8 @@ func (k *incarnation) reapLocal(pid int) {
 	slices.SortFunc(files, func(a, b *openFile) int { return strings.Compare(a.id, b.id) })
 	var touched []*openFile
 	for _, of := range files {
-		if of.file.HasMods(owner) {
-			of.file.Abort(owner) //nolint:errcheck // best-effort reaping of a dead process
+		if of.file.Load().HasMods(owner) {
+			of.file.Load().Abort(owner) //nolint:errcheck // best-effort reaping of a dead process
 			touched = append(touched, of)
 		}
 	}

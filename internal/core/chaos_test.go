@@ -103,11 +103,7 @@ func TestChaosMessageLossAtomicity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, id := range []simnet.SiteID{1, 2, 3} {
-		if n := sys.Cluster().Site(id).ResolveInDoubt(); n != 0 {
-			t.Fatalf("site %v: %d in doubt after recovery", id, n)
-		}
-	}
+	waitResolved(t, sys, 2*time.Second)
 
 	// Verify atomicity pair by pair.
 	v, err := sys.NewProcess(3)
@@ -235,9 +231,7 @@ func TestChaosSiteCrashAtomicity(t *testing.T) {
 		if err := sys.Cluster().Site(victim).Restart(); err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range []simnet.SiteID{1, 2, 3} {
-			sys.Cluster().Site(id).ResolveInDoubt()
-		}
+		waitResolved(t, sys, 2*time.Second)
 	}
 
 	// Audit.
@@ -274,4 +268,21 @@ func TestChaosSiteCrashAtomicity(t *testing.T) {
 		}
 	}
 	t.Logf("crash chaos: %d/%d committed, all pairs atomic", committed, total)
+}
+
+// waitResolved waits on the cluster's clock, up to budget, until no site
+// holds a transaction in doubt: each site's recovery loop settles its
+// own once the coordinator answers.
+func waitResolved(t *testing.T, sys *System, budget time.Duration) {
+	t.Helper()
+	cl := sys.Cluster()
+	deadline := cl.Clock().Now().Add(budget)
+	for _, id := range cl.Sites() {
+		for n := cl.Site(id).InDoubtCount(); n != 0; n = cl.Site(id).InDoubtCount() {
+			if cl.Clock().Now().After(deadline) {
+				t.Fatalf("site %v: %d in doubt after recovery", id, n)
+			}
+			cl.Clock().Sleep(time.Millisecond)
+		}
+	}
 }

@@ -867,8 +867,8 @@ func TestCoordinatorCrashAfterCommitPointRecovers(t *testing.T) {
 	if err := sys.Cluster().Site(2).Restart(); err != nil {
 		t.Fatal(err)
 	}
-	// Give retries a moment, then resolve any remaining doubt.
-	sys.Cluster().Site(1).ResolveInDoubt()
+	// The participant's recovery loop resolves any remaining doubt.
+	waitResolved(t, sys, 2*time.Second)
 
 	q := mustProcess(t, sys, 1)
 	fq, err := q.Open("va/f")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,9 +191,10 @@ func TestDeadlockDetectorService(t *testing.T) {
 	sys.StopDeadlockDetector() // double stop safe
 }
 
-func TestCoordinatorRetryIntervalDrivesPhase2(t *testing.T) {
-	// Async phase two with an automatic retry timer: a participant that
-	// misses the first commit message receives it on a later retry.
+func TestRecoveryLoopDrivesMissedPhase2(t *testing.T) {
+	// Async phase two: a participant that misses every try of the first
+	// commit message receives it from the coordinating site's recovery
+	// loop, with nobody calling RetryPending.
 	sys := NewSystem(cluster.Config{
 		SyncPhase2: false,
 		Net:        simnet.Config{CallTimeout: 100 * time.Millisecond},
@@ -214,6 +216,10 @@ func TestCoordinatorRetryIntervalDrivesPhase2(t *testing.T) {
 	if _, err := f.WriteAt([]byte("async"), 0); err != nil {
 		t.Fatal(err)
 	}
+	var dropped atomic.Int32
+	sys.Cluster().Net().SetFaultFilter(func(_, to simnet.SiteID, op string) bool {
+		return op == "commit2" && to == 1 && dropped.Add(1) <= 4 // the first delivery's four tries
+	})
 	if err := p.EndTrans(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +231,6 @@ func TestCoordinatorRetryIntervalDrivesPhase2(t *testing.T) {
 	}
 	deadline := time.After(3 * time.Second)
 	for {
-		coord.RetryPending()
 		cs, _ := f.CommittedSize()
 		if cs == 5 && coord.PendingCount() == 0 {
 			break
@@ -235,6 +240,9 @@ func TestCoordinatorRetryIntervalDrivesPhase2(t *testing.T) {
 			t.Fatalf("async phase 2 never completed: committed=%d pending=%d", cs, coord.PendingCount())
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+	if n := dropped.Load(); n < 5 {
+		t.Fatalf("%d commit2 messages sent, want the four lost tries and a later retry", n)
 	}
 }
 

@@ -6,7 +6,7 @@
 // disk performs after the probe line, then the file is replayed N times
 // per disk with the disk armed to fail its i-th write (optionally only
 // writes of one IOKind class).  After the crash the replay drives full
-// site recovery (Site.Restart, ResolveInDoubt, coordinator phase-two
+// site recovery (Site.Restart, its recovery loop, coordinator phase-two
 // retries) and mechanically checks the DESIGN.md section 5 invariants
 // (invariant.Audit) and the file's expect atomic and replica lines:
 // per-file all-or-nothing, durability of confirmed commits, cross-site
@@ -269,8 +269,8 @@ func sweep(file string, src []byte, opts Options) (*WorkloadResult, error) {
 // (idx+1)-th stable write of the selected kind; with arm nil the run is
 // the counting run, which also learns the probe line's disks and how many
 // selected stable writes each performed.  Without "faults" in the file
-// phase two is synchronous with no retry timer, so on a serial file the
-// i-th stable write is the same write on every replay.
+// phase two is synchronous and nothing retries before a fault, so on a
+// serial file the i-th stable write is the same write on every replay.
 func replay(file string, src []byte, opts Options, arm *scenario.Disk, idx int) (PointResult, *scenario.Probe, error) {
 	kind, useKind, _ := parseKind(opts.Kind)
 	p := &scenario.Probe{Arm: arm, Index: idx, Class: kind, ByClass: useKind, Trace: opts.Forensics}

@@ -335,24 +335,23 @@ func Quiesce(cl *cluster.Cluster, clk vtime.Clock, all bool) error {
 // holds work it cannot finish.
 var ErrStuck = errors.New("recovery never drained")
 
-// Drain drives resolution on a recovered cluster until no work is
-// pending: in-doubt participants resolve against coordinator records,
-// coordinators re-drive phase two, moves and installs finish,
-// and the asynchronous topology-abort watcher releases its locks.  It
-// polls on clk - the scenario's clock, so a virtual run drains in
-// simulated time - and a correct system drains in a few iterations; the
-// budget only bounds a buggy one, whose stuck work the error names.
+// Drain waits until a recovered cluster holds no pending work: each
+// site's recovery loop has resolved its in-doubt participants and
+// re-driven its phase two, moves and installs have finished, and the
+// asynchronous topology-abort watcher has released its locks.  It drives
+// nothing itself; it polls on clk - the scenario's clock, so a virtual
+// run drains in simulated time - and the budget only bounds a buggy
+// system, whose stuck work the error names.
 func Drain(cl *cluster.Cluster, clk vtime.Clock, budget time.Duration) error {
 	deadline := clk.Now().Add(budget)
 	for {
 		var stuck []string
 		for _, id := range cl.Sites() {
 			s := cl.Site(id)
-			if n := s.ResolveInDoubt(); n != 0 {
+			if n := s.InDoubtCount(); n != 0 {
 				stuck = append(stuck, fmt.Sprintf("site %d: %d in doubt", id, n))
 			}
 			if coord, err := s.Coordinator(); err == nil {
-				coord.RetryPending()
 				if n := coord.PendingCount(); n != 0 {
 					stuck = append(stuck, fmt.Sprintf("site %d: %d pending phase two", id, n))
 				}

@@ -803,8 +803,9 @@ func (fl *FileLocks) GrantLease(site int, mode Mode, off, length int64) bool {
 	return true
 }
 
-// RevokeLease removes every lease entry held for site and re-pumps the
-// queue (waiters the lease was blocking are granted in FIFO order).
+// RevokeLease removes every lease entry held for site, counts the
+// revoke, and re-pumps the queue (waiters the lease was blocking are
+// granted in FIFO order, so a waiter it grants finds the revoke counted).
 // Reports whether anything was removed.
 func (fl *FileLocks) RevokeLease(site int) bool {
 	fl.mu.Lock()
@@ -812,6 +813,7 @@ func (fl *FileLocks) RevokeLease(site int) bool {
 	if fl.dropEntries(func(e *entry) bool { return e.leased && e.leaseSite == site }) == 0 {
 		return false
 	}
+	fl.st.Inc(stats.LeaseRevokes)
 	fl.forgetGroup(fl.mgr.leaseGroup(site))
 	fl.pumpQueueLocked()
 	return true

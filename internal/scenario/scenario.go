@@ -81,10 +81,10 @@ type Spec struct {
 	Volumes []string
 
 	// Faults prepares the cluster for injected faults: phase two runs
-	// asynchronously behind a retry timer, and the call and lock-wait
-	// budgets are short enough that a lost message or a dead site
-	// is noticed - and recovered from - inside a chaos window.  Without
-	// it phase two is synchronous and no background timer runs, so a
+	// asynchronously, and the call and lock-wait budgets are short
+	// enough that a lost message or a dead site is noticed - and
+	// recovered from - inside a chaos window.  Without it phase two is
+	// synchronous and no background timer runs while nothing fails, so a
 	// serial workload performs the same I/Os in the same order on every
 	// replay.
 	Faults bool
@@ -127,7 +127,7 @@ func (s Spec) config() cluster.Config {
 		// only interleave when phase two is asynchronous.  The budgets
 		// fit the paper's testbed: a two-hop prepare at 8ms per message
 		// plus a 26ms log force fits many times over.
-		cfg.RetryInterval, cfg.LockWaitTimeout, cfg.Net.CallTimeout = 100*time.Millisecond, time.Second, time.Second
+		cfg.LockWaitTimeout, cfg.Net.CallTimeout = time.Second, time.Second
 	}
 	return cfg
 }

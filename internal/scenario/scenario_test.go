@@ -22,8 +22,8 @@ func TestSpecResolvesToConfig(t *testing.T) {
 	vax := costmodel.Vax750()
 
 	quiet := Spec{}.config()
-	if !quiet.SyncPhase2 || quiet.RetryInterval != 0 || quiet.Net.CallTimeout != 0 {
-		t.Errorf("zero spec must be synchronous and timer-free: %+v", quiet)
+	if !quiet.SyncPhase2 || quiet.Net.CallTimeout != 0 {
+		t.Errorf("zero spec must be synchronous with the default call timeout: %+v", quiet)
 	}
 	if _, ok := vtime.AsVirtual(quiet.Clock); !ok || quiet.DiskSyncDelay != 0 || quiet.Net.Latency != 0 {
 		t.Errorf("zero spec must run instantaneous devices on a virtual clock: %+v", quiet)
@@ -32,9 +32,9 @@ func TestSpecResolvesToConfig(t *testing.T) {
 	// One set of fault budgets, whatever the latencies.
 	for _, spec := range []Spec{{Faults: true}, Spec{Faults: true}.At(vax)} {
 		cfg := spec.config()
-		if cfg.SyncPhase2 || cfg.RetryInterval != 100*time.Millisecond || cfg.LockWaitTimeout != time.Second || cfg.Net.CallTimeout != time.Second {
-			t.Errorf("latency %v: got retry %v lock-wait %v call %v sync=%v", spec.Net.Latency,
-				cfg.RetryInterval, cfg.LockWaitTimeout, cfg.Net.CallTimeout, cfg.SyncPhase2)
+		if cfg.SyncPhase2 || cfg.LockWaitTimeout != time.Second || cfg.Net.CallTimeout != time.Second {
+			t.Errorf("latency %v: got lock-wait %v call %v sync=%v", spec.Net.Latency,
+				cfg.LockWaitTimeout, cfg.Net.CallTimeout, cfg.SyncPhase2)
 		}
 	}
 

@@ -20,36 +20,28 @@ type Sample struct {
 	Values map[string]int64
 }
 
-// Sampler cuts periodic samples of a registry.
+// Sampler cuts periodic samples of a registry on a Virtual clock.
 //
-// Under a Virtual clock it runs no goroutine at all: it observes the
-// clock's quiescent time-advance hook and emits one sample per interval
-// boundary the jump crosses.  Because every registered actor is parked
-// when the hook runs, the sampled values are deterministic for a fixed
-// seed, and — since it is no actor and schedules no events — an idle
-// simulation never advances simulated time on its behalf.
-//
-// Under the real clock it runs one ticker goroutine parked in WaitRecv
-// on its stop channel (the wfg.Detector stop pattern), so Stop joins it
-// without leaks.
+// It runs no goroutine at all: it observes the clock's quiescent
+// time-advance hook and emits one sample per interval boundary the jump
+// crosses.  Because every registered actor is parked when the hook runs,
+// the sampled values are deterministic for a fixed seed, and — since it
+// is no actor and schedules no events — an idle simulation never
+// advances simulated time on its behalf.
 type Sampler struct {
 	reg      *Registry
 	interval time.Duration
 
 	mu      sync.Mutex
-	started bool
 	base    time.Duration // virtual elapsed at Start
 	next    int64         // index of the next boundary to emit (1-based)
 	samples []Sample
 
-	v    *vtime.Virtual
-	stop chan struct{}
-	done chan struct{}
+	v *vtime.Virtual // the clock sampled, nil before Start and after Stop
 }
 
-// NewSampler builds a sampler over reg with the given interval
-// (minimum 1ms real mode is not enforced; virtual mode pays nothing
-// between boundaries regardless).
+// NewSampler builds a sampler over reg with the given interval (10ms
+// when not positive).
 func NewSampler(reg *Registry, interval time.Duration) *Sampler {
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
@@ -58,28 +50,18 @@ func NewSampler(reg *Registry, interval time.Duration) *Sampler {
 }
 
 // Start begins sampling on the given clock.  Safe to call once.
-func (s *Sampler) Start(clk vtime.Clock) {
+func (s *Sampler) Start(v *vtime.Virtual) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if s.started {
+	if s.v != nil {
 		s.mu.Unlock()
 		return
 	}
-	s.started = true
-	if v, ok := vtime.AsVirtual(clk); ok {
-		s.v = v
-		s.base = v.Elapsed()
-		s.mu.Unlock()
-		v.SetAdvanceHook(s.onAdvance)
-		return
-	}
-	s.stop = make(chan struct{}, 1)
-	s.done = make(chan struct{})
-	stop, done := s.stop, s.done
+	s.v, s.base = v, v.Elapsed()
 	s.mu.Unlock()
-	go s.run(clk, stop, done)
+	v.SetAdvanceHook(s.onAdvance)
 }
 
 // onAdvance is the Virtual clock's quiescent advance observer.  It runs
@@ -106,47 +88,20 @@ func (s *Sampler) catchUpLocked(elapsed time.Duration) {
 	}
 }
 
-// run is the real-clock ticker loop.  The channels arrive as parameters
-// because Stop clears the struct fields while this goroutine still runs.
-func (s *Sampler) run(clk vtime.Clock, stop, done chan struct{}) {
-	defer close(done)
-	for k := int64(1); ; k++ {
-		if _, ok := vtime.WaitRecv(clk, stop, s.interval); ok {
-			return
-		}
-		s.mu.Lock()
-		s.samples = append(s.samples, Sample{Offset: time.Duration(k) * s.interval, Values: s.reg.flatten()})
-		s.mu.Unlock()
-	}
-}
-
-// Stop ends sampling: the virtual hook detaches (after a final
-// catch-up to the current simulated time), the real-mode goroutine is
-// joined.  Idempotent.
+// Stop ends sampling: the hook detaches after a final catch-up to the
+// current simulated time.  Idempotent.
 func (s *Sampler) Stop() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.v == nil {
 		return
 	}
-	v, stop, done := s.v, s.stop, s.done
-	s.v, s.stop, s.done = nil, nil, nil
-	s.mu.Unlock()
-	if v != nil {
-		v.SetAdvanceHook(nil)
-		elapsed := v.Elapsed()
-		s.mu.Lock()
-		s.catchUpLocked(elapsed)
-		s.mu.Unlock()
-		return
-	}
-	if stop != nil {
-		close(stop)
-		<-done
-	}
+	s.v.SetAdvanceHook(nil)
+	s.catchUpLocked(s.v.Elapsed())
+	s.v = nil
 }
 
 // Samples returns the series recorded so far (a copy of the slice; the

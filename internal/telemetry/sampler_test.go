@@ -82,27 +82,6 @@ func TestSamplerVirtualQuiescentPark(t *testing.T) {
 	}
 }
 
-// TestSamplerRealStopJoins: the real-clock ticker goroutine must exit on
-// Stop (no leak), and Stop must be idempotent.
-func TestSamplerRealStopJoins(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		s := NewSampler(NewRegistry(), time.Millisecond)
-		s.Start(vtime.Real())
-		time.Sleep(3 * time.Millisecond)
-		s.Stop()
-		s.Stop()
-	}
-	// Give exited goroutines a beat to be reaped.
-	deadline := time.Now().Add(time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines grew %d -> %d", before, after)
-	}
-}
-
 func TestMarshalSamplesJSONAndCSV(t *testing.T) {
 	samples := []Sample{
 		{Offset: 10 * time.Millisecond, Values: map[string]int64{"b": 2, "a": 1}},

@@ -151,10 +151,10 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // asynchronous phase two is still in flight, on the real clock: both
 // passes work from their own copy of the unacked sites while each trims
 // the record's, every site applies the outcome once, and the coordinator
-// log record is deleted once.  Then a retry timer fires throughout four
-// clients' commits, so its passes overlap committing calls and their own
-// phase two: every site of every transaction still applies its commit
-// once, and -race sees the records shared without a data race.
+// log record is deleted once.  Then retry passes run back to back
+// throughout four clients' commits, so they overlap committing calls and
+// their own phase two: every site of every transaction still applies its
+// commit once, and -race sees the records shared without a data race.
 func TestRetryOverlapsAsyncPhase2(t *testing.T) {
 	base := runtime.NumGoroutine()
 	v := coordVolume(t)
@@ -197,21 +197,36 @@ func TestRetryOverlapsAsyncPhase2(t *testing.T) {
 	}
 
 	tr.read(func() { tr.gate = nil })
-	timer := NewCoordinator(1, coordVolume(t), tr, stats.NewSet(), Config{RetryInterval: 50 * time.Microsecond})
+	busy := NewCoordinator(1, coordVolume(t), tr, stats.NewSet(), Config{})
+	done, retrying := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(retrying)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				busy.RetryPending()
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if err := timer.CommitTransaction(fmt.Sprintf("R%d.%d", i, j), threeSiteFiles); err != nil {
+				if err := busy.CommitTransaction(fmt.Sprintf("R%d.%d", i, j), threeSiteFiles); err != nil {
 					t.Error(err)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	waitUntil(t, "the timed run's phase two to finish", func() bool { return timer.PendingCount() == 0 })
+	close(done)
+	<-retrying
+	waitUntil(t, "the busy run's phase two to finish", func() bool { return busy.PendingCount() == 0 })
 	tr.read(func() {
 		for key, n := range tr.applied {
 			if n != 1 {
@@ -222,6 +237,18 @@ func TestRetryOverlapsAsyncPhase2(t *testing.T) {
 			t.Errorf("%d site commits applied, want %d", len(tr.applied), 3+3*40)
 		}
 	})
-	timer.Close()
-	waitGoroutines(t, func(g int) bool { return g <= base }, "passes or the retry loop outlived the test")
+	waitGoroutines(t, func(g int) bool { return g <= base }, "passes outlived the test")
+}
+
+func waitGoroutines(t *testing.T, ok func(int) bool, msg string) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) {
+		if ok(runtime.NumGoroutine()) {
+			return
+		}
+		runtime.Gosched()
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("%s (goroutines = %d)", msg, runtime.NumGoroutine())
 }

@@ -2,7 +2,7 @@
 // 4.2-4.4: the coordinator state machine, the three levels of logging
 // (coordinator log, per-volume prepare logs, and the per-file shadow
 // pages underneath), the abort paths, and the coordinator's crash recovery
-// (a participant's is Site.Restart and ResolveInDoubt in internal/cluster).
+// (a participant's is Site.Restart and its recovery loop in internal/cluster).
 //
 // The protocol, exactly as the paper lays it out:
 //
@@ -34,7 +34,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/fs"
 	"repro/internal/lockmgr"
@@ -276,9 +275,6 @@ type Config struct {
 	// returning, instead of the paper's asynchronous kernel process.
 	// Deterministic tests and the I/O-counting benchmarks use this.
 	SyncPhase2 bool
-	// RetryInterval spaces automatic phase-two retries to unreachable
-	// participants.  Zero disables the timer; RetryPending still works.
-	RetryInterval time.Duration
 	// FastPaths enables the commit fast paths of DESIGN.md section 10:
 	// read-only participants vote VoteReadOnly and skip phase two, a
 	// transaction whose participants all voted read-only skips the
@@ -286,8 +282,7 @@ type Config struct {
 	// one combined prepare-and-commit message.  Off (the default) runs
 	// the paper-exact protocol.
 	FastPaths bool
-	// Clock paces the retry timer and the fan-out goroutines.  Nil
-	// means the real-time clock.
+	// Clock paces the fan-out goroutines.  Nil means the real-time clock.
 	Clock vtime.Clock
 }
 
@@ -322,27 +317,20 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	pending map[string]*pendingTxn
-
-	stopCh chan struct{} // cap 1; Close's signal to the retry loop
 }
 
-// NewCoordinator creates a coordinator logging to vol.  A coordinator
-// with a retry timer owns a goroutine; Close it when the site shuts down
-// or crashes.
+// NewCoordinator creates a coordinator logging to vol.  It owns no
+// goroutine: whoever embeds it re-drives an unacknowledged phase two
+// through RetryPending.
 func NewCoordinator(site simnet.SiteID, vol *fs.Volume, tr Transport, st *stats.Set, cfg Config) *Coordinator {
 	clk := cfg.Clock
 	if clk == nil {
 		clk = vtime.Real()
 	}
-	c := &Coordinator{
+	return &Coordinator{
 		site: site, vol: vol, tr: tr, st: st, cfg: cfg, clk: clk,
 		pending: make(map[string]*pendingTxn),
-		stopCh:  make(chan struct{}, 1),
 	}
-	if cfg.RetryInterval > 0 {
-		clk.Go(c.retryLoop)
-	}
-	return c
 }
 
 // SetTracer attaches an event tracer; the coordinator stamps the 2PC
@@ -350,13 +338,9 @@ func NewCoordinator(site simnet.SiteID, vol *fs.Volume, tr Transport, st *stats.
 // before the coordinator sees traffic.
 func (c *Coordinator) SetTracer(t *trace.Tracer) { c.trc = t }
 
-// Close stops the phase-two retry timer.  It is idempotent and safe on a
-// coordinator created without one.  Pending phase-two work is not lost:
-// the coordinator log survives, and Recover (or a fresh coordinator's
-// RetryPending) re-drives it - exactly the crash path of section 4.4.
-func (c *Coordinator) Close() {
-	vtime.NotifySend(c.clk, c.stopCh, struct{}{})
-}
+// Close does nothing: a coordinator owns no goroutine to stop.  It is
+// kept for callers that tear a coordinator down.
+func (c *Coordinator) Close() {}
 
 // prof returns the critical-path profiler hanging off the shared
 // registry; nil (profiling off) makes every call a cheap no-op.
@@ -688,11 +672,11 @@ func (c *Coordinator) finish(pt *pendingTxn) {
 }
 
 // RetryPending re-drives phase two for every committed transaction with
-// unacknowledged participants.  Independent transactions retry
-// concurrently, so one transaction stuck behind a partition cannot delay
-// the rest of the backlog.  The retry timer calls this; tests and the
-// recovery path call it directly.
-func (c *Coordinator) RetryPending() {
+// unacknowledged participants and returns how many are still
+// unacknowledged.  Independent transactions retry concurrently, so one
+// transaction stuck behind a partition cannot delay the rest of the
+// backlog.
+func (c *Coordinator) RetryPending() int {
 	c.mu.Lock()
 	var pts []*pendingTxn
 	for _, pt := range c.pending {
@@ -704,17 +688,9 @@ func (c *Coordinator) RetryPending() {
 	// The fan-out's start order, and so the interleaving, follows the ids.
 	slices.SortFunc(pts, func(a, b *pendingTxn) int { return strings.Compare(a.txid, b.txid) })
 	vtime.Fan(c.clk, len(pts), pts, func(arg any, i int) { runPhase2(arg.([]*pendingTxn)[i], 0) })
-}
-
-// retryLoop re-drives phase two every RetryInterval until Close; a Close
-// that lands mid-pass is found waiting on the next receive.
-func (c *Coordinator) retryLoop() {
-	for {
-		if _, stop := vtime.WaitRecv(c.clk, c.stopCh, c.cfg.RetryInterval); stop {
-			return
-		}
-		c.RetryPending()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(slices.DeleteFunc(pts, func(pt *pendingTxn) bool { return c.pending[pt.txid] != pt }))
 }
 
 // PendingCount returns the number of transactions awaiting full phase-two
@@ -756,7 +732,9 @@ func (c *Coordinator) StatusOf(txid string) Status {
 // Recover replays the coordinator log after a crash (section 4.4): a
 // record with a commit mark re-enters phase two; anything else - unknown
 // (crashed before the commit point) or aborted - gets abort processing.
-// Duplicate messages to participants are safe.
+// Both run behind the return, as an asynchronous phase two does; every
+// record is registered (and answers StatusOf) before it.  Duplicate
+// messages to participants are safe.
 func (c *Coordinator) Recover() error {
 	recs, err := ReadCoordRecords(c.vol)
 	if err != nil {
@@ -784,11 +762,17 @@ func (c *Coordinator) Recover() error {
 			continue
 		}
 		if pt.status == StatusCommitted {
-			runPhase2(pt, 0)
+			vtime.GoArg(c.clk, pt, runPhase2)
 		} else {
-			vtime.Fan(c.clk, len(pt.parts), pt, sendAbort)
-			c.finish(pt)
+			vtime.GoArg(c.clk, pt, abortLogged)
 		}
 	}
 	return nil
+}
+
+// abortLogged distributes a recovered record's abort and retires it.
+func abortLogged(arg any, _ int) {
+	pt := arg.(*pendingTxn)
+	vtime.Fan(pt.c.clk, len(pt.parts), pt, sendAbort)
+	pt.c.finish(pt)
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/simdisk"
 	"repro/internal/simnet"
 	"repro/internal/stats"
+	"repro/internal/vtime"
 )
 
 func coordVolume(t *testing.T) *fs.Volume {
@@ -345,10 +346,16 @@ func TestCoordinatorRecoveryCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := newFakeTransport()
-	c := NewCoordinator(1, v2, tr, stats.NewSet(), Config{})
+	clk := vtime.NewVirtual()
+	c := NewCoordinator(1, v2, tr, stats.NewSet(), Config{Clock: clk})
 	if err := c.Recover(); err != nil {
 		t.Fatal(err)
 	}
+	// Phase two runs behind Recover; the record answers at once.
+	if c.StatusOf("T1") != StatusCommitted {
+		t.Fatal("status right after recovery")
+	}
+	clk.WaitIdle()
 	if tr.count(tr.commits, 2) != 1 || tr.count(tr.commits, 3) != 1 {
 		t.Fatalf("recovery commits = %v", tr.commits)
 	}
@@ -370,15 +377,20 @@ func TestCoordinatorRecoveryUncommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := newFakeTransport()
-	c := NewCoordinator(1, v2, tr, stats.NewSet(), Config{})
+	clk := vtime.NewVirtual()
+	c := NewCoordinator(1, v2, tr, stats.NewSet(), Config{Clock: clk})
 	if err := c.Recover(); err != nil {
 		t.Fatal(err)
 	}
+	if c.StatusOf("T2") != StatusAborted {
+		t.Fatal("status right after recovery")
+	}
+	clk.WaitIdle()
 	if tr.count(tr.aborts, 2) != 1 || tr.count(tr.aborts, 3) != 1 {
 		t.Fatalf("recovery aborts = %v", tr.aborts)
 	}
-	if c.StatusOf("T2") != StatusAborted {
-		t.Fatal("status after recovery")
+	if c.StatusOf("T2") != StatusAborted || len(v2.Log().Keys()) != 0 || c.PendingCount() != 0 {
+		t.Fatalf("after recovery aborts: status %v, log %v, %d pending", c.StatusOf("T2"), v2.Log().Keys(), c.PendingCount())
 	}
 }
 
@@ -504,31 +516,26 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-func TestRetryLoopTimer(t *testing.T) {
-	// A coordinator with a retry interval eventually completes phase two
-	// on its own once the participant becomes reachable.
+func TestRetryPendingCountsUnacked(t *testing.T) {
+	// RetryPending re-drives phase two and reports what is still
+	// unacknowledged, so its caller knows whether to come back.
 	v := coordVolume(t)
 	tr := newFakeTransport()
 	tr.failCommit[2] = true
-	c := NewCoordinator(1, v, tr, stats.NewSet(), Config{
-		SyncPhase2:    true,
-		RetryInterval: 10 * time.Millisecond,
-	})
+	c := NewCoordinator(1, v, tr, stats.NewSet(), Config{SyncPhase2: true})
 	if err := c.CommitTransaction("T1", testFiles[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if c.PendingCount() != 1 {
-		t.Fatalf("pending = %d", c.PendingCount())
+	if n := c.RetryPending(); n != 1 || c.PendingCount() != 1 {
+		t.Fatalf("retry against a failing site left %d unacked, %d pending; want 1 and 1", n, c.PendingCount())
 	}
 	tr.mu.Lock()
 	tr.failCommit[2] = false
 	tr.mu.Unlock()
-	deadline := time.After(2 * time.Second)
-	for c.PendingCount() != 0 {
-		select {
-		case <-deadline:
-			t.Fatal("retry timer never completed phase two")
-		case <-time.After(5 * time.Millisecond):
-		}
+	if n := c.RetryPending(); n != 0 || c.PendingCount() != 0 {
+		t.Fatalf("retry after the site recovered left %d unacked, %d pending; want 0 and 0", n, c.PendingCount())
+	}
+	if tr.count(tr.commits, 2) != 1 {
+		t.Fatalf("commits applied at site 2 = %d, want 1", tr.count(tr.commits, 2))
 	}
 }
