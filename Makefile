@@ -76,7 +76,7 @@ telemetry:       ## rerun the telemetry document and diff it against testdata/go
 # The probe files, in the order testdata/golden/probe.json lists them: the
 # one list make golden, make probe and the CI determinism step sweep (a new
 # workload appends its name).
-PROBE_FILES = $(patsubst %,testdata/scenarios/probe-%.scn,single diff tpc migrate readonly onephase lease ownermove replica onefile create readonly-routed oneforce treemove)
+PROBE_FILES = $(patsubst %,testdata/scenarios/probe-%.scn,single diff tpc migrate readonly onephase lease ownermove replica onefile create readonly-routed oneforce treemove carriedlock)
 
 # The golden directory: outputs a pure refactor must leave byte-identical.
 # `make golden` rewrites them; `git diff testdata/golden` shows what moved.

@@ -31,3 +31,12 @@ func (s *Site) Stall(op string, wait func()) {
 	}
 	s.stall.Store(&hook)
 }
+
+// LeaseCached reports whether this (requesting) site caches a lease on
+// the file.
+func (s *Site) LeaseCached(fileID string) bool {
+	k := s.kernel()
+	k.leaseMu.Lock()
+	defer k.leaseMu.Unlock()
+	return k.leases[fileID] != nil
+}

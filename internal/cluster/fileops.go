@@ -53,11 +53,15 @@ type readReq struct {
 	Len    int
 	PID    int
 	Txn    string
+	Lock   bool // carries the implicit lock (FastPaths); the reply grants it
 }
 
 func (r readReq) WireSize() int { return 48 }
 
-type readResp struct{ Data []byte }
+type readResp struct {
+	Data []byte
+	grant
+}
 
 func (r readResp) WireSize() int { return 32 + len(r.Data) }
 
@@ -67,6 +71,7 @@ type writeReq struct {
 	Data   []byte
 	PID    int
 	Txn    string
+	Lock   bool // as readReq's
 }
 
 func (r writeReq) WireSize() int { return 48 + len(r.Data) }
@@ -74,6 +79,7 @@ func (r writeReq) WireSize() int { return 48 + len(r.Data) }
 type writeResp struct {
 	simnet.Small
 	N int
+	grant
 }
 
 type lockReq struct {
@@ -91,6 +97,11 @@ type lockReq struct {
 
 type lockResp struct {
 	simnet.Small
+	grant
+}
+
+// grant is what the storage site granted, as a reply carries it.
+type grant struct {
 	Off int64
 	Len int64
 	// Lease grant piggybacked on the reply (DESIGN.md section 13):
@@ -248,8 +259,8 @@ func (k *incarnation) handleStat(req fileReq) (statResp, error) {
 
 // handleRead validates the access per Figure 1 and returns the bytes.
 // Transaction readers must hold (at least) a shared lock over the range:
-// the requesting kernel acquires it implicitly before the data request,
-// so a bare storage-site check suffices here.
+// the requesting kernel acquires it implicitly, before the data request
+// or, under FastPaths, carried in it (req.Lock).
 func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, error) {
 	if err := k.movingGuard(req.FileID); err != nil {
 		return readResp{}, err
@@ -259,23 +270,27 @@ func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, err
 		return readResp{}, err
 	}
 	k.recordHeat(req.FileID, from, req.Txn)
-	h := Holder(req.PID, req.Txn)
+	var resp readResp
+	h, length := Holder(req.PID, req.Txn), int64(req.Len)
 	if req.Txn != "" {
-		// Coverage by the transaction's locks, or by the process's own
-		// pre-transaction locks (usable within the transaction without
-		// joining it, section 3.4).  A remote requester that skipped the
-		// lock message on a lease hit materializes the real descriptor
-		// here instead.
+		// The carried lock, or coverage by the transaction's locks or by
+		// the process's own pre-transaction locks (usable within the
+		// transaction without joining it, section 3.4), or a lease hit's.
 		pre := Holder(req.PID, "")
 		name := k.txnName(req.Txn)
-		if !of.locks.Covers(h, lockmgr.ModeShared, req.Off, int64(req.Len)) &&
-			!of.locks.Covers(pre, lockmgr.ModeShared, req.Off, int64(req.Len)) &&
-			!k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeShared, req.Off, int64(req.Len)) {
-			return readResp{}, fmt.Errorf("%w: transaction read of %s [%d,%d) without lock",
-				lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+int64(req.Len))
+		if req.Lock {
+			if resp.grant, err = k.implicitLock(of, from, req.FileID, h, name, lockmgr.ModeShared, req.Off, length, true); err != nil {
+				return readResp{}, err
+			}
+		} else if !of.locks.Covers(h, lockmgr.ModeShared, req.Off, length) &&
+			!of.locks.Covers(pre, lockmgr.ModeShared, req.Off, length) {
+			if _, err := k.implicitLock(of, from, req.FileID, h, name, lockmgr.ModeShared, req.Off, length, false); err != nil {
+				return readResp{}, fmt.Errorf("%w: transaction read of %s [%d,%d) without lock",
+					lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+length)
+			}
 		}
 		k.joinTxn(req.Txn, name)
-	} else if err := of.locks.CheckAccess(h, false, req.Off, int64(req.Len)); err != nil {
+	} else if err := of.locks.CheckAccess(h, false, req.Off, length); err != nil {
 		return readResp{}, err
 	}
 	buf := make([]byte, req.Len)
@@ -283,7 +298,8 @@ func (k *incarnation) handleRead(from simnet.SiteID, req readReq) (readResp, err
 	if err != nil {
 		return readResp{}, err
 	}
-	return readResp{Data: buf[:n]}, nil
+	resp.Data = buf[:n]
+	return resp, nil
 }
 
 // handleWrite validates and applies a write at the storage site.
@@ -296,13 +312,17 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 		return writeResp{}, err
 	}
 	k.recordHeat(req.FileID, from, req.Txn)
-	h := Holder(req.PID, req.Txn)
+	var resp writeResp
 	var owner shadow.Owner
-	length := int64(len(req.Data))
+	h, length := Holder(req.PID, req.Txn), int64(len(req.Data))
 	if req.Txn != "" {
 		name := k.txnName(req.Txn)
 		owner = shadow.Owner(name)
-		if !of.locks.Covers(h, lockmgr.ModeExclusive, req.Off, length) {
+		if req.Lock {
+			if resp.grant, err = k.implicitLock(of, from, req.FileID, h, name, lockmgr.ModeExclusive, req.Off, length, true); err != nil {
+				return writeResp{}, err
+			}
+		} else if !of.locks.Covers(h, lockmgr.ModeExclusive, req.Off, length) {
 			// A write under the process's own pre-transaction lock does
 			// not join the transaction: the record belongs to the
 			// process and commits at close/sync, not with the
@@ -310,7 +330,7 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 			pre := Holder(req.PID, "")
 			if of.locks.Covers(pre, lockmgr.ModeExclusive, req.Off, length) {
 				owner = procOwner(req.PID)
-			} else if !k.materializeLease(of, from, req.FileID, h, name, lockmgr.ModeExclusive, req.Off, length) {
+			} else if _, err := k.implicitLock(of, from, req.FileID, h, name, lockmgr.ModeExclusive, req.Off, length, false); err != nil {
 				return writeResp{}, fmt.Errorf("%w: transaction write of %s [%d,%d) without exclusive lock",
 					lockmgr.ErrAccessDenied, req.FileID, req.Off, req.Off+length)
 			}
@@ -331,17 +351,14 @@ func (k *incarnation) handleWrite(from simnet.SiteID, req writeReq) (writeResp, 
 		}
 	}
 	k.markOpenForUpdate(of)
-	n, err := of.file.Load().WriteAt(owner, req.Data, req.Off)
-	if err != nil {
+	if resp.N, err = of.file.Load().WriteAt(owner, req.Data, req.Off); err != nil {
 		return writeResp{}, err
 	}
-	return writeResp{N: n}, nil
+	return resp, nil
 }
 
-// handleLock processes a lock request at the storage site (section 5.1)
-// and applies rule 2 of section 3.3: locking a record that carries
-// modified-but-uncommitted non-transaction data pulls those bytes into
-// the transaction, and the lock is forcibly transactional (retained).
+// handleLock processes an explicit lock request at the storage site
+// (section 5.1).
 func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, error) {
 	if err := k.movingGuard(req.FileID); err != nil {
 		return lockResp{}, err
@@ -350,11 +367,7 @@ func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, err
 	if err != nil {
 		return lockResp{}, err
 	}
-	var name string
-	if req.Txn != "" {
-		name = k.txnName(req.Txn)
-	}
-	lreq := lockmgr.Request{
+	g, err := k.lockAccess(of, req.FileID, lockmgr.Request{
 		Holder:   Holder(req.PID, req.Txn),
 		Mode:     req.Mode,
 		Off:      req.Off,
@@ -363,52 +376,65 @@ func (k *incarnation) handleLock(from simnet.SiteID, req lockReq) (lockResp, err
 		NonTxn:   req.NonTxn,
 		Wait:     req.Wait,
 		FromSite: int(from),
-		Group:    name,
-	}
-	if req.Wait {
+	}, true)
+	return lockResp{grant: g}, err
+}
+
+// lockAccess is the storage site's one way to take a lock (section 5.1),
+// for a lock request and for a data request's implicit lock.  A
+// transaction's grant applies rule 2 of section 3.3 and, unless NonTxn,
+// joins the transaction; with lease set, one to a remote requester may
+// earn a lease (DESIGN.md section 13).
+func (k *incarnation) lockAccess(of *openFile, fileID string, lreq lockmgr.Request, lease bool) (grant, error) {
+	if lreq.Wait {
 		lreq.Timeout = k.cl.cfg.LockWaitTimeout
 	}
+	if lreq.Holder.IsTxn() && lreq.Group == "" {
+		lreq.Group = k.txnName(lreq.Holder.Txn) // a lock request's; a data request names it
+	}
 	k.markOpenForUpdate(of)
-	res, err := k.lockAt(of, req.FileID, lreq)
+	res, err := k.lockAt(of, fileID, lreq)
 	if err != nil {
-		return lockResp{}, err
+		return grant{}, err
 	}
 	if of.vs.vol.PrefetchOnLock {
 		of.file.Load().Prefetch(res.Off, res.Len) //nolint:errcheck // best-effort read-ahead
 	}
-	if req.Txn != "" {
-		k.adoptUncommitted(of, name, res.Off, res.Len)
-		if !req.NonTxn {
-			// A NonTxn-mode lock does not join the transaction (section
-			// 3.4): on its own it brings this site no prepare and no
-			// finishTxn.
-			k.joinTxn(req.Txn, name)
-		}
+	g := grant{Off: res.Off, Len: res.Len}
+	if !lreq.Holder.IsTxn() {
+		return g, nil
 	}
-	resp := lockResp{Off: res.Off, Len: res.Len}
+	name := lreq.Group
+	k.adoptUncommitted(of, name, res.Off, res.Len)
+	if lreq.NonTxn {
+		// A NonTxn-mode lock does not join the transaction (section
+		// 3.4): on its own it brings this site no prepare and no
+		// finishTxn.
+		return g, nil
+	}
+	k.joinTxn(lreq.Holder.Txn, name)
 	// A transactional grant to a remote requester earns a lease: the
 	// coverage will outlive the transaction's release, so the requester's
 	// next transaction can skip the lock message entirely.  Not where
 	// this site leads the file's heat (placement on): the home's own next
 	// conflicting access would revoke the lease before the requester came
 	// back, so it would buy a callback and a wait, not a saved message.
-	if k.cl.cfg.LockLeases && from != k.id && req.Txn != "" && !req.NonTxn && !k.heat.Leads(req.FileID, k.id) {
-		if install, escalate := k.leaseGranted(req.FileID, from); install {
-			if of.locks.GrantLease(int(from), req.Mode, res.Off, res.Len) {
-				resp.LeaseMode = req.Mode
-				resp.LeaseOff, resp.LeaseLen = res.Off, res.Len
-				k.tr.Record(trace.LeaseGrant, name, req.FileID, int64(from))
-				if escalate {
-					if span, ok := of.locks.TryEscalateLease(int(from), name, req.Mode); ok {
-						k.st.Inc(stats.LeaseEscalations)
-						k.tr.Record(trace.LockEscalate, name, req.FileID, int64(from))
-						resp.LeaseOff, resp.LeaseLen = span.Off, span.Len
-					}
-				}
+	from := simnet.SiteID(lreq.FromSite)
+	if !lease || !k.cl.cfg.LockLeases || from == k.id || k.heat.Leads(fileID, k.id) {
+		return g, nil
+	}
+	if install, escalate := k.leaseGranted(fileID, from); install && of.locks.GrantLease(int(from), lreq.Mode, res.Off, res.Len) {
+		g.LeaseMode, g.LeaseOff, g.LeaseLen = lreq.Mode, res.Off, res.Len
+		k.tr.Record(trace.LeaseGrant, name, fileID, int64(from))
+		if escalate {
+			if span, ok := of.locks.TryEscalateLease(int(from), name, lreq.Mode); ok {
+				k.st.Inc(stats.LeaseEscalations)
+				k.tr.Record(trace.LockEscalate, name, fileID, int64(from))
+				g.LeaseOff, g.LeaseLen = span.Off, span.Len
 			}
 		}
 	}
-	return resp, nil
+	return g, nil
 }
 
 // adoptUncommitted applies rule 2 of section 3.3 after a grant to the
@@ -609,35 +635,48 @@ func (m *machine) List(volume string) ([]string, error) {
 
 // Read reads from the file on behalf of the process.  For transaction
 // processes the requesting kernel implicitly acquires the shared record
-// lock first (section 3.1: locks may be acquired implicitly at access
-// time), consulting its lock cache to skip the extra exchange when the
-// transaction already holds coverage (section 5.1).
+// lock (section 3.1: locks may be acquired implicitly at access time),
+// consulting its lock cache to skip the lock when the transaction
+// already holds coverage (section 5.1).  A miss sends the lock first or,
+// under FastPaths, carries it in the read (ensureLocked).
 func (s *Site) Read(b *Binding, pid int, txn string, off int64, n int) ([]byte, error) {
 	s.st.Inc(stats.Syscalls)
+	k := s.kernel() // a carried grant is cached by the kernel that asked for it
+	req := readReq{FileID: b.id, Off: off, Len: n, PID: pid, Txn: txn}
 	if txn != "" {
-		if err := s.ensureLocked(b, pid, txn, lockmgr.ModeShared, off, int64(n)); err != nil {
+		var err error
+		if req.Lock, err = s.ensureLocked(b, pid, txn, lockmgr.ModeShared, off, int64(n)); err != nil {
 			return nil, err
 		}
-	} else if data, ok := s.kernel().replicaRead(b.id, off, n); ok {
+	} else if data, ok := k.replicaRead(b.id, off, n); ok {
 		// Served by the closest available storage site: the local
 		// replica (section 5.2).  Transaction reads always go to the
 		// primary, where their locks live.
 		return data, nil
 	}
-	r, err := callStorage[readResp](&s.machine, b, "read", readReq{FileID: b.id, Off: off, Len: n, PID: pid, Txn: txn}, false)
+	r, err := callStorage[readResp](&s.machine, b, "read", req, false)
+	if err == nil && req.Lock {
+		k.cacheGrant(b.id, groupKey(pid, txn), lockmgr.ModeShared, r.grant)
+	}
 	return r.Data, err
 }
 
 // Write writes to the file on behalf of the process, implicitly acquiring
-// the exclusive record lock for transactions.
+// the exclusive record lock for transactions as Read does.
 func (s *Site) Write(b *Binding, pid int, txn string, off int64, data []byte) (int, error) {
 	s.st.Inc(stats.Syscalls)
+	k := s.kernel()
+	req := writeReq{FileID: b.id, Off: off, Data: data, PID: pid, Txn: txn}
 	if txn != "" {
-		if err := s.ensureLocked(b, pid, txn, lockmgr.ModeExclusive, off, int64(len(data))); err != nil {
+		var err error
+		if req.Lock, err = s.ensureLocked(b, pid, txn, lockmgr.ModeExclusive, off, int64(len(data))); err != nil {
 			return 0, err
 		}
 	}
-	r, err := callStorage[writeResp](&s.machine, b, "write", writeReq{FileID: b.id, Off: off, Data: data, PID: pid, Txn: txn}, false)
+	r, err := callStorage[writeResp](&s.machine, b, "write", req, false)
+	if err == nil && req.Lock {
+		k.cacheGrant(b.id, groupKey(pid, txn), lockmgr.ModeExclusive, r.grant)
+	}
 	return r.N, err
 }
 
@@ -653,11 +692,16 @@ func (s *Site) Lock(b *Binding, pid int, txn string, mode lockmgr.Mode, off, len
 	if err != nil {
 		return lockmgr.Result{}, err
 	}
-	k.cacheAdd(b.id, groupKey(pid, txn), mode, r.Off, r.Len)
-	if r.LeaseMode != lockmgr.ModeNone {
-		k.leaseCacheAdd(b.id, r.LeaseMode, r.LeaseOff, r.LeaseLen)
-	}
+	k.cacheGrant(b.id, groupKey(pid, txn), mode, r.grant)
 	return lockmgr.Result{Off: r.Off, Len: r.Len}, nil
+}
+
+// cacheGrant caches a grant: the group's lock, and the lease on it, if any.
+func (k *incarnation) cacheGrant(fileID string, group lockmgr.Holder, mode lockmgr.Mode, g grant) {
+	k.cacheAdd(fileID, group, mode, g.Off, g.Len)
+	if g.LeaseMode != lockmgr.ModeNone {
+		k.leaseCacheAdd(fileID, g.LeaseMode, g.LeaseOff, g.LeaseLen)
+	}
 }
 
 // Unlock releases (or, for transactions, retains) the range.
@@ -676,24 +720,29 @@ func (s *Site) Unlock(b *Binding, pid int, txn string, off, length int64) (bool,
 }
 
 // ensureLocked implicitly acquires the record lock for a transaction
-// access, consulting the requester's lock cache first.
-func (s *Site) ensureLocked(b *Binding, pid int, txn string, mode lockmgr.Mode, off, length int64) error {
+// access, consulting the requester's lock cache first.  A miss sends the
+// lock exchange (section 5.1) or, under FastPaths, reports carry: the data
+// request carries the lock (DESIGN.md section 10).
+func (s *Site) ensureLocked(b *Binding, pid int, txn string, mode lockmgr.Mode, off, length int64) (carry bool, err error) {
 	k, fileID := s.kernel(), b.id
 	if k.cacheCovers(fileID, groupKey(pid, txn), mode, off, length) ||
 		k.cacheCovers(fileID, groupKey(pid, ""), mode, off, length) {
 		s.st.Inc(stats.LockCacheHits)
-		return nil
+		return false, nil
 	}
 	// The lease cache is consulted after the per-transaction cache: a
 	// lease survives transaction boundaries, so a repeat access by a new
 	// transaction hits here and sends no lock message at all.
 	if s.cl.cfg.LockLeases && k.leaseHit(fileID, mode, off, length) {
 		s.st.Inc(stats.LeaseHits)
-		return nil
+		return false, nil
 	}
 	s.st.Inc(stats.LockCacheMisses)
-	_, err := s.Lock(b, pid, txn, mode, off, length, false, false, true)
-	return err
+	if s.cl.cfg.FastPaths {
+		return true, nil
+	}
+	_, err = s.Lock(b, pid, txn, mode, off, length, false, false, true)
+	return false, err
 }
 
 // ---- requesting-site lock cache (section 5.1) ----

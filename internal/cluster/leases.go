@@ -263,8 +263,7 @@ func runLeaseRevoke(arg any, _ int) {
 
 // lockAt runs one lock request against the file's lock list, firing the
 // callback/revoke protocol first when lease entries stand in the way -
-// the single choke point for both the explicit lock RPC (handleLock) and
-// lease materialization (handleRead / handleWrite).
+// the single choke point under lockAccess.
 func (k *incarnation) lockAt(of *openFile, fileID string, lreq lockmgr.Request) (lockmgr.Result, error) {
 	if k.cl.cfg.LockLeases {
 		var buf [4]int // no allocation up to four leaseholders
@@ -275,39 +274,21 @@ func (k *incarnation) lockAt(of *openFile, fileID string, lreq lockmgr.Request) 
 	return of.locks.Lock(lreq)
 }
 
-// materializeLease turns a lease-hit access into an ordinary lock
-// descriptor at the storage site: the requester skipped the lock message
-// because its cached lease covered the range, so the real lock is taken
-// here, atomically with the data access.  The materialized descriptor
-// joins the transaction's group — prepare records, recovery, deadlock
-// detection and commit-time release all see a perfectly ordinary lock,
-// which is what keeps the section 5 invariants intact under leases.  A
-// stale cache (the lease was reclaimed meanwhile) degrades gracefully:
-// the request waits its turn like any implicit lock (section 3.1 allows
-// implicit acquisition at access time).  The requester may be this site:
-// a hit taken before an owner move made it the file's home reaches the
-// file here.  Reports whether coverage now exists.
-func (k *incarnation) materializeLease(of *openFile, from simnet.SiteID, fileID string, h lockmgr.Holder, name string, mode lockmgr.Mode, off, length int64) bool {
-	if !k.cl.cfg.LockLeases || !h.IsTxn() || length <= 0 || off < 0 {
-		return false
+// implicitLock takes a transaction access's implicit lock (section 3.1)
+// at the storage site.  A carried lock (FastPaths: the requester missed
+// both its caches) may earn a lease, as a lock request's grant does.
+// Otherwise the requester skipped the lock message on a lease hit, and
+// the lease materializes here, with the data access, into an ordinary
+// descriptor of the transaction's group - what prepare, recovery,
+// deadlock detection and release see, so the section 5 invariants hold
+// under leases.  A stale hit (the lease was reclaimed meanwhile) just
+// waits its turn.  The requester may be this site: a hit taken before an
+// owner move made it the file's home reaches the file here.
+func (k *incarnation) implicitLock(of *openFile, from simnet.SiteID, fileID string, h lockmgr.Holder, name string, mode lockmgr.Mode, off, length int64, carried bool) (grant, error) {
+	if !carried && (!k.cl.cfg.LockLeases || length <= 0 || off < 0) {
+		return grant{}, lockmgr.ErrAccessDenied
 	}
-	lreq := lockmgr.Request{
-		Holder:   h,
-		Mode:     mode,
-		Off:      off,
-		Len:      length,
-		Wait:     true,
-		Timeout:  k.cl.cfg.LockWaitTimeout,
-		FromSite: int(from),
-		Group:    name,
-	}
-	k.markOpenForUpdate(of)
-	res, err := k.lockAt(of, fileID, lreq)
-	if err != nil {
-		return false
-	}
-	k.adoptUncommitted(of, name, res.Off, res.Len)
-	return true
+	return k.lockAccess(of, fileID, lockmgr.Request{Holder: h, Mode: mode, Off: off, Len: length, Wait: true, FromSite: int(from), Group: name}, carried)
 }
 
 // onTopology reclaims lease state when the failure detector announces a

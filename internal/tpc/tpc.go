@@ -46,8 +46,9 @@ import (
 	"repro/internal/vtime"
 )
 
-// Status is a transaction's outcome as recorded in the coordinator log.
-type Status int
+// Status is a transaction's outcome as recorded in the coordinator log,
+// one byte there.
+type Status uint8
 
 // Transaction statuses.
 const (
@@ -296,6 +297,10 @@ type pendingTxn struct {
 	txid   string
 	key    string // its coordinator log record's key, for finish to reclaim; "" when none is written
 	status Status
+	// passing marks a phase-two pass in flight, under c.mu: a second pass
+	// would re-send what the first is still delivering, and a participant
+	// refuses such a duplicate.
+	passing bool
 	// parts is every participant site, ascending.  Once the transaction is
 	// decided it is the prefix phase two must still reach (the unacked
 	// sites, still ascending), and each pass trims it under c.mu.
@@ -631,10 +636,11 @@ func runPhase2(arg any, _ int) {
 	pt := arg.(*pendingTxn)
 	c := pt.c
 	c.mu.Lock()
-	if c.pending[pt.txid] != pt {
+	if c.pending[pt.txid] != pt || pt.passing {
 		c.mu.Unlock()
 		return
 	}
+	pt.passing = true
 	ps := &phase2Pass{pt: pt}
 	ps.sends = append(ps.buf[:0], pt.parts...)
 	c.mu.Unlock()
@@ -642,6 +648,7 @@ func runPhase2(arg any, _ int) {
 	vtime.Fan(c.clk, len(ps.sends), ps, sendCommit)
 
 	c.mu.Lock()
+	pt.passing = false
 	pt.parts = slices.DeleteFunc(pt.parts, func(p participant) bool {
 		i := slices.IndexFunc(ps.sends, func(s participant) bool { return s.site == p.site })
 		return i >= 0 && ps.sends[i].err == nil
@@ -675,7 +682,8 @@ func (c *Coordinator) finish(pt *pendingTxn) {
 // unacknowledged participants and returns how many are still
 // unacknowledged.  Independent transactions retry concurrently, so one
 // transaction stuck behind a partition cannot delay the rest of the
-// backlog.
+// backlog.  A transaction whose pass is still in flight is left to that
+// pass (runPhase2) and counted as unacknowledged.
 func (c *Coordinator) RetryPending() int {
 	c.mu.Lock()
 	var pts []*pendingTxn
